@@ -62,8 +62,7 @@ import (
 // fsync in parallel under per-array write latches, concurrent durable
 // inserts to one array coalesce into shared group commits, and
 // InsertBatch lands many versions atomically in one commit. See
-// DESIGN.md's "Concurrency & caching" and "Write path & group commit"
-// sections.
+// DESIGN.md's "Concurrency & caching" and "Write path" sections.
 type Store = core.Store
 
 // Options configures a Store (chunk size, compression codec, delta
@@ -79,8 +78,21 @@ type Options = core.Options
 //	opts.CacheBytes = arrayvers.DefaultCacheBytes
 const DefaultCacheBytes = core.DefaultCacheBytes
 
-// Open creates or reopens a store rooted at a directory.
+// Open creates or reopens a store rooted at a directory. A directory
+// written in a legacy on-disk format fails with ErrLegacyStore.
 func Open(dir string, opts Options) (*Store, error) { return core.Open(dir, opts) }
+
+// ErrLegacyStore is returned (wrapped) by Open for a directory in a
+// pre-manifest or pre-frame format; Migrate upgrades it.
+var ErrLegacyStore = core.ErrLegacyStore
+
+// MigrateReport says what Migrate did.
+type MigrateReport = core.MigrateReport
+
+// Migrate upgrades a legacy store directory in place (what `avstore
+// migrate` runs). It must be the directory's only user; on a store that
+// is already current it changes nothing.
+func Migrate(dir string) (MigrateReport, error) { return core.Migrate(dir, nil) }
 
 // DefaultOptions returns the paper's defaults (10 MB chunks, hybrid
 // deltas, co-located chains, automatic delta-ing).

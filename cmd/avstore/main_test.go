@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"arrayvers"
@@ -142,5 +145,53 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if err := run([]string{"-store", store}); err == nil {
 		t.Error("missing command accepted")
+	}
+}
+
+// TestMigrateSubcommand drives the CLI over the checked-in legacy
+// fixture: every subcommand refuses the directory with an error naming
+// `avstore migrate`, the migrate subcommand (in both -store spellings)
+// upgrades it, and afterwards fsck is clean.
+func TestMigrateSubcommand(t *testing.T) {
+	src := filepath.Join("..", "..", "internal", "core", "testdata", "legacy", "store")
+	dir := filepath.Join(t.TempDir(), "store")
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), raw, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-store", dir, "list"},
+		{"-store", dir, "-durable", "fsck"},
+		{"-store", dir, "versions", "-name", "Raw"},
+	} {
+		err := run(args)
+		if !errors.Is(err, arrayvers.ErrLegacyStore) || !strings.Contains(err.Error(), "avstore migrate") {
+			t.Fatalf("avstore %v on a legacy directory: %v, want the legacy-store error naming avstore migrate", args, err)
+		}
+	}
+	if err := run([]string{"migrate", "-store", dir}); err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	if err := run([]string{"-store", dir, "migrate"}); err != nil {
+		t.Fatalf("second migrate (global -store): %v", err)
+	}
+	if err := run([]string{"-store", dir, "fsck"}); err != nil {
+		t.Fatalf("fsck after migrate: %v", err)
+	}
+	if err := run([]string{"migrate"}); err == nil {
+		t.Fatal("migrate without a directory accepted")
 	}
 }

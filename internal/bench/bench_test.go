@@ -293,7 +293,7 @@ func TestAblationsShape(t *testing.T) {
 }
 
 func TestIngestConfigShape(t *testing.T) {
-	res, err := runIngestConfig(t.TempDir(), "grouped", 2, 6, 16, 1)
+	res, err := runIngestConfig(t.TempDir(), 2, 6, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,12 +302,5 @@ func TestIngestConfigShape(t *testing.T) {
 	}
 	if res.CoalesceFactor < 1 {
 		t.Fatalf("coalesce factor %v < 1", res.CoalesceFactor)
-	}
-	res, err = runIngestConfig(t.TempDir(), "per-insert", 2, 6, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GroupCommits != 6 {
-		t.Fatalf("per-insert mode coalesced: %d commits for 6 inserts", res.GroupCommits)
 	}
 }

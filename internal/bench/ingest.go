@@ -14,18 +14,15 @@ import (
 
 // The ingest experiment measures the durable write path: concurrent
 // writers inserting small dense versions into one array of a
-// crash-safe (Options.Durability) store, with the group-commit
-// coalescer on (production default) versus off (every insert pays its
-// own fsync schedule and metadata commit — the pre-group-commit
-// behavior). One shared array concentrates the commit contention the
-// coalescer exists for; both modes still benefit identically from the
-// pipelined commit stages, so the grouped-vs-per-insert delta isolates
-// the coalescing itself.
+// crash-safe (Options.Durability) store. One shared array concentrates
+// the commit contention the group-commit coalescer exists for; the
+// realized coalescing factor is reported per fan-out. (Comparisons
+// against other commits go through benchmark/ and its committed
+// baselines, not through a second code path kept alive here.)
 
-// IngestResult is one (mode, writers) configuration's measurement,
-// serialized into BENCH_ingest.json by cmd/avbench.
+// IngestResult is one fan-out's measurement, serialized into
+// BENCH_ingest.json by cmd/avbench.
 type IngestResult struct {
-	Mode          string  `json:"mode"` // "grouped" or "per-insert"
 	Writers       int     `json:"writers"`
 	Inserts       int     `json:"inserts"`
 	NsPerInsert   int64   `json:"ns_per_insert"`
@@ -36,16 +33,9 @@ type IngestResult struct {
 	CoalesceFactor float64 `json:"coalesce_factor"`
 }
 
-// IngestSummary is the whole experiment: every configuration plus the
-// headline grouped-vs-per-insert speedup at the highest fan-out, which
-// CI gates on.
+// IngestSummary is the whole experiment: one result per fan-out.
 type IngestSummary struct {
 	Results []IngestResult `json:"results"`
-	// Speedup[w] is grouped inserts/sec over per-insert inserts/sec at w
-	// writers, keyed by the decimal writer count.
-	Speedup map[string]float64 `json:"speedup"`
-	// SpeedupAt8 repeats Speedup["8"] for the jq gate.
-	SpeedupAt8 float64 `json:"speedup_at_8"`
 }
 
 // ingestFanouts are the concurrent writer counts measured.
@@ -61,43 +51,32 @@ func Ingest(workDir string, sc Scale, parallelism int) (Table, IngestSummary, er
 		total = 96 // quick scale
 	}
 
-	summary := IngestSummary{Speedup: map[string]float64{}}
-	perInsertRate := map[int]float64{}
+	var summary IngestSummary
 	run := 0
-	for _, mode := range []string{"per-insert", "grouped"} {
-		for _, writers := range ingestFanouts {
-			// median of N trials per cell: a shared box's transient fs
-			// stalls (journal flushes, neighbors) otherwise dominate a
-			// single short durable run in either direction
-			var cell []IngestResult
-			for trial := 0; trial < trials; trial++ {
-				run++
-				dir := filepath.Join(workDir, fmt.Sprintf("ingest-%d", run))
-				res, err := runIngestConfig(dir, mode, writers, total, side, parallelism)
-				if err != nil {
-					return Table{}, IngestSummary{}, err
-				}
-				cell = append(cell, res)
+	for _, writers := range ingestFanouts {
+		// median of N trials per cell: a shared box's transient fs
+		// stalls (journal flushes, neighbors) otherwise dominate a
+		// single short durable run in either direction
+		var cell []IngestResult
+		for trial := 0; trial < trials; trial++ {
+			run++
+			dir := filepath.Join(workDir, fmt.Sprintf("ingest-%d", run))
+			res, err := runIngestConfig(dir, writers, total, side, parallelism)
+			if err != nil {
+				return Table{}, IngestSummary{}, err
 			}
-			sort.Slice(cell, func(a, b int) bool { return cell[a].InsertsPerSec < cell[b].InsertsPerSec })
-			med := cell[len(cell)/2]
-			summary.Results = append(summary.Results, med)
-			if mode == "per-insert" {
-				perInsertRate[writers] = med.InsertsPerSec
-			} else if base := perInsertRate[writers]; base > 0 {
-				summary.Speedup[fmt.Sprintf("%d", writers)] = med.InsertsPerSec / base
-			}
+			cell = append(cell, res)
 		}
+		sort.Slice(cell, func(a, b int) bool { return cell[a].InsertsPerSec < cell[b].InsertsPerSec })
+		summary.Results = append(summary.Results, cell[len(cell)/2])
 	}
-	summary.SpeedupAt8 = summary.Speedup["8"]
 
 	t := Table{
-		Title:   "Durable ingest — group commit vs per-insert commit",
-		Columns: []string{"Mode", "Writers", "Inserts", "ns/insert", "inserts/s", "commits", "coalesce"},
+		Title:   "Durable ingest — group commit by writer fan-out",
+		Columns: []string{"Writers", "Inserts", "ns/insert", "inserts/s", "commits", "coalesce"},
 	}
 	for _, r := range summary.Results {
 		t.Rows = append(t.Rows, []string{
-			r.Mode,
 			fmt.Sprintf("%d", r.Writers),
 			fmt.Sprintf("%d", r.Inserts),
 			fmt.Sprintf("%d", r.NsPerInsert),
@@ -108,23 +87,19 @@ func Ingest(workDir string, sc Scale, parallelism int) (Table, IngestSummary, er
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d durable inserts of %dx%d int32 versions into one shared array per run; every run read back byte-identical and verified",
-			total, side, side),
-		fmt.Sprintf("grouped commit at 8 writers: %.1fx the per-insert-commit baseline", summary.SpeedupAt8))
+			total, side, side))
 	return t, summary, nil
 }
 
-// runIngestConfig measures one (mode, writers) cell on a fresh durable
-// store and fails if any committed version does not read back
-// byte-identical.
-func runIngestConfig(dir, mode string, writers, total int, side int64, parallelism int) (IngestResult, error) {
+// runIngestConfig measures one fan-out on a fresh durable store and
+// fails if any committed version does not read back byte-identical.
+func runIngestConfig(dir string, writers, total int, side int64, parallelism int) (IngestResult, error) {
 	opts := core.DefaultOptions()
 	opts.Durability = true
 	opts.Parallelism = parallelism
-	opts.DisableGroupCommit = mode == "per-insert"
 	// bulk-ingest shape: materialize every version instead of reading
 	// the predecessor back for delta analysis on each insert — the
 	// experiment measures the durable commit path, not chain decoding
-	// (both modes run identically either way)
 	opts.AutoDelta = false
 	store, err := core.Open(dir, opts)
 	if err != nil {
@@ -191,10 +166,10 @@ func runIngestConfig(dir, mode string, writers, total int, side int64, paralleli
 	for id, seed := range written {
 		pl, err := store.Select(name, id)
 		if err != nil {
-			return IngestResult{}, fmt.Errorf("ingest %s writers=%d: version %d unreadable: %w", mode, writers, id, err)
+			return IngestResult{}, fmt.Errorf("ingest writers=%d: version %d unreadable: %w", writers, id, err)
 		}
 		if !pl.Dense.Equal(content(seed)) {
-			return IngestResult{}, fmt.Errorf("ingest %s writers=%d: version %d not byte-identical", mode, writers, id)
+			return IngestResult{}, fmt.Errorf("ingest writers=%d: version %d not byte-identical", writers, id)
 		}
 	}
 	rep, err := store.Verify(name)
@@ -202,11 +177,10 @@ func runIngestConfig(dir, mode string, writers, total int, side int64, paralleli
 		return IngestResult{}, err
 	}
 	if !rep.Ok() {
-		return IngestResult{}, fmt.Errorf("ingest %s writers=%d: verify failed: %v", mode, writers, rep.Problems)
+		return IngestResult{}, fmt.Errorf("ingest writers=%d: verify failed: %v", writers, rep.Problems)
 	}
 	st := store.Stats()
 	res := IngestResult{
-		Mode:          mode,
 		Writers:       writers,
 		Inserts:       total,
 		NsPerInsert:   elapsed.Nanoseconds() / int64(total),

@@ -10,40 +10,32 @@ import (
 	"arrayvers/internal/core"
 )
 
-// The manifest experiment measures the store-wide commit log against
-// the legacy per-array commit protocol on the workload the log was
-// built for: batches that span several arrays. The manifest store
-// lands each K-array batch with Store.InsertMulti — one append, one
-// fsync, atomic across members — while the baseline store (opened with
-// Options.PerArrayCommit) pays K separate InsertBatch commits, each
-// with its own versions.json rename and directory fsync, and offers no
-// cross-array atomicity at all.
+// The manifest experiment measures the workload the store-wide commit
+// log was built for: batches that span several arrays. Each K-array
+// batch lands with Store.InsertMulti — one manifest append, one fsync,
+// atomic across members — and the run reports the commit fsyncs it
+// actually paid per batch.
 
-// ManifestResult is one mode's measurement, serialized into
+// ManifestResult is the run's measurement, serialized into
 // BENCH_manifest.json by cmd/avbench.
 type ManifestResult struct {
-	Mode         string  `json:"mode"` // "manifest" or "per-array"
-	Arrays       int     `json:"arrays"`
-	Batches      int     `json:"batches"`
-	NsPerBatch   int64   `json:"ns_per_batch"`
+	Arrays        int     `json:"arrays"`
+	Batches       int     `json:"batches"`
+	NsPerBatch    int64   `json:"ns_per_batch"`
 	BatchesPerSec float64 `json:"batches_per_sec"`
-	// MetaFsyncs counts the durable metadata-commit fsyncs the run paid
-	// (manifest log fsyncs, or per-array rename+dir fsync commits).
-	MetaFsyncs int64 `json:"meta_fsyncs"`
-	// FsyncsPerBatch is MetaFsyncs/Batches: 1.0 for the manifest, K for
-	// the per-array baseline.
+	// MetaFsyncs counts the manifest-log fsyncs the batch loop paid;
+	// FsyncsPerBatch is MetaFsyncs/Batches and must be 1.0.
+	MetaFsyncs     int64   `json:"meta_fsyncs"`
 	FsyncsPerBatch float64 `json:"fsyncs_per_batch"`
 }
 
-// ManifestSummary is the whole experiment plus the two headline
-// numbers CI gates on.
+// ManifestSummary is the whole experiment plus the headline number CI
+// gates on.
 type ManifestSummary struct {
 	Results []ManifestResult `json:"results"`
-	// ManifestFsyncsPerBatch repeats the manifest mode's FsyncsPerBatch
+	// ManifestFsyncsPerBatch repeats the median run's FsyncsPerBatch
 	// for the jq gate: one commit fsync per cross-array batch.
 	ManifestFsyncsPerBatch float64 `json:"manifest_fsyncs_per_batch"`
-	// Speedup is manifest batches/sec over the per-array baseline.
-	Speedup float64 `json:"speedup"`
 }
 
 // Manifest runs the cross-array commit experiment and returns the
@@ -57,60 +49,43 @@ func Manifest(workDir string, sc Scale, parallelism int) (Table, ManifestSummary
 		batches = 24 // quick scale
 	}
 
-	summary := ManifestSummary{}
-	run := 0
-	for _, mode := range []string{"per-array", "manifest"} {
-		var cell []ManifestResult
-		for trial := 0; trial < trials; trial++ {
-			run++
-			dir := filepath.Join(workDir, fmt.Sprintf("manifest-%d", run))
-			res, err := runManifestConfig(dir, mode, arrays, batches, side, parallelism)
-			if err != nil {
-				return Table{}, ManifestSummary{}, err
-			}
-			cell = append(cell, res)
+	var cell []ManifestResult
+	for trial := 1; trial <= trials; trial++ {
+		dir := filepath.Join(workDir, fmt.Sprintf("manifest-%d", trial))
+		res, err := runManifestConfig(dir, arrays, batches, side, parallelism)
+		if err != nil {
+			return Table{}, ManifestSummary{}, err
 		}
-		sort.Slice(cell, func(a, b int) bool { return cell[a].BatchesPerSec < cell[b].BatchesPerSec })
-		med := cell[len(cell)/2]
-		summary.Results = append(summary.Results, med)
-		if mode == "manifest" {
-			summary.ManifestFsyncsPerBatch = med.FsyncsPerBatch
-			if base := summary.Results[0].BatchesPerSec; base > 0 {
-				summary.Speedup = med.BatchesPerSec / base
-			}
-		}
+		cell = append(cell, res)
 	}
+	sort.Slice(cell, func(a, b int) bool { return cell[a].BatchesPerSec < cell[b].BatchesPerSec })
+	med := cell[len(cell)/2]
+	summary := ManifestSummary{Results: []ManifestResult{med}, ManifestFsyncsPerBatch: med.FsyncsPerBatch}
 
 	t := Table{
-		Title:   "Cross-array batch ingest — manifest log vs per-array commit",
-		Columns: []string{"Mode", "Arrays", "Batches", "ns/batch", "batches/s", "meta fsyncs", "fsyncs/batch"},
-	}
-	for _, r := range summary.Results {
-		t.Rows = append(t.Rows, []string{
-			r.Mode,
-			fmt.Sprintf("%d", r.Arrays),
-			fmt.Sprintf("%d", r.Batches),
-			fmt.Sprintf("%d", r.NsPerBatch),
-			fmt.Sprintf("%.0f", r.BatchesPerSec),
-			fmt.Sprintf("%d", r.MetaFsyncs),
-			fmt.Sprintf("%.2f", r.FsyncsPerBatch),
-		})
+		Title:   "Cross-array batch ingest through the manifest log",
+		Columns: []string{"Arrays", "Batches", "ns/batch", "batches/s", "meta fsyncs", "fsyncs/batch"},
+		Rows: [][]string{{
+			fmt.Sprintf("%d", med.Arrays),
+			fmt.Sprintf("%d", med.Batches),
+			fmt.Sprintf("%d", med.NsPerBatch),
+			fmt.Sprintf("%.0f", med.BatchesPerSec),
+			fmt.Sprintf("%d", med.MetaFsyncs),
+			fmt.Sprintf("%.2f", med.FsyncsPerBatch),
+		}},
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d durable batches, each spanning %d arrays with one %dx%d int32 version per member; every run read back byte-identical and verified",
-			batches, arrays, side, side),
-		fmt.Sprintf("manifest commit: %.2f metadata fsyncs per cross-array batch (per-array baseline: %.2f), %.1fx throughput",
-			summary.ManifestFsyncsPerBatch, summary.Results[0].FsyncsPerBatch, summary.Speedup))
+			batches, arrays, side, side))
 	return t, summary, nil
 }
 
-// runManifestConfig measures one mode on a fresh durable store and
+// runManifestConfig measures one run on a fresh durable store and
 // fails if any committed version does not read back byte-identical.
-func runManifestConfig(dir, mode string, arrays, batches int, side int64, parallelism int) (ManifestResult, error) {
+func runManifestConfig(dir string, arrays, batches int, side int64, parallelism int) (ManifestResult, error) {
 	opts := core.DefaultOptions()
 	opts.Durability = true
 	opts.Parallelism = parallelism
-	opts.PerArrayCommit = mode == "per-array"
 	// bulk-ingest shape, as in the ingest experiment: the run measures
 	// the commit protocol, not chain decoding
 	opts.AutoDelta = false
@@ -148,26 +123,16 @@ func runManifestConfig(dir, mode string, arrays, batches int, side int64, parall
 	}
 	start := time.Now()
 	for b := 0; b < batches; b++ {
-		if mode == "manifest" {
-			multi := make([]core.MultiInsert, arrays)
-			for i, n := range names {
-				multi[i] = core.MultiInsert{Array: n, Payloads: []core.Payload{core.DensePayload(content(b*arrays + i))}}
-			}
-			out, err := store.InsertMulti(multi)
-			if err != nil {
-				return ManifestResult{}, err
-			}
-			for i, n := range names {
-				written[n][out[n][0]] = b*arrays + i
-			}
-		} else {
-			for i, n := range names {
-				ids, err := store.InsertBatch(n, []core.Payload{core.DensePayload(content(b*arrays + i))})
-				if err != nil {
-					return ManifestResult{}, err
-				}
-				written[n][ids[0]] = b*arrays + i
-			}
+		multi := make([]core.MultiInsert, arrays)
+		for i, n := range names {
+			multi[i] = core.MultiInsert{Array: n, Payloads: []core.Payload{core.DensePayload(content(b*arrays + i))}}
+		}
+		out, err := store.InsertMulti(multi)
+		if err != nil {
+			return ManifestResult{}, err
+		}
+		for i, n := range names {
+			written[n][out[n][0]] = b*arrays + i
 		}
 	}
 	elapsed := time.Since(start)
@@ -177,10 +142,10 @@ func runManifestConfig(dir, mode string, arrays, batches int, side int64, parall
 		for id, seed := range vers {
 			pl, err := store.Select(n, id)
 			if err != nil {
-				return ManifestResult{}, fmt.Errorf("manifest %s: %s@%d unreadable: %w", mode, n, id, err)
+				return ManifestResult{}, fmt.Errorf("manifest: %s@%d unreadable: %w", n, id, err)
 			}
 			if !pl.Dense.Equal(content(seed)) {
-				return ManifestResult{}, fmt.Errorf("manifest %s: %s@%d not byte-identical", mode, n, id)
+				return ManifestResult{}, fmt.Errorf("manifest: %s@%d not byte-identical", n, id)
 			}
 		}
 		rep, err := store.Verify(n)
@@ -188,21 +153,12 @@ func runManifestConfig(dir, mode string, arrays, batches int, side int64, parall
 			return ManifestResult{}, err
 		}
 		if !rep.Ok() {
-			return ManifestResult{}, fmt.Errorf("manifest %s: verify %s failed: %v", mode, n, rep.Problems)
+			return ManifestResult{}, fmt.Errorf("manifest: verify %s failed: %v", n, rep.Problems)
 		}
 	}
 	st := store.Stats()
-	var metaFsyncs int64
-	if mode == "manifest" {
-		metaFsyncs = st.ManifestFsyncs - before.ManifestFsyncs
-	} else {
-		// the per-array protocol pays one versions.json rename commit per
-		// InsertBatch call; each is one durable commit point, which
-		// GroupCommits counts
-		metaFsyncs = st.GroupCommits - before.GroupCommits
-	}
+	metaFsyncs := st.ManifestFsyncs - before.ManifestFsyncs
 	res := ManifestResult{
-		Mode:          mode,
 		Arrays:        arrays,
 		Batches:       batches,
 		NsPerBatch:    elapsed.Nanoseconds() / int64(batches),

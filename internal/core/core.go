@@ -13,14 +13,12 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,14 +91,12 @@ type Options struct {
 	// workload recording and forced Store.Tune passes work regardless.
 	AutoTune AutoTuneOptions
 	// Durability makes every commit crash-safe: chunk writes are fsynced
-	// (file and directory) before the metadata commit, the metadata
-	// commit itself is a durable manifest-log append (or, for
-	// PerArrayCommit stores, a tmp-write + fsync + rename + parent-dir
-	// fsync of versions.json), and Open runs crash recovery (see
-	// DESIGN.md "Durability & recovery"). The first durable open of a
-	// legacy store migrates it to the manifest in place unless
-	// PerArrayCommit is set. Off by default so I/O accounting matches
-	// the paper's tables; avstored and the avstore CLI turn it on.
+	// (file and, when files were created, directory) before the metadata
+	// commit, the commit itself is an fsynced manifest-log append, and
+	// Open runs crash recovery (see DESIGN.md "Write path"). Without it
+	// the same appends happen unsynced and Open never repairs anything.
+	// Off by default so I/O accounting matches the paper's tables;
+	// avstored turns it on.
 	Durability bool
 	// HealInterval is the background heal prober's period once an array
 	// (or the whole store) has entered degraded read-only mode after an
@@ -110,22 +106,6 @@ type Options struct {
 	// prober is armed lazily by the first degrade and disarms itself
 	// once everything is writable again.
 	HealInterval time.Duration
-	// DisableGroupCommit turns off the insert group-commit coalescer:
-	// every insert then pays its own chunks-dir fsync and metadata
-	// commit instead of sharing one with concurrent inserts to the same
-	// array. Exists for the ingest benchmark's per-insert-commit baseline
-	// and for bisecting; production callers leave it off.
-	DisableGroupCommit bool
-	// PerArrayCommit keeps a legacy store on the PR 3 per-array
-	// versions.json commit protocol instead of migrating it to the
-	// store-wide manifest log on its first durable open (see DESIGN.md
-	// "Manifest & commit log"). It only affects stores that have not
-	// migrated yet: once a CURRENT pointer exists, the store always
-	// opens manifest-format whatever this flag says. Exists for the
-	// manifest benchmark's per-array baseline and for bisecting;
-	// production callers leave it off. Cross-array InsertMulti requires
-	// the manifest and fails under this flag.
-	PerArrayCommit bool
 	// ManifestRotateBytes is the manifest log size that triggers a
 	// snapshot rotation. Zero means a 4 MiB default; negative disables
 	// rotation (the log grows without bound).
@@ -244,10 +224,12 @@ type Store struct {
 	closed bool    // set by Close; guarded by mu
 	arrays map[string]*arrayState
 	// man is the store-wide manifest log — THE commit point of every
-	// metadata mutation when non-nil (see manifest.go). Nil means the
-	// store runs the legacy per-array versions.json commit protocol.
-	// Set once by Open, immutable afterwards.
+	// metadata mutation (see manifest.go). Set once by Open, immutable
+	// afterwards.
 	man *manifest
+	// creating reserves the names of arrays whose CreateArray is
+	// committing with Store.mu released. Guarded by mu.
+	creating map[string]bool
 	// epochs[name] is bumped whenever an array's on-disk encoding is
 	// invalidated (Reorganize, DeleteVersion, DeleteArray); it is part of
 	// every chunkCache key, so stale in-flight readers can never poison
@@ -371,7 +353,7 @@ type IOStats struct {
 	// that carried them, so ManifestRecords/ManifestAppends is the
 	// cross-array coalescing factor. ManifestFsyncs counts log fsyncs
 	// (equal to appends under Durability); ManifestRotations counts
-	// snapshot rotations. All zero on legacy per-array stores.
+	// snapshot rotations.
 	ManifestRecords   int64
 	ManifestAppends   int64
 	ManifestFsyncs    int64
@@ -423,27 +405,32 @@ type IOStats struct {
 	KernelBatchedOps int64
 }
 
-// Open creates or reopens a store rooted at dir. A CURRENT pointer in
-// the root marks the store manifest-format: Open replays the snapshot
-// plus the log to rebuild every array (see manifest.go); otherwise the
-// legacy per-array versions.json files are scanned, and the first
-// durable open migrates them to the manifest in place (unless
-// Options.PerArrayCommit opts out). With Options.Durability on, Open
-// also runs crash recovery: it sweeps commit leftovers (metadata tmp
-// files, stale manifest generations, stale chunk generations, orphaned
-// chunk files), truncates torn chunk-file and manifest-log tails, and
-// reconciles the version metadata against the payloads that survived;
-// what it repaired is reported through Stats().
+// ErrLegacyStore is returned (wrapped) by Open for a store directory in
+// a format this package no longer serves: per-array versions.json
+// metadata without a manifest, or arrays whose chunks predate the
+// checksummed frame. `avstore migrate -store DIR` (Migrate) upgrades
+// such a directory offline; Open itself never writes to one.
+var ErrLegacyStore = errors.New("core: legacy store format (run `avstore migrate -store DIR` once, offline)")
+
+// Open creates or reopens a store rooted at dir. The CURRENT pointer in
+// the root names the live manifest generation; Open replays its
+// snapshot plus log to rebuild every array (see manifest.go). A
+// directory without CURRENT is a new store and gets an empty manifest —
+// unless it holds legacy per-array metadata, which fails with
+// ErrLegacyStore before anything is written. With Options.Durability
+// on, Open also runs crash recovery: it sweeps commit leftovers (stale
+// manifest generations, unreferenced array directories, stale chunk
+// generations, orphaned chunk files), truncates torn chunk-file and
+// manifest-log tails, and reconciles the version metadata against the
+// payloads that survived; what it repaired is reported through Stats().
 func Open(dir string, opts Options) (*Store, error) {
 	opts.fillDefaults()
-	if err := opts.FS.MkdirAll(dir); err != nil {
-		return nil, fmt.Errorf("core: create store dir: %w", err)
-	}
 	s := &Store{
 		dir:        dir,
 		opts:       opts,
 		fs:         opts.FS,
 		arrays:     make(map[string]*arrayState),
+		creating:   make(map[string]bool),
 		epochs:     make(map[string]uint64),
 		chunkCache: cache.New(opts.CacheBytes),
 		maps:       newGenMaps(opts.DisableMmap),
@@ -462,34 +449,41 @@ func Open(dir string, opts Options) (*Store, error) {
 			md.set.release()
 		}
 	})
-	if _, err := os.Stat(filepath.Join(dir, currentFile)); err == nil {
-		if err := s.openManifestStore(); err != nil {
-			return nil, err
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("core: stat %s: %w", currentFile, err)
-	} else if err := s.openLegacyStore(); err != nil {
+	if err := s.openManifestStore(); err != nil {
 		return nil, err
 	}
 	s.startTuner()
 	return s, nil
 }
 
-// openManifestStore replays an existing manifest store and, when
-// durable, sweeps root debris and runs per-array crash recovery.
+// openManifestStore replays the manifest (creating an empty one for a
+// new store) and, when durable, sweeps root debris and runs per-array
+// crash recovery.
 func (s *Store) openManifestStore() error {
-	man, err := openManifest(s)
+	_, err := os.Stat(filepath.Join(s.dir, currentFile))
+	switch {
+	case err == nil:
+		s.man, err = openManifest(s)
+	case !errors.Is(err, os.ErrNotExist):
+		return fmt.Errorf("core: stat %s: %w", currentFile, err)
+	case hasLegacyMeta(s.dir):
+		return fmt.Errorf("core: open %s: %w", s.dir, ErrLegacyStore)
+	default:
+		s.man, err = createManifest(s)
+	}
 	if err != nil {
 		return err
 	}
-	s.man = man
-	for name, doc := range man.state {
+	for name, doc := range s.man.state {
+		if doc.Format != formatFramed {
+			return fmt.Errorf("core: array %q has unframed chunks: %w", name, ErrLegacyStore)
+		}
 		s.arrays[name] = &arrayState{arrayMeta: *doc, dir: filepath.Join(s.dir, name)}
 	}
 	if !s.opts.Durability {
 		return nil
 	}
-	if err := man.sweepRootLocked(); err != nil {
+	if err := s.man.sweepRootLocked(); err != nil {
 		return fmt.Errorf("core: manifest sweep: %w", err)
 	}
 	t0 := time.Now()
@@ -497,73 +491,6 @@ func (s *Store) openManifestStore() error {
 		return fmt.Errorf("core: crash recovery: %w", err)
 	}
 	s.prof.recoveryNanos.Store(time.Since(t0).Nanoseconds())
-	return nil
-}
-
-// openLegacyStore scans the per-array versions.json files, runs crash
-// recovery when durable, and then — the first durable open without
-// PerArrayCommit — migrates the store to the manifest in place. A
-// fresh store (no array directories at all) is born manifest-format
-// even without Durability: there is nothing to migrate, and new stores
-// should all speak the same commit protocol. Only a pre-existing
-// legacy store opened non-durably is left untouched, so read-only
-// tooling never rewrites a store's format behind its owner's back.
-func (s *Store) openLegacyStore() error {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("core: read store dir: %w", err)
-	}
-	sawDir := false
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		sawDir = true
-		adir := filepath.Join(s.dir, e.Name())
-		if strings.HasSuffix(e.Name(), tombstoneSuffix) {
-			// a committed DeleteArray whose post-commit sweep was
-			// interrupted; never load it, remove it when recovering
-			if s.opts.Durability {
-				if err := s.fs.RemoveAll(adir); err != nil {
-					return fmt.Errorf("core: sweep deleted array %q: %w", e.Name(), err)
-				}
-				s.recovery.RemovedFiles++
-			}
-			continue
-		}
-		st, err := loadArrayState(adir)
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				// a directory without committed metadata is a crashed
-				// CreateArray: the array never existed. Recovery sweeps
-				// it; a non-durable open just skips it so read-only
-				// tools still work on a store with crash debris
-				if s.opts.Durability {
-					if rerr := s.fs.RemoveAll(adir); rerr != nil {
-						return fmt.Errorf("core: sweep half-created array %q: %w", e.Name(), rerr)
-					}
-					s.recovery.RemovedFiles++
-				}
-				continue
-			}
-			return fmt.Errorf("core: load array %q: %w", e.Name(), err)
-		}
-		s.arrays[st.Schema.Name] = st
-	}
-	if s.opts.Durability {
-		t0 := time.Now()
-		if err := s.recoverLocked(); err != nil {
-			return fmt.Errorf("core: crash recovery: %w", err)
-		}
-		s.prof.recoveryNanos.Store(time.Since(t0).Nanoseconds())
-	}
-	if !s.opts.PerArrayCommit && (s.opts.Durability || !sawDir) {
-		man, err := s.migrateToManifest()
-		if err != nil {
-			return fmt.Errorf("core: manifest migration: %w", err)
-		}
-		s.man = man
-	}
 	return nil
 }
 
@@ -752,6 +679,20 @@ type versionMeta struct {
 	Chunks map[string]map[string]chunkEntry `json:"chunks"`
 }
 
+// clone copies the record with a fresh outer chunk map, for a mutator
+// about to replace some attribute's chunks: published versions are
+// shared with reader snapshots and are never edited in place. The inner
+// (chunk key → entry) maps stay shared — they are only ever replaced
+// wholesale.
+func (vm *versionMeta) clone() *versionMeta {
+	cp := *vm
+	cp.Chunks = make(map[string]map[string]chunkEntry, len(vm.Chunks))
+	for attr, m := range vm.Chunks {
+		cp.Chunks[attr] = m
+	}
+	return &cp
+}
+
 // BranchRef records the provenance of a branched array.
 type BranchRef struct {
 	Array   string `json:"array"`
@@ -759,8 +700,8 @@ type BranchRef struct {
 }
 
 // arrayMeta is the durable metadata of one named array — exactly the
-// fields serialized into a manifest record (or, on legacy stores, into
-// versions.json). Mutators never edit the live copy in place: they
+// fields serialized into a manifest record. Mutators never edit the
+// live copy in place: they
 // build a staged arrayMeta (metaClone), commit it with commitMeta, and
 // install it only after the commit succeeds, so a failed commit can
 // never leave in-memory metadata referencing an uncommitted version
@@ -776,8 +717,8 @@ type arrayMeta struct {
 	NextID       int            `json:"nextId"`
 	Versions     []*versionMeta `json:"versions"`
 	BranchedFrom *BranchRef     `json:"branchedFrom,omitempty"`
-	// Format is the on-disk chunk format: formatRaw for pre-frame stores
-	// (absent in their metadata), formatFramed for checksummed frames.
+	// Format stamps the on-disk chunk format; always formatFramed on a
+	// store Open accepts (see ErrLegacyStore).
 	Format int `json:"format,omitempty"`
 	// Gen numbers the committed chunks directory ("chunks" for 0,
 	// "chunks.gN" after N destructive rewrites). Reorganize and Compact
@@ -807,9 +748,11 @@ type arrayState struct {
 	// written before the snapshot was taken.
 	ioMu sync.RWMutex
 
-	// reorgMu serializes destructive rewrites (Reorganize, Compact) on
-	// this array without blocking readers or inserts; it is always
-	// acquired before Store.mu, never while holding it.
+	// reorgMu serializes everything that can invalidate an optimistic
+	// insert staging on this array — Reorganize, Compact, DeleteVersion,
+	// Heal — without blocking readers or inserts. An insert that keeps
+	// losing to them takes it too, which guarantees its next attempt
+	// commits. Always acquired first, never while holding Store.mu.
 	reorgMu sync.Mutex
 
 	// writeMu is the per-array write latch: it serializes insert staging
@@ -821,9 +764,8 @@ type arrayState struct {
 	// syncMu and commitMu pipeline the group commit in two stages:
 	// syncMu admits one leader to the data-sync stage (drain pending,
 	// fsync every staged file and the chunks dir), commitMu admits one
-	// to the metadata stage (validate, install, commit via commitMeta —
-	// a manifest-log append, or the versions.json rename on legacy
-	// stores). A leader acquires commitMu BEFORE releasing syncMu, so
+	// to the metadata stage (validate, commit one manifest record,
+	// install). A leader acquires commitMu BEFORE releasing syncMu, so
 	// batches install in drain order, while the next leader's fsyncs
 	// overlap this leader's metadata commit.
 	//
@@ -831,11 +773,11 @@ type arrayState struct {
 	// leaders run the metadata commit with Store.mu released (so selects
 	// and staging never stall behind the commit's fsyncs), which is only
 	// safe because every other metadata writer on the array —
-	// DeleteVersion, Reorganize, Compact — also holds commitMu across
-	// its saveMeta. Lock order: syncMu < commitMu < writeMu < Store.mu
-	// < pendMu; the manifest's own latches are leaves below all of
-	// these (commit leaders append while holding commitMu, sometimes
-	// Store.mu too, and the manifest never takes a store lock back).
+	// DeleteVersion, Reorganize, Compact, DeleteArray — also holds
+	// commitMu across its commit. Lock order: reorgMu < syncMu <
+	// commitMu < writeMu < Store.mu < ioMu < pendMu; the manifest's own
+	// latches are leaves below all of these (commit leaders append while
+	// holding commitMu, and the manifest never takes a store lock back).
 	syncMu   sync.Mutex
 	commitMu sync.Mutex
 	// pendMu guards pending and stageNext.
@@ -884,24 +826,6 @@ func (st *arrayState) live() []*versionMeta {
 
 func (st *arrayState) chunker() (*chunk.Chunker, error) {
 	return chunk.NewWithSide(st.Schema.Shape(), st.ChunkSide)
-}
-
-const metaFile = "versions.json"
-
-func loadArrayState(dir string) (*arrayState, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, metaFile))
-	if err != nil {
-		return nil, err
-	}
-	var st arrayState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return nil, fmt.Errorf("corrupt metadata: %w", err)
-	}
-	if err := st.Schema.Validate(); err != nil {
-		return nil, fmt.Errorf("corrupt metadata: %w", err)
-	}
-	st.dir = dir
-	return &st, nil
 }
 
 // chunksDirName is the name of the committed chunks directory for a
@@ -962,7 +886,6 @@ func (st *arrayState) installMeta(m arrayMeta) {
 	}
 	st.NextID = m.NextID
 	st.Versions = m.Versions
-	st.Format = m.Format
 	st.Gen = m.Gen
 }
 
@@ -974,48 +897,6 @@ func (s *Store) saveMeta(st *arrayState) error {
 	return s.commitMeta(st, &m)
 }
 
-// saveMetaDoc is the legacy per-array commit (PerArrayCommit stores
-// and pre-migration opens; manifest stores commit through
-// s.man.commit instead — see commitMeta): marshal to a tmp file,
-// rename over versions.json, and — with Durability on — fsync the tmp
-// file before the rename and the array directory after it. The rename
-// is the commit point of the mutation: chunk payloads are synced
-// before it, so once the new metadata is durable everything it
-// references is too, and anything it does not reference is garbage for
-// recovery and Compact to reclaim.
-func (s *Store) saveMetaDoc(dir string, m *arrayMeta) error {
-	raw, err := json.MarshalIndent(m, "", " ")
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, metaFile+".tmp")
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(raw)
-	if werr == nil && s.opts.Durability {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	// failures above are benign: the commit definitively did not happen
-	// and the tmp file is debris. From the rename on, a failure's on-disk
-	// effect is uncertain (the new document may be in place, durably or
-	// not), so wrap it for the degraded-mode classifier (health.go).
-	if err := s.fs.Rename(tmp, filepath.Join(dir, metaFile)); err != nil {
-		return uncertain(err)
-	}
-	if s.opts.Durability {
-		return uncertain(s.fs.SyncDir(dir))
-	}
-	return nil
-}
-
 // --- array lifecycle (the five basic operations, §II) ---
 
 // CreateArray initializes a named array with the given schema. The first
@@ -1024,49 +905,21 @@ func (s *Store) CreateArray(schema array.Schema) error {
 	if err := schema.Validate(); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.createArrayLocked(schema, nil)
-}
-
-func (s *Store) createArrayLocked(schema array.Schema, branchedFrom *BranchRef) error {
-	if s.closed {
-		return ErrClosed
-	}
-	if err := s.writeGate(schema.Name); err != nil {
-		return err
-	}
-	if _, ok := s.arrays[schema.Name]; ok {
-		return fmt.Errorf("core: array %q already exists", schema.Name)
-	}
-	dir := filepath.Join(s.dir, schema.Name)
-	if err := s.fs.MkdirAll(filepath.Join(dir, "chunks")); err != nil {
-		s.noteDiskPressure(err)
-		return err
-	}
-	if s.opts.Durability && s.man != nil {
-		// On a manifest store the directory chain must be durable BEFORE
-		// the commit record: the manifest never syncs the array directory
-		// again (no per-array rename commit), and chunk fsyncs inside a
-		// directory whose entry a crash can drop would silently lose
-		// committed data. A failure here is benign — nothing references
-		// the array yet.
-		err := s.fs.SyncDir(dir)
-		if err == nil {
-			err = s.fs.SyncDir(s.dir)
-		}
-		if err != nil {
-			s.noteDiskPressure(err)
-			_ = s.fs.RemoveAll(dir)
-			return err
-		}
-	}
-	elem := schema.Attrs[0].Type.Size()
-	ck, err := chunk.New(schema.Shape(), elem, s.opts.ChunkBytes)
+	st, err := s.newArrayState(schema, nil)
 	if err != nil {
 		return err
 	}
-	st := &arrayState{
+	return s.publishArray(st)
+}
+
+// newArrayState builds the state of an array that does not exist yet;
+// publishArray creates it.
+func (s *Store) newArrayState(schema array.Schema, branchedFrom *BranchRef) (*arrayState, error) {
+	ck, err := chunk.New(schema.Shape(), schema.Attrs[0].Type.Size(), s.opts.ChunkBytes)
+	if err != nil {
+		return nil, err
+	}
+	return &arrayState{
 		arrayMeta: arrayMeta{
 			Schema:       schema,
 			ChunkSide:    ck.Side(),
@@ -1074,47 +927,79 @@ func (s *Store) createArrayLocked(schema array.Schema, branchedFrom *BranchRef) 
 			BranchedFrom: branchedFrom,
 			Format:       formatFramed,
 		},
-		dir: dir,
-	}
-	err = s.saveMeta(st)
-	if err == nil && s.opts.Durability && s.man == nil {
-		// legacy commit: the array directory's entry in the store root
-		// must survive too. (A manifest store needs no root sync — the
-		// commit record is durable in the log, and recovery recreates a
-		// lost directory entry from it.)
-		err = uncertain(s.fs.SyncDir(s.dir))
-	}
-	if err != nil {
-		// the array was never visible; removing its directory resolves
-		// any on-disk uncertainty (a metadata rename that secretly
-		// landed) by deleting it. Only if that also fails can a phantom
-		// array survive to the next Open — degrade the store so writes
-		// stop until the disk recovers. (On a manifest store an
-		// uncertain commit already degraded the store via the poisoned
-		// log, and the heal's truncation resolves the uncertainty.)
-		s.noteDiskPressure(err)
-		if rerr := s.fs.RemoveAll(dir); rerr != nil && isUncertain(err) {
-			s.degradeStore(err)
-		}
+		dir: filepath.Join(s.dir, schema.Name),
+	}, nil
+}
+
+// publishArray creates st's directory, commits its empty document and
+// makes the array visible. The directory syncs and the manifest append
+// run with Store.mu released; the name is reserved in s.creating
+// meanwhile so a concurrent creator of the same name fails instead of
+// committing a second document.
+func (s *Store) publishArray(st *arrayState) error {
+	name := st.Schema.Name
+	if err := s.writeGate(name); err != nil {
 		return err
 	}
-	s.arrays[schema.Name] = st
+	s.mu.Lock()
+	var err error
+	switch {
+	case s.closed:
+		err = ErrClosed
+	case s.arrays[name] != nil || s.creating[name]:
+		err = fmt.Errorf("core: array %q already exists", name)
+	default:
+		s.creating[name] = true
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	err = s.commitNewArray(st)
+	s.mu.Lock()
+	delete(s.creating, name)
+	if err == nil {
+		s.arrays[name] = st
+	}
+	s.mu.Unlock()
+	return err
+}
+
+func (s *Store) commitNewArray(st *arrayState) error {
+	fail := func(err error) error {
+		// nothing references the array yet, so failures here are benign.
+		// An uncertain manifest append has already poisoned the log and
+		// degraded the store; the heal's truncation drops the record.
+		s.noteDiskPressure(err)
+		_ = s.fs.RemoveAll(st.dir)
+		return err
+	}
+	if err := s.fs.MkdirAll(st.chunksDir()); err != nil {
+		return fail(err)
+	}
+	if s.opts.Durability {
+		// The directory chain must be durable BEFORE the commit record:
+		// the manifest never syncs the array directory again, and chunk
+		// fsyncs inside a directory whose entry a crash can drop would
+		// silently lose committed data.
+		if err := s.fs.SyncDir(st.dir); err != nil {
+			return fail(err)
+		}
+		if err := s.fs.SyncDir(s.dir); err != nil {
+			return fail(err)
+		}
+	}
+	if err := s.saveMeta(st); err != nil {
+		return fail(err)
+	}
 	return nil
 }
 
-// tombstoneSuffix marks an array directory whose deletion committed but
-// whose removal may not have finished. Array names cannot contain dots
-// (array.Schema validation), so the suffix can never collide with a
-// live array.
-const tombstoneSuffix = ".deleting"
-
-// DeleteArray removes an array and all of its versions. On a manifest
-// store the commit point is a single drop record appended to the
-// store-wide log; on a legacy store it is a rename to a tombstone name
-// (made durable with a store-root sync). Either way the tree removal
-// happens after the commit, so a crash can only ever leave debris for
-// Open-time recovery to sweep — never a half-deleted array that
-// resurrects with versions missing.
+// DeleteArray removes an array and all of its versions. The commit
+// point is a single drop record appended to the manifest log; the tree
+// removal happens after it, so a crash can only ever leave an
+// unreferenced directory for Open-time recovery to sweep — never a
+// half-deleted array that resurrects with versions missing.
 //
 // The array's commitMu is held across the commit: an insert leader
 // runs its metadata commit with Store.mu released, and without this
@@ -1132,6 +1017,13 @@ func (s *Store) DeleteArray(name string) error {
 		return err
 	}
 	defer st.commitMu.Unlock()
+	return s.deleteArrayLatched(st)
+}
+
+// deleteArrayLatched is DeleteArray for callers that already hold
+// st.commitMu (Branch and Merge rolling back their new array).
+func (s *Store) deleteArrayLatched(st *arrayState) error {
+	name := st.Schema.Name
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -1140,45 +1032,21 @@ func (s *Store) DeleteArray(name string) error {
 	if s.arrays[name] != st {
 		return fmt.Errorf("core: no array %q", name)
 	}
-	if s.man != nil {
-		st.ioMu.Lock()
-		err = s.man.commit([]manifestOp{{Name: name, Drop: true}})
-		if err != nil {
-			st.ioMu.Unlock()
-			s.noteCommitFailure(st, err)
-			return err
-		}
-		// post-commit garbage collection; a failure just leaves an
-		// unreferenced directory for the next durable open's root sweep.
-		// The removal is routed through the generation-map retire so it
-		// defers past cached zero-copy planes; the invalidate below (still
-		// under Store.mu, with no reader able to start meanwhile) drains
-		// those refs, so the unlink always lands before we return.
-		dir := st.dir
-		s.maps.retire(st.chunksDir(), func() { _ = s.fs.RemoveAll(dir) })
+	st.ioMu.Lock()
+	if err := s.man.commit([]manifestOp{{Name: name, Drop: true}}); err != nil {
 		st.ioMu.Unlock()
-	} else {
-		tomb := st.dir + tombstoneSuffix
-		st.ioMu.Lock()
-		err = s.fs.Rename(st.dir, tomb)
-		if err == nil && s.opts.Durability {
-			err = s.fs.SyncDir(s.dir)
-		}
-		st.ioMu.Unlock()
-		if err != nil {
-			// the tombstone rename's effect is uncertain: the directory
-			// may already be renamed while memory keeps serving the
-			// array. The heal restores the live name from the tombstone
-			// (see healArray).
-			s.noteCommitFailure(st, uncertain(err))
-			return err
-		}
-		// post-commit garbage collection; a failure just leaves the
-		// tombstone for the next Open's recovery. The mapping survives the
-		// tombstone rename (it pins inodes, not names), so retire is keyed
-		// by the pre-rename chunks path.
-		s.maps.retire(st.chunksDir(), func() { _ = s.fs.RemoveAll(tomb) })
+		s.noteCommitFailure(st, err)
+		return err
 	}
+	// post-commit garbage collection; a failure just leaves an
+	// unreferenced directory for the next durable open's root sweep.
+	// The removal is routed through the generation-map retire so it
+	// defers past cached zero-copy planes; the invalidate below (still
+	// under Store.mu, with no reader able to start meanwhile) drains
+	// those refs, so the unlink always lands before we return.
+	dir := st.dir
+	s.maps.retire(st.chunksDir(), func() { _ = s.fs.RemoveAll(dir) })
+	st.ioMu.Unlock()
 	delete(s.arrays, name)
 	s.invalidateArrayLocked(name)
 	s.workload.drop(name)

@@ -715,7 +715,6 @@ func TestCorruptChunkFileDetected(t *testing.T) {
 func TestCorruptMetadataRejectedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	opts := smallOpts()
-	opts.PerArrayCommit = true // pin the legacy versions.json loader
 	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -723,7 +722,7 @@ func TestCorruptMetadataRejectedOnOpen(t *testing.T) {
 	if err := s.CreateArray(schema2D("Meta", 8)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "Meta", metaFile), []byte("{broken"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, manifestSnapName(1)), []byte("{broken"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir, opts); err == nil {

@@ -356,79 +356,6 @@ func TestCrashPointMatrix(t *testing.T) {
 	}
 }
 
-// TestLegacyRawFormatCompat pins the on-disk format versioning: arrays
-// written before chunk frames existed (format 0, raw payloads) must
-// keep reading, and a destructive rewrite must upgrade them to framed
-// format 1 without changing their contents.
-func TestLegacyRawFormatCompat(t *testing.T) {
-	const side = 16
-	dir := t.TempDir()
-	opts := smallOpts()
-	opts.ChunkBytes = 1 << 10
-	s, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CreateArray(schema2D("Old", side)); err != nil {
-		t.Fatal(err)
-	}
-	// rewind the array to the legacy format before anything is written,
-	// exactly as a pre-frame store would load
-	st := s.arrays["Old"]
-	st.Format = formatRaw
-	if err := s.saveMeta(st); err != nil {
-		t.Fatal(err)
-	}
-	want := []*array.Dense{crashContent(1, side), crashContent(2, side)}
-	for _, w := range want {
-		if _, err := s.Insert("Old", DensePayload(w)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// reopen (with recovery) and read the raw-format payloads back
-	ropts := opts
-	ropts.Durability = true
-	r, err := Open(dir, ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range want {
-		got, err := r.Select("Old", i+1)
-		if err != nil {
-			t.Fatalf("raw-format version %d unreadable: %v", i+1, err)
-		}
-		if !got.Dense.Equal(w) {
-			t.Fatalf("raw-format version %d corrupted", i+1)
-		}
-	}
-	if r.arrays["Old"].Format != formatRaw {
-		t.Fatal("plain open must not silently rewrite the on-disk format")
-	}
-	// a rewrite upgrades to checksummed frames
-	if err := r.Reorganize("Old", ReorganizeOptions{Policy: PolicyOptimal}); err != nil {
-		t.Fatal(err)
-	}
-	if r.arrays["Old"].Format != formatFramed {
-		t.Fatal("Reorganize should upgrade to the framed format")
-	}
-	for i, w := range want {
-		got, err := r.Select("Old", i+1)
-		if err != nil {
-			t.Fatalf("upgraded version %d unreadable: %v", i+1, err)
-		}
-		if !got.Dense.Equal(w) {
-			t.Fatalf("upgraded version %d corrupted", i+1)
-		}
-	}
-	rep, err := r.Verify("Old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Ok() {
-		t.Fatalf("upgraded store fails verify: %v", rep.Problems)
-	}
-}
-
 // TestRecoveryReconcilesLostData covers the defense-in-depth path: a
 // store written *without* durability crashes in a way that loses
 // committed chunk bytes. Recovery must drop the unreadable versions
@@ -467,7 +394,7 @@ func TestRecoveryReconcilesLostData(t *testing.T) {
 	maxV1 := map[string]int64{}
 	for _, chunks := range st.Versions[0].Chunks {
 		for _, e := range chunks {
-			if end := e.Offset + frameLen(st.Format, e.Length); end > maxV1[e.File] {
+			if end := e.Offset + frameLen(e.Length); end > maxV1[e.File] {
 				maxV1[e.File] = end
 			}
 		}

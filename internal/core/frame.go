@@ -6,8 +6,8 @@ import (
 	"hash/crc32"
 )
 
-// Self-describing chunk frames (on-disk format 1). Every chunk payload
-// written by a format-1 array is wrapped in a fixed 13-byte header:
+// Self-describing chunk frames. Every chunk payload is wrapped in a
+// fixed 13-byte header:
 //
 //	offset 0: 4-byte magic "AVC1"
 //	offset 4: 1-byte frame format version
@@ -18,15 +18,14 @@ import (
 // (file, offset, length) triple really are the frame that was committed
 // there — catching torn writes, misdirected reads against a stale
 // offset, and bit rot — and lets recovery distinguish a clean frame
-// boundary from a torn tail. Format-0 arrays (created before frames
-// existed) store raw payloads and are still readable; Reorganize and
-// Compact upgrade them to format 1 when they rewrite every payload.
+// boundary from a torn tail. The manifest log and its snapshots reuse
+// the same frame for their records.
 
 const (
-	// formatRaw is the legacy on-disk format: raw chunk payloads, no
-	// frame headers.
-	formatRaw = 0
-	// formatFramed wraps every chunk payload in a checksummed frame.
+	// formatFramed is the one chunk format the store serves, stamped
+	// into every array's metadata document (arrayMeta.Format). Arrays
+	// written before frames existed carry 0 there and are re-framed by
+	// the offline migration (migrate.go); Open refuses them.
 	formatFramed = 1
 
 	frameMagic     = "AVC1"
@@ -36,14 +35,8 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// frameLen returns the on-disk size of a payload of n bytes under the
-// given array format.
-func frameLen(format int, n int64) int64 {
-	if format == formatFramed {
-		return n + frameHeaderLen
-	}
-	return n
-}
+// frameLen returns the on-disk size of a payload of n bytes.
+func frameLen(n int64) int64 { return n + frameHeaderLen }
 
 // appendFrame wraps payload in a frame and appends it to dst.
 func appendFrame(dst, payload []byte) []byte {

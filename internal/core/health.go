@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -16,29 +14,30 @@ import (
 // modes"). The commit protocol's failure sites fall into two classes:
 //
 //   - benign: the failure happened strictly before the commit point and
-//     the failed operation's effect is known (a staging append, the
-//     metadata tmp-file create/write/fsync). The mutation rolls back,
-//     memory and disk agree, and the store stays writable.
+//     the failed operation's effect is known (a staging append, opening
+//     the manifest log). The mutation rolls back, memory and disk
+//     agree, and the store stays writable.
 //
 //   - uncertain: a data or directory fsync failed (the kernel may have
-//     dropped dirty pages whose write was already acknowledged), the
-//     metadata rename failed (the new document may or may not be in
-//     place), or the post-rename directory fsync failed (the rename IS
-//     in place but may not survive a power cut — disk is ahead of
-//     memory). Accepting further writes against that state could
-//     compound a torn commit, so the array transitions into degraded
-//     read-only mode: reads keep serving the in-memory (authoritative)
-//     metadata, every mutation is refused with ErrDegraded.
+//     dropped dirty pages whose write was already acknowledged), or the
+//     manifest append's write, fsync or close failed (the record may or
+//     may not be in the log). Accepting further writes against that
+//     state could compound a torn commit, so the array — for a manifest
+//     failure, the whole store — transitions into degraded read-only
+//     mode: reads keep serving the in-memory (authoritative) metadata,
+//     every mutation is refused with ErrDegraded.
 //
 // ENOSPC anywhere degrades the whole store: a full disk fails the next
 // commit no matter which array it lands on.
 //
-// Healing re-establishes the invariant the commit protocol normally
-// maintains — durable disk state == in-memory state — by probing the
-// disk, re-committing the authoritative in-memory metadata document,
-// sweeping commit debris and orphaned chunk blobs (the Open-time
-// recovery sweep, run on the live store), and verifying the array end
-// to end before flipping it back to writable. A background prober (the
+// Nothing is ever installed in memory before its record is committed,
+// so after any such failure memory holds the last state known durable;
+// what is in doubt is only what the disk holds beyond it. Healing
+// re-establishes durable disk state == in-memory state by probing the
+// disk, cutting the manifest log back to its last acknowledged byte
+// (manifest.heal), sweeping commit debris and orphaned chunk blobs (the
+// Open-time recovery sweep, run on the live store), and verifying the
+// array end to end before flipping it back to writable. A background prober (the
 // healer) is armed on the first degrade and retries until the disk
 // recovers; Heal runs the same pass synchronously.
 
@@ -48,9 +47,10 @@ import (
 var ErrDegraded = errors.New("core: degraded read-only mode")
 
 // commitUncertainError marks an I/O failure at or after the commit
-// point whose on-disk effect is unknown (failed rename or post-rename
-// directory fsync). saveMetaDoc wraps those phases so callers can
-// distinguish them from benign pre-commit failures.
+// point whose on-disk effect is unknown (a failed manifest append, a
+// failed CURRENT rename or its directory fsync). The manifest wraps
+// those phases so callers can distinguish them from benign pre-commit
+// failures.
 type commitUncertainError struct{ err error }
 
 func (e *commitUncertainError) Error() string { return e.err.Error() }
@@ -138,7 +138,7 @@ func (s *Store) bumpRejected() {
 }
 
 // noteCommitFailure classifies a failure at an UNCERTAIN commit-protocol
-// site (data fsync, chunks-dir fsync, metadata rename/dir-fsync): the
+// site (data fsync, chunks-dir fsync, manifest append): the
 // array degrades, and ENOSPC additionally degrades the whole store.
 // Callers may hold Store.mu; healthMu and statsMu are leaf locks.
 func (s *Store) noteCommitFailure(st *arrayState, err error) {
@@ -219,9 +219,8 @@ type HealReport struct {
 }
 
 // Heal attempts to exit degraded mode synchronously: probe the disk,
-// re-commit each degraded array's authoritative in-memory metadata,
-// sweep commit debris, and run Verify; arrays that pass flip back to
-// writable. The background healer runs the same pass periodically; Heal
+// settle the manifest log, sweep each degraded array's commit debris,
+// and run Verify; arrays that pass flip back to writable. The background healer runs the same pass periodically; Heal
 // exists for tests and operational tooling (avstore, the daemon's admin
 // surface). A no-op when nothing is degraded.
 func (s *Store) Heal() (HealReport, error) {
@@ -245,10 +244,8 @@ func (s *Store) Heal() (HealReport, error) {
 		// truncate the unhealed tail (or finish the flip) before declaring
 		// the store writable again, or the next append would stack a record
 		// on bytes whose durability is unknown.
-		if s.man != nil {
-			if err := s.man.heal(); err != nil {
-				return rep, fmt.Errorf("core: heal manifest: %w", err)
-			}
+		if err := s.man.heal(); err != nil {
+			return rep, fmt.Errorf("core: heal manifest: %w", err)
 		}
 		s.healthMu.Lock()
 		if s.storeDegraded != nil {
@@ -305,7 +302,7 @@ func (s *Store) probeDir(dir string) error {
 // healArray runs one array's heal pass. It acquires every write-side
 // latch in the documented order (reorgMu, then syncMu < commitMu <
 // writeMu), so no insert, delete, or rewrite can be mid-commit: the
-// in-memory metadata it re-commits and sweeps against cannot move.
+// in-memory metadata it sweeps against cannot move.
 func (s *Store) healArray(name string, rep *HealReport) error {
 	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
 		return []*sync.Mutex{&st.reorgMu, &st.syncMu, &st.commitMu, &st.writeMu}
@@ -335,45 +332,23 @@ func (s *Store) healArray(name string, rep *HealReport) error {
 		}
 	}
 
-	// an uncertain DeleteArray failure can leave the directory renamed
-	// to its tombstone while memory still serves the array: restore the
-	// authoritative (live) name before touching anything inside it
-	if _, err := os.Stat(st.dir); errors.Is(err, fs.ErrNotExist) {
-		tomb := st.dir + tombstoneSuffix
-		if _, terr := os.Stat(tomb); terr == nil {
-			if rerr := s.fs.Rename(tomb, st.dir); rerr != nil {
-				return rerr
-			}
-		}
-	}
-
 	if err := s.probeDir(st.dir); err != nil {
 		return err
 	}
 
-	// re-commit the authoritative in-memory metadata. This single write
-	// resolves every uncertain outcome the degrade recorded: a rename
-	// that secretly landed (disk ahead of memory — the phantom case), a
-	// rename that was lost, or a rewrite whose generation flipped in
-	// memory but never committed (commitGenLocked's divergence).
 	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
+	closed, current := s.closed, s.arrays[name] == st
+	s.mu.RUnlock()
+	if closed {
 		return ErrClosed
 	}
-	if s.arrays[name] != st {
-		s.mu.RUnlock()
+	if !current {
 		s.clearDegraded(name)
 		return nil
 	}
-	m := st.metaClone()
-	s.mu.RUnlock()
-	if err := s.commitMeta(st, &m); err != nil {
-		return err
-	}
 
 	// the Open-time recovery sweep, on the live store: drop commit
-	// debris (tmp files, uncommitted generations) and orphaned or torn
+	// debris (uncommitted generations) and orphaned or torn
 	// chunk blobs. Readers are drained via the I/O latch first — a
 	// superseded generation directory may still be pinned by a reader
 	// that snapshotted before a half-committed rewrite.

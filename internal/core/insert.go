@@ -18,30 +18,36 @@ import (
 	"arrayvers/internal/trace"
 )
 
-// The insert commit path.
+// The write path: stage → sync → commit → install.
 //
-// An insert runs in two phases. *Staging* resolves the payload, picks a
-// delta base, and encodes every chunk — appending blobs to the chunk
-// files — against a cloned metadata snapshot, holding only the array's
-// writeMu (which serializes appenders on one array) and its shared I/O
-// latch (which pins the chunk generation); Store.mu is held just long
-// enough to take the snapshot, so inserts to different arrays encode
-// and fsync concurrently, and never stall readers. *Commit* installs
-// the staged versions: a group-commit leader drains every staged insert
-// pending on the array, makes their payloads durable with one fsync per
-// touched file plus one chunks-dir fsync shared by the whole batch,
-// validates each against the live state (generation unchanged, delta
-// bases still live), and publishes them all with a single metadata
-// commit — one record appended to the store-wide manifest log, or the
-// versions.json rename on legacy PerArrayCommit stores (commitMeta is
-// the seam between the two protocols).
+// Every mutation that adds versions — Insert, InsertBatch, InsertMulti,
+// Branch, Merge — runs the same three functions:
 //
-// Nothing is installed into the live arrayState until that commit
-// succeeds: mutators build a staged arrayMeta and install it only after
-// commitMeta returns, so a failed commit leaves in-memory metadata
-// exactly equal to on-disk metadata (no phantom versions a select could
-// read but a reopen would lose), and the blobs a failed stage appended
-// are reclaimed at the failure site (writeSet.sweep).
+//   - stageBatch resolves the payloads, picks delta bases, and encodes
+//     every chunk — appending blobs, unsynced, to the chunk files —
+//     against a cloned metadata snapshot. It holds the array's writeMu
+//     (which serializes appenders on one array) and its shared I/O
+//     latch (which pins the chunk generation); Store.mu only long
+//     enough to take the snapshot, so inserts to different arrays
+//     encode concurrently and never stall readers.
+//   - syncStagedBatch makes a round of staged inserts durable: one fsync
+//     per touched file plus one chunks-dir fsync when files were
+//     created, shared by the whole round.
+//   - finalizeBatch validates each staged insert against the live state
+//     (generation unchanged, delta bases still live) under a brief
+//     Store.mu, commits the staged documents of one or several arrays
+//     as ONE manifest record with Store.mu released, and installs them
+//     under a second brief Store.mu.
+//
+// Single-array inserts enqueue their staging and ride a group commit
+// (awaitCommit); InsertMulti, Branch and Merge hold their arrays' whole
+// latch set and call the three functions directly (commitLatched).
+//
+// Nothing is installed into the live arrayState until the manifest
+// append succeeds, so a failed commit leaves in-memory metadata exactly
+// equal to on-disk metadata (no phantom versions a select could read
+// but a reopen would lose), and the blobs a failed stage appended are
+// reclaimed at the failure site (writeSet.sweep).
 
 // Plane is the content of one attribute of one version: either a dense
 // or a sparse array over the schema's dimensions.
@@ -119,33 +125,36 @@ func DeltaListPayload(base int, updates []CellUpdate) Payload {
 
 // insertCtx carries the filesystem coordinates one staged mutation
 // encodes against: the metadata view it resolves bases through, the
-// chunk directory and format of the generation it pinned, the
-// representation it encodes with, the write-set recording its appends,
+// chunk directory of the generation it pinned, the representation it
+// encodes with, the write-set recording its appends,
 // and a per-stage chunk memo so repeated base reads walk each delta
 // chain once. Cache puts through ctx.v are always suppressed (noCache):
 // staged version ids are not committed and must never become visible
 // through the store-wide LRU.
 type insertCtx struct {
-	st     *arrayState
-	v      *readView
-	ws     *writeSet
-	qc     *chunkCache
-	dir    string
-	format int
-	sparse bool
-	goCtx  context.Context // caller's cancellation; nil means Background
+	st    *arrayState
+	v     *readView
+	ws    *writeSet
+	qc    *chunkCache
+	dir   string
+	goCtx context.Context // caller's cancellation; nil means Background
+	// the array's representation: open until the first version of an
+	// empty array fixes it (repFixed), then binding on every payload
+	repFixed bool
+	sparse   bool
+	fill     int64
 }
 
 // context returns the caller's context, defaulting to Background for
-// internal paths (fallback commit, Branch, Merge) that stage without
-// one. Cancellation is only honored during staging — a payload that
+// the commit-time re-encodes (AutoBatchK, DeleteVersion) that run
+// without one. Cancellation is only honored during staging — a payload that
 // reached the shared commit queue always runs to completion, so a
 // group-commit leader never aborts followers' work.
 func (c *insertCtx) context() context.Context {
 	if c.goCtx != nil {
 		return c.goCtx
 	}
-	return context.Background() //avlint:allow-ctx the designated fallback for internal non-cancellable staging (fallback commit, Branch, Merge); every cancellable path sets goCtx
+	return context.Background() //avlint:allow-ctx the designated fallback for non-cancellable commit-time re-encodes (AutoBatchK, DeleteVersion); every cancellable path sets goCtx
 }
 
 // writeSet tracks the chunk-file byte ranges appended by one staged
@@ -291,23 +300,36 @@ type stagedInsert struct {
 	sparse bool           // representation the payloads were encoded with
 	fill   int64
 	gen    int // chunk generation the blobs were appended into
-	format int
 	ws     *writeSet
 
 	// tr is the staging request's trace (nil when untraced); the
 	// group-commit leader attributes the shared commit stages to it, so
-	// a traced insert sees the fsync/rename wait it actually rode.
+	// a traced insert sees the fsync and append wait it actually rode.
 	tr *trace.Trace
 	// enqueuedAt marks when the insert entered the pending queue; zeroed
-	// once its queue_wait has been observed (re-drain rounds and the
-	// DisableGroupCommit requeue must not double-count).
+	// once its queue_wait has been observed. Never set for latched
+	// commits, whose caller accounts its own latch wait.
 	enqueuedAt time.Time
+
+	// ids are the version ids reserved for vms; they are the insert's
+	// result if it commits
+	ids []int
 
 	// outcome, final once done is closed
 	done  chan struct{}
-	ids   []int
 	err   error
 	retry bool // staging was invalidated (generation moved / base died)
+}
+
+// failure is why the insert did not commit, nil if it did (or has not
+// been finalized yet). A staging invalidated by a concurrent rewrite or
+// delete reports errStagingInvalidated; optimistic callers re-stage on
+// retry instead of surfacing it.
+func (ins *stagedInsert) failure() error {
+	if ins.retry {
+		return errStagingInvalidated
+	}
+	return ins.err
 }
 
 func (ins *stagedInsert) fail(err error) {
@@ -317,9 +339,13 @@ func (ins *stagedInsert) fail(err error) {
 }
 
 // insertRetries bounds the optimistic stage attempts before an insert
-// falls back to committing under the store lock (guaranteed progress
-// when the array is rewritten faster than staging can revalidate).
+// excludes whatever keeps invalidating them (see InsertBatchCtx).
 const insertRetries = 3
+
+// errStagingInvalidated is what a latched commit — whose caller holds
+// the latches that exclude every invalidator — reports for an
+// invalidated staging: a bug, not a race.
+var errStagingInvalidated = errors.New("core: staged insert invalidated under its latches")
 
 // Insert adds a new version to the named array and returns its ID
 // (temporal versions are numbered 1, 2, ... as in AQL's Example@1).
@@ -343,7 +369,7 @@ func (s *Store) InsertCtx(ctx context.Context, name string, p Payload) (int, err
 // InsertBatch adds a batch of versions to the named array in one shared
 // commit and returns their IDs in payload order. The batch is atomic:
 // either every payload becomes a committed version or none does (one
-// metadata commit covers them all). Payloads are resolved in
+// manifest record covers them all). Payloads are resolved in
 // order, so later batch members delta-encode against earlier ones when
 // that is smaller, and each member's lineage parent is its predecessor
 // in the batch. Delta-list payloads must reference already-committed
@@ -352,15 +378,21 @@ func (s *Store) InsertCtx(ctx context.Context, name string, p Payload) (int, err
 // Concurrent durable inserts to the same array coalesce: whichever
 // insert reaches the commit point first becomes the group-commit leader
 // and publishes every insert staged behind it with one fsync schedule
-// and one metadata rename, so ingest throughput scales past the
-// single-commit fsync latency (see DESIGN.md "Write path & group
-// commit").
+// and one manifest record, so ingest throughput scales past the
+// single-commit fsync latency (see DESIGN.md "Write path").
 func (s *Store) InsertBatch(name string, ps []Payload) ([]int, error) {
 	return s.InsertBatchCtx(context.Background(), name, ps)
 }
 
 // InsertBatchCtx is InsertBatch honoring ctx during staging (see
 // InsertCtx for the cancellation contract).
+//
+// An attempt is optimistic: a rewrite or delete that commits between
+// its stage and its commit invalidates the staging and the insert
+// re-stages. After insertRetries such losses it takes the array's
+// reorgMu — which Reorganize, Compact, DeleteVersion and Heal all hold —
+// and runs the same attempt again: nothing can invalidate it now, so
+// the insert makes progress however busy the array is.
 func (s *Store) InsertBatchCtx(ctx context.Context, name string, ps []Payload) ([]int, error) {
 	if len(ps) == 0 {
 		return nil, fmt.Errorf("core: empty insert batch")
@@ -368,21 +400,31 @@ func (s *Store) InsertBatchCtx(ctx context.Context, name string, ps []Payload) (
 	if err := s.writeGate(name); err != nil {
 		return nil, err
 	}
-	for attempt := 0; attempt < insertRetries; attempt++ {
+	for attempt := 0; ; attempt++ {
+		var held *arrayState
+		if attempt >= insertRetries {
+			st, err := s.lockRewrite(name)
+			if err != nil {
+				return nil, err
+			}
+			held = st
+		}
 		ids, retry, err := s.tryInsertBatch(ctx, name, ps)
+		if held != nil {
+			held.reorgMu.Unlock()
+		}
 		if !retry {
 			return ids, err
 		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.insertBatchFallback(name, ps)
 }
 
 // lockArray resolves an array and acquires the latches pick selects —
-// which MUST be returned in the documented latch order (syncMu <
-// commitMu < writeMu) — then re-verifies the array was not dropped or
+// which MUST be returned in the documented latch order (reorgMu <
+// syncMu < commitMu < writeMu) — then re-verifies the array was not dropped or
 // replaced while waiting, retrying if it was. The caller releases the
 // latches in reverse order. Latches are always acquired without
 // holding Store.mu.
@@ -423,14 +465,27 @@ func (s *Store) lockWrite(name string) (*arrayState, error) {
 	})
 }
 
-// lockMetaWrite is lockWrite plus the metadata writer latch
-// (commitMu), for mutators outside the insert pipeline that both
-// append to chunk files and rewrite the metadata (DeleteVersion). The
-// caller releases st.writeMu then st.commitMu.
-func (s *Store) lockMetaWrite(name string) (*arrayState, error) {
-	return s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.commitMu, &st.writeMu}
+// lockCommit takes the array's whole commit-latch set — no leader is
+// mid-pipeline, no staging can reserve ids — and commits whatever was
+// already staged, so the caller works against a settled state. The
+// caller releases writeMu, commitMu, syncMu.
+func (s *Store) lockCommit(name string) (*arrayState, error) {
+	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
+		return []*sync.Mutex{&st.syncMu, &st.commitMu, &st.writeMu}
 	})
+	if err == nil {
+		s.drainLatched(st)
+	}
+	return st, err
+}
+
+// drainLatched commits the inserts pending on st; their stagers cannot
+// run a leader while the caller holds st's commit-latch set.
+func (s *Store) drainLatched(st *arrayState) {
+	if batch := st.drainPending(); len(batch) > 0 {
+		s.syncStagedBatch(st, batch)
+		s.finalizeBatch([]commitGroup{{st, batch}})
+	}
 }
 
 // tryInsertBatch performs one optimistic stage + commit attempt.
@@ -453,29 +508,68 @@ func (s *Store) tryInsertBatch(ctx context.Context, name string, ps []Payload) (
 	st.writeMu.Unlock()
 	s.awaitCommit(st, ins)
 	if ins.retry || ins.err != nil {
-		// reclaim the staged blobs; under the write latch so the size
-		// checks cannot race another stager's appends
 		st.writeMu.Lock()
-		ins.ws.sweep(s)
-		// reclaim the reserved ids too when they are still the top of
-		// the reservation space (no later stage reserved past us), so a
-		// retried or failed insert does not leave a version-id gap
-		st.pendMu.Lock()
-		if st.stageNext == ins.vms[len(ins.vms)-1].ID+1 {
-			st.stageNext = ins.vms[0].ID
-		}
-		st.pendMu.Unlock()
+		s.discardStaged(st, ins)
 		st.writeMu.Unlock()
 		return nil, ins.retry, ins.err
 	}
 	return ins.ids, false, nil
 }
 
+// discardStaged reclaims a failed or invalidated staging: its blobs,
+// and its reserved ids when they are still the top of the reservation
+// space (no later stage reserved past it), so a retried or failed
+// insert leaves no version-id gap. Callers hold st.writeMu, so the
+// sweep's size checks cannot race another stager's appends.
+func (s *Store) discardStaged(st *arrayState, ins *stagedInsert) {
+	ins.ws.sweep(s)
+	st.pendMu.Lock()
+	if st.stageNext == ins.ids[0]+len(ins.ids) {
+		st.stageNext = ins.ids[0]
+	}
+	st.pendMu.Unlock()
+}
+
+// commitLatched stages, syncs and commits one payload batch per array
+// as a single manifest record, for callers that hold every array's
+// commit-latch set (lockCommit): InsertMulti, Branch, Merge. With the
+// latches held nothing can invalidate the stagings, so one pass settles
+// them all: every array gains its versions, or none does and every
+// appended blob is reclaimed. Returns each array's new version ids.
+func (s *Store) commitLatched(ctx context.Context, sts []*arrayState, batches [][]Payload, kind string) ([][]int, error) {
+	groups := make([]commitGroup, 0, len(sts))
+	abort := func(err error) ([][]int, error) {
+		for _, g := range groups {
+			s.discardStaged(g.st, g.batch[0])
+		}
+		return nil, err
+	}
+	for i, st := range sts {
+		ins, err := s.stageBatch(ctx, st, batches[i], kind)
+		if err != nil {
+			return abort(err)
+		}
+		groups = append(groups, commitGroup{st, []*stagedInsert{ins}})
+	}
+	for _, g := range groups {
+		s.syncStagedBatch(g.st, g.batch)
+	}
+	s.finalizeBatch(groups)
+	ids := make([][]int, len(groups))
+	for i, g := range groups {
+		if err := g.batch[0].failure(); err != nil {
+			return abort(err)
+		}
+		ids[i] = g.batch[0].ids
+	}
+	return ids, nil
+}
+
 // stageBatch resolves and encodes a batch of payloads against a private
 // metadata snapshot, appending chunk blobs (unsynced) to the pinned
-// generation. On success the returned stagedInsert is ready to enqueue;
-// on error every appended blob has been reclaimed and the reserved ids
-// returned to the pool. Callers hold st.writeMu.
+// generation. On success the returned stagedInsert is ready to sync
+// and commit; on error every appended blob has been reclaimed and the
+// reserved ids returned to the pool. Callers hold st.writeMu.
 func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, kind string) (*stagedInsert, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -494,7 +588,7 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 		s.mu.RUnlock()
 		return nil, fmt.Errorf("core: no array %q", name)
 	}
-	v := s.viewLocked(st, true)
+	v := s.viewLocked(st)
 	v.noCache = true
 	repFixed := len(st.Versions) > 0
 	sparse, fill := st.SparseRep, st.Fill
@@ -518,28 +612,23 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 	}
 	st.pendMu.Unlock()
 	st.ioMu.RLock()
-	gen, format := st.Gen, st.Format
+	gen := st.Gen
 	s.mu.RUnlock()
 	defer st.ioMu.RUnlock()
 
-	unreserve := func() {
-		st.pendMu.Lock()
-		if st.stageNext == baseID+len(ps) {
-			st.stageNext = baseID
-		}
-		st.pendMu.Unlock()
-	}
 	ins := &stagedInsert{
-		gen:    gen,
-		format: format,
-		ws:     newWriteSet(),
-		tr:     trace.FromContext(ctx),
-		done:   make(chan struct{}),
+		gen:  gen,
+		ws:   newWriteSet(),
+		tr:   trace.FromContext(ctx),
+		ids:  make([]int, len(ps)),
+		done: make(chan struct{}),
 	}
-	ictx := &insertCtx{st: st, v: v, ws: ins.ws, qc: newChunkCache(), dir: v.dir, format: format, sparse: sparse, goCtx: ctx}
+	for j := range ps {
+		ins.ids[j] = baseID + j
+	}
+	ictx := &insertCtx{st: st, v: v, ws: ins.ws, qc: newChunkCache(), dir: v.dir, repFixed: repFixed, sparse: sparse, fill: fill, goCtx: ctx}
 	fail := func(err error) (*stagedInsert, error) {
-		ins.ws.sweep(s)
-		unreserve()
+		s.discardStaged(st, ins)
 		s.noteDiskPressure(err) // staging failures are benign, ENOSPC is not
 		return nil, err
 	}
@@ -548,7 +637,7 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
-		vm, err := s.stagePayload(ictx, p, baseID+j, kind, &repFixed, &sparse, &fill)
+		vm, err := s.stagePayload(ictx, p, ins.ids[j], kind)
 		if err != nil {
 			return fail(err)
 		}
@@ -557,42 +646,40 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 	encDur := time.Since(encStart)
 	s.prof.observeCommit(StageStageEncode, encDur, ins.ws.totalBytes())
 	ins.tr.Observe(StageStageEncode, encDur, ins.ws.totalBytes())
-	ins.sparse, ins.fill = sparse, fill
+	ins.sparse, ins.fill = ictx.sparse, ictx.fill
 	return ins, nil
 }
 
 // stagePayload resolves, validates, and encodes one payload as version
-// id. The representation state (repFixed/sparse/fill) carries across a
-// staging session: the first version of an empty array fixes it, later
-// payloads must match. The staged version is published through the
+// id. The context's representation state (repFixed/sparse/fill) carries
+// across a staging session: the first version of an empty array fixes
+// it, later payloads must match. The staged version is published through the
 // context's view, so later payloads of the same session chain their
 // lineage to it and may delta-encode against it — versions staged by
 // OTHER sessions stay invisible (their commit may still fail), which
 // is why concurrent single inserts that coalesce into one group commit
 // become siblings of the last committed version rather than a chain.
-func (s *Store) stagePayload(ctx *insertCtx, p Payload, id int, kind string, repFixed *bool, sparse *bool, fill *int64) (*versionMeta, error) {
+func (s *Store) stagePayload(ctx *insertCtx, p Payload, id int, kind string) (*versionMeta, error) {
 	st := ctx.st
 	planes, parents, err := s.resolvePayload(ctx, p)
 	if err != nil {
 		return nil, err
 	}
 	// the representation is fixed by the first inserted version
-	if !*repFixed {
-		*sparse = planes[0].IsSparse()
-		if *sparse {
-			*fill = planes[0].Sparse.Fill()
+	if !ctx.repFixed {
+		ctx.repFixed, ctx.sparse = true, planes[0].IsSparse()
+		if ctx.sparse {
+			ctx.fill = planes[0].Sparse.Fill()
 		}
-		ctx.sparse = *sparse
-		*repFixed = true
 	}
 	for i, pl := range planes {
-		if pl.IsSparse() != *sparse {
+		if pl.IsSparse() != ctx.sparse {
 			return nil, fmt.Errorf("core: array %q uses the %s representation; payload attribute %d does not",
-				st.Schema.Name, repName(*sparse), i)
+				st.Schema.Name, repName(ctx.sparse), i)
 		}
-		if *sparse && pl.Sparse.Fill() != *fill {
+		if ctx.sparse && pl.Sparse.Fill() != ctx.fill {
 			return nil, fmt.Errorf("core: array %q has default value %d, payload has %d",
-				st.Schema.Name, *fill, pl.Sparse.Fill())
+				st.Schema.Name, ctx.fill, pl.Sparse.Fill())
 		}
 	}
 	vm := &versionMeta{
@@ -602,9 +689,12 @@ func (s *Store) stagePayload(ctx *insertCtx, p Payload, id int, kind string, rep
 		Kind:    kind,
 		Chunks:  make(map[string]map[string]chunkEntry),
 	}
-	base := s.chooseDeltaBase(ctx, planes)
+	baseID, base, err := s.chooseDeltaBase(ctx, planes)
+	if err != nil {
+		return nil, err
+	}
 	for ai, attr := range st.Schema.Attrs {
-		entries, err := s.encodePlane(ctx, id, attr, planes[ai], base)
+		entries, err := s.encodePlane(ctx, id, attr, planes[ai], baseID, base[ai])
 		if err != nil {
 			return nil, err
 		}
@@ -643,34 +733,31 @@ func (s *Store) awaitCommit(st *arrayState, mine *stagedInsert) {
 		// includes it, and every drained insert is finalized before the
 		// latches are released
 		batch := st.drainPending()
-		if s.opts.DisableGroupCommit && len(batch) > 1 {
-			// per-insert-commit baseline: commit the head alone, requeue
-			// the rest in order
-			st.pendMu.Lock()
-			st.pending = append(append([]*stagedInsert(nil), batch[1:]...), st.pending...)
-			st.pendMu.Unlock()
-			batch = batch[:1]
-		}
 		// Sync stage: fsync the batch, then keep draining inserts that
 		// staged while those fsyncs ran (bounded rounds, so a steady
 		// stager stream cannot starve the commit) — coalescing deepens
 		// to the natural arrival rate without any timer.
 		s.syncStagedBatch(st, batch)
-		if !s.opts.DisableGroupCommit {
-			for round := 0; round < 5; round++ {
-				more := st.drainPending()
-				if len(more) == 0 {
-					break
-				}
-				s.syncStagedBatch(st, more)
-				batch = append(batch, more...)
+		for round := 0; round < 5; round++ {
+			more := st.drainPending()
+			if len(more) == 0 {
+				break
 			}
+			s.syncStagedBatch(st, more)
+			batch = append(batch, more...)
 		}
 		// stage handoff: commitMu before syncMu releases, so batches
 		// install in drain order while the next leader starts syncing
 		st.commitMu.Lock()
 		st.syncMu.Unlock()
-		s.finalizeBatch(st, batch, false)
+		if s.opts.AutoBatchK > 1 {
+			// the batched-update re-encode appends to chunk files
+			st.writeMu.Lock()
+		}
+		s.finalizeBatch([]commitGroup{{st, batch}})
+		if s.opts.AutoBatchK > 1 {
+			st.writeMu.Unlock()
+		}
 		st.commitMu.Unlock()
 	}
 }
@@ -683,121 +770,165 @@ func (st *arrayState) drainPending() []*stagedInsert {
 	return batch
 }
 
-// finalizeBatch is the metadata stage of the group commit: validate
-// every synced staged insert against the live state, commit the staged
-// document with a single metadata commit (a manifest-log record, or
-// the versions.json rename on legacy stores), and install it. The
-// commit runs with Store.mu RELEASED — commitMu (held by the caller)
-// is the metadata writer latch, serializing it against every
-// other metadata writer on the array — so concurrent selects and the
-// next leader's staging never stall behind the commit's fsyncs. Every
-// insert in the batch has its outcome finalized (done closed) before
-// it returns. latched reports that the caller already holds st.writeMu
-// (the under-lock fallback) — otherwise it is taken only when the
-// AutoBatchK re-encode could append.
-func (s *Store) finalizeBatch(st *arrayState, batch []*stagedInsert, latched bool) {
-	if len(batch) == 0 {
-		return
+// commitGroup is one array's share of a commit: staged inserts, already
+// synced, in stage order.
+type commitGroup struct {
+	st    *arrayState
+	batch []*stagedInsert
+}
+
+// finalizeBatch is the metadata stage of every insert commit: validate
+// each synced staged insert against its array's live state, commit the
+// staged documents of all groups with ONE manifest record, and install
+// them. A single group is a group commit — members are independent, the
+// invalid ones drop out and the rest commit. Several groups are one
+// caller's cross-array batch and commit all-or-nothing. The record is
+// appended with Store.mu RELEASED — each array's commitMu (held by the
+// caller) is its metadata writer latch, serializing the commit against
+// every other metadata writer on that array — so concurrent selects and
+// the next leader's staging never stall behind the commit's fsync.
+// Every insert has its outcome finalized (done closed) before
+// finalizeBatch returns. Callers also hold each array's writeMu when
+// AutoBatchK > 1: the batched-update re-encode appends to chunk files.
+func (s *Store) finalizeBatch(groups []commitGroup) {
+	var all []*stagedInsert
+	for _, g := range groups {
+		all = append(all, g.batch...)
 	}
-	if s.opts.AutoBatchK > 1 && !latched {
-		// the batched-update re-encode appends to chunk files; appends
-		// require the write latch (see writeSet.sweep and appendBlob)
-		st.writeMu.Lock()
-		defer st.writeMu.Unlock()
-	}
-	s.mu.Lock()
-	if s.closed || s.arrays[st.Schema.Name] != st {
-		err := error(ErrClosed)
-		if !s.closed {
-			err = fmt.Errorf("core: no array %q", st.Schema.Name)
-		}
-		s.mu.Unlock()
-		for _, ins := range batch {
-			ins.retry = false
-			ins.fail(err)
-		}
-		for _, ins := range batch {
+	defer func() {
+		for _, ins := range all {
 			close(ins.done)
 		}
+	}()
+	type validated struct {
+		st     *arrayState
+		ok     []*stagedInsert
+		staged *arrayMeta // the live document plus ok's versions,
+		from   int        // which start at this index
+		ws     *writeSet  // AutoBatchK re-encode appends
+	}
+	var vals []validated
+	installed := 0
+	s.mu.Lock()
+	for _, g := range groups {
+		var gone error
+		if s.closed {
+			gone = ErrClosed
+		} else if s.arrays[g.st.Schema.Name] != g.st {
+			gone = fmt.Errorf("core: no array %q", g.st.Schema.Name)
+		}
+		if gone != nil {
+			for _, ins := range g.batch {
+				ins.retry = false
+				ins.fail(gone)
+			}
+			continue
+		}
+		if ok, staged := s.validateBatchLocked(g.st, g.batch); len(ok) > 0 {
+			from := len(g.st.Versions)
+			vals = append(vals, validated{g.st, ok, staged, from, newWriteSet()})
+			installed += len(staged.Versions) - from
+		}
+	}
+	s.mu.Unlock()
+	// from here on a failure fails every validated insert: the staged
+	// versions never existed, the stagers sweep their own blobs, and the
+	// re-encodes' are swept here (writeMu is held whenever ws is non-empty)
+	failAll := func(err error) {
+		for _, v := range vals {
+			v.ws.sweep(s)
+		}
+		for _, ins := range all {
+			ins.fail(err)
+		}
+	}
+	if len(groups) > 1 {
+		for _, ins := range all {
+			if err := ins.failure(); err != nil {
+				failAll(err)
+				return
+			}
+		}
+	}
+	if len(vals) == 0 {
 		return
 	}
-	ok, staged, ws, installed := s.validateBatchLocked(st, batch)
+	ops := make([]manifestOp, len(vals))
+	var traces []*trace.Trace // distinct: a cross-array batch stages every group under one trace
+	seen := map[*trace.Trace]bool{nil: true}
+	for i, v := range vals {
+		// §IV-E batched updates: re-encode every batch of K versions the
+		// new ones complete — off Store.mu (commitMu keeps the document
+		// ours) — and make the fresh blobs durable before the record that
+		// references them
+		err := s.batchReencodeStaged(v.st, v.staged, v.from, v.ws)
+		if err == nil {
+			err = s.syncWrites(v.st, v.ws, filepath.Join(v.st.dir, chunksDirName(v.staged.Gen)))
+		}
+		if err != nil {
+			failAll(err)
+			return
+		}
+		ops[i] = manifestOp{Name: v.st.Schema.Name, Meta: v.staged}
+		for _, ins := range v.ok {
+			if !seen[ins.tr] {
+				seen[ins.tr] = true
+				traces = append(traces, ins.tr)
+			}
+		}
+	}
+	observe := func(stage string, since time.Time) {
+		d := time.Since(since)
+		s.prof.observeCommit(stage, d, 0)
+		for _, tr := range traces {
+			tr.Observe(stage, d, 0)
+		}
+	}
+	t0 := time.Now()
+	err := s.man.commit(ops)
+	observe(StageMetaCommit, t0)
+	if err != nil {
+		if isUncertain(err) {
+			// the append (or its fsync) failed: the record may be in the
+			// log while memory rolls back
+			for _, v := range vals {
+				s.noteCommitFailure(v.st, err)
+			}
+		} else {
+			s.noteDiskPressure(err) // benign unless ENOSPC
+		}
+		failAll(err)
+		return
+	}
+	t0 = time.Now()
+	s.mu.Lock()
+	for _, v := range vals {
+		v.st.mutateLocked()
+		v.st.installMeta(*v.staged)
+	}
+	s.addGroupCommit(installed)
 	s.mu.Unlock()
-	if len(ok) > 0 {
-		var commitErr error
-		if s.opts.Durability && !ws.empty() {
-			// the AutoBatchK re-encode appended fresh blobs; they must be
-			// durable before the metadata that references them
-			commitErr = ws.sync(s)
-			if commitErr == nil && ws.createdFiles() {
-				commitErr = s.fs.SyncDir(filepath.Join(st.dir, chunksDirName(staged.Gen)))
-			}
-		}
-		if commitErr != nil {
-			// a failed data or chunks-dir fsync may have dropped
-			// already-written pages: on-disk effect uncertain, contain
-			// it by degrading the array before anyone writes behind it
-			s.noteCommitFailure(st, commitErr)
-		}
-		if commitErr == nil {
-			t0 := time.Now()
-			commitErr = s.commitMeta(st, staged)
-			metaDur := time.Since(t0)
-			s.prof.observeCommit(StageMetaCommit, metaDur, 0)
-			for _, ins := range ok {
-				ins.tr.Observe(StageMetaCommit, metaDur, 0)
-			}
-			if isUncertain(commitErr) {
-				// the rename (or its durability fsync) failed: the new
-				// document may be in place while memory rolls back
-				s.noteCommitFailure(st, commitErr)
-			} else {
-				s.noteDiskPressure(commitErr) // benign unless ENOSPC
-			}
-		}
-		installStart := time.Now()
-		s.mu.Lock()
-		if commitErr == nil && s.arrays[st.Schema.Name] != st {
-			// DeleteArray won the race after our rename landed (or swept
-			// the directory first, failing the rename): either way the
-			// array is gone and the inserts with it
-			commitErr = fmt.Errorf("core: no array %q", st.Schema.Name)
-		}
-		if commitErr == nil {
-			st.mutateLocked()
-			st.installMeta(*staged)
-			s.addGroupCommit(installed)
-			for _, ins := range ok {
-				ids := make([]int, len(ins.vms))
-				for i, vm := range ins.vms {
-					ids[i] = vm.ID
-				}
-				ins.ids = ids
-			}
-		}
-		s.mu.Unlock()
-		if commitErr == nil {
-			installDur := time.Since(installStart)
-			s.prof.observeCommit(StageInstall, installDur, 0)
-			s.prof.batchSize.Observe(float64(installed))
-			for _, ins := range ok {
-				ins.tr.Observe(StageInstall, installDur, 0)
-			}
-		}
-		if commitErr != nil {
-			// the commit did not land: in-memory state is untouched, so
-			// the staged versions never existed — the stagers sweep their
-			// blobs, the re-encode's are swept here (writeMu is held
-			// whenever ws is non-empty)
-			ws.sweep(s)
-			for _, ins := range ok {
-				ins.fail(commitErr)
-			}
-		}
+	observe(StageInstall, t0)
+	s.prof.batchSize.Observe(float64(installed))
+}
+
+// syncWrites makes a commit-time write-set durable: every touched file,
+// then the chunks directory if any file was created. A failed fsync may
+// have dropped already-written pages — the on-disk effect is uncertain —
+// so the array degrades before anyone writes behind it. No-op without
+// Durability.
+func (s *Store) syncWrites(st *arrayState, ws *writeSet, chunksDir string) error {
+	if !s.opts.Durability || ws.empty() {
+		return nil
 	}
-	for _, ins := range batch {
-		close(ins.done)
+	err := ws.sync(s)
+	if err == nil && ws.createdFiles() {
+		err = s.fs.SyncDir(chunksDir)
 	}
+	if err != nil {
+		s.noteCommitFailure(st, err)
+	}
+	return err
 }
 
 // syncStagedBatch makes one round of staged inserts durable. The
@@ -810,8 +941,7 @@ func (s *Store) finalizeBatch(st *arrayState, batch []*stagedInsert, latched boo
 // rather than failed. No-op without Durability.
 func (s *Store) syncStagedBatch(st *arrayState, batch []*stagedInsert) {
 	// the leader has picked the batch up: close out each member's
-	// queue_wait exactly once (re-drain rounds and the per-insert-commit
-	// requeue see a zeroed mark)
+	// queue_wait exactly once
 	now := time.Now()
 	for _, ins := range batch {
 		if ins.enqueuedAt.IsZero() {
@@ -900,10 +1030,8 @@ func (s *Store) syncStagedBatch(st *arrayState, batch []*stagedInsert) {
 // validateBatchLocked validates each staged insert against the live
 // state and builds the staged metadata document installing every
 // survivor (marked in ok); the caller commits the document off-lock
-// and installs it. ws collects AutoBatchK re-encode appends that still
-// need fsyncing before the commit. Callers hold Store.mu (and writeMu
-// when AutoBatchK can append).
-func (s *Store) validateBatchLocked(st *arrayState, batch []*stagedInsert) (ok []*stagedInsert, staged *arrayMeta, ws *writeSet, installed int) {
+// and installs it. Callers hold Store.mu.
+func (s *Store) validateBatchLocked(st *arrayState, batch []*stagedInsert) (ok []*stagedInsert, staged *arrayMeta) {
 	liveIDs := make(map[int]bool)
 	for _, vm := range st.live() {
 		liveIDs[vm.ID] = true
@@ -912,7 +1040,7 @@ func (s *Store) validateBatchLocked(st *arrayState, batch []*stagedInsert) (ok [
 		if ins.err != nil || ins.retry {
 			continue
 		}
-		if ins.gen != st.Gen || ins.format != st.Format {
+		if ins.gen != st.Gen {
 			// a rewrite committed a new generation: the staged blobs live
 			// in the superseded directory and die with it
 			ins.retry = true
@@ -939,34 +1067,22 @@ func (s *Store) validateBatchLocked(st *arrayState, batch []*stagedInsert) (ok [
 		ok = append(ok, ins)
 	}
 	if len(ok) == 0 {
-		return nil, nil, nil, 0
+		return nil, nil
 	}
 	doc := st.metaClone()
 	staged = &doc
 	if len(staged.Versions) == 0 {
 		staged.SparseRep, staged.Fill = ok[0].sparse, ok[0].fill
 	}
-	ws = newWriteSet()
-	qc := newChunkCache()
 	for _, ins := range ok {
 		for _, vm := range ins.vms {
 			staged.Versions = append(staged.Versions, vm)
 			if vm.ID >= staged.NextID {
 				staged.NextID = vm.ID + 1
 			}
-			installed++
-			if err := s.batchReencodeStaged(st, staged, ws, qc); err != nil {
-				// a re-encode failure fails the whole batch: the document
-				// already interleaves its members
-				for _, ins := range ok {
-					ins.fail(err)
-				}
-				ws.sweep(s)
-				return nil, nil, nil, 0
-			}
 		}
 	}
-	return ok, staged, ws, installed
+	return ok, staged
 }
 
 // staleBase returns a delta base referenced by the staged insert that
@@ -987,169 +1103,53 @@ func staleBase(ins *stagedInsert, liveIDs map[int]bool) int {
 	return 0
 }
 
-// insertBatchFallback is the contended path: after insertRetries
-// invalidated stagings, commit under the store lock, where generations
-// cannot move. It acquires both commit-stage latches (so no leader is
-// mid-pipeline and every drained batch has installed) plus the write
-// latch (so no new staging can reserve ids), then drains and commits
-// any straggler pending inserts before committing its own batch under
-// Store.mu.
-func (s *Store) insertBatchFallback(name string, ps []Payload) ([]int, error) {
-	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.syncMu, &st.commitMu, &st.writeMu}
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer st.syncMu.Unlock()
-	defer st.commitMu.Unlock()
-	defer st.writeMu.Unlock()
-	if batch := st.drainPending(); len(batch) > 0 {
-		s.syncStagedBatch(st, batch)
-		s.finalizeBatch(st, batch, true)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if s.arrays[name] != st {
-		return nil, fmt.Errorf("core: no array %q", name)
-	}
-	return s.insertBatchLocked(st, ps, "insert")
-}
-
-// insertBatchLocked stages and commits a batch while holding Store.mu
-// exclusively — the fallback for contended inserts (which additionally
-// holds the write and commit latches) and the path Branch and Merge
-// use on their freshly created arrays (which no concurrent stager can
-// reach: the array becomes visible only when the caller releases
-// Store.mu). Like the optimistic path, nothing is installed into the
-// live state until the metadata commit succeeds.
-func (s *Store) insertBatchLocked(st *arrayState, ps []Payload, kind string) ([]int, error) {
-	sb, err := s.stageBatchLocked(st, ps, kind)
-	if err != nil {
-		return nil, err
-	}
-	fail := func(err error) ([]int, error) {
-		// safe without further locking: callers either hold writeMu or
-		// own the array exclusively (see above)
-		sb.ws.sweep(s)
-		s.noteDiskPressure(err)
-		return nil, err
-	}
-	if s.opts.Durability {
-		t0 := time.Now()
-		if err := sb.ws.sync(s); err != nil {
-			s.noteCommitFailure(st, err)
-			return fail(err)
-		}
-		if sb.ws.createdFiles() {
-			if err := s.fs.SyncDir(sb.dir); err != nil {
-				s.noteCommitFailure(st, err)
-				return fail(err)
-			}
-		}
-		s.prof.observeCommit(StageDataFsync, time.Since(t0), sb.ws.totalBytes())
-	}
-	t0 := time.Now()
-	if err := s.commitMeta(st, sb.staged); err != nil {
-		if isUncertain(err) {
-			s.noteCommitFailure(st, err)
-		}
-		return fail(err)
-	}
-	s.prof.observeCommit(StageMetaCommit, time.Since(t0), 0)
-	st.mutateLocked()
-	st.installMeta(*sb.staged)
-	s.addGroupCommit(len(sb.ids))
-	s.prof.batchSize.Observe(float64(len(sb.ids)))
-	return sb.ids, nil
-}
-
-// stagedBatch is one array's staged-but-uncommitted insert batch: the
-// cloned metadata document holding the new versions, the write-set of
-// chunk blobs backing them, the reserved ids, and the directory whose
-// entries must be synced before the commit.
-type stagedBatch struct {
-	st     *arrayState
-	staged *arrayMeta
-	ws     *writeSet
-	ids    []int
-	dir    string
-}
-
-// stageBatchLocked stages ps into a cloned metadata document without
-// committing anything. Callers own the array exclusively (Store.mu
-// held, or the array not yet visible); on failure the write-set has
-// already been swept.
-func (s *Store) stageBatchLocked(st *arrayState, ps []Payload, kind string) (*stagedBatch, error) {
-	staged := st.metaClone()
-	v := s.viewOfMeta(st, &staged)
-	ws := newWriteSet()
-	qc := newChunkCache()
-	sparse, fill := staged.SparseRep, staged.Fill
-	repFixed := len(staged.Versions) > 0
-	ctx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.dir, format: staged.Format, sparse: sparse}
-	fail := func(err error) (*stagedBatch, error) {
-		ws.sweep(s)
-		s.noteDiskPressure(err)
-		return nil, err
-	}
-	var ids []int
-	for _, p := range ps {
-		id := staged.NextID
-		vm, err := s.stagePayload(ctx, p, id, kind, &repFixed, &sparse, &fill)
-		if err != nil {
-			return fail(err)
-		}
-		staged.Versions = append(staged.Versions, vm)
-		staged.NextID = id + 1
-		staged.SparseRep, staged.Fill = sparse, fill
-		ids = append(ids, id)
-		if err := s.batchReencodeStaged(st, &staged, ws, qc); err != nil {
-			return fail(err)
-		}
-	}
-	return &stagedBatch{st: st, staged: &staged, ws: ws, ids: ids, dir: ctx.dir}, nil
-}
-
 // batchReencodeStaged implements §IV-E's batched update heuristic on a
-// staged metadata document: once AutoBatchK versions have accumulated
-// since the last batch boundary, the newest K versions are re-encoded
-// together under the optimal layout computed over the batch alone.
-// Earlier batches are left untouched. Committed versionMeta records are
-// cloned before their chunk maps are replaced — published versions are
-// shared with reader snapshots and must never be edited in place — and
-// the clones are swapped into the staged slice, so nothing is visible
-// until the caller's commit installs the document.
-func (s *Store) batchReencodeStaged(st *arrayState, staged *arrayMeta, ws *writeSet, qc *chunkCache) error {
+// staged metadata document: wherever one of the versions appended from
+// index from on completes a batch of AutoBatchK live versions, that
+// batch is re-encoded together under the optimal layout computed over
+// the batch alone. Earlier batches are left untouched. Committed
+// versionMeta records are cloned before their chunk maps are replaced —
+// published versions are shared with reader snapshots and must never be
+// edited in place — and the clones are swapped into the staged slice,
+// so nothing is visible until the caller's commit installs the
+// document. Callers hold the array's commitMu and writeMu.
+func (s *Store) batchReencodeStaged(st *arrayState, staged *arrayMeta, from int, ws *writeSet) error {
 	k := s.opts.AutoBatchK
 	if k <= 1 {
 		return nil
 	}
-	var live []*versionMeta
-	for _, vm := range staged.Versions {
-		if !vm.Deleted {
-			live = append(live, vm)
+	qc := newChunkCache()
+	var live []int // indices of the live versions seen so far
+	for si, vm := range staged.Versions {
+		if vm.Deleted {
+			continue
+		}
+		live = append(live, si)
+		if si < from || len(live)%k != 0 {
+			continue
+		}
+		if err := s.reencodeBatch(st, staged, live[len(live)-k:], ws, qc); err != nil {
+			return err
 		}
 	}
-	if len(live) == 0 || len(live)%k != 0 {
-		return nil
-	}
-	batch := live[len(live)-k:]
+	return nil
+}
+
+// reencodeBatch re-encodes the versions at the given indices of staged
+// as one §IV-E batch.
+func (s *Store) reencodeBatch(st *arrayState, staged *arrayMeta, batch []int, ws *writeSet, qc *chunkCache) error {
 	v := s.viewOfMeta(st, staged)
-	ictx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.dir, format: staged.Format, sparse: staged.SparseRep}
+	ictx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.dir, sparse: staged.SparseRep}
 	// load batch contents; re-encodes only ever append (chain files grow
 	// at the tail, per-version files get fresh FileSeq names), so
 	// in-flight lock-free readers keep decoding the byte ranges their
 	// snapshots reference
 	full := array.BoxOf(st.Schema.Shape())
-	planes := make([][]Plane, k)
-	for i, vm := range batch {
+	planes := make([][]Plane, len(batch))
+	for i, si := range batch {
 		planes[i] = make([]Plane, len(st.Schema.Attrs))
 		for ai, attr := range st.Schema.Attrs {
-			pl, err := s.readRegionView(ictx.context(), v, vm.ID, attr.Name, full, qc, nil)
+			pl, err := s.readRegionView(ictx.context(), v, staged.Versions[si].ID, attr.Name, full, qc, nil)
 			if err != nil {
 				return err
 			}
@@ -1163,30 +1163,22 @@ func (s *Store) batchReencodeStaged(st *arrayState, staged *arrayMeta, ws *write
 	l := layout.Optimal(mm)
 	// re-encode every batch member per the layout; bases stay inside the
 	// batch, keeping batches separate as §IV-E prescribes
-	for i, vm := range batch {
-		base := 0
-		if p := l.Parent[i]; p != i {
-			base = batch[p].ID
+	for i, si := range batch {
+		vm := staged.Versions[si]
+		p, base := l.Parent[i], 0
+		if p != i {
+			base = staged.Versions[batch[p]].ID
 		}
-		cp := *vm
-		cp.Chunks = make(map[string]map[string]chunkEntry, len(vm.Chunks))
-		for attr, m := range vm.Chunks {
-			cp.Chunks[attr] = m
-		}
+		cp := vm.clone()
 		for ai, attr := range st.Schema.Attrs {
-			entries, err := s.encodePlane(ictx, vm.ID, attr, planes[i][ai], base)
+			entries, err := s.encodePlane(ictx, vm.ID, attr, planes[i][ai], base, planes[p][ai])
 			if err != nil {
 				return err
 			}
 			cp.Chunks[attr.Name] = entries
 		}
-		for si, svm := range staged.Versions {
-			if svm == vm {
-				staged.Versions[si] = &cp
-				break
-			}
-		}
-		v.byID[vm.ID] = &cp
+		staged.Versions[si] = cp
+		v.byID[vm.ID] = cp
 	}
 	return nil
 }
@@ -1295,11 +1287,15 @@ func dedupInts(in []int) []int {
 // DeltaCandidates versions with the materialized size ("the payload is
 // analyzed so it can be encoded as a delta off of an existing version",
 // §II-A). Candidates come from the staging view, so later members of a
-// batch can delta against earlier ones. Returns 0 to materialize.
-func (s *Store) chooseDeltaBase(ctx *insertCtx, planes []Plane) int {
+// batch can delta against earlier ones. Returns the base's id and its
+// content, one plane per attribute — id 0 and empty planes to
+// materialize.
+func (s *Store) chooseDeltaBase(ctx *insertCtx, planes []Plane) (int, []Plane, error) {
 	v := ctx.v
+	attrs := ctx.st.Schema.Attrs
+	base := make([]Plane, len(attrs))
 	if !s.opts.AutoDelta || len(v.ids) == 0 {
-		return 0
+		return 0, base, nil
 	}
 	k := s.opts.DeltaCandidates
 	if k > len(v.ids) {
@@ -1312,12 +1308,11 @@ func (s *Store) chooseDeltaBase(ctx *insertCtx, planes []Plane) int {
 	} else {
 		matSize = delta.MaterializedSize(pl.Dense)
 	}
-	attr0 := ctx.st.Schema.Attrs[0].Name
 	full := array.BoxOf(ctx.st.Schema.Shape())
 	bestBase, bestSize := 0, matSize
 	for i := len(v.ids) - k; i < len(v.ids); i++ {
 		cand := v.ids[i]
-		basePl, err := s.readRegionView(ctx.context(), v, cand, attr0, full, ctx.qc, nil)
+		basePl, err := s.readRegionView(ctx.context(), v, cand, attrs[0].Name, full, ctx.qc, nil)
 		if err != nil {
 			continue
 		}
@@ -1332,71 +1327,71 @@ func (s *Store) chooseDeltaBase(ctx *insertCtx, planes []Plane) int {
 			size = delta.EstimateSize(pl.Dense, basePl.Dense, s.opts.EstimateSample, int64(cand))
 		}
 		if size < bestSize {
-			bestBase, bestSize = cand, size
+			bestBase, bestSize, base[0] = cand, size, basePl
 		}
 	}
-	return bestBase
+	for ai := 1; bestBase > 0 && ai < len(attrs); ai++ {
+		var err error
+		if base[ai], err = s.readRegionView(ctx.context(), v, bestBase, attrs[ai].Name, full, ctx.qc, nil); err != nil {
+			return 0, nil, err
+		}
+	}
+	return bestBase, base, nil
 }
 
-// encodePlane chunks one attribute's content and writes every chunk,
-// delta-encoding against the corresponding chunk of the base version when
-// that is smaller ("disk space usage is calculated by trying both methods
-// and choosing the more economical one", §III-B.3).
-func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Plane, base int) (map[string]chunkEntry, error) {
-	st := ctx.st
-	entries := make(map[string]chunkEntry)
+// encodePlane chunks one attribute's content and writes every chunk —
+// the one encoder behind inserts, commit-time re-encodes and rewrites.
+// With a base (baseID > 0; base is that version's plane of the same
+// attribute) each chunk is delta-encoded against the base's chunk when
+// that is smaller ("disk space usage is calculated by trying both
+// methods and choosing the more economical one", §III-B.3).
+func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Plane, baseID int, base Plane) (map[string]chunkEntry, error) {
 	if ctx.sparse {
 		// sparse versions are stored as a single container (their entire
 		// coordinate list); chunk-level subdivision buys nothing when the
 		// data is this sparse.
-		key := "chunk-full"
-		payload, entryBase, err := s.encodeSparseChunk(ctx, attr.Name, pl.Sparse, base)
+		payload, entryBase := array.MarshalSparse(pl.Sparse), -1
+		if baseID > 0 {
+			blob, err := delta.EncodeSparseOps(pl.Sparse, base.Sparse)
+			if err != nil {
+				return nil, err
+			}
+			if len(blob) < len(payload) {
+				payload, entryBase = blob, baseID
+			}
+		}
+		sealed, used, err := seal(pickCodec(s.opts.Codec, false), s.opts.AdaptiveCodec, payload, compress.Params{Elem: 1})
 		if err != nil {
 			return nil, err
 		}
-		codec := pickCodec(s.opts.Codec, false)
-		sealed, used, err := seal(codec, s.opts.AdaptiveCodec, payload, compress.Params{Elem: 1})
+		file, off, err := s.writeBlob(ctx, id, attr.Name, "chunk-full", sealed)
 		if err != nil {
 			return nil, err
 		}
-		file, off, err := s.writeBlob(ctx, id, attr.Name, key, sealed)
-		if err != nil {
-			return nil, err
-		}
-		entries[key] = chunkEntry{File: file, Offset: off, Length: int64(len(sealed)), Codec: uint8(used), Base: entryBase}
-		return entries, nil
+		return map[string]chunkEntry{
+			"chunk-full": {File: file, Offset: off, Length: int64(len(sealed)), Codec: uint8(used), Base: entryBase},
+		}, nil
 	}
-	ck, err := st.chunker()
+	ck, err := ctx.st.chunker()
 	if err != nil {
 		return nil, err
 	}
 	// Fan the per-chunk encode+compress+write out on the worker pool.
 	// Chunks are independent: each worker appends to its own chunk's
 	// chain file (or writes its own per-version file), so the only shared
-	// state is the stage-wide chunk memo and the I/O counters, both
-	// internally locked. The metadata view is private to the staging
-	// mutation and frozen for the duration of the fan-out.
-	v := ctx.v
+	// state is the write-set and the I/O counters, both internally locked.
 	origins := ck.All()
 	results := make([]chunkEntry, len(origins))
-	keys := make([]string, len(origins))
-	for i, origin := range origins {
-		keys[i] = ck.Key(origin)
-	}
-	ctx.qc.ensure(keys)
 	err = forEachLimit(ctx.context(), len(origins), s.opts.Parallelism, func(i int) error {
-		origin := origins[i]
-		box := ck.Box(origin)
-		key := keys[i]
+		box := ck.Box(origins[i])
 		target, err := pl.Dense.Slice(box)
 		if err != nil {
 			return err
 		}
 		payload := target.Bytes()
 		entryBase := -1
-		rawDense := true
-		if base > 0 {
-			baseChunk, err := s.resolveDenseChunk(v, base, attr.Name, ck, origin, ctx.qc.chunk(key), nil)
+		if baseID > 0 {
+			baseChunk, err := base.Dense.Slice(box)
 			if err != nil {
 				return err
 			}
@@ -1405,17 +1400,15 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Pla
 				return err
 			}
 			if len(blob) < len(payload) {
-				payload = blob
-				entryBase = base
-				rawDense = false
+				payload, entryBase = blob, baseID
 			}
 		}
-		codec := pickCodec(s.opts.Codec, rawDense)
-		sealed, used, err := seal(codec, s.opts.AdaptiveCodec, payload, sealParams(rawDense, box, attr.Type))
+		rawDense := entryBase < 0
+		sealed, used, err := seal(pickCodec(s.opts.Codec, rawDense), s.opts.AdaptiveCodec, payload, sealParams(rawDense, box, attr.Type))
 		if err != nil {
 			return err
 		}
-		file, off, err := s.writeBlob(ctx, id, attr.Name, key, sealed)
+		file, off, err := s.writeBlob(ctx, id, attr.Name, ck.Key(origins[i]), sealed)
 		if err != nil {
 			return err
 		}
@@ -1425,32 +1418,11 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Pla
 	if err != nil {
 		return nil, err
 	}
-	for i, key := range keys {
-		entries[key] = results[i]
+	entries := make(map[string]chunkEntry, len(origins))
+	for i, origin := range origins {
+		entries[ck.Key(origin)] = results[i]
 	}
 	return entries, nil
-}
-
-// encodeSparseChunk encodes a sparse version either natively or as
-// sparse-ops against the base, whichever is smaller.
-func (s *Store) encodeSparseChunk(ctx *insertCtx, attr string, sp *array.Sparse, base int) ([]byte, int, error) {
-	native := array.MarshalSparse(sp)
-	if base <= 0 {
-		return native, -1, nil
-	}
-	full := array.BoxOf(ctx.st.Schema.Shape())
-	basePl, err := s.readRegionView(ctx.context(), ctx.v, base, attr, full, ctx.qc, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	blob, err := delta.EncodeSparseOps(sp, basePl.Sparse)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(blob) < len(native) {
-		return blob, base, nil
-	}
-	return native, -1, nil
 }
 
 // Branch creates a new named array whose first version is a copy of the
@@ -1459,33 +1431,66 @@ func (s *Store) encodeSparseChunk(ctx *insertCtx, attr string, sp *array.Sparse,
 // "branches are formed off of a particular version of an existing array
 // ... they create a new array with a new name").
 func (s *Store) Branch(srcName string, srcVersion int, newName string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	st, ok := s.arrays[srcName]
-	if !ok {
-		return fmt.Errorf("core: no array %q", srcName)
-	}
-	if _, err := st.version(srcVersion); err != nil {
+	ctx := context.Background()
+	schema, planes, err := s.readVersion(ctx, srcName, srcVersion)
+	if err != nil {
 		return err
 	}
-	planes := make([]Plane, len(st.Schema.Attrs))
-	for ai, attr := range st.Schema.Attrs {
-		pl, err := s.readPlaneLocked(st, srcVersion, attr.Name)
-		if err != nil {
-			return err
-		}
-		planes[ai] = pl
-	}
-	schema := st.Schema
 	schema.Name = newName
-	if err := s.createArrayLocked(schema, &BranchRef{Array: srcName, Version: srcVersion}); err != nil {
+	from := &BranchRef{Array: srcName, Version: srcVersion}
+	return s.createWithVersions(ctx, schema, from, "branch", []Payload{{Planes: planes}})
+}
+
+// readVersion reconstructs every attribute of one version from a
+// metadata snapshot, with no store lock held and without touching the
+// decoded-chunk cache.
+func (s *Store) readVersion(ctx context.Context, name string, id int) (array.Schema, []Plane, error) {
+	v, release, err := s.snapshotUncached(name)
+	if err != nil {
+		return array.Schema{}, nil, err
+	}
+	defer release()
+	if _, err := v.version(id); err != nil {
+		return array.Schema{}, nil, err
+	}
+	schema := v.st.Schema
+	full := array.BoxOf(schema.Shape())
+	qc := newChunkCache()
+	planes := make([]Plane, len(schema.Attrs))
+	for ai, attr := range schema.Attrs {
+		if planes[ai], err = s.readRegionView(ctx, v, id, attr.Name, full, qc, nil); err != nil {
+			return array.Schema{}, nil, err
+		}
+	}
+	return schema, planes, nil
+}
+
+// createWithVersions creates an array and commits ps as its first
+// versions through the regular write path. The new array's commit-latch
+// set is held from before it becomes visible, so no foreign insert can
+// land ahead of them; if they fail to commit the creation is rolled
+// back with a committed drop.
+func (s *Store) createWithVersions(ctx context.Context, schema array.Schema, from *BranchRef, kind string, ps []Payload) error {
+	if err := schema.Validate(); err != nil {
 		return err
 	}
-	if _, err := s.insertBatchLocked(s.arrays[newName], []Payload{{Planes: planes}}, "branch"); err != nil {
-		s.rollbackArrayLocked(newName)
+	st, err := s.newArrayState(schema, from)
+	if err != nil {
+		return err
+	}
+	st.syncMu.Lock()
+	defer st.syncMu.Unlock()
+	st.commitMu.Lock()
+	defer st.commitMu.Unlock()
+	st.writeMu.Lock()
+	defer st.writeMu.Unlock()
+	if err := s.publishArray(st); err != nil {
+		return err
+	}
+	if _, err := s.commitLatched(ctx, []*arrayState{st}, [][]Payload{ps}, kind); err != nil {
+		if derr := s.deleteArrayLatched(st); derr != nil {
+			return fmt.Errorf("%w (rolling back array %q also failed: %v)", err, schema.Name, derr)
+		}
 		return err
 	}
 	return nil
@@ -1512,73 +1517,36 @@ type VersionRef struct {
 // versions into a new array whose version sequence is the parents in
 // order. It does not combine data from two arrays into one array; the
 // result's history records all parents, making the version hierarchy a
-// graph rather than a tree.
+// graph rather than a tree. The parents commit as one batch.
 func (s *Store) Merge(newName string, parents []VersionRef) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
 	if len(parents) < 2 {
 		return fmt.Errorf("core: merge requires at least two parent versions")
 	}
-	first, ok := s.arrays[parents[0].Array]
-	if !ok {
-		return fmt.Errorf("core: no array %q", parents[0].Array)
-	}
-	schema := first.Schema
-	schema.Name = newName
-	for _, p := range parents[1:] {
-		st, ok := s.arrays[p.Array]
-		if !ok {
-			return fmt.Errorf("core: no array %q", p.Array)
+	ctx := context.Background()
+	var schema array.Schema
+	ps := make([]Payload, len(parents))
+	for i, p := range parents {
+		psch, planes, err := s.readVersion(ctx, p.Array, p.Version)
+		if err != nil {
+			return err
 		}
-		if err := checkShape(schema, st.Schema.Shape()); err != nil {
+		ps[i] = Payload{Planes: planes}
+		if i == 0 {
+			schema = psch
+			schema.Name = newName
+			continue
+		}
+		if err := checkShape(schema, psch.Shape()); err != nil {
 			return fmt.Errorf("core: merge parents have incompatible shapes: %w", err)
 		}
-		if len(st.Schema.Attrs) != len(schema.Attrs) {
+		if len(psch.Attrs) != len(schema.Attrs) {
 			return fmt.Errorf("core: merge parents have different attribute counts")
 		}
-		for i := range schema.Attrs {
-			if st.Schema.Attrs[i].Type != schema.Attrs[i].Type {
-				return fmt.Errorf("core: merge parents disagree on attribute %d type", i)
+		for ai := range schema.Attrs {
+			if psch.Attrs[ai].Type != schema.Attrs[ai].Type {
+				return fmt.Errorf("core: merge parents disagree on attribute %d type", ai)
 			}
 		}
 	}
-	if err := s.createArrayLocked(schema, nil); err != nil {
-		return err
-	}
-	for _, p := range parents {
-		st := s.arrays[p.Array]
-		if _, err := st.version(p.Version); err != nil {
-			s.rollbackArrayLocked(newName)
-			return err
-		}
-		planes := make([]Plane, len(st.Schema.Attrs))
-		for ai, attr := range st.Schema.Attrs {
-			pl, err := s.readPlaneLocked(st, p.Version, attr.Name)
-			if err != nil {
-				s.rollbackArrayLocked(newName)
-				return err
-			}
-			planes[ai] = pl
-		}
-		if _, err := s.insertBatchLocked(s.arrays[newName], []Payload{{Planes: planes}}, "merge"); err != nil {
-			s.rollbackArrayLocked(newName)
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *Store) rollbackArrayLocked(name string) {
-	if st, ok := s.arrays[name]; ok {
-		// through the FS seam so a fault-injected crash cannot "remove"
-		// files a dead process never could
-		_ = s.fs.RemoveAll(st.dir)
-		delete(s.arrays, name)
-		s.invalidateArrayLocked(name)
-		s.workload.drop(name)
-		s.dropTuneEstimate(name)
-	}
+	return s.createWithVersions(ctx, schema, nil, "merge", ps)
 }

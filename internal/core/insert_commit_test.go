@@ -100,11 +100,7 @@ func assertStoreAgrees(t *testing.T, s *Store, name string, want map[int]*array.
 		}
 	}
 	check("live store", s)
-	// PerArrayCommit must carry over: a durable reopen of a legacy store
-	// would otherwise migrate it to the manifest behind the live store's
-	// back, and the live store's next commit would go unrecorded there.
-	r, err := Open(s.Dir(), Options{ChunkBytes: s.opts.ChunkBytes, CoLocate: s.opts.CoLocate,
-		Durability: true, PerArrayCommit: s.opts.PerArrayCommit})
+	r, err := Open(s.Dir(), Options{ChunkBytes: s.opts.ChunkBytes, CoLocate: s.opts.CoLocate, Durability: true})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -115,20 +111,20 @@ func assertStoreAgrees(t *testing.T, s *Store, name string, want map[int]*array.
 }
 
 // TestInsertMetaCommitFailureRollsBack is the phantom-version
-// regression: a commit fault injected under the insert's metadata
-// commit must leave the failed id unselectable, the in-memory state
-// identical to a durable reopen, the orphaned blobs reclaimed, and the
-// id reusable by the next insert. It pins the legacy per-array rename
-// protocol (PerArrayCommit); the manifest-mode analog lives in
-// manifest_test.go.
+// regression: a fault injected under the insert's metadata commit — the
+// manifest append — must leave the failed id unselectable, the
+// in-memory state identical to a durable reopen, the orphaned blobs
+// reclaimed, and the id reusable by the next insert. Failing to open
+// the log is benign (nothing was written); a failed log write is
+// uncertain and must additionally contain the store until a heal.
 func TestInsertMetaCommitFailureRollsBack(t *testing.T) {
-	for _, fault := range []string{"create-tmp", "rename-meta"} {
+	for _, fault := range []string{"open-log", "write-log"} {
 		t.Run(fault, func(t *testing.T) {
-			ffs := &failFS{FS: fsio.OS}
+			wfs := &manifestWriteFaultFS{FS: fsio.OS}
+			ffs := &failFS{FS: wfs}
 			opts := smallOpts()
 			opts.ChunkBytes = 1 << 10
 			opts.Durability = true
-			opts.PerArrayCommit = true
 			opts.FS = ffs
 			opts.HealInterval = -1 // heal explicitly, not from the background prober
 			s := testStore(t, opts)
@@ -140,25 +136,27 @@ func TestInsertMetaCommitFailureRollsBack(t *testing.T) {
 			if _, err := s.Insert("A", DensePayload(v1)); err != nil {
 				t.Fatal(err)
 			}
-			switch fault {
-			case "create-tmp":
+			if fault == "open-log" {
 				ffs.arm(func(op, path string) bool {
-					return op == "create" && strings.HasSuffix(path, metaFile+".tmp")
+					return op == "append" && strings.HasPrefix(filepath.Base(path), manifestPrefix)
 				})
-			case "rename-meta":
-				ffs.arm(func(op, path string) bool {
-					return op == "rename" && strings.HasSuffix(path, metaFile)
-				})
-			}
-			if _, err := s.Insert("A", DensePayload(crashContent(2, side))); !errors.Is(err, errInjected) {
-				t.Fatalf("insert under a meta-commit fault returned %v, want the injected failure", err)
-			}
-			if fault == "rename-meta" {
-				// a failed metadata rename leaves the on-disk effect
-				// uncertain: the array must be contained in degraded
-				// read-only mode until a heal verifies the disk
+				if _, err := s.Insert("A", DensePayload(crashContent(2, side))); !errors.Is(err, errInjected) {
+					t.Fatalf("insert under a meta-commit fault returned %v, want the injected failure", err)
+				}
+				if h := s.Health(); h.Degraded {
+					t.Fatal("benign pre-commit failure must not degrade the array")
+				}
+			} else {
+				wfs.arm(true)
+				if _, err := s.Insert("A", DensePayload(crashContent(2, side))); !errors.Is(err, fsio.ErrIO) {
+					t.Fatalf("insert under a meta-commit fault returned %v, want the injected failure", err)
+				}
+				wfs.arm(false)
+				// a failed log write leaves the on-disk effect uncertain:
+				// the store must be contained in degraded read-only mode
+				// until a heal verifies the disk
 				if h := s.Health(); !h.Degraded {
-					t.Fatal("array not degraded after an uncertain metadata rename failure")
+					t.Fatal("store not degraded after an uncertain manifest append failure")
 				}
 				if _, err := s.Insert("A", DensePayload(crashContent(9, side))); !errors.Is(err, ErrDegraded) {
 					t.Fatalf("insert while degraded returned %v, want ErrDegraded", err)
@@ -167,14 +165,12 @@ func TestInsertMetaCommitFailureRollsBack(t *testing.T) {
 				if err != nil {
 					t.Fatalf("heal: %v", err)
 				}
-				if len(rep.Healed) != 1 || rep.Healed[0] != "A" {
-					t.Fatalf("heal flipped %v back to writable, want [A]", rep.Healed)
+				if !rep.StoreHealed || len(rep.Healed) != 1 || rep.Healed[0] != "A" {
+					t.Fatalf("heal report %+v, want the store and [A] back to writable", rep)
 				}
 				if h := s.Health(); h.Degraded {
 					t.Fatal("store still degraded after a successful heal")
 				}
-			} else if h := s.Health(); h.Degraded {
-				t.Fatal("benign pre-commit failure must not degrade the array")
 			}
 			// the failed version must be invisible to selects and absent
 			// from metadata, in memory and after a reopen alike
@@ -368,68 +364,60 @@ func TestGroupCommitStress(t *testing.T) {
 		side       = 16
 		arrayNameF = "S%d"
 	)
-	for _, disable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("disableGroupCommit=%v", disable), func(t *testing.T) {
-			opts := smallOpts()
-			opts.ChunkBytes = 1 << 10
-			opts.Durability = true
-			opts.DisableGroupCommit = disable
-			s := testStore(t, opts)
-			for a := 0; a < arrays; a++ {
-				if err := s.CreateArray(schema2D(fmt.Sprintf(arrayNameF, a), side)); err != nil {
-					t.Fatal(err)
+	opts := smallOpts()
+	opts.ChunkBytes = 1 << 10
+	opts.Durability = true
+	s := testStore(t, opts)
+	for a := 0; a < arrays; a++ {
+		if err := s.CreateArray(schema2D(fmt.Sprintf(arrayNameF, a), side)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var (
+		mu        sync.Mutex
+		committed = make([]map[int]*array.Dense, arrays)
+		wg        sync.WaitGroup
+		failc     = make(chan error, writers)
+	)
+	for a := range committed {
+		committed[a] = map[int]*array.Dense{}
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			a := w % arrays
+			name := fmt.Sprintf(arrayNameF, a)
+			for i := 0; i < perWriter; i++ {
+				content := crashContent(int64(w*1000+i), side)
+				id, err := s.Insert(name, DensePayload(content))
+				if err != nil {
+					failc <- err
+					return
 				}
+				mu.Lock()
+				committed[a][id] = content
+				mu.Unlock()
 			}
-			var (
-				mu        sync.Mutex
-				committed = make([]map[int]*array.Dense, arrays)
-				wg        sync.WaitGroup
-				failc     = make(chan error, writers)
-			)
-			for a := range committed {
-				committed[a] = map[int]*array.Dense{}
-			}
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					a := w % arrays
-					name := fmt.Sprintf(arrayNameF, a)
-					for i := 0; i < perWriter; i++ {
-						content := crashContent(int64(w*1000+i), side)
-						id, err := s.Insert(name, DensePayload(content))
-						if err != nil {
-							failc <- err
-							return
-						}
-						mu.Lock()
-						committed[a][id] = content
-						mu.Unlock()
-					}
-				}(w)
-			}
-			wg.Wait()
-			close(failc)
-			for err := range failc {
-				t.Fatal(err)
-			}
-			st := s.Stats()
-			total := int64(writers * perWriter)
-			if st.GroupCommitVersions != total {
-				t.Fatalf("GroupCommitVersions = %d, want %d", st.GroupCommitVersions, total)
-			}
-			if st.GroupCommits == 0 || st.GroupCommits > total {
-				t.Fatalf("GroupCommits = %d out of range (1..%d)", st.GroupCommits, total)
-			}
-			if disable && st.GroupCommits != total {
-				t.Fatalf("DisableGroupCommit coalesced anyway: %d commits for %d inserts", st.GroupCommits, total)
-			}
-			for a := 0; a < arrays; a++ {
-				assertStoreAgrees(t, s, fmt.Sprintf(arrayNameF, a), committed[a])
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
+		}(w)
+	}
+	wg.Wait()
+	close(failc)
+	for err := range failc {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	total := int64(writers * perWriter)
+	if st.GroupCommitVersions != total {
+		t.Fatalf("GroupCommitVersions = %d, want %d", st.GroupCommitVersions, total)
+	}
+	if st.GroupCommits == 0 || st.GroupCommits > total {
+		t.Fatalf("GroupCommits = %d out of range (1..%d)", st.GroupCommits, total)
+	}
+	for a := 0; a < arrays; a++ {
+		assertStoreAgrees(t, s, fmt.Sprintf(arrayNameF, a), committed[a])
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

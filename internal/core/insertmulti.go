@@ -4,8 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
+
+	"arrayvers/internal/trace"
 )
 
 // MultiInsert names one array's payload batch within an InsertMulti
@@ -16,26 +17,19 @@ type MultiInsert struct {
 }
 
 // InsertMulti inserts payload batches into several arrays under ONE
-// commit point: a single manifest record batch, appended and fsynced
-// once, makes every member durable together. Either every array shows
-// its new versions or none does — after a crash too, which the legacy
-// per-array commit protocol could not promise (each array committed on
-// its own rename, so a crash between renames split the batch). The
-// result maps each array name to the version ids its payloads were
-// assigned, in payload order.
-//
-// InsertMulti requires the store-wide manifest log; stores opened with
-// Options.PerArrayCommit (or legacy stores opened without Durability,
-// which are never migrated) return an error.
+// commit point: a single manifest record, appended and fsynced once,
+// makes every member durable together. Either every array shows its new
+// versions or none does — after a crash too. The result maps each array
+// name to the version ids its payloads were assigned, in payload order.
 func (s *Store) InsertMulti(batches []MultiInsert) (map[string][]int, error) {
 	return s.InsertMultiCtx(context.Background(), batches)
 }
 
-// InsertMultiCtx is InsertMulti honoring ctx before the commit
-// pipeline begins. Once the arrays are latched the commit runs to
-// completion: cancellation mid-commit could not undo the shared
-// manifest append anyway, so a ctx error from this method means no
-// version was created anywhere.
+// InsertMultiCtx is InsertMulti honoring ctx while the payloads are
+// staged. Once staging is done the commit runs to completion:
+// cancellation mid-commit could not undo the shared manifest append
+// anyway, so a ctx error from this method means no version was created
+// anywhere.
 func (s *Store) InsertMultiCtx(ctx context.Context, batches []MultiInsert) (map[string][]int, error) {
 	if len(batches) == 0 {
 		return nil, fmt.Errorf("core: InsertMulti needs at least one batch")
@@ -55,9 +49,6 @@ func (s *Store) InsertMultiCtx(ctx context.Context, batches []MultiInsert) (map[
 		byName[b.Array] = b.Payloads
 		names = append(names, b.Array)
 	}
-	if s.man == nil {
-		return nil, fmt.Errorf("core: InsertMulti requires the store-wide manifest log (the store uses the per-array commit protocol)")
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -67,117 +58,43 @@ func (s *Store) InsertMultiCtx(ctx context.Context, batches []MultiInsert) (map[
 		}
 	}
 
-	// Acquire every array's full commit-latch set ({syncMu, commitMu,
-	// writeMu}, the insertBatchFallback set) in sorted-name order.
+	// Acquire every array's commit-latch set in sorted-name order.
 	// Multi-array lock ordering only matters among InsertMulti callers
 	// — every other path latches a single array and never waits on a
 	// second one while holding the first — so the global name order
 	// makes the acquisition deadlock-free.
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	sts := make(map[string]*arrayState, len(sorted))
-	held := make([]*arrayState, 0, len(sorted))
-	release := func() {
-		for i := len(held) - 1; i >= 0; i-- {
-			held[i].writeMu.Unlock()
-			held[i].commitMu.Unlock()
-			held[i].syncMu.Unlock()
+	sort.Strings(names)
+	waitStart := time.Now()
+	sts := make([]*arrayState, 0, len(names))
+	defer func() {
+		for i := len(sts) - 1; i >= 0; i-- {
+			sts[i].writeMu.Unlock()
+			sts[i].commitMu.Unlock()
+			sts[i].syncMu.Unlock()
 		}
-	}
-	for _, n := range sorted {
-		st, err := s.lockArray(n, func(st *arrayState) []*sync.Mutex {
-			return []*sync.Mutex{&st.syncMu, &st.commitMu, &st.writeMu}
-		})
+	}()
+	ps := make([][]Payload, 0, len(names))
+	for _, n := range names {
+		st, err := s.lockCommit(n)
 		if err != nil {
-			release()
 			return nil, err
 		}
-		held = append(held, st)
-		sts[n] = st
+		sts = append(sts, st)
+		ps = append(ps, byName[n])
 	}
-	defer release()
+	// the latch wait (including the stragglers committed on the way) is
+	// this request's time in the commit queue
+	wait := time.Since(waitStart)
+	s.prof.observeCommit(StageQueueWait, wait, 0)
+	trace.FromContext(ctx).Observe(StageQueueWait, wait, 0)
 
-	// Drain straggler pending inserts per array (their leaders cannot
-	// run while we hold the latches), so our staged documents clone a
-	// settled state.
-	for _, st := range held {
-		if batch := st.drainPending(); len(batch) > 0 {
-			s.syncStagedBatch(st, batch)
-			s.finalizeBatch(st, batch, true)
-		}
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	for _, n := range sorted {
-		if s.arrays[n] != sts[n] {
-			return nil, fmt.Errorf("core: no array %q", n)
-		}
-	}
-
-	var staged []*stagedBatch
-	fail := func(err error) (map[string][]int, error) {
-		// like the single-array path, blobs are swept even after an
-		// uncertain commit: the staged documents were never installed,
-		// so the heal resolves the on-disk uncertainty in favor of the
-		// in-memory state that excludes them
-		for _, sb := range staged {
-			sb.ws.sweep(s)
-		}
-		s.noteDiskPressure(err)
+	ids, err := s.commitLatched(ctx, sts, ps, "insert")
+	if err != nil {
 		return nil, err
 	}
-	for _, n := range sorted {
-		sb, err := s.stageBatchLocked(sts[n], byName[n], "insert")
-		if err != nil {
-			return fail(err) // sb's own write-set is already swept
-		}
-		staged = append(staged, sb)
+	out := make(map[string][]int, len(names))
+	for i, n := range names {
+		out[n] = ids[i]
 	}
-	if s.opts.Durability {
-		t0 := time.Now()
-		var bytes int64
-		for _, sb := range staged {
-			if err := sb.ws.sync(s); err != nil {
-				s.noteCommitFailure(sb.st, err)
-				return fail(err)
-			}
-			if sb.ws.createdFiles() {
-				if err := s.fs.SyncDir(sb.dir); err != nil {
-					s.noteCommitFailure(sb.st, err)
-					return fail(err)
-				}
-			}
-			bytes += sb.ws.totalBytes()
-		}
-		s.prof.observeCommit(StageDataFsync, time.Since(t0), bytes)
-	}
-	ops := make([]manifestOp, 0, len(staged))
-	for _, sb := range staged {
-		ops = append(ops, manifestOp{Name: sb.st.Schema.Name, Meta: sb.staged})
-	}
-	t0 := time.Now()
-	if err := s.man.commit(ops); err != nil {
-		if isUncertain(err) {
-			for _, sb := range staged {
-				s.noteCommitFailure(sb.st, err)
-			}
-		}
-		return fail(err)
-	}
-	s.prof.observeCommit(StageMetaCommit, time.Since(t0), 0)
-	out := make(map[string][]int, len(staged))
-	total := 0
-	for _, sb := range staged {
-		sb.st.mutateLocked()
-		sb.st.installMeta(*sb.staged)
-		out[sb.st.Schema.Name] = sb.ids
-		total += len(sb.ids)
-	}
-	s.addGroupCommit(total)
-	s.prof.batchSize.Observe(float64(total))
 	return out, nil
 }

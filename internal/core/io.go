@@ -28,13 +28,12 @@ import (
 // beside the live one, commit it with a metadata commit, and remove
 // the old generation under the array's exclusive I/O latch.
 //
-// Durability contract: with Options.Durability on, every append is
-// fsynced before writeBlob returns, and mutators sync the chunks
-// directory before committing metadata, so the metadata commit in
-// saveMeta — a manifest-log append, or the versions.json rename on
-// legacy stores — is the commit point: everything a committed version
-// references is already durable, and anything past the last committed
-// frame in a file is garbage that recovery truncates.
+// Durability contract: with Options.Durability on, every mutator fsyncs
+// the files it appended to (and the chunks directory, when it created
+// any) before committing metadata, so the manifest-log append is the
+// commit point: everything a committed version references is already
+// durable, and anything past the last committed frame in a file is
+// garbage that recovery truncates.
 
 // chainFileName returns the co-located chain file for one (attr, chunk).
 func chainFileName(attr, chunkKey string) string {
@@ -50,13 +49,12 @@ func versionFileName(id int, attr, chunkKey string, seq int64) string {
 }
 
 // writeBlob stores an encoded chunk payload and returns its location.
-// The destination directory and format come from the insertCtx, which
-// pins the chunk generation the mutation staged against (Gen/Format on
-// the live arrayState may move underneath an off-lock stage; the commit
-// validates them before installing). With a write-set attached the
-// append is left unsynced and recorded — the shared commit point syncs
-// every touched file once — otherwise it is fsynced in place under
-// Durability, as before.
+// The destination directory comes from the insertCtx, which pins the
+// chunk generation the mutation staged against (Gen on the live
+// arrayState may move underneath an off-lock stage; the commit
+// validates it before installing). The append is left unsynced and
+// recorded in the context's write-set — the shared commit point syncs
+// every touched file once.
 func (s *Store) writeBlob(ctx *insertCtx, id int, attr, chunkKey string, blob []byte) (file string, off int64, err error) {
 	if s.opts.CoLocate {
 		file = chainFileName(attr, chunkKey)
@@ -64,24 +62,21 @@ func (s *Store) writeBlob(ctx *insertCtx, id int, attr, chunkKey string, blob []
 		file = versionFileName(id, attr, chunkKey, atomic.AddInt64(&ctx.st.FileSeq, 1))
 	}
 	path := filepath.Join(ctx.dir, file)
-	off, err = s.appendBlob(path, ctx.format, blob, ctx.ws == nil)
+	off, err = s.appendBlob(path, blob)
 	if err != nil {
 		return "", 0, err
 	}
-	if ctx.ws != nil {
-		ctx.ws.record(path, off, off+frameLen(ctx.format, int64(len(blob))))
-	}
+	ctx.ws.record(path, off, off+frameLen(int64(len(blob))))
 	s.addWrite(int64(len(blob)))
 	return file, off, nil
 }
 
-// appendBlob appends one payload (framed under formatFramed) to path and
-// returns the offset its frame starts at. With Durability on and sync
-// set the data is fsynced before returning; generation builds pass sync
-// false and batch one fsync per file into commitGen instead. The close
-// error is always checked — a failed close after a buffered write is
-// silent data loss.
-func (s *Store) appendBlob(path string, format int, payload []byte, sync bool) (int64, error) {
+// appendBlob appends one framed payload to path and returns the offset
+// its frame starts at. The append is not fsynced: every caller batches
+// one fsync per touched file before its metadata commit (writeSet.sync,
+// syncBuild). The close error is always checked — a failed close after
+// a buffered write is silent data loss.
+func (s *Store) appendBlob(path string, payload []byte) (int64, error) {
 	f, err := s.fs.Append(path)
 	if err != nil {
 		return 0, err
@@ -91,21 +86,14 @@ func (s *Store) appendBlob(path string, format int, payload []byte, sync bool) (
 		_ = f.Close() // the size error is the failure; nothing was written
 		return 0, err
 	}
-	buf := payload
-	if format == formatFramed {
-		// the frame header stores the payload length as uint32; a payload
-		// it cannot represent would commit as a permanently unreadable
-		// frame, so refuse it up front (chunks are ~10 MB by design)
-		if int64(len(payload)) >= 1<<32 {
-			_ = f.Close() // nothing was written; the oversize payload is the failure
-			return 0, fmt.Errorf("core: chunk payload of %d bytes exceeds the frame format limit", len(payload))
-		}
-		buf = appendFrame(make([]byte, 0, frameLen(format, int64(len(payload)))), payload)
+	// the frame header stores the payload length as uint32; a payload it
+	// cannot represent would commit as a permanently unreadable frame, so
+	// refuse it up front (chunks are ~10 MB by design)
+	if int64(len(payload)) >= 1<<32 {
+		_ = f.Close() // nothing was written; the oversize payload is the failure
+		return 0, fmt.Errorf("core: chunk payload of %d bytes exceeds the frame format limit", len(payload))
 	}
-	_, werr := f.Write(buf)
-	if werr == nil && sync && s.opts.Durability {
-		werr = f.Sync()
-	}
+	_, werr := f.Write(appendFrame(make([]byte, 0, frameLen(int64(len(payload)))), payload))
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
@@ -116,26 +104,23 @@ func (s *Store) appendBlob(path string, format int, payload []byte, sync bool) (
 }
 
 // readBlob fetches an encoded chunk payload from the given chunks
-// directory. Under formatFramed the frame header is validated — magic,
-// length, and payload CRC32-C — so torn writes, stale offsets, and bit
-// rot surface as errors instead of garbage decodes.
-func (s *Store) readBlob(dir string, format int, e chunkEntry) ([]byte, error) {
+// directory. The frame header is validated — magic, length, and payload
+// CRC32-C — so torn writes, stale offsets, and bit rot surface as
+// errors instead of garbage decodes.
+func (s *Store) readBlob(dir string, e chunkEntry) ([]byte, error) {
 	path := filepath.Join(dir, e.File)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: open chunk file: %w", err)
 	}
 	defer func() { _ = f.Close() }() // read-only handle; close cannot lose data
-	buf := make([]byte, frameLen(format, e.Length))
+	buf := make([]byte, frameLen(e.Length))
 	if _, err := f.ReadAt(buf, e.Offset); err != nil {
 		return nil, fmt.Errorf("core: read chunk %s@%d+%d: %w", e.File, e.Offset, e.Length, err)
 	}
-	blob := buf
-	if format == formatFramed {
-		blob, err = parseFrame(buf, e.Length)
-		if err != nil {
-			return nil, fmt.Errorf("core: chunk %s@%d: %w", e.File, e.Offset, err)
-		}
+	blob, err := parseFrame(buf, e.Length)
+	if err != nil {
+		return nil, fmt.Errorf("core: chunk %s@%d: %w", e.File, e.Offset, err)
 	}
 	s.addRead(e.Length)
 	return blob, nil

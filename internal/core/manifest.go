@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,13 +12,10 @@ import (
 	"sync"
 )
 
-// The store-wide manifest log (on-disk commit protocol 2).
+// The store-wide manifest log: the one commit protocol.
 //
-// The PR 3 protocol gave every array its own commit point: a staged
-// versions.json renamed into place. That shape made cross-array
-// atomicity impossible by construction and charged every touched array
-// its own fsync pair. The manifest replaces the N per-array rename
-// commits with one append-only, checksummed log at the store root,
+// Every metadata mutation of every array commits by appending one
+// checksummed record to a single append-only log at the store root,
 // following the LSM-manifest idiom:
 //
 //	CURRENT            {"gen":N} — names the live snapshot/log pair;
@@ -30,33 +26,31 @@ import (
 //	                   {seq, ops:[{name, drop?, meta?}...]}
 //
 // Every record carries whole arrayMeta documents (last-writer-wins on
-// replay), reusing the PR 3 chunk frame format — 13-byte header with
-// magic, version, payload length, and CRC32-C — so a torn append is
-// detected exactly like a torn chunk tail. Sequence numbers are
-// contiguous: the snapshot stores the last sequence it covers and the
-// log must continue at seq+1, so replay can tell a clean tail from a
-// missing record.
+// replay) in the chunk frame format — 13-byte header with magic,
+// version, payload length, and CRC32-C — so a torn append is detected
+// exactly like a torn chunk tail. Sequence numbers are contiguous: the
+// snapshot stores the last sequence it covers and the log must continue
+// at seq+1, so replay can tell a clean tail from a missing record.
 //
-// THE commit point of every mutation is the manifest append (fsynced
-// under Durability). Chunk payloads are still synced before it, so the
-// PR 3 ordering invariant survives: once a record is durable,
-// everything it references is too. Because all arrays share the one
-// log, a single append can carry records for many arrays — the group
-// commit coalescer merges concurrent commits across arrays into one
-// fsync, and InsertMulti commits a multi-array batch as one record
-// with all-or-nothing visibility.
+// THE commit point of every mutation is the manifest append — fsynced
+// under Durability, the same append without the fsync otherwise. Chunk
+// payloads are synced before it, so once a record is durable everything
+// it references is too. Because all arrays share the one log, a single
+// append can carry records for many arrays — concurrent commits
+// coalesce under the writer latch into one fsync, and InsertMulti
+// commits a multi-array batch as one record with all-or-nothing
+// visibility.
 //
-// Failure handling mirrors saveMetaDoc's split: an append that fails
-// before any byte is written (open failure) is benign; a failed write,
-// fsync, or close leaves the log tail uncertain, so the manifest is
-// poisoned — the whole store degrades read-only — until a heal
-// truncates the log back to the last known-good byte. A failed CURRENT
-// flip during rotation likewise poisons with the pending generation
-// recorded, and the heal retries the (idempotent) flip.
+// Failure handling: an append that fails before any byte is written
+// (open failure) is benign; a failed write, fsync, or close leaves the
+// log tail uncertain, so the manifest is poisoned — the whole store
+// degrades read-only — until a heal truncates the log back to the last
+// known-good byte. A failed CURRENT flip during rotation likewise
+// poisons with the pending generation recorded, and the heal retries
+// the (idempotent) flip.
 
 const (
-	// currentFile points at the live manifest generation; its presence
-	// is what marks a store directory as manifest-format.
+	// currentFile points at the live manifest generation.
 	currentFile = "CURRENT"
 	// manifestPrefix prefixes the per-generation snapshot/log files.
 	manifestPrefix = "MANIFEST-"
@@ -148,15 +142,10 @@ func manifestRotateAt(opts Options) int64 {
 	return defaultManifestRotateBytes
 }
 
-// commitMeta commits one array's staged metadata document. It is the
-// seam between the two commit protocols: per-array stores rename a
-// fresh versions.json into place (the PR 3 commit point), manifest
-// stores append one record to the store-wide log. Callers hold the
-// array's commitMu (the metadata writer latch) either way.
+// commitMeta commits one array's staged metadata document as one
+// manifest record. Callers hold the array's commitMu (the metadata
+// writer latch).
 func (s *Store) commitMeta(st *arrayState, m *arrayMeta) error {
-	if s.man == nil {
-		return s.saveMetaDoc(st.dir, m)
-	}
 	return s.man.commit([]manifestOp{{Name: st.Schema.Name, Meta: m}})
 }
 
@@ -295,9 +284,29 @@ func (man *manifest) poisonLocked(err error) {
 // the manifest with the flip pending; heal retries it. Callers hold
 // man.mu.
 func (man *manifest) rotateLocked() {
-	s := man.s
 	newGen := man.gen + 1
-	snap := manifestSnapshot{Seq: man.nextSeq}
+	err := man.writeGeneration(newGen, man.nextSeq)
+	switch {
+	case err == nil:
+		man.finishFlipLocked(newGen)
+	case isUncertain(err):
+		man.pendingFlip = newGen
+		man.poisonLocked(err)
+	default:
+		man.s.noteDiskPressure(err)
+		_ = man.s.fs.Remove(filepath.Join(man.dir, manifestSnapName(newGen)))
+		_ = man.s.fs.Remove(filepath.Join(man.dir, manifestLogName(newGen)))
+	}
+}
+
+// writeGeneration writes generation gen — a snapshot of man.state as of
+// seq plus an empty log — makes both durable, and points CURRENT at it.
+// Failures before the flip are benign (the files are unreferenced and a
+// retry overwrites them); writeCurrent marks its failures from the
+// rename on as uncertain. Rotation, the creation of a new store and the
+// offline migration all publish a generation this way.
+func (man *manifest) writeGeneration(gen int, seq int64) error {
+	snap := manifestSnapshot{Seq: seq}
 	names := make([]string, 0, len(man.state))
 	for n := range man.state {
 		names = append(names, n)
@@ -308,39 +317,22 @@ func (man *manifest) rotateLocked() {
 	}
 	raw, err := json.Marshal(&snap)
 	if err != nil {
-		return
+		return err
 	}
-	cleanup := func(err error) {
-		s.noteDiskPressure(err)
-		_ = s.fs.Remove(filepath.Join(man.dir, manifestSnapName(newGen)))
-		_ = s.fs.Remove(filepath.Join(man.dir, manifestLogName(newGen)))
+	if err := man.writeFileSync(manifestSnapName(gen), appendFrame(nil, raw)); err != nil {
+		return err
 	}
-	if err := man.writeFileSync(manifestSnapName(newGen), appendFrame(nil, raw)); err != nil {
-		cleanup(err)
-		return
+	if err := man.writeFileSync(manifestLogName(gen), nil); err != nil {
+		return err
 	}
-	if err := man.writeFileSync(manifestLogName(newGen), nil); err != nil {
-		cleanup(err)
-		return
-	}
-	if s.opts.Durability {
+	if man.s.opts.Durability {
 		// the new generation's directory entries must be durable before
 		// CURRENT can point at them
-		if err := s.fs.SyncDir(man.dir); err != nil {
-			cleanup(err)
-			return
+		if err := man.s.fs.SyncDir(man.dir); err != nil {
+			return err
 		}
 	}
-	if err := man.writeCurrent(newGen); err != nil {
-		if isUncertain(err) {
-			man.pendingFlip = newGen
-			man.poisonLocked(err)
-		} else {
-			cleanup(err)
-		}
-		return
-	}
-	man.finishFlipLocked(newGen)
+	return man.writeCurrent(gen)
 }
 
 // finishFlipLocked installs a committed rotation: the generation
@@ -382,26 +374,14 @@ func (man *manifest) writeFileSync(name string, data []byte) error {
 
 // writeCurrent atomically points CURRENT at gen: tmp write (+fsync
 // under Durability), rename, parent sync. Failures through the tmp
-// close are benign; the rename onward is uncertain, exactly like
-// saveMetaDoc.
+// close are benign; from the rename on the pointer may or may not have
+// moved, so those are marked uncertain.
 func (man *manifest) writeCurrent(gen int) error {
 	s := man.s
-	tmp := filepath.Join(man.dir, currentFile+".tmp")
-	f, err := s.fs.Create(tmp)
-	if err != nil {
+	if err := man.writeFileSync(currentFile+".tmp", []byte(fmt.Sprintf("{\"gen\":%d}\n", gen))); err != nil {
 		return err
 	}
-	_, werr := fmt.Fprintf(f, "{\"gen\":%d}\n", gen)
-	if werr == nil && s.opts.Durability {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	if err := s.fs.Rename(tmp, filepath.Join(man.dir, currentFile)); err != nil {
+	if err := s.fs.Rename(filepath.Join(man.dir, currentFile+".tmp"), filepath.Join(man.dir, currentFile)); err != nil {
 		return uncertain(err)
 	}
 	if s.opts.Durability {
@@ -437,10 +417,21 @@ func (man *manifest) heal() error {
 	return nil
 }
 
-// --- open, replay, migration ---
+// --- create, open, replay ---
 
-// readCurrent parses the CURRENT pointer; os.ErrNotExist means the
-// store is (still) per-array format.
+// createManifest gives a new store its first, empty generation.
+func createManifest(s *Store) (*manifest, error) {
+	if err := s.fs.MkdirAll(s.dir); err != nil {
+		return nil, fmt.Errorf("core: create store dir: %w", err)
+	}
+	man := &manifest{s: s, dir: s.dir, gen: 1, state: make(map[string]*arrayMeta), rotateAt: manifestRotateAt(s.opts)}
+	if err := man.writeGeneration(1, 0); err != nil {
+		return nil, fmt.Errorf("core: create manifest: %w", err)
+	}
+	return man, nil
+}
+
+// readCurrent parses the CURRENT pointer.
 func readCurrent(dir string) (int, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, currentFile))
 	if err != nil {
@@ -466,117 +457,126 @@ func scanManifestFrame(buf []byte) (payload []byte, size int64, ok bool) {
 	if len(buf) < frameHeaderLen {
 		return nil, 0, false
 	}
-	if string(buf[:4]) != frameMagic || buf[4] != frameVersion {
-		return nil, 0, false
-	}
 	n := int64(binary.LittleEndian.Uint32(buf[5:9]))
-	total := frameHeaderLen + n
-	if int64(len(buf)) < total {
+	if int64(len(buf)) < frameHeaderLen+n {
 		return nil, 0, false
 	}
-	payload = buf[frameHeaderLen:total]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(buf[9:13]) {
-		return nil, 0, false
-	}
-	return payload, total, true
+	payload, err := parseFrame(buf[:frameHeaderLen+n], n)
+	return payload, frameHeaderLen + n, err == nil
 }
 
-// decodeManifestSnapshot parses and validates a snapshot file's one
-// frame.
-func decodeManifestSnapshot(raw []byte) (manifestSnapshot, error) {
-	payload, size, ok := scanManifestFrame(raw)
-	if !ok || size != int64(len(raw)) {
-		return manifestSnapshot{}, errors.New("corrupt snapshot frame")
+// manifestReplay is a manifest chain as read back from disk.
+type manifestReplay struct {
+	gen              int
+	snapSeq, lastSeq int64
+	records          int64 // checksum-valid log records replayed
+	state            map[string]*arrayMeta
+	validOff         int64 // byte length of the replayed log prefix
+	tornBytes        int64 // unreplayable bytes behind it (a torn final append)
+}
+
+// replayManifest reads CURRENT, the snapshot, and the log in sequence
+// order through plain os reads; it never repairs anything. A torn log
+// tail is not an error. A checksum-valid record with a non-contiguous
+// sequence number or an undecodable document is corruption: the error
+// names it, and r holds what was replayed up to that point.
+func replayManifest(dir string) (r manifestReplay, err error) {
+	r.state = make(map[string]*arrayMeta)
+	if r.gen, err = readCurrent(dir); err != nil {
+		return r, err
+	}
+	apply := func(where string, ops []manifestOp) error {
+		for i := range ops {
+			op := &ops[i]
+			if op.Drop {
+				delete(r.state, op.Name)
+				continue
+			}
+			if op.Meta == nil {
+				return fmt.Errorf("core: manifest %s: array %q has no document", where, op.Name)
+			}
+			if err := op.Meta.Schema.Validate(); err != nil {
+				return fmt.Errorf("core: manifest %s: array %q: %w", where, op.Name, err)
+			}
+			r.state[op.Name] = op.Meta
+		}
+		return nil
+	}
+	snapName := manifestSnapName(r.gen)
+	snapRaw, err := os.ReadFile(filepath.Join(dir, snapName))
+	if err != nil {
+		return r, fmt.Errorf("core: manifest snapshot: %w", err)
+	}
+	payload, size, ok := scanManifestFrame(snapRaw)
+	if !ok || size != int64(len(snapRaw)) {
+		return r, fmt.Errorf("core: manifest snapshot %s: corrupt snapshot frame", snapName)
 	}
 	var snap manifestSnapshot
 	if err := json.Unmarshal(payload, &snap); err != nil {
-		return manifestSnapshot{}, fmt.Errorf("corrupt snapshot: %w", err)
+		return r, fmt.Errorf("core: manifest snapshot %s: %w", snapName, err)
 	}
 	for _, op := range snap.Arrays {
-		if op.Drop || op.Meta == nil {
-			return manifestSnapshot{}, fmt.Errorf("corrupt snapshot: array %q has no document", op.Name)
-		}
-		if err := op.Meta.Schema.Validate(); err != nil {
-			return manifestSnapshot{}, fmt.Errorf("corrupt snapshot: array %q: %w", op.Name, err)
+		if op.Drop {
+			return r, fmt.Errorf("core: manifest snapshot %s: array %q has no document", snapName, op.Name)
 		}
 	}
-	return snap, nil
+	if err := apply("snapshot "+snapName, snap.Arrays); err != nil {
+		return r, err
+	}
+	r.snapSeq, r.lastSeq = snap.Seq, snap.Seq
+
+	logName := manifestLogName(r.gen)
+	logRaw, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return r, fmt.Errorf("core: manifest log: %w", err)
+	}
+	for r.validOff < int64(len(logRaw)) {
+		payload, size, ok := scanManifestFrame(logRaw[r.validOff:])
+		if !ok {
+			break // torn tail
+		}
+		var rec manifestRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return r, fmt.Errorf("core: manifest log %s at offset %d: corrupt record: %w", logName, r.validOff, err)
+		}
+		if rec.Seq != r.lastSeq+1 {
+			return r, fmt.Errorf("core: manifest log %s at offset %d: sequence %d, want %d", logName, r.validOff, rec.Seq, r.lastSeq+1)
+		}
+		if err := apply(fmt.Sprintf("log %s record %d", logName, rec.Seq), rec.Ops); err != nil {
+			return r, err
+		}
+		r.lastSeq = rec.Seq
+		r.records++
+		r.validOff += size
+	}
+	r.tornBytes = int64(len(logRaw)) - r.validOff
+	return r, nil
 }
 
-// openManifest replays an existing manifest (CURRENT present):
-// snapshot first, then the log in sequence order. A torn tail is
+// openManifest replays an existing manifest. A torn log tail is
 // truncated under Durability (recorded in recovery stats) or replayed
-// around and cut lazily by the first append otherwise. A checksum-valid
-// record with a non-contiguous sequence number is corruption, not a
-// torn tail, and fails the open.
+// around and cut lazily by the first append otherwise.
 func openManifest(s *Store) (*manifest, error) {
-	gen, err := readCurrent(s.dir)
+	r, err := replayManifest(s.dir)
 	if err != nil {
 		return nil, err
 	}
 	man := &manifest{
 		s:        s,
 		dir:      s.dir,
-		gen:      gen,
-		state:    make(map[string]*arrayMeta),
+		gen:      r.gen,
+		nextSeq:  r.lastSeq,
+		validOff: r.validOff,
+		state:    r.state,
 		rotateAt: manifestRotateAt(s.opts),
 	}
-	snapRaw, err := os.ReadFile(filepath.Join(s.dir, manifestSnapName(gen)))
-	if err != nil {
-		return nil, fmt.Errorf("core: manifest snapshot: %w", err)
-	}
-	snap, err := decodeManifestSnapshot(snapRaw)
-	if err != nil {
-		return nil, fmt.Errorf("core: manifest snapshot %s: %w", manifestSnapName(gen), err)
-	}
-	for _, op := range snap.Arrays {
-		man.state[op.Name] = op.Meta
-	}
-	man.nextSeq = snap.Seq
-
-	logPath := filepath.Join(s.dir, manifestLogName(gen))
-	logRaw, err := os.ReadFile(logPath)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("core: manifest log: %w", err)
-	}
-	var off int64
-	for off < int64(len(logRaw)) {
-		payload, size, ok := scanManifestFrame(logRaw[off:])
-		if !ok {
-			break // torn tail
-		}
-		var rec manifestRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return nil, fmt.Errorf("core: manifest log %s at offset %d: corrupt record: %w", manifestLogName(gen), off, err)
-		}
-		if rec.Seq != man.nextSeq+1 {
-			return nil, fmt.Errorf("core: manifest log %s at offset %d: sequence %d, want %d", manifestLogName(gen), off, rec.Seq, man.nextSeq+1)
-		}
-		for i := range rec.Ops {
-			op := &rec.Ops[i]
-			if op.Drop {
-				delete(man.state, op.Name)
-				continue
-			}
-			if op.Meta == nil {
-				return nil, fmt.Errorf("core: manifest log %s: record %d: array %q has no document", manifestLogName(gen), rec.Seq, op.Name)
-			}
-			if err := op.Meta.Schema.Validate(); err != nil {
-				return nil, fmt.Errorf("core: manifest log %s: record %d: array %q: %w", manifestLogName(gen), rec.Seq, op.Name, err)
-			}
-			man.state[op.Name] = op.Meta
-		}
-		man.nextSeq = rec.Seq
-		off += size
-	}
-	man.validOff = off
-	if torn := int64(len(logRaw)) - off; torn > 0 {
+	if r.tornBytes > 0 {
 		if s.opts.Durability {
-			if err := s.fs.Truncate(logPath, off); err != nil {
+			if err := s.fs.Truncate(filepath.Join(s.dir, manifestLogName(r.gen)), r.validOff); err != nil {
 				return nil, fmt.Errorf("core: truncate torn manifest tail: %w", err)
 			}
 			s.recovery.TruncatedFiles++
-			s.recovery.TruncatedBytes += torn
+			s.recovery.TruncatedBytes += r.tornBytes
 		} else {
 			man.lazyTrunc = true
 		}
@@ -584,12 +584,11 @@ func openManifest(s *Store) (*manifest, error) {
 	return man, nil
 }
 
-// sweepRootLocked removes root-level crash debris on a durable open of
-// a manifest store: superseded or half-written MANIFEST generations,
-// CURRENT tmp files, legacy tombstones, and array directories the
-// replayed state does not reference (a crashed CreateArray that never
-// committed, a committed DeleteArray whose removal was interrupted, or
-// a pre-migration leftover).
+// sweepRootLocked removes root-level crash debris on a durable open:
+// superseded or half-written MANIFEST generations, CURRENT tmp files,
+// and directories the replayed state does not reference (a crashed
+// CreateArray that never committed, a committed DeleteArray whose
+// removal was interrupted, or what an interrupted migration left).
 func (man *manifest) sweepRootLocked() error {
 	s := man.s
 	entries, err := os.ReadDir(man.dir)
@@ -600,7 +599,7 @@ func (man *manifest) sweepRootLocked() error {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() {
-			if _, live := man.state[name]; live && !strings.HasSuffix(name, tombstoneSuffix) {
+			if _, live := man.state[name]; live {
 				continue
 			}
 			if err := s.fs.RemoveAll(filepath.Join(man.dir, name)); err != nil {
@@ -619,71 +618,6 @@ func (man *manifest) sweepRootLocked() error {
 		}
 	}
 	return nil
-}
-
-// migrateToManifest upgrades a legacy per-array store in place on its
-// first durable open (an empty directory is the trivial case — a new
-// store is born manifest-format). The sequence is:
-//
-//  1. write MANIFEST-1.snap holding every loaded array's document
-//  2. create an empty MANIFEST-1.log
-//  3. sync the store root (both entries durable)
-//  4. write CURRENT — THE migration commit point
-//  5. remove each array's versions.json (+ tmp), best-effort
-//
-// A crash before 4 leaves a fully legacy store (the MANIFEST debris is
-// overwritten by the next attempt and invisible to non-durable opens);
-// a crash after 4 leaves a fully migrated store whose stray
-// versions.json files the next durable open sweeps. Reads are
-// byte-identical either way: the snapshot holds exactly the documents
-// the legacy scan loaded.
-func (s *Store) migrateToManifest() (*manifest, error) {
-	man := &manifest{
-		s:        s,
-		dir:      s.dir,
-		gen:      1,
-		state:    make(map[string]*arrayMeta),
-		rotateAt: manifestRotateAt(s.opts),
-	}
-	snap := manifestSnapshot{}
-	names := make([]string, 0, len(s.arrays))
-	for n := range s.arrays {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		m := s.arrays[n].metaClone()
-		man.state[n] = &m
-		snap.Arrays = append(snap.Arrays, manifestOp{Name: n, Meta: &m})
-	}
-	raw, err := json.Marshal(&snap)
-	if err != nil {
-		return nil, err
-	}
-	if err := man.writeFileSync(manifestSnapName(1), appendFrame(nil, raw)); err != nil {
-		return nil, err
-	}
-	if err := man.writeFileSync(manifestLogName(1), nil); err != nil {
-		return nil, err
-	}
-	if s.opts.Durability {
-		if err := s.fs.SyncDir(s.dir); err != nil {
-			return nil, err
-		}
-	}
-	if err := man.writeCurrent(1); err != nil {
-		return nil, err
-	}
-	// migrated: the per-array metadata files are now dead weight. A
-	// failed removal is harmless — the next durable open sweeps strays.
-	for _, n := range names {
-		dir := filepath.Join(s.dir, n)
-		if err := s.fs.Remove(filepath.Join(dir, metaFile)); err == nil {
-			s.recovery.RemovedFiles++
-		}
-		_ = s.fs.Remove(filepath.Join(dir, metaFile+".tmp"))
-	}
-	return man, nil
 }
 
 // --- stats ---
@@ -711,9 +645,6 @@ func (s *Store) addManifestRotation() {
 // crash debris a durable open would sweep; Problems are real
 // corruption.
 type ManifestReport struct {
-	// Enabled reports whether the store uses the manifest commit
-	// protocol at all (false for legacy per-array stores).
-	Enabled bool `json:"enabled"`
 	// Gen is the live generation CURRENT points at.
 	Gen int `json:"gen"`
 	// SnapshotSeq is the sequence number the snapshot covers; LastSeq
@@ -728,11 +659,12 @@ type ManifestReport struct {
 	// final append — repaired, not a problem).
 	TornBytes int64 `json:"tornBytes"`
 	// StrayFiles lists crash debris: superseded MANIFEST generations,
-	// CURRENT tmp files, and leftover per-array versions.json files.
+	// CURRENT tmp files, unreferenced directories, and per-array
+	// metadata files an interrupted migration left behind.
 	StrayFiles []string `json:"strayFiles,omitempty"`
-	// Problems lists integrity violations: bad checksums mid-chain,
-	// sequence gaps, undecodable documents, or committed arrays whose
-	// directories are missing.
+	// Problems lists integrity violations: the first bad checksum
+	// mid-chain, sequence gap or undecodable document, and committed
+	// arrays whose directories are missing.
 	Problems []string `json:"problems,omitempty"`
 }
 
@@ -743,89 +675,28 @@ func (r ManifestReport) Ok() bool { return len(r.Problems) == 0 }
 // the snapshot frame, every log record's checksum and sequence
 // continuity, and that every committed array resolves to a directory.
 // It reads through the plain os layer and never repairs anything, so
-// it is safe on a store opened read-only. On a live manifest store the
-// writer latch is held so the log is not scanned mid-append.
+// it is safe on a store opened read-only. The writer latch is held so
+// the log is not scanned mid-append.
 func (s *Store) VerifyManifest() (ManifestReport, error) {
-	if s.man != nil {
-		s.man.mu.Lock()
-		defer s.man.mu.Unlock()
+	s.man.mu.Lock()
+	defer s.man.mu.Unlock()
+	r, rerr := replayManifest(s.dir)
+	rep := ManifestReport{
+		Gen:         r.gen,
+		SnapshotSeq: r.snapSeq,
+		LastSeq:     r.lastSeq,
+		LogRecords:  r.records,
+		Arrays:      len(r.state),
+		TornBytes:   r.tornBytes,
 	}
-	rep := ManifestReport{}
-	gen, err := readCurrent(s.dir)
-	if errors.Is(err, os.ErrNotExist) {
+	if rerr != nil {
+		rep.Problems = append(rep.Problems, rerr.Error())
 		return rep, nil
 	}
-	if err != nil {
-		rep.Enabled = true
-		rep.Problems = append(rep.Problems, err.Error())
-		return rep, nil
-	}
-	rep.Enabled = true
-	rep.Gen = gen
-
-	state := make(map[string]*arrayMeta)
-	snapRaw, err := os.ReadFile(filepath.Join(s.dir, manifestSnapName(gen)))
-	if err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("snapshot %s unreadable: %v", manifestSnapName(gen), err))
-		return rep, nil
-	}
-	snap, err := decodeManifestSnapshot(snapRaw)
-	if err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("snapshot %s: %v", manifestSnapName(gen), err))
-		return rep, nil
-	}
-	for _, op := range snap.Arrays {
-		state[op.Name] = op.Meta
-	}
-	rep.SnapshotSeq = snap.Seq
-	rep.LastSeq = snap.Seq
-
-	logName := manifestLogName(gen)
-	logRaw, err := os.ReadFile(filepath.Join(s.dir, logName))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("log %s unreadable: %v", logName, err))
-		return rep, nil
-	}
-	var off int64
-	for off < int64(len(logRaw)) {
-		payload, size, ok := scanManifestFrame(logRaw[off:])
-		if !ok {
-			break
-		}
-		var rec manifestRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("log %s offset %d: undecodable record: %v", logName, off, err))
-			return rep, nil
-		}
-		if rec.Seq != rep.LastSeq+1 {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("log %s offset %d: sequence %d, want %d", logName, off, rec.Seq, rep.LastSeq+1))
-			return rep, nil
-		}
-		for i := range rec.Ops {
-			op := &rec.Ops[i]
-			switch {
-			case op.Drop:
-				delete(state, op.Name)
-			case op.Meta == nil:
-				rep.Problems = append(rep.Problems, fmt.Sprintf("log %s record %d: array %q has no document", logName, rec.Seq, op.Name))
-			default:
-				if err := op.Meta.Schema.Validate(); err != nil {
-					rep.Problems = append(rep.Problems, fmt.Sprintf("log %s record %d: array %q: %v", logName, rec.Seq, op.Name, err))
-				}
-				state[op.Name] = op.Meta
-			}
-		}
-		rep.LastSeq = rec.Seq
-		rep.LogRecords++
-		off += size
-	}
-	rep.TornBytes = int64(len(logRaw)) - off
-	rep.Arrays = len(state)
-
 	// orphaned-record sweep: every committed array must resolve to a
-	// directory, and leftover files (superseded generations, legacy
-	// metadata inside array dirs) are reported as strays
-	for name := range state {
+	// directory, and leftover files (superseded generations, migration
+	// debris inside array dirs) are reported as strays
+	for name := range r.state {
 		if info, err := os.Stat(filepath.Join(s.dir, name)); err != nil || !info.IsDir() {
 			rep.Problems = append(rep.Problems, fmt.Sprintf("array %q is committed but its directory is missing", name))
 		} else if _, err := os.Stat(filepath.Join(s.dir, name, metaFile)); err == nil {
@@ -839,13 +710,13 @@ func (s *Store) VerifyManifest() (ManifestReport, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() {
-			if _, live := state[name]; !live {
+			if _, live := r.state[name]; !live {
 				rep.StrayFiles = append(rep.StrayFiles, name+string(os.PathSeparator))
 			}
 			continue
 		}
 		if name == currentFile+".tmp" ||
-			(strings.HasPrefix(name, manifestPrefix) && name != manifestSnapName(gen) && name != logName) {
+			(strings.HasPrefix(name, manifestPrefix) && name != manifestSnapName(r.gen) && name != manifestLogName(r.gen)) {
 			rep.StrayFiles = append(rep.StrayFiles, name)
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,50 +14,8 @@ import (
 
 // Tests for the store-wide manifest commit log: replay across reopen,
 // snapshot rotation, the InsertMulti cross-array commit, append-failure
-// poisoning and heal, deep verification, and the in-place migration of
-// legacy per-array stores — including a full crash/fault matrix over
-// the migration itself (the legacy → manifest upgrade must be atomic:
-// a crash leaves the store either fully legacy or fully migrated, with
-// byte-identical reads either way).
-
-// buildLegacyStore writes a store in the PR 3 per-array commit format
-// (one versions.json per array) and returns the expected contents.
-func buildLegacyStore(t *testing.T, dir string, side int64) map[string][]*array.Dense {
-	t.Helper()
-	opts := smallOpts()
-	opts.ChunkBytes = 1 << 10
-	opts.PerArrayCommit = true
-	opts.Durability = true
-	s, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string][]*array.Dense{}
-	for _, name := range []string{"LegA", "LegB"} {
-		if err := s.CreateArray(schema2D(name, side)); err != nil {
-			t.Fatal(err)
-		}
-		for seed := int64(1); seed <= 3; seed++ {
-			c := crashContent(seed*int64(len(name)), side)
-			if _, err := s.Insert(name, DensePayload(c)); err != nil {
-				t.Fatal(err)
-			}
-			want[name] = append(want[name], c)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if s.man != nil {
-		t.Fatal("PerArrayCommit store grew a manifest")
-	}
-	for name := range want {
-		if _, err := os.Stat(filepath.Join(dir, name, metaFile)); err != nil {
-			t.Fatalf("legacy store missing %s/%s: %v", name, metaFile, err)
-		}
-	}
-	return want
-}
+// poisoning and heal, and deep verification. (The offline migration of
+// legacy directories is covered in migrate_test.go.)
 
 // checkContents asserts every expected version reads back
 // byte-identical (version ids are 1-based insertion order here).
@@ -97,9 +54,6 @@ func TestManifestReplayAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.man == nil {
-		t.Fatal("fresh durable store did not initialize the manifest")
-	}
 	want := map[string][]*array.Dense{}
 	for _, name := range []string{"R1", "R2", "R3"} {
 		if err := s.CreateArray(schema2D(name, side)); err != nil {
@@ -124,7 +78,7 @@ func TestManifestReplayAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Enabled || !rep.Ok() {
+	if !rep.Ok() {
 		t.Fatalf("live manifest fails deep verify: %+v", rep)
 	}
 	if rep.Arrays != 3 || rep.LogRecords == 0 {
@@ -140,9 +94,6 @@ func TestManifestReplayAcrossReopen(t *testing.T) {
 		r, err := Open(dir, ropts)
 		if err != nil {
 			t.Fatalf("reopen durable=%v: %v", durable, err)
-		}
-		if r.man == nil {
-			t.Fatalf("reopen durable=%v lost the manifest", durable)
 		}
 		checkContents(t, r, want, fmt.Sprintf("reopen durable=%v", durable))
 		if _, ok := r.arrays["Doomed"]; ok {
@@ -282,23 +233,6 @@ func TestInsertMultiBasic(t *testing.T) {
 	}
 }
 
-// TestInsertMultiRequiresManifest pins the legacy-mode error: a store
-// on the per-array commit protocol cannot offer cross-array atomicity
-// and must say so instead of faking it.
-func TestInsertMultiRequiresManifest(t *testing.T) {
-	const side = 8
-	opts := smallOpts()
-	opts.PerArrayCommit = true
-	s := testStore(t, opts)
-	if err := s.CreateArray(schema2D("L", side)); err != nil {
-		t.Fatal(err)
-	}
-	_, err := s.InsertMulti([]MultiInsert{{Array: "L", Payloads: []Payload{DensePayload(crashContent(1, side))}}})
-	if err == nil {
-		t.Fatal("InsertMulti succeeded on a per-array-commit store")
-	}
-}
-
 // manifestWriteFaultFS wraps a base FS and, while armed, fails the
 // Write of any file opened for append under a MANIFEST-*.log name —
 // the one failure mode that is genuinely uncertain (the record may be
@@ -343,9 +277,8 @@ func (fl *manifestWriteFaultFile) Write(p []byte) (int, error) {
 	return fl.File.Write(p)
 }
 
-// TestManifestAppendFailureDegradesAndHeals is the manifest analog of
-// TestInsertMetaCommitFailureRollsBack: a failed log-append WRITE is an
-// uncertain commit (the record may be partially durable), so the store
+// TestManifestAppendFailureDegradesAndHeals: a failed log-append WRITE
+// is an uncertain commit (the record may be partially durable), so the store
 // must refuse further writes until Heal truncates the log back to its
 // last known-good offset and re-verifies.
 func TestManifestAppendFailureDegradesAndHeals(t *testing.T) {
@@ -409,230 +342,5 @@ func TestManifestAppendFailureDegradesAndHeals(t *testing.T) {
 	}
 	if !rep.Ok() {
 		t.Fatalf("healed manifest fails deep verify: %+v", rep)
-	}
-}
-
-// TestLegacyMigration pins the in-place upgrade: a per-array store
-// opened durably (without PerArrayCommit) migrates to the manifest on
-// open, reads stay byte-identical, the per-array versions.json files
-// are gone, and the migrated store keeps working and deep-verifies.
-func TestLegacyMigration(t *testing.T) {
-	const side = 8
-	dir := t.TempDir()
-	want := buildLegacyStore(t, dir, side)
-
-	opts := smallOpts()
-	opts.ChunkBytes = 1 << 10
-	opts.Durability = true
-	s, err := Open(dir, opts)
-	if err != nil {
-		t.Fatalf("migrating open: %v", err)
-	}
-	if s.man == nil {
-		t.Fatal("durable open of a legacy store did not migrate to the manifest")
-	}
-	checkContents(t, s, want, "migrated")
-	for name := range want {
-		if _, err := os.Stat(filepath.Join(dir, name, metaFile)); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("migration left %s/%s behind (err=%v)", name, metaFile, err)
-		}
-	}
-	// the migrated store accepts cross-array batches immediately
-	extra := map[string]*array.Dense{"LegA": crashContent(91, side), "LegB": crashContent(92, side)}
-	out, err := s.InsertMulti([]MultiInsert{
-		{Array: "LegA", Payloads: []Payload{DensePayload(extra["LegA"])}},
-		{Array: "LegB", Payloads: []Payload{DensePayload(extra["LegB"])}},
-	})
-	if err != nil {
-		t.Fatalf("InsertMulti on migrated store: %v", err)
-	}
-	for name, c := range extra {
-		got, err := s.Select(name, out[name][0])
-		if err != nil || !got.Dense.Equal(c) {
-			t.Fatalf("migrated store post-insert read %s: %v", name, err)
-		}
-	}
-	rep, err := s.VerifyManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Enabled || !rep.Ok() {
-		t.Fatalf("migrated manifest fails deep verify: %+v", rep)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// a pre-existing legacy store opened NON-durably must stay legacy
-	// (read-only tooling never rewrites the on-disk format)
-	legacyDir := t.TempDir()
-	want2 := buildLegacyStore(t, legacyDir, side)
-	ro, err := Open(legacyDir, smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ro.man != nil {
-		t.Fatal("non-durable open rewrote a legacy store's format")
-	}
-	checkContents(t, ro, want2, "legacy non-durable")
-	if _, err := os.Stat(filepath.Join(legacyDir, currentFile)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("non-durable open wrote CURRENT")
-	}
-	if err := ro.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMigrationCrashMatrix is the satellite crash matrix over the
-// legacy → manifest upgrade: every filesystem step of the migrating
-// open is crashed once; after each crash the directory must be in
-// exactly one of two states — fully legacy (no committed CURRENT) or
-// fully migrated — and a durable reopen must serve every version
-// byte-identical either way.
-func TestMigrationCrashMatrix(t *testing.T) {
-	const side = 8
-
-	// template legacy store, rebuilt fresh per crash point (migration
-	// mutates in place)
-	build := func(t *testing.T, dir string) map[string][]*array.Dense {
-		return buildLegacyStore(t, dir, side)
-	}
-
-	// counting run
-	dir := t.TempDir()
-	build(t, dir)
-	counter := fsio.NewFault(0)
-	opts := smallOpts()
-	opts.ChunkBytes = 1 << 10
-	opts.Durability = true
-	opts.FS = counter
-	s, err := Open(dir, opts)
-	if err != nil {
-		t.Fatalf("counting migration failed: %v", err)
-	}
-	if s.man == nil {
-		t.Fatal("counting open did not migrate")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	total := counter.Steps()
-	if total < 5 {
-		t.Fatalf("migration only has %d fault points", total)
-	}
-	t.Logf("migration crash matrix: %d fault injection points", total)
-
-	for n := int64(1); n <= total; n++ {
-		dir := t.TempDir()
-		want := build(t, dir)
-		fault := fsio.NewFault(n)
-		fopts := opts
-		fopts.FS = fault
-		if _, err := Open(dir, fopts); err == nil {
-			// the crash may land after the commit point, in the benign
-			// legacy-file cleanup whose errors migration swallows; the
-			// open then succeeds on a fully migrated store
-			if !fault.Crashed() {
-				t.Fatalf("step %d/%d: crash never fired", n, total)
-			}
-		}
-
-		// the on-disk state must be exactly one of the two formats:
-		// a committed CURRENT means the manifest is authoritative;
-		// no CURRENT means every per-array versions.json must still be
-		// intact (migration must not mutate legacy state pre-commit)
-		migrated := true
-		if _, err := readCurrent(dir); err != nil {
-			if !errors.Is(err, os.ErrNotExist) {
-				t.Fatalf("step %d: torn CURRENT after crash: %v", n, err)
-			}
-			migrated = false
-		}
-		if !migrated {
-			for name := range want {
-				if _, err := os.Stat(filepath.Join(dir, name, metaFile)); err != nil {
-					t.Fatalf("step %d: neither format complete: CURRENT absent and %s/%s gone", n, name, metaFile)
-				}
-			}
-		}
-
-		ropts := smallOpts()
-		ropts.ChunkBytes = 1 << 10
-		ropts.Durability = true
-		r, err := Open(dir, ropts)
-		if err != nil {
-			t.Fatalf("step %d: reopen after migration crash (migrated=%v): %v", n, migrated, err)
-		}
-		checkContents(t, r, want, fmt.Sprintf("step %d (migrated=%v)", n, migrated))
-		// and the reopened store is writable (it completed migration)
-		if _, err := r.Insert("LegA", DensePayload(crashContent(99, side))); err != nil {
-			t.Fatalf("step %d: insert after recovery: %v", n, err)
-		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestMigrationTransientFaults is the fsio.Flaky counterpart: a
-// scripted EIO at every step of the migrating open must fail the open
-// cleanly (no half-migrated store object), leave the directory
-// readable in one format or the other, and a healthy retry must
-// complete the migration with byte-identical reads.
-func TestMigrationTransientFaults(t *testing.T) {
-	const side = 8
-
-	// counting run
-	dir := t.TempDir()
-	buildLegacyStore(t, dir, side)
-	counting := fsio.NewFlaky(fsio.OS)
-	opts := smallOpts()
-	opts.ChunkBytes = 1 << 10
-	opts.Durability = true
-	opts.FS = counting
-	s, err := Open(dir, opts)
-	if err != nil {
-		t.Fatalf("counting migration failed: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	total := counting.Steps()
-	t.Logf("migration transient matrix: %d fault injection points", total)
-
-	for n := int64(1); n <= total; n++ {
-		dir := t.TempDir()
-		want := buildLegacyStore(t, dir, side)
-		flaky := fsio.NewFlaky(fsio.OS)
-		flaky.FailAt(n, fsio.ErrIO)
-		fopts := opts
-		fopts.FS = flaky
-		s, err := Open(dir, fopts)
-		if err == nil {
-			// the fault landed in a step whose failure migration
-			// tolerates (benign cleanup); the store must be whole
-			if flaky.Injected() == 0 {
-				t.Fatalf("step %d/%d: fault never fired", n, total)
-			}
-			checkContents(t, s, want, fmt.Sprintf("transient step %d (tolerated)", n))
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		// healthy retry on the plain filesystem
-		ropts := opts
-		ropts.FS = fsio.OS
-		r, rerr := Open(dir, ropts)
-		if rerr != nil {
-			t.Fatalf("step %d: retry open: %v", n, rerr)
-		}
-		if r.man == nil {
-			t.Fatalf("step %d: retry did not complete migration", n)
-		}
-		checkContents(t, r, want, fmt.Sprintf("transient step %d (retry)", n))
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

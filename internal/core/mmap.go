@@ -149,8 +149,8 @@ type mapSet struct {
 // of the file's mapping. The caller must hold the array's I/O latch for
 // as long as it touches the returned bytes, unless it also takes a
 // counted reference (acquire) before the latch is released.
-func (ms *mapSet) read(s *Store, format int, e chunkEntry) ([]byte, error) {
-	need := e.Offset + frameLen(format, e.Length)
+func (ms *mapSet) read(s *Store, e chunkEntry) ([]byte, error) {
+	need := e.Offset + frameLen(e.Length)
 	ms.mu.Lock()
 	if ms.retired {
 		ms.mu.Unlock()
@@ -181,14 +181,9 @@ func (ms *mapSet) read(s *Store, format int, e chunkEntry) ([]byte, error) {
 	}
 	data := m.Bytes()
 	ms.mu.Unlock()
-	buf := data[e.Offset:need]
-	blob := buf
-	if format == formatFramed {
-		var err error
-		blob, err = parseFrame(buf, e.Length)
-		if err != nil {
-			return nil, fmt.Errorf("core: chunk %s@%d: %w", e.File, e.Offset, err)
-		}
+	blob, err := parseFrame(data[e.Offset:need], e.Length)
+	if err != nil {
+		return nil, fmt.Errorf("core: chunk %s@%d: %w", e.File, e.Offset, err)
 	}
 	s.addMmapRead(e.Length)
 	return blob, nil
@@ -260,12 +255,12 @@ type mmapDense struct {
 // whenever mapping is disabled, unsupported, or fails. A non-nil mapSet
 // return means the payload aliases the mapping and is only valid while
 // the caller holds the array's I/O latch or a counted reference.
-func (s *Store) readBlobShared(dir string, format int, e chunkEntry) ([]byte, *mapSet, error) {
+func (s *Store) readBlobShared(dir string, e chunkEntry) ([]byte, *mapSet, error) {
 	if ms := s.maps.lookup(dir); ms != nil {
-		if blob, err := ms.read(s, format, e); err == nil {
+		if blob, err := ms.read(s, e); err == nil {
 			return blob, ms, nil
 		}
 	}
-	blob, err := s.readBlob(dir, format, e)
+	blob, err := s.readBlob(dir, e)
 	return blob, nil, err
 }

@@ -29,7 +29,7 @@ const (
 	StageStageEncode = "stage_encode" // resolve + encode + unsynced append
 	StageQueueWait   = "queue_wait"   // enqueue until a leader drains it
 	StageDataFsync   = "data_fsync"   // group fsync of the batch's chunk files
-	StageMetaCommit  = "meta_commit"  // manifest-log append (legacy: versions.json rename)
+	StageMetaCommit  = "meta_commit"  // manifest-log append
 	StageInstall     = "install"      // in-memory install of the committed doc
 )
 

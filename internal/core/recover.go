@@ -8,20 +8,18 @@ import (
 )
 
 // Open-time crash recovery (Options.Durability). The commit protocol
-// (see commitMeta) guarantees that the committed metadata — a fsynced
-// manifest record, or the renamed versions.json on legacy stores —
-// only references payloads that were fsynced before the commit, so
+// guarantees that the committed metadata — the fsynced manifest records
+// — only references payloads that were fsynced before the commit, so
 // after a crash the committed state is intact and everything else on
 // disk is debris from the interrupted mutation:
 //
-//   - a metadata tmp file that never got renamed (legacy stores), or a
-//     stale versions.json superseded by the manifest (migrated stores);
 //   - a chunk generation that never got committed (either a *.build
 //     directory or a fully renamed one whose metadata commit was lost);
 //   - chunk files created by an uncommitted insert (orphans);
 //   - torn or garbage bytes past the last committed frame at the tail
 //     of a chunk file (the manifest log's own torn tail is truncated
-//     by openManifest before recovery runs).
+//     by openManifest before recovery runs);
+//   - per-array metadata files the offline migration superseded.
 //
 // recoverLocked sweeps all of it, truncates the torn tails, and — as a
 // defense in depth for stores that were written without Durability and
@@ -59,11 +57,11 @@ func (s *Store) recoverArray(st *arrayState) error {
 	return nil
 }
 
-// sweepDebris removes commit leftovers in the array directory: the
-// metadata tmp file, heal probe scratch, generation build directories,
-// and chunk generations other than the committed one. What it swept is
-// recorded into rs (Open-time recovery passes &s.recovery; the runtime
-// heal pass keeps its own local counts).
+// sweepDebris removes commit leftovers in the array directory: heal
+// probe scratch, generation build directories, chunk generations other
+// than the committed one, and migrated-away per-array metadata. What it
+// swept is recorded into rs (Open-time recovery passes &s.recovery; the
+// runtime heal pass keeps its own local counts).
 func (s *Store) sweepDebris(st *arrayState, rs *RecoveryStats) error {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -72,13 +70,8 @@ func (s *Store) sweepDebris(st *arrayState, rs *RecoveryStats) error {
 	committed := chunksDirName(st.Gen)
 	for _, e := range entries {
 		name := e.Name()
-		stale := name == metaFile+".tmp" || name == healProbeFile ||
+		stale := name == metaFile || name == metaFile+".tmp" || name == healProbeFile ||
 			(strings.HasPrefix(name, "chunks") && name != committed)
-		// on manifest stores the per-array versions.json is dead weight:
-		// either migration debris or a leftover a pre-migration binary wrote
-		if s.man != nil && name == metaFile {
-			stale = true
-		}
 		if !stale {
 			continue
 		}
@@ -110,7 +103,7 @@ func (s *Store) reconcileVersions(st *arrayState, rs *RecoveryStats) (bool, erro
 			liveIDs[vm.ID] = true
 		}
 		for _, vm := range live {
-			if versionDamaged(st, vm, sizes, liveIDs) {
+			if versionDamaged(vm, sizes, liveIDs) {
 				vm.Deleted = true
 				rs.DroppedVersions++
 				dropped = true
@@ -123,11 +116,11 @@ func (s *Store) reconcileVersions(st *arrayState, rs *RecoveryStats) (bool, erro
 	}
 }
 
-func versionDamaged(st *arrayState, vm *versionMeta, sizes map[string]int64, liveIDs map[int]bool) bool {
+func versionDamaged(vm *versionMeta, sizes map[string]int64, liveIDs map[int]bool) bool {
 	for _, chunks := range vm.Chunks {
 		for _, e := range chunks {
 			size, ok := sizes[e.File]
-			if !ok || e.Offset+frameLen(st.Format, e.Length) > size {
+			if !ok || e.Offset+frameLen(e.Length) > size {
 				return true
 			}
 			if e.Base >= 0 && !liveIDs[e.Base] {
@@ -153,7 +146,7 @@ func (s *Store) collectChunkFiles(st *arrayState, rs *RecoveryStats) error {
 	for _, vm := range st.live() {
 		for _, chunks := range vm.Chunks {
 			for _, e := range chunks {
-				if end := e.Offset + frameLen(st.Format, e.Length); end > maxRef[e.File] {
+				if end := e.Offset + frameLen(e.Length); end > maxRef[e.File] {
 					maxRef[e.File] = end
 				}
 			}

@@ -9,8 +9,6 @@ import (
 	"sync"
 
 	"arrayvers/internal/array"
-	"arrayvers/internal/compress"
-	"arrayvers/internal/delta"
 	"arrayvers/internal/layout"
 	"arrayvers/internal/matmat"
 )
@@ -127,25 +125,54 @@ func (s *Store) ComputeLayout(name string, opts ReorganizeOptions) (layout.Layou
 	return l, mm, ids, nil
 }
 
-// reorgRetries bounds the off-lock rebuild attempts a Reorganize makes
-// before falling back to rebuilding under the exclusive store lock
-// (guaranteed progress when the array mutates faster than it can be
-// re-encoded).
+// reorgRetries bounds the optimistic build attempts a rewrite makes
+// before it excludes the inserts that keep invalidating them.
 const reorgRetries = 3
+
+// rewriteBuild writes the new chunk generation of one destructive
+// rewrite into buildDir, from the array as v snapshotted it, and returns
+// the rewritten version ids with their new chunk maps (entries[i] for
+// ids[i]). No ids means there is nothing to rewrite. It runs with no
+// store lock held; v's read latch pins the generation it reads.
+type rewriteBuild func(v *readView, buildDir string) (ids []int, entries []map[string]map[string]chunkEntry, err error)
 
 // Reorganize re-encodes every live version of an array according to the
 // chosen layout policy — the "background re-organization step" of §IV-E.
 // Old chunk payloads are dropped (the chunks directory is rewritten).
-//
-// The rewrite is built optimistically off-lock: the array's metadata is
-// snapshotted under the store lock, every version is decoded and
-// re-encoded into a fresh generation directory with no store lock held,
-// and the result is committed under the lock only if the array's
-// mutation sequence is unchanged (otherwise the build is discarded and
-// retried). Readers and inserts therefore proceed concurrently with the
-// bulk of the work; only the metadata swap itself serializes with them.
-// Destructive rewrites on one array are serialized by a per-array latch.
 func (s *Store) Reorganize(name string, opts ReorganizeOptions) error {
+	return s.rewrite(name, func(v *readView, buildDir string) ([]int, []map[string]map[string]chunkEntry, error) {
+		p := opts.plan
+		if p == nil || p.seq != v.seq {
+			// no plan from the tuner for this exact state: decode and plan
+			ids, planes, err := s.loadPlanesView(v)
+			if err != nil || len(ids) == 0 {
+				return nil, nil, err
+			}
+			l, err := s.planLayout(v.st, ids, planes, opts)
+			if err != nil {
+				return nil, nil, err
+			}
+			p = &rewritePlan{ids: ids, planes: planes, layout: l}
+		}
+		entries, err := s.buildRewrite(v.st, buildDir, p.ids, p.planes, p.layout)
+		return p.ids, entries, err
+	})
+}
+
+// rewrite replaces an array's chunk generation (Reorganize, Compact)
+// without ever holding Store.mu while it works: the array's metadata is
+// snapshotted under the store lock, the new generation is built and
+// fsynced beside the live one with no store lock held, and the result
+// is committed under the lock only if the array's mutation sequence is
+// unchanged (otherwise the build is discarded and retried). Readers and
+// inserts proceed concurrently with the build; only the metadata swap
+// itself serializes with them. If inserts keep landing mid-build, the
+// last attempt holds the array's commit-latch set — no insert to THIS
+// array can stage or commit, readers and other arrays are untouched —
+// commits whatever was already staged, and runs the same build, which
+// nothing can invalidate any more. Rewrites of one array are
+// serialized by its reorgMu.
+func (s *Store) rewrite(name string, build rewriteBuild) error {
 	if err := s.writeGate(name); err != nil {
 		return err
 	}
@@ -155,26 +182,23 @@ func (s *Store) Reorganize(name string, opts ReorganizeOptions) error {
 	}
 	defer st.reorgMu.Unlock()
 	for attempt := 0; attempt < reorgRetries; attempt++ {
-		committed, err := s.tryReorganize(name, st, opts)
+		committed, err := s.tryRewrite(name, st, build, false)
 		if committed || err != nil {
 			return err
 		}
 	}
-	// the array is mutating faster than the off-lock builds can keep up;
-	// rebuild under the exclusive lock so the call terminates. commitMu
-	// serializes the metadata commit with insert leaders, whose
-	// commits run outside Store.mu.
+	st.syncMu.Lock()
+	defer st.syncMu.Unlock()
 	st.commitMu.Lock()
 	defer st.commitMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	st.writeMu.Lock()
+	defer st.writeMu.Unlock()
+	s.drainLatched(st)
+	committed, err := s.tryRewrite(name, st, build, true)
+	if err == nil && !committed {
+		err = fmt.Errorf("core: array %q mutated under the rewrite's latches", name)
 	}
-	if s.arrays[name] != st {
-		return fmt.Errorf("core: no array %q", name)
-	}
-	return s.reorganizeLocked(st, opts)
+	return err
 }
 
 // lockRewrite resolves an array and takes its rewrite latch, handling
@@ -187,140 +211,162 @@ func (s *Store) lockRewrite(name string) (*arrayState, error) {
 	})
 }
 
-// tryReorganize performs one optimistic off-lock rebuild attempt.
-// It reports whether the rewrite committed; (false, nil) means the
+// tryRewrite performs one off-lock build attempt. It reports whether
+// the rewrite committed (or had nothing to do); (false, nil) means the
 // metadata moved underneath the build and the caller should retry.
-func (s *Store) tryReorganize(name string, st *arrayState, opts ReorganizeOptions) (bool, error) {
+// latched says the caller already holds st's commit-latch set
+// (commitMu included).
+func (s *Store) tryRewrite(name string, st *arrayState, build rewriteBuild, latched bool) (bool, error) {
 	v, release, err := s.snapshotUncached(name)
 	if err != nil {
 		return false, err
 	}
 	if v.st != st {
 		release()
-		return false, fmt.Errorf("core: array %q was replaced during reorganize", name)
+		return false, fmt.Errorf("core: array %q was replaced during the rewrite", name)
 	}
-	var (
-		ids    []int
-		planes [][]Plane
-		l      layout.Layout
-	)
-	if p := opts.plan; p != nil && p.seq == v.seq {
-		// the tuner already decoded this exact state while estimating
-		ids, planes, l = p.ids, p.planes, p.layout
-	} else {
-		var err error
-		ids, planes, err = s.loadPlanesView(v)
-		if err != nil {
-			release()
-			return false, err
-		}
-		if len(ids) == 0 {
-			release()
-			return true, nil
-		}
-		l, err = s.planLayout(v.st, ids, planes, opts)
-		if err != nil {
-			release()
-			return false, err
-		}
-	}
-	buildDir := s.newBuildDir(st)
-	entries, err := s.buildRewrite(v.st, buildDir, ids, planes, l)
+	// a private build directory per attempt, so a retried build can never
+	// scribble on another's files. The "chunks" prefix puts leftovers of
+	// interrupted builds in recovery's sweep path; the sequence restarts
+	// per process, so a crashed non-durable run (which never sweeps) can
+	// have left a stale directory under this name — never append after it
+	buildDir := filepath.Join(st.dir, fmt.Sprintf("chunks.build-%d", s.buildSeq.Add(1)))
+	err = s.fs.RemoveAll(buildDir)
 	if err == nil {
+		err = s.fs.MkdirAll(buildDir)
+	}
+	var ids []int
+	var entries []map[string]map[string]chunkEntry
+	if err == nil {
+		ids, entries, err = build(v, buildDir)
+	}
+	if err == nil && len(ids) > 0 {
 		// the build dir is immutable from here on; run its per-file
 		// fsync sweep before touching the store lock so the commit's
 		// critical section is just the rename + metadata write
 		err = s.syncBuild(buildDir)
 	}
 	release()
-	if err != nil {
+	if err != nil || len(ids) == 0 {
 		_ = s.fs.RemoveAll(buildDir)
 		s.noteDiskPressure(err)
-		return false, err
+		return err == nil, err
 	}
 	// commitMu serializes this rewrite's metadata commit with insert
 	// leaders, whose commits run outside Store.mu
-	st.commitMu.Lock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		st.commitMu.Unlock()
-		_ = s.fs.RemoveAll(buildDir)
-		return false, ErrClosed
+	if !latched {
+		st.commitMu.Lock()
 	}
-	if s.arrays[name] != st || st.seq != v.seq {
-		// a concurrent mutation invalidated the build: its planes (and
-		// therefore its encodings) may describe superseded contents
-		s.mu.Unlock()
+	oldDir, err := s.publishRewrite(st, v.seq, buildDir, ids, entries)
+	if !latched {
 		st.commitMu.Unlock()
-		_ = s.fs.RemoveAll(buildDir)
-		return false, nil
 	}
-	st.mutateLocked()
-	oldDir, err := s.commitRewriteLocked(st, buildDir, ids, entries)
-	if err != nil {
-		s.mu.Unlock()
-		st.commitMu.Unlock()
-		// a failure before the generation rename leaves the build dir
-		// behind, and non-durable stores never sweep chunks* debris
+	if oldDir == "" {
+		// not committed; a failure before the generation rename leaves
+		// the build dir behind, and non-durable stores never sweep
+		// chunks* debris
 		_ = s.fs.RemoveAll(buildDir)
 		return false, err
 	}
-	// decoded content is unchanged, but the encoding generation moved on;
-	// drop cached chunks so stale in-flight readers cannot repopulate the
-	// current generation (the epoch in every cache key enforces this)
-	s.invalidateArrayLocked(name)
-	s.mu.Unlock()
-	st.commitMu.Unlock()
 	// post-commit garbage collection: waiting out in-flight readers that
 	// pinned the old generation happens with no store lock held, so new
 	// selects (on this and every other array) proceed meanwhile. The
-	// epoch bump above already made the old generation's cache entries
-	// unreachable; retire defers the unlink past any still resident.
+	// epoch bump at publish made the old generation's cache entries
+	// unreachable, but those readers may have cached more planes of it
+	// since; sweep again now that they are gone, so the unlink lands here
+	// instead of waiting for eviction.
 	st.ioMu.Lock()
+	s.chunkCache.InvalidateArray(name)
 	s.maps.retire(oldDir, func() { _ = s.fs.RemoveAll(oldDir) })
 	st.ioMu.Unlock()
 	return true, nil
 }
 
-// reorganizeLocked is the contended-fallback rewrite: build and commit
-// while holding Store.mu exclusively. Callers hold the rewrite latch and
-// Store.mu.
-func (s *Store) reorganizeLocked(st *arrayState, opts ReorganizeOptions) error {
+// publishRewrite commits a built and synced rewrite if the array still
+// is what the build saw. The protocol:
+//
+//  1. rename the build directory to the next generation's name and sync
+//     the array directory — the new payloads are now durable but
+//     unreferenced;
+//  2. stage the new metadata (generation number, the rewritten
+//     versions' chunk maps) and commit it as one manifest record — this
+//     is the commit point;
+//  3. install it, and hand the superseded generation back for the
+//     caller to remove once it has waited out the readers pinning it.
+//
+// A crash before step 2 leaves the old metadata pointing at the intact
+// old generation (recovery sweeps the unreferenced new one); a crash
+// after it leaves the new metadata pointing at the fully synced new
+// generation (recovery sweeps the old one). It returns "" when nothing
+// was committed — with a nil error when a concurrent mutation merely
+// invalidated the build (its planes, and therefore its encodings, may
+// describe superseded contents). Callers hold st.commitMu, which keeps
+// every other metadata writer off the array from the sequence check to
+// the install; Store.mu is only taken for those two.
+func (s *Store) publishRewrite(st *arrayState, seq uint64, buildDir string, ids []int, entries []map[string]map[string]chunkEntry) (string, error) {
+	name := st.Schema.Name
+	s.mu.RLock()
+	closed, current, moved := s.closed, s.arrays[name] == st, st.seq != seq
+	staged := st.metaClone()
+	s.mu.RUnlock()
+	switch {
+	case closed:
+		return "", ErrClosed
+	case !current:
+		return "", fmt.Errorf("core: no array %q", name)
+	case moved:
+		return "", nil
+	}
+	staged.Gen++
+	finalDir := filepath.Join(st.dir, chunksDirName(staged.Gen))
+	// a leftover directory with this generation name can only be debris
+	// from an interrupted rewrite that never committed. Failures here are
+	// benign (the metadata still references the old generation; at worst
+	// an uncommitted directory lingers as debris for recovery or heal to
+	// sweep), but ENOSPC still stops the store
+	err := s.fs.RemoveAll(finalDir)
+	if err == nil {
+		err = s.fs.Rename(buildDir, finalDir)
+	}
+	if err == nil && s.opts.Durability {
+		err = s.fs.SyncDir(st.dir)
+	}
+	if err != nil {
+		s.noteDiskPressure(err)
+		return "", err
+	}
+	pos := make(map[int]int, len(ids))
+	for i, id := range ids {
+		pos[id] = i
+	}
+	for si, vm := range staged.Versions {
+		if i, ok := pos[vm.ID]; ok {
+			cp := *vm
+			cp.Chunks = entries[i]
+			staged.Versions[si] = &cp
+		}
+	}
+	if err := s.commitMeta(st, &staged); err != nil {
+		if isUncertain(err) {
+			// the record may be in the log, referencing finalDir: leave it
+			// for the heal to sweep once the log tail is settled
+			s.noteCommitFailure(st, err)
+		} else {
+			s.noteDiskPressure(err)
+			_ = s.fs.RemoveAll(finalDir)
+		}
+		return "", err
+	}
+	s.mu.Lock()
+	oldDir := st.chunksDir()
 	st.mutateLocked()
-	v := s.viewLocked(st, false)
-	v.noCache = true
-	ids, planes, err := s.loadPlanesView(v)
-	if err != nil {
-		return err
-	}
-	if len(ids) == 0 {
-		return nil
-	}
-	l, err := s.planLayout(st, ids, planes, opts)
-	if err != nil {
-		return err
-	}
-	buildDir := s.newBuildDir(st)
-	entries, err := s.buildRewrite(st, buildDir, ids, planes, l)
-	if err != nil {
-		_ = s.fs.RemoveAll(buildDir)
-		return err
-	}
-	if err := s.commitRewrite(st, buildDir, ids, entries); err != nil {
-		_ = s.fs.RemoveAll(buildDir)
-		return err
-	}
-	s.invalidateArrayLocked(st.Schema.Name)
-	return nil
-}
-
-// newBuildDir names a fresh, private build directory for one rewrite
-// attempt. The "chunks" prefix puts leftovers from interrupted builds in
-// recovery's sweep path; the sequence number keeps retried builds from
-// ever sharing a directory.
-func (s *Store) newBuildDir(st *arrayState) string {
-	return filepath.Join(st.dir, fmt.Sprintf("chunks.build-%d", s.buildSeq.Add(1)))
+	st.installMeta(staged)
+	// decoded content is unchanged, but the encoding generation moved on;
+	// drop cached chunks so stale in-flight readers cannot repopulate the
+	// current generation (the epoch in every cache key enforces this)
+	s.invalidateArrayLocked(name)
+	s.mu.Unlock()
+	return oldDir, nil
 }
 
 // planLayout chooses the layout for a full rewrite, applying §IV-E
@@ -504,158 +550,30 @@ func FilterWorkload(wl []layout.Query, ids []int) []layout.Query {
 	return out
 }
 
-// buildRewrite re-encodes all versions per the layout into the given
-// private build directory and returns the new chunk entries, one map per
-// id. It reads only immutable arrayState fields and the passed planes,
-// so it runs with no store lock held; the caller pins the source
-// generation via the snapshot's read latch. The rewrite always produces
-// checksummed frames, so committing it also upgrades legacy raw-format
-// arrays.
+// buildRewrite re-encodes all versions per the layout into the build
+// directory and returns the new chunk entries, one map per id. It reads
+// only immutable arrayState fields and the passed planes.
 func (s *Store) buildRewrite(st *arrayState, buildDir string, ids []int, planes [][]Plane, l layout.Layout) ([]map[string]map[string]chunkEntry, error) {
-	// the sequence restarts per process, so a crashed non-durable run
-	// (which never sweeps chunks* debris at Open) can have left a stale
-	// directory under this name; never append after its garbage
-	if err := s.fs.RemoveAll(buildDir); err != nil {
-		return nil, err
-	}
-	if err := s.fs.MkdirAll(buildDir); err != nil {
-		return nil, err
-	}
-	newEntries := make([]map[string]map[string]chunkEntry, len(ids))
-	for i := range ids {
-		newEntries[i] = make(map[string]map[string]chunkEntry)
-	}
-	for ai, attr := range st.Schema.Attrs {
-		if st.SparseRep {
-			for i := range ids {
-				payload, base, err := encodeSparseAgainst(planes, l, i, ai, ids)
-				if err != nil {
-					return nil, err
-				}
-				codec := pickCodec(s.opts.Codec, false)
-				sealed, used, err := seal(codec, s.opts.AdaptiveCodec, payload, compress.Params{Elem: 1})
-				if err != nil {
-					return nil, err
-				}
-				file := chainFileName(attr.Name, "chunk-full")
-				off, err := s.appendBlob(filepath.Join(buildDir, file), formatFramed, sealed, false)
-				if err != nil {
-					return nil, err
-				}
-				s.addWrite(int64(len(sealed)))
-				newEntries[i][attr.Name] = map[string]chunkEntry{
-					"chunk-full": {File: file, Offset: off, Length: int64(len(sealed)), Codec: uint8(used), Base: base},
-				}
-			}
-			continue
-		}
-		ck, err := st.chunker()
-		if err != nil {
-			return nil, err
-		}
-		for i := range ids {
-			newEntries[i][attr.Name] = make(map[string]chunkEntry)
-		}
-		for _, origin := range ck.All() {
-			box := ck.Box(origin)
-			key := ck.Key(origin)
-			for i := range ids {
-				target, err := planes[i][ai].Dense.Slice(box)
-				if err != nil {
-					return nil, err
-				}
-				payload := target.Bytes()
-				entryBase := -1
-				rawDense := true
-				if p := l.Parent[i]; p != i {
-					baseChunk, err := planes[p][ai].Dense.Slice(box)
-					if err != nil {
-						return nil, err
-					}
-					blob, err := delta.Encode(s.opts.DeltaMethod, target, baseChunk)
-					if err != nil {
-						return nil, err
-					}
-					if len(blob) < len(payload) {
-						payload = blob
-						entryBase = ids[p]
-						rawDense = false
-					}
-				}
-				codec := pickCodec(s.opts.Codec, rawDense)
-				sealed, used, err := seal(codec, s.opts.AdaptiveCodec, payload, sealParams(rawDense, box, attr.Type))
-				if err != nil {
-					return nil, err
-				}
-				file := chainFileName(attr.Name, key)
-				off, err := s.appendBlob(filepath.Join(buildDir, file), formatFramed, sealed, false)
-				if err != nil {
-					return nil, err
-				}
-				s.addWrite(int64(len(sealed)))
-				newEntries[i][attr.Name][key] = chunkEntry{
-					File: file, Offset: off, Length: int64(len(sealed)), Codec: uint8(used), Base: entryBase,
-				}
-			}
-		}
-	}
-	return newEntries, nil
-}
-
-// applyEntries builds the commit callback that installs a rewrite's new
-// chunk maps on the rewritten versions — shared by the off-lock and
-// under-lock commit paths so they cannot drift.
-func applyEntries(st *arrayState, ids []int, entries []map[string]map[string]chunkEntry) func() {
-	idPos := make(map[int]int, len(ids))
+	ctx := &insertCtx{st: st, ws: newWriteSet(), dir: buildDir, sparse: st.SparseRep}
+	entries := make([]map[string]map[string]chunkEntry, len(ids))
 	for i, id := range ids {
-		idPos[id] = i
-	}
-	return func() {
-		for _, vm := range st.Versions {
-			if i, ok := idPos[vm.ID]; ok {
-				vm.Chunks = entries[i]
+		entries[i] = make(map[string]map[string]chunkEntry, len(st.Schema.Attrs))
+		p, base := l.Parent[i], 0
+		if p != i {
+			base = ids[p]
+		}
+		for ai, attr := range st.Schema.Attrs {
+			m, err := s.encodePlane(ctx, id, attr, planes[i][ai], base, planes[p][ai])
+			if err != nil {
+				return nil, err
 			}
+			entries[i][attr.Name] = m
 		}
 	}
+	return entries, nil
 }
 
-// commitRewrite is the single-call form of commitRewriteLocked for
-// callers that hold Store.mu across the whole rewrite (the contended
-// fallback): sync, commit, and remove the old generation in place.
-func (s *Store) commitRewrite(st *arrayState, buildDir string, ids []int, entries []map[string]map[string]chunkEntry) error {
-	return s.commitGen(st, st.Gen+1, buildDir, applyEntries(st, ids, entries))
-}
-
-// commitRewriteLocked publishes a fully built, already-synced rewrite:
-// the build directory becomes the next chunk generation and the new
-// entries replace the rewritten versions' chunk maps. It returns the
-// superseded generation directory, which the caller removes under the
-// I/O latch after releasing Store.mu. Callers hold Store.mu and the
-// rewrite latch and have already called syncBuild.
-func (s *Store) commitRewriteLocked(st *arrayState, buildDir string, ids []int, entries []map[string]map[string]chunkEntry) (string, error) {
-	return s.commitGenLocked(st, st.Gen+1, buildDir, applyEntries(st, ids, entries))
-}
-
-// The commit protocol for destructive rewrites:
-//
-//  1. sync the build directory's files (syncBuild — runnable before any
-//     lock, since a finished build is immutable), then rename it to its
-//     committed generation name and sync the array directory — the new
-//     payloads are now durable but unreferenced;
-//  2. stage the new metadata (generation number, framed format, the
-//     entries the apply callback installs) and commit it with saveMeta —
-//     a manifest-log record, or the atomic versions.json rename on
-//     legacy stores — this is the commit point;
-//  3. remove the old generation under the exclusive I/O latch, waiting
-//     out in-flight readers whose snapshots pinned it.
-//
-// A crash before step 2 leaves the old metadata pointing at the intact
-// old generation (recovery sweeps the unreferenced new one); a crash
-// after it leaves the new metadata pointing at the fully synced new
-// generation (recovery sweeps the old one).
-
-// syncBuild makes a finished build directory durable (step 1's fsync
-// sweep). The build phase appends unsynced — one fsync per append would
+// syncBuild makes a finished build directory durable. The build phase appends unsynced — one fsync per append would
 // make rewrites O(chunks) in disk-flush cost — so each built file is
 // synced exactly once here, before anything can reference it. No-op
 // without Durability.
@@ -669,85 +587,6 @@ func (s *Store) syncBuild(buildDir string) error {
 	return s.fs.SyncDir(buildDir)
 }
 
-// commitGenLocked runs steps 1b–2: rename the synced build directory to
-// its generation name and commit the metadata. It returns the
-// superseded generation directory for the caller to remove (step 3)
-// once it is safe to wait on the I/O latch. Callers hold Store.mu.
-func (s *Store) commitGenLocked(st *arrayState, newGen int, buildDir string, apply func()) (string, error) {
-	finalDir := filepath.Join(st.dir, chunksDirName(newGen))
-	// a leftover directory with this generation name can only be debris
-	// from an interrupted rewrite that never committed
-	// failures here are benign (the metadata still references the old
-	// generation; at worst an uncommitted directory lingers as debris
-	// for recovery or heal to sweep), but ENOSPC still stops the store
-	if err := s.fs.RemoveAll(finalDir); err != nil {
-		s.noteDiskPressure(err)
-		return "", err
-	}
-	if err := s.fs.Rename(buildDir, finalDir); err != nil {
-		s.noteDiskPressure(err)
-		return "", err
-	}
-	if s.opts.Durability {
-		if err := s.fs.SyncDir(st.dir); err != nil {
-			s.noteDiskPressure(err)
-			return "", err
-		}
-	}
-	oldDir := st.chunksDir()
-	st.Gen = newGen          //avlint:allow-install generation flip precedes its commit by design: the payloads are already durable, and heal/reopen resolve the divergence when saveMeta below fails
-	st.Format = formatFramed //avlint:allow-install committed together with Gen above; same divergence contract
-	apply()
-	if err := s.saveMeta(st); err != nil {
-		// the commit did not land on disk; in-memory state keeps the new
-		// generation (its payloads are all present and durable) and a
-		// reopen recovers to the old metadata + old generation. Memory
-		// and disk now disagree no matter how the write failed, so the
-		// array degrades until the heal re-commits the in-memory view.
-		s.noteCommitFailure(st, err)
-		return "", err
-	}
-	return oldDir, nil
-}
-
-// commitGen is the single-call form for rewrites that run fully under
-// Store.mu (Compact, the contended Reorganize fallback): sync, commit,
-// and remove the old generation in place. A removal failure just leaves
-// a stale generation for the next Open's recovery to sweep.
-func (s *Store) commitGen(st *arrayState, newGen int, buildDir string, apply func()) error {
-	if err := s.syncBuild(buildDir); err != nil {
-		return err
-	}
-	oldDir, err := s.commitGenLocked(st, newGen, buildDir, apply)
-	if err != nil {
-		return err
-	}
-	// retire defers the unlink past cached zero-copy planes of the old
-	// generation. Callers hold Store.mu for the rest of their critical
-	// section and invalidate the array's cache before releasing it, so no
-	// future lookup can return a retired-generation plane.
-	st.ioMu.Lock()
-	s.maps.retire(oldDir, func() { _ = s.fs.RemoveAll(oldDir) })
-	st.ioMu.Unlock()
-	return nil
-}
-
-func encodeSparseAgainst(planes [][]Plane, l layout.Layout, i, ai int, ids []int) ([]byte, int, error) {
-	sp := planes[i][ai].Sparse
-	if p := l.Parent[i]; p != i {
-		blob, err := delta.EncodeSparseOps(sp, planes[p][ai].Sparse)
-		if err != nil {
-			return nil, 0, err
-		}
-		native := array.MarshalSparse(sp)
-		if len(blob) < len(native) {
-			return blob, ids[p], nil
-		}
-		return native, -1, nil
-	}
-	return array.MarshalSparse(sp), -1, nil
-}
-
 // syncDirFiles fsyncs every regular file in dir.
 func (s *Store) syncDirFiles(dir string) error {
 	entries, err := os.ReadDir(dir)
@@ -758,16 +597,8 @@ func (s *Store) syncDirFiles(dir string) error {
 		if e.IsDir() {
 			continue
 		}
-		f, err := s.fs.Append(filepath.Join(dir, e.Name()))
-		if err != nil {
+		if err := s.syncFile(filepath.Join(dir, e.Name())); err != nil {
 			return err
-		}
-		serr := f.Sync()
-		if cerr := f.Close(); serr == nil {
-			serr = cerr
-		}
-		if serr != nil {
-			return serr
 		}
 	}
 	return nil
@@ -780,20 +611,24 @@ func (s *Store) syncDirFiles(dir string) error {
 //
 // Like the insert path, the deletion is staged: the re-encoded chunk
 // maps and the deletion flag are built on cloned versionMeta records in
-// a staged arrayMeta, committed with one metadata rename, and installed
+// a staged arrayMeta, committed with one manifest record, and installed
 // into the live state only on success — a failed commit leaves memory
 // and disk agreeing that the version is still live, and sweeps the
 // re-encode's appended blobs. The write latch is held because the
 // re-encodes append to chunk files concurrent insert staging also
-// appends to.
+// appends to; reorgMu because removing a version can invalidate an
+// optimistic insert staged against it (see InsertBatchCtx).
 func (s *Store) DeleteVersion(name string, id int) error {
 	if err := s.writeGate(name); err != nil {
 		return err
 	}
-	st, err := s.lockMetaWrite(name)
+	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
+		return []*sync.Mutex{&st.reorgMu, &st.commitMu, &st.writeMu}
+	})
 	if err != nil {
 		return err
 	}
+	defer st.reorgMu.Unlock()
 	defer st.commitMu.Unlock()
 	defer st.writeMu.Unlock()
 	s.mu.Lock()
@@ -812,7 +647,7 @@ func (s *Store) DeleteVersion(name string, id int) error {
 	v := s.viewOfMeta(st, &staged)
 	ws := newWriteSet()
 	qc := newChunkCache()
-	ctx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.dir, format: staged.Format, sparse: staged.SparseRep}
+	ctx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.dir, sparse: staged.SparseRep}
 	full := array.BoxOf(st.Schema.Shape())
 	commit := func() error {
 		// the child re-encodes below only ever append (fresh FileSeq
@@ -851,19 +686,18 @@ func (s *Store) DeleteVersion(name string, id int) error {
 						}
 					}
 				}
-				entries, err := s.encodePlane(ctx, child.ID, attr, pl, newBase)
+				var basePl Plane
+				if newBase > 0 {
+					if basePl, err = s.readRegionView(ctx.context(), v, newBase, attr.Name, full, qc, nil); err != nil {
+						return err
+					}
+				}
+				entries, err := s.encodePlane(ctx, child.ID, attr, pl, newBase, basePl)
 				if err != nil {
 					return err
 				}
-				// published versions are shared with reader snapshots:
-				// clone before replacing the chunk map, swap the clone in
 				if cp == nil {
-					c := *child
-					c.Chunks = make(map[string]map[string]chunkEntry, len(child.Chunks))
-					for a, m := range child.Chunks {
-						c.Chunks[a] = m
-					}
-					cp = &c
+					cp = child.clone()
 				}
 				cp.Chunks[attr.Name] = entries
 			}
@@ -880,17 +714,8 @@ func (s *Store) DeleteVersion(name string, id int) error {
 				break
 			}
 		}
-		if s.opts.Durability {
-			if err := ws.sync(s); err != nil {
-				s.noteCommitFailure(st, err)
-				return err
-			}
-			if ws.createdFiles() {
-				if err := s.fs.SyncDir(ctx.dir); err != nil {
-					s.noteCommitFailure(st, err)
-					return err
-				}
-			}
+		if err := s.syncWrites(st, ws, ctx.dir); err != nil {
+			return err
 		}
 		if err := s.commitMeta(st, &staged); err != nil {
 			if isUncertain(err) {
@@ -924,114 +749,55 @@ func (s *Store) DeleteVersion(name string, id int) error {
 
 // Compact rewrites an array's chunk files keeping only payloads
 // referenced by live versions, reclaiming space left behind by
-// DeleteVersion and superseded encodings. Like Reorganize, it serializes
-// with other destructive rewrites on the array's rewrite latch; the copy
-// itself runs under the store lock (it is pure I/O relocation, far
-// cheaper than a re-encode).
+// DeleteVersion and superseded encodings. It is a rewrite like
+// Reorganize — same latches, same commit — whose build merely relocates
+// the stored payloads instead of re-encoding them.
 func (s *Store) Compact(name string) error {
-	if err := s.writeGate(name); err != nil {
-		return err
-	}
-	st, err := s.lockRewrite(name)
-	if err != nil {
-		return err
-	}
-	defer st.reorgMu.Unlock()
-	// commitMu: the generation flip commits new metadata, which must
-	// serialize with insert leaders committing outside Store.mu
-	st.commitMu.Lock()
-	defer st.commitMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.arrays[name] != st {
-		return fmt.Errorf("core: no array %q", name)
-	}
-	st.mutateLocked()
-	buildDir := s.newBuildDir(st)
-	// sweep any same-named debris a crashed non-durable run left behind
-	if err := s.fs.RemoveAll(buildDir); err != nil {
-		return err
-	}
-	if err := s.fs.MkdirAll(buildDir); err != nil {
-		return err
-	}
-	// copy referenced payloads in a deterministic order
-	type ref struct {
-		vm   *versionMeta
-		attr string
-		key  string
-	}
-	var refs []ref
-	for _, vm := range st.live() {
-		for attr, chunks := range vm.Chunks {
-			for key := range chunks {
-				refs = append(refs, ref{vm, attr, key})
+	return s.rewrite(name, func(v *readView, buildDir string) ([]int, []map[string]map[string]chunkEntry, error) {
+		// versions in id order, so every chain file keeps its frames in
+		// version order
+		entries := make([]map[string]map[string]chunkEntry, len(v.ids))
+		for i, id := range v.ids {
+			var err error
+			entries[i], err = s.relocateChunks(v.st.Schema, v.byID[id].Chunks, buildDir, func(e chunkEntry) ([]byte, error) {
+				return s.readBlob(v.dir, e)
+			})
+			if err != nil {
+				return nil, nil, err
 			}
 		}
-	}
-	sort.Slice(refs, func(a, b int) bool {
-		ra, rb := refs[a], refs[b]
-		if ra.attr != rb.attr {
-			return ra.attr < rb.attr
-		}
-		if ra.key != rb.key {
-			return ra.key < rb.key
-		}
-		return ra.vm.ID < rb.vm.ID
+		return v.ids, entries, nil
 	})
-	// copy-on-write: inner chunk maps of published versions are shared
-	// with reader snapshots and must never be written in place, so the
-	// relocated entries accumulate in fresh maps that are swapped in at
-	// the end
-	fresh := make(map[*versionMeta]map[string]map[string]chunkEntry)
-	for _, r := range refs {
-		e := r.vm.Chunks[r.attr][r.key]
-		blob, err := s.readBlob(st.chunksDir(), st.Format, e)
-		if err != nil {
-			return err
+}
+
+// relocateChunks copies one version's payloads — fetched with read —
+// into dstDir, framed, in a fixed (attribute, chunk key) order, and
+// returns the version's chunk maps pointing at the copies. With
+// CoLocate the copies land in the chunk's chain file.
+func (s *Store) relocateChunks(schema array.Schema, chunks map[string]map[string]chunkEntry, dstDir string, read func(chunkEntry) ([]byte, error)) (map[string]map[string]chunkEntry, error) {
+	out := make(map[string]map[string]chunkEntry, len(chunks))
+	for _, attr := range schema.Attrs {
+		keys := make([]string, 0, len(chunks[attr.Name]))
+		for key := range chunks[attr.Name] {
+			keys = append(keys, key)
 		}
-		file := e.File
-		if s.opts.CoLocate {
-			file = chainFileName(r.attr, r.key)
-		}
-		// the copy re-frames every payload, upgrading raw-format arrays
-		off, err := s.appendBlob(filepath.Join(buildDir, file), formatFramed, blob, false)
-		if err != nil {
-			return err
-		}
-		e.File = file
-		e.Offset = off
-		byAttr, ok := fresh[r.vm]
-		if !ok {
-			byAttr = make(map[string]map[string]chunkEntry)
-			fresh[r.vm] = byAttr
-		}
-		if byAttr[r.attr] == nil {
-			byAttr[r.attr] = make(map[string]chunkEntry, len(r.vm.Chunks[r.attr]))
-		}
-		byAttr[r.attr][r.key] = e
-	}
-	err = s.commitGen(st, st.Gen+1, buildDir, func() {
-		for vm, byAttr := range fresh {
-			for attr, m := range byAttr {
-				vm.Chunks[attr] = m
+		sort.Strings(keys)
+		moved := make(map[string]chunkEntry, len(keys))
+		for _, key := range keys {
+			e := chunks[attr.Name][key]
+			blob, err := read(e)
+			if err != nil {
+				return nil, err
 			}
+			if s.opts.CoLocate {
+				e.File = chainFileName(attr.Name, key)
+			}
+			if e.Offset, err = s.appendBlob(filepath.Join(dstDir, e.File), blob); err != nil {
+				return nil, err
+			}
+			moved[key] = e
 		}
-	})
-	if err != nil {
-		_ = s.fs.RemoveAll(buildDir)
-		return err
+		out[attr.Name] = moved
 	}
-	if s.maps.active() {
-		// decoded content is unchanged, but cached zero-copy planes alias
-		// the retired generation's mapping: bump the epoch so they can
-		// never be served again, releasing their refs (and with them the
-		// deferred unlink) before Store.mu is released. Without mmap the
-		// warm cache stays valid and is kept.
-		s.invalidateArrayLocked(name)
-	}
-	return nil
+	return out, nil
 }

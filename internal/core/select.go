@@ -237,13 +237,6 @@ func (c *chunkCache) chunk(key string) map[int]*array.Dense {
 	return c.dense[key]
 }
 
-// readPlaneLocked reconstructs one full attribute plane of a version.
-// Callers hold Store.mu. The nil tracker keeps these internal reads
-// (verify, tuner history scans) out of the query-path stage histograms.
-func (s *Store) readPlaneLocked(st *arrayState, id int, attr string) (Plane, error) {
-	return s.readRegionView(context.Background(), s.viewLocked(st, false), id, attr, array.BoxOf(st.Schema.Shape()), nil, nil)
-}
-
 // readRegionView reconstructs the part of a version's attribute plane
 // covered by box against a metadata view, reading only the overlapping
 // chunks and fanning the per-chunk work out on the worker pool. tk (nil
@@ -382,7 +375,7 @@ func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Ch
 		return nil, fmt.Errorf("core: version %d missing chunk %s/%s", id, attr, key)
 	}
 	t0 := time.Now()
-	blob, ms, err := s.readBlobShared(v.dir, v.format, e)
+	blob, ms, err := s.readBlobShared(v.dir, e)
 	if err != nil {
 		return nil, err
 	}
@@ -490,7 +483,7 @@ func (s *Store) resolveSparse(v *readView, id int, attr string, local map[int]sp
 		return nil, false, fmt.Errorf("core: version %d missing sparse container for %s", id, attr)
 	}
 	t0 := time.Now()
-	blob, ms, err := s.readBlobShared(v.dir, v.format, e)
+	blob, ms, err := s.readBlobShared(v.dir, e)
 	if err != nil {
 		return nil, false, err
 	}

@@ -289,7 +289,7 @@ func (s *Store) CurrentLayout(name string) (layout.Layout, []int, error) {
 		s.mu.RUnlock()
 		return layout.Layout{}, nil, fmt.Errorf("core: no array %q", name)
 	}
-	v := s.viewLocked(st, false)
+	v := s.viewLocked(st)
 	l := currentLayoutOf(v, v.ids)
 	ids := append([]int(nil), v.ids...)
 	s.mu.RUnlock()

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
+
+	"arrayvers/internal/array"
 )
 
 // VerifyReport summarizes an integrity check of one array.
@@ -39,6 +42,8 @@ func (s *Store) Verify(name string) (VerifyReport, error) {
 		return VerifyReport{}, fmt.Errorf("core: no array %q", name)
 	}
 	rep := VerifyReport{Array: name, ChainDepths: map[int]int{}}
+	view := s.viewLocked(st)
+	full := array.BoxOf(st.Schema.Shape())
 	live := st.live()
 	rep.Versions = len(live)
 	liveIDs := map[int]bool{}
@@ -74,7 +79,7 @@ func (s *Store) Verify(name string) (VerifyReport, error) {
 					rep.Problems = append(rep.Problems,
 						fmt.Sprintf("version %d: chunk %s/%s delta-based on non-live version %d", vm.ID, attr.Name, key, e.Base))
 				}
-				used[e.File] = append(used[e.File], fileRange{e.Offset, e.Offset + frameLen(st.Format, e.Length)})
+				used[e.File] = append(used[e.File], fileRange{e.Offset, e.Offset + frameLen(e.Length)})
 			}
 			// delta-chain depth and cycle detection per chunk
 			for _, key := range wantKeys {
@@ -90,7 +95,9 @@ func (s *Store) Verify(name string) (VerifyReport, error) {
 		}
 		// decodability: reconstruct the whole version
 		for _, attr := range st.Schema.Attrs {
-			if _, err := s.readPlaneLocked(st, vm.ID, attr.Name); err != nil {
+			// the nil tracker keeps these reads out of the query-path
+			// stage histograms
+			if _, err := s.readRegionView(context.Background(), view, vm.ID, attr.Name, full, nil, nil); err != nil {
 				rep.Problems = append(rep.Problems,
 					fmt.Sprintf("version %d: attribute %s unreadable: %v", vm.ID, attr.Name, err))
 			}

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestVerifyHealthyStore(t *testing.T) {
 	s := testStore(t, smallOpts())
@@ -70,13 +65,7 @@ func TestVerifyDetectsDanglingAfterDelete(t *testing.T) {
 }
 
 func TestVerifyDetectsCorruptMetadata(t *testing.T) {
-	dir := t.TempDir()
-	opts := smallOpts()
-	opts.PerArrayCommit = true // sabotages versions.json directly
-	s, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := testStore(t, smallOpts())
 	if err := s.CreateArray(schema2D("VC", 32)); err != nil {
 		t.Fatal(err)
 	}
@@ -86,16 +75,7 @@ func TestVerifyDetectsCorruptMetadata(t *testing.T) {
 		}
 	}
 	// sabotage the metadata: point version 3's chunks at version 99
-	metaPath := filepath.Join(dir, "VC", metaFile)
-	raw, err := os.ReadFile(metaPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st arrayState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	for _, chunks := range st.Versions[2].Chunks {
+	for _, chunks := range s.arrays["VC"].Versions[2].Chunks {
 		for k, e := range chunks {
 			if e.Base >= 0 {
 				e.Base = 99
@@ -103,15 +83,7 @@ func TestVerifyDetectsCorruptMetadata(t *testing.T) {
 			}
 		}
 	}
-	sab, _ := json.Marshal(&st)
-	if err := os.WriteFile(metaPath, sab, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s2.Verify("VC")
+	rep, err := s.Verify("VC")
 	if err != nil {
 		t.Fatal(err)
 	}

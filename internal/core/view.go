@@ -8,12 +8,10 @@ import (
 	"sync/atomic"
 )
 
-// readView is one array's metadata as seen by a single query. The public
-// select paths build a cloned view under Store.mu and then decode chunks
-// against it with no store lock held, so concurrent queries (and inserts)
-// never serialize on metadata access. Internal callers that already hold
-// Store.mu use an uncloned view that delegates straight to the live
-// arrayState.
+// readView is one array's metadata as seen by a single query. Readers
+// build a cloned view under Store.mu and then decode chunks against it
+// with no store lock held, so concurrent queries (and inserts) never
+// serialize on metadata access.
 //
 // The immutable arrayState fields (dir, Schema, SparseRep, Fill,
 // ChunkSide) are read through the shared pointer; only the mutable
@@ -24,12 +22,10 @@ type readView struct {
 	// seq is the array's mutation sequence at snapshot time; an off-lock
 	// rewrite commits only if it is still current (see tryReorganize).
 	seq uint64
-	// dir and format pin the chunk generation the snapshot reads from:
-	// a destructive rewrite commits a new generation directory (and may
-	// upgrade the chunk format), and a reader must keep decoding the one
-	// its metadata references.
-	dir    string
-	format int
+	// dir pins the chunk generation the snapshot reads from: a
+	// destructive rewrite commits a new generation directory, and a
+	// reader must keep decoding the one its metadata references.
+	dir string
 	// ids lists the live version IDs in version order (the order
 	// Reorganize and the materialization matrix use).
 	ids []int
@@ -39,35 +35,26 @@ type readView struct {
 	// clients' hot working set and skew the hit-rate counters; they
 	// memoize within the scan (chunkCache) instead.
 	noCache bool
-	// byID holds cloned live version metadata; nil means "reading under
-	// the store lock, use st directly".
+	// byID holds the cloned live version metadata.
 	byID map[int]*versionMeta
 }
 
 // viewLocked builds a readView for st. Callers hold Store.mu (read or
-// write). With clone set, the live versions' outer chunk maps are copied
-// so the view stays coherent after the lock is released. The inner
-// (chunk key → entry) maps are shared, not copied: every mutator
-// replaces inner maps wholesale rather than writing into published ones,
-// so a snapshot costs O(versions × attrs), independent of chunk count.
-func (s *Store) viewLocked(st *arrayState, clone bool) *readView {
-	v := &readView{st: st, epoch: s.epochs[st.Schema.Name], seq: st.seq, dir: st.chunksDir(), format: st.Format}
+// write). The live versions' outer chunk maps are copied so the view
+// stays coherent after the lock is released. The inner (chunk key →
+// entry) maps are shared, not copied: every mutator replaces inner maps
+// wholesale rather than writing into published ones, so a snapshot
+// costs O(versions × attrs), independent of chunk count.
+func (s *Store) viewLocked(st *arrayState) *readView {
+	v := &readView{st: st, epoch: s.epochs[st.Schema.Name], seq: st.seq, dir: st.chunksDir()}
 	live := st.live()
 	v.ids = make([]int, len(live))
 	for i, vm := range live {
 		v.ids[i] = vm.ID
 	}
-	if !clone {
-		return v
-	}
 	v.byID = make(map[int]*versionMeta)
 	for _, vm := range live {
-		cp := *vm
-		cp.Chunks = make(map[string]map[string]chunkEntry, len(vm.Chunks))
-		for attr, m := range vm.Chunks {
-			cp.Chunks[attr] = m
-		}
-		v.byID[vm.ID] = &cp
+		v.byID[vm.ID] = vm.clone()
 	}
 	return v
 }
@@ -99,7 +86,7 @@ func (s *Store) snapshot(name string) (*readView, func(), error) {
 	}
 	v := st.cachedView.Load()
 	if v == nil || v.epoch != s.epochs[name] {
-		v = s.viewLocked(st, true)
+		v = s.viewLocked(st)
 		st.cachedView.Store(v)
 	}
 	st.ioMu.RLock()
@@ -122,7 +109,7 @@ func (s *Store) snapshotUncached(name string) (*readView, func(), error) {
 		s.mu.RUnlock()
 		return nil, nil, fmt.Errorf("core: no array %q", name)
 	}
-	v := s.viewLocked(st, true)
+	v := s.viewLocked(st)
 	v.noCache = true
 	st.ioMu.RLock()
 	s.mu.RUnlock()
@@ -139,7 +126,6 @@ func (s *Store) viewOfMeta(st *arrayState, m *arrayMeta) *readView {
 	v := &readView{
 		st:      st,
 		dir:     filepath.Join(st.dir, chunksDirName(m.Gen)),
-		format:  m.Format,
 		noCache: true,
 		byID:    make(map[int]*versionMeta),
 	}
@@ -162,9 +148,6 @@ func (st *arrayState) mutateLocked() {
 }
 
 func (v *readView) version(id int) (*versionMeta, error) {
-	if v.byID == nil {
-		return v.st.version(id)
-	}
 	if vm, ok := v.byID[id]; ok {
 		return vm, nil
 	}

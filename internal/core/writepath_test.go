@@ -1,0 +1,367 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"arrayvers/internal/array"
+	"arrayvers/internal/fsio"
+	"arrayvers/internal/trace"
+)
+
+// Tests for the single write path: what each mutator holds while it
+// encodes, syncs and commits, and who guarantees progress under
+// contention. The blocking-hook tests park a mutator inside a
+// filesystem call and then use the store from outside — anything that
+// needs Store.mu would hang if the mutator held it there.
+
+// hookFS calls onAppend before a file is opened for append and onSync
+// inside a file's Sync; either may block.
+type hookFS struct {
+	fsio.FS
+	onAppend func(path string)
+	onSync   func(path string)
+}
+
+func (h *hookFS) Append(path string) (fsio.File, error) {
+	if h.onAppend != nil {
+		h.onAppend(path)
+	}
+	f, err := h.FS.Append(path)
+	if err != nil || h.onSync == nil {
+		return f, err
+	}
+	return &hookFile{File: f, path: path, fs: h}, nil
+}
+
+type hookFile struct {
+	fsio.File
+	path string
+	fs   *hookFS
+}
+
+func (f *hookFile) Sync() error {
+	f.fs.onSync(f.path)
+	return f.File.Sync()
+}
+
+// within fails the test if fn does not return in time — the symptom of
+// a call stuck behind a lock someone holds across I/O.
+func within(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("%s did not finish: it is waiting on a lock held across I/O", what)
+	}
+}
+
+func mustSelect(t *testing.T, s *Store, name string, id int, want *array.Dense) {
+	t.Helper()
+	got, err := s.Select(name, id)
+	if err != nil {
+		t.Errorf("select %s@%d: %v", name, id, err)
+	} else if !got.Dense.Equal(want) {
+		t.Errorf("select %s@%d: not byte-identical", name, id)
+	}
+}
+
+// TestReorganizeLosingToInsertsStillTerminates replays the measured
+// retry storm deterministically: an insert lands during each of the
+// optimistic rebuilds, so all of them lose; the next rebuild is the
+// latched one and is parked at its first append. While it is parked,
+// selects on the same array and on another one complete (the rebuild
+// holds no store-wide lock), an insert to the array waits its turn;
+// then the Reorganize terminates, the waiting insert lands, and every
+// version reads back byte-identical.
+func TestReorganizeLosingToInsertsStillTerminates(t *testing.T) {
+	const side = 16
+	started := make(chan int)  // a rebuild reached its first append
+	proceed := make(chan bool) // let it continue
+	var mu sync.Mutex
+	builds := map[string]bool{}
+	hfs := &hookFS{FS: fsio.OS}
+	hfs.onAppend = func(path string) {
+		dir := filepath.Dir(path)
+		if !strings.HasPrefix(filepath.Base(dir), "chunks.build-") {
+			return
+		}
+		mu.Lock()
+		first := !builds[dir]
+		builds[dir] = true
+		n := len(builds)
+		mu.Unlock()
+		if first {
+			started <- n
+			<-proceed
+		}
+	}
+	opts := smallOpts()
+	opts.ChunkBytes = 1 << 10
+	opts.FS = hfs
+	s := testStore(t, opts)
+	defer s.Close()
+	want := map[string][]*array.Dense{}
+	insert := func(name string, seed int64) {
+		c := crashContent(seed, side)
+		if _, err := s.Insert(name, DensePayload(c)); err != nil {
+			t.Errorf("insert %s: %v", name, err)
+		}
+		want[name] = append(want[name], c)
+	}
+	for _, name := range []string{"R", "Other"} {
+		if err := s.CreateArray(schema2D(name, side)); err != nil {
+			t.Fatal(err)
+		}
+		insert(name, 1)
+		insert(name, 2)
+	}
+
+	reorgDone := make(chan error, 1)
+	go func() { reorgDone <- s.Reorganize("R", ReorganizeOptions{Policy: PolicyOptimal}) }()
+	for n := 1; n <= reorgRetries; n++ {
+		if got := <-started; got != n {
+			t.Fatalf("rebuild %d announced itself as %d", n, got)
+		}
+		insert("R", int64(10+n)) // the build in flight is now stale
+		proceed <- true
+	}
+	if got := <-started; got != reorgRetries+1 {
+		t.Fatalf("latched rebuild announced itself as %d", got)
+	}
+	within(t, "selects beside a parked rebuild", func() {
+		mustSelect(t, s, "R", 1, want["R"][0])
+		mustSelect(t, s, "Other", 2, want["Other"][1])
+		s.ListArrays()
+	})
+	late := crashContent(99, side)
+	lateID := make(chan int, 1)
+	go func() {
+		id, err := s.Insert("R", DensePayload(late))
+		if err != nil {
+			t.Errorf("insert beside the latched rebuild: %v", err)
+		}
+		lateID <- id
+	}()
+	select {
+	case id := <-lateID:
+		t.Fatalf("insert %d committed into an array whose rewrite holds its latches", id)
+	case <-time.After(50 * time.Millisecond):
+	}
+	proceed <- true
+	within(t, "the latched Reorganize", func() {
+		if err := <-reorgDone; err != nil {
+			t.Errorf("Reorganize: %v", err)
+		}
+	})
+	within(t, "the insert that waited for it", func() {
+		if id := <-lateID; id != len(want["R"])+1 {
+			t.Errorf("waiting insert got id %d, want %d", id, len(want["R"])+1)
+		}
+	})
+	want["R"] = append(want["R"], late)
+	if len(builds) != reorgRetries+1 {
+		t.Fatalf("%d rebuilds ran, want %d optimistic + 1 latched", len(builds), reorgRetries)
+	}
+	checkContents(t, s, want, "after the storm")
+	if rep, err := s.Verify("R"); err != nil || !rep.Ok() {
+		t.Fatalf("verify: %v %v", err, rep.Problems)
+	}
+}
+
+// TestInsertMultiHoldsNoStoreLockAcrossIO parks a cross-array batch in
+// its data fsync — after staging, before the manifest append — and
+// reads the store meanwhile.
+func TestInsertMultiHoldsNoStoreLockAcrossIO(t *testing.T) {
+	const side = 16
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var armed atomic.Bool // parks the first chunk-file fsync after it is set
+	hfs := &hookFS{FS: fsio.OS}
+	hfs.onSync = func(path string) {
+		if strings.HasSuffix(path, ".chain") && armed.CompareAndSwap(true, false) {
+			close(parked)
+			<-release
+		}
+	}
+	opts := smallOpts()
+	opts.ChunkBytes = 1 << 10
+	opts.Durability = true
+	opts.FS = hfs
+	s := testStore(t, opts)
+	defer s.Close()
+	base := crashContent(1, side)
+	for _, name := range []string{"A", "B", "C"} {
+		if err := s.CreateArray(schema2D(name, side)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Insert(name, DensePayload(base)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	armed.Store(true)
+	next := crashContent(2, side)
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.InsertMulti([]MultiInsert{
+			{Array: "A", Payloads: []Payload{DensePayload(next)}},
+			{Array: "B", Payloads: []Payload{DensePayload(next)}},
+		})
+		done <- err
+	}()
+	<-parked
+	within(t, "reads beside a parked InsertMulti", func() {
+		mustSelect(t, s, "A", 1, base)
+		mustSelect(t, s, "C", 1, base)
+		if _, err := s.Insert("C", DensePayload(next)); err != nil {
+			t.Errorf("insert into an array outside the batch: %v", err)
+		}
+		if _, err := s.Select("A", 2); err == nil {
+			t.Error("uncommitted batch member is selectable")
+		}
+	})
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	mustSelect(t, s, "A", 2, next)
+	mustSelect(t, s, "B", 2, next)
+}
+
+// TestInsertMultiTraceStages: a traced cross-array batch reports every
+// write-path stage, the shared ones once.
+func TestInsertMultiTraceStages(t *testing.T) {
+	const side = 16
+	opts := smallOpts()
+	opts.Durability = true
+	s := testStore(t, opts)
+	defer s.Close()
+	for _, name := range []string{"A", "B"} {
+		if err := s.CreateArray(schema2D(name, side)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr := trace.New("batch")
+	_, err := s.InsertMultiCtx(trace.NewContext(context.Background(), tr), []MultiInsert{
+		{Array: "A", Payloads: []Payload{DensePayload(crashContent(1, side))}},
+		{Array: "B", Payloads: []Payload{DensePayload(crashContent(2, side))}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int64{}
+	for _, st := range tr.Finish().Stages {
+		counts[st.Stage] = st.Count
+	}
+	want := map[string]int64{
+		StageQueueWait:   1, // the latch wait
+		StageStageEncode: 2, // one per array
+		StageDataFsync:   2,
+		StageMetaCommit:  1, // ONE record
+		StageInstall:     1,
+	}
+	if fmt.Sprint(counts) != fmt.Sprint(want) {
+		t.Fatalf("traced InsertMulti reported stages %v, want %v", counts, want)
+	}
+}
+
+// TestRewriteDeleteInsertRace is the -race net over the latch protocol:
+// Reorganize, DeleteVersion and a steady inserter share one array. No
+// commit fails, so the inserter's ids must come out contiguous — an
+// invalidated staging has to hand its reservation back — and every
+// surviving version must read back byte-identical.
+func TestRewriteDeleteInsertRace(t *testing.T) {
+	const (
+		side    = 16
+		seeds   = 6
+		inserts = 24
+	)
+	opts := smallOpts()
+	opts.ChunkBytes = 1 << 10
+	s := testStore(t, opts)
+	defer s.Close()
+	if err := s.CreateArray(schema2D("X", side)); err != nil {
+		t.Fatal(err)
+	}
+	content := map[int]*array.Dense{}
+	for i := 1; i <= seeds; i++ {
+		content[i] = crashContent(int64(i), side)
+		if _, err := s.Insert("X", DensePayload(content[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var ids []int
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for i := 0; i < inserts; i++ {
+			c := crashContent(int64(100+i), side)
+			id, err := s.Insert("X", DensePayload(c))
+			if err != nil {
+				t.Errorf("insert %d: %v", i, err)
+				return
+			}
+			ids = append(ids, id)
+			content[id] = c
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := s.Reorganize("X", ReorganizeOptions{Policy: PolicyLinearChain}); err != nil {
+				t.Errorf("reorganize: %v", err)
+				return
+			}
+		}
+	}()
+	deleted := map[int]bool{}
+	go func() {
+		defer wg.Done()
+		for id := 1; id < seeds; id++ {
+			if err := s.DeleteVersion("X", id); err != nil {
+				t.Errorf("delete %d: %v", id, err)
+				return
+			}
+			deleted[id] = true
+		}
+	}()
+	wg.Wait()
+	sort.Ints(ids)
+	for i, id := range ids {
+		if id != seeds+1+i {
+			t.Fatalf("inserter ids %v have a gap at %d: a retried staging leaked its reservation", ids, seeds+1+i)
+		}
+	}
+	for id, c := range content {
+		if deleted[id] {
+			if _, err := s.Select("X", id); err == nil {
+				t.Errorf("deleted version %d still selectable", id)
+			}
+			continue
+		}
+		mustSelect(t, s, "X", id, c)
+	}
+	if rep, err := s.Verify("X"); err != nil || !rep.Ok() {
+		t.Fatalf("verify: %v %v", err, rep.Problems)
+	}
+}

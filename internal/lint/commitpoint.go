@@ -9,9 +9,8 @@ import (
 // CommitPoint enforces the staged-metadata protocol that fixed the
 // phantom-version bug (PR 5): mutators clone the durable document
 // (metaClone), edit the clone, commit it through the commit seam
-// (commitMeta / saveMeta / saveMetaDoc — a manifest-log append or the
-// legacy versions.json rename), and only then install it into the
-// live arrayState. Writing an installed arrayMeta field BEFORE the
+// (commitMeta / saveMeta / (*manifest).commit — one manifest-log
+// append), and only then install it into the live arrayState. Writing an installed arrayMeta field BEFORE the
 // commit re-creates the bug class: a failed commit leaves in-memory
 // metadata (a selectable phantom version) that a reopen loses.
 //
@@ -37,9 +36,8 @@ var CommitPoint = &Analyzer{
 // commitSeamFuncs are the calls that constitute the metadata commit
 // point.
 var commitSeamFuncs = map[string]bool{
-	"commitMeta":  true,
-	"saveMeta":    true,
-	"saveMetaDoc": true,
+	"commitMeta": true,
+	"saveMeta":   true,
 }
 
 // commitSeamCall reports whether the call is a commit-seam invocation:

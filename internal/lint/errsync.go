@@ -6,8 +6,8 @@ import (
 )
 
 // ErrSync flags discarded error results from Close, Sync, and Flush
-// calls — plus the commit seam itself (commitMeta / saveMeta /
-// saveMetaDoc) — inside the durable packages. A swallowed Close after
+// calls — plus the commit seam itself (commitMeta / saveMeta) — inside
+// the durable packages. A swallowed Close after
 // a buffered write is silent data loss (PR 3 fixed exactly that in
 // writeBlob); a swallowed commitMeta is a mutation whose durability
 // nobody checked. The rule covers bare expression statements, defer,
@@ -38,9 +38,8 @@ var errSyncMethods = map[string]bool{
 // errSyncCommitFuncs are the repo's commit-seam functions: discarding
 // their error discards the outcome of a durable commit point.
 var errSyncCommitFuncs = map[string]bool{
-	"commitMeta":  true,
-	"saveMeta":    true,
-	"saveMetaDoc": true,
+	"commitMeta": true,
+	"saveMeta":   true,
 }
 
 func runErrSync(pass *Pass) {

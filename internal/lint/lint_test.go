@@ -21,6 +21,7 @@ func TestCtxCheckFixtures(t *testing.T)      { runFixture(t, CtxCheck, "ctxcheck
 func TestCommitPointFixtures(t *testing.T)   { runFixture(t, CommitPoint, "commitpoint") }
 func TestLockOrderFixtures(t *testing.T)     { runFixture(t, LockOrder, "lockorder") }
 func TestLockOrderCycleFixture(t *testing.T) { runFixture(t, LockOrder, "lockcycle") }
+func TestLockOrderLatchSets(t *testing.T)    { runFixture(t, LockOrder, "locksets") }
 
 // wantRx extracts the quoted or backquoted patterns of a want comment.
 var wantRx = regexp.MustCompile("\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`")

@@ -30,6 +30,17 @@ import (
 //   - a lockArray latch list whose literal order descends
 //   - cycles in the observed acquisition graph
 //
+// Who holds what: an insert stages under writeMu and commits through
+// syncMu then commitMu; Reorganize and Compact hold reorgMu, and so
+// does DeleteVersion (with commitMu and writeMu), because all three
+// can invalidate an optimistic insert staging. The two contended
+// fallbacks take whole latch sets in this order rather than a
+// store-wide lock: an insert that keeps losing takes reorgMu and
+// re-runs its attempt; a Reorganize that keeps losing adds {syncMu,
+// commitMu, writeMu} to the reorgMu it holds and re-runs its rebuild.
+// InsertMulti, Branch and Merge hold {syncMu, commitMu, writeMu} of
+// every array they commit to.
+//
 // Cross-instance acquisitions within the per-array latch family
 // (InsertMulti's sorted-name protocol) are exempt: the rank order
 // governs one array's latches; multi-array ordering is by name, which
@@ -261,8 +272,8 @@ func simulate(events []lockEvent, summaries map[types.Object]*lockSummary, edges
 	// Export only pure acquisitions: a lock with ANY release event in
 	// this body is managed here (possibly on branches the linear scan
 	// cannot pair exactly) and must not leak into caller summaries as
-	// phantom held state. Pure acquirers — lockWrite, lockMetaWrite —
-	// have no release events and export correctly.
+	// phantom held state. Pure acquirers — lockWrite, lockCommit,
+	// lockRewrite — have no release events and export correctly.
 	released := map[string]bool{}
 	for _, e := range events {
 		if e.kind == 1 {

@@ -4,7 +4,8 @@
 // cross-instance latch pairs (suppressed: the sorted-name protocol
 // governs), early-return unlock (no false positive), interprocedural
 // acquisition through a summary (flagged), the lockArray latch-list
-// order (flagged when descending), and the escape hatch.
+// order (flagged when descending), and the escape hatch. (The latch
+// sets the mutators really take are pinned clean in ../../locksets.)
 package core
 
 import "sync"
