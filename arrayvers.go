@@ -209,6 +209,11 @@ type (
 // or the store is in degraded read-only mode; match with errors.Is.
 var ErrDegraded = core.ErrDegraded
 
+// ErrDeltaCycle is returned (wrapped) by a select whose delta chain
+// loops instead of reaching a materialized version; match with
+// errors.Is.
+var ErrDeltaCycle = core.ErrDeltaCycle
+
 // Reorganization (§IV): layout policies and options.
 type (
 	ReorganizeOptions = core.ReorganizeOptions

@@ -12,7 +12,6 @@ import (
 	"arrayvers/internal/array"
 	"arrayvers/internal/bitpack"
 	"arrayvers/internal/core"
-	"arrayvers/internal/delta"
 )
 
 // The hot-path experiment measures the select/insert fast paths this
@@ -50,11 +49,10 @@ type HotPathReport struct {
 
 	// Kernel microbench: one chunk's worth of signed codes unpacked by
 	// the scalar reference and the batched kernel.
-	KernelVariant      string  `json:"kernel_variant"`
-	DeltaKernelVariant string  `json:"delta_kernel_variant"`
-	KernelScalarNs     int64   `json:"kernel_scalar_ns_per_chunk"`
-	KernelBatchedNs    int64   `json:"kernel_batched_ns_per_chunk"`
-	KernelSpeedup      float64 `json:"kernel_speedup"`
+	KernelVariant   string  `json:"kernel_variant"`
+	KernelScalarNs  int64   `json:"kernel_scalar_ns_per_chunk"`
+	KernelBatchedNs int64   `json:"kernel_batched_ns_per_chunk"`
+	KernelSpeedup   float64 `json:"kernel_speedup"`
 
 	// Zero-copy read path: interleaved uncached single-version selects
 	// over the same on-disk chain, through an mmap-backed store and a
@@ -98,9 +96,8 @@ func HotPath(workDir string, sc Scale, parallelism int, cacheBytes int64) (Table
 		tuned.Speedup = float64(baseline.WarmNsPerOp) / float64(tuned.WarmNsPerOp)
 	}
 	report := HotPathReport{
-		Configs:            []HotPathResult{baseline, tuned},
-		KernelVariant:      bitpack.ActiveKernel().String(),
-		DeltaKernelVariant: delta.ActiveKernel().String(),
+		Configs:       []HotPathResult{baseline, tuned},
+		KernelVariant: bitpack.ActiveKernel().String(),
 	}
 	report.KernelScalarNs, report.KernelBatchedNs, err = kernelMicrobench()
 	if err != nil {

@@ -87,8 +87,8 @@ var batchedOps atomic.Int64
 func BatchedOps() int64 { return batchedOps.Load() }
 
 // CheckUnpack is the exported form of the unpack validation: buf of
-// bufLen bytes must hold n width-bit codes. Fused decoders in
-// internal/delta validate with it before touching a payload.
+// bufLen bytes must hold n width-bit codes. The in-place delta kernel
+// validates with it before touching a buffer.
 func CheckUnpack(bufLen, n, width int) error { return checkUnpack(bufLen, n, width) }
 
 // UnpackUnsignedInto extracts n unsigned width-bit codes from buf into

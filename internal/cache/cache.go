@@ -1,9 +1,9 @@
 // Package cache provides the store-wide decoded-chunk cache: a
 // byte-bounded, sharded LRU of reconstructed chunk contents keyed by
 // (array, epoch, version, attribute, chunk). The select path's dominant
-// cost is unwinding delta chains (§II-B, Fig. 2); keeping reconstructed
-// ancestor chunks resident lets repeated and overlapping queries skip the
-// chain walk entirely.
+// cost is unwinding delta chains (§II-B, Fig. 2); keeping the chunks
+// queries asked for resident lets repeated queries skip the chain walk
+// entirely, and queries for their descendants start part-way down it.
 //
 // Entries are immutable by convention: callers must never mutate a value
 // after Put or a value returned by Get. The epoch component of the key

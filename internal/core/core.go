@@ -398,7 +398,7 @@ type IOStats struct {
 	MmapPlaneBytes      int64
 	MmapDeferredUnlinks int64
 
-	// KernelBatchedOps counts batched bitpack unpacks plus fused delta
+	// KernelBatchedOps counts batched bitpack unpacks plus cellwise delta
 	// applies executed since Open (the kernels are process-global; each
 	// store baselines the counters at Open, so concurrently open stores
 	// see each other's ops).
@@ -601,10 +601,10 @@ func (s *Store) ResetStats() {
 }
 
 // kernelOps is the process-wide count of batched-kernel invocations:
-// bulk bitpack unpacks through the batched kernel plus fused delta
+// bulk bitpack unpacks through the batched kernel plus cellwise delta
 // applies.
 func kernelOps() int64 {
-	return bitpack.BatchedOps() + delta.FusedOps()
+	return bitpack.BatchedOps() + delta.InPlaceOps()
 }
 
 func (s *Store) addRead(bytes int64) {

@@ -13,7 +13,7 @@ import (
 // Stage names for the two instrumented pipelines. Select stages are the
 // leaf operations of readRegionView/resolveDenseChunk — each delta-chain
 // link times its own cache probe, blob read, frame decode, and delta
-// apply, so totals add up without double counting across the recursion.
+// apply, so totals add up without double counting across the walk.
 // Commit stages follow one insert from staging through the group
 // commit; the shared stages (data_fsync, meta_commit, install) are
 // attributed in full to every batch member, since each member's latency

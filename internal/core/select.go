@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -22,9 +23,11 @@ import (
 // the store lock, then reads and decodes chunks lock-free on a worker
 // pool of Options.Parallelism goroutines (one task per overlapping
 // chunk). Reconstructed chunks are first looked up in the store-wide LRU
-// (Options.CacheBytes); on a miss the delta chain is unwound and every
-// ancestor materialized along the way is inserted, so later queries for
-// nearby versions start from a warm prefix of the chain.
+// (Options.CacheBytes); on a miss the delta chain is walked down to the
+// nearest cached, memoized or materialized plane and applied back up in
+// one private buffer. Only the chunk the query asked for is cached —
+// ancestors are not materialized into the LRU — so a later query for a
+// child of a cached version costs one delta apply.
 
 // Select returns the full content of one version's first attribute.
 func (s *Store) Select(name string, id int) (Plane, error) {
@@ -267,7 +270,7 @@ func (s *Store) readRegionView(ctx context.Context, v *readView, id int, attr st
 		if qc != nil {
 			spCache = qc.sparse
 		}
-		sp, shared, err := s.resolveSparse(v, id, attr, spCache, tk)
+		sp, shared, err := s.resolveSparse(v, id, attr, spCache, 0, tk)
 		if err != nil {
 			return Plane{}, err
 		}
@@ -330,119 +333,182 @@ func (s *Store) readRegionView(ctx context.Context, v *readView, id int, attr st
 	return Plane{Dense: out}, nil
 }
 
-// resolveDenseChunk reconstructs one chunk of one version by unwinding
-// its delta chain: "a chain of versions must be accessed, starting from
-// one that is stored in native form" (§II-B, Fig. 2). local memoizes
-// chunk contents per version within one walk; the store-wide cache is
-// consulted at every link, and every version materialized while the
-// chain unwinds is inserted into it. Cached arrays are shared across
-// queries and must never be mutated.
+// ErrDeltaCycle is returned (wrapped) by a read whose delta chain does
+// not reach a materialized version within the view's live-version count:
+// the bases form a cycle, which metadata replay does not rule out.
+var ErrDeltaCycle = errors.New("core: delta chain does not reach a materialized version")
+
+// resolveDenseChunk reconstructs one chunk of one version by walking its
+// delta chain: "a chain of versions must be accessed, starting from one
+// that is stored in native form" (§II-B, Fig. 2). The walk goes from the
+// target toward the root until it meets a plane to start from — an entry
+// of local (the per-query memo), a store-wide cache hit, or the
+// materialized root — copies that plane once into a private buffer, and
+// applies the deltas to the buffer in place on the way back. Only the
+// target is admitted to the store-wide cache; with a memo, every
+// intermediate is copied into it, so an ordered multi-version scan
+// decodes each payload once. Cached and memoized planes are shared and
+// never mutated.
 func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Chunker, origin []int64, local map[int]*array.Dense, tk *opTracker) (*array.Dense, error) {
-	if local == nil {
-		local = make(map[int]*array.Dense)
-	}
-	if got, ok := local[id]; ok {
-		return got, nil
-	}
 	st := v.st
 	key := ck.Key(origin)
-	ckey := cache.Key{Array: st.Schema.Name, Epoch: v.epoch, Version: id, Attr: attr, Chunk: key}
-	if !v.noCache {
-		t0 := time.Now()
-		got, ok := s.chunkCache.Get(ckey)
-		tk.observe(StageCache, time.Since(t0), 0)
-		s.prof.cacheAccess(st.Schema.Name, ok)
-		if ok {
-			tk.attr("cache_hits", 1)
-			var d *array.Dense
-			switch val := got.(type) {
-			case *mmapDense:
-				d = val.Dense
-			default:
-				d = got.(*array.Dense)
-			}
-			local[id] = d
-			return d, nil
-		}
-		tk.attr("cache_misses", 1)
-	}
-	vm, err := v.version(id)
-	if err != nil {
-		return nil, err
-	}
-	e, ok := vm.Chunks[attr][key]
-	if !ok {
-		return nil, fmt.Errorf("core: version %d missing chunk %s/%s", id, attr, key)
-	}
-	t0 := time.Now()
-	blob, ms, err := s.readBlobShared(v.dir, e)
-	if err != nil {
-		return nil, err
-	}
-	tk.observe(StageRead, time.Since(t0), e.Length)
-	tk.attr("bytes_read", e.Length)
 	box := ck.Box(origin)
-	ai := st.Schema.AttrIndex(attr)
-	dt := st.Schema.Attrs[ai].Type
-	t0 = time.Now()
-	// An uncompressed payload needs no unseal copy: delta blobs are only
-	// read transiently under the I/O latch, and a materialized root built
-	// over mapping bytes is admitted to the cache as a zero-copy plane
-	// holding a counted mapping ref. The one aliasing case that must not
-	// escape is a no-cache view's root plane (bulk loads hand planes to
-	// callers that outlive this query's latch), which gets a private copy.
-	var raw []byte
-	zeroCopy := ms != nil && compress.Codec(e.Codec) == compress.None && e.Base < 0 && !v.noCache
-	if compress.Codec(e.Codec) == compress.None {
-		raw = blob
-		if ms != nil && e.Base < 0 && v.noCache {
-			raw = append([]byte(nil), blob...)
-		}
-	} else {
-		raw, err = unseal(compress.Codec(e.Codec), blob, sealParams(e.Base < 0, box, dt))
-		if err != nil {
-			return nil, fmt.Errorf("core: chunk %s/%s of version %d: %w", attr, key, id, err)
-		}
+	dt := st.Schema.Attrs[st.Schema.AttrIndex(attr)].Type
+	ckey := func(id int) cache.Key {
+		return cache.Key{Array: st.Schema.Name, Epoch: v.epoch, Version: id, Attr: attr, Chunk: key}
 	}
-	var out *array.Dense
-	if e.Base < 0 {
-		out, err = array.DenseFromBytes(dt, box.Shape(), raw)
-		if err != nil {
-			return nil, fmt.Errorf("core: chunk %s/%s of version %d: %w", attr, key, id, err)
+	fail := func(id int, err error) error {
+		return fmt.Errorf("core: chunk %s/%s of version %d: %w", attr, key, id, err)
+	}
+	// descend until a plane to start from; chain collects the delta links
+	// passed on the way, target first
+	type link struct {
+		id int
+		e  chunkEntry
+	}
+	var chain []link
+	var buf *array.Dense
+	owned := false // buf is private to this walk and may be rewritten
+	for cur := id; buf == nil; {
+		if len(chain) >= len(v.ids) {
+			return nil, fmt.Errorf("%w: chunk %s/%s of version %d", ErrDeltaCycle, attr, key, id)
 		}
-		tk.observe(StageDecode, time.Since(t0), int64(len(raw)))
-	} else {
-		tk.observe(StageDecode, time.Since(t0), int64(len(raw)))
-		baseArr, err := s.resolveDenseChunk(v, e.Base, attr, ck, origin, local, tk)
+		if buf = local[cur]; buf != nil {
+			break
+		}
+		if buf = s.cachedChunk(v, ckey(cur), tk); buf != nil {
+			if local != nil {
+				local[cur] = buf
+			}
+			break
+		}
+		vm, err := v.version(cur)
 		if err != nil {
 			return nil, err
 		}
-		t0 = time.Now()
-		out, err = delta.Apply(raw, baseArr)
+		e, ok := vm.Chunks[attr][key]
+		if !ok {
+			return nil, fmt.Errorf("core: version %d missing chunk %s/%s", cur, attr, key)
+		}
+		if e.Base >= 0 {
+			chain = append(chain, link{cur, e})
+			cur = e.Base
+			continue
+		}
+		raw, ms, err := s.chunkPayload(v, e, box, dt, tk)
 		if err != nil {
-			return nil, fmt.Errorf("core: chunk %s/%s of version %d: %w", attr, key, id, err)
+			return nil, fail(cur, err)
 		}
-		tk.observe(StageDelta, time.Since(t0), out.SizeBytes())
+		// A root over mapping bytes is cached as a zero-copy plane holding
+		// a counted mapping ref. The one aliasing case that must not
+		// escape is a no-cache view's root (bulk loads hand planes to
+		// callers that outlive this query's latch): it gets a private copy.
+		if ms != nil && v.noCache {
+			raw, ms = append([]byte(nil), raw...), nil
+		}
+		if buf, err = array.DenseFromBytes(dt, box.Shape(), raw); err != nil {
+			return nil, fail(cur, err)
+		}
+		tk.attr("chunks_decoded", 1)
+		owned = ms == nil && local == nil
+		if local != nil {
+			local[cur] = buf
+		}
+		if len(chain) == 0 {
+			s.admitChunk(v, ckey(id), buf, ms)
+		}
 	}
-	tk.attr("chunks_decoded", 1)
-	local[id] = out
-	if !v.noCache {
-		if zeroCopy {
-			if ms.acquire() {
-				if s.chunkCache.Put(ckey, &mmapDense{Dense: out, set: ms}) {
-					s.addMmapPlane(out.SizeBytes())
-				} else {
-					ms.release()
-				}
+	// ascend, rewriting the one private buffer link by link
+	for i := len(chain) - 1; i >= 0; i-- {
+		l := chain[i]
+		raw, _, err := s.chunkPayload(v, l.e, box, dt, tk)
+		if err != nil {
+			return nil, fail(l.id, err)
+		}
+		t0 := time.Now()
+		if !owned {
+			buf, owned = buf.Clone(), true
+		}
+		if buf, err = delta.ApplyInPlace(raw, buf); err != nil {
+			return nil, fail(l.id, err)
+		}
+		tk.observe(StageDelta, time.Since(t0), buf.SizeBytes())
+		tk.attr("chunks_decoded", 1)
+		switch {
+		case i > 0 && local != nil:
+			local[l.id] = buf.Clone()
+		case i == 0:
+			if local != nil {
+				local[id] = buf
 			}
-			// acquire can only fail on a drained set, which the I/O latch
-			// rules out for the generation this query reads; skipping the
-			// insert is the safe degradation either way
-		} else {
-			s.chunkCache.Put(ckey, out)
+			s.admitChunk(v, ckey(id), buf, nil)
 		}
 	}
-	return out, nil
+	return buf, nil
+}
+
+// chunkPayload reads one chunk payload and undoes its compression. A
+// non-nil mapSet means the bytes alias the generation's mapping and are
+// valid only under the query's I/O latch; delta payloads are consumed
+// before the walk moves on, so only roots need care.
+func (s *Store) chunkPayload(v *readView, e chunkEntry, box array.Box, dt array.DataType, tk *opTracker) ([]byte, *mapSet, error) {
+	t0 := time.Now()
+	raw, ms, err := s.readBlobShared(v.dir, e)
+	if err != nil {
+		return nil, nil, err
+	}
+	tk.observe(StageRead, time.Since(t0), e.Length)
+	tk.attr("bytes_read", e.Length)
+	t0 = time.Now()
+	if compress.Codec(e.Codec) != compress.None {
+		if raw, err = unseal(compress.Codec(e.Codec), raw, sealParams(e.Base < 0, box, dt)); err != nil {
+			return nil, nil, err
+		}
+		ms = nil
+	}
+	tk.observe(StageDecode, time.Since(t0), int64(len(raw)))
+	return raw, ms, nil
+}
+
+// cachedChunk looks a reconstructed chunk up in the store-wide cache; nil
+// on a miss or for a no-cache view.
+func (s *Store) cachedChunk(v *readView, k cache.Key, tk *opTracker) *array.Dense {
+	if v.noCache {
+		return nil
+	}
+	t0 := time.Now()
+	got, ok := s.chunkCache.Get(k)
+	tk.observe(StageCache, time.Since(t0), 0)
+	s.prof.cacheAccess(k.Array, ok)
+	if !ok {
+		tk.attr("cache_misses", 1)
+		return nil
+	}
+	tk.attr("cache_hits", 1)
+	if md, ok := got.(*mmapDense); ok {
+		return md.Dense
+	}
+	return got.(*array.Dense)
+}
+
+// admitChunk puts a reconstructed chunk into the store-wide cache. A
+// plane over mapping bytes (ms non-nil) goes in zero-copy, holding a
+// counted mapping ref that eviction releases.
+func (s *Store) admitChunk(v *readView, k cache.Key, d *array.Dense, ms *mapSet) {
+	switch {
+	case v.noCache:
+	case ms == nil:
+		s.chunkCache.Put(k, d)
+	case ms.acquire():
+		if s.chunkCache.Put(k, &mmapDense{Dense: d, set: ms}) {
+			s.addMmapPlane(d.SizeBytes())
+		} else {
+			ms.release()
+		}
+		// acquire can only fail on a drained set, which the I/O latch
+		// rules out for the generation this query reads; skipping the
+		// insert is the safe degradation either way
+	}
 }
 
 // resolveSparse reconstructs a sparse version by unwinding its delta
@@ -451,8 +517,12 @@ func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Ch
 // whether the object is owned by (or visible through) the store-wide
 // cache, in which case it must not be mutated — callers serving it out
 // clone first. Tracking sharedness per object keeps uncached sparse
-// reads clone-free.
-func (s *Store) resolveSparse(v *readView, id int, attr string, local map[int]sparseRes, tk *opTracker) (*array.Sparse, bool, error) {
+// reads clone-free. hops counts the links already walked, which bounds
+// the recursion like the dense walk (ErrDeltaCycle).
+func (s *Store) resolveSparse(v *readView, id int, attr string, local map[int]sparseRes, hops int, tk *opTracker) (*array.Sparse, bool, error) {
+	if hops >= len(v.ids) {
+		return nil, false, fmt.Errorf("%w: sparse container of version %d", ErrDeltaCycle, id)
+	}
 	if local == nil {
 		local = make(map[int]sparseRes)
 	}
@@ -511,7 +581,7 @@ func (s *Store) resolveSparse(v *readView, id int, attr string, local map[int]sp
 		tk.observe(StageDecode, time.Since(t0), int64(len(raw)))
 	} else {
 		tk.observe(StageDecode, time.Since(t0), int64(len(raw)))
-		baseArr, _, err := s.resolveSparse(v, e.Base, attr, local, tk)
+		baseArr, _, err := s.resolveSparse(v, e.Base, attr, local, hops+1, tk)
 		if err != nil {
 			return nil, false, err
 		}

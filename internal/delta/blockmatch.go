@@ -176,7 +176,10 @@ func applyBlockMatch(blob []byte, base *array.Dense) (*array.Dense, error) {
 	if len(blob) < pos+int(rlen) {
 		return nil, fmt.Errorf("delta: truncated blockmatch residual")
 	}
-	return applyHybrid(blob[pos:pos+int(rlen)], pred, false)
+	if err := applyCellwise(Hybrid, blob[pos:pos+int(rlen)], pred, false); err != nil {
+		return nil, err
+	}
+	return pred, nil
 }
 
 func min64(a, b int64) int64 {

@@ -2,15 +2,14 @@ package delta
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"arrayvers/internal/array"
-	"arrayvers/internal/bitpack"
 )
 
 // Cellwise delta methods: dense (uniform D-bit packing), sparse
 // (position+difference pairs), and hybrid (D-bit dense part plus a sparse
-// overlay of wide outliers).
+// overlay of wide outliers). The encoders live here; all three decode
+// through the one in-place kernel in inplace.go.
 
 // --- Dense ---
 //
@@ -34,40 +33,6 @@ func encodeDense(target, base *array.Dense) []byte {
 	out := putHeader(Dense, dt)
 	out = append(out, byte(width))
 	return append(out, packSigned(diffs, width)...)
-}
-
-func applyDense(blob []byte, from *array.Dense, reverse bool) (*array.Dense, error) {
-	if err := readHeader(blob, Dense, from); err != nil {
-		return nil, err
-	}
-	if len(blob) < 3 {
-		return nil, fmt.Errorf("delta: truncated dense delta")
-	}
-	width := int(blob[2])
-	n := from.NumCells()
-	if ActiveKernel() == KernelFused {
-		if err := bitpack.CheckUnpack(len(blob)-3, int(n), width); err != nil {
-			return nil, err
-		}
-		return fusedApply(blob[3:], width, from, nil, nil, reverse)
-	}
-	diffs, err := unpackSigned(blob[3:], n, width)
-	if err != nil {
-		return nil, err
-	}
-	dt := from.DType()
-	out, err := array.NewDense(dt, from.Shape())
-	if err != nil {
-		return nil, err
-	}
-	for i := int64(0); i < n; i++ {
-		if reverse {
-			out.SetBits(i, wrapSub(dt, from.Bits(i), diffs[i]))
-		} else {
-			out.SetBits(i, wrapAdd(dt, from.Bits(i), diffs[i]))
-		}
-	}
-	return out, nil
 }
 
 // --- Sparse ---
@@ -98,53 +63,6 @@ func encodeSparse(target, base *array.Dense) []byte {
 		out = binary.AppendVarint(out, d)
 	}
 	return out
-}
-
-func applySparse(blob []byte, from *array.Dense, reverse bool) (*array.Dense, error) {
-	if err := readHeader(blob, Sparse, from); err != nil {
-		return nil, err
-	}
-	pos := 2
-	nnz, k := binary.Uvarint(blob[pos:])
-	if k <= 0 {
-		return nil, fmt.Errorf("delta: truncated sparse delta count")
-	}
-	pos += k
-	// each entry needs at least one index byte and one value byte; a
-	// count the input cannot back must not size an allocation
-	if nnz > uint64(len(blob)-pos)/2 {
-		return nil, fmt.Errorf("delta: sparse delta claims %d entries in %d bytes", nnz, len(blob)-pos)
-	}
-	idx := make([]int64, nnz)
-	prev := int64(0)
-	for i := range idx {
-		g, k := binary.Uvarint(blob[pos:])
-		if k <= 0 {
-			return nil, fmt.Errorf("delta: truncated sparse delta index %d", i)
-		}
-		prev += int64(g)
-		idx[i] = prev
-		pos += k
-	}
-	out := from.Clone()
-	dt := from.DType()
-	n := from.NumCells()
-	for i := range idx {
-		d, k := binary.Varint(blob[pos:])
-		if k <= 0 {
-			return nil, fmt.Errorf("delta: truncated sparse delta value %d", i)
-		}
-		pos += k
-		if idx[i] < 0 || idx[i] >= n {
-			return nil, fmt.Errorf("delta: sparse delta index %d out of range", idx[i])
-		}
-		if reverse {
-			out.SetBits(idx[i], wrapSub(dt, from.Bits(idx[i]), d))
-		} else {
-			out.SetBits(idx[i], wrapAdd(dt, from.Bits(idx[i]), d))
-		}
-	}
-	return out, nil
 }
 
 // --- Hybrid ---
@@ -237,82 +155,4 @@ func chooseHybridWidth(diffs []int64, widths []int, maxW int, n int64) int {
 		}
 	}
 	return bestW
-}
-
-func applyHybrid(blob []byte, from *array.Dense, reverse bool) (*array.Dense, error) {
-	if err := readHeader(blob, Hybrid, from); err != nil {
-		return nil, err
-	}
-	if len(blob) < 3 {
-		return nil, fmt.Errorf("delta: truncated hybrid delta")
-	}
-	width := int(blob[2])
-	if width > 64 {
-		return nil, fmt.Errorf("delta: hybrid width %d out of range", width)
-	}
-	n := from.NumCells()
-	planeBytes := int((n*int64(width) + 7) / 8)
-	if len(blob) < 3+planeBytes {
-		return nil, fmt.Errorf("delta: truncated hybrid dense plane")
-	}
-	// parse the sparse overlay before touching the dense plane, so the
-	// fused kernel can skip materializing the plane entirely
-	pos := 3 + planeBytes
-	nnz, k := binary.Uvarint(blob[pos:])
-	if k <= 0 {
-		return nil, fmt.Errorf("delta: truncated hybrid overlay count")
-	}
-	pos += k
-	// each overlay entry needs at least an index byte and a value byte
-	if nnz > uint64(len(blob)-pos)/2 {
-		return nil, fmt.Errorf("delta: hybrid overlay claims %d entries in %d bytes", nnz, len(blob)-pos)
-	}
-	idx := make([]int64, nnz)
-	prev := int64(0)
-	for i := range idx {
-		g, k := binary.Uvarint(blob[pos:])
-		if k <= 0 {
-			return nil, fmt.Errorf("delta: truncated hybrid overlay index %d", i)
-		}
-		prev += int64(g)
-		idx[i] = prev
-		pos += k
-	}
-	vals := make([]int64, nnz)
-	for i := range idx {
-		d, k := binary.Varint(blob[pos:])
-		if k <= 0 {
-			return nil, fmt.Errorf("delta: truncated hybrid overlay value %d", i)
-		}
-		pos += k
-		if idx[i] < 0 || idx[i] >= n {
-			return nil, fmt.Errorf("delta: hybrid overlay index %d out of range", idx[i])
-		}
-		vals[i] = d
-	}
-	if ActiveKernel() == KernelFused {
-		return fusedApply(blob[3:3+planeBytes], width, from, idx, vals, reverse)
-	}
-	plane, err := unpackSigned(blob[3:3+planeBytes], n, width)
-	if err != nil {
-		return nil, err
-	}
-	// outlier cells override whatever the packed plane stored (the
-	// encoder writes 0 there)
-	for i := range idx {
-		plane[idx[i]] = vals[i]
-	}
-	dt := from.DType()
-	out, err := array.NewDense(dt, from.Shape())
-	if err != nil {
-		return nil, err
-	}
-	for i := int64(0); i < n; i++ {
-		if reverse {
-			out.SetBits(i, wrapSub(dt, from.Bits(i), plane[i]))
-		} else {
-			out.SetBits(i, wrapAdd(dt, from.Bits(i), plane[i]))
-		}
-	}
-	return out, nil
 }

@@ -171,26 +171,10 @@ func Encode(m Method, target, base *array.Dense) ([]byte, error) {
 	}
 }
 
-// Apply reconstructs the target array from a delta blob and its base.
+// Apply reconstructs the target array from a delta blob and its base,
+// leaving the base untouched: ApplyInPlace on a private copy.
 func Apply(blob []byte, base *array.Dense) (*array.Dense, error) {
-	m, err := MethodOf(blob)
-	if err != nil {
-		return nil, err
-	}
-	switch m {
-	case Dense:
-		return applyDense(blob, base, false)
-	case Sparse:
-		return applySparse(blob, base, false)
-	case Hybrid:
-		return applyHybrid(blob, base, false)
-	case BlockMatch:
-		return applyBlockMatch(blob, base)
-	case BSDiff:
-		return applyBSDiff(blob, base)
-	default:
-		return nil, fmt.Errorf("delta: cannot Apply blob of method %v to a dense base", m)
-	}
+	return ApplyInPlace(blob, base.Clone())
 }
 
 // Unapply reconstructs the base array from a delta blob and its target.
@@ -200,16 +184,14 @@ func Unapply(blob []byte, target *array.Dense) (*array.Dense, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch m {
-	case Dense:
-		return applyDense(blob, target, true)
-	case Sparse:
-		return applySparse(blob, target, true)
-	case Hybrid:
-		return applyHybrid(blob, target, true)
-	default:
+	if m != Dense && m != Sparse && m != Hybrid {
 		return nil, fmt.Errorf("delta: method %v is forward-only", m)
 	}
+	out := target.Clone()
+	if err := applyCellwise(m, blob, out, true); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // header layout shared by the dense-array methods:

@@ -6,10 +6,12 @@ import (
 	"arrayvers/internal/array"
 )
 
-func fuzzBase() *array.Dense {
-	d := array.MustDense(array.Int32, []int64{8, 8})
+func fuzzBase() *array.Dense { return fuzzBaseOf(array.Int32) }
+
+func fuzzBaseOf(dt array.DataType) *array.Dense {
+	d := array.MustDense(dt, []int64{8, 8})
 	for i := int64(0); i < d.NumCells(); i++ {
-		d.SetBits(i, i*13%500-200)
+		d.SetBits(i, array.TruncateBits(dt, i*13%500-200))
 	}
 	return d
 }
@@ -76,11 +78,12 @@ func FuzzApply(f *testing.F) {
 	})
 }
 
-// FuzzFusedApply is the differential kernel fuzzer for the cellwise
-// decoders: an arbitrary blob is applied (and unapplied) under both the
-// scalar and fused kernels, which must either both reject it or both
-// produce identical arrays.
-func FuzzFusedApply(f *testing.F) {
+// FuzzApplyInPlace is the differential fuzzer for the cellwise kernel:
+// an arbitrary blob is applied and unapplied in place over a base of the
+// blob's own dtype and through the scalar oracle, which must either both
+// reject it or produce bit-identical arrays. A rejected blob must leave
+// the buffer exactly as it was, so a caller never sees half a delta.
+func FuzzApplyInPlace(f *testing.F) {
 	base := fuzzBase()
 	target := fuzzBase()
 	for i := int64(0); i < 12; i++ {
@@ -97,38 +100,71 @@ func FuzzFusedApply(f *testing.F) {
 	f.Add([]byte{byte(Hybrid), 3, 200})     // implausible width
 	f.Add([]byte{byte(Dense), 3, 65, 0, 0}) // width out of range
 	f.Add([]byte{byte(Hybrid), 3, 2, 0xff}) // truncated plane
+	if blob, err := Encode(Sparse, target, base); err == nil {
+		f.Add(blob)
+		f.Add(blob[:len(blob)-3]) // truncated overlay values
+		f.Add(blob[:4])           // truncated overlay index gaps
+	}
+	if blob, err := Encode(Hybrid, target, base); err == nil {
+		f.Add(blob[:len(blob)-1]) // truncated hybrid overlay
+	}
+	// duplicate overlay indices: cell 5 three times, then cell 9 twice;
+	// the last entry wins and is computed from the base
+	f.Add([]byte{byte(Sparse), byte(array.Int32), 5, 5, 0, 0, 4, 0, 2, 0x7f, 0x80, 0x01, 6, 8})
+	// nonzero plane codes under overlay cells (and a duplicate among them)
+	plane := make([]byte, 64*4/8)
+	for i := range plane {
+		plane[i] = 0x35
+	}
+	hyb := append([]byte{byte(Hybrid), byte(array.Int32), 4}, plane...)
+	f.Add(append(hyb, 3, 0, 7, 0, 9, 0x11, 0x55, 3))
+	// width 64, dense and hybrid, over an 8-byte dtype
+	wide := make([]byte, 64*8)
+	for i := range wide {
+		wide[i] = byte(i*37 + 11)
+	}
+	f.Add(append([]byte{byte(Dense), byte(array.Int64), 64}, wide...))
+	f.Add(append(append([]byte{byte(Hybrid), byte(array.Float64), 64}, wide...), 1, 63, 9))
+	// 1-, 2- and 8-byte dtypes through the encoder
+	for _, dt := range []array.DataType{array.Int8, array.UInt16, array.Int64} {
+		b, tg := fuzzBaseOf(dt), fuzzBaseOf(dt)
+		for i := int64(0); i < 64; i += 3 {
+			tg.SetBits(i, array.TruncateBits(dt, tg.Bits(i)+i*i-40))
+		}
+		for _, m := range []Method{Dense, Sparse, Hybrid} {
+			if blob, err := Encode(m, tg, b); err == nil {
+				f.Add(blob)
+			}
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		if len(blob) > 1<<16 {
 			return
 		}
-		prevK := ActiveKernel()
-		defer SetKernel(prevK)
-		base := fuzzBase()
-		pristine := base.Clone()
-		for _, unapply := range []bool{false, true} {
-			SetKernel(KernelScalar)
-			var sOut, fOut *array.Dense
-			var sErr, fErr error
-			if unapply {
-				sOut, sErr = Unapply(blob, base)
-			} else {
-				sOut, sErr = Apply(blob, base)
+		if m, err := MethodOf(blob); err != nil || !m.Bidirectional() || m == SparseOps {
+			return // not cellwise: the oracle has nothing to say
+		}
+		dt := array.Int32
+		if len(blob) > 1 && array.DataType(blob[1]).Valid() {
+			dt = array.DataType(blob[1])
+		}
+		base := fuzzBaseOf(dt)
+		for _, reverse := range []bool{false, true} {
+			want, wantErr := scalarApply(blob, base, reverse)
+			buf := base.Clone()
+			got, err := inPlace(blob, buf, reverse)
+			if (wantErr == nil) != (err == nil) {
+				t.Fatalf("kernels disagree on error (reverse=%v): oracle %v, in-place %v", reverse, wantErr, err)
 			}
-			SetKernel(KernelFused)
-			if unapply {
-				fOut, fErr = Unapply(blob, base)
-			} else {
-				fOut, fErr = Apply(blob, base)
+			if err != nil {
+				if !buf.Equal(base) {
+					t.Fatalf("rejected blob (reverse=%v) modified the buffer", reverse)
+				}
+				continue
 			}
-			if (sErr == nil) != (fErr == nil) {
-				t.Fatalf("kernels disagree on error (unapply=%v): scalar %v, fused %v", unapply, sErr, fErr)
-			}
-			if sErr == nil && !fOut.Equal(sOut) {
-				t.Fatalf("kernels disagree on output (unapply=%v)", unapply)
-			}
-			if !base.Equal(pristine) {
-				t.Fatal("apply mutated the base array")
+			if got != buf || !got.Equal(want) {
+				t.Fatalf("kernels disagree on output (reverse=%v)", reverse)
 			}
 		}
 	})

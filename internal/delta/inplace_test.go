@@ -1,0 +1,268 @@
+package delta
+
+import (
+	"math/rand"
+	"testing"
+
+	"arrayvers/internal/array"
+)
+
+// Differential harness for the in-place apply kernel (the fused
+// unpack+apply): every dtype × cellwise method × direction is encoded
+// once and decoded both by ApplyInPlace and by the scalar oracle
+// (oracle_test.go), which must produce bit-identical arrays (and agree
+// on errors for hostile blobs — FuzzApplyInPlace covers those).
+
+var fusedDTypes = []array.DataType{
+	array.Int8, array.Int16, array.Int32, array.Int64,
+	array.UInt8, array.UInt16, array.UInt32,
+	array.Float32, array.Float64,
+}
+
+// randomPair builds a base and a mutated target of the same shape:
+// mostly small diffs, a sprinkling of wide outliers (so Hybrid gets a
+// real overlay), and runs of identical cells.
+func randomPair(t *testing.T, rng *rand.Rand, dt array.DataType, shape []int64) (target, base *array.Dense) {
+	t.Helper()
+	base, err := array.NewDense(dt, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err = array.NewDense(dt, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := base.NumCells()
+	for i := int64(0); i < n; i++ {
+		b := rng.Int63() - (1 << 62)
+		base.SetBits(i, array.TruncateBits(dt, b))
+		switch rng.Intn(10) {
+		case 0: // identical
+			target.SetBits(i, base.Bits(i))
+		case 1: // wide outlier
+			target.SetBits(i, array.TruncateBits(dt, rng.Int63()-(1<<62)))
+		default: // small diff
+			target.SetBits(i, array.TruncateBits(dt, base.Bits(i)+int64(rng.Intn(31)-15)))
+		}
+	}
+	return target, base
+}
+
+// inPlace runs the kernel over buf: forward through ApplyInPlace,
+// reverse through the same kernel with the subtract flag.
+func inPlace(blob []byte, buf *array.Dense, reverse bool) (*array.Dense, error) {
+	if !reverse {
+		return ApplyInPlace(blob, buf)
+	}
+	m, err := MethodOf(blob)
+	if err != nil {
+		return nil, err
+	}
+	if err := applyCellwise(m, blob, buf, true); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// differential applies blob to a copy of from with both kernels and
+// fails unless they agree bit for bit and the in-place result is the
+// copy itself; it returns the in-place result.
+func differential(t *testing.T, blob []byte, from *array.Dense, reverse bool) *array.Dense {
+	t.Helper()
+	want, err := scalarApply(blob, from, reverse)
+	if err != nil {
+		t.Fatalf("scalar oracle (reverse=%v): %v", reverse, err)
+	}
+	buf := from.Clone()
+	got, err := inPlace(blob, buf, reverse)
+	if err != nil {
+		t.Fatalf("in-place (reverse=%v): %v", reverse, err)
+	}
+	if got != buf {
+		t.Fatalf("in-place (reverse=%v) returned a fresh array, not its buffer", reverse)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("in-place (reverse=%v) differs from the scalar oracle", reverse)
+	}
+	return got
+}
+
+func TestFusedDifferentialAllDTypes(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	shapes := [][]int64{{1}, {3}, {16, 16}, {7, 37}, {255}, {256}, {257}, {1000}}
+	for _, dt := range fusedDTypes {
+		for _, shape := range shapes {
+			for _, m := range []Method{Dense, Sparse, Hybrid} {
+				target, base := randomPair(t, rng, dt, shape)
+				blob, err := Encode(m, target, base)
+				if err != nil {
+					t.Fatalf("%v %v %v: encode: %v", dt, shape, m, err)
+				}
+				if !differential(t, blob, base, false).Equal(target) {
+					t.Fatalf("%v %v %v: apply does not reconstruct target", dt, shape, m)
+				}
+				if !differential(t, blob, target, true).Equal(base) {
+					t.Fatalf("%v %v %v: unapply does not reconstruct base", dt, shape, m)
+				}
+			}
+		}
+	}
+}
+
+// TestFusedIdenticalVersions covers the width-0 plane: a delta between
+// identical arrays skips the plane pass and leaves the buffer as it was.
+func TestFusedIdenticalVersions(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, m := range []Method{Dense, Hybrid} {
+		target, _ := randomPair(t, rng, array.Int32, []int64{40, 10})
+		blob, err := Encode(m, target, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob[2] != 0 {
+			t.Fatalf("%v: identical arrays encoded at width %d", m, blob[2])
+		}
+		if !differential(t, blob, target, false).Equal(target) {
+			t.Fatalf("%v: width-0 apply changed the array", m)
+		}
+	}
+}
+
+// TestFusedAllOutliers forces a hybrid overlay covering every cell: the
+// encoder may pick width 0 with all cells in the overlay, and the
+// kernel's overlay patching must still override the plane everywhere.
+func TestFusedAllOutliers(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	base := array.MustDense(array.Int64, []int64{300})
+	target := array.MustDense(array.Int64, []int64{300})
+	for i := int64(0); i < 300; i++ {
+		base.SetBits(i, rng.Int63())
+		target.SetBits(i, rng.Int63())
+	}
+	blob, err := Encode(Hybrid, target, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !differential(t, blob, base, false).Equal(target) {
+		t.Fatal("apply does not reconstruct target")
+	}
+}
+
+// TestFusedChain walks a chain of deltas — the shape of a real version
+// chain — over one buffer, the way the store's chain walk does, checking
+// every link against the oracle; then back down the chain.
+func TestFusedChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	versions := make([]*array.Dense, 8)
+	versions[0] = array.MustDense(array.Int16, []int64{12, 31})
+	for i := int64(0); i < versions[0].NumCells(); i++ {
+		versions[0].SetBits(i, int64(rng.Intn(1000)))
+	}
+	blobs := make([][]byte, 0, len(versions)-1)
+	for v := 1; v < len(versions); v++ {
+		next := versions[v-1].Clone()
+		for i := int64(0); i < next.NumCells(); i += int64(1 + rng.Intn(4)) {
+			next.SetBits(i, array.TruncateBits(array.Int16, next.Bits(i)+int64(rng.Intn(9)-4)))
+		}
+		versions[v] = next
+		blob, err := Encode([]Method{Dense, Sparse, Hybrid}[v%3], next, versions[v-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, blob)
+	}
+	buf := versions[0].Clone()
+	for v, blob := range blobs {
+		want, err := scalarApply(blob, buf, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ApplyInPlace(blob, buf); err != nil || got != buf {
+			t.Fatalf("chain link %d: ApplyInPlace = %p, %v; want its buffer", v+1, got, err)
+		}
+		if !buf.Equal(want) || !buf.Equal(versions[v+1]) {
+			t.Fatalf("chain link %d: reconstruction differs", v+1)
+		}
+	}
+	for v := len(blobs) - 1; v >= 0; v-- {
+		if _, err := inPlace(blobs[v], buf, true); err != nil {
+			t.Fatal(err)
+		}
+		if !buf.Equal(versions[v]) {
+			t.Fatalf("chain link %d: reverse reconstruction differs", v)
+		}
+	}
+}
+
+// TestFusedOpsCounter: every cellwise apply, whichever entry point,
+// counts once toward InPlaceOps (kernel_batched_ops); a rejected blob
+// does not count.
+func TestFusedOpsCounter(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	target, base := randomPair(t, rng, array.Int32, []int64{64})
+	blob, err := Encode(Dense, target, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := InPlaceOps()
+	if _, err := Apply(blob, base); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Unapply(blob, target); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ApplyInPlace(blob, base.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ApplyInPlace(blob[:len(blob)-1], base.Clone()); err == nil {
+		t.Fatal("truncated blob applied")
+	}
+	if got := InPlaceOps(); got != before+3 {
+		t.Fatalf("InPlaceOps = %d, want %d", got, before+3)
+	}
+}
+
+// hybridChunk is the chain-walk shape the store decodes most: a 256×256
+// int32 chunk whose successor changed 3% of its cells, which the hybrid
+// encoder stores as a width-0 plane plus an overlay of ~2 000 cells.
+func hybridChunk(b *testing.B) (blob []byte, base *array.Dense) {
+	rng := rand.New(rand.NewSource(26))
+	base = array.MustDense(array.Int32, []int64{256, 256})
+	for i := int64(0); i < base.NumCells(); i++ {
+		base.SetBits(i, int64(rng.Intn(1<<20)))
+	}
+	target := base.Clone()
+	for i := int64(0); i < target.NumCells(); i++ {
+		if rng.Intn(100) < 3 {
+			target.SetBits(i, int64(rng.Intn(1<<20)))
+		}
+	}
+	blob, err := Encode(Hybrid, target, base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(base.SizeBytes())
+	b.ResetTimer()
+	return blob, base
+}
+
+// BenchmarkApplyInPlace is one link of the store's chain walk.
+func BenchmarkApplyInPlace(b *testing.B) {
+	blob, base := hybridChunk(b)
+	for i := 0; i < b.N; i++ {
+		if _, err := ApplyInPlace(blob, base); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkApplyScalarOracle is the same link through the reference
+// decoder: a fresh plane and full passes over every cell.
+func BenchmarkApplyScalarOracle(b *testing.B) {
+	blob, base := hybridChunk(b)
+	for i := 0; i < b.N; i++ {
+		if _, err := scalarApply(blob, base, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -7,7 +7,3 @@ import "arrayvers/internal/bitpack"
 func signedWidth(v int64) int { return bitpack.SignedWidth(v) }
 
 func packSigned(vs []int64, width int) []byte { return bitpack.PackSigned(vs, width) }
-
-func unpackSigned(buf []byte, n int64, width int) ([]int64, error) {
-	return bitpack.UnpackSigned(buf, int(n), width)
-}
