@@ -3,13 +3,15 @@ package arrayvers_test
 // One testing.B benchmark per evaluation artifact (Tables I–VII and the
 // two §V-D experiments), each running the corresponding experiment
 // harness at QuickScale. `cmd/avbench` runs the same experiments at full
-// laptop scale and prints the paper-style tables; EXPERIMENTS.md records
-// paper-vs-measured.
+// laptop scale and prints the paper-style tables; experiment ids E1–E10
+// follow DESIGN.md's experiment index.
 
 import (
+	"math/rand"
 	"testing"
 
 	"arrayvers"
+	"arrayvers/internal/array"
 	"arrayvers/internal/bench"
 )
 
@@ -85,11 +87,29 @@ func BenchmarkWorkloadAwareLayout(b *testing.B) {
 	}
 }
 
-// selectMultiChainStore builds the hot-path delta chain once per
-// benchmark configuration; the returned ids select every version. The
-// workload has the same shape as avbench's hotpath experiment (both use
-// bench.HotPathSeries) but a different array size and seed, so compare
-// ns/op within each harness, not across them.
+// chainSeries is a smoothly evolving dense series of 24 versions: about
+// 5% of cells move by a small step per version, so every version deltas
+// off its predecessor.
+func chainSeries(side, seed int64) []*array.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]*array.Dense, 24)
+	cur := array.MustDense(array.Int32, []int64{side, side})
+	for i := int64(0); i < cur.NumCells(); i++ {
+		cur.SetBits(i, int64(rng.Intn(1000)))
+	}
+	for v := range out {
+		out[v] = cur.Clone()
+		for i := int64(0); i < cur.NumCells(); i++ {
+			if rng.Float64() < 0.05 {
+				cur.SetBits(i, cur.Bits(i)+int64(rng.Intn(5)-2))
+			}
+		}
+	}
+	return out
+}
+
+// selectMultiChainStore builds a 24-version delta chain once per
+// benchmark configuration; the returned ids select every version.
 func selectMultiChainStore(b *testing.B, parallelism int, cacheBytes int64) (*arrayvers.Store, []int) {
 	b.Helper()
 	opts := arrayvers.DefaultOptions()
@@ -110,7 +130,7 @@ func selectMultiChainStore(b *testing.B, parallelism int, cacheBytes int64) (*ar
 		b.Fatal(err)
 	}
 	var ids []int
-	for _, v := range bench.HotPathSeries(side, 9) {
+	for _, v := range chainSeries(side, 9) {
 		id, err := s.Insert("Chain", arrayvers.DensePayload(v))
 		if err != nil {
 			b.Fatal(err)

@@ -1,8 +1,8 @@
 // Package bench regenerates every quantitative table and experiment of
 // the paper's evaluation section (§V) on the synthetic dataset
 // substitutes, at laptop scale. Each runner returns a Table whose rows
-// mirror the paper's; EXPERIMENTS.md records the paper's numbers next to
-// ours. Experiment ids (E1–E10) follow DESIGN.md's index.
+// mirror the paper's; experiment ids (E1–E10) follow DESIGN.md's
+// experiment index.
 package bench
 
 import (
@@ -63,7 +63,7 @@ func (t Table) String() string {
 
 // Scale holds the size knobs for every experiment. The paper ran at
 // GB scale on real data; defaults here are laptop scale with the same
-// shape (see EXPERIMENTS.md for the mapping).
+// shape. The E-ids on each knob follow DESIGN.md's experiment index.
 type Scale struct {
 	// E1/E2/E5/E7/E10: NOAA substitute
 	NOAASide     int64

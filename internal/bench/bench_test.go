@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,6 +13,33 @@ import (
 // The experiment runners are exercised end to end at QuickScale; shape
 // assertions (who wins, by roughly what factor) live here so regressions
 // in the reproduction are caught by `go test`.
+
+var update = flag.Bool("update", false, "rewrite the testdata/*.sizes goldens from this run")
+
+// checkSizes compares a table's size column with testdata/<name>.sizes.
+// The datasets and encoders are seeded and deterministic, so at
+// QuickScale every rendered size must match exactly; time columns vary
+// run to run and are never compared. -update rewrites the golden.
+func checkSizes(t *testing.T, name string, tab Table, col int) {
+	t.Helper()
+	var b strings.Builder
+	for _, r := range tab.Rows {
+		fmt.Fprintf(&b, "%s\t%s\n", r[0], r[col])
+	}
+	path := filepath.Join("testdata", name+".sizes")
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("%s sizes differ from %s:\ngot:\n%swant:\n%s", tab.Title, path, got, want)
+	}
+}
 
 func parseBytes(t *testing.T, s string) float64 {
 	t.Helper()
@@ -45,6 +76,7 @@ func TestTable1Shape(t *testing.T) {
 	for _, r := range tab.Rows {
 		sizes[r[0]] = parseBytes(t, r[2])
 	}
+	checkSizes(t, "table1", tab, 2)
 	// every delta method beats uncompressed on this data
 	raw := sizes["Uncompressed"]
 	for name, sz := range sizes {
@@ -77,6 +109,7 @@ func TestTable2Shape(t *testing.T) {
 	for _, r := range tab.Rows {
 		sizes[r[0]] = parseBytes(t, r[1])
 	}
+	checkSizes(t, "table2", tab, 1)
 	// LZ must compress the delta grids (paper: LZ is the best overall)
 	if sizes["Lempel-Ziv"] >= sizes["Run-Length Encoding"] {
 		t.Errorf("LZ %.0f >= RLE %.0f", sizes["Lempel-Ziv"], sizes["Run-Length Encoding"])
@@ -164,6 +197,7 @@ func TestTable6Shape(t *testing.T) {
 			gitFailed = strings.Contains(r[4], "out of memory")
 		}
 	}
+	checkSizes(t, "table6", tab, 2)
 	// paper: ours ~8x smaller than SVN on OSM; Git fails
 	if ours*2 >= svn {
 		t.Errorf("ours %.0f not well below svn %.0f", ours, svn)
@@ -186,6 +220,7 @@ func TestTable7Shape(t *testing.T) {
 	for _, r := range tab.Rows {
 		sizes[r[0]] = parseBytes(t, r[2])
 	}
+	checkSizes(t, "table7", tab, 2)
 	// paper: H+LZ yields the smallest data set on NOAA
 	for name, sz := range sizes {
 		if name == "Hybrid+LZ" {
@@ -290,17 +325,4 @@ func TestAblationsShape(t *testing.T) {
 		t.Fatal("chain placement rows missing")
 	}
 	t.Log("\n" + tab.String())
-}
-
-func TestIngestConfigShape(t *testing.T) {
-	res, err := runIngestConfig(t.TempDir(), 2, 6, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Inserts != 6 || res.InsertsPerSec <= 0 || res.GroupCommits == 0 {
-		t.Fatalf("ingest result shape: %+v", res)
-	}
-	if res.CoalesceFactor < 1 {
-		t.Fatalf("coalesce factor %v < 1", res.CoalesceFactor)
-	}
 }

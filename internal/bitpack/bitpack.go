@@ -230,14 +230,14 @@ func checkUnpack(bufLen, n, width int) error {
 	return nil
 }
 
-// UnpackSigned extracts n signed values of the given width from buf,
-// using the active unpack kernel (see kernels.go).
+// UnpackSigned extracts n signed values of the given width from buf
+// with the batched kernel (see kernels.go).
 func UnpackSigned(buf []byte, n, width int) ([]int64, error) {
 	if err := checkUnpack(len(buf), n, width); err != nil {
 		return nil, err
 	}
 	out := make([]int64, n)
-	if err := kernels[ActiveKernel()].signed(buf, n, width, out); err != nil {
+	if err := batchedUnpackSigned(buf, n, width, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -261,14 +261,14 @@ func PackUnsigned(vs []uint64, width int) []byte {
 	return w.Bytes()
 }
 
-// UnpackUnsigned extracts n unsigned codes of the given width from buf,
-// using the active unpack kernel (see kernels.go).
+// UnpackUnsigned extracts n unsigned codes of the given width from buf
+// with the batched kernel (see kernels.go).
 func UnpackUnsigned(buf []byte, n, width int) ([]uint64, error) {
 	if err := checkUnpack(len(buf), n, width); err != nil {
 		return nil, err
 	}
 	out := make([]uint64, n)
-	if err := kernels[ActiveKernel()].unsigned(buf, n, width, out); err != nil {
+	if err := batchedUnsigned(buf, n, width, out); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -3,88 +3,17 @@ package bitpack
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 )
 
-// Unpack kernels. The Reader's fast path still decodes one value per
+// The unpack kernel. The Reader's fast path still decodes one value per
 // call — a call, a position update, and a bounds check per code. The
 // batched kernel amortizes all of that: it decodes straight into a
 // caller slice with unrolled 64-bit window loads, one bounds check per
 // unroll block, and handles the buffer tail with a single anchored load
-// instead of falling back to bit-by-bit assembly.
-//
-// Both kernels stay compiled whatever the active selection: the scalar
-// kernel is the reference the differential harness (kernels_test.go,
-// FuzzKernels) drives the batched kernel against, and callers that need
-// a specific kernel (tests, the avbench kernel microbench) select one
-// explicitly with SetKernel.
-
-// Kernel identifies an unpack implementation in the kernel registry.
-type Kernel uint8
-
-// Registered kernels.
-const (
-	// KernelScalar decodes one value per step through the Reader — the
-	// reference implementation.
-	KernelScalar Kernel = iota
-	// KernelBatched decodes with unrolled word-at-a-time loads; the
-	// default.
-	KernelBatched
-)
-
-func (k Kernel) String() string {
-	switch k {
-	case KernelScalar:
-		return "scalar"
-	case KernelBatched:
-		return "batched"
-	default:
-		return fmt.Sprintf("Kernel(%d)", uint8(k))
-	}
-}
-
-// kernelImpl is one registry entry: a pair of bulk unpack
-// implementations sharing the scalar kernel's exact semantics.
-type kernelImpl struct {
-	unsigned func(buf []byte, n, width int, out []uint64) error
-	signed   func(buf []byte, n, width int, out []int64) error
-}
-
-// kernels is the kernel registry, indexed by Kernel.
-var kernels = [...]kernelImpl{
-	KernelScalar:  {unsigned: scalarUnpackUnsigned, signed: scalarUnpackSigned},
-	KernelBatched: {unsigned: batchedUnpackUnsigned, signed: batchedUnpackSigned},
-}
-
-// activeKernel selects the kernel UnpackSigned/UnpackUnsigned (and the
-// Into variants) dispatch to. Batched by default.
-var activeKernel atomic.Uint32
-
-func init() { activeKernel.Store(uint32(KernelBatched)) }
-
-// SetKernel selects the active unpack kernel and returns the previous
-// selection. Unknown kernels are ignored.
-func SetKernel(k Kernel) Kernel {
-	prev := ActiveKernel()
-	if int(k) < len(kernels) {
-		activeKernel.Store(uint32(k))
-	}
-	return prev
-}
-
-// ActiveKernel returns the currently selected kernel.
-func ActiveKernel() Kernel { return Kernel(activeKernel.Load()) }
-
-// Kernels lists every registered kernel, for tests and benches that
-// iterate the registry.
-func Kernels() []Kernel { return []Kernel{KernelScalar, KernelBatched} }
-
-// batchedOps counts batched-kernel bulk unpacks process-wide; stores
-// report it (baselined at Open) as part of kernel_batched_ops.
-var batchedOps atomic.Int64
-
-// BatchedOps returns the cumulative number of batched bulk unpacks.
-func BatchedOps() int64 { return batchedOps.Load() }
+// instead of falling back to bit-by-bit assembly. It is the only bulk
+// decoder; the scalar reference it must stay bit-identical to lives in
+// oracle_test.go, where kernels_test.go and FuzzKernels drive the two
+// against each other.
 
 // CheckUnpack is the exported form of the unpack validation: buf of
 // bufLen bytes must hold n width-bit codes. The in-place delta kernel
@@ -92,7 +21,7 @@ func BatchedOps() int64 { return batchedOps.Load() }
 func CheckUnpack(bufLen, n, width int) error { return checkUnpack(bufLen, n, width) }
 
 // UnpackUnsignedInto extracts n unsigned width-bit codes from buf into
-// out (which must hold at least n values) using the active kernel.
+// out (which must hold at least n values).
 func UnpackUnsignedInto(buf []byte, n, width int, out []uint64) error {
 	if err := checkUnpack(len(buf), n, width); err != nil {
 		return err
@@ -100,7 +29,7 @@ func UnpackUnsignedInto(buf []byte, n, width int, out []uint64) error {
 	if len(out) < n {
 		return fmt.Errorf("bitpack: output holds %d values, need %d", len(out), n)
 	}
-	return kernels[ActiveKernel()].unsigned(buf, n, width, out[:n])
+	return batchedUnsigned(buf, n, width, out[:n])
 }
 
 // UnpackSignedInto is UnpackUnsignedInto with zigzag decoding.
@@ -111,54 +40,7 @@ func UnpackSignedInto(buf []byte, n, width int, out []int64) error {
 	if len(out) < n {
 		return fmt.Errorf("bitpack: output holds %d values, need %d", len(out), n)
 	}
-	return kernels[ActiveKernel()].signed(buf, n, width, out[:n])
-}
-
-// --- scalar reference kernel ---
-
-// scalarUnpackUnsigned is the reference bulk unpack: the Reader, one
-// value at a time. Deliberately the simplest correct implementation.
-func scalarUnpackUnsigned(buf []byte, n, width int, out []uint64) error {
-	if width == 0 {
-		for i := 0; i < n; i++ {
-			out[i] = 0
-		}
-		return nil
-	}
-	r := NewReader(buf)
-	for i := 0; i < n; i++ {
-		u, err := r.Read(width)
-		if err != nil {
-			return err
-		}
-		out[i] = u
-	}
-	return nil
-}
-
-func scalarUnpackSigned(buf []byte, n, width int, out []int64) error {
-	if width == 0 {
-		for i := 0; i < n; i++ {
-			out[i] = 0
-		}
-		return nil
-	}
-	r := NewReader(buf)
-	for i := 0; i < n; i++ {
-		u, err := r.Read(width)
-		if err != nil {
-			return err
-		}
-		out[i] = Unzigzag(u)
-	}
-	return nil
-}
-
-// --- batched kernel ---
-
-func batchedUnpackUnsigned(buf []byte, n, width int, out []uint64) error {
-	batchedOps.Add(1)
-	return batchedUnsigned(buf, n, width, out)
+	return batchedUnpackSigned(buf, n, width, out[:n])
 }
 
 // signedBlockVals is the signed kernel's decode-block size. 512 values
@@ -167,7 +49,6 @@ func batchedUnpackUnsigned(buf []byte, n, width int, out []uint64) error {
 const signedBlockVals = 512
 
 func batchedUnpackSigned(buf []byte, n, width int, out []int64) error {
-	batchedOps.Add(1)
 	if n == 0 {
 		return nil
 	}
@@ -308,9 +189,8 @@ func batchedUnsigned(buf []byte, n, width int, out []uint64) error {
 	if width > 57 {
 		// 58..63 bits at arbitrary alignment can straddle a 64-bit
 		// window; these widths are vanishingly rare in delta planes
-		// (they imply near-full-width diffs), so the reference path
-		// serves them
-		return scalarUnpackUnsigned(buf, n, width, out)
+		// (they imply near-full-width diffs), so the Reader serves them
+		return readInto(NewReader(buf), width, out[:n])
 	}
 	// general widths 1..57: each code fits one 64-bit window load at
 	// any alignment. The main loop covers every value whose window load
@@ -347,7 +227,10 @@ func batchedUnsigned(buf []byte, n, width int, out []uint64) error {
 	}
 	if i < n {
 		if len(buf) < 8 {
-			// buffer too small for any window load; bit-by-bit
+			// buffer too small for any window load; bit-by-bit. Inline
+			// rather than through readInto: that call here changed the
+			// register allocation of the window loop above, adding
+			// stack spills to it
 			r := &Reader{buf: buf, pos: p}
 			for ; i < n; i++ {
 				u, err := r.Read(width)
@@ -364,6 +247,20 @@ func batchedUnsigned(buf []byte, n, width int, out []uint64) error {
 			out[i] = w >> (p - base) & mask
 			p += uw
 		}
+	}
+	return nil
+}
+
+// readInto decodes len(out) width-bit codes from r one at a time: the
+// path for 58..63-bit codes, which a 64-bit window load cannot serve at
+// every alignment.
+func readInto(r *Reader, width int, out []uint64) error {
+	for i := range out {
+		u, err := r.Read(width)
+		if err != nil {
+			return err
+		}
+		out[i] = u
 	}
 	return nil
 }

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// Differential harness for the unpack kernel registry: every batched
-// path (unrolled aligned widths, windowed general widths, the anchored
-// tail load, the signed 512-value block loop) is driven against the
-// scalar reference and must be bit-identical on every input.
+// Differential harness for the unpack kernel: every batched path
+// (unrolled aligned widths, windowed general widths, the anchored tail
+// load, the signed 512-value block loop) is driven against the scalar
+// reference (oracle_test.go) and must be bit-identical on every input.
 
 // kernelLengths covers empty, tiny, the unroll-block edges (multiples
 // of 4 and 8 plus/minus one), the signed kernel's 512-value block
@@ -102,60 +102,34 @@ func TestKernelDifferentialSigned(t *testing.T) {
 }
 
 // TestKernelErrorParity truncates otherwise-valid buffers by one byte;
-// every kernel must reject the request through the public entry points.
+// the public entry points and the scalar reference must all reject the
+// request.
 func TestKernelErrorParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	prev := ActiveKernel()
-	defer SetKernel(prev)
 	for width := 1; width <= 64; width++ {
 		for _, n := range []int{1, 5, 64, 513} {
 			buf := make([]byte, PackedLen(n, width))
 			rng.Read(buf)
 			short := buf[:len(buf)-1]
-			for _, k := range Kernels() {
-				SetKernel(k)
-				if err := UnpackUnsignedInto(short, n, width, make([]uint64, n)); err == nil {
-					t.Fatalf("kernel %v width %d n %d: unsigned unpack of short buffer succeeded", k, width, n)
-				}
-				if err := UnpackSignedInto(short, n, width, make([]int64, n)); err == nil {
-					t.Fatalf("kernel %v width %d n %d: signed unpack of short buffer succeeded", k, width, n)
-				}
-				if _, err := UnpackUnsigned(short, n, width); err == nil {
-					t.Fatalf("kernel %v width %d n %d: UnpackUnsigned of short buffer succeeded", k, width, n)
-				}
-				if _, err := UnpackSigned(short, n, width); err == nil {
-					t.Fatalf("kernel %v width %d n %d: UnpackSigned of short buffer succeeded", k, width, n)
-				}
+			if _, err := scalarUnsigned(short, n, width); err == nil {
+				t.Fatalf("width %d n %d: scalar unsigned unpack of short buffer succeeded", width, n)
+			}
+			if _, err := scalarSigned(short, n, width); err == nil {
+				t.Fatalf("width %d n %d: scalar signed unpack of short buffer succeeded", width, n)
+			}
+			if err := UnpackUnsignedInto(short, n, width, make([]uint64, n)); err == nil {
+				t.Fatalf("width %d n %d: unsigned unpack of short buffer succeeded", width, n)
+			}
+			if err := UnpackSignedInto(short, n, width, make([]int64, n)); err == nil {
+				t.Fatalf("width %d n %d: signed unpack of short buffer succeeded", width, n)
+			}
+			if _, err := UnpackUnsigned(short, n, width); err == nil {
+				t.Fatalf("width %d n %d: UnpackUnsigned of short buffer succeeded", width, n)
+			}
+			if _, err := UnpackSigned(short, n, width); err == nil {
+				t.Fatalf("width %d n %d: UnpackSigned of short buffer succeeded", width, n)
 			}
 		}
-	}
-}
-
-func TestSetKernelDispatchAndOps(t *testing.T) {
-	prev := SetKernel(KernelScalar)
-	defer SetKernel(prev)
-	if ActiveKernel() != KernelScalar {
-		t.Fatalf("active kernel = %v after SetKernel(KernelScalar)", ActiveKernel())
-	}
-	buf := PackUnsigned([]uint64{1, 2, 3}, 7)
-	before := BatchedOps()
-	if _, err := UnpackUnsigned(buf, 3, 7); err != nil {
-		t.Fatal(err)
-	}
-	if got := BatchedOps(); got != before {
-		t.Fatalf("scalar kernel bumped BatchedOps: %d -> %d", before, got)
-	}
-	SetKernel(KernelBatched)
-	if _, err := UnpackUnsigned(buf, 3, 7); err != nil {
-		t.Fatal(err)
-	}
-	if got := BatchedOps(); got != before+1 {
-		t.Fatalf("BatchedOps = %d, want %d", got, before+1)
-	}
-	// out-of-range selections are ignored
-	SetKernel(Kernel(99))
-	if ActiveKernel() != KernelBatched {
-		t.Fatalf("unknown kernel changed selection to %v", ActiveKernel())
 	}
 }
 
@@ -169,7 +143,7 @@ func TestUnpackIntoShortOutput(t *testing.T) {
 	}
 }
 
-func benchmarkKernelUnpack(b *testing.B, k Kernel, width int) {
+func benchmarkKernelUnpack(b *testing.B, unpack func(buf []byte, n, width int, out []uint64) error, width int) {
 	rng := rand.New(rand.NewSource(14))
 	vals := make([]uint64, 1<<14)
 	for i := range vals {
@@ -177,20 +151,18 @@ func benchmarkKernelUnpack(b *testing.B, k Kernel, width int) {
 	}
 	buf := PackUnsigned(vals, width)
 	out := make([]uint64, len(vals))
-	prev := SetKernel(k)
-	defer SetKernel(prev)
 	b.SetBytes(int64(len(vals) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := UnpackUnsignedInto(buf, len(vals), width, out); err != nil {
+		if err := unpack(buf, len(vals), width, out); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkKernelScalarWidth7(b *testing.B)   { benchmarkKernelUnpack(b, KernelScalar, 7) }
-func BenchmarkKernelBatchedWidth7(b *testing.B)  { benchmarkKernelUnpack(b, KernelBatched, 7) }
-func BenchmarkKernelScalarWidth13(b *testing.B)  { benchmarkKernelUnpack(b, KernelScalar, 13) }
-func BenchmarkKernelBatchedWidth13(b *testing.B) { benchmarkKernelUnpack(b, KernelBatched, 13) }
-func BenchmarkKernelScalarWidth32(b *testing.B)  { benchmarkKernelUnpack(b, KernelScalar, 32) }
-func BenchmarkKernelBatchedWidth32(b *testing.B) { benchmarkKernelUnpack(b, KernelBatched, 32) }
+func BenchmarkKernelScalarWidth7(b *testing.B)   { benchmarkKernelUnpack(b, scalarUnpackUnsigned, 7) }
+func BenchmarkKernelBatchedWidth7(b *testing.B)  { benchmarkKernelUnpack(b, UnpackUnsignedInto, 7) }
+func BenchmarkKernelScalarWidth13(b *testing.B)  { benchmarkKernelUnpack(b, scalarUnpackUnsigned, 13) }
+func BenchmarkKernelBatchedWidth13(b *testing.B) { benchmarkKernelUnpack(b, UnpackUnsignedInto, 13) }
+func BenchmarkKernelScalarWidth32(b *testing.B)  { benchmarkKernelUnpack(b, scalarUnpackUnsigned, 32) }
+func BenchmarkKernelBatchedWidth32(b *testing.B) { benchmarkKernelUnpack(b, UnpackUnsignedInto, 32) }

@@ -151,7 +151,6 @@ func StatsCounters(st core.IOStats) []Counter {
 		{"mmap_planes", st.MmapPlanes},
 		{"mmap_plane_bytes", st.MmapPlaneBytes},
 		{"mmap_deferred_unlinks", st.MmapDeferredUnlinks},
-		{"kernel_batched_ops", st.KernelBatchedOps},
 		{"recovery_truncated_files", st.RecoveryTruncatedFiles},
 		{"recovery_truncated_bytes", st.RecoveryTruncatedBytes},
 		{"recovery_removed_files", st.RecoveryRemovedFiles},

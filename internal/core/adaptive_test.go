@@ -61,9 +61,11 @@ func adaptiveOpts() Options {
 // TestTunerConvergesOnZipfTrace replays a deterministic skewed trace,
 // runs one tuner pass, and asserts (a) the pass reorganizes, (b) the
 // committed layout equals what offline PolicyWorkloadAware chooses for
-// the same trace, (c) every version reads back byte-identical to ground
-// truth, and (d) a second pass over the (decayed) histogram is a no-op —
-// the tuner converges rather than oscillating.
+// the same trace, (c) replaying the trace against the cold (cache-off)
+// store reads strictly fewer bytes after the pass than before it, (d)
+// every version reads back byte-identical to ground truth, and (e) a
+// second pass over the (decayed) histogram is a no-op — the tuner
+// converges rather than oscillating.
 func TestTunerConvergesOnZipfTrace(t *testing.T) {
 	const n = 12
 	s := testStore(t, adaptiveOpts())
@@ -93,7 +95,9 @@ func TestTunerConvergesOnZipfTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	s.ResetStats()
 	replayTrace(t, s, "Z", trace)
+	untuned := s.Stats().BytesRead
 	rep, err := s.Tune("Z")
 	if err != nil {
 		t.Fatal(err)
@@ -103,6 +107,11 @@ func TestTunerConvergesOnZipfTrace(t *testing.T) {
 	}
 	if rep.Savings < rep.MinSavings {
 		t.Fatalf("reorganized below threshold: savings %.3f < %.3f", rep.Savings, rep.MinSavings)
+	}
+	s.ResetStats()
+	replayTrace(t, s, "Z", trace)
+	if tuned := s.Stats().BytesRead; tuned >= untuned {
+		t.Fatalf("trace read %d bytes after the tune pass, %d before", tuned, untuned)
 	}
 
 	got, ids, err := s.CurrentLayout("Z")

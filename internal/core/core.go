@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"arrayvers/internal/array"
-	"arrayvers/internal/bitpack"
 	"arrayvers/internal/cache"
 	"arrayvers/internal/chunk"
 	"arrayvers/internal/compress"
@@ -114,12 +113,6 @@ type Options struct {
 	// real OS. Tests inject fsio.Fault here to crash the store at an
 	// arbitrary write/sync/rename step.
 	FS fsio.FS
-	// DisableMmap turns off the mmap-backed read path: chunk payloads are
-	// then always fetched with plain positional reads and the decoded-chunk
-	// cache never holds zero-copy planes. Mapping is on by default where
-	// the platform supports it (see internal/fsio.MapSupported); this flag
-	// exists for benchmarking the copying baseline and for bisecting.
-	DisableMmap bool
 }
 
 // AutoTuneOptions parameterizes the adaptive reorganizer. Interval
@@ -240,8 +233,7 @@ type Store struct {
 	chunkCache *cache.Cache
 
 	// maps manages read-only mmaps of committed chunk generations (see
-	// mmap.go); inert when Options.DisableMmap is set or the platform
-	// cannot map files.
+	// mmap.go); inert when the platform cannot map files.
 	maps *genMaps
 
 	// workload is the per-array access histogram the adaptive tuner
@@ -276,10 +268,6 @@ type Store struct {
 
 	statsMu sync.Mutex
 	stats   IOStats
-	// kernelBase is the process-wide batched/fused kernel op count at
-	// Open (or the last ResetStats); Stats reports the delta, so each
-	// store's KernelBatchedOps starts at zero. Guarded by statsMu.
-	kernelBase int64
 	// recovery is what Open-time crash recovery repaired; immutable after
 	// Open, merged into Stats() and never cleared by ResetStats.
 	recovery RecoveryStats
@@ -397,12 +385,6 @@ type IOStats struct {
 	MmapPlanes          int64
 	MmapPlaneBytes      int64
 	MmapDeferredUnlinks int64
-
-	// KernelBatchedOps counts batched bitpack unpacks plus cellwise delta
-	// applies executed since Open (the kernels are process-global; each
-	// store baselines the counters at Open, so concurrently open stores
-	// see each other's ops).
-	KernelBatchedOps int64
 }
 
 // ErrLegacyStore is returned (wrapped) by Open for a store directory in
@@ -433,14 +415,13 @@ func Open(dir string, opts Options) (*Store, error) {
 		creating:   make(map[string]bool),
 		epochs:     make(map[string]uint64),
 		chunkCache: cache.New(opts.CacheBytes),
-		maps:       newGenMaps(opts.DisableMmap),
+		maps:       newGenMaps(false),
 		degraded:   make(map[string]degradedInfo),
 		workload:   newWorkloadRecorder(),
 		tuneEst:    make(map[string]*tuneEstimate),
 		prof:       newProfile(),
 		clock:      time.Now,
 	}
-	s.kernelBase = kernelOps()
 	// cached zero-copy planes pin their generation's mapping; the release
 	// must follow every way an entry can leave the cache, so it hangs off
 	// the cache's eviction callback rather than any one invalidation site
@@ -559,7 +540,6 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) Stats() IOStats {
 	s.statsMu.Lock()
 	out := s.stats
-	out.KernelBatchedOps = kernelOps() - s.kernelBase
 	s.statsMu.Unlock()
 	if s.maps != nil {
 		out.MmapDeferredUnlinks = s.maps.deferred.Load()
@@ -595,16 +575,8 @@ func (s *Store) Recovery() RecoveryStats { return s.recovery }
 func (s *Store) ResetStats() {
 	s.statsMu.Lock()
 	s.stats = IOStats{}
-	s.kernelBase = kernelOps()
 	s.statsMu.Unlock()
 	s.chunkCache.ResetCounters()
-}
-
-// kernelOps is the process-wide count of batched-kernel invocations:
-// bulk bitpack unpacks through the batched kernel plus cellwise delta
-// applies.
-func kernelOps() int64 {
-	return bitpack.BatchedOps() + delta.InPlaceOps()
 }
 
 func (s *Store) addRead(bytes int64) {

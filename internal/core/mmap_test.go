@@ -112,7 +112,8 @@ func TestGenMapsRefcount(t *testing.T) {
 
 // TestMmapReadPathCounters checks that the default (mmap-on) read path
 // serves chunk payloads from mappings, caches zero-copy planes, and that
-// DisableMmap turns all of it off without changing results.
+// the plain read() path — the only one where fsio.MapSupported is false —
+// reads the same bytes.
 func TestMmapReadPathCounters(t *testing.T) {
 	dir := t.TempDir()
 	opts := concurrencyOpts()
@@ -166,14 +167,15 @@ func TestMmapReadPathCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// the same store with mapping disabled reads identical bytes and
-	// records no mmap activity
-	opts.DisableMmap = true
+	// the same store with mapping off reads identical bytes through
+	// read() and records no mmap activity; nothing has been mapped yet
+	// when the disabled genMaps is swapped in
 	p, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	p.maps = newGenMaps(true)
 	for i, want := range versions {
 		got, err := p.Select("MM", i+1)
 		if err != nil {
@@ -184,8 +186,11 @@ func TestMmapReadPathCounters(t *testing.T) {
 		}
 	}
 	st = p.Stats()
+	if st.ChunksRead == 0 {
+		t.Fatal("no chunk reads through read()")
+	}
 	if st.MmapReads != 0 || st.MmapPlanes != 0 || st.MmapDeferredUnlinks != 0 {
-		t.Fatalf("DisableMmap store recorded mmap activity: %+v", st)
+		t.Fatalf("unmapped store recorded mmap activity: %+v", st)
 	}
 }
 

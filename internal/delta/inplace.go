@@ -3,7 +3,6 @@ package delta
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"arrayvers/internal/array"
 	"arrayvers/internal/bitpack"
@@ -25,13 +24,6 @@ import (
 // bytes of a sum depend only on the low k bytes of the addends, so
 // native k-byte wrapping arithmetic over the backing bytes is
 // bit-identical.
-
-// inPlaceOps counts cellwise applies process-wide; stores report it
-// (baselined at Open) as part of kernel_batched_ops.
-var inPlaceOps atomic.Int64
-
-// InPlaceOps returns the cumulative number of cellwise delta applies.
-func InPlaceOps() int64 { return inPlaceOps.Load() }
 
 // planeBlockVals is the plane decode-block size. 256 values at any width
 // occupy exactly 32*width bytes, so every block starts byte-aligned and
@@ -89,7 +81,6 @@ func applyCellwise(m Method, blob []byte, buf *array.Dense, reverse bool) error 
 			return err
 		}
 	}
-	inPlaceOps.Add(1)
 	if width > 0 {
 		if err := addPlane(blob[3:], width, buf, reverse); err != nil {
 			return err

@@ -194,34 +194,6 @@ func TestFusedChain(t *testing.T) {
 	}
 }
 
-// TestFusedOpsCounter: every cellwise apply, whichever entry point,
-// counts once toward InPlaceOps (kernel_batched_ops); a rejected blob
-// does not count.
-func TestFusedOpsCounter(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	target, base := randomPair(t, rng, array.Int32, []int64{64})
-	blob, err := Encode(Dense, target, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := InPlaceOps()
-	if _, err := Apply(blob, base); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Unapply(blob, target); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ApplyInPlace(blob, base.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ApplyInPlace(blob[:len(blob)-1], base.Clone()); err == nil {
-		t.Fatal("truncated blob applied")
-	}
-	if got := InPlaceOps(); got != before+3 {
-		t.Fatalf("InPlaceOps = %d, want %d", got, before+3)
-	}
-}
-
 // hybridChunk is the chain-walk shape the store decodes most: a 256×256
 // int32 chunk whose successor changed 3% of its cells, which the hybrid
 // encoder stores as a width-0 plane plus an overlay of ~2 000 cells.
