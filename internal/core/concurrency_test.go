@@ -360,16 +360,15 @@ func TestParallelSelectMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestConcurrentSelectWithPerVersionReencode is the regression test for
-// the per-version-file rewrite race: with CoLocate off, maybeBatchReencode
-// and DeleteVersion rewrite existing versions' chunk files in place
-// (os.WriteFile truncates), which must exclude in-flight lock-free
-// readers via the I/O latch. Without the latch this fails with decode
-// errors like "delta: unknown method byte".
+// TestConcurrentSelectWithPerVersionReencode: with CoLocate off,
+// DeleteVersion re-encodes its children into fresh per-version chunk
+// files (FileSeq names) while lock-free readers keep decoding the files
+// their snapshots reference. A re-encode that rewrote a referenced file
+// would fail those readers with decode errors like "delta: unknown
+// method byte".
 func TestConcurrentSelectWithPerVersionReencode(t *testing.T) {
 	o := concurrencyOpts()
 	o.CoLocate = false
-	o.AutoBatchK = 2
 	s := testStore(t, o)
 	if err := s.CreateArray(schema2D("PV", 64)); err != nil {
 		t.Fatal(err)

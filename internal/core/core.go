@@ -63,15 +63,6 @@ type Options struct {
 	// adaptively enable LZ compression based on the data set size and the
 	// anticipated compression ratios").
 	AdaptiveCodec bool
-	// AutoBatchK, when > 1, re-encodes every completed batch of K
-	// versions with the optimal layout at insert time (§IV-E: "we can
-	// accumulate a batch of K new versions, and compute the optimal
-	// encoding of them together (in terms only of the other versions in
-	// the batch)"). Batches are kept separate, which "also has the effect
-	// of constraining the materialization matrix size and improving query
-	// performance by avoiding very long delta chains". Superseded blobs
-	// dangle until Compact.
-	AutoBatchK int
 	// Parallelism bounds the worker pool the select and insert hot paths
 	// fan chunk work out on (read→decompress→delta-unwind on select,
 	// encode→compress on insert). Zero or negative means GOMAXPROCS; 1
@@ -205,10 +196,12 @@ func (o *Options) fillDefaults() {
 // Locking: mu guards the array map and all version metadata. The select
 // paths hold it only long enough to snapshot one array's metadata (see
 // readView); chunk I/O and delta unwinding then proceed without it, so
-// reads run concurrently with each other and with inserts. Destructive
-// rewrites (Reorganize, Compact, DeleteArray) additionally take the
-// per-array ioMu write latch so they cannot pull chunk files out from
-// under an in-flight reader.
+// reads run concurrently with each other and with inserts. Mutators
+// hold it just as briefly — to snapshot and to install — never across
+// I/O (lockorder checks this). Destructive rewrites (Reorganize,
+// Compact, DeleteArray) then take the per-array ioMu write latch, with
+// mu released, so they cannot pull chunk files out from under an
+// in-flight reader.
 type Store struct {
 	mu     sync.RWMutex
 	dir    string
@@ -221,10 +214,15 @@ type Store struct {
 	// afterwards.
 	man *manifest
 	// creating reserves the names of arrays whose CreateArray is
-	// committing with Store.mu released. Guarded by mu.
+	// committing with Store.mu released; dropping holds the arrays a
+	// DeleteArray has unpublished but not yet drained and removed, so
+	// Close can drain them too. dropped (on mu) is signalled as each drop
+	// finishes. Guarded by mu.
 	creating map[string]bool
+	dropping map[string]*arrayState
+	dropped  sync.Cond
 	// epochs[name] is bumped whenever an array's on-disk encoding is
-	// invalidated (Reorganize, DeleteVersion, DeleteArray); it is part of
+	// invalidated (Reorganize, Compact, DeleteArray); it is part of
 	// every chunkCache key, so stale in-flight readers can never poison
 	// the cache for the current generation. Guarded by mu.
 	epochs map[string]uint64
@@ -413,6 +411,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		fs:         opts.FS,
 		arrays:     make(map[string]*arrayState),
 		creating:   make(map[string]bool),
+		dropping:   make(map[string]*arrayState),
 		epochs:     make(map[string]uint64),
 		chunkCache: cache.New(opts.CacheBytes),
 		maps:       newGenMaps(false),
@@ -422,6 +421,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		prof:       newProfile(),
 		clock:      time.Now,
 	}
+	s.dropped.L = &s.mu
 	// cached zero-copy planes pin their generation's mapping; the release
 	// must follow every way an entry can leave the cache, so it hangs off
 	// the cache's eviction callback rather than any one invalidation site
@@ -498,6 +498,9 @@ func (s *Store) Close() error {
 	tuner := s.tuner
 	arrays := make([]*arrayState, 0, len(s.arrays))
 	for _, st := range s.arrays {
+		arrays = append(arrays, st)
+	}
+	for _, st := range s.dropping {
 		arrays = append(arrays, st)
 	}
 	s.mu.Unlock()
@@ -770,10 +773,10 @@ type arrayState struct {
 
 	// cachedView memoizes the cloned metadata snapshot between
 	// mutations, so repeated selects pay O(1) for metadata regardless of
-	// version count. Mutators clear it at the top of their critical
-	// section (they hold Store.mu exclusively, so no reader can observe
-	// the window between mutation and clear); readers rebuild and store
-	// it under the read lock.
+	// version count. Mutators clear it and install their change in one
+	// Store.mu section (mutateLocked + installMeta), so no reader can
+	// observe the window between mutation and clear; readers rebuild and
+	// store it under the read lock.
 	cachedView atomic.Pointer[readView]
 }
 
@@ -907,13 +910,17 @@ func (s *Store) newArrayState(schema array.Schema, branchedFrom *BranchRef) (*ar
 // makes the array visible. The directory syncs and the manifest append
 // run with Store.mu released; the name is reserved in s.creating
 // meanwhile so a concurrent creator of the same name fails instead of
-// committing a second document.
+// committing a second document. A creator of a name whose DeleteArray is
+// still removing the tree waits for the drop to finish.
 func (s *Store) publishArray(st *arrayState) error {
 	name := st.Schema.Name
 	if err := s.writeGate(name); err != nil {
 		return err
 	}
 	s.mu.Lock()
+	for s.dropping[name] != nil {
+		s.dropped.Wait()
+	}
 	var err error
 	switch {
 	case s.closed:
@@ -973,11 +980,11 @@ func (s *Store) commitNewArray(st *arrayState) error {
 // unreferenced directory for Open-time recovery to sweep — never a
 // half-deleted array that resurrects with versions missing.
 //
-// The array's commitMu is held across the commit: an insert leader
-// runs its metadata commit with Store.mu released, and without this
-// latch a delete + same-name recreate could slip into that window,
-// landing the old array's staged metadata under the recreated array's
-// name.
+// The record is appended holding only the array's commitMu, its
+// metadata writer latch: an insert leader runs its metadata commit with
+// Store.mu released, and without this latch a delete + same-name
+// recreate could slip into that window, landing the old array's staged
+// metadata under the recreated array's name.
 func (s *Store) DeleteArray(name string) error {
 	if err := s.writeGate(name); err != nil {
 		return err
@@ -996,33 +1003,45 @@ func (s *Store) DeleteArray(name string) error {
 // st.commitMu (Branch and Merge rolling back their new array).
 func (s *Store) deleteArrayLatched(st *arrayState) error {
 	name := st.Schema.Name
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	s.mu.RLock()
+	closed, current := s.closed, s.arrays[name] == st
+	s.mu.RUnlock()
+	switch {
+	case closed:
 		return ErrClosed
-	}
-	if s.arrays[name] != st {
+	case !current:
 		return fmt.Errorf("core: no array %q", name)
 	}
-	st.ioMu.Lock()
 	if err := s.man.commit([]manifestOp{{Name: name, Drop: true}}); err != nil {
-		st.ioMu.Unlock()
 		s.noteCommitFailure(st, err)
 		return err
 	}
-	// post-commit garbage collection; a failure just leaves an
-	// unreferenced directory for the next durable open's root sweep.
-	// The removal is routed through the generation-map retire so it
-	// defers past cached zero-copy planes; the invalidate below (still
-	// under Store.mu, with no reader able to start meanwhile) drains
-	// those refs, so the unlink always lands before we return.
-	dir := st.dir
-	s.maps.retire(st.chunksDir(), func() { _ = s.fs.RemoveAll(dir) })
-	st.ioMu.Unlock()
+	// the array stays in s.dropping until the tree is gone, so a same-name
+	// CreateArray cannot build its directory where the removal lands and
+	// Close still drains its readers; the epoch bump keeps in-flight
+	// readers' late cache puts unreachable
+	s.mu.Lock()
 	delete(s.arrays, name)
-	s.invalidateArrayLocked(name)
+	s.dropping[name] = st
+	s.epochs[name]++
+	s.mu.Unlock()
 	s.workload.drop(name)
 	s.dropTuneEstimate(name)
+	// post-commit garbage collection, with no store lock held: drain the
+	// readers that snapshotted before the removal, then retire the
+	// generation. The retire defers the unlink past cached zero-copy
+	// planes; the cache sweep right after drains their references, so the
+	// unlink lands before we return. A failure just leaves an
+	// unreferenced directory for the next durable open's root sweep.
+	dir := st.dir
+	st.ioMu.Lock()
+	s.maps.retire(st.chunksDir(), func() { _ = s.fs.RemoveAll(dir) })
+	s.chunkCache.InvalidateArray(name)
+	st.ioMu.Unlock()
+	s.mu.Lock()
+	delete(s.dropping, name)
+	s.mu.Unlock()
+	s.dropped.Broadcast()
 	return nil
 }
 

@@ -537,18 +537,37 @@ func TestReorganizePolicies(t *testing.T) {
 	}
 }
 
+// TestReorganizeBatched: §IV-E batched re-encoding, reached through
+// ReorganizeOptions.BatchK. Each batch of K versions is laid out on its
+// own — no delta base crosses a batch boundary — and every version reads
+// back byte-identical.
 func TestReorganizeBatched(t *testing.T) {
+	checkReorganizeBatched(t, evolvingVersions(7, 32, 15), 3, false)
+}
+
+// TestAutoBatchReencode: the §IV-E batch re-encode of periodic content.
+// Periodic content (A,B,A,B) inside a batch of 4 must make same-phase
+// versions delta against each other rather than form a lossy linear
+// chain: after Compact the store is far below raw.
+func TestAutoBatchReencode(t *testing.T) {
+	checkReorganizeBatched(t, periodicVersions(8, 32, 53), 4, true)
+}
+
+// checkReorganizeBatched inserts versions, reorganizes them in batches
+// of k under the optimal policy, and checks read-back, batch isolation,
+// Verify and, for periodic content, the on-disk size after Compact.
+func checkReorganizeBatched(t *testing.T, versions []*array.Dense, k int, periodic bool) {
+	t.Helper()
 	s := testStore(t, smallOpts())
 	if err := s.CreateArray(schema2D("B", 32)); err != nil {
 		t.Fatal(err)
 	}
-	versions := evolvingVersions(7, 32, 15)
 	for _, v := range versions {
 		if _, err := s.Insert("B", DensePayload(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Reorganize("B", ReorganizeOptions{Policy: PolicyOptimal, BatchK: 3}); err != nil {
+	if err := s.Reorganize("B", ReorganizeOptions{Policy: PolicyOptimal, BatchK: k}); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range versions {
@@ -557,6 +576,48 @@ func TestReorganizeBatched(t *testing.T) {
 			t.Fatalf("batched reorganize broke version %d: %v", i+1, err)
 		}
 	}
+	infos, _ := s.Versions("B")
+	for _, vi := range infos {
+		for _, b := range vi.DeltaBases {
+			if (b-1)/k != (vi.ID-1)/k {
+				t.Fatalf("version %d crosses batch boundary (base %d)", vi.ID, b)
+			}
+		}
+	}
+	if periodic {
+		if err := s.Compact("B"); err != nil {
+			t.Fatal(err)
+		}
+		info, _ := s.Info("B")
+		// floor is 2 materialized phase versions per batch + tiny deltas
+		raw := int64(len(versions)) * versions[0].SizeBytes()
+		if info.DiskBytes >= raw*2/3 {
+			t.Fatalf("batched store uses %d bytes; raw would be %d", info.DiskBytes, raw)
+		}
+	}
+	if rep, err := s.Verify("B"); err != nil || !rep.Ok() {
+		t.Fatalf("verify after batching: %v %v", rep.Problems, err)
+	}
+}
+
+// periodicVersions alternates two random phases, each version with a
+// tiny tweak of its own.
+func periodicVersions(n int, side, seed int64) []*array.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	phases := [2]*array.Dense{
+		array.MustDense(array.Int32, []int64{side, side}),
+		array.MustDense(array.Int32, []int64{side, side}),
+	}
+	for i := int64(0); i < phases[0].NumCells(); i++ {
+		phases[0].SetBits(i, int64(rng.Uint32()))
+		phases[1].SetBits(i, int64(rng.Uint32()))
+	}
+	out := make([]*array.Dense, n)
+	for v := range out {
+		out[v] = phases[v%2].Clone()
+		out[v].SetBits(int64(v), int64(v))
+	}
+	return out
 }
 
 func TestReorganizeWorkloadAware(t *testing.T) {
@@ -1089,71 +1150,5 @@ func TestMergeSparseParents(t *testing.T) {
 	got, err := s.Select("MC", 2)
 	if err != nil || !got.Sparse.Equal(b) {
 		t.Fatalf("sparse merge broken: %v", err)
-	}
-}
-
-func TestAutoBatchReencode(t *testing.T) {
-	// §IV-E: with AutoBatchK set, each completed batch of K versions is
-	// re-encoded together under the optimal layout. Periodic content
-	// (A,B,A,B) inside a batch should make same-phase versions delta
-	// against each other rather than forming a lossy linear chain.
-	o := smallOpts()
-	o.AutoBatchK = 4
-	s := testStore(t, o)
-	if err := s.CreateArray(schema2D("BK", 32)); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(53))
-	phaseA := array.MustDense(array.Int32, []int64{32, 32})
-	phaseB := array.MustDense(array.Int32, []int64{32, 32})
-	for i := int64(0); i < phaseA.NumCells(); i++ {
-		phaseA.SetBits(i, int64(rng.Uint32()))
-		phaseB.SetBits(i, int64(rng.Uint32()))
-	}
-	var want []*array.Dense
-	for v := 0; v < 8; v++ {
-		var content *array.Dense
-		if v%2 == 0 {
-			content = phaseA.Clone()
-		} else {
-			content = phaseB.Clone()
-		}
-		content.SetBits(int64(v), int64(v)) // tiny per-version tweak
-		want = append(want, content)
-		if _, err := s.Insert("BK", DensePayload(content)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, w := range want {
-		got, err := s.Select("BK", i+1)
-		if err != nil || !got.Dense.Equal(w) {
-			t.Fatalf("version %d broken after batch re-encode: %v", i+1, err)
-		}
-	}
-	// batches must be separate: no version in batch 2 (ids 5-8) may be
-	// delta-based on batch 1 (ids 1-4)
-	infos, _ := s.Versions("BK")
-	for _, vi := range infos[4:] {
-		for _, b := range vi.DeltaBases {
-			if b <= 4 {
-				t.Fatalf("version %d crosses batch boundary (base %d)", vi.ID, b)
-			}
-		}
-	}
-	// the periodic structure must be exploited: same-phase deltas are
-	// tiny, so the store is far below 8 materialized versions
-	info, _ := s.Info("BK")
-	if err := s.Compact("BK"); err != nil {
-		t.Fatal(err)
-	}
-	info, _ = s.Info("BK")
-	// floor is 4 materialized phase versions (2 per batch) + tiny deltas
-	raw := int64(8) * phaseA.SizeBytes()
-	if info.DiskBytes >= raw*2/3 {
-		t.Fatalf("batched store uses %d bytes; raw would be %d", info.DiskBytes, raw)
-	}
-	rep, err := s.Verify("BK")
-	if err != nil || !rep.Ok() {
-		t.Fatalf("verify after batching: %v %v", rep.Problems, err)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"arrayvers/internal/array"
 	"arrayvers/internal/compress"
 	"arrayvers/internal/delta"
-	"arrayvers/internal/layout"
 	"arrayvers/internal/trace"
 )
 
@@ -146,15 +145,15 @@ type insertCtx struct {
 }
 
 // context returns the caller's context, defaulting to Background for
-// the commit-time re-encodes (AutoBatchK, DeleteVersion) that run
-// without one. Cancellation is only honored during staging — a payload that
-// reached the shared commit queue always runs to completion, so a
-// group-commit leader never aborts followers' work.
+// DeleteVersion's child re-encode, which runs without one. Cancellation
+// is only honored during staging — a payload that reached the shared
+// commit queue always runs to completion, so a group-commit leader never
+// aborts followers' work.
 func (c *insertCtx) context() context.Context {
 	if c.goCtx != nil {
 		return c.goCtx
 	}
-	return context.Background() //avlint:allow-ctx the designated fallback for non-cancellable commit-time re-encodes (AutoBatchK, DeleteVersion); every cancellable path sets goCtx
+	return context.Background() //avlint:allow-ctx the designated fallback for DeleteVersion's non-cancellable child re-encode; every cancellable path sets goCtx
 }
 
 // writeSet tracks the chunk-file byte ranges appended by one staged
@@ -750,14 +749,7 @@ func (s *Store) awaitCommit(st *arrayState, mine *stagedInsert) {
 		// install in drain order while the next leader starts syncing
 		st.commitMu.Lock()
 		st.syncMu.Unlock()
-		if s.opts.AutoBatchK > 1 {
-			// the batched-update re-encode appends to chunk files
-			st.writeMu.Lock()
-		}
 		s.finalizeBatch([]commitGroup{{st, batch}})
-		if s.opts.AutoBatchK > 1 {
-			st.writeMu.Unlock()
-		}
 		st.commitMu.Unlock()
 	}
 }
@@ -788,8 +780,7 @@ type commitGroup struct {
 // every other metadata writer on that array — so concurrent selects and
 // the next leader's staging never stall behind the commit's fsync.
 // Every insert has its outcome finalized (done closed) before
-// finalizeBatch returns. Callers also hold each array's writeMu when
-// AutoBatchK > 1: the batched-update re-encode appends to chunk files.
+// finalizeBatch returns.
 func (s *Store) finalizeBatch(groups []commitGroup) {
 	var all []*stagedInsert
 	for _, g := range groups {
@@ -803,9 +794,7 @@ func (s *Store) finalizeBatch(groups []commitGroup) {
 	type validated struct {
 		st     *arrayState
 		ok     []*stagedInsert
-		staged *arrayMeta // the live document plus ok's versions,
-		from   int        // which start at this index
-		ws     *writeSet  // AutoBatchK re-encode appends
+		staged *arrayMeta // the live document plus ok's versions
 	}
 	var vals []validated
 	installed := 0
@@ -825,19 +814,14 @@ func (s *Store) finalizeBatch(groups []commitGroup) {
 			continue
 		}
 		if ok, staged := s.validateBatchLocked(g.st, g.batch); len(ok) > 0 {
-			from := len(g.st.Versions)
-			vals = append(vals, validated{g.st, ok, staged, from, newWriteSet()})
-			installed += len(staged.Versions) - from
+			vals = append(vals, validated{g.st, ok, staged})
+			installed += len(staged.Versions) - len(g.st.Versions)
 		}
 	}
 	s.mu.Unlock()
 	// from here on a failure fails every validated insert: the staged
-	// versions never existed, the stagers sweep their own blobs, and the
-	// re-encodes' are swept here (writeMu is held whenever ws is non-empty)
+	// versions never existed, and the stagers sweep their own blobs
 	failAll := func(err error) {
-		for _, v := range vals {
-			v.ws.sweep(s)
-		}
 		for _, ins := range all {
 			ins.fail(err)
 		}
@@ -857,18 +841,6 @@ func (s *Store) finalizeBatch(groups []commitGroup) {
 	var traces []*trace.Trace // distinct: a cross-array batch stages every group under one trace
 	seen := map[*trace.Trace]bool{nil: true}
 	for i, v := range vals {
-		// §IV-E batched updates: re-encode every batch of K versions the
-		// new ones complete — off Store.mu (commitMu keeps the document
-		// ours) — and make the fresh blobs durable before the record that
-		// references them
-		err := s.batchReencodeStaged(v.st, v.staged, v.from, v.ws)
-		if err == nil {
-			err = s.syncWrites(v.st, v.ws, filepath.Join(v.st.dir, chunksDirName(v.staged.Gen)))
-		}
-		if err != nil {
-			failAll(err)
-			return
-		}
 		ops[i] = manifestOp{Name: v.st.Schema.Name, Meta: v.staged}
 		for _, ins := range v.ok {
 			if !seen[ins.tr] {
@@ -910,25 +882,6 @@ func (s *Store) finalizeBatch(groups []commitGroup) {
 	s.mu.Unlock()
 	observe(StageInstall, t0)
 	s.prof.batchSize.Observe(float64(installed))
-}
-
-// syncWrites makes a commit-time write-set durable: every touched file,
-// then the chunks directory if any file was created. A failed fsync may
-// have dropped already-written pages — the on-disk effect is uncertain —
-// so the array degrades before anyone writes behind it. No-op without
-// Durability.
-func (s *Store) syncWrites(st *arrayState, ws *writeSet, chunksDir string) error {
-	if !s.opts.Durability || ws.empty() {
-		return nil
-	}
-	err := ws.sync(s)
-	if err == nil && ws.createdFiles() {
-		err = s.fs.SyncDir(chunksDir)
-	}
-	if err != nil {
-		s.noteCommitFailure(st, err)
-	}
-	return err
 }
 
 // syncStagedBatch makes one round of staged inserts durable. The
@@ -1103,86 +1056,6 @@ func staleBase(ins *stagedInsert, liveIDs map[int]bool) int {
 	return 0
 }
 
-// batchReencodeStaged implements §IV-E's batched update heuristic on a
-// staged metadata document: wherever one of the versions appended from
-// index from on completes a batch of AutoBatchK live versions, that
-// batch is re-encoded together under the optimal layout computed over
-// the batch alone. Earlier batches are left untouched. Committed
-// versionMeta records are cloned before their chunk maps are replaced —
-// published versions are shared with reader snapshots and must never be
-// edited in place — and the clones are swapped into the staged slice,
-// so nothing is visible until the caller's commit installs the
-// document. Callers hold the array's commitMu and writeMu.
-func (s *Store) batchReencodeStaged(st *arrayState, staged *arrayMeta, from int, ws *writeSet) error {
-	k := s.opts.AutoBatchK
-	if k <= 1 {
-		return nil
-	}
-	qc := newChunkCache()
-	var live []int // indices of the live versions seen so far
-	for si, vm := range staged.Versions {
-		if vm.Deleted {
-			continue
-		}
-		live = append(live, si)
-		if si < from || len(live)%k != 0 {
-			continue
-		}
-		if err := s.reencodeBatch(st, staged, live[len(live)-k:], ws, qc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// reencodeBatch re-encodes the versions at the given indices of staged
-// as one §IV-E batch.
-func (s *Store) reencodeBatch(st *arrayState, staged *arrayMeta, batch []int, ws *writeSet, qc *chunkCache) error {
-	v := s.viewOfMeta(st, staged)
-	ictx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.dir, sparse: staged.SparseRep}
-	// load batch contents; re-encodes only ever append (chain files grow
-	// at the tail, per-version files get fresh FileSeq names), so
-	// in-flight lock-free readers keep decoding the byte ranges their
-	// snapshots reference
-	full := array.BoxOf(st.Schema.Shape())
-	planes := make([][]Plane, len(batch))
-	for i, si := range batch {
-		planes[i] = make([]Plane, len(st.Schema.Attrs))
-		for ai, attr := range st.Schema.Attrs {
-			pl, err := s.readRegionView(ictx.context(), v, staged.Versions[si].ID, attr.Name, full, qc, nil)
-			if err != nil {
-				return err
-			}
-			planes[i][ai] = pl
-		}
-	}
-	mm, err := s.buildMatrix(staged.SparseRep, len(st.Schema.Attrs), planes, s.opts.EstimateSample)
-	if err != nil {
-		return err
-	}
-	l := layout.Optimal(mm)
-	// re-encode every batch member per the layout; bases stay inside the
-	// batch, keeping batches separate as §IV-E prescribes
-	for i, si := range batch {
-		vm := staged.Versions[si]
-		p, base := l.Parent[i], 0
-		if p != i {
-			base = staged.Versions[batch[p]].ID
-		}
-		cp := vm.clone()
-		for ai, attr := range st.Schema.Attrs {
-			entries, err := s.encodePlane(ictx, vm.ID, attr, planes[i][ai], base, planes[p][ai])
-			if err != nil {
-				return err
-			}
-			cp.Chunks[attr.Name] = entries
-		}
-		staged.Versions[si] = cp
-		v.byID[vm.ID] = cp
-	}
-	return nil
-}
-
 func repName(sparse bool) string {
 	if sparse {
 		return "sparse"
@@ -1340,7 +1213,7 @@ func (s *Store) chooseDeltaBase(ctx *insertCtx, planes []Plane) (int, []Plane, e
 }
 
 // encodePlane chunks one attribute's content and writes every chunk —
-// the one encoder behind inserts, commit-time re-encodes and rewrites.
+// the one encoder behind inserts, DeleteVersion's re-encodes and rewrites.
 // With a base (baseID > 0; base is that version's plane of the same
 // attribute) each chunk is delta-encoded against the base's chunk when
 // that is smaller ("disk space usage is calculated by trying both

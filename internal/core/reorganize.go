@@ -609,15 +609,19 @@ func (s *Store) syncDirFiles(dir string) error {
 // materialized), preserving the no-overwrite property for everything
 // still live. Space is reclaimed by Compact.
 //
-// Like the insert path, the deletion is staged: the re-encoded chunk
-// maps and the deletion flag are built on cloned versionMeta records in
-// a staged arrayMeta, committed with one manifest record, and installed
-// into the live state only on success — a failed commit leaves memory
-// and disk agreeing that the version is still live, and sweeps the
-// re-encode's appended blobs. The write latch is held because the
-// re-encodes append to chunk files concurrent insert staging also
-// appends to; reorgMu because removing a version can invalidate an
-// optimistic insert staged against it (see InsertBatchCtx).
+// It takes the shape of every mutator: stage → sync → commit → install.
+// The re-encoded chunk maps and the deletion flag are staged on cloned
+// versionMeta records in a staged arrayMeta, synced, committed with one
+// manifest record, and installed into the live state only on success —
+// a failed commit leaves memory and disk agreeing that the version is
+// still live, and sweeps the re-encode's appended blobs. Store.mu is
+// held only to snapshot and to install, so selects and inserts on every
+// other array (and selects of this one) proceed meanwhile. The write
+// latch is held because the re-encodes append to chunk files concurrent
+// insert staging also appends to; commitMu because it is the array's
+// metadata writer latch; reorgMu because removing a version can
+// invalidate an optimistic insert staged against it (see
+// InsertBatchCtx).
 func (s *Store) DeleteVersion(name string, id int) error {
 	if err := s.writeGate(name); err != nil {
 		return err
@@ -631,107 +635,45 @@ func (s *Store) DeleteVersion(name string, id int) error {
 	defer st.reorgMu.Unlock()
 	defer st.commitMu.Unlock()
 	defer st.writeMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	// snapshot under a brief store lock; the I/O read latch pins the
+	// generation the re-encodes append into before the lock drops
+	s.mu.RLock()
+	switch {
+	case s.closed:
+		err = ErrClosed
+	case s.arrays[name] != st:
+		err = fmt.Errorf("core: no array %q", name)
+	default:
+		_, err = st.version(id)
 	}
-	if s.arrays[name] != st {
-		return fmt.Errorf("core: no array %q", name)
-	}
-	vm, err := st.version(id)
 	if err != nil {
+		s.mu.RUnlock()
 		return err
 	}
 	staged := st.metaClone()
-	v := s.viewOfMeta(st, &staged)
+	st.ioMu.RLock()
+	s.mu.RUnlock()
 	ws := newWriteSet()
-	qc := newChunkCache()
-	ctx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.dir, sparse: staged.SparseRep}
-	full := array.BoxOf(st.Schema.Shape())
-	commit := func() error {
-		// the child re-encodes below only ever append (fresh FileSeq
-		// files in per-version mode, chain tails in co-located mode), so
-		// in-flight readers keep decoding their snapshots without a latch.
-		// re-encode every live chunk that bases on the deleted version
-		for si, child := range staged.Versions {
-			if child.ID == id || child.Deleted {
-				continue
-			}
-			var cp *versionMeta
-			for _, attr := range st.Schema.Attrs {
-				dirty := false
-				for _, e := range child.Chunks[attr.Name] {
-					if e.Base == id {
-						dirty = true
-						break
-					}
-				}
-				if !dirty {
-					continue
-				}
-				pl, err := s.readRegionView(ctx.context(), v, child.ID, attr.Name, full, qc, nil)
-				if err != nil {
-					return err
-				}
-				// choose the deleted version's base as the new base when it
-				// is still live, otherwise materialize; scan every chunk and
-				// take the newest live base so the pick is deterministic
-				// (map iteration order is not)
-				newBase := 0
-				for _, e := range vm.Chunks[attr.Name] {
-					if e.Base >= 0 && e.Base > newBase && e.Base != id {
-						if _, err := v.version(e.Base); err == nil {
-							newBase = e.Base
-						}
-					}
-				}
-				var basePl Plane
-				if newBase > 0 {
-					if basePl, err = s.readRegionView(ctx.context(), v, newBase, attr.Name, full, qc, nil); err != nil {
-						return err
-					}
-				}
-				entries, err := s.encodePlane(ctx, child.ID, attr, pl, newBase, basePl)
-				if err != nil {
-					return err
-				}
-				if cp == nil {
-					cp = child.clone()
-				}
-				cp.Chunks[attr.Name] = entries
-			}
-			if cp != nil {
-				staged.Versions[si] = cp
-				v.byID[child.ID] = cp
-			}
-		}
-		for si, svm := range staged.Versions {
-			if svm.ID == id {
-				del := *svm
-				del.Deleted = true
-				staged.Versions[si] = &del
-				break
-			}
-		}
-		if err := s.syncWrites(st, ws, ctx.dir); err != nil {
-			return err
-		}
-		if err := s.commitMeta(st, &staged); err != nil {
-			if isUncertain(err) {
-				s.noteCommitFailure(st, err)
-			}
-			return err
-		}
-		return nil
+	dir := filepath.Join(st.dir, chunksDirName(staged.Gen))
+	err = s.stageDeleteVersion(st, &staged, id, ws)
+	if err == nil {
+		err = s.syncWrites(st, ws, dir)
 	}
-	if err := commit(); err != nil {
+	if err == nil {
+		if err = s.commitMeta(st, &staged); err != nil && isUncertain(err) {
+			s.noteCommitFailure(st, err)
+		}
+	}
+	st.ioMu.RUnlock()
+	if err != nil {
 		ws.sweep(s)
 		s.noteDiskPressure(err)
 		return err
 	}
+	s.mu.Lock()
 	st.mutateLocked()
 	st.installMeta(staged)
+	s.mu.Unlock()
 	// drain in-flight readers before sweeping the cache: a reader that
 	// snapshotted before the delete may otherwise re-insert entries after
 	// the sweep, leaving them resident until eviction pressure finds
@@ -739,12 +681,106 @@ func (s *Store) DeleteVersion(name string, id int) error {
 	st.ioMu.Lock()
 	st.ioMu.Unlock() //nolint:staticcheck // empty critical section = barrier
 	// only the deleted version's decoded chunks are invalid — children
-	// were re-encoded above but their decoded content is unchanged, so
-	// the rest of the array's warm cache stays (no epoch bump: version
-	// ids are never reused, and selects reject deleted ids before any
-	// cache lookup)
+	// were re-encoded but their decoded content is unchanged, so the
+	// rest of the array's warm cache stays (no epoch bump: version ids
+	// are never reused, and selects reject deleted ids before any cache
+	// lookup)
 	s.chunkCache.InvalidateVersion(name, id)
 	return nil
+}
+
+// stageDeleteVersion re-encodes, into staged, every live chunk that
+// bases on version id, then marks id deleted. The re-encodes only ever
+// append (fresh FileSeq files in per-version mode, chain tails in
+// co-located mode), so in-flight readers keep decoding their snapshots
+// without a latch. Callers hold the array's writeMu and the I/O read
+// latch of staged's generation.
+func (s *Store) stageDeleteVersion(st *arrayState, staged *arrayMeta, id int, ws *writeSet) error {
+	v := s.viewOfMeta(st, staged)
+	vm := v.byID[id]
+	qc := newChunkCache()
+	ctx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.dir, sparse: staged.SparseRep}
+	full := array.BoxOf(st.Schema.Shape())
+	for si, child := range staged.Versions {
+		if child.ID == id || child.Deleted {
+			continue
+		}
+		var cp *versionMeta
+		for _, attr := range st.Schema.Attrs {
+			dirty := false
+			for _, e := range child.Chunks[attr.Name] {
+				if e.Base == id {
+					dirty = true
+					break
+				}
+			}
+			if !dirty {
+				continue
+			}
+			pl, err := s.readRegionView(ctx.context(), v, child.ID, attr.Name, full, qc, nil)
+			if err != nil {
+				return err
+			}
+			// choose the deleted version's base as the new base when it
+			// is still live, otherwise materialize; scan every chunk and
+			// take the newest live base so the pick is deterministic
+			// (map iteration order is not)
+			newBase := 0
+			for _, e := range vm.Chunks[attr.Name] {
+				if e.Base >= 0 && e.Base > newBase && e.Base != id {
+					if _, err := v.version(e.Base); err == nil {
+						newBase = e.Base
+					}
+				}
+			}
+			var basePl Plane
+			if newBase > 0 {
+				if basePl, err = s.readRegionView(ctx.context(), v, newBase, attr.Name, full, qc, nil); err != nil {
+					return err
+				}
+			}
+			entries, err := s.encodePlane(ctx, child.ID, attr, pl, newBase, basePl)
+			if err != nil {
+				return err
+			}
+			if cp == nil {
+				cp = child.clone()
+			}
+			cp.Chunks[attr.Name] = entries
+		}
+		if cp != nil {
+			staged.Versions[si] = cp
+			v.byID[child.ID] = cp
+		}
+	}
+	for si, svm := range staged.Versions {
+		if svm.ID == id {
+			del := *svm
+			del.Deleted = true
+			staged.Versions[si] = &del
+			break
+		}
+	}
+	return nil
+}
+
+// syncWrites makes a re-encode write-set durable: every touched file,
+// then the chunks directory if any file was created. A failed fsync may
+// have dropped already-written pages — the on-disk effect is uncertain —
+// so the array degrades before anyone writes behind it. No-op without
+// Durability.
+func (s *Store) syncWrites(st *arrayState, ws *writeSet, chunksDir string) error {
+	if !s.opts.Durability || ws.empty() {
+		return nil
+	}
+	err := ws.sync(s)
+	if err == nil && ws.createdFiles() {
+		err = s.fs.SyncDir(chunksDir)
+	}
+	if err != nil {
+		s.noteCommitFailure(st, err)
+	}
+	return err
 }
 
 // Compact rewrites an array's chunk files keeping only payloads

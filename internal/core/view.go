@@ -63,16 +63,16 @@ func (s *Store) viewLocked(st *arrayState) *readView {
 // metadata and acquire its I/O read latch, then releases the store lock.
 // The returned release func must be called when the query is done. The
 // latch is acquired while still under Store.mu, which is what makes it
-// race-free: a destructive rewrite needs Store.mu before it can request
-// the exclusive latch, so it can never slip between our snapshot and our
-// latch acquisition.
+// race-free: a destructive mutator installs its change under Store.mu
+// and only then requests the exclusive latch (with Store.mu released),
+// so a reader that snapshotted the old state already holds the latch
+// the mutator drains.
 //
 // The cloned view is memoized on the arrayState between mutations:
 // views are immutable once built, so concurrent readers share one, and
 // repeated selects skip the clone entirely. A mutator clears the memo
-// at the top of its critical section; since it holds Store.mu
-// exclusively until done, a reader can never store a view that predates
-// a mutation after that mutation's clear.
+// and installs its change in one Store.mu section, so a reader can never
+// store a view that predates a mutation after that mutation's clear.
 func (s *Store) snapshot(name string) (*readView, func(), error) {
 	s.mu.RLock()
 	if s.closed {

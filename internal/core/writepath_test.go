@@ -240,6 +240,221 @@ func TestInsertMultiHoldsNoStoreLockAcrossIO(t *testing.T) {
 	mustSelect(t, s, "B", 2, next)
 }
 
+// TestDeletesHoldNoStoreLockAcrossIO parks DeleteVersion in its
+// child's chunk-file fsync and in its manifest append, and DeleteArray
+// in its manifest append, then uses the store from outside. Selects of
+// another version of the same array and of another array must complete
+// meanwhile, and so must an insert into another array — while parked in
+// the fsync, at once; while parked in the manifest append, as soon as
+// the append it queues behind (the store's one log) finishes.
+func TestDeletesHoldNoStoreLockAcrossIO(t *testing.T) {
+	const side = 16
+	chunkSync := func(path string) bool { return strings.HasSuffix(path, ".chain") }
+	manifestLog := func(path string) bool {
+		base := filepath.Base(path)
+		return strings.HasPrefix(base, manifestPrefix) && strings.HasSuffix(base, ".log")
+	}
+	cases := []struct {
+		name     string
+		onSync   bool // park in a Sync of a matching file, else in its Append
+		match    func(path string) bool
+		op       func(s *Store) error
+		dropped  bool // the op removes the whole array
+		inserted bool // the other array's insert finishes while parked
+	}{
+		{"DeleteVersion/child-sync", true, chunkSync, func(s *Store) error { return s.DeleteVersion("D", 2) }, false, true},
+		{"DeleteVersion/manifest-append", false, manifestLog, func(s *Store) error { return s.DeleteVersion("D", 2) }, false, false},
+		{"DeleteArray/manifest-append", false, manifestLog, func(s *Store) error { return s.DeleteArray("D") }, true, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			parked := make(chan struct{})
+			release := make(chan struct{})
+			var armed atomic.Bool // parks the first matching call after it is set
+			park := func(path string) {
+				if c.match(path) && armed.CompareAndSwap(true, false) {
+					close(parked)
+					<-release
+				}
+			}
+			hfs := &hookFS{FS: fsio.OS}
+			if c.onSync {
+				hfs.onSync = park
+			} else {
+				hfs.onAppend = park
+			}
+			opts := smallOpts()
+			opts.ChunkBytes = 1 << 10
+			opts.Durability = true
+			opts.FS = hfs
+			s := testStore(t, opts)
+			defer s.Close()
+			var unpark sync.Once
+			// a failed check still lets the delete finish, so Close returns
+			defer unpark.Do(func() { close(release) })
+			// an evolving chain, so version 3 is delta'ed against 2 and
+			// deleting 2 re-encodes it
+			chain := evolvingVersions(3, side, 7)
+			other := crashContent(1, side)
+			for _, name := range []string{"D", "O"} {
+				if err := s.CreateArray(schema2D(name, side)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, v := range chain {
+				if _, err := s.Insert("D", DensePayload(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := s.Insert("O", DensePayload(other)); err != nil {
+				t.Fatal(err)
+			}
+			armed.Store(true)
+			done := make(chan error, 1)
+			go func() { done <- c.op(s) }()
+			select {
+			case <-parked:
+			case err := <-done:
+				t.Fatalf("op finished (%v) without reaching the hooked call", err)
+			}
+			next := crashContent(2, side)
+			inserted := make(chan error, 1)
+			go func() {
+				_, err := s.Insert("O", DensePayload(next))
+				inserted <- err
+			}()
+			within(t, "reads beside a parked delete", func() {
+				mustSelect(t, s, "D", 1, chain[0])
+				mustSelect(t, s, "D", 3, chain[2])
+				mustSelect(t, s, "O", 1, other)
+				if c.inserted {
+					if err := <-inserted; err != nil {
+						t.Errorf("insert into another array: %v", err)
+					}
+				}
+			})
+			unpark.Do(func() { close(release) })
+			within(t, "the parked delete", func() {
+				if err := <-done; err != nil {
+					t.Errorf("%s: %v", c.name, err)
+				}
+			})
+			if !c.inserted {
+				within(t, "the insert queued behind the parked append", func() {
+					if err := <-inserted; err != nil {
+						t.Errorf("insert into another array: %v", err)
+					}
+				})
+			}
+			mustSelect(t, s, "O", 2, next)
+			if c.dropped {
+				if _, err := s.Select("D", 1); err == nil {
+					t.Error("dropped array is still selectable")
+				}
+				return
+			}
+			if _, err := s.Select("D", 2); err == nil {
+				t.Error("deleted version is still selectable")
+			}
+			mustSelect(t, s, "D", 3, chain[2])
+			if rep, err := s.Verify("D"); err != nil || !rep.Ok() {
+				t.Fatalf("verify: %v %v", err, rep.Problems)
+			}
+		})
+	}
+}
+
+// TestCloseAndCreateWaitForDrop parks DeleteArray in its reader drain —
+// committed and unpublished, but with a reader still holding the array's
+// read latch — and checks that a same-name CreateArray waits for the
+// drop instead of failing, and that Close waits for the dropped array's
+// reader instead of unmapping its chunks underneath it.
+func TestCloseAndCreateWaitForDrop(t *testing.T) {
+	const side = 16
+	opts := smallOpts()
+	opts.ChunkBytes = 1 << 10
+	s := testStore(t, opts)
+	defer s.Close()
+	content := crashContent(1, side)
+	// parkDrop snapshots D (the parked reader), starts DeleteArray and
+	// returns once the drop waits on that reader
+	parkDrop := func() (*readView, func(), chan error) {
+		t.Helper()
+		if err := s.CreateArray(schema2D("D", side)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Insert("D", DensePayload(content)); err != nil {
+			t.Fatal(err)
+		}
+		v, release, err := s.snapshotUncached("D")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- s.DeleteArray("D") }()
+		within(t, "the drop reaching its reader drain", func() {
+			for {
+				s.mu.RLock()
+				dropping := s.dropping["D"] != nil
+				s.mu.RUnlock()
+				if dropping {
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+		return v, release, done
+	}
+	readThrough := func(v *readView) {
+		t.Helper()
+		got, err := s.readRegionView(context.Background(), v, 1, v.st.Schema.Attrs[0].Name, array.BoxOf(v.st.Schema.Shape()), newChunkCache(), nil)
+		if err != nil || !got.Dense.Equal(content) {
+			t.Errorf("read through the parked reader's view: %v", err)
+		}
+	}
+	blocked := func(what string, ch chan error) {
+		t.Helper()
+		select {
+		case err := <-ch:
+			t.Errorf("%s returned (%v) while the drop was still draining its reader", what, err)
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+
+	v, release, dropped := parkDrop()
+	created := make(chan error, 1)
+	go func() { created <- s.CreateArray(schema2D("D", side)) }()
+	blocked("CreateArray", created)
+	readThrough(v)
+	release()
+	within(t, "the drop and the create waiting on it", func() {
+		if err := <-dropped; err != nil {
+			t.Errorf("DeleteArray: %v", err)
+		}
+		if err := <-created; err != nil {
+			t.Errorf("CreateArray of a name being dropped: %v", err)
+		}
+	})
+	if err := s.DeleteArray("D"); err != nil {
+		t.Fatal(err)
+	}
+
+	v, release, dropped = parkDrop()
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	blocked("Close", closed)
+	readThrough(v)
+	release()
+	within(t, "the drop and the Close waiting on it", func() {
+		if err := <-dropped; err != nil {
+			t.Errorf("DeleteArray: %v", err)
+		}
+		if err := <-closed; err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+}
+
 // TestInsertMultiTraceStages: a traced cross-array batch reports every
 // write-path stage, the shared ones once.
 func TestInsertMultiTraceStages(t *testing.T) {

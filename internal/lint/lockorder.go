@@ -29,17 +29,13 @@ import (
 //     (self-deadlock)
 //   - a lockArray latch list whose literal order descends
 //   - cycles in the observed acquisition graph
+//   - an I/O seam (a method call on fsio.FS or fsio.File, or one of
+//     ioSeamFuncs) reached while Store.mu is held, directly or through
+//     a callee's summary: mutators take the store lock only to snapshot
+//     and to install
 //
-// Who holds what: an insert stages under writeMu and commits through
-// syncMu then commitMu; Reorganize and Compact hold reorgMu, and so
-// does DeleteVersion (with commitMu and writeMu), because all three
-// can invalidate an optimistic insert staging. The two contended
-// fallbacks take whole latch sets in this order rather than a
-// store-wide lock: an insert that keeps losing takes reorgMu and
-// re-runs its attempt; a Reorganize that keeps losing adds {syncMu,
-// commitMu, writeMu} to the reorgMu it holds and re-runs its rebuild.
-// InsertMulti, Branch and Merge hold {syncMu, commitMu, writeMu} of
-// every array they commit to.
+// Who holds what is DESIGN.md "Write path"'s table; the locksets
+// fixture pins each mutator's latch set clean.
 //
 // Cross-instance acquisitions within the per-array latch family
 // (InsertMulti's sorted-name protocol) are exempt: the rank order
@@ -76,6 +72,14 @@ var lockRank = map[string]int{
 	"Store.statsMu":       90,
 }
 
+// ioSeamFuncs are the same-package methods that are I/O seams.
+var ioSeamFuncs = map[string]bool{
+	"Store.syncWrites": true,
+	"Store.syncFile":   true,
+	"Store.commitMeta": true,
+	"manifest.commit":  true,
+}
+
 func lockShortName(key string) string {
 	if i := strings.IndexByte(key, '.'); i >= 0 && !strings.HasPrefix(key, "Store.") {
 		return key[i+1:]
@@ -87,8 +91,9 @@ func arrayFamily(key string) bool { return strings.HasPrefix(key, "arrayState.")
 
 // lockEvent is one step in a function body's linearized execution.
 type lockEvent struct {
-	kind   int // 0 acquire, 1 release, 2 call
+	kind   int // 0 acquire, 1 release, 2 call, 3 fsio method call
 	key    string
+	io     string // the I/O seam this call is, if any (kinds 2 and 3)
 	inst   string // receiver expression text ("" = unknown instance)
 	callee types.Object
 	pos    token.Pos
@@ -105,6 +110,7 @@ type heldLock struct {
 type lockSummary struct {
 	acquires   map[string]bool // every ranked lock the function may acquire, transitively
 	heldAtExit []heldLock
+	io         string // an I/O seam the function may reach, transitively ("" = none)
 }
 
 type lockEdge struct {
@@ -145,15 +151,17 @@ func runLockOrder(pass *Pass) {
 		}
 	}
 
-	// Phase 2: fixpoint over call summaries (the call graph is shallow;
-	// four rounds is plenty for this package).
+	// Phase 2: fixpoint over call summaries. Every summary only grows
+	// (locks acquired, locks held at exit, seam reached), so rounds stop
+	// once one changes nothing.
 	summaries := map[types.Object]*lockSummary{}
-	for round := 0; round < 4; round++ {
+	for changed := true; changed; {
+		changed = false
 		for _, u := range units {
 			if u.obj == nil {
 				continue
 			}
-			acq, held := simulate(u.events, summaries, nil, nil)
+			acq, held, io := simulate(u.events, summaries, nil, nil, nil)
 			if u.noExport {
 				// a function returning a release closure (snapshot /
 				// view acquisition pattern) hands its held locks to
@@ -162,7 +170,10 @@ func runLockOrder(pass *Pass) {
 				// fabricate phantom held state
 				held = nil
 			}
-			summaries[u.obj] = &lockSummary{acquires: acq, heldAtExit: held}
+			if old := summaries[u.obj]; old == nil || len(old.acquires) != len(acq) || len(old.heldAtExit) != len(held) || old.io != io {
+				changed = true
+			}
+			summaries[u.obj] = &lockSummary{acquires: acq, heldAtExit: held, io: io}
 		}
 	}
 
@@ -182,45 +193,64 @@ func runLockOrder(pass *Pass) {
 				return
 			}
 			pass.Reportf(pos, "acquires %s while holding %s — violates the documented lock order (%s)", lockShortName(key), lockShortName(held.key), lockOrderDoc)
+		}, func(reach string, pos token.Pos) {
+			pass.Reportf(pos, "%s while holding Store.mu — mutators stage, sync and commit with the store lock released and take it only to snapshot and to install", reach)
 		})
 	}
 	reportLockCycles(pass, edges)
 }
 
 // simulate walks one event list maintaining the held-lock set. It
-// returns the transitive acquire set and the locks held at exit. When
-// violate is non-nil, order violations are reported through it and
-// every observed (held, acquired) pair is appended to edges.
-func simulate(events []lockEvent, summaries map[types.Object]*lockSummary, edges *[]lockEdge, violate func(held heldLock, key, inst string, pos token.Pos)) (map[string]bool, []heldLock) {
+// returns the transitive acquire set, the locks held at exit and the
+// first I/O seam reached. When violate is non-nil, order violations are
+// reported through it and every observed (held, acquired) pair is
+// appended to edges; when ioHeld is non-nil, every seam reached while
+// Store.mu is held is reported through it.
+func simulate(events []lockEvent, summaries map[types.Object]*lockSummary, edges *[]lockEdge, violate func(held heldLock, key, inst string, pos token.Pos), ioHeld func(reach string, pos token.Pos)) (map[string]bool, []heldLock, string) {
 	acquires := map[string]bool{}
 	var held []heldLock
-
-	acquire := func(key, inst string, pos token.Pos, cond bool) {
+	io := ""
+	// order records an edge from every held lock to key and reports the
+	// descending ones; through a call (viaCall) the same lock is skipped,
+	// its instance being unknown
+	order := func(key, inst string, viaCall bool, pos token.Pos) {
 		acquires[key] = true
 		for _, h := range held {
-			if edgeSuppressed(h, key, inst) {
+			if edgeSuppressed(h, key, inst) || (viaCall && h.key == key) {
 				continue
-			}
-			if lockRank[key] > lockRank[h.key] {
-				if edges != nil {
-					*edges = append(*edges, lockEdge{from: h.key, to: key, pos: pos})
-				}
-				continue
-			}
-			if violate != nil {
-				violate(h, key, inst, pos)
 			}
 			if edges != nil {
 				*edges = append(*edges, lockEdge{from: h.key, to: key, pos: pos})
 			}
+			if lockRank[key] <= lockRank[h.key] && violate != nil {
+				violate(h, key, inst, pos)
+			}
 		}
-		held = append(held, heldLock{key: key, inst: inst, pos: pos, cond: cond})
+	}
+	reachIO := func(e lockEvent) {
+		seam, reach := e.io, "calls "+e.io
+		if sum := summaries[e.callee]; seam == "" && sum != nil && sum.io != "" {
+			seam, reach = sum.io, "calls "+e.callee.Name()+", which reaches "+sum.io+","
+		}
+		if io == "" {
+			io = seam
+		}
+		for _, h := range held {
+			if seam != "" && ioHeld != nil && h.key == "Store.mu" {
+				ioHeld(reach, e.pos)
+				return
+			}
+		}
 	}
 
 	for _, e := range events {
+		if e.kind >= 2 {
+			reachIO(e)
+		}
 		switch e.kind {
 		case 0:
-			acquire(e.key, e.inst, e.pos, e.cond)
+			order(e.key, e.inst, false, e.pos)
+			held = append(held, heldLock{key: e.key, inst: e.inst, pos: e.pos, cond: e.cond})
 		case 1:
 			for i := len(held) - 1; i >= 0; i-- {
 				if held[i].key == e.key {
@@ -241,28 +271,7 @@ func simulate(events []lockEvent, summaries map[types.Object]*lockSummary, edges
 				break
 			}
 			for key := range sum.acquires {
-				acquires[key] = true
-				for _, h := range held {
-					if edgeSuppressed(h, key, "") {
-						continue
-					}
-					if lockRank[key] > lockRank[h.key] {
-						if edges != nil {
-							*edges = append(*edges, lockEdge{from: h.key, to: key, pos: e.pos})
-						}
-						continue
-					}
-					if h.key == key {
-						// same lock through a call: instance unknown, skip
-						continue
-					}
-					if violate != nil {
-						violate(h, key, "", e.pos)
-					}
-					if edges != nil {
-						*edges = append(*edges, lockEdge{from: h.key, to: key, pos: e.pos})
-					}
-				}
+				order(key, "", true, e.pos)
 			}
 			for _, h := range sum.heldAtExit {
 				held = append(held, heldLock{key: h.key, inst: "", pos: e.pos, cond: e.cond})
@@ -286,7 +295,7 @@ func simulate(events []lockEvent, summaries map[types.Object]*lockSummary, edges
 			exit = append(exit, h)
 		}
 	}
-	return acquires, exit
+	return acquires, exit, io
 }
 
 // edgeSuppressed implements the multi-instance exemption: within the
@@ -496,14 +505,45 @@ func (la *lockAnalysis) lockEventFor(call *ast.CallExpr, cond bool) ([]lockEvent
 			return events, true
 		}
 	}
+	if seam := la.fsioSeam(sel); seam != "" {
+		return []lockEvent{{kind: 3, io: seam, pos: call.Pos(), cond: cond}}, true
+	}
 	// plain call: propagate via summary when it resolves to a
 	// same-package function
 	if obj := la.info.Uses[sel.Sel]; obj != nil {
 		if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == la.pass.Pkg.Path {
-			return []lockEvent{{kind: 2, callee: obj, pos: call.Pos(), cond: cond}}, true
+			ev := lockEvent{kind: 2, callee: obj, pos: call.Pos(), cond: cond}
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && namedOf(recv.Type()) != nil {
+				if seam := namedOf(recv.Type()).Obj().Name() + "." + fn.Name(); ioSeamFuncs[seam] {
+					ev.io = seam
+				}
+			}
+			return []lockEvent{ev}, true
 		}
 	}
 	return nil, false
+}
+
+// fsioSeam names a method call on fsio.FS or fsio.File
+// ("fsio.File.Sync"), or returns "".
+func (la *lockAnalysis) fsioSeam(sel *ast.SelectorExpr) string {
+	named := namedOf(la.info.TypeOf(sel.X))
+	if named == nil || named.Obj().Pkg() == nil || !PathSuffix(named.Obj().Pkg().Path(), "internal/fsio") {
+		return ""
+	}
+	if name := named.Obj().Name(); name == "FS" || name == "File" {
+		return "fsio." + name + "." + sel.Sel.Name
+	}
+	return ""
+}
+
+// namedOf is t's named type, through one pointer; nil if it has none.
+func namedOf(t types.Type) *types.Named {
+	if p, isPtr := t.(*types.Pointer); isPtr {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
 }
 
 // rankedLock resolves expr ("st.writeMu", "s.mu", "h.s.healthMu") to a
@@ -513,16 +553,8 @@ func (la *lockAnalysis) rankedLock(expr ast.Expr) (key, inst string, ok bool) {
 	if !isSel {
 		return "", "", false
 	}
-	recvType := la.info.TypeOf(sel.X)
-	if recvType == nil {
-		return "", "", false
-	}
-	t := recvType
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed {
+	named := namedOf(la.info.TypeOf(sel.X))
+	if named == nil {
 		return "", "", false
 	}
 	key = named.Obj().Name() + "." + sel.Sel.Name

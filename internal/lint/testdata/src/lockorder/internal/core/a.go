@@ -4,11 +4,16 @@
 // cross-instance latch pairs (suppressed: the sorted-name protocol
 // governs), early-return unlock (no false positive), interprocedural
 // acquisition through a summary (flagged), the lockArray latch-list
-// order (flagged when descending), and the escape hatch. (The latch
-// sets the mutators really take are pinned clean in ../../locksets.)
+// order (flagged when descending), the escape hatch, and (io.go) I/O
+// reached under Store.mu. (The latch sets the mutators really take are
+// pinned clean in ../../locksets.)
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"example/lockorder/internal/fsio"
+)
 
 type arrayState struct {
 	reorgMu  sync.Mutex
@@ -22,6 +27,8 @@ type arrayState struct {
 type Store struct {
 	mu     sync.RWMutex
 	arrays map[string]*arrayState
+	fs     fsio.FS
+	man    *manifest
 }
 
 func (s *Store) lockArray(name string, pick func(st *arrayState) []*sync.Mutex) (*arrayState, error) {

@@ -1,7 +1,7 @@
 // Package core is the lockorder fixture for the latch sets the store's
 // mutators actually take — all of them in the documented order, so the
-// analyzer must stay silent: no descending acquisition, no cycle. (The
-// violations live in ../../lockorder; mixing them in here would close
+// analyzer must stay silent: no descending acquisition, no cycle, no
+// commit under Store.mu. (The violations live in ../../lockorder; mixing them in here would close
 // cycles with these legitimate edges.)
 package core
 
@@ -19,6 +19,7 @@ type arrayState struct {
 type Store struct {
 	mu     sync.RWMutex
 	arrays map[string]*arrayState
+	man    *manifest
 }
 
 func (s *Store) lockArray(name string, pick func(st *arrayState) []*sync.Mutex) (*arrayState, error) {
@@ -33,19 +34,50 @@ func (s *Store) lockArray(name string, pick func(st *arrayState) []*sync.Mutex) 
 
 // DeleteVersion: the rewrite latch (it can invalidate an optimistic
 // insert staging, like a rewrite), then the metadata writer latch and
-// the write latch, then the store lock
+// the write latch. The store lock is taken only to snapshot — pinning
+// the generation with the I/O read latch before it drops — and to
+// install; the re-encode, sync and commit run with it released, and the
+// reader drain comes after
 func (s *Store) deleteVersion() {
 	st, _ := s.lockArray("x", func(st *arrayState) []*sync.Mutex {
 		return []*sync.Mutex{&st.reorgMu, &st.commitMu, &st.writeMu}
 	})
+	s.mu.RLock()
+	st.ioMu.RLock()
+	s.mu.RUnlock()
+	_ = s.commitMeta()
+	st.ioMu.RUnlock()
 	s.mu.Lock()
+	s.mu.Unlock()
 	st.ioMu.Lock()
 	st.ioMu.Unlock()
-	s.mu.Unlock()
 	st.writeMu.Unlock()
 	st.commitMu.Unlock()
 	st.reorgMu.Unlock()
 }
+
+// DeleteArray: the drop record is appended under the metadata writer
+// latch alone; the store lock is taken to check and to unpublish, and
+// the exclusive I/O latch only after it is released
+func (s *Store) deleteArray() {
+	st, _ := s.lockArray("x", func(st *arrayState) []*sync.Mutex {
+		return []*sync.Mutex{&st.commitMu}
+	})
+	s.mu.RLock()
+	s.mu.RUnlock()
+	_ = s.man.commit()
+	s.mu.Lock()
+	s.mu.Unlock()
+	st.ioMu.Lock()
+	st.ioMu.Unlock()
+	st.commitMu.Unlock()
+}
+
+type manifest struct{}
+
+func (m *manifest) commit() error { return nil }
+
+func (s *Store) commitMeta() error { return s.man.commit() }
 
 // lockCommit is the pure acquirer of the whole commit-latch set
 // (InsertMulti, Branch, Merge); its held set reaches callers through
