@@ -468,9 +468,9 @@ func TestReorganizeDuringConcurrentInserts(t *testing.T) {
 }
 
 // TestTuneAllForgetsDroppedArrays guards the ghost-histogram leak: an
-// in-flight select can re-create a dropped array's recorder after
-// DeleteArray swept it, and the background loop must forget it on the
-// next pass instead of reporting "no array" forever.
+// in-flight select that records into a dropped array after DeleteArray
+// must leave no trace — the histogram lives on the dropped arrayState,
+// so the very first sweep skips it, and a same-name array starts empty.
 func TestTuneAllForgetsDroppedArrays(t *testing.T) {
 	s := testStore(t, adaptiveOpts())
 	if err := s.CreateArray(schema2D("D", 32)); err != nil {
@@ -482,24 +482,33 @@ func TestTuneAllForgetsDroppedArrays(t *testing.T) {
 	if _, err := s.Select("D", 1); err != nil {
 		t.Fatal(err)
 	}
+	s.mu.RLock()
+	dropped := s.arrays["D"]
+	s.mu.RUnlock()
 	if err := s.DeleteArray("D"); err != nil {
 		t.Fatal(err)
 	}
-	// simulate the racing in-flight select resurrecting the recorder
-	s.workload.record("D", []int{1}, 1)
+	// the racing in-flight select records into the state it snapshotted
+	dropped.workload.record([]int{1}, 1)
 	reps, err := s.TuneAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reps) != 1 || !strings.Contains(reps[0].Reason, "no array") {
-		t.Fatalf("first sweep reports %v, want one no-array report", reps)
+	if len(reps) != 0 {
+		t.Fatalf("first sweep reports %v, want none", reps)
 	}
-	reps, err = s.TuneAll()
+	if err := s.CreateArray(schema2D("D", 32)); err != nil {
+		t.Fatal(err)
+	}
+	if wl, err := s.Workload("D"); err != nil || len(wl) != 0 {
+		t.Fatalf("recreated array inherits workload %v (%v)", wl, err)
+	}
+	rep, err := s.Tune("D")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reps) != 0 {
-		t.Fatalf("ghost histogram survived the sweep: %v", reps)
+	if !strings.Contains(rep.Reason, "insufficient recorded workload") {
+		t.Fatalf("recreated array's tune pass: %+v", rep)
 	}
 }
 

@@ -234,22 +234,12 @@ type Store struct {
 	// mmap.go); inert when the platform cannot map files.
 	maps *genMaps
 
-	// workload is the per-array access histogram the adaptive tuner
-	// feeds on; every successful select records into it.
-	workload *workloadRecorder
 	// tuner is the background auto-tune loop (nil unless
 	// Options.AutoTune.Interval > 0). Stopped by Close.
 	tuner *Tuner
 	// tunePasses/tuneReorgs count tuner activity for Stats().
 	tunePasses atomic.Int64
 	tuneReorgs atomic.Int64
-	// tuneEst caches each array's tuner estimation inputs (cost matrix,
-	// current layout) keyed by its mutation sequence, so a background
-	// pass over an unmutated array re-evaluates costs against fresh
-	// traffic without re-decoding the whole version history. Guarded by
-	// tuneEstMu.
-	tuneEstMu sync.Mutex
-	tuneEst   map[string]*tuneEstimate
 	// buildSeq names off-lock rewrite build directories uniquely so a
 	// retried or concurrent rewrite can never scribble on another
 	// build's files.
@@ -416,8 +406,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		chunkCache: cache.New(opts.CacheBytes),
 		maps:       newGenMaps(false),
 		degraded:   make(map[string]degradedInfo),
-		workload:   newWorkloadRecorder(),
-		tuneEst:    make(map[string]*tuneEstimate),
 		prof:       newProfile(),
 		clock:      time.Now,
 	}
@@ -518,8 +506,6 @@ func (s *Store) Close() error {
 		// every waiter with ErrClosed
 		st.writeMu.Lock()
 		st.writeMu.Unlock()
-		st.syncMu.Lock()
-		st.syncMu.Unlock()
 		st.commitMu.Lock()
 		st.commitMu.Unlock()
 		st.ioMu.Lock()
@@ -558,7 +544,12 @@ func (s *Store) Stats() IOStats {
 	out.RecoveryTruncatedBytes = s.recovery.TruncatedBytes
 	out.RecoveryRemovedFiles = s.recovery.RemovedFiles
 	out.RecoveryDroppedVersions = s.recovery.DroppedVersions
-	out.WorkloadOps, out.WorkloadPatterns = s.workload.totals()
+	s.mu.RLock()
+	for _, st := range s.arrays {
+		out.WorkloadOps += st.workload.ops.Load()
+		out.WorkloadPatterns += st.workload.patterns()
+	}
+	s.mu.RUnlock()
 	out.TunePasses = s.tunePasses.Load()
 	out.TuneReorganizes = s.tuneReorgs.Load()
 	s.healthMu.Lock()
@@ -736,24 +727,19 @@ type arrayState struct {
 	// and fsync concurrently. Acquired before Store.mu, never while
 	// holding it.
 	writeMu sync.Mutex
-	// syncMu and commitMu pipeline the group commit in two stages:
-	// syncMu admits one leader to the data-sync stage (drain pending,
-	// fsync every staged file and the chunks dir), commitMu admits one
-	// to the metadata stage (validate, commit one manifest record,
-	// install). A leader acquires commitMu BEFORE releasing syncMu, so
-	// batches install in drain order, while the next leader's fsyncs
-	// overlap this leader's metadata commit.
+	// commitMu admits one group-commit leader at a time: it drains
+	// pending, fsyncs every staged file and the chunks dir, commits one
+	// manifest record and installs, so batches install in drain order.
 	//
 	// commitMu doubles as the array's metadata WRITER latch: insert
 	// leaders run the metadata commit with Store.mu released (so selects
 	// and staging never stall behind the commit's fsyncs), which is only
 	// safe because every other metadata writer on the array —
 	// DeleteVersion, Reorganize, Compact, DeleteArray — also holds
-	// commitMu across its commit. Lock order: reorgMu < syncMu <
-	// commitMu < writeMu < Store.mu < ioMu < pendMu; the manifest's own
-	// latches are leaves below all of these (commit leaders append while
-	// holding commitMu, and the manifest never takes a store lock back).
-	syncMu   sync.Mutex
+	// commitMu across its commit. Lock order: reorgMu < commitMu <
+	// writeMu < Store.mu < ioMu < pendMu; the manifest's own latches are
+	// leaves below all of these (commit leaders append while holding
+	// commitMu, and the manifest never takes a store lock back).
 	commitMu sync.Mutex
 	// pendMu guards pending and stageNext.
 	pendMu sync.Mutex
@@ -778,6 +764,15 @@ type arrayState struct {
 	// observe the window between mutation and clear; readers rebuild and
 	// store it under the read lock.
 	cachedView atomic.Pointer[readView]
+
+	// workload is the access histogram the adaptive tuner feeds on; every
+	// successful select records into it. tuneEst caches the tuner's
+	// estimation inputs (cost matrix, current layout) for one mutation
+	// sequence, so a pass over an unmutated array re-evaluates costs
+	// against fresh traffic without re-decoding the version history.
+	// Both die with the array.
+	workload arrayRecorder
+	tuneEst  atomic.Pointer[tuneEstimate]
 }
 
 func (st *arrayState) version(id int) (*versionMeta, error) {
@@ -1025,8 +1020,6 @@ func (s *Store) deleteArrayLatched(st *arrayState) error {
 	s.dropping[name] = st
 	s.epochs[name]++
 	s.mu.Unlock()
-	s.workload.drop(name)
-	s.dropTuneEstimate(name)
 	// post-commit garbage collection, with no store lock held: drain the
 	// readers that snapshotted before the removal, then retire the
 	// generation. The retire defers the unlink past cached zero-copy

@@ -299,13 +299,13 @@ func (s *Store) probeDir(dir string) error {
 	return rerr
 }
 
-// healArray runs one array's heal pass. It acquires every write-side
-// latch in the documented order (reorgMu, then syncMu < commitMu <
-// writeMu), so no insert, delete, or rewrite can be mid-commit: the
-// in-memory metadata it sweeps against cannot move.
+// healArray runs one array's heal pass. It acquires all three write-side
+// latches in the documented order (reorgMu < commitMu < writeMu), so no
+// insert, delete, or rewrite can be mid-commit: the in-memory metadata
+// it sweeps against cannot move.
 func (s *Store) healArray(name string, rep *HealReport) error {
 	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.reorgMu, &st.syncMu, &st.commitMu, &st.writeMu}
+		return []*sync.Mutex{&st.reorgMu, &st.commitMu, &st.writeMu}
 	})
 	if err != nil {
 		if errors.Is(err, ErrClosed) {
@@ -317,7 +317,6 @@ func (s *Store) healArray(name string, rep *HealReport) error {
 		return nil
 	}
 	defer st.reorgMu.Unlock()
-	defer st.syncMu.Unlock()
 	defer st.commitMu.Unlock()
 	defer st.writeMu.Unlock()
 

@@ -39,8 +39,9 @@ import (
 //     under a second brief Store.mu.
 //
 // Single-array inserts enqueue their staging and ride a group commit
-// (awaitCommit); InsertMulti, Branch and Merge hold their arrays' whole
-// latch set and call the three functions directly (commitLatched).
+// (awaitCommit); InsertMulti, Branch and Merge hold their arrays'
+// commit-latch sets and call the three functions directly
+// (commitLatched).
 //
 // Nothing is installed into the live arrayState until the manifest
 // append succeeds, so a failed commit leaves in-memory metadata exactly
@@ -423,7 +424,7 @@ func (s *Store) InsertBatchCtx(ctx context.Context, name string, ps []Payload) (
 
 // lockArray resolves an array and acquires the latches pick selects —
 // which MUST be returned in the documented latch order (reorgMu <
-// syncMu < commitMu < writeMu) — then re-verifies the array was not dropped or
+// commitMu < writeMu) — then re-verifies the array was not dropped or
 // replaced while waiting, retrying if it was. The caller releases the
 // latches in reverse order. Latches are always acquired without
 // holding Store.mu.
@@ -464,13 +465,13 @@ func (s *Store) lockWrite(name string) (*arrayState, error) {
 	})
 }
 
-// lockCommit takes the array's whole commit-latch set — no leader is
-// mid-pipeline, no staging can reserve ids — and commits whatever was
-// already staged, so the caller works against a settled state. The
-// caller releases writeMu, commitMu, syncMu.
+// lockCommit takes the array's commit-latch set — commitMu, so no
+// leader is mid-commit, and writeMu, so no staging can reserve ids —
+// and commits whatever was already staged, so the caller works against
+// a settled state. The caller releases writeMu, then commitMu.
 func (s *Store) lockCommit(name string) (*arrayState, error) {
 	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.syncMu, &st.commitMu, &st.writeMu}
+		return []*sync.Mutex{&st.commitMu, &st.writeMu}
 	})
 	if err == nil {
 		s.drainLatched(st)
@@ -705,53 +706,38 @@ func (s *Store) stagePayload(ctx *insertCtx, p Payload, id int, kind string) (*v
 }
 
 // awaitCommit blocks until mine's outcome is final. Whichever staged
-// insert acquires the sync-stage latch first becomes a leader: it
+// insert acquires the array's commit latch first becomes a leader: it
 // drains every insert pending on the array, makes their payloads
-// durable, and publishes them all with one metadata commit. The two
-// commit stages are pipelined — a leader acquires the metadata latch
-// before releasing the sync latch (preserving drain order), so the
-// next leader's fsync schedule overlaps this leader's metadata
-// commit. Inserts staged while a commit is in flight ride the next
-// leader (or a re-drain round of the current one) — the commit window
-// is the duration of the commit in front, no timers involved.
+// durable, and publishes them all with one metadata commit. Inserts
+// staged while a commit is in flight ride a re-drain round of the
+// current leader or the next one — the commit window is the duration
+// of the commit in front, no timers involved.
 func (s *Store) awaitCommit(st *arrayState, mine *stagedInsert) {
-	for {
-		select {
-		case <-mine.done:
-			return
-		default:
-		}
-		st.syncMu.Lock()
-		select {
-		case <-mine.done:
-			st.syncMu.Unlock()
-			return
-		default:
-		}
-		// mine is not done, therefore still pending: the drain below
-		// includes it, and every drained insert is finalized before the
-		// latches are released
-		batch := st.drainPending()
-		// Sync stage: fsync the batch, then keep draining inserts that
-		// staged while those fsyncs ran (bounded rounds, so a steady
-		// stager stream cannot starve the commit) — coalescing deepens
-		// to the natural arrival rate without any timer.
-		s.syncStagedBatch(st, batch)
-		for round := 0; round < 5; round++ {
-			more := st.drainPending()
-			if len(more) == 0 {
-				break
-			}
-			s.syncStagedBatch(st, more)
-			batch = append(batch, more...)
-		}
-		// stage handoff: commitMu before syncMu releases, so batches
-		// install in drain order while the next leader starts syncing
-		st.commitMu.Lock()
-		st.syncMu.Unlock()
-		s.finalizeBatch([]commitGroup{{st, batch}})
-		st.commitMu.Unlock()
+	st.commitMu.Lock()
+	defer st.commitMu.Unlock()
+	select {
+	case <-mine.done:
+		return
+	default:
 	}
+	// mine is not done, therefore still pending: pending is only drained
+	// under commitMu, and every drained insert is finalized before the
+	// latch is released
+	batch := st.drainPending()
+	// fsync the batch, then keep draining inserts that staged while those
+	// fsyncs ran (bounded rounds, so a steady stager stream cannot starve
+	// the commit) — coalescing deepens to the natural arrival rate
+	// without any timer
+	s.syncStagedBatch(st, batch)
+	for round := 0; round < 5; round++ {
+		more := st.drainPending()
+		if len(more) == 0 {
+			break
+		}
+		s.syncStagedBatch(st, more)
+		batch = append(batch, more...)
+	}
+	s.finalizeBatch([]commitGroup{{st, batch}})
 }
 
 func (st *arrayState) drainPending() []*stagedInsert {
@@ -1351,8 +1337,6 @@ func (s *Store) createWithVersions(ctx context.Context, schema array.Schema, fro
 	if err != nil {
 		return err
 	}
-	st.syncMu.Lock()
-	defer st.syncMu.Unlock()
 	st.commitMu.Lock()
 	defer st.commitMu.Unlock()
 	st.writeMu.Lock()

@@ -70,7 +70,6 @@ func (s *Store) InsertMultiCtx(ctx context.Context, batches []MultiInsert) (map[
 		for i := len(sts) - 1; i >= 0; i-- {
 			sts[i].writeMu.Unlock()
 			sts[i].commitMu.Unlock()
-			sts[i].syncMu.Unlock()
 		}
 	}()
 	ps := make([][]Payload, 0, len(names))

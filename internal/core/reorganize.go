@@ -187,8 +187,6 @@ func (s *Store) rewrite(name string, build rewriteBuild) error {
 			return err
 		}
 	}
-	st.syncMu.Lock()
-	defer st.syncMu.Unlock()
 	st.commitMu.Lock()
 	defer st.commitMu.Unlock()
 	st.writeMu.Lock()

@@ -54,7 +54,7 @@ func (s *Store) SelectAttrCtx(ctx context.Context, name string, id int, attr str
 	tk.observe(StageSnapshot, time.Since(t0), 0)
 	pl, err := s.readRegionView(ctx, v, id, s.attrName(v.st, attr), array.BoxOf(v.st.Schema.Shape()), nil, tk)
 	if err == nil {
-		s.recordAccess(name, []int{id})
+		v.st.workload.record([]int{id}, 1)
 	}
 	return pl, err
 }
@@ -83,7 +83,7 @@ func (s *Store) SelectRegionAttrCtx(ctx context.Context, name string, id int, at
 	tk.observe(StageSnapshot, time.Since(t0), 0)
 	pl, err := s.readRegionView(ctx, v, id, s.attrName(v.st, attr), box, nil, tk)
 	if err == nil {
-		s.recordAccess(name, []int{id})
+		v.st.workload.record([]int{id}, 1)
 	}
 	return pl, err
 }
@@ -138,7 +138,7 @@ func (s *Store) SelectMultiRegionCtx(ctx context.Context, name string, ids []int
 			slabs[i] = pl.Dense
 		}
 	}
-	s.recordAccess(name, ids)
+	v.st.workload.record(ids, 1)
 	t0 = time.Now()
 	stacked, err := array.Stack(slabs)
 	if err != nil {
@@ -182,7 +182,7 @@ func (s *Store) SelectSparseMultiCtx(ctx context.Context, name string, ids []int
 		}
 		out[i] = pl.Sparse
 	}
-	s.recordAccess(name, ids)
+	v.st.workload.record(ids, 1)
 	return out, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -55,19 +56,13 @@ func (s *Store) Tune(name string) (rep TuneReport, err error) {
 	rep = TuneReport{Array: name, MinSavings: at.MinSavings}
 
 	s.mu.RLock()
-	_, ok := s.arrays[name]
+	st, ok := s.arrays[name]
 	closed := s.closed
 	s.mu.RUnlock()
 	if closed {
 		return rep, ErrClosed
 	}
 	if !ok {
-		// a dropped array's histogram and estimate can linger (an
-		// in-flight select may re-create the recorder after DeleteArray
-		// swept it); forget both so the background loop does not chase
-		// the ghost forever
-		s.workload.drop(name)
-		s.dropTuneEstimate(name)
 		return rep, fmt.Errorf("core: no array %q", name)
 	}
 
@@ -78,11 +73,11 @@ func (s *Store) Tune(name string) (rep TuneReport, err error) {
 	estimated := false
 	defer func() {
 		if err == nil && estimated {
-			s.workload.scale(name, at.Decay)
+			st.workload.scale(at.Decay)
 		}
 	}()
 
-	wl, total := s.workload.queries(name)
+	wl, total := st.workload.queries()
 	rep.Ops = total
 	rep.Patterns = len(wl)
 	if total < at.MinOps {
@@ -107,9 +102,9 @@ func (s *Store) Tune(name string) (rep TuneReport, err error) {
 		rep.Reason = "fewer than two live versions"
 		return rep, nil
 	}
-	est := s.cachedTuneEstimate(name, v.seq)
+	est := v.st.tuneEst.Load()
 	var planes [][]Plane // decoded this pass (nil on an estimate-cache hit)
-	if est == nil {
+	if est == nil || est.seq != v.seq {
 		var ids []int
 		ids, planes, err = s.loadPlanesView(v)
 		if err != nil {
@@ -123,7 +118,7 @@ func (s *Store) Tune(name string) (rep TuneReport, err error) {
 			return rep, err
 		}
 		est = &tuneEstimate{seq: v.seq, ids: ids, mm: mm, cur: currentLayoutOf(v, ids)}
-		s.storeTuneEstimate(name, est)
+		v.st.tuneEst.Store(est)
 	}
 	release()
 	estimated = true
@@ -186,8 +181,17 @@ func (s *Store) Tune(name string) (rep TuneReport, err error) {
 // Per-array failures are reported in the corresponding report's Reason
 // and do not stop the sweep; only a closed store aborts it.
 func (s *Store) TuneAll() ([]TuneReport, error) {
+	var names []string
+	s.mu.RLock()
+	for name, st := range s.arrays {
+		if st.workload.ops.Load() > 0 {
+			names = append(names, name)
+		}
+	}
+	s.mu.RUnlock()
+	sort.Strings(names)
 	var out []TuneReport
-	for _, name := range s.workload.names() {
+	for _, name := range names {
 		rep, err := s.Tune(name)
 		if err != nil {
 			if errors.Is(err, ErrClosed) {
@@ -212,30 +216,6 @@ type tuneEstimate struct {
 	ids []int
 	mm  *matmat.Matrix
 	cur layout.Layout
-}
-
-func (s *Store) cachedTuneEstimate(name string, seq uint64) *tuneEstimate {
-	s.tuneEstMu.Lock()
-	defer s.tuneEstMu.Unlock()
-	if est := s.tuneEst[name]; est != nil && est.seq == seq {
-		return est
-	}
-	return nil
-}
-
-func (s *Store) storeTuneEstimate(name string, est *tuneEstimate) {
-	s.tuneEstMu.Lock()
-	s.tuneEst[name] = est
-	s.tuneEstMu.Unlock()
-}
-
-// dropTuneEstimate forgets an array's cached estimate. Required on
-// delete/recreate: a fresh incarnation restarts its mutation sequence,
-// so a stale entry could otherwise match a coincidentally equal seq.
-func (s *Store) dropTuneEstimate(name string) {
-	s.tuneEstMu.Lock()
-	delete(s.tuneEst, name)
-	s.tuneEstMu.Unlock()
 }
 
 // currentLayoutOf derives the layout actually on disk from a metadata

@@ -48,20 +48,11 @@ type workloadShard struct {
 	pats map[string]*workloadEntry
 }
 
-// arrayRecorder is one array's sharded access histogram.
+// arrayRecorder is one array's sharded access histogram. Its zero value
+// is ready to use: each shard creates its map on first record.
 type arrayRecorder struct {
 	shards [workloadShards]workloadShard
 	ops    atomic.Int64 // cumulative recorded read ops (not decayed)
-}
-
-// workloadRecorder is the store-wide registry of per-array recorders.
-type workloadRecorder struct {
-	mu     sync.RWMutex
-	arrays map[string]*arrayRecorder
-}
-
-func newWorkloadRecorder() *workloadRecorder {
-	return &workloadRecorder{arrays: make(map[string]*arrayRecorder)}
 }
 
 // patternKey canonicalizes a version set; the ids arrive in query order
@@ -77,33 +68,13 @@ func patternKey(versions []int) (string, uint64) {
 	return string(b), h.Sum64()
 }
 
-func (r *workloadRecorder) forArray(name string, create bool) *arrayRecorder {
-	r.mu.RLock()
-	ar := r.arrays[name]
-	r.mu.RUnlock()
-	if ar != nil || !create {
-		return ar
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ar = r.arrays[name]; ar == nil {
-		ar = &arrayRecorder{}
-		for i := range ar.shards {
-			ar.shards[i].pats = make(map[string]*workloadEntry)
-		}
-		r.arrays[name] = ar
-	}
-	return ar
-}
-
 // record adds one observed access of the given version set with the
 // given weight (selects record weight 1; RecordWorkload merges imported
 // queries with their own weights).
-func (r *workloadRecorder) record(name string, versions []int, weight float64) {
+func (ar *arrayRecorder) record(versions []int, weight float64) {
 	if len(versions) == 0 || weight <= 0 {
 		return
 	}
-	ar := r.forArray(name, true)
 	ar.ops.Add(1)
 	key, h := patternKey(versions)
 	sh := &ar.shards[h%workloadShards]
@@ -113,7 +84,9 @@ func (r *workloadRecorder) record(name string, versions []int, weight float64) {
 		e.weight += weight
 		return
 	}
-	if len(sh.pats) >= maxPatternsPerShard {
+	if sh.pats == nil {
+		sh.pats = make(map[string]*workloadEntry)
+	} else if len(sh.pats) >= maxPatternsPerShard {
 		evictColdest(sh.pats)
 	}
 	sh.pats[key] = &workloadEntry{versions: append([]int(nil), versions...), weight: weight}
@@ -131,15 +104,11 @@ func evictColdest(pats map[string]*workloadEntry) {
 	delete(pats, coldKey)
 }
 
-// queries snapshots an array's histogram as weighted layout queries
-// (version values are version IDs) plus the total recorded weight. The
-// result is sorted by descending weight so it is deterministic for a
-// given histogram state.
-func (r *workloadRecorder) queries(name string) ([]layout.Query, float64) {
-	ar := r.forArray(name, false)
-	if ar == nil {
-		return nil, 0
-	}
+// queries snapshots the histogram as weighted layout queries (version
+// values are version IDs) plus the total recorded weight. The result is
+// sorted by descending weight so it is deterministic for a given
+// histogram state.
+func (ar *arrayRecorder) queries() ([]layout.Query, float64) {
 	var out []layout.Query
 	total := 0.0
 	for i := range ar.shards {
@@ -174,11 +143,7 @@ func lessVersions(a, b []int) bool {
 
 // scale multiplies every weight by f (the tuner's per-pass exponential
 // decay) and drops patterns whose weight has decayed to noise.
-func (r *workloadRecorder) scale(name string, f float64) {
-	ar := r.forArray(name, false)
-	if ar == nil {
-		return
-	}
+func (ar *arrayRecorder) scale(f float64) {
 	const floor = 1e-6
 	for i := range ar.shards {
 		sh := &ar.shards[i]
@@ -193,44 +158,16 @@ func (r *workloadRecorder) scale(name string, f float64) {
 	}
 }
 
-// drop forgets an array's histogram (DeleteArray).
-func (r *workloadRecorder) drop(name string) {
-	r.mu.Lock()
-	delete(r.arrays, name)
-	r.mu.Unlock()
-}
-
-// names lists arrays with recorded traffic, sorted.
-func (r *workloadRecorder) names() []string {
-	r.mu.RLock()
-	out := make([]string, 0, len(r.arrays))
-	for n := range r.arrays {
-		out = append(out, n)
+// patterns is the current number of distinct access patterns, for
+// Stats().
+func (ar *arrayRecorder) patterns() (n int64) {
+	for i := range ar.shards {
+		sh := &ar.shards[i]
+		sh.mu.Lock()
+		n += int64(len(sh.pats))
+		sh.mu.Unlock()
 	}
-	r.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// totals returns the store-wide cumulative recorded ops and the current
-// number of distinct patterns, for Stats().
-func (r *workloadRecorder) totals() (ops, patterns int64) {
-	r.mu.RLock()
-	recorders := make([]*arrayRecorder, 0, len(r.arrays))
-	for _, ar := range r.arrays {
-		recorders = append(recorders, ar)
-	}
-	r.mu.RUnlock()
-	for _, ar := range recorders {
-		ops += ar.ops.Load()
-		for i := range ar.shards {
-			sh := &ar.shards[i]
-			sh.mu.Lock()
-			patterns += int64(len(sh.pats))
-			sh.mu.Unlock()
-		}
-	}
-	return ops, patterns
+	return n
 }
 
 // --- public surface ---
@@ -241,12 +178,12 @@ func (r *workloadRecorder) totals() (ops, patterns int64) {
 // traffic; an array that has never been selected returns an empty slice.
 func (s *Store) Workload(name string) ([]layout.Query, error) {
 	s.mu.RLock()
-	_, ok := s.arrays[name]
+	st, ok := s.arrays[name]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("core: no array %q", name)
 	}
-	wl, _ := s.workload.queries(name)
+	wl, _ := st.workload.queries()
 	return wl, nil
 }
 
@@ -257,7 +194,7 @@ func (s *Store) Workload(name string) ([]layout.Query, error) {
 // for live traffic.
 func (s *Store) RecordWorkload(name string, queries []layout.Query) error {
 	s.mu.RLock()
-	_, ok := s.arrays[name]
+	st, ok := s.arrays[name]
 	closed := s.closed
 	s.mu.RUnlock()
 	if closed {
@@ -267,12 +204,7 @@ func (s *Store) RecordWorkload(name string, queries []layout.Query) error {
 		return fmt.Errorf("core: no array %q", name)
 	}
 	for _, q := range queries {
-		s.workload.record(name, q.Versions, q.Weight)
+		st.workload.record(q.Versions, q.Weight)
 	}
 	return nil
-}
-
-// recordAccess notes one successful select of the given versions.
-func (s *Store) recordAccess(name string, versions []int) {
-	s.workload.record(name, versions, 1)
 }

@@ -240,6 +240,81 @@ func TestInsertMultiHoldsNoStoreLockAcrossIO(t *testing.T) {
 	mustSelect(t, s, "B", 2, next)
 }
 
+// TestGroupCommitCoalescesLateStagers pins the leader's re-drain: with
+// leader A parked in its data fsync, B and C stage into the same array
+// and queue behind the commit latch; once A resumes it drains them into
+// its own commit, so three inserts share one commit point.
+func TestGroupCommitCoalescesLateStagers(t *testing.T) {
+	const side = 16
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var armed atomic.Bool // parks the first chunk-file fsync after it is set
+	hfs := &hookFS{FS: fsio.OS}
+	hfs.onSync = func(path string) {
+		if strings.HasSuffix(path, ".chain") && armed.CompareAndSwap(true, false) {
+			close(parked)
+			<-release
+		}
+	}
+	opts := smallOpts()
+	opts.ChunkBytes = 1 << 10
+	opts.Durability = true
+	opts.FS = hfs
+	s := testStore(t, opts)
+	defer s.Close()
+	if err := s.CreateArray(schema2D("G", side)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Insert("G", DensePayload(crashContent(1, side))); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.RLock()
+	st := s.arrays["G"]
+	s.mu.RUnlock()
+	before := s.Stats()
+	armed.Store(true)
+	contents := []*array.Dense{crashContent(2, side), crashContent(3, side), crashContent(4, side)}
+	ids := make([]int, len(contents))
+	var wg sync.WaitGroup
+	insert := func(i int) {
+		defer wg.Done()
+		id, err := s.Insert("G", DensePayload(contents[i]))
+		if err != nil {
+			t.Errorf("insert %d: %v", i, err)
+		}
+		ids[i] = id
+	}
+	wg.Add(1)
+	go insert(0)
+	<-parked
+	wg.Add(2)
+	go insert(1)
+	go insert(2)
+	within(t, "B and C staging beside the parked leader", func() {
+		for {
+			st.pendMu.Lock()
+			n := len(st.pending)
+			st.pendMu.Unlock()
+			if n == 2 {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	close(release)
+	wg.Wait()
+	after := s.Stats()
+	if got := after.GroupCommits - before.GroupCommits; got != 1 {
+		t.Errorf("three inserts took %d group commits, want 1", got)
+	}
+	if got := after.GroupCommitVersions - before.GroupCommitVersions; got != 3 {
+		t.Errorf("the group commit installed %d versions, want 3", got)
+	}
+	for i, c := range contents {
+		mustSelect(t, s, "G", ids[i], c)
+	}
+}
+
 // TestDeletesHoldNoStoreLockAcrossIO parks DeleteVersion in its
 // child's chunk-file fsync and in its manifest append, and DeleteArray
 // in its manifest append, then uses the store from outside. Selects of

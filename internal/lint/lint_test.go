@@ -1,6 +1,9 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -22,6 +25,48 @@ func TestCommitPointFixtures(t *testing.T)   { runFixture(t, CommitPoint, "commi
 func TestLockOrderFixtures(t *testing.T)     { runFixture(t, LockOrder, "lockorder") }
 func TestLockOrderCycleFixture(t *testing.T) { runFixture(t, LockOrder, "lockcycle") }
 func TestLockOrderLatchSets(t *testing.T)    { runFixture(t, LockOrder, "locksets") }
+
+// TestLockRankNamesCoreFields keeps the rank table honest against the
+// store itself: every ranked "Type.field" must be a field of that type
+// in internal/core, so a deleted latch cannot leave a stale rank behind.
+func TestLockRankNamesCoreFields(t *testing.T) {
+	paths, err := filepath.Glob("../core/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := map[string]bool{}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, fld := range st.Fields.List {
+					for _, name := range fld.Names {
+						fields[ts.Name.Name+"."+name.Name] = true
+					}
+				}
+			}
+			return false
+		})
+	}
+	if len(fields) == 0 {
+		t.Fatal("parsed no struct fields from internal/core")
+	}
+	for key := range lockRank {
+		if !fields[key] {
+			t.Errorf("lockRank ranks %s, which is not a field in internal/core", key)
+		}
+	}
+}
 
 // wantRx extracts the quoted or backquoted patterns of a want comment.
 var wantRx = regexp.MustCompile("\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`")

@@ -13,8 +13,8 @@ import (
 // partial order (see Store/arrayState doc comments and DESIGN.md
 // "Static analysis") is:
 //
-//	reorgMu < syncMu < commitMu < writeMu < Store.mu < ioMu < pendMu
-//	        < healthMu < tuneEstMu < statsMu
+//	reorgMu < commitMu < writeMu < Store.mu < ioMu < pendMu < healthMu
+//	        < statsMu
 //
 // The analyzer builds a static acquisition graph from direct
 // .Lock()/.RLock() calls, from lockArray call sites (the func-literal
@@ -53,7 +53,7 @@ var LockOrder = &Analyzer{
 
 // lockOrderDoc is the canonical order, embedded in diagnostics so the
 // fix is in the message.
-const lockOrderDoc = "reorgMu < syncMu < commitMu < writeMu < Store.mu < ioMu < pendMu < healthMu < tuneEstMu < statsMu"
+const lockOrderDoc = "reorgMu < commitMu < writeMu < Store.mu < ioMu < pendMu < healthMu < statsMu"
 
 // lockRank maps "Type.field" to its position in the partial order.
 // Lower ranks are acquired first. Locks not listed here (writeSet.mu,
@@ -61,15 +61,13 @@ const lockOrderDoc = "reorgMu < syncMu < commitMu < writeMu < Store.mu < ioMu < 
 // the documented hierarchy and are ignored.
 var lockRank = map[string]int{
 	"arrayState.reorgMu":  0,
-	"arrayState.syncMu":   10,
-	"arrayState.commitMu": 20,
-	"arrayState.writeMu":  30,
-	"Store.mu":            40,
-	"arrayState.ioMu":     50,
-	"arrayState.pendMu":   60,
-	"Store.healthMu":      70,
-	"Store.tuneEstMu":     80,
-	"Store.statsMu":       90,
+	"arrayState.commitMu": 10,
+	"arrayState.writeMu":  20,
+	"Store.mu":            30,
+	"arrayState.ioMu":     40,
+	"arrayState.pendMu":   50,
+	"Store.healthMu":      60,
+	"Store.statsMu":       70,
 }
 
 // ioSeamFuncs are the same-package methods that are I/O seams.
@@ -566,7 +564,7 @@ func (la *lockAnalysis) rankedLock(expr ast.Expr) (key, inst string, ok bool) {
 
 // latchListOf decodes a lockArray call's func-literal pick argument:
 // `func(st *arrayState) []*sync.Mutex { return
-// []*sync.Mutex{&st.syncMu, &st.commitMu} }` -> the ranked keys in
+// []*sync.Mutex{&st.commitMu, &st.writeMu} }` -> the ranked keys in
 // literal order.
 func (la *lockAnalysis) latchListOf(call *ast.CallExpr) ([]heldLock, bool) {
 	if len(call.Args) < 2 {

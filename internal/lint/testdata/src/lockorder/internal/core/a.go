@@ -17,7 +17,6 @@ import (
 
 type arrayState struct {
 	reorgMu  sync.Mutex
-	syncMu   sync.Mutex
 	commitMu sync.Mutex
 	writeMu  sync.Mutex
 	ioMu     sync.RWMutex
@@ -44,10 +43,10 @@ func (s *Store) lockArray(name string, pick func(st *arrayState) []*sync.Mutex) 
 // ascending ranks throughout: clean
 func (s *Store) goodOrder(st *arrayState) {
 	st.reorgMu.Lock()
-	st.syncMu.Lock()
 	s.mu.Lock()
+	st.ioMu.Lock()
+	st.ioMu.Unlock()
 	s.mu.Unlock()
-	st.syncMu.Unlock()
 	st.reorgMu.Unlock()
 }
 
@@ -80,8 +79,8 @@ func (st *arrayState) sameInstance() {
 // (InsertMulti), which rank cannot express: suppressed
 func multiArray(a, b *arrayState) {
 	a.writeMu.Lock()
-	b.syncMu.Lock()
-	b.syncMu.Unlock()
+	b.commitMu.Lock()
+	b.commitMu.Unlock()
 	a.writeMu.Unlock()
 }
 
@@ -126,10 +125,10 @@ func (s *Store) badLatchList() {
 // the documented latch order, decoded from the pick literal: clean
 func (s *Store) goodLatchList() {
 	st, _ := s.lockArray("x", func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.syncMu, &st.commitMu}
+		return []*sync.Mutex{&st.reorgMu, &st.commitMu}
 	})
 	st.commitMu.Unlock()
-	st.syncMu.Unlock()
+	st.reorgMu.Unlock()
 }
 
 // deferred unlocks hold to function end; ascending order stays clean

@@ -9,7 +9,6 @@ import "sync"
 
 type arrayState struct {
 	reorgMu  sync.Mutex
-	syncMu   sync.Mutex
 	commitMu sync.Mutex
 	writeMu  sync.Mutex
 	ioMu     sync.RWMutex
@@ -79,12 +78,11 @@ func (m *manifest) commit() error { return nil }
 
 func (s *Store) commitMeta() error { return s.man.commit() }
 
-// lockCommit is the pure acquirer of the whole commit-latch set
-// (InsertMulti, Branch, Merge); its held set reaches callers through
-// the summary
+// lockCommit is the pure acquirer of the commit-latch set (InsertMulti,
+// Branch, Merge); its held set reaches callers through the summary
 func (s *Store) lockCommit(name string) *arrayState {
 	st, _ := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.syncMu, &st.commitMu, &st.writeMu}
+		return []*sync.Mutex{&st.commitMu, &st.writeMu}
 	})
 	return st
 }
@@ -96,19 +94,15 @@ func (s *Store) insertMulti() {
 	s.mu.Unlock()
 	b.writeMu.Unlock()
 	b.commitMu.Unlock()
-	b.syncMu.Unlock()
 	a.writeMu.Unlock()
 	a.commitMu.Unlock()
-	a.syncMu.Unlock()
 }
 
-// the contended Reorganize fallback adds the whole commit-latch set to
-// the reorgMu it already holds, then builds and commits
+// the contended Reorganize fallback adds the commit-latch set to the
+// reorgMu it already holds, then builds and commits
 func (s *Store) reorganizeFallback(st *arrayState) {
 	st.reorgMu.Lock()
 	defer st.reorgMu.Unlock()
-	st.syncMu.Lock()
-	defer st.syncMu.Unlock()
 	st.commitMu.Lock()
 	defer st.commitMu.Unlock()
 	st.writeMu.Lock()
@@ -120,8 +114,7 @@ func (s *Store) reorganizeFallback(st *arrayState) {
 }
 
 // the contended insert fallback holds reorgMu and re-runs the ordinary
-// attempt: stage under writeMu, then lead a commit through syncMu and
-// commitMu
+// attempt: stage under writeMu, then lead a commit through commitMu
 func (s *Store) insertFallback(st *arrayState) {
 	st.reorgMu.Lock()
 	defer st.reorgMu.Unlock()
@@ -129,9 +122,7 @@ func (s *Store) insertFallback(st *arrayState) {
 	st.pendMu.Lock()
 	st.pendMu.Unlock()
 	st.writeMu.Unlock()
-	st.syncMu.Lock()
 	st.commitMu.Lock()
-	st.syncMu.Unlock()
 	s.mu.Lock()
 	s.mu.Unlock()
 	st.commitMu.Unlock()
