@@ -61,62 +61,97 @@ func PackedLen(n, width int) int {
 	return (n*width + 7) / 8
 }
 
-// Writer appends fixed-width unsigned codes to a byte buffer, LSB-first
-// within each byte.
+// Writer is the one packer: it appends codes LSB-first within each byte
+// through a 64-bit accumulator, storing a whole word per 64 bits. It
+// writes into a buffer whose unwritten bytes are zero — a preallocated
+// one from NewWriterInto, which PackedLen sizes exactly so no store ever
+// grows it, or its own from NewWriter, extended by zeros as needed.
+// Because those bytes are already zero, Zeros advances over runs of zero
+// codes without storing them.
 type Writer struct {
 	buf  []byte
-	acc  uint64 // bits not yet flushed
-	nacc uint   // number of valid bits in acc
+	pos  int    // bytes stored
+	acc  uint64 // bits not yet stored
+	nacc uint   // number of valid bits in acc, always < 64 between calls
 }
 
-// NewWriter returns a Writer that appends to an internal buffer.
+// NewWriter returns a Writer that grows its own buffer.
 func NewWriter() *Writer { return &Writer{} }
 
-// Write appends the low `width` bits of u.
+// NewWriterInto returns a Writer that packs into buf, which must be
+// zeroed. Sized with PackedLen for the codes written, buf is filled
+// exactly and never reallocated. It returns a value so a packing loop
+// can keep the Writer on its stack.
+func NewWriterInto(buf []byte) Writer { return Writer{buf: buf} }
+
+// Write appends u as a `width`-bit code; u must fit in width bits. (No
+// mask here keeps Write small enough to inline into the packing loops.)
 func (w *Writer) Write(u uint64, width int) {
-	if width == 0 {
-		return
-	}
-	if width < 64 {
-		u &= (1 << uint(width)) - 1
-	}
 	w.acc |= u << w.nacc
-	if w.nacc+uint(width) >= 64 {
-		// flush the full 64-bit accumulator
-		for i := 0; i < 8; i++ {
-			w.buf = append(w.buf, byte(w.acc>>(8*uint(i))))
-		}
-		rem := w.nacc + uint(width) - 64
-		if w.nacc == 0 {
-			w.acc = 0
-		} else {
-			w.acc = u >> (64 - w.nacc)
-		}
-		w.nacc = rem
-	} else {
-		w.nacc += uint(width)
+	w.nacc += uint(width)
+	if w.nacc >= 64 {
+		w.spill(u, width)
 	}
+}
+
+// spill stores the full accumulator and keeps the bits of u (the code
+// just written) that did not fit in it.
+func (w *Writer) spill(u uint64, width int) {
+	w.putWord(w.acc)
+	w.nacc -= 64
+	w.acc = u >> (uint(width) - w.nacc) // 0 when nothing is left over
+}
+
+// Zeros appends nbits zero bits.
+func (w *Writer) Zeros(nbits int) {
+	w.nacc += uint(nbits)
+	if w.nacc >= 64 {
+		w.skipWords()
+	}
+}
+
+// skipWords stores the full accumulator, then steps over the whole zero
+// words after it without storing them: the buffer already holds zeros
+// there.
+func (w *Writer) skipWords() {
+	w.putWord(w.acc)
+	w.nacc -= 64
+	skip := int(w.nacc/64) * 8
+	w.reserve(skip)
+	w.pos += skip
+	w.nacc %= 64
+	w.acc = 0
 }
 
 // WriteSigned zigzag-encodes v and appends it at the given width. The
-// width must be at least SignedWidth(v) for lossless roundtrip.
+// width must be at least SignedWidth(v).
 func (w *Writer) WriteSigned(v int64, width int) {
 	w.Write(Zigzag(v), width)
 }
 
-// Bytes flushes any partial byte and returns the packed buffer. The
-// Writer may not be used after calling Bytes.
+// Bytes stores any partial word and returns the packed bytes. The Writer
+// may not be used after calling Bytes.
 func (w *Writer) Bytes() []byte {
-	for w.nacc > 0 {
-		w.buf = append(w.buf, byte(w.acc))
-		w.acc >>= 8
-		if w.nacc >= 8 {
-			w.nacc -= 8
-		} else {
-			w.nacc = 0
-		}
+	tail := int(w.nacc+7) / 8
+	w.reserve(tail)
+	for i := 0; i < tail; i++ {
+		w.buf[w.pos+i] = byte(w.acc >> (8 * uint(i)))
 	}
-	return w.buf
+	w.pos += tail
+	return w.buf[:w.pos]
+}
+
+func (w *Writer) putWord(v uint64) {
+	w.reserve(8)
+	binary.LittleEndian.PutUint64(w.buf[w.pos:], v)
+	w.pos += 8
+}
+
+// reserve makes room for k more bytes, extending the buffer with zeros.
+func (w *Writer) reserve(k int) {
+	if need := w.pos + k - len(w.buf); need > 0 {
+		w.buf = append(w.buf, make([]byte, need)...)
+	}
 }
 
 // Reader extracts fixed-width unsigned codes from a packed buffer.
@@ -190,29 +225,22 @@ func (r *Reader) Remaining() uint64 {
 	return total - r.pos
 }
 
-// byteAligned reports whether width maps each code onto whole bytes, the
-// precondition for the word-at-a-time bulk paths below.
-func byteAligned(width int) bool {
-	return width == 8 || width == 16 || width == 32 || width == 64
-}
-
-// PackSigned packs vs at the given width (which must cover every value).
-// Byte-aligned widths (8/16/32/64) store codes directly as little-endian
-// words, bypassing the bit accumulator entirely.
+// PackSigned packs vs at the given width (which must cover every value;
+// a wider code keeps only its low width bits).
 func PackSigned(vs []int64, width int) []byte {
-	if byteAligned(width) {
-		buf := make([]byte, PackedLen(len(vs), width))
-		step := width / 8
-		for i, v := range vs {
-			putAligned(buf[i*step:], Zigzag(v), width)
-		}
-		return buf
-	}
-	w := NewWriter()
+	w, mask := NewWriterInto(make([]byte, PackedLen(len(vs), width))), codeMask(width)
 	for _, v := range vs {
-		w.WriteSigned(v, width)
+		w.Write(Zigzag(v)&mask, width)
 	}
 	return w.Bytes()
+}
+
+// codeMask keeps the low width bits of a code.
+func codeMask(width int) uint64 {
+	if width >= 64 {
+		return ^uint64(0)
+	}
+	return 1<<uint(width) - 1
 }
 
 // checkUnpack validates an unpack request before any allocation sized
@@ -243,20 +271,12 @@ func UnpackSigned(buf []byte, n, width int) ([]int64, error) {
 	return out, nil
 }
 
-// PackUnsigned packs unsigned codes at the given width. Byte-aligned
-// widths store codes directly as little-endian words.
+// PackUnsigned packs unsigned codes at the given width, keeping the low
+// width bits of each.
 func PackUnsigned(vs []uint64, width int) []byte {
-	if byteAligned(width) {
-		buf := make([]byte, PackedLen(len(vs), width))
-		step := width / 8
-		for i, v := range vs {
-			putAligned(buf[i*step:], v, width)
-		}
-		return buf
-	}
-	w := NewWriter()
+	w, mask := NewWriterInto(make([]byte, PackedLen(len(vs), width))), codeMask(width)
 	for _, v := range vs {
-		w.Write(v, width)
+		w.Write(v&mask, width)
 	}
 	return w.Bytes()
 }
@@ -272,17 +292,4 @@ func UnpackUnsigned(buf []byte, n, width int) ([]uint64, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-func putAligned(dst []byte, u uint64, width int) {
-	switch width {
-	case 8:
-		dst[0] = byte(u)
-	case 16:
-		binary.LittleEndian.PutUint16(dst, uint16(u))
-	case 32:
-		binary.LittleEndian.PutUint32(dst, uint32(u))
-	default:
-		binary.LittleEndian.PutUint64(dst, u)
-	}
 }

@@ -1,6 +1,7 @@
 package bitpack
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -164,6 +165,51 @@ func TestMixedWidthStream(t *testing.T) {
 	}
 	if u, _ := r.Read(1); u != 1 {
 		t.Errorf("fourth = %d", u)
+	}
+}
+
+// TestWriterZerosMatchesZeroCodes writes codes with runs of zeros between
+// them, once with Zeros per run and once as zero codes, into a
+// preallocated buffer and a growing one: all four packings must be
+// identical, so skipping zero words without storing them loses nothing.
+func TestWriterZerosMatchesZeroCodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for width := 1; width <= 64; width++ {
+		var codes []uint64
+		for len(codes) < 300 {
+			for run := rng.Intn(3) * rng.Intn(200); run > 0; run-- {
+				codes = append(codes, 0)
+			}
+			codes = append(codes, rng.Uint64()&maskFor(width))
+		}
+		var packs [][]byte
+		for _, prealloc := range []bool{false, true} {
+			for _, skip := range []bool{false, true} {
+				w := NewWriter()
+				if prealloc {
+					into := NewWriterInto(make([]byte, PackedLen(len(codes), width)))
+					w = &into
+				}
+				zeros := 0
+				for _, c := range codes {
+					if skip && c == 0 {
+						zeros++
+						continue
+					}
+					w.Zeros(zeros * width)
+					zeros = 0
+					w.Write(c, width)
+				}
+				w.Zeros(zeros * width)
+				packs = append(packs, w.Bytes())
+			}
+		}
+		want := PackUnsigned(codes, width)
+		for i, p := range packs {
+			if !bytes.Equal(p, want) {
+				t.Fatalf("width %d: packing %d differs from PackUnsigned", width, i)
+			}
+		}
 	}
 }
 

@@ -83,7 +83,7 @@ func encodeBlockMatch(target, base *array.Dense, blockSize, radius int) ([]byte,
 			}
 		}
 	}
-	residual := encodeHybrid(target, pred)
+	residual := encodeCellwise(Hybrid, target, pred)
 	out := putHeader(BlockMatch, dt)
 	out = append(out, byte(blockSize))
 	out = binary.AppendUvarint(out, uint64(len(vectors)/2))

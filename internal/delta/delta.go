@@ -25,7 +25,6 @@
 package delta
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"arrayvers/internal/array"
@@ -156,12 +155,8 @@ func Encode(m Method, target, base *array.Dense) ([]byte, error) {
 		return nil, err
 	}
 	switch m {
-	case Dense:
-		return encodeDense(target, base), nil
-	case Sparse:
-		return encodeSparse(target, base), nil
-	case Hybrid:
-		return encodeHybrid(target, base), nil
+	case Dense, Sparse, Hybrid:
+		return encodeCellwise(m, target, base), nil
 	case BlockMatch:
 		return encodeBlockMatch(target, base, DefaultBlockSize, DefaultSearchRadius)
 	case BSDiff:
@@ -215,8 +210,7 @@ func readHeader(blob []byte, want Method, base *array.Dense) error {
 	return nil
 }
 
-// appendUvarint/readUvarint helpers for payload streams.
-
+// uvarintLen is the length of v as a uvarint.
 func uvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
@@ -225,9 +219,3 @@ func uvarintLen(v uint64) int {
 	}
 	return n
 }
-
-func varintLen(v int64) int {
-	return uvarintLen(uint64((v << 1) ^ (v >> 63)))
-}
-
-var _ = binary.MaxVarintLen64

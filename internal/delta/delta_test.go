@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"arrayvers/internal/array"
+	"arrayvers/internal/bitpack"
 )
 
 var denseMethods = []Method{Dense, Sparse, Hybrid, BlockMatch, BSDiff}
@@ -290,7 +291,7 @@ func TestWrapDiffAddProperty(t *testing.T) {
 				return false
 			}
 			// the representative must fit within the dtype's bit width
-			if signedWidth(d) > dt.Size()*8 {
+			if bitpack.SignedWidth(d) > dt.Size()*8 {
 				return false
 			}
 		}

@@ -4,13 +4,16 @@ import (
 	"math/rand"
 
 	"arrayvers/internal/array"
+	"arrayvers/internal/bitpack"
 )
 
 // Sampled delta-size estimation (paper §IV-A): "computing the space S to
 // store the deltas based on a random sample of R of the total of N cells
 // for a pair of matrices and then computing S×R/N yields a fairly
 // approximate estimate of the actual delta size, even for S/N values of
-// .1% or less."
+// .1% or less." The sample feeds the same width histogram and cost model
+// the hybrid encoder (cellwise.go) chooses its plane width with; the
+// exact size is that encoder's output.
 
 // EstimateSize estimates the hybrid-delta encoded size of (target − base)
 // from a random sample of R cells, scaled by N/R. If sample <= 0 or
@@ -18,30 +21,20 @@ import (
 func EstimateSize(target, base *array.Dense, sample int, seed int64) int64 {
 	n := target.NumCells()
 	if sample <= 0 || int64(sample) >= n {
-		return int64(len(encodeHybrid(target, base)))
+		return int64(len(encodeCellwise(Hybrid, target, base)))
 	}
 	rng := rand.New(rand.NewSource(seed))
 	dt := target.DType()
-	diffs := make([]int64, sample)
-	widths := make([]int, sample)
-	maxW := 0
-	for i := range diffs {
+	var h widthHist
+	for i := 0; i < sample; i++ {
 		flat := rng.Int63n(n)
-		d := wrapDiff(dt, target.Bits(flat), base.Bits(flat))
-		diffs[i] = d
-		widths[i] = signedWidth(d)
-		if widths[i] > maxW {
-			maxW = widths[i]
-		}
+		h[bitpack.SignedWidth(wrapDiff(dt, target.Bits(flat), base.Bits(flat)))]++
 	}
-	width := chooseHybridWidth(diffs, widths, maxW, int64(sample))
-	sampleBytes := (int64(sample)*int64(width) + 7) / 8
-	for i := range diffs {
-		if widths[i] > width {
-			// outlier: index gap + value varint
-			sampleBytes += int64(uvarintLen(uint64(n)/uint64(sample))) + int64(varintLen(diffs[i]))
-		}
-	}
+	width := h.hybridWidth(int64(sample))
+	// each outlier: an index gap at the full array's average spacing
+	// plus its value varint
+	outliers, valBytes := h.wider(width)
+	sampleBytes := (int64(sample)*int64(width)+7)/8 + outliers*int64(uvarintLen(uint64(n)/uint64(sample))) + valBytes
 	return sampleBytes * n / int64(sample)
 }
 

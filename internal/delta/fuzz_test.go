@@ -78,6 +78,41 @@ func FuzzApply(f *testing.F) {
 	})
 }
 
+// FuzzEncode is the differential fuzzer for the encode kernel: a pair
+// built by encodePair from the fuzzer's dtype, cell count, change share,
+// change kind, seed and base bytes is encoded by Encode and by the scalar
+// oracle, which must agree byte for byte on Dense, Sparse and Hybrid and
+// on EstimateSize at samples 0, 16 and 4096; every blob must apply back
+// to the target. Cell counts run from 1 to 6000, so the 8-byte word walk
+// gets every tail length and EstimateSize both its exact and its sampled
+// path.
+func FuzzEncode(f *testing.F) {
+	maxInt32 := []byte{0xff, 0xff, 0xff, 0x7f}
+	minInt32 := []byte{0x00, 0x00, 0x00, 0x80}
+	for i := range fusedDTypes {
+		f.Add(byte(i), uint16(1), byte(255), byte(0), int64(i), []byte(nil))      // one cell, changed
+		f.Add(byte(i), uint16(13), byte(0), byte(0), int64(i), []byte(nil))       // nothing changed, odd tail
+		f.Add(byte(i), uint16(4099), byte(8), byte(1), int64(i), []byte(nil))     // 3 % small changes, sampled estimate
+		f.Add(byte(i), uint16(257), byte(255), byte(5), int64(i), []byte(nil))    // every cell at the widest code
+		f.Add(byte(i), uint16(100), byte(128), byte(0), int64(i), []byte{0x7f})   // mixed kinds over a constant base
+		f.Add(byte(i), uint16(63), byte(255), byte(2), int64(i), []byte{1, 2, 3}) // every cell random
+	}
+	// MaxInt32 and MinInt32 against each other: wrap-around differences
+	int32i := byte(2) // fusedDTypes[2]
+	f.Add(int32i, uint16(41), byte(200), byte(3), int64(7), maxInt32)
+	f.Add(int32i, uint16(41), byte(200), byte(4), int64(7), minInt32)
+	f.Add(int32i, uint16(41), byte(100), byte(0), int64(8), append(maxInt32, minInt32...))
+
+	f.Fuzz(func(t *testing.T, dtRaw byte, cells uint16, share, mode byte, seed int64, raw []byte) {
+		if len(raw) > 1<<12 {
+			return
+		}
+		dt := fusedDTypes[int(dtRaw)%len(fusedDTypes)]
+		target, base := encodePair(dt, 1+int(cells)%6000, share, mode, seed, raw)
+		checkEncode(t, target, base, seed)
+	})
+}
+
 // FuzzApplyInPlace is the differential fuzzer for the cellwise kernel:
 // an arbitrary blob is applied and unapplied in place over a base of the
 // blob's own dtype and through the scalar oracle, which must either both

@@ -194,21 +194,28 @@ func TestFusedChain(t *testing.T) {
 	}
 }
 
-// hybridChunk is the chain-walk shape the store decodes most: a 256×256
-// int32 chunk whose successor changed 3% of its cells, which the hybrid
-// encoder stores as a width-0 plane plus an overlay of ~2 000 cells.
-func hybridChunk(b *testing.B) (blob []byte, base *array.Dense) {
+// hybridPair is the chunk shape the store encodes and decodes most: a
+// 256×256 int32 chunk whose successor changed 3% of its cells, which the
+// hybrid encoder stores as a width-0 plane plus an overlay of ~2 000
+// cells.
+func hybridPair() (target, base *array.Dense) {
 	rng := rand.New(rand.NewSource(26))
 	base = array.MustDense(array.Int32, []int64{256, 256})
 	for i := int64(0); i < base.NumCells(); i++ {
 		base.SetBits(i, int64(rng.Intn(1<<20)))
 	}
-	target := base.Clone()
+	target = base.Clone()
 	for i := int64(0); i < target.NumCells(); i++ {
 		if rng.Intn(100) < 3 {
 			target.SetBits(i, int64(rng.Intn(1<<20)))
 		}
 	}
+	return target, base
+}
+
+// hybridChunk is hybridPair's blob and base, with the timer reset.
+func hybridChunk(b *testing.B) (blob []byte, base *array.Dense) {
+	target, base := hybridPair()
 	blob, err := Encode(Hybrid, target, base)
 	if err != nil {
 		b.Fatal(err)
@@ -236,5 +243,36 @@ func BenchmarkApplyScalarOracle(b *testing.B) {
 		if _, err := scalarApply(blob, base, false); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// encodeSink keeps the encode benchmarks' results live.
+var encodeSink []byte
+
+// BenchmarkEncodeChunk is one chunk of an insert: the encode kernel on
+// hybridPair.
+func BenchmarkEncodeChunk(b *testing.B) {
+	target, base := hybridPair()
+	b.SetBytes(base.SizeBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blob, err := Encode(Hybrid, target, base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		encodeSink = blob
+	}
+}
+
+// BenchmarkEncodeScalarOracle is the same chunk through the reference
+// encoder: every cell through the generic accessors into n-cell planes.
+func BenchmarkEncodeScalarOracle(b *testing.B) {
+	target, base := hybridPair()
+	b.SetBytes(base.SizeBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encodeSink = scalarEncodeHybrid(target, base)
 	}
 }

@@ -3,17 +3,190 @@ package delta
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 
 	"arrayvers/internal/array"
 	"arrayvers/internal/bitpack"
 )
 
-// The scalar reference decoders: the cellwise apply bodies as they were
-// before the in-place kernel, kept here as the oracle the differential
-// harness (inplace_test.go, FuzzApplyInPlace) drives ApplyInPlace
-// against. Deliberately the simplest correct implementation: unpack the
-// whole diff plane, then walk it with the generic cell accessors into a
-// fresh array.
+// The scalar references: the cellwise encode and apply bodies and the
+// sampled size estimate as they were before the two kernels, kept here
+// as the oracles the differential harnesses drive the kernels against —
+// inplace_test.go and FuzzApplyInPlace for ApplyInPlace, encode_test.go
+// and FuzzEncode for the encode kernel and EstimateSize. Deliberately the
+// simplest correct implementations: materialize every cell's difference
+// through the generic cell accessors, then pack or walk the whole plane.
+
+// scalarEncode encodes target against base with cellwise method m.
+func scalarEncode(m Method, target, base *array.Dense) []byte {
+	switch m {
+	case Dense:
+		return scalarEncodeDense(target, base)
+	case Sparse:
+		return scalarEncodeSparse(target, base)
+	case Hybrid:
+		return scalarEncodeHybrid(target, base)
+	default:
+		panic(fmt.Sprintf("delta: scalar oracle covers cellwise methods only, got %v", m))
+	}
+}
+
+func scalarEncodeDense(target, base *array.Dense) []byte {
+	n := target.NumCells()
+	dt := target.DType()
+	diffs := make([]int64, n)
+	width := 0
+	for i := int64(0); i < n; i++ {
+		d := wrapDiff(dt, target.Bits(i), base.Bits(i))
+		diffs[i] = d
+		if w := bitpack.SignedWidth(d); w > width {
+			width = w
+		}
+	}
+	out := putHeader(Dense, dt)
+	out = append(out, byte(width))
+	return append(out, bitpack.PackSigned(diffs, width)...)
+}
+
+func scalarEncodeSparse(target, base *array.Dense) []byte {
+	n := target.NumCells()
+	dt := target.DType()
+	var idx []int64
+	var diffs []int64
+	for i := int64(0); i < n; i++ {
+		if d := wrapDiff(dt, target.Bits(i), base.Bits(i)); d != 0 {
+			idx = append(idx, i)
+			diffs = append(diffs, d)
+		}
+	}
+	out := putHeader(Sparse, dt)
+	out = binary.AppendUvarint(out, uint64(len(idx)))
+	prev := int64(0)
+	for _, ix := range idx {
+		out = binary.AppendUvarint(out, uint64(ix-prev))
+		prev = ix
+	}
+	for _, d := range diffs {
+		out = binary.AppendVarint(out, d)
+	}
+	return out
+}
+
+func scalarEncodeHybrid(target, base *array.Dense) []byte {
+	n := target.NumCells()
+	dt := target.DType()
+	diffs := make([]int64, n)
+	widths := make([]int, n)
+	maxW := 0
+	for i := int64(0); i < n; i++ {
+		d := wrapDiff(dt, target.Bits(i), base.Bits(i))
+		diffs[i] = d
+		widths[i] = bitpack.SignedWidth(d)
+		if widths[i] > maxW {
+			maxW = widths[i]
+		}
+	}
+	width := scalarChooseHybridWidth(diffs, widths, maxW, n)
+	out := putHeader(Hybrid, dt)
+	out = append(out, byte(width))
+	// dense plane: outliers become 0
+	plane := make([]int64, n)
+	var outIdx, outDiff []int64
+	for i := int64(0); i < n; i++ {
+		if widths[i] <= width {
+			plane[i] = diffs[i]
+		} else {
+			outIdx = append(outIdx, i)
+			outDiff = append(outDiff, diffs[i])
+		}
+	}
+	out = append(out, bitpack.PackSigned(plane, width)...)
+	out = binary.AppendUvarint(out, uint64(len(outIdx)))
+	prev := int64(0)
+	for _, ix := range outIdx {
+		out = binary.AppendUvarint(out, uint64(ix-prev))
+		prev = ix
+	}
+	for _, d := range outDiff {
+		out = binary.AppendVarint(out, d)
+	}
+	return out
+}
+
+// scalarChooseHybridWidth picks the dense-plane width minimizing the
+// exact encoded size: n*D bits for the plane plus index+value varints for
+// every cell wider than D.
+func scalarChooseHybridWidth(diffs []int64, widths []int, maxW int, n int64) int {
+	// per-width outlier cost via suffix sums
+	valCost := make([]int64, maxW+2)  // varint bytes of outliers wider than D
+	cntWider := make([]int64, maxW+2) // number of outliers wider than D
+	for i := range diffs {
+		w := widths[i]
+		valCost[w] += int64(varintLen(diffs[i]))
+		cntWider[w]++
+	}
+	// turn into suffix sums: cost for threshold D = sum over w > D
+	for w := maxW - 1; w >= 0; w-- {
+		valCost[w] += valCost[w+1]
+		cntWider[w] += cntWider[w+1]
+	}
+	bestW, bestCost := maxW, int64(1)<<62
+	for D := 0; D <= maxW; D++ {
+		planeBytes := (n*int64(D) + 7) / 8
+		var outliers, vBytes int64
+		if D+1 <= maxW {
+			outliers = cntWider[D+1]
+			vBytes = valCost[D+1]
+		}
+		// index gaps: approximate each as uvarint of the average gap
+		idxBytes := int64(0)
+		if outliers > 0 {
+			avgGap := uint64(n) / uint64(outliers)
+			idxBytes = outliers * int64(uvarintLen(avgGap))
+		}
+		cost := planeBytes + vBytes + idxBytes
+		if cost < bestCost {
+			bestCost = cost
+			bestW = D
+		}
+	}
+	return bestW
+}
+
+func varintLen(v int64) int {
+	return uvarintLen(uint64((v << 1) ^ (v >> 63)))
+}
+
+// scalarEstimate is EstimateSize through the scalar references.
+func scalarEstimate(target, base *array.Dense, sample int, seed int64) int64 {
+	n := target.NumCells()
+	if sample <= 0 || int64(sample) >= n {
+		return int64(len(scalarEncodeHybrid(target, base)))
+	}
+	rng := rand.New(rand.NewSource(seed))
+	dt := target.DType()
+	diffs := make([]int64, sample)
+	widths := make([]int, sample)
+	maxW := 0
+	for i := range diffs {
+		flat := rng.Int63n(n)
+		d := wrapDiff(dt, target.Bits(flat), base.Bits(flat))
+		diffs[i] = d
+		widths[i] = bitpack.SignedWidth(d)
+		if widths[i] > maxW {
+			maxW = widths[i]
+		}
+	}
+	width := scalarChooseHybridWidth(diffs, widths, maxW, int64(sample))
+	sampleBytes := (int64(sample)*int64(width) + 7) / 8
+	for i := range diffs {
+		if widths[i] > width {
+			// outlier: index gap + value varint
+			sampleBytes += int64(uvarintLen(uint64(n)/uint64(sample))) + int64(varintLen(diffs[i]))
+		}
+	}
+	return sampleBytes * n / int64(sample)
+}
 
 // scalarApply reconstructs the target (reverse: the base) from a
 // cellwise blob without touching from.
