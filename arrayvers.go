@@ -50,8 +50,10 @@ import (
 
 // Store is the versioned storage manager (paper §II). It supports the
 // five basic operations — create array, delete array, create version,
-// delete version, query version — plus Branch, Merge, four Select forms,
-// metadata queries, and background reorganization.
+// delete version, query version — plus Branch, Merge, metadata queries,
+// and background reorganization. Querying versions is one call, Read
+// (one or more versions of one attribute, optionally a region), with
+// Select, SelectRegion, SelectMulti and SelectSparseMulti as shorthands.
 //
 // A Store is safe for concurrent use: selects snapshot metadata and
 // decode chunks without serializing on the store lock, fan per-chunk
@@ -143,6 +145,22 @@ func NewBox(lo, hi []int64) Box { return array.NewBox(lo, hi) }
 // Stack combines same-shaped N-dimensional arrays into one
 // (N+1)-dimensional array.
 func Stack(arrays []*Dense) (*Dense, error) { return array.Stack(arrays) }
+
+// ReadQuery names what Store.Read returns: the listed versions of one
+// array's attribute (empty Attr means the first), restricted to Box (a
+// zero Box means the whole array).
+type ReadQuery = core.ReadQuery
+
+// StackPlanes stacks the planes of a multi-version Read into one
+// (N+1)-dimensional dense array, densifying sparse planes; it passes a
+// Read error through, so it can wrap the call directly.
+func StackPlanes(planes []Plane, err error) (*Dense, error) { return core.StackPlanes(planes, err) }
+
+// SparsePlanes unwraps the planes of a multi-version Read of the sparse
+// array name; a dense array is an error. It passes a Read error through.
+func SparsePlanes(name string, planes []Plane, err error) ([]*Sparse, error) {
+	return core.SparsePlanes(name, planes, err)
+}
 
 // Payload forms for Insert (§II-A): dense, sparse, and delta-list.
 type (

@@ -16,6 +16,7 @@ package client
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -199,10 +200,12 @@ func newIdemKey() string {
 // when a retry cannot duplicate work. body is a byte slice (not a
 // Reader) so every attempt replays it from the start.
 func (c *Client) do(method, path string, contentType string, body []byte) (*http.Response, error) {
-	return c.doIdem(method, path, contentType, body, "")
+	return c.doIdem(context.Background(), method, path, contentType, body, "")
 }
 
-func (c *Client) doIdem(method, path string, contentType string, body []byte, idemKey string) (*http.Response, error) {
+// doIdem is do with an idempotency key and a context: every attempt
+// carries ctx, and cancelling it also ends the wait between retries.
+func (c *Client) doIdem(ctx context.Context, method, path string, contentType string, body []byte, idemKey string) (*http.Response, error) {
 	attempts := c.retry.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
@@ -213,7 +216,7 @@ func (c *Client) doIdem(method, path string, contentType string, body []byte, id
 		if body != nil {
 			rd = bytes.NewReader(body)
 		}
-		req, err := http.NewRequest(method, c.base+path, rd)
+		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 		if err != nil {
 			return nil, fmt.Errorf("client: %w", err)
 		}
@@ -254,7 +257,13 @@ func (c *Client) doIdem(method, path string, contentType string, body []byte, id
 		if attempt >= attempts {
 			return nil, lastErr
 		}
-		time.Sleep(c.retry.delay(attempt, hint))
+		wait := time.NewTimer(c.retry.delay(attempt, hint))
+		select {
+		case <-wait.C:
+		case <-ctx.Done():
+			wait.Stop()
+			return nil, lastErr
+		}
 	}
 }
 
@@ -402,7 +411,7 @@ func (c *Client) Insert(name string, p arrayvers.Payload) (int, error) {
 	if err := wire.WritePayload(&buf, p); err != nil {
 		return 0, fmt.Errorf("client: %w", err)
 	}
-	resp, err := c.doIdem(http.MethodPost, "/v1/arrays/"+url.PathEscape(name)+"/versions", frameContentType, buf.Bytes(), newIdemKey())
+	resp, err := c.doIdem(context.Background(), http.MethodPost, "/v1/arrays/"+url.PathEscape(name)+"/versions", frameContentType, buf.Bytes(), newIdemKey())
 	if err != nil {
 		return 0, err
 	}
@@ -426,7 +435,7 @@ func (c *Client) InsertBatch(name string, ps []arrayvers.Payload) ([]int, error)
 	if err := wire.WritePayloadBatch(&buf, ps); err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	resp, err := c.doIdem(http.MethodPost, "/v1/arrays/"+url.PathEscape(name)+"/versions/batch", frameContentType, buf.Bytes(), newIdemKey())
+	resp, err := c.doIdem(context.Background(), http.MethodPost, "/v1/arrays/"+url.PathEscape(name)+"/versions/batch", frameContentType, buf.Bytes(), newIdemKey())
 	if err != nil {
 		return nil, err
 	}
@@ -451,7 +460,7 @@ func (c *Client) InsertMulti(batches []arrayvers.MultiInsert) (map[string][]int,
 	if err := wire.WriteMultiBatch(&buf, batches); err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	resp, err := c.doIdem(http.MethodPost, "/v1/batch", frameContentType, buf.Bytes(), newIdemKey())
+	resp, err := c.doIdem(context.Background(), http.MethodPost, "/v1/batch", frameContentType, buf.Bytes(), newIdemKey())
 	if err != nil {
 		return nil, err
 	}
@@ -465,97 +474,64 @@ func (c *Client) InsertMulti(batches []arrayvers.MultiInsert) (map[string][]int,
 	return out.IDs, nil
 }
 
-func (c *Client) selectPlane(name string, query string) (arrayvers.Plane, error) {
-	resp, err := c.do(http.MethodGet, "/v1/arrays/"+url.PathEscape(name)+"/select?"+query, "", nil)
+// Read returns one plane per listed version of the array's attribute
+// (empty Attr means the first), restricted to Box (a zero Box means the
+// whole array), each in the array's own representation. The request
+// carries ctx; the reply is one plane frame per version.
+func (c *Client) Read(ctx context.Context, q arrayvers.ReadQuery) ([]arrayvers.Plane, error) {
+	ids := make([]string, len(q.IDs))
+	for i, id := range q.IDs {
+		ids[i] = strconv.Itoa(id)
+	}
+	query := "versions=" + strings.Join(ids, ",")
+	if q.Attr != "" {
+		query += "&attr=" + url.QueryEscape(q.Attr)
+	}
+	if q.Box.NDim() > 0 {
+		query += "&box=" + url.QueryEscape(cliutil.FormatBox(q.Box))
+	}
+	resp, err := c.doIdem(ctx, http.MethodGet, "/v1/arrays/"+url.PathEscape(q.Array)+"/select?"+query, "", nil, "")
 	if err != nil {
-		return arrayvers.Plane{}, err
+		return nil, err
 	}
 	defer drain(resp)
-	pl, err := wire.ReadPlane(resp.Body, c.maxFrame)
+	planes, err := wire.ReadPlanes(resp.Body, len(q.IDs), c.maxFrame)
 	if err != nil {
-		return arrayvers.Plane{}, fmt.Errorf("client: %w", err)
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	return pl, nil
+	return planes, nil
 }
 
 // Select returns the full content of one version's first attribute.
 func (c *Client) Select(name string, id int) (arrayvers.Plane, error) {
-	return c.selectPlane(name, "version="+strconv.Itoa(id))
-}
-
-// SelectAttr returns the full content of one version's named attribute
-// (empty attr means the first).
-func (c *Client) SelectAttr(name string, id int, attr string) (arrayvers.Plane, error) {
-	return c.selectPlane(name, "version="+strconv.Itoa(id)+"&attr="+url.QueryEscape(attr))
+	return c.SelectRegion(name, id, arrayvers.Box{})
 }
 
 // SelectRegion returns the hyper-rectangle box of one version's first
 // attribute.
 func (c *Client) SelectRegion(name string, id int, box arrayvers.Box) (arrayvers.Plane, error) {
-	return c.selectPlane(name, "version="+strconv.Itoa(id)+"&box="+url.QueryEscape(cliutil.FormatBox(box)))
+	return onePlane(c.Read(context.Background(), arrayvers.ReadQuery{Array: name, IDs: []int{id}, Box: box}))
 }
 
-// SelectRegionAttr is SelectRegion for a named attribute.
-func (c *Client) SelectRegionAttr(name string, id int, attr string, box arrayvers.Box) (arrayvers.Plane, error) {
-	return c.selectPlane(name, "version="+strconv.Itoa(id)+
-		"&attr="+url.QueryEscape(attr)+"&box="+url.QueryEscape(cliutil.FormatBox(box)))
-}
-
-func joinIDs(ids []int) string {
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = strconv.Itoa(id)
-	}
-	return strings.Join(parts, ",")
-}
-
-// SelectMulti returns an (N+1)-dimensional stack of the given dense
-// versions.
+// SelectMulti returns an (N+1)-dimensional stack of the given versions.
 func (c *Client) SelectMulti(name string, ids []int) (*arrayvers.Dense, error) {
-	return c.selectMulti(name, "versions="+joinIDs(ids))
-}
-
-// SelectMultiRegion stacks the given hyper-rectangle of each listed
-// version. A zero box selects the whole array.
-func (c *Client) SelectMultiRegion(name string, ids []int, box arrayvers.Box) (*arrayvers.Dense, error) {
-	query := "versions=" + joinIDs(ids)
-	if box.NDim() > 0 {
-		query += "&box=" + url.QueryEscape(cliutil.FormatBox(box))
-	}
-	return c.selectMulti(name, query)
-}
-
-func (c *Client) selectMulti(name, query string) (*arrayvers.Dense, error) {
-	resp, err := c.do(http.MethodGet, "/v1/arrays/"+url.PathEscape(name)+"/select-multi?"+query, "", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp)
-	d, err := wire.ReadDense(resp.Body, c.maxFrame)
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	return d, nil
+	return arrayvers.StackPlanes(c.Read(context.Background(), arrayvers.ReadQuery{Array: name, IDs: ids}))
 }
 
 // SelectSparseMulti returns the given region of each listed version of
 // a sparse array, preserving the sparse representation. A zero box
 // selects the whole array.
 func (c *Client) SelectSparseMulti(name string, ids []int, box arrayvers.Box) ([]*arrayvers.Sparse, error) {
-	query := "versions=" + joinIDs(ids)
-	if box.NDim() > 0 {
-		query += "&box=" + url.QueryEscape(cliutil.FormatBox(box))
-	}
-	resp, err := c.do(http.MethodGet, "/v1/arrays/"+url.PathEscape(name)+"/select-sparse-multi?"+query, "", nil)
+	planes, err := c.Read(context.Background(), arrayvers.ReadQuery{Array: name, IDs: ids, Box: box})
+	return arrayvers.SparsePlanes(name, planes, err)
+}
+
+// onePlane unwraps a single-version Read.
+func onePlane(planes []arrayvers.Plane, err error) (arrayvers.Plane, error) {
 	if err != nil {
-		return nil, err
+		return arrayvers.Plane{}, err
 	}
-	defer drain(resp)
-	set, err := wire.ReadSparseSet(resp.Body, c.maxFrame)
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	return set, nil
+	return planes[0], nil
 }
 
 // --- branch, merge, reorganize ---
@@ -669,19 +645,18 @@ func (c *Client) Close() error {
 
 // storeShape is the method set shared verbatim between the embedded
 // store and this client; programs that want to swap the two with one
-// line can depend on it (see examples/remote). The compile-time checks
-// below keep the two APIs from drifting apart.
+// line can depend on it (see examples/remote). Reads are one call, Read,
+// plus its four conveniences. The compile-time checks below keep the two
+// APIs from drifting apart.
 type storeShape interface {
 	CreateArray(arrayvers.Schema) error
 	Insert(string, arrayvers.Payload) (int, error)
 	InsertBatch(string, []arrayvers.Payload) ([]int, error)
 	InsertMulti([]arrayvers.MultiInsert) (map[string][]int, error)
+	Read(context.Context, arrayvers.ReadQuery) ([]arrayvers.Plane, error)
 	Select(string, int) (arrayvers.Plane, error)
-	SelectAttr(string, int, string) (arrayvers.Plane, error)
 	SelectRegion(string, int, arrayvers.Box) (arrayvers.Plane, error)
-	SelectRegionAttr(string, int, string, arrayvers.Box) (arrayvers.Plane, error)
 	SelectMulti(string, []int) (*arrayvers.Dense, error)
-	SelectMultiRegion(string, []int, arrayvers.Box) (*arrayvers.Dense, error)
 	SelectSparseMulti(string, []int, arrayvers.Box) ([]*arrayvers.Sparse, error)
 	Versions(string) ([]arrayvers.VersionInfo, error)
 	VersionAt(string, time.Time) (int, error)

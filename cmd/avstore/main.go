@@ -292,21 +292,19 @@ func run(args []string) error {
 			tr = arrayvers.NewTrace("avstore-select")
 			ctx = arrayvers.TraceContext(ctx, tr)
 		}
-		var pl arrayvers.Plane
-		var err error
+		q := arrayvers.ReadQuery{Array: *name, IDs: []int{*version}}
 		if *boxSpec != "" {
-			box, berr := parseBox(*boxSpec)
-			if berr != nil {
-				return berr
+			box, err := parseBox(*boxSpec)
+			if err != nil {
+				return err
 			}
-			pl, err = store.SelectRegionAttrCtx(ctx, *name, *version, "", box)
-		} else {
-			pl, err = store.SelectAttrCtx(ctx, *name, *version, "")
+			q.Box = box
 		}
+		planes, err := store.Read(ctx, q)
 		if err != nil {
 			return err
 		}
-		if err := emitPlane(pl, *out); err != nil {
+		if err := emitPlane(planes[0], *out); err != nil {
 			return err
 		}
 		if tr != nil {

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -31,6 +32,7 @@ type versionedStore interface {
 	DeleteArray(string) error
 	Insert(string, arrayvers.Payload) (int, error)
 	InsertBatch(string, []arrayvers.Payload) ([]int, error)
+	Read(context.Context, arrayvers.ReadQuery) ([]arrayvers.Plane, error)
 	Select(string, int) (arrayvers.Plane, error)
 	SelectRegion(string, int, arrayvers.Box) (arrayvers.Plane, error)
 	SelectMulti(string, []int) (*arrayvers.Dense, error)
@@ -151,6 +153,25 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("stacked %d versions into shape %v\n", len(ids), stack.Shape())
+
+	// the general read: a region of a named attribute across several
+	// versions, one plane per version
+	planes, err := store.Read(context.Background(), arrayvers.ReadQuery{
+		Array: name, IDs: []int{ids[4], ids[0], ids[2]}, Attr: "V", Box: box,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, w := range []int{4, 0, 2} {
+		wantRegion, err := want[w].Slice(box)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if !planes[i].Dense.Equal(wantRegion) {
+			log.Fatalf("read of region %v of %s@%d mismatch", box, name, ids[w])
+		}
+	}
+	fmt.Printf("read region %v of attribute V from %d versions\n", box, len(planes))
 
 	// branch and version history
 	if err := store.Branch(name, ids[1], name+"_branch"); err != nil {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -86,7 +87,9 @@ func main() {
 
 	// region query: follow one storm cell through time as a 3D slab
 	cell := arrayvers.NewBox([]int64{40, 40}, []int64{72, 72})
-	slab, err := store.SelectMultiRegion("Humidity", []int{5, 6, 7, 8}, cell)
+	slab, err := arrayvers.StackPlanes(store.Read(context.Background(), arrayvers.ReadQuery{
+		Array: "Humidity", IDs: []int{5, 6, 7, 8}, Box: cell,
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -181,7 +181,7 @@ func (e *Engine) selectStmt(ctx context.Context, s SelectStmt) (Result, error) {
 			}
 			ids = ids[lo : hi+1]
 		}
-		stacked, err := e.store.SelectMultiRegionCtx(ctx, s.Array, ids, spatial)
+		stacked, err := core.StackPlanes(e.store.Read(ctx, core.ReadQuery{Array: s.Array, IDs: ids, Box: spatial}))
 		if err != nil {
 			return Result{}, err
 		}
@@ -198,14 +198,11 @@ func (e *Engine) selectStmt(ctx context.Context, s SelectStmt) (Result, error) {
 }
 
 func (e *Engine) selectOne(ctx context.Context, name string, id int, box array.Box) (Result, error) {
-	pl, err := e.store.SelectRegionAttrCtx(ctx, name, id, "", box)
+	planes, err := e.store.Read(ctx, core.ReadQuery{Array: name, IDs: []int{id}, Box: box})
 	if err != nil {
 		return Result{}, err
 	}
-	if pl.IsSparse() {
-		return Result{Sparse: pl.Sparse}, nil
-	}
-	return Result{Dense: pl.Dense}, nil
+	return Result{Dense: planes[0].Dense, Sparse: planes[0].Sparse}, nil
 }
 
 // String renders a result in the appendix's nested-bracket style, e.g.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -144,7 +145,7 @@ func Table3And4(workDir string, sc Scale) (Table, Table, error) {
 		rangeRead := s.Stats().BytesRead
 		s.ResetStats()
 		rangeSubTime, err := timed(func() error {
-			_, err := s.SelectMultiRegion("OSM", all, sub)
+			_, err := core.StackPlanes(s.Read(context.Background(), core.ReadQuery{Array: "OSM", IDs: all, Box: sub}))
 			return err
 		})
 		if err != nil {

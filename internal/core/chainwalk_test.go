@@ -87,8 +87,8 @@ func TestChainWalkDecodeCounts(t *testing.T) {
 	s := walkStore(t, versions, nil)
 	selectOf := func(id int) func(context.Context) error {
 		return func(ctx context.Context) error {
-			pl, err := s.SelectAttrCtx(ctx, "W", id, "")
-			if err == nil && !pl.Dense.Equal(versions[id-1]) {
+			pl, err := s.Read(ctx, ReadQuery{Array: "W", IDs: []int{id}})
+			if err == nil && !pl[0].Dense.Equal(versions[id-1]) {
 				err = fmt.Errorf("version %d mismatch", id)
 			}
 			return err
@@ -153,7 +153,7 @@ func TestSelectMultiDecodesEachPayloadOnce(t *testing.T) {
 	for name, prepare := range layouts {
 		s := walkStore(t, versions, prepare)
 		got := decodedBy(t, func(ctx context.Context) error {
-			stacked, err := s.SelectMultiRegionCtx(ctx, "W", ids, array.Box{})
+			stacked, err := StackPlanes(s.Read(ctx, ReadQuery{Array: "W", IDs: ids}))
 			if err == nil && !stacked.Equal(want) {
 				err = fmt.Errorf("%s: stacked versions mismatch", name)
 			}

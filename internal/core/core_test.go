@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -78,6 +79,11 @@ func TestCreateInsertSelectRoundtrip(t *testing.T) {
 		}
 		if !got.Dense.Equal(want) {
 			t.Fatalf("version %d content mismatch", i+1)
+		}
+		// a zero box is the whole array
+		whole, err := s.SelectRegion("Example", i+1, array.Box{})
+		if err != nil || !whole.Dense.Equal(want) {
+			t.Fatalf("SelectRegion with a zero box of version %d differs from Select: %v", i+1, err)
 		}
 	}
 }
@@ -275,7 +281,7 @@ func TestSelectMultiStacking(t *testing.T) {
 		t.Fatal("stack slab 1 wrong")
 	}
 	// region form (paper's SUBSAMPLE over Example@*)
-	sub, err := s.SelectMultiRegion("M", []int{2, 3}, array.NewBox([]int64{0, 1}, []int64{2, 3}))
+	sub, err := StackPlanes(s.Read(context.Background(), ReadQuery{Array: "M", IDs: []int{2, 3}, Box: array.NewBox([]int64{0, 1}, []int64{2, 3})}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +293,9 @@ func TestSelectMultiStacking(t *testing.T) {
 	}
 	if _, err := s.SelectMulti("M", nil); err == nil {
 		t.Error("empty version list accepted")
+	}
+	if _, err := s.Read(context.Background(), ReadQuery{Array: "M"}); err == nil {
+		t.Error("Read with no versions accepted")
 	}
 }
 
@@ -735,7 +744,7 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := s.SelectRegion("E", 1, array.NewBox([]int64{100, 100}, []int64{200, 200})); err == nil {
 		t.Error("out-of-range box accepted")
 	}
-	if _, err := s.SelectAttr("E", 1, "Nope"); err == nil {
+	if _, err := s.Read(context.Background(), ReadQuery{Array: "E", IDs: []int{1}, Attr: "Nope"}); err == nil {
 		t.Error("unknown attribute accepted")
 	}
 }
@@ -814,17 +823,75 @@ func TestMultiAttributeArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotT, err := s.SelectAttr("Multi", id, "Temp")
-	if err != nil || !gotT.Dense.Equal(temp) {
+	gotT, err := s.Read(context.Background(), ReadQuery{Array: "Multi", IDs: []int{id}, Attr: "Temp"})
+	if err != nil || !gotT[0].Dense.Equal(temp) {
 		t.Fatal("Temp plane mismatch")
 	}
-	gotH, err := s.SelectAttr("Multi", id, "Humidity")
-	if err != nil || !gotH.Dense.Equal(hum) {
+	gotH, err := s.Read(context.Background(), ReadQuery{Array: "Multi", IDs: []int{id}, Attr: "Humidity"})
+	if err != nil || !gotH[0].Dense.Equal(hum) {
 		t.Fatal("Humidity plane mismatch")
+	}
+	// a named non-first attribute over two versions: each version's plane
+	temp2, hum2 := temp.Clone(), hum.Clone()
+	for i := int64(0); i < hum2.NumCells(); i += 3 {
+		temp2.SetFloat(i, -1)
+		hum2.SetFloat(i, float64(i)*-2)
+	}
+	id2, err := s.Insert("Multi", Payload{Planes: []Plane{{Dense: temp2}, {Dense: hum2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	both, err := s.Read(context.Background(), ReadQuery{Array: "Multi", IDs: []int{id, id2}, Attr: "Humidity"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(both) != 2 || !both[0].Dense.Equal(hum) || !both[1].Dense.Equal(hum2) {
+		t.Fatal("two-version Humidity read mismatch")
 	}
 	// plane count mismatch rejected
 	if _, err := s.Insert("Multi", Payload{Planes: []Plane{{Dense: temp}}}); err == nil {
 		t.Error("missing plane accepted")
+	}
+}
+
+// TestSameTypedAttributesStayApart pins the per-query memo's key: with
+// two attributes of one type, an insert's delta base, a multi-version
+// read and a branch copy must each see the attribute they asked for,
+// never the other one's plane of the same chunk and version.
+func TestSameTypedAttributesStayApart(t *testing.T) {
+	s := testStore(t, smallOpts())
+	sch := array.Schema{
+		Name:  "Pair",
+		Dims:  []array.Dimension{{Name: "X", Lo: 0, Hi: 31}, {Name: "Y", Lo: 0, Hi: 31}},
+		Attrs: []array.Attribute{{Name: "A", Type: array.Int32}, {Name: "B", Type: array.Int32}},
+	}
+	if err := s.CreateArray(sch); err != nil {
+		t.Fatal(err)
+	}
+	vs := evolvingVersions(4, 32, 3)
+	as, bs := vs[:2], vs[2:]
+	for i := range as {
+		if _, err := s.Insert("Pair", Payload{Planes: []Plane{{Dense: as[i]}, {Dense: bs[i]}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for attr, want := range map[string][]*array.Dense{"A": as, "B": bs} {
+		got, err := s.Read(context.Background(), ReadQuery{Array: "Pair", IDs: []int{1, 2}, Attr: attr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if !got[i].Dense.Equal(want[i]) {
+				t.Fatalf("attribute %s of version %d mismatch", attr, i+1)
+			}
+		}
+	}
+	if err := s.Branch("Pair", 2, "PairB"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Read(context.Background(), ReadQuery{Array: "PairB", IDs: []int{1}, Attr: "B"})
+	if err != nil || !got[0].Dense.Equal(bs[1]) {
+		t.Fatalf("branched attribute B mismatch: %v", err)
 	}
 }
 

@@ -16,195 +16,157 @@ import (
 // The select path (§II-B, Fig. 1 right): look up the chunks needed to
 // answer the query in the version metadata, read them from disk,
 // decompress, unwind the delta chains, and assemble the result array.
-// Four select primitives are provided: whole version, version region,
-// stacked multi-version, and stacked multi-version region.
+// There is one read primitive, Read: one or more versions of one
+// attribute, optionally restricted to a region. Select, SelectRegion,
+// SelectMulti and SelectSparseMulti are one-line shapes over it.
 //
-// Concurrency: each public select snapshots the array's metadata under
-// the store lock, then reads and decodes chunks lock-free on a worker
-// pool of Options.Parallelism goroutines (one task per overlapping
-// chunk). Reconstructed chunks are first looked up in the store-wide LRU
+// Concurrency: each Read snapshots the array's metadata under the store
+// lock, then reads and decodes chunks lock-free on a worker pool of
+// Options.Parallelism goroutines (one task per overlapping chunk).
+// Reconstructed chunks are first looked up in the store-wide LRU
 // (Options.CacheBytes); on a miss the delta chain is walked down to the
 // nearest cached, memoized or materialized plane and applied back up in
 // one private buffer. Only the chunk the query asked for is cached —
 // ancestors are not materialized into the LRU — so a later query for a
 // child of a cached version costs one delta apply.
 
-// Select returns the full content of one version's first attribute.
-func (s *Store) Select(name string, id int) (Plane, error) {
-	return s.SelectAttr(name, id, "")
+// ReadQuery names what Read returns: the listed versions of one array's
+// attribute (empty Attr means the first), restricted to Box (a zero Box
+// means the whole array).
+type ReadQuery struct {
+	Array string
+	IDs   []int
+	Attr  string
+	Box   array.Box
 }
 
-// SelectAttr returns the full content of one version's named attribute
-// (empty attr means the first).
-func (s *Store) SelectAttr(name string, id int, attr string) (Plane, error) {
-	return s.SelectAttrCtx(context.Background(), name, id, attr)
-}
-
-// SelectAttrCtx is SelectAttr honoring ctx: once the context is
-// cancelled the chunk fan-out stops scheduling work at the next chunk
-// boundary, so abandoned requests do not keep burning the decode pool.
-func (s *Store) SelectAttrCtx(ctx context.Context, name string, id int, attr string) (Plane, error) {
+// Read returns one plane per listed version, in order, each in the
+// array's own representation (dense or sparse). The versions are read
+// from one metadata snapshot; a multi-version read walks each chunk's
+// delta chain once for all of them (chunkCache). Once ctx is cancelled
+// the chunk fan-out stops scheduling work at the next chunk boundary, so
+// abandoned requests do not keep burning the decode pool.
+func (s *Store) Read(ctx context.Context, q ReadQuery) ([]Plane, error) {
+	if len(q.IDs) == 0 {
+		return nil, fmt.Errorf("core: no versions selected")
+	}
 	tk := s.selTracker(ctx)
 	t0 := time.Now()
-	v, release, err := s.snapshot(name)
+	v, release, err := s.snapshot(q.Array)
 	if err != nil {
-		return Plane{}, err
+		return nil, err
 	}
 	defer release()
 	tk.observe(StageSnapshot, time.Since(t0), 0)
-	pl, err := s.readRegionView(ctx, v, id, s.attrName(v.st, attr), array.BoxOf(v.st.Schema.Shape()), nil, tk)
-	if err == nil {
-		v.st.workload.record([]int{id}, 1)
+	attr, box := q.Attr, q.Box
+	if attr == "" {
+		attr = v.st.Schema.Attrs[0].Name
 	}
-	return pl, err
+	if box.NDim() == 0 {
+		box = array.BoxOf(v.st.Schema.Shape())
+	}
+	// a single-version read has no chain to share, and with a memo the
+	// walk would clone every plane it passes
+	var qc *chunkCache
+	if len(q.IDs) > 1 {
+		qc = newChunkCache()
+	}
+	out := make([]Plane, len(q.IDs))
+	for i, id := range q.IDs {
+		if out[i], err = s.readRegionView(ctx, v, id, attr, box, qc, tk); err != nil {
+			return nil, err
+		}
+	}
+	v.st.workload.record(q.IDs, 1)
+	return out, nil
+}
+
+// Select returns the full content of one version's first attribute.
+func (s *Store) Select(name string, id int) (Plane, error) {
+	return s.SelectRegion(name, id, array.Box{})
 }
 
 // SelectRegion returns the hyper-rectangle box of one version's first
 // attribute; only the chunks overlapping the region are read.
 func (s *Store) SelectRegion(name string, id int, box array.Box) (Plane, error) {
-	return s.SelectRegionAttr(name, id, "", box)
+	return onePlane(s.Read(context.Background(), ReadQuery{Array: name, IDs: []int{id}, Box: box}))
 }
 
-// SelectRegionAttr is SelectRegion for a named attribute.
-func (s *Store) SelectRegionAttr(name string, id int, attr string, box array.Box) (Plane, error) {
-	return s.SelectRegionAttrCtx(context.Background(), name, id, attr, box)
-}
-
-// SelectRegionAttrCtx is SelectRegionAttr honoring ctx (see
-// SelectAttrCtx).
-func (s *Store) SelectRegionAttrCtx(ctx context.Context, name string, id int, attr string, box array.Box) (Plane, error) {
-	tk := s.selTracker(ctx)
-	t0 := time.Now()
-	v, release, err := s.snapshot(name)
-	if err != nil {
-		return Plane{}, err
-	}
-	defer release()
-	tk.observe(StageSnapshot, time.Since(t0), 0)
-	pl, err := s.readRegionView(ctx, v, id, s.attrName(v.st, attr), box, nil, tk)
-	if err == nil {
-		v.st.workload.record([]int{id}, 1)
-	}
-	return pl, err
-}
-
-// SelectMulti returns an (N+1)-dimensional stack of the given dense
-// versions: "it returns an N+1-dimensional array that is effectively a
-// stack of the specified versions" (§II-B). The version order is
-// preserved.
+// SelectMulti returns an (N+1)-dimensional stack of the given versions:
+// "it returns an N+1-dimensional array that is effectively a stack of
+// the specified versions" (§II-B). The version order is preserved;
+// sparse versions are densified.
 func (s *Store) SelectMulti(name string, ids []int) (*array.Dense, error) {
-	return s.SelectMultiRegion(name, ids, array.Box{})
-}
-
-// SelectMultiRegion stacks the given hyper-rectangle of each listed
-// version into a single (N+1)-dimensional array (the fourth select form).
-// A zero box selects the whole array.
-func (s *Store) SelectMultiRegion(name string, ids []int, box array.Box) (*array.Dense, error) {
-	return s.SelectMultiRegionCtx(context.Background(), name, ids, box)
-}
-
-// SelectMultiRegionCtx is SelectMultiRegion honoring ctx (see
-// SelectAttrCtx).
-func (s *Store) SelectMultiRegionCtx(ctx context.Context, name string, ids []int, box array.Box) (*array.Dense, error) {
-	tk := s.selTracker(ctx)
-	t0 := time.Now()
-	v, release, err := s.snapshot(name)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	tk.observe(StageSnapshot, time.Since(t0), 0)
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("core: no versions selected")
-	}
-	if box.NDim() == 0 {
-		box = array.BoxOf(v.st.Schema.Shape())
-	}
-	attr := v.st.Schema.Attrs[0].Name
-	slabs := make([]*array.Dense, len(ids))
-	qc := newChunkCache()
-	for i, id := range ids {
-		pl, err := s.readRegionView(ctx, v, id, attr, box, qc, tk)
-		if err != nil {
-			return nil, err
-		}
-		if pl.IsSparse() {
-			d, err := pl.Sparse.ToDense()
-			if err != nil {
-				return nil, err
-			}
-			slabs[i] = d
-		} else {
-			slabs[i] = pl.Dense
-		}
-	}
-	v.st.workload.record(ids, 1)
-	t0 = time.Now()
-	stacked, err := array.Stack(slabs)
-	if err != nil {
-		return nil, err
-	}
-	tk.observe(StageMaterialize, time.Since(t0), stacked.SizeBytes())
-	return stacked, nil
+	return StackPlanes(s.Read(context.Background(), ReadQuery{Array: name, IDs: ids}))
 }
 
 // SelectSparseMulti returns the given region of each listed version of a
 // sparse array, preserving the sparse representation (stacking terabyte-
 // scale sparse coordinate spaces densely would be pathological).
 func (s *Store) SelectSparseMulti(name string, ids []int, box array.Box) ([]*array.Sparse, error) {
-	return s.SelectSparseMultiCtx(context.Background(), name, ids, box)
+	planes, err := s.Read(context.Background(), ReadQuery{Array: name, IDs: ids, Box: box})
+	return SparsePlanes(name, planes, err)
 }
 
-// SelectSparseMultiCtx is SelectSparseMulti honoring ctx (see
-// SelectAttrCtx).
-func (s *Store) SelectSparseMultiCtx(ctx context.Context, name string, ids []int, box array.Box) ([]*array.Sparse, error) {
-	tk := s.selTracker(ctx)
-	t0 := time.Now()
-	v, release, err := s.snapshot(name)
+// onePlane unwraps a single-version Read.
+func onePlane(planes []Plane, err error) (Plane, error) {
+	if err != nil {
+		return Plane{}, err
+	}
+	return planes[0], nil
+}
+
+// StackPlanes stacks the planes of a multi-version Read into one
+// (N+1)-dimensional dense array, densifying sparse planes (the
+// SelectMulti result shape). It passes a Read error through, so it can
+// wrap the call directly.
+func StackPlanes(planes []Plane, err error) (*array.Dense, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	tk.observe(StageSnapshot, time.Since(t0), 0)
-	if !v.st.SparseRep {
-		return nil, fmt.Errorf("core: array %q is dense; use SelectMulti", name)
+	slabs := make([]*array.Dense, len(planes))
+	for i, pl := range planes {
+		if slabs[i] = pl.Dense; pl.IsSparse() {
+			if slabs[i], err = pl.Sparse.ToDense(); err != nil {
+				return nil, err
+			}
+		}
 	}
-	if box.NDim() == 0 {
-		box = array.BoxOf(v.st.Schema.Shape())
+	return array.Stack(slabs)
+}
+
+// SparsePlanes unwraps the planes of a multi-version Read of the sparse
+// array name (the SelectSparseMulti result shape); a dense array is an
+// error. It passes a Read error through, like StackPlanes.
+func SparsePlanes(name string, planes []Plane, err error) ([]*array.Sparse, error) {
+	if err != nil {
+		return nil, err
 	}
-	attr := v.st.Schema.Attrs[0].Name
-	out := make([]*array.Sparse, len(ids))
-	qc := newChunkCache()
-	for i, id := range ids {
-		pl, err := s.readRegionView(ctx, v, id, attr, box, qc, tk)
-		if err != nil {
-			return nil, err
+	out := make([]*array.Sparse, len(planes))
+	for i, pl := range planes {
+		if !pl.IsSparse() {
+			return nil, fmt.Errorf("core: array %q is dense; use SelectMulti", name)
 		}
 		out[i] = pl.Sparse
 	}
-	v.st.workload.record(ids, 1)
 	return out, nil
 }
 
-func (s *Store) attrName(st *arrayState, attr string) string {
-	if attr == "" {
-		return st.Schema.Attrs[0].Name
-	}
-	return attr
+// chunkCache memoizes reconstructed chunk contents per (attribute, chunk
+// key, version) across a multi-version select, so a range query walks
+// each delta chain once rather than once per selected version (the
+// paper's range scans read each chunk chain a single time, Fig. 2) —
+// even when the store-wide cache is disabled or has evicted the chain.
+// The outer map is populated up front by chunkMaps; after that, workers
+// touch only their own chunk's inner map, so no locking is needed as
+// long as the per-version loop stays serial.
+type chunkCache struct {
+	dense  map[attrChunk]map[int]*array.Dense
+	sparse map[string]map[int]sparseRes // by attribute
 }
 
-// chunkCache memoizes reconstructed chunk contents per (chunk key,
-// version) across a multi-version select, so a range query walks each
-// delta chain once rather than once per selected version (the paper's
-// range scans read each chunk chain a single time, Fig. 2) — even when
-// the store-wide cache is disabled or has evicted the chain. The outer
-// map is populated up front by ensure(); after that, workers touch only
-// their own chunk's inner map, so no locking is needed as long as the
-// per-version loop stays serial.
-type chunkCache struct {
-	dense  map[string]map[int]*array.Dense
-	sparse map[int]sparseRes
-}
+// attrChunk names one chunk of one attribute.
+type attrChunk struct{ attr, chunk string }
 
 // sparseRes is a resolved sparse version plus whether the object is
 // shared with the store-wide cache (and therefore must be cloned before
@@ -215,29 +177,25 @@ type sparseRes struct {
 }
 
 func newChunkCache() *chunkCache {
-	return &chunkCache{dense: map[string]map[int]*array.Dense{}, sparse: map[int]sparseRes{}}
+	return &chunkCache{dense: map[attrChunk]map[int]*array.Dense{}, sparse: map[string]map[int]sparseRes{}}
 }
 
-// ensure pre-creates the per-chunk maps for the given keys; must be
-// called before chunk workers fan out.
-func (c *chunkCache) ensure(keys []string) {
-	if c == nil {
-		return
-	}
-	for _, k := range keys {
-		if _, ok := c.dense[k]; !ok {
-			c.dense[k] = map[int]*array.Dense{}
-		}
-	}
-}
-
-// chunk returns the per-chunk map created by ensure (nil for a nil
-// cache). Safe to call concurrently: it only reads the outer map.
-func (c *chunkCache) chunk(key string) map[int]*array.Dense {
+// chunkMaps returns the memo map of attr's chunk at each of origins,
+// creating the missing ones; it must be called before chunk workers fan
+// out. A nil cache (a single-version read) has none and builds no keys.
+func (c *chunkCache) chunkMaps(attr string, ck *chunk.Chunker, origins [][]int64) []map[int]*array.Dense {
 	if c == nil {
 		return nil
 	}
-	return c.dense[key]
+	out := make([]map[int]*array.Dense, len(origins))
+	for i, origin := range origins {
+		k := attrChunk{attr, ck.Key(origin)}
+		if c.dense[k] == nil {
+			c.dense[k] = map[int]*array.Dense{}
+		}
+		out[i] = c.dense[k]
+	}
+	return out
 }
 
 // readRegionView reconstructs the part of a version's attribute plane
@@ -268,7 +226,10 @@ func (s *Store) readRegionView(ctx context.Context, v *readView, id int, attr st
 	if st.SparseRep {
 		var spCache map[int]sparseRes
 		if qc != nil {
-			spCache = qc.sparse
+			if spCache = qc.sparse[attr]; spCache == nil {
+				spCache = map[int]sparseRes{}
+				qc.sparse[attr] = spCache
+			}
 		}
 		sp, shared, err := s.resolveSparse(v, id, attr, spCache, 0, tk)
 		if err != nil {
@@ -300,16 +261,16 @@ func (s *Store) readRegionView(ctx context.Context, v *readView, id int, attr st
 		return Plane{}, err
 	}
 	origins := ck.Overlapping(box)
-	keys := make([]string, len(origins))
-	for i, origin := range origins {
-		keys[i] = ck.Key(origin)
-	}
-	qc.ensure(keys)
+	locals := qc.chunkMaps(attr, ck, origins)
 	err = forEachLimit(ctx, len(origins), s.opts.Parallelism, func(i int) error {
 		s.prof.decodeActive.Add(1)
 		defer s.prof.decodeActive.Add(-1)
 		origin := origins[i]
-		chunkArr, err := s.resolveDenseChunk(v, id, attr, ck, origin, qc.chunk(keys[i]), tk)
+		var local map[int]*array.Dense
+		if locals != nil {
+			local = locals[i]
+		}
+		chunkArr, err := s.resolveDenseChunk(v, id, attr, ck, origin, local, tk)
 		if err != nil {
 			return err
 		}

@@ -356,8 +356,8 @@ func TestContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.SelectAttrCtx(ctx, "C", 1, ""); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SelectAttrCtx error = %v, want context.Canceled", err)
+	if _, err := s.Read(ctx, ReadQuery{Array: "C", IDs: []int{1}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Read error = %v, want context.Canceled", err)
 	}
 	if _, err := s.InsertCtx(ctx, "C", DensePayload(crashContent(2, side))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("InsertCtx error = %v, want context.Canceled", err)
@@ -370,7 +370,7 @@ func TestContextCancellation(t *testing.T) {
 		t.Fatalf("cancelled insert created a version: %v", infos)
 	}
 	// and the live context still works
-	if got, err := s.SelectAttrCtx(context.Background(), "C", 1, ""); err != nil || !got.Dense.Equal(content) {
+	if got, err := s.Read(context.Background(), ReadQuery{Array: "C", IDs: []int{1}}); err != nil || !got[0].Dense.Equal(content) {
 		t.Fatalf("select after cancellation: %v", err)
 	}
 }

@@ -147,8 +147,6 @@ func New(cfg Config) (*Server, error) {
 	s.route(mux, "POST /v1/arrays/{name}/versions/batch", "insert-batch", s.handleInsertBatch)
 	s.route(mux, "POST /v1/batch", "insert-multi", s.handleInsertMulti)
 	s.routeStream(mux, "GET /v1/arrays/{name}/select", "select", s.handleSelect)
-	s.routeStream(mux, "GET /v1/arrays/{name}/select-multi", "select-multi", s.handleSelectMulti)
-	s.routeStream(mux, "GET /v1/arrays/{name}/select-sparse-multi", "select-sparse-multi", s.handleSelectSparseMulti)
 	s.route(mux, "POST /v1/arrays/{name}/branch", "branch", s.handleBranch)
 	s.route(mux, "POST /v1/arrays/{name}/reorganize", "reorganize", s.handleReorganize)
 	s.route(mux, "POST /v1/arrays/{name}/tune", "tune", s.handleTune)
@@ -365,18 +363,6 @@ func decodeJSONBody(r *http.Request, v any) error {
 
 // --- query-parameter parsing ---
 
-func versionParam(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("version")
-	if raw == "" {
-		return 0, errors.New("missing ?version parameter")
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("bad ?version parameter %q", raw)
-	}
-	return v, nil
-}
-
 func versionsParam(r *http.Request) ([]int, error) {
 	raw := r.URL.Query().Get("versions")
 	if raw == "" {
@@ -394,18 +380,14 @@ func versionsParam(r *http.Request) ([]int, error) {
 	return ids, nil
 }
 
-// boxParam parses the optional ?box=lo,lo:hi,hi parameter; ok reports
-// whether a box was present.
-func boxParam(r *http.Request) (array.Box, bool, error) {
+// boxParam parses the optional ?box=lo,lo:hi,hi parameter; an absent
+// box is the zero Box, which selects the whole array.
+func boxParam(r *http.Request) (array.Box, error) {
 	raw := r.URL.Query().Get("box")
 	if raw == "" {
-		return array.Box{}, false, nil
+		return array.Box{}, nil
 	}
-	box, err := cliutil.ParseBox(raw)
-	if err != nil {
-		return array.Box{}, false, err
-	}
-	return box, true, nil
+	return cliutil.ParseBox(raw)
 }
 
 // --- handlers ---
@@ -693,84 +675,73 @@ func (s *Server) handleInsertMulti(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]map[string][]int{"ids": out})
 }
 
+// handleSelect serves the one select route: ?versions=a,b,… with an
+// optional ?attr= and ?box=. The reply is one plane frame per listed
+// version, back to back in request order; dense planes go out zero-copy.
+// The request context cancels on client disconnect, so an abandoned
+// select stops scheduling chunk decodes instead of running to the end.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	id, err := versionParam(r)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	attr := r.URL.Query().Get("attr")
-	box, hasBox, err := boxParam(r)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	// the request context cancels on client disconnect, so an abandoned
-	// select stops scheduling chunk decodes instead of running to the end
-	var pl core.Plane
-	if hasBox {
-		pl, err = s.store.SelectRegionAttrCtx(r.Context(), name, id, attr, box)
-	} else {
-		pl, err = s.store.SelectAttrCtx(r.Context(), name, id, attr)
-	}
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", FrameContentType)
-	if n, err := wire.WritePlaneNoCopy(w, pl); err == nil && n > 0 {
-		s.metrics.addZeroCopy(n)
-	}
-}
-
-func (s *Server) handleSelectMulti(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
 	ids, err := versionsParam(r)
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	box, hasBox, err := boxParam(r)
+	box, err := boxParam(r)
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	var d *array.Dense
-	if hasBox {
-		d, err = s.store.SelectMultiRegionCtx(r.Context(), name, ids, box)
-	} else {
-		d, err = s.store.SelectMultiRegionCtx(r.Context(), name, ids, array.Box{})
+	q := core.ReadQuery{Array: r.PathValue("name"), IDs: ids, Attr: r.URL.Query().Get("attr"), Box: box}
+	if len(ids) > 1 {
+		if err := s.checkReplySize(q); err != nil {
+			s.writeErr(w, err)
+			return
+		}
 	}
+	planes, err := s.store.Read(r.Context(), q)
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", FrameContentType)
-	if n, err := wire.WriteDenseNoCopy(w, d); err == nil {
-		s.metrics.addZeroCopy(n)
+	for _, pl := range planes {
+		n, err := wire.WritePlaneNoCopy(w, pl)
+		if err != nil {
+			return // the client went away mid-reply
+		}
+		if n > 0 {
+			s.metrics.addZeroCopy(n)
+		}
 	}
 }
 
-func (s *Server) handleSelectSparseMulti(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	ids, err := versionsParam(r)
-	if err != nil {
-		s.writeErr(w, err)
-		return
+// checkReplySize bounds a multi-version select of a dense array before
+// any chunk is read: its reply holds len(ids) planes of box ∩ array
+// cells each, and one beyond MaxFrameBytes is refused (413) rather than
+// built in memory. A repeated id costs a full plane each time, so the
+// URL length alone does not bound the work. Errors that Read reports
+// better (no such attribute, a malformed box) pass through unchecked.
+func (s *Server) checkReplySize(q core.ReadQuery) error {
+	info, err := s.store.Info(q.Array)
+	if err != nil || info.SparseRep {
+		return err
 	}
-	box, _, err := boxParam(r)
-	if err != nil {
-		s.writeErr(w, err)
-		return
+	sch := info.Schema
+	ai := 0
+	if q.Attr != "" {
+		if ai = sch.AttrIndex(q.Attr); ai < 0 {
+			return nil
+		}
 	}
-	set, err := s.store.SelectSparseMultiCtx(r.Context(), name, ids, box)
-	if err != nil {
-		s.writeErr(w, err)
-		return
+	box := array.BoxOf(sch.Shape())
+	if q.Box.NDim() == len(sch.Dims) {
+		box = box.Intersect(q.Box)
 	}
-	w.Header().Set("Content-Type", FrameContentType)
-	_ = wire.WriteSparseSet(w, set)
+	need := float64(len(q.IDs)) * float64(box.NumCells()) * float64(sch.Attrs[ai].Type.Size())
+	if need > float64(s.maxFrame) {
+		return fmt.Errorf("%w: %d versions of %v need %.0f bytes > %d", wire.ErrFrameTooLarge, len(q.IDs), box, need, s.maxFrame)
+	}
+	return nil
 }
 
 func (s *Server) handleBranch(w http.ResponseWriter, r *http.Request) {
@@ -933,14 +904,11 @@ func (s *Server) handleAQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch {
-	case res.Dense != nil:
+	case res.Dense != nil || res.Sparse != nil:
 		w.Header().Set("Content-Type", FrameContentType)
-		if n, err := wire.WriteDenseNoCopy(w, res.Dense); err == nil {
+		if n, err := wire.WritePlaneNoCopy(w, core.Plane{Dense: res.Dense, Sparse: res.Sparse}); err == nil && n > 0 {
 			s.metrics.addZeroCopy(n)
 		}
-	case res.Sparse != nil:
-		w.Header().Set("Content-Type", FrameContentType)
-		_ = wire.WriteFrame(w, wire.KindSparse, array.MarshalSparse(res.Sparse))
 	default:
 		names := res.Names
 		if names == nil && res.Message == "" {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -257,8 +258,8 @@ func TestEndToEndConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestSparseRoundTrip exercises the sparse payload and sparse-set wire
-// paths.
+// TestSparseRoundTrip exercises the sparse payload and the sparse plane
+// frames of single- and multi-version select replies.
 func TestSparseRoundTrip(t *testing.T) {
 	_, _, ts := newTestServer(t, Config{})
 	c := client.New(ts.URL)
@@ -305,6 +306,66 @@ func TestSparseRoundTrip(t *testing.T) {
 		if !set[i].Equal(want[i]) {
 			t.Fatalf("sparse multi element %d mismatch", i)
 		}
+	}
+	// a multi-version region keeps the sparse representation too
+	box := array.NewBox([]int64{100}, []int64{5000})
+	set, err = c.SelectSparseMulti("Sp", ids[1:], box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set) != 2 {
+		t.Fatalf("sparse multi region: %d results", len(set))
+	}
+	for i := range set {
+		wantRegion, err := want[i+1].Slice(box)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !set[i].Equal(wantRegion) {
+			t.Fatalf("sparse multi region element %d mismatch", i)
+		}
+	}
+}
+
+// TestSelectReplyBounded pins the bound on multi-version select replies:
+// a dense reply that would exceed MaxFrameBytes is refused with 413
+// before any chunk is read, however often the ids repeat.
+func TestSelectReplyBounded(t *testing.T) {
+	_, store, ts := newTestServer(t, Config{MaxFrameBytes: 64 << 10})
+	c := client.New(ts.URL)
+	if err := c.CreateArray(denseSchema("Big", 64)); err != nil { // 16 KiB a plane
+		t.Fatal(err)
+	}
+	if _, err := c.Insert("Big", core.DensePayload(randDense(rand.New(rand.NewSource(5)), 64))); err != nil {
+		t.Fatal(err)
+	}
+	before := store.Stats().ChunksRead
+	resp, err := http.Get(ts.URL + "/v1/arrays/Big/select?versions=1,1,1,1,1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("five planes over a 64 KiB limit: %d, want 413", resp.StatusCode)
+	}
+	if got := store.Stats().ChunksRead; got != before {
+		t.Fatalf("refused select read %d chunks", got-before)
+	}
+	// four planes fill the limit exactly, and a box shrinks the reply
+	for _, q := range []core.ReadQuery{
+		{Array: "Big", IDs: []int{1, 1, 1, 1}},
+		{Array: "Big", IDs: []int{1, 1, 1, 1, 1, 1}, Box: array.NewBox([]int64{0, 0}, []int64{32, 64})},
+	} {
+		planes, err := c.Read(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%d versions within the limit: %v", len(q.IDs), err)
+		}
+		if len(planes) != len(q.IDs) {
+			t.Fatalf("read %d planes, want %d", len(planes), len(q.IDs))
+		}
+	}
+	if store.Stats().ChunksRead == before {
+		t.Fatal("accepted selects read no chunks")
 	}
 }
 

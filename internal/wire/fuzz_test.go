@@ -10,7 +10,7 @@ import (
 
 // FuzzFrameCodec drives every wire decoder that faces network bytes
 // with arbitrary input: the frame reader, the insert-payload decoder,
-// and the plane/sparse-set readers. None may panic or allocate beyond
+// and the plane readers (one plane, and a two-plane select reply). None may panic or allocate beyond
 // the size limit regardless of input; whatever decodes successfully
 // must re-encode cleanly (the codec is total on its own output).
 func FuzzFrameCodec(f *testing.F) {
@@ -24,13 +24,15 @@ func FuzzFrameCodec(f *testing.F) {
 	sparse.SetBits(900, -3)
 
 	var buf bytes.Buffer
-	_ = WriteDense(&buf, dense)
+	_ = WritePlane(&buf, core.Plane{Dense: dense})
 	f.Add(buf.Bytes())
 	buf.Reset()
 	_ = WritePlane(&buf, core.Plane{Sparse: sparse})
 	f.Add(buf.Bytes())
 	buf.Reset()
-	_ = WriteSparseSet(&buf, []*array.Sparse{sparse, sparse})
+	// a two-plane select reply: one dense frame, one sparse frame
+	_ = WritePlane(&buf, core.Plane{Dense: dense})
+	_ = WritePlane(&buf, core.Plane{Sparse: sparse})
 	f.Add(buf.Bytes())
 	buf.Reset()
 	_ = WritePayload(&buf, core.DensePayload(dense))
@@ -63,8 +65,7 @@ func FuzzFrameCodec(f *testing.F) {
 			}
 		}
 		_, _ = ReadPlane(bytes.NewReader(data), max)
-		_, _ = ReadSparseSet(bytes.NewReader(data), max)
-		_, _ = ReadDense(bytes.NewReader(data), max)
+		_, _ = ReadPlanes(bytes.NewReader(data), 2, max)
 		_, _ = ReadPayload(bytes.NewReader(data), max)
 	})
 }

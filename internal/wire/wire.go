@@ -1,9 +1,10 @@
 // Package wire is the binary frame codec of the avstored service layer
 // (see DESIGN.md "Service layer"). Control messages travel as JSON over
-// HTTP; array payloads — dense planes, sparse planes, insert payloads,
-// sparse result sets — travel as length-prefixed binary frames built on
-// the internal/array blob format, so dense data never round-trips
-// through base64 or JSON number arrays.
+// HTTP; array payloads — dense and sparse planes (a select reply is one
+// plane frame per version, back to back) and insert payloads — travel
+// as length-prefixed binary frames built on the internal/array blob
+// format, so dense data never round-trips through base64 or JSON number
+// arrays.
 //
 // Frame layout (little-endian):
 //
@@ -42,11 +43,9 @@ const (
 	// KindPayload carries an insert payload in any of the three forms
 	// (see EncodePayload).
 	KindPayload Kind = 3
-	// KindSparseSet carries an ordered set of sparse arrays (the
-	// SelectSparseMulti result shape).
-	KindSparseSet Kind = 4
 	// KindMultiHeader carries the JSON part table of a multi-array
-	// atomic batch (see WriteMultiBatch).
+	// atomic batch (see WriteMultiBatch). Kind 4 stays unassigned, so a
+	// peer still sending the old sparse-set frame fails as a foreign kind.
 	KindMultiHeader Kind = 5
 )
 
@@ -163,11 +162,6 @@ func ReadPlane(r io.Reader, max int64) (core.Plane, error) {
 	}
 }
 
-// WriteDense frames one dense array (the SelectMulti result shape).
-func WriteDense(w io.Writer, d *array.Dense) error {
-	return WriteFrame(w, KindDense, array.MarshalDense(d))
-}
-
 // WriteDenseNoCopy frames one dense array without materializing the
 // payload: the frame header and the dense blob header share one small
 // buffer, and the cell bytes go out as a second I/O vector via
@@ -203,67 +197,19 @@ func WritePlaneNoCopy(w io.Writer, pl core.Plane) (int64, error) {
 	}
 }
 
-// ReadDense reads a KindDense frame.
-func ReadDense(r io.Reader, max int64) (*array.Dense, error) {
-	kind, payload, err := ReadFrame(r, max)
-	if err != nil {
-		return nil, err
-	}
-	if kind != KindDense {
-		return nil, fmt.Errorf("wire: expected a dense frame, got kind %d", kind)
-	}
-	return array.UnmarshalDense(payload)
-}
-
-// --- sparse sets ---
-
-// WriteSparseSet frames an ordered set of sparse arrays: a uvarint
-// count, then per element a uvarint length and a MarshalSparse blob.
-func WriteSparseSet(w io.Writer, set []*array.Sparse) error {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(set)))
-	for _, sp := range set {
-		blob := array.MarshalSparse(sp)
-		buf = binary.AppendUvarint(buf, uint64(len(blob)))
-		buf = append(buf, blob...)
-	}
-	return WriteFrame(w, KindSparseSet, buf)
-}
-
-// ReadSparseSet reads a KindSparseSet frame.
-func ReadSparseSet(r io.Reader, max int64) ([]*array.Sparse, error) {
-	kind, payload, err := ReadFrame(r, max)
-	if err != nil {
-		return nil, err
-	}
-	if kind != KindSparseSet {
-		return nil, fmt.Errorf("wire: expected a sparse-set frame, got kind %d", kind)
-	}
-	count, pos, err := readUvarint(payload, 0)
-	if err != nil {
-		return nil, err
-	}
-	if count > uint64(len(payload)) {
-		return nil, fmt.Errorf("wire: sparse set claims %d elements in a %d-byte frame", count, len(payload))
-	}
-	set := make([]*array.Sparse, 0, sliceCap(count, len(payload)-pos, 5))
-	for i := uint64(0); i < count; i++ {
-		n, next, err := readUvarint(payload, pos)
+// ReadPlanes reads a select reply: exactly n plane frames, back to
+// back, each bounded by max. A reply that ends before the n-th frame
+// fails as truncated.
+func ReadPlanes(r io.Reader, n int, max int64) ([]core.Plane, error) {
+	planes := make([]core.Plane, n)
+	for i := range planes {
+		pl, err := ReadPlane(r, max)
 		if err != nil {
 			return nil, err
 		}
-		pos = next
-		if uint64(len(payload)-pos) < n {
-			return nil, fmt.Errorf("wire: truncated sparse set element %d", i)
-		}
-		sp, err := array.UnmarshalSparse(payload[pos : pos+int(n)])
-		if err != nil {
-			return nil, err
-		}
-		set = append(set, sp)
-		pos += int(n)
+		planes[i] = pl
 	}
-	return set, nil
+	return planes, nil
 }
 
 // --- insert payloads ---

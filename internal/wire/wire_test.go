@@ -138,73 +138,84 @@ func TestPlaneEmptyRejected(t *testing.T) {
 }
 
 func TestDenseRoundTrip(t *testing.T) {
-	d := testDense(t)
+	// a dense plane of every cell type survives the frame unchanged
+	for _, dt := range []array.DataType{array.Int8, array.Int16, array.Int32, array.Int64,
+		array.UInt8, array.UInt16, array.UInt32, array.Float32, array.Float64} {
+		d := array.MustDense(dt, []int64{3, 5})
+		for i := int64(0); i < d.NumCells(); i++ {
+			d.SetBits(i, i*5-7)
+		}
+		var buf bytes.Buffer
+		if err := WritePlane(&buf, core.Plane{Dense: d}); err != nil {
+			t.Fatal(err)
+		}
+		pl, err := ReadPlane(&buf, 0)
+		if err != nil {
+			t.Fatalf("%v: %v", dt, err)
+		}
+		if pl.Dense == nil || pl.Dense.DType() != dt || !pl.Dense.Equal(d) {
+			t.Fatalf("%v: dense round trip mismatch", dt)
+		}
+	}
+}
+
+func TestReadPlaneWrongKind(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteDense(&buf, d); err != nil {
+	if err := WritePayload(&buf, core.DensePayload(testDense(t))); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadDense(&buf, 0)
+	if _, err := ReadPlane(&buf, 0); err == nil {
+		t.Fatal("payload frame accepted as a plane")
+	}
+}
+
+// selectReply builds a select reply: one plane frame per plane, back to
+// back, the way the server writes it.
+func selectReply(t *testing.T, planes ...core.Plane) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, pl := range planes {
+		if _, err := WritePlaneNoCopy(&buf, pl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+func TestReadPlanesRoundTrip(t *testing.T) {
+	sp2 := testSparse(t)
+	sp2.SetBits(2345, 99)
+	want := []core.Plane{{Dense: testDense(t)}, {Sparse: testSparse(t)}, {Sparse: sp2}}
+	got, err := ReadPlanes(bytes.NewReader(selectReply(t, want...)), len(want), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(d) {
-		t.Fatal("dense round trip mismatch")
+	if len(got) != 3 || !got[0].Dense.Equal(want[0].Dense) ||
+		!got[1].Sparse.Equal(want[1].Sparse) || !got[2].Sparse.Equal(want[2].Sparse) {
+		t.Fatal("select reply round trip mismatch")
+	}
+	// a one-plane reply is a single plane frame
+	one := selectReply(t, want[0])
+	pl, err := ReadPlane(bytes.NewReader(one), 0)
+	if err != nil || !pl.Dense.Equal(want[0].Dense) {
+		t.Fatalf("one-plane reply is not a plane frame: %v", err)
 	}
 }
 
-func TestReadDenseWrongKind(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePlane(&buf, core.Plane{Sparse: testSparse(t)}); err != nil {
-		t.Fatal(err)
+func TestReadPlanesTruncated(t *testing.T) {
+	full := selectReply(t, core.Plane{Dense: testDense(t)}, core.Plane{Sparse: testSparse(t)})
+	// fewer frames than promised, or any cut inside the last one
+	for _, cut := range []int{len(full) - 3, len(full) / 2, 0} {
+		if _, err := ReadPlanes(bytes.NewReader(full[:cut]), 2, 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("reply cut to %d/%d bytes: err = %v, want ErrUnexpectedEOF", cut, len(full), err)
+		}
 	}
-	if _, err := ReadDense(&buf, 0); err == nil {
-		t.Fatal("sparse frame accepted as dense")
+	if _, err := ReadPlanes(bytes.NewReader(full), 3, 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("two-frame reply read as three: err = %v, want ErrUnexpectedEOF", err)
 	}
-}
-
-func TestSparseSetRoundTrip(t *testing.T) {
-	set := []*array.Sparse{testSparse(t), testSparse(t)}
-	set[1].SetBits(2345, 99)
-	var buf bytes.Buffer
-	if err := WriteSparseSet(&buf, set); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSparseSet(&buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || !got[0].Equal(set[0]) || !got[1].Equal(set[1]) {
-		t.Fatal("sparse set round trip mismatch")
-	}
-	// empty set
-	buf.Reset()
-	if err := WriteSparseSet(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadSparseSet(&buf, 0)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty set: %v, %d elements", err, len(got))
-	}
-}
-
-func TestSparseSetTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSparseSet(&buf, []*array.Sparse{testSparse(t)}); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// chop the inner payload (keep the frame header consistent by
-	// rebuilding the frame around a truncated body)
-	kind, body, err := ReadFrame(bytes.NewReader(full), 0)
-	if err != nil || kind != KindSparseSet {
-		t.Fatal(err)
-	}
-	var short bytes.Buffer
-	if err := WriteFrame(&short, KindSparseSet, body[:len(body)-3]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSparseSet(&short, 0); err == nil {
-		t.Fatal("truncated sparse set accepted")
+	// a plane frame over the limit is refused
+	if _, err := ReadPlanes(bytes.NewReader(full), 2, 64); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized plane frame: err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
@@ -280,14 +291,10 @@ func TestHostileCounts(t *testing.T) {
 	if _, err := DecodePayload(hostile); err == nil {
 		t.Fatal("hostile coord count accepted")
 	}
-	// sparse set claiming many elements backed by nothing: per-element
+	// planes payload claiming many planes backed by nothing: per-plane
 	// reads fail on the first missing length
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, KindSparseSet, appendUvarint(nil, 1<<20)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSparseSet(&buf, 0); err == nil {
-		t.Fatal("hostile sparse set count accepted")
+	if _, err := DecodePayload(appendUvarint([]byte{payloadFormPlanes}, 1<<20)); err == nil {
+		t.Fatal("hostile plane count accepted")
 	}
 }
 
@@ -361,7 +368,7 @@ func TestPayloadBatchRejectsEmptyAndTruncated(t *testing.T) {
 	if err := WritePayload(&mixed, core.DensePayload(testDense(t))); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteDense(&mixed, testDense(t)); err != nil {
+	if err := WritePlane(&mixed, core.Plane{Dense: testDense(t)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadPayloadBatch(bytes.NewReader(mixed.Bytes()), 0); err == nil {
@@ -372,7 +379,7 @@ func TestPayloadBatchRejectsEmptyAndTruncated(t *testing.T) {
 func TestDenseNoCopyMatchesCopyingPath(t *testing.T) {
 	d := testDense(t)
 	var copied bytes.Buffer
-	if err := WriteDense(&copied, d); err != nil {
+	if err := WritePlane(&copied, core.Plane{Dense: d}); err != nil {
 		t.Fatal(err)
 	}
 	var vectored bytes.Buffer
@@ -388,11 +395,11 @@ func TestDenseNoCopyMatchesCopyingPath(t *testing.T) {
 	if !bytes.Equal(vectored.Bytes(), copied.Bytes()) {
 		t.Fatal("vectored frame differs from copying frame")
 	}
-	got, err := ReadDense(&vectored, 0)
+	got, err := ReadPlane(&vectored, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(d) {
+	if !got.Dense.Equal(d) {
 		t.Fatal("no-copy dense round trip mismatch")
 	}
 }
