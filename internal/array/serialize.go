@@ -18,7 +18,7 @@ const (
 
 // AppendDenseHeader appends the dense blob header — magic, dtype, ndim,
 // shape varints — without the cell bytes. It exists for vectored writers
-// that send the header and the (possibly mmap-backed) cell bytes as
+// that send the header and the cell bytes as
 // separate I/O vectors instead of materializing one contiguous blob;
 // header + d.Bytes() is exactly a MarshalDense blob.
 func AppendDenseHeader(buf []byte, d *Dense) []byte {

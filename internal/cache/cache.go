@@ -59,23 +59,11 @@ type Cache struct {
 	shardBytes int64
 	shards     [numShards]shard
 
-	// onEvict, when set, is called once for every value the cache stops
-	// retaining — LRU eviction, replacement by a Put under the same key,
-	// and invalidation sweeps. See SetOnEvict.
-	onEvict func(Key, Value)
-
 	hits          atomic.Int64
 	misses        atomic.Int64
 	evictions     atomic.Int64
 	invalidations atomic.Int64
 	rejected      atomic.Int64
-}
-
-// dropped records one value the cache released, for callback delivery
-// after the shard mutex is gone.
-type dropped struct {
-	k Key
-	v Value
 }
 
 type shard struct {
@@ -111,20 +99,6 @@ func New(maxBytes int64) *Cache {
 		sh.root.next = &sh.root
 	}
 	return c
-}
-
-// SetOnEvict registers fn to be called once for each value the cache
-// drops: LRU eviction, replacement by a Put of a different value under
-// the same key, and invalidation. The callback runs outside all shard
-// locks (it may perform I/O, e.g. releasing mmap-backed planes) but on
-// the dropping goroutine's call path, so it must not call back into the
-// cache. Set it before the cache sees concurrent use; a nil receiver is
-// a no-op.
-func (c *Cache) SetOnEvict(fn func(Key, Value)) {
-	if c == nil {
-		return
-	}
-	c.onEvict = fn
 }
 
 // fnv-1a over the key fields; cheap and allocation-free.
@@ -193,13 +167,9 @@ func (c *Cache) Put(k Key, v Value) bool {
 		c.rejected.Add(1)
 		return false
 	}
-	var drops []dropped
 	sh := &c.shards[shardIndex(k)]
 	sh.mu.Lock()
 	if e, ok := sh.items[k]; ok {
-		if c.onEvict != nil && e.val != v {
-			drops = append(drops, dropped{e.key, e.val})
-		}
 		sh.bytes += size - e.size
 		e.val, e.size = v, size
 		sh.unlink(e)
@@ -217,16 +187,10 @@ func (c *Cache) Put(k Key, v Value) bool {
 		delete(sh.items, lru.key)
 		sh.bytes -= lru.size
 		evicted++
-		if c.onEvict != nil {
-			drops = append(drops, dropped{lru.key, lru.val})
-		}
 	}
 	sh.mu.Unlock()
 	if evicted > 0 {
 		c.evictions.Add(evicted)
-	}
-	for _, d := range drops {
-		c.onEvict(d.k, d.v)
 	}
 	return true
 }
@@ -252,7 +216,6 @@ func (c *Cache) invalidate(match func(Key) bool) {
 		return
 	}
 	removed := int64(0)
-	var drops []dropped
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -264,17 +227,11 @@ func (c *Cache) invalidate(match func(Key) bool) {
 			delete(sh.items, k)
 			sh.bytes -= e.size
 			removed++
-			if c.onEvict != nil {
-				drops = append(drops, dropped{k, e.val})
-			}
 		}
 		sh.mu.Unlock()
 	}
 	if removed > 0 {
 		c.invalidations.Add(removed)
-	}
-	for _, d := range drops {
-		c.onEvict(d.k, d.v)
 	}
 }
 

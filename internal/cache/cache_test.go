@@ -189,65 +189,3 @@ func TestConcurrentAccess(t *testing.T) {
 		<-done
 	}
 }
-
-// TestOnEvictFires covers every path that must deliver the eviction
-// callback — LRU eviction, replacement by a different value under the
-// same key, and invalidation — exactly once per dropped value, and the
-// paths that must not (admission, rejection, same-value refresh).
-func TestOnEvictFires(t *testing.T) {
-	// one shard's budget is maxBytes/16; keep values small enough to admit
-	c := New(16 * 100)
-	type drop struct {
-		k Key
-		v Value
-	}
-	var drops []drop
-	c.SetOnEvict(func(k Key, v Value) { drops = append(drops, drop{k, v}) })
-
-	k1 := Key{Array: "a", Version: 1, Attr: "v", Chunk: "c0"}
-	if !c.Put(k1, fakeVal(60)) {
-		t.Fatal("put rejected")
-	}
-	if len(drops) != 0 {
-		t.Fatalf("admission fired onEvict: %v", drops)
-	}
-	// replacement under the same key drops the old value
-	if !c.Put(k1, fakeVal(61)) {
-		t.Fatal("replace rejected")
-	}
-	if len(drops) != 1 || drops[0].k != k1 || drops[0].v != fakeVal(60) {
-		t.Fatalf("replace drops = %v", drops)
-	}
-	// same key, same value: nothing is dropped
-	drops = nil
-	v := fakeVal(61)
-	c.Put(k1, v)
-	c.Put(k1, v)
-	if len(drops) != 0 {
-		t.Fatalf("same-value refresh fired onEvict: %v", drops)
-	}
-	// byte pressure evicts the LRU entry (k1) into the callback
-	k2 := Key{Array: "a", Version: 2, Attr: "v", Chunk: "c0"}
-	// find a key landing in k1's shard so the eviction is deterministic
-	for i := 3; shardIndex(k2) != shardIndex(k1); i++ {
-		k2.Version = i
-	}
-	c.Put(k2, fakeVal(80))
-	if len(drops) != 1 || drops[0].k != k1 {
-		t.Fatalf("eviction drops = %v", drops)
-	}
-	// invalidation sweeps the rest
-	drops = nil
-	c.InvalidateArray("a")
-	if len(drops) != 1 || drops[0].k != k2 {
-		t.Fatalf("invalidate drops = %v", drops)
-	}
-	// oversized rejection never fires the callback
-	drops = nil
-	if c.Put(k1, fakeVal(1000)) {
-		t.Fatal("oversized value admitted")
-	}
-	if len(drops) != 0 {
-		t.Fatalf("rejection fired onEvict: %v", drops)
-	}
-}

@@ -146,11 +146,6 @@ func StatsCounters(st core.IOStats) []Counter {
 		{"cache_rejected", st.CacheRejected},
 		{"cache_bytes", st.CacheBytes},
 		{"cache_entries", st.CacheEntries},
-		{"mmap_reads", st.MmapReads},
-		{"mmap_bytes_read", st.MmapBytesRead},
-		{"mmap_planes", st.MmapPlanes},
-		{"mmap_plane_bytes", st.MmapPlaneBytes},
-		{"mmap_deferred_unlinks", st.MmapDeferredUnlinks},
 		{"recovery_truncated_files", st.RecoveryTruncatedFiles},
 		{"recovery_truncated_bytes", st.RecoveryTruncatedBytes},
 		{"recovery_removed_files", st.RecoveryRemovedFiles},

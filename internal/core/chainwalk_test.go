@@ -9,14 +9,13 @@ import (
 	"testing"
 
 	"arrayvers/internal/array"
-	"arrayvers/internal/fsio"
 	"arrayvers/internal/trace"
 )
 
 // Tests of the one-buffer chain walk (resolveDenseChunk): what it
 // decodes, counted from a traced context rather than timed; that a
 // cyclic chain is an error, not a stack overflow; and that rewriting
-// its private buffer never reaches a cached or mapped plane.
+// its private buffer never reaches a cached or memoized plane.
 
 // chunkBases maps each chunk of version id's attribute "A" (or the
 // sparse container) to its delta base, -1 for a materialized chunk.
@@ -226,9 +225,7 @@ func TestDeltaCycleReturnsError(t *testing.T) {
 // TestChainWalkNeverMutatesSharedPlanes runs readers that select random
 // depths and scribble over every plane they get back, beside Reorganize
 // and Compact. Every read must match its generator: a walk that applied
-// a delta to a cached or memoized plane, or to mapping bytes (read-only:
-// that would fault), would corrupt a later read. A root target must
-// still be admitted to the cache zero-copy.
+// a delta to a cached or memoized plane would corrupt a later read.
 func TestChainWalkNeverMutatesSharedPlanes(t *testing.T) {
 	opts := concurrencyOpts()
 	opts.CacheBytes = 128 << 10 // ~8 versions' worth: hits and evictions both
@@ -308,8 +305,8 @@ func TestChainWalkNeverMutatesSharedPlanes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// a cold root target goes into the cache as a zero-copy plane; every
-	// walk that then starts from it must copy, never write through it
+	// a cold root target goes into the cache; every walk that then starts
+	// from it must copy, never write through it
 	if err := s.Compact("AL"); err != nil { // fresh generation, cold cache
 		t.Fatal(err)
 	}
@@ -325,12 +322,8 @@ func TestChainWalkNeverMutatesSharedPlanes(t *testing.T) {
 	if root == 0 {
 		t.Fatal("linear-chain layout has no materialized version")
 	}
-	planes := s.Stats().MmapPlanes
 	if _, err := s.Select("AL", root); err != nil {
 		t.Fatal(err)
-	}
-	if fsio.MapSupported() && s.Stats().MmapPlanes == planes {
-		t.Fatalf("select of root version %d admitted no zero-copy plane", root)
 	}
 	for i := range versions {
 		for _, id := range []int{i + 1, root} {

@@ -230,9 +230,9 @@ type Store struct {
 	// chunkCache is the store-wide decoded-chunk LRU (nil when disabled).
 	chunkCache *cache.Cache
 
-	// maps manages read-only mmaps of committed chunk generations (see
-	// mmap.go); inert when the platform cannot map files.
-	maps *genMaps
+	// files caches read-only chunk file handles per generation (see
+	// chunkFiles in io.go).
+	files chunkFiles
 
 	// tuner is the background auto-tune loop (nil unless
 	// Options.AutoTune.Interval > 0). Stopped by Close.
@@ -360,19 +360,10 @@ type IOStats struct {
 	RecoveryRemovedFiles    int64
 	RecoveryDroppedVersions int64
 
-	// MmapReads/MmapBytesRead count chunk frames decoded straight out of
-	// a generation mapping (no read syscall, no frame copy); they are a
-	// subset of ChunksRead/BytesRead. MmapPlanes/MmapPlaneBytes count
-	// zero-copy planes admitted to the decoded-chunk cache — cached cell
-	// data that aliases the page cache instead of the heap.
-	// MmapDeferredUnlinks counts generation removals whose directory
-	// unlink outlived the retiring rewrite because cached planes still
-	// referenced the mapping.
-	MmapReads           int64
-	MmapBytesRead       int64
-	MmapPlanes          int64
-	MmapPlaneBytes      int64
-	MmapDeferredUnlinks int64
+	// MmapReads is always zero: the store reads every chunk frame with
+	// pread and maps nothing. The field stays for readers that still
+	// compute a mapped-read share.
+	MmapReads int64
 }
 
 // ErrLegacyStore is returned (wrapped) by Open for a store directory in
@@ -404,20 +395,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		dropping:   make(map[string]*arrayState),
 		epochs:     make(map[string]uint64),
 		chunkCache: cache.New(opts.CacheBytes),
-		maps:       newGenMaps(false),
 		degraded:   make(map[string]degradedInfo),
 		prof:       newProfile(),
 		clock:      time.Now,
 	}
 	s.dropped.L = &s.mu
-	// cached zero-copy planes pin their generation's mapping; the release
-	// must follow every way an entry can leave the cache, so it hangs off
-	// the cache's eviction callback rather than any one invalidation site
-	s.chunkCache.SetOnEvict(func(_ cache.Key, v cache.Value) {
-		if md, ok := v.(*mmapDense); ok {
-			md.set.release()
-		}
-	})
 	if err := s.openManifestStore(); err != nil {
 		return nil, err
 	}
@@ -511,14 +493,8 @@ func (s *Store) Close() error {
 		st.ioMu.Lock()
 		st.ioMu.Unlock()
 	}
-	// with every latch drained no query can touch mapped bytes again:
-	// sweep the cache so zero-copy planes release their mapping refs (a
-	// retired generation's pending unlink completes here), then unmap
-	// whatever is still live
-	for _, st := range arrays {
-		s.chunkCache.InvalidateArray(st.Schema.Name)
-	}
-	s.maps.closeAll()
+	// with every latch drained no read can be in flight on a handle
+	s.files.closeAll()
 	return nil
 }
 
@@ -530,9 +506,6 @@ func (s *Store) Stats() IOStats {
 	s.statsMu.Lock()
 	out := s.stats
 	s.statsMu.Unlock()
-	if s.maps != nil {
-		out.MmapDeferredUnlinks = s.maps.deferred.Load()
-	}
 	cs := s.chunkCache.Stats()
 	out.CacheHits = cs.Hits
 	out.CacheMisses = cs.Misses
@@ -577,22 +550,6 @@ func (s *Store) addRead(bytes int64) {
 	s.statsMu.Lock()
 	s.stats.BytesRead += bytes
 	s.stats.ChunksRead++
-	s.statsMu.Unlock()
-}
-
-func (s *Store) addMmapRead(bytes int64) {
-	s.statsMu.Lock()
-	s.stats.BytesRead += bytes
-	s.stats.ChunksRead++
-	s.stats.MmapReads++
-	s.stats.MmapBytesRead += bytes
-	s.statsMu.Unlock()
-}
-
-func (s *Store) addMmapPlane(bytes int64) {
-	s.statsMu.Lock()
-	s.stats.MmapPlanes++
-	s.stats.MmapPlaneBytes += bytes
 	s.statsMu.Unlock()
 }
 
@@ -1021,14 +978,12 @@ func (s *Store) deleteArrayLatched(st *arrayState) error {
 	s.epochs[name]++
 	s.mu.Unlock()
 	// post-commit garbage collection, with no store lock held: drain the
-	// readers that snapshotted before the removal, then retire the
-	// generation. The retire defers the unlink past cached zero-copy
-	// planes; the cache sweep right after drains their references, so the
-	// unlink lands before we return. A failure just leaves an
+	// readers that snapshotted before the removal, then close the
+	// generation's handles and remove the tree. A failure just leaves an
 	// unreferenced directory for the next durable open's root sweep.
-	dir := st.dir
 	st.ioMu.Lock()
-	s.maps.retire(st.chunksDir(), func() { _ = s.fs.RemoveAll(dir) })
+	s.files.retire(st.chunksDir())
+	_ = s.fs.RemoveAll(st.dir)
 	s.chunkCache.InvalidateArray(name)
 	st.ioMu.Unlock()
 	s.mu.Lock()

@@ -281,7 +281,7 @@ func (w *writeSet) sweep(s *Store) {
 			continue
 		}
 		if sp.start == 0 {
-			if s.fs.Remove(path) == nil {
+			if s.removeChunkFile(path) == nil {
 				files++
 				bytes += sp.end
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 
 	"arrayvers/internal/array"
@@ -103,17 +104,105 @@ func (s *Store) appendBlob(path string, payload []byte) (int64, error) {
 	return off, nil
 }
 
+// chunkFiles is the table of read-only chunk file handles, one set per
+// chunk-generation directory: a file is opened on its first read and
+// stays open until its generation is retired, so a chain walk costs one
+// pread per frame and no open/close. pread sees bytes appended after the
+// open, so a growing chain file never needs reopening.
+//
+// A handle's lifetime is bounded by the array's I/O latch: readers look
+// handles up and read through them only while holding ioMu (shared), and
+// retire closes a generation's handles only under the exclusive latch,
+// once every reader that could hold one has drained. (Verify reads under
+// Store.mu instead, which keeps its generation installed; a generation
+// is retired only after its successor is installed.) The one other close
+// is forget, which removeChunkFile runs before unlinking a file that no
+// committed version references (nobody else reads it).
+type chunkFiles struct {
+	mu   sync.Mutex
+	gens map[string]map[string]*os.File // generation dir -> file name -> handle
+}
+
+// open returns dir/name's cached handle, opening it on first use.
+func (t *chunkFiles) open(dir, name string) (*os.File, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if f := t.gens[dir][name]; f != nil {
+		return f, nil
+	}
+	f, err := os.Open(filepath.Join(dir, name))
+	if err != nil {
+		return nil, err
+	}
+	if t.gens == nil {
+		t.gens = make(map[string]map[string]*os.File)
+	}
+	if t.gens[dir] == nil {
+		t.gens[dir] = make(map[string]*os.File)
+	}
+	t.gens[dir][name] = f
+	return f, nil
+}
+
+// forget closes and drops the handle of one chunk file, if cached.
+func (t *chunkFiles) forget(path string) {
+	dir, name := filepath.Dir(path), filepath.Base(path)
+	t.mu.Lock()
+	f := t.gens[dir][name]
+	delete(t.gens[dir], name)
+	t.mu.Unlock()
+	if f != nil {
+		_ = f.Close() // read-only handle; close cannot lose data
+	}
+}
+
+// retire closes and drops every handle of one generation directory; a
+// later open starts a fresh set. Callers hold the array's exclusive I/O
+// latch.
+func (t *chunkFiles) retire(dir string) {
+	t.mu.Lock()
+	files := t.gens[dir]
+	delete(t.gens, dir)
+	t.mu.Unlock()
+	for _, f := range files {
+		_ = f.Close() // read-only handle; close cannot lose data
+	}
+}
+
+// closeAll closes every handle. Store.Close calls it after draining all
+// array latches. Idempotent.
+func (t *chunkFiles) closeAll() {
+	t.mu.Lock()
+	gens := t.gens
+	t.gens = nil
+	t.mu.Unlock()
+	for _, files := range gens {
+		for _, f := range files {
+			_ = f.Close() // read-only handle; close cannot lose data
+		}
+	}
+}
+
+// removeChunkFile unlinks one chunk file of a live generation, closing
+// its cached handle first: a handle left open would keep reading the
+// unlinked inode after a later append recreated the file under the same
+// name.
+func (s *Store) removeChunkFile(path string) error {
+	s.files.forget(path)
+	return s.fs.Remove(path)
+}
+
 // readBlob fetches an encoded chunk payload from the given chunks
-// directory. The frame header is validated — magic, length, and payload
-// CRC32-C — so torn writes, stale offsets, and bit rot surface as
-// errors instead of garbage decodes.
+// directory with one pread through the generation's cached handle. The
+// frame header is validated — magic, length, and payload CRC32-C — so
+// torn writes, stale offsets, and bit rot surface as errors instead of
+// garbage decodes. The payload is a fresh heap buffer the caller owns.
+// Callers hold the array's I/O latch.
 func (s *Store) readBlob(dir string, e chunkEntry) ([]byte, error) {
-	path := filepath.Join(dir, e.File)
-	f, err := os.Open(path)
+	f, err := s.files.open(dir, e.File)
 	if err != nil {
 		return nil, fmt.Errorf("core: open chunk file: %w", err)
 	}
-	defer func() { _ = f.Close() }() // read-only handle; close cannot lose data
 	buf := make([]byte, frameLen(e.Length))
 	if _, err := f.ReadAt(buf, e.Offset); err != nil {
 		return nil, fmt.Errorf("core: read chunk %s@%d+%d: %w", e.File, e.Offset, e.Length, err)

@@ -271,11 +271,13 @@ func (s *Store) tryRewrite(name string, st *arrayState, build rewriteBuild, latc
 	// selects (on this and every other array) proceed meanwhile. The
 	// epoch bump at publish made the old generation's cache entries
 	// unreachable, but those readers may have cached more planes of it
-	// since; sweep again now that they are gone, so the unlink lands here
-	// instead of waiting for eviction.
+	// since; sweep again now that they are gone, so the bytes are freed
+	// here instead of by eviction. Then close the old generation's
+	// handles and remove it.
 	st.ioMu.Lock()
 	s.chunkCache.InvalidateArray(name)
-	s.maps.retire(oldDir, func() { _ = s.fs.RemoveAll(oldDir) })
+	s.files.retire(oldDir)
+	_ = s.fs.RemoveAll(oldDir)
 	st.ioMu.Unlock()
 	return true, nil
 }

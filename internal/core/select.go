@@ -356,33 +356,26 @@ func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Ch
 			cur = e.Base
 			continue
 		}
-		raw, ms, err := s.chunkPayload(v, e, box, dt, tk)
+		raw, err := s.chunkPayload(v, e, box, dt, tk)
 		if err != nil {
 			return nil, fail(cur, err)
-		}
-		// A root over mapping bytes is cached as a zero-copy plane holding
-		// a counted mapping ref. The one aliasing case that must not
-		// escape is a no-cache view's root (bulk loads hand planes to
-		// callers that outlive this query's latch): it gets a private copy.
-		if ms != nil && v.noCache {
-			raw, ms = append([]byte(nil), raw...), nil
 		}
 		if buf, err = array.DenseFromBytes(dt, box.Shape(), raw); err != nil {
 			return nil, fail(cur, err)
 		}
 		tk.attr("chunks_decoded", 1)
-		owned = ms == nil && local == nil
+		owned = local == nil
 		if local != nil {
 			local[cur] = buf
 		}
 		if len(chain) == 0 {
-			s.admitChunk(v, ckey(id), buf, ms)
+			s.admitChunk(v, ckey(id), buf)
 		}
 	}
 	// ascend, rewriting the one private buffer link by link
 	for i := len(chain) - 1; i >= 0; i-- {
 		l := chain[i]
-		raw, _, err := s.chunkPayload(v, l.e, box, dt, tk)
+		raw, err := s.chunkPayload(v, l.e, box, dt, tk)
 		if err != nil {
 			return nil, fail(l.id, err)
 		}
@@ -402,33 +395,30 @@ func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Ch
 			if local != nil {
 				local[id] = buf
 			}
-			s.admitChunk(v, ckey(id), buf, nil)
+			s.admitChunk(v, ckey(id), buf)
 		}
 	}
 	return buf, nil
 }
 
-// chunkPayload reads one chunk payload and undoes its compression. A
-// non-nil mapSet means the bytes alias the generation's mapping and are
-// valid only under the query's I/O latch; delta payloads are consumed
-// before the walk moves on, so only roots need care.
-func (s *Store) chunkPayload(v *readView, e chunkEntry, box array.Box, dt array.DataType, tk *opTracker) ([]byte, *mapSet, error) {
+// chunkPayload reads one chunk payload and undoes its compression. The
+// bytes are a heap buffer the caller owns.
+func (s *Store) chunkPayload(v *readView, e chunkEntry, box array.Box, dt array.DataType, tk *opTracker) ([]byte, error) {
 	t0 := time.Now()
-	raw, ms, err := s.readBlobShared(v.dir, e)
+	raw, err := s.readBlob(v.dir, e)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tk.observe(StageRead, time.Since(t0), e.Length)
 	tk.attr("bytes_read", e.Length)
 	t0 = time.Now()
 	if compress.Codec(e.Codec) != compress.None {
 		if raw, err = unseal(compress.Codec(e.Codec), raw, sealParams(e.Base < 0, box, dt)); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		ms = nil
 	}
 	tk.observe(StageDecode, time.Since(t0), int64(len(raw)))
-	return raw, ms, nil
+	return raw, nil
 }
 
 // cachedChunk looks a reconstructed chunk up in the store-wide cache; nil
@@ -446,29 +436,14 @@ func (s *Store) cachedChunk(v *readView, k cache.Key, tk *opTracker) *array.Dens
 		return nil
 	}
 	tk.attr("cache_hits", 1)
-	if md, ok := got.(*mmapDense); ok {
-		return md.Dense
-	}
 	return got.(*array.Dense)
 }
 
-// admitChunk puts a reconstructed chunk into the store-wide cache. A
-// plane over mapping bytes (ms non-nil) goes in zero-copy, holding a
-// counted mapping ref that eviction releases.
-func (s *Store) admitChunk(v *readView, k cache.Key, d *array.Dense, ms *mapSet) {
-	switch {
-	case v.noCache:
-	case ms == nil:
+// admitChunk puts a reconstructed chunk into the store-wide cache,
+// unless the view bypasses it.
+func (s *Store) admitChunk(v *readView, k cache.Key, d *array.Dense) {
+	if !v.noCache {
 		s.chunkCache.Put(k, d)
-	case ms.acquire():
-		if s.chunkCache.Put(k, &mmapDense{Dense: d, set: ms}) {
-			s.addMmapPlane(d.SizeBytes())
-		} else {
-			ms.release()
-		}
-		// acquire can only fail on a drained set, which the I/O latch
-		// rules out for the generation this query reads; skipping the
-		// insert is the safe degradation either way
 	}
 }
 
@@ -514,24 +489,18 @@ func (s *Store) resolveSparse(v *readView, id int, attr string, local map[int]sp
 		return nil, false, fmt.Errorf("core: version %d missing sparse container for %s", id, attr)
 	}
 	t0 := time.Now()
-	blob, ms, err := s.readBlobShared(v.dir, e)
+	raw, err := s.readBlob(v.dir, e)
 	if err != nil {
 		return nil, false, err
 	}
 	tk.observe(StageRead, time.Since(t0), e.Length)
 	tk.attr("bytes_read", e.Length)
 	t0 = time.Now()
-	// sparse decodes may retain slices of raw (and the decoded container
-	// can outlive this query via the cache), so mapping bytes are always
-	// copied out; the mmap read still skips the read syscall
-	raw := blob
 	if compress.Codec(e.Codec) != compress.None {
-		raw, err = unseal(compress.Codec(e.Codec), blob, compress.Params{Elem: 1})
+		raw, err = unseal(compress.Codec(e.Codec), raw, compress.Params{Elem: 1})
 		if err != nil {
 			return nil, false, fmt.Errorf("core: sparse container of version %d: %w", id, err)
 		}
-	} else if ms != nil {
-		raw = append([]byte(nil), blob...)
 	}
 	var out *array.Sparse
 	if e.Base < 0 {

@@ -443,7 +443,7 @@ func TestDeletesHoldNoStoreLockAcrossIO(t *testing.T) {
 // committed and unpublished, but with a reader still holding the array's
 // read latch — and checks that a same-name CreateArray waits for the
 // drop instead of failing, and that Close waits for the dropped array's
-// reader instead of unmapping its chunks underneath it.
+// reader instead of closing its chunk handles underneath it.
 func TestCloseAndCreateWaitForDrop(t *testing.T) {
 	const side = 16
 	opts := smallOpts()

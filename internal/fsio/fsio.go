@@ -9,10 +9,10 @@
 // renames.
 //
 // Read paths stay on the plain os package: reads cannot lose data, and
-// crash simulation only needs to intercept mutations. The one read-side
-// seam is Map (mmap.go): read-only whole-file mappings of immutable
-// chunk generations, with MapSupported gating platforms (and callers)
-// back to the plain-read path.
+// crash simulation only needs to intercept mutations. The store reads
+// chunk frames with pread through cached read-only *os.File handles on
+// every platform. Map (mmap.go) maps a whole file read-only; nothing in
+// the store calls it.
 package fsio
 
 import (

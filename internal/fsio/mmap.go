@@ -2,23 +2,15 @@ package fsio
 
 import "errors"
 
-// Read-only file mappings. Committed chunk generations are immutable
-// (the manifest record is the commit point; a generation directory is
-// only ever replaced wholesale, never rewritten in place), which makes
-// it safe to serve chunk frames straight out of a shared read-only
-// mapping instead of read()+copy. This is the read-side counterpart of
-// the FS write seam above: Map is a package-level function rather than
-// an FS method because fault injection only needs to intercept
-// mutations — a mapping of a real file observes exactly the bytes a
-// plain read would.
-//
-// Lifetime: a Mapping stays valid across rename and unlink of the
-// underlying file (the kernel pins the inode), which is what lets the
-// store defer generation unlinks until the last cached plane aliasing
-// the mapping is released. Callers must not touch Bytes() after Close.
+// Read-only whole-file mappings. The store does not use them: it reads
+// every chunk frame with pread (see internal/core io.go). Map remains as
+// a probe of the platform's mapping cost. It is a package-level function
+// rather than an FS method because fault injection only intercepts
+// mutations. A Mapping stays valid across rename and unlink of the
+// underlying file; callers must not touch Bytes() after Close.
 
 // ErrMapUnsupported is returned by Map on platforms without mmap
-// support; callers fall back to plain reads.
+// support.
 var ErrMapUnsupported = errors.New("fsio: file mapping not supported on this platform")
 
 // Mapping is a read-only byte view of one whole file. The view is
@@ -33,8 +25,7 @@ type Mapping interface {
 }
 
 // MapSupported reports whether Map creates real kernel mappings on
-// this platform. When false, Map always returns ErrMapUnsupported and
-// callers use their plain-read path.
+// this platform. When false, Map always returns ErrMapUnsupported.
 func MapSupported() bool { return mapSupported }
 
 // Map maps path read-only in its entirety.

@@ -12,9 +12,8 @@ import (
 const mapSupported = true
 
 // mmapMapping is a syscall.Mmap-backed Mapping. The mutex only guards
-// Close against double-release; Bytes is called on the hot path without
-// locking (callers must not race Bytes with Close — the store's
-// refcounted handles enforce that).
+// Close against double-release; Bytes takes no lock, so callers must not
+// race Bytes with Close.
 type mmapMapping struct {
 	mu   sync.Mutex
 	data []byte

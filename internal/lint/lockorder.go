@@ -57,7 +57,7 @@ const lockOrderDoc = "reorgMu < commitMu < writeMu < Store.mu < ioMu < pendMu < 
 
 // lockRank maps "Type.field" to its position in the partial order.
 // Lower ranks are acquired first. Locks not listed here (writeSet.mu,
-// genMaps.mu, the manifest latches, ...) are internal leaves outside
+// chunkFiles.mu, the manifest latches, ...) are internal leaves outside
 // the documented hierarchy and are ignored.
 var lockRank = map[string]int{
 	"arrayState.reorgMu":  0,

@@ -165,8 +165,8 @@ func ReadPlane(r io.Reader, max int64) (core.Plane, error) {
 // WriteDenseNoCopy frames one dense array without materializing the
 // payload: the frame header and the dense blob header share one small
 // buffer, and the cell bytes go out as a second I/O vector via
-// net.Buffers — writev(2) on a TCP connection — so a cached (possibly
-// mmap-backed) plane reaches the socket with no frame-sized copy. The
+// net.Buffers — writev(2) on a TCP connection — so a cached plane
+// reaches the socket with no frame-sized copy. The
 // caller must not mutate d until the write returns. Returns the number
 // of cell bytes written zero-copy.
 func WriteDenseNoCopy(w io.Writer, d *array.Dense) (int64, error) {
