@@ -193,6 +193,42 @@ func TestSliceWriteRegionInverse(t *testing.T) {
 	}
 }
 
+// TestCopyRegionMatchesSliceThenWrite checks the one-copy region move
+// against its two-copy spelling on a 3-D array, then its bounds checks.
+func TestCopyRegionMatchesSliceThenWrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	src := MustDense(Int16, []int64{4, 6, 5})
+	for i := int64(0); i < src.NumCells(); i++ {
+		src.SetBits(i, int64(rng.Intn(1<<15)))
+	}
+	box := NewBox([]int64{1, 2, 1}, []int64{3, 6, 4})
+	offset := []int64{2, 0, 3}
+	want := MustDense(Int16, []int64{5, 5, 7})
+	piece, err := src.Slice(box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := want.WriteRegion(offset, piece); err != nil {
+		t.Fatal(err)
+	}
+	got := MustDense(Int16, []int64{5, 5, 7})
+	if err := got.CopyRegion(offset, src, box); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("CopyRegion differs from Slice then WriteRegion")
+	}
+	if err := got.CopyRegion([]int64{4, 0, 3}, src, box); err == nil {
+		t.Error("destination overflow accepted")
+	}
+	if err := got.CopyRegion(offset, src, NewBox([]int64{1, 2, 1}, []int64{5, 6, 4})); err == nil {
+		t.Error("source box past the array accepted")
+	}
+	if err := got.CopyRegion(offset, MustDense(Int32, []int64{4, 6, 5}), box); err == nil {
+		t.Error("dtype mismatch accepted")
+	}
+}
+
 func TestStack(t *testing.T) {
 	a := MustDense(Int8, []int64{2, 2})
 	b := MustDense(Int8, []int64{2, 2})

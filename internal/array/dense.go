@@ -184,104 +184,73 @@ func (d *Dense) Slice(box Box) (*Dense, error) {
 	if err := box.Validate(); err != nil {
 		return nil, err
 	}
-	if box.NDim() != d.NDim() {
-		return nil, fmt.Errorf("array: slice box has %d dims, array has %d", box.NDim(), d.NDim())
-	}
-	if !BoxOf(d.shape).ContainsBox(box) {
+	// the bounds are checked before the allocation the box sizes
+	if box.NDim() != d.NDim() || !BoxOf(d.shape).ContainsBox(box) {
 		return nil, fmt.Errorf("array: slice box %v exceeds array shape %v", box, d.shape)
 	}
 	out, err := NewDense(d.dtype, box.Shape())
 	if err != nil {
 		return nil, err
 	}
-	copyRegion(out, d, box, make([]int64, d.NDim()))
-	return out, nil
+	return out, out.CopyRegion(make([]int64, d.NDim()), d, box)
 }
 
 // WriteRegion copies src into d at the region starting at the given
 // offset. src's shape defines the region extent.
 func (d *Dense) WriteRegion(offset []int64, src *Dense) error {
-	if src.NDim() != d.NDim() {
-		return fmt.Errorf("array: region has %d dims, array has %d", src.NDim(), d.NDim())
-	}
+	return d.CopyRegion(offset, src, BoxOf(src.shape))
+}
+
+// CopyRegion copies the cells of src covered by box (in src coordinates)
+// into d, box.Lo landing at offset (in d coordinates), one copy per row
+// of the last dimension. It is the one region copy: Slice and
+// WriteRegion are its two shapes, and a reader assembling a reply from
+// chunks copies each chunk's overlap straight into the reply with it.
+func (d *Dense) CopyRegion(offset []int64, src *Dense, box Box) error {
 	if src.dtype != d.dtype {
 		return fmt.Errorf("array: region dtype %v differs from array dtype %v", src.dtype, d.dtype)
 	}
+	if box.NDim() != src.NDim() || len(offset) != d.NDim() || d.NDim() != src.NDim() {
+		return fmt.Errorf("array: region box has %d dims, arrays have %d and %d", box.NDim(), src.NDim(), d.NDim())
+	}
+	if err := box.Validate(); err != nil {
+		return err
+	}
+	if !BoxOf(src.shape).ContainsBox(box) {
+		return fmt.Errorf("array: region box %v exceeds array shape %v", box, src.shape)
+	}
 	hi := make([]int64, d.NDim())
 	for i := range hi {
-		hi[i] = offset[i] + src.shape[i]
+		hi[i] = offset[i] + box.Hi[i] - box.Lo[i]
 	}
-	box := Box{Lo: offset, Hi: hi}
-	if !BoxOf(d.shape).ContainsBox(box) {
-		return fmt.Errorf("array: region %v exceeds array shape %v", box, d.shape)
+	if dst := (Box{Lo: offset, Hi: hi}); !BoxOf(d.shape).ContainsBox(dst) {
+		return fmt.Errorf("array: region %v exceeds array shape %v", dst, d.shape)
 	}
-	writeRegion(d, src, box)
-	return nil
-}
-
-// copyRegion copies the cells of src covered by box (in src coordinates)
-// into dst at dst coordinates box.Lo - dstOrigin... dst is indexed from
-// dstOffset (box.Lo maps to dstOffset).
-func copyRegion(dst, src *Dense, box Box, dstOffset []int64) {
+	if box.Empty() {
+		return nil
+	}
 	ndim := src.NDim()
-	elem := src.dtype.Size()
-	// iterate over all rows (all dims except the last), copy contiguous
-	// runs along the last dimension.
-	rowLen := box.Hi[ndim-1] - box.Lo[ndim-1]
-	if rowLen <= 0 {
-		return
-	}
+	elem := int64(src.dtype.Size())
+	rowLen := (box.Hi[ndim-1] - box.Lo[ndim-1]) * elem
 	coords := append([]int64(nil), box.Lo...)
-	dstCoords := make([]int64, ndim)
+	dstCoords := append([]int64(nil), offset...)
 	for {
-		for i := 0; i < ndim; i++ {
-			dstCoords[i] = coords[i] - box.Lo[i] + dstOffset[i]
-		}
-		srcStart := src.FlatIndex(coords) * int64(elem)
-		dstStart := dst.FlatIndex(dstCoords) * int64(elem)
-		copy(dst.data[dstStart:dstStart+rowLen*int64(elem)], src.data[srcStart:srcStart+rowLen*int64(elem)])
-		// advance coords excluding the last dim
+		srcStart := src.FlatIndex(coords) * elem
+		dstStart := d.FlatIndex(dstCoords) * elem
+		copy(d.data[dstStart:dstStart+rowLen], src.data[srcStart:srcStart+rowLen])
+		// advance every dim but the last, odometer style
 		i := ndim - 2
 		for ; i >= 0; i-- {
 			coords[i]++
+			dstCoords[i]++
 			if coords[i] < box.Hi[i] {
 				break
 			}
 			coords[i] = box.Lo[i]
+			dstCoords[i] = offset[i]
 		}
 		if i < 0 {
-			return
-		}
-	}
-}
-
-// writeRegion copies all of src into dst at region box (in dst coords).
-func writeRegion(dst, src *Dense, box Box) {
-	ndim := dst.NDim()
-	elem := dst.dtype.Size()
-	rowLen := box.Hi[ndim-1] - box.Lo[ndim-1]
-	if rowLen <= 0 {
-		return
-	}
-	coords := append([]int64(nil), box.Lo...)
-	srcCoords := make([]int64, ndim)
-	for {
-		for i := 0; i < ndim; i++ {
-			srcCoords[i] = coords[i] - box.Lo[i]
-		}
-		dstStart := dst.FlatIndex(coords) * int64(elem)
-		srcStart := src.FlatIndex(srcCoords) * int64(elem)
-		copy(dst.data[dstStart:dstStart+rowLen*int64(elem)], src.data[srcStart:srcStart+rowLen*int64(elem)])
-		i := ndim - 2
-		for ; i >= 0; i-- {
-			coords[i]++
-			if coords[i] < box.Hi[i] {
-				break
-			}
-			coords[i] = box.Lo[i]
-		}
-		if i < 0 {
-			return
+			return nil
 		}
 	}
 }

@@ -43,6 +43,26 @@ func UnpackSignedInto(buf []byte, n, width int, out []int64) error {
 	return batchedUnpackSigned(buf, n, width, out[:n])
 }
 
+// SignedAt returns the i-th signed width-bit code of a packed buffer,
+// which must hold it (CheckUnpack for any count above i). It loads the
+// one or two little-endian words the code spans: the in-place delta
+// kernel reads the plane code under each overlay cell with it, without
+// unpacking the plane.
+func SignedAt(buf []byte, i, width int) int64 {
+	if width == 0 {
+		return 0
+	}
+	bit := uint64(i) * uint64(width)
+	at, shift := bit>>3, bit&7
+	var win [16]byte
+	copy(win[:], buf[at:]) // a code spans at most 71 bits from its byte
+	u := binary.LittleEndian.Uint64(win[:]) >> shift
+	if shift > 0 {
+		u |= binary.LittleEndian.Uint64(win[8:]) << (64 - shift)
+	}
+	return Unzigzag(u & codeMask(width))
+}
+
 // signedBlockVals is the signed kernel's decode-block size. 512 values
 // at any width occupy exactly 64*width bytes, so every block starts
 // byte-aligned and the unsigned kernel can run on a plain sub-slice.

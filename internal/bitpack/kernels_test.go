@@ -95,6 +95,9 @@ func TestKernelDifferentialSigned(t *testing.T) {
 					if batched[i] != scalar[i] {
 						t.Fatalf("width %d n %d pad %d idx %d: batched %d, scalar %d", width, n, pad, i, batched[i], scalar[i])
 					}
+					if at := SignedAt(padded, i, width); at != scalar[i] {
+						t.Fatalf("width %d n %d pad %d idx %d: SignedAt %d, scalar %d", width, n, pad, i, at, scalar[i])
+					}
 				}
 			}
 		}

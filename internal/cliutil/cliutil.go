@@ -139,6 +139,7 @@ func StatsCounters(st core.IOStats) []Counter {
 		{"bytes_read", st.BytesRead},
 		{"bytes_written", st.BytesWritten},
 		{"chunks_read", st.ChunksRead},
+		{"chunk_preads", st.ChunkPreads},
 		{"chunks_written", st.ChunksWritten},
 		{"cache_hits", st.CacheHits},
 		{"cache_misses", st.CacheMisses},

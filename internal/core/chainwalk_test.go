@@ -1,21 +1,30 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"arrayvers/internal/array"
+	"arrayvers/internal/delta"
 	"arrayvers/internal/trace"
 )
 
 // Tests of the one-buffer chain walk (resolveDenseChunk): what it
 // decodes, counted from a traced context rather than timed; that a
-// cyclic chain is an error, not a stack overflow; and that rewriting
-// its private buffer never reaches a cached or memoized plane.
+// cyclic chain is an error, not a stack overflow; that rewriting its
+// private buffer never reaches a cached or memoized plane; and what it
+// reads — preads per chunk, per-frame checksums inside a run, and
+// extents bounded by the file before anything is allocated.
 
 // chunkBases maps each chunk of version id's attribute "A" (or the
 // sparse container) to its delta base, -1 for a materialized chunk.
@@ -336,4 +345,355 @@ func TestChainWalkNeverMutatesSharedPlanes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// chainStore inserts depth versions into a fresh 4-chunk array "K" in
+// insert order, co-located or one file per frame, and reopens the store
+// with the decoded-chunk cache off, so every select walks from disk.
+func chainStore(t *testing.T, depth int, coLocate bool) (*Store, []*array.Dense) {
+	t.Helper()
+	dir := t.TempDir()
+	opts := smallOpts()
+	opts.CoLocate = coLocate
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateArray(schema2D("K", 64)); err != nil {
+		t.Fatal(err)
+	}
+	versions := evolvingVersions(depth, 64, 76)
+	for _, v := range versions {
+		if _, err := s.Insert("K", DensePayload(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	return s, versions
+}
+
+// TestColdChainWalkPreads pins the walk's read shape: a cold select of
+// the newest of 32 insert-order versions reads every frame of every
+// chain, with at most 2 preads per chunk when the chain is co-located
+// (the root, then one run of deltas) and one pread per frame when every
+// frame has its own file.
+func TestColdChainWalkPreads(t *testing.T) {
+	const depth = 32
+	for _, coLocate := range []bool{true, false} {
+		s, versions := chainStore(t, depth, coLocate)
+		frames := 0
+		for k := range chunkBases(s, "K", depth) {
+			s.mu.RLock()
+			d, _ := chainDepth(s.arrays["K"], "A", k, depth, depth)
+			s.mu.RUnlock()
+			frames += d
+		}
+		if frames < 4*depth/2 {
+			t.Fatalf("coLocate=%v: chains too shallow to test (%d frames)", coLocate, frames)
+		}
+		before := s.Stats()
+		got, err := s.Select("K", depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Dense.Equal(versions[depth-1]) {
+			t.Fatalf("coLocate=%v: version %d mismatch", coLocate, depth)
+		}
+		after := s.Stats()
+		reads, preads := after.ChunksRead-before.ChunksRead, after.ChunkPreads-before.ChunkPreads
+		if reads != int64(frames) {
+			t.Fatalf("coLocate=%v: read %d frames, want every chain's %d", coLocate, reads, frames)
+		}
+		if coLocate && preads > 2*4 {
+			t.Fatalf("co-located walk issued %d preads for 4 chunks, want at most 2 each", preads)
+		}
+		if !coLocate && preads != reads {
+			t.Fatalf("per-version walk issued %d preads for %d frames, want one each", preads, reads)
+		}
+	}
+}
+
+// TestColdWalkReadsBoundedSegments pins the cap on what one walk holds:
+// a cold select of the tip of a 16-deep co-located chain of ~170 KB
+// Dense deltas (over 2 MB of frames) must read its deltas in segments of
+// at most walkReadBytes — more preads than one run, fewer than one per
+// frame — and still reconstruct the tip exactly.
+func TestColdWalkReadsBoundedSegments(t *testing.T) {
+	const depth, side = 16, 256
+	opts := DefaultOptions() // cache off: every select walks from disk
+	opts.DeltaMethod = delta.Dense
+	s := testStore(t, opts)
+	defer s.Close()
+	if err := s.CreateArray(schema2D("D", side)); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(78))
+	cur := array.MustDense(array.Int32, []int64{side, side})
+	var tip *array.Dense
+	for range depth {
+		for i := range cur.NumCells() {
+			cur.SetBits(i, cur.Bits(i)+int64(rng.Intn(1<<20))-1<<19)
+		}
+		if _, err := s.Insert("D", DensePayload(cur)); err != nil {
+			t.Fatal(err)
+		}
+		tip = cur.Clone()
+	}
+	var held, frames int64 // the tip chunk's delta frames
+	s.mu.RLock()
+	st := s.arrays["D"]
+	if len(chunkBases(s, "D", depth)) != 1 {
+		s.mu.RUnlock()
+		t.Fatal("want one chunk per version")
+	}
+	for id := depth; ; frames++ {
+		vm, err := st.version(id)
+		if err != nil {
+			s.mu.RUnlock()
+			t.Fatal(err)
+		}
+		var e chunkEntry
+		for _, e = range vm.Chunks["A"] {
+		}
+		if e.Base < 0 {
+			break
+		}
+		held += frameLen(e.Length)
+		id = e.Base
+	}
+	s.mu.RUnlock()
+	if held <= 2*walkReadBytes {
+		t.Fatalf("chain holds %d bytes of deltas, too few to test the cap", held)
+	}
+	before := s.Stats()
+	got, err := s.Select("D", depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Dense.Equal(tip) {
+		t.Fatal("the segmented walk did not reconstruct the tip")
+	}
+	after := s.Stats()
+	if reads := after.ChunksRead - before.ChunksRead; reads != frames+1 {
+		t.Fatalf("read %d frames, want the chain's %d", reads, frames+1)
+	}
+	segs := after.ChunkPreads - before.ChunkPreads - 1 // less the root
+	if minSegs := (held + walkReadBytes - 1) / walkReadBytes; segs < minSegs || segs >= frames {
+		t.Fatalf("%d delta preads for %d frames of %d bytes, want %d..%d", segs, frames, held, minSegs, frames-1)
+	}
+}
+
+// TestCorruptMiddleFrameNamesItsVersion flips one payload byte of a
+// delta frame in the middle of a co-located chain, which the run read
+// fetches together with its neighbours: the select of the chain's tip
+// must fail on that frame's checksum and name that frame's version.
+func TestCorruptMiddleFrameNamesItsVersion(t *testing.T) {
+	const depth, mid = 32, 16
+	s, _ := chainStore(t, depth, true)
+	s.mu.RLock()
+	st := s.arrays["K"]
+	vm, err := st.version(mid)
+	var e chunkEntry
+	for _, ce := range vm.Chunks["A"] {
+		e = ce
+		break
+	}
+	path := filepath.Join(st.chunksDir(), e.File)
+	s.mu.RUnlock()
+	if err != nil || e.Base < 0 {
+		t.Fatalf("version %d has no delta frame to corrupt (err %v)", mid, err)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	at := e.Offset + frameHeaderLen + e.Length/2
+	if _, err := f.ReadAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Select("K", depth)
+	if err == nil {
+		t.Fatal("select over a corrupt middle frame succeeded")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "checksum") || !strings.Contains(msg, fmt.Sprintf("version %d:", mid)) || strings.Contains(msg, fmt.Sprintf("version %d", depth)) {
+		t.Fatalf("error %q does not name the corrupt frame's version %d alone", msg, mid)
+	}
+}
+
+// TestHostileFrameLengthBounded gives one chunk entry, in memory, the
+// largest length a frame header can carry: a select through it must
+// fail with ErrExtentPastEOF before anything is sized by that length.
+// Both a delta frame (a run read) and a root frame (an exact read) are
+// tried.
+func TestHostileFrameLengthBounded(t *testing.T) {
+	for _, victim := range []int{1, 2} { // the root, then the first delta
+		s, _ := chainStore(t, 3, true)
+		s.mu.Lock()
+		st := s.arrays["K"]
+		for _, vm := range st.Versions {
+			if vm.ID != victim {
+				continue
+			}
+			for k, e := range vm.Chunks["A"] {
+				if (victim == 1) != (e.Base < 0) {
+					t.Fatalf("version %d chunk %s has base %d", victim, k, e.Base)
+				}
+				e.Length = 1<<32 - 1
+				vm.Chunks["A"][k] = e
+				break
+			}
+		}
+		st.mutateLocked()
+		s.mu.Unlock()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := s.Select("K", 3)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrExtentPastEOF) {
+			t.Fatalf("victim %d: select err = %v, want ErrExtentPastEOF", victim, err)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("of version %d", victim)) {
+			t.Fatalf("victim %d: error %q does not name the version", victim, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+			t.Fatalf("victim %d: the failed select allocated %d bytes", victim, grew)
+		}
+	}
+}
+
+// seedChain builds a real co-located chain file — a 16×16 int32 root and
+// seven hybrid deltas, each framed — and its frame list as
+// (offset, length) uvarint pairs, root first.
+func seedChain() (file, layout []byte, tip *array.Dense) {
+	versions := evolvingVersions(8, 16, 77)
+	var payloads [][]byte
+	payloads = append(payloads, versions[0].Bytes())
+	for v := 1; v < len(versions); v++ {
+		blob, err := delta.Encode(delta.Hybrid, versions[v], versions[v-1])
+		if err != nil {
+			panic(err)
+		}
+		payloads = append(payloads, blob)
+	}
+	for _, p := range payloads {
+		layout = binary.AppendUvarint(layout, uint64(len(file)))
+		layout = binary.AppendUvarint(layout, uint64(len(p)))
+		file = appendFrame(file, p)
+	}
+	return file, layout, versions[len(versions)-1]
+}
+
+// FuzzChainRun reads arbitrary bytes as a chain file the way a cold walk
+// does: the layout's first (offset, length) pair is the root, read on
+// its own; the rest are delta frames, fetched in runs by readFrames;
+// each is parsed, unsealed and applied in place to the root's plane.
+// The contract for hostile files and layouts: a typed error — an extent
+// past the file's end is ErrExtentPastEOF — never a panic, and nothing
+// allocated beyond the file's size for the root and the runs.
+func FuzzChainRun(f *testing.F) {
+	seedFile, seedLayout, tip := seedChain()
+	file, layout := seedFile, seedLayout
+	f.Add(file, layout)
+	flipped := append([]byte(nil), file...)
+	flipped[len(flipped)-7] ^= 1 // inside the last delta's payload
+	f.Add(flipped, layout)
+	f.Add(file[:len(file)-5], layout) // torn tail
+	hostile := binary.AppendUvarint(append([]byte(nil), layout...), uint64(len(file)))
+	f.Add(file, binary.AppendUvarint(hostile, 1<<32-1))            // a length only a frame header could hold
+	f.Add(file, append(append([]byte(nil), layout...), layout...)) // every frame twice
+	// a link with a bad magic in one run, then a link past EOF in a later
+	// run: the extent error wins, because every run is checked first
+	var pairs [4]uint64 // root offset and length, first link's
+	for i, pos := 0, 0; i < len(pairs); i++ {
+		var k int
+		pairs[i], k = binary.Uvarint(layout[pos:])
+		pos += k
+	}
+	rootLen, linkLen := pairs[1], pairs[3]
+	split := binary.AppendUvarint(binary.AppendUvarint(nil, 0), rootLen)
+	split = binary.AppendUvarint(binary.AppendUvarint(split, 5), linkLen)
+	f.Add(file, binary.AppendUvarint(binary.AppendUvarint(split, 100000), 8))
+	f.Fuzz(func(t *testing.T, file, layout []byte) {
+		if len(file) > 1<<16 || len(layout) > 256 {
+			return
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "A-c.chain"), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var frames []frameRef
+		for pos := 0; pos < len(layout) && len(frames) < 33; {
+			off, k := binary.Uvarint(layout[pos:])
+			if k <= 0 {
+				break
+			}
+			n, k2 := binary.Uvarint(layout[pos+k:])
+			if k2 <= 0 {
+				break
+			}
+			pos += k + k2
+			frames = append(frames, frameRef{len(frames) + 1, chunkEntry{File: "A-c.chain", Offset: int64(off & (1<<63 - 1)), Length: int64(n & (1<<63 - 1)), Base: len(frames)}})
+		}
+		if len(frames) == 0 {
+			return
+		}
+		frames[0].e.Base = -1
+		s := &Store{} // the read path needs only the handle table and counters
+		defer s.files.closeAll()
+		past := false
+		for _, fr := range frames {
+			past = past || fr.e.Offset+frameLen(fr.e.Length) > int64(len(file)) || fr.e.Offset+frameLen(fr.e.Length) < 0
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		root, rerr := s.readFrames(dir, frames[:1])
+		links, lerr := s.readFrames(dir, frames[1:])
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*uint64(len(file))+64<<10 {
+			t.Fatalf("reads of a %d-byte file allocated %d bytes", len(file), grew)
+		}
+		err := errors.Join(rerr, lerr)
+		if past != errors.Is(err, ErrExtentPastEOF) {
+			t.Fatalf("extent past EOF = %v, but err = %v", past, err)
+		}
+		if err != nil {
+			return
+		}
+		box := array.NewBox([]int64{0, 0}, []int64{16, 16})
+		raw, err := decodePayload(frames[0].e, root[0], box, array.Int32, nil)
+		if err != nil {
+			return
+		}
+		buf, err := array.DenseFromBytes(array.Int32, box.Shape(), raw)
+		if err != nil {
+			return
+		}
+		for i, l := range links {
+			if raw, err = decodePayload(frames[i+1].e, l, box, array.Int32, nil); err != nil {
+				return
+			}
+			if buf, err = delta.ApplyInPlace(raw, buf); err != nil {
+				return
+			}
+		}
+		if bytes.Equal(file, seedFile) && bytes.Equal(layout, seedLayout) && !buf.Equal(tip) {
+			t.Fatal("the intact seed chain does not reconstruct its tip")
+		}
+	})
 }

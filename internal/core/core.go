@@ -296,6 +296,10 @@ type IOStats struct {
 	BytesWritten  int64
 	ChunksRead    int64
 	ChunksWritten int64
+	// ChunkPreads counts the reads that fetched those ChunksRead frames:
+	// one per frame for a materialized root or a per-version file, one
+	// per run for the delta frames of a co-located chain walk.
+	ChunkPreads int64
 
 	CacheHits      int64
 	CacheMisses    int64
@@ -546,10 +550,11 @@ func (s *Store) ResetStats() {
 	s.chunkCache.ResetCounters()
 }
 
-func (s *Store) addRead(bytes int64) {
+func (s *Store) addRead(preads, chunks, bytes int64) {
 	s.statsMu.Lock()
+	s.stats.ChunkPreads += preads
+	s.stats.ChunksRead += chunks
 	s.stats.BytesRead += bytes
-	s.stats.ChunksRead++
 	s.statsMu.Unlock()
 }
 

@@ -14,7 +14,7 @@ import (
 //	offset 5: 4-byte payload length (little-endian uint32)
 //	offset 9: 4-byte CRC32-C of the payload (little-endian)
 //
-// The header lets readBlob verify that the bytes at a metadata-recorded
+// The header lets readFrames verify that the bytes at a metadata-recorded
 // (file, offset, length) triple really are the frame that was committed
 // there — catching torn writes, misdirected reads against a stale
 // offset, and bit rot — and lets recovery distinguish a clean frame

@@ -273,7 +273,7 @@ func (w *writeSet) sweep(s *Store) {
 	var files, bytes int64
 	for _, path := range w.sortedPaths() {
 		sp := w.files[path]
-		// the size check is a read, which (like readBlob and recovery's
+		// the size check is a read, which (like readFrames and recovery's
 		// directory scans) stays on the plain os package per the fsio
 		// contract; only the Remove/Truncate mutations go through the seam
 		info, err := os.Stat(path)

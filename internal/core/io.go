@@ -1,9 +1,13 @@
 package core
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -15,12 +19,17 @@ import (
 // files ("all the deltas belonging to a given version together"), and
 // co-located chain files where all frames of one chunk across versions
 // are appended to a single file, eliminating seeks when a delta chain is
-// read.
+// read: a chain walk hands readFrames the delta frames it needs in
+// segments of up to walkReadBytes, and the adjacent frames of one file
+// come back from one pread, so a cold walk of a co-located chain whose
+// deltas were appended in order costs one read for its materialized
+// root and one per segment of its deltas — one, unless the chain holds
+// more than walkReadBytes of them.
 //
 // Concurrency contract: every chunk write is an append to a file whose
 // committed prefix is never disturbed — chain files grow at the tail,
 // and re-encodes in per-version mode write fresh FileSeq-named files
-// rather than truncating old ones — so readBlob may run with no store
+// rather than truncating old ones — so readFrames may run with no store
 // lock held: a reader's metadata snapshot only references (file, offset,
 // length) triples that existed before the snapshot. writeBlob is called
 // from parallel insert workers; each worker targets a distinct file, so
@@ -120,11 +129,33 @@ func (s *Store) appendBlob(path string, payload []byte) (int64, error) {
 // committed version references (nobody else reads it).
 type chunkFiles struct {
 	mu   sync.Mutex
-	gens map[string]map[string]*os.File // generation dir -> file name -> handle
+	gens map[string]map[string]*chunkFile // generation dir -> file name -> handle
+}
+
+// chunkFile is one cached read-only handle and the file size it last saw.
+type chunkFile struct {
+	*os.File
+	size atomic.Int64
+}
+
+// sizeFor returns a size of the file that is at least end if the file
+// has grown that far: the last size seen, re-read with Stat only when
+// end passes it. Chain files only grow under a reader's snapshot, so
+// the cached size is a sound bound for every extent within it.
+func (f *chunkFile) sizeFor(end int64) (int64, error) {
+	if size := f.size.Load(); end <= size {
+		return size, nil
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	f.size.Store(fi.Size())
+	return fi.Size(), nil
 }
 
 // open returns dir/name's cached handle, opening it on first use.
-func (t *chunkFiles) open(dir, name string) (*os.File, error) {
+func (t *chunkFiles) open(dir, name string) (*chunkFile, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if f := t.gens[dir][name]; f != nil {
@@ -135,13 +166,14 @@ func (t *chunkFiles) open(dir, name string) (*os.File, error) {
 		return nil, err
 	}
 	if t.gens == nil {
-		t.gens = make(map[string]map[string]*os.File)
+		t.gens = make(map[string]map[string]*chunkFile)
 	}
 	if t.gens[dir] == nil {
-		t.gens[dir] = make(map[string]*os.File)
+		t.gens[dir] = make(map[string]*chunkFile)
 	}
-	t.gens[dir][name] = f
-	return f, nil
+	cf := &chunkFile{File: f}
+	t.gens[dir][name] = cf
+	return cf, nil
 }
 
 // forget closes and drops the handle of one chunk file, if cached.
@@ -192,27 +224,113 @@ func (s *Store) removeChunkFile(path string) error {
 	return s.fs.Remove(path)
 }
 
-// readBlob fetches an encoded chunk payload from the given chunks
-// directory with one pread through the generation's cached handle. The
-// frame header is validated — magic, length, and payload CRC32-C — so
-// torn writes, stale offsets, and bit rot surface as errors instead of
-// garbage decodes. The payload is a fresh heap buffer the caller owns.
-// Callers hold the array's I/O latch.
-func (s *Store) readBlob(dir string, e chunkEntry) ([]byte, error) {
-	f, err := s.files.open(dir, e.File)
-	if err != nil {
-		return nil, fmt.Errorf("core: open chunk file: %w", err)
+// ErrExtentPastEOF is returned (wrapped) by a chunk read whose recorded
+// extent reaches past the end of its file. Every extent of a read is
+// checked against its file's size before any buffer is sized by it, so
+// a hostile or bit-rotted manifest length fails without allocating.
+var ErrExtentPastEOF = errors.New("core: chunk extent past end of file")
+
+// frameRef names one frame a read wants: its chunk entry and the
+// version that entry belongs to, which errors name.
+type frameRef struct {
+	id int
+	e  chunkEntry
+}
+
+// frameRun is one pread of readFrames: the frames at idx (indices into
+// its frames, all in one file, adjacent, sorted by offset) spanning
+// [off, end) of f.
+type frameRun struct {
+	f        *chunkFile
+	idx      []int
+	off, end int64
+}
+
+// readFrames fetches the payloads of frames from one chunks directory
+// through the generation's cached handles; out[i] is frames[i]'s. The
+// frames of one file are sorted by offset and read as runs: frames that
+// touch — the next starts where the last ended, as a chain file's
+// appends do — share one pread into one buffer, which their payloads
+// then alias, so a run holds no bytes but its frames. Frames in
+// different files — every frame, under per-version placement — are
+// separate reads. Two passes: the first groups the runs and checks
+// every one against its file's size, the second allocates and reads,
+// so no buffer is made until every extent is known to fit. Each
+// frame's header — magic, length, CRC32-C — is validated on its own,
+// so torn writes, stale offsets and bit rot surface as errors that name
+// the frame's file, offset and version. Callers hold the array's I/O
+// latch.
+func (s *Store) readFrames(dir string, frames []frameRef) ([][]byte, error) {
+	order := make([]int, len(frames))
+	for i, fr := range frames {
+		// no real file reaches 2^62 bytes, which keeps every end below
+		// from overflowing
+		if e := fr.e; e.Offset < 0 || e.Offset > 1<<62 || e.Length < 0 || e.Length >= 1<<32 {
+			return nil, fmt.Errorf("%w: %s@%d+%d of version %d", ErrExtentPastEOF, e.File, e.Offset, e.Length, fr.id)
+		}
+		order[i] = i
 	}
-	buf := make([]byte, frameLen(e.Length))
-	if _, err := f.ReadAt(buf, e.Offset); err != nil {
-		return nil, fmt.Errorf("core: read chunk %s@%d+%d: %w", e.File, e.Offset, e.Length, err)
+	slices.SortFunc(order, func(a, b int) int {
+		ea, eb := frames[a].e, frames[b].e
+		return cmp.Or(strings.Compare(ea.File, eb.File), cmp.Compare(ea.Offset, eb.Offset))
+	})
+	var runs []frameRun
+	for lo := 0; lo < len(order); {
+		first := frames[order[lo]].e
+		end := first.Offset + frameLen(first.Length)
+		hi := lo + 1
+		for ; hi < len(order); hi++ {
+			e := frames[order[hi]].e
+			if e.File != first.File || e.Offset > end {
+				break
+			}
+			end = max(end, e.Offset+frameLen(e.Length))
+		}
+		f, err := s.files.open(dir, first.File)
+		if err != nil {
+			return nil, fmt.Errorf("core: open chunk file: %w", err)
+		}
+		size, err := f.sizeFor(end)
+		if err != nil {
+			return nil, fmt.Errorf("core: stat chunk file %s: %w", first.File, err)
+		}
+		for _, i := range order[lo:hi] {
+			if fr := frames[i]; fr.e.Offset+frameLen(fr.e.Length) > size {
+				return nil, fmt.Errorf("%w: %s@%d+%d of version %d, file has %d bytes", ErrExtentPastEOF, fr.e.File, fr.e.Offset, fr.e.Length, fr.id, size)
+			}
+		}
+		runs = append(runs, frameRun{f, order[lo:hi], first.Offset, end})
+		lo = hi
 	}
-	blob, err := parseFrame(buf, e.Length)
-	if err != nil {
-		return nil, fmt.Errorf("core: chunk %s@%d: %w", e.File, e.Offset, err)
+	out := make([][]byte, len(frames))
+	for _, r := range runs {
+		if err := s.readRun(frames, r, out); err != nil {
+			return nil, err
+		}
 	}
-	s.addRead(e.Length)
-	return blob, nil
+	return out, nil
+}
+
+// readRun reads one checked run with one pread and parses each of its
+// frames out of the buffer into out.
+func (s *Store) readRun(frames []frameRef, r frameRun, out [][]byte) error {
+	buf := make([]byte, r.end-r.off)
+	if _, err := r.f.ReadAt(buf, r.off); err != nil {
+		return fmt.Errorf("core: read chunk %s@%d+%d: %w", frames[r.idx[0]].e.File, r.off, len(buf), err)
+	}
+	var bytes int64
+	for _, i := range r.idx {
+		fr := frames[i]
+		at := fr.e.Offset - r.off
+		payload, err := parseFrame(buf[at:at+frameLen(fr.e.Length)], fr.e.Length)
+		if err != nil {
+			return fmt.Errorf("core: chunk %s@%d of version %d: %w", fr.e.File, fr.e.Offset, fr.id, err)
+		}
+		bytes += fr.e.Length
+		out[i] = payload
+	}
+	s.addRead(1, int64(len(r.idx)), bytes)
+	return nil
 }
 
 // codecParams derives the compression hints for a chunk payload. The

@@ -796,7 +796,11 @@ func (s *Store) Compact(name string) error {
 		for i, id := range v.ids {
 			var err error
 			entries[i], err = s.relocateChunks(v.st.Schema, v.byID[id].Chunks, buildDir, func(e chunkEntry) ([]byte, error) {
-				return s.readBlob(v.dir, e)
+				out, err := s.readFrames(v.dir, []frameRef{{id, e}})
+				if err != nil {
+					return nil, err
+				}
+				return out[0], nil
 			})
 			if err != nil {
 				return nil, nil, err

@@ -277,14 +277,11 @@ func (s *Store) readRegionView(ctx context.Context, v *readView, id int, attr st
 		cbox := ck.Box(origin)
 		overlap := cbox.Intersect(box)
 		t0 := time.Now()
-		piece, err := chunkArr.Slice(overlap.Translate(cbox.Lo))
-		if err != nil {
-			return err
-		}
-		// workers write disjoint regions of out, so no locking is needed
-		err = out.WriteRegion(overlap.Translate(box.Lo).Lo, piece)
+		// one copy, chunk to reply; workers write disjoint regions of out,
+		// so no locking is needed
+		err = out.CopyRegion(overlap.Translate(box.Lo).Lo, chunkArr, overlap.Translate(cbox.Lo))
 		if err == nil {
-			tk.observe(StageMaterialize, time.Since(t0), piece.SizeBytes())
+			tk.observe(StageMaterialize, time.Since(t0), overlap.NumCells()*int64(dt.Size()))
 		}
 		return err
 	})
@@ -299,17 +296,28 @@ func (s *Store) readRegionView(ctx context.Context, v *readView, id int, attr st
 // the bases form a cycle, which metadata replay does not rule out.
 var ErrDeltaCycle = errors.New("core: delta chain does not reach a materialized version")
 
+// walkReadBytes bounds the delta frames one chain walk holds at once:
+// the walk reads its deltas in segments of at most this many bytes (a
+// larger frame is a segment of its own), applying and dropping each
+// before reading the next. It is a constant, not an option; a chain of
+// a few dozen typical deltas fits in one segment.
+const walkReadBytes = 1 << 20
+
 // resolveDenseChunk reconstructs one chunk of one version by walking its
 // delta chain: "a chain of versions must be accessed, starting from one
 // that is stored in native form" (§II-B, Fig. 2). The walk goes from the
 // target toward the root until it meets a plane to start from — an entry
 // of local (the per-query memo), a store-wide cache hit, or the
-// materialized root — copies that plane once into a private buffer, and
-// applies the deltas to the buffer in place on the way back. Only the
-// target is admitted to the store-wide cache; with a memo, every
-// intermediate is copied into it, so an ordered multi-version scan
-// decodes each payload once. Cached and memoized planes are shared and
-// never mutated.
+// materialized root — without reading anything. Then it reads: the
+// root, if the walk reached it, with one exact-size read whose buffer
+// becomes the plane, and the delta frames it passed in segments of at
+// most walkReadBytes, one readFrames call each, which coalesces the
+// adjacent frames of a chain file into one pread. It copies the starting
+// plane once into a private buffer and applies the deltas to the buffer
+// in place on the way back. Only the target is admitted to the
+// store-wide cache; with a memo, every intermediate is copied into it,
+// so an ordered multi-version scan decodes each payload once. Cached and memoized planes are shared and never mutated, and
+// none of them aliases a run buffer: deltas apply into the plane.
 func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Chunker, origin []int64, local map[int]*array.Dense, tk *opTracker) (*array.Dense, error) {
 	st := v.st
 	key := ck.Key(origin)
@@ -321,16 +329,12 @@ func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Ch
 	fail := func(id int, err error) error {
 		return fmt.Errorf("core: chunk %s/%s of version %d: %w", attr, key, id, err)
 	}
-	// descend until a plane to start from; chain collects the delta links
-	// passed on the way, target first
-	type link struct {
-		id int
-		e  chunkEntry
-	}
-	var chain []link
+	// descend until a plane to start from; chain collects the frames
+	// passed on the way, target first, ending at the root if the walk
+	// reaches it
+	var chain []frameRef
 	var buf *array.Dense
-	owned := false // buf is private to this walk and may be rewritten
-	for cur := id; buf == nil; {
+	for cur := id; ; {
 		if len(chain) >= len(v.ids) {
 			return nil, fmt.Errorf("%w: chunk %s/%s of version %d", ErrDeltaCycle, attr, key, id)
 		}
@@ -351,68 +355,105 @@ func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Ch
 		if !ok {
 			return nil, fmt.Errorf("core: version %d missing chunk %s/%s", cur, attr, key)
 		}
-		if e.Base >= 0 {
-			chain = append(chain, link{cur, e})
-			cur = e.Base
-			continue
+		chain = append(chain, frameRef{cur, e})
+		if e.Base < 0 {
+			break
 		}
-		raw, err := s.chunkPayload(v, e, box, dt, tk)
+		cur = e.Base
+	}
+	owned := false // buf is private to this walk and may be rewritten
+	if buf == nil {
+		root := chain[len(chain)-1]
+		chain = chain[:len(chain)-1]
+		raws, err := s.readChunkFrames(v, []frameRef{root}, tk)
 		if err != nil {
-			return nil, fail(cur, err)
+			return nil, fmt.Errorf("core: chunk %s/%s: %w", attr, key, err)
+		}
+		raw, err := decodePayload(root.e, raws[0], box, dt, tk)
+		if err != nil {
+			return nil, fail(root.id, err)
 		}
 		if buf, err = array.DenseFromBytes(dt, box.Shape(), raw); err != nil {
-			return nil, fail(cur, err)
+			return nil, fail(root.id, err)
 		}
 		tk.attr("chunks_decoded", 1)
 		owned = local == nil
 		if local != nil {
-			local[cur] = buf
+			local[root.id] = buf
 		}
 		if len(chain) == 0 {
 			s.admitChunk(v, ckey(id), buf)
 		}
 	}
-	// ascend, rewriting the one private buffer link by link
-	for i := len(chain) - 1; i >= 0; i-- {
-		l := chain[i]
-		raw, err := s.chunkPayload(v, l.e, box, dt, tk)
+	// ascend, rewriting the one private buffer link by link, reading the
+	// delta frames in segments from the root side: each is at most
+	// walkReadBytes of frames (or one larger frame) and is dropped once
+	// applied, so a walk never holds a whole long chain
+	for hi := len(chain); hi > 0; {
+		lo, held := hi-1, frameLen(chain[hi-1].e.Length)
+		for lo > 0 && held+frameLen(chain[lo-1].e.Length) <= walkReadBytes {
+			lo--
+			held += frameLen(chain[lo].e.Length)
+		}
+		raws, err := s.readChunkFrames(v, chain[lo:hi], tk)
 		if err != nil {
-			return nil, fail(l.id, err)
+			return nil, fmt.Errorf("core: chunk %s/%s: %w", attr, key, err)
 		}
-		t0 := time.Now()
-		if !owned {
-			buf, owned = buf.Clone(), true
-		}
-		if buf, err = delta.ApplyInPlace(raw, buf); err != nil {
-			return nil, fail(l.id, err)
-		}
-		tk.observe(StageDelta, time.Since(t0), buf.SizeBytes())
-		tk.attr("chunks_decoded", 1)
-		switch {
-		case i > 0 && local != nil:
-			local[l.id] = buf.Clone()
-		case i == 0:
-			if local != nil {
-				local[id] = buf
+		for i := hi - 1; i >= lo; i-- {
+			l := chain[i]
+			raw, err := decodePayload(l.e, raws[i-lo], box, dt, tk)
+			if err != nil {
+				return nil, fail(l.id, err)
 			}
-			s.admitChunk(v, ckey(id), buf)
+			t0 := time.Now()
+			if !owned {
+				buf, owned = buf.Clone(), true
+			}
+			if buf, err = delta.ApplyInPlace(raw, buf); err != nil {
+				return nil, fail(l.id, err)
+			}
+			tk.observe(StageDelta, time.Since(t0), buf.SizeBytes())
+			tk.attr("chunks_decoded", 1)
+			switch {
+			case i > 0 && local != nil:
+				local[l.id] = buf.Clone()
+			case i == 0:
+				if local != nil {
+					local[id] = buf
+				}
+				s.admitChunk(v, ckey(id), buf)
+			}
 		}
+		hi = lo
 	}
 	return buf, nil
 }
 
-// chunkPayload reads one chunk payload and undoes its compression. The
-// bytes are a heap buffer the caller owns.
-func (s *Store) chunkPayload(v *readView, e chunkEntry, box array.Box, dt array.DataType, tk *opTracker) ([]byte, error) {
+// readChunkFrames reads frames (readFrames) under the read stage.
+func (s *Store) readChunkFrames(v *readView, frames []frameRef, tk *opTracker) ([][]byte, error) {
+	if len(frames) == 0 {
+		return nil, nil
+	}
 	t0 := time.Now()
-	raw, err := s.readBlob(v.dir, e)
+	raws, err := s.readFrames(v.dir, frames)
 	if err != nil {
 		return nil, err
 	}
-	tk.observe(StageRead, time.Since(t0), e.Length)
-	tk.attr("bytes_read", e.Length)
-	t0 = time.Now()
+	var bytes int64
+	for _, fr := range frames {
+		bytes += fr.e.Length
+	}
+	tk.observe(StageRead, time.Since(t0), bytes)
+	tk.attr("bytes_read", bytes)
+	return raws, nil
+}
+
+// decodePayload undoes a chunk payload's compression under the decode
+// stage. An uncompressed payload comes back as is.
+func decodePayload(e chunkEntry, raw []byte, box array.Box, dt array.DataType, tk *opTracker) ([]byte, error) {
+	t0 := time.Now()
 	if compress.Codec(e.Codec) != compress.None {
+		var err error
 		if raw, err = unseal(compress.Codec(e.Codec), raw, sealParams(e.Base < 0, box, dt)); err != nil {
 			return nil, err
 		}
@@ -488,14 +529,12 @@ func (s *Store) resolveSparse(v *readView, id int, attr string, local map[int]sp
 	if !ok {
 		return nil, false, fmt.Errorf("core: version %d missing sparse container for %s", id, attr)
 	}
-	t0 := time.Now()
-	raw, err := s.readBlob(v.dir, e)
+	raws, err := s.readChunkFrames(v, []frameRef{{id, e}}, tk)
 	if err != nil {
 		return nil, false, err
 	}
-	tk.observe(StageRead, time.Since(t0), e.Length)
-	tk.attr("bytes_read", e.Length)
-	t0 = time.Now()
+	raw := raws[0]
+	t0 := time.Now()
 	if compress.Codec(e.Codec) != compress.None {
 		raw, err = unseal(compress.Codec(e.Codec), raw, compress.Params{Elem: 1})
 		if err != nil {

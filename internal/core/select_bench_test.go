@@ -44,3 +44,34 @@ func BenchmarkSelectWarm(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSelectColdChain measures a cold chain walk: version 32 of a
+// 32-version insert-order chain, co-located, with the decoded-chunk
+// cache off, so every select reads each chunk's root and its 31 delta
+// frames and applies them. Four 128×128 int32 chunks; each version
+// changes ~10 % of the cells by a little.
+func BenchmarkSelectColdChain(b *testing.B) {
+	opts := DefaultOptions()
+	opts.ChunkBytes = 64 << 10
+	s, err := Open(b.TempDir(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.CreateArray(schema2D("C", 256)); err != nil {
+		b.Fatal(err)
+	}
+	const depth = 32
+	for _, v := range evolvingVersions(depth, 256, 75) {
+		if _, err := s.Insert("C", DensePayload(v)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Select("C", depth); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

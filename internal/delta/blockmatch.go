@@ -173,7 +173,8 @@ func applyBlockMatch(blob []byte, base *array.Dense) (*array.Dense, error) {
 		return nil, fmt.Errorf("delta: truncated blockmatch residual length")
 	}
 	pos += k
-	if len(blob) < pos+int(rlen) {
+	// compare in uint64: a length past 2^63 must not wrap int negative
+	if rlen > uint64(len(blob)-pos) {
 		return nil, fmt.Errorf("delta: truncated blockmatch residual")
 	}
 	if err := applyCellwise(Hybrid, blob[pos:pos+int(rlen)], pred, false); err != nil {

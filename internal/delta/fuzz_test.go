@@ -118,6 +118,7 @@ func FuzzEncode(f *testing.F) {
 // blob's own dtype and through the scalar oracle, which must either both
 // reject it or produce bit-identical arrays. A rejected blob must leave
 // the buffer exactly as it was, so a caller never sees half a delta.
+// The overlay seeds run over every dtype.
 func FuzzApplyInPlace(f *testing.F) {
 	base := fuzzBase()
 	target := fuzzBase()
@@ -143,16 +144,28 @@ func FuzzApplyInPlace(f *testing.F) {
 	if blob, err := Encode(Hybrid, target, base); err == nil {
 		f.Add(blob[:len(blob)-1]) // truncated hybrid overlay
 	}
-	// duplicate overlay indices: cell 5 three times, then cell 9 twice;
-	// the last entry wins and is computed from the base
+	// must reject: duplicate overlay indices (cell 5 three times, then
+	// cell 9 twice); both kernels refuse and the buffer stays unchanged
 	f.Add([]byte{byte(Sparse), byte(array.Int32), 5, 5, 0, 0, 4, 0, 2, 0x7f, 0x80, 0x01, 6, 8})
-	// nonzero plane codes under overlay cells (and a duplicate among them)
+	// nonzero plane codes under overlay cells, with a duplicate among
+	// them (rejected) and without one (legal)
 	plane := make([]byte, 64*4/8)
 	for i := range plane {
 		plane[i] = 0x35
 	}
 	hyb := append([]byte{byte(Hybrid), byte(array.Int32), 4}, plane...)
 	f.Add(append(hyb, 3, 0, 7, 0, 9, 0x11, 0x55, 3))
+	for _, dt := range fusedDTypes {
+		// a zero gap at entry 0 is cell 0, and legal
+		f.Add([]byte{byte(Sparse), byte(dt), 2, 0, 5, 0x04, 0x7f})
+		// a gap of 2^64-1 after cell 3 wraps back to cell 2: rejected
+		f.Add([]byte{byte(Sparse), byte(dt), 2, 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 2, 2})
+		// ten one-byte entries, one of them a repeated index: rejected
+		f.Add([]byte{byte(Sparse), byte(dt), 10, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3})
+		// width-4 plane of nonzero codes under cells 0, 7 and 16
+		hyb := append([]byte{byte(Hybrid), byte(dt), 4}, plane...)
+		f.Add(append(hyb, 3, 0, 7, 9, 0x11, 0x55, 3))
+	}
 	// width 64, dense and hybrid, over an 8-byte dtype
 	wide := make([]byte, 64*8)
 	for i := range wide {

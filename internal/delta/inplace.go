@@ -2,6 +2,7 @@ package delta
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"arrayvers/internal/array"
@@ -10,13 +11,15 @@ import (
 
 // The cellwise apply kernel: one function decodes all three cellwise
 // methods in both directions by rewriting the base's backing bytes in
-// place. Every cell gets buf[i] ± plane[i], then every overlay entry
-// sets buf[ix] = base[ix] ± val. Dense is a plane with no overlay,
+// place. Every cell gets buf[i] ± plane[i], and every overlay entry ends
+// at buf[ix] = base[ix] ± val. Dense is a plane with no overlay,
 // Sparse an overlay with no plane, Hybrid both. The packed plane is
 // unpacked in byte-aligned blocks into a stack buffer and added at the
 // dtype's native width, so no n-value diff plane is ever allocated, and
 // a width-0 plane (every cell outside the overlay unchanged) skips the
-// plane pass entirely.
+// plane pass entirely. The overlay is applied in one streaming pass over
+// its index gaps and values, also at native width, after a validation
+// pass over the same bytes; nothing is allocated per entry.
 //
 // Equivalence to the cell-accessor reference (scalarApply in
 // oracle_test.go, driven by FuzzApplyInPlace): the reference computes
@@ -57,13 +60,15 @@ func ApplyInPlace(blob []byte, buf *array.Dense) (*array.Dense, error) {
 }
 
 // applyCellwise rewrites buf from base to target (reverse: from target
-// to base) with a blob of cellwise method m.
+// to base) with a blob of cellwise method m. Plane and overlay are both
+// validated before the first write.
 func applyCellwise(m Method, blob []byte, buf *array.Dense, reverse bool) error {
 	if err := readHeader(blob, m, buf); err != nil {
 		return err
 	}
 	n := buf.NumCells()
-	width, overlay := 0, 2
+	width, at := 0, 2
+	var plane []byte
 	if m != Sparse {
 		if len(blob) < 3 {
 			return fmt.Errorf("delta: truncated %v delta", m)
@@ -72,69 +77,131 @@ func applyCellwise(m Method, blob []byte, buf *array.Dense, reverse bool) error 
 		if err := bitpack.CheckUnpack(len(blob)-3, int(n), width); err != nil {
 			return err
 		}
-		overlay = 3 + int((n*int64(width)+7)/8)
+		plane, at = blob[3:], 3+int((n*int64(width)+7)/8)
 	}
-	var idx, vals []int64
+	var ov overlay
 	if m != Dense {
 		var err error
-		if idx, vals, err = parseOverlay(blob[overlay:], buf, reverse); err != nil {
+		if ov, err = checkOverlay(blob[at:], n); err != nil {
 			return err
 		}
 	}
 	if width > 0 {
-		if err := addPlane(blob[3:], width, buf, reverse); err != nil {
+		if err := addPlane(plane, width, buf, reverse); err != nil {
 			return err
 		}
 	}
-	for i, ix := range idx {
-		buf.SetBits(ix, vals[i])
-	}
+	ov.add(buf, plane, width, reverse)
 	return nil
 }
 
-// parseOverlay decodes a sparse overlay (nnz uvarint | uvarint index gaps
-// | varint diffs) into cell indices and the values those cells take.
-// Each value is computed from buf's current (base) content, so duplicate
-// indices resolve last-wins against the base.
-func parseOverlay(b []byte, buf *array.Dense, reverse bool) (idx, vals []int64, err error) {
+// ErrOverlayIndex is returned (wrapped) for an overlay whose cell indices
+// are not strictly increasing or reach past the array: the encoder never
+// writes either, so a repeated, wrapping or out-of-range index is a
+// corrupt blob.
+var ErrOverlayIndex = errors.New("delta: overlay index not strictly increasing within the array")
+
+// overlay is a validated sparse overlay (nnz uvarint | uvarint index gaps
+// | varint diffs): its entry count, index gaps and values.
+type overlay struct {
+	nnz        int
+	gaps, vals []byte
+}
+
+// nextUvarint decodes the uvarint at b[p:] of a validated overlay and
+// returns it with the position after it. Most gaps and values take one
+// byte, which returns at the first test.
+func nextUvarint(b []byte, p int) (uint64, int) {
+	c := b[p]
+	u := uint64(c & 0x7f)
+	for s := 7; c >= 0x80; s += 7 {
+		p++
+		c = b[p]
+		u |= uint64(c&0x7f) << s
+	}
+	return u, p + 1
+}
+
+// checkOverlay validates the overlay b of an n-cell array without
+// writing anything: every gap and value must decode, and the indices
+// the gaps spell must be strictly increasing and below n. The first gap
+// counts from cell 0, so only it may be zero.
+func checkOverlay(b []byte, n int64) (overlay, error) {
 	nnz, pos := binary.Uvarint(b)
 	if pos <= 0 {
-		return nil, nil, fmt.Errorf("delta: truncated overlay count")
+		return overlay{}, fmt.Errorf("delta: truncated overlay count")
 	}
 	// each entry needs at least an index byte and a value byte; a count
-	// the input cannot back must not size an allocation
+	// the input cannot back must not drive the loops below
 	if nnz > uint64(len(b)-pos)/2 {
-		return nil, nil, fmt.Errorf("delta: overlay claims %d entries in %d bytes", nnz, len(b)-pos)
+		return overlay{}, fmt.Errorf("delta: overlay claims %d entries in %d bytes", nnz, len(b)-pos)
 	}
-	idx = make([]int64, nnz)
-	prev := int64(0)
-	for i := range idx {
-		g, k := binary.Uvarint(b[pos:])
-		if k <= 0 {
-			return nil, nil, fmt.Errorf("delta: truncated overlay index %d", i)
+	gaps := b[pos:]
+	ix := int64(0)
+	for i := 0; i < int(nnz); i++ {
+		if pos == len(b) {
+			return overlay{}, fmt.Errorf("delta: truncated overlay index %d", i)
 		}
-		prev += int64(g)
-		idx[i] = prev
+		g, k := uint64(b[pos]), 1
+		if g >= 0x80 {
+			if g, k = binary.Uvarint(b[pos:]); k <= 0 {
+				return overlay{}, fmt.Errorf("delta: truncated overlay index %d", i)
+			}
+		}
+		if (g == 0 && i > 0) || g >= uint64(n-ix) {
+			return overlay{}, fmt.Errorf("%w: entry %d steps %d from cell %d of %d", ErrOverlayIndex, i, g, ix, n)
+		}
+		ix += int64(g)
 		pos += k
 	}
-	vals = make([]int64, nnz)
-	dt, n := buf.DType(), buf.NumCells()
-	for i, ix := range idx {
-		d, k := binary.Varint(b[pos:])
+	vals := b[pos:]
+	for i := 0; i < int(nnz); i++ {
+		if pos < len(b) && b[pos] < 0x80 {
+			pos++
+			continue
+		}
+		_, k := binary.Uvarint(b[pos:])
 		if k <= 0 {
-			return nil, nil, fmt.Errorf("delta: truncated overlay value %d", i)
+			return overlay{}, fmt.Errorf("delta: truncated overlay value %d", i)
 		}
 		pos += k
-		if ix < 0 || ix >= n {
-			return nil, nil, fmt.Errorf("delta: overlay index %d out of range", ix)
+	}
+	return overlay{nnz: int(nnz), gaps: gaps, vals: vals}, nil
+}
+
+// add is the overlay pass: one streaming walk of the gaps and values
+// together, adding (reverse: subtracting) each value at the dtype's
+// native width. An overlay cell must end at base ± its value whatever
+// plane code sits beneath it (the encoder writes 0 there), so under a
+// plane of width > 0 that code, which addPlane already applied, is taken
+// back out.
+func (o overlay) add(buf *array.Dense, plane []byte, width int, reverse bool) {
+	data := buf.Bytes()
+	esz := buf.DType().Size()
+	gp, vp, ix := 0, 0, 0
+	var g, u uint64
+	for range o.nnz {
+		g, gp = nextUvarint(o.gaps, gp)
+		ix += int(g)
+		u, vp = nextUvarint(o.vals, vp)
+		d := bitpack.Unzigzag(u)
+		if width > 0 {
+			d -= bitpack.SignedAt(plane, ix, width)
 		}
 		if reverse {
-			vals[i] = wrapSub(dt, buf.Bits(ix), d)
-		} else {
-			vals[i] = wrapAdd(dt, buf.Bits(ix), d)
+			d = -d
+		}
+		switch c := data[ix*esz:]; esz {
+		case 1:
+			c[0] += byte(d)
+		case 2:
+			binary.LittleEndian.PutUint16(c, binary.LittleEndian.Uint16(c)+uint16(d))
+		case 4:
+			binary.LittleEndian.PutUint32(c, binary.LittleEndian.Uint32(c)+uint32(d))
+		default:
+			binary.LittleEndian.PutUint64(c, binary.LittleEndian.Uint64(c)+uint64(d))
 		}
 	}
-	return idx, vals, nil
 }
 
 // addPlane adds (reverse: subtracts) the packed plane's NumCells

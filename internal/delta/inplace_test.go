@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -194,6 +195,50 @@ func TestFusedChain(t *testing.T) {
 	}
 }
 
+// TestOverlayRejectsRepeatedIndex pins the overlay's index rule: a
+// repeated index after the first entry and a gap that wraps past 2^63
+// are typed errors from the kernel, rejected by the oracle too, and
+// leave the buffer untouched; a zero first gap (cell 0) is legal.
+func TestOverlayRejectsRepeatedIndex(t *testing.T) {
+	base := fuzzBaseOf(array.Int32)
+	wrap := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	bad := map[string][]byte{
+		"repeated": {byte(Sparse), byte(array.Int32), 2, 4, 0, 2, 2},
+		"wrapping": append(append([]byte{byte(Sparse), byte(array.Int32), 2, 3}, wrap...), 2, 2),
+		"past end": {byte(Sparse), byte(array.Int32), 1, 64, 2},
+		// ten one-byte entries: a zero gap among them, then gaps summing
+		// past n
+		"repeated in a group": {byte(Sparse), byte(array.Int32), 10, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
+		"group past end":      {byte(Sparse), byte(array.Int32), 10, 1, 9, 9, 9, 9, 9, 9, 9, 9, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
+	}
+	for name, blob := range bad {
+		for _, reverse := range []bool{false, true} {
+			buf := base.Clone()
+			if _, err := inPlace(blob, buf, reverse); !errors.Is(err, ErrOverlayIndex) {
+				t.Errorf("%s (reverse=%v): err = %v, want ErrOverlayIndex", name, reverse, err)
+			}
+			if !buf.Equal(base) {
+				t.Errorf("%s (reverse=%v): rejected blob modified the buffer", name, reverse)
+			}
+			if _, err := scalarApply(blob, base, reverse); err == nil {
+				t.Errorf("%s (reverse=%v): the oracle accepted it", name, reverse)
+			}
+		}
+	}
+	got := differential(t, []byte{byte(Sparse), byte(array.Int32), 2, 0, 63, 2, 2}, base, false)
+	if got.Bits(0) != base.Bits(0)+1 || got.Bits(63) != base.Bits(63)+1 {
+		t.Fatal("a zero first gap did not address cell 0")
+	}
+	// ten one-byte gaps and one more, legal: cells 1..10 and 63
+	group := []byte{byte(Sparse), byte(array.Int32), 11, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 53}
+	for range 11 {
+		group = append(group, 0x7f)
+	}
+	for _, reverse := range []bool{false, true} {
+		differential(t, group, base, reverse)
+	}
+}
+
 // hybridPair is the chunk shape the store encodes and decodes most: a
 // 256×256 int32 chunk whose successor changed 3% of its cells, which the
 // hybrid encoder stores as a width-0 plane plus an overlay of ~2 000
@@ -213,21 +258,37 @@ func hybridPair() (target, base *array.Dense) {
 	return target, base
 }
 
-// hybridChunk is hybridPair's blob and base, with the timer reset.
-func hybridChunk(b *testing.B) (blob []byte, base *array.Dense) {
-	target, base := hybridPair()
+// overlayChunk is one link of the store's chain walk: a 256×256 int32
+// chunk whose successor changed 2 048 scattered cells by small amounts,
+// which the hybrid encoder stores as a width-0 plane plus a 2 048-entry
+// overlay of one-byte gaps and values. The timer is reset.
+func overlayChunk(b *testing.B) (blob []byte, base *array.Dense) {
+	rng := rand.New(rand.NewSource(26))
+	base = array.MustDense(array.Int32, []int64{256, 256})
+	for i := int64(0); i < base.NumCells(); i++ {
+		base.SetBits(i, int64(rng.Intn(1<<20)))
+	}
+	target := base.Clone()
+	for _, i := range rng.Perm(int(target.NumCells()))[:2048] {
+		target.SetBits(int64(i), target.Bits(int64(i))+int64(1+rng.Intn(60))*int64(1-2*rng.Intn(2)))
+	}
 	blob, err := Encode(Hybrid, target, base)
 	if err != nil {
 		b.Fatal(err)
 	}
+	if blob[2] != 0 {
+		b.Fatalf("overlay chunk encoded at plane width %d, want 0", blob[2])
+	}
 	b.SetBytes(base.SizeBytes())
+	b.ReportAllocs()
 	b.ResetTimer()
 	return blob, base
 }
 
-// BenchmarkApplyInPlace is one link of the store's chain walk.
-func BenchmarkApplyInPlace(b *testing.B) {
-	blob, base := hybridChunk(b)
+// BenchmarkApplyOverlay is the overlay pass on overlayChunk, applied to
+// one buffer over and over (each apply adds the same overlay again).
+func BenchmarkApplyOverlay(b *testing.B) {
+	blob, base := overlayChunk(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := ApplyInPlace(blob, base); err != nil {
 			b.Fatal(err)
@@ -238,7 +299,7 @@ func BenchmarkApplyInPlace(b *testing.B) {
 // BenchmarkApplyScalarOracle is the same link through the reference
 // decoder: a fresh plane and full passes over every cell.
 func BenchmarkApplyScalarOracle(b *testing.B) {
-	blob, base := hybridChunk(b)
+	blob, base := overlayChunk(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := scalarApply(blob, base, false); err != nil {
 			b.Fatal(err)

@@ -275,7 +275,10 @@ func scalarApplyHybrid(blob []byte, from *array.Dense, reverse bool) (*array.Den
 }
 
 // scalarOverlay parses nnz | index gaps | diffs, range-checking every
-// index against n.
+// index against n. Indices must also be strictly increasing (only the
+// first gap may be zero): the encoder never writes anything else, and
+// the kernel rejects a repeated index rather than picking a winner, so
+// the oracle must reject the same blobs to stay comparable.
 func scalarOverlay(b []byte, n int64) (idx, vals []int64, err error) {
 	nnz, pos := binary.Uvarint(b)
 	if pos <= 0 {
@@ -290,6 +293,9 @@ func scalarOverlay(b []byte, n int64) (idx, vals []int64, err error) {
 		g, k := binary.Uvarint(b[pos:])
 		if k <= 0 {
 			return nil, nil, fmt.Errorf("delta: truncated overlay index %d", i)
+		}
+		if (i > 0 && g == 0) || g >= uint64(n) {
+			return nil, nil, fmt.Errorf("delta: overlay entry %d repeats or wraps its index", i)
 		}
 		prev += int64(g)
 		idx[i] = prev
