@@ -60,11 +60,12 @@ import (
 // work out on a bounded worker pool (Options.Parallelism), and share a
 // store-wide LRU of reconstructed chunks (Options.CacheBytes) so
 // repeated and overlapping version reads skip the delta-chain walk.
-// Writes are concurrent too: inserts to different arrays encode and
-// fsync in parallel under per-array write latches, concurrent durable
-// inserts to one array coalesce into shared group commits, and
-// InsertBatch lands many versions atomically in one commit. See
-// DESIGN.md's "Concurrency & caching" and "Write path" sections.
+// Writing versions is one call too, Write (any payloads into one or
+// several arrays, atomically, as one commit record), with Insert and
+// InsertMulti as shorthands. Writes to different arrays encode and fsync
+// in parallel under per-array write latches, and a write to one array
+// stages while the previous write to it syncs. See DESIGN.md's
+// "Concurrency & caching" and "Write path" sections.
 type Store = core.Store
 
 // Options configures a Store (chunk size, compression codec, delta
@@ -169,9 +170,9 @@ type (
 	CellUpdate = core.CellUpdate
 )
 
-// MultiInsert names one array's payload batch within a Store.InsertMulti
-// call — a cross-array batch committed atomically under the store-wide
-// manifest log's single commit point.
+// MultiInsert is one put of a Store.Write: payloads for one array. The
+// puts of one Write commit atomically under the store-wide manifest
+// log's single commit point.
 type MultiInsert = core.MultiInsert
 
 // DensePayload wraps a single-attribute dense version content.
@@ -330,8 +331,9 @@ func NewTrace(name string) *Trace { return trace.New(name) }
 // a fresh one), so distributed parties agree on the identifier.
 func JoinTrace(id, name string) *Trace { return trace.Join(id, name) }
 
-// TraceContext attaches a trace to a context; every *Ctx store call
-// made under that context records its pipeline stages into the trace.
+// TraceContext attaches a trace to a context; every store call made
+// with that context (Read, Write) records its pipeline stages into the
+// trace.
 func TraceContext(ctx context.Context, t *Trace) context.Context {
 	return trace.NewContext(ctx, t)
 }
@@ -340,6 +342,6 @@ func TraceContext(ctx context.Context, t *Trace) context.Context {
 func TraceFromContext(ctx context.Context) *Trace { return trace.FromContext(ctx) }
 
 // ProfileSnapshot is the store's cumulative stage-level profile: select
-// and commit pipeline latency/byte histograms, group-commit batch
-// sizes, tuner-pass durations, and per-array cache hit counters.
+// and commit pipeline latency/byte histograms, versions per commit
+// record, tuner-pass durations, and per-array cache hit counters.
 type ProfileSnapshot = core.ProfileSnapshot

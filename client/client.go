@@ -62,7 +62,7 @@ type RetryPolicy struct {
 }
 
 // DefaultRetryPolicy retries transient failures a few times over a few
-// seconds — enough to ride out a group-commit stall, an in-flight-limit
+// seconds — enough to ride out a commit stall, an in-flight-limit
 // rejection, or a degraded store mid-heal, without masking a real outage.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 5 * time.Second}
@@ -398,80 +398,59 @@ func (c *Client) Health() (arrayvers.Health, error) {
 	return h, err
 }
 
-// --- insert and select ---
+// --- write and select ---
 
-// Insert adds a new version to the named array and returns its ID. All
-// three payload forms (dense, sparse, delta-list) are supported; the
-// content crosses the wire as one binary frame. Each call carries a
-// fresh idempotency key, so the retry policy can safely re-send after
-// a lost ack: the server replays the committed id instead of
-// inserting a duplicate.
-func (c *Client) Insert(name string, p arrayvers.Payload) (int, error) {
+// Write adds versions to one or several arrays in one request and ONE
+// server-side commit point: the store's manifest log makes every put
+// durable in a single append+fsync, so either every array shows its new
+// versions or none does. All three payload forms (dense, sparse,
+// delta-list) cross the wire as binary frames. It returns each put's
+// new version ids, in put order and payload order. Each call carries a
+// fresh idempotency key, so the retry policy can safely re-send after a
+// lost ack: the server replays the committed ids instead of writing
+// twice.
+func (c *Client) Write(ctx context.Context, puts []arrayvers.MultiInsert) ([][]int, error) {
 	var buf bytes.Buffer
-	if err := wire.WritePayload(&buf, p); err != nil {
-		return 0, fmt.Errorf("client: %w", err)
+	if err := wire.WriteMultiBatch(&buf, puts); err != nil {
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	resp, err := c.doIdem(context.Background(), http.MethodPost, "/v1/arrays/"+url.PathEscape(name)+"/versions", frameContentType, buf.Bytes(), newIdemKey())
+	resp, err := c.doIdem(ctx, http.MethodPost, "/v1/write", frameContentType, buf.Bytes(), newIdemKey())
+	if err != nil {
+		return nil, err
+	}
+	defer drain(resp)
+	var out struct {
+		IDs [][]int `json:"ids"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return nil, fmt.Errorf("client: decode write response: %w", err)
+	}
+	if len(out.IDs) != len(puts) {
+		return nil, fmt.Errorf("client: write answered %d puts, sent %d", len(out.IDs), len(puts))
+	}
+	return out.IDs, nil
+}
+
+// Insert adds one version to the named array and returns its ID.
+func (c *Client) Insert(name string, p arrayvers.Payload) (int, error) {
+	ids, err := c.Write(context.Background(), []arrayvers.MultiInsert{{Array: name, Payloads: []arrayvers.Payload{p}}})
 	if err != nil {
 		return 0, err
 	}
-	defer drain(resp)
-	var out struct {
-		ID int `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, fmt.Errorf("client: decode insert response: %w", err)
-	}
-	return out.ID, nil
+	return ids[0][0], nil
 }
 
-// InsertBatch adds a batch of versions in one request and one shared
-// server-side commit (all-or-nothing), returning their IDs in payload
-// order. The payloads travel as consecutive wire frames in a single
-// request body, so a bulk load pays one HTTP round-trip and one
-// durable commit instead of one per version.
-func (c *Client) InsertBatch(name string, ps []arrayvers.Payload) ([]int, error) {
-	var buf bytes.Buffer
-	if err := wire.WritePayloadBatch(&buf, ps); err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	resp, err := c.doIdem(context.Background(), http.MethodPost, "/v1/arrays/"+url.PathEscape(name)+"/versions/batch", frameContentType, buf.Bytes(), newIdemKey())
+// InsertMulti is Write keyed by array name.
+func (c *Client) InsertMulti(puts []arrayvers.MultiInsert) (map[string][]int, error) {
+	ids, err := c.Write(context.Background(), puts)
 	if err != nil {
 		return nil, err
 	}
-	defer drain(resp)
-	var out struct {
-		IDs []int `json:"ids"`
+	out := make(map[string][]int, len(puts))
+	for i, p := range puts {
+		out[p.Array] = ids[i]
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode insert-batch response: %w", err)
-	}
-	return out.IDs, nil
-}
-
-// InsertMulti adds payload batches to several arrays in one request
-// and ONE server-side commit point: the store's manifest log makes
-// every member durable in a single append+fsync, so either every array
-// shows its new versions or none does — a guarantee per-array requests
-// cannot compose. The result maps each array to its new version ids in
-// payload order.
-func (c *Client) InsertMulti(batches []arrayvers.MultiInsert) (map[string][]int, error) {
-	var buf bytes.Buffer
-	if err := wire.WriteMultiBatch(&buf, batches); err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	resp, err := c.doIdem(context.Background(), http.MethodPost, "/v1/batch", frameContentType, buf.Bytes(), newIdemKey())
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp)
-	var out struct {
-		IDs map[string][]int `json:"ids"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decode insert-multi response: %w", err)
-	}
-	return out.IDs, nil
+	return out, nil
 }
 
 // Read returns one plane per listed version of the array's attribute
@@ -646,12 +625,12 @@ func (c *Client) Close() error {
 // storeShape is the method set shared verbatim between the embedded
 // store and this client; programs that want to swap the two with one
 // line can depend on it (see examples/remote). Reads are one call, Read,
-// plus its four conveniences. The compile-time checks below keep the two
+// plus its four conveniences; writes are one call, Write, plus two. The compile-time checks below keep the two
 // APIs from drifting apart.
 type storeShape interface {
 	CreateArray(arrayvers.Schema) error
+	Write(context.Context, []arrayvers.MultiInsert) ([][]int, error)
 	Insert(string, arrayvers.Payload) (int, error)
-	InsertBatch(string, []arrayvers.Payload) ([]int, error)
 	InsertMulti([]arrayvers.MultiInsert) (map[string][]int, error)
 	Read(context.Context, arrayvers.ReadQuery) ([]arrayvers.Plane, error)
 	Select(string, int) (arrayvers.Plane, error)

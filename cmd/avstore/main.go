@@ -66,7 +66,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -191,11 +190,11 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			out, err := c.InsertMulti(batches)
+			ids, err := c.Write(context.Background(), batches)
 			if err != nil {
 				return err
 			}
-			printMultiResult(out)
+			printWriteResult(batches, ids)
 			return nil
 		case "tune":
 			if *name == "" {
@@ -280,11 +279,11 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		out, err := store.InsertMulti(batches)
+		ids, err := store.Write(context.Background(), batches)
 		if err != nil {
 			return err
 		}
-		printMultiResult(out)
+		printWriteResult(batches, ids)
 	case "select":
 		ctx := context.Background()
 		var tr *arrayvers.Trace
@@ -487,18 +486,13 @@ func parseParts(spec string) ([]arrayvers.MultiInsert, error) {
 	return out, nil
 }
 
-func printMultiResult(out map[string][]int) {
-	names := make([]string, 0, len(out))
-	for n := range out {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		for _, id := range out[n] {
-			fmt.Printf("committed %s@%d\n", n, id)
+func printWriteResult(puts []arrayvers.MultiInsert, ids [][]int) {
+	for i, p := range puts {
+		for _, id := range ids[i] {
+			fmt.Printf("committed %s@%d\n", p.Array, id)
 		}
 	}
-	fmt.Printf("batch: %d array(s) committed atomically\n", len(names))
+	fmt.Printf("batch: %d array(s) committed atomically\n", len(puts))
 }
 
 // emitPlane writes a selected plane to a blob file, or prints its

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -232,13 +233,13 @@ func TestChaosE2E(t *testing.T) {
 					// idempotency key, so a replayed batch must return
 					// the original id list atomically
 					s1, s2 := seedSrc.Add(1), seedSrc.Add(1)
-					ids, err := cw.InsertBatch("Chaos", []arrayvers.Payload{
+					written, err := cw.Write(context.Background(), []arrayvers.MultiInsert{{Array: "Chaos", Payloads: []arrayvers.Payload{
 						arrayvers.DensePayload(chaosContent(s1)),
 						arrayvers.DensePayload(chaosContent(s2)),
-					})
-					if err == nil && len(ids) == 2 {
+					}}})
+					if err == nil && len(written[0]) == 2 {
 						mu.Lock()
-						acked[ids[0]], acked[ids[1]] = s1, s2
+						acked[written[0][0]], acked[written[0][1]] = s1, s2
 						mu.Unlock()
 					}
 					continue

@@ -30,8 +30,8 @@ import (
 type versionedStore interface {
 	CreateArray(arrayvers.Schema) error
 	DeleteArray(string) error
+	Write(context.Context, []arrayvers.MultiInsert) ([][]int, error)
 	Insert(string, arrayvers.Payload) (int, error)
-	InsertBatch(string, []arrayvers.Payload) ([]int, error)
 	Read(context.Context, arrayvers.ReadQuery) ([]arrayvers.Plane, error)
 	Select(string, int) (arrayvers.Plane, error)
 	SelectRegion(string, int, arrayvers.Box) (arrayvers.Plane, error)
@@ -96,8 +96,8 @@ func main() {
 		fmt.Printf("committed %s@%d\n", name, id)
 	}
 
-	// batched insert: three more versions in one request and one shared
-	// commit (all-or-nothing server-side)
+	// one write of three more versions: one request and one commit
+	// (all-or-nothing server-side)
 	var batch []arrayvers.Payload
 	for v := 3; v < 6; v++ {
 		grid, err := arrayvers.NewDense(arrayvers.Int32, []int64{32, 32})
@@ -110,15 +110,16 @@ func main() {
 		want = append(want, grid.Clone())
 		batch = append(batch, arrayvers.DensePayload(grid))
 	}
-	batchIDs, err := store.InsertBatch(name, batch)
+	written, err := store.Write(context.Background(), []arrayvers.MultiInsert{{Array: name, Payloads: batch}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	batchIDs := written[0]
 	if len(batchIDs) != len(batch) {
-		log.Fatalf("batch insert returned %d ids for %d payloads", len(batchIDs), len(batch))
+		log.Fatalf("write returned %d ids for %d payloads", len(batchIDs), len(batch))
 	}
 	ids = append(ids, batchIDs...)
-	fmt.Printf("batch-committed %s@%v in one shared commit\n", name, batchIDs)
+	fmt.Printf("wrote %s@%v in one commit\n", name, batchIDs)
 
 	// read each version back and compare against the local copy
 	for i, id := range ids {

@@ -322,10 +322,10 @@ type IOStats struct {
 	TunePasses      int64
 	TuneReorganizes int64
 
-	// GroupCommits counts shared durable commit points on the insert
-	// path; GroupCommitVersions counts the versions they installed, so
-	// GroupCommitVersions/GroupCommits is the realized coalescing factor
-	// (1.0 means no concurrent inserts ever shared a commit).
+	// GroupCommits counts the commit records writes appended (one per
+	// Write, Branch or Merge); GroupCommitVersions counts the versions
+	// they installed, so GroupCommitVersions/GroupCommits is the mean
+	// number of versions per commit record.
 	GroupCommits        int64
 	GroupCommitVersions int64
 	// ManifestRecords counts metadata commits through the store-wide
@@ -488,8 +488,7 @@ func (s *Store) Close() error {
 	s.stopHealer()
 	for _, st := range arrays {
 		// drain writers first: an in-flight stager finishes encoding,
-		// then its commit leader fails fast on the closed flag and wakes
-		// every waiter with ErrClosed
+		// then its commit fails fast on the closed flag
 		st.writeMu.Lock()
 		st.writeMu.Unlock()
 		st.commitMu.Lock()
@@ -676,41 +675,34 @@ type arrayState struct {
 	// written before the snapshot was taken.
 	ioMu sync.RWMutex
 
-	// reorgMu serializes everything that can invalidate an optimistic
-	// insert staging on this array — Reorganize, Compact, DeleteVersion,
-	// Heal — without blocking readers or inserts. An insert that keeps
-	// losing to them takes it too, which guarantees its next attempt
-	// commits. Always acquired first, never while holding Store.mu.
+	// reorgMu serializes the array's rewrites and deletes — Reorganize,
+	// Compact, DeleteVersion, Heal — without blocking readers or writes.
+	// Always acquired first, never while holding Store.mu.
 	reorgMu sync.Mutex
 
-	// writeMu is the per-array write latch: it serializes insert staging
+	// writeMu is the per-array write latch: it serializes staging
 	// (payload resolution, plane encoding, blob appends) on this array
-	// without holding Store.mu, so inserts to different arrays encode
-	// and fsync concurrently. Acquired before Store.mu, never while
-	// holding it.
+	// without holding Store.mu, so writes to different arrays encode and
+	// fsync concurrently. A writer keeps it until it holds commitMu, so
+	// nothing can commit on the array between a write's stage and its
+	// commit. Acquired before Store.mu, never while holding it.
 	writeMu sync.Mutex
-	// commitMu admits one group-commit leader at a time: it drains
-	// pending, fsyncs every staged file and the chunks dir, commits one
-	// manifest record and installs, so batches install in drain order.
-	//
-	// commitMu doubles as the array's metadata WRITER latch: insert
-	// leaders run the metadata commit with Store.mu released (so selects
-	// and staging never stall behind the commit's fsyncs), which is only
-	// safe because every other metadata writer on the array —
-	// DeleteVersion, Reorganize, Compact, DeleteArray — also holds
-	// commitMu across its commit. Lock order: reorgMu < commitMu <
-	// writeMu < Store.mu < ioMu < pendMu; the manifest's own latches are
-	// leaves below all of these (commit leaders append while holding
-	// commitMu, and the manifest never takes a store lock back).
+	// commitMu is the array's metadata WRITER latch: a write takes it
+	// from its writeMu and holds it through its data fsyncs, its manifest
+	// record and its install, so writes install in stage order. Writers
+	// run the metadata commit with Store.mu released (so selects and the
+	// next writer's staging never stall behind the commit's fsyncs), which
+	// is only safe because every other metadata writer on the array —
+	// DeleteVersion, Reorganize, Compact, DeleteArray, Heal — also holds
+	// commitMu across its commit. Lock order: reorgMu < writeMu <
+	// commitMu < Store.mu < ioMu; the manifest's own latches are leaves
+	// below all of these (writers append while holding commitMu, and the
+	// manifest never takes a store lock back).
 	commitMu sync.Mutex
-	// pendMu guards pending and stageNext.
-	pendMu sync.Mutex
-	// pending holds staged, uncommitted inserts in stage order.
-	pending []*stagedInsert
-	// stageNext is the id the next staged insert will reserve; always
-	// >= NextID. A stage-time failure rolls its own reservation back
-	// (under writeMu, so no later reservation exists); ids lost to
-	// commit-time failures become permanent gaps — ids are never reused.
+	// stageNext is the id the next staging will reserve; always >= NextID.
+	// A failed write rolls its reservation back when nothing was reserved
+	// after it; otherwise its ids stay gaps — ids are never reused.
+	// Guarded by writeMu.
 	stageNext int
 
 	// seq counts metadata mutations (insert, delete-version, rewrite
@@ -938,7 +930,7 @@ func (s *Store) commitNewArray(st *arrayState) error {
 // half-deleted array that resurrects with versions missing.
 //
 // The record is appended holding only the array's commitMu, its
-// metadata writer latch: an insert leader runs its metadata commit with
+// metadata writer latch: a write runs its metadata commit with
 // Store.mu released, and without this latch a delete + same-name
 // recreate could slip into that window, landing the old array's staged
 // metadata under the recreated array's name.

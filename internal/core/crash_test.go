@@ -33,7 +33,7 @@ type crashModel struct {
 	// interrupted (it may be gone or still fully readable).
 	pendingDeleted int
 	// pendingBatchIDs/pendingBatchContent describe an interrupted
-	// InsertBatch: the batch shares one commit, so after recovery either
+	// three-payload Write: it shares one commit, so after recovery either
 	// every member is present (byte-identical) or none is.
 	pendingBatchIDs     []int
 	pendingBatchContent []*array.Dense
@@ -201,7 +201,7 @@ func runCrashWorkload(s *Store, side int64) (*crashModel, error) {
 		want := []*array.Dense{crashContent(8, side), deltaWant, crashContent(9, side)}
 		m.pendingBatchIDs = []int{startID, startID + 1, startID + 2}
 		m.pendingBatchContent = want
-		ids, err := s.InsertBatch("M", []Payload{
+		ids, err := writeOne(s, "M", []Payload{
 			DensePayload(want[0]),
 			DeltaListPayload(1, updates),
 			DensePayload(want[2]),
@@ -585,7 +585,7 @@ func checkRecovered(t *testing.T, dir string, step int64, m *crashModel, side in
 		}
 		delete(present, id)
 	}
-	// an interrupted InsertBatch shares one commit: all in or all out,
+	// an interrupted three-payload Write shares one commit: all in or all out,
 	// and whatever is in must be byte-identical
 	batchPos := map[int]int{}
 	for i, id := range m.pendingBatchIDs {
@@ -598,7 +598,7 @@ func checkRecovered(t *testing.T, dir string, step int64, m *crashModel, side in
 		}
 	}
 	if batchPresent != 0 && batchPresent != len(m.pendingBatchIDs) {
-		t.Fatalf("step %d: interrupted InsertBatch committed partially (%d of %d members)",
+		t.Fatalf("step %d: interrupted batch Write committed partially (%d of %d members)",
 			step, batchPresent, len(m.pendingBatchIDs))
 	}
 	// the interrupted op must be atomically in or out

@@ -123,7 +123,7 @@ func TestFailedStageDoesNotPoisonReads(t *testing.T) {
 	// the delta-list member reads staged version 1 back, then fails: its
 	// one coordinate does not address the 2-D array
 	bad := DeltaListPayload(1, []CellUpdate{{Coords: []int64{0}}})
-	if _, err := s.InsertBatch("P", []Payload{DensePayload(a), bad}); err == nil {
+	if _, err := writeOne(s, "P", []Payload{DensePayload(a), bad}); err == nil {
 		t.Fatal("batch with a malformed delta-list succeeded")
 	}
 	id, err := s.Insert("P", DensePayload(b))

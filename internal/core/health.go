@@ -300,12 +300,12 @@ func (s *Store) probeDir(dir string) error {
 }
 
 // healArray runs one array's heal pass. It acquires all three write-side
-// latches in the documented order (reorgMu < commitMu < writeMu), so no
-// insert, delete, or rewrite can be mid-commit: the in-memory metadata
+// latches in the documented order (reorgMu < writeMu < commitMu), so no
+// write, delete, or rewrite can be mid-commit: the in-memory metadata
 // it sweeps against cannot move.
 func (s *Store) healArray(name string, rep *HealReport) error {
 	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.reorgMu, &st.commitMu, &st.writeMu}
+		return []*sync.Mutex{&st.reorgMu, &st.writeMu, &st.commitMu}
 	})
 	if err != nil {
 		if errors.Is(err, ErrClosed) {
@@ -317,19 +317,8 @@ func (s *Store) healArray(name string, rep *HealReport) error {
 		return nil
 	}
 	defer st.reorgMu.Unlock()
-	defer st.commitMu.Unlock()
 	defer st.writeMu.Unlock()
-
-	// inserts staged before the degrade are still queued; their blobs
-	// were never synced and the sweep below reclaims them, so fail them
-	// now rather than letting them retry against a healing disk
-	if batch := st.drainPending(); len(batch) > 0 {
-		gateErr := fmt.Errorf("core: array %q is read-only: %w", name, ErrDegraded)
-		for _, ins := range batch {
-			ins.fail(gateErr)
-			close(ins.done)
-		}
-	}
+	defer st.commitMu.Unlock()
 
 	if err := s.probeDir(st.dir); err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,36 +16,30 @@ import (
 	"arrayvers/internal/trace"
 )
 
-// The write path: stage → sync → commit → install.
+// The write path: stage → hand-over → commit → install.
 //
-// Every mutation that adds versions — Insert, InsertBatch, InsertMulti,
-// Branch, Merge — runs the same three functions:
+// Every mutation that adds versions — Write (and its conveniences Insert
+// and InsertMulti), Branch, Merge — runs one function, write:
 //
-//   - stageBatch resolves the payloads, picks delta bases, and encodes
-//     every chunk — appending blobs, unsynced, to the chunk files —
-//     against a cloned metadata snapshot. It holds the array's writeMu
-//     (which serializes appenders on one array) and its shared I/O
-//     latch (which pins the chunk generation); Store.mu only long
-//     enough to take the snapshot, so inserts to different arrays
-//     encode concurrently and never stall readers.
-//   - syncStagedBatch makes a round of staged inserts durable: one fsync
-//     per touched file plus one chunks-dir fsync when files were
-//     created, shared by the whole round.
-//   - finalizeBatch validates each staged insert against the live state
-//     (generation unchanged, delta bases still live) under a brief
-//     Store.mu, commits the staged documents of one or several arrays
-//     as ONE manifest record with Store.mu released, and installs them
-//     under a second brief Store.mu.
-//
-// Single-array inserts enqueue their staging and ride a group commit
-// (awaitCommit); InsertMulti, Branch and Merge hold their arrays'
-// commit-latch sets and call the three functions directly
-// (commitLatched).
+//   - holding the writeMu of every array it writes, taken in name order,
+//     stageBatch resolves each array's payloads, picks delta bases, and
+//     encodes every chunk — appending blobs, unsynced, to the chunk
+//     files — against a cloned metadata snapshot. Store.mu is held only
+//     long enough to take the snapshot, so writes to different arrays
+//     encode concurrently and never stall readers;
+//   - it then takes every array's commitMu in the same order and hands
+//     the writeMus back: the next writer of these arrays stages while
+//     this one syncs, and nothing can commit on them between this
+//     write's stage and its commit;
+//   - finalizeBatch validates the stagings against the live state under
+//     a brief Store.mu, fsyncs every touched chunk file, commits every
+//     array's staged document as ONE manifest record with Store.mu
+//     released, and installs them under a second brief Store.mu.
 //
 // Nothing is installed into the live arrayState until the manifest
 // append succeeds, so a failed commit leaves in-memory metadata exactly
 // equal to on-disk metadata (no phantom versions a select could read
-// but a reopen would lose), and the blobs a failed stage appended are
+// but a reopen would lose), and the blobs a failed write appended are
 // reclaimed at the failure site (writeSet.sweep).
 
 // Plane is the content of one attribute of one version: either a dense
@@ -147,9 +140,8 @@ type insertCtx struct {
 
 // context returns the caller's context, defaulting to Background for
 // DeleteVersion's child re-encode, which runs without one. Cancellation
-// is only honored during staging — a payload that reached the shared
-// commit queue always runs to completion, so a group-commit leader never
-// aborts followers' work.
+// is only honored during staging: once a write holds its commit latches
+// its commit runs to completion.
 func (c *insertCtx) context() context.Context {
 	if c.goCtx != nil {
 		return c.goCtx
@@ -293,138 +285,26 @@ func (w *writeSet) sweep(s *Store) {
 	s.addInsertOrphans(files, bytes)
 }
 
-// stagedInsert is one insert (a whole InsertBatch call) staged on an
-// array, awaiting its shared commit.
+// stagedInsert is one array's share of a write, staged and awaiting its
+// commit.
 type stagedInsert struct {
+	st     *arrayState
 	vms    []*versionMeta // staged versions with reserved ids, in order
+	ids    []int          // the ids reserved for vms: the write's result
 	sparse bool           // representation the payloads were encoded with
 	fill   int64
 	gen    int // chunk generation the blobs were appended into
 	ws     *writeSet
-
-	// tr is the staging request's trace (nil when untraced); the
-	// group-commit leader attributes the shared commit stages to it, so
-	// a traced insert sees the fsync and append wait it actually rode.
-	tr *trace.Trace
-	// enqueuedAt marks when the insert entered the pending queue; zeroed
-	// once its queue_wait has been observed. Never set for latched
-	// commits, whose caller accounts its own latch wait.
-	enqueuedAt time.Time
-
-	// ids are the version ids reserved for vms; they are the insert's
-	// result if it commits
-	ids []int
-
-	// outcome, final once done is closed
-	done  chan struct{}
-	err   error
-	retry bool // staging was invalidated (generation moved / base died)
 }
 
-// failure is why the insert did not commit, nil if it did (or has not
-// been finalized yet). A staging invalidated by a concurrent rewrite or
-// delete reports errStagingInvalidated; optimistic callers re-stage on
-// retry instead of surfacing it.
-func (ins *stagedInsert) failure() error {
-	if ins.retry {
-		return errStagingInvalidated
-	}
-	return ins.err
-}
-
-func (ins *stagedInsert) fail(err error) {
-	if ins.err == nil && !ins.retry {
-		ins.err = err
-	}
-}
-
-// insertRetries bounds the optimistic stage attempts before an insert
-// excludes whatever keeps invalidating them (see InsertBatchCtx).
-const insertRetries = 3
-
-// errStagingInvalidated is what a latched commit — whose caller holds
-// the latches that exclude every invalidator — reports for an
-// invalidated staging: a bug, not a race.
+// errStagingInvalidated is what a commit reports for a staging that no
+// longer matches its array. The writer held the latches that exclude
+// every invalidator, so this is a bug, not a race.
 var errStagingInvalidated = errors.New("core: staged insert invalidated under its latches")
-
-// Insert adds a new version to the named array and returns its ID
-// (temporal versions are numbered 1, 2, ... as in AQL's Example@1).
-func (s *Store) Insert(name string, p Payload) (int, error) {
-	return s.InsertCtx(context.Background(), name, p)
-}
-
-// InsertCtx is Insert honoring ctx during the staging (resolve +
-// encode) phase. Once the payload reaches the shared commit queue the
-// commit always runs to completion: cancellation can never abort a
-// group commit other inserts are riding on, so a ctx error from this
-// method means no version was created.
-func (s *Store) InsertCtx(ctx context.Context, name string, p Payload) (int, error) {
-	ids, err := s.InsertBatchCtx(ctx, name, []Payload{p})
-	if err != nil {
-		return 0, err
-	}
-	return ids[0], nil
-}
-
-// InsertBatch adds a batch of versions to the named array in one shared
-// commit and returns their IDs in payload order. The batch is atomic:
-// either every payload becomes a committed version or none does (one
-// manifest record covers them all). Payloads are resolved in
-// order, so later batch members delta-encode against earlier ones when
-// that is smaller, and each member's lineage parent is its predecessor
-// in the batch. Delta-list payloads must reference already-committed
-// versions.
-//
-// Concurrent durable inserts to the same array coalesce: whichever
-// insert reaches the commit point first becomes the group-commit leader
-// and publishes every insert staged behind it with one fsync schedule
-// and one manifest record, so ingest throughput scales past the
-// single-commit fsync latency (see DESIGN.md "Write path").
-func (s *Store) InsertBatch(name string, ps []Payload) ([]int, error) {
-	return s.InsertBatchCtx(context.Background(), name, ps)
-}
-
-// InsertBatchCtx is InsertBatch honoring ctx during staging (see
-// InsertCtx for the cancellation contract).
-//
-// An attempt is optimistic: a rewrite or delete that commits between
-// its stage and its commit invalidates the staging and the insert
-// re-stages. After insertRetries such losses it takes the array's
-// reorgMu — which Reorganize, Compact, DeleteVersion and Heal all hold —
-// and runs the same attempt again: nothing can invalidate it now, so
-// the insert makes progress however busy the array is.
-func (s *Store) InsertBatchCtx(ctx context.Context, name string, ps []Payload) ([]int, error) {
-	if len(ps) == 0 {
-		return nil, fmt.Errorf("core: empty insert batch")
-	}
-	if err := s.writeGate(name); err != nil {
-		return nil, err
-	}
-	for attempt := 0; ; attempt++ {
-		var held *arrayState
-		if attempt >= insertRetries {
-			st, err := s.lockRewrite(name)
-			if err != nil {
-				return nil, err
-			}
-			held = st
-		}
-		ids, retry, err := s.tryInsertBatch(ctx, name, ps)
-		if held != nil {
-			held.reorgMu.Unlock()
-		}
-		if !retry {
-			return ids, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-}
 
 // lockArray resolves an array and acquires the latches pick selects —
 // which MUST be returned in the documented latch order (reorgMu <
-// commitMu < writeMu) — then re-verifies the array was not dropped or
+// writeMu < commitMu) — then re-verifies the array was not dropped or
 // replaced while waiting, retrying if it was. The caller releases the
 // latches in reverse order. Latches are always acquired without
 // holding Store.mu.
@@ -457,112 +337,83 @@ func (s *Store) lockArray(name string, pick func(st *arrayState) []*sync.Mutex) 
 	}
 }
 
-// lockWrite takes the array's write latch (insert staging). The caller
-// releases st.writeMu.
+// lockWrite takes the array's write latch. The caller releases
+// st.writeMu.
 func (s *Store) lockWrite(name string) (*arrayState, error) {
 	return s.lockArray(name, func(st *arrayState) []*sync.Mutex {
 		return []*sync.Mutex{&st.writeMu}
 	})
 }
 
-// lockCommit takes the array's commit-latch set — commitMu, so no
-// leader is mid-commit, and writeMu, so no staging can reserve ids —
-// and commits whatever was already staged, so the caller works against
-// a settled state. The caller releases writeMu, then commitMu.
-func (s *Store) lockCommit(name string) (*arrayState, error) {
-	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.commitMu, &st.writeMu}
-	})
-	if err == nil {
-		s.drainLatched(st)
+// write is the one commit mechanism behind every write. The caller holds
+// the writeMu of each sts[i], sorted by name and taken in that order;
+// ps[i] are sts[i]'s payloads. write stages every array, takes every
+// commitMu in the same order and hands the writeMus back — so the next
+// writer of these arrays stages while this one syncs — then commits
+// every staging as one manifest record: every array gains its versions,
+// or none does and every appended blob is reclaimed. It returns with
+// every latch released; ids[i] are sts[i]'s new version ids.
+func (s *Store) write(ctx context.Context, sts []*arrayState, ps [][]Payload, kind string) ([][]int, error) {
+	staged := make([]*stagedInsert, 0, len(sts))
+	var err error
+	for i, st := range sts {
+		var ins *stagedInsert
+		if ins, err = s.stageBatch(ctx, st, ps[i], kind); err != nil {
+			break
+		}
+		staged = append(staged, ins)
 	}
-	return st, err
-}
-
-// drainLatched commits the inserts pending on st; their stagers cannot
-// run a leader while the caller holds st's commit-latch set.
-func (s *Store) drainLatched(st *arrayState) {
-	if batch := st.drainPending(); len(batch) > 0 {
-		s.syncStagedBatch(st, batch)
-		s.finalizeBatch([]commitGroup{{st, batch}})
-	}
-}
-
-// tryInsertBatch performs one optimistic stage + commit attempt.
-// retry=true means the staged encoding was invalidated by a concurrent
-// rewrite or delete and the caller should re-stage.
-func (s *Store) tryInsertBatch(ctx context.Context, name string, ps []Payload) (ids []int, retry bool, err error) {
-	st, err := s.lockWrite(name)
 	if err != nil {
-		return nil, false, err
-	}
-	ins, err := s.stageBatch(ctx, st, ps, "insert")
-	if err != nil {
-		st.writeMu.Unlock()
-		return nil, false, err
-	}
-	ins.enqueuedAt = time.Now()
-	st.pendMu.Lock()
-	st.pending = append(st.pending, ins)
-	st.pendMu.Unlock()
-	st.writeMu.Unlock()
-	s.awaitCommit(st, ins)
-	if ins.retry || ins.err != nil {
-		st.writeMu.Lock()
-		s.discardStaged(st, ins)
-		st.writeMu.Unlock()
-		return nil, ins.retry, ins.err
-	}
-	return ins.ids, false, nil
-}
-
-// discardStaged reclaims a failed or invalidated staging: its blobs,
-// and its reserved ids when they are still the top of the reservation
-// space (no later stage reserved past it), so a retried or failed
-// insert leaves no version-id gap. Callers hold st.writeMu, so the
-// sweep's size checks cannot race another stager's appends.
-func (s *Store) discardStaged(st *arrayState, ins *stagedInsert) {
-	ins.ws.sweep(s)
-	st.pendMu.Lock()
-	if st.stageNext == ins.ids[0]+len(ins.ids) {
-		st.stageNext = ins.ids[0]
-	}
-	st.pendMu.Unlock()
-}
-
-// commitLatched stages, syncs and commits one payload batch per array
-// as a single manifest record, for callers that hold every array's
-// commit-latch set (lockCommit): InsertMulti, Branch, Merge. With the
-// latches held nothing can invalidate the stagings, so one pass settles
-// them all: every array gains its versions, or none does and every
-// appended blob is reclaimed. Returns each array's new version ids.
-func (s *Store) commitLatched(ctx context.Context, sts []*arrayState, batches [][]Payload, kind string) ([][]int, error) {
-	groups := make([]commitGroup, 0, len(sts))
-	abort := func(err error) ([][]int, error) {
-		for _, g := range groups {
-			s.discardStaged(g.st, g.batch[0])
+		for _, ins := range staged {
+			s.discardStaged(ins)
+		}
+		for _, st := range sts {
+			st.writeMu.Unlock()
 		}
 		return nil, err
 	}
-	for i, st := range sts {
-		ins, err := s.stageBatch(ctx, st, batches[i], kind)
-		if err != nil {
-			return abort(err)
-		}
-		groups = append(groups, commitGroup{st, []*stagedInsert{ins}})
+	// the hand-over: the wait for the commit latches is this write's
+	// queue_wait
+	waitStart := time.Now()
+	for _, st := range sts {
+		st.commitMu.Lock()
 	}
-	for _, g := range groups {
-		s.syncStagedBatch(g.st, g.batch)
+	for _, st := range sts {
+		st.writeMu.Unlock()
 	}
-	s.finalizeBatch(groups)
-	ids := make([][]int, len(groups))
-	for i, g := range groups {
-		if err := g.batch[0].failure(); err != nil {
-			return abort(err)
+	tr := trace.FromContext(ctx)
+	wait := time.Since(waitStart)
+	s.prof.observeCommit(StageQueueWait, wait, 0)
+	tr.Observe(StageQueueWait, wait, 0)
+	err = s.finalizeBatch(tr, staged)
+	for _, st := range sts {
+		st.commitMu.Unlock()
+	}
+	if err != nil {
+		for _, ins := range staged {
+			ins.st.writeMu.Lock()
+			s.discardStaged(ins)
+			ins.st.writeMu.Unlock()
 		}
-		ids[i] = g.batch[0].ids
+		return nil, err
+	}
+	ids := make([][]int, len(staged))
+	for i, ins := range staged {
+		ids[i] = ins.ids
 	}
 	return ids, nil
+}
+
+// discardStaged reclaims a failed staging: its blobs, and its reserved
+// ids when they are still the top of the reservation space (no later
+// stage reserved past them), so a failed write leaves no version-id gap.
+// Callers hold the array's writeMu, so the sweep's size checks cannot
+// race another stager's appends.
+func (s *Store) discardStaged(ins *stagedInsert) {
+	ins.ws.sweep(s)
+	if ins.st.stageNext == ins.ids[0]+len(ins.ids) {
+		ins.st.stageNext = ins.ids[0]
+	}
 }
 
 // stageBatch resolves and encodes a batch of payloads against a private
@@ -576,8 +427,8 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 	}
 	// snapshot under the store lock: metadata view, generation pin (the
 	// I/O read latch is acquired before the lock drops, so a rewrite
-	// cannot remove the generation out from under the appends), id
-	// reservation, and the staged-but-uncommitted representation.
+	// cannot remove the generation out from under the appends) and id
+	// reservation.
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -592,43 +443,25 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 	v.noCache = true
 	repFixed := len(st.Versions) > 0
 	sparse, fill := st.SparseRep, st.Fill
-	st.pendMu.Lock()
-	// stageNext only moves forward past the committed NextID: an empty
-	// pending queue does NOT mean no outstanding reservations — a leader
-	// drains the queue before its commit installs, so resetting here
-	// could hand two inserts the same id. Ids lost to commit-time
-	// failures stay gaps (never reused); stage-time failures roll their
-	// reservation back below.
+	// stageNext runs ahead of the committed NextID while the previous
+	// writer's commit is in flight
 	if st.stageNext < st.NextID {
 		st.stageNext = st.NextID
 	}
 	baseID := st.stageNext
 	st.stageNext += len(ps)
-	if !repFixed && len(st.pending) > 0 {
-		// an uncommitted first insert already fixed the representation;
-		// encode consistently with it (the commit re-validates)
-		last := st.pending[len(st.pending)-1]
-		repFixed, sparse, fill = true, last.sparse, last.fill
-	}
-	st.pendMu.Unlock()
 	st.ioMu.RLock()
 	gen := st.Gen
 	s.mu.RUnlock()
 	defer st.ioMu.RUnlock()
 
-	ins := &stagedInsert{
-		gen:  gen,
-		ws:   newWriteSet(),
-		tr:   trace.FromContext(ctx),
-		ids:  make([]int, len(ps)),
-		done: make(chan struct{}),
-	}
+	ins := &stagedInsert{st: st, gen: gen, ws: newWriteSet(), ids: make([]int, len(ps))}
 	for j := range ps {
 		ins.ids[j] = baseID + j
 	}
 	ictx := &insertCtx{st: st, v: v, ws: ins.ws, qc: newChunkCache(), dir: v.dir, repFixed: repFixed, sparse: sparse, fill: fill, goCtx: ctx}
 	fail := func(err error) (*stagedInsert, error) {
-		s.discardStaged(st, ins)
+		s.discardStaged(ins)
 		s.noteDiskPressure(err) // staging failures are benign, ENOSPC is not
 		return nil, err
 	}
@@ -645,7 +478,7 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 	}
 	encDur := time.Since(encStart)
 	s.prof.observeCommit(StageStageEncode, encDur, ins.ws.totalBytes())
-	ins.tr.Observe(StageStageEncode, encDur, ins.ws.totalBytes())
+	trace.FromContext(ctx).Observe(StageStageEncode, encDur, ins.ws.totalBytes())
 	ins.sparse, ins.fill = ictx.sparse, ictx.fill
 	return ins, nil
 }
@@ -657,8 +490,8 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 // context's view, so later payloads of the same session chain their
 // lineage to it and may delta-encode against it — versions staged by
 // OTHER sessions stay invisible (their commit may still fail), which
-// is why concurrent single inserts that coalesce into one group commit
-// become siblings of the last committed version rather than a chain.
+// is why a write staged while the previous write's commit is in flight
+// becomes a sibling of the last committed version rather than its child.
 func (s *Store) stagePayload(ctx *insertCtx, p Payload, id int, kind string) (*versionMeta, error) {
 	st := ctx.st
 	planes, parents, err := s.resolvePayload(ctx, p)
@@ -705,328 +538,123 @@ func (s *Store) stagePayload(ctx *insertCtx, p Payload, id int, kind string) (*v
 	return vm, nil
 }
 
-// awaitCommit blocks until mine's outcome is final. Whichever staged
-// insert acquires the array's commit latch first becomes a leader: it
-// drains every insert pending on the array, makes their payloads
-// durable, and publishes them all with one metadata commit. Inserts
-// staged while a commit is in flight ride a re-drain round of the
-// current leader or the next one — the commit window is the duration
-// of the commit in front, no timers involved.
-func (s *Store) awaitCommit(st *arrayState, mine *stagedInsert) {
-	st.commitMu.Lock()
-	defer st.commitMu.Unlock()
-	select {
-	case <-mine.done:
-		return
-	default:
-	}
-	// mine is not done, therefore still pending: pending is only drained
-	// under commitMu, and every drained insert is finalized before the
-	// latch is released
-	batch := st.drainPending()
-	// fsync the batch, then keep draining inserts that staged while those
-	// fsyncs ran (bounded rounds, so a steady stager stream cannot starve
-	// the commit) — coalescing deepens to the natural arrival rate
-	// without any timer
-	s.syncStagedBatch(st, batch)
-	for round := 0; round < 5; round++ {
-		more := st.drainPending()
-		if len(more) == 0 {
-			break
+// finalizeBatch commits one write, all or nothing: it validates each
+// staging against its array's live state under a brief Store.mu, makes
+// the staged payloads durable, commits every array's staged document as
+// ONE manifest record, and installs them. The record is appended with
+// Store.mu RELEASED — each array's commitMu, held by the caller, is its
+// metadata writer latch, serializing the commit against every other
+// metadata writer on that array — so concurrent selects and the next
+// writer's staging never stall behind the commit's fsyncs.
+func (s *Store) finalizeBatch(tr *trace.Trace, staged []*stagedInsert) error {
+	for _, ins := range staged {
+		// the previous writer's commit may have failed uncertainly while
+		// this one staged: its fsync error can have dropped this write's
+		// dirty pages too, so a degraded array takes no commit
+		if err := s.writeGate(ins.st.Schema.Name); err != nil {
+			return err
 		}
-		s.syncStagedBatch(st, more)
-		batch = append(batch, more...)
 	}
-	s.finalizeBatch([]commitGroup{{st, batch}})
-}
-
-func (st *arrayState) drainPending() []*stagedInsert {
-	st.pendMu.Lock()
-	batch := st.pending
-	st.pending = nil
-	st.pendMu.Unlock()
-	return batch
-}
-
-// commitGroup is one array's share of a commit: staged inserts, already
-// synced, in stage order.
-type commitGroup struct {
-	st    *arrayState
-	batch []*stagedInsert
-}
-
-// finalizeBatch is the metadata stage of every insert commit: validate
-// each synced staged insert against its array's live state, commit the
-// staged documents of all groups with ONE manifest record, and install
-// them. A single group is a group commit — members are independent, the
-// invalid ones drop out and the rest commit. Several groups are one
-// caller's cross-array batch and commit all-or-nothing. The record is
-// appended with Store.mu RELEASED — each array's commitMu (held by the
-// caller) is its metadata writer latch, serializing the commit against
-// every other metadata writer on that array — so concurrent selects and
-// the next leader's staging never stall behind the commit's fsync.
-// Every insert has its outcome finalized (done closed) before
-// finalizeBatch returns.
-func (s *Store) finalizeBatch(groups []commitGroup) {
-	var all []*stagedInsert
-	for _, g := range groups {
-		all = append(all, g.batch...)
-	}
-	defer func() {
-		for _, ins := range all {
-			close(ins.done)
-		}
-	}()
-	type validated struct {
-		st     *arrayState
-		ok     []*stagedInsert
-		staged *arrayMeta // the live document plus ok's versions
-	}
-	var vals []validated
+	ops := make([]manifestOp, len(staged))
 	installed := 0
-	s.mu.Lock()
-	for _, g := range groups {
-		var gone error
-		if s.closed {
-			gone = ErrClosed
-		} else if s.arrays[g.st.Schema.Name] != g.st {
-			gone = fmt.Errorf("core: no array %q", g.st.Schema.Name)
+	s.mu.RLock()
+	for i, ins := range staged {
+		doc, err := s.validateLocked(ins)
+		if err != nil {
+			s.mu.RUnlock()
+			return err
 		}
-		if gone != nil {
-			for _, ins := range g.batch {
-				ins.retry = false
-				ins.fail(gone)
-			}
-			continue
-		}
-		if ok, staged := s.validateBatchLocked(g.st, g.batch); len(ok) > 0 {
-			vals = append(vals, validated{g.st, ok, staged})
-			installed += len(staged.Versions) - len(g.st.Versions)
-		}
+		ops[i] = manifestOp{Name: ins.st.Schema.Name, Meta: doc}
+		installed += len(ins.vms)
 	}
-	s.mu.Unlock()
-	// from here on a failure fails every validated insert: the staged
-	// versions never existed, and the stagers sweep their own blobs
-	failAll := func(err error) {
-		for _, ins := range all {
-			ins.fail(err)
-		}
-	}
-	if len(groups) > 1 {
-		for _, ins := range all {
-			if err := ins.failure(); err != nil {
-				failAll(err)
-				return
-			}
-		}
-	}
-	if len(vals) == 0 {
-		return
-	}
-	ops := make([]manifestOp, len(vals))
-	var traces []*trace.Trace // distinct: a cross-array batch stages every group under one trace
-	seen := map[*trace.Trace]bool{nil: true}
-	for i, v := range vals {
-		ops[i] = manifestOp{Name: v.st.Schema.Name, Meta: v.staged}
-		for _, ins := range v.ok {
-			if !seen[ins.tr] {
-				seen[ins.tr] = true
-				traces = append(traces, ins.tr)
-			}
-		}
-	}
-	observe := func(stage string, since time.Time) {
+	s.mu.RUnlock()
+	observe := func(stage string, since time.Time, bytes int64) {
 		d := time.Since(since)
-		s.prof.observeCommit(stage, d, 0)
-		for _, tr := range traces {
-			tr.Observe(stage, d, 0)
-		}
+		s.prof.observeCommit(stage, d, bytes)
+		tr.Observe(stage, d, bytes)
 	}
+	// data before metadata: one fsync per touched chunk file, plus the
+	// chunks directory when the write created a file
 	t0 := time.Now()
+	var bytes int64
+	for _, ins := range staged {
+		if err := s.syncWrites(ins.st, ins.ws, filepath.Join(ins.st.dir, chunksDirName(ins.gen))); err != nil {
+			return err
+		}
+		bytes += ins.ws.totalBytes()
+	}
+	if s.opts.Durability {
+		observe(StageDataFsync, t0, bytes)
+	}
+	t0 = time.Now()
 	err := s.man.commit(ops)
-	observe(StageMetaCommit, t0)
+	observe(StageMetaCommit, t0, 0)
 	if err != nil {
 		if isUncertain(err) {
 			// the append (or its fsync) failed: the record may be in the
 			// log while memory rolls back
-			for _, v := range vals {
-				s.noteCommitFailure(v.st, err)
+			for _, ins := range staged {
+				s.noteCommitFailure(ins.st, err)
 			}
 		} else {
 			s.noteDiskPressure(err) // benign unless ENOSPC
 		}
-		failAll(err)
-		return
+		return err
 	}
 	t0 = time.Now()
 	s.mu.Lock()
-	for _, v := range vals {
-		v.st.mutateLocked()
-		v.st.installMeta(*v.staged)
+	for i, ins := range staged {
+		ins.st.mutateLocked()
+		ins.st.installMeta(*ops[i].Meta)
 	}
 	s.addGroupCommit(installed)
 	s.mu.Unlock()
-	observe(StageInstall, t0)
+	observe(StageInstall, t0, 0)
 	s.prof.batchSize.Observe(float64(installed))
+	return nil
 }
 
-// syncStagedBatch makes one round of staged inserts durable. The
-// batch's write-sets are merged first, so a chunk file every member
-// appended to (the common co-located case: one chain file per chunk)
-// is fsynced ONCE for the whole batch — this sharing is where group
-// commit's throughput comes from — then each touched chunks directory
-// is fsynced once. A missing file means a rewrite swept the generation
-// mid-stage: every insert that touched it is marked for re-stage
-// rather than failed. No-op without Durability.
-func (s *Store) syncStagedBatch(st *arrayState, batch []*stagedInsert) {
-	// the leader has picked the batch up: close out each member's
-	// queue_wait exactly once
-	now := time.Now()
-	for _, ins := range batch {
-		if ins.enqueuedAt.IsZero() {
-			continue
-		}
-		wait := now.Sub(ins.enqueuedAt)
-		ins.enqueuedAt = time.Time{}
-		s.prof.observeCommit(StageQueueWait, wait, 0)
-		ins.tr.Observe(StageQueueWait, wait, 0)
+// validateLocked checks one staging against its array's live state and
+// builds the document that installs it. Under the writer's latches no
+// rewrite or delete can have moved the generation or removed a delta
+// base, so either is errStagingInvalidated. A representation conflict is
+// the caller's: two writes to an empty array staged different ones.
+// Callers hold Store.mu.
+func (s *Store) validateLocked(ins *stagedInsert) (*arrayMeta, error) {
+	st := ins.st
+	switch {
+	case s.closed:
+		return nil, ErrClosed
+	case s.arrays[st.Schema.Name] != st:
+		return nil, fmt.Errorf("core: no array %q", st.Schema.Name)
+	case ins.gen != st.Gen:
+		return nil, errStagingInvalidated
+	case len(st.Versions) > 0 && (ins.sparse != st.SparseRep || (ins.sparse && ins.fill != st.Fill)):
+		return nil, fmt.Errorf("core: array %q uses the %s representation; staged payload does not",
+			st.Schema.Name, repName(st.SparseRep))
 	}
-	if !s.opts.Durability {
-		return
-	}
-	fsyncStart := time.Now()
-	defer func() {
-		d := time.Since(fsyncStart)
-		var total int64
-		for _, ins := range batch {
-			b := ins.ws.totalBytes()
-			total += b
-			// the whole shared fsync schedule is each member's wait
-			ins.tr.Observe(StageDataFsync, d, b)
-		}
-		s.prof.observeCommit(StageDataFsync, d, total)
-	}()
-	byPath := map[string][]*stagedInsert{}
-	dirs := map[string]bool{}
-	for _, ins := range batch {
-		if ins.err != nil || ins.retry {
-			continue
-		}
-		for path := range ins.ws.files {
-			byPath[path] = append(byPath[path], ins)
-		}
-		if ins.ws.createdFiles() {
-			dirs[filepath.Join(st.dir, chunksDirName(ins.gen))] = true
-		}
-	}
-	paths := make([]string, 0, len(byPath))
-	for p := range byPath {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths) // deterministic step order for the crash matrix
-	for _, path := range paths {
-		touchers := byPath[path]
-		alive := false
-		for _, ins := range touchers {
-			if ins.err == nil && !ins.retry {
-				alive = true
-				break
-			}
-		}
-		if !alive {
-			continue
-		}
-		if err := s.syncFile(path); err != nil {
-			if !errors.Is(err, fs.ErrNotExist) {
-				// a failed data fsync may have dropped already-written
-				// pages; the on-disk effect is uncertain
-				s.noteCommitFailure(st, err)
-			}
-			for _, ins := range touchers {
-				if errors.Is(err, fs.ErrNotExist) {
-					ins.retry = true
-				} else {
-					ins.fail(err)
-				}
-			}
-		}
-	}
-	dirNames := make([]string, 0, len(dirs))
-	for d := range dirs {
-		dirNames = append(dirNames, d)
-	}
-	sort.Strings(dirNames)
-	for _, d := range dirNames {
-		if err := s.fs.SyncDir(d); err != nil {
-			s.noteCommitFailure(st, err)
-			for _, ins := range batch {
-				ins.fail(err)
-			}
-		}
-	}
-}
-
-// validateBatchLocked validates each staged insert against the live
-// state and builds the staged metadata document installing every
-// survivor (marked in ok); the caller commits the document off-lock
-// and installs it. Callers hold Store.mu.
-func (s *Store) validateBatchLocked(st *arrayState, batch []*stagedInsert) (ok []*stagedInsert, staged *arrayMeta) {
 	liveIDs := make(map[int]bool)
 	for _, vm := range st.live() {
 		liveIDs[vm.ID] = true
 	}
-	for _, ins := range batch {
-		if ins.err != nil || ins.retry {
-			continue
-		}
-		if ins.gen != st.Gen {
-			// a rewrite committed a new generation: the staged blobs live
-			// in the superseded directory and die with it
-			ins.retry = true
-			continue
-		}
-		repSparse, repFill := st.SparseRep, st.Fill
-		repOpen := len(st.Versions) == 0
-		if repOpen && len(ok) > 0 {
-			repSparse, repFill, repOpen = ok[0].sparse, ok[0].fill, false
-		}
-		if !repOpen && (ins.sparse != repSparse || (ins.sparse && ins.fill != repFill)) {
-			ins.fail(fmt.Errorf("core: array %q uses the %s representation; staged payload does not",
-				st.Schema.Name, repName(repSparse)))
-			continue
-		}
-		if stale := staleBase(ins, liveIDs); stale != 0 {
-			// a delta base was deleted between stage and commit
-			ins.retry = true
-			continue
-		}
-		for _, vm := range ins.vms {
-			liveIDs[vm.ID] = true
-		}
-		ok = append(ok, ins)
-	}
-	if len(ok) == 0 {
-		return nil, nil
+	if staleBase(ins, liveIDs) != 0 {
+		return nil, errStagingInvalidated
 	}
 	doc := st.metaClone()
-	staged = &doc
-	if len(staged.Versions) == 0 {
-		staged.SparseRep, staged.Fill = ok[0].sparse, ok[0].fill
+	if len(doc.Versions) == 0 {
+		doc.SparseRep, doc.Fill = ins.sparse, ins.fill
 	}
-	for _, ins := range ok {
-		for _, vm := range ins.vms {
-			staged.Versions = append(staged.Versions, vm)
-			if vm.ID >= staged.NextID {
-				staged.NextID = vm.ID + 1
-			}
+	for _, vm := range ins.vms {
+		doc.Versions = append(doc.Versions, vm)
+		if vm.ID >= doc.NextID {
+			doc.NextID = vm.ID + 1
 		}
 	}
-	return ok, staged
+	return &doc, nil
 }
 
 // staleBase returns a delta base referenced by the staged insert that
-// is no longer live (0 if none). liveIDs includes versions installed
-// earlier in the same batch.
+// is no longer live (0 if none).
 func staleBase(ins *stagedInsert, liveIDs map[int]bool) int {
 	for _, vm := range ins.vms {
 		for _, chunks := range vm.Chunks {
@@ -1325,9 +953,9 @@ func (s *Store) readVersion(ctx context.Context, name string, id int) (array.Sch
 }
 
 // createWithVersions creates an array and commits ps as its first
-// versions through the regular write path. The new array's commit-latch
-// set is held from before it becomes visible, so no foreign insert can
-// land ahead of them; if they fail to commit the creation is rolled
+// versions through the one write path. The new array's write latch is
+// held from before it becomes visible, so every other write to it stages
+// after these versions; if they fail to commit the creation is rolled
 // back with a committed drop.
 func (s *Store) createWithVersions(ctx context.Context, schema array.Schema, from *BranchRef, kind string, ps []Payload) error {
 	if err := schema.Validate(); err != nil {
@@ -1337,15 +965,16 @@ func (s *Store) createWithVersions(ctx context.Context, schema array.Schema, fro
 	if err != nil {
 		return err
 	}
-	st.commitMu.Lock()
-	defer st.commitMu.Unlock()
 	st.writeMu.Lock()
-	defer st.writeMu.Unlock()
 	if err := s.publishArray(st); err != nil {
+		st.writeMu.Unlock()
 		return err
 	}
-	if _, err := s.commitLatched(ctx, []*arrayState{st}, [][]Payload{ps}, kind); err != nil {
-		if derr := s.deleteArrayLatched(st); derr != nil {
+	if _, err := s.write(ctx, []*arrayState{st}, [][]Payload{ps}, kind); err != nil {
+		st.commitMu.Lock()
+		derr := s.deleteArrayLatched(st)
+		st.commitMu.Unlock()
+		if derr != nil {
 			return fmt.Errorf("%w (rolling back array %q also failed: %v)", err, schema.Name, derr)
 		}
 		return err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -12,12 +13,21 @@ import (
 	"arrayvers/internal/fsio"
 )
 
-// Regression tests for the insert commit path: transactional staging
+// Regression tests for the write commit path: transactional staging
 // (no phantom versions on a failed commit), failure-site orphan
-// reclamation, InsertBatch atomicity, and the group-commit coalescer
-// under concurrent writers.
+// reclamation, the atomicity of a many-payload Write, and the hand-over
+// from write latch to commit latch under concurrent writers.
 
 var errInjected = errors.New("injected io failure")
+
+// writeOne is a one-put Write: ps into the named array in one commit.
+func writeOne(s *Store, name string, ps []Payload) ([]int, error) {
+	ids, err := s.Write(context.Background(), []MultiInsert{{Array: name, Payloads: ps}})
+	if err != nil {
+		return nil, err
+	}
+	return ids[0], nil
+}
 
 // failFS wraps a filesystem and fails exactly one matching mutation,
 // then behaves normally — unlike fsio.Fault, which ends the world — so
@@ -268,8 +278,8 @@ func TestInsertEncodeFailureSweepsOrphans(t *testing.T) {
 	}
 }
 
-// TestInsertBatchAtomicAndChained pins InsertBatch semantics: one
-// shared commit for the whole batch (atomic on failure), contiguous
+// TestInsertBatchAtomicAndChained pins a many-payload Write: one
+// commit for the whole batch (atomic on failure), contiguous
 // ids, lineage chaining member-to-member, and intra-batch delta
 // encoding (later members delta against earlier ones staged in the
 // same call).
@@ -288,7 +298,7 @@ func TestInsertBatchAtomicAndChained(t *testing.T) {
 	for _, v := range series {
 		ps = append(ps, DensePayload(v))
 	}
-	ids, err := s.InsertBatch("B", ps)
+	ids, err := writeOne(s, "B", ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +336,7 @@ func TestInsertBatchAtomicAndChained(t *testing.T) {
 		return op == "append" && strings.HasSuffix(path, ".log") &&
 			strings.Contains(path, manifestPrefix)
 	})
-	if _, err := s.InsertBatch("B", []Payload{
+	if _, err := writeOne(s, "B", []Payload{
 		DensePayload(crashContent(10, side)),
 		DensePayload(crashContent(11, side)),
 	}); !errors.Is(err, errInjected) {
@@ -351,11 +361,13 @@ func TestInsertBatchAtomicAndChained(t *testing.T) {
 	}
 }
 
-// TestGroupCommitStress runs 8 durable writers across 4 arrays — the
-// -race safety net for the off-lock staging path and the group-commit
-// coalescer. Every acknowledged insert must read back byte-identical,
-// the commit counters must account for every version, and a recovery
-// reopen must agree with the live store.
+// TestGroupCommitStress runs 8 durable single-insert writers across 4
+// arrays beside 3 cross-array writers over overlapping pairs ({S0,S1},
+// {S1,S2}, {S2,S0}) — the -race and deadlock net for the write latches'
+// name order and their hand-over to the commit latches. Every
+// acknowledged write must read back byte-identical, every array's ids
+// must be contiguous, every write must be exactly one commit record, and
+// a recovery reopen must agree with the live store.
 func TestGroupCommitStress(t *testing.T) {
 	const (
 		writers    = 8
@@ -364,6 +376,7 @@ func TestGroupCommitStress(t *testing.T) {
 		side       = 16
 		arrayNameF = "S%d"
 	)
+	pairs := [][2]int{{0, 1}, {1, 2}, {2, 0}}
 	opts := smallOpts()
 	opts.ChunkBytes = 1 << 10
 	opts.Durability = true
@@ -377,44 +390,72 @@ func TestGroupCommitStress(t *testing.T) {
 		mu        sync.Mutex
 		committed = make([]map[int]*array.Dense, arrays)
 		wg        sync.WaitGroup
-		failc     = make(chan error, writers)
+		failc     = make(chan error, writers+len(pairs))
 	)
 	for a := range committed {
 		committed[a] = map[int]*array.Dense{}
+	}
+	record := func(a, id int, content *array.Dense) {
+		mu.Lock()
+		committed[a][id] = content
+		mu.Unlock()
 	}
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			a := w % arrays
-			name := fmt.Sprintf(arrayNameF, a)
 			for i := 0; i < perWriter; i++ {
 				content := crashContent(int64(w*1000+i), side)
-				id, err := s.Insert(name, DensePayload(content))
+				id, err := s.Insert(fmt.Sprintf(arrayNameF, a), DensePayload(content))
 				if err != nil {
 					failc <- err
 					return
 				}
-				mu.Lock()
-				committed[a][id] = content
-				mu.Unlock()
+				record(a, id, content)
 			}
 		}(w)
 	}
-	wg.Wait()
+	for p, pair := range pairs {
+		wg.Add(1)
+		go func(p int, pair [2]int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				var puts []MultiInsert
+				var contents []*array.Dense
+				for _, a := range pair {
+					c := crashContent(int64(100000+p*1000+i*10+a), side)
+					contents = append(contents, c)
+					puts = append(puts, MultiInsert{Array: fmt.Sprintf(arrayNameF, a), Payloads: []Payload{DensePayload(c)}})
+				}
+				ids, err := s.Write(context.Background(), puts)
+				if err != nil {
+					failc <- err
+					return
+				}
+				for k, a := range pair {
+					record(a, ids[k][0], contents[k])
+				}
+			}
+		}(p, pair)
+	}
+	within(t, "concurrent single and cross-array writers", wg.Wait)
 	close(failc)
 	for err := range failc {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	total := int64(writers * perWriter)
-	if st.GroupCommitVersions != total {
-		t.Fatalf("GroupCommitVersions = %d, want %d", st.GroupCommitVersions, total)
-	}
-	if st.GroupCommits == 0 || st.GroupCommits > total {
-		t.Fatalf("GroupCommits = %d out of range (1..%d)", st.GroupCommits, total)
+	writes := int64((writers + len(pairs)) * perWriter)
+	versions := int64((writers + 2*len(pairs)) * perWriter)
+	if st.GroupCommits != writes || st.GroupCommitVersions != versions {
+		t.Fatalf("%d commit records installing %d versions, want %d and %d", st.GroupCommits, st.GroupCommitVersions, writes, versions)
 	}
 	for a := 0; a < arrays; a++ {
+		for id := 1; id <= len(committed[a]); id++ {
+			if committed[a][id] == nil {
+				t.Fatalf("S%d: ids not contiguous, %d missing of %d", a, id, len(committed[a]))
+			}
+		}
 		assertStoreAgrees(t, s, fmt.Sprintf(arrayNameF, a), committed[a])
 	}
 	if err := s.Close(); err != nil {

@@ -37,8 +37,8 @@ import (
 // payloads are synced before it, so once a record is durable everything
 // it references is too. Because all arrays share the one log, a single
 // append can carry records for many arrays — concurrent commits
-// coalesce under the writer latch into one fsync, and InsertMulti
-// commits a multi-array batch as one record with all-or-nothing
+// coalesce under the writer latch into one fsync, and a Write to
+// several arrays commits as one record with all-or-nothing
 // visibility.
 //
 // Failure handling: an append that fails before any byte is written
@@ -94,7 +94,7 @@ type manifestCommit struct {
 }
 
 // manifest is the store-wide commit log. Its writer latch (mu) is a
-// leaf below every array latch and Store.mu: commit leaders call
+// leaf below every array latch and Store.mu: writers call
 // commit() while holding per-array commitMu (and sometimes Store.mu),
 // and the manifest never takes any store or array lock back.
 type manifest struct {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,7 +16,7 @@ import (
 )
 
 // Tests for the store-wide manifest commit log: replay across reopen,
-// snapshot rotation, the InsertMulti cross-array commit, append-failure
+// snapshot rotation, the cross-array Write commit, append-failure
 // poisoning and heal, and deep verification. (The offline migration of
 // legacy directories is covered in migrate_test.go.)
 
@@ -161,9 +164,9 @@ func TestManifestRotation(t *testing.T) {
 	}
 }
 
-// TestInsertMultiBasic pins the happy path: ids per array in payload
-// order, visible immediately and after reopen, one manifest fsync for
-// the whole batch.
+// TestInsertMultiBasic pins a cross-array Write: ids per put in put
+// order and payload order, visible immediately and after reopen, one
+// manifest fsync for the whole write.
 func TestInsertMultiBasic(t *testing.T) {
 	const side = 8
 	dir := t.TempDir()
@@ -185,16 +188,16 @@ func TestInsertMultiBasic(t *testing.T) {
 		"B": {crashContent(3, side)},
 		"C": {crashContent(4, side)},
 	}
-	out, err := s.InsertMulti([]MultiInsert{
+	out, err := s.Write(context.Background(), []MultiInsert{
+		{Array: "C", Payloads: []Payload{DensePayload(contents["C"][0])}},
 		{Array: "A", Payloads: []Payload{DensePayload(contents["A"][0]), DensePayload(contents["A"][1])}},
 		{Array: "B", Payloads: []Payload{DensePayload(contents["B"][0])}},
-		{Array: "C", Payloads: []Payload{DensePayload(contents["C"][0])}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(out["A"]) != "[1 2]" || fmt.Sprint(out["B"]) != "[1]" || fmt.Sprint(out["C"]) != "[1]" {
-		t.Fatalf("unexpected id assignment: %v", out)
+	if fmt.Sprint(out) != "[[1] [1 2] [1]]" {
+		t.Fatalf("ids %v, want [[1] [1 2] [1]] in put order", out)
 	}
 	st := s.Stats()
 	if got := st.ManifestFsyncs - before.ManifestFsyncs; got != 1 {
@@ -222,10 +225,13 @@ func TestInsertMultiBasic(t *testing.T) {
 	}
 
 	// validation errors
-	if _, err := s.InsertMulti(nil); err == nil {
-		t.Fatal("empty InsertMulti accepted")
+	if _, err := r.Write(context.Background(), nil); err == nil {
+		t.Fatal("empty Write accepted")
 	}
-	if _, err := r.InsertMulti([]MultiInsert{
+	if _, err := r.Write(context.Background(), []MultiInsert{{Array: "A"}}); err == nil {
+		t.Fatal("put without payloads accepted")
+	}
+	if _, err := r.Write(context.Background(), []MultiInsert{
 		{Array: "A", Payloads: []Payload{DensePayload(crashContent(9, side))}},
 		{Array: "A", Payloads: []Payload{DensePayload(crashContent(9, side))}},
 	}); err == nil {
@@ -343,4 +349,88 @@ func TestManifestAppendFailureDegradesAndHeals(t *testing.T) {
 	if !rep.Ok() {
 		t.Fatalf("healed manifest fails deep verify: %+v", rep)
 	}
+}
+
+// FuzzManifestReplay feeds hostile bytes to the manifest replay as the
+// three files it reads — CURRENT, the live generation's snapshot and its
+// log — and requires an error or a well-formed state, never a panic or
+// an allocation the bytes cannot back. Seeds are the files of a real
+// store after inserts, a rotation and a drop.
+func FuzzManifestReplay(f *testing.F) {
+	dir := f.TempDir()
+	opts := smallOpts()
+	opts.Durability = true
+	opts.ManifestRotateBytes = 2 << 10
+	s, err := Open(dir, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed := func() {
+		gen, err := readCurrent(dir)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var files [3][]byte
+		for i, name := range []string{currentFile, manifestSnapName(gen), manifestLogName(gen)} {
+			if files[i], err = os.ReadFile(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+				f.Fatal(err)
+			}
+		}
+		f.Add(files[0], files[1], files[2])
+	}
+	for _, name := range []string{"Keep", "Drop"} {
+		if err := s.CreateArray(schema2D(name, 8)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	seed()
+	for i := int64(1); i <= 6; i++ {
+		if _, err := s.Insert("Keep", DensePayload(crashContent(i, 8))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if s.Stats().ManifestRotations == 0 {
+		f.Fatal("the seed store never rotated its manifest")
+	}
+	if err := s.DeleteArray("Drop"); err != nil {
+		f.Fatal(err)
+	}
+	seed()
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+
+	f.Fuzz(func(t *testing.T, current, snap, log []byte) {
+		dir := t.TempDir()
+		gen := 1
+		write := func(name string, data []byte) {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write(currentFile, current)
+		if g, err := readCurrent(dir); err == nil && g < 1e6 {
+			gen = g
+		}
+		write(manifestSnapName(gen), snap)
+		write(manifestLogName(gen), log)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := replayManifest(dir)
+		runtime.ReadMemStats(&after)
+		if limit := uint64(64*(len(current)+len(snap)+len(log))) + 1<<20; after.TotalAlloc-before.TotalAlloc > limit {
+			t.Fatalf("replay of %d bytes allocated %d", len(current)+len(snap)+len(log), after.TotalAlloc-before.TotalAlloc)
+		}
+		if err != nil {
+			return
+		}
+		if r.validOff+r.tornBytes != int64(len(log)) || r.records != r.lastSeq-r.snapSeq {
+			t.Fatalf("inconsistent replay: %+v over a %d-byte log", r, len(log))
+		}
+		for name, m := range r.state {
+			if m == nil || m.Schema.Validate() != nil {
+				t.Fatalf("replayed array %q has no valid document", name)
+			}
+		}
+	})
 }

@@ -187,6 +187,15 @@ func (s *Store) reframe(name string, doc *arrayMeta) (*arrayMeta, error) {
 			return nil, err
 		}
 		defer func() { _ = f.Close() }() // read-only handle; close cannot lose data
+		// the extent comes from legacy metadata: check it against the
+		// file before it sizes a buffer, as readFrames does
+		info, err := f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		if size := info.Size(); e.Offset < 0 || e.Length < 0 || e.Offset > size || e.Length > size-e.Offset {
+			return nil, fmt.Errorf("%w: %s@%d+%d, file has %d bytes", ErrExtentPastEOF, e.File, e.Offset, e.Length, size)
+		}
 		blob := make([]byte, e.Length)
 		if _, err := f.ReadAt(blob, e.Offset); err != nil {
 			return nil, fmt.Errorf("read chunk %s@%d+%d: %w", e.File, e.Offset, e.Length, err)

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"arrayvers/internal/fsio"
@@ -328,5 +329,51 @@ func TestMigrateRejectsCorruptMetadata(t *testing.T) {
 	}
 	if after := treeDigest(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Fatal("failed migration wrote to the directory")
+	}
+}
+
+// TestMigrateHostileLength: a legacy chunk entry whose length is
+// negative or far past its file fails the migration with
+// ErrExtentPastEOF before anything is sized by it — never a panic or a
+// huge allocation — and the directory stays a retryable legacy store.
+func TestMigrateHostileLength(t *testing.T) {
+	for _, bad := range []int64{-1, 1 << 40} {
+		t.Run(fmt.Sprint(bad), func(t *testing.T) {
+			dir := copyLegacyFixture(t)
+			path := filepath.Join(dir, "Raw", metaFile)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m arrayMeta
+			if err := json.Unmarshal(raw, &m); err != nil {
+				t.Fatal(err)
+			}
+			chunks := m.Versions[0].Chunks["A"]
+			for k, e := range chunks {
+				e.Length = bad
+				chunks[k] = e
+				break
+			}
+			if raw, err = json.Marshal(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = Migrate(dir, nil)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrExtentPastEOF) {
+				t.Fatalf("Migrate = %v, want ErrExtentPastEOF", err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+				t.Fatalf("the failed migration allocated %d bytes", alloc)
+			}
+			if _, err := Open(dir, smallOpts()); !errors.Is(err, ErrLegacyStore) {
+				t.Fatalf("Open after the failed migration returned %v, want ErrLegacyStore", err)
+			}
+		})
 	}
 }

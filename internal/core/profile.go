@@ -14,10 +14,8 @@ import (
 // leaf operations of readRegionView/resolveDenseChunk — each delta-chain
 // link times its own cache probe, blob read, frame decode, and delta
 // apply, so totals add up without double counting across the walk.
-// Commit stages follow one insert from staging through the group
-// commit; the shared stages (data_fsync, meta_commit, install) are
-// attributed in full to every batch member, since each member's latency
-// really does include the whole shared wait.
+// Commit stages follow one write from staging through its commit
+// record.
 const (
 	StageSnapshot    = "snapshot"    // metadata view under the store lock
 	StageCache       = "cache"       // store-wide LRU probe
@@ -27,8 +25,8 @@ const (
 	StageMaterialize = "materialize" // slice + copy into the result array
 
 	StageStageEncode = "stage_encode" // resolve + encode + unsynced append
-	StageQueueWait   = "queue_wait"   // enqueue until a leader drains it
-	StageDataFsync   = "data_fsync"   // group fsync of the batch's chunk files
+	StageQueueWait   = "queue_wait"   // staged until the write holds its commit latches
+	StageDataFsync   = "data_fsync"   // fsync of the write's chunk files
 	StageMetaCommit  = "meta_commit"  // manifest-log append
 	StageInstall     = "install"      // in-memory install of the committed doc
 )
@@ -45,7 +43,7 @@ var (
 // milliseconds) up to whole slow queries.
 var stageLatencyBounds = []float64{0.00001, 0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5}
 
-// batchSizeBounds buckets the group-commit coalescing factor.
+// batchSizeBounds buckets the versions one commit record installs.
 var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64}
 
 // tunePassBounds buckets adaptive-tuner pass durations.
@@ -188,7 +186,7 @@ type ProfileSnapshot struct {
 }
 
 // Profile snapshots the store's stage-level latency/byte aggregates,
-// the group-commit batch-size and tuner-pass histograms, the
+// the versions-per-commit-record and tuner-pass histograms, the
 // decode-pool gauge, and the per-array cache counters.
 func (s *Store) Profile() ProfileSnapshot {
 	p := s.prof

@@ -165,13 +165,12 @@ func (s *Store) Reorganize(name string, opts ReorganizeOptions) error {
 // fsynced beside the live one with no store lock held, and the result
 // is committed under the lock only if the array's mutation sequence is
 // unchanged (otherwise the build is discarded and retried). Readers and
-// inserts proceed concurrently with the build; only the metadata swap
-// itself serializes with them. If inserts keep landing mid-build, the
-// last attempt holds the array's commit-latch set — no insert to THIS
+// writes proceed concurrently with the build; only the metadata swap
+// itself serializes with them. If writes keep landing mid-build, the
+// last attempt holds the array's writeMu and commitMu — no write to THIS
 // array can stage or commit, readers and other arrays are untouched —
-// commits whatever was already staged, and runs the same build, which
-// nothing can invalidate any more. Rewrites of one array are
-// serialized by its reorgMu.
+// and runs the same build, which nothing can invalidate any more.
+// Rewrites of one array are serialized by its reorgMu.
 func (s *Store) rewrite(name string, build rewriteBuild) error {
 	if err := s.writeGate(name); err != nil {
 		return err
@@ -187,11 +186,10 @@ func (s *Store) rewrite(name string, build rewriteBuild) error {
 			return err
 		}
 	}
-	st.commitMu.Lock()
-	defer st.commitMu.Unlock()
 	st.writeMu.Lock()
 	defer st.writeMu.Unlock()
-	s.drainLatched(st)
+	st.commitMu.Lock()
+	defer st.commitMu.Unlock()
 	committed, err := s.tryRewrite(name, st, build, true)
 	if err == nil && !committed {
 		err = fmt.Errorf("core: array %q mutated under the rewrite's latches", name)
@@ -212,8 +210,7 @@ func (s *Store) lockRewrite(name string) (*arrayState, error) {
 // tryRewrite performs one off-lock build attempt. It reports whether
 // the rewrite committed (or had nothing to do); (false, nil) means the
 // metadata moved underneath the build and the caller should retry.
-// latched says the caller already holds st's commit-latch set
-// (commitMu included).
+// latched says the caller already holds st's writeMu and commitMu.
 func (s *Store) tryRewrite(name string, st *arrayState, build rewriteBuild, latched bool) (bool, error) {
 	v, release, err := s.snapshotUncached(name)
 	if err != nil {
@@ -250,14 +247,18 @@ func (s *Store) tryRewrite(name string, st *arrayState, build rewriteBuild, latc
 		s.noteDiskPressure(err)
 		return err == nil, err
 	}
-	// commitMu serializes this rewrite's metadata commit with insert
-	// leaders, whose commits run outside Store.mu
+	// writeMu keeps the publish out of the window between a write's
+	// stage and its commit (a new generation would orphan the staged
+	// blobs); commitMu serializes the metadata commit with writers,
+	// whose commits run outside Store.mu
 	if !latched {
+		st.writeMu.Lock()
 		st.commitMu.Lock()
 	}
 	oldDir, err := s.publishRewrite(st, v.seq, buildDir, ids, entries)
 	if !latched {
 		st.commitMu.Unlock()
+		st.writeMu.Unlock()
 	}
 	if oldDir == "" {
 		// not committed; a failure before the generation rename leaves
@@ -618,23 +619,22 @@ func (s *Store) syncDirFiles(dir string) error {
 // held only to snapshot and to install, so selects and inserts on every
 // other array (and selects of this one) proceed meanwhile. The write
 // latch is held because the re-encodes append to chunk files concurrent
-// insert staging also appends to; commitMu because it is the array's
-// metadata writer latch; reorgMu because removing a version can
-// invalidate an optimistic insert staged against it (see
-// InsertBatchCtx).
+// writes also append to, and so that no write is between its stage and
+// its commit; commitMu because it is the array's metadata writer latch;
+// reorgMu to serialize with rewrites.
 func (s *Store) DeleteVersion(name string, id int) error {
 	if err := s.writeGate(name); err != nil {
 		return err
 	}
 	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.reorgMu, &st.commitMu, &st.writeMu}
+		return []*sync.Mutex{&st.reorgMu, &st.writeMu, &st.commitMu}
 	})
 	if err != nil {
 		return err
 	}
 	defer st.reorgMu.Unlock()
-	defer st.commitMu.Unlock()
 	defer st.writeMu.Unlock()
+	defer st.commitMu.Unlock()
 	// snapshot under a brief store lock; the I/O read latch pins the
 	// generation the re-encodes append into before the lock drops
 	s.mu.RLock()

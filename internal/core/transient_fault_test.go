@@ -61,7 +61,7 @@ func runTransientWorkload(s *Store, side int64) (*transientModel, error) {
 		return m, err
 	}
 	batch := []*array.Dense{crashContent(3, side), crashContent(4, side)}
-	ids, err := s.InsertBatch("T", []Payload{DensePayload(batch[0]), DensePayload(batch[1])})
+	ids, err := writeOne(s, "T", []Payload{DensePayload(batch[0]), DensePayload(batch[1])})
 	if err != nil {
 		return m, err
 	}
@@ -359,8 +359,8 @@ func TestContextCancellation(t *testing.T) {
 	if _, err := s.Read(ctx, ReadQuery{Array: "C", IDs: []int{1}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Read error = %v, want context.Canceled", err)
 	}
-	if _, err := s.InsertCtx(ctx, "C", DensePayload(crashContent(2, side))); !errors.Is(err, context.Canceled) {
-		t.Fatalf("InsertCtx error = %v, want context.Canceled", err)
+	if _, err := s.Write(ctx, []MultiInsert{{Array: "C", Payloads: []Payload{DensePayload(crashContent(2, side))}}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Write error = %v, want context.Canceled", err)
 	}
 	infos, err := s.Versions("C")
 	if err != nil {

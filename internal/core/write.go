@@ -1,0 +1,95 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sort"
+)
+
+// MultiInsert is one put of a Write: payloads for one array.
+type MultiInsert struct {
+	Array    string
+	Payloads []Payload
+}
+
+// Write adds versions to one or several arrays under ONE commit point: a
+// single manifest record, appended and fsynced once, makes every put
+// durable together, so either every array shows its new versions or none
+// does — after a crash too. It returns each put's new version ids, in
+// put order and payload order. An array may appear in one put only.
+//
+// Payloads of one put are resolved in order, so later members
+// delta-encode against earlier ones when that is smaller, and each
+// member's lineage parent is its predecessor; delta-list payloads must
+// reference committed versions. ctx is honored while the payloads are
+// staged; once staging is done the commit runs to completion, so a ctx
+// error means no version was created anywhere.
+func (s *Store) Write(ctx context.Context, puts []MultiInsert) ([][]int, error) {
+	if len(puts) == 0 {
+		return nil, fmt.Errorf("core: write has no puts")
+	}
+	order := make([]int, len(puts)) // put indices, sorted by array name below
+	seen := make(map[string]bool, len(puts))
+	for i, p := range puts {
+		switch {
+		case p.Array == "":
+			return nil, fmt.Errorf("core: write names an empty array")
+		case len(p.Payloads) == 0:
+			return nil, fmt.Errorf("core: write to array %q has no payloads", p.Array)
+		case seen[p.Array]:
+			return nil, fmt.Errorf("core: write names array %q twice", p.Array)
+		}
+		if err := s.writeGate(p.Array); err != nil {
+			return nil, err
+		}
+		seen[p.Array], order[i] = true, i
+	}
+	// every writer takes its write latches in name order, so writes over
+	// overlapping array sets cannot deadlock
+	sort.Slice(order, func(a, b int) bool { return puts[order[a]].Array < puts[order[b]].Array })
+	sts := make([]*arrayState, 0, len(puts))
+	ps := make([][]Payload, 0, len(puts))
+	for _, i := range order {
+		st, err := s.lockWrite(puts[i].Array)
+		if err != nil {
+			for _, held := range sts {
+				held.writeMu.Unlock()
+			}
+			return nil, err
+		}
+		sts = append(sts, st)
+		ps = append(ps, puts[i].Payloads)
+	}
+	byName, err := s.write(ctx, sts, ps, "insert")
+	if err != nil {
+		return nil, err
+	}
+	ids := make([][]int, len(puts))
+	for k, i := range order {
+		ids[i] = byName[k]
+	}
+	return ids, nil
+}
+
+// Insert adds one version to the named array and returns its ID
+// (temporal versions are numbered 1, 2, ... as in AQL's Example@1).
+func (s *Store) Insert(name string, p Payload) (int, error) {
+	ids, err := s.Write(context.Background(), []MultiInsert{{Array: name, Payloads: []Payload{p}}})
+	if err != nil {
+		return 0, err
+	}
+	return ids[0][0], nil
+}
+
+// InsertMulti is Write keyed by array name.
+func (s *Store) InsertMulti(puts []MultiInsert) (map[string][]int, error) {
+	ids, err := s.Write(context.Background(), puts)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string][]int, len(puts))
+	for i, p := range puts {
+		out[p.Array] = ids[i]
+	}
+	return out, nil
+}

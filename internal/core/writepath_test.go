@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -23,11 +24,13 @@ import (
 // needs Store.mu would hang if the mutator held it there.
 
 // hookFS calls onAppend before a file is opened for append and onSync
-// inside a file's Sync; either may block.
+// inside a file's Sync; either may block. A non-nil syncErr, called
+// after onSync, fails that Sync.
 type hookFS struct {
 	fsio.FS
 	onAppend func(path string)
 	onSync   func(path string)
+	syncErr  func(path string) error
 }
 
 func (h *hookFS) Append(path string) (fsio.File, error) {
@@ -35,7 +38,7 @@ func (h *hookFS) Append(path string) (fsio.File, error) {
 		h.onAppend(path)
 	}
 	f, err := h.FS.Append(path)
-	if err != nil || h.onSync == nil {
+	if err != nil || (h.onSync == nil && h.syncErr == nil) {
 		return f, err
 	}
 	return &hookFile{File: f, path: path, fs: h}, nil
@@ -48,7 +51,14 @@ type hookFile struct {
 }
 
 func (f *hookFile) Sync() error {
-	f.fs.onSync(f.path)
+	if f.fs.onSync != nil {
+		f.fs.onSync(f.path)
+	}
+	if f.fs.syncErr != nil {
+		if err := f.fs.syncErr(f.path); err != nil {
+			return err
+		}
+	}
 	return f.File.Sync()
 }
 
@@ -240,11 +250,13 @@ func TestInsertMultiHoldsNoStoreLockAcrossIO(t *testing.T) {
 	mustSelect(t, s, "B", 2, next)
 }
 
-// TestGroupCommitCoalescesLateStagers pins the leader's re-drain: with
-// leader A parked in its data fsync, B and C stage into the same array
-// and queue behind the commit latch; once A resumes it drains them into
-// its own commit, so three inserts share one commit point.
-func TestGroupCommitCoalescesLateStagers(t *testing.T) {
+// TestWriteStagesWhileCommitInFlight pins the hand-over from write latch
+// to commit latch: with writer A parked in its data fsync, writer B on
+// the same array finishes staging — A no longer holds the write latch —
+// reserves A's id + 1, and commits after A, in its own record. A write
+// that held both latches while staging would leave B waiting for A's
+// commit before it could stage, and fail here.
+func TestWriteStagesWhileCommitInFlight(t *testing.T) {
 	const side = 16
 	parked := make(chan struct{})
 	release := make(chan struct{})
@@ -262,56 +274,127 @@ func TestGroupCommitCoalescesLateStagers(t *testing.T) {
 	opts.FS = hfs
 	s := testStore(t, opts)
 	defer s.Close()
+	var unpark sync.Once
+	// a failed check still lets the parked write finish, so Close returns
+	defer unpark.Do(func() { close(release) })
 	if err := s.CreateArray(schema2D("G", side)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Insert("G", DensePayload(crashContent(1, side))); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.RLock()
-	st := s.arrays["G"]
-	s.mu.RUnlock()
-	before := s.Stats()
-	armed.Store(true)
-	contents := []*array.Dense{crashContent(2, side), crashContent(3, side), crashContent(4, side)}
-	ids := make([]int, len(contents))
-	var wg sync.WaitGroup
-	insert := func(i int) {
-		defer wg.Done()
-		id, err := s.Insert("G", DensePayload(contents[i]))
-		if err != nil {
-			t.Errorf("insert %d: %v", i, err)
-		}
-		ids[i] = id
+	staged := func() int64 {
+		return s.Profile().CommitStages[0].Hist.Count // stage_encode
 	}
-	wg.Add(1)
-	go insert(0)
+	before, stagesBefore := s.Stats(), staged()
+	armed.Store(true)
+	a, b := crashContent(2, side), crashContent(3, side)
+	idA, idB := make(chan int, 1), make(chan int, 1)
+	insert := func(c *array.Dense, out chan<- int) {
+		id, err := s.Insert("G", DensePayload(c))
+		if err != nil {
+			t.Errorf("insert: %v", err)
+		}
+		out <- id
+	}
+	go insert(a, idA)
 	<-parked
-	wg.Add(2)
-	go insert(1)
-	go insert(2)
-	within(t, "B and C staging beside the parked leader", func() {
-		for {
-			st.pendMu.Lock()
-			n := len(st.pending)
-			st.pendMu.Unlock()
-			if n == 2 {
-				return
-			}
+	go insert(b, idB)
+	within(t, "B staging beside A's parked commit", func() {
+		for staged() < stagesBefore+2 {
 			time.Sleep(time.Millisecond)
 		}
 	})
-	close(release)
-	wg.Wait()
+	select {
+	case id := <-idB:
+		t.Fatalf("B committed version %d ahead of A's in-flight commit", id)
+	case <-time.After(50 * time.Millisecond):
+	}
+	unpark.Do(func() { close(release) })
+	gotA, gotB := <-idA, <-idB
+	if gotA != 2 || gotB != gotA+1 {
+		t.Fatalf("ids A=%d B=%d, want 2 and 3", gotA, gotB)
+	}
 	after := s.Stats()
-	if got := after.GroupCommits - before.GroupCommits; got != 1 {
-		t.Errorf("three inserts took %d group commits, want 1", got)
+	if got := after.GroupCommits - before.GroupCommits; got != 2 {
+		t.Errorf("two writes took %d commit records, want 2", got)
 	}
-	if got := after.GroupCommitVersions - before.GroupCommitVersions; got != 3 {
-		t.Errorf("the group commit installed %d versions, want 3", got)
+	infos, err := s.Versions("G")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, c := range contents {
-		mustSelect(t, s, "G", ids[i], c)
+	if len(infos) != 3 || infos[1].ID != gotA || infos[2].ID != gotB || infos[2].Time.Before(infos[1].Time) {
+		t.Fatalf("versions %+v: want A then B", infos)
+	}
+	mustSelect(t, s, "G", gotA, a)
+	mustSelect(t, s, "G", gotB, b)
+}
+
+// TestWriteRefusedAfterUncertainCommitFailure: writer A's data fsync
+// fails while writer B, staged meanwhile, waits for the commit latch.
+// A's failure degrades the array, and B — whose dirty pages that failed
+// fsync may have dropped — is refused with ErrDegraded instead of
+// committing.
+func TestWriteRefusedAfterUncertainCommitFailure(t *testing.T) {
+	const side = 16
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var armed, fail atomic.Bool
+	hfs := &hookFS{FS: fsio.OS}
+	hfs.onSync = func(path string) {
+		if strings.HasSuffix(path, ".chain") && armed.CompareAndSwap(true, false) {
+			fail.Store(true)
+			close(parked)
+			<-release
+		}
+	}
+	hfs.syncErr = func(string) error {
+		if fail.CompareAndSwap(true, false) {
+			return fsio.ErrIO
+		}
+		return nil
+	}
+	opts := smallOpts()
+	opts.ChunkBytes = 1 << 10
+	opts.Durability = true
+	opts.HealInterval = -1
+	opts.FS = hfs
+	s := testStore(t, opts)
+	defer s.Close()
+	var unpark sync.Once
+	// a failed check still lets the parked write finish, so Close returns
+	defer unpark.Do(func() { close(release) })
+	if err := s.CreateArray(schema2D("G", side)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Insert("G", DensePayload(crashContent(1, side))); err != nil {
+		t.Fatal(err)
+	}
+	staged := func() int64 { return s.Profile().CommitStages[0].Hist.Count }
+	stagesBefore := staged()
+	armed.Store(true)
+	errA, errB := make(chan error, 1), make(chan error, 1)
+	insert := func(seed int64, out chan<- error) {
+		_, err := s.Insert("G", DensePayload(crashContent(seed, side)))
+		out <- err
+	}
+	go insert(2, errA)
+	<-parked
+	go insert(3, errB)
+	within(t, "B staging beside A's parked commit", func() {
+		for staged() < stagesBefore+2 {
+			time.Sleep(time.Millisecond)
+		}
+	})
+	unpark.Do(func() { close(release) })
+	if err := <-errA; !errors.Is(err, fsio.ErrIO) {
+		t.Fatalf("A = %v, want the injected EIO", err)
+	}
+	if err := <-errB; !errors.Is(err, ErrDegraded) {
+		t.Fatalf("B = %v, want ErrDegraded", err)
+	}
+	if infos, err := s.Versions("G"); err != nil || len(infos) != 1 {
+		t.Fatalf("versions after the failed commits: %v %v, want only version 1", infos, err)
 	}
 }
 
@@ -530,8 +613,8 @@ func TestCloseAndCreateWaitForDrop(t *testing.T) {
 	})
 }
 
-// TestInsertMultiTraceStages: a traced cross-array batch reports every
-// write-path stage, the shared ones once.
+// TestInsertMultiTraceStages: a traced cross-array Write reports every
+// write-path stage: staging once per array, the commit's stages once.
 func TestInsertMultiTraceStages(t *testing.T) {
 	const side = 16
 	opts := smallOpts()
@@ -544,7 +627,7 @@ func TestInsertMultiTraceStages(t *testing.T) {
 		}
 	}
 	tr := trace.New("batch")
-	_, err := s.InsertMultiCtx(trace.NewContext(context.Background(), tr), []MultiInsert{
+	_, err := s.Write(trace.NewContext(context.Background(), tr), []MultiInsert{
 		{Array: "A", Payloads: []Payload{DensePayload(crashContent(1, side))}},
 		{Array: "B", Payloads: []Payload{DensePayload(crashContent(2, side))}},
 	})
@@ -558,12 +641,12 @@ func TestInsertMultiTraceStages(t *testing.T) {
 	want := map[string]int64{
 		StageQueueWait:   1, // the latch wait
 		StageStageEncode: 2, // one per array
-		StageDataFsync:   2,
+		StageDataFsync:   1, // the write's files, synced before its record
 		StageMetaCommit:  1, // ONE record
 		StageInstall:     1,
 	}
 	if fmt.Sprint(counts) != fmt.Sprint(want) {
-		t.Fatalf("traced InsertMulti reported stages %v, want %v", counts, want)
+		t.Fatalf("traced Write reported stages %v, want %v", counts, want)
 	}
 }
 

@@ -13,8 +13,7 @@ import (
 // partial order (see Store/arrayState doc comments and DESIGN.md
 // "Static analysis") is:
 //
-//	reorgMu < commitMu < writeMu < Store.mu < ioMu < pendMu < healthMu
-//	        < statsMu
+//	reorgMu < writeMu < commitMu < Store.mu < ioMu < healthMu < statsMu
 //
 // The analyzer builds a static acquisition graph from direct
 // .Lock()/.RLock() calls, from lockArray call sites (the func-literal
@@ -38,7 +37,7 @@ import (
 // fixture pins each mutator's latch set clean.
 //
 // Cross-instance acquisitions within the per-array latch family
-// (InsertMulti's sorted-name protocol) are exempt: the rank order
+// (Write's sorted-name protocol) are exempt: the rank order
 // governs one array's latches; multi-array ordering is by name, which
 // a rank cannot express. Escape hatch: //avlint:allow-lock <reason>.
 var LockOrder = &Analyzer{
@@ -53,7 +52,7 @@ var LockOrder = &Analyzer{
 
 // lockOrderDoc is the canonical order, embedded in diagnostics so the
 // fix is in the message.
-const lockOrderDoc = "reorgMu < commitMu < writeMu < Store.mu < ioMu < pendMu < healthMu < statsMu"
+const lockOrderDoc = "reorgMu < writeMu < commitMu < Store.mu < ioMu < healthMu < statsMu"
 
 // lockRank maps "Type.field" to its position in the partial order.
 // Lower ranks are acquired first. Locks not listed here (writeSet.mu,
@@ -61,11 +60,10 @@ const lockOrderDoc = "reorgMu < commitMu < writeMu < Store.mu < ioMu < pendMu < 
 // the documented hierarchy and are ignored.
 var lockRank = map[string]int{
 	"arrayState.reorgMu":  0,
-	"arrayState.commitMu": 10,
-	"arrayState.writeMu":  20,
+	"arrayState.writeMu":  10,
+	"arrayState.commitMu": 20,
 	"Store.mu":            30,
 	"arrayState.ioMu":     40,
-	"arrayState.pendMu":   50,
 	"Store.healthMu":      60,
 	"Store.statsMu":       70,
 }
@@ -279,7 +277,7 @@ func simulate(events []lockEvent, summaries map[types.Object]*lockSummary, edges
 	// Export only pure acquisitions: a lock with ANY release event in
 	// this body is managed here (possibly on branches the linear scan
 	// cannot pair exactly) and must not leak into caller summaries as
-	// phantom held state. Pure acquirers — lockWrite, lockCommit,
+	// phantom held state. Pure acquirers — lockWrite,
 	// lockRewrite — have no release events and export correctly.
 	released := map[string]bool{}
 	for _, e := range events {
@@ -298,7 +296,7 @@ func simulate(events []lockEvent, summaries map[types.Object]*lockSummary, edges
 
 // edgeSuppressed implements the multi-instance exemption: within the
 // per-array latch family, ordering across DIFFERENT arrayState
-// instances is governed by the sorted-name protocol (InsertMulti), not
+// instances is governed by the sorted-name protocol (Write), not
 // by rank, so pairs with differing or unknown receivers are skipped —
 // except a provably same-instance pair, which is always checked.
 func edgeSuppressed(h heldLock, key, inst string) bool {
@@ -486,7 +484,7 @@ func (la *lockAnalysis) lockEventFor(call *ast.CallExpr, cond bool) ([]lockEvent
 		if latches, ok := la.latchListOf(call); ok {
 			// The latches all belong to the ONE array this call resolves,
 			// so within the call they are same-instance; across two
-			// lockArray calls (InsertMulti's sorted-name loop) the
+			// lockArray calls (Write's sorted-name loop) the
 			// instances are distinct arrays. A per-call-site tag encodes
 			// exactly that.
 			tag := "lockArray@" + strconv.Itoa(int(call.Pos()))
@@ -564,7 +562,7 @@ func (la *lockAnalysis) rankedLock(expr ast.Expr) (key, inst string, ok bool) {
 
 // latchListOf decodes a lockArray call's func-literal pick argument:
 // `func(st *arrayState) []*sync.Mutex { return
-// []*sync.Mutex{&st.commitMu, &st.writeMu} }` -> the ranked keys in
+// []*sync.Mutex{&st.writeMu, &st.commitMu} }` -> the ranked keys in
 // literal order.
 func (la *lockAnalysis) latchListOf(call *ast.CallExpr) ([]heldLock, bool) {
 	if len(call.Args) < 2 {

@@ -11,18 +11,18 @@ type arrayState struct {
 	writeMu  sync.Mutex
 }
 
-// commitMu before writeMu: the documented direction
+// writeMu before commitMu: the documented direction
 func (st *arrayState) ab() {
-	st.commitMu.Lock()
 	st.writeMu.Lock()
-	st.writeMu.Unlock()
+	st.commitMu.Lock() // want `lock-order cycle: commitMu -> writeMu -> commitMu`
 	st.commitMu.Unlock()
+	st.writeMu.Unlock()
 }
 
-// writeMu before commitMu: opposes ab, closing the cycle
+// commitMu before writeMu: opposes ab, closing the cycle
 func (st *arrayState) ba() {
-	st.writeMu.Lock()
-	st.commitMu.Lock() // want `acquires commitMu while holding writeMu — violates the documented lock order` `lock-order cycle: commitMu -> writeMu -> commitMu`
-	st.commitMu.Unlock()
+	st.commitMu.Lock()
+	st.writeMu.Lock() // want `acquires writeMu while holding commitMu — violates the documented lock order`
 	st.writeMu.Unlock()
+	st.commitMu.Unlock()
 }

@@ -20,14 +20,14 @@ type arrayState struct {
 	commitMu sync.Mutex
 	writeMu  sync.Mutex
 	ioMu     sync.RWMutex
-	pendMu   sync.Mutex
 }
 
 type Store struct {
-	mu     sync.RWMutex
-	arrays map[string]*arrayState
-	fs     fsio.FS
-	man    *manifest
+	mu       sync.RWMutex
+	healthMu sync.Mutex
+	arrays   map[string]*arrayState
+	fs       fsio.FS
+	man      *manifest
 }
 
 func (s *Store) lockArray(name string, pick func(st *arrayState) []*sync.Mutex) (*arrayState, error) {
@@ -50,38 +50,38 @@ func (s *Store) goodOrder(st *arrayState) {
 	st.reorgMu.Unlock()
 }
 
-// pendMu ranks above ioMu: taking ioMu while holding pendMu descends
-func (st *arrayState) badOrder() {
-	st.pendMu.Lock()
-	st.ioMu.Lock() // want `acquires ioMu while holding pendMu — violates the documented lock order`
+// healthMu ranks above ioMu: taking ioMu while holding healthMu descends
+func (s *Store) badOrder(st *arrayState) {
+	s.healthMu.Lock()
+	st.ioMu.Lock() // want `acquires ioMu while holding Store.healthMu — violates the documented lock order`
 	st.ioMu.Unlock()
-	st.pendMu.Unlock()
+	s.healthMu.Unlock()
 }
 
 // same-rank, same-instance double acquisition is a self-deadlock
-func (st *arrayState) doubleLock() {
-	st.pendMu.Lock()
-	st.pendMu.Lock() // want `re-acquires pendMu already held`
-	st.pendMu.Unlock()
-	st.pendMu.Unlock()
+func (s *Store) doubleLock() {
+	s.healthMu.Lock()
+	s.healthMu.Lock() // want `re-acquires Store.healthMu already held`
+	s.healthMu.Unlock()
+	s.healthMu.Unlock()
 }
 
 // descending within ONE array's latches is flagged even though the
 // same pair across two arrays (multiArray below) is not
 func (st *arrayState) sameInstance() {
-	st.writeMu.Lock()
-	st.commitMu.Lock() // want `acquires commitMu while holding writeMu — violates the documented lock order`
-	st.commitMu.Unlock()
+	st.commitMu.Lock()
+	st.writeMu.Lock() // want `acquires writeMu while holding commitMu — violates the documented lock order`
 	st.writeMu.Unlock()
+	st.commitMu.Unlock()
 }
 
-// cross-instance latch pairs follow the sorted-name protocol
-// (InsertMulti), which rank cannot express: suppressed
+// cross-instance latch pairs follow the sorted-name protocol (Write),
+// which rank cannot express: suppressed
 func multiArray(a, b *arrayState) {
-	a.writeMu.Lock()
-	b.commitMu.Lock()
-	b.commitMu.Unlock()
-	a.writeMu.Unlock()
+	a.commitMu.Lock()
+	b.writeMu.Lock()
+	b.writeMu.Unlock()
+	a.commitMu.Unlock()
 }
 
 // the early-return cleanup pattern: the conditional unlock must not
@@ -115,19 +115,19 @@ func (s *Store) viaSummary(st *arrayState) {
 // a latch list returned out of the documented order is flagged at the
 // call site (and the descending acquisition it implies is too)
 func (s *Store) badLatchList() {
-	st, _ := s.lockArray("x", func(st *arrayState) []*sync.Mutex { // want `lockArray latch list acquires reorgMu after a higher-ranked latch` `acquires reorgMu while holding pendMu`
-		return []*sync.Mutex{&st.pendMu, &st.reorgMu}
+	st, _ := s.lockArray("x", func(st *arrayState) []*sync.Mutex { // want `lockArray latch list acquires reorgMu after a higher-ranked latch` `acquires reorgMu while holding commitMu`
+		return []*sync.Mutex{&st.commitMu, &st.reorgMu}
 	})
 	st.reorgMu.Unlock()
-	st.pendMu.Unlock()
+	st.commitMu.Unlock()
 }
 
 // the documented latch order, decoded from the pick literal: clean
 func (s *Store) goodLatchList() {
 	st, _ := s.lockArray("x", func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.reorgMu, &st.commitMu}
+		return []*sync.Mutex{&st.reorgMu, &st.writeMu}
 	})
-	st.commitMu.Unlock()
+	st.writeMu.Unlock()
 	st.reorgMu.Unlock()
 }
 

@@ -9,10 +9,9 @@ import "sync"
 
 type arrayState struct {
 	reorgMu  sync.Mutex
-	commitMu sync.Mutex
 	writeMu  sync.Mutex
+	commitMu sync.Mutex
 	ioMu     sync.RWMutex
-	pendMu   sync.Mutex
 }
 
 type Store struct {
@@ -31,15 +30,14 @@ func (s *Store) lockArray(name string, pick func(st *arrayState) []*sync.Mutex) 
 	return st, nil
 }
 
-// DeleteVersion: the rewrite latch (it can invalidate an optimistic
-// insert staging, like a rewrite), then the metadata writer latch and
-// the write latch. The store lock is taken only to snapshot — pinning
-// the generation with the I/O read latch before it drops — and to
-// install; the re-encode, sync and commit run with it released, and the
-// reader drain comes after
+// DeleteVersion: the rewrite latch, then the write latch and the
+// metadata writer latch. The store lock is taken only to snapshot —
+// pinning the generation with the I/O read latch before it drops — and
+// to install; the re-encode, sync and commit run with it released, and
+// the reader drain comes after
 func (s *Store) deleteVersion() {
 	st, _ := s.lockArray("x", func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.reorgMu, &st.commitMu, &st.writeMu}
+		return []*sync.Mutex{&st.reorgMu, &st.writeMu, &st.commitMu}
 	})
 	s.mu.RLock()
 	st.ioMu.RLock()
@@ -50,8 +48,8 @@ func (s *Store) deleteVersion() {
 	s.mu.Unlock()
 	st.ioMu.Lock()
 	st.ioMu.Unlock()
-	st.writeMu.Unlock()
 	st.commitMu.Unlock()
+	st.writeMu.Unlock()
 	st.reorgMu.Unlock()
 }
 
@@ -78,52 +76,63 @@ func (m *manifest) commit() error { return nil }
 
 func (s *Store) commitMeta() error { return s.man.commit() }
 
-// lockCommit is the pure acquirer of the commit-latch set (InsertMulti,
-// Branch, Merge); its held set reaches callers through the summary
-func (s *Store) lockCommit(name string) *arrayState {
+// lockWrite is the pure acquirer of one array's write latch; its held
+// set reaches callers through the summary
+func (s *Store) lockWrite(name string) *arrayState {
 	st, _ := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.commitMu, &st.writeMu}
+		return []*sync.Mutex{&st.writeMu}
 	})
 	return st
 }
 
-func (s *Store) insertMulti() {
-	a := s.lockCommit("a")
-	b := s.lockCommit("b") // another array: the sorted-name protocol, not rank
+// Write: every array's write latch in name order, a snapshot per array
+// to stage, every commit latch in the same order, the write latches
+// handed back, then the commit record and the install
+func (s *Store) write() {
+	a := s.lockWrite("a")
+	b := s.lockWrite("b") // another array: the sorted-name protocol, not rank
+	s.mu.RLock()
+	a.ioMu.RLock()
+	s.mu.RUnlock()
+	a.ioMu.RUnlock()
+	a.commitMu.Lock()
+	b.commitMu.Lock()
+	a.writeMu.Unlock()
+	b.writeMu.Unlock()
+	_ = s.man.commit()
 	s.mu.Lock()
 	s.mu.Unlock()
-	b.writeMu.Unlock()
 	b.commitMu.Unlock()
-	a.writeMu.Unlock()
 	a.commitMu.Unlock()
 }
 
-// the contended Reorganize fallback adds the commit-latch set to the
-// reorgMu it already holds, then builds and commits
+// the contended Reorganize fallback adds the write and commit latches to
+// the reorgMu it already holds, then builds and commits
 func (s *Store) reorganizeFallback(st *arrayState) {
 	st.reorgMu.Lock()
 	defer st.reorgMu.Unlock()
-	st.commitMu.Lock()
-	defer st.commitMu.Unlock()
 	st.writeMu.Lock()
 	defer st.writeMu.Unlock()
+	st.commitMu.Lock()
+	defer st.commitMu.Unlock()
 	s.mu.Lock()
 	s.mu.Unlock()
 	st.ioMu.Lock()
 	st.ioMu.Unlock()
 }
 
-// the contended insert fallback holds reorgMu and re-runs the ordinary
-// attempt: stage under writeMu, then lead a commit through commitMu
-func (s *Store) insertFallback(st *arrayState) {
+// an optimistic rewrite publishes under the write and commit latches,
+// then drains readers with both released
+func (s *Store) rewritePublish(st *arrayState) {
 	st.reorgMu.Lock()
 	defer st.reorgMu.Unlock()
 	st.writeMu.Lock()
-	st.pendMu.Lock()
-	st.pendMu.Unlock()
-	st.writeMu.Unlock()
 	st.commitMu.Lock()
+	_ = s.commitMeta()
 	s.mu.Lock()
 	s.mu.Unlock()
 	st.commitMu.Unlock()
+	st.writeMu.Unlock()
+	st.ioMu.Lock()
+	st.ioMu.Unlock()
 }

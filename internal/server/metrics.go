@@ -162,7 +162,7 @@ func writeHist(w io.Writer, name, labels string, h trace.HistSnapshot) {
 
 // writeProfile renders the store's stage-level instrumentation: select
 // and commit pipeline stage latency histograms and byte totals, the
-// group-commit batch-size and tuner-pass histograms, the decode-pool
+// versions-per-commit-record and tuner-pass histograms, the decode-pool
 // gauge, recovery duration, and per-array cache hit/miss counters.
 func writeProfile(w io.Writer, prof core.ProfileSnapshot) {
 	fmt.Fprintf(w, "# HELP av_select_stage_seconds Select pipeline latency by stage (snapshot, cache, read, decode, delta, materialize).\n")
@@ -175,7 +175,7 @@ func writeProfile(w io.Writer, prof core.ProfileSnapshot) {
 	for _, st := range prof.SelectStages {
 		fmt.Fprintf(w, "av_select_stage_bytes_total{stage=%q} %d\n", st.Stage, st.Bytes)
 	}
-	fmt.Fprintf(w, "# HELP av_commit_stage_seconds Insert/group-commit pipeline latency by stage (stage_encode, queue_wait, data_fsync, meta_commit, install).\n")
+	fmt.Fprintf(w, "# HELP av_commit_stage_seconds Write pipeline latency by stage (stage_encode, queue_wait = the wait for the commit latch, data_fsync, meta_commit, install).\n")
 	fmt.Fprintf(w, "# TYPE av_commit_stage_seconds histogram\n")
 	for _, st := range prof.CommitStages {
 		writeHist(w, "av_commit_stage_seconds", fmt.Sprintf("stage=%q", st.Stage), st.Hist)
@@ -185,7 +185,7 @@ func writeProfile(w io.Writer, prof core.ProfileSnapshot) {
 	for _, st := range prof.CommitStages {
 		fmt.Fprintf(w, "av_commit_stage_bytes_total{stage=%q} %d\n", st.Stage, st.Bytes)
 	}
-	fmt.Fprintf(w, "# HELP av_group_commit_batch_size Versions installed per group-commit batch.\n")
+	fmt.Fprintf(w, "# HELP av_group_commit_batch_size Versions installed per write commit record.\n")
 	fmt.Fprintf(w, "# TYPE av_group_commit_batch_size histogram\n")
 	writeHist(w, "av_group_commit_batch_size", "", prof.GroupBatch)
 	fmt.Fprintf(w, "# HELP av_tune_pass_seconds Adaptive-tuner pass duration.\n")

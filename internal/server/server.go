@@ -143,9 +143,7 @@ func New(cfg Config) (*Server, error) {
 	s.route(mux, "GET /v1/arrays/{name}/version-at", "version-at", s.handleVersionAt)
 	s.route(mux, "GET /v1/arrays/{name}/branched-from", "branched-from", s.handleBranchedFrom)
 	s.route(mux, "GET /v1/arrays/{name}/verify", "verify", s.handleVerify)
-	s.route(mux, "POST /v1/arrays/{name}/versions", "insert", s.handleInsert)
-	s.route(mux, "POST /v1/arrays/{name}/versions/batch", "insert-batch", s.handleInsertBatch)
-	s.route(mux, "POST /v1/batch", "insert-multi", s.handleInsertMulti)
+	s.route(mux, "POST /v1/write", "write", s.handleWrite)
 	s.routeStream(mux, "GET /v1/arrays/{name}/select", "select", s.handleSelect)
 	s.route(mux, "POST /v1/arrays/{name}/branch", "branch", s.handleBranch)
 	s.route(mux, "POST /v1/arrays/{name}/reorganize", "reorganize", s.handleReorganize)
@@ -558,106 +556,49 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
-// idemKey scopes the client's Idempotency-Key header by route: the
-// dedupe key is method + path + header, so reusing one key against a
-// different array — or mixing the single, batch, and multi insert
-// routes — can never replay another commit's version ids in place of
-// performing the insert. An absent header opts out (empty key).
-func idemKey(r *http.Request) string {
+// idemKey scopes the client's Idempotency-Key header by the write's
+// part table (each array and its payload count): reusing one key for a
+// write to different arrays, or of a different shape, can never replay
+// another commit's version ids in place of performing the write. An
+// absent header opts out (empty key).
+func idemKey(r *http.Request, puts []core.MultiInsert) string {
 	h := r.Header.Get("Idempotency-Key")
 	if h == "" {
 		return ""
 	}
-	return r.Method + " " + r.URL.Path + "\x00" + h
+	var k strings.Builder
+	for _, p := range puts {
+		fmt.Fprintf(&k, "%s/%d\x00", p.Array, len(p.Payloads))
+	}
+	return k.String() + h
 }
 
-// handleInsert commits one version. When the request carries an
-// Idempotency-Key header, retries of the same key replay the version
-// id committed by the first attempt instead of inserting a duplicate —
-// the answer to "the insert succeeded but the ack was lost". The
-// replayed response is marked with Idempotency-Replayed: true.
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	p, err := wire.ReadPayload(r.Body, s.maxFrame)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	name := r.PathValue("name")
-	ids, err, replayed := s.idem.do(r.Context(), idemKey(r), func() ([]int, error) {
-		id, err := s.store.InsertCtx(r.Context(), name, p)
-		if err != nil {
-			return nil, err
-		}
-		return []int{id}, nil
-	})
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	if replayed {
-		w.Header().Set("Idempotency-Replayed", "true")
-	}
-	writeJSON(w, http.StatusCreated, map[string]int{"id": ids[0]})
-}
-
-// handleInsertBatch commits a batched insert: the request body is one
-// wire payload frame per version, back to back, and the whole batch
-// lands in one shared metadata commit (all-or-nothing). The response
-// lists the new version ids in payload order. The whole body shares
-// the max-frame byte budget (and wire caps the frame count), so a
-// batch cannot buffer unboundedly where a single insert could not.
-func (s *Server) handleInsertBatch(w http.ResponseWriter, r *http.Request) {
-	// budget: the payload bytes share maxFrame, plus header room for a
-	// full MaxBatchPayloads batch of frames
-	limit := s.maxFrame + int64(wire.MaxBatchPayloads)*16
-	ps, err := wire.ReadPayloadBatch(http.MaxBytesReader(w, r.Body, limit), s.maxFrame)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	name := r.PathValue("name")
-	ids, err, replayed := s.idem.do(r.Context(), idemKey(r), func() ([]int, error) {
-		return s.store.InsertBatchCtx(r.Context(), name, ps)
-	})
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	if replayed {
-		w.Header().Set("Idempotency-Replayed", "true")
-	}
-	writeJSON(w, http.StatusCreated, map[string][]int{"ids": ids})
-}
-
-// handleInsertMulti commits a cross-array batch: the request body is a
+// handleWrite commits one write, the one insert route: the body is a
 // multi-batch frame (one header frame naming the member arrays and
 // their payload counts, then every payload frame back to back), and the
-// whole batch lands under the manifest log's single commit point —
-// either every array shows its new versions or none does. The response
-// maps each array to its new version ids in payload order. The idem
-// table stores one flat id list, so the map is rebuilt from the
-// request's part layout on replay.
-func (s *Server) handleInsertMulti(w http.ResponseWriter, r *http.Request) {
+// whole write lands under the manifest log's single commit point —
+// either every array shows its new versions or none does. The reply
+// lists each put's new version ids, in put order. The whole body shares
+// the max-frame byte budget (and wire caps the frame count). When the
+// request carries an Idempotency-Key header, retries of the same key
+// replay the ids committed by the first attempt instead of writing
+// twice — the answer to "the write succeeded but the ack was lost"; the
+// replayed response is marked with Idempotency-Replayed: true. The idem
+// table stores one flat id list, split by the part table on the way out.
+func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 	limit := s.maxFrame + int64(wire.MaxBatchPayloads)*16
-	parts, err := wire.ReadMultiBatch(http.MaxBytesReader(w, r.Body, limit), s.maxFrame)
+	puts, err := wire.ReadMultiBatch(http.MaxBytesReader(w, r.Body, limit), s.maxFrame)
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	batches := make([]core.MultiInsert, len(parts))
-	for i, p := range parts {
-		batches[i] = core.MultiInsert{Array: p.Array, Payloads: p.Payloads}
-	}
-	flat, err, replayed := s.idem.do(r.Context(), idemKey(r), func() ([]int, error) {
-		out, err := s.store.InsertMultiCtx(r.Context(), batches)
-		if err != nil {
-			return nil, err
+	flat, err, replayed := s.idem.do(r.Context(), idemKey(r, puts), func() ([]int, error) {
+		ids, err := s.store.Write(r.Context(), puts)
+		var flat []int
+		for _, put := range ids {
+			flat = append(flat, put...)
 		}
-		ids := make([]int, 0, len(out))
-		for _, b := range batches {
-			ids = append(ids, out[b.Array]...)
-		}
-		return ids, nil
+		return flat, err
 	})
 	if err != nil {
 		s.writeErr(w, err)
@@ -666,13 +607,11 @@ func (s *Server) handleInsertMulti(w http.ResponseWriter, r *http.Request) {
 	if replayed {
 		w.Header().Set("Idempotency-Replayed", "true")
 	}
-	out := make(map[string][]int, len(batches))
-	pos := 0
-	for _, b := range batches {
-		out[b.Array] = flat[pos : pos+len(b.Payloads)]
-		pos += len(b.Payloads)
+	ids := make([][]int, len(puts))
+	for i, p := range puts {
+		ids[i], flat = flat[:len(p.Payloads)], flat[len(p.Payloads):]
 	}
-	writeJSON(w, http.StatusCreated, map[string]map[string][]int{"ids": out})
+	writeJSON(w, http.StatusCreated, map[string][][]int{"ids": ids})
 }
 
 // handleSelect serves the one select route: ?versions=a,b,… with an

@@ -426,8 +426,8 @@ func TestErrorMapping(t *testing.T) {
 	if err := c.CreateArray(denseSchema("Dup", 8)); err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("duplicate create: %v", err)
 	}
-	// garbage instead of a payload frame
-	resp, err := http.Post(ts.URL+"/v1/arrays/Dup/versions", FrameContentType, strings.NewReader("not a frame"))
+	// garbage instead of a write body
+	resp, err := http.Post(ts.URL+"/v1/write", FrameContentType, strings.NewReader("not a frame"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestErrorMapping(t *testing.T) {
 	big := make([]byte, 13)
 	copy(big, []byte{'A', 'V', 'F', '1', 3})
 	big[5], big[6], big[7] = 0xff, 0xff, 0xff // 16 MB claimed > 1 MB limit
-	resp, err = http.Post(ts.URL+"/v1/arrays/Dup/versions", FrameContentType, strings.NewReader(string(big)))
+	resp, err = http.Post(ts.URL+"/v1/write", FrameContentType, strings.NewReader(string(big)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +578,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	body := string(raw)
 	for _, want := range []string{
 		`avstored_requests_total{route="create",code="201"} 1`,
-		`avstored_requests_total{route="insert",code="201"} 1`,
+		`avstored_requests_total{route="write",code="201"} 1`,
 		`avstored_requests_total{route="select",code="200"} 1`,
 		"avstored_request_duration_seconds_count 3",
 		"avstored_requests_rejected_total 0",
@@ -694,10 +694,10 @@ func TestTuneEndpoint(t *testing.T) {
 	}
 }
 
-// TestInsertBatchRoute drives the batched-insert route end to end: a
-// multi-payload body (dense + delta-list) commits atomically, the ids
-// come back in payload order, every member reads back byte-identical,
-// and a malformed batch body is a 400 that commits nothing.
+// TestInsertBatchRoute drives a many-payload write through the one
+// write route end to end: a dense + delta-list put commits atomically,
+// the ids come back in payload order, every member reads back
+// byte-identical, and a torn body is a 400 that commits nothing.
 func TestInsertBatchRoute(t *testing.T) {
 	_, store, ts := newTestServer(t, Config{})
 	c := client.New(ts.URL)
@@ -714,23 +714,23 @@ func TestInsertBatchRoute(t *testing.T) {
 	next := randDense(rng, side)
 	deltaWant := base.Clone()
 	deltaWant.SetBitsAt([]int64{3, 4}, 4242)
-	ids, err := c.InsertBatch("Batch", []core.Payload{
+	written, err := c.Write(context.Background(), []core.MultiInsert{{Array: "Batch", Payloads: []core.Payload{
 		core.DensePayload(next),
 		core.DeltaListPayload(id, []core.CellUpdate{{Coords: []int64{3, 4}, Bits: 4242}}),
-	})
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 2 || ids[0] != id+1 || ids[1] != id+2 {
-		t.Fatalf("batch ids = %v, want [%d %d]", ids, id+1, id+2)
+	if ids := written[0]; len(written) != 1 || len(ids) != 2 || ids[0] != id+1 || ids[1] != id+2 {
+		t.Fatalf("write ids = %v, want [[%d %d]]", written, id+1, id+2)
 	}
 	for i, want := range []*array.Dense{next, deltaWant} {
-		pl, err := c.Select("Batch", ids[i])
+		pl, err := c.Select("Batch", written[0][i])
 		if err != nil {
-			t.Fatalf("batch member %d: %v", ids[i], err)
+			t.Fatalf("batch member %d: %v", written[0][i], err)
 		}
 		if !pl.Dense.Equal(want) {
-			t.Fatalf("batch member %d corrupted over the wire", ids[i])
+			t.Fatalf("batch member %d corrupted over the wire", written[0][i])
 		}
 	}
 	// remote and embedded agree
@@ -742,14 +742,16 @@ func TestInsertBatchRoute(t *testing.T) {
 		t.Fatalf("embedded store has %d versions, want 3", len(infos))
 	}
 
-	// malformed body: first frame valid, second torn mid-frame → 400,
+	// torn body: first payload frame valid, second torn mid-frame → 400,
 	// nothing committed
-	var body strings.Builder
-	if err := wire.WritePayload(&body, core.DensePayload(randDense(rng, side))); err != nil {
+	var buf bytes.Buffer
+	if err := wire.WriteMultiBatch(&buf, []core.MultiInsert{{Array: "Batch", Payloads: []core.Payload{
+		core.DensePayload(randDense(rng, side)), core.DensePayload(randDense(rng, side)),
+	}}}); err != nil {
 		t.Fatal(err)
 	}
-	torn := body.String() + "AVF1\x03garbage"
-	resp, err := http.Post(ts.URL+"/v1/arrays/Batch/versions/batch", FrameContentType, strings.NewReader(torn))
+	torn := buf.Bytes()[:buf.Len()-100]
+	resp, err := http.Post(ts.URL+"/v1/write", FrameContentType, bytes.NewReader(torn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -762,16 +764,18 @@ func TestInsertBatchRoute(t *testing.T) {
 	}
 }
 
-// TestInsertMultiRoute drives the cross-array batch route end to end:
-// one /v1/batch request spanning three arrays commits atomically, the
-// per-array id map comes back in payload order, every member reads
-// back byte-identical from both the remote and the embedded store, and
-// a torn multi-batch body is a 400 that commits nothing anywhere.
+// TestInsertMultiRoute drives a cross-array write end to end: one
+// /v1/write request spanning three arrays commits atomically, the ids
+// come back per put in put order and payload order, every member reads
+// back byte-identical from both the remote and the embedded store, a
+// torn body is a 400 that commits nothing anywhere, and a write naming
+// one array twice is refused.
 func TestInsertMultiRoute(t *testing.T) {
 	_, store, ts := newTestServer(t, Config{})
 	c := client.New(ts.URL)
 	const side = 24
-	for _, name := range []string{"MulA", "MulB", "MulC"} {
+	names := []string{"MulC", "MulA", "MulB"} // put order is not name order
+	for _, name := range names {
 		if err := c.CreateArray(denseSchema(name, side)); err != nil {
 			t.Fatal(err)
 		}
@@ -782,33 +786,34 @@ func TestInsertMultiRoute(t *testing.T) {
 		"MulB": {randDense(rng, side)},
 		"MulC": {randDense(rng, side)},
 	}
-	batches := make([]core.MultiInsert, 0, len(want))
-	for _, name := range []string{"MulA", "MulB", "MulC"} {
+	puts := make([]core.MultiInsert, 0, len(want))
+	for _, name := range names {
 		var ps []core.Payload
 		for _, d := range want[name] {
 			ps = append(ps, core.DensePayload(d))
 		}
-		batches = append(batches, core.MultiInsert{Array: name, Payloads: ps})
+		puts = append(puts, core.MultiInsert{Array: name, Payloads: ps})
 	}
-	ids, err := c.InsertMulti(batches)
+	ids, err := c.Write(context.Background(), puts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 3 {
-		t.Fatalf("id map covers %d arrays, want 3", len(ids))
+		t.Fatalf("write answered %d puts, want 3", len(ids))
 	}
-	for name, ds := range want {
-		got := ids[name]
+	for i, name := range names {
+		ds := want[name]
+		got := ids[i]
 		if len(got) != len(ds) {
 			t.Fatalf("%s: %d ids, want %d", name, len(got), len(ds))
 		}
-		for i, d := range ds {
-			pl, err := c.Select(name, got[i])
+		for j, d := range ds {
+			pl, err := c.Select(name, got[j])
 			if err != nil {
-				t.Fatalf("%s@%d: %v", name, got[i], err)
+				t.Fatalf("%s@%d: %v", name, got[j], err)
 			}
 			if !pl.Dense.Equal(d) {
-				t.Fatalf("%s@%d corrupted over the wire", name, got[i])
+				t.Fatalf("%s@%d corrupted over the wire", name, got[j])
 			}
 		}
 		infos, err := store.Versions(name)
@@ -820,8 +825,8 @@ func TestInsertMultiRoute(t *testing.T) {
 		}
 	}
 
-	// torn multi body: valid part table, last payload frame truncated →
-	// 400, and no array gains a version
+	// torn body: valid part table, last payload frame truncated → 400,
+	// and no array gains a version
 	var buf bytes.Buffer
 	if err := wire.WriteMultiBatch(&buf, []core.MultiInsert{
 		{Array: "MulA", Payloads: []core.Payload{core.DensePayload(randDense(rng, side))}},
@@ -830,27 +835,32 @@ func TestInsertMultiRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	torn := buf.Bytes()[:buf.Len()-9]
-	resp, err := http.Post(ts.URL+"/v1/batch", FrameContentType, bytes.NewReader(torn))
+	resp, err := http.Post(ts.URL+"/v1/write", FrameContentType, bytes.NewReader(torn))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("torn multi batch answered %d, want 400", resp.StatusCode)
+		t.Fatalf("torn write answered %d, want 400", resp.StatusCode)
+	}
+	// one array twice: refused before anything is staged
+	one := []core.Payload{core.DensePayload(randDense(rng, side))}
+	if _, err := c.Write(context.Background(), []core.MultiInsert{{Array: "MulA", Payloads: one}, {Array: "MulA", Payloads: one}}); err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("write naming one array twice: %v, want a 400", err)
 	}
 	for name, ds := range want {
 		if infos, _ := store.Versions(name); len(infos) != len(ds) {
-			t.Fatalf("torn multi batch committed into %s: %d versions", name, len(infos))
+			t.Fatalf("a refused write committed into %s: %d versions", name, len(infos))
 		}
 	}
 }
 
 // TestIdempotencyKeyScopedByRoute is the regression for the dedupe-key
 // collision: the replay table must scope the client's Idempotency-Key
-// by method+path, so reusing one key against two different arrays (or
-// two different routes) commits twice instead of replaying the first
-// array's ids against the second. Only an exact method+path+key match
-// replays.
+// by the write's part table, so reusing one key against two different
+// arrays commits twice instead of replaying the first array's ids
+// against the second, and each put of a genuine retry replays its own
+// ids.
 func TestIdempotencyKeyScopedByRoute(t *testing.T) {
 	_, store, ts := newTestServer(t, Config{})
 	c := client.New(ts.URL)
@@ -861,13 +871,13 @@ func TestIdempotencyKeyScopedByRoute(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(9))
-	post := func(name string, d *array.Dense) (*http.Response, int) {
+	post := func(puts []core.MultiInsert) (*http.Response, [][]int) {
 		t.Helper()
-		var body strings.Builder
-		if err := wire.WritePayload(&body, core.DensePayload(d)); err != nil {
+		var body bytes.Buffer
+		if err := wire.WriteMultiBatch(&body, puts); err != nil {
 			t.Fatal(err)
 		}
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/arrays/"+name+"/versions", strings.NewReader(body.String()))
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/write", &body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -879,37 +889,45 @@ func TestIdempotencyKeyScopedByRoute(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("POST %s: status %d", name, resp.StatusCode)
+			t.Fatalf("POST %v: status %d", puts, resp.StatusCode)
 		}
 		var out struct {
-			ID int `json:"id"`
+			IDs [][]int `json:"ids"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}
-		return resp, out.ID
+		return resp, out.IDs
+	}
+	put := func(name string, n int) core.MultiInsert {
+		p := core.MultiInsert{Array: name}
+		for i := 0; i < n; i++ {
+			p.Payloads = append(p.Payloads, core.DensePayload(randDense(rng, side)))
+		}
+		return p
 	}
 
-	dA, dB := randDense(rng, side), randDense(rng, side)
-	respA, idA := post("IdemA", dA)
-	if respA.Header.Get("Idempotency-Replayed") != "" {
-		t.Fatal("first insert claims to be a replay")
+	both := []core.MultiInsert{put("IdemA", 1), put("IdemB", 2)}
+	respAB, idsAB := post(both)
+	if respAB.Header.Get("Idempotency-Replayed") != "" {
+		t.Fatal("first write claims to be a replay")
 	}
-	// same key, different array: a fresh commit, never a replay of IdemA
-	respB, _ := post("IdemB", dB)
+	// same key, a different array: a fresh commit, never a replay
+	respB, _ := post([]core.MultiInsert{put("IdemB", 1)})
 	if respB.Header.Get("Idempotency-Replayed") != "" {
-		t.Fatal("same key against a different array replayed instead of committing")
+		t.Fatal("same key against a different part table replayed instead of committing")
 	}
-	if infos, _ := store.Versions("IdemB"); len(infos) != 1 {
-		t.Fatalf("IdemB has %d versions, want 1 (cross-array key collision swallowed the insert)", len(infos))
+	if infos, _ := store.Versions("IdemB"); len(infos) != 3 {
+		t.Fatalf("IdemB has %d versions, want 3 (a key collision swallowed the write)", len(infos))
 	}
-	// same key, same route: genuine retry, replayed with the same id
-	respA2, idA2 := post("IdemA", dA)
-	if respA2.Header.Get("Idempotency-Replayed") != "true" {
-		t.Fatal("retry of the same key+route was not replayed")
+	// same key, same part table: a genuine retry, each put replayed with
+	// its own ids
+	respAB2, idsAB2 := post(both)
+	if respAB2.Header.Get("Idempotency-Replayed") != "true" {
+		t.Fatal("retry of the same key and part table was not replayed")
 	}
-	if idA2 != idA {
-		t.Fatalf("replay returned id %d, want %d", idA2, idA)
+	if fmt.Sprint(idsAB2) != fmt.Sprint(idsAB) {
+		t.Fatalf("replay returned ids %v, want %v", idsAB2, idsAB)
 	}
 	if infos, _ := store.Versions("IdemA"); len(infos) != 1 {
 		t.Fatalf("IdemA has %d versions after replay, want 1", len(infos))
@@ -1008,11 +1026,11 @@ func TestDegradedRetryAfterFromHealInterval(t *testing.T) {
 		}
 	}
 
-	var body strings.Builder
-	if err := wire.WritePayload(&body, core.DensePayload(randDense(rng, side))); err != nil {
+	var body bytes.Buffer
+	if err := wire.WriteMultiBatch(&body, []core.MultiInsert{{Array: "Deg", Payloads: []core.Payload{core.DensePayload(randDense(rng, side))}}}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/arrays/Deg/versions", FrameContentType, strings.NewReader(body.String()))
+	resp, err := http.Post(ts.URL+"/v1/write", FrameContentType, &body)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,7 +184,7 @@ func FromContext(ctx context.Context) *Trace {
 // enough for per-chunk observations on the select hot path. Bounds are
 // upper bucket bounds in ascending order; one overflow bucket is added.
 // The zero unit is whatever the caller observes (seconds for latency
-// histograms, versions for the group-commit batch size).
+// histograms, versions per commit record).
 type Histogram struct {
 	bounds  []float64
 	counts  []atomic.Int64 // len(bounds)+1; last is +Inf

@@ -388,80 +388,26 @@ func ReadPayload(r io.Reader, max int64) (core.Payload, error) {
 	return DecodePayload(blob)
 }
 
-// WritePayloadBatch writes a batched-insert request body: one
-// KindPayload frame per payload, back to back. Each frame is
-// individually length-prefixed and size-bounded, so a batch needs no
-// container framing of its own — the stream ends when the body does.
-func WritePayloadBatch(w io.Writer, ps []core.Payload) error {
-	if len(ps) == 0 {
-		return errors.New("wire: empty payload batch")
-	}
-	for _, p := range ps {
-		if err := WritePayload(w, p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MaxBatchPayloads bounds the number of frames ReadPayloadBatch will
-// decode from one batch body, so a hostile endless stream of small
-// valid frames cannot accumulate unbounded decoded payloads (each
-// frame is already size-bounded individually; servers additionally
-// bound the total body bytes).
+// MaxBatchPayloads bounds the number of payload frames ReadMultiBatch
+// will decode from one write body, so a hostile endless stream of small
+// valid frames cannot accumulate unbounded decoded payloads (each frame
+// is already size-bounded individually; servers additionally bound the
+// total body bytes).
 const MaxBatchPayloads = 4096
 
-// ReadPayloadBatch reads KindPayload frames until EOF. A clean EOF at a
-// frame boundary ends the batch (detected with a one-byte peek, since a
-// mid-header EOF must stay an error); a truncated frame, an oversized
-// frame, or a foreign frame kind is an error, and an empty body is
-// rejected (an empty batched insert is always a caller bug). Each frame
-// is bounded by max individually and the batch by MaxBatchPayloads.
-func ReadPayloadBatch(r io.Reader, max int64) ([]core.Payload, error) {
-	var ps []core.Payload
-	var peek [1]byte
-	for {
-		if _, err := io.ReadFull(r, peek[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				if len(ps) == 0 {
-					return nil, errors.New("wire: empty payload batch")
-				}
-				return ps, nil
-			}
-			return nil, fmt.Errorf("wire: read payload batch: %w", err)
-		}
-		if len(ps) >= MaxBatchPayloads {
-			return nil, fmt.Errorf("wire: payload batch exceeds %d frames", MaxBatchPayloads)
-		}
-		kind, blob, err := ReadFrame(io.MultiReader(bytes.NewReader(peek[:]), r), max)
-		if err != nil {
-			return nil, err
-		}
-		if kind != KindPayload {
-			return nil, fmt.Errorf("wire: expected a payload frame, got kind %d", kind)
-		}
-		p, err := DecodePayload(blob)
-		if err != nil {
-			return nil, err
-		}
-		ps = append(ps, p)
-	}
-}
+// --- write bodies ---
 
-// --- multi-array atomic batches ---
-
-// MultiPart names one array's slice of a multi-array batch body: the
-// next Count payload frames after the header belong to array Name.
+// MultiPart names one put of a write body: the next Count payload
+// frames after the header belong to array Name.
 type MultiPart struct {
 	Name  string `json:"name"`
 	Count int    `json:"count"`
 }
 
-// WriteMultiBatch writes a multi-array atomic-insert request body: one
-// KindMultiHeader frame holding the JSON part table, then each part's
-// payloads as back-to-back KindPayload frames, in part order. The
-// server commits the whole body under one manifest commit point
-// (Store.InsertMulti).
+// WriteMultiBatch writes a write request body: one KindMultiHeader
+// frame holding the JSON part table, then each part's payloads as
+// back-to-back KindPayload frames, in part order. The server commits the
+// whole body under one manifest commit point (Store.Write).
 func WriteMultiBatch(w io.Writer, batches []core.MultiInsert) error {
 	if len(batches) == 0 {
 		return errors.New("wire: empty multi batch")

@@ -319,60 +319,79 @@ func TestPayloadTruncated(t *testing.T) {
 	}
 }
 
+// TestPayloadBatchRoundTrip round-trips a write body: two puts, the
+// first with three payloads of mixed forms.
 func TestPayloadBatchRoundTrip(t *testing.T) {
-	ps := []core.Payload{
-		core.DensePayload(testDense(t)),
-		core.DeltaListPayload(1, []core.CellUpdate{{Coords: []int64{2, 3}, Bits: 99}}),
-		core.DensePayload(testDense(t)),
+	puts := []core.MultiInsert{
+		{Array: "B", Payloads: []core.Payload{
+			core.DensePayload(testDense(t)),
+			core.DeltaListPayload(1, []core.CellUpdate{{Coords: []int64{2, 3}, Bits: 99}}),
+			core.DensePayload(testDense(t)),
+		}},
+		{Array: "A", Payloads: []core.Payload{core.DensePayload(testDense(t))}},
 	}
 	var buf bytes.Buffer
-	if err := WritePayloadBatch(&buf, ps); err != nil {
+	if err := WriteMultiBatch(&buf, puts); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPayloadBatch(bytes.NewReader(buf.Bytes()), 0)
+	got, err := ReadMultiBatch(bytes.NewReader(buf.Bytes()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(ps) {
-		t.Fatalf("decoded %d payloads, want %d", len(got), len(ps))
+	if len(got) != 2 || got[0].Array != "B" || got[1].Array != "A" || len(got[0].Payloads) != 3 || len(got[1].Payloads) != 1 {
+		t.Fatalf("decoded part table %+v, want B×3 then A×1", got)
 	}
-	if !got[0].Planes[0].Dense.Equal(ps[0].Planes[0].Dense) {
+	ps := got[0].Payloads
+	if !ps[0].Planes[0].Dense.Equal(puts[0].Payloads[0].Planes[0].Dense) {
 		t.Fatal("batch member 0 corrupted")
 	}
-	if got[1].DeltaBase != 1 || len(got[1].Updates) != 1 || got[1].Updates[0].Bits != 99 {
-		t.Fatalf("batch member 1 corrupted: %+v", got[1])
+	if ps[1].DeltaBase != 1 || len(ps[1].Updates) != 1 || ps[1].Updates[0].Bits != 99 {
+		t.Fatalf("batch member 1 corrupted: %+v", ps[1])
 	}
 }
 
+// TestPayloadBatchRejectsEmptyAndTruncated: an empty write, an empty
+// put, a repeated array, a body cut mid-frame, a foreign frame kind and
+// trailing bytes are all errors, never a silently shorter write.
 func TestPayloadBatchRejectsEmptyAndTruncated(t *testing.T) {
-	if err := WritePayloadBatch(io.Discard, nil); err == nil {
-		t.Fatal("empty batch encoded")
+	one := []core.Payload{core.DensePayload(testDense(t))}
+	if err := WriteMultiBatch(io.Discard, nil); err == nil {
+		t.Fatal("empty write encoded")
 	}
-	if _, err := ReadPayloadBatch(bytes.NewReader(nil), 0); err == nil {
-		t.Fatal("empty batch body decoded")
+	if err := WriteMultiBatch(io.Discard, []core.MultiInsert{{Array: "A"}}); err == nil {
+		t.Fatal("empty put encoded")
 	}
-	// a batch cut mid-frame must error, not silently shorten
+	if _, err := ReadMultiBatch(bytes.NewReader(nil), 0); err == nil {
+		t.Fatal("empty body decoded")
+	}
+	var dup bytes.Buffer
+	if err := WriteMultiBatch(&dup, []core.MultiInsert{{Array: "A", Payloads: one}, {Array: "A", Payloads: one}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadMultiBatch(bytes.NewReader(dup.Bytes()), 0); err == nil {
+		t.Fatal("write naming one array twice decoded cleanly")
+	}
 	var buf bytes.Buffer
-	if err := WritePayloadBatch(&buf, []core.Payload{
-		core.DensePayload(testDense(t)),
-		core.DensePayload(testDense(t)),
-	}); err != nil {
+	if err := WriteMultiBatch(&buf, []core.MultiInsert{{Array: "A", Payloads: append(one, one...)}}); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-7]
-	if _, err := ReadPayloadBatch(bytes.NewReader(cut), 0); err == nil {
-		t.Fatal("truncated batch decoded cleanly")
+	if _, err := ReadMultiBatch(bytes.NewReader(cut), 0); err == nil {
+		t.Fatal("truncated write decoded cleanly")
 	}
-	// a foreign frame kind inside the batch is rejected
+	if _, err := ReadMultiBatch(bytes.NewReader(append(buf.Bytes(), 0)), 0); err == nil {
+		t.Fatal("write with trailing bytes decoded cleanly")
+	}
+	// a foreign frame kind where a payload belongs is rejected
 	var mixed bytes.Buffer
-	if err := WritePayload(&mixed, core.DensePayload(testDense(t))); err != nil {
+	if err := WriteFrame(&mixed, KindMultiHeader, []byte(`[{"name":"A","count":1}]`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := WritePlane(&mixed, core.Plane{Dense: testDense(t)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadPayloadBatch(bytes.NewReader(mixed.Bytes()), 0); err == nil {
-		t.Fatal("batch with a foreign frame kind decoded cleanly")
+	if _, err := ReadMultiBatch(bytes.NewReader(mixed.Bytes()), 0); err == nil {
+		t.Fatal("write with a foreign frame kind decoded cleanly")
 	}
 }
 
