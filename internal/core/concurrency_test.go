@@ -121,7 +121,8 @@ func TestCacheServesRepeatedSelects(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.ResetStats()
+	s = reopen(t, s)
+	defer s.Close()
 	if _, err := s.Select("H", 4); err != nil {
 		t.Fatal(err)
 	}

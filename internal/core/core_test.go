@@ -24,6 +24,21 @@ func testStore(t *testing.T, opts Options) *Store {
 	return s
 }
 
+// reopen closes s and opens its directory again with the same options:
+// a store whose decoded-chunk cache is cold, since every committed write
+// leaves its chunks in it.
+func reopen(t *testing.T, s *Store) *Store {
+	t.Helper()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(s.Dir(), s.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func smallOpts() Options {
 	o := DefaultOptions()
 	o.ChunkBytes = 1 << 12 // 4 KB chunks so tests exercise multi-chunk paths

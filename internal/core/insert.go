@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"arrayvers/internal/array"
+	"arrayvers/internal/cache"
 	"arrayvers/internal/compress"
 	"arrayvers/internal/delta"
 	"arrayvers/internal/trace"
@@ -121,9 +122,8 @@ func DeltaListPayload(base int, updates []CellUpdate) Payload {
 // chunk directory of the generation it pinned, the representation it
 // encodes with, the write-set recording its appends,
 // and a per-stage chunk memo so repeated base reads walk each delta
-// chain once. Cache puts through ctx.v are always suppressed (noCache):
-// staged version ids are not committed and must never become visible
-// through the store-wide LRU.
+// chain once. A write's view reads the LRU but never admits to it
+// (noAdmit); its own chunks reach the LRU through head, on commit.
 type insertCtx struct {
 	st    *arrayState
 	v     *readView
@@ -131,6 +131,9 @@ type insertCtx struct {
 	qc    *chunkCache
 	dir   string
 	goCtx context.Context // caller's cancellation; nil means Background
+	// head (a write with a cache) collects the dense chunks encodePlane
+	// slices out, keyed but for the epoch; nothing writes them after
+	head map[cache.Key]*array.Dense
 	// the array's representation: open until the first version of an
 	// empty array fixes it (repFixed), then binding on every payload
 	repFixed bool
@@ -295,6 +298,7 @@ type stagedInsert struct {
 	fill   int64
 	gen    int // chunk generation the blobs were appended into
 	ws     *writeSet
+	head   map[cache.Key]*array.Dense // insertCtx.head, admitted on commit
 }
 
 // errStagingInvalidated is what a commit reports for a staging that no
@@ -440,7 +444,7 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 		return nil, fmt.Errorf("core: no array %q", name)
 	}
 	v := s.viewLocked(st)
-	v.noCache = true
+	v.noAdmit = true
 	repFixed := len(st.Versions) > 0
 	sparse, fill := st.SparseRep, st.Fill
 	// stageNext runs ahead of the committed NextID while the previous
@@ -460,6 +464,9 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 		ins.ids[j] = baseID + j
 	}
 	ictx := &insertCtx{st: st, v: v, ws: ins.ws, qc: newChunkCache(), dir: v.dir, repFixed: repFixed, sparse: sparse, fill: fill, goCtx: ctx}
+	if s.chunkCache != nil {
+		ictx.head = map[cache.Key]*array.Dense{}
+	}
 	fail := func(err error) (*stagedInsert, error) {
 		s.discardStaged(ins)
 		s.noteDiskPressure(err) // staging failures are benign, ENOSPC is not
@@ -479,7 +486,7 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 	encDur := time.Since(encStart)
 	s.prof.observeCommit(StageStageEncode, encDur, ins.ws.totalBytes())
 	trace.FromContext(ctx).Observe(StageStageEncode, encDur, ins.ws.totalBytes())
-	ins.sparse, ins.fill = ictx.sparse, ictx.fill
+	ins.sparse, ins.fill, ins.head = ictx.sparse, ictx.fill, ictx.head
 	return ins, nil
 }
 
@@ -602,13 +609,23 @@ func (s *Store) finalizeBatch(tr *trace.Trace, staged []*stagedInsert) error {
 		return err
 	}
 	t0 = time.Now()
+	epochs := make([]uint64, len(staged))
 	s.mu.Lock()
 	for i, ins := range staged {
 		ins.st.mutateLocked()
 		ins.st.installMeta(*ops[i].Meta)
+		epochs[i] = s.epochs[ins.st.Schema.Name]
 	}
 	s.addGroupCommit(installed)
 	s.mu.Unlock()
+	// write-through: the committed chunks are the next write's delta base
+	// (the retained head); every commitMu is still held, so no epoch moved
+	for i, ins := range staged {
+		for k, d := range ins.head {
+			k.Epoch = epochs[i]
+			s.chunkCache.Put(k, d)
+		}
+	}
 	observe(StageInstall, t0, 0)
 	s.prof.batchSize.Observe(float64(installed))
 	return nil
@@ -869,12 +886,14 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Pla
 	// state is the write-set and the I/O counters, both internally locked.
 	origins := ck.All()
 	results := make([]chunkEntry, len(origins))
+	targets := make([]*array.Dense, len(origins))
 	err = forEachLimit(ctx.context(), len(origins), s.opts.Parallelism, func(i int) error {
 		box := ck.Box(origins[i])
 		target, err := pl.Dense.Slice(box)
 		if err != nil {
 			return err
 		}
+		targets[i] = target
 		payload := target.Bytes()
 		entryBase := -1
 		if baseID > 0 {
@@ -908,6 +927,9 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Pla
 	entries := make(map[string]chunkEntry, len(origins))
 	for i, origin := range origins {
 		entries[ck.Key(origin)] = results[i]
+		if ctx.head != nil {
+			ctx.head[cache.Key{Array: ctx.st.Schema.Name, Version: id, Attr: attr.Name, Chunk: ck.Key(origin)}] = targets[i]
+		}
 	}
 	return entries, nil
 }

@@ -367,8 +367,18 @@ func TestInsertBatchAtomicAndChained(t *testing.T) {
 // name order and their hand-over to the commit latches. Every
 // acknowledged write must read back byte-identical, every array's ids
 // must be contiguous, every write must be exactly one commit record, and
-// a recovery reopen must agree with the live store.
+// a recovery reopen must agree with the live store. It runs without a
+// cache and with one small enough to evict: committed writes admit their
+// chunks concurrently with the next writers reading their delta bases.
 func TestGroupCommitStress(t *testing.T) {
+	for _, cacheBytes := range []int64{0, 64 << 10} {
+		t.Run(fmt.Sprintf("cache=%d", cacheBytes), func(t *testing.T) {
+			groupCommitStress(t, cacheBytes)
+		})
+	}
+}
+
+func groupCommitStress(t *testing.T, cacheBytes int64) {
 	const (
 		writers    = 8
 		arrays     = 4
@@ -380,6 +390,7 @@ func TestGroupCommitStress(t *testing.T) {
 	opts := smallOpts()
 	opts.ChunkBytes = 1 << 10
 	opts.Durability = true
+	opts.CacheBytes = cacheBytes
 	s := testStore(t, opts)
 	for a := 0; a < arrays; a++ {
 		if err := s.CreateArray(schema2D(fmt.Sprintf(arrayNameF, a), side)); err != nil {
@@ -449,6 +460,9 @@ func TestGroupCommitStress(t *testing.T) {
 	versions := int64((writers + 2*len(pairs)) * perWriter)
 	if st.GroupCommits != writes || st.GroupCommitVersions != versions {
 		t.Fatalf("%d commit records installing %d versions, want %d and %d", st.GroupCommits, st.GroupCommitVersions, writes, versions)
+	}
+	if cacheBytes > 0 && (st.CacheHits == 0 || st.CacheEvictions == 0) {
+		t.Fatalf("the cache saw %d hits and %d evictions, want both", st.CacheHits, st.CacheEvictions)
 	}
 	for a := 0; a < arrays; a++ {
 		for id := 1; id <= len(committed[a]); id++ {

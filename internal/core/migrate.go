@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"arrayvers/internal/chunk"
 	"arrayvers/internal/fsio"
 )
 
@@ -127,8 +128,21 @@ func Migrate(dir string, fsys fsio.FS) (MigrateReport, error) {
 		return rep, err
 	}
 	rep.Swept = opened.Recovery().RemovedFiles
-	return rep, opened.Close()
+	for i := 0; rep.Migrated && i < len(names); i++ {
+		if vr, verr := opened.Verify(names[i]); err == nil && (verr != nil || !vr.Ok()) {
+			err = fmt.Errorf("core: migrate: array %q: %w: %v %v", names[i], ErrLegacyCorrupt, verr, vr.Problems)
+		}
+	}
+	if cerr := opened.Close(); err == nil {
+		err = cerr
+	}
+	return rep, err
 }
+
+// ErrLegacyCorrupt is returned (wrapped) by Migrate for legacy metadata
+// that does not describe its chunks; a problem only decoding finds is
+// reported after the commit point, on a migrated directory.
+var ErrLegacyCorrupt = errors.New("core: corrupt legacy store")
 
 // loadLegacyMeta reads the versions.json of every array directory under
 // dir into state. A directory whose name is not the array's own — a
@@ -148,17 +162,35 @@ func loadLegacyMeta(dir string, state map[string]*arrayMeta) error {
 			return fmt.Errorf("core: load array %q: %w", e.Name(), err)
 		}
 		var m arrayMeta
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return fmt.Errorf("core: load array %q: corrupt metadata: %w", e.Name(), err)
+		err = json.Unmarshal(raw, &m)
+		if err == nil {
+			err = m.Schema.Validate()
 		}
-		if err := m.Schema.Validate(); err != nil {
-			return fmt.Errorf("core: load array %q: corrupt metadata: %w", e.Name(), err)
+		if err == nil && !m.SparseRep {
+			err = checkLegacyGrid(&m)
+		}
+		if err != nil {
+			return fmt.Errorf("core: load array %q: %w: %v", e.Name(), ErrLegacyCorrupt, err)
 		}
 		if m.Schema.Name == e.Name() {
 			state[m.Schema.Name] = &m
 		}
 	}
 	return nil
+}
+
+// checkLegacyGrid checks that every live version of a dense document has
+// one entry per chunk of its grid, so Verify walks no more than it names.
+func checkLegacyGrid(m *arrayMeta) error {
+	ck, err := chunk.NewWithSide(m.Schema.Shape(), m.ChunkSide)
+	for i := 0; err == nil && i < len(m.Versions); i++ {
+		for _, attr := range m.Schema.Attrs {
+			if n := len(m.Versions[i].Chunks[attr.Name]); !m.Versions[i].Deleted && int64(n) != ck.Count() {
+				return fmt.Errorf("version %d has %d chunks of %s, its grid %v", m.Versions[i].ID, n, attr.Name, ck.CountPerDim())
+			}
+		}
+	}
+	return err
 }
 
 // reframe copies every live payload of an unframed array into chunk

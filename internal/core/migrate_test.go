@@ -332,6 +332,120 @@ func TestMigrateRejectsCorruptMetadata(t *testing.T) {
 	}
 }
 
+// FuzzMigrate feeds hostile bytes to the offline migration as the
+// unframed array's legacy metadata: each input replaces Raw/versions.json
+// in a copy of the fixture. Migrate must return an error or leave a store
+// that opens and verifies clean — never panic, and never allocate more
+// than the fixture's files and the input can back. Seeds are the
+// fixture's own documents.
+func FuzzMigrate(f *testing.F) {
+	fixture := 0 // bytes in the fixture's files
+	err := filepath.WalkDir(filepath.Join(legacyFixture, "store"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		fixture += len(raw)
+		if d.Name() == metaFile {
+			f.Add(raw)
+		}
+		return err
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		dir := copyLegacyFixture(t)
+		if err := os.WriteFile(filepath.Join(dir, "Raw", metaFile), doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Migrate(dir, nil)
+		runtime.ReadMemStats(&after)
+		if limit := uint64(64*(fixture+len(doc))) + 4<<20; after.TotalAlloc-before.TotalAlloc > limit {
+			t.Fatalf("migrating a %d-byte document allocated %d bytes", len(doc), after.TotalAlloc-before.TotalAlloc)
+		}
+		if err != nil {
+			return
+		}
+		opts := smallOpts()
+		opts.Durability = true
+		s, err := Open(dir, opts)
+		if err != nil {
+			t.Fatalf("the migrated store does not open: %v", err)
+		}
+		defer s.Close()
+		for _, name := range s.ListArrays() {
+			if rep, err := s.Verify(name); err != nil || !rep.Ok() {
+				t.Fatalf("verify %s after migrating: %v %v", name, err, rep.Problems)
+			}
+		}
+	})
+}
+
+// TestMigrateHugeDeclaredPlane: a legacy document whose chunk grid is
+// consistent but whose declared plane (4000² int32, 64 MB) its 144-byte
+// root payloads cannot back fails the migration's closing verify with
+// ErrLegacyCorrupt — decoding chunk by chunk, never allocating the plane.
+// A document whose versions do not fill its grid fails before anything
+// is written.
+func TestMigrateHugeDeclaredPlane(t *testing.T) {
+	for _, fill := range []bool{true, false} {
+		t.Run(fmt.Sprintf("fills-grid=%v", fill), func(t *testing.T) {
+			dir := copyLegacyFixture(t)
+			path := filepath.Join(dir, "Raw", metaFile)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m arrayMeta
+			if err := json.Unmarshal(raw, &m); err != nil {
+				t.Fatal(err)
+			}
+			for i := range m.Schema.Dims {
+				m.Schema.Dims[i].Hi = 3999
+			}
+			m.ChunkSide = []int64{2000, 2000}
+			if !fill {
+				m.ChunkSide = []int64{1000, 1000} // a 4×4 grid; versions hold 4 chunks
+			}
+			rename := map[string]string{
+				"chunk-0-0-5-5": "chunk-0-0-1999-1999", "chunk-0-6-5-11": "chunk-0-2000-1999-3999",
+				"chunk-6-0-11-5": "chunk-2000-0-3999-1999", "chunk-6-6-11-11": "chunk-2000-2000-3999-3999",
+			}
+			for _, vm := range m.Versions {
+				for attr, chunks := range vm.Chunks {
+					renamed := map[string]chunkEntry{}
+					for k, e := range chunks {
+						renamed[rename[k]] = e
+					}
+					vm.Chunks[attr] = renamed
+				}
+			}
+			if raw, err = json.Marshal(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = Migrate(dir, nil)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrLegacyCorrupt) {
+				t.Fatalf("Migrate = %v, want ErrLegacyCorrupt", err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+				t.Fatalf("the failed migration allocated %d bytes", alloc)
+			}
+			if _, err := os.Stat(filepath.Join(dir, currentFile)); fill == errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("after a grid that fills=%v, CURRENT stat = %v", fill, err)
+			}
+		})
+	}
+}
+
 // TestMigrateHostileLength: a legacy chunk entry whose length is
 // negative or far past its file fails the migration with
 // ErrExtentPastEOF before anything is sized by it — never a panic or a

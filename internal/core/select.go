@@ -26,9 +26,11 @@ import (
 // Reconstructed chunks are first looked up in the store-wide LRU
 // (Options.CacheBytes); on a miss the delta chain is walked down to the
 // nearest cached, memoized or materialized plane and applied back up in
-// one private buffer. Only the chunk the query asked for is cached —
+// one private buffer. A read admits only the chunk the query asked for —
 // ancestors are not materialized into the LRU — so a later query for a
-// child of a cached version costs one delta apply.
+// child of a cached version costs one delta apply. Every committed write
+// admits the dense chunks it encoded too (finalizeBatch), so the next
+// insert finds its delta base there instead of walking the chain.
 
 // ReadQuery names what Read returns: the listed versions of one array's
 // attribute (empty Attr means the first), restricted to Box (a zero Box
@@ -314,10 +316,11 @@ const walkReadBytes = 1 << 20
 // most walkReadBytes, one readFrames call each, which coalesces the
 // adjacent frames of a chain file into one pread. It copies the starting
 // plane once into a private buffer and applies the deltas to the buffer
-// in place on the way back. Only the target is admitted to the
-// store-wide cache; with a memo, every intermediate is copied into it,
-// so an ordered multi-version scan decodes each payload once. Cached and memoized planes are shared and never mutated, and
-// none of them aliases a run buffer: deltas apply into the plane.
+// in place on the way back. Only the target is admitted to the LRU, by
+// a view that admits; with a memo, every intermediate is copied into it,
+// so an ordered multi-version scan decodes each payload once. Cached and
+// memoized planes are shared and never mutated, and none of them
+// aliases a run buffer: deltas apply into the plane.
 func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Chunker, origin []int64, local map[int]*array.Dense, tk *opTracker) (*array.Dense, error) {
 	st := v.st
 	key := ck.Key(origin)
@@ -463,9 +466,9 @@ func decodePayload(e chunkEntry, raw []byte, box array.Box, dt array.DataType, t
 }
 
 // cachedChunk looks a reconstructed chunk up in the store-wide cache; nil
-// on a miss or for a no-cache view.
+// on a miss or for a view that does not look up.
 func (s *Store) cachedChunk(v *readView, k cache.Key, tk *opTracker) *array.Dense {
-	if v.noCache {
+	if v.noLookup {
 		return nil
 	}
 	t0 := time.Now()
@@ -481,9 +484,9 @@ func (s *Store) cachedChunk(v *readView, k cache.Key, tk *opTracker) *array.Dens
 }
 
 // admitChunk puts a reconstructed chunk into the store-wide cache,
-// unless the view bypasses it.
+// unless the view does not admit.
 func (s *Store) admitChunk(v *readView, k cache.Key, d *array.Dense) {
-	if !v.noCache {
+	if !v.noAdmit {
 		s.chunkCache.Put(k, d)
 	}
 }
@@ -508,7 +511,7 @@ func (s *Store) resolveSparse(v *readView, id int, attr string, local map[int]sp
 	}
 	st := v.st
 	ckey := cache.Key{Array: st.Schema.Name, Epoch: v.epoch, Version: id, Attr: attr, Chunk: "chunk-full"}
-	if !v.noCache {
+	if !v.noLookup {
 		t0 := time.Now()
 		got, ok := s.chunkCache.Get(ckey)
 		tk.observe(StageCache, time.Since(t0), 0)
@@ -563,7 +566,7 @@ func (s *Store) resolveSparse(v *readView, id int, attr string, local map[int]sp
 	}
 	tk.attr("chunks_decoded", 1)
 	shared := false
-	if !v.noCache {
+	if !v.noAdmit {
 		shared = s.chunkCache.Put(ckey, out)
 	}
 	local[id] = sparseRes{sp: out, shared: shared}

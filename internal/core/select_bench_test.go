@@ -1,6 +1,12 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"arrayvers/internal/array"
+)
 
 // BenchmarkSelectWarm measures selects answered entirely from the
 // decoded-chunk cache: a single-version Select of a cached 4-chunk dense
@@ -73,5 +79,61 @@ func BenchmarkSelectColdChain(b *testing.B) {
 		if _, err := s.Select("C", depth); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkInsertChain measures one insert onto a 16-deep insert-order
+// chain of 512×512 int32 versions (four 256 KiB chunks, co-located),
+// each changing ~3 % of the cells, with the decoded-chunk cache off and
+// on. Off, the insert reads its delta base by walking the whole chain;
+// on, the base is the chunks the previous insert admitted. Every
+// iteration inserts the 17th version and then (untimed) deletes it, so
+// the chain stays 16 deep.
+func BenchmarkInsertChain(b *testing.B) {
+	const side, depth = 512, 16
+	rng := rand.New(rand.NewSource(87))
+	cur := array.MustDense(array.Int32, []int64{side, side})
+	for i := int64(0); i < cur.NumCells(); i++ {
+		cur.SetBits(i, int64(rng.Intn(1<<20)))
+	}
+	versions := make([]*array.Dense, depth+1)
+	for v := range versions {
+		versions[v] = cur.Clone()
+		for k := int64(0); k < cur.NumCells()*3/100; k++ {
+			cur.SetBits(rng.Int63n(cur.NumCells()), int64(rng.Intn(1<<20)))
+		}
+	}
+	for _, cacheBytes := range []int64{0, DefaultCacheBytes} {
+		b.Run(fmt.Sprintf("cache=%v", cacheBytes > 0), func(b *testing.B) {
+			opts := DefaultOptions()
+			opts.ChunkBytes = 256 << 10
+			opts.CacheBytes = cacheBytes
+			s, err := Open(b.TempDir(), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.CreateArray(schema2D("I", side)); err != nil {
+				b.Fatal(err)
+			}
+			for _, v := range versions[:depth] {
+				if _, err := s.Insert("I", DensePayload(v)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id, err := s.Insert("I", DensePayload(versions[depth]))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := s.DeleteVersion("I", id); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -29,12 +29,11 @@ type readView struct {
 	// ids lists the live version IDs in version order (the order
 	// Reorganize and the materialization matrix use).
 	ids []int
-	// noCache bypasses the store-wide decoded-chunk LRU for reads
-	// through this view. Bulk scans that decode every version — tuner
-	// cost estimation, rewrite plane loads — would otherwise evict the
-	// clients' hot working set and skew the hit-rate counters; they
-	// memoize within the scan (chunkCache) instead.
-	noCache bool
+	// noLookup and noAdmit keep reads through this view from reading and
+	// writing the store-wide LRU: bulk scans set both (and memoize in a
+	// chunkCache); a staging view reads its delta base from the LRU but
+	// sets noAdmit, since its staged ids must never show there.
+	noLookup, noAdmit bool
 	// byID holds the cloned live version metadata.
 	byID map[int]*versionMeta
 }
@@ -110,7 +109,7 @@ func (s *Store) snapshotUncached(name string) (*readView, func(), error) {
 		return nil, nil, fmt.Errorf("core: no array %q", name)
 	}
 	v := s.viewLocked(st)
-	v.noCache = true
+	v.noLookup, v.noAdmit = true, true
 	st.ioMu.RLock()
 	s.mu.RUnlock()
 	return v, st.ioMu.RUnlock, nil
@@ -119,15 +118,15 @@ func (s *Store) snapshotUncached(name string) (*readView, func(), error) {
 // viewOfMeta builds a readView over a staged metadata document: reads
 // resolve against the staged version set and the generation it names.
 // Staged versions' payloads are already on disk (appends precede the
-// commit), so the view can decode them before the install. Cache puts
-// are suppressed: staged version ids are not committed yet and must
-// never become visible through the store-wide LRU.
+// commit), so the view can decode them before the install. It bypasses
+// the store-wide LRU both ways: it has no epoch to look up with, and
+// staged version ids must never become visible through the LRU.
 func (s *Store) viewOfMeta(st *arrayState, m *arrayMeta) *readView {
 	v := &readView{
-		st:      st,
-		dir:     filepath.Join(st.dir, chunksDirName(m.Gen)),
-		noCache: true,
-		byID:    make(map[int]*versionMeta),
+		st:       st,
+		dir:      filepath.Join(st.dir, chunksDirName(m.Gen)),
+		noLookup: true, noAdmit: true,
+		byID: make(map[int]*versionMeta),
 	}
 	for _, vm := range m.Versions {
 		if vm.Deleted {
