@@ -201,7 +201,9 @@ func (o *Options) fillDefaults() {
 // I/O (lockorder checks this). Destructive rewrites (Reorganize,
 // Compact, DeleteArray) then take the per-array ioMu write latch, with
 // mu released, so they cannot pull chunk files out from under an
-// in-flight reader.
+// in-flight reader. A read opens the chunk files it touches and closes
+// them before it releases ioMu, so the Store holds no file handle of
+// its own.
 type Store struct {
 	mu     sync.RWMutex
 	dir    string
@@ -229,10 +231,6 @@ type Store struct {
 
 	// chunkCache is the store-wide decoded-chunk LRU (nil when disabled).
 	chunkCache *cache.Cache
-
-	// files caches read-only chunk file handles per generation (see
-	// chunkFiles in io.go).
-	files chunkFiles
 
 	// tuner is the background auto-tune loop (nil unless
 	// Options.AutoTune.Interval > 0). Stopped by Close.
@@ -496,8 +494,6 @@ func (s *Store) Close() error {
 		st.ioMu.Lock()
 		st.ioMu.Unlock()
 	}
-	// with every latch drained no read can be in flight on a handle
-	s.files.closeAll()
 	return nil
 }
 
@@ -975,11 +971,10 @@ func (s *Store) deleteArrayLatched(st *arrayState) error {
 	s.epochs[name]++
 	s.mu.Unlock()
 	// post-commit garbage collection, with no store lock held: drain the
-	// readers that snapshotted before the removal, then close the
-	// generation's handles and remove the tree. A failure just leaves an
-	// unreferenced directory for the next durable open's root sweep.
+	// readers that snapshotted before the removal, then remove the tree.
+	// A failure just leaves an unreferenced directory for the next
+	// durable open's root sweep.
 	st.ioMu.Lock()
-	s.files.retire(st.chunksDir())
 	_ = s.fs.RemoveAll(st.dir)
 	s.chunkCache.InvalidateArray(name)
 	st.ioMu.Unlock()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -26,82 +28,11 @@ func chunkDirs(t *testing.T, storeDir, name string) []string {
 	return dirs
 }
 
-// openHandles reports how many chunk file handles the table holds for
-// one generation directory.
-func openHandles(tab *chunkFiles, dir string) int {
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
-	return len(tab.gens[dir])
-}
-
 // liveChunksDir returns the committed generation directory of an array.
 func liveChunksDir(s *Store, name string) string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.arrays[name].chunksDir()
-}
-
-// TestChunkFilesTable unit-tests the chunk handle table: one handle per
-// file, retire closes a generation's handles and a later lookup opens a
-// fresh set, forget closes one file's handle, and closeAll is
-// idempotent.
-func TestChunkFilesTable(t *testing.T) {
-	gen := t.TempDir()
-	for _, name := range []string{"a", "b"} {
-		if err := os.WriteFile(filepath.Join(gen, name), []byte(name), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var tab chunkFiles
-	fa, err := tab.open(gen, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, _ := tab.open(gen, "a"); again != fa {
-		t.Fatal("second open of one file returned a different handle")
-	}
-	if _, err := tab.open(gen, "b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.open(gen, "missing"); err == nil {
-		t.Fatal("open of a missing file succeeded")
-	}
-	if got := openHandles(&tab, gen); got != 2 {
-		t.Fatalf("handles = %d, want 2 (a failed open caches nothing)", got)
-	}
-
-	tab.retire(gen)
-	if got := openHandles(&tab, gen); got != 0 {
-		t.Fatalf("handles after retire = %d, want 0", got)
-	}
-	if _, err := fa.ReadAt(make([]byte, 1), 0); err == nil {
-		t.Fatal("retire left a handle open")
-	}
-	fresh, err := tab.open(gen, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh == fa {
-		t.Fatal("lookup after retire returned the retired handle")
-	}
-
-	tab.forget(filepath.Join(gen, "a"))
-	if _, err := fresh.ReadAt(make([]byte, 1), 0); err == nil {
-		t.Fatal("forget left the handle open")
-	}
-	if got := openHandles(&tab, gen); got != 0 {
-		t.Fatalf("handles after forget = %d, want 0", got)
-	}
-
-	fb, err := tab.open(gen, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab.closeAll()
-	tab.closeAll() // idempotent
-	if _, err := fb.ReadAt(make([]byte, 1), 0); err == nil {
-		t.Fatal("closeAll left a handle open")
-	}
 }
 
 // TestFailedStageDoesNotPoisonReads is the stale-handle regression: the
@@ -142,65 +73,84 @@ func TestFailedStageDoesNotPoisonReads(t *testing.T) {
 	}
 }
 
-// TestChunkHandlesBounded pins the read path's resource bound: a
-// generation holds one handle per chunk file however many versions its
-// chain files grow by, a retired generation holds none, and Close leaves
-// no descriptor open under the store directory.
-func TestChunkHandlesBounded(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, smallOpts()) // co-located; 4 KB chunks
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.CreateArray(schema2D("H", 64)); err != nil { // 4 chunks
-		t.Fatal(err)
-	}
-	versions := evolvingVersions(64, 64, 32)
-	for i, v := range versions {
-		if _, err := s.Insert("H", DensePayload(v)); err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.Select("H", i+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Dense.Equal(v) {
-			t.Fatalf("round %d: version %d mismatch", i, i+1)
-		}
-		if n := openHandles(&s.files, liveChunksDir(s, "H")); n != 4 {
-			t.Fatalf("round %d: generation holds %d handles, want 4", i, n)
-		}
-	}
-	old := liveChunksDir(s, "H")
-	if err := s.Reorganize("H", ReorganizeOptions{Policy: PolicyLinearChain}); err != nil {
-		t.Fatal(err)
-	}
-	if n := openHandles(&s.files, old); n != 0 {
-		t.Fatalf("retired generation still holds %d handles", n)
-	}
-	if _, err := s.Select("H", len(versions)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+// TestChunkFDsBounded pins the read path's resource bound in both
+// placements: a read opens the chunk files it touches and closes them
+// before it returns, so no descriptor under the store directory is open
+// after any Read, after Reorganize and Compact, or after Close.
+func TestChunkFDsBounded(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("descriptor check needs /proc/self/fd")
 	}
-	root, err := filepath.EvalSymlinks(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fds, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
 		t.Skipf("no /proc/self/fd: %v", err)
 	}
-	for _, fd := range fds {
-		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
-		if err == nil && strings.HasPrefix(target, root+string(filepath.Separator)) {
-			t.Errorf("fd %s still open on %s after Close", fd.Name(), target)
-		}
+	for _, coLocate := range []bool{true, false} {
+		t.Run(fmt.Sprintf("colocate=%v", coLocate), func(t *testing.T) {
+			dir := t.TempDir()
+			root, err := filepath.EvalSymlinks(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			noFDs := func(when string) {
+				t.Helper()
+				fds, err := os.ReadDir("/proc/self/fd")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, fd := range fds {
+					target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+					if err == nil && strings.HasPrefix(target, root+string(filepath.Separator)) {
+						t.Fatalf("%s: fd %s still open on %s", when, fd.Name(), target)
+					}
+				}
+			}
+			opts := smallOpts() // 4 KB chunks
+			opts.CoLocate = coLocate
+			s, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.CreateArray(schema2D("H", 64)); err != nil { // 4 chunks
+				t.Fatal(err)
+			}
+			versions := evolvingVersions(16, 64, 32)
+			var ids []int
+			readAll := func(when string) {
+				t.Helper()
+				got, err := s.Read(context.Background(), ReadQuery{Array: "H", IDs: ids})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, pl := range got {
+					if !pl.Dense.Equal(versions[i]) {
+						t.Fatalf("%s: version %d mismatch", when, ids[i])
+					}
+				}
+				noFDs(when)
+			}
+			for i, v := range versions {
+				if _, err := s.Insert("H", DensePayload(v)); err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, i+1)
+				readAll(fmt.Sprintf("after reading versions 1..%d", i+1))
+			}
+			if err := s.Reorganize("H", ReorganizeOptions{Policy: PolicyLinearChain}); err != nil {
+				t.Fatal(err)
+			}
+			noFDs("after Reorganize")
+			readAll("after reading the reorganized generation")
+			if err := s.Compact("H"); err != nil {
+				t.Fatal(err)
+			}
+			noFDs("after Compact")
+			readAll("after reading the compacted generation")
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			noFDs("after Close")
+		})
 	}
 }
 

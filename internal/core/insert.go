@@ -276,7 +276,7 @@ func (w *writeSet) sweep(s *Store) {
 			continue
 		}
 		if sp.start == 0 {
-			if s.removeChunkFile(path) == nil {
+			if s.fs.Remove(path) == nil {
 				files++
 				bytes += sp.end
 			}

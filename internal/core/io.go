@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"arrayvers/internal/array"
@@ -36,7 +35,11 @@ import (
 // writers never share a file handle. The only destructive operations
 // (Reorganize, Compact, DeleteArray) build a new chunk generation
 // beside the live one, commit it with a metadata commit, and remove
-// the old generation under the array's exclusive I/O latch.
+// the old generation under the array's exclusive I/O latch. That latch
+// is the read path's only lifetime rule: readFrames opens each file it
+// touches and closes it before returning, always under the latch held
+// shared, so no handle outlives its read or points at an unlinked
+// inode, and open descriptors are bounded by the reads in flight.
 //
 // Durability contract: with Options.Durability on, every mutator fsyncs
 // the files it appended to (and the chunks directory, when it created
@@ -113,117 +116,6 @@ func (s *Store) appendBlob(path string, payload []byte) (int64, error) {
 	return off, nil
 }
 
-// chunkFiles is the table of read-only chunk file handles, one set per
-// chunk-generation directory: a file is opened on its first read and
-// stays open until its generation is retired, so a chain walk costs one
-// pread per frame and no open/close. pread sees bytes appended after the
-// open, so a growing chain file never needs reopening.
-//
-// A handle's lifetime is bounded by the array's I/O latch: readers look
-// handles up and read through them only while holding ioMu (shared), and
-// retire closes a generation's handles only under the exclusive latch,
-// once every reader that could hold one has drained. (Verify reads under
-// Store.mu instead, which keeps its generation installed; a generation
-// is retired only after its successor is installed.) The one other close
-// is forget, which removeChunkFile runs before unlinking a file that no
-// committed version references (nobody else reads it).
-type chunkFiles struct {
-	mu   sync.Mutex
-	gens map[string]map[string]*chunkFile // generation dir -> file name -> handle
-}
-
-// chunkFile is one cached read-only handle and the file size it last saw.
-type chunkFile struct {
-	*os.File
-	size atomic.Int64
-}
-
-// sizeFor returns a size of the file that is at least end if the file
-// has grown that far: the last size seen, re-read with Stat only when
-// end passes it. Chain files only grow under a reader's snapshot, so
-// the cached size is a sound bound for every extent within it.
-func (f *chunkFile) sizeFor(end int64) (int64, error) {
-	if size := f.size.Load(); end <= size {
-		return size, nil
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	f.size.Store(fi.Size())
-	return fi.Size(), nil
-}
-
-// open returns dir/name's cached handle, opening it on first use.
-func (t *chunkFiles) open(dir, name string) (*chunkFile, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if f := t.gens[dir][name]; f != nil {
-		return f, nil
-	}
-	f, err := os.Open(filepath.Join(dir, name))
-	if err != nil {
-		return nil, err
-	}
-	if t.gens == nil {
-		t.gens = make(map[string]map[string]*chunkFile)
-	}
-	if t.gens[dir] == nil {
-		t.gens[dir] = make(map[string]*chunkFile)
-	}
-	cf := &chunkFile{File: f}
-	t.gens[dir][name] = cf
-	return cf, nil
-}
-
-// forget closes and drops the handle of one chunk file, if cached.
-func (t *chunkFiles) forget(path string) {
-	dir, name := filepath.Dir(path), filepath.Base(path)
-	t.mu.Lock()
-	f := t.gens[dir][name]
-	delete(t.gens[dir], name)
-	t.mu.Unlock()
-	if f != nil {
-		_ = f.Close() // read-only handle; close cannot lose data
-	}
-}
-
-// retire closes and drops every handle of one generation directory; a
-// later open starts a fresh set. Callers hold the array's exclusive I/O
-// latch.
-func (t *chunkFiles) retire(dir string) {
-	t.mu.Lock()
-	files := t.gens[dir]
-	delete(t.gens, dir)
-	t.mu.Unlock()
-	for _, f := range files {
-		_ = f.Close() // read-only handle; close cannot lose data
-	}
-}
-
-// closeAll closes every handle. Store.Close calls it after draining all
-// array latches. Idempotent.
-func (t *chunkFiles) closeAll() {
-	t.mu.Lock()
-	gens := t.gens
-	t.gens = nil
-	t.mu.Unlock()
-	for _, files := range gens {
-		for _, f := range files {
-			_ = f.Close() // read-only handle; close cannot lose data
-		}
-	}
-}
-
-// removeChunkFile unlinks one chunk file of a live generation, closing
-// its cached handle first: a handle left open would keep reading the
-// unlinked inode after a later append recreated the file under the same
-// name.
-func (s *Store) removeChunkFile(path string) error {
-	s.files.forget(path)
-	return s.fs.Remove(path)
-}
-
 // ErrExtentPastEOF is returned (wrapped) by a chunk read whose recorded
 // extent reaches past the end of its file. Every extent of a read is
 // checked against its file's size before any buffer is sized by it, so
@@ -241,25 +133,26 @@ type frameRef struct {
 // its frames, all in one file, adjacent, sorted by offset) spanning
 // [off, end) of f.
 type frameRun struct {
-	f        *chunkFile
+	f        *os.File
 	idx      []int
 	off, end int64
 }
 
-// readFrames fetches the payloads of frames from one chunks directory
-// through the generation's cached handles; out[i] is frames[i]'s. The
-// frames of one file are sorted by offset and read as runs: frames that
-// touch — the next starts where the last ended, as a chain file's
-// appends do — share one pread into one buffer, which their payloads
-// then alias, so a run holds no bytes but its frames. Frames in
-// different files — every frame, under per-version placement — are
-// separate reads. Two passes: the first groups the runs and checks
-// every one against its file's size, the second allocates and reads,
-// so no buffer is made until every extent is known to fit. Each
-// frame's header — magic, length, CRC32-C — is validated on its own,
-// so torn writes, stale offsets and bit rot surface as errors that name
-// the frame's file, offset and version. Callers hold the array's I/O
-// latch.
+// readFrames fetches the payloads of frames from one chunks directory;
+// out[i] is frames[i]'s. Each file it touches is opened and stat'ed
+// once and closed on return, so no handle outlives the read. The frames
+// of one file are sorted by offset and read as runs: frames that touch
+// — the next starts where the last ended, as a chain file's appends do
+// — share one pread into one buffer, which their payloads then alias,
+// so a run holds no bytes but its frames. Frames in different files —
+// every frame, under per-version placement — are separate reads. Two
+// passes: the first groups the runs and checks every one against its
+// file's size, the second allocates and reads, so no buffer is made
+// until every extent is known to fit. Each frame's header — magic,
+// length, CRC32-C — is validated on its own, so torn writes, stale
+// offsets and bit rot surface as errors that name the frame's file,
+// offset and version. Callers hold the array's I/O latch, which keeps
+// dir in place.
 func (s *Store) readFrames(dir string, frames []frameRef) ([][]byte, error) {
 	order := make([]int, len(frames))
 	for i, fr := range frames {
@@ -274,7 +167,16 @@ func (s *Store) readFrames(dir string, frames []frameRef) ([][]byte, error) {
 		ea, eb := frames[a].e, frames[b].e
 		return cmp.Or(strings.Compare(ea.File, eb.File), cmp.Compare(ea.Offset, eb.Offset))
 	})
-	var runs []frameRun
+	var (
+		runs  []frameRun
+		files []*os.File // one per file touched, closed on return
+		size  int64      // the last-opened file's size
+	)
+	defer func() {
+		for _, f := range files {
+			_ = f.Close() // read-only handle; close cannot lose data
+		}
+	}()
 	for lo := 0; lo < len(order); {
 		first := frames[order[lo]].e
 		end := first.Offset + frameLen(first.Length)
@@ -286,20 +188,24 @@ func (s *Store) readFrames(dir string, frames []frameRef) ([][]byte, error) {
 			}
 			end = max(end, e.Offset+frameLen(e.Length))
 		}
-		f, err := s.files.open(dir, first.File)
-		if err != nil {
-			return nil, fmt.Errorf("core: open chunk file: %w", err)
-		}
-		size, err := f.sizeFor(end)
-		if err != nil {
-			return nil, fmt.Errorf("core: stat chunk file %s: %w", first.File, err)
+		if lo == 0 || frames[order[lo-1]].e.File != first.File {
+			f, err := os.Open(filepath.Join(dir, first.File))
+			if err != nil {
+				return nil, fmt.Errorf("core: open chunk file: %w", err)
+			}
+			files = append(files, f)
+			fi, err := f.Stat()
+			if err != nil {
+				return nil, fmt.Errorf("core: stat chunk file %s: %w", first.File, err)
+			}
+			size = fi.Size()
 		}
 		for _, i := range order[lo:hi] {
 			if fr := frames[i]; fr.e.Offset+frameLen(fr.e.Length) > size {
 				return nil, fmt.Errorf("%w: %s@%d+%d of version %d, file has %d bytes", ErrExtentPastEOF, fr.e.File, fr.e.Offset, fr.e.Length, fr.id, size)
 			}
 		}
-		runs = append(runs, frameRun{f, order[lo:hi], first.Offset, end})
+		runs = append(runs, frameRun{files[len(files)-1], order[lo:hi], first.Offset, end})
 		lo = hi
 	}
 	out := make([][]byte, len(frames))

@@ -156,7 +156,7 @@ func (s *Store) collectChunkFiles(st *arrayState, rs *RecoveryStats) error {
 		end, referenced := maxRef[name]
 		switch {
 		case !referenced:
-			if err := s.removeChunkFile(filepath.Join(dir, name)); err != nil {
+			if err := s.fs.Remove(filepath.Join(dir, name)); err != nil {
 				return err
 			}
 			rs.RemovedFiles++

@@ -273,11 +273,9 @@ func (s *Store) tryRewrite(name string, st *arrayState, build rewriteBuild, latc
 	// epoch bump at publish made the old generation's cache entries
 	// unreachable, but those readers may have cached more planes of it
 	// since; sweep again now that they are gone, so the bytes are freed
-	// here instead of by eviction. Then close the old generation's
-	// handles and remove it.
+	// here instead of by eviction. Then remove the old generation.
 	st.ioMu.Lock()
 	s.chunkCache.InvalidateArray(name)
-	s.files.retire(oldDir)
 	_ = s.fs.RemoveAll(oldDir)
 	st.ioMu.Unlock()
 	return true, nil

@@ -31,21 +31,19 @@ func (r VerifyReport) Ok() bool { return len(r.Problems) == 0 }
 // chains); and every chunk of the schema's chunk grid must be present in
 // every version. It also measures delta-chain depths and space
 // reclaimable by Compact.
+//
+// It checks an uncached snapshot with Store.mu released: every payload
+// is read from disk, never from the chunk cache, so a corrupt frame is
+// reported however warm the cache is, and like any select the decode
+// holds only the array's I/O latch, shared.
 func (s *Store) Verify(name string) (VerifyReport, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, ok := s.arrays[name]
-	if !ok {
-		return VerifyReport{}, fmt.Errorf("core: no array %q", name)
+	view, release, err := s.snapshotUncached(name)
+	if err != nil {
+		return VerifyReport{}, err
 	}
-	rep := VerifyReport{Array: name, ChainDepths: map[int]int{}}
-	view := s.viewLocked(st)
-	live := st.live()
-	rep.Versions = len(live)
-	liveIDs := map[int]bool{}
-	for _, vm := range live {
-		liveIDs[vm.ID] = true
-	}
+	defer release()
+	st := view.st
+	rep := VerifyReport{Array: name, ChainDepths: map[int]int{}, Versions: len(view.ids)}
 	ck, err := st.chunker()
 	if err != nil {
 		return rep, err
@@ -54,7 +52,7 @@ func (s *Store) Verify(name string) (VerifyReport, error) {
 	var wantKeys []string
 	if st.SparseRep {
 		wantKeys = []string{"chunk-full"}
-	} else if len(live) > 0 { // a grid no version fills is not enumerated
+	} else if len(view.ids) > 0 { // a grid no version fills is not enumerated
 		origins = ck.All()
 		for _, origin := range origins {
 			wantKeys = append(wantKeys, ck.Key(origin))
@@ -62,7 +60,8 @@ func (s *Store) Verify(name string) (VerifyReport, error) {
 	}
 	type fileRange struct{ off, end int64 }
 	used := map[string][]fileRange{}
-	for _, vm := range live {
+	for _, id := range view.ids {
+		vm := view.byID[id]
 		for _, attr := range st.Schema.Attrs {
 			chunks := vm.Chunks[attr.Name]
 			for _, key := range wantKeys {
@@ -73,7 +72,7 @@ func (s *Store) Verify(name string) (VerifyReport, error) {
 					continue
 				}
 				rep.Chunks++
-				if e.Base >= 0 && !liveIDs[e.Base] {
+				if _, live := view.byID[e.Base]; e.Base >= 0 && !live {
 					rep.Problems = append(rep.Problems,
 						fmt.Sprintf("version %d: chunk %s/%s delta-based on non-live version %d", vm.ID, attr.Name, key, e.Base))
 				}
@@ -81,7 +80,7 @@ func (s *Store) Verify(name string) (VerifyReport, error) {
 			}
 			// delta-chain depth and cycle detection per chunk
 			for _, key := range wantKeys {
-				depth, cyclic := chainDepth(st, attr.Name, key, vm.ID, len(live))
+				depth, cyclic := chainDepth(view, attr.Name, key, vm.ID, len(view.ids))
 				if cyclic {
 					rep.Problems = append(rep.Problems,
 						fmt.Sprintf("version %d: chunk %s/%s has a cyclic or overlong delta chain", vm.ID, attr.Name, key))
@@ -108,7 +107,7 @@ func (s *Store) Verify(name string) (VerifyReport, error) {
 		}
 	}
 	// dangling bytes: file sizes minus referenced ranges
-	entries, err := os.ReadDir(st.chunksDir())
+	entries, err := os.ReadDir(view.dir)
 	if err != nil {
 		return rep, err
 	}
@@ -147,15 +146,17 @@ func (s *Store) Verify(name string) (VerifyReport, error) {
 }
 
 // chainDepth walks a chunk's delta chain, returning its length and
-// whether it is cyclic/overlong.
-func chainDepth(st *arrayState, attr, key string, id, maxDepth int) (int, bool) {
+// whether it is cyclic/overlong. v is a readView or an arrayState.
+func chainDepth(v interface {
+	version(id int) (*versionMeta, error)
+}, attr, key string, id, maxDepth int) (int, bool) {
 	depth := 0
 	for {
 		depth++
 		if depth > maxDepth {
 			return depth, true
 		}
-		vm, err := st.version(id)
+		vm, err := v.version(id)
 		if err != nil {
 			return depth, true
 		}

@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestVerifyHealthyStore(t *testing.T) {
 	s := testStore(t, smallOpts())
@@ -96,5 +101,61 @@ func TestVerifyMissingArray(t *testing.T) {
 	s := testStore(t, smallOpts())
 	if _, err := s.Verify("nope"); err == nil {
 		t.Fatal("verify of missing array accepted")
+	}
+}
+
+// TestVerifySeesCorruptFrameUnderWarmCache: Verify reads every frame from
+// disk, so a flipped payload byte in the tip's frame is reported even
+// while the tip's chunks sit decoded in the chunk cache.
+func TestVerifySeesCorruptFrameUnderWarmCache(t *testing.T) {
+	s := testStore(t, concurrencyOpts())
+	defer s.Close()
+	if err := s.CreateArray(schema2D("VC", 32)); err != nil {
+		t.Fatal(err)
+	}
+	versions := evolvingVersions(3, 32, 39)
+	for _, v := range versions {
+		if _, err := s.Insert("VC", DensePayload(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tip := len(versions)
+	for i := 0; i < 2; i++ {
+		if _, err := s.Select("VC", tip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.CacheHits == 0 {
+		t.Fatalf("the tip's selects hit no cached chunk: %+v", st)
+	}
+	s.mu.RLock()
+	dir := s.arrays["VC"].chunksDir()
+	vm, err := s.arrays["VC"].version(tip)
+	s.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e chunkEntry
+	for _, e = range vm.Chunks["A"] {
+		break
+	}
+	path := filepath.Join(dir, e.File)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[e.Offset+frameLen(e.Length)-1] ^= 1 // the frame's last payload byte
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Verify("VC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ok() {
+		t.Fatal("verify reports clean with a corrupt frame behind a warm cache")
+	}
+	if !strings.Contains(strings.Join(rep.Problems, "\n"), "checksum") {
+		t.Fatalf("problems name no checksum error: %v", rep.Problems)
 	}
 }

@@ -209,7 +209,7 @@ func (f *Fault) open(path string, trunc bool) (File, error) {
 		f.files[path] = st
 	}
 	st.size = info.Size()
-	return &faultFile{fs: f, f: file, path: path}, nil
+	return &faultFile{fault: f, f: file, path: path}, nil
 }
 
 // Append opens path for appending.
@@ -340,53 +340,53 @@ func (f *Fault) forget(path string) {
 }
 
 type faultFile struct {
-	fs   *Fault
-	f    *os.File
-	path string
+	fault *Fault
+	f     *os.File
+	path  string
 }
 
 func (w *faultFile) Write(p []byte) (int, error) {
-	w.fs.mu.Lock()
-	defer w.fs.mu.Unlock()
-	if err := w.fs.op(); err != nil {
+	w.fault.mu.Lock()
+	defer w.fault.mu.Unlock()
+	if err := w.fault.op(); err != nil {
 		return 0, err
 	}
 	n, err := w.f.Write(p)
-	if st, ok := w.fs.files[w.path]; ok {
+	if st, ok := w.fault.files[w.path]; ok {
 		st.size += int64(n)
 	}
 	return n, err
 }
 
 func (w *faultFile) Sync() error {
-	w.fs.mu.Lock()
-	defer w.fs.mu.Unlock()
-	if err := w.fs.op(); err != nil {
+	w.fault.mu.Lock()
+	defer w.fault.mu.Unlock()
+	if err := w.fault.op(); err != nil {
 		return err
 	}
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	if st, ok := w.fs.files[w.path]; ok {
+	if st, ok := w.fault.files[w.path]; ok {
 		st.synced = st.size
 	}
 	return nil
 }
 
 func (w *faultFile) Close() error {
-	w.fs.mu.Lock()
-	defer w.fs.mu.Unlock()
+	w.fault.mu.Lock()
+	defer w.fault.mu.Unlock()
 	err := w.f.Close()
-	if w.fs.crashed {
+	if w.fault.crashed {
 		return ErrCrashed
 	}
 	return err
 }
 
 func (w *faultFile) Size() (int64, error) {
-	w.fs.mu.Lock()
-	defer w.fs.mu.Unlock()
-	if w.fs.crashed {
+	w.fault.mu.Lock()
+	defer w.fault.mu.Unlock()
+	if w.fault.crashed {
 		return 0, ErrCrashed
 	}
 	info, err := w.f.Stat()

@@ -56,8 +56,8 @@ const lockOrderDoc = "reorgMu < writeMu < commitMu < Store.mu < ioMu < healthMu 
 
 // lockRank maps "Type.field" to its position in the partial order.
 // Lower ranks are acquired first. Locks not listed here (writeSet.mu,
-// chunkFiles.mu, the manifest latches, ...) are internal leaves outside
-// the documented hierarchy and are ignored.
+// the manifest latches, ...) are internal leaves outside the documented
+// hierarchy and are ignored.
 var lockRank = map[string]int{
 	"arrayState.reorgMu":  0,
 	"arrayState.writeMu":  10,
@@ -69,7 +69,10 @@ var lockRank = map[string]int{
 }
 
 // ioSeamFuncs are the same-package methods that are I/O seams.
+// readFrames is the one chunk read; it opens its files with the plain
+// os package, outside the fsio seam.
 var ioSeamFuncs = map[string]bool{
+	"Store.readFrames": true,
 	"Store.syncWrites": true,
 	"Store.syncFile":   true,
 	"Store.commitMeta": true,
