@@ -54,6 +54,9 @@ import (
 // and background reorganization. Querying versions is one call, Read
 // (one or more versions of one attribute, optionally a region), with
 // Select, SelectRegion, SelectMulti and SelectSparseMulti as shorthands.
+// Metadata is one call too: Info returns an array's schema, sizes,
+// versions and provenance from one snapshot (ArrayInfo.At is time
+// travel).
 //
 // A Store is safe for concurrent use: selects snapshot metadata and
 // decode chunks without serializing on the store lock, fan per-chunk

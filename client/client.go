@@ -330,43 +330,12 @@ func (c *Client) ListArrays() ([]string, error) {
 	return names, err
 }
 
-// Schema returns the schema of a named array.
-func (c *Client) Schema(name string) (arrayvers.Schema, error) {
-	var schema arrayvers.Schema
-	err := c.getJSON("/v1/arrays/"+url.PathEscape(name)+"/schema", &schema)
-	return schema, err
-}
-
-// Info returns an array's properties.
+// Info returns an array's metadata (§II-C) from one server-side
+// snapshot: schema, sizes, versions and provenance.
 func (c *Client) Info(name string) (arrayvers.ArrayInfo, error) {
 	var info arrayvers.ArrayInfo
-	err := c.getJSON("/v1/arrays/"+url.PathEscape(name)+"/info", &info)
+	err := c.getJSON("/v1/arrays/"+url.PathEscape(name), &info)
 	return info, err
-}
-
-// Versions returns the ordered list of all live versions of an array.
-func (c *Client) Versions(name string) ([]arrayvers.VersionInfo, error) {
-	var infos []arrayvers.VersionInfo
-	err := c.getJSON("/v1/arrays/"+url.PathEscape(name)+"/versions", &infos)
-	return infos, err
-}
-
-// VersionAt returns the ID of the newest version committed at or before t.
-func (c *Client) VersionAt(name string, t time.Time) (int, error) {
-	var out struct {
-		ID int `json:"id"`
-	}
-	path := "/v1/arrays/" + url.PathEscape(name) + "/version-at?time=" +
-		url.QueryEscape(t.Format(time.RFC3339Nano))
-	err := c.getJSON(path, &out)
-	return out.ID, err
-}
-
-// BranchedFrom returns the provenance of a branched array, or nil.
-func (c *Client) BranchedFrom(name string) (*arrayvers.BranchRef, error) {
-	var ref *arrayvers.BranchRef
-	err := c.getJSON("/v1/arrays/"+url.PathEscape(name)+"/branched-from", &ref)
-	return ref, err
 }
 
 // Verify runs the server-side integrity check of one array.
@@ -625,8 +594,9 @@ func (c *Client) Close() error {
 // storeShape is the method set shared verbatim between the embedded
 // store and this client; programs that want to swap the two with one
 // line can depend on it (see examples/remote). Reads are one call, Read,
-// plus its four conveniences; writes are one call, Write, plus two. The compile-time checks below keep the two
-// APIs from drifting apart.
+// plus its four conveniences; writes are one call, Write, plus two;
+// metadata is one call, Info. The compile-time checks below keep the
+// two APIs from drifting apart.
 type storeShape interface {
 	CreateArray(arrayvers.Schema) error
 	Write(context.Context, []arrayvers.MultiInsert) ([][]int, error)
@@ -637,11 +607,7 @@ type storeShape interface {
 	SelectRegion(string, int, arrayvers.Box) (arrayvers.Plane, error)
 	SelectMulti(string, []int) (*arrayvers.Dense, error)
 	SelectSparseMulti(string, []int, arrayvers.Box) ([]*arrayvers.Sparse, error)
-	Versions(string) ([]arrayvers.VersionInfo, error)
-	VersionAt(string, time.Time) (int, error)
 	Info(string) (arrayvers.ArrayInfo, error)
-	Schema(string) (arrayvers.Schema, error)
-	BranchedFrom(string) (*arrayvers.BranchRef, error)
 	Branch(string, int, string) error
 	Merge(string, []arrayvers.VersionRef) error
 	Reorganize(string, arrayvers.ReorganizeOptions) error

@@ -310,11 +310,11 @@ func run(args []string) error {
 			cliutil.WriteTrace(os.Stderr, tr.Finish())
 		}
 	case "versions":
-		infos, err := store.Versions(*name)
+		info, err := store.Info(*name)
 		if err != nil {
 			return err
 		}
-		for _, vi := range infos {
+		for _, vi := range info.Versions {
 			bases := "materialized"
 			if len(vi.DeltaBases) > 0 {
 				bases = fmt.Sprintf("delta vs %v", vi.DeltaBases)

@@ -301,12 +301,12 @@ func TestChaosE2E(t *testing.T) {
 	}
 
 	// invariant: every acknowledged insert reads back byte-identical
-	infos, err := clean.Versions("Chaos")
+	info, err := clean.Info("Chaos")
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := map[int]bool{}
-	for _, vi := range infos {
+	for _, vi := range info.Versions {
 		live[vi.ID] = true
 	}
 	for id, seed := range ackedCopy {
@@ -327,7 +327,7 @@ func TestChaosE2E(t *testing.T) {
 	// client retry it
 	seedCount := map[int64]int{}
 	duplicates := 0
-	for _, vi := range infos {
+	for _, vi := range info.Versions {
 		pl, err := clean.Select("Chaos", vi.ID)
 		if err != nil {
 			t.Fatalf("live version %d unreadable: %v", vi.ID, err)
@@ -363,13 +363,13 @@ func TestChaosE2E(t *testing.T) {
 	}
 
 	t.Logf("chaos: %d acked, %d live, faults injected: %d lost acks, %d resets, %d 502s, %d truncations; degraded %d healed %d, writes rejected %d",
-		len(ackedCopy), len(infos), chaos.lostAcks.Load(), chaos.resets.Load(), chaos.badGws.Load(),
+		len(ackedCopy), info.NumVersions, chaos.lostAcks.Load(), chaos.resets.Load(), chaos.badGws.Load(),
 		chaos.truncated.Load(), st.DegradedEntered, st.DegradedHealed, st.WritesRejectedDegraded)
 
 	if path := os.Getenv("CHAOS_JSON"); path != "" {
 		summary := map[string]int64{
 			"acked":                    int64(len(ackedCopy)),
-			"live_versions":            int64(len(infos)),
+			"live_versions":            int64(info.NumVersions),
 			"duplicate_versions":       int64(duplicates),
 			"degraded_entered":         st.DegradedEntered,
 			"degraded_healed":          st.DegradedHealed,

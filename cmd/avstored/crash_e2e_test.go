@@ -165,12 +165,12 @@ func TestDaemonSIGKILLRecovery(t *testing.T) {
 	if !rep.Ok() {
 		t.Fatalf("recovered store fails verify: %v", rep.Problems)
 	}
-	infos, err := c.Versions("Crash")
+	info, err := c.Info("Crash")
 	if err != nil {
 		t.Fatal(err)
 	}
 	present := map[int]bool{}
-	for _, vi := range infos {
+	for _, vi := range info.Versions {
 		present[vi.ID] = true
 	}
 	// every insert acknowledged before the kill must read back exactly

@@ -33,8 +33,8 @@ func Example() {
 	}
 	pl, _ := store.Select("Example", 3)
 	fmt.Println("Example@3 first row:", pl.Dense.Bits(0), pl.Dense.Bits(1), pl.Dense.Bits(2))
-	infos, _ := store.Versions("Example")
-	fmt.Println("versions:", len(infos))
+	info, _ := store.Info("Example")
+	fmt.Println("versions:", len(info.Versions))
 	// Output:
 	// Example@3 first row: 3 6 9
 	// versions: 3
@@ -92,8 +92,8 @@ func ExampleStore_Branch() {
 	g.Fill(7)
 	store.Insert("Raw", arrayvers.DensePayload(g))
 	store.Branch("Raw", 1, "Experiment")
-	ref, _ := store.BranchedFrom("Experiment")
-	fmt.Printf("Experiment branched from %s@%d\n", ref.Array, ref.Version)
+	info, _ := store.Info("Experiment")
+	fmt.Printf("Experiment branched from %s@%d\n", info.BranchedFrom.Array, info.BranchedFrom.Version)
 	// Output:
 	// Experiment branched from Raw@1
 }

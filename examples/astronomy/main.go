@@ -90,16 +90,16 @@ func main() {
 
 	// 3. Compare the two cooked results against ground truth.
 	for _, name := range []string{"Cooked_Threshold", "Cooked_Neighborhood"} {
-		infos, err := store.Versions(name)
+		info, err := store.Info(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pl, err := store.Select(name, infos[len(infos)-1].ID)
+		pl, err := store.Select(name, info.Versions[len(info.Versions)-1].ID)
 		if err != nil {
 			log.Fatal(err)
 		}
 		tp, fp := score(pl.Dense, stars, hotPixels)
-		ref, _ := store.BranchedFrom(name)
+		ref := info.BranchedFrom
 		fmt.Printf("%-20s branched from %s@%d: %d/%d stars found, %d false positive(s)\n",
 			name, ref.Array, ref.Version, tp, len(stars), fp)
 	}
@@ -113,9 +113,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	infos, _ := store.Versions("Field7_Published")
+	published, _ := store.Info("Field7_Published")
 	fmt.Printf("published lineage has %d versions (raw + cooked); arrays in store: %v\n",
-		len(infos), store.ListArrays())
+		published.NumVersions, store.ListArrays())
 }
 
 // makeSkyFrame renders stars (3x3 PSF blobs) and single hot pixels on a

@@ -73,20 +73,16 @@ func main() {
 	fmt.Printf("stacked shape = %v (versions x Y x X)\n", stack.Shape())
 
 	// 6. Inspect version metadata.
-	infos, err := store.Versions("Temps")
+	info, err := store.Info("Temps")
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, vi := range infos {
+	for _, vi := range info.Versions {
 		enc := "materialized"
 		if len(vi.DeltaBases) > 0 {
 			enc = fmt.Sprintf("delta vs %v", vi.DeltaBases)
 		}
 		fmt.Printf("Temps@%d: %d bytes on disk, %s\n", vi.ID, vi.Bytes, enc)
-	}
-	info, err := store.Info("Temps")
-	if err != nil {
-		log.Fatal(err)
 	}
 	fmt.Printf("total on disk: %d bytes for %d versions (logical %d bytes/version)\n",
 		info.DiskBytes, info.NumVersions, info.LogicalSize)

@@ -36,7 +36,7 @@ type versionedStore interface {
 	Select(string, int) (arrayvers.Plane, error)
 	SelectRegion(string, int, arrayvers.Box) (arrayvers.Plane, error)
 	SelectMulti(string, []int) (*arrayvers.Dense, error)
-	Versions(string) ([]arrayvers.VersionInfo, error)
+	Info(string) (arrayvers.ArrayInfo, error)
 	Branch(string, int, string) error
 	Close() error
 }
@@ -185,10 +185,10 @@ func main() {
 	if !bpl.Dense.Equal(want[1]) {
 		log.Fatal("branch content mismatch")
 	}
-	infos, err := store.Versions(name)
+	info, err := store.Info(name)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("branched %s@%d; %s has %d versions\n", name, ids[1], name, len(infos))
+	fmt.Printf("branched %s@%d; %s has %d versions\n", name, ids[1], name, info.NumVersions)
 	fmt.Println("OK")
 }

@@ -150,10 +150,11 @@ func TestSubsampleSingleVersion(t *testing.T) {
 func TestMultiAttributeCreate(t *testing.T) {
 	e := testEngine(t)
 	mustExec(t, e, "CREATE UPDATEABLE ARRAY M ( A::INTEGER, B::DOUBLE ) [I=0:2, J=0:2, K=1:15]")
-	sch, err := e.store.Schema("M")
+	info, err := e.store.Info("M")
 	if err != nil {
 		t.Fatal(err)
 	}
+	sch := info.Schema
 	if len(sch.Attrs) != 2 || sch.Attrs[1].Type != array.Float64 {
 		t.Fatalf("schema attrs: %+v", sch.Attrs)
 	}

@@ -63,12 +63,12 @@ func (e *Engine) RunCtx(ctx context.Context, st Stmt) (Result, error) {
 	case SelectStmt:
 		return e.selectStmt(ctx, s)
 	case VersionsStmt:
-		infos, err := e.store.Versions(s.Array)
+		info, err := e.store.Info(s.Array)
 		if err != nil {
 			return Result{}, err
 		}
 		names := []string{} // non-nil so an empty history renders as []
-		for _, vi := range infos {
+		for _, vi := range info.Versions {
 			names = append(names, fmt.Sprintf("%s@%d", s.Array, vi.ID))
 		}
 		return Result{Names: names}, nil
@@ -136,10 +136,11 @@ func (e *Engine) load(s LoadStmt) (Result, error) {
 }
 
 func (e *Engine) selectStmt(ctx context.Context, s SelectStmt) (Result, error) {
-	schema, err := e.store.Schema(s.Array)
+	info, err := e.store.Info(s.Array)
 	if err != nil {
 		return Result{}, err
 	}
+	schema := info.Schema
 	ndim := len(schema.Dims)
 	// resolve the spatial box (all Ranges entries except, for @*, the
 	// final time range)
@@ -164,12 +165,8 @@ func (e *Engine) selectStmt(ctx context.Context, s SelectStmt) (Result, error) {
 	}
 	switch {
 	case s.Version.All:
-		infos, err := e.store.Versions(s.Array)
-		if err != nil {
-			return Result{}, err
-		}
 		var ids []int
-		for _, vi := range infos {
+		for _, vi := range info.Versions {
 			ids = append(ids, vi.ID)
 		}
 		if timeRange != nil {
@@ -187,7 +184,7 @@ func (e *Engine) selectStmt(ctx context.Context, s SelectStmt) (Result, error) {
 		}
 		return Result{Dense: stacked}, nil
 	case s.Version.Date != nil:
-		id, err := e.store.VersionAt(s.Array, *s.Version.Date)
+		id, err := info.At(*s.Version.Date)
 		if err != nil {
 			return Result{}, err
 		}

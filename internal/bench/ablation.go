@@ -68,7 +68,7 @@ func Ablations(workDir string, sc Scale) (Table, error) {
 			return Table{}, err
 		}
 		t.Rows = append(t.Rows, []string{
-			"chunk size", fmtBytes(cb), fmtBytes(s.DiskBytes()),
+			"chunk size", fmtBytes(cb), fmtBytes(diskBytes(s)),
 			fmt.Sprintf("subselect read %s in %s", fmtBytes(s.Stats().BytesRead), fmtDur(d)),
 		})
 		os.RemoveAll(dir)
@@ -98,7 +98,7 @@ func Ablations(workDir string, sc Scale) (Table, error) {
 		}
 		files := countFiles(filepath.Join(dir, "A", "chunks"))
 		t.Rows = append(t.Rows, []string{
-			"chain placement", label, fmtBytes(s.DiskBytes()),
+			"chain placement", label, fmtBytes(diskBytes(s)),
 			fmt.Sprintf("chain read %s, %d files", fmtDur(d), files),
 		})
 		os.RemoveAll(dir)
@@ -154,7 +154,7 @@ func Ablations(workDir string, sc Scale) (Table, error) {
 			return Table{}, err
 		}
 		t.Rows = append(t.Rows, []string{
-			"delta candidates", fmt.Sprintf("K=%d", k), fmtBytes(s.DiskBytes()), "insert-time base search",
+			"delta candidates", fmt.Sprintf("K=%d", k), fmtBytes(diskBytes(s)), "insert-time base search",
 		})
 		os.RemoveAll(dir)
 	}
@@ -180,7 +180,7 @@ func Ablations(workDir string, sc Scale) (Table, error) {
 			return Table{}, err
 		}
 		t.Rows = append(t.Rows, []string{
-			"adaptive codec", mode.label, fmtBytes(s.DiskBytes()),
+			"adaptive codec", mode.label, fmtBytes(diskBytes(s)),
 			fmt.Sprintf("import %s", fmtDur(dImport)),
 		})
 		os.RemoveAll(dir)

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"arrayvers/internal/core"
 )
 
 // Table is one formatted experiment result.
@@ -127,6 +129,16 @@ func timed(fn func() error) (time.Duration, error) {
 	start := time.Now()
 	err := fn()
 	return time.Since(start), err
+}
+
+// diskBytes sums the on-disk payload bytes of every array in s.
+func diskBytes(s *core.Store) int64 {
+	total := int64(0)
+	for _, name := range s.ListArrays() {
+		info, _ := s.Info(name)
+		total += info.DiskBytes
+	}
+	return total
 }
 
 func fmtDur(d time.Duration) string {

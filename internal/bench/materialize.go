@@ -55,7 +55,7 @@ func Materialization(workDir string, sc Scale) (Table, error) {
 				return err
 			}
 			loadTime = d
-			size := s.DiskBytes()
+			size := diskBytes(s)
 			t.Rows = append(t.Rows, []string{label, policy.String(), fmtBytes(size), fmtDur(loadTime)})
 			os.RemoveAll(dir)
 		}
@@ -164,7 +164,7 @@ func WorkloadAware(workDir string, sc Scale) (Table, error) {
 		}); err != nil {
 			return Table{}, fmt.Errorf("%s: %w", cfg.label, err)
 		}
-		size := s.DiskBytes()
+		size := diskBytes(s)
 		s.ResetStats()
 		// average over several runs, as the paper does (30 runs)
 		const runs = 5

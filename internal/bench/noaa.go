@@ -100,7 +100,7 @@ func table5Row(workDir string, sc Scale, data string, variant compVariant, load 
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", data, variant.name, err)
 	}
-	size := s.DiskBytes()
+	size := diskBytes(s)
 	row := []string{data, variant.name, fmtBytes(size)}
 	// Table V repetition counts
 	suites := [][]workload.Op{
@@ -212,7 +212,7 @@ func Table7(workDir string, sc Scale) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		size := s.DiskBytes()
+		size := diskBytes(s)
 		selTime, err := timed(func() error {
 			for ai := range series {
 				if _, err := s.Select(fmt.Sprintf("NOAA%d", ai), len(series[ai])); err != nil {

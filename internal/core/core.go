@@ -766,7 +766,9 @@ func (st *arrayState) chunksDir() string {
 // mutation: the version slice header is cloned (pointees are shared —
 // a mutator that edits a version clones that versionMeta and swaps the
 // pointer in its staged slice), and FileSeq is loaded atomically since
-// insert staging bumps the live counter with no store lock held.
+// insert staging bumps the live counter with no store lock held. Schema,
+// ChunkSide and BranchedFrom are shared as well: they never change after
+// creation, and no caller holds them (CreateArray and Info copy).
 // Callers hold Store.mu.
 func (st *arrayState) metaClone() arrayMeta {
 	return arrayMeta{
@@ -841,7 +843,7 @@ func (s *Store) newArrayState(schema array.Schema, branchedFrom *BranchRef) (*ar
 	}
 	return &arrayState{
 		arrayMeta: arrayMeta{
-			Schema:       schema,
+			Schema:       cloneSchema(schema),
 			ChunkSide:    ck.Side(),
 			NextID:       1,
 			BranchedFrom: branchedFrom,
@@ -1006,17 +1008,6 @@ func (s *Store) ListArrays() []string {
 	return names
 }
 
-// Schema returns the schema of a named array.
-func (s *Store) Schema(name string) (array.Schema, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, ok := s.arrays[name]
-	if !ok {
-		return array.Schema{}, fmt.Errorf("core: no array %q", name)
-	}
-	return st.Schema, nil
-}
-
 // VersionInfo is the public view of a version's metadata.
 type VersionInfo struct {
 	ID      int
@@ -1028,22 +1019,6 @@ type VersionInfo struct {
 	// DeltaBases lists the distinct versions this version's chunks are
 	// delta'ed against (empty for fully materialized versions).
 	DeltaBases []int
-}
-
-// Versions returns the ordered list of all live versions of an array
-// (the Get Versions operation, §II-C).
-func (s *Store) Versions(name string) ([]VersionInfo, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, ok := s.arrays[name]
-	if !ok {
-		return nil, fmt.Errorf("core: no array %q", name)
-	}
-	var out []VersionInfo
-	for _, v := range st.live() {
-		out = append(out, versionInfoOf(v))
-	}
-	return out, nil
 }
 
 func versionInfoOf(v *versionMeta) VersionInfo {
@@ -1064,41 +1039,44 @@ func versionInfoOf(v *versionMeta) VersionInfo {
 	return info
 }
 
-// VersionAt returns the ID of the newest version committed at or before
-// t ("facilities to look up versions that exist at a specific date and
-// time", §II-C).
-func (s *Store) VersionAt(name string, t time.Time) (int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, ok := s.arrays[name]
-	if !ok {
-		return 0, fmt.Errorf("core: no array %q", name)
-	}
+// ArrayInfo is an array's metadata as §II-C lists it: its versions (the
+// Get Versions operation), time travel over them (At) and its properties
+// ("size, sparsity, etc."). Info takes every field from one snapshot, so
+// they agree with each other, and hands out copies: editing an ArrayInfo
+// never reaches the store.
+type ArrayInfo struct {
+	Schema      array.Schema
+	SparseRep   bool
+	NumVersions int   // len(Versions)
+	DiskBytes   int64 // the sum of Versions[i].Bytes
+	LogicalSize int64 // uncompressed bytes of one dense version
+	ChunkSide   []int64
+	NumChunks   int64
+	// Versions lists the live versions in commit order; never nil.
+	Versions []VersionInfo
+	// BranchedFrom is the provenance of a branched array, or nil.
+	BranchedFrom *BranchRef
+}
+
+// At returns the ID of the newest version committed at or before t
+// ("facilities to look up versions that exist at a specific date and
+// time", §II-C). IDs are monotonic but commit times need not be, so it
+// scans for the greatest qualifying ID.
+func (a ArrayInfo) At(t time.Time) (int, error) {
 	best := 0
-	for _, v := range st.live() {
+	for _, v := range a.Versions {
 		if !v.Time.After(t) && v.ID > best {
 			best = v.ID
 		}
 	}
 	if best == 0 {
-		return 0, fmt.Errorf("core: array %q has no version at or before %v", name, t)
+		return 0, fmt.Errorf("core: array %q has no version at or before %v", a.Schema.Name, t)
 	}
 	return best, nil
 }
 
-// ArrayInfo describes an array's size and sparsity (§II-C "methods to
-// retrieve properties (e.g., size, sparsity, etc.) of the arrays").
-type ArrayInfo struct {
-	Schema      array.Schema
-	SparseRep   bool
-	NumVersions int
-	DiskBytes   int64
-	LogicalSize int64 // uncompressed bytes of one dense version
-	ChunkSide   []int64
-	NumChunks   int64
-}
-
-// Info returns an array's properties.
+// Info returns an array's metadata (§II-C), read under one Store.mu
+// section.
 func (s *Store) Info(name string) (ArrayInfo, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -1111,11 +1089,11 @@ func (s *Store) Info(name string) (ArrayInfo, error) {
 		return ArrayInfo{}, err
 	}
 	info := ArrayInfo{
-		Schema:      st.Schema,
-		SparseRep:   st.SparseRep,
-		NumVersions: len(st.live()),
-		ChunkSide:   append([]int64(nil), st.ChunkSide...),
-		NumChunks:   ck.Count(),
+		Schema:    cloneSchema(st.Schema),
+		SparseRep: st.SparseRep,
+		ChunkSide: append([]int64(nil), st.ChunkSide...),
+		NumChunks: ck.Count(),
+		Versions:  []VersionInfo{},
 	}
 	elem := int64(0)
 	for _, a := range st.Schema.Attrs {
@@ -1123,28 +1101,22 @@ func (s *Store) Info(name string) (ArrayInfo, error) {
 	}
 	info.LogicalSize = st.Schema.NumCells() * elem
 	for _, v := range st.live() {
-		for _, chunks := range v.Chunks {
-			for _, e := range chunks {
-				info.DiskBytes += e.Length
-			}
-		}
+		vi := versionInfoOf(v)
+		info.Versions = append(info.Versions, vi)
+		info.DiskBytes += vi.Bytes
+	}
+	info.NumVersions = len(info.Versions)
+	if ref := st.BranchedFrom; ref != nil {
+		info.BranchedFrom = &BranchRef{Array: ref.Array, Version: ref.Version}
 	}
 	return info, nil
 }
 
-// DiskBytes sums the on-disk payload bytes across all arrays.
-func (s *Store) DiskBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	total := int64(0)
-	for _, st := range s.arrays {
-		for _, v := range st.live() {
-			for _, chunks := range v.Chunks {
-				for _, e := range chunks {
-					total += e.Length
-				}
-			}
-		}
-	}
-	return total
+// cloneSchema copies a schema's slices, so a schema handed in
+// (CreateArray) or out (Info) never aliases the live document, which
+// every later commit record copies.
+func cloneSchema(sc array.Schema) array.Schema {
+	sc.Dims = append([]array.Dimension(nil), sc.Dims...)
+	sc.Attrs = append([]array.Attribute(nil), sc.Attrs...)
+	return sc
 }

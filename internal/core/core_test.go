@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -37,6 +38,12 @@ func reopen(t *testing.T, s *Store) *Store {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// versionsOf is the version list of one Info snapshot.
+func versionsOf(s *Store, name string) ([]VersionInfo, error) {
+	info, err := s.Info(name)
+	return info.Versions, err
 }
 
 func smallOpts() Options {
@@ -123,7 +130,7 @@ func TestNoOverwriteDeltaChainsSaveSpace(t *testing.T) {
 		t.Fatalf("delta chains use %d bytes, raw would be %d", info.DiskBytes, rawTotal)
 	}
 	// all but the first version should be delta'ed
-	infos, _ := s.Versions("W")
+	infos := info.Versions
 	for i, vi := range infos {
 		if i == 0 && len(vi.DeltaBases) != 0 {
 			t.Fatalf("first version has delta bases %v", vi.DeltaBases)
@@ -255,7 +262,7 @@ func TestDeltaListInsertForm(t *testing.T) {
 		t.Fatal("delta-list insert content wrong")
 	}
 	// lineage records the base
-	infos, _ := s.Versions("D")
+	infos, _ := versionsOf(s, "D")
 	if len(infos[1].Parents) != 1 || infos[1].Parents[0] != 1 {
 		t.Fatalf("delta-list parents = %v", infos[1].Parents)
 	}
@@ -398,8 +405,8 @@ func TestBranch(t *testing.T) {
 	if !got.Dense.Equal(versions[1]) {
 		t.Fatal("branch content mismatch")
 	}
-	ref, err := s.BranchedFrom("Fork")
-	if err != nil || ref == nil || ref.Array != "Src" || ref.Version != 2 {
+	fork, err := s.Info("Fork")
+	if ref := fork.BranchedFrom; err != nil || ref == nil || ref.Array != "Src" || ref.Version != 2 {
 		t.Fatalf("branch provenance = %v, %v", ref, err)
 	}
 	// updating the branch must not disturb the source
@@ -440,7 +447,7 @@ func TestMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	infos, _ := s.Versions("Combined")
+	infos, _ := versionsOf(s, "Combined")
 	if len(infos) != 3 {
 		t.Fatalf("merged array has %d versions", len(infos))
 	}
@@ -488,7 +495,7 @@ func TestDeleteVersionReEncodesChildren(t *testing.T) {
 	if _, err := s.Select("Del", 2); err == nil {
 		t.Error("deleted version still selectable")
 	}
-	infos, _ := s.Versions("Del")
+	infos, _ := versionsOf(s, "Del")
 	if len(infos) != 3 {
 		t.Fatalf("live versions = %d", len(infos))
 	}
@@ -525,12 +532,131 @@ func TestVersionAt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	id, err := s.VersionAt("T", base.Add(2*time.Hour+time.Minute))
-	if err != nil || id != 2 {
-		t.Fatalf("VersionAt = %d, %v", id, err)
+	info, err := s.Info("T")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.VersionAt("T", base); err == nil {
+	id, err := info.At(base.Add(2*time.Hour + time.Minute))
+	if err != nil || id != 2 {
+		t.Fatalf("At = %d, %v", id, err)
+	}
+	if _, err := info.At(base); err == nil {
 		t.Error("pre-history timestamp accepted")
+	}
+}
+
+// TestMetadataIsACopy edits every piece of metadata that crosses the API
+// by reference — the schema handed to CreateArray after the call, and
+// the schema and provenance Info returns — and expects none of it to
+// reach the store: not the live document, not the next commit record,
+// not what a reopen replays.
+func TestMetadataIsACopy(t *testing.T) {
+	s := testStore(t, smallOpts())
+	sch := schema2D("A", 16)
+	if err := s.CreateArray(sch); err != nil {
+		t.Fatal(err)
+	}
+	sch.Dims[0].Name, sch.Attrs[0].Name = "editedDim", "editedAttr"
+	vs := evolvingVersions(2, 16, 5)
+	if _, err := s.Insert("A", DensePayload(vs[0])); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Branch("A", 1, "Fork"); err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.Info("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info.Schema.Dims[0].Name, info.Schema.Attrs[0].Name = "editedDim", "editedAttr"
+	fork, err := s.Info("Fork")
+	if err != nil || fork.BranchedFrom == nil {
+		t.Fatalf("Fork provenance = %+v, %v", fork.BranchedFrom, err)
+	}
+	*fork.BranchedFrom = BranchRef{Array: "edited", Version: 99}
+	// one more insert into each array commits a fresh record of its
+	// document, which an aliased edit would ride into
+	for _, name := range []string{"A", "Fork"} {
+		if _, err := s.Insert(name, DensePayload(vs[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(label string, s *Store) {
+		t.Helper()
+		for _, name := range []string{"A", "Fork"} {
+			info, err := s.Info(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := schema2D(name, 16); !reflect.DeepEqual(info.Schema, want) {
+				t.Errorf("%s: %s schema = %+v, want %+v", label, name, info.Schema, want)
+			}
+		}
+		fork, _ := s.Info("Fork")
+		if ref := fork.BranchedFrom; ref == nil || *ref != (BranchRef{Array: "A", Version: 1}) {
+			t.Errorf("%s: Fork provenance = %+v, want A@1", label, ref)
+		}
+	}
+	check("live", s)
+	check("reopened", reopen(t, s))
+}
+
+// TestInfoIsOneSnapshot reads Info while another goroutine inserts and
+// deletes versions: every result must agree with itself.
+func TestInfoIsOneSnapshot(t *testing.T) {
+	s := testStore(t, smallOpts())
+	if err := s.CreateArray(schema2D("S", 16)); err != nil {
+		t.Fatal(err)
+	}
+	vs := evolvingVersions(4, 16, 7)
+	if _, err := s.Insert("S", DensePayload(vs[0])); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 1; i <= 60; i++ {
+			id, err := s.Insert("S", DensePayload(vs[i%len(vs)]))
+			if err == nil && i%3 == 0 {
+				err = s.DeleteVersion("S", id-1)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	far := time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)
+	for writing := true; writing; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+		}
+		info, err := s.Info("S")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.NumVersions != len(info.Versions) {
+			t.Fatalf("NumVersions %d, %d versions listed", info.NumVersions, len(info.Versions))
+		}
+		sum := int64(0)
+		for i, v := range info.Versions {
+			sum += v.Bytes
+			if i > 0 && v.ID <= info.Versions[i-1].ID {
+				t.Fatalf("version ids out of order: %d after %d", v.ID, info.Versions[i-1].ID)
+			}
+		}
+		if info.DiskBytes != sum {
+			t.Fatalf("DiskBytes %d, versions sum to %d", info.DiskBytes, sum)
+		}
+		last := info.Versions[len(info.Versions)-1].ID
+		if id, err := info.At(far); err != nil || id != last {
+			t.Fatalf("At(far future) = %d, %v; newest listed is %d", id, err, last)
+		}
 	}
 }
 
@@ -600,7 +726,7 @@ func checkReorganizeBatched(t *testing.T, versions []*array.Dense, k int, period
 			t.Fatalf("batched reorganize broke version %d: %v", i+1, err)
 		}
 	}
-	infos, _ := s.Versions("B")
+	infos, _ := versionsOf(s, "B")
 	for _, vi := range infos {
 		for _, b := range vi.DeltaBases {
 			if (b-1)/k != (vi.ID-1)/k {

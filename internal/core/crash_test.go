@@ -464,7 +464,7 @@ func checkRecovered(t *testing.T, dir string, step int64, m *crashModel, side in
 		if !rep.Ok() {
 			t.Fatalf("step %d: recovered Aux fails verify: %v", step, rep.Problems)
 		}
-		infos, err := s.Versions("Aux")
+		infos, err := versionsOf(s, "Aux")
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -492,7 +492,7 @@ func checkRecovered(t *testing.T, dir string, step int64, m *crashModel, side in
 		if !rep.Ok() {
 			t.Fatalf("step %d: recovered %s fails verify: %v", step, name, rep.Problems)
 		}
-		infos, err := s.Versions(name)
+		infos, err := versionsOf(s, name)
 		if err != nil {
 			t.Fatalf("step %d: versions %s: %v", step, name, err)
 		}
@@ -525,7 +525,7 @@ func checkRecovered(t *testing.T, dir string, step int64, m *crashModel, side in
 		// interrupted mid-commit: all-or-nothing across all three arrays
 		mIn := false
 		if arrays["M"] {
-			infos, err := s.Versions("M")
+			infos, err := versionsOf(s, "M")
 			if err != nil {
 				t.Fatalf("step %d: versions M: %v", step, err)
 			}
@@ -563,7 +563,7 @@ func checkRecovered(t *testing.T, dir string, step int64, m *crashModel, side in
 	if !rep.Ok() {
 		t.Fatalf("step %d: recovered store fails verify: %v", step, rep.Problems)
 	}
-	infos, err := s.Versions("M")
+	infos, err := versionsOf(s, "M")
 	if err != nil {
 		t.Fatalf("step %d: versions: %v", step, err)
 	}

@@ -1004,17 +1004,6 @@ func (s *Store) createWithVersions(ctx context.Context, schema array.Schema, fro
 	return nil
 }
 
-// BranchedFrom returns the provenance of a branched array, or nil.
-func (s *Store) BranchedFrom(name string) (*BranchRef, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, ok := s.arrays[name]
-	if !ok {
-		return nil, fmt.Errorf("core: no array %q", name)
-	}
-	return st.BranchedFrom, nil
-}
-
 // VersionRef addresses a version of a named array.
 type VersionRef struct {
 	Array   string

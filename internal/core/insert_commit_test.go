@@ -88,7 +88,7 @@ func (f *failFS) SyncDir(path string) error {
 func assertStoreAgrees(t *testing.T, s *Store, name string, want map[int]*array.Dense) {
 	t.Helper()
 	check := func(label string, st *Store) {
-		infos, err := st.Versions(name)
+		infos, err := versionsOf(st, name)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -305,7 +305,7 @@ func TestInsertBatchAtomicAndChained(t *testing.T) {
 	if len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
 		t.Fatalf("batch ids = %v, want [1 2 3]", ids)
 	}
-	infos, err := s.Versions("B")
+	infos, err := versionsOf(s, "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestInsertBatchAtomicAndChained(t *testing.T) {
 	}); !errors.Is(err, errInjected) {
 		t.Fatalf("batch under a commit fault returned %v, want the injected failure", err)
 	}
-	infos, err = s.Versions("B")
+	infos, err = versionsOf(s, "B")
 	if err != nil {
 		t.Fatal(err)
 	}

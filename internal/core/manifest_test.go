@@ -25,7 +25,7 @@ import (
 func checkContents(t *testing.T, s *Store, want map[string][]*array.Dense, label string) {
 	t.Helper()
 	for name, versions := range want {
-		infos, err := s.Versions(name)
+		infos, err := versionsOf(s, name)
 		if err != nil {
 			t.Fatalf("%s: Versions(%s): %v", label, name, err)
 		}

@@ -98,7 +98,7 @@ func checkLegacyGoldens(t *testing.T, dir, label string) {
 		t.Fatalf("%s: arrays %s, want [Framed Raw]", label, got)
 	}
 	for name, versions := range golden {
-		infos, err := s.Versions(name)
+		infos, err := versionsOf(s, name)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

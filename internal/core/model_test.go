@@ -50,7 +50,7 @@ func TestModelBasedRandomOps(t *testing.T) {
 				return d
 			}
 			checkAll := func(step int) {
-				infos, err := s.Versions("Model")
+				infos, err := versionsOf(s, "Model")
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
@@ -145,7 +145,7 @@ func TestModelBasedRandomOps(t *testing.T) {
 					// the interrupted insert is atomically in or out: any id
 					// the store has beyond the model must be it, with exactly
 					// the intended content
-					infos, err := s.Versions("Model")
+					infos, err := versionsOf(s, "Model")
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}

@@ -120,7 +120,7 @@ func FuzzOpenStore(f *testing.F) {
 				if intact && (err != nil || !rep.Ok()) {
 					t.Fatalf("the intact seed store fails verify: %v %v", err, rep.Problems)
 				}
-				infos, err := s.Versions(name)
+				infos, err := versionsOf(s, name)
 				if err != nil {
 					continue
 				}

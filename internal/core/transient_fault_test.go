@@ -107,7 +107,7 @@ func checkTransientState(t *testing.T, s *Store, m *transientModel, label string
 	if !m.created {
 		return
 	}
-	infos, err := s.Versions("T")
+	infos, err := versionsOf(s, "T")
 	if err != nil {
 		t.Fatalf("%s: Versions: %v", label, err)
 	}
@@ -143,7 +143,7 @@ func checkTransientState(t *testing.T, s *Store, m *transientModel, label string
 	if !m.created2 {
 		return
 	}
-	infos, err = s.Versions("T2")
+	infos, err = versionsOf(s, "T2")
 	if err != nil {
 		t.Fatalf("%s: Versions T2: %v", label, err)
 	}
@@ -362,7 +362,7 @@ func TestContextCancellation(t *testing.T) {
 	if _, err := s.Write(ctx, []MultiInsert{{Array: "C", Payloads: []Payload{DensePayload(crashContent(2, side))}}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Write error = %v, want context.Canceled", err)
 	}
-	infos, err := s.Versions("C")
+	infos, err := versionsOf(s, "C")
 	if err != nil {
 		t.Fatal(err)
 	}

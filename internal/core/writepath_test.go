@@ -319,7 +319,7 @@ func TestWriteStagesWhileCommitInFlight(t *testing.T) {
 	if got := after.GroupCommits - before.GroupCommits; got != 2 {
 		t.Errorf("two writes took %d commit records, want 2", got)
 	}
-	infos, err := s.Versions("G")
+	infos, err := versionsOf(s, "G")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestWriteRefusedAfterUncertainCommitFailure(t *testing.T) {
 	if err := <-errB; !errors.Is(err, ErrDegraded) {
 		t.Fatalf("B = %v, want ErrDegraded", err)
 	}
-	if infos, err := s.Versions("G"); err != nil || len(infos) != 1 {
+	if infos, err := versionsOf(s, "G"); err != nil || len(infos) != 1 {
 		t.Fatalf("versions after the failed commits: %v %v, want only version 1", infos, err)
 	}
 }

@@ -279,7 +279,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	// trace (reusing id here would push a second, stage-less summary
 	// under the same id that shadows the select's in the ring)
 	echoID := trace.NewID()
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/arrays/T/versions", nil)
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/arrays/T", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		t.Errorf("response %s = %q, want the sent id %q", TraceHeader, got, echoID)
 	}
 	// an untraced request gets a fresh id assigned
-	resp2, err := http.Get(ts.URL + "/v1/arrays/T/versions")
+	resp2, err := http.Get(ts.URL + "/v1/arrays/T")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,11 +137,7 @@ func New(cfg Config) (*Server, error) {
 	s.route(mux, "GET /v1/arrays", "list", s.handleList)
 	s.route(mux, "POST /v1/arrays", "create", s.handleCreate)
 	s.route(mux, "DELETE /v1/arrays/{name}", "drop", s.handleDrop)
-	s.route(mux, "GET /v1/arrays/{name}/info", "info", s.handleInfo)
-	s.route(mux, "GET /v1/arrays/{name}/schema", "schema", s.handleSchema)
-	s.route(mux, "GET /v1/arrays/{name}/versions", "versions", s.handleVersions)
-	s.route(mux, "GET /v1/arrays/{name}/version-at", "version-at", s.handleVersionAt)
-	s.route(mux, "GET /v1/arrays/{name}/branched-from", "branched-from", s.handleBranchedFrom)
+	s.route(mux, "GET /v1/arrays/{name}", "info", s.handleInfo)
 	s.route(mux, "GET /v1/arrays/{name}/verify", "verify", s.handleVerify)
 	s.route(mux, "POST /v1/write", "write", s.handleWrite)
 	s.routeStream(mux, "GET /v1/arrays/{name}/select", "select", s.handleSelect)
@@ -500,51 +496,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
-}
-
-func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
-	schema, err := s.store.Schema(r.PathValue("name"))
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, schema)
-}
-
-func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
-	infos, err := s.store.Versions(r.PathValue("name"))
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	if infos == nil {
-		infos = []core.VersionInfo{}
-	}
-	writeJSON(w, http.StatusOK, infos)
-}
-
-func (s *Server) handleVersionAt(w http.ResponseWriter, r *http.Request) {
-	raw := r.URL.Query().Get("time")
-	t, err := time.Parse(time.RFC3339Nano, raw)
-	if err != nil {
-		s.writeErr(w, fmt.Errorf("bad ?time parameter %q (want RFC 3339): %w", raw, err))
-		return
-	}
-	id, err := s.store.VersionAt(r.PathValue("name"), t)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"id": id})
-}
-
-func (s *Server) handleBranchedFrom(w http.ResponseWriter, r *http.Request) {
-	ref, err := s.store.BranchedFrom(r.PathValue("name"))
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ref)
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {

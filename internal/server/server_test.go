@@ -193,8 +193,8 @@ func TestEndToEndConcurrentClients(t *testing.T) {
 				fail("branch content mismatch")
 				return
 			}
-			ref, err := c.BranchedFrom(branch)
-			if err != nil || ref == nil || ref.Array != name || ref.Version != ids[1] {
+			binfo, err := c.Info(branch)
+			if ref := binfo.BranchedFrom; err != nil || ref == nil || ref.Array != name || ref.Version != ids[1] {
 				fail("branched-from: ref=%+v err=%v", ref, err)
 				return
 			}
@@ -220,17 +220,12 @@ func TestEndToEndConcurrentClients(t *testing.T) {
 			}
 
 			// metadata
-			infos, err := c.Versions(name)
-			if err != nil || len(infos) != len(ids) {
-				fail("versions: %d infos, err=%v", len(infos), err)
-				return
-			}
 			info, err := c.Info(name)
-			if err != nil || info.NumVersions != len(ids) {
+			if err != nil || info.NumVersions != len(ids) || len(info.Versions) != len(ids) || info.BranchedFrom != nil {
 				fail("info: %+v err=%v", info, err)
 				return
 			}
-			vid, err := c.VersionAt(name, time.Now().Add(time.Hour))
+			vid, err := info.At(time.Now().Add(time.Hour))
 			if err != nil || vid != ids[len(ids)-1] {
 				fail("version-at: %d err=%v", vid, err)
 				return
@@ -423,14 +418,32 @@ func TestErrorMapping(t *testing.T) {
 	if _, err := c.Select("nope", 1); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("select on missing array: %v", err)
 	}
+	if _, err := c.Info("nope"); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("info on missing array: %v", err)
+	}
 	if err := c.CreateArray(denseSchema("Dup", 8)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CreateArray(denseSchema("Dup", 8)); err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("duplicate create: %v", err)
 	}
+	// time travel to before the first version is a missing version
+	if _, err := c.Query("SELECT * FROM Dup@'1-1-1970';"); err == nil ||
+		!strings.Contains(err.Error(), "404") || !strings.Contains(err.Error(), "has no version at or before") {
+		t.Fatalf("aql select before the first version: %v, want a 404", err)
+	}
+	// an array with no versions lists them as [], not null
+	resp, err := http.Get(ts.URL + "/v1/arrays/Dup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !bytes.Contains(raw, []byte(`"Versions":[]`)) || !bytes.Contains(raw, []byte(`"BranchedFrom":null`)) {
+		t.Fatalf("info of an empty array: %s", raw)
+	}
 	// garbage instead of a write body
-	resp, err := http.Post(ts.URL+"/v1/write", FrameContentType, strings.NewReader("not a frame"))
+	resp, err = http.Post(ts.URL+"/v1/write", FrameContentType, strings.NewReader("not a frame"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,11 +540,11 @@ func TestGracefulShutdownMidTraffic(t *testing.T) {
 		if !rep.Ok() {
 			t.Fatalf("verify %s: %v", name, rep.Problems)
 		}
-		infos, err := reopened.Versions(name)
-		if err != nil || len(infos) == 0 {
-			t.Fatalf("versions %s: %d, err=%v", name, len(infos), err)
+		info, err := reopened.Info(name)
+		if err != nil || info.NumVersions == 0 {
+			t.Fatalf("versions %s: %d, err=%v", name, info.NumVersions, err)
 		}
-		if _, err := reopened.Select(name, infos[len(infos)-1].ID); err != nil {
+		if _, err := reopened.Select(name, info.Versions[info.NumVersions-1].ID); err != nil {
 			t.Fatalf("select newest of %s: %v", name, err)
 		}
 	}
@@ -737,12 +750,12 @@ func TestInsertBatchRoute(t *testing.T) {
 		}
 	}
 	// remote and embedded agree
-	infos, err := store.Versions("Batch")
+	info, err := store.Info("Batch")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 3 {
-		t.Fatalf("embedded store has %d versions, want 3", len(infos))
+	if info.NumVersions != 3 {
+		t.Fatalf("embedded store has %d versions, want 3", info.NumVersions)
 	}
 
 	// torn body: first payload frame valid, second torn mid-frame → 400,
@@ -762,8 +775,8 @@ func TestInsertBatchRoute(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("torn batch answered %d, want 400", resp.StatusCode)
 	}
-	if infos, _ := store.Versions("Batch"); len(infos) != 3 {
-		t.Fatalf("torn batch committed something: %d versions", len(infos))
+	if info, _ := store.Info("Batch"); info.NumVersions != 3 {
+		t.Fatalf("torn batch committed something: %d versions", info.NumVersions)
 	}
 }
 
@@ -819,12 +832,12 @@ func TestInsertMultiRoute(t *testing.T) {
 				t.Fatalf("%s@%d corrupted over the wire", name, got[j])
 			}
 		}
-		infos, err := store.Versions(name)
+		info, err := store.Info(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(infos) != len(ds) {
-			t.Fatalf("embedded %s has %d versions, want %d", name, len(infos), len(ds))
+		if info.NumVersions != len(ds) {
+			t.Fatalf("embedded %s has %d versions, want %d", name, info.NumVersions, len(ds))
 		}
 	}
 
@@ -852,8 +865,8 @@ func TestInsertMultiRoute(t *testing.T) {
 		t.Fatalf("write naming one array twice: %v, want a 400", err)
 	}
 	for name, ds := range want {
-		if infos, _ := store.Versions(name); len(infos) != len(ds) {
-			t.Fatalf("a refused write committed into %s: %d versions", name, len(infos))
+		if info, _ := store.Info(name); info.NumVersions != len(ds) {
+			t.Fatalf("a refused write committed into %s: %d versions", name, info.NumVersions)
 		}
 	}
 }
@@ -920,8 +933,8 @@ func TestIdempotencyKeyScopedByRoute(t *testing.T) {
 	if respB.Header.Get("Idempotency-Replayed") != "" {
 		t.Fatal("same key against a different part table replayed instead of committing")
 	}
-	if infos, _ := store.Versions("IdemB"); len(infos) != 3 {
-		t.Fatalf("IdemB has %d versions, want 3 (a key collision swallowed the write)", len(infos))
+	if info, _ := store.Info("IdemB"); info.NumVersions != 3 {
+		t.Fatalf("IdemB has %d versions, want 3 (a key collision swallowed the write)", info.NumVersions)
 	}
 	// same key, same part table: a genuine retry, each put replayed with
 	// its own ids
@@ -932,8 +945,8 @@ func TestIdempotencyKeyScopedByRoute(t *testing.T) {
 	if fmt.Sprint(idsAB2) != fmt.Sprint(idsAB) {
 		t.Fatalf("replay returned ids %v, want %v", idsAB2, idsAB)
 	}
-	if infos, _ := store.Versions("IdemA"); len(infos) != 1 {
-		t.Fatalf("IdemA has %d versions after replay, want 1", len(infos))
+	if info, _ := store.Info("IdemA"); info.NumVersions != 1 {
+		t.Fatalf("IdemA has %d versions after replay, want 1", info.NumVersions)
 	}
 }
 
