@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
+	"maps"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"arrayvers/internal/array"
 )
@@ -431,4 +435,109 @@ func TestConcurrentSelectWithPerVersionReencode(t *testing.T) {
 			t.Fatalf("version %d corrupted", i+1)
 		}
 	}
+}
+
+// TestViewSharesRecordsSafely holds one reader's snapshot view while a
+// Write, a DeleteVersion and a Reorganize commit on the same array.
+// Views share the committed version records instead of copying them, so
+// every mutator must copy a record before it edits it: the view's chunk
+// entries, and the bytes it reads while it pins its generation, stay
+// identical throughout. Under -race an in-place edit shows as a race.
+func TestViewSharesRecordsSafely(t *testing.T) {
+	s := testStore(t, concurrencyOpts())
+	if err := s.CreateArray(schema2D("V", 32)); err != nil {
+		t.Fatal(err)
+	}
+	versions := evolvingVersions(5, 32, 23)
+	for _, v := range versions[:4] {
+		if _, err := s.Insert("V", DensePayload(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, release, err := s.snapshot("V")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := v.st
+	entries := func() map[int]map[string]map[string]chunkEntry {
+		out := map[int]map[string]map[string]chunkEntry{}
+		for id, vm := range v.byID {
+			out[id] = map[string]map[string]chunkEntry{}
+			for attr, chunks := range vm.Chunks {
+				out[id][attr] = maps.Clone(chunks)
+			}
+		}
+		return out
+	}
+	full := array.BoxOf(st.Schema.Shape())
+	reads := func() map[int]Plane {
+		out := map[int]Plane{}
+		for _, id := range v.ids {
+			pl, err := s.readRegionView(context.Background(), v, id, "A", full, newChunkCache(), nil)
+			if err != nil {
+				t.Fatalf("view read of version %d: %v", id, err)
+			}
+			out[id] = pl
+		}
+		return out
+	}
+	wantEntries, wantReads := entries(), reads()
+	check := func(label string, read bool) {
+		t.Helper()
+		if !reflect.DeepEqual(entries(), wantEntries) {
+			t.Fatalf("%s: the view's chunk entries changed", label)
+		}
+		if !read {
+			return
+		}
+		for id, pl := range reads() {
+			if !pl.Dense.Equal(wantReads[id].Dense) {
+				t.Fatalf("%s: the view reads version %d differently", label, id)
+			}
+		}
+	}
+	// await spins until the mutator's commit is installed; the mutator
+	// itself stays blocked on the view's I/O latch until it is released
+	done := make(chan error, 1)
+	await := func(label string, committed func() bool) {
+		t.Helper()
+		for {
+			s.mu.RLock()
+			ok := committed()
+			s.mu.RUnlock()
+			if ok {
+				return
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("%s returned before its commit showed: %v", label, err)
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+
+	go func() {
+		if _, err := s.Insert("V", DensePayload(versions[4])); err != nil {
+			done <- err
+			return
+		}
+		done <- s.DeleteVersion("V", 2) // re-encodes version 3
+	}()
+	await("DeleteVersion", func() bool { _, err := st.version(2); return err != nil })
+	check("after a Write and a DeleteVersion", true)
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	gen := v.dir
+	st.ioMu.RLock() // pin the view's generation again through the rewrite
+	go func() { done <- s.Reorganize("V", ReorganizeOptions{Policy: PolicyLinearChain}) }()
+	await("Reorganize", func() bool { return st.chunksDir() != gen })
+	check("after a Reorganize", true)
+	st.ioMu.RUnlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	check("after every mutator returned", false)
 }

@@ -623,15 +623,16 @@ type BranchRef struct {
 }
 
 // arrayMeta is the durable metadata of one named array — exactly the
-// fields serialized into a manifest record. Mutators never edit the
-// live copy in place: they
-// build a staged arrayMeta (metaClone), commit it with commitMeta, and
-// install it only after the commit succeeds, so a failed commit can
-// never leave in-memory metadata referencing an uncommitted version
-// (see insert.go "The insert commit path"). Committed documents are
-// immutable: the manifest retains the last committed doc of every
-// array for its rotation snapshots, which is only sound because every
-// later mutation stages against a fresh clone.
+// fields a snapshot or a whole-document manifest op serializes (a
+// write's record carries only its arrayAppend). Mutators never edit the
+// live copy in place: they build a staged arrayMeta (metaClone), commit
+// it, and install it only after the commit succeeds, so a failed commit
+// can never leave in-memory metadata referencing an uncommitted version
+// (see insert.go "The write path"). Committed documents are immutable:
+// the manifest retains the last committed doc of every array for its
+// rotation snapshots, and reader views share its version records, which
+// is only sound because every later mutation stages against a fresh
+// clone.
 type arrayMeta struct {
 	Schema       array.Schema   `json:"schema"`
 	SparseRep    bool           `json:"sparseRep"`
@@ -707,9 +708,9 @@ type arrayState struct {
 	// superseded contents. Guarded by Store.mu.
 	seq uint64
 
-	// cachedView memoizes the cloned metadata snapshot between
-	// mutations, so repeated selects pay O(1) for metadata regardless of
-	// version count. Mutators clear it and install their change in one
+	// cachedView memoizes the metadata view between mutations, so
+	// repeated selects pay O(1) for metadata regardless of version
+	// count. Mutators clear it and install their change in one
 	// Store.mu section (mutateLocked + installMeta), so no reader can
 	// observe the window between mutation and clear; readers rebuild and
 	// store it under the read lock.
@@ -726,8 +727,9 @@ type arrayState struct {
 }
 
 func (st *arrayState) version(id int) (*versionMeta, error) {
-	for _, v := range st.Versions {
-		if v.ID == id && !v.Deleted {
+	// newest first: the versions callers look up are mostly the head
+	for i := len(st.Versions) - 1; i >= 0; i-- {
+		if v := st.Versions[i]; v.ID == id && !v.Deleted {
 			return v, nil
 		}
 	}

@@ -25,7 +25,7 @@ import (
 //   - holding the writeMu of every array it writes, taken in name order,
 //     stageBatch resolves each array's payloads, picks delta bases, and
 //     encodes every chunk — appending blobs, unsynced, to the chunk
-//     files — against a cloned metadata snapshot. Store.mu is held only
+//     files — against a private metadata view. Store.mu is held only
 //     long enough to take the snapshot, so writes to different arrays
 //     encode concurrently and never stall readers;
 //   - it then takes every array's commitMu in the same order and hands
@@ -34,8 +34,10 @@ import (
 //     write's stage and its commit;
 //   - finalizeBatch validates the stagings against the live state under
 //     a brief Store.mu, fsyncs every touched chunk file, commits every
-//     array's staged document as ONE manifest record with Store.mu
-//     released, and installs them under a second brief Store.mu.
+//     array's staged versions as ONE manifest record with Store.mu
+//     released — each array's op carries only the versions this write
+//     adds (manifest.go, arrayAppend) — and installs the resulting
+//     documents under a second brief Store.mu.
 //
 // Nothing is installed into the live arrayState until the manifest
 // append succeeds, so a failed commit leaves in-memory metadata exactly
@@ -571,7 +573,7 @@ func (s *Store) finalizeBatch(tr *trace.Trace, staged []*stagedInsert) error {
 			s.mu.RUnlock()
 			return err
 		}
-		ops[i] = manifestOp{Name: ins.st.Schema.Name, Meta: doc}
+		ops[i] = appendOp(ins.st.Schema.Name, doc, ins.vms)
 		installed += len(ins.vms)
 	}
 	s.mu.RUnlock()
@@ -613,7 +615,7 @@ func (s *Store) finalizeBatch(tr *trace.Trace, staged []*stagedInsert) error {
 	s.mu.Lock()
 	for i, ins := range staged {
 		ins.st.mutateLocked()
-		ins.st.installMeta(*ops[i].Meta)
+		ins.st.installMeta(*ops[i].doc)
 		epochs[i] = s.epochs[ins.st.Schema.Name]
 	}
 	s.addGroupCommit(installed)
@@ -650,11 +652,7 @@ func (s *Store) validateLocked(ins *stagedInsert) (*arrayMeta, error) {
 		return nil, fmt.Errorf("core: array %q uses the %s representation; staged payload does not",
 			st.Schema.Name, repName(st.SparseRep))
 	}
-	liveIDs := make(map[int]bool)
-	for _, vm := range st.live() {
-		liveIDs[vm.ID] = true
-	}
-	if staleBase(ins, liveIDs) != 0 {
+	if !basesLive(st, ins) {
 		return nil, errStagingInvalidated
 	}
 	doc := st.metaClone()
@@ -670,21 +668,28 @@ func (s *Store) validateLocked(ins *stagedInsert) (*arrayMeta, error) {
 	return &doc, nil
 }
 
-// staleBase returns a delta base referenced by the staged insert that
-// is no longer live (0 if none).
-func staleBase(ins *stagedInsert, liveIDs map[int]bool) int {
+// basesLive reports whether every delta base the staged insert
+// references is still live. It looks up only the distinct bases the
+// staged chunks name — usually the one head version — not every live
+// version. Callers hold Store.mu.
+func basesLive(st *arrayState, ins *stagedInsert) bool {
+	live := make(map[int]bool, len(ins.vms)+1)
 	for _, vm := range ins.vms {
 		for _, chunks := range vm.Chunks {
 			for _, e := range chunks {
-				if e.Base >= 0 && !liveIDs[e.Base] {
-					return e.Base
+				if e.Base < 0 || live[e.Base] {
+					continue
 				}
+				if _, err := st.version(e.Base); err != nil {
+					return false
+				}
+				live[e.Base] = true
 			}
 		}
 		// within the batch, later members may base on earlier ones
-		liveIDs[vm.ID] = true
+		live[vm.ID] = true
 	}
-	return 0
+	return true
 }
 
 func repName(sparse bool) string {

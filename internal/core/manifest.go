@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -23,14 +24,26 @@ import (
 //	MANIFEST-N.snap    one AVC1 frame: JSON {seq, arrays} — the full
 //	                   store state as of sequence number seq
 //	MANIFEST-N.log     AVC1 frames, one per commit: JSON
-//	                   {seq, ops:[{name, drop?, meta?}...]}
+//	                   {seq, ops:[{name, drop?, meta?, add?}...]}
 //
-// Every record carries whole arrayMeta documents (last-writer-wins on
-// replay) in the chunk frame format — 13-byte header with magic,
-// version, payload length, and CRC32-C — so a torn append is detected
-// exactly like a torn chunk tail. Sequence numbers are contiguous: the
-// snapshot stores the last sequence it covers and the log must continue
-// at seq+1, so replay can tell a clean tail from a missing record.
+// A log record carries each commit's edit, not the state it leaves:
+// a write's op (add) holds the array's header fields and only the
+// versions that write staged, and replay appends them to the replayed
+// document, so a commit's size does not grow with the array's age.
+// Every other mutation — CreateArray, a rewrite, DeleteVersion,
+// recovery, migration — commits a whole arrayMeta document (meta,
+// last-writer-wins on replay), and a snapshot holds only whole
+// documents. Both files use the chunk frame format — 13-byte header
+// with magic, version, payload length, and CRC32-C — so a torn append
+// is detected exactly like a torn chunk tail. Sequence numbers are
+// contiguous: the snapshot stores the last sequence it covers and the
+// log must continue at seq+1, so replay can tell a clean tail from a
+// missing record.
+//
+// An add op has no meta key, and a replay that predates add ops
+// rejects an op without a document, so an older binary refuses such a
+// log instead of taking the appended tail for the whole history (which
+// would let its recovery delete the payloads of every other version).
 //
 // THE commit point of every mutation is the manifest append — fsynced
 // under Durability, the same append without the fsync otherwise. Chunk
@@ -62,12 +75,74 @@ const (
 func manifestSnapName(gen int) string { return fmt.Sprintf("%s%06d.snap", manifestPrefix, gen) }
 func manifestLogName(gen int) string  { return fmt.Sprintf("%s%06d.log", manifestPrefix, gen) }
 
-// manifestOp is one array's part of a commit record: either its full
-// replacement metadata document or a drop marker.
+// manifestOp is one array's part of a commit record, in exactly one of
+// three forms: Meta, the array's whole replacement document; Add, one
+// write's appended versions; or Drop. Snapshots hold only Meta ops.
 type manifestOp struct {
-	Name string     `json:"name"`
-	Drop bool       `json:"drop,omitempty"`
-	Meta *arrayMeta `json:"meta,omitempty"`
+	Name string       `json:"name"`
+	Drop bool         `json:"drop,omitempty"`
+	Meta *arrayMeta   `json:"meta,omitempty"`
+	Add  *arrayAppend `json:"add,omitempty"`
+	// doc is the whole document an Add op leaves its array with, for
+	// the mirror state; it is never encoded.
+	doc *arrayMeta
+}
+
+// arrayAppend is one write's edit to an array's document: the header
+// fields a write can change, and the versions it adds in id order.
+// Gen is the chunk generation the versions were staged in; replay
+// rejects an append whose Gen is not the replayed document's.
+type arrayAppend struct {
+	SparseRep bool           `json:"sparseRep"`
+	Fill      int64          `json:"fill"`
+	NextID    int            `json:"nextId"`
+	Gen       int            `json:"gen,omitempty"`
+	FileSeq   int64          `json:"fileSeq,omitempty"`
+	Versions  []*versionMeta `json:"versions"`
+}
+
+// appendOp is the op that commits a write: doc is the whole document
+// the write leaves the array with, added the versions it staged.
+func appendOp(name string, doc *arrayMeta, added []*versionMeta) manifestOp {
+	return manifestOp{Name: name, doc: doc, Add: &arrayAppend{
+		SparseRep: doc.SparseRep,
+		Fill:      doc.Fill,
+		NextID:    doc.NextID,
+		Gen:       doc.Gen,
+		FileSeq:   doc.FileSeq,
+		Versions:  added,
+	}}
+}
+
+// applyAppend returns the document an append leaves prev with. prev is
+// a replayed document nothing else holds, so the version slice may grow
+// in place; the errors name what makes the append inconsistent with it.
+func applyAppend(prev *arrayMeta, add *arrayAppend) (*arrayMeta, error) {
+	if prev == nil {
+		return nil, errors.New("append to an absent array")
+	}
+	if add.Gen != prev.Gen {
+		return nil, fmt.Errorf("append staged in chunk generation %d, array is at %d", add.Gen, prev.Gen)
+	}
+	last := -1
+	if n := len(prev.Versions); n > 0 {
+		last = prev.Versions[n-1].ID
+	}
+	for _, vm := range add.Versions {
+		switch {
+		case vm == nil:
+			return nil, errors.New("append holds a nil version")
+		case vm.ID <= last:
+			return nil, fmt.Errorf("appended version %d is not above version %d", vm.ID, last)
+		case vm.ID >= add.NextID:
+			return nil, fmt.Errorf("appended version %d is not below nextId %d", vm.ID, add.NextID)
+		}
+		last = vm.ID
+	}
+	doc := *prev
+	doc.SparseRep, doc.Fill, doc.NextID, doc.FileSeq = add.SparseRep, add.Fill, add.NextID, add.FileSeq
+	doc.Versions = append(prev.Versions, add.Versions...)
+	return &doc, nil
 }
 
 // manifestRecord is one committed mutation: every op in it becomes
@@ -253,9 +328,12 @@ func (man *manifest) appendLocked(batch []*manifestCommit) {
 	for _, c := range batch {
 		for i := range c.ops {
 			op := &c.ops[i]
-			if op.Drop {
+			switch {
+			case op.Drop:
 				delete(man.state, op.Name)
-			} else {
+			case op.Add != nil:
+				man.state[op.Name] = op.doc
+			default:
 				man.state[op.Name] = op.Meta
 			}
 		}
@@ -488,17 +566,28 @@ func replayManifest(dir string) (r manifestReplay, err error) {
 	apply := func(where string, ops []manifestOp) error {
 		for i := range ops {
 			op := &ops[i]
-			if op.Drop {
+			switch {
+			case op.Drop:
 				delete(r.state, op.Name)
-				continue
-			}
-			if op.Meta == nil {
+			case op.Meta != nil && op.Add != nil:
+				return fmt.Errorf("core: manifest %s: array %q has both a document and an append", where, op.Name)
+			case op.Add != nil:
+				doc, err := applyAppend(r.state[op.Name], op.Add)
+				if err != nil {
+					return fmt.Errorf("core: manifest %s: array %q: %w", where, op.Name, err)
+				}
+				r.state[op.Name] = doc
+			case op.Meta == nil:
 				return fmt.Errorf("core: manifest %s: array %q has no document", where, op.Name)
+			default:
+				if err := op.Meta.Schema.Validate(); err != nil {
+					return fmt.Errorf("core: manifest %s: array %q: %w", where, op.Name, err)
+				}
+				if slices.Contains(op.Meta.Versions, nil) {
+					return fmt.Errorf("core: manifest %s: array %q holds a nil version", where, op.Name)
+				}
+				r.state[op.Name] = op.Meta
 			}
-			if err := op.Meta.Schema.Validate(); err != nil {
-				return fmt.Errorf("core: manifest %s: array %q: %w", where, op.Name, err)
-			}
-			r.state[op.Name] = op.Meta
 		}
 		return nil
 	}
@@ -516,6 +605,9 @@ func replayManifest(dir string) (r manifestReplay, err error) {
 		return r, fmt.Errorf("core: manifest snapshot %s: %w", snapName, err)
 	}
 	for _, op := range snap.Arrays {
+		if op.Add != nil {
+			return r, fmt.Errorf("core: manifest snapshot %s: array %q: append op inside a snapshot", snapName, op.Name)
+		}
 		if op.Drop {
 			return r, fmt.Errorf("core: manifest snapshot %s: array %q has no document", snapName, op.Name)
 		}

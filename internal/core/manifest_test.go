@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -17,7 +19,8 @@ import (
 
 // Tests for the store-wide manifest commit log: replay across reopen,
 // snapshot rotation, the cross-array Write commit, append-failure
-// poisoning and heal, and deep verification. (The offline migration of
+// poisoning and heal, deep verification, hostile append records, and
+// the size of a write's record. (The offline migration of
 // legacy directories is covered in migrate_test.go.)
 
 // checkContents asserts every expected version reads back
@@ -355,7 +358,8 @@ func TestManifestAppendFailureDegradesAndHeals(t *testing.T) {
 // three files it reads — CURRENT, the live generation's snapshot and its
 // log — and requires an error or a well-formed state, never a panic or
 // an allocation the bytes cannot back. Seeds are the files of a real
-// store after inserts, a rotation and a drop.
+// store after inserts, a rotation and a drop, and that store's files
+// with each of hostileAppends in its log or snapshot.
 func FuzzManifestReplay(f *testing.F) {
 	dir := f.TempDir()
 	opts := smallOpts()
@@ -365,12 +369,12 @@ func FuzzManifestReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	var files [3][]byte // CURRENT, snapshot, log of the last seed
 	seed := func() {
 		gen, err := readCurrent(dir)
 		if err != nil {
 			f.Fatal(err)
 		}
-		var files [3][]byte
 		for i, name := range []string{currentFile, manifestSnapName(gen), manifestLogName(gen)} {
 			if files[i], err = os.ReadFile(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
 				f.Fatal(err)
@@ -384,7 +388,9 @@ func FuzzManifestReplay(f *testing.F) {
 		}
 	}
 	seed()
-	for i := int64(1); i <= 6; i++ {
+	// an insert's record is ~290 bytes: the sixth rotates the log, and
+	// the last two leave their appends in the live one
+	for i := int64(1); i <= 8; i++ {
 		if _, err := s.Insert("Keep", DensePayload(crashContent(i, 8))); err != nil {
 			f.Fatal(err)
 		}
@@ -398,6 +404,13 @@ func FuzzManifestReplay(f *testing.F) {
 	seed()
 	if err := s.Close(); err != nil {
 		f.Fatal(err)
+	}
+	// the live log holds the last inserts' appends; seed it with each
+	// hostile append as one more record (or in the snapshot)
+	recs := logRecords(f, files[2])
+	for _, h := range hostileAppends(lastAppend(f, recs)) {
+		snap, log := h.files(f, files[1], files[2], recs[len(recs)-1].Seq+1)
+		f.Add(files[0], snap, log)
 	}
 
 	f.Fuzz(func(t *testing.T, current, snap, log []byte) {
@@ -433,4 +446,229 @@ func FuzzManifestReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// logRecords decodes every complete record of a manifest log.
+func logRecords(t testing.TB, log []byte) []manifestRecord {
+	t.Helper()
+	var recs []manifestRecord
+	for off := int64(0); off < int64(len(log)); {
+		payload, size, ok := scanManifestFrame(log[off:])
+		if !ok {
+			break
+		}
+		var rec manifestRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+		off += size
+	}
+	return recs
+}
+
+// lastAppend returns the last write's append op in recs.
+func lastAppend(t testing.TB, recs []manifestRecord) manifestOp {
+	t.Helper()
+	for i := len(recs) - 1; i >= 0; i-- {
+		for _, op := range recs[i].Ops {
+			if op.Add != nil {
+				return op
+			}
+		}
+	}
+	t.Fatal("the log holds no append record")
+	return manifestOp{}
+}
+
+// hostileAppend is one append op replay must reject: want is a
+// fragment of the error, which also names the record (or, inSnap, the
+// snapshot) holding it. want "" marks the control case, a valid next
+// append that must replay clean.
+type hostileAppend struct {
+	label, want string
+	inSnap      bool
+	op          manifestOp
+}
+
+// hostileAppends derives, from a committed write's append op, the
+// append records replay must reject — each otherwise a valid next
+// append.
+func hostileAppends(good manifestOp) []hostileAppend {
+	next := func(mut func(op *manifestOp)) manifestOp {
+		add := *good.Add
+		vm := *add.Versions[len(add.Versions)-1]
+		vm.ID = add.NextID
+		add.Versions = []*versionMeta{&vm}
+		add.NextID++
+		op := manifestOp{Name: good.Name, Add: &add}
+		if mut != nil {
+			mut(&op)
+		}
+		return op
+	}
+	return []hostileAppend{
+		{label: "valid", op: next(nil)},
+		{label: "absent array", want: "append to an absent array", op: next(func(op *manifestOp) { op.Name = "Absent" })},
+		{label: "gen mismatch", want: "chunk generation", op: next(func(op *manifestOp) { op.Add.Gen++ })},
+		{label: "replayed twice", want: "is not above", op: good},
+		{label: "id at nextId", want: "is not below nextId", op: next(func(op *manifestOp) { op.Add.NextID-- })},
+		{label: "nil version", want: "nil version", op: next(func(op *manifestOp) { op.Add.Versions = []*versionMeta{nil} })},
+		{label: "document and append", want: "both a document and an append", op: next(func(op *manifestOp) { op.Meta = &arrayMeta{} })},
+		{label: "in a snapshot", want: "append op inside a snapshot", inSnap: true, op: next(nil)},
+	}
+}
+
+// files returns the snapshot and log bytes that carry h: a snapshot
+// with h's op added, or the log with one more record at seq.
+func (h hostileAppend) files(t testing.TB, snap, log []byte, seq int64) ([]byte, []byte) {
+	t.Helper()
+	if h.inSnap {
+		payload, _, ok := scanManifestFrame(snap)
+		if !ok {
+			t.Fatal("corrupt seed snapshot")
+		}
+		var sn manifestSnapshot
+		if err := json.Unmarshal(payload, &sn); err != nil {
+			t.Fatal(err)
+		}
+		sn.Arrays = append(sn.Arrays, h.op)
+		raw, err := json.Marshal(&sn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return appendFrame(nil, raw), log
+	}
+	raw, err := json.Marshal(&manifestRecord{Seq: seq, Ops: []manifestOp{h.op}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap, appendFrame(bytes.Clone(log), raw)
+}
+
+// TestReplayRejectsHostileAppends feeds replay append records that do
+// not fit the document they append to — an absent array, a generation
+// mismatch, ids not above the replayed ones or not below nextId, a nil
+// version, an op with both forms, an append inside a snapshot — and
+// requires an error naming the record, reported by VerifyManifest under
+// Problems, never a panic.
+func TestReplayRejectsHostileAppends(t *testing.T) {
+	dir := t.TempDir()
+	opts := smallOpts()
+	opts.Durability = true
+	opts.ManifestRotateBytes = -1
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.CreateArray(schema2D("A", 8)); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 2; i++ {
+		if _, err := s.Insert("A", DensePayload(crashContent(i, 8))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapPath := filepath.Join(dir, manifestSnapName(s.man.gen))
+	logPath := filepath.Join(dir, manifestLogName(s.man.gen))
+	snap, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := logRecords(t, log)
+	seq := recs[len(recs)-1].Seq + 1
+	write := func(snap, log []byte) {
+		t.Helper()
+		if err := os.WriteFile(snapPath, snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(logPath, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, h := range hostileAppends(lastAppend(t, recs)) {
+		t.Run(h.label, func(t *testing.T) {
+			defer write(snap, log)
+			write(h.files(t, snap, log, seq))
+			rep, err := s.VerifyManifest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.want == "" {
+				if !rep.Ok() || rep.LastSeq != seq {
+					t.Fatalf("a valid append does not replay: %+v", rep)
+				}
+				return
+			}
+			where := fmt.Sprintf("record %d", seq)
+			if h.inSnap {
+				where = manifestSnapName(s.man.gen)
+			}
+			if len(rep.Problems) != 1 || !strings.Contains(rep.Problems[0], h.want) || !strings.Contains(rep.Problems[0], where) {
+				t.Fatalf("problems %q, want one naming %q with %q", rep.Problems, where, h.want)
+			}
+		})
+	}
+	rep, err := s.VerifyManifest()
+	if err != nil || !rep.Ok() {
+		t.Fatalf("the restored manifest fails deep verify: %v %+v", err, rep)
+	}
+}
+
+// TestCommitRecordBytesFlat pins what a write commits: the manifest log
+// grows by the same number of bytes for a one-version insert into an
+// array of 3 versions as into one of 300, since the record carries only
+// the new version, not the array's history.
+func TestCommitRecordBytesFlat(t *testing.T) {
+	const side = 8
+	dir := t.TempDir()
+	opts := smallOpts()
+	opts.Durability = true
+	opts.ManifestRotateBytes = -1
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pinClock(s)
+	if err := s.CreateArray(schema2D("F", side)); err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, manifestLogName(s.man.gen))
+	n := int64(0)
+	growth := func() int64 {
+		t.Helper()
+		before, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+		if _, err := s.Insert("F", DensePayload(crashContent(n, side))); err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Size() - before.Size()
+	}
+	for n < 2 {
+		growth()
+	}
+	at3 := growth()
+	for n < 299 {
+		growth()
+	}
+	at300 := growth()
+	if d := at300 - at3; d < -16 || d > 16 {
+		t.Fatalf("an insert's record is %d bytes at 3 versions and %d at 300", at3, at300)
+	}
+	if s.Stats().ManifestRotations != 0 {
+		t.Fatal("the log rotated with rotation off")
+	}
 }

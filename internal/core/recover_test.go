@@ -25,7 +25,9 @@ func FuzzOpenStore(f *testing.F) {
 	opts := smallOpts()
 	opts.ChunkBytes = 1 << 10 // 4 chunks of 16² int32
 	opts.Durability = true
-	opts.ManifestRotateBytes = 4 << 10
+	// an insert's record is ~570 bytes: the log rotates once, after the
+	// third insert, and the live log holds the last two inserts' appends
+	opts.ManifestRotateBytes = 3 << 9
 	s, err := Open(dir, opts)
 	if err != nil {
 		f.Fatal(err)

@@ -423,7 +423,7 @@ func (s *Store) layoutForRange(st *arrayState, planes [][]Plane, ids []int, lo, 
 
 // loadPlanesView reconstructs every live version's content (all
 // attributes) against a metadata snapshot, in version order. Safe to
-// call with no store lock held when v is a cloned snapshot. The scan
+// call with no store lock held when v is a snapshot view. The scan
 // shares one per-call memo across versions, so each delta chain is
 // walked once regardless of version count — it does not rely on (or,
 // through an uncached view, touch) the store-wide LRU.

@@ -9,13 +9,14 @@ import (
 )
 
 // readView is one array's metadata as seen by a single query. Readers
-// build a cloned view under Store.mu and then decode chunks against it
-// with no store lock held, so concurrent queries (and inserts) never
-// serialize on metadata access.
+// build a view under Store.mu and then decode chunks against it with no
+// store lock held, so concurrent queries (and inserts) never serialize
+// on metadata access.
 //
 // The immutable arrayState fields (dir, Schema, SparseRep, Fill,
-// ChunkSide) are read through the shared pointer; only the mutable
-// version list is cloned.
+// ChunkSide) are read through the shared pointer; the view owns only
+// its id list and byID map, whose records it shares with the committed
+// document.
 type readView struct {
 	st    *arrayState
 	epoch uint64
@@ -34,31 +35,33 @@ type readView struct {
 	// chunkCache); a staging view reads its delta base from the LRU but
 	// sets noAdmit, since its staged ids must never show there.
 	noLookup, noAdmit bool
-	// byID holds the cloned live version metadata.
+	// byID maps each live version id to its record. The records are
+	// the committed document's own, shared, never copied: a committed
+	// versionMeta is never edited in place — a mutator clones it
+	// (versionMeta.clone) and swaps the pointer in its staged document —
+	// so a view stays coherent after Store.mu is released. A staging
+	// view adds its staged records to its own map.
 	byID map[int]*versionMeta
 }
 
 // viewLocked builds a readView for st. Callers hold Store.mu (read or
-// write). The live versions' outer chunk maps are copied so the view
-// stays coherent after the lock is released. The inner (chunk key →
-// entry) maps are shared, not copied: every mutator replaces inner maps
-// wholesale rather than writing into published ones, so a snapshot
-// costs O(versions × attrs), independent of chunk count.
+// write). It copies only the live ids and their record pointers (see
+// readView.byID for why sharing the records is safe), so a snapshot
+// costs O(versions), independent of attribute and chunk count.
 func (s *Store) viewLocked(st *arrayState) *readView {
 	v := &readView{st: st, epoch: s.epochs[st.Schema.Name], seq: st.seq, dir: st.chunksDir()}
-	live := st.live()
-	v.ids = make([]int, len(live))
-	for i, vm := range live {
-		v.ids[i] = vm.ID
-	}
-	v.byID = make(map[int]*versionMeta)
-	for _, vm := range live {
-		v.byID[vm.ID] = vm.clone()
+	v.ids = make([]int, 0, len(st.Versions))
+	v.byID = make(map[int]*versionMeta, len(st.Versions))
+	for _, vm := range st.Versions {
+		if !vm.Deleted {
+			v.ids = append(v.ids, vm.ID)
+			v.byID[vm.ID] = vm
+		}
 	}
 	return v
 }
 
-// snapshot takes the store lock briefly to clone the named array's
+// snapshot takes the store lock briefly to view the named array's
 // metadata and acquire its I/O read latch, then releases the store lock.
 // The returned release func must be called when the query is done. The
 // latch is acquired while still under Store.mu, which is what makes it
@@ -67,9 +70,9 @@ func (s *Store) viewLocked(st *arrayState) *readView {
 // so a reader that snapshotted the old state already holds the latch
 // the mutator drains.
 //
-// The cloned view is memoized on the arrayState between mutations:
-// views are immutable once built, so concurrent readers share one, and
-// repeated selects skip the clone entirely. A mutator clears the memo
+// The view is memoized on the arrayState between mutations: views are
+// immutable once built, so concurrent readers share one, and repeated
+// selects skip building it entirely. A mutator clears the memo
 // and installs its change in one Store.mu section, so a reader can never
 // store a view that predates a mutation after that mutation's clear.
 func (s *Store) snapshot(name string) (*readView, func(), error) {
@@ -94,7 +97,7 @@ func (s *Store) snapshot(name string) (*readView, func(), error) {
 }
 
 // snapshotUncached is snapshot for bulk scans: it returns a private
-// (never memoized) clone whose reads bypass the store-wide chunk cache,
+// (never memoized) view whose reads bypass the store-wide chunk cache,
 // so decoding every version of an array leaves the LRU's hot working
 // set untouched.
 func (s *Store) snapshotUncached(name string) (*readView, func(), error) {
