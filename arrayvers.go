@@ -240,21 +240,15 @@ var ErrDeltaCycle = core.ErrDeltaCycle
 type (
 	ReorganizeOptions = core.ReorganizeOptions
 	LayoutPolicy      = core.LayoutPolicy
-	// Layout assigns each version a materialization or a delta parent;
-	// Store.CurrentLayout reports the one on disk.
+	// Layout assigns each version a materialization or a delta parent.
 	Layout = layout.Layout
 )
 
-// Adaptive reorganization (the closed loop on §IV-D): the store records
-// every select's version set; the background tuner re-lays arrays out
-// with PolicyWorkloadAware when the recorded workload's projected I/O
-// savings clear Options.AutoTune.MinSavings. See Store.Tune,
-// Store.Workload, and DESIGN.md "Adaptive reorganization".
-type (
-	AutoTuneOptions = core.AutoTuneOptions
-	TuneReport      = core.TuneReport
-	Tuner           = core.Tuner
-)
+// TuneReport is the result of Store.Tune, which prices an array's
+// layout on disk against PolicyWorkloadAware for a workload the caller
+// supplies (§IV-D) and reorganizes only when the projected I/O savings
+// reach 10%. See DESIGN.md "Workload-aware reorganization (§IV-D)".
+type TuneReport = core.TuneReport
 
 // Layout policies.
 const (
@@ -346,5 +340,5 @@ func TraceFromContext(ctx context.Context) *Trace { return trace.FromContext(ctx
 
 // ProfileSnapshot is the store's cumulative stage-level profile: select
 // and commit pipeline latency/byte histograms, versions per commit
-// record, tuner-pass durations, and per-array cache hit counters.
+// record, Tune pass durations, and per-array cache hit counters.
 type ProfileSnapshot = core.ProfileSnapshot

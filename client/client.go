@@ -515,27 +515,14 @@ func (c *Client) Reorganize(name string, opts arrayvers.ReorganizeOptions) error
 	return c.sendJSON(http.MethodPost, "/v1/arrays/"+url.PathEscape(name)+"/reorganize", body, nil)
 }
 
-// Tune forces one adaptive-tuner pass over the array on the server and
-// returns its report (whether a reorganization was triggered, the
-// estimated costs, and the reason when it was skipped).
-func (c *Client) Tune(name string) (arrayvers.TuneReport, error) {
+// Tune prices the array's layout against the workload-aware one for
+// the given workload on the server, reorganizes when the projected
+// savings reach the threshold, and returns the report either way.
+func (c *Client) Tune(name string, wl []arrayvers.Query) (arrayvers.TuneReport, error) {
 	var rep arrayvers.TuneReport
-	err := c.sendJSON(http.MethodPost, "/v1/arrays/"+url.PathEscape(name)+"/tune", nil, &rep)
+	body := map[string]any{"workload": wl}
+	err := c.sendJSON(http.MethodPost, "/v1/arrays/"+url.PathEscape(name)+"/tune", body, &rep)
 	return rep, err
-}
-
-// Workload returns the array's recorded access histogram as weighted
-// queries, heaviest first.
-func (c *Client) Workload(name string) ([]arrayvers.Query, error) {
-	var wl []arrayvers.Query
-	err := c.getJSON("/v1/arrays/"+url.PathEscape(name)+"/workload", &wl)
-	return wl, err
-}
-
-// RecordWorkload merges the given weighted queries into the array's
-// recorded workload on the server, seeding the adaptive tuner.
-func (c *Client) RecordWorkload(name string, queries []arrayvers.Query) error {
-	return c.sendJSON(http.MethodPost, "/v1/arrays/"+url.PathEscape(name)+"/workload", queries, nil)
 }
 
 // DeleteVersion marks one version deleted.
@@ -611,9 +598,7 @@ type storeShape interface {
 	Branch(string, int, string) error
 	Merge(string, []arrayvers.VersionRef) error
 	Reorganize(string, arrayvers.ReorganizeOptions) error
-	Tune(string) (arrayvers.TuneReport, error)
-	Workload(string) ([]arrayvers.Query, error)
-	RecordWorkload(string, []arrayvers.Query) error
+	Tune(string, []arrayvers.Query) (arrayvers.TuneReport, error)
 	DeleteVersion(string, int) error
 	Compact(string) error
 	Verify(string) (arrayvers.VerifyReport, error)

@@ -15,21 +15,22 @@
 //	avstore -store DIR stats             # or: avstore stats -addr http://host:7421
 //	avstore -store DIR list
 //	avstore -store DIR reorganize -name A -policy optimal|algorithm1|algorithm2|linear|head
-//	avstore -store DIR tune    -name A [-spec "1*50,3-8*10"] [-min-savings 0.1]
-//	avstore tune -addr http://host:7421 -name A   # force a pass on a daemon
+//	avstore -store DIR reorganize -name A -policy workload -spec "1*50,3-8*10"
+//	avstore -store DIR tune    -name A -spec "1*50,3-8*10"
+//	avstore tune -addr http://host:7421 -name A -spec "1*50,3-8*10"
 //	avstore -store DIR delete-version -name A -version 2
 //	avstore -store DIR verify  -name A
 //	avstore -store DIR fsck    [-name A]
 //	avstore -store DIR drop    -name A
 //	avstore migrate -store DIR           # one-shot, offline: upgrade a legacy directory
 //
-// tune runs one adaptive-reorganizer pass (§IV-D): it weighs the
-// array's recorded workload against the current layout and re-lays the
-// array out when the projected I/O savings clear -min-savings. An
-// embedded store has no recorded traffic of its own, so -spec seeds the
-// histogram with an a-priori workload: comma-separated v*weight
-// (snapshot) or lo-hi*weight (range) terms. With -addr the pass runs on
-// a live daemon, which has been recording its clients' selects.
+// tune prices the array's layout on disk against the workload-aware
+// layout (§IV-D) for the workload given by -spec, and re-lays the array
+// out when the projected I/O savings reach 10%. The workload is known a
+// priori, as the paper assumes: comma-separated v*weight (snapshot) or
+// lo-hi*weight (range) terms, weight 1 when omitted. reorganize -policy
+// workload takes the same -spec and rewrites unconditionally. With
+// -addr, tune runs on a live daemon.
 //
 // select -trace runs the query under a trace and prints its per-stage
 // breakdown (snapshot, cache, read, decode, delta, materialize) to
@@ -133,8 +134,7 @@ func run(args []string) error {
 	boxSpec := fs.String("box", "", "region, e.g. 0,0:16,16 (lo:hi, hi exclusive)")
 	partsSpec := fs.String("parts", "", "batch: comma-separated array=blobfile pairs committed atomically")
 	policy := fs.String("policy", "optimal", "layout policy for reorganize")
-	spec := fs.String("spec", "", "tune: seed workload, comma-separated v*weight or lo-hi*weight terms")
-	minSavings := fs.Float64("min-savings", 0, "tune: fractional projected I/O savings required to re-lay out (0 = default 0.10)")
+	spec := fs.String("spec", "", "tune, reorganize -policy workload: the workload, comma-separated v*weight or lo-hi*weight terms")
 	addr := fs.String("addr", "", "avstored base URL (stats, tune, select: talk to a running daemon instead of a store directory)")
 	traceFlag := fs.Bool("trace", false, "select: trace the query and print its per-stage breakdown to stderr (with -addr, fetched from the daemon's /debug/traces)")
 	if err := fs.Parse(cmdArgs); err != nil {
@@ -200,19 +200,11 @@ func run(args []string) error {
 			if *name == "" {
 				return fmt.Errorf("tune needs -name")
 			}
-			if *minSavings != 0 {
-				return fmt.Errorf("-min-savings only applies to embedded stores; the daemon's threshold is its -autotune-min-savings flag")
+			queries, err := workloadSpec("tune", *spec)
+			if err != nil {
+				return err
 			}
-			if *spec != "" {
-				queries, err := parseWorkloadSpec(*spec)
-				if err != nil {
-					return err
-				}
-				if err := c.RecordWorkload(*name, queries); err != nil {
-					return err
-				}
-			}
-			rep, err := c.Tune(*name)
+			rep, err := c.Tune(*name, queries)
 			if err != nil {
 				return err
 			}
@@ -229,12 +221,6 @@ func run(args []string) error {
 		*durable = true // fsck is pointless without recovery at open
 	}
 	opts := cliutil.StoreOptions(*cacheBytes, *parallelism, *durable)
-	if cmd == "tune" {
-		opts.AutoTune.MinSavings = *minSavings
-		// a forced CLI pass should always estimate, even for a small
-		// seeded workload
-		opts.AutoTune.MinOps = 1
-	}
 	store, err := arrayvers.Open(*storeDir, opts)
 	if err != nil {
 		return err
@@ -345,7 +331,13 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := store.Reorganize(*name, arrayvers.ReorganizeOptions{Policy: p}); err != nil {
+		ropts := arrayvers.ReorganizeOptions{Policy: p}
+		if p == arrayvers.PolicyWorkloadAware {
+			if ropts.Workload, err = workloadSpec("reorganize -policy workload", *spec); err != nil {
+				return err
+			}
+		}
+		if err := store.Reorganize(*name, ropts); err != nil {
 			return err
 		}
 		info, _ := store.Info(*name)
@@ -354,16 +346,11 @@ func run(args []string) error {
 		if *name == "" {
 			return fmt.Errorf("tune needs -name")
 		}
-		if *spec != "" {
-			queries, err := parseWorkloadSpec(*spec)
-			if err != nil {
-				return err
-			}
-			if err := store.RecordWorkload(*name, queries); err != nil {
-				return err
-			}
+		queries, err := workloadSpec("tune", *spec)
+		if err != nil {
+			return err
 		}
-		rep, err := store.Tune(*name)
+		rep, err := store.Tune(*name, queries)
 		if err != nil {
 			return err
 		}
@@ -548,7 +535,7 @@ func parseSchema(name, dims, attrs string) (arrayvers.Schema, error) {
 	return schema, schema.Validate()
 }
 
-// parseWorkloadSpec parses the tune -spec syntax: comma-separated terms,
+// parseWorkloadSpec parses the -spec syntax: comma-separated terms,
 // each "v*weight" (a snapshot query of version v) or "lo-hi*weight" (a
 // range query over versions lo..hi inclusive); "*weight" defaults to 1.
 func parseWorkloadSpec(spec string) ([]arrayvers.Query, error) {
@@ -582,8 +569,17 @@ func parseWorkloadSpec(spec string) ([]arrayvers.Query, error) {
 	return out, nil
 }
 
+// workloadSpec parses the -spec workload that tune and reorganize
+// -policy workload require.
+func workloadSpec(cmd, spec string) ([]arrayvers.Query, error) {
+	if spec == "" {
+		return nil, fmt.Errorf("%s needs -spec (comma-separated v*weight or lo-hi*weight terms)", cmd)
+	}
+	return parseWorkloadSpec(spec)
+}
+
 func printTuneReport(rep arrayvers.TuneReport) {
-	fmt.Printf("array %s: %.1f recorded ops across %d patterns\n", rep.Array, rep.Ops, rep.Patterns)
+	fmt.Printf("array %s: %d workload queries\n", rep.Array, rep.Queries)
 	if rep.CurrentCost > 0 {
 		fmt.Printf("workload I/O cost: current %.0f, workload-aware %.0f (%.1f%% savings, threshold %.1f%%)\n",
 			rep.CurrentCost, rep.ProjectedCost, rep.Savings*100, rep.MinSavings*100)

@@ -2,7 +2,9 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -193,5 +195,71 @@ func TestMigrateSubcommand(t *testing.T) {
 	}
 	if err := run([]string{"migrate"}); err == nil {
 		t.Fatal("migrate without a directory accepted")
+	}
+}
+
+// TestReorganizeWorkloadSpec checks that reorganize -policy workload
+// lays the array out for the -spec workload rather than as Algorithm 2
+// would: Algorithm 2 materializes the oldest version and deltas the
+// rest forward, so with the newest version hot a cold read of it reads
+// fewer bytes than under Algorithm 2. The workload policy and tune without a
+// spec are refused.
+func TestReorganizeWorkloadSpec(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(1))
+	d := array.MustDense(array.Int32, []int64{64, 64})
+	for i := int64(0); i < d.NumCells(); i++ {
+		d.SetBits(i, rng.Int63n(1000))
+	}
+	var files []string
+	for v := 0; v < 6; v++ {
+		for i := int64(0); i < d.NumCells(); i++ {
+			if rng.Float64() < 0.1 {
+				d.SetBits(i, d.Bits(i)+rng.Int63n(5)-2)
+			}
+		}
+		f := filepath.Join(dir, fmt.Sprintf("v%d.dat", v+1))
+		if err := os.WriteFile(f, array.MarshalDense(d), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	coldRead := func(policy string, extra ...string) int64 {
+		t.Helper()
+		store := filepath.Join(dir, policy)
+		steps := [][]string{{"-store", store, "create", "-name", "A", "-dims", "Y:0:63,X:0:63", "-attrs", "V:int32"}}
+		for _, f := range files {
+			steps = append(steps, []string{"-store", store, "load", "-name", "A", "-file", f})
+		}
+		steps = append(steps, append([]string{"-store", store, "reorganize", "-name", "A", "-policy", policy}, extra...))
+		for _, args := range steps {
+			if err := run(args); err != nil {
+				t.Fatalf("avstore %v: %v", args, err)
+			}
+		}
+		s, err := arrayvers.Open(store, arrayvers.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.Select("A", 6); err != nil {
+			t.Fatal(err)
+		}
+		return s.Stats().BytesRead
+	}
+	alg2 := coldRead("algorithm2")
+	hot := coldRead("workload", "-spec", "6*100,1-5*1")
+	t.Logf("cold read of version 6: %d bytes under algorithm2, %d under the workload layout", alg2, hot)
+	if hot >= alg2 {
+		t.Fatalf("-policy workload -spec 6*100 reads %d bytes for version 6, Algorithm 2 %d: the spec was not applied", hot, alg2)
+	}
+	store := filepath.Join(dir, "algorithm2")
+	for _, args := range [][]string{
+		{"-store", store, "reorganize", "-name", "A", "-policy", "workload"},
+		{"-store", store, "tune", "-name", "A"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-spec") {
+			t.Errorf("avstore %v: %v, want an error asking for -spec", args, err)
+		}
 	}
 }

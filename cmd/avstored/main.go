@@ -11,7 +11,6 @@
 //	avstored -store DIR [-addr localhost:7421]
 //	         [-cache-bytes N] [-parallelism N] [-durable=true]
 //	         [-max-inflight N] [-request-timeout 60s] [-max-frame-bytes N]
-//	         [-autotune 0] [-autotune-min-savings 0.1] [-autotune-decay 0.5]
 //	         [-log-format text|json] [-slow-query 0] [-pprof]
 //
 // Durability is on by default: every commit is fsynced and startup runs
@@ -19,15 +18,14 @@
 // /metrics and through /v1/stats), so a SIGKILL or power cut mid-write
 // never corrupts committed versions.
 //
-// -autotune INTERVAL (e.g. -autotune 5m) enables the adaptive
-// reorganizer: the daemon records every select's version set and, each
-// interval, re-lays arrays out with the workload-aware policy when the
-// projected I/O savings reach -autotune-min-savings (fraction, default
-// 0.10). -autotune-decay (default 0.5) is the per-pass exponential decay
-// of the recorded workload, so tuning follows recent traffic. Tuner
-// rewrites ride the same crash-safe generation-commit protocol as
-// explicit reorganizes; a pass can also be forced per array with
-// POST /v1/arrays/{name}/tune (or `avstore tune -addr URL -name A`).
+// Workload-aware reorganization (§IV-D) takes the workload from the
+// caller, as the paper assumes it is known a priori: POST
+// /v1/arrays/{name}/tune with {"workload": [...]} (or `avstore tune
+// -addr URL -name A -spec ...`) re-lays the array out when the
+// projected I/O savings reach 10%, and POST .../reorganize with policy
+// "workload" rewrites unconditionally. Both ride the same crash-safe
+// generation-commit protocol. JSON control bodies are bounded at 4 MiB
+// (413 beyond).
 //
 // Observability: every request is traced end to end — the response
 // echoes (or assigns) an AV-Trace-Id header, each request is logged as
@@ -74,9 +72,6 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", server.DefaultMaxInFlight, "concurrent request limit (excess answered 429)")
 	requestTimeout := flag.Duration("request-timeout", server.DefaultRequestTimeout, "per-request handler timeout")
 	maxFrameBytes := flag.Int64("max-frame-bytes", 0, "largest accepted wire frame payload (0 = 1 GiB)")
-	autoTune := flag.Duration("autotune", 0, "adaptive reorganizer pass interval (0 disables the background tuner)")
-	autoTuneMinSavings := flag.Float64("autotune-min-savings", 0, "fractional projected I/O savings required before the tuner re-lays an array out (0 = default 0.10)")
-	autoTuneDecay := flag.Float64("autotune-decay", 0, "per-pass exponential decay of the recorded workload (0 = default 0.5)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	slowQuery := flag.Duration("slow-query", 0, "log requests slower than this with their per-stage trace breakdown (0 disables)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiles under /debug/pprof/")
@@ -96,22 +91,16 @@ func main() {
 		os.Exit(2)
 	}
 	logger := slog.New(handler)
-	autotune := core.AutoTuneOptions{
-		Interval:   *autoTune,
-		MinSavings: *autoTuneMinSavings,
-		Decay:      *autoTuneDecay,
-	}
-	if err := run(*storeDir, *addr, *cacheBytes, *parallelism, *durability, *maxInFlight, *requestTimeout, *maxFrameBytes, autotune, *slowQuery, *pprofOn, logger); err != nil {
+	if err := run(*storeDir, *addr, *cacheBytes, *parallelism, *durability, *maxInFlight, *requestTimeout, *maxFrameBytes, *slowQuery, *pprofOn, logger); err != nil {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)
 	}
 }
 
 func run(storeDir, addr string, cacheBytes int64, parallelism int, durability bool, maxInFlight int,
-	requestTimeout time.Duration, maxFrameBytes int64, autotune core.AutoTuneOptions,
+	requestTimeout time.Duration, maxFrameBytes int64,
 	slowQuery time.Duration, pprofOn bool, logger *slog.Logger) error {
 	opts := cliutil.StoreOptions(cacheBytes, parallelism, durability)
-	opts.AutoTune = autotune
 	store, err := core.Open(storeDir, opts)
 	if err != nil {
 		return err
@@ -123,9 +112,6 @@ func run(storeDir, addr string, cacheBytes int64, parallelism int, durability bo
 			"truncated_files", rec.TruncatedFiles,
 			"truncated_bytes", rec.TruncatedBytes,
 			"dropped_versions", rec.DroppedVersions)
-	}
-	if autotune.Interval > 0 {
-		logger.Info("adaptive tuner running", "interval", autotune.Interval)
 	}
 
 	srv, err := server.New(server.Config{

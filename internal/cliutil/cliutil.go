@@ -159,10 +159,6 @@ func StatsCounters(st core.IOStats) []Counter {
 		{"manifest_rotations", st.ManifestRotations},
 		{"insert_orphan_files", st.InsertOrphanFiles},
 		{"insert_orphan_bytes", st.InsertOrphanBytes},
-		{"workload_ops", st.WorkloadOps},
-		{"workload_patterns", st.WorkloadPatterns},
-		{"tune_passes", st.TunePasses},
-		{"tune_reorganizes", st.TuneReorganizes},
 		{"degraded_entered", st.DegradedEntered},
 		{"degraded_healed", st.DegradedHealed},
 		{"degraded_arrays", st.DegradedArrays},

@@ -64,7 +64,7 @@ func TestStatsCounters(t *testing.T) {
 			t.Errorf("WriteStats output missing %q", want)
 		}
 	}
-	if len(StatsCounters(st)) != 32 {
+	if len(StatsCounters(st)) != 28 {
 		t.Errorf("StatsCounters: %d entries", len(StatsCounters(st)))
 	}
 }

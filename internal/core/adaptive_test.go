@@ -1,23 +1,22 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"arrayvers/internal/array"
 	"arrayvers/internal/layout"
 	"arrayvers/internal/workload"
 )
 
-// Workload-replay coverage for the adaptive reorganizer: deterministic
-// traces are replayed against a store (recording into the workload
-// histogram exactly as live traffic would), the tuner runs, and the
-// tests assert that it converges to the offline workload-aware layout,
-// that reads stay byte-identical across every tuner-triggered
-// re-layout, and that a workload the current layout already serves well
-// never triggers a rewrite.
+// Workload-replay coverage for Tune (§IV-D): deterministic traces are
+// handed to Tune as the a-priori workload, and the tests assert that it
+// converges to the offline workload-aware layout, that reads stay
+// byte-identical across every Tune-triggered re-layout, and that a
+// workload the current layout already serves well never triggers a
+// rewrite.
 
 // replayTrace executes a read-only workload trace against the store.
 func replayTrace(t *testing.T, s *Store, name string, ops []workload.Op) {
@@ -52,23 +51,31 @@ func assertContent(t *testing.T, s *Store, name string, versions []*array.Dense)
 	}
 }
 
-func adaptiveOpts() Options {
-	o := smallOpts()
-	o.AutoTune.MinOps = 1
-	return o
+// diskLayout reports the layout the named array uses on disk and the
+// live version IDs each layout index corresponds to.
+func diskLayout(t *testing.T, s *Store, name string) (layout.Layout, []int) {
+	t.Helper()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	st, ok := s.arrays[name]
+	if !ok {
+		t.Fatalf("no array %q", name)
+	}
+	v := s.viewLocked(st)
+	return currentLayoutOf(v, v.ids), append([]int(nil), v.ids...)
 }
 
-// TestTunerConvergesOnZipfTrace replays a deterministic skewed trace,
-// runs one tuner pass, and asserts (a) the pass reorganizes, (b) the
-// committed layout equals what offline PolicyWorkloadAware chooses for
-// the same trace, (c) replaying the trace against the cold (cache-off)
-// store reads strictly fewer bytes after the pass than before it, (d)
-// every version reads back byte-identical to ground truth, and (e) a
-// second pass over the (decayed) histogram is a no-op — the tuner
-// converges rather than oscillating.
+// TestTunerConvergesOnZipfTrace hands Tune a deterministic skewed
+// trace and asserts (a) the pass reorganizes, (b) the committed layout
+// equals what offline PolicyWorkloadAware chooses for the same
+// workload, (c) replaying the trace against the cold (cache-off) store
+// reads strictly fewer bytes after the pass than before it, (d) every
+// version reads back byte-identical to ground truth, and (e) a second
+// pass with the same workload is a no-op — Tune converges rather than
+// oscillating.
 func TestTunerConvergesOnZipfTrace(t *testing.T) {
 	const n = 12
-	s := testStore(t, adaptiveOpts())
+	s := testStore(t, smallOpts())
 	if err := s.CreateArray(schema2D("Z", 48)); err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +91,10 @@ func TestTunerConvergesOnZipfTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := workload.Zipfian(n, 200, 1.6, 7)
-
-	// offline expectation on the identical trace (ComputeLayout records
-	// nothing, so the histogram stays exactly the trace)
+	wl := workload.ToQueries(trace)
 	expected, _, expIDs, err := s.ComputeLayout("Z", ReorganizeOptions{
 		Policy:   PolicyWorkloadAware,
-		Workload: workload.ToQueries(trace),
+		Workload: wl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,12 +103,12 @@ func TestTunerConvergesOnZipfTrace(t *testing.T) {
 	s.ResetStats()
 	replayTrace(t, s, "Z", trace)
 	untuned := s.Stats().BytesRead
-	rep, err := s.Tune("Z")
+	rep, err := s.Tune("Z", wl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Reorganized {
-		t.Fatalf("tuner declined to reorganize the linear baseline: %s", rep.Reason)
+		t.Fatalf("Tune declined to reorganize the linear baseline: %s", rep.Reason)
 	}
 	if rep.Savings < rep.MinSavings {
 		t.Fatalf("reorganized below threshold: savings %.3f < %.3f", rep.Savings, rep.MinSavings)
@@ -114,10 +119,7 @@ func TestTunerConvergesOnZipfTrace(t *testing.T) {
 		t.Fatalf("trace read %d bytes after the tune pass, %d before", tuned, untuned)
 	}
 
-	got, ids, err := s.CurrentLayout("Z")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, ids := diskLayout(t, s, "Z")
 	if len(ids) != len(expIDs) {
 		t.Fatalf("layout over %v, expected %v", ids, expIDs)
 	}
@@ -128,29 +130,22 @@ func TestTunerConvergesOnZipfTrace(t *testing.T) {
 
 	// convergence: the layout now matches the workload, so another pass
 	// must not churn
-	rep2, err := s.Tune("Z")
+	rep2, err := s.Tune("Z", wl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep2.Reorganized {
-		t.Fatalf("tuner reorganized an already-tuned layout (savings %.3f)", rep2.Savings)
-	}
-	st := s.Stats()
-	if st.TunePasses != 2 || st.TuneReorganizes != 1 {
-		t.Fatalf("tune counters = %d passes / %d reorgs, want 2/1", st.TunePasses, st.TuneReorganizes)
+		t.Fatalf("Tune reorganized an already-tuned layout (savings %.3f)", rep2.Savings)
 	}
 }
 
-// TestTunerSlidingWindowTrace covers the range-query shape: a window
-// sliding across the version axis. The tuner must improve the projected
-// cost, keep reads byte-identical, and converge by the second pass.
+// TestTunerSlidingWindowTrace covers the range-query shape: a window of
+// four versions sliding across the version axis. Tuned for the old half
+// of the history, the array must re-tune when the window shifts to the
+// new half, keep reads byte-identical, and converge on the next pass.
 func TestTunerSlidingWindowTrace(t *testing.T) {
 	const n = 16
-	o := adaptiveOpts()
-	// range scans over a linear chain waste less than skewed snapshots
-	// do, so this test exercises the shape with a lower trigger bar
-	o.AutoTune.MinSavings = 0.05
-	s := testStore(t, o)
+	s := testStore(t, smallOpts())
 	if err := s.CreateArray(schema2D("SW", 48)); err != nil {
 		t.Fatal(err)
 	}
@@ -164,33 +159,35 @@ func TestTunerSlidingWindowTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := workload.SlidingWindow(n, 60, 4)
-	replayTrace(t, s, "SW", trace)
-	rep, err := s.Tune("SW")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Reorganized {
-		t.Fatalf("tuner declined the sliding-window trace: %s", rep.Reason)
-	}
-	if rep.ProjectedCost >= rep.CurrentCost {
-		t.Fatalf("no projected improvement: %v -> %v", rep.CurrentCost, rep.ProjectedCost)
-	}
-	assertContent(t, s, "SW", versions)
-	rep2, err := s.Tune("SW")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Reorganized {
-		t.Fatalf("tuner oscillated on a stable sliding-window workload (savings %.3f)", rep2.Savings)
+	for _, window := range [][]workload.Op{trace[:30], trace[30:]} {
+		wl := workload.ToQueries(window)
+		rep, err := s.Tune("SW", wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Reorganized {
+			t.Fatalf("Tune declined the window %v..%v: %s", window[0].Versions, window[len(window)-1].Versions, rep.Reason)
+		}
+		if rep.ProjectedCost >= rep.CurrentCost {
+			t.Fatalf("no projected improvement: %v -> %v", rep.CurrentCost, rep.ProjectedCost)
+		}
+		assertContent(t, s, "SW", versions)
+		rep2, err := s.Tune("SW", wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep2.Reorganized {
+			t.Fatalf("Tune oscillated on a stable sliding-window workload (savings %.3f)", rep2.Savings)
+		}
 	}
 }
 
 // TestUniformTraceNeverTriggersReorganize is the no-regression guard: an
 // array already laid out workload-aware for a uniform trace must not be
-// rewritten when the tuner observes that same uniform traffic.
+// rewritten when Tune is handed that same uniform workload.
 func TestUniformTraceNeverTriggersReorganize(t *testing.T) {
 	const n = 8
-	s := testStore(t, adaptiveOpts())
+	s := testStore(t, smallOpts())
 	if err := s.CreateArray(schema2D("U", 48)); err != nil {
 		t.Fatal(err)
 	}
@@ -200,15 +197,15 @@ func TestUniformTraceNeverTriggersReorganize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	trace := workload.Random(n, 200, 9)
+	wl := workload.ToQueries(workload.Random(n, 200, 9))
 	if err := s.Reorganize("U", ReorganizeOptions{
 		Policy:   PolicyWorkloadAware,
-		Workload: workload.ToQueries(trace),
+		Workload: wl,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	replayTrace(t, s, "U", trace)
-	rep, err := s.Tune("U")
+	before, _ := diskLayout(t, s, "U")
+	rep, err := s.Tune("U", wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,115 +215,18 @@ func TestUniformTraceNeverTriggersReorganize(t *testing.T) {
 	if !strings.Contains(rep.Reason, "below threshold") {
 		t.Fatalf("unexpected skip reason: %q", rep.Reason)
 	}
-	if got := s.Stats().TuneReorganizes; got != 0 {
-		t.Fatalf("TuneReorganizes = %d, want 0", got)
+	if after, _ := diskLayout(t, s, "U"); !after.Equal(before) {
+		t.Fatalf("declined pass changed the layout: %v -> %v", before.Parent, after.Parent)
 	}
 	assertContent(t, s, "U", versions)
 }
 
-// TestWorkloadRecorderExportAndDecay pins the Store.Workload surface:
-// recorded patterns, weights, RecordWorkload seeding, per-pass decay,
-// and the Stats counters.
-func TestWorkloadRecorderExportAndDecay(t *testing.T) {
-	s := testStore(t, smallOpts()) // default thresholds: MinOps 8 skips the pass
-	if err := s.CreateArray(schema2D("W", 32)); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range evolvingVersions(3, 32, 24) {
-		if _, err := s.Insert("W", DensePayload(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := s.Select("W", 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Select("W", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.SelectMulti("W", []int{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	wl, err := s.Workload("W")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wl) != 3 {
-		t.Fatalf("got %d patterns, want 3: %v", len(wl), wl)
-	}
-	// heaviest first
-	if wl[0].Weight != 3 || len(wl[0].Versions) != 1 || wl[0].Versions[0] != 2 {
-		t.Fatalf("heaviest pattern = %v, want version 2 weight 3", wl[0])
-	}
-	st := s.Stats()
-	if st.WorkloadOps != 5 || st.WorkloadPatterns != 3 {
-		t.Fatalf("workload counters = %d ops / %d patterns, want 5/3", st.WorkloadOps, st.WorkloadPatterns)
-	}
-
-	// a MinOps-skipped pass must NOT decay: trickle traffic accumulates
-	// across intervals instead of being drained before it can ever be
-	// acted on
-	rep, err := s.Tune("W")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Reorganized {
-		t.Fatal("5-op workload must not clear the default MinOps threshold")
-	}
-	wl, err = s.Workload("W")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wl[0].Weight != 3 {
-		t.Fatalf("MinOps skip decayed the histogram: heaviest = %v, want 3", wl[0].Weight)
-	}
-
-	// seeding: imported queries merge into the histogram
-	if err := s.RecordWorkload("W", []layout.Query{layout.Range(1, 3, 10)}); err != nil {
-		t.Fatal(err)
-	}
-	wl, err = s.Workload("W")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wl[0].Weight != 10 || len(wl[0].Versions) != 3 {
-		t.Fatalf("seeded pattern = %v, want versions 1..3 weight 10", wl[0])
-	}
-
-	// the histogram now clears MinOps (15 ops), so this pass estimates —
-	// and an estimating pass decays
-	if _, err := s.Tune("W"); err != nil {
-		t.Fatal(err)
-	}
-	wl, err = s.Workload("W")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wl[0].Weight != 5 {
-		t.Fatalf("estimating pass did not decay: heaviest = %v, want 5", wl[0].Weight)
-	}
-	if _, err := s.Workload("nope"); err == nil {
-		t.Fatal("Workload of unknown array must error")
-	}
-	if err := s.RecordWorkload("nope", nil); err == nil {
-		t.Fatal("RecordWorkload of unknown array must error")
-	}
-}
-
-// TestTunerUnderConcurrentLoad runs the background tuner at a tiny
-// interval against 8 concurrent select/insert goroutines (the -race
-// safety net for the off-lock rewrite path), then checks that every
-// version still reads back byte-identical and the store verifies.
+// TestTunerUnderConcurrentLoad runs an explicit Tune loop against 8
+// concurrent select/insert goroutines (the -race safety net for the
+// off-lock rewrite path), then checks that every version still reads
+// back byte-identical and the store verifies.
 func TestTunerUnderConcurrentLoad(t *testing.T) {
-	o := concurrencyOpts()
-	o.AutoTune = AutoTuneOptions{
-		Interval:   2 * time.Millisecond,
-		MinSavings: 0.05,
-		MinOps:     4,
-		Decay:      0.9,
-	}
-	s := testStore(t, o)
+	s := testStore(t, concurrencyOpts())
 	defer s.Close()
 	if err := s.CreateArray(schema2D("T", 64)); err != nil {
 		t.Fatal(err)
@@ -338,17 +238,17 @@ func TestTunerUnderConcurrentLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Reorganize("T", ReorganizeOptions{Policy: PolicyLinearChain}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Tuner() == nil {
-		t.Fatal("background tuner not running")
+	// the layouts Tune alternates between: one for a hot oldest version,
+	// one for a hot newest seed version, so passes keep rewriting while
+	// the load runs
+	workloads := [][]layout.Query{
+		{layout.Snapshot(1, 50), layout.Range(1, 3, 5)},
+		{layout.Snapshot(seedVersions, 50), layout.Range(4, seedVersions, 5)},
 	}
 
 	var wg sync.WaitGroup
 	fail := make(chan error, 64)
-	// 7 selecting goroutines, heavily skewed to the oldest version so
-	// the background tuner has something to chase while they run
+	// 7 selecting goroutines, heavily skewed to the oldest version
 	for g := 0; g < 7; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -364,7 +264,7 @@ func TestTunerUnderConcurrentLoad(t *testing.T) {
 					return
 				}
 				if !pl.Dense.Equal(versions[id-1]) {
-					t.Errorf("select %d mismatch during tuner storm", id)
+					t.Errorf("select %d mismatch during tune storm", id)
 					return
 				}
 				if i%7 == 6 {
@@ -387,19 +287,34 @@ func TestTunerUnderConcurrentLoad(t *testing.T) {
 			}
 		}
 	}()
+	// the Tune loop runs until the load is done
+	stop := make(chan struct{})
+	tuned := make(chan int)
+	go func() {
+		passes := 0
+		defer func() { tuned <- passes }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := s.Tune("T", workloads[passes%2]); err != nil {
+				fail <- err
+				return
+			}
+			passes++
+		}
+	}()
 	wg.Wait()
+	close(stop)
+	passes := <-tuned
 	close(fail)
 	for err := range fail {
 		t.Fatal(err)
 	}
-
-	// force one deterministic pass on top of whatever the background
-	// loop managed, then check the world
-	if _, err := s.Tune("T"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().TunePasses; got == 0 {
-		t.Fatal("no tuner passes recorded")
+	if passes == 0 {
+		t.Fatal("no Tune pass ran during the load")
 	}
 	assertContent(t, s, "T", versions)
 	rep, err := s.Verify("T")
@@ -407,7 +322,7 @@ func TestTunerUnderConcurrentLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.Ok() {
-		t.Fatalf("store fails verify after tuner storm: %v", rep.Problems)
+		t.Fatalf("store fails verify after tune storm: %v", rep.Problems)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -467,94 +382,21 @@ func TestReorganizeDuringConcurrentInserts(t *testing.T) {
 	}
 }
 
-// TestTuneAllForgetsDroppedArrays guards the ghost-histogram leak: an
-// in-flight select that records into a dropped array after DeleteArray
-// must leave no trace — the histogram lives on the dropped arrayState,
-// so the very first sweep skips it, and a same-name array starts empty.
-func TestTuneAllForgetsDroppedArrays(t *testing.T) {
-	s := testStore(t, adaptiveOpts())
-	if err := s.CreateArray(schema2D("D", 32)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Insert("D", DensePayload(evolvingVersions(1, 32, 27)[0])); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Select("D", 1); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.RLock()
-	dropped := s.arrays["D"]
-	s.mu.RUnlock()
-	if err := s.DeleteArray("D"); err != nil {
-		t.Fatal(err)
-	}
-	// the racing in-flight select records into the state it snapshotted
-	dropped.workload.record([]int{1}, 1)
-	reps, err := s.TuneAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 0 {
-		t.Fatalf("first sweep reports %v, want none", reps)
-	}
-	if err := s.CreateArray(schema2D("D", 32)); err != nil {
-		t.Fatal(err)
-	}
-	if wl, err := s.Workload("D"); err != nil || len(wl) != 0 {
-		t.Fatalf("recreated array inherits workload %v (%v)", wl, err)
-	}
-	rep, err := s.Tune("D")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.Reason, "insufficient recorded workload") {
-		t.Fatalf("recreated array's tune pass: %+v", rep)
-	}
-}
-
-// TestLenientWorkloadSurvivesDeletedVersions pins the tuner's rewrite
-// path against the snapshot/delete race: a workload referencing a
-// version that no longer exists must be re-filtered at plan time under
-// the lenient flag, and keep the strict error for explicit API callers.
-func TestLenientWorkloadSurvivesDeletedVersions(t *testing.T) {
-	s := testStore(t, adaptiveOpts())
-	if err := s.CreateArray(schema2D("L", 48)); err != nil {
-		t.Fatal(err)
-	}
-	versions := evolvingVersions(6, 48, 28)
-	for _, v := range versions {
-		if _, err := s.Insert("L", DensePayload(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wl := []layout.Query{layout.Snapshot(99, 5), layout.Snapshot(1, 5)}
-	strict := ReorganizeOptions{Policy: PolicyWorkloadAware, Workload: wl}
-	if err := s.Reorganize("L", strict); err == nil || !strings.Contains(err.Error(), "unknown version") {
-		t.Fatalf("strict reorganize accepted a dangling workload reference: %v", err)
-	}
-	lenient := strict
-	lenient.lenientWorkload = true
-	if err := s.Reorganize("L", lenient); err != nil {
-		t.Fatalf("lenient reorganize failed on a dangling reference: %v", err)
-	}
-	assertContent(t, s, "L", versions)
-}
-
 // TestTunePassLeavesCacheUntouched guards the estimation sweep's cache
-// bypass: a declined tuner pass decodes every version, and none of that
+// bypass: a declined Tune pass decodes every version, and none of that
 // may evict or repopulate the clients' hot decoded-chunk working set.
 func TestTunePassLeavesCacheUntouched(t *testing.T) {
-	o := concurrencyOpts()
-	o.AutoTune.MinOps = 1
-	s := testStore(t, o)
+	s := testStore(t, concurrencyOpts())
 	if err := s.CreateArray(schema2D("CC", 64)); err != nil {
 		t.Fatal(err)
 	}
 	versions := evolvingVersions(5, 64, 29)
-	for _, v := range versions {
+	var wl []layout.Query
+	for i, v := range versions {
 		if _, err := s.Insert("CC", DensePayload(v)); err != nil {
 			t.Fatal(err)
 		}
+		wl = append(wl, layout.Snapshot(i+1, 1))
 	}
 	// warm the client working set
 	for i := range versions {
@@ -566,7 +408,7 @@ func TestTunePassLeavesCacheUntouched(t *testing.T) {
 	if before.CacheEntries == 0 {
 		t.Fatal("selects populated no cache entries")
 	}
-	rep, err := s.Tune("CC")
+	rep, err := s.Tune("CC", wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,11 +417,11 @@ func TestTunePassLeavesCacheUntouched(t *testing.T) {
 	}
 	after := s.Stats()
 	if after.CacheEntries != before.CacheEntries || after.CacheEvictions != before.CacheEvictions {
-		t.Fatalf("tuner estimation disturbed the cache: entries %d->%d, evictions %d->%d",
+		t.Fatalf("Tune estimation disturbed the cache: entries %d->%d, evictions %d->%d",
 			before.CacheEntries, after.CacheEntries, before.CacheEvictions, after.CacheEvictions)
 	}
 	if after.CacheHits != before.CacheHits || after.CacheMisses != before.CacheMisses {
-		t.Fatalf("tuner estimation skewed hit-rate counters: hits %d->%d, misses %d->%d",
+		t.Fatalf("Tune estimation skewed hit-rate counters: hits %d->%d, misses %d->%d",
 			before.CacheHits, after.CacheHits, before.CacheMisses, after.CacheMisses)
 	}
 	// warm reads still served from cache after the pass
@@ -596,7 +438,7 @@ func TestTunePassLeavesCacheUntouched(t *testing.T) {
 // BatchK must not silently swallow a dangling workload reference that
 // the non-batched strict path rejects.
 func TestBatchedStrictWorkloadStillValidates(t *testing.T) {
-	s := testStore(t, adaptiveOpts())
+	s := testStore(t, smallOpts())
 	if err := s.CreateArray(schema2D("B", 48)); err != nil {
 		t.Fatal(err)
 	}
@@ -615,52 +457,58 @@ func TestBatchedStrictWorkloadStillValidates(t *testing.T) {
 	}
 }
 
-// TestTuneEstimateCachedAcrossPasses pins the seq-keyed estimate cache:
-// a second pass over an array with no metadata mutations in between
-// must not re-decode the version history (zero additional chunk reads),
-// and any mutation must invalidate the cache.
-func TestTuneEstimateCachedAcrossPasses(t *testing.T) {
-	o := smallOpts()
-	o.AutoTune.MinOps = 1
-	s := testStore(t, o)
-	if err := s.CreateArray(schema2D("EC", 48)); err != nil {
+// TestCallerWorkloadValidation pins the API boundary for caller
+// workloads: Reorganize with PolicyWorkloadAware and Tune reject an
+// empty workload, a query naming no version, a weight that is not a
+// finite number > 0, and an unknown version — before anything is
+// rewritten.
+func TestCallerWorkloadValidation(t *testing.T) {
+	s := testStore(t, smallOpts())
+	if err := s.CreateArray(schema2D("V", 32)); err != nil {
 		t.Fatal(err)
 	}
-	versions := evolvingVersions(4, 48, 31)
+	versions := evolvingVersions(4, 32, 33)
 	for _, v := range versions {
-		if _, err := s.Insert("EC", DensePayload(v)); err != nil {
+		if _, err := s.Insert("V", DensePayload(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// uniform-ish traffic the space-optimal-ish insert layout already
-	// serves fine, so passes estimate and decline
-	for i := range versions {
-		if _, err := s.Select("EC", i+1); err != nil {
-			t.Fatal(err)
-		}
+	gen := func() int {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return s.arrays["V"].Gen
 	}
-	rep, err := s.Tune("EC")
-	if err != nil {
+	gen0 := gen()
+	for _, tc := range []struct {
+		name string
+		wl   []layout.Query
+		want string
+	}{
+		{"nil", nil, "empty workload"},
+		{"empty", []layout.Query{}, "empty workload"},
+		{"no versions", []layout.Query{{Weight: 1}}, "names no version"},
+		{"zero weight", []layout.Query{layout.Snapshot(1, 0)}, "finite weight > 0"},
+		{"negative weight", []layout.Query{layout.Snapshot(1, 5), layout.Snapshot(2, -3)}, "finite weight > 0"},
+		{"NaN weight", []layout.Query{layout.Snapshot(1, math.NaN())}, "finite weight > 0"},
+		{"infinite weight", []layout.Query{layout.Snapshot(1, math.Inf(1))}, "finite weight > 0"},
+		{"unknown version", []layout.Query{layout.Snapshot(1, 5), layout.Snapshot(99, 5)}, "unknown version"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := s.Reorganize("V", ReorganizeOptions{Policy: PolicyWorkloadAware, Workload: tc.wl})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Reorganize: %v, want an error containing %q", err, tc.want)
+			}
+			if _, err := s.Tune("V", tc.wl); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Tune: %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	if got := gen(); got != gen0 {
+		t.Fatalf("a rejected workload rewrote the array: generation %d -> %d", gen0, got)
+	}
+	assertContent(t, s, "V", versions)
+	// the other policies take no workload, so none is required
+	if err := s.Reorganize("V", ReorganizeOptions{Policy: PolicyAlgorithm2}); err != nil {
 		t.Fatal(err)
-	}
-	if rep.Reorganized {
-		t.Fatalf("unexpected reorganize (savings %.3f); this test wants declining passes", rep.Savings)
-	}
-	reads := s.Stats().ChunksRead
-	if _, err := s.Tune("EC"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().ChunksRead; got != reads {
-		t.Fatalf("pass over an unmutated array re-decoded history (%d extra chunk reads)", got-reads)
-	}
-	// a mutation invalidates the cached estimate: the next pass decodes
-	if _, err := s.Insert("EC", DensePayload(evolvingVersions(1, 48, 32)[0])); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Tune("EC"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().ChunksRead; got == reads {
-		t.Fatal("pass after a mutation did not re-decode the history")
 	}
 }

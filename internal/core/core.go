@@ -73,13 +73,6 @@ type Options struct {
 	// delta chains, the paper's Fig. 2 behavior); the cache trades memory
 	// for skipping chain walks on repeated and overlapping version reads.
 	CacheBytes int64
-	// AutoTune configures the adaptive reorganizer: a background tuner
-	// that watches the recorded select workload and re-lays arrays out
-	// with PolicyWorkloadAware when the projected I/O savings clear
-	// MinSavings (§IV-D closed-loop; see DESIGN.md "Adaptive
-	// reorganization"). The zero value keeps the background loop off;
-	// workload recording and forced Store.Tune passes work regardless.
-	AutoTune AutoTuneOptions
 	// Durability makes every commit crash-safe: chunk writes are fsynced
 	// (file and, when files were created, directory) before the metadata
 	// commit, the commit itself is an fsynced manifest-log append, and
@@ -104,54 +97,6 @@ type Options struct {
 	// real OS. Tests inject fsio.Fault here to crash the store at an
 	// arbitrary write/sync/rename step.
 	FS fsio.FS
-}
-
-// AutoTuneOptions parameterizes the adaptive reorganizer. Interval
-// controls the background loop only; the thresholds also govern forced
-// Tune passes.
-type AutoTuneOptions struct {
-	// Interval is the background tuner's pass period; 0 (the default)
-	// disables the background loop (Tune can still be called directly).
-	Interval time.Duration
-	// MinSavings is the fractional projected I/O-cost reduction a
-	// workload-aware re-layout must achieve before the tuner rewrites
-	// anything (0 means the 0.10 default). It is the no-regression guard:
-	// a workload the current layout already serves well never triggers a
-	// reorganization.
-	MinSavings float64
-	// Decay multiplies every recorded pattern weight after each tuner
-	// pass, making the histogram an exponentially decayed window of
-	// recent traffic (0 means the 0.5 default; 1 disables decay).
-	Decay float64
-	// MinOps is the total recorded access weight an array needs before a
-	// pass will even estimate costs (0 means the default of 8); it keeps
-	// the tuner from thrashing on a handful of samples.
-	MinOps float64
-	// MatrixSample, when positive, builds the tuner's materialization
-	// matrices from sampled cells (§IV-A), bounding pass cost on large
-	// arrays.
-	MatrixSample int
-	// BatchK, when positive, re-encodes in independent batches of K
-	// versions (§IV-E), bounding matrix size and delta-chain length for
-	// tuner-triggered reorganizations.
-	BatchK int
-}
-
-// withDefaults fills the zero thresholds.
-func (a AutoTuneOptions) withDefaults() AutoTuneOptions {
-	if a.MinSavings <= 0 {
-		a.MinSavings = 0.10
-	}
-	if a.Decay <= 0 {
-		a.Decay = 0.5
-	}
-	if a.Decay > 1 {
-		a.Decay = 1
-	}
-	if a.MinOps <= 0 {
-		a.MinOps = 8
-	}
-	return a
 }
 
 // DefaultCacheBytes is a reasonable decoded-chunk cache budget for
@@ -232,12 +177,6 @@ type Store struct {
 	// chunkCache is the store-wide decoded-chunk LRU (nil when disabled).
 	chunkCache *cache.Cache
 
-	// tuner is the background auto-tune loop (nil unless
-	// Options.AutoTune.Interval > 0). Stopped by Close.
-	tuner *Tuner
-	// tunePasses/tuneReorgs count tuner activity for Stats().
-	tunePasses atomic.Int64
-	tuneReorgs atomic.Int64
 	// buildSeq names off-lock rewrite build directories uniquely so a
 	// retried or concurrent rewrite can never scribble on another
 	// build's files.
@@ -308,17 +247,6 @@ type IOStats struct {
 	CacheRejected int64
 	CacheBytes    int64
 	CacheEntries  int64
-
-	// WorkloadOps is the cumulative count of recorded select accesses;
-	// WorkloadPatterns is the current number of distinct access patterns
-	// in the adaptive tuner's histogram.
-	WorkloadOps      int64
-	WorkloadPatterns int64
-	// TunePasses counts adaptive-tuner passes (including ones skipped
-	// below the MinOps gate); TuneReorganizes counts the passes that
-	// actually triggered a re-layout.
-	TunePasses      int64
-	TuneReorganizes int64
 
 	// GroupCommits counts the commit records writes appended (one per
 	// Write, Branch or Merge); GroupCommitVersions counts the versions
@@ -405,7 +333,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := s.openManifestStore(); err != nil {
 		return nil, err
 	}
-	s.startTuner()
 	return s, nil
 }
 
@@ -467,7 +394,6 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	tuner := s.tuner
 	arrays := make([]*arrayState, 0, len(s.arrays))
 	for _, st := range s.arrays {
 		arrays = append(arrays, st)
@@ -476,13 +402,7 @@ func (s *Store) Close() error {
 		arrays = append(arrays, st)
 	}
 	s.mu.Unlock()
-	// stop the background tuner before draining the latches: an
-	// in-flight pass fails fast on the closed flag and releases whatever
-	// it holds
-	if tuner != nil {
-		tuner.Stop()
-	}
-	// the heal prober fails fast on the closed flag the same way
+	// the heal prober fails fast on the closed flag
 	s.stopHealer()
 	for _, st := range arrays {
 		// drain writers first: an in-flight stager finishes encoding,
@@ -516,14 +436,6 @@ func (s *Store) Stats() IOStats {
 	out.RecoveryTruncatedBytes = s.recovery.TruncatedBytes
 	out.RecoveryRemovedFiles = s.recovery.RemovedFiles
 	out.RecoveryDroppedVersions = s.recovery.DroppedVersions
-	s.mu.RLock()
-	for _, st := range s.arrays {
-		out.WorkloadOps += st.workload.ops.Load()
-		out.WorkloadPatterns += st.workload.patterns()
-	}
-	s.mu.RUnlock()
-	out.TunePasses = s.tunePasses.Load()
-	out.TuneReorganizes = s.tuneReorgs.Load()
 	s.healthMu.Lock()
 	out.DegradedArrays = int64(len(s.degraded))
 	if s.storeDegraded != nil {
@@ -715,15 +627,6 @@ type arrayState struct {
 	// observe the window between mutation and clear; readers rebuild and
 	// store it under the read lock.
 	cachedView atomic.Pointer[readView]
-
-	// workload is the access histogram the adaptive tuner feeds on; every
-	// successful select records into it. tuneEst caches the tuner's
-	// estimation inputs (cost matrix, current layout) for one mutation
-	// sequence, so a pass over an unmutated array re-evaluates costs
-	// against fresh traffic without re-decoding the version history.
-	// Both die with the array.
-	workload arrayRecorder
-	tuneEst  atomic.Pointer[tuneEstimate]
 }
 
 func (st *arrayState) version(id int) (*versionMeta, error) {

@@ -8,6 +8,7 @@ import (
 
 	"arrayvers/internal/array"
 	"arrayvers/internal/fsio"
+	"arrayvers/internal/layout"
 )
 
 // The crash-point matrix: a fixed insert → delta-list → delete-version →
@@ -42,10 +43,10 @@ type crashModel struct {
 	auxInsertOK  bool // Aux's single insert committed
 	auxDeleteTry bool // DeleteArray("Aux") was attempted
 	auxDeleteOK  bool // DeleteArray("Aux") returned success
-	// tuneReorganized records whether the forced adaptive-tuner pass at
-	// the end of the workload actually committed a re-layout (asserted
-	// on the fault-free counting run, so the matrix provably covers the
-	// tuner's commit points).
+	// tuneReorganized records whether the Tune pass at the end of the
+	// workload actually committed a re-layout (asserted on the
+	// fault-free counting run, so the matrix provably covers the commit
+	// points of a Tune-initiated reorganize).
 	tuneReorganized bool
 	// multiArraysCreated is set once the two extra member arrays ("P",
 	// "Q") of the cross-array batch both committed their CreateArray.
@@ -70,11 +71,6 @@ func durableOpts(coLocate bool, fs fsio.FS) Options {
 	o.FS = fs
 	o.Parallelism = 1 // deterministic step ordering for the matrix
 	o.DeltaCandidates = 2
-	// the workload's forced tune pass must deterministically reorganize
-	// (the skewed selects easily clear a 1% bar); the background loop
-	// stays off so the matrix is single-threaded
-	o.AutoTune.MinSavings = 0.01
-	o.AutoTune.MinOps = 1
 	// rotate the manifest log every few KB so snapshot rotation and the
 	// CURRENT flip are crash/fault points of the matrices, not just the
 	// steady-state append
@@ -248,29 +244,20 @@ func runCrashWorkload(s *Store, side int64) (*crashModel, error) {
 	if err := insert(5); err != nil {
 		return m, err
 	}
-	// adaptive tuner: put the array in the linear baseline, record a
-	// hot-old-version workload (selects inject no fault points — only
-	// writes count), and force a tune pass. Its workload-aware rewrite
-	// commits through the same generation protocol, so every
-	// write/sync/rename inside the tuner-initiated reorganize becomes a
-	// crash point of the matrix.
+	// Tune: put the array in the linear baseline and hand Tune a
+	// hot-old-version workload, whose savings clear the 10% guard. Its
+	// workload-aware rewrite commits through the same generation
+	// protocol, so every write/sync/rename inside the Tune-initiated
+	// reorganize becomes a crash point of the matrix.
 	if err := s.Reorganize("M", ReorganizeOptions{Policy: PolicyLinearChain}); err != nil {
 		return m, err
 	}
-	for i := 0; i < 9; i++ {
-		if _, err := s.Select("M", 1); err != nil {
-			return m, err
-		}
-	}
-	if _, err := s.Select("M", 4); err != nil {
-		return m, err
-	}
-	rep, err := s.Tune("M")
+	rep, err := s.Tune("M", []layout.Query{layout.Snapshot(1, 9), layout.Snapshot(4, 1)})
 	if err != nil {
 		return m, err
 	}
 	m.tuneReorganized = rep.Reorganized
-	// one final insert so a crash injected at the tuner's post-commit
+	// one final insert so a crash injected at the rewrite's post-commit
 	// cleanup steps (whose errors are deliberately swallowed) still
 	// surfaces through a later failing operation
 	if err := insert(6); err != nil {
@@ -316,7 +303,7 @@ func TestCrashPointMatrix(t *testing.T) {
 				t.Fatalf("counting run failed: %v", err)
 			}
 			if !model.tuneReorganized {
-				t.Fatal("forced tune pass did not reorganize; the matrix would not cover the tuner's commit points")
+				t.Fatal("the Tune pass did not reorganize; the matrix would not cover the commit points of a Tune-initiated reorganize")
 			}
 			if s.Stats().ManifestRotations == 0 {
 				t.Fatal("workload never rotated the manifest log; the matrix would not cover snapshot rotation and the CURRENT flip")

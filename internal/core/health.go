@@ -370,9 +370,9 @@ func (s *Store) healArray(name string, rep *HealReport) error {
 // Options.HealInterval is zero.
 const defaultHealInterval = time.Second
 
-// healer is the background heal prober. Unlike the tuner it is not
-// started at Open: the first degrade arms it, and it disarms itself
-// once nothing is degraded (the next degrade re-arms a fresh one).
+// healer is the background heal prober. It is not started at Open:
+// the first degrade arms it, and it disarms itself once nothing is
+// degraded (the next degrade re-arms a fresh one).
 type healer struct {
 	s        *Store
 	stop     chan struct{}

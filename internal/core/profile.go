@@ -46,7 +46,7 @@ var stageLatencyBounds = []float64{0.00001, 0.0001, 0.0005, 0.001, 0.005, 0.025,
 // batchSizeBounds buckets the versions one commit record installs.
 var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64}
 
-// tunePassBounds buckets adaptive-tuner pass durations.
+// tunePassBounds buckets Tune pass durations.
 var tunePassBounds = []float64{0.001, 0.01, 0.1, 0.5, 2.5, 10}
 
 // stageMetric is one stage's always-on aggregate: a latency histogram
@@ -121,7 +121,7 @@ func (p *profile) cacheAccess(array string, hit bool) {
 // opTracker routes one select's stage observations to both the
 // store-wide profile histograms and, when the request carried one, its
 // trace. A nil tracker is a no-op, so internal readers (recovery,
-// verify, the tuner's history scans) stay out of the query-path
+// verify, Tune's history scans) stay out of the query-path
 // histograms by passing nil.
 type opTracker struct {
 	stages map[string]*stageMetric
@@ -186,7 +186,7 @@ type ProfileSnapshot struct {
 }
 
 // Profile snapshots the store's stage-level latency/byte aggregates,
-// the versions-per-commit-record and tuner-pass histograms, the
+// the versions-per-commit-record and Tune-pass histograms, the
 // decode-pool gauge, and the per-array cache counters.
 func (s *Store) Profile() ProfileSnapshot {
 	p := s.prof

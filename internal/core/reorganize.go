@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -60,7 +62,8 @@ func (p LayoutPolicy) String() string {
 type ReorganizeOptions struct {
 	Policy LayoutPolicy
 	// Workload drives PolicyWorkloadAware; query version values are
-	// version IDs.
+	// version IDs. It must be non-empty, and every query must name at
+	// least one live version with a finite weight > 0.
 	Workload []layout.Query
 	// MatrixSample, when positive, builds the materialization matrix from
 	// sampled cells (§IV-A).
@@ -69,14 +72,8 @@ type ReorganizeOptions struct {
 	// consecutive batches of K versions (§IV-E), bounding matrix size and
 	// delta-chain length.
 	BatchK int
-	// lenientWorkload re-filters the workload against the live version
-	// set at plan time instead of erroring on an unknown version. The
-	// tuner sets it: its recorded queries can reference versions deleted
-	// between the histogram snapshot and the rewrite, and a routine race
-	// must not fail the pass. Explicit API callers keep the strict error.
-	lenientWorkload bool
-	// plan carries the tuner's already-decoded planes and chosen layout
-	// so an uncontended tuner rewrite does not decode every version a
+	// plan carries Tune's already-decoded planes and chosen layout so
+	// an uncontended Tune rewrite does not decode every version a
 	// second time. It is used only if the array's mutation sequence
 	// still matches plan.seq at snapshot time; otherwise the rewrite
 	// replans from live metadata as usual.
@@ -102,6 +99,9 @@ type rewritePlan struct {
 // inserts or selects. (BatchK is ignored here: the matrix and layout
 // describe the whole version set; Reorganize applies batching.)
 func (s *Store) ComputeLayout(name string, opts ReorganizeOptions) (layout.Layout, *matmat.Matrix, []int, error) {
+	if err := opts.validate(); err != nil {
+		return layout.Layout{}, nil, nil, err
+	}
 	v, release, err := s.snapshotUncached(name)
 	if err != nil {
 		return layout.Layout{}, nil, nil, err
@@ -140,10 +140,13 @@ type rewriteBuild func(v *readView, buildDir string) (ids []int, entries []map[s
 // chosen layout policy — the "background re-organization step" of §IV-E.
 // Old chunk payloads are dropped (the chunks directory is rewritten).
 func (s *Store) Reorganize(name string, opts ReorganizeOptions) error {
+	if err := opts.validate(); err != nil {
+		return err
+	}
 	return s.rewrite(name, func(v *readView, buildDir string) ([]int, []map[string]map[string]chunkEntry, error) {
 		p := opts.plan
 		if p == nil || p.seq != v.seq {
-			// no plan from the tuner for this exact state: decode and plan
+			// no plan from Tune for this exact state: decode and plan
 			ids, planes, err := s.loadPlanesView(v)
 			if err != nil || len(ids) == 0 {
 				return nil, nil, err
@@ -372,10 +375,9 @@ func (s *Store) publishRewrite(st *arrayState, seq uint64, buildDir string, ids 
 // batching when requested.
 func (s *Store) planLayout(st *arrayState, ids []int, planes [][]Plane, opts ReorganizeOptions) (layout.Layout, error) {
 	if opts.BatchK > 0 && opts.BatchK < len(ids) {
-		if opts.Policy == PolicyWorkloadAware && !opts.lenientWorkload {
-			// strict callers get the same unknown-version validation the
-			// non-batched path applies, before batching slices the
-			// workload per range
+		if opts.Policy == PolicyWorkloadAware {
+			// the same unknown-version validation the non-batched path
+			// applies, before batching slices the workload per range
 			if _, err := remapWorkload(opts.Workload, ids); err != nil {
 				return layout.Layout{}, err
 			}
@@ -400,9 +402,6 @@ func (s *Store) planLayout(st *arrayState, ids []int, planes [][]Plane, opts Reo
 	mm, err := s.buildMatrix(st.SparseRep, len(st.Schema.Attrs), planes, opts.MatrixSample)
 	if err != nil {
 		return layout.Layout{}, err
-	}
-	if opts.lenientWorkload && opts.Policy == PolicyWorkloadAware {
-		opts.Workload = FilterWorkload(opts.Workload, ids)
 	}
 	return chooseLayout(mm, ids, opts)
 }
@@ -504,6 +503,35 @@ func chooseLayout(mm *matmat.Matrix, ids []int, opts ReorganizeOptions) (layout.
 	}
 }
 
+// validate checks the workload of PolicyWorkloadAware before anything
+// is decoded.
+func (o ReorganizeOptions) validate() error {
+	if o.Policy == PolicyWorkloadAware {
+		return validateWorkload(o.Workload)
+	}
+	return nil
+}
+
+// validateWorkload rejects a caller workload that cannot describe a
+// query mix: none at all, a query naming no version, or a weight that
+// is not finite and positive (a negative weight would lay the array out
+// for the inverted workload). Unknown versions are rejected against the
+// live version set by remapWorkload.
+func validateWorkload(wl []layout.Query) error {
+	if len(wl) == 0 {
+		return errors.New("core: empty workload")
+	}
+	for i, q := range wl {
+		if len(q.Versions) == 0 {
+			return fmt.Errorf("core: workload query %d names no version", i)
+		}
+		if !(q.Weight > 0) || math.IsInf(q.Weight, 1) {
+			return fmt.Errorf("core: workload query %d has weight %v, want a finite weight > 0", i, q.Weight)
+		}
+	}
+	return nil
+}
+
 // remapWorkload translates query version IDs into layout indices.
 func remapWorkload(wl []layout.Query, ids []int) ([]layout.Query, error) {
 	pos := make(map[int]int, len(ids))
@@ -527,8 +555,8 @@ func remapWorkload(wl []layout.Query, ids []int) ([]layout.Query, error) {
 
 // FilterWorkload restricts workload queries to the given version IDs:
 // versions outside the set are dropped from each query, and queries left
-// empty are removed. The tuner uses it to shed references to deleted
-// versions; batched rewrites use it to slice the workload per batch.
+// empty are removed. Batched rewrites use it to slice the workload per
+// batch.
 func FilterWorkload(wl []layout.Query, ids []int) []layout.Query {
 	in := make(map[int]bool, len(ids))
 	for _, id := range ids {

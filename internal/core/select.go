@@ -79,7 +79,6 @@ func (s *Store) Read(ctx context.Context, q ReadQuery) ([]Plane, error) {
 			return nil, err
 		}
 	}
-	v.st.workload.record(q.IDs, 1)
 	return out, nil
 }
 

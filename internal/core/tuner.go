@@ -1,33 +1,31 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"arrayvers/internal/layout"
-	"arrayvers/internal/matmat"
 )
 
-// The adaptive reorganizer (closing the loop on §IV-D): the select path
-// records every access into the workload histogram (workload.go); the
-// tuner periodically snapshots the histogram, computes the
-// workload-aware layout off-lock, estimates the projected I/O cost
-// against the current layout's cost using the materialization matrix,
-// and triggers a Reorganize only when the projected savings clear
-// AutoTuneOptions.MinSavings. The rewrite rides the existing
-// generation-commit protocol, so tuning is crash-safe and never blocks
-// readers (see DESIGN.md "Adaptive reorganization").
+// Workload-aware reorganization as §IV-D states it: the caller knows
+// its query workload a priori and hands it to Tune, which prices the
+// layout on disk against the PolicyWorkloadAware candidate with one
+// materialization matrix and rewrites only when the projected savings
+// reach tuneMinSavings. The rewrite is a plain Reorganize, so it rides
+// the crash-safe generation-commit protocol and never blocks readers
+// (see DESIGN.md "Workload-aware reorganization (§IV-D)").
 
-// TuneReport describes one tuner pass over one array.
+// tuneMinSavings is Tune's no-regression guard: the fractional
+// projected I/O-cost reduction a workload-aware re-layout must reach
+// before anything is rewritten, so a workload the current layout
+// already serves well never triggers a reorganization.
+const tuneMinSavings = 0.10
+
+// TuneReport describes one Tune pass over one array.
 type TuneReport struct {
 	Array string `json:"array"`
-	// Ops is the total recorded (decayed) access weight considered;
-	// Patterns is the number of distinct access patterns.
-	Ops      float64 `json:"ops"`
-	Patterns int     `json:"patterns"`
+	// Queries is the number of workload queries the pass priced.
+	Queries int `json:"queries"`
 	// CurrentCost and ProjectedCost are the workload I/O costs (§IV-D,
 	// CostΛ) of the layout on disk and the workload-aware candidate;
 	// Savings is their fractional difference.
@@ -42,59 +40,34 @@ type TuneReport struct {
 	Reason      string `json:"reason,omitempty"`
 }
 
-// Tune runs one adaptive-tuner pass over the named array, regardless of
-// whether the background loop is enabled: snapshot the recorded
-// workload, estimate the I/O cost of the current layout vs. the
-// workload-aware one, and reorganize when the projected savings reach
-// AutoTune.MinSavings. The pass decays the array's workload histogram,
-// so repeated passes track recent traffic.
-func (s *Store) Tune(name string) (rep TuneReport, err error) {
+// Tune prices the named array's layout on disk against the
+// workload-aware one for the given workload (query version values are
+// version IDs) and reorganizes with PolicyWorkloadAware when the
+// projected savings reach 10%. The workload is validated as for
+// Reorganize: it must be non-empty, every query must name at least one
+// live version, and every weight must be finite and positive.
+//
+// The pass decodes every version once, through an uncached snapshot
+// that neither evicts nor repopulates the store-wide chunk LRU, and
+// hands the decoded planes and chosen layout to the rewrite. If the
+// array mutates in between, Reorganize replans from live metadata, so
+// a racing insert can never publish a layout computed from superseded
+// contents.
+func (s *Store) Tune(name string, wl []layout.Query) (rep TuneReport, err error) {
 	defer func(t0 time.Time) {
 		s.prof.tunePass.Observe(time.Since(t0).Seconds())
 	}(time.Now())
-	at := s.opts.AutoTune.withDefaults()
-	rep = TuneReport{Array: name, MinSavings: at.MinSavings}
-
-	s.mu.RLock()
-	st, ok := s.arrays[name]
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return rep, ErrClosed
+	rep = TuneReport{Array: name, Queries: len(wl), MinSavings: tuneMinSavings}
+	if err := validateWorkload(wl); err != nil {
+		return rep, err
 	}
-	if !ok {
-		return rep, fmt.Errorf("core: no array %q", name)
-	}
-
-	s.tunePasses.Add(1)
-	// decay only on passes that actually estimated: a transient failure
-	// must not drain a histogram it never acted on, and trickle traffic
-	// below MinOps must be allowed to accumulate across intervals
-	estimated := false
-	defer func() {
-		if err == nil && estimated {
-			st.workload.scale(at.Decay)
-		}
-	}()
-
-	wl, total := st.workload.queries()
-	rep.Ops = total
-	rep.Patterns = len(wl)
-	if total < at.MinOps {
-		rep.Reason = fmt.Sprintf("insufficient recorded workload (%.1f < %.1f ops)", total, at.MinOps)
-		return rep, nil
-	}
-
-	// One metadata snapshot feeds everything: the candidate layout, the
-	// current layout, and the cost matrix, so the two costs are
-	// comparable. All decoding runs off-lock against the snapshot and
-	// bypasses the store-wide LRU — an estimation sweep must not evict
-	// the clients' hot working set or skew the hit-rate counters. The
-	// decoded inputs are cached per mutation sequence, so repeated
-	// passes over an unmutated array skip the decode entirely and only
-	// re-evaluate costs against the fresh histogram.
 	v, release, err := s.snapshotUncached(name)
 	if err != nil {
+		return rep, err
+	}
+	wlIdx, err := remapWorkload(wl, v.ids)
+	if err != nil {
+		release()
 		return rep, err
 	}
 	if len(v.ids) < 2 {
@@ -102,120 +75,41 @@ func (s *Store) Tune(name string) (rep TuneReport, err error) {
 		rep.Reason = "fewer than two live versions"
 		return rep, nil
 	}
-	est := v.st.tuneEst.Load()
-	var planes [][]Plane // decoded this pass (nil on an estimate-cache hit)
-	if est == nil || est.seq != v.seq {
-		var ids []int
-		ids, planes, err = s.loadPlanesView(v)
-		if err != nil {
-			release()
-			return rep, err
-		}
-		var mm *matmat.Matrix
-		mm, err = s.buildMatrix(v.st.SparseRep, len(v.st.Schema.Attrs), planes, at.MatrixSample)
-		if err != nil {
-			release()
-			return rep, err
-		}
-		est = &tuneEstimate{seq: v.seq, ids: ids, mm: mm, cur: currentLayoutOf(v, ids)}
-		v.st.tuneEst.Store(est)
+	ids, planes, err := s.loadPlanesView(v)
+	if err != nil {
+		release()
+		return rep, err
 	}
+	cur := currentLayoutOf(v, ids)
+	mm, err := s.buildMatrix(v.st.SparseRep, len(v.st.Schema.Attrs), planes, 0)
 	release()
-	estimated = true
-
-	// queries may reference versions deleted since they were recorded
-	wl = FilterWorkload(wl, est.ids)
-	if len(wl) == 0 {
-		rep.Reason = "recorded workload references no live versions"
-		return rep, nil
-	}
-	wlIdx, err := remapWorkload(wl, est.ids)
 	if err != nil {
 		return rep, err
 	}
-	chosen := layout.WorkloadAware(est.mm, wlIdx)
-	rep.CurrentCost = layout.IOCost(est.cur, est.mm, wlIdx)
-	rep.ProjectedCost = layout.IOCost(chosen, est.mm, wlIdx)
+
+	chosen := layout.WorkloadAware(mm, wlIdx)
+	rep.CurrentCost = layout.IOCost(cur, mm, wlIdx)
+	rep.ProjectedCost = layout.IOCost(chosen, mm, wlIdx)
 	if rep.CurrentCost <= 0 {
 		rep.Reason = "current layout has zero workload cost"
 		return rep, nil
 	}
 	rep.Savings = 1 - rep.ProjectedCost/rep.CurrentCost
-	if rep.Savings < at.MinSavings {
+	if rep.Savings < tuneMinSavings {
 		rep.Reason = fmt.Sprintf("projected savings %.1f%% below threshold %.1f%%",
-			rep.Savings*100, at.MinSavings*100)
+			rep.Savings*100, tuneMinSavings*100)
 		return rep, nil
 	}
-
-	// The rewrite reuses this pass's decoded planes and chosen layout as
-	// long as the array's mutation sequence still matches the estimation
-	// snapshot (the uncontended case decodes everything exactly once);
-	// if anything mutated in between, Reorganize replans from live
-	// metadata, so a racing insert can never publish a layout computed
-	// from superseded contents.
-	reorgOpts := ReorganizeOptions{
-		Policy:       PolicyWorkloadAware,
-		Workload:     wl,
-		MatrixSample: at.MatrixSample,
-		BatchK:       at.BatchK,
-		// a version deleted between the histogram snapshot and the
-		// rewrite must be re-filtered at plan time, not fail the pass
-		lenientWorkload: true,
-	}
-	if at.BatchK == 0 && planes != nil {
-		// batched rewrites slice the workload per batch, and an
-		// estimate-cache hit has no decoded planes to hand over; in both
-		// cases Reorganize decodes for itself
-		reorgOpts.plan = &rewritePlan{seq: v.seq, ids: est.ids, planes: planes, layout: chosen}
-	}
-	err = s.Reorganize(name, reorgOpts)
+	err = s.Reorganize(name, ReorganizeOptions{
+		Policy:   PolicyWorkloadAware,
+		Workload: wl,
+		plan:     &rewritePlan{seq: v.seq, ids: ids, planes: planes, layout: chosen},
+	})
 	if err != nil {
 		return rep, err
 	}
 	rep.Reorganized = true
-	s.tuneReorgs.Add(1)
 	return rep, nil
-}
-
-// TuneAll runs one tuner pass over every array with recorded traffic.
-// Per-array failures are reported in the corresponding report's Reason
-// and do not stop the sweep; only a closed store aborts it.
-func (s *Store) TuneAll() ([]TuneReport, error) {
-	var names []string
-	s.mu.RLock()
-	for name, st := range s.arrays {
-		if st.workload.ops.Load() > 0 {
-			names = append(names, name)
-		}
-	}
-	s.mu.RUnlock()
-	sort.Strings(names)
-	var out []TuneReport
-	for _, name := range names {
-		rep, err := s.Tune(name)
-		if err != nil {
-			if errors.Is(err, ErrClosed) {
-				return out, err
-			}
-			// arrays can be dropped between listing and tuning; anything
-			// else (including a lost reorganize race) waits for the next
-			// pass
-			rep.Reason = err.Error()
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
-// tuneEstimate is one array's cached estimation input, valid for one
-// exact mutation sequence: the live version ids, the materialization
-// matrix over them, and the layout on disk. The histogram is NOT part
-// of it — costs are re-evaluated against fresh traffic on every pass.
-type tuneEstimate struct {
-	seq uint64
-	ids []int
-	mm  *matmat.Matrix
-	cur layout.Layout
 }
 
 // currentLayoutOf derives the layout actually on disk from a metadata
@@ -253,78 +147,8 @@ func currentLayoutOf(v *readView, ids []int) layout.Layout {
 	if !l.IsValid() {
 		// a cyclic derivation can only come from metadata we misread;
 		// treat everything as materialized (maximally pessimistic about
-		// the candidate, so the tuner stays conservative)
+		// the candidate, so Tune stays conservative)
 		return layout.NewLayout(len(ids))
 	}
 	return l
-}
-
-// CurrentLayout reports the layout the named array currently uses on
-// disk (derived from its chunk metadata) and the live version IDs each
-// layout index corresponds to.
-func (s *Store) CurrentLayout(name string) (layout.Layout, []int, error) {
-	s.mu.RLock()
-	st, ok := s.arrays[name]
-	if !ok {
-		s.mu.RUnlock()
-		return layout.Layout{}, nil, fmt.Errorf("core: no array %q", name)
-	}
-	v := s.viewLocked(st)
-	l := currentLayoutOf(v, v.ids)
-	ids := append([]int(nil), v.ids...)
-	s.mu.RUnlock()
-	return l, ids, nil
-}
-
-// Tuner is the background auto-tune loop: every Options.AutoTune.Interval
-// it runs TuneAll over the arrays with recorded traffic. It is started
-// by Open when the interval is positive and stopped by Store.Close.
-type Tuner struct {
-	s        *Store
-	interval time.Duration
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
-}
-
-// startTuner launches the background loop if configured.
-func (s *Store) startTuner() {
-	if s.opts.AutoTune.Interval <= 0 {
-		return
-	}
-	t := &Tuner{
-		s:        s,
-		interval: s.opts.AutoTune.Interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	s.tuner = t
-	go t.loop()
-}
-
-// Tuner returns the store's background tuner, or nil when
-// Options.AutoTune.Interval is zero.
-func (s *Store) Tuner() *Tuner { return s.tuner }
-
-func (t *Tuner) loop() {
-	defer close(t.done)
-	tick := time.NewTicker(t.interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-tick.C:
-			if _, err := t.s.TuneAll(); errors.Is(err, ErrClosed) {
-				return
-			}
-		}
-	}
-}
-
-// Stop terminates the loop and waits for any in-flight pass to finish.
-// It is idempotent and safe to call concurrently with Close.
-func (t *Tuner) Stop() {
-	t.stopOnce.Do(func() { close(t.stop) })
-	<-t.done
 }

@@ -162,7 +162,7 @@ func writeHist(w io.Writer, name, labels string, h trace.HistSnapshot) {
 
 // writeProfile renders the store's stage-level instrumentation: select
 // and commit pipeline stage latency histograms and byte totals, the
-// versions-per-commit-record and tuner-pass histograms, the decode-pool
+// versions-per-commit-record and Tune-pass histograms, the decode-pool
 // gauge, recovery duration, and per-array cache hit/miss counters.
 func writeProfile(w io.Writer, prof core.ProfileSnapshot) {
 	fmt.Fprintf(w, "# HELP av_select_stage_seconds Select pipeline latency by stage (snapshot, cache, read, decode, delta, materialize).\n")
@@ -188,7 +188,7 @@ func writeProfile(w io.Writer, prof core.ProfileSnapshot) {
 	fmt.Fprintf(w, "# HELP av_group_commit_batch_size Versions installed per write commit record.\n")
 	fmt.Fprintf(w, "# TYPE av_group_commit_batch_size histogram\n")
 	writeHist(w, "av_group_commit_batch_size", "", prof.GroupBatch)
-	fmt.Fprintf(w, "# HELP av_tune_pass_seconds Adaptive-tuner pass duration.\n")
+	fmt.Fprintf(w, "# HELP av_tune_pass_seconds Tune pass duration.\n")
 	fmt.Fprintf(w, "# TYPE av_tune_pass_seconds histogram\n")
 	writeHist(w, "av_tune_pass_seconds", "", prof.TunePass)
 	fmt.Fprintf(w, "# HELP av_decode_pool_active Decode-pool workers currently resolving chunks.\n")

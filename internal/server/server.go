@@ -144,8 +144,6 @@ func New(cfg Config) (*Server, error) {
 	s.route(mux, "POST /v1/arrays/{name}/branch", "branch", s.handleBranch)
 	s.route(mux, "POST /v1/arrays/{name}/reorganize", "reorganize", s.handleReorganize)
 	s.route(mux, "POST /v1/arrays/{name}/tune", "tune", s.handleTune)
-	s.route(mux, "GET /v1/arrays/{name}/workload", "workload", s.handleWorkload)
-	s.route(mux, "POST /v1/arrays/{name}/workload", "workload-record", s.handleWorkloadRecord)
 	s.route(mux, "POST /v1/arrays/{name}/delete-version", "delete-version", s.handleDeleteVersion)
 	s.route(mux, "POST /v1/arrays/{name}/compact", "compact", s.handleCompact)
 	s.route(mux, "POST /v1/merge", "merge", s.handleMerge)
@@ -320,15 +318,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // writeErr maps a store/codec error to a status code and JSON body.
-// ErrClosed and ErrFrameTooLarge are typed; the not-found/exists cases
-// match the stable "core: ..."-prefixed message forms (anchored so a
-// user-supplied name or path embedded in an unrelated error cannot flip
-// the status).
+// ErrClosed, ErrFrameTooLarge and *http.MaxBytesError (413) are typed;
+// the not-found/exists cases match the stable "core: ..."-prefixed
+// message forms (anchored so a user-supplied name or path embedded in
+// an unrelated error cannot flip the status).
 func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	msg := err.Error()
 	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
 	switch {
-	case errors.Is(err, wire.ErrFrameTooLarge):
+	case errors.Is(err, wire.ErrFrameTooLarge), errors.As(err, &tooLarge):
 		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, core.ErrDegraded):
 		// degraded mode is transient by design (the heal prober is
@@ -346,8 +345,20 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, code, errorBody{Error: msg})
 }
 
-func decodeJSONBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxJSONBody bounds every JSON control body. 4 MiB holds a workload of
+// tens of thousands of queries (or any schema, statement or version
+// list) yet keeps an oversized request from being allocated in full
+// before it is rejected; the array payloads of /v1/write are frames
+// with their own bound.
+const maxJSONBody = 4 << 20
+
+// decodeJSONBody decodes one JSON control body of at most maxJSONBody
+// bytes. A body declared larger is refused before any of it is read.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
+	if r.ContentLength > maxJSONBody {
+		return &http.MaxBytesError{Limit: maxJSONBody}
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
@@ -470,7 +481,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var schema array.Schema
-	if err := decodeJSONBody(r, &schema); err != nil {
+	if err := decodeJSONBody(w, r, &schema); err != nil {
 		s.writeErr(w, err)
 		return
 	}
@@ -639,7 +650,7 @@ func (s *Server) handleBranch(w http.ResponseWriter, r *http.Request) {
 		Version int    `json:"version"`
 		NewName string `json:"newName"`
 	}
-	if err := decodeJSONBody(r, &req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		s.writeErr(w, err)
 		return
 	}
@@ -655,7 +666,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		NewName string            `json:"newName"`
 		Parents []core.VersionRef `json:"parents"`
 	}
-	if err := decodeJSONBody(r, &req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		s.writeErr(w, err)
 		return
 	}
@@ -677,7 +688,7 @@ type reorganizeRequest struct {
 
 func (s *Server) handleReorganize(w http.ResponseWriter, r *http.Request) {
 	var req reorganizeRequest
-	if err := decodeJSONBody(r, &req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		s.writeErr(w, err)
 		return
 	}
@@ -699,12 +710,19 @@ func (s *Server) handleReorganize(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "reorganized"})
 }
 
-// handleTune forces one adaptive-tuner pass over the array: it
-// estimates the I/O cost of the current layout against the
-// workload-aware one for the recorded traffic, reorganizes when the
-// savings clear the threshold, and returns the TuneReport either way.
+// handleTune runs one Tune pass over the array for the workload in the
+// body ({"workload": [...]}): it prices the current layout against the
+// workload-aware one, reorganizes when the savings reach the threshold,
+// and returns the TuneReport either way.
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.store.Tune(r.PathValue("name"))
+	var req struct {
+		Workload []layout.Query `json:"workload"`
+	}
+	if err := decodeJSONBody(w, r, &req); err != nil {
+		s.writeErr(w, err)
+		return
+	}
+	rep, err := s.store.Tune(r.PathValue("name"), req.Workload)
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -712,40 +730,12 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
-func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
-	wl, err := s.store.Workload(r.PathValue("name"))
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	if wl == nil {
-		wl = []layout.Query{}
-	}
-	writeJSON(w, http.StatusOK, wl)
-}
-
-// handleWorkloadRecord merges client-supplied weighted queries into the
-// array's recorded workload, seeding the adaptive tuner with a-priori
-// knowledge instead of waiting for live traffic.
-func (s *Server) handleWorkloadRecord(w http.ResponseWriter, r *http.Request) {
-	var queries []layout.Query
-	if err := decodeJSONBody(r, &queries); err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	if err := s.store.RecordWorkload(r.PathValue("name"), queries); err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "recorded"})
-}
-
 func (s *Server) handleDeleteVersion(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Version int  `json:"version"`
 		Compact bool `json:"compact,omitempty"`
 	}
-	if err := decodeJSONBody(r, &req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		s.writeErr(w, err)
 		return
 	}
@@ -784,7 +774,7 @@ func (s *Server) handleAQL(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Stmt string `json:"stmt"`
 	}
-	if err := decodeJSONBody(r, &req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		s.writeErr(w, err)
 		return
 	}

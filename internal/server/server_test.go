@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -606,20 +607,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestTuneEndpoint drives the adaptive-tuner surface end to end over
-// HTTP: remote selects feed the daemon's workload histogram (visible via
-// GET workload), a forced tune pass reorganizes the skewed array, reads
-// stay byte-identical afterwards, and the tune counters reach /metrics.
+// TestTuneEndpoint drives Tune end to end over HTTP: the workload
+// travels in the request body, a hot-oldest workload reorganizes the
+// linear-chain array, reads stay byte-identical afterwards, an unknown
+// version is a 400 that leaves the array untouched, a missing array is
+// a 404, and the recorded-workload routes are gone.
 func TestTuneEndpoint(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.ChunkBytes = 4 << 10
-	opts.AutoTune.MinOps = 1
-	opts.AutoTune.MinSavings = 0.01
-	store, err := core.Open(t.TempDir(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, ts := newTestServer(t, Config{Store: store})
+	_, _, ts := newTestServer(t, Config{})
 	c := client.New(ts.URL)
 
 	const side, n = 48, 8
@@ -643,25 +637,25 @@ func TestTuneEndpoint(t *testing.T) {
 	if err := c.Reorganize("T", core.ReorganizeOptions{Policy: core.PolicyLinearChain}); err != nil {
 		t.Fatal(err)
 	}
-	// skewed remote traffic: the oldest version is hot
-	for i := 0; i < 20; i++ {
-		if _, err := c.Select("T", 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wl, err := c.Workload("T")
+	before, err := c.Info("T")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(wl) == 0 || wl[0].Weight < 20 || wl[0].Versions[0] != 1 {
-		t.Fatalf("daemon did not record the remote selects: %v", wl)
+	// an unknown version is the caller's error and rewrites nothing
+	if _, err := c.Tune("T", []layout.Query{layout.Snapshot(1, 20), layout.Snapshot(99, 1)}); err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("tune with an unknown version returned %v, want 400", err)
 	}
-	rep, err := c.Tune("T")
+	if after, err := c.Info("T"); err != nil || after.DiskBytes != before.DiskBytes || after.NumVersions != before.NumVersions {
+		t.Fatalf("rejected tune touched the array: %+v -> %+v (%v)", before, after, err)
+	}
+
+	// the oldest version is hot
+	rep, err := c.Tune("T", []layout.Query{layout.Snapshot(1, 20)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Reorganized {
-		t.Fatalf("remote tune pass declined: %s", rep.Reason)
+	if !rep.Reorganized || rep.Queries != 1 || rep.MinSavings != 0.10 {
+		t.Fatalf("remote tune pass: %+v", rep)
 	}
 	for i, want := range versions {
 		got, err := c.Select("T", i+1)
@@ -672,41 +666,114 @@ func TestTuneEndpoint(t *testing.T) {
 			t.Fatalf("version %d not byte-identical after remote tune", i+1)
 		}
 	}
-	// seeding via the API merges into the histogram
-	if err := c.RecordWorkload("T", []layout.Query{layout.Snapshot(2, 50)}); err != nil {
-		t.Fatal(err)
-	}
-	wl, err = c.Workload("T")
+	// the same workload again: already laid out for it
+	rep, err = c.Tune("T", []layout.Query{layout.Snapshot(1, 20)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(wl) == 0 || wl[0].Weight < 50 || wl[0].Versions[0] != 2 {
-		t.Fatalf("seeded workload not recorded: %v", wl)
-	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TunePasses != 1 || st.TuneReorganizes != 1 {
-		t.Fatalf("tune counters = %d/%d, want 1/1", st.TunePasses, st.TuneReorganizes)
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"avstored_store_tune_passes 1", "avstored_store_tune_reorganizes 1", "avstored_store_workload_ops"} {
-		if !strings.Contains(string(raw), want) {
-			t.Errorf("metrics output missing %q", want)
-		}
+	if rep.Reorganized || rep.Reason == "" {
+		t.Fatalf("second remote tune pass: %+v", rep)
 	}
 	// tune of a missing array maps to 404
-	if _, err := c.Tune("nope"); err == nil || !strings.Contains(err.Error(), "404") {
+	if _, err := c.Tune("nope", []layout.Query{layout.Snapshot(1, 1)}); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("tune of unknown array returned %v, want 404", err)
+	}
+	for _, method := range []string{http.MethodGet, http.MethodPost} {
+		req, err := http.NewRequest(method, ts.URL+"/v1/arrays/T/workload", strings.NewReader("[]"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("%s /workload = %d, want the route gone", method, resp.StatusCode)
+		}
+	}
+}
+
+// TestWorkloadValidationRoutes is the HTTP half of the caller-workload
+// validation table: each malformed workload is a 400 from both routes
+// that take one.
+func TestWorkloadValidationRoutes(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{})
+	c := client.New(ts.URL)
+	if err := c.CreateArray(denseSchema("V", 16)); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 3; i++ {
+		if _, err := c.Insert("V", core.DensePayload(randDense(rng, 16))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct{ name, workload string }{
+		{"missing", `null`},
+		{"empty", `[]`},
+		{"no versions", `[{"Versions":[],"Weight":1}]`},
+		{"zero weight", `[{"Versions":[1],"Weight":0}]`},
+		{"negative weight", `[{"Versions":[1],"Weight":5},{"Versions":[2],"Weight":-3}]`},
+		{"infinite weight", `[{"Versions":[1],"Weight":1e999}]`},
+		{"unknown version", `[{"Versions":[1],"Weight":5},{"Versions":[99],"Weight":5}]`},
+	} {
+		for _, rt := range []struct{ path, body string }{
+			{"/v1/arrays/V/tune", `{"workload":` + tc.workload + `}`},
+			{"/v1/arrays/V/reorganize", `{"policy":"workload","workload":` + tc.workload + `}`},
+		} {
+			resp, err := http.Post(ts.URL+rt.path, "application/json", strings.NewReader(rt.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: %d %s, want 400", tc.name, rt.path, resp.StatusCode, raw)
+			}
+		}
+	}
+}
+
+// TestJSONBodyBound pins the control-body bound: a JSON body over
+// maxJSONBody is refused with 413, with or without a declared length,
+// and refusing a declared one allocates far less than the body.
+func TestJSONBodyBound(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{})
+	const bodyBytes = 4 * maxJSONBody
+	// a syntactically open workload, so no decoder could stop early
+	const open = `{"policy":"workload","workload":[`
+	body := make([]byte, bodyBytes)
+	copy(body, open)
+	for i := len(open); i < len(body); i++ {
+		body[i] = ' '
+	}
+	post := func(r io.Reader) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/arrays/T/reorganize", "application/json", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	code := post(bytes.NewReader(body))
+	runtime.ReadMemStats(&m1)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %d, want 413", code)
+	}
+	grew := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("a rejected %d-byte body allocated %d bytes", bodyBytes, grew)
+	if grew >= 2*maxJSONBody {
+		t.Fatalf("a rejected %d-byte body allocated %d bytes, want < %d", bodyBytes, grew, 2*maxJSONBody)
+	}
+	// without a Content-Length the read itself stops at the bound
+	if code := post(io.MultiReader(bytes.NewReader(body))); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized chunked body: %d, want 413", code)
 	}
 }
 

@@ -141,13 +141,13 @@ func Updates(n, reps int, seed int64) []Op {
 	return ops
 }
 
-// Zipfian is the skewed single-version trace used by the adaptive-tuner
+// Zipfian is the skewed single-version trace used by the Tune
 // experiments and tests: version ranks follow a Zipf distribution with
 // exponent s (> 1), with the OLDEST version (ID 1) the hottest. Against
 // the linear-chain baseline — which materializes the newest version and
 // deltas backwards — this is the worst case: the most popular reads
-// unwind the longest delta chains, which is exactly the skew an adaptive
-// reorganizer should detect and fix.
+// unwind the longest delta chains, which is exactly the skew a
+// workload-aware reorganization should fix.
 func Zipfian(n, reps int, s float64, seed int64) []Op {
 	rng := rand.New(rand.NewSource(seed))
 	z := rand.NewZipf(rng, s, 1, uint64(n-1))
@@ -162,7 +162,7 @@ func Zipfian(n, reps int, s float64, seed int64) []Op {
 // `width` consecutive versions slides from the oldest to the newest
 // version across the trace — the "analyst scanning history forward"
 // pattern. Early ops hit old versions, late ops hit recent ones, so a
-// decayed workload histogram tracks the drift.
+// slice of the trace is a workload that drifts as the window moves.
 func SlidingWindow(n, reps, width int) []Op {
 	if width < 1 {
 		width = 1
