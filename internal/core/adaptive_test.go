@@ -222,8 +222,8 @@ func TestUniformTraceNeverTriggersReorganize(t *testing.T) {
 }
 
 // TestTunerUnderConcurrentLoad runs an explicit Tune loop against 8
-// concurrent select/insert goroutines (the -race safety net for the
-// off-lock rewrite path), then checks that every version still reads
+// concurrent select/insert goroutines (the -race safety net for a
+// rewrite whose build runs beside writes), then checks that every version still reads
 // back byte-identical and the store verifies.
 func TestTunerUnderConcurrentLoad(t *testing.T) {
 	s := testStore(t, concurrencyOpts())
@@ -329,9 +329,10 @@ func TestTunerUnderConcurrentLoad(t *testing.T) {
 	}
 }
 
-// TestReorganizeDuringConcurrentInserts pins the off-lock rewrite's
-// retry/fallback path: explicit reorganizes race a stream of inserts,
-// and every version must stay byte-identical whichever path committed.
+// TestReorganizeDuringConcurrentInserts pins the rewrite's
+// carry-forward: explicit reorganizes race a stream of inserts, the
+// versions committed during a build are carried into its generation,
+// and every version must stay byte-identical.
 func TestReorganizeDuringConcurrentInserts(t *testing.T) {
 	s := testStore(t, concurrencyOpts())
 	if err := s.CreateArray(schema2D("R", 64)); err != nil {
@@ -379,6 +380,51 @@ func TestReorganizeDuringConcurrentInserts(t *testing.T) {
 	}
 	if !rep.Ok() {
 		t.Fatalf("verify failed after racing reorganizes: %v", rep.Problems)
+	}
+}
+
+// TestTunePlanOfDroppedArrayIsNotReused hands Reorganize a plan Tune
+// would have made of an array that was then dropped and recreated under
+// the same name with as many versions. The plan describes the dropped
+// array's contents, so the rewrite must replan: every version of the
+// recreated array reads back as written.
+func TestTunePlanOfDroppedArrayIsNotReused(t *testing.T) {
+	const side = 16
+	s := testStore(t, smallOpts())
+	defer s.Close()
+	fill := func(versions []*array.Dense) {
+		t.Helper()
+		if err := s.CreateArray(schema2D("A", side)); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range versions {
+			if _, err := s.Insert("A", DensePayload(c)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill(evolvingVersions(3, side, 40))
+	v, release, err := s.snapshotUncached("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, planes, err := s.loadPlanesView(v)
+	release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &rewritePlan{st: v.st, ids: ids, planes: planes, layout: layout.LinearChain(len(ids))}
+	if err := s.DeleteArray("A"); err != nil {
+		t.Fatal(err)
+	}
+	fresh := evolvingVersions(3, side, 41)
+	fill(fresh)
+	if err := s.Reorganize("A", ReorganizeOptions{Policy: PolicyLinearChain, plan: plan}); err != nil {
+		t.Fatal(err)
+	}
+	assertContent(t, s, "A", fresh)
+	if rep, err := s.Verify("A"); err != nil || !rep.Ok() {
+		t.Fatalf("verify: %v %v", err, rep.Problems)
 	}
 }
 

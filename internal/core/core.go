@@ -177,11 +177,6 @@ type Store struct {
 	// chunkCache is the store-wide decoded-chunk LRU (nil when disabled).
 	chunkCache *cache.Cache
 
-	// buildSeq names off-lock rewrite build directories uniquely so a
-	// retried or concurrent rewrite can never scribble on another
-	// build's files.
-	buildSeq atomic.Int64
-
 	// healthMu guards the degraded-mode state (see health.go). It is a
 	// leaf lock: it may be taken while holding Store.mu, and statsMu may
 	// be taken while holding it, but never the other way around.
@@ -614,12 +609,6 @@ type arrayState struct {
 	// Guarded by writeMu.
 	stageNext int
 
-	// seq counts metadata mutations (insert, delete-version, rewrite
-	// commits). An off-lock rewrite snapshots it and only commits if it
-	// is unchanged, so a build can never publish entries computed from
-	// superseded contents. Guarded by Store.mu.
-	seq uint64
-
 	// cachedView memoizes the metadata view between mutations, so
 	// repeated selects pay O(1) for metadata regardless of version
 	// count. Mutators clear it and install their change in one
@@ -848,12 +837,12 @@ func (s *Store) DeleteArray(name string) error {
 		return err
 	}
 	defer st.commitMu.Unlock()
-	return s.deleteArrayLatched(st)
+	return s.dropArray(st)
 }
 
-// deleteArrayLatched is DeleteArray for callers that already hold
+// dropArray is DeleteArray for callers that already hold
 // st.commitMu (Branch and Merge rolling back their new array).
-func (s *Store) deleteArrayLatched(st *arrayState) error {
+func (s *Store) dropArray(st *arrayState) error {
 	name := st.Schema.Name
 	s.mu.RLock()
 	closed, current := s.closed, s.arrays[name] == st

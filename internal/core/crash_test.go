@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,7 +14,7 @@ import (
 )
 
 // The crash-point matrix: a fixed insert → delta-list → delete-version →
-// reorganize → compact workload is run once to count every mutating
+// reorganize → compact → reorganize-beside-an-insert workload is run once to count every mutating
 // filesystem step (write, sync, rename, dir-sync, mkdir, remove,
 // truncate), then re-run from scratch once per step with an injected
 // crash at exactly that step. After each crash the store is reopened
@@ -43,6 +45,11 @@ type crashModel struct {
 	auxInsertOK  bool // Aux's single insert committed
 	auxDeleteTry bool // DeleteArray("Aux") was attempted
 	auxDeleteOK  bool // DeleteArray("Aux") returned success
+	// carried records whether the insert fired inside a Reorganize's
+	// build committed and that Reorganize then committed too (asserted
+	// on the counting run, so the matrix provably covers every step of
+	// the rewrite's carry-forward).
+	carried bool
 	// tuneReorganized records whether the Tune pass at the end of the
 	// workload actually committed a re-layout (asserted on the
 	// fault-free counting run, so the matrix provably covers the commit
@@ -61,6 +68,37 @@ type crashModel struct {
 	// multiDone holds P's and Q's committed member content once the
 	// cross-array batch succeeded (M's member moves into content).
 	multiDone map[string]*array.Dense
+}
+
+// midBuildFS fires a callback, once, at the first append into a
+// rewrite's build directory — inside the build, before the rewrite has
+// taken any write latch.
+type midBuildFS struct {
+	fsio.FS
+	fire atomic.Pointer[func()]
+}
+
+func (m *midBuildFS) Append(path string) (fsio.File, error) {
+	if isBuildDir(filepath.Dir(path)) {
+		if f := m.fire.Swap(nil); f != nil {
+			(*f)()
+		}
+	}
+	return m.FS.Append(path)
+}
+
+// reorganizeBeside runs a Reorganize during whose build insert runs
+// and commits, returning insert's error first.
+func reorganizeBeside(s *Store, mb *midBuildFS, name string, insert func() error) error {
+	var insErr error
+	fire := func() { insErr = insert() }
+	mb.fire.Store(&fire)
+	err := s.Reorganize(name, ReorganizeOptions{Policy: PolicyAlgorithm2})
+	mb.fire.Store(nil)
+	if insErr != nil {
+		return insErr
+	}
+	return err
 }
 
 func durableOpts(coLocate bool, fs fsio.FS) Options {
@@ -99,9 +137,10 @@ func crashContent(seed, side int64) *array.Dense {
 }
 
 // runCrashWorkload drives the workload until completion or the first
-// error. It returns the model of committed state; on error the model's
-// pending fields describe the interrupted operation.
-func runCrashWorkload(s *Store, side int64) (*crashModel, error) {
+// error; mb is the store's filesystem. It returns the model of
+// committed state; on error the model's pending fields describe the
+// interrupted operation.
+func runCrashWorkload(s *Store, mb *midBuildFS, side int64) (*crashModel, error) {
 	m := &crashModel{content: map[int]*array.Dense{}}
 	if err := s.CreateArray(schema2D("M", side)); err != nil {
 		return m, err
@@ -179,6 +218,15 @@ func runCrashWorkload(s *Store, side int64) (*crashModel, error) {
 	if err := s.Compact("M"); err != nil {
 		return m, err
 	}
+	// a Reorganize during whose build one insert commits: its publish
+	// carries the new version into the new generation, so every step of
+	// the carry-forward — frame append, file fsync, directory sync,
+	// rename, record — is a crash point, and the acknowledged insert
+	// must read back whichever side of the record the crash lands on
+	if err := reorganizeBeside(s, mb, "M", func() error { return insert(10) }); err != nil {
+		return m, err
+	}
+	m.carried = true
 	// batched insert through the group-commit path: three versions — a
 	// dense payload, a delta-list off version 1, another dense — staged
 	// together and published by ONE shared commit, so every fault point
@@ -293,14 +341,18 @@ func TestCrashPointMatrix(t *testing.T) {
 		t.Run(fmt.Sprintf("coLocate=%v", coLocate), func(t *testing.T) {
 			// pass 1: count the total number of mutation steps
 			counter := fsio.NewFault(0)
-			s, err := Open(t.TempDir(), durableOpts(coLocate, counter))
+			mb := &midBuildFS{FS: counter}
+			s, err := Open(t.TempDir(), durableOpts(coLocate, mb))
 			if err != nil {
 				t.Fatal(err)
 			}
 			pinClock(s)
-			model, err := runCrashWorkload(s, side)
+			model, err := runCrashWorkload(s, mb, side)
 			if err != nil {
 				t.Fatalf("counting run failed: %v", err)
+			}
+			if !model.carried {
+				t.Fatal("no insert committed inside a Reorganize's build; the matrix would not cover the carry-forward")
 			}
 			if !model.tuneReorganized {
 				t.Fatal("the Tune pass did not reorganize; the matrix would not cover the commit points of a Tune-initiated reorganize")
@@ -316,12 +368,13 @@ func TestCrashPointMatrix(t *testing.T) {
 
 			for n := int64(1); n <= total; n++ {
 				fault := fsio.NewFault(n)
+				mb := &midBuildFS{FS: fault}
 				dir := t.TempDir()
-				s, err := Open(dir, durableOpts(coLocate, fault))
+				s, err := Open(dir, durableOpts(coLocate, mb))
 				var m *crashModel
 				if err == nil {
 					pinClock(s)
-					m, err = runCrashWorkload(s, side)
+					m, err = runCrashWorkload(s, mb, side)
 				} else {
 					m = &crashModel{content: map[int]*array.Dense{}}
 				}

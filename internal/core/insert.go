@@ -999,7 +999,7 @@ func (s *Store) createWithVersions(ctx context.Context, schema array.Schema, fro
 	}
 	if _, err := s.write(ctx, []*arrayState{st}, [][]Payload{ps}, kind); err != nil {
 		st.commitMu.Lock()
-		derr := s.deleteArrayLatched(st)
+		derr := s.dropArray(st)
 		st.commitMu.Unlock()
 		if derr != nil {
 			return fmt.Errorf("%w (rolling back array %q also failed: %v)", err, schema.Name, derr)

@@ -62,12 +62,11 @@ func versionFileName(id int, attr, chunkKey string, seq int64) string {
 }
 
 // writeBlob stores an encoded chunk payload and returns its location.
-// The destination directory comes from the insertCtx, which pins the
-// chunk generation the mutation staged against (Gen on the live
-// arrayState may move underneath an off-lock stage; the commit
-// validates it before installing). The append is left unsynced and
-// recorded in the context's write-set — the shared commit point syncs
-// every touched file once.
+// The destination directory comes from the insertCtx: the generation a
+// write or DeleteVersion stages against, which its writeMu keeps
+// current until its commit, or a rewrite's build directory. The append
+// is left unsynced and recorded in the context's write-set — the
+// shared commit point syncs every touched file once.
 func (s *Store) writeBlob(ctx *insertCtx, id int, attr, chunkKey string, blob []byte) (file string, off int64, err error) {
 	if s.opts.CoLocate {
 		file = chainFileName(attr, chunkKey)

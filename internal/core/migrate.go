@@ -234,6 +234,7 @@ func (s *Store) reframe(name string, doc *arrayMeta) (*arrayMeta, error) {
 		}
 		return blob, nil
 	}
+	ws := newWriteSet()
 	for i, vm := range doc.Versions {
 		cp := *vm
 		framed.Versions[i] = &cp
@@ -241,11 +242,11 @@ func (s *Store) reframe(name string, doc *arrayMeta) (*arrayMeta, error) {
 			continue
 		}
 		var err error
-		if cp.Chunks, err = s.relocateChunks(doc.Schema, vm.Chunks, newDir, readRaw); err != nil {
+		if cp.Chunks, err = s.relocateChunks(doc.Schema, vm.Chunks, newDir, ws, readRaw); err != nil {
 			return nil, err
 		}
 	}
-	if err := s.syncBuild(newDir); err != nil {
+	if err := s.syncBuild(ws, newDir); err != nil {
 		return nil, err
 	}
 	return &framed, s.fs.SyncDir(adir)

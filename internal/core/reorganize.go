@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -74,16 +74,18 @@ type ReorganizeOptions struct {
 	BatchK int
 	// plan carries Tune's already-decoded planes and chosen layout so
 	// an uncontended Tune rewrite does not decode every version a
-	// second time. It is used only if the array's mutation sequence
-	// still matches plan.seq at snapshot time; otherwise the rewrite
+	// second time. It is used only if the rewrite's snapshot is of the
+	// same array with the same live versions; otherwise the rewrite
 	// replans from live metadata as usual.
 	plan *rewritePlan
 }
 
-// rewritePlan is a precomputed rewrite input, valid for one exact
-// mutation sequence of the array.
+// rewritePlan is a precomputed rewrite input, valid for one array
+// (st, not its name: a dropped and recreated array is another one) with
+// exactly the live versions ids. Writes only append and no rewrite
+// changes decoded content, so that pair pins the planes.
 type rewritePlan struct {
-	seq    uint64
+	st     *arrayState
 	ids    []int
 	planes [][]Plane
 	layout layout.Layout
@@ -125,16 +127,18 @@ func (s *Store) ComputeLayout(name string, opts ReorganizeOptions) (layout.Layou
 	return l, mm, ids, nil
 }
 
-// reorgRetries bounds the optimistic build attempts a rewrite makes
-// before it excludes the inserts that keep invalidating them.
-const reorgRetries = 3
+// buildDirName is the directory a rewrite builds its generation in.
+// The array's rewrites serialize on reorgMu, so one fixed name serves
+// them all; the "chunks" prefix puts the leftovers of an interrupted
+// build in recovery's sweep path.
+const buildDirName = "chunks.build"
 
 // rewriteBuild writes the new chunk generation of one destructive
-// rewrite into buildDir, from the array as v snapshotted it, and returns
-// the rewritten version ids with their new chunk maps (entries[i] for
-// ids[i]). No ids means there is nothing to rewrite. It runs with no
-// store lock held; v's read latch pins the generation it reads.
-type rewriteBuild func(v *readView, buildDir string) (ids []int, entries []map[string]map[string]chunkEntry, err error)
+// rewrite into buildDir, from the array as v snapshotted it, recording
+// every append in ws, and returns the chunk maps of v.ids (entries[i]
+// for v.ids[i]). It runs with no store lock held; v's read latch pins
+// the generation it reads.
+type rewriteBuild func(v *readView, buildDir string, ws *writeSet) (entries []map[string]map[string]chunkEntry, err error)
 
 // Reorganize re-encodes every live version of an array according to the
 // chosen layout policy — the "background re-organization step" of §IV-E.
@@ -143,37 +147,36 @@ func (s *Store) Reorganize(name string, opts ReorganizeOptions) error {
 	if err := opts.validate(); err != nil {
 		return err
 	}
-	return s.rewrite(name, func(v *readView, buildDir string) ([]int, []map[string]map[string]chunkEntry, error) {
+	return s.rewrite(name, func(v *readView, buildDir string, ws *writeSet) ([]map[string]map[string]chunkEntry, error) {
 		p := opts.plan
-		if p == nil || p.seq != v.seq {
+		if p == nil || p.st != v.st || !slices.Equal(p.ids, v.ids) {
 			// no plan from Tune for this exact state: decode and plan
 			ids, planes, err := s.loadPlanesView(v)
-			if err != nil || len(ids) == 0 {
-				return nil, nil, err
+			if err != nil {
+				return nil, err
 			}
 			l, err := s.planLayout(v.st, ids, planes, opts)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			p = &rewritePlan{ids: ids, planes: planes, layout: l}
 		}
-		entries, err := s.buildRewrite(v.st, buildDir, p.ids, p.planes, p.layout)
-		return p.ids, entries, err
+		return s.buildRewrite(v.st, buildDir, ws, p.ids, p.planes, p.layout)
 	})
 }
 
 // rewrite replaces an array's chunk generation (Reorganize, Compact)
-// without ever holding Store.mu while it works: the array's metadata is
-// snapshotted under the store lock, the new generation is built and
-// fsynced beside the live one with no store lock held, and the result
-// is committed under the lock only if the array's mutation sequence is
-// unchanged (otherwise the build is discarded and retried). Readers and
-// writes proceed concurrently with the build; only the metadata swap
-// itself serializes with them. If writes keep landing mid-build, the
-// last attempt holds the array's writeMu and commitMu — no write to THIS
-// array can stage or commit, readers and other arrays are untouched —
-// and runs the same build, which nothing can invalidate any more.
-// Rewrites of one array are serialized by its reorgMu.
+// beside the array's readers and writes, and builds it exactly once.
+// Holding only reorgMu, it snapshots the array under a brief store lock,
+// builds the new generation into buildDirName and fsyncs it; readers
+// and writes to the array proceed meanwhile. Nothing that commits
+// during the build can invalidate it: reorgMu excludes every mutator
+// that removes or re-encodes versions (DeleteVersion, Heal, the other
+// rewrites), writes only append, and an appended version's frames are
+// deltas against versions whose decoded content no rewrite changes. So
+// the publish, under the array's writeMu and commitMu, carries the
+// versions committed mid-build into the new generation frame for frame
+// — the state "rewrite, then those writes" would have produced.
 func (s *Store) rewrite(name string, build rewriteBuild) error {
 	if err := s.writeGate(name); err != nil {
 		return err
@@ -183,92 +186,56 @@ func (s *Store) rewrite(name string, build rewriteBuild) error {
 		return err
 	}
 	defer st.reorgMu.Unlock()
-	for attempt := 0; attempt < reorgRetries; attempt++ {
-		committed, err := s.tryRewrite(name, st, build, false)
-		if committed || err != nil {
-			return err
-		}
-	}
-	st.writeMu.Lock()
-	defer st.writeMu.Unlock()
-	st.commitMu.Lock()
-	defer st.commitMu.Unlock()
-	committed, err := s.tryRewrite(name, st, build, true)
-	if err == nil && !committed {
-		err = fmt.Errorf("core: array %q mutated under the rewrite's latches", name)
-	}
-	return err
-}
-
-// lockRewrite resolves an array and takes its rewrite latch, handling
-// the race where the array is dropped or replaced while waiting. The
-// caller must release st.reorgMu. The latch is always acquired without
-// holding Store.mu.
-func (s *Store) lockRewrite(name string) (*arrayState, error) {
-	return s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.reorgMu}
-	})
-}
-
-// tryRewrite performs one off-lock build attempt. It reports whether
-// the rewrite committed (or had nothing to do); (false, nil) means the
-// metadata moved underneath the build and the caller should retry.
-// latched says the caller already holds st's writeMu and commitMu.
-func (s *Store) tryRewrite(name string, st *arrayState, build rewriteBuild, latched bool) (bool, error) {
 	v, release, err := s.snapshotUncached(name)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if v.st != st {
 		release()
-		return false, fmt.Errorf("core: array %q was replaced during the rewrite", name)
+		return fmt.Errorf("core: array %q was replaced during the rewrite", name)
 	}
-	// a private build directory per attempt, so a retried build can never
-	// scribble on another's files. The "chunks" prefix puts leftovers of
-	// interrupted builds in recovery's sweep path; the sequence restarts
-	// per process, so a crashed non-durable run (which never sweeps) can
-	// have left a stale directory under this name — never append after it
-	buildDir := filepath.Join(st.dir, fmt.Sprintf("chunks.build-%d", s.buildSeq.Add(1)))
+	if len(v.ids) == 0 {
+		release()
+		return nil
+	}
+	// clear the build path up front: a crashed non-durable run (which
+	// never sweeps) can have left a stale build there — never append
+	// after it
+	buildDir := filepath.Join(st.dir, buildDirName)
+	ws := newWriteSet()
 	err = s.fs.RemoveAll(buildDir)
 	if err == nil {
 		err = s.fs.MkdirAll(buildDir)
 	}
-	var ids []int
 	var entries []map[string]map[string]chunkEntry
 	if err == nil {
-		ids, entries, err = build(v, buildDir)
+		entries, err = build(v, buildDir, ws)
 	}
-	if err == nil && len(ids) > 0 {
-		// the build dir is immutable from here on; run its per-file
-		// fsync sweep before touching the store lock so the commit's
-		// critical section is just the rename + metadata write
-		err = s.syncBuild(buildDir)
+	if err == nil {
+		// the build's fsyncs run before any write latch is taken, so the
+		// publish's critical section is the carry-forward and the commit
+		err = s.syncBuild(ws, buildDir)
 	}
 	release()
-	if err != nil || len(ids) == 0 {
-		_ = s.fs.RemoveAll(buildDir)
-		s.noteDiskPressure(err)
-		return err == nil, err
-	}
-	// writeMu keeps the publish out of the window between a write's
-	// stage and its commit (a new generation would orphan the staged
-	// blobs); commitMu serializes the metadata commit with writers,
-	// whose commits run outside Store.mu
-	if !latched {
+	var oldDir string
+	if err == nil {
+		// writeMu keeps the publish out of the window between a write's
+		// stage and its commit (a new generation would orphan the staged
+		// blobs); commitMu serializes the metadata commit with writers,
+		// whose commits run outside Store.mu
 		st.writeMu.Lock()
 		st.commitMu.Lock()
-	}
-	oldDir, err := s.publishRewrite(st, v.seq, buildDir, ids, entries)
-	if !latched {
+		oldDir, err = s.publishRewrite(st, v, buildDir, entries)
 		st.commitMu.Unlock()
 		st.writeMu.Unlock()
 	}
-	if oldDir == "" {
-		// not committed; a failure before the generation rename leaves
-		// the build dir behind, and non-durable stores never sweep
+	if err != nil {
+		// not committed: remove the build (publishRewrite removes it under
+		// its generation name), since non-durable stores never sweep
 		// chunks* debris
 		_ = s.fs.RemoveAll(buildDir)
-		return false, err
+		s.noteDiskPressure(err)
+		return err
 	}
 	// post-commit garbage collection: waiting out in-flight readers that
 	// pinned the old generation happens with no store lock held, so new
@@ -281,34 +248,53 @@ func (s *Store) tryRewrite(name string, st *arrayState, build rewriteBuild, latc
 	s.chunkCache.InvalidateArray(name)
 	_ = s.fs.RemoveAll(oldDir)
 	st.ioMu.Unlock()
-	return true, nil
+	return nil
 }
 
-// publishRewrite commits a built and synced rewrite if the array still
-// is what the build saw. The protocol:
+// lockRewrite resolves an array and takes its rewrite latch, handling
+// the race where the array is dropped or replaced while waiting. The
+// caller must release st.reorgMu. The latch is always acquired without
+// holding Store.mu.
+func (s *Store) lockRewrite(name string) (*arrayState, error) {
+	return s.lockArray(name, func(st *arrayState) []*sync.Mutex {
+		return []*sync.Mutex{&st.reorgMu}
+	})
+}
+
+// publishRewrite commits a built and synced rewrite of the versions v
+// snapshotted. The protocol:
 //
-//  1. rename the build directory to the next generation's name and sync
+//  1. carry every version committed since the snapshot into the build
+//     directory, its stored frames copied byte for byte (same base,
+//     codec and length; nothing is decoded), and fsync the files that
+//     took them and the build directory;
+//  2. rename the build directory to the next generation's name and sync
 //     the array directory — the new payloads are now durable but
 //     unreferenced;
-//  2. stage the new metadata (generation number, the rewritten
-//     versions' chunk maps) and commit it as one manifest record — this
-//     is the commit point;
-//  3. install it, and hand the superseded generation back for the
+//  3. stage the new metadata (generation number, every live version's
+//     new chunk maps) and commit it as one manifest record — this is
+//     the commit point;
+//  4. install it, and hand the superseded generation back for the
 //     caller to remove once it has waited out the readers pinning it.
 //
-// A crash before step 2 leaves the old metadata pointing at the intact
+// A crash before step 3 leaves the old metadata pointing at the intact
 // old generation (recovery sweeps the unreferenced new one); a crash
 // after it leaves the new metadata pointing at the fully synced new
-// generation (recovery sweeps the old one). It returns "" when nothing
-// was committed — with a nil error when a concurrent mutation merely
-// invalidated the build (its planes, and therefore its encodings, may
-// describe superseded contents). Callers hold st.commitMu, which keeps
-// every other metadata writer off the array from the sequence check to
-// the install; Store.mu is only taken for those two.
-func (s *Store) publishRewrite(st *arrayState, seq uint64, buildDir string, ids []int, entries []map[string]map[string]chunkEntry) (string, error) {
+// generation (recovery sweeps the old one). Callers hold reorgMu, so
+// every snapshot version is still live and the generation unchanged —
+// both are checked, as errors — and writeMu and commitMu, which keep
+// every other metadata writer off the array from the snapshot below to
+// the install and keep v.dir in place for the carry-forward's reads;
+// Store.mu is only taken for those two.
+func (s *Store) publishRewrite(st *arrayState, v *readView, buildDir string, entries []map[string]map[string]chunkEntry) (string, error) {
 	name := st.Schema.Name
+	// a write's commit may have failed uncertainly during the build, and
+	// a degraded array takes no commit until it is healed
+	if err := s.writeGate(name); err != nil {
+		return "", err
+	}
 	s.mu.RLock()
-	closed, current, moved := s.closed, s.arrays[name] == st, st.seq != seq
+	closed, current := s.closed, s.arrays[name] == st
 	staged := st.metaClone()
 	s.mu.RUnlock()
 	switch {
@@ -316,17 +302,50 @@ func (s *Store) publishRewrite(st *arrayState, seq uint64, buildDir string, ids 
 		return "", ErrClosed
 	case !current:
 		return "", fmt.Errorf("core: no array %q", name)
-	case moved:
-		return "", nil
+	case filepath.Join(st.dir, chunksDirName(staged.Gen)) != v.dir:
+		return "", fmt.Errorf("core: array %q changed generation under its rewrite", name)
+	}
+	pos := make(map[int]int, len(v.ids))
+	for i, id := range v.ids {
+		pos[id] = i
+	}
+	// carried are the staged copies of the versions committed since the
+	// snapshot, still pointing into v.dir until the carry-forward
+	var carried []*versionMeta
+	for si, vm := range staged.Versions {
+		if vm.Deleted {
+			continue
+		}
+		cp := *vm
+		staged.Versions[si] = &cp
+		if i, built := pos[vm.ID]; built {
+			delete(pos, vm.ID)
+			cp.Chunks = entries[i]
+		} else {
+			carried = append(carried, &cp)
+		}
+	}
+	if len(pos) > 0 {
+		return "", fmt.Errorf("core: array %q lost versions under its rewrite", name)
+	}
+	ws := newWriteSet()
+	moved, err := s.carryFrames(st.Schema, v.dir, buildDir, carried, ws)
+	if err == nil && len(carried) > 0 {
+		err = s.syncBuild(ws, buildDir)
+	}
+	if err != nil {
+		return "", err
+	}
+	for k, vm := range carried {
+		vm.Chunks = moved[k]
 	}
 	staged.Gen++
 	finalDir := filepath.Join(st.dir, chunksDirName(staged.Gen))
 	// a leftover directory with this generation name can only be debris
 	// from an interrupted rewrite that never committed. Failures here are
-	// benign (the metadata still references the old generation; at worst
-	// an uncommitted directory lingers as debris for recovery or heal to
-	// sweep), but ENOSPC still stops the store
-	err := s.fs.RemoveAll(finalDir)
+	// benign — the metadata still references the old generation, and the
+	// build goes under either name — but ENOSPC still stops the store
+	err = s.fs.RemoveAll(finalDir)
 	if err == nil {
 		err = s.fs.Rename(buildDir, finalDir)
 	}
@@ -334,19 +353,8 @@ func (s *Store) publishRewrite(st *arrayState, seq uint64, buildDir string, ids 
 		err = s.fs.SyncDir(st.dir)
 	}
 	if err != nil {
-		s.noteDiskPressure(err)
+		_ = s.fs.RemoveAll(finalDir)
 		return "", err
-	}
-	pos := make(map[int]int, len(ids))
-	for i, id := range ids {
-		pos[id] = i
-	}
-	for si, vm := range staged.Versions {
-		if i, ok := pos[vm.ID]; ok {
-			cp := *vm
-			cp.Chunks = entries[i]
-			staged.Versions[si] = &cp
-		}
 	}
 	if err := s.commitMeta(st, &staged); err != nil {
 		if isUncertain(err) {
@@ -354,7 +362,6 @@ func (s *Store) publishRewrite(st *arrayState, seq uint64, buildDir string, ids 
 			// for the heal to sweep once the log tail is settled
 			s.noteCommitFailure(st, err)
 		} else {
-			s.noteDiskPressure(err)
 			_ = s.fs.RemoveAll(finalDir)
 		}
 		return "", err
@@ -578,10 +585,11 @@ func FilterWorkload(wl []layout.Query, ids []int) []layout.Query {
 }
 
 // buildRewrite re-encodes all versions per the layout into the build
-// directory and returns the new chunk entries, one map per id. It reads
-// only immutable arrayState fields and the passed planes.
-func (s *Store) buildRewrite(st *arrayState, buildDir string, ids []int, planes [][]Plane, l layout.Layout) ([]map[string]map[string]chunkEntry, error) {
-	ctx := &insertCtx{st: st, ws: newWriteSet(), dir: buildDir, sparse: st.SparseRep}
+// directory, recording its appends in ws, and returns the new chunk
+// entries, one map per id. It reads only immutable arrayState fields
+// and the passed planes.
+func (s *Store) buildRewrite(st *arrayState, buildDir string, ws *writeSet, ids []int, planes [][]Plane, l layout.Layout) ([]map[string]map[string]chunkEntry, error) {
+	ctx := &insertCtx{st: st, ws: ws, dir: buildDir, sparse: st.SparseRep}
 	entries := make([]map[string]map[string]chunkEntry, len(ids))
 	for i, id := range ids {
 		entries[i] = make(map[string]map[string]chunkEntry, len(st.Schema.Attrs))
@@ -600,35 +608,19 @@ func (s *Store) buildRewrite(st *arrayState, buildDir string, ids []int, planes 
 	return entries, nil
 }
 
-// syncBuild makes a finished build directory durable. The build phase appends unsynced — one fsync per append would
-// make rewrites O(chunks) in disk-flush cost — so each built file is
-// synced exactly once here, before anything can reference it. No-op
-// without Durability.
-func (s *Store) syncBuild(buildDir string) error {
+// syncBuild makes the files ws recorded in a build directory durable,
+// then the directory itself. A build appends unsynced — one fsync per
+// append would make rewrites O(chunks) in disk-flush cost — so each
+// built file is synced exactly once here, before anything can
+// reference it. No-op without Durability.
+func (s *Store) syncBuild(ws *writeSet, buildDir string) error {
 	if !s.opts.Durability {
 		return nil
 	}
-	if err := s.syncDirFiles(buildDir); err != nil {
+	if err := ws.sync(s); err != nil {
 		return err
 	}
 	return s.fs.SyncDir(buildDir)
-}
-
-// syncDirFiles fsyncs every regular file in dir.
-func (s *Store) syncDirFiles(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if err := s.syncFile(filepath.Join(dir, e.Name())); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // DeleteVersion removes a version. Versions delta'ed against it are
@@ -813,34 +805,47 @@ func (s *Store) syncWrites(st *arrayState, ws *writeSet, chunksDir string) error
 // referenced by live versions, reclaiming space left behind by
 // DeleteVersion and superseded encodings. It is a rewrite like
 // Reorganize — same latches, same commit — whose build merely relocates
-// the stored payloads instead of re-encoding them.
+// the stored frames instead of re-encoding them.
 func (s *Store) Compact(name string) error {
-	return s.rewrite(name, func(v *readView, buildDir string) ([]int, []map[string]map[string]chunkEntry, error) {
-		// versions in id order, so every chain file keeps its frames in
-		// version order
-		entries := make([]map[string]map[string]chunkEntry, len(v.ids))
+	return s.rewrite(name, func(v *readView, buildDir string, ws *writeSet) ([]map[string]map[string]chunkEntry, error) {
+		vms := make([]*versionMeta, len(v.ids))
 		for i, id := range v.ids {
-			var err error
-			entries[i], err = s.relocateChunks(v.st.Schema, v.byID[id].Chunks, buildDir, func(e chunkEntry) ([]byte, error) {
-				out, err := s.readFrames(v.dir, []frameRef{{id, e}})
-				if err != nil {
-					return nil, err
-				}
-				return out[0], nil
-			})
-			if err != nil {
-				return nil, nil, err
-			}
+			vms[i] = v.byID[id]
 		}
-		return v.ids, entries, nil
+		return s.carryFrames(v.st.Schema, v.dir, buildDir, vms, ws)
 	})
 }
 
+// carryFrames copies the stored frames of vms out of srcDir into
+// dstDir byte for byte — same base, codec and length; nothing is
+// decoded — and returns each version's chunk maps pointing at the
+// copies. vms go in id order, so every chain file keeps its frames in
+// version order. Compact's build and a rewrite's carry-forward of the
+// versions committed mid-build are this one copy.
+func (s *Store) carryFrames(schema array.Schema, srcDir, dstDir string, vms []*versionMeta, ws *writeSet) ([]map[string]map[string]chunkEntry, error) {
+	out := make([]map[string]map[string]chunkEntry, len(vms))
+	for i, vm := range vms {
+		var err error
+		out[i], err = s.relocateChunks(schema, vm.Chunks, dstDir, ws, func(e chunkEntry) ([]byte, error) {
+			blobs, err := s.readFrames(srcDir, []frameRef{{vm.ID, e}})
+			if err != nil {
+				return nil, err
+			}
+			return blobs[0], nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // relocateChunks copies one version's payloads — fetched with read —
-// into dstDir, framed, in a fixed (attribute, chunk key) order, and
-// returns the version's chunk maps pointing at the copies. With
-// CoLocate the copies land in the chunk's chain file.
-func (s *Store) relocateChunks(schema array.Schema, chunks map[string]map[string]chunkEntry, dstDir string, read func(chunkEntry) ([]byte, error)) (map[string]map[string]chunkEntry, error) {
+// into dstDir, framed, in a fixed (attribute, chunk key) order,
+// recording each append in ws, and returns the version's chunk maps
+// pointing at the copies. With CoLocate the copies land in the chunk's
+// chain file.
+func (s *Store) relocateChunks(schema array.Schema, chunks map[string]map[string]chunkEntry, dstDir string, ws *writeSet, read func(chunkEntry) ([]byte, error)) (map[string]map[string]chunkEntry, error) {
 	out := make(map[string]map[string]chunkEntry, len(chunks))
 	for _, attr := range schema.Attrs {
 		keys := make([]string, 0, len(chunks[attr.Name]))
@@ -858,9 +863,11 @@ func (s *Store) relocateChunks(schema array.Schema, chunks map[string]map[string
 			if s.opts.CoLocate {
 				e.File = chainFileName(attr.Name, key)
 			}
-			if e.Offset, err = s.appendBlob(filepath.Join(dstDir, e.File), blob); err != nil {
+			path := filepath.Join(dstDir, e.File)
+			if e.Offset, err = s.appendBlob(path, blob); err != nil {
 				return nil, err
 			}
+			ws.record(path, e.Offset, e.Offset+frameLen(int64(len(blob))))
 			moved[key] = e
 		}
 		out[attr.Name] = moved

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"arrayvers/internal/array"
@@ -13,7 +16,7 @@ import (
 
 // The transient-fault matrix, the surviving-process counterpart of the
 // crash matrix in crash_test.go: a fixed insert → batch → delete-version
-// → reorganize workload is run once against a counting fsio.Flaky, then
+// → reorganize → reorganize-beside-an-insert workload is run once against a counting fsio.Flaky, then
 // re-run from scratch once per mutation step with a scripted EIO or
 // ENOSPC injected at exactly that step. Unlike a crash, the process
 // lives on, so the contract under test is containment: the faulted
@@ -34,11 +37,17 @@ type transientModel struct {
 	// the sweep faults every step of the shared manifest commit too.
 	created2 bool
 	content2 map[int]*array.Dense
+	// rewriteGen is T's generation before the Reorganize during whose
+	// build an insert commits; rewriteFailed says that Reorganize
+	// itself returned an error.
+	rewriteGen    int
+	rewriteFailed bool
 }
 
 // runTransientWorkload drives the fixed workload until completion or
-// the first error, updating the model only on success.
-func runTransientWorkload(s *Store, side int64) (*transientModel, error) {
+// the first error, updating the model only on success; mb is the
+// store's filesystem.
+func runTransientWorkload(s *Store, mb *midBuildFS, side int64) (*transientModel, error) {
 	m := &transientModel{content: map[int]*array.Dense{}}
 	if err := s.CreateArray(schema2D("T", side)); err != nil {
 		return m, err
@@ -76,6 +85,20 @@ func runTransientWorkload(s *Store, side int64) (*transientModel, error) {
 		return m, err
 	}
 	if err := insert(5); err != nil {
+		return m, err
+	}
+	// a Reorganize during whose build one insert commits, so a fault at
+	// any step of the carry-forward fails the rewrite alone
+	s.mu.RLock()
+	m.rewriteGen = s.arrays["T"].Gen
+	s.mu.RUnlock()
+	var insErr error
+	err = reorganizeBeside(s, mb, "T", func() error {
+		insErr = insert(8)
+		return insErr
+	})
+	if err != nil {
+		m.rewriteFailed = insErr == nil
 		return m, err
 	}
 	// cross-array atomic batch: T and a fresh T2 land one member each
@@ -173,16 +196,20 @@ func TestTransientFaultSweep(t *testing.T) {
 
 	// pass 1: count the workload's mutation steps fault-free
 	counting := fsio.NewFlaky(fsio.OS)
-	opts := durableOpts(false, counting)
+	mb := &midBuildFS{FS: counting}
+	opts := durableOpts(false, mb)
 	opts.HealInterval = -1 // heal explicitly, not from the background prober
 	s, err := Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pinClock(s) // byte-identical manifest records in every run
-	model, err := runTransientWorkload(s, side)
+	model, err := runTransientWorkload(s, mb, side)
 	if err != nil {
 		t.Fatalf("counting run failed: %v", err)
+	}
+	if len(model.content) != 6 {
+		t.Fatalf("counting run committed %d versions of T, want 6 (the insert inside the Reorganize's build among them)", len(model.content))
 	}
 	total := counting.Steps()
 	if total < 40 {
@@ -203,10 +230,12 @@ func TestTransientFaultSweep(t *testing.T) {
 	} {
 		inj := inj
 		t.Run(inj.name, func(t *testing.T) {
+			rolledBack := 0
 			for n := int64(1); n <= total; n++ {
 				flaky := fsio.NewFlaky(fsio.OS)
 				flaky.FailAt(n, inj.err)
-				opts := durableOpts(false, flaky)
+				mb := &midBuildFS{FS: flaky}
+				opts := durableOpts(false, mb)
 				opts.HealInterval = -1
 				s, err := Open(t.TempDir(), opts)
 				if err != nil {
@@ -214,7 +243,7 @@ func TestTransientFaultSweep(t *testing.T) {
 					continue
 				}
 				pinClock(s)
-				m, werr := runTransientWorkload(s, side)
+				m, werr := runTransientWorkload(s, mb, side)
 				label := fmt.Sprintf("%s step %d/%d", inj.name, n, total)
 
 				// the disk "recovers" now; the store may or may not have
@@ -251,6 +280,10 @@ func TestTransientFaultSweep(t *testing.T) {
 				// an error must mean "did not happen": live state equals
 				// the successful prefix exactly
 				checkTransientState(t, s, m, label+" (live)")
+				if m.rewriteFailed {
+					checkRewriteRolledBack(t, s, "T", m.rewriteGen, label)
+					rolledBack++
+				}
 				// and the store must be writable again
 				if m.created {
 					extra := crashContent(91, side)
@@ -274,7 +307,33 @@ func TestTransientFaultSweep(t *testing.T) {
 					t.Fatalf("%s: close reopened: %v", label, err)
 				}
 			}
+			if rolledBack == 0 {
+				t.Fatal("no fault failed the Reorganize beside an insert; the sweep would not cover the carry-forward")
+			}
 		})
+	}
+}
+
+// checkRewriteRolledBack asserts a failed rewrite left generation gen
+// live and no other chunk directory — its build, under either name, is
+// gone.
+func checkRewriteRolledBack(t *testing.T, s *Store, name string, gen int, label string) {
+	t.Helper()
+	s.mu.RLock()
+	st := s.arrays[name]
+	live := st.Gen
+	s.mu.RUnlock()
+	if live != gen {
+		t.Fatalf("%s: failed rewrite moved %s to generation %d, want %d", label, name, live, gen)
+	}
+	entries, err := os.ReadDir(st.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "chunks") && e.Name() != chunksDirName(gen) {
+			t.Fatalf("%s: failed rewrite left %s behind", label, filepath.Join(name, e.Name()))
+		}
 	}
 }
 

@@ -50,9 +50,9 @@ type TuneReport struct {
 // The pass decodes every version once, through an uncached snapshot
 // that neither evicts nor repopulates the store-wide chunk LRU, and
 // hands the decoded planes and chosen layout to the rewrite. If the
-// array mutates in between, Reorganize replans from live metadata, so
-// a racing insert can never publish a layout computed from superseded
-// contents.
+// live versions change in between, or the array is dropped and
+// recreated, Reorganize replans from live metadata, so a plan never
+// lays out versions it did not decode.
 func (s *Store) Tune(name string, wl []layout.Query) (rep TuneReport, err error) {
 	defer func(t0 time.Time) {
 		s.prof.tunePass.Observe(time.Since(t0).Seconds())
@@ -103,7 +103,7 @@ func (s *Store) Tune(name string, wl []layout.Query) (rep TuneReport, err error)
 	err = s.Reorganize(name, ReorganizeOptions{
 		Policy:   PolicyWorkloadAware,
 		Workload: wl,
-		plan:     &rewritePlan{seq: v.seq, ids: ids, planes: planes, layout: chosen},
+		plan:     &rewritePlan{st: v.st, ids: ids, planes: planes, layout: chosen},
 	})
 	if err != nil {
 		return rep, err

@@ -20,9 +20,6 @@ import (
 type readView struct {
 	st    *arrayState
 	epoch uint64
-	// seq is the array's mutation sequence at snapshot time; an off-lock
-	// rewrite commits only if it is still current (see tryReorganize).
-	seq uint64
 	// dir pins the chunk generation the snapshot reads from: a
 	// destructive rewrite commits a new generation directory, and a
 	// reader must keep decoding the one its metadata references.
@@ -49,7 +46,7 @@ type readView struct {
 // readView.byID for why sharing the records is safe), so a snapshot
 // costs O(versions), independent of attribute and chunk count.
 func (s *Store) viewLocked(st *arrayState) *readView {
-	v := &readView{st: st, epoch: s.epochs[st.Schema.Name], seq: st.seq, dir: st.chunksDir()}
+	v := &readView{st: st, epoch: s.epochs[st.Schema.Name], dir: st.chunksDir()}
 	v.ids = make([]int, 0, len(st.Versions))
 	v.byID = make(map[int]*versionMeta, len(st.Versions))
 	for _, vm := range st.Versions {
@@ -141,11 +138,9 @@ func (s *Store) viewOfMeta(st *arrayState, m *arrayMeta) *readView {
 	return v
 }
 
-// mutateLocked marks a metadata mutation: it bumps the sequence (which
-// invalidates any in-flight off-lock rewrite build) and drops the
-// memoized read view. Callers hold Store.mu exclusively.
+// mutateLocked marks a metadata mutation: it drops the memoized read
+// view. Callers hold Store.mu exclusively.
 func (st *arrayState) mutateLocked() {
-	st.seq++
 	st.cachedView.Store(nil)
 }
 

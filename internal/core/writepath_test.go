@@ -23,14 +23,22 @@ import (
 // filesystem call and then use the store from outside — anything that
 // needs Store.mu would hang if the mutator held it there.
 
-// hookFS calls onAppend before a file is opened for append and onSync
-// inside a file's Sync; either may block. A non-nil syncErr, called
-// after onSync, fails that Sync.
+// hookFS calls onMkdir before a directory is created, onAppend before a
+// file is opened for append and onSync inside a file's Sync; any may
+// block. A non-nil syncErr, called after onSync, fails that Sync.
 type hookFS struct {
 	fsio.FS
+	onMkdir  func(path string)
 	onAppend func(path string)
 	onSync   func(path string)
 	syncErr  func(path string) error
+}
+
+func (h *hookFS) MkdirAll(path string) error {
+	if h.onMkdir != nil {
+		h.onMkdir(path)
+	}
+	return h.FS.MkdirAll(path)
 }
 
 func (h *hookFS) Append(path string) (fsio.File, error) {
@@ -88,106 +96,153 @@ func mustSelect(t *testing.T, s *Store, name string, id int, want *array.Dense) 
 	}
 }
 
-// TestReorganizeLosingToInsertsStillTerminates replays the measured
-// retry storm deterministically: an insert lands during each of the
-// optimistic rebuilds, so all of them lose; the next rebuild is the
-// latched one and is parked at its first append. While it is parked,
-// selects on the same array and on another one complete (the rebuild
-// holds no store-wide lock), an insert to the array waits its turn;
-// then the Reorganize terminates, the waiting insert lands, and every
-// version reads back byte-identical.
-func TestReorganizeLosingToInsertsStillTerminates(t *testing.T) {
-	const side = 16
-	started := make(chan int)  // a rebuild reached its first append
-	proceed := make(chan bool) // let it continue
-	var mu sync.Mutex
-	builds := map[string]bool{}
-	hfs := &hookFS{FS: fsio.OS}
-	hfs.onAppend = func(path string) {
-		dir := filepath.Dir(path)
-		if !strings.HasPrefix(filepath.Base(dir), "chunks.build-") {
-			return
-		}
-		mu.Lock()
-		first := !builds[dir]
-		builds[dir] = true
-		n := len(builds)
-		mu.Unlock()
-		if first {
-			started <- n
-			<-proceed
-		}
-	}
-	opts := smallOpts()
-	opts.ChunkBytes = 1 << 10
-	opts.FS = hfs
-	s := testStore(t, opts)
-	defer s.Close()
-	want := map[string][]*array.Dense{}
-	insert := func(name string, seed int64) {
-		c := crashContent(seed, side)
-		if _, err := s.Insert(name, DensePayload(c)); err != nil {
-			t.Errorf("insert %s: %v", name, err)
-		}
-		want[name] = append(want[name], c)
-	}
-	for _, name := range []string{"R", "Other"} {
-		if err := s.CreateArray(schema2D(name, side)); err != nil {
-			t.Fatal(err)
-		}
-		insert(name, 1)
-		insert(name, 2)
-	}
+// isBuildDir reports whether path is a rewrite's build directory.
+func isBuildDir(path string) bool {
+	return strings.HasPrefix(filepath.Base(path), "chunks.build")
+}
 
-	reorgDone := make(chan error, 1)
-	go func() { reorgDone <- s.Reorganize("R", ReorganizeOptions{Policy: PolicyOptimal}) }()
-	for n := 1; n <= reorgRetries; n++ {
-		if got := <-started; got != n {
-			t.Fatalf("rebuild %d announced itself as %d", n, got)
-		}
-		insert("R", int64(10+n)) // the build in flight is now stale
-		proceed <- true
+// TestRewriteCarriesConcurrentAppends parks a rewrite's build at its
+// first append. While it is parked, writes to the array and to another
+// one commit and selects on both complete: the build holds no write
+// latch. Released, the rewrite commits from that one build, carrying
+// the versions written meanwhile into the new generation with their
+// ids and delta bases, and everything reads back byte-identical — live
+// and after a reopen.
+func TestRewriteCarriesConcurrentAppends(t *testing.T) {
+	const side = 16
+	rewrites := []struct {
+		name string
+		run  func(s *Store) error
+	}{
+		{"Reorganize", func(s *Store) error { return s.Reorganize("R", ReorganizeOptions{Policy: PolicyOptimal}) }},
+		{"Compact", func(s *Store) error { return s.Compact("R") }},
 	}
-	if got := <-started; got != reorgRetries+1 {
-		t.Fatalf("latched rebuild announced itself as %d", got)
-	}
-	within(t, "selects beside a parked rebuild", func() {
-		mustSelect(t, s, "R", 1, want["R"][0])
-		mustSelect(t, s, "Other", 2, want["Other"][1])
-		s.ListArrays()
-	})
-	late := crashContent(99, side)
-	lateID := make(chan int, 1)
-	go func() {
-		id, err := s.Insert("R", DensePayload(late))
-		if err != nil {
-			t.Errorf("insert beside the latched rebuild: %v", err)
+	for _, rw := range rewrites {
+		for _, coLocate := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/coLocate=%v", rw.name, coLocate), func(t *testing.T) {
+				parked := make(chan struct{})
+				release := make(chan struct{})
+				var armed atomic.Bool // parks the first build append after it is set
+				var builds atomic.Int32
+				hfs := &hookFS{FS: fsio.OS}
+				hfs.onMkdir = func(path string) {
+					if isBuildDir(path) {
+						builds.Add(1)
+					}
+				}
+				hfs.onAppend = func(path string) {
+					if isBuildDir(filepath.Dir(path)) && armed.CompareAndSwap(true, false) {
+						close(parked)
+						<-release
+					}
+				}
+				opts := smallOpts()
+				opts.ChunkBytes = 1 << 10
+				opts.CoLocate = coLocate
+				opts.Durability = true
+				opts.FS = hfs
+				s := testStore(t, opts)
+				defer func() { s.Close() }()
+				var unpark sync.Once
+				// a failed check still lets the parked build finish, so Close returns
+				defer unpark.Do(func() { close(release) })
+				chain := evolvingVersions(5, side, 11)
+				want := map[string][]*array.Dense{"R": chain[:3], "Other": {crashContent(1, side)}}
+				for name, versions := range want {
+					if err := s.CreateArray(schema2D(name, side)); err != nil {
+						t.Fatal(err)
+					}
+					for _, c := range versions {
+						if _, err := s.Insert(name, DensePayload(c)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				armed.Store(true)
+				done := make(chan error, 1)
+				go func() { done <- rw.run(s) }()
+				select {
+				case <-parked:
+				case err := <-done:
+					t.Fatalf("%s finished (%v) without building", rw.name, err)
+				}
+				within(t, "writes and selects beside a parked build", func() {
+					for _, c := range chain[3:] {
+						if _, err := s.Insert("R", DensePayload(c)); err != nil {
+							t.Errorf("insert into the array being rewritten: %v", err)
+						}
+					}
+					if _, err := s.Insert("Other", DensePayload(crashContent(2, side))); err != nil {
+						t.Errorf("insert into another array: %v", err)
+					}
+					mustSelect(t, s, "R", 4, chain[3])
+					mustSelect(t, s, "Other", 1, want["Other"][0])
+				})
+				want["R"] = chain
+				want["Other"] = append(want["Other"], crashContent(2, side))
+				// the carried versions' stored frames, as committed mid-build
+				chunksOf := func(id int) map[string]map[string]chunkEntry {
+					s.mu.RLock()
+					defer s.mu.RUnlock()
+					vm, err := s.arrays["R"].version(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return vm.Chunks
+				}
+				gen := func() int {
+					s.mu.RLock()
+					defer s.mu.RUnlock()
+					return s.arrays["R"].Gen
+				}
+				genBefore := gen()
+				carried := map[int]map[string]map[string]chunkEntry{4: chunksOf(4), 5: chunksOf(5)}
+				unpark.Do(func() { close(release) })
+				within(t, "the released "+rw.name, func() {
+					if err := <-done; err != nil {
+						t.Errorf("%s: %v", rw.name, err)
+					}
+				})
+				if n := builds.Load(); n != 1 {
+					t.Fatalf("%d build directories were created, want 1", n)
+				}
+				if got := gen(); got != genBefore+1 {
+					t.Fatalf("generation %d after the rewrite, want %d", got, genBefore+1)
+				}
+				deltas := 0
+				for id, before := range carried {
+					after := chunksOf(id)
+					for attr, chunks := range before {
+						if len(after[attr]) != len(chunks) {
+							t.Fatalf("carried version %d has %d %s chunks, want %d", id, len(after[attr]), attr, len(chunks))
+						}
+						for key, e := range chunks {
+							a := after[attr][key]
+							if a.Base != e.Base || a.Codec != e.Codec || a.Length != e.Length {
+								t.Fatalf("carried version %d chunk %s/%s: %+v, want base %d, codec %d, length %d", id, attr, key, a, e.Base, e.Codec, e.Length)
+							}
+							if e.Base > 0 {
+								deltas++
+							}
+						}
+					}
+				}
+				if deltas == 0 {
+					t.Fatal("no carried chunk is a delta; the base check is vacuous")
+				}
+				for _, label := range []string{"live", "reopened"} {
+					if label == "reopened" {
+						s = reopen(t, s)
+					}
+					checkContents(t, s, want, label)
+					for name := range want {
+						if rep, err := s.Verify(name); err != nil || !rep.Ok() {
+							t.Fatalf("%s: verify %s: %v %v", label, name, err, rep.Problems)
+						}
+					}
+				}
+			})
 		}
-		lateID <- id
-	}()
-	select {
-	case id := <-lateID:
-		t.Fatalf("insert %d committed into an array whose rewrite holds its latches", id)
-	case <-time.After(50 * time.Millisecond):
-	}
-	proceed <- true
-	within(t, "the latched Reorganize", func() {
-		if err := <-reorgDone; err != nil {
-			t.Errorf("Reorganize: %v", err)
-		}
-	})
-	within(t, "the insert that waited for it", func() {
-		if id := <-lateID; id != len(want["R"])+1 {
-			t.Errorf("waiting insert got id %d, want %d", id, len(want["R"])+1)
-		}
-	})
-	want["R"] = append(want["R"], late)
-	if len(builds) != reorgRetries+1 {
-		t.Fatalf("%d rebuilds ran, want %d optimistic + 1 latched", len(builds), reorgRetries)
-	}
-	checkContents(t, s, want, "after the storm")
-	if rep, err := s.Verify("R"); err != nil || !rep.Ok() {
-		t.Fatalf("verify: %v %v", err, rep.Problems)
 	}
 }
 
@@ -653,16 +708,24 @@ func TestInsertMultiTraceStages(t *testing.T) {
 // TestRewriteDeleteInsertRace is the -race net over the latch protocol:
 // Reorganize, DeleteVersion and a steady inserter share one array. No
 // commit fails, so the inserter's ids must come out contiguous — an
-// invalidated staging has to hand its reservation back — and every
-// surviving version must read back byte-identical.
+// invalidated staging has to hand its reservation back — every
+// Reorganize builds exactly once, and every surviving version must read
+// back byte-identical.
 func TestRewriteDeleteInsertRace(t *testing.T) {
 	const (
 		side    = 16
 		seeds   = 6
 		inserts = 24
 	)
+	var builds atomic.Int32
+	hfs := &hookFS{FS: fsio.OS, onMkdir: func(path string) {
+		if isBuildDir(path) {
+			builds.Add(1)
+		}
+	}}
 	opts := smallOpts()
 	opts.ChunkBytes = 1 << 10
+	opts.FS = hfs
 	s := testStore(t, opts)
 	defer s.Close()
 	if err := s.CreateArray(schema2D("X", side)); err != nil {
@@ -678,6 +741,7 @@ func TestRewriteDeleteInsertRace(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	var ids []int
+	reorganizes := 0
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
@@ -705,6 +769,7 @@ func TestRewriteDeleteInsertRace(t *testing.T) {
 				t.Errorf("reorganize: %v", err)
 				return
 			}
+			reorganizes++
 		}
 	}()
 	deleted := map[int]bool{}
@@ -719,6 +784,9 @@ func TestRewriteDeleteInsertRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	if n := int(builds.Load()); n != reorganizes {
+		t.Fatalf("%d Reorganize calls created %d build directories, want one each", reorganizes, n)
+	}
 	sort.Ints(ids)
 	for i, id := range ids {
 		if id != seeds+1+i {

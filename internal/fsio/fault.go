@@ -24,6 +24,8 @@ var ErrCrashed = errors.New("fsio: injected crash")
 //
 //   - renames whose parent directory was never synced are undone
 //     (the moved entry goes back, the replaced destination is restored);
+//     a renamed directory takes its files' state along, so what was
+//     unsynced inside it is lost under either name;
 //   - files and directories created since their parent's last sync are
 //     removed entirely;
 //   - every surviving file written through the Fault is truncated to its
@@ -117,10 +119,7 @@ func (f *Fault) applyLossLocked() {
 				_ = os.Remove(u.newPath)
 			}
 		}
-		if st, ok := f.files[u.newPath]; ok {
-			delete(f.files, u.newPath)
-			f.files[u.oldPath] = st
-		}
+		f.moveLocked(u.newPath, u.oldPath, u.isDir)
 	}
 	f.renames = nil
 	// 2. drop files/dirs created since their parent's last sync
@@ -239,15 +238,48 @@ func (f *Fault) Rename(oldPath, newPath string) error {
 	if err := os.Rename(oldPath, newPath); err != nil {
 		return err
 	}
-	if st, ok := f.files[oldPath]; ok {
-		delete(f.files, oldPath)
-		f.files[newPath] = st
-	}
-	// a pending creation record for oldPath stays keyed there: on crash
-	// the rename is undone first, putting the file back at oldPath, and
-	// the creation loss then removes it from there
+	f.moveLocked(oldPath, newPath, u.isDir)
+	// a pending creation record for oldPath itself stays keyed there: on
+	// crash the rename is undone first, putting the entry back at
+	// oldPath, and the creation loss then removes it from there
 	f.renames = append(f.renames, u)
 	return nil
+}
+
+// moveLocked rekeys the tracking state of a renamed entry from one path
+// to the other: its own file state and, for a directory, the state and
+// pending creations of everything under it, so their unsynced bytes and
+// entries are lost wherever the directory ends up. Callers hold f.mu.
+func (f *Fault) moveLocked(from, to string, isDir bool) {
+	if st, ok := f.files[from]; ok {
+		delete(f.files, from)
+		f.files[to] = st
+	}
+	if !isDir {
+		return
+	}
+	prefix := filepath.Clean(from) + string(filepath.Separator)
+	under := func(p string) (string, bool) {
+		if !strings.HasPrefix(p, prefix) {
+			return p, false
+		}
+		return filepath.Join(to, p[len(prefix):]), true
+	}
+	moved := map[string]*faultFileState{}
+	for p, st := range f.files {
+		if np, ok := under(p); ok {
+			delete(f.files, p)
+			moved[np] = st
+		}
+	}
+	for p, st := range moved {
+		f.files[p] = st
+	}
+	for i, c := range f.created {
+		if np, ok := under(c.path); ok {
+			f.created[i] = createdEntry{dir: filepath.Dir(np), path: np, isDir: c.isDir}
+		}
+	}
 }
 
 // SyncDir makes renames into and creations inside path durable.

@@ -177,3 +177,45 @@ func TestFaultMkdirAllLostWithoutParentSync(t *testing.T) {
 		t.Fatal("unsynced directory chain should be lost")
 	}
 }
+
+// TestFaultRenamedDirKeepsLossModel: a directory renamed, and the rename
+// made durable, still loses what was never synced inside it — a file
+// created in it without a sync of the directory, and the unsynced tail
+// of a file that was created durably.
+func TestFaultRenamedDirKeepsLossModel(t *testing.T) {
+	dir := t.TempDir()
+	build := filepath.Join(dir, "build")
+	final := filepath.Join(dir, "final")
+	fs := NewFault(0)
+	if err := fs.MkdirAll(build); err != nil {
+		t.Fatal(err)
+	}
+	kept, _ := fs.Append(filepath.Join(build, "kept"))
+	writeAll(t, kept, []byte("synced"))
+	kept.Sync()
+	if err := fs.SyncDir(build); err != nil {
+		t.Fatal(err)
+	}
+	writeAll(t, kept, []byte("tailtail"))
+	kept.Close()
+	lost, _ := fs.Append(filepath.Join(build, "lost"))
+	writeAll(t, lost, []byte("x"))
+	lost.Sync()
+	lost.Close()
+	if err := fs.Rename(build, final); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SyncDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	fs.CrashAt = fs.Steps() + 1
+	if err := fs.Remove(filepath.Join(dir, "nope")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("want crash, got %v", err)
+	}
+	if got, _ := os.ReadFile(filepath.Join(final, "kept")); string(got) != "syncedtail" {
+		t.Fatalf("kept = %q, want the synced bytes plus half the tail", got)
+	}
+	if _, err := os.Lstat(filepath.Join(final, "lost")); !os.IsNotExist(err) {
+		t.Fatal("a file created in the renamed directory without a sync of it must be lost")
+	}
+}
