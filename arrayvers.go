@@ -85,20 +85,13 @@ type Options = core.Options
 const DefaultCacheBytes = core.DefaultCacheBytes
 
 // Open creates or reopens a store rooted at a directory. A directory
-// written in a legacy on-disk format fails with ErrLegacyStore.
+// written in any other on-disk format fails with ErrFormat.
 func Open(dir string, opts Options) (*Store, error) { return core.Open(dir, opts) }
 
-// ErrLegacyStore is returned (wrapped) by Open for a directory in a
-// pre-manifest or pre-frame format; Migrate upgrades it.
-var ErrLegacyStore = core.ErrLegacyStore
-
-// MigrateReport says what Migrate did.
-type MigrateReport = core.MigrateReport
-
-// Migrate upgrades a legacy store directory in place (what `avstore
-// migrate` runs). It must be the directory's only user; on a store that
-// is already current it changes nothing.
-func Migrate(dir string) (MigrateReport, error) { return core.Migrate(dir, nil) }
+// ErrFormat is returned (wrapped) by Open for a directory in an on-disk
+// format this build does not serve; the message names the format found
+// and the one expected. Open writes nothing to such a directory.
+var ErrFormat = core.ErrFormat
 
 // DefaultOptions returns the paper's defaults (10 MB chunks, hybrid
 // deltas, co-located chains, automatic delta-ing).

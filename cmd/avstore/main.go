@@ -22,7 +22,6 @@
 //	avstore -store DIR verify  -name A
 //	avstore -store DIR fsck    [-name A]
 //	avstore -store DIR drop    -name A
-//	avstore migrate -store DIR           # one-shot, offline: upgrade a legacy directory
 //
 // tune prices the array's layout on disk against the workload-aware
 // layout (§IV-D) for the workload given by -spec, and re-lays the array
@@ -50,13 +49,6 @@
 // sweep) and runs the full integrity check over every array; only run
 // fsck with the daemon stopped.
 //
-// migrate upgrades a directory written by an old release — per-array
-// versions.json metadata, or chunks without checksummed frames — to the
-// manifest format every other subcommand (and avstored) requires; they
-// refuse such a directory with an error naming this subcommand. Run it
-// once with nothing else using the directory; it is a no-op on a store
-// that is already current.
-//
 // batch loads several blob files into several arrays under ONE commit
 // point (the manifest log's atomic cross-array append): either every
 // named array gains its version or none does, even across a crash.
@@ -76,30 +68,6 @@ import (
 	"arrayvers/internal/cliutil"
 )
 
-// runMigrate is `avstore migrate -store DIR`; the global -store spelling
-// works too.
-func runMigrate(storeDir string, args []string) error {
-	fs := flag.NewFlagSet("migrate", flag.ContinueOnError)
-	dir := fs.String("store", storeDir, "store directory to upgrade (must not be open anywhere else)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *dir == "" {
-		return fmt.Errorf("usage: avstore migrate -store DIR")
-	}
-	rep, err := arrayvers.Migrate(*dir)
-	if err != nil {
-		return err
-	}
-	if !rep.Migrated {
-		fmt.Printf("%s is already in the current format (%d array(s)); nothing to migrate\n", *dir, rep.Arrays)
-		return nil
-	}
-	fmt.Printf("migrated %s: %d array(s) now commit through the manifest, %d re-framed, %d legacy file(s) swept\n",
-		*dir, rep.Arrays, rep.Reframed, rep.Swept)
-	return nil
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "avstore: %v\n", err)
@@ -118,12 +86,9 @@ func run(args []string) error {
 	}
 	rest := global.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("usage: avstore -store DIR <create|load|batch|select|versions|info|stats|list|reorganize|tune|verify|fsck|delete-version|drop|migrate> [flags]")
+		return fmt.Errorf("usage: avstore -store DIR <create|load|batch|select|versions|info|stats|list|reorganize|tune|verify|fsck|delete-version|drop> [flags]")
 	}
 	cmd, cmdArgs := rest[0], rest[1:]
-	if cmd == "migrate" {
-		return runMigrate(*storeDir, cmdArgs)
-	}
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	name := fs.String("name", "", "array name")
 	file := fs.String("file", "", "array blob file")

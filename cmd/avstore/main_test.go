@@ -150,11 +150,11 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMigrateSubcommand drives the CLI over the checked-in legacy
-// fixture: every subcommand refuses the directory with an error naming
-// `avstore migrate`, the migrate subcommand (in both -store spellings)
-// upgrades it, and afterwards fsck is clean.
-func TestMigrateSubcommand(t *testing.T) {
+// TestRefusesOtherFormat drives the CLI over the checked-in legacy
+// fixture (per-array versions.json, no CURRENT): every subcommand
+// refuses the directory with the format error, which names the format
+// found and the one expected.
+func TestRefusesOtherFormat(t *testing.T) {
 	src := filepath.Join("..", "..", "internal", "core", "testdata", "legacy", "store")
 	dir := filepath.Join(t.TempDir(), "store")
 	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
@@ -180,21 +180,13 @@ func TestMigrateSubcommand(t *testing.T) {
 		{"-store", dir, "versions", "-name", "Raw"},
 	} {
 		err := run(args)
-		if !errors.Is(err, arrayvers.ErrLegacyStore) || !strings.Contains(err.Error(), "avstore migrate") {
-			t.Fatalf("avstore %v on a legacy directory: %v, want the legacy-store error naming avstore migrate", args, err)
+		if !errors.Is(err, arrayvers.ErrFormat) {
+			t.Fatalf("avstore %v on a legacy directory: %v, want ErrFormat", args, err)
 		}
-	}
-	if err := run([]string{"migrate", "-store", dir}); err != nil {
-		t.Fatalf("migrate: %v", err)
-	}
-	if err := run([]string{"-store", dir, "migrate"}); err != nil {
-		t.Fatalf("second migrate (global -store): %v", err)
-	}
-	if err := run([]string{"-store", dir, "fsck"}); err != nil {
-		t.Fatalf("fsck after migrate: %v", err)
-	}
-	if err := run([]string{"migrate"}); err == nil {
-		t.Fatal("migrate without a directory accepted")
+		msg := err.Error()
+		if !strings.Contains(msg, "per-array versions.json, no CURRENT") || !strings.Contains(msg, "want format 1") || strings.Contains(msg, "migrate") {
+			t.Fatalf("avstore %v: %q does not name the format found and the one expected", args, msg)
+		}
 	}
 }
 

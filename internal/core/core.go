@@ -291,24 +291,31 @@ type IOStats struct {
 	MmapReads int64
 }
 
-// ErrLegacyStore is returned (wrapped) by Open for a store directory in
-// a format this package no longer serves: per-array versions.json
-// metadata without a manifest, or arrays whose chunks predate the
-// checksummed frame. `avstore migrate -store DIR` (Migrate) upgrades
-// such a directory offline; Open itself never writes to one.
-var ErrLegacyStore = errors.New("core: legacy store format (run `avstore migrate -store DIR` once, offline)")
+// ErrFormat is returned (wrapped) by Open for a directory whose on-disk
+// format is not storeFormat: a CURRENT carrying another number, an
+// array whose chunks predate the checksummed frame, or per-array
+// versions.json metadata without a CURRENT. The message names the
+// format found and the one expected. Open refuses such a directory
+// before writing a byte to it.
+var ErrFormat = errors.New("core: unsupported on-disk format")
+
+// formatError wraps ErrFormat for a directory in format found.
+func formatError(found string) error {
+	return fmt.Errorf("%w: found %s; want format %d", ErrFormat, found, storeFormat)
+}
 
 // Open creates or reopens a store rooted at dir. The CURRENT pointer in
 // the root names the live manifest generation; Open replays its
 // snapshot plus log to rebuild every array (see manifest.go). A
 // directory without CURRENT is a new store and gets an empty manifest —
-// unless it holds legacy per-array metadata, which fails with
-// ErrLegacyStore before anything is written. With Options.Durability
-// on, Open also runs crash recovery: it sweeps commit leftovers (stale
-// manifest generations, unreferenced array directories, stale chunk
-// generations, orphaned chunk files), truncates torn chunk-file and
-// manifest-log tails, and reconciles the version metadata against the
-// payloads that survived; what it repaired is reported through Stats().
+// unless it holds per-array versions.json metadata. A directory in any
+// format but storeFormat fails with ErrFormat before anything is
+// written. With Options.Durability on, Open also runs crash recovery:
+// it sweeps commit leftovers (stale manifest generations, unreferenced
+// array directories, stale chunk generations, orphaned chunk files),
+// truncates torn chunk-file and manifest-log tails, and reconciles the
+// version metadata against the payloads that survived; what it
+// repaired is reported through Stats().
 func Open(dir string, opts Options) (*Store, error) {
 	opts.fillDefaults()
 	s := &Store{
@@ -342,7 +349,7 @@ func (s *Store) openManifestStore() error {
 	case !errors.Is(err, os.ErrNotExist):
 		return fmt.Errorf("core: stat %s: %w", currentFile, err)
 	case hasLegacyMeta(s.dir):
-		return fmt.Errorf("core: open %s: %w", s.dir, ErrLegacyStore)
+		return fmt.Errorf("core: open %s: %w", s.dir, formatError("per-array "+metaFile+", no "+currentFile))
 	default:
 		s.man, err = createManifest(s)
 	}
@@ -350,9 +357,6 @@ func (s *Store) openManifestStore() error {
 		return err
 	}
 	for name, doc := range s.man.state {
-		if doc.Format != formatFramed {
-			return fmt.Errorf("core: array %q has unframed chunks: %w", name, ErrLegacyStore)
-		}
 		s.arrays[name] = &arrayState{arrayMeta: *doc, dir: filepath.Join(s.dir, name)}
 	}
 	if !s.opts.Durability {
@@ -367,6 +371,23 @@ func (s *Store) openManifestStore() error {
 	}
 	s.prof.recoveryNanos.Store(time.Since(t0).Nanoseconds())
 	return nil
+}
+
+// metaFile is the per-array metadata document of the format before the
+// manifest log. Open refuses a directory that has one and no CURRENT;
+// in a manifest store it is debris recovery sweeps.
+const metaFile = "versions.json"
+
+// hasLegacyMeta reports whether any directory under dir carries a
+// metaFile. It never reads the file.
+func hasLegacyMeta(dir string) bool {
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if _, err := os.Stat(filepath.Join(dir, e.Name(), metaFile)); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // Options returns the store's configuration.
@@ -548,8 +569,8 @@ type arrayMeta struct {
 	NextID       int            `json:"nextId"`
 	Versions     []*versionMeta `json:"versions"`
 	BranchedFrom *BranchRef     `json:"branchedFrom,omitempty"`
-	// Format stamps the on-disk chunk format; always formatFramed on a
-	// store Open accepts (see ErrLegacyStore).
+	// Format stamps the on-disk chunk format; replay refuses any
+	// document whose Format is not formatFramed (see ErrFormat).
 	Format int `json:"format,omitempty"`
 	// Gen numbers the committed chunks directory ("chunks" for 0,
 	// "chunks.gN" after N destructive rewrites). Reorganize and Compact

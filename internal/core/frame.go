@@ -24,8 +24,8 @@ import (
 const (
 	// formatFramed is the one chunk format the store serves, stamped
 	// into every array's metadata document (arrayMeta.Format). Arrays
-	// written before frames existed carry 0 there and are re-framed by
-	// the offline migration (migrate.go); Open refuses them.
+	// written before frames existed carry 0 there; replay refuses them
+	// with ErrFormat.
 	formatFramed = 1
 
 	frameMagic     = "AVC1"

@@ -19,7 +19,8 @@ import (
 // checksummed record to a single append-only log at the store root,
 // following the LSM-manifest idiom:
 //
-//	CURRENT            {"gen":N} — names the live snapshot/log pair;
+//	CURRENT            {"gen":N,"format":F} — names the live
+//	                   snapshot/log pair and the on-disk format;
 //	                   replaced by tmp-write + rename + root sync
 //	MANIFEST-N.snap    one AVC1 frame: JSON {seq, arrays} — the full
 //	                   store state as of sequence number seq
@@ -31,7 +32,7 @@ import (
 // versions that write staged, and replay appends them to the replayed
 // document, so a commit's size does not grow with the array's age.
 // Every other mutation — CreateArray, a rewrite, DeleteVersion,
-// recovery, migration — commits a whole arrayMeta document (meta,
+// recovery — commits a whole arrayMeta document (meta,
 // last-writer-wins on replay), and a snapshot holds only whole
 // documents. Both files use the chunk frame format — 13-byte header
 // with magic, version, payload length, and CRC32-C — so a torn append
@@ -40,10 +41,11 @@ import (
 // log must continue at seq+1, so replay can tell a clean tail from a
 // missing record.
 //
-// An add op has no meta key, and a replay that predates add ops
-// rejects an op without a document, so an older binary refuses such a
-// log instead of taking the appended tail for the whole history (which
-// would let its recovery delete the payloads of every other version).
+// The format number in CURRENT (storeFormat) names what every record
+// and file means. Open refuses any other number before it writes a
+// byte, so a change to what a record or a file means bumps the number:
+// an older binary then refuses the store instead of misreading it. A
+// CURRENT without the key predates the number and reads as format 1.
 //
 // THE commit point of every mutation is the manifest append — fsynced
 // under Durability, the same append without the fsync otherwise. Chunk
@@ -63,6 +65,9 @@ import (
 // the (idempotent) flip.
 
 const (
+	// storeFormat numbers today's on-disk layout: the manifest log and
+	// framed chunks. CURRENT records it; Open serves no other.
+	storeFormat = 1
 	// currentFile points at the live manifest generation.
 	currentFile = "CURRENT"
 	// manifestPrefix prefixes the per-generation snapshot/log files.
@@ -381,8 +386,8 @@ func (man *manifest) rotateLocked() {
 // seq plus an empty log — makes both durable, and points CURRENT at it.
 // Failures before the flip are benign (the files are unreferenced and a
 // retry overwrites them); writeCurrent marks its failures from the
-// rename on as uncertain. Rotation, the creation of a new store and the
-// offline migration all publish a generation this way.
+// rename on as uncertain. Rotation and the creation of a new store both
+// publish a generation this way.
 func (man *manifest) writeGeneration(gen int, seq int64) error {
 	snap := manifestSnapshot{Seq: seq}
 	names := make([]string, 0, len(man.state))
@@ -450,13 +455,13 @@ func (man *manifest) writeFileSync(name string, data []byte) error {
 	return werr
 }
 
-// writeCurrent atomically points CURRENT at gen: tmp write (+fsync
-// under Durability), rename, parent sync. Failures through the tmp
-// close are benign; from the rename on the pointer may or may not have
-// moved, so those are marked uncertain.
+// writeCurrent atomically points CURRENT at gen, stamped storeFormat:
+// tmp write (+fsync under Durability), rename, parent sync. Failures
+// through the tmp close are benign; from the rename on the pointer may
+// or may not have moved, so those are marked uncertain.
 func (man *manifest) writeCurrent(gen int) error {
 	s := man.s
-	if err := man.writeFileSync(currentFile+".tmp", []byte(fmt.Sprintf("{\"gen\":%d}\n", gen))); err != nil {
+	if err := man.writeFileSync(currentFile+".tmp", []byte(fmt.Sprintf("{\"gen\":%d,\"format\":%d}\n", gen, storeFormat))); err != nil {
 		return err
 	}
 	if err := s.fs.Rename(filepath.Join(man.dir, currentFile+".tmp"), filepath.Join(man.dir, currentFile)); err != nil {
@@ -509,17 +514,22 @@ func createManifest(s *Store) (*manifest, error) {
 	return man, nil
 }
 
-// readCurrent parses the CURRENT pointer.
+// readCurrent parses the CURRENT pointer. A format other than
+// storeFormat is ErrFormat; a CURRENT without one reads as format 1.
 func readCurrent(dir string) (int, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, currentFile))
 	if err != nil {
 		return 0, err
 	}
-	var cur struct {
-		Gen int `json:"gen"`
-	}
+	cur := struct {
+		Gen    int `json:"gen"`
+		Format int `json:"format"`
+	}{Format: 1}
 	if err := json.Unmarshal(raw, &cur); err != nil {
 		return 0, fmt.Errorf("core: corrupt %s: %w", currentFile, err)
+	}
+	if cur.Format != storeFormat {
+		return 0, fmt.Errorf("core: %s: %w", currentFile, formatError(fmt.Sprintf("format %d", cur.Format)))
 	}
 	if cur.Gen < 1 {
 		return 0, fmt.Errorf("core: corrupt %s: generation %d", currentFile, cur.Gen)
@@ -554,10 +564,12 @@ type manifestReplay struct {
 }
 
 // replayManifest reads CURRENT, the snapshot, and the log in sequence
-// order through plain os reads; it never repairs anything. A torn log
-// tail is not an error. A checksum-valid record with a non-contiguous
-// sequence number or an undecodable document is corruption: the error
-// names it, and r holds what was replayed up to that point.
+// order through plain os reads; it never repairs anything. A store in
+// another format fails with ErrFormat, before Open can write. A torn
+// log tail is not an error. A checksum-valid record with a
+// non-contiguous sequence number or an undecodable document is
+// corruption: the error names it, and r holds what was replayed up to
+// that point.
 func replayManifest(dir string) (r manifestReplay, err error) {
 	r.state = make(map[string]*arrayMeta)
 	if r.gen, err = readCurrent(dir); err != nil {
@@ -585,6 +597,9 @@ func replayManifest(dir string) (r manifestReplay, err error) {
 				}
 				if slices.Contains(op.Meta.Versions, nil) {
 					return fmt.Errorf("core: manifest %s: array %q holds a nil version", where, op.Name)
+				}
+				if op.Meta.Format != formatFramed {
+					return fmt.Errorf("core: manifest %s: %w", where, formatError(fmt.Sprintf("format %d: array %q has unframed chunks", op.Meta.Format, op.Name)))
 				}
 				r.state[op.Name] = op.Meta
 			}
@@ -679,8 +694,8 @@ func openManifest(s *Store) (*manifest, error) {
 // sweepRootLocked removes root-level crash debris on a durable open:
 // superseded or half-written MANIFEST generations, CURRENT tmp files,
 // and directories the replayed state does not reference (a crashed
-// CreateArray that never committed, a committed DeleteArray whose
-// removal was interrupted, or what an interrupted migration left).
+// CreateArray that never committed, or a committed DeleteArray whose
+// removal was interrupted).
 func (man *manifest) sweepRootLocked() error {
 	s := man.s
 	entries, err := os.ReadDir(man.dir)
@@ -752,7 +767,7 @@ type ManifestReport struct {
 	TornBytes int64 `json:"tornBytes"`
 	// StrayFiles lists crash debris: superseded MANIFEST generations,
 	// CURRENT tmp files, unreferenced directories, and per-array
-	// metadata files an interrupted migration left behind.
+	// versions.json files an older binary's migration left behind.
 	StrayFiles []string `json:"strayFiles,omitempty"`
 	// Problems lists integrity violations: the first bad checksum
 	// mid-chain, sequence gap or undecodable document, and committed
@@ -786,8 +801,8 @@ func (s *Store) VerifyManifest() (ManifestReport, error) {
 		return rep, nil
 	}
 	// orphaned-record sweep: every committed array must resolve to a
-	// directory, and leftover files (superseded generations, migration
-	// debris inside array dirs) are reported as strays
+	// directory, and leftover files (superseded generations, an older
+	// binary's versions.json inside array dirs) are reported as strays
 	for name := range r.state {
 		if info, err := os.Stat(filepath.Join(s.dir, name)); err != nil || !info.IsDir() {
 			rep.Problems = append(rep.Problems, fmt.Sprintf("array %q is committed but its directory is missing", name))

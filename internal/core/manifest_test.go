@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -19,9 +21,9 @@ import (
 
 // Tests for the store-wide manifest commit log: replay across reopen,
 // snapshot rotation, the cross-array Write commit, append-failure
-// poisoning and heal, deep verification, hostile append records, and
-// the size of a write's record. (The offline migration of
-// legacy directories is covered in migrate_test.go.)
+// poisoning and heal, deep verification, hostile append records, the
+// size of a write's record, and the refusal of every other on-disk
+// format.
 
 // checkContents asserts every expected version reads back
 // byte-identical (version ids are 1-based insertion order here).
@@ -358,8 +360,9 @@ func TestManifestAppendFailureDegradesAndHeals(t *testing.T) {
 // three files it reads — CURRENT, the live generation's snapshot and its
 // log — and requires an error or a well-formed state, never a panic or
 // an allocation the bytes cannot back. Seeds are the files of a real
-// store after inserts, a rotation and a drop, and that store's files
-// with each of hostileAppends in its log or snapshot.
+// store after inserts, a rotation and a drop, that store's files with
+// each of hostileAppends in its log or snapshot, and its files under a
+// CURRENT of format 2 and under one without a format key.
 func FuzzManifestReplay(f *testing.F) {
 	dir := f.TempDir()
 	opts := smallOpts()
@@ -411,6 +414,15 @@ func FuzzManifestReplay(f *testing.F) {
 	for _, h := range hostileAppends(lastAppend(f, recs)) {
 		snap, log := h.files(f, files[1], files[2], recs[len(recs)-1].Seq+1)
 		f.Add(files[0], snap, log)
+	}
+	// the same files under a CURRENT of another format, and under one
+	// without a format key (written before the number: format 1)
+	gen, err := readCurrent(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, current := range []string{`{"gen":%d,"format":2}`, `{"gen":%d}`} {
+		f.Add([]byte(fmt.Sprintf(current+"\n", gen)), files[1], files[2])
 	}
 
 	f.Fuzz(func(t *testing.T, current, snap, log []byte) {
@@ -671,4 +683,199 @@ func TestCommitRecordBytesFlat(t *testing.T) {
 	if s.Stats().ManifestRotations != 0 {
 		t.Fatal("the log rotated with rotation off")
 	}
+}
+
+// copyTree clones the directory src into a fresh temp dir and returns
+// the copy's path.
+func copyTree(t *testing.T, src string) string {
+	t.Helper()
+	dst := filepath.Join(t.TempDir(), "store")
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), raw, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// treeDigest maps every file under dir to its bytes, and every
+// directory to "/".
+func treeDigest(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if d.IsDir() {
+			out[rel] = "/"
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		out[rel] = string(raw)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// formatStore writes a small closed store of two arrays to a fresh dir
+// and returns it with the versions each array holds.
+func formatStore(t *testing.T) (string, map[string][]*array.Dense) {
+	t.Helper()
+	dir := t.TempDir()
+	opts := smallOpts()
+	opts.Durability = true
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]*array.Dense{}
+	for i, name := range []string{"Framed", "Raw"} {
+		if err := s.CreateArray(schema2D(name, 8)); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range evolvingVersions(3, 8, int64(40+i)) {
+			if _, err := s.Insert(name, DensePayload(v)); err != nil {
+				t.Fatal(err)
+			}
+			want[name] = append(want[name], v)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, want
+}
+
+// writeCURRENT replaces dir's CURRENT with raw.
+func writeCURRENT(t *testing.T, dir, raw string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, currentFile), []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// unframeRaw commits a generation in which array "Raw" of the store
+// in dir says format 0 (unframed chunks), and returns that generation.
+func unframeRaw(t *testing.T, dir string) int {
+	t.Helper()
+	r, err := replayManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := *r.state["Raw"]
+	raw.Format = 0
+	r.state["Raw"] = &raw
+	bare := &Store{dir: dir, fs: fsio.OS, opts: Options{FS: fsio.OS}}
+	man := &manifest{s: bare, dir: dir, state: r.state}
+	if err := man.writeGeneration(r.gen+1, r.lastSeq); err != nil {
+		t.Fatal(err)
+	}
+	return r.gen + 1
+}
+
+// TestOpenRefusesOtherFormat: Open fails with ErrFormat, durable or
+// not, on every directory in a format other than storeFormat — and
+// leaves it byte-identical, even when its log has a torn tail a
+// durable open of a current store would truncate. The error names the
+// format found and the one expected. A CURRENT without a format key
+// predates the number: it opens as format 1 and reads back unchanged.
+func TestOpenRefusesOtherFormat(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(t *testing.T) string
+		found string
+	}{
+		{"legacy", func(t *testing.T) string {
+			return copyTree(t, filepath.Join("testdata", "legacy", "store"))
+		}, "found per-array versions.json, no CURRENT"},
+		{"format-2", func(t *testing.T) string {
+			dir, _ := formatStore(t)
+			gen, err := readCurrent(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeCURRENT(t, dir, fmt.Sprintf(`{"gen":%d,"format":2}`+"\n", gen))
+			return dir
+		}, "found format 2"},
+		{"unframed", func(t *testing.T) string {
+			dir, _ := formatStore(t)
+			unframeRaw(t, dir)
+			return dir
+		}, `found format 0: array "Raw" has unframed chunks`},
+		{"unframed-torn-tail", func(t *testing.T) string {
+			dir, _ := formatStore(t)
+			gen := unframeRaw(t, dir)
+			f, err := os.OpenFile(filepath.Join(dir, manifestLogName(gen)), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte("AVC1\x01torn")); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		}, `found format 0: array "Raw" has unframed chunks`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := tc.setup(t)
+			before := treeDigest(t, dir)
+			for _, durable := range []bool{false, true} {
+				opts := smallOpts()
+				opts.Durability = durable
+				s, err := Open(dir, opts)
+				if err == nil {
+					s.Close()
+				}
+				if !errors.Is(err, ErrFormat) {
+					t.Fatalf("Open(durable=%v) returned %v, want ErrFormat", durable, err)
+				}
+				if msg := err.Error(); !strings.Contains(msg, tc.found) || !strings.Contains(msg, "want format 1") {
+					t.Fatalf("Open(durable=%v): %q does not name %q and format 1", durable, msg, tc.found)
+				}
+				if after := treeDigest(t, dir); !maps.Equal(after, before) {
+					t.Fatalf("Open(durable=%v) changed the directory", durable)
+				}
+			}
+		})
+	}
+	t.Run("unnumbered", func(t *testing.T) {
+		dir, want := formatStore(t)
+		gen, err := readCurrent(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeCURRENT(t, dir, fmt.Sprintf(`{"gen":%d}`+"\n", gen))
+		for _, durable := range []bool{false, true} {
+			opts := smallOpts()
+			opts.Durability = durable
+			s, err := Open(dir, opts)
+			if err != nil {
+				t.Fatalf("Open(durable=%v) of an unnumbered CURRENT: %v", durable, err)
+			}
+			checkContents(t, s, want, fmt.Sprintf("unnumbered, durable=%v", durable))
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }

@@ -19,7 +19,8 @@ import (
 //   - torn or garbage bytes past the last committed frame at the tail
 //     of a chunk file (the manifest log's own torn tail is truncated
 //     by openManifest before recovery runs);
-//   - per-array metadata files the offline migration superseded.
+//   - per-array versions.json files an older binary's offline
+//     migration superseded.
 //
 // recoverLocked sweeps all of it, truncates the torn tails, and — as a
 // defense in depth for stores that were written without Durability and
@@ -59,9 +60,9 @@ func (s *Store) recoverArray(st *arrayState) error {
 
 // sweepDebris removes commit leftovers in the array directory: heal
 // probe scratch, generation build directories, chunk generations other
-// than the committed one, and migrated-away per-array metadata. What it
-// swept is recorded into rs (Open-time recovery passes &s.recovery; the
-// runtime heal pass keeps its own local counts).
+// than the committed one, and an older binary's per-array versions.json.
+// What it swept is recorded into rs (Open-time recovery passes
+// &s.recovery; the runtime heal pass keeps its own local counts).
 func (s *Store) sweepDebris(st *arrayState, rs *RecoveryStats) error {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {

@@ -819,58 +819,40 @@ func (s *Store) Compact(name string) error {
 // carryFrames copies the stored frames of vms out of srcDir into
 // dstDir byte for byte — same base, codec and length; nothing is
 // decoded — and returns each version's chunk maps pointing at the
-// copies. vms go in id order, so every chain file keeps its frames in
-// version order. Compact's build and a rewrite's carry-forward of the
-// versions committed mid-build are this one copy.
+// copies, recording each append in ws. vms go in id order and each
+// version's frames in (attribute, chunk key) order, so every chain file
+// keeps its frames in version order; with CoLocate the copies land in
+// the chunk's chain file. Compact's build and a rewrite's carry-forward
+// of the versions committed mid-build are this one copy.
 func (s *Store) carryFrames(schema array.Schema, srcDir, dstDir string, vms []*versionMeta, ws *writeSet) ([]map[string]map[string]chunkEntry, error) {
 	out := make([]map[string]map[string]chunkEntry, len(vms))
 	for i, vm := range vms {
-		var err error
-		out[i], err = s.relocateChunks(schema, vm.Chunks, dstDir, ws, func(e chunkEntry) ([]byte, error) {
-			blobs, err := s.readFrames(srcDir, []frameRef{{vm.ID, e}})
-			if err != nil {
-				return nil, err
+		out[i] = make(map[string]map[string]chunkEntry, len(vm.Chunks))
+		for _, attr := range schema.Attrs {
+			keys := make([]string, 0, len(vm.Chunks[attr.Name]))
+			for key := range vm.Chunks[attr.Name] {
+				keys = append(keys, key)
 			}
-			return blobs[0], nil
-		})
-		if err != nil {
-			return nil, err
+			sort.Strings(keys)
+			moved := make(map[string]chunkEntry, len(keys))
+			for _, key := range keys {
+				e := vm.Chunks[attr.Name][key]
+				blobs, err := s.readFrames(srcDir, []frameRef{{vm.ID, e}})
+				if err != nil {
+					return nil, err
+				}
+				if s.opts.CoLocate {
+					e.File = chainFileName(attr.Name, key)
+				}
+				path := filepath.Join(dstDir, e.File)
+				if e.Offset, err = s.appendBlob(path, blobs[0]); err != nil {
+					return nil, err
+				}
+				ws.record(path, e.Offset, e.Offset+frameLen(int64(len(blobs[0]))))
+				moved[key] = e
+			}
+			out[i][attr.Name] = moved
 		}
-	}
-	return out, nil
-}
-
-// relocateChunks copies one version's payloads — fetched with read —
-// into dstDir, framed, in a fixed (attribute, chunk key) order,
-// recording each append in ws, and returns the version's chunk maps
-// pointing at the copies. With CoLocate the copies land in the chunk's
-// chain file.
-func (s *Store) relocateChunks(schema array.Schema, chunks map[string]map[string]chunkEntry, dstDir string, ws *writeSet, read func(chunkEntry) ([]byte, error)) (map[string]map[string]chunkEntry, error) {
-	out := make(map[string]map[string]chunkEntry, len(chunks))
-	for _, attr := range schema.Attrs {
-		keys := make([]string, 0, len(chunks[attr.Name]))
-		for key := range chunks[attr.Name] {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		moved := make(map[string]chunkEntry, len(keys))
-		for _, key := range keys {
-			e := chunks[attr.Name][key]
-			blob, err := read(e)
-			if err != nil {
-				return nil, err
-			}
-			if s.opts.CoLocate {
-				e.File = chainFileName(attr.Name, key)
-			}
-			path := filepath.Join(dstDir, e.File)
-			if e.Offset, err = s.appendBlob(path, blob); err != nil {
-				return nil, err
-			}
-			ws.record(path, e.Offset, e.Offset+frameLen(int64(len(blob))))
-			moved[key] = e
-		}
-		out[attr.Name] = moved
 	}
 	return out, nil
 }

@@ -1,12 +1,11 @@
 // Package fsio is the filesystem seam under internal/core's write
 // paths. Every mutation the store performs on disk — chunk appends,
 // manifest-log appends, the tmp-write/rename flip of the CURRENT
-// pointer, directory syncs, recovery truncations, the offline
-// migration — goes through the FS interface, so tests
-// can substitute a fault-injecting implementation (Fault) that kills the
-// process-visible world at any numbered step and then simulates what a
-// real power cut leaves behind: torn unsynced tails and un-persisted
-// renames.
+// pointer, directory syncs, recovery truncations — goes through the FS
+// interface, so tests can substitute a fault-injecting implementation
+// (Fault) that kills the process-visible world at any numbered step and
+// then simulates what a real power cut leaves behind: torn unsynced
+// tails and un-persisted renames.
 //
 // Read paths stay on the plain os package: reads cannot lose data, and
 // crash simulation only needs to intercept mutations. The store reads

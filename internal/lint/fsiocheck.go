@@ -10,9 +10,7 @@ import (
 // (Options.FS) so the fault matrix, the transient-fault sweeps, and
 // the crash recovery tests see it. A raw os.Rename or (*os.File).Sync
 // in core is a write the ~270-point crash matrix can never interrupt —
-// exactly how an untested commit-protocol step slips in. The offline
-// migration (migrate.go) is inside the boundary like everything else in
-// the package: its fault matrix crashes it at every step too. Reads
+// exactly how an untested commit-protocol step slips in. Reads
 // (os.Open, os.ReadFile, os.Stat, os.ReadDir) are exempt: the boundary
 // exists for mutations, whose ordering the commit protocol proves.
 //
