@@ -66,9 +66,9 @@ import (
 // Writing versions is one call too, Write (any payloads into one or
 // several arrays, atomically, as one commit record), with Insert and
 // InsertMulti as shorthands. Writes to different arrays encode and fsync
-// in parallel under per-array write latches, and a write to one array
-// stages while the previous write to it syncs. See DESIGN.md's
-// "Concurrency & caching" and "Write path" sections.
+// in parallel under per-array write latches; writes to one array run one
+// at a time, so each deltas against the version before it. See
+// DESIGN.md's "Concurrency & caching" and "Write path" sections.
 type Store = core.Store
 
 // Options configures a Store (chunk size, compression codec, delta

@@ -425,8 +425,6 @@ func (s *Store) Close() error {
 		// then its commit fails fast on the closed flag
 		st.writeMu.Lock()
 		st.writeMu.Unlock()
-		st.commitMu.Lock()
-		st.commitMu.Unlock()
 		st.ioMu.Lock()
 		st.ioMu.Unlock()
 	}
@@ -605,30 +603,17 @@ type arrayState struct {
 	// Always acquired first, never while holding Store.mu.
 	reorgMu sync.Mutex
 
-	// writeMu is the per-array write latch: it serializes staging
-	// (payload resolution, plane encoding, blob appends) on this array
-	// without holding Store.mu, so writes to different arrays encode and
-	// fsync concurrently. A writer keeps it until it holds commitMu, so
-	// nothing can commit on the array between a write's stage and its
-	// commit. Acquired before Store.mu, never while holding it.
-	writeMu sync.Mutex
-	// commitMu is the array's metadata WRITER latch: a write takes it
-	// from its writeMu and holds it through its data fsyncs, its manifest
-	// record and its install, so writes install in stage order. Writers
-	// run the metadata commit with Store.mu released (so selects and the
-	// next writer's staging never stall behind the commit's fsyncs), which
-	// is only safe because every other metadata writer on the array —
-	// DeleteVersion, Reorganize, Compact, DeleteArray, Heal — also holds
-	// commitMu across its commit. Lock order: reorgMu < writeMu <
-	// commitMu < Store.mu < ioMu; the manifest's own latches are leaves
-	// below all of these (writers append while holding commitMu, and the
+	// writeMu is the array's one write latch. Every metadata writer —
+	// Write, Branch and Merge, DeleteVersion, a rewrite's publish,
+	// DeleteArray, Heal — holds it from its snapshot through its chunk
+	// fsyncs, its manifest record and its install, so each write stages
+	// against its committed predecessor and takes the next id. Writers
+	// run the commit with Store.mu released, so selects and writes to
+	// other arrays never stall behind its fsyncs. Lock order: reorgMu <
+	// writeMu < Store.mu < ioMu; the manifest's own latches are leaves
+	// below all of these (writers append while holding writeMu, and the
 	// manifest never takes a store lock back).
-	commitMu sync.Mutex
-	// stageNext is the id the next staging will reserve; always >= NextID.
-	// A failed write rolls its reservation back when nothing was reserved
-	// after it; otherwise its ids stay gaps — ids are never reused.
-	// Guarded by writeMu.
-	stageNext int
+	writeMu sync.Mutex
 
 	// cachedView memoizes the metadata view between mutations, so
 	// repeated selects pay O(1) for metadata regardless of version
@@ -842,27 +827,25 @@ func (s *Store) commitNewArray(st *arrayState) error {
 // unreferenced directory for Open-time recovery to sweep — never a
 // half-deleted array that resurrects with versions missing.
 //
-// The record is appended holding only the array's commitMu, its
-// metadata writer latch: a write runs its metadata commit with
-// Store.mu released, and without this latch a delete + same-name
-// recreate could slip into that window, landing the old array's staged
-// metadata under the recreated array's name.
+// The record is appended holding only the array's writeMu: a write
+// runs its metadata commit with Store.mu released, and without this
+// latch a delete + same-name recreate could slip into that window,
+// landing the old array's staged metadata under the recreated array's
+// name.
 func (s *Store) DeleteArray(name string) error {
 	if err := s.writeGate(name); err != nil {
 		return err
 	}
-	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.commitMu}
-	})
+	st, err := s.lockWrite(name)
 	if err != nil {
 		return err
 	}
-	defer st.commitMu.Unlock()
+	defer st.writeMu.Unlock()
 	return s.dropArray(st)
 }
 
 // dropArray is DeleteArray for callers that already hold
-// st.commitMu (Branch and Merge rolling back their new array).
+// st.writeMu (Branch and Merge rolling back their new array).
 func (s *Store) dropArray(st *arrayState) error {
 	name := st.Schema.Name
 	s.mu.RLock()

@@ -299,13 +299,13 @@ func (s *Store) probeDir(dir string) error {
 	return rerr
 }
 
-// healArray runs one array's heal pass. It acquires all three write-side
-// latches in the documented order (reorgMu < writeMu < commitMu), so no
-// write, delete, or rewrite can be mid-commit: the in-memory metadata
-// it sweeps against cannot move.
+// healArray runs one array's heal pass. It acquires both write-side
+// latches in the documented order (reorgMu < writeMu), so no write,
+// delete, or rewrite can be mid-commit: the in-memory metadata it
+// sweeps against cannot move.
 func (s *Store) healArray(name string, rep *HealReport) error {
 	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.reorgMu, &st.writeMu, &st.commitMu}
+		return []*sync.Mutex{&st.reorgMu, &st.writeMu}
 	})
 	if err != nil {
 		if errors.Is(err, ErrClosed) {
@@ -318,7 +318,6 @@ func (s *Store) healArray(name string, rep *HealReport) error {
 	}
 	defer st.reorgMu.Unlock()
 	defer st.writeMu.Unlock()
-	defer st.commitMu.Unlock()
 
 	if err := s.probeDir(st.dir); err != nil {
 		return err

@@ -17,27 +17,27 @@ import (
 	"arrayvers/internal/trace"
 )
 
-// The write path: stage → hand-over → commit → install.
+// The write path: latch → stage → sync + commit → install.
 //
 // Every mutation that adds versions — Write (and its conveniences Insert
-// and InsertMulti), Branch, Merge — runs one function, write:
+// and InsertMulti), Branch, Merge — runs one function, write, holding
+// the writeMu of every array it writes, taken in name order by its
+// caller and released by its caller once write returns:
 //
-//   - holding the writeMu of every array it writes, taken in name order,
-//     stageBatch resolves each array's payloads, picks delta bases, and
+//   - stageBatch resolves each array's payloads, picks delta bases, and
 //     encodes every chunk — appending blobs, unsynced, to the chunk
 //     files — against a private metadata view. Store.mu is held only
 //     long enough to take the snapshot, so writes to different arrays
 //     encode concurrently and never stall readers;
-//   - it then takes every array's commitMu in the same order and hands
-//     the writeMus back: the next writer of these arrays stages while
-//     this one syncs, and nothing can commit on them between this
-//     write's stage and its commit;
-//   - finalizeBatch validates the stagings against the live state under
-//     a brief Store.mu, fsyncs every touched chunk file, commits every
+//   - finalizeBatch fsyncs every touched chunk file, commits every
 //     array's staged versions as ONE manifest record with Store.mu
 //     released — each array's op carries only the versions this write
 //     adds (manifest.go, arrayAppend) — and installs the resulting
-//     documents under a second brief Store.mu.
+//     documents under a brief Store.mu.
+//
+// writeMu is held from the snapshot to the install, so every write to
+// an array stages against its committed predecessor: versions chain
+// 1, 2, … and each deltas against its true parent.
 //
 // Nothing is installed into the live arrayState until the manifest
 // append succeeds, so a failed commit leaves in-memory metadata exactly
@@ -145,8 +145,8 @@ type insertCtx struct {
 
 // context returns the caller's context, defaulting to Background for
 // DeleteVersion's child re-encode, which runs without one. Cancellation
-// is only honored during staging: once a write holds its commit latches
-// its commit runs to completion.
+// is only honored during staging: once a write has staged, its commit
+// runs to completion.
 func (c *insertCtx) context() context.Context {
 	if c.goCtx != nil {
 		return c.goCtx
@@ -294,8 +294,8 @@ func (w *writeSet) sweep(s *Store) {
 // commit.
 type stagedInsert struct {
 	st     *arrayState
-	vms    []*versionMeta // staged versions with reserved ids, in order
-	ids    []int          // the ids reserved for vms: the write's result
+	vms    []*versionMeta // staged versions, in order
+	ids    []int          // the ids of vms: the write's result
 	sparse bool           // representation the payloads were encoded with
 	fill   int64
 	gen    int // chunk generation the blobs were appended into
@@ -310,7 +310,7 @@ var errStagingInvalidated = errors.New("core: staged insert invalidated under it
 
 // lockArray resolves an array and acquires the latches pick selects —
 // which MUST be returned in the documented latch order (reorgMu <
-// writeMu < commitMu) — then re-verifies the array was not dropped or
+// writeMu) — then re-verifies the array was not dropped or
 // replaced while waiting, retrying if it was. The caller releases the
 // latches in reverse order. Latches are always acquired without
 // holding Store.mu.
@@ -352,13 +352,11 @@ func (s *Store) lockWrite(name string) (*arrayState, error) {
 }
 
 // write is the one commit mechanism behind every write. The caller holds
-// the writeMu of each sts[i], sorted by name and taken in that order;
-// ps[i] are sts[i]'s payloads. write stages every array, takes every
-// commitMu in the same order and hands the writeMus back — so the next
-// writer of these arrays stages while this one syncs — then commits
-// every staging as one manifest record: every array gains its versions,
-// or none does and every appended blob is reclaimed. It returns with
-// every latch released; ids[i] are sts[i]'s new version ids.
+// the writeMu of each sts[i], taken in name order, and releases them
+// after write returns; ps[i] are sts[i]'s payloads. write stages every
+// array, then commits every staging as one manifest record: every array
+// gains its versions, or none does and every appended blob is
+// reclaimed. ids[i] are sts[i]'s new version ids.
 func (s *Store) write(ctx context.Context, sts []*arrayState, ps [][]Payload, kind string) ([][]int, error) {
 	staged := make([]*stagedInsert, 0, len(sts))
 	var err error
@@ -369,37 +367,12 @@ func (s *Store) write(ctx context.Context, sts []*arrayState, ps [][]Payload, ki
 		}
 		staged = append(staged, ins)
 	}
-	if err != nil {
-		for _, ins := range staged {
-			s.discardStaged(ins)
-		}
-		for _, st := range sts {
-			st.writeMu.Unlock()
-		}
-		return nil, err
-	}
-	// the hand-over: the wait for the commit latches is this write's
-	// queue_wait
-	waitStart := time.Now()
-	for _, st := range sts {
-		st.commitMu.Lock()
-	}
-	for _, st := range sts {
-		st.writeMu.Unlock()
-	}
-	tr := trace.FromContext(ctx)
-	wait := time.Since(waitStart)
-	s.prof.observeCommit(StageQueueWait, wait, 0)
-	tr.Observe(StageQueueWait, wait, 0)
-	err = s.finalizeBatch(tr, staged)
-	for _, st := range sts {
-		st.commitMu.Unlock()
+	if err == nil {
+		err = s.finalizeBatch(trace.FromContext(ctx), staged)
 	}
 	if err != nil {
 		for _, ins := range staged {
-			ins.st.writeMu.Lock()
-			s.discardStaged(ins)
-			ins.st.writeMu.Unlock()
+			ins.ws.sweep(s)
 		}
 		return nil, err
 	}
@@ -410,31 +383,19 @@ func (s *Store) write(ctx context.Context, sts []*arrayState, ps [][]Payload, ki
 	return ids, nil
 }
 
-// discardStaged reclaims a failed staging: its blobs, and its reserved
-// ids when they are still the top of the reservation space (no later
-// stage reserved past them), so a failed write leaves no version-id gap.
-// Callers hold the array's writeMu, so the sweep's size checks cannot
-// race another stager's appends.
-func (s *Store) discardStaged(ins *stagedInsert) {
-	ins.ws.sweep(s)
-	if ins.st.stageNext == ins.ids[0]+len(ins.ids) {
-		ins.st.stageNext = ins.ids[0]
-	}
-}
-
 // stageBatch resolves and encodes a batch of payloads against a private
 // metadata snapshot, appending chunk blobs (unsynced) to the pinned
 // generation. On success the returned stagedInsert is ready to sync
-// and commit; on error every appended blob has been reclaimed and the
-// reserved ids returned to the pool. Callers hold st.writeMu.
+// and commit; on error every appended blob has been reclaimed. Its ids
+// follow the committed NextID. Callers hold st.writeMu.
 func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, kind string) (*stagedInsert, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	// snapshot under the store lock: metadata view, generation pin (the
 	// I/O read latch is acquired before the lock drops, so a rewrite
-	// cannot remove the generation out from under the appends) and id
-	// reservation.
+	// cannot remove the generation out from under the appends) and the
+	// next id.
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -449,13 +410,7 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 	v.noAdmit = true
 	repFixed := len(st.Versions) > 0
 	sparse, fill := st.SparseRep, st.Fill
-	// stageNext runs ahead of the committed NextID while the previous
-	// writer's commit is in flight
-	if st.stageNext < st.NextID {
-		st.stageNext = st.NextID
-	}
-	baseID := st.stageNext
-	st.stageNext += len(ps)
+	baseID := st.NextID
 	st.ioMu.RLock()
 	gen := st.Gen
 	s.mu.RUnlock()
@@ -470,7 +425,7 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 		ictx.head = map[cache.Key]*array.Dense{}
 	}
 	fail := func(err error) (*stagedInsert, error) {
-		s.discardStaged(ins)
+		ins.ws.sweep(s)
 		s.noteDiskPressure(err) // staging failures are benign, ENOSPC is not
 		return nil, err
 	}
@@ -497,10 +452,7 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 // across a staging session: the first version of an empty array fixes
 // it, later payloads must match. The staged version is published through the
 // context's view, so later payloads of the same session chain their
-// lineage to it and may delta-encode against it — versions staged by
-// OTHER sessions stay invisible (their commit may still fail), which
-// is why a write staged while the previous write's commit is in flight
-// becomes a sibling of the last committed version rather than its child.
+// lineage to it and may delta-encode against it.
 func (s *Store) stagePayload(ctx *insertCtx, p Payload, id int, kind string) (*versionMeta, error) {
 	st := ctx.st
 	planes, parents, err := s.resolvePayload(ctx, p)
@@ -551,15 +503,15 @@ func (s *Store) stagePayload(ctx *insertCtx, p Payload, id int, kind string) (*v
 // staging against its array's live state under a brief Store.mu, makes
 // the staged payloads durable, commits every array's staged document as
 // ONE manifest record, and installs them. The record is appended with
-// Store.mu RELEASED — each array's commitMu, held by the caller, is its
-// metadata writer latch, serializing the commit against every other
-// metadata writer on that array — so concurrent selects and the next
-// writer's staging never stall behind the commit's fsyncs.
+// Store.mu RELEASED — each array's writeMu, held by the caller,
+// serializes the commit against every other metadata writer on that
+// array — so concurrent selects and writes to other arrays never stall
+// behind the commit's fsyncs.
 func (s *Store) finalizeBatch(tr *trace.Trace, staged []*stagedInsert) error {
 	for _, ins := range staged {
 		// the previous writer's commit may have failed uncertainly while
-		// this one staged: its fsync error can have dropped this write's
-		// dirty pages too, so a degraded array takes no commit
+		// this one waited for the latch: its record may be in the log, so
+		// a degraded array takes no commit until it is healed
 		if err := s.writeGate(ins.st.Schema.Name); err != nil {
 			return err
 		}
@@ -621,7 +573,7 @@ func (s *Store) finalizeBatch(tr *trace.Trace, staged []*stagedInsert) error {
 	s.addGroupCommit(installed)
 	s.mu.Unlock()
 	// write-through: the committed chunks are the next write's delta base
-	// (the retained head); every commitMu is still held, so no epoch moved
+	// (the retained head); every writeMu is still held, so no epoch moved
 	for i, ins := range staged {
 		for k, d := range ins.head {
 			k.Epoch = epochs[i]
@@ -634,11 +586,12 @@ func (s *Store) finalizeBatch(tr *trace.Trace, staged []*stagedInsert) error {
 }
 
 // validateLocked checks one staging against its array's live state and
-// builds the document that installs it. Under the writer's latches no
-// rewrite or delete can have moved the generation or removed a delta
-// base, so either is errStagingInvalidated. A representation conflict is
-// the caller's: two writes to an empty array staged different ones.
-// Callers hold Store.mu.
+// builds the document that installs it. Only the closed check can fire:
+// Close marks the store closed without the write latch. The others guard
+// the latch rule — under the writer's writeMu no rewrite, delete or drop
+// can have moved the generation, removed a delta base or the array, and
+// the previous write to the array installed before this one staged, so
+// its representation is the one staged against. Callers hold Store.mu.
 func (s *Store) validateLocked(ins *stagedInsert) (*arrayMeta, error) {
 	st := ins.st
 	switch {
@@ -993,15 +946,12 @@ func (s *Store) createWithVersions(ctx context.Context, schema array.Schema, fro
 		return err
 	}
 	st.writeMu.Lock()
+	defer st.writeMu.Unlock()
 	if err := s.publishArray(st); err != nil {
-		st.writeMu.Unlock()
 		return err
 	}
 	if _, err := s.write(ctx, []*arrayState{st}, [][]Payload{ps}, kind); err != nil {
-		st.commitMu.Lock()
-		derr := s.dropArray(st)
-		st.commitMu.Unlock()
-		if derr != nil {
+		if derr := s.dropArray(st); derr != nil {
 			return fmt.Errorf("%w (rolling back array %q also failed: %v)", err, schema.Name, derr)
 		}
 		return err

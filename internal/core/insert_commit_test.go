@@ -15,8 +15,8 @@ import (
 
 // Regression tests for the write commit path: transactional staging
 // (no phantom versions on a failed commit), failure-site orphan
-// reclamation, the atomicity of a many-payload Write, and the hand-over
-// from write latch to commit latch under concurrent writers.
+// reclamation, the atomicity of a many-payload Write, and the write
+// latches' name order under concurrent writers.
 
 var errInjected = errors.New("injected io failure")
 
@@ -364,7 +364,7 @@ func TestInsertBatchAtomicAndChained(t *testing.T) {
 // TestGroupCommitStress runs 8 durable single-insert writers across 4
 // arrays beside 3 cross-array writers over overlapping pairs ({S0,S1},
 // {S1,S2}, {S2,S0}) — the -race and deadlock net for the write latches'
-// name order and their hand-over to the commit latches. Every
+// name order and for holding them from stage to install. Every
 // acknowledged write must read back byte-identical, every array's ids
 // must be contiguous, every write must be exactly one commit record, and
 // a recovery reopen must agree with the live store. It runs without a

@@ -174,9 +174,10 @@ type manifestCommit struct {
 }
 
 // manifest is the store-wide commit log. Its writer latch (mu) is a
-// leaf below every array latch and Store.mu: writers call
-// commit() while holding per-array commitMu (and sometimes Store.mu),
-// and the manifest never takes any store or array lock back.
+// leaf below every array latch and Store.mu: writers call commit()
+// with Store.mu released, holding the array's writeMu (a create, whose
+// array is not yet visible, holds none), and the manifest never takes
+// any store or array lock back.
 type manifest struct {
 	s   *Store
 	dir string
@@ -223,8 +224,7 @@ func manifestRotateAt(opts Options) int64 {
 }
 
 // commitMeta commits one array's staged metadata document as one
-// manifest record. Callers hold the array's commitMu (the metadata
-// writer latch).
+// manifest record. Callers hold the array's writeMu.
 func (s *Store) commitMeta(st *arrayState, m *arrayMeta) error {
 	return s.man.commit([]manifestOp{{Name: st.Schema.Name, Meta: m}})
 }

@@ -25,7 +25,7 @@ const (
 	StageMaterialize = "materialize" // slice + copy into the result array
 
 	StageStageEncode = "stage_encode" // resolve + encode + unsynced append
-	StageQueueWait   = "queue_wait"   // staged until the write holds its commit latches
+	StageQueueWait   = "queue_wait"   // wait for the write latches of every array written
 	StageDataFsync   = "data_fsync"   // fsync of the write's chunk files
 	StageMetaCommit  = "meta_commit"  // manifest-log append
 	StageInstall     = "install"      // in-memory install of the committed doc

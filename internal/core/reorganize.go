@@ -174,7 +174,7 @@ func (s *Store) Reorganize(name string, opts ReorganizeOptions) error {
 // that removes or re-encodes versions (DeleteVersion, Heal, the other
 // rewrites), writes only append, and an appended version's frames are
 // deltas against versions whose decoded content no rewrite changes. So
-// the publish, under the array's writeMu and commitMu, carries the
+// the publish, under the array's writeMu, carries the
 // versions committed mid-build into the new generation frame for frame
 // — the state "rewrite, then those writes" would have produced.
 func (s *Store) rewrite(name string, build rewriteBuild) error {
@@ -219,14 +219,11 @@ func (s *Store) rewrite(name string, build rewriteBuild) error {
 	release()
 	var oldDir string
 	if err == nil {
-		// writeMu keeps the publish out of the window between a write's
-		// stage and its commit (a new generation would orphan the staged
-		// blobs); commitMu serializes the metadata commit with writers,
-		// whose commits run outside Store.mu
+		// writeMu keeps the publish out of every write's stage-to-install
+		// window (a new generation would orphan the staged blobs) and
+		// serializes its commit with theirs, which run outside Store.mu
 		st.writeMu.Lock()
-		st.commitMu.Lock()
 		oldDir, err = s.publishRewrite(st, v, buildDir, entries)
-		st.commitMu.Unlock()
 		st.writeMu.Unlock()
 	}
 	if err != nil {
@@ -282,9 +279,9 @@ func (s *Store) lockRewrite(name string) (*arrayState, error) {
 // after it leaves the new metadata pointing at the fully synced new
 // generation (recovery sweeps the old one). Callers hold reorgMu, so
 // every snapshot version is still live and the generation unchanged —
-// both are checked, as errors — and writeMu and commitMu, which keep
-// every other metadata writer off the array from the snapshot below to
-// the install and keep v.dir in place for the carry-forward's reads;
+// both are checked, as errors — and writeMu, which keeps every other
+// metadata writer off the array from the snapshot below to the install
+// and keeps v.dir in place for the carry-forward's reads;
 // Store.mu is only taken for those two.
 func (s *Store) publishRewrite(st *arrayState, v *readView, buildDir string, entries []map[string]map[string]chunkEntry) (string, error) {
 	name := st.Schema.Name
@@ -638,21 +635,19 @@ func (s *Store) syncBuild(ws *writeSet, buildDir string) error {
 // other array (and selects of this one) proceed meanwhile. The write
 // latch is held because the re-encodes append to chunk files concurrent
 // writes also append to, and so that no write is between its stage and
-// its commit; commitMu because it is the array's metadata writer latch;
-// reorgMu to serialize with rewrites.
+// its install; reorgMu to serialize with rewrites.
 func (s *Store) DeleteVersion(name string, id int) error {
 	if err := s.writeGate(name); err != nil {
 		return err
 	}
 	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.reorgMu, &st.writeMu, &st.commitMu}
+		return []*sync.Mutex{&st.reorgMu, &st.writeMu}
 	})
 	if err != nil {
 		return err
 	}
 	defer st.reorgMu.Unlock()
 	defer st.writeMu.Unlock()
-	defer st.commitMu.Unlock()
 	// snapshot under a brief store lock; the I/O read latch pins the
 	// generation the re-encodes append into before the lock drops
 	s.mu.RLock()

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
+
+	"arrayvers/internal/trace"
 )
 
 // MultiInsert is one put of a Write: payloads for one array.
@@ -20,10 +23,12 @@ type MultiInsert struct {
 //
 // Payloads of one put are resolved in order, so later members
 // delta-encode against earlier ones when that is smaller, and each
-// member's lineage parent is its predecessor; delta-list payloads must
-// reference committed versions. ctx is honored while the payloads are
-// staged; once staging is done the commit runs to completion, so a ctx
-// error means no version was created anywhere.
+// member's lineage parent is its predecessor; the first member's is
+// the array's newest live version, since writes to one array commit
+// one at a time. Delta-list payloads must reference committed
+// versions. ctx is honored while the payloads are staged; once staging
+// is done the commit runs to completion, so a ctx error means no
+// version was created anywhere.
 func (s *Store) Write(ctx context.Context, puts []MultiInsert) ([][]int, error) {
 	if len(puts) == 0 {
 		return nil, fmt.Errorf("core: write has no puts")
@@ -45,21 +50,24 @@ func (s *Store) Write(ctx context.Context, puts []MultiInsert) ([][]int, error) 
 		seen[p.Array], order[i] = true, i
 	}
 	// every writer takes its write latches in name order, so writes over
-	// overlapping array sets cannot deadlock
+	// overlapping array sets cannot deadlock; the wait for them is this
+	// write's queue_wait
 	sort.Slice(order, func(a, b int) bool { return puts[order[a]].Array < puts[order[b]].Array })
 	sts := make([]*arrayState, 0, len(puts))
 	ps := make([][]Payload, 0, len(puts))
+	waitStart := time.Now()
 	for _, i := range order {
 		st, err := s.lockWrite(puts[i].Array)
 		if err != nil {
-			for _, held := range sts {
-				held.writeMu.Unlock()
-			}
 			return nil, err
 		}
+		defer st.writeMu.Unlock()
 		sts = append(sts, st)
 		ps = append(ps, puts[i].Payloads)
 	}
+	wait := time.Since(waitStart)
+	s.prof.observeCommit(StageQueueWait, wait, 0)
+	trace.FromContext(ctx).Observe(StageQueueWait, wait, 0)
 	byName, err := s.write(ctx, sts, ps, "insert")
 	if err != nil {
 		return nil, err

@@ -183,8 +183,8 @@ func installedMetaWrite(info *types.Info, expr ast.Expr) (string, bool) {
 		return "arrayState.arrayMeta", true
 	}
 	// resolve the selected field's owner: only arrayMeta fields (the
-	// durable document) are protected; runtime latches and staging
-	// state (pending, stageNext, seq, dir, ...) are not
+	// durable document) are protected; runtime latches and caches
+	// (writeMu, cachedView, dir, ...) are not
 	s, ok := info.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
 		return "", false

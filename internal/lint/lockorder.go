@@ -13,7 +13,7 @@ import (
 // partial order (see Store/arrayState doc comments and DESIGN.md
 // "Static analysis") is:
 //
-//	reorgMu < writeMu < commitMu < Store.mu < ioMu < healthMu < statsMu
+//	reorgMu < writeMu < Store.mu < ioMu < healthMu < statsMu
 //
 // The analyzer builds a static acquisition graph from direct
 // .Lock()/.RLock() calls, from lockArray call sites (the func-literal
@@ -52,20 +52,19 @@ var LockOrder = &Analyzer{
 
 // lockOrderDoc is the canonical order, embedded in diagnostics so the
 // fix is in the message.
-const lockOrderDoc = "reorgMu < writeMu < commitMu < Store.mu < ioMu < healthMu < statsMu"
+const lockOrderDoc = "reorgMu < writeMu < Store.mu < ioMu < healthMu < statsMu"
 
 // lockRank maps "Type.field" to its position in the partial order.
 // Lower ranks are acquired first. Locks not listed here (writeSet.mu,
 // the manifest latches, ...) are internal leaves outside the documented
 // hierarchy and are ignored.
 var lockRank = map[string]int{
-	"arrayState.reorgMu":  0,
-	"arrayState.writeMu":  10,
-	"arrayState.commitMu": 20,
-	"Store.mu":            30,
-	"arrayState.ioMu":     40,
-	"Store.healthMu":      60,
-	"Store.statsMu":       70,
+	"arrayState.reorgMu": 0,
+	"arrayState.writeMu": 10,
+	"Store.mu":           30,
+	"arrayState.ioMu":    40,
+	"Store.healthMu":     60,
+	"Store.statsMu":      70,
 }
 
 // ioSeamFuncs are the same-package methods that are I/O seams.
@@ -565,7 +564,7 @@ func (la *lockAnalysis) rankedLock(expr ast.Expr) (key, inst string, ok bool) {
 
 // latchListOf decodes a lockArray call's func-literal pick argument:
 // `func(st *arrayState) []*sync.Mutex { return
-// []*sync.Mutex{&st.writeMu, &st.commitMu} }` -> the ranked keys in
+// []*sync.Mutex{&st.reorgMu, &st.writeMu} }` -> the ranked keys in
 // literal order.
 func (la *lockAnalysis) latchListOf(call *ast.CallExpr) ([]heldLock, bool) {
 	if len(call.Args) < 2 {

@@ -7,22 +7,22 @@ package core
 import "sync"
 
 type arrayState struct {
-	commitMu sync.Mutex
-	writeMu  sync.Mutex
+	reorgMu sync.Mutex
+	writeMu sync.Mutex
 }
 
-// writeMu before commitMu: the documented direction
+// reorgMu before writeMu: the documented direction
 func (st *arrayState) ab() {
+	st.reorgMu.Lock()
 	st.writeMu.Lock()
-	st.commitMu.Lock() // want `lock-order cycle: commitMu -> writeMu -> commitMu`
-	st.commitMu.Unlock()
 	st.writeMu.Unlock()
+	st.reorgMu.Unlock()
 }
 
-// commitMu before writeMu: opposes ab, closing the cycle
+// writeMu before reorgMu: opposes ab, closing the cycle
 func (st *arrayState) ba() {
-	st.commitMu.Lock()
-	st.writeMu.Lock() // want `acquires writeMu while holding commitMu — violates the documented lock order`
+	st.writeMu.Lock()
+	st.reorgMu.Lock() // want `acquires reorgMu while holding writeMu — violates the documented lock order` `lock-order cycle: reorgMu -> writeMu -> reorgMu`
+	st.reorgMu.Unlock()
 	st.writeMu.Unlock()
-	st.commitMu.Unlock()
 }

@@ -3,10 +3,12 @@
 // acquisition (flagged), same-instance re-acquire (flagged),
 // cross-instance latch pairs (suppressed: the sorted-name protocol
 // governs), early-return unlock (no false positive), interprocedural
-// acquisition through a summary (flagged), the lockArray latch-list
-// order (flagged when descending), the escape hatch, and (io.go) I/O
-// reached under Store.mu. (The latch sets the mutators really take are
-// pinned clean in ../../locksets.)
+// acquisition through a summary (flagged), a descending lockArray
+// latch list (flagged), the escape hatch, and (io.go) I/O reached under
+// Store.mu. (The latch sets the mutators really take, ascending latch
+// lists included, are pinned clean in ../../locksets: their
+// reorgMu -> writeMu edge would close a cycle with the descending
+// writeMu -> reorgMu pairs here.)
 package core
 
 import (
@@ -16,10 +18,9 @@ import (
 )
 
 type arrayState struct {
-	reorgMu  sync.Mutex
-	commitMu sync.Mutex
-	writeMu  sync.Mutex
-	ioMu     sync.RWMutex
+	reorgMu sync.Mutex
+	writeMu sync.Mutex
+	ioMu    sync.RWMutex
 }
 
 type Store struct {
@@ -69,19 +70,19 @@ func (s *Store) doubleLock() {
 // descending within ONE array's latches is flagged even though the
 // same pair across two arrays (multiArray below) is not
 func (st *arrayState) sameInstance() {
-	st.commitMu.Lock()
-	st.writeMu.Lock() // want `acquires writeMu while holding commitMu — violates the documented lock order`
+	st.writeMu.Lock()
+	st.reorgMu.Lock() // want `acquires reorgMu while holding writeMu — violates the documented lock order`
+	st.reorgMu.Unlock()
 	st.writeMu.Unlock()
-	st.commitMu.Unlock()
 }
 
 // cross-instance latch pairs follow the sorted-name protocol (Write),
 // which rank cannot express: suppressed
 func multiArray(a, b *arrayState) {
-	a.commitMu.Lock()
-	b.writeMu.Lock()
-	b.writeMu.Unlock()
-	a.commitMu.Unlock()
+	a.writeMu.Lock()
+	b.reorgMu.Lock()
+	b.reorgMu.Unlock()
+	a.writeMu.Unlock()
 }
 
 // the early-return cleanup pattern: the conditional unlock must not
@@ -106,29 +107,20 @@ func (s *Store) lockWrite(st *arrayState) {
 }
 
 func (s *Store) viaSummary(st *arrayState) {
-	s.mu.Lock()
-	s.lockWrite(st) // want `acquires writeMu while holding Store\.mu — violates the documented lock order`
+	s.healthMu.Lock()
+	s.lockWrite(st) // want `acquires writeMu while holding Store\.healthMu — violates the documented lock order`
 	st.writeMu.Unlock()
-	s.mu.Unlock()
+	s.healthMu.Unlock()
 }
 
 // a latch list returned out of the documented order is flagged at the
 // call site (and the descending acquisition it implies is too)
 func (s *Store) badLatchList() {
-	st, _ := s.lockArray("x", func(st *arrayState) []*sync.Mutex { // want `lockArray latch list acquires reorgMu after a higher-ranked latch` `acquires reorgMu while holding commitMu`
-		return []*sync.Mutex{&st.commitMu, &st.reorgMu}
+	st, _ := s.lockArray("x", func(st *arrayState) []*sync.Mutex { // want `lockArray latch list acquires reorgMu after a higher-ranked latch` `acquires reorgMu while holding writeMu`
+		return []*sync.Mutex{&st.writeMu, &st.reorgMu}
 	})
 	st.reorgMu.Unlock()
-	st.commitMu.Unlock()
-}
-
-// the documented latch order, decoded from the pick literal: clean
-func (s *Store) goodLatchList() {
-	st, _ := s.lockArray("x", func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.reorgMu, &st.writeMu}
-	})
 	st.writeMu.Unlock()
-	st.reorgMu.Unlock()
 }
 
 // deferred unlocks hold to function end; ascending order stays clean
@@ -139,9 +131,9 @@ func (s *Store) withDefer(st *arrayState) {
 	defer s.mu.Unlock()
 }
 
-func (st *arrayState) hatch() {
-	st.ioMu.Lock()
-	st.writeMu.Lock() //avlint:allow-lock fixture exercising the escape hatch
-	st.writeMu.Unlock()
-	st.ioMu.Unlock()
+func (s *Store) hatch() {
+	s.healthMu.Lock()
+	s.mu.Lock() //avlint:allow-lock fixture exercising the escape hatch
+	s.mu.Unlock()
+	s.healthMu.Unlock()
 }

@@ -27,8 +27,8 @@ func (s *Store) commitViaHelper() {
 
 // the same calls under an array latch only: clean
 func (s *Store) ioUnderLatch(st *arrayState, path string) {
-	st.commitMu.Lock()
-	defer st.commitMu.Unlock()
+	st.writeMu.Lock()
+	defer st.writeMu.Unlock()
 	f, _ := s.fs.Append(path)
 	_ = f.Sync()
 	_ = f.Close()

@@ -175,7 +175,7 @@ func writeProfile(w io.Writer, prof core.ProfileSnapshot) {
 	for _, st := range prof.SelectStages {
 		fmt.Fprintf(w, "av_select_stage_bytes_total{stage=%q} %d\n", st.Stage, st.Bytes)
 	}
-	fmt.Fprintf(w, "# HELP av_commit_stage_seconds Write pipeline latency by stage (stage_encode, queue_wait = the wait for the commit latch, data_fsync, meta_commit, install).\n")
+	fmt.Fprintf(w, "# HELP av_commit_stage_seconds Write pipeline latency by stage (stage_encode, queue_wait = the wait for the write latches, data_fsync, meta_commit, install).\n")
 	fmt.Fprintf(w, "# TYPE av_commit_stage_seconds histogram\n")
 	for _, st := range prof.CommitStages {
 		writeHist(w, "av_commit_stage_seconds", fmt.Sprintf("stage=%q", st.Stage), st.Hist)
