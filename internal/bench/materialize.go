@@ -46,9 +46,11 @@ func Materialization(workDir string, sc Scale) (Table, error) {
 						return err
 					}
 				}
-				// reorganization is where the layout algorithm runs; its
-				// cost is dominated by the O(n²) materialization matrix in
-				// the optimal case, as the paper reports
+				// reorganization is where the layout algorithm runs: it
+				// decodes every version, prices the O(n²) materialization
+				// matrix and re-encodes. The paper reports the matrix
+				// dominating; with the sampled matrix sharing one draw
+				// (internal/matmat), decode and re-encode dominate here
 				return s.Reorganize("A", core.ReorganizeOptions{Policy: policy, MatrixSample: 2048})
 			})
 			if err != nil {

@@ -26,7 +26,7 @@ const (
 // proportional to the number of comparisons it is doing" (§V-A), so
 // benchmarks expose the radius as a scale knob.
 func EncodeBlockMatchRadius(target, base *array.Dense, blockSize, radius int) ([]byte, error) {
-	if err := checkPair(target, base); err != nil {
+	if err := CheckPair(target, base); err != nil {
 		return nil, err
 	}
 	return encodeBlockMatch(target, base, blockSize, radius)

@@ -130,10 +130,10 @@ func wrapSub(dt array.DataType, t, d int64) int64 {
 	return array.TruncateBits(dt, int64(uint64(t)-uint64(d)))
 }
 
-// checkPair validates that two dense arrays can be delta'ed: "deltas can
+// CheckPair validates that two dense arrays can be delta'ed: "deltas can
 // only be created between arrays of the same dimensionality" (§III-B.3) —
 // and, chunk-identically, the same shape and dtype.
-func checkPair(target, base *array.Dense) error {
+func CheckPair(target, base *array.Dense) error {
 	if target.DType() != base.DType() {
 		return fmt.Errorf("delta: dtype mismatch %v vs %v", target.DType(), base.DType())
 	}
@@ -151,7 +151,7 @@ func checkPair(target, base *array.Dense) error {
 // Encode computes a delta blob such that Apply(blob, base) reconstructs
 // target.
 func Encode(m Method, target, base *array.Dense) ([]byte, error) {
-	if err := checkPair(target, base); err != nil {
+	if err := CheckPair(target, base); err != nil {
 		return nil, err
 	}
 	switch m {

@@ -14,6 +14,19 @@ import (
 // .1% or less." The sample feeds the same width histogram and cost model
 // the hybrid encoder (cellwise.go) chooses its plane width with; the
 // exact size is that encoder's output.
+//
+// The estimator comes in three pieces so that a caller pricing many
+// pairs over one series can share the draw: SampleCells draws the R
+// positions, Gather reads one version's cells at them, and
+// EstimateSampled prices a pair from two gathered vectors. The
+// materialization matrix (internal/matmat) draws once, gathers each of
+// its n versions once — O(n·R) random reads — and prices all n²/2 pairs
+// from contiguous vectors, O(n²·R) sequential work. Each entry is still
+// the estimator over R uniformly random cells; only the independence
+// between entries goes, and since the layout algorithms compare entries,
+// the shared draw (common random numbers) lowers the variance of exactly
+// the differences they act on. EstimateSize is the three calls for a
+// single pair.
 
 // EstimateSize estimates the hybrid-delta encoded size of (target − base)
 // from a random sample of R cells, scaled by N/R. If sample <= 0 or
@@ -23,19 +36,53 @@ func EstimateSize(target, base *array.Dense, sample int, seed int64) int64 {
 	if sample <= 0 || int64(sample) >= n {
 		return int64(len(encodeCellwise(Hybrid, target, base)))
 	}
+	idx := SampleCells(n, sample, seed)
+	return EstimateSampled(target.DType(), n, Gather(target, idx), Gather(base, idx))
+}
+
+// SampleCells draws sample uniformly random flat positions out of n
+// cells (with replacement) from a source seeded with seed. The same
+// arguments always draw the same positions in the same order.
+func SampleCells(n int64, sample int, seed int64) []int64 {
 	rng := rand.New(rand.NewSource(seed))
-	dt := target.DType()
-	var h widthHist
-	for i := 0; i < sample; i++ {
-		flat := rng.Int63n(n)
-		h[bitpack.SignedWidth(wrapDiff(dt, target.Bits(flat), base.Bits(flat)))]++
+	idx := make([]int64, sample)
+	for i := range idx {
+		idx[i] = rng.Int63n(n)
 	}
-	width := h.hybridWidth(int64(sample))
+	return idx
+}
+
+// Gather returns the bit patterns of a's cells at the flat positions idx.
+func Gather(a *array.Dense, idx []int64) []int64 {
+	out := make([]int64, len(idx))
+	for i, flat := range idx {
+		out[i] = a.Bits(flat)
+	}
+	return out
+}
+
+// EstimateSampled estimates the hybrid-delta encoded size of (target −
+// base) over n cells of dtype dt from the bit patterns t and b the two
+// hold at the same R sampled positions: the width histogram of the R
+// differences, the hybrid width its cost model picks, and the sample's
+// cost scaled by N/R. t and b are non-empty and equally long; the order
+// of the positions does not matter.
+func EstimateSampled(dt array.DataType, n int64, t, b []int64) int64 {
+	sample := int64(len(t))
+	b = b[:sample] // one bounds check, not one per cell
+	// wrapDiff with the dtype's lane shift hoisted out of the loop: the
+	// matrix runs this loop for every pair
+	shift := uint(64 - dt.Size()*8)
+	var h widthHist
+	for i, tv := range t {
+		h[bitpack.SignedWidth(int64(uint64(tv-b[i])<<shift)>>shift)]++
+	}
+	width := h.hybridWidth(sample)
 	// each outlier: an index gap at the full array's average spacing
 	// plus its value varint
 	outliers, valBytes := h.wider(width)
-	sampleBytes := (int64(sample)*int64(width)+7)/8 + outliers*int64(uvarintLen(uint64(n)/uint64(sample))) + valBytes
-	return sampleBytes * n / int64(sample)
+	sampleBytes := (sample*int64(width)+7)/8 + outliers*int64(uvarintLen(uint64(n)/uint64(sample))) + valBytes
+	return sampleBytes * n / sample
 }
 
 // MaterializedSize returns the bytes needed to store a dense version in

@@ -4,13 +4,22 @@
 // off-diagonal MM(i,j) is the space taken by a delta between versions i
 // and j. The matrix drives the layout optimization algorithms.
 //
-// Construction takes O(n²) pairwise comparisons; a sampling mode
-// estimates each delta size from a random subset of R cells scaled by
-// N/R, as §IV-A describes.
+// Construction takes O(n²) pairwise comparisons. The exact mode encodes
+// every pair's delta. The sampling mode estimates each delta size from a
+// random subset of R cells scaled by N/R, as §IV-A describes, with one
+// draw shared by the whole matrix: the R positions are drawn once,
+// each version's cells there are read once (O(n·R) random reads), and
+// every pair is priced from two contiguous vectors (O(n²·R) sequential
+// work). Each entry is still the paper's estimator over R uniformly
+// random cells; only the independence between entries goes. Because
+// the layout algorithms act on differences between entries, sharing the
+// draw is the common-random-numbers choice: it lowers the variance of
+// exactly those differences.
 package matmat
 
 import (
 	"fmt"
+	"slices"
 
 	"arrayvers/internal/array"
 	"arrayvers/internal/delta"
@@ -24,10 +33,11 @@ type Matrix struct {
 
 // Options controls matrix construction.
 type Options struct {
-	// Sample, when positive, estimates each pairwise delta size from this
-	// many sampled cells instead of encoding the full delta.
+	// Sample, when positive and below the cell count, estimates each
+	// pairwise delta size from this many sampled cells instead of
+	// encoding the full delta.
 	Sample int
-	// Seed drives the sampling RNG.
+	// Seed drives the sampling RNG: the one draw all pairs share.
 	Seed int64
 }
 
@@ -42,28 +52,47 @@ func New(n int) *Matrix {
 
 // Compute builds the matrix for a series of dense versions using hybrid
 // delta sizes (the best cellwise method per Table I) and raw
-// materialization sizes.
+// materialization sizes. Every version must match versions[0] in shape
+// and dtype.
 func Compute(versions []*array.Dense, opts Options) (*Matrix, error) {
 	n := len(versions)
 	if n == 0 {
 		return nil, fmt.Errorf("matmat: no versions")
 	}
+	for i := 1; i < n; i++ {
+		if err := delta.CheckPair(versions[i], versions[0]); err != nil {
+			return nil, fmt.Errorf("matmat: version %d vs 0: %w", i, err)
+		}
+	}
 	m := New(n)
 	for i := 0; i < n; i++ {
 		m.Cost[i][i] = delta.MaterializedSize(versions[i])
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			var size int64
-			if opts.Sample > 0 {
-				size = delta.EstimateSize(versions[i], versions[j], opts.Sample, opts.Seed+int64(i)*1000003+int64(j))
-			} else {
+	cells := versions[0].NumCells()
+	if opts.Sample <= 0 || int64(opts.Sample) >= cells {
+		for i := 0; i < n; i++ {
+			for j := 0; j < i; j++ {
 				blob, err := delta.Encode(delta.Hybrid, versions[i], versions[j])
 				if err != nil {
 					return nil, fmt.Errorf("matmat: delta %d vs %d: %w", i, j, err)
 				}
-				size = int64(len(blob))
+				m.Cost[i][j] = int64(len(blob))
+				m.Cost[j][i] = int64(len(blob))
 			}
+		}
+		return m, nil
+	}
+	// one draw for every pair; sorted, the gathers read ascending
+	idx := delta.SampleCells(cells, opts.Sample, opts.Seed)
+	slices.Sort(idx)
+	g := make([][]int64, n)
+	for i, v := range versions {
+		g[i] = delta.Gather(v, idx)
+	}
+	dt := versions[0].DType()
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			size := delta.EstimateSampled(dt, cells, g[i], g[j])
 			m.Cost[i][j] = size
 			m.Cost[j][i] = size
 		}

@@ -2,9 +2,11 @@ package matmat
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"arrayvers/internal/array"
+	"arrayvers/internal/delta"
 )
 
 func versionSeries(n int, side int64, seed int64) []*array.Dense {
@@ -106,5 +108,80 @@ func TestComputeErrors(t *testing.T) {
 	b := array.MustDense(array.Int32, []int64{5})
 	if _, err := Compute([]*array.Dense{a, b}, Options{}); err == nil {
 		t.Error("mismatched shapes accepted")
+	}
+	// the odd version out is the third; both modes refuse the series
+	// before any estimate and name it
+	short := array.MustDense(array.Int32, []int64{64})
+	long := array.MustDense(array.Int32, []int64{128})
+	wide := array.MustDense(array.Int64, []int64{64})
+	for _, c := range []struct {
+		name string
+		vs   []*array.Dense
+		opts Options
+	}{
+		{"sampled shape", []*array.Dense{short, short, long}, Options{Sample: 16}},
+		{"exact dtype", []*array.Dense{short, short, wide}, Options{}},
+		{"sampled dtype", []*array.Dense{short, short, wide}, Options{Sample: 16}},
+	} {
+		_, err := Compute(c.vs, c.opts)
+		if err == nil {
+			t.Errorf("%s: mismatched series accepted", c.name)
+		} else if !strings.Contains(err.Error(), "version 2") {
+			t.Errorf("%s: error %q does not name version 2", c.name, err)
+		}
+	}
+}
+
+// TestComputeSampledIsEstimateSize pins the sampled matrix to the
+// paper's estimator: every entry is what delta.EstimateSize returns for
+// that pair at the matrix's sample size and seed.
+func TestComputeSampledIsEstimateSize(t *testing.T) {
+	vs := versionSeries(6, 48, 5)
+	opts := Options{Sample: 300, Seed: 7}
+	mm, err := Compute(vs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mm.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range vs {
+		for j := 0; j < i; j++ {
+			if want := delta.EstimateSize(vs[i], vs[j], opts.Sample, opts.Seed); mm.Cost[i][j] != want {
+				t.Errorf("MM(%d,%d) = %d, EstimateSize %d", i, j, mm.Cost[i][j], want)
+			}
+		}
+	}
+}
+
+// BenchmarkComputeSampled prices the sampled matrix of 48 versions of a
+// 512² int32 array, each differing from the last by patch updates over
+// about 3 % of its cells, at 4096 sampled cells: the planning step of a
+// reorganize over a chain of that length.
+func BenchmarkComputeSampled(b *testing.B) {
+	const n, side, patch = 48, 512, 32
+	rng := rand.New(rand.NewSource(1))
+	cur := array.MustDense(array.Int32, []int64{side, side})
+	for i := int64(0); i < cur.NumCells(); i++ {
+		cur.SetBits(i, int64(rng.Intn(1<<20)))
+	}
+	vs := make([]*array.Dense, n)
+	for v := range vs {
+		vs[v] = cur.Clone()
+		// 8 patches of 32×32 cells: 8192 of 262144 cells, about 3 %
+		for p := 0; p < 8; p++ {
+			r0, c0 := rng.Int63n(side-patch), rng.Int63n(side-patch)
+			for r := r0; r < r0+patch; r++ {
+				for c := c0; c < c0+patch; c++ {
+					cur.SetBits(r*side+c, cur.Bits(r*side+c)+int64(rng.Intn(64)-32))
+				}
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compute(vs, Options{Sample: 4096, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
