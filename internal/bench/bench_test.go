@@ -16,15 +16,21 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the testdata/*.sizes goldens from this run")
 
-// checkSizes compares a table's size column with testdata/<name>.sizes.
-// The datasets and encoders are seeded and deterministic, so at
-// QuickScale every rendered size must match exactly; time columns vary
-// run to run and are never compared. -update rewrites the golden.
-func checkSizes(t *testing.T, name string, tab Table, col int) {
+// checkSizes compares a table's size columns with testdata/<name>.sizes:
+// one line per row, its first keys columns (the row's key) and then the
+// columns cols, tab-separated. The datasets and encoders are seeded and
+// deterministic, so at QuickScale every rendered size and byte count
+// must match exactly; time columns vary run to run and are never
+// compared. -update rewrites the golden.
+func checkSizes(t *testing.T, name string, tab Table, keys int, cols ...int) {
 	t.Helper()
 	var b strings.Builder
 	for _, r := range tab.Rows {
-		fmt.Fprintf(&b, "%s\t%s\n", r[0], r[col])
+		fields := append([]string(nil), r[:keys]...)
+		for _, c := range cols {
+			fields = append(fields, r[c])
+		}
+		fmt.Fprintf(&b, "%s\n", strings.Join(fields, "\t"))
 	}
 	path := filepath.Join("testdata", name+".sizes")
 	if *update {
@@ -76,7 +82,7 @@ func TestTable1Shape(t *testing.T) {
 	for _, r := range tab.Rows {
 		sizes[r[0]] = parseBytes(t, r[2])
 	}
-	checkSizes(t, "table1", tab, 2)
+	checkSizes(t, "table1", tab, 1, 2)
 	// every delta method beats uncompressed on this data
 	raw := sizes["Uncompressed"]
 	for name, sz := range sizes {
@@ -109,7 +115,7 @@ func TestTable2Shape(t *testing.T) {
 	for _, r := range tab.Rows {
 		sizes[r[0]] = parseBytes(t, r[1])
 	}
-	checkSizes(t, "table2", tab, 1)
+	checkSizes(t, "table2", tab, 1, 1)
 	// LZ must compress the delta grids (paper: LZ is the best overall)
 	if sizes["Lempel-Ziv"] >= sizes["Run-Length Encoding"] {
 		t.Errorf("LZ %.0f >= RLE %.0f", sizes["Lempel-Ziv"], sizes["Run-Length Encoding"])
@@ -125,6 +131,9 @@ func TestTable3And4Shape(t *testing.T) {
 	if len(t3.Rows) != 4 || len(t4.Rows) != 4 {
 		t.Fatalf("rows: %d, %d", len(t3.Rows), len(t4.Rows))
 	}
+	// the select and subselect bytes-read columns
+	checkSizes(t, "table3", t3, 1, 1, 3)
+	checkSizes(t, "table4", t4, 1, 1, 3)
 	read := func(tab Table, method string, col int) float64 {
 		for _, r := range tab.Rows {
 			if r[0] == method {
@@ -157,6 +166,7 @@ func TestTable5Shape(t *testing.T) {
 	if len(tab.Rows) != 6 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
+	checkSizes(t, "table5", tab, 2, 2)
 	size := func(data, comp string) float64 {
 		for _, r := range tab.Rows {
 			if r[0] == data && r[1] == comp {
@@ -197,7 +207,7 @@ func TestTable6Shape(t *testing.T) {
 			gitFailed = strings.Contains(r[4], "out of memory")
 		}
 	}
-	checkSizes(t, "table6", tab, 2)
+	checkSizes(t, "table6", tab, 1, 2)
 	// paper: ours ~8x smaller than SVN on OSM; Git fails
 	if ours*2 >= svn {
 		t.Errorf("ours %.0f not well below svn %.0f", ours, svn)
@@ -220,7 +230,7 @@ func TestTable7Shape(t *testing.T) {
 	for _, r := range tab.Rows {
 		sizes[r[0]] = parseBytes(t, r[2])
 	}
-	checkSizes(t, "table7", tab, 2)
+	checkSizes(t, "table7", tab, 1, 2)
 	// paper: H+LZ yields the smallest data set on NOAA
 	for name, sz := range sizes {
 		if name == "Hybrid+LZ" {
@@ -238,6 +248,7 @@ func TestMaterializationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkSizes(t, "materialization", tab, 2, 2)
 	size := func(data, layoutName string) float64 {
 		for _, r := range tab.Rows {
 			if r[0] == data && r[1] == layoutName {
@@ -276,6 +287,8 @@ func TestWorkloadAwareShape(t *testing.T) {
 	if len(tab.Rows) != 2 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
+	// the data size and bytes-read columns
+	checkSizes(t, "workload", tab, 1, 1, 3)
 	read := map[string]float64{}
 	for _, r := range tab.Rows {
 		read[r[0]] = parseBytes(t, r[3])

@@ -1,16 +1,16 @@
 // Package cache provides the store-wide decoded-chunk cache: a
 // byte-bounded, sharded LRU of reconstructed chunk contents keyed by
-// (array, epoch, version, attribute, chunk). The select path's dominant
+// (array, generation, version, attribute, chunk). The select path's dominant
 // cost is unwinding delta chains (§II-B, Fig. 2); keeping the chunks
 // queries asked for resident lets repeated queries skip the chain walk
 // entirely, and queries for their descendants start part-way down it.
 //
 // Entries are immutable by convention: callers must never mutate a value
-// after Put or a value returned by Get. The epoch component of the key
-// provides O(1) logical invalidation — bumping an array's epoch orphans
-// every entry cached under the old epoch without scanning; InvalidateArray
-// additionally sweeps those orphans out so their bytes are reclaimed
-// promptly.
+// after Put or a value returned by Get. The generation component of the
+// key names the chunk directory the value was decoded from; the store
+// never reuses a generation id, so an entry of a retired generation can
+// never be served from a later one, and InvalidateGen sweeps a retired
+// generation's entries out once nothing can add to them.
 package cache
 
 import (
@@ -18,12 +18,13 @@ import (
 	"sync/atomic"
 )
 
-// Key identifies one decoded chunk of one version of one array. Epoch is
-// a store-managed generation counter; entries written under a stale epoch
-// can never be served to readers holding the current epoch.
+// Key identifies one decoded chunk of one version of one array. Gen is
+// the store-unique id of the chunk generation the chunk was decoded
+// from; ids are never reused, so an entry written by a reader of a
+// retired generation is never found by a reader of another one.
 type Key struct {
 	Array   string
-	Epoch   uint64
+	Gen     uint64
 	Version int
 	Attr    string
 	Chunk   string
@@ -115,7 +116,7 @@ func shardIndex(k Key) int {
 	mix(k.Chunk)
 	h ^= uint64(k.Version)
 	h *= 1099511628211
-	h ^= k.Epoch
+	h ^= k.Gen
 	h *= 1099511628211
 	return int(h % numShards)
 }
@@ -195,16 +196,15 @@ func (c *Cache) Put(k Key, v Value) bool {
 	return true
 }
 
-// InvalidateArray removes every entry of the named array, across all
-// epochs. Callers bump the array's epoch first so that entries a
-// concurrent in-flight reader inserts afterwards (under the old epoch)
-// are unreachable even if this sweep misses them.
-func (c *Cache) InvalidateArray(array string) {
-	c.invalidate(func(k Key) bool { return k.Array == array })
+// InvalidateGen removes every entry of one chunk generation. The store
+// calls it when the generation's last reader is gone, so nothing adds
+// to it afterwards.
+func (c *Cache) InvalidateGen(gen uint64) {
+	c.invalidate(func(k Key) bool { return k.Gen == gen })
 }
 
 // InvalidateVersion removes every entry of one version of the named
-// array, across all epochs, leaving the rest of the array's warm cache
+// array, across all generations, leaving the rest of the array's warm cache
 // intact. Used by DeleteVersion, where surviving versions' decoded
 // content is unchanged.
 func (c *Cache) InvalidateVersion(array string, version int) {

@@ -23,7 +23,7 @@ func TestNilCacheIsSafe(t *testing.T) {
 	if _, ok := c.Get(key("a", 1)); ok {
 		t.Fatal("nil cache returned a hit")
 	}
-	c.InvalidateArray("a")
+	c.InvalidateGen(0)
 	c.ResetCounters()
 	if s := c.Stats(); s != (Stats{}) {
 		t.Fatalf("nil cache stats = %+v", s)
@@ -134,19 +134,23 @@ func TestOversizedValueNotCached(t *testing.T) {
 	}
 }
 
-func TestInvalidateArrayScopesToArray(t *testing.T) {
+func TestInvalidateGenScopesToGen(t *testing.T) {
 	c := New(1 << 20)
 	for v := 0; v < 20; v++ {
-		c.Put(key("a", v), fakeVal(10))
-		c.Put(key("b", v), fakeVal(10))
+		old, cur := key("a", v), key("a", v)
+		old.Gen, cur.Gen = 1, 2
+		c.Put(old, fakeVal(10))
+		c.Put(cur, fakeVal(10))
 	}
-	c.InvalidateArray("a")
+	c.InvalidateGen(1)
 	for v := 0; v < 20; v++ {
-		if _, ok := c.Get(key("a", v)); ok {
-			t.Fatalf("a/%d survived invalidation", v)
+		old, cur := key("a", v), key("a", v)
+		old.Gen, cur.Gen = 1, 2
+		if _, ok := c.Get(old); ok {
+			t.Fatalf("gen 1 version %d survived invalidation", v)
 		}
-		if _, ok := c.Get(key("b", v)); !ok {
-			t.Fatalf("b/%d was wrongly invalidated", v)
+		if _, ok := c.Get(cur); !ok {
+			t.Fatalf("gen 2 version %d was wrongly invalidated", v)
 		}
 	}
 	s := c.Stats()
@@ -160,12 +164,12 @@ func TestInvalidateArrayScopesToArray(t *testing.T) {
 
 func TestEpochSeparatesGenerations(t *testing.T) {
 	c := New(1 << 20)
-	old := Key{Array: "a", Epoch: 0, Version: 1, Attr: "A", Chunk: "chunk-0-0"}
+	old := Key{Array: "a", Gen: 1, Version: 1, Attr: "A", Chunk: "chunk-0-0"}
 	cur := old
-	cur.Epoch = 1
+	cur.Gen = 2
 	c.Put(old, fakeVal(10))
 	if _, ok := c.Get(cur); ok {
-		t.Fatal("entry cached under epoch 0 served to epoch-1 reader")
+		t.Fatal("entry cached under generation 1 served to a generation-2 reader")
 	}
 }
 
@@ -180,7 +184,7 @@ func TestConcurrentAccess(t *testing.T) {
 				c.Put(k, fakeVal(64))
 				c.Get(k)
 				if i%100 == 0 {
-					c.InvalidateArray("arr0")
+					c.InvalidateVersion("arr0", i%50)
 				}
 			}
 		}(g)

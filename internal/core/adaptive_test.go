@@ -61,7 +61,7 @@ func diskLayout(t *testing.T, s *Store, name string) (layout.Layout, []int) {
 	if !ok {
 		t.Fatalf("no array %q", name)
 	}
-	v := s.viewLocked(st)
+	v := viewOf(st, st.Versions)
 	return currentLayoutOf(v, v.ids), append([]int(nil), v.ids...)
 }
 

@@ -143,12 +143,12 @@ func (o *Options) fillDefaults() {
 // readView); chunk I/O and delta unwinding then proceed without it, so
 // reads run concurrently with each other and with inserts. Mutators
 // hold it just as briefly — to snapshot and to install — never across
-// I/O (lockorder checks this). Destructive rewrites (Reorganize,
-// Compact, DeleteArray) then take the per-array ioMu write latch, with
-// mu released, so they cannot pull chunk files out from under an
-// in-flight reader. A read opens the chunk files it touches and closes
-// them before it releases ioMu, so the Store holds no file handle of
-// its own.
+// I/O (lockorder checks this). A snapshot pins the array's chunk
+// generation (see generation); a rewrite or DeleteArray retires it at
+// install and never waits for readers: the last reader's release
+// removes the retired files. A read opens the chunk files it touches
+// and closes them before it releases its pin, so the Store holds no
+// file handle of its own.
 type Store struct {
 	mu     sync.RWMutex
 	dir    string
@@ -161,18 +161,17 @@ type Store struct {
 	// afterwards.
 	man *manifest
 	// creating reserves the names of arrays whose CreateArray is
-	// committing with Store.mu released; dropping holds the arrays a
-	// DeleteArray has unpublished but not yet drained and removed, so
-	// Close can drain them too. dropped (on mu) is signalled as each drop
-	// finishes. Guarded by mu.
+	// committing with Store.mu released; dropping holds the names of
+	// arrays a DeleteArray has unpublished but not yet removed; retired
+	// holds the retired generations still pinned. released (on mu) is
+	// signalled as each of those goes and as each creation ends. Guarded
+	// by mu.
 	creating map[string]bool
-	dropping map[string]*arrayState
-	dropped  sync.Cond
-	// epochs[name] is bumped whenever an array's on-disk encoding is
-	// invalidated (Reorganize, Compact, DeleteArray); it is part of
-	// every chunkCache key, so stale in-flight readers can never poison
-	// the cache for the current generation. Guarded by mu.
-	epochs map[string]uint64
+	dropping map[string]bool
+	retired  map[*generation]bool
+	released sync.Cond
+	// genSeq numbers generations; an id is never reused.
+	genSeq atomic.Uint64
 
 	// chunkCache is the store-wide decoded-chunk LRU (nil when disabled).
 	chunkCache *cache.Cache
@@ -324,14 +323,14 @@ func Open(dir string, opts Options) (*Store, error) {
 		fs:         opts.FS,
 		arrays:     make(map[string]*arrayState),
 		creating:   make(map[string]bool),
-		dropping:   make(map[string]*arrayState),
-		epochs:     make(map[string]uint64),
+		dropping:   make(map[string]bool),
+		retired:    make(map[*generation]bool),
 		chunkCache: cache.New(opts.CacheBytes),
 		degraded:   make(map[string]degradedInfo),
 		prof:       newProfile(),
 		clock:      time.Now,
 	}
-	s.dropped.L = &s.mu
+	s.released.L = &s.mu
 	if err := s.openManifestStore(); err != nil {
 		return nil, err
 	}
@@ -357,7 +356,9 @@ func (s *Store) openManifestStore() error {
 		return err
 	}
 	for name, doc := range s.man.state {
-		s.arrays[name] = &arrayState{arrayMeta: *doc, dir: filepath.Join(s.dir, name)}
+		st := &arrayState{arrayMeta: *doc, dir: filepath.Join(s.dir, name)}
+		st.current = s.newGeneration(st.chunksDir())
+		s.arrays[name] = st
 	}
 	if !s.opts.Durability {
 		return nil
@@ -398,11 +399,13 @@ func (s *Store) Options() Options { return s.opts }
 var ErrClosed = fmt.Errorf("core: store is closed")
 
 // Close shuts the store down: it marks the store closed (subsequent
-// operations fail with a "store is closed" error), then waits for every
-// in-flight query's chunk I/O to drain via the per-array latches. All
-// metadata is durable at the end of each mutation, so Close has nothing
-// to flush; its job is to make teardown deterministic for daemons and
-// signal handlers. Close is idempotent.
+// operations fail with a "store is closed" error), drains every array's
+// writers, then waits until no creation is in flight and no generation
+// reference remains, so once it returns the store touches the disk no
+// more. All metadata is durable at
+// the end of each mutation, so Close has nothing to flush; its job is to
+// make teardown deterministic for daemons and signal handlers. Close is
+// idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -414,20 +417,28 @@ func (s *Store) Close() error {
 	for _, st := range s.arrays {
 		arrays = append(arrays, st)
 	}
-	for _, st := range s.dropping {
-		arrays = append(arrays, st)
-	}
 	s.mu.Unlock()
 	// the heal prober fails fast on the closed flag
 	s.stopHealer()
 	for _, st := range arrays {
-		// drain writers first: an in-flight stager finishes encoding,
-		// then its commit fails fast on the closed flag
+		// an in-flight stager finishes encoding, then its commit fails
+		// fast on the closed flag
 		st.writeMu.Lock()
 		st.writeMu.Unlock()
-		st.ioMu.Lock()
-		st.ioMu.Unlock()
 	}
+	// nothing retires a generation any more: retire every current one
+	// in place, keeping its files — drop the array's reference and track
+	// the generation while a reader pins it — and wait out the references
+	s.mu.Lock()
+	for _, st := range s.arrays {
+		if st.current.refs.Add(-1) > 0 {
+			s.retired[st.current] = true
+		}
+	}
+	for len(s.retired) > 0 || len(s.creating) > 0 {
+		s.released.Wait()
+	}
+	s.mu.Unlock()
 	return nil
 }
 
@@ -590,13 +601,10 @@ type arrayState struct {
 
 	dir string `json:"-"`
 
-	// ioMu is the chunk-file latch: readers hold it shared for the
-	// duration of their chunk I/O (acquired under Store.mu, released
-	// after the query assembles), destructive rewrites hold it exclusive
-	// while replacing or removing the chunks directory. Appends (Insert)
-	// need no latch: a reader's metadata snapshot only references offsets
-	// written before the snapshot was taken.
-	ioMu sync.RWMutex
+	// current is the committed chunk generation, holding the array's own
+	// reference; it changes under Store.mu and writeMu. Appends need no
+	// pin: a snapshot only references offsets written before it.
+	current *generation
 
 	// reorgMu serializes the array's rewrites and deletes — Reorganize,
 	// Compact, DeleteVersion, Heal — without blocking readers or writes.
@@ -610,7 +618,7 @@ type arrayState struct {
 	// against its committed predecessor and takes the next id. Writers
 	// run the commit with Store.mu released, so selects and writes to
 	// other arrays never stall behind its fsyncs. Lock order: reorgMu <
-	// writeMu < Store.mu < ioMu; the manifest's own latches are leaves
+	// writeMu < Store.mu; the manifest's own latches are leaves
 	// below all of these (writers append while holding writeMu, and the
 	// manifest never takes a store lock back).
 	writeMu sync.Mutex
@@ -741,7 +749,7 @@ func (s *Store) newArrayState(schema array.Schema, branchedFrom *BranchRef) (*ar
 	if err != nil {
 		return nil, err
 	}
-	return &arrayState{
+	st := &arrayState{
 		arrayMeta: arrayMeta{
 			Schema:       cloneSchema(schema),
 			ChunkSide:    ck.Side(),
@@ -750,7 +758,9 @@ func (s *Store) newArrayState(schema array.Schema, branchedFrom *BranchRef) (*ar
 			Format:       formatFramed,
 		},
 		dir: filepath.Join(s.dir, schema.Name),
-	}, nil
+	}
+	st.current = s.newGeneration(st.chunksDir())
+	return st, nil
 }
 
 // publishArray creates st's directory, commits its empty document and
@@ -765,8 +775,8 @@ func (s *Store) publishArray(st *arrayState) error {
 		return err
 	}
 	s.mu.Lock()
-	for s.dropping[name] != nil {
-		s.dropped.Wait()
+	for s.dropping[name] {
+		s.released.Wait()
 	}
 	var err error
 	switch {
@@ -788,6 +798,7 @@ func (s *Store) publishArray(st *arrayState) error {
 		s.arrays[name] = st
 	}
 	s.mu.Unlock()
+	s.released.Broadcast()
 	return err
 }
 
@@ -825,7 +836,9 @@ func (s *Store) commitNewArray(st *arrayState) error {
 // point is a single drop record appended to the manifest log; the tree
 // removal happens after it, so a crash can only ever leave an
 // unreferenced directory for Open-time recovery to sweep — never a
-// half-deleted array that resurrects with versions missing.
+// half-deleted array that resurrects with versions missing. DeleteArray
+// does not wait for the array's readers: it retires the generation, and
+// the last reader's release removes the tree.
 //
 // The record is appended holding only the array's writeMu: a write
 // runs its metadata commit with Store.mu released, and without this
@@ -862,35 +875,17 @@ func (s *Store) dropArray(st *arrayState) error {
 		return err
 	}
 	// the array stays in s.dropping until the tree is gone, so a same-name
-	// CreateArray cannot build its directory where the removal lands and
-	// Close still drains its readers; the epoch bump keeps in-flight
-	// readers' late cache puts unreachable
+	// CreateArray cannot build its directory where the removal lands;
+	// the last release of the retired generation removes it, here when
+	// no reader pins it
 	s.mu.Lock()
 	delete(s.arrays, name)
-	s.dropping[name] = st
-	s.epochs[name]++
+	s.dropping[name] = true
+	g := st.current
+	s.retireLocked(g, st.dir, nil, name)
 	s.mu.Unlock()
-	// post-commit garbage collection, with no store lock held: drain the
-	// readers that snapshotted before the removal, then remove the tree.
-	// A failure just leaves an unreferenced directory for the next
-	// durable open's root sweep.
-	st.ioMu.Lock()
-	_ = s.fs.RemoveAll(st.dir)
-	s.chunkCache.InvalidateArray(name)
-	st.ioMu.Unlock()
-	s.mu.Lock()
-	delete(s.dropping, name)
-	s.mu.Unlock()
-	s.dropped.Broadcast()
+	s.unpin(g)
 	return nil
-}
-
-// invalidateArrayLocked drops the array's cached chunks and bumps its
-// epoch so in-flight readers holding the old generation cannot repopulate
-// the cache with entries the next reader would see. Callers hold mu.
-func (s *Store) invalidateArrayLocked(name string) {
-	s.epochs[name]++
-	s.chunkCache.InvalidateArray(name)
 }
 
 // ListArrays returns the names of all arrays, sorted (the List operation,

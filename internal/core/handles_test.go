@@ -9,6 +9,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"arrayvers/internal/array"
 )
 
 // chunkDirs lists the chunk-generation directories currently on disk for
@@ -195,9 +198,10 @@ func TestChunkReadCounters(t *testing.T) {
 // TestGenerationLifecycleStress races concurrent selects against
 // Reorganize and Compact retiring generation after generation, then
 // deletes the array outright. Under -race this is the safety net for the
-// handle lifetime rule — a generation's handles close only under the
-// exclusive I/O latch — so reads must stay byte-identical, and every
-// retired generation's directory must be gone at the end.
+// generation lifetime rule — a retired generation's directory goes only
+// with the last release of a reader that pinned it — so reads must stay
+// byte-identical, and every retired generation's directory must be gone
+// once the readers are.
 func TestGenerationLifecycleStress(t *testing.T) {
 	dir := t.TempDir()
 	o := concurrencyOpts()
@@ -355,5 +359,165 @@ func TestStaleGenerationSweptOnReopen(t *testing.T) {
 		if !got.Dense.Equal(want) {
 			t.Fatalf("version %d corrupted after recovery", i+1)
 		}
+	}
+}
+
+// TestPinnedReaderStallsNoMutator holds one snapshot of array A — a
+// parked reader — through a Reorganize, a second Select, a Compact, a
+// DeleteVersion and a DeleteArray of A. Each returns while the reader
+// is parked: none waits for it, and no select queues behind them. The
+// parked view still reads its versions byte-identical from the
+// generation it pinned, whose directory stays until the release; a
+// same-name CreateArray waits for that release, and what it finds is a
+// fresh directory.
+func TestPinnedReaderStallsNoMutator(t *testing.T) {
+	const side = 32
+	dir := t.TempDir()
+	s, err := Open(dir, concurrencyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.CreateArray(schema2D("A", side)); err != nil {
+		t.Fatal(err)
+	}
+	versions := evolvingVersions(4, side, 31)
+	for _, v := range versions {
+		if _, err := s.Insert("A", DensePayload(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, unpin, err := s.snapshot("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	release := func() { once.Do(unpin) }
+	defer release()
+	pinned := v.gen.dir
+	full := array.BoxOf(v.st.Schema.Shape())
+	checkView := func(label string) {
+		t.Helper()
+		for i, want := range versions {
+			got, err := s.readRegionView(context.Background(), v, i+1, "A", full, newChunkCache(), nil)
+			if err != nil || !got.Dense.Equal(want) {
+				t.Fatalf("%s: the parked view reads version %d differently (%v)", label, i+1, err)
+			}
+		}
+		if _, err := os.Stat(pinned); err != nil {
+			t.Fatalf("%s: the pinned generation's directory is gone: %v", label, err)
+		}
+	}
+	run := func(what string, op func() error) {
+		t.Helper()
+		within(t, what+" beside a parked reader", func() {
+			if err := op(); err != nil {
+				t.Errorf("%s: %v", what, err)
+			}
+		})
+		checkView("after " + what)
+	}
+	run("Reorganize", func() error { return s.Reorganize("A", ReorganizeOptions{Policy: PolicyLinearChain}) })
+	run("a second Select", func() error {
+		got, err := s.Select("A", 3)
+		if err == nil && !got.Dense.Equal(versions[2]) {
+			err = fmt.Errorf("version 3 reads differently")
+		}
+		return err
+	})
+	run("Compact", func() error { return s.Compact("A") })
+	run("DeleteVersion", func() error { return s.DeleteVersion("A", 2) })
+	run("DeleteArray", func() error { return s.DeleteArray("A") })
+	created := make(chan error, 1)
+	go func() { created <- s.CreateArray(schema2D("A", side)) }()
+	select {
+	case err := <-created:
+		t.Fatalf("a same-name CreateArray returned (%v) while a reader pinned the dropped array", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	checkView("beside the waiting CreateArray")
+	release()
+	within(t, "the CreateArray waiting on the release", func() {
+		if err := <-created; err != nil {
+			t.Errorf("CreateArray: %v", err)
+		}
+	})
+	entries, err := os.ReadDir(filepath.Join(dir, "A"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "chunks" {
+		t.Fatalf("the recreated array's directory holds %v, want one fresh chunks directory", entries)
+	}
+	if left, _ := os.ReadDir(filepath.Join(dir, "A", "chunks")); len(left) != 0 {
+		t.Fatalf("the dropped array's chunk files survived its last release: %v", left)
+	}
+}
+
+// TestHealLeavesPinnedGeneration heals a degraded array while a reader
+// pins the generation a Reorganize retired. The heal's sweep removes
+// stale generation debris but leaves the pinned generation, which the
+// reader still reads byte-identical; its release removes it.
+func TestHealLeavesPinnedGeneration(t *testing.T) {
+	const side = 32
+	dir := t.TempDir()
+	opts := smallOpts()
+	opts.HealInterval = -1
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.CreateArray(schema2D("H", side)); err != nil {
+		t.Fatal(err)
+	}
+	versions := evolvingVersions(3, side, 32)
+	for _, v := range versions {
+		if _, err := s.Insert("H", DensePayload(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, unpin, err := s.snapshot("H")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	release := func() { once.Do(unpin) }
+	defer release()
+	pinned := v.gen.dir
+	within(t, "Reorganize beside a parked reader", func() {
+		if err := s.Reorganize("H", ReorganizeOptions{Policy: PolicyLinearChain}); err != nil {
+			t.Error(err)
+		}
+	})
+	debris := filepath.Join(dir, "H", chunksDirName(9))
+	if err := os.MkdirAll(debris, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s.degradeArray("H", errInjected)
+	within(t, "Heal beside a parked reader", func() {
+		if rep, err := s.Heal(); err != nil || len(rep.Healed) != 1 {
+			t.Errorf("heal: %v (report %+v)", err, rep)
+		}
+	})
+	if _, err := os.Stat(debris); !os.IsNotExist(err) {
+		t.Errorf("heal left the stale generation %s (err=%v)", debris, err)
+	}
+	if _, err := os.Stat(pinned); err != nil {
+		t.Errorf("heal removed the generation a reader pins: %v", err)
+	}
+	full := array.BoxOf(v.st.Schema.Shape())
+	for i, want := range versions {
+		got, err := s.readRegionView(context.Background(), v, i+1, "A", full, newChunkCache(), nil)
+		if err != nil || !got.Dense.Equal(want) {
+			t.Errorf("after the heal the pinned view reads version %d differently (%v)", i+1, err)
+		}
+	}
+	release()
+	if _, err := os.Stat(pinned); !os.IsNotExist(err) {
+		t.Fatalf("the retired generation survived its last release (err=%v)", err)
+	}
+	if dirs := chunkDirs(t, dir, "H"); len(dirs) != 1 {
+		t.Fatalf("chunk dirs after the release = %v, want the committed generation", dirs)
 	}
 }

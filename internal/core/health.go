@@ -335,17 +335,16 @@ func (s *Store) healArray(name string, rep *HealReport) error {
 	}
 
 	// the Open-time recovery sweep, on the live store: drop commit
-	// debris (uncommitted generations) and orphaned or torn
-	// chunk blobs. Readers are drained via the I/O latch first — a
-	// superseded generation directory may still be pinned by a reader
-	// that snapshotted before a half-committed rewrite.
+	// debris and orphaned or torn chunk blobs, waiting for no reader. The
+	// sweep skips the generations readers pin, and the committed one is
+	// collected only while no reader pins it: one that snapshotted before
+	// a DeleteVersion may read frames collection would remove (a later
+	// one reads only live frames). Skipped work waits for the next heal.
 	var local RecoveryStats
-	st.ioMu.Lock()
 	err = s.sweepDebris(st, &local)
-	if err == nil {
+	if err == nil && st.current.refs.Load() == 1 {
 		err = s.collectChunkFiles(st, &local)
 	}
-	st.ioMu.Unlock()
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -134,7 +133,7 @@ type insertCtx struct {
 	dir   string
 	goCtx context.Context // caller's cancellation; nil means Background
 	// head (a write with a cache) collects the dense chunks encodePlane
-	// slices out, keyed but for the epoch; nothing writes them after
+	// slices out, keyed but for the generation; nothing writes them after
 	head map[cache.Key]*array.Dense
 	// the array's representation: open until the first version of an
 	// empty array fixes it (repFixed), then binding on every payload
@@ -298,7 +297,7 @@ type stagedInsert struct {
 	ids    []int          // the ids of vms: the write's result
 	sparse bool           // representation the payloads were encoded with
 	fill   int64
-	gen    int // chunk generation the blobs were appended into
+	gen    *generation // the generation the blobs were appended into
 	ws     *writeSet
 	head   map[cache.Key]*array.Dense // insertCtx.head, admitted on commit
 }
@@ -392,10 +391,9 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// snapshot under the store lock: metadata view, generation pin (the
-	// I/O read latch is acquired before the lock drops, so a rewrite
-	// cannot remove the generation out from under the appends) and the
-	// next id.
+	// snapshot under the store lock: metadata view and the next id.
+	// The caller's writeMu keeps the view's generation current — no
+	// rewrite can publish and no drop can retire it under the appends.
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -406,21 +404,18 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 		s.mu.RUnlock()
 		return nil, fmt.Errorf("core: no array %q", name)
 	}
-	v := s.viewLocked(st)
+	v := viewOf(st, st.Versions)
 	v.noAdmit = true
 	repFixed := len(st.Versions) > 0
 	sparse, fill := st.SparseRep, st.Fill
 	baseID := st.NextID
-	st.ioMu.RLock()
-	gen := st.Gen
 	s.mu.RUnlock()
-	defer st.ioMu.RUnlock()
 
-	ins := &stagedInsert{st: st, gen: gen, ws: newWriteSet(), ids: make([]int, len(ps))}
+	ins := &stagedInsert{st: st, gen: v.gen, ws: newWriteSet(), ids: make([]int, len(ps))}
 	for j := range ps {
 		ins.ids[j] = baseID + j
 	}
-	ictx := &insertCtx{st: st, v: v, ws: ins.ws, qc: newChunkCache(), dir: v.dir, repFixed: repFixed, sparse: sparse, fill: fill, goCtx: ctx}
+	ictx := &insertCtx{st: st, v: v, ws: ins.ws, qc: newChunkCache(), dir: v.gen.dir, repFixed: repFixed, sparse: sparse, fill: fill, goCtx: ctx}
 	if s.chunkCache != nil {
 		ictx.head = map[cache.Key]*array.Dense{}
 	}
@@ -539,7 +534,7 @@ func (s *Store) finalizeBatch(tr *trace.Trace, staged []*stagedInsert) error {
 	t0 := time.Now()
 	var bytes int64
 	for _, ins := range staged {
-		if err := s.syncWrites(ins.st, ins.ws, filepath.Join(ins.st.dir, chunksDirName(ins.gen))); err != nil {
+		if err := s.syncWrites(ins.st, ins.ws, ins.gen.dir); err != nil {
 			return err
 		}
 		bytes += ins.ws.totalBytes()
@@ -563,20 +558,19 @@ func (s *Store) finalizeBatch(tr *trace.Trace, staged []*stagedInsert) error {
 		return err
 	}
 	t0 = time.Now()
-	epochs := make([]uint64, len(staged))
 	s.mu.Lock()
 	for i, ins := range staged {
 		ins.st.mutateLocked()
 		ins.st.installMeta(*ops[i].doc)
-		epochs[i] = s.epochs[ins.st.Schema.Name]
 	}
 	s.addGroupCommit(installed)
 	s.mu.Unlock()
 	// write-through: the committed chunks are the next write's delta base
-	// (the retained head); every writeMu is still held, so no epoch moved
-	for i, ins := range staged {
+	// (the retained head); every writeMu is still held, so the generation
+	// each array staged into is still current
+	for _, ins := range staged {
 		for k, d := range ins.head {
-			k.Epoch = epochs[i]
+			k.Gen = ins.gen.id
 			s.chunkCache.Put(k, d)
 		}
 	}
@@ -599,7 +593,7 @@ func (s *Store) validateLocked(ins *stagedInsert) (*arrayMeta, error) {
 		return nil, ErrClosed
 	case s.arrays[st.Schema.Name] != st:
 		return nil, fmt.Errorf("core: no array %q", st.Schema.Name)
-	case ins.gen != st.Gen:
+	case ins.gen != st.current:
 		return nil, errStagingInvalidated
 	case len(st.Versions) > 0 && (ins.sparse != st.SparseRep || (ins.sparse && ins.fill != st.Fill)):
 		return nil, fmt.Errorf("core: array %q uses the %s representation; staged payload does not",

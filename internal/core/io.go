@@ -34,12 +34,13 @@ import (
 // from parallel insert workers; each worker targets a distinct file, so
 // writers never share a file handle. The only destructive operations
 // (Reorganize, Compact, DeleteArray) build a new chunk generation
-// beside the live one, commit it with a metadata commit, and remove
-// the old generation under the array's exclusive I/O latch. That latch
-// is the read path's only lifetime rule: readFrames opens each file it
-// touches and closes it before returning, always under the latch held
-// shared, so no handle outlives its read or points at an unlinked
-// inode, and open descriptors are bounded by the reads in flight.
+// beside the live one, commit it with a metadata commit, and retire the
+// old generation; the last release of a reader that pinned it removes
+// it. That pin is the read path's only lifetime rule: readFrames opens
+// each file it touches and closes it before returning, always inside a
+// snapshot that pins the directory, so no handle outlives its read or
+// points at an unlinked inode, and open descriptors are bounded by the
+// reads in flight.
 //
 // Durability contract: with Options.Durability on, every mutator fsyncs
 // the files it appended to (and the chunks directory, when it created
@@ -150,8 +151,8 @@ type frameRun struct {
 // until every extent is known to fit. Each frame's header — magic,
 // length, CRC32-C — is validated on its own, so torn writes, stale
 // offsets and bit rot surface as errors that name the frame's file,
-// offset and version. Callers hold the array's I/O latch, which keeps
-// dir in place.
+// offset and version. Callers pin dir's generation (a snapshot, or a
+// writer's writeMu), which keeps dir in place.
 func (s *Store) readFrames(dir string, frames []frameRef) ([][]byte, error) {
 	order := make([]int, len(frames))
 	for i, fr := range frames {

@@ -60,19 +60,25 @@ func (s *Store) recoverArray(st *arrayState) error {
 
 // sweepDebris removes commit leftovers in the array directory: heal
 // probe scratch, generation build directories, chunk generations other
-// than the committed one, and an older binary's per-array versions.json.
-// What it swept is recorded into rs (Open-time recovery passes
-// &s.recovery; the runtime heal pass keeps its own local counts).
+// than the committed one and those a reader still pins, and an older
+// binary's per-array versions.json. What it swept is recorded into rs
+// (Open-time recovery passes &s.recovery; the runtime heal pass keeps
+// its own local counts).
 func (s *Store) sweepDebris(st *arrayState, rs *RecoveryStats) error {
+	keep := map[string]bool{st.chunksDir(): true}
+	s.mu.RLock()
+	for g := range s.retired {
+		keep[g.dir] = true
+	}
+	s.mu.RUnlock()
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
 		return err
 	}
-	committed := chunksDirName(st.Gen)
 	for _, e := range entries {
 		name := e.Name()
 		stale := name == metaFile || name == metaFile+".tmp" || name == healProbeFile ||
-			(strings.HasPrefix(name, "chunks") && name != committed)
+			(strings.HasPrefix(name, "chunks") && !keep[filepath.Join(st.dir, name)])
 		if !stale {
 			continue
 		}

@@ -136,7 +136,7 @@ const buildDirName = "chunks.build"
 // rewriteBuild writes the new chunk generation of one destructive
 // rewrite into buildDir, from the array as v snapshotted it, recording
 // every append in ws, and returns the chunk maps of v.ids (entries[i]
-// for v.ids[i]). It runs with no store lock held; v's read latch pins
+// for v.ids[i]). It runs with no store lock held; v's snapshot pins
 // the generation it reads.
 type rewriteBuild func(v *readView, buildDir string, ws *writeSet) (entries []map[string]map[string]chunkEntry, err error)
 
@@ -176,12 +176,16 @@ func (s *Store) Reorganize(name string, opts ReorganizeOptions) error {
 // deltas against versions whose decoded content no rewrite changes. So
 // the publish, under the array's writeMu, carries the
 // versions committed mid-build into the new generation frame for frame
-// — the state "rewrite, then those writes" would have produced.
+// — the state "rewrite, then those writes" would have produced. The
+// publish retires the old generation without waiting for its readers;
+// the rewrite's own reference lasts until it returns, so Close waits.
 func (s *Store) rewrite(name string, build rewriteBuild) error {
 	if err := s.writeGate(name); err != nil {
 		return err
 	}
-	st, err := s.lockRewrite(name)
+	st, err := s.lockArray(name, func(st *arrayState) []*sync.Mutex {
+		return []*sync.Mutex{&st.reorgMu}
+	})
 	if err != nil {
 		return err
 	}
@@ -190,12 +194,11 @@ func (s *Store) rewrite(name string, build rewriteBuild) error {
 	if err != nil {
 		return err
 	}
+	defer release()
 	if v.st != st {
-		release()
 		return fmt.Errorf("core: array %q was replaced during the rewrite", name)
 	}
 	if len(v.ids) == 0 {
-		release()
 		return nil
 	}
 	// clear the build path up front: a crashed non-durable run (which
@@ -216,14 +219,12 @@ func (s *Store) rewrite(name string, build rewriteBuild) error {
 		// publish's critical section is the carry-forward and the commit
 		err = s.syncBuild(ws, buildDir)
 	}
-	release()
-	var oldDir string
 	if err == nil {
 		// writeMu keeps the publish out of every write's stage-to-install
 		// window (a new generation would orphan the staged blobs) and
 		// serializes its commit with theirs, which run outside Store.mu
 		st.writeMu.Lock()
-		oldDir, err = s.publishRewrite(st, v, buildDir, entries)
+		err = s.publishRewrite(st, v, buildDir, entries)
 		st.writeMu.Unlock()
 	}
 	if err != nil {
@@ -232,30 +233,8 @@ func (s *Store) rewrite(name string, build rewriteBuild) error {
 		// chunks* debris
 		_ = s.fs.RemoveAll(buildDir)
 		s.noteDiskPressure(err)
-		return err
 	}
-	// post-commit garbage collection: waiting out in-flight readers that
-	// pinned the old generation happens with no store lock held, so new
-	// selects (on this and every other array) proceed meanwhile. The
-	// epoch bump at publish made the old generation's cache entries
-	// unreachable, but those readers may have cached more planes of it
-	// since; sweep again now that they are gone, so the bytes are freed
-	// here instead of by eviction. Then remove the old generation.
-	st.ioMu.Lock()
-	s.chunkCache.InvalidateArray(name)
-	_ = s.fs.RemoveAll(oldDir)
-	st.ioMu.Unlock()
-	return nil
-}
-
-// lockRewrite resolves an array and takes its rewrite latch, handling
-// the race where the array is dropped or replaced while waiting. The
-// caller must release st.reorgMu. The latch is always acquired without
-// holding Store.mu.
-func (s *Store) lockRewrite(name string) (*arrayState, error) {
-	return s.lockArray(name, func(st *arrayState) []*sync.Mutex {
-		return []*sync.Mutex{&st.reorgMu}
-	})
+	return err
 }
 
 // publishRewrite commits a built and synced rewrite of the versions v
@@ -271,8 +250,8 @@ func (s *Store) lockRewrite(name string) (*arrayState, error) {
 //  3. stage the new metadata (generation number, every live version's
 //     new chunk maps) and commit it as one manifest record — this is
 //     the commit point;
-//  4. install it, and hand the superseded generation back for the
-//     caller to remove once it has waited out the readers pinning it.
+//  4. install it, retiring the superseded generation: its last
+//     reader's release removes it.
 //
 // A crash before step 3 leaves the old metadata pointing at the intact
 // old generation (recovery sweeps the unreferenced new one); a crash
@@ -280,27 +259,28 @@ func (s *Store) lockRewrite(name string) (*arrayState, error) {
 // generation (recovery sweeps the old one). Callers hold reorgMu, so
 // every snapshot version is still live and the generation unchanged —
 // both are checked, as errors — and writeMu, which keeps every other
-// metadata writer off the array from the snapshot below to the install
-// and keeps v.dir in place for the carry-forward's reads;
-// Store.mu is only taken for those two.
-func (s *Store) publishRewrite(st *arrayState, v *readView, buildDir string, entries []map[string]map[string]chunkEntry) (string, error) {
+// metadata writer off the array from the snapshot below to the install;
+// Store.mu is only taken for those two. The caller's snapshot keeps
+// v's generation in place for the carry-forward's reads.
+func (s *Store) publishRewrite(st *arrayState, v *readView, buildDir string, entries []map[string]map[string]chunkEntry) error {
 	name := st.Schema.Name
 	// a write's commit may have failed uncertainly during the build, and
 	// a degraded array takes no commit until it is healed
 	if err := s.writeGate(name); err != nil {
-		return "", err
+		return err
 	}
 	s.mu.RLock()
 	closed, current := s.closed, s.arrays[name] == st
 	staged := st.metaClone()
+	gen := st.current
 	s.mu.RUnlock()
 	switch {
 	case closed:
-		return "", ErrClosed
+		return ErrClosed
 	case !current:
-		return "", fmt.Errorf("core: no array %q", name)
-	case filepath.Join(st.dir, chunksDirName(staged.Gen)) != v.dir:
-		return "", fmt.Errorf("core: array %q changed generation under its rewrite", name)
+		return fmt.Errorf("core: no array %q", name)
+	case gen != v.gen:
+		return fmt.Errorf("core: array %q changed generation under its rewrite", name)
 	}
 	pos := make(map[int]int, len(v.ids))
 	for i, id := range v.ids {
@@ -323,15 +303,15 @@ func (s *Store) publishRewrite(st *arrayState, v *readView, buildDir string, ent
 		}
 	}
 	if len(pos) > 0 {
-		return "", fmt.Errorf("core: array %q lost versions under its rewrite", name)
+		return fmt.Errorf("core: array %q lost versions under its rewrite", name)
 	}
 	ws := newWriteSet()
-	moved, err := s.carryFrames(st.Schema, v.dir, buildDir, carried, ws)
+	moved, err := s.carryFrames(st.Schema, v.gen.dir, buildDir, carried, ws)
 	if err == nil && len(carried) > 0 {
 		err = s.syncBuild(ws, buildDir)
 	}
 	if err != nil {
-		return "", err
+		return err
 	}
 	for k, vm := range carried {
 		vm.Chunks = moved[k]
@@ -351,7 +331,7 @@ func (s *Store) publishRewrite(st *arrayState, v *readView, buildDir string, ent
 	}
 	if err != nil {
 		_ = s.fs.RemoveAll(finalDir)
-		return "", err
+		return err
 	}
 	if err := s.commitMeta(st, &staged); err != nil {
 		if isUncertain(err) {
@@ -361,18 +341,18 @@ func (s *Store) publishRewrite(st *arrayState, v *readView, buildDir string, ent
 		} else {
 			_ = s.fs.RemoveAll(finalDir)
 		}
-		return "", err
+		return err
 	}
+	// decoded content is unchanged, but the new generation's id starts
+	// its cache entries afresh; the old one's go with its last release
 	s.mu.Lock()
-	oldDir := st.chunksDir()
 	st.mutateLocked()
 	st.installMeta(staged)
-	// decoded content is unchanged, but the encoding generation moved on;
-	// drop cached chunks so stale in-flight readers cannot repopulate the
-	// current generation (the epoch in every cache key enforces this)
-	s.invalidateArrayLocked(name)
+	st.current = s.newGeneration(finalDir)
+	s.retireLocked(gen, gen.dir, st.current, "")
 	s.mu.Unlock()
-	return oldDir, nil
+	s.unpin(gen)
+	return nil
 }
 
 // planLayout chooses the layout for a full rewrite, applying §IV-E
@@ -648,8 +628,8 @@ func (s *Store) DeleteVersion(name string, id int) error {
 	}
 	defer st.reorgMu.Unlock()
 	defer st.writeMu.Unlock()
-	// snapshot under a brief store lock; the I/O read latch pins the
-	// generation the re-encodes append into before the lock drops
+	// snapshot under a brief store lock; writeMu keeps the generation
+	// the re-encodes append into current
 	s.mu.RLock()
 	switch {
 	case s.closed:
@@ -664,20 +644,17 @@ func (s *Store) DeleteVersion(name string, id int) error {
 		return err
 	}
 	staged := st.metaClone()
-	st.ioMu.RLock()
 	s.mu.RUnlock()
 	ws := newWriteSet()
-	dir := filepath.Join(st.dir, chunksDirName(staged.Gen))
 	err = s.stageDeleteVersion(st, &staged, id, ws)
 	if err == nil {
-		err = s.syncWrites(st, ws, dir)
+		err = s.syncWrites(st, ws, st.current.dir)
 	}
 	if err == nil {
 		if err = s.commitMeta(st, &staged); err != nil && isUncertain(err) {
 			s.noteCommitFailure(st, err)
 		}
 	}
-	st.ioMu.RUnlock()
 	if err != nil {
 		ws.sweep(s)
 		s.noteDiskPressure(err)
@@ -687,17 +664,12 @@ func (s *Store) DeleteVersion(name string, id int) error {
 	st.mutateLocked()
 	st.installMeta(staged)
 	s.mu.Unlock()
-	// drain in-flight readers before sweeping the cache: a reader that
-	// snapshotted before the delete may otherwise re-insert entries after
-	// the sweep, leaving them resident until eviction pressure finds
-	// them.
-	st.ioMu.Lock()
-	st.ioMu.Unlock() //nolint:staticcheck // empty critical section = barrier
 	// only the deleted version's decoded chunks are invalid — children
 	// were re-encoded but their decoded content is unchanged, so the
-	// rest of the array's warm cache stays (no epoch bump: version ids
-	// are never reused, and selects reject deleted ids before any cache
-	// lookup)
+	// rest of the array's warm cache stays. A reader that snapshotted
+	// before the delete may re-admit an entry after this sweep; no
+	// reader can find it (version ids are never reused, and selects
+	// reject deleted ids before any cache lookup), so eviction clears it
 	s.chunkCache.InvalidateVersion(name, id)
 	return nil
 }
@@ -706,13 +678,16 @@ func (s *Store) DeleteVersion(name string, id int) error {
 // bases on version id, then marks id deleted. The re-encodes only ever
 // append (fresh FileSeq files in per-version mode, chain tails in
 // co-located mode), so in-flight readers keep decoding their snapshots
-// without a latch. Callers hold the array's writeMu and the I/O read
-// latch of staged's generation.
+// without a latch. Callers hold the array's writeMu, which keeps
+// staged's generation current.
 func (s *Store) stageDeleteVersion(st *arrayState, staged *arrayMeta, id int, ws *writeSet) error {
-	v := s.viewOfMeta(st, staged)
+	// the staged document's view: its re-encodes, already on disk, read
+	// before the install; staged ids must never reach the LRU
+	v := viewOf(st, staged.Versions)
+	v.noLookup, v.noAdmit = true, true
 	vm := v.byID[id]
 	qc := newChunkCache()
-	ctx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.dir, sparse: staged.SparseRep}
+	ctx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.gen.dir, sparse: staged.SparseRep}
 	full := array.BoxOf(st.Schema.Shape())
 	for si, child := range staged.Versions {
 		if child.ID == id || child.Deleted {
@@ -807,7 +782,7 @@ func (s *Store) Compact(name string) error {
 		for i, id := range v.ids {
 			vms[i] = v.byID[id]
 		}
-		return s.carryFrames(v.st.Schema, v.dir, buildDir, vms, ws)
+		return s.carryFrames(v.st.Schema, v.gen.dir, buildDir, vms, ws)
 	})
 }
 

@@ -326,7 +326,7 @@ func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Ch
 	box := ck.Box(origin)
 	dt := st.Schema.Attrs[st.Schema.AttrIndex(attr)].Type
 	ckey := func(id int) cache.Key {
-		return cache.Key{Array: st.Schema.Name, Epoch: v.epoch, Version: id, Attr: attr, Chunk: key}
+		return cache.Key{Array: st.Schema.Name, Gen: v.gen.id, Version: id, Attr: attr, Chunk: key}
 	}
 	fail := func(id int, err error) error {
 		return fmt.Errorf("core: chunk %s/%s of version %d: %w", attr, key, id, err)
@@ -437,7 +437,7 @@ func (s *Store) readChunkFrames(v *readView, frames []frameRef, tk *opTracker) (
 		return nil, nil
 	}
 	t0 := time.Now()
-	raws, err := s.readFrames(v.dir, frames)
+	raws, err := s.readFrames(v.gen.dir, frames)
 	if err != nil {
 		return nil, err
 	}
@@ -509,7 +509,7 @@ func (s *Store) resolveSparse(v *readView, id int, attr string, local map[int]sp
 		return got.sp, got.shared, nil
 	}
 	st := v.st
-	ckey := cache.Key{Array: st.Schema.Name, Epoch: v.epoch, Version: id, Attr: attr, Chunk: "chunk-full"}
+	ckey := cache.Key{Array: st.Schema.Name, Gen: v.gen.id, Version: id, Attr: attr, Chunk: "chunk-full"}
 	if !v.noLookup {
 		t0 := time.Now()
 		got, ok := s.chunkCache.Get(ckey)

@@ -35,7 +35,7 @@ func (r VerifyReport) Ok() bool { return len(r.Problems) == 0 }
 // It checks an uncached snapshot with Store.mu released: every payload
 // is read from disk, never from the chunk cache, so a corrupt frame is
 // reported however warm the cache is, and like any select the decode
-// holds only the array's I/O latch, shared.
+// holds only a pin on the array's generation.
 func (s *Store) Verify(name string) (VerifyReport, error) {
 	view, release, err := s.snapshotUncached(name)
 	if err != nil {
@@ -107,7 +107,7 @@ func (s *Store) Verify(name string) (VerifyReport, error) {
 		}
 	}
 	// dangling bytes: file sizes minus referenced ranges
-	entries, err := os.ReadDir(view.dir)
+	entries, err := os.ReadDir(view.gen.dir)
 	if err != nil {
 		return rep, err
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 )
@@ -18,12 +17,10 @@ import (
 // its id list and byID map, whose records it shares with the committed
 // document.
 type readView struct {
-	st    *arrayState
-	epoch uint64
-	// dir pins the chunk generation the snapshot reads from: a
-	// destructive rewrite commits a new generation directory, and a
-	// reader must keep decoding the one its metadata references.
-	dir string
+	st *arrayState
+	// gen is the chunk generation the view reads from; a snapshot's
+	// reference keeps its directory in place until the release.
+	gen *generation
 	// ids lists the live version IDs in version order (the order
 	// Reorganize and the materialization matrix use).
 	ids []int
@@ -41,15 +38,82 @@ type readView struct {
 	byID map[int]*versionMeta
 }
 
-// viewLocked builds a readView for st. Callers hold Store.mu (read or
-// write). It copies only the live ids and their record pointers (see
-// readView.byID for why sharing the records is safe), so a snapshot
-// costs O(versions), independent of attribute and chunk count.
-func (s *Store) viewLocked(st *arrayState) *readView {
-	v := &readView{st: st, epoch: s.epochs[st.Schema.Name], dir: st.chunksDir()}
-	v.ids = make([]int, 0, len(st.Versions))
-	v.byID = make(map[int]*versionMeta, len(st.Versions))
-	for _, vm := range st.Versions {
+// generation is one chunk directory of one array as readers see it, a
+// value they pin (LevelDB's reference-counted Version). The array holds
+// one reference to its current generation; a snapshot takes another
+// under Store.mu and its release drops it with one atomic decrement. A
+// rewrite's publish and DeleteArray retire it at install, dropping the
+// array's reference, and whoever drops the last one cleans it up
+// (unpin). Writers take no reference: every path that retires a
+// generation holds the array's writeMu, as every writer does.
+type generation struct {
+	dir string
+	// id is store-unique and never reused, even across a drop and a
+	// same-name create: it is the Gen of every cache key read from dir.
+	id   uint64
+	refs atomic.Int64
+	// set under Store.mu by retireLocked, read by the last release
+	remove string      // the path the last release removes; "" if Close retired it
+	next   *generation // the successor it holds a reference on, or nil
+	drop   string      // the name of the array a DeleteArray dropped, or ""
+}
+
+// newGeneration returns dir as a generation holding its array's
+// reference.
+func (s *Store) newGeneration(dir string) *generation {
+	g := &generation{dir: dir, id: s.genSeq.Add(1)}
+	g.refs.Store(1)
+	return g
+}
+
+// retireLocked ends g's time as its array's current generation. A
+// rewrite passes g's successor as next: g holds a reference on it until
+// g goes, so an array's generations go oldest first and a drop's
+// removal of the array directory never pulls an older generation from
+// under its reader. Callers hold Store.mu exclusively and drop the
+// array's reference with unpin once it is released.
+func (s *Store) retireLocked(g *generation, remove string, next *generation, drop string) {
+	g.remove, g.next, g.drop = remove, next, drop
+	if next != nil {
+		next.refs.Add(1)
+	}
+	s.retired[g] = true
+}
+
+// unpin drops one reference to g, taking no store lock unless it drops
+// a retired generation's last: that one removes what g retired, sweeps
+// its cache entries, ends a drop, wakes the waiters on released, and
+// releases the successor.
+func (s *Store) unpin(g *generation) {
+	if g.refs.Add(-1) > 0 {
+		return
+	}
+	if g.remove != "" {
+		// a failure leaves debris for the next durable open's sweep
+		_ = s.fs.RemoveAll(g.remove)
+		s.chunkCache.InvalidateGen(g.id)
+	}
+	s.mu.Lock()
+	delete(s.retired, g)
+	if g.drop != "" {
+		delete(s.dropping, g.drop)
+	}
+	s.mu.Unlock()
+	s.released.Broadcast()
+	if g.next != nil {
+		s.unpin(g.next)
+	}
+}
+
+// viewOf builds a readView of the live versions among vms in st's
+// current generation. Callers hold Store.mu, or the array's writeMu,
+// which keeps the generation current. It copies only the live ids and
+// their record pointers (see readView.byID for why sharing the records
+// is safe), so a snapshot costs O(versions), independent of attribute
+// and chunk count.
+func viewOf(st *arrayState, vms []*versionMeta) *readView {
+	v := &readView{st: st, gen: st.current, ids: make([]int, 0, len(vms)), byID: make(map[int]*versionMeta, len(vms))}
+	for _, vm := range vms {
 		if !vm.Deleted {
 			v.ids = append(v.ids, vm.ID)
 			v.byID[vm.ID] = vm
@@ -59,45 +123,26 @@ func (s *Store) viewLocked(st *arrayState) *readView {
 }
 
 // snapshot takes the store lock briefly to view the named array's
-// metadata and acquire its I/O read latch, then releases the store lock.
-// The returned release func must be called when the query is done. The
-// latch is acquired while still under Store.mu, which is what makes it
-// race-free: a destructive mutator installs its change under Store.mu
-// and only then requests the exclusive latch (with Store.mu released),
-// so a reader that snapshotted the old state already holds the latch
-// the mutator drains.
+// metadata and pin its generation, then releases the store lock. The
+// returned release func must be called when the query is done. The
+// reference is taken under Store.mu: a mutator swaps the generation
+// under Store.mu exclusively, so a reader either pinned the old one
+// before its retirement or sees the new one.
 //
 // The view is memoized on the arrayState between mutations: views are
 // immutable once built, so concurrent readers share one, and repeated
 // selects skip building it entirely. A mutator clears the memo
 // and installs its change in one Store.mu section, so a reader can never
 // store a view that predates a mutation after that mutation's clear.
-func (s *Store) snapshot(name string) (*readView, func(), error) {
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, nil, ErrClosed
-	}
-	st, ok := s.arrays[name]
-	if !ok {
-		s.mu.RUnlock()
-		return nil, nil, fmt.Errorf("core: no array %q", name)
-	}
-	v := st.cachedView.Load()
-	if v == nil || v.epoch != s.epochs[name] {
-		v = s.viewLocked(st)
-		st.cachedView.Store(v)
-	}
-	st.ioMu.RLock()
-	s.mu.RUnlock()
-	return v, st.ioMu.RUnlock, nil
-}
+func (s *Store) snapshot(name string) (*readView, func(), error) { return s.pin(name, false) }
 
 // snapshotUncached is snapshot for bulk scans: it returns a private
 // (never memoized) view whose reads bypass the store-wide chunk cache,
 // so decoding every version of an array leaves the LRU's hot working
 // set untouched.
-func (s *Store) snapshotUncached(name string) (*readView, func(), error) {
+func (s *Store) snapshotUncached(name string) (*readView, func(), error) { return s.pin(name, true) }
+
+func (s *Store) pin(name string, uncached bool) (*readView, func(), error) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -108,34 +153,18 @@ func (s *Store) snapshotUncached(name string) (*readView, func(), error) {
 		s.mu.RUnlock()
 		return nil, nil, fmt.Errorf("core: no array %q", name)
 	}
-	v := s.viewLocked(st)
-	v.noLookup, v.noAdmit = true, true
-	st.ioMu.RLock()
+	var v *readView
+	if uncached {
+		v = viewOf(st, st.Versions)
+		v.noLookup, v.noAdmit = true, true
+	} else if v = st.cachedView.Load(); v == nil {
+		v = viewOf(st, st.Versions)
+		st.cachedView.Store(v)
+	}
+	g := v.gen
+	g.refs.Add(1)
 	s.mu.RUnlock()
-	return v, st.ioMu.RUnlock, nil
-}
-
-// viewOfMeta builds a readView over a staged metadata document: reads
-// resolve against the staged version set and the generation it names.
-// Staged versions' payloads are already on disk (appends precede the
-// commit), so the view can decode them before the install. It bypasses
-// the store-wide LRU both ways: it has no epoch to look up with, and
-// staged version ids must never become visible through the LRU.
-func (s *Store) viewOfMeta(st *arrayState, m *arrayMeta) *readView {
-	v := &readView{
-		st:       st,
-		dir:      filepath.Join(st.dir, chunksDirName(m.Gen)),
-		noLookup: true, noAdmit: true,
-		byID: make(map[int]*versionMeta),
-	}
-	for _, vm := range m.Versions {
-		if vm.Deleted {
-			continue
-		}
-		v.ids = append(v.ids, vm.ID)
-		v.byID[vm.ID] = vm
-	}
-	return v
+	return v, func() { s.unpin(g) }, nil
 }
 
 // mutateLocked marks a metadata mutation: it drops the memoized read

@@ -24,16 +24,18 @@ import (
 // needs Store.mu would hang if the mutator held it there.
 
 // hookFS calls onMkdir before a directory is created, onAppend before a
-// file is opened for append and onSync inside a file's Sync; any may
-// block. A non-nil appendErr, called after onAppend, fails that open; a
-// non-nil syncErr, called after onSync, fails that Sync.
+// file is opened for append, onSync inside a file's Sync and
+// onRemoveAll before a tree is removed; any may block. A non-nil
+// appendErr, called after onAppend, fails that open; a non-nil syncErr,
+// called after onSync, fails that Sync.
 type hookFS struct {
 	fsio.FS
-	onMkdir   func(path string)
-	onAppend  func(path string)
-	onSync    func(path string)
-	appendErr func(path string) error
-	syncErr   func(path string) error
+	onMkdir     func(path string)
+	onAppend    func(path string)
+	onSync      func(path string)
+	onRemoveAll func(path string)
+	appendErr   func(path string) error
+	syncErr     func(path string) error
 }
 
 func (h *hookFS) MkdirAll(path string) error {
@@ -41,6 +43,13 @@ func (h *hookFS) MkdirAll(path string) error {
 		h.onMkdir(path)
 	}
 	return h.FS.MkdirAll(path)
+}
+
+func (h *hookFS) RemoveAll(path string) error {
+	if h.onRemoveAll != nil {
+		h.onRemoveAll(path)
+	}
+	return h.FS.RemoveAll(path)
 }
 
 func (h *hookFS) Append(path string) (fsio.File, error) {
@@ -600,11 +609,12 @@ func TestDeletesHoldNoStoreLockAcrossIO(t *testing.T) {
 	}
 }
 
-// TestCloseAndCreateWaitForDrop parks DeleteArray in its reader drain —
-// committed and unpublished, but with a reader still holding the array's
-// read latch — and checks that a same-name CreateArray waits for the
-// drop instead of failing, and that Close waits for the dropped array's
-// reader instead of closing its chunk handles underneath it.
+// TestCloseAndCreateWaitForDrop commits a DeleteArray while a reader
+// still pins the array's generation — the array is unpublished, but its
+// tree stays until the reader releases — and checks that a same-name
+// CreateArray waits for the drop instead of failing, and that Close
+// waits for the dropped array's reader instead of returning while its
+// release still has a tree to remove.
 func TestCloseAndCreateWaitForDrop(t *testing.T) {
 	const side = 16
 	opts := smallOpts()
@@ -613,7 +623,7 @@ func TestCloseAndCreateWaitForDrop(t *testing.T) {
 	defer s.Close()
 	content := crashContent(1, side)
 	// parkDrop snapshots D (the parked reader), starts DeleteArray and
-	// returns once the drop waits on that reader
+	// returns once the drop is committed and left to that reader
 	parkDrop := func() (*readView, func(), chan error) {
 		t.Helper()
 		if err := s.CreateArray(schema2D("D", side)); err != nil {
@@ -628,10 +638,10 @@ func TestCloseAndCreateWaitForDrop(t *testing.T) {
 		}
 		done := make(chan error, 1)
 		go func() { done <- s.DeleteArray("D") }()
-		within(t, "the drop reaching its reader drain", func() {
+		within(t, "the drop committing", func() {
 			for {
 				s.mu.RLock()
-				dropping := s.dropping["D"] != nil
+				dropping := s.dropping["D"]
 				s.mu.RUnlock()
 				if dropping {
 					return
@@ -652,7 +662,7 @@ func TestCloseAndCreateWaitForDrop(t *testing.T) {
 		t.Helper()
 		select {
 		case err := <-ch:
-			t.Errorf("%s returned (%v) while the drop was still draining its reader", what, err)
+			t.Errorf("%s returned (%v) while a reader still pinned the dropped array", what, err)
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
@@ -689,6 +699,103 @@ func TestCloseAndCreateWaitForDrop(t *testing.T) {
 			t.Errorf("Close: %v", err)
 		}
 	})
+}
+
+// TestCloseWaitsForInFlightWork parks a mutation in a filesystem call
+// and closes the store: a Reorganize in its build's fsync, which keeps
+// its generation reference until it returns, and a CreateArray in its
+// directory creation. Close waits for each: the rewrite's publish is
+// refused with ErrClosed and its build removed, the creation commits,
+// and only then does Close return — no filesystem mutation happens
+// after it. The removal of a build is slowed, so a Close that returned
+// first is seen.
+func TestCloseWaitsForInFlightWork(t *testing.T) {
+	const side = 16
+	cases := []struct {
+		name string
+		// parks reports whether a hooked call ("sync" or "mkdir") parks
+		parks func(hook, path string) bool
+		op    func(s *Store) error
+		want  error
+	}{
+		{"Reorganize",
+			func(hook, path string) bool { return hook == "sync" && isBuildDir(filepath.Dir(path)) },
+			func(s *Store) error { return s.Reorganize("R", ReorganizeOptions{Policy: PolicyLinearChain}) },
+			ErrClosed},
+		{"CreateArray",
+			func(hook, path string) bool { return hook == "mkdir" && filepath.Base(filepath.Dir(path)) == "N" },
+			func(s *Store) error { return s.CreateArray(schema2D("N", side)) },
+			nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var closeReturned, armed atomic.Bool
+			park, unpark := make(chan struct{}), make(chan struct{})
+			hook := func(kind string) func(path string) {
+				return func(path string) {
+					if c.parks(kind, path) && armed.CompareAndSwap(true, false) {
+						close(park)
+						<-unpark
+					}
+					if closeReturned.Load() {
+						t.Errorf("filesystem %s of %s after Close returned", kind, path)
+					}
+				}
+			}
+			hfs := &hookFS{FS: fsio.OS, onMkdir: hook("mkdir"), onAppend: hook("append"), onSync: hook("sync")}
+			removeAll := hook("removal")
+			hfs.onRemoveAll = func(path string) {
+				if isBuildDir(path) {
+					time.Sleep(30 * time.Millisecond)
+				}
+				removeAll(path)
+			}
+			opts := smallOpts()
+			opts.ChunkBytes = 1 << 10
+			opts.Durability = true
+			opts.HealInterval = -1
+			opts.FS = hfs
+			s := testStore(t, opts)
+			var once sync.Once
+			release := func() { once.Do(func() { close(unpark) }) }
+			t.Cleanup(func() { release(); s.Close() })
+			if err := s.CreateArray(schema2D("R", side)); err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(1); i <= 3; i++ {
+				if _, err := s.Insert("R", DensePayload(crashContent(i, side))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			armed.Store(true)
+			done := make(chan error, 1)
+			go func() { done <- c.op(s) }()
+			<-park
+			closed := make(chan error, 1)
+			go func() {
+				err := s.Close()
+				closeReturned.Store(true)
+				closed <- err
+			}()
+			select {
+			case err := <-closed:
+				t.Fatalf("Close returned (%v) while the %s was parked", err, c.name)
+			case <-time.After(50 * time.Millisecond):
+			}
+			release()
+			within(t, "the "+c.name+" and the Close", func() {
+				if err := <-done; !errors.Is(err, c.want) {
+					t.Errorf("%s: %v, want %v", c.name, err, c.want)
+				}
+				if err := <-closed; err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			})
+			if dirs, _ := filepath.Glob(filepath.Join(s.Dir(), "R", "chunks.build*")); len(dirs) != 0 {
+				t.Fatalf("the refused rewrite left its build: %v", dirs)
+			}
+		})
+	}
 }
 
 // TestInsertMultiTraceStages: a traced cross-array Write reports every

@@ -118,8 +118,9 @@ func TestInsertReadsNoChainWithCache(t *testing.T) {
 			for i, v := range versions {
 				mustSelect(t, s, "X", i+1, v)
 			}
-			// a rewrite moves the epoch and sweeps the cache: the first
-			// insert after it reads its base, the second finds it again
+			// a rewrite starts a new generation and sweeps the old one's
+			// cache entries: the first insert after it reads its base, the
+			// second finds it again
 			if err := s.Reorganize("X", ReorganizeOptions{Policy: PolicyLinearChain}); err != nil {
 				t.Fatal(err)
 			}

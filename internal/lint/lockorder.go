@@ -13,7 +13,7 @@ import (
 // partial order (see Store/arrayState doc comments and DESIGN.md
 // "Static analysis") is:
 //
-//	reorgMu < writeMu < Store.mu < ioMu < healthMu < statsMu
+//	reorgMu < writeMu < Store.mu < healthMu < statsMu
 //
 // The analyzer builds a static acquisition graph from direct
 // .Lock()/.RLock() calls, from lockArray call sites (the func-literal
@@ -52,7 +52,7 @@ var LockOrder = &Analyzer{
 
 // lockOrderDoc is the canonical order, embedded in diagnostics so the
 // fix is in the message.
-const lockOrderDoc = "reorgMu < writeMu < Store.mu < ioMu < healthMu < statsMu"
+const lockOrderDoc = "reorgMu < writeMu < Store.mu < healthMu < statsMu"
 
 // lockRank maps "Type.field" to its position in the partial order.
 // Lower ranks are acquired first. Locks not listed here (writeSet.mu,
@@ -62,7 +62,6 @@ var lockRank = map[string]int{
 	"arrayState.reorgMu": 0,
 	"arrayState.writeMu": 10,
 	"Store.mu":           30,
-	"arrayState.ioMu":    40,
 	"Store.healthMu":     60,
 	"Store.statsMu":      70,
 }

@@ -35,15 +35,13 @@ func (s *Store) ioUnderLatch(st *arrayState, path string) {
 	_ = s.appendRecord()
 }
 
-// the same calls under the I/O read latch, pinned under a brief store
-// lock that is released first; the install retakes it: clean
-func (s *Store) ioUnderReadLatch(st *arrayState, path string) {
+// the same calls after a snapshot under a brief store lock that is
+// released first; the install retakes it: clean
+func (s *Store) ioAfterSnapshot(path string) {
 	s.mu.RLock()
-	st.ioMu.RLock()
 	s.mu.RUnlock()
 	_ = s.fs.Remove(path)
 	_ = s.appendRecord()
-	st.ioMu.RUnlock()
 	s.mu.Lock()
 	s.mu.Unlock()
 }
