@@ -30,6 +30,7 @@ const DefaultChunkBytes = 10 << 20
 type Chunker struct {
 	shape []int64 // array extents
 	side  []int64 // chunk stride per dimension
+	count []int64 // chunks per dimension
 }
 
 // New derives the chunk stride from a target byte size, following the
@@ -62,7 +63,7 @@ func New(shape []int64, elemSize int, chunkBytes int64) (*Chunker, error) {
 			side[i] = s
 		}
 	}
-	return &Chunker{shape: append([]int64(nil), shape...), side: side}, nil
+	return NewWithSide(shape, side)
 }
 
 // NewWithSide builds a Chunker with an explicit per-dimension stride.
@@ -75,7 +76,11 @@ func NewWithSide(shape, side []int64) (*Chunker, error) {
 			return nil, fmt.Errorf("chunk: non-positive extent or stride in dimension %d", i)
 		}
 	}
-	return &Chunker{shape: append([]int64(nil), shape...), side: append([]int64(nil), side...)}, nil
+	c := &Chunker{shape: append([]int64(nil), shape...), side: append([]int64(nil), side...), count: make([]int64, len(shape))}
+	for i := range shape {
+		c.count[i] = (shape[i] + side[i] - 1) / side[i]
+	}
+	return c, nil
 }
 
 // Shape returns the array extents.
@@ -88,13 +93,7 @@ func (c *Chunker) Side() []int64 { return c.side }
 func (c *Chunker) NDim() int { return len(c.shape) }
 
 // CountPerDim returns the number of chunks along each dimension.
-func (c *Chunker) CountPerDim() []int64 {
-	out := make([]int64, len(c.shape))
-	for i := range c.shape {
-		out[i] = (c.shape[i] + c.side[i] - 1) / c.side[i]
-	}
-	return out
-}
+func (c *Chunker) CountPerDim() []int64 { return append([]int64(nil), c.count...) }
 
 // Count returns the total number of chunks.
 func (c *Chunker) Count() int64 {
@@ -113,6 +112,28 @@ func (c *Chunker) ChunkOf(cell []int64) []int64 {
 		origin[i] = cell[i] / c.side[i] * c.side[i]
 	}
 	return origin
+}
+
+// Locate maps a cell, given by its row-major flat index in the whole
+// array, to the chunk holding it — its row-major index among All() — and
+// to the cell's row-major flat index within that chunk's (clipped) box.
+// It divides once per dimension for the cell's coordinate (none for the
+// outermost) and once for its chunk.
+func (c *Chunker) Locate(flat int64) (chunk int, local int64) {
+	var cidx, cstride, lstride int64 = 0, 1, 1
+	for d := len(c.shape) - 1; d >= 0; d-- {
+		x := flat
+		if d > 0 {
+			x, flat = flat%c.shape[d], flat/c.shape[d]
+		}
+		ci := x / c.side[d]
+		lo := ci * c.side[d]
+		cidx += ci * cstride
+		local += (x - lo) * lstride
+		cstride *= c.count[d]
+		lstride *= min(c.side[d], c.shape[d]-lo)
+	}
+	return int(cidx), local
 }
 
 // Box returns the cell region covered by the chunk at the given origin,

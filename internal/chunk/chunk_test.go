@@ -219,3 +219,32 @@ func TestTinyChunkBytes(t *testing.T) {
 		t.Fatalf("count = %d", c.Count())
 	}
 }
+
+// TestLocate checks Locate against the chunk boxes: every cell of a
+// ragged 3-D array maps to the All() index of the chunk whose box holds
+// it, at its row-major offset inside that box.
+func TestLocate(t *testing.T) {
+	shape := []int64{7, 5, 9}
+	c, err := NewWithSide(shape, []int64{3, 2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	origins := c.All()
+	a := array.MustDense(array.Int8, shape)
+	for flat := int64(0); flat < a.NumCells(); flat++ {
+		coords := a.Coords(flat)
+		ci, local := c.Locate(flat)
+		box := c.Box(origins[ci])
+		if !box.Contains(coords) {
+			t.Fatalf("cell %v: chunk %d box %v does not hold it", coords, ci, box)
+		}
+		in := array.MustDense(array.Int8, box.Shape())
+		rel := make([]int64, len(coords))
+		for d := range coords {
+			rel[d] = coords[d] - box.Lo[d]
+		}
+		if want := in.FlatIndex(rel); local != want {
+			t.Fatalf("cell %v: local %d, want %d", coords, local, want)
+		}
+	}
+}

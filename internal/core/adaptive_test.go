@@ -408,12 +408,12 @@ func TestTunePlanOfDroppedArrayIsNotReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, planes, err := s.loadPlanesView(v)
+	memo, err := s.decodeLive(v)
 	release()
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := &rewritePlan{st: v.st, ids: ids, planes: planes, layout: layout.LinearChain(len(ids))}
+	plan := &rewritePlan{st: v.st, ids: v.ids, memo: memo, layout: layout.LinearChain(len(v.ids))}
 	if err := s.DeleteArray("A"); err != nil {
 		t.Fatal(err)
 	}

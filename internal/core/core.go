@@ -426,16 +426,21 @@ func (s *Store) Close() error {
 		st.writeMu.Lock()
 		st.writeMu.Unlock()
 	}
-	// nothing retires a generation any more: retire every current one
-	// in place, keeping its files — drop the array's reference and track
-	// the generation while a reader pins it — and wait out the references
+	// once every creation has ended (a Branch or Merge that lost the
+	// race has rolled its array back by then), nothing retires a
+	// generation any more: retire every current one in place, keeping
+	// its files — drop the array's reference and track the generation
+	// while a reader pins it — and wait out the references
 	s.mu.Lock()
+	for len(s.creating) > 0 {
+		s.released.Wait()
+	}
 	for _, st := range s.arrays {
 		if st.current.refs.Add(-1) > 0 {
 			s.retired[st.current] = true
 		}
 	}
-	for len(s.retired) > 0 || len(s.creating) > 0 {
+	for len(s.retired) > 0 {
 		s.released.Wait()
 	}
 	s.mu.Unlock()
@@ -739,7 +744,7 @@ func (s *Store) CreateArray(schema array.Schema) error {
 	if err != nil {
 		return err
 	}
-	return s.publishArray(st)
+	return s.publishArray(st, false)
 }
 
 // newArrayState builds the state of an array that does not exist yet;
@@ -768,8 +773,10 @@ func (s *Store) newArrayState(schema array.Schema, branchedFrom *BranchRef) (*ar
 // run with Store.mu released; the name is reserved in s.creating
 // meanwhile so a concurrent creator of the same name fails instead of
 // committing a second document. A creator of a name whose DeleteArray is
-// still removing the tree waits for the drop to finish.
-func (s *Store) publishArray(st *arrayState) error {
+// still removing the tree waits for the drop to finish. With hold, a
+// published name stays reserved until the caller's endCreate, so Close
+// waits for what the caller does next.
+func (s *Store) publishArray(st *arrayState, hold bool) error {
 	name := st.Schema.Name
 	if err := s.writeGate(name); err != nil {
 		return err
@@ -793,13 +800,22 @@ func (s *Store) publishArray(st *arrayState) error {
 	}
 	err = s.commitNewArray(st)
 	s.mu.Lock()
-	delete(s.creating, name)
 	if err == nil {
 		s.arrays[name] = st
 	}
 	s.mu.Unlock()
-	s.released.Broadcast()
+	if err != nil || !hold {
+		s.endCreate(name)
+	}
 	return err
+}
+
+// endCreate ends the reservation of a name publishArray took.
+func (s *Store) endCreate(name string) {
+	s.mu.Lock()
+	delete(s.creating, name)
+	s.mu.Unlock()
+	s.released.Broadcast()
 }
 
 func (s *Store) commitNewArray(st *arrayState) error {
@@ -854,18 +870,20 @@ func (s *Store) DeleteArray(name string) error {
 		return err
 	}
 	defer st.writeMu.Unlock()
-	return s.dropArray(st)
+	return s.dropArray(st, false)
 }
 
 // dropArray is DeleteArray for callers that already hold
-// st.writeMu (Branch and Merge rolling back their new array).
-func (s *Store) dropArray(st *arrayState) error {
+// st.writeMu (Branch and Merge rolling back their new array). A
+// rollback (reserved: the caller still holds the name in s.creating,
+// so Close is waiting for it) runs on a closed store too.
+func (s *Store) dropArray(st *arrayState, reserved bool) error {
 	name := st.Schema.Name
 	s.mu.RLock()
 	closed, current := s.closed, s.arrays[name] == st
 	s.mu.RUnlock()
 	switch {
-	case closed:
+	case closed && !reserved:
 		return ErrClosed
 	case !current:
 		return fmt.Errorf("core: no array %q", name)

@@ -11,6 +11,7 @@ import (
 
 	"arrayvers/internal/array"
 	"arrayvers/internal/cache"
+	"arrayvers/internal/chunk"
 	"arrayvers/internal/compress"
 	"arrayvers/internal/delta"
 	"arrayvers/internal/trace"
@@ -122,9 +123,10 @@ func DeltaListPayload(base int, updates []CellUpdate) Payload {
 // encodes against: the metadata view it resolves bases through, the
 // chunk directory of the generation it pinned, the representation it
 // encodes with, the write-set recording its appends,
-// and a per-stage chunk memo so repeated base reads walk each delta
-// chain once. A write's view reads the LRU but never admits to it
-// (noAdmit); its own chunks reach the LRU through head, on commit.
+// and a per-stage chunk memo (never nil) so repeated base reads walk
+// each delta chain once — a rewrite's holds every version's chunks. A
+// write's view reads the LRU but never admits to it (noAdmit); its own
+// chunks reach the LRU through head, on commit.
 type insertCtx struct {
 	st    *arrayState
 	v     *readView
@@ -478,12 +480,9 @@ func (s *Store) stagePayload(ctx *insertCtx, p Payload, id int, kind string) (*v
 		Kind:    kind,
 		Chunks:  make(map[string]map[string]chunkEntry),
 	}
-	baseID, base, err := s.chooseDeltaBase(ctx, planes)
-	if err != nil {
-		return nil, err
-	}
+	baseID := s.chooseDeltaBase(ctx, planes)
 	for ai, attr := range st.Schema.Attrs {
-		entries, err := s.encodePlane(ctx, id, attr, planes[ai], baseID, base[ai])
+		entries, err := s.encodePlane(ctx, id, attr, planes[ai], baseID)
 		if err != nil {
 			return nil, err
 		}
@@ -743,15 +742,18 @@ func dedupInts(in []int) []int {
 // DeltaCandidates versions with the materialized size ("the payload is
 // analyzed so it can be encoded as a delta off of an existing version",
 // §II-A). Candidates come from the staging view, so later members of a
-// batch can delta against earlier ones. Returns the base's id and its
-// content, one plane per attribute — id 0 and empty planes to
-// materialize.
-func (s *Store) chooseDeltaBase(ctx *insertCtx, planes []Plane) (int, []Plane, error) {
+// batch can delta against earlier ones. A dense candidate is priced
+// from its cells at delta.SampleCells' draw (seed: the candidate's id),
+// gathered chunk by chunk through the view and the stage memo — never
+// assembled — so a candidate the LRU holds costs no copy, and encodePlane
+// finds its chunks in the memo. Only the first attribute is priced, and
+// a candidate that cannot be read is skipped. It returns the base's id,
+// 0 to materialize.
+func (s *Store) chooseDeltaBase(ctx *insertCtx, planes []Plane) int {
 	v := ctx.v
-	attrs := ctx.st.Schema.Attrs
-	base := make([]Plane, len(attrs))
+	attr := ctx.st.Schema.Attrs[0].Name
 	if !s.opts.AutoDelta || len(v.ids) == 0 {
-		return 0, base, nil
+		return 0
 	}
 	k := s.opts.DeltaCandidates
 	if k > len(v.ids) {
@@ -764,51 +766,166 @@ func (s *Store) chooseDeltaBase(ctx *insertCtx, planes []Plane) (int, []Plane, e
 	} else {
 		matSize = delta.MaterializedSize(pl.Dense)
 	}
-	full := array.BoxOf(ctx.st.Schema.Shape())
 	bestBase, bestSize := 0, matSize
 	for i := len(v.ids) - k; i < len(v.ids); i++ {
 		cand := v.ids[i]
-		basePl, err := s.readRegionView(ctx.context(), v, cand, attrs[0].Name, full, ctx.qc, nil)
-		if err != nil {
-			continue
-		}
 		var size int64
 		if pl.IsSparse() {
-			blob, err := delta.EncodeSparseOps(pl.Sparse, basePl.Sparse)
+			base, _, err := s.resolveSparse(v, cand, attr, ctx.qc.sparseMap(attr), 0, nil)
+			if err != nil {
+				continue
+			}
+			blob, err := delta.EncodeSparseOps(pl.Sparse, base)
 			if err != nil {
 				continue
 			}
 			size = int64(len(blob))
 		} else {
-			size = delta.EstimateSize(pl.Dense, basePl.Dense, s.opts.EstimateSample, int64(cand))
+			var err error
+			if size, err = s.estimateDelta(ctx, pl.Dense, cand, attr); err != nil {
+				continue
+			}
 		}
 		if size < bestSize {
-			bestBase, bestSize, base[0] = cand, size, basePl
+			bestBase, bestSize = cand, size
 		}
 	}
-	for ai := 1; bestBase > 0 && ai < len(attrs); ai++ {
+	return bestBase
+}
+
+// estimateDelta is delta.EstimateSize(target, cand's plane of attr,
+// EstimateSample, cand) without cand's plane: the sampled estimate
+// gathers cand's cells at the draw chunk by chunk. Only the exact
+// estimate (at most EstimateSample cells, or no sampling) encodes every
+// cell, so it assembles cand's plane from its chunks.
+func (s *Store) estimateDelta(ctx *insertCtx, target *array.Dense, cand int, attr string) (int64, error) {
+	n, sample := target.NumCells(), s.opts.EstimateSample
+	if sample <= 0 || int64(sample) >= n {
+		base, err := s.assemble(ctx.context(), ctx.v, cand, attr, ctx.qc)
+		if err != nil {
+			return 0, err
+		}
+		return delta.EstimateSize(target, base, sample, int64(cand)), nil
+	}
+	ck, err := ctx.st.chunker()
+	if err != nil {
+		return 0, err
+	}
+	idx := delta.SampleCells(n, sample, int64(cand))
+	b, err := s.gatherCells(ctx.context(), ctx.v, cand, attr, locateCells(ck, idx), ctx.qc)
+	if err != nil {
+		return 0, err
+	}
+	return delta.EstimateSampled(target.DType(), n, delta.Gather(target, idx), b), nil
+}
+
+// cellLocs are flat cell positions of a whole array located in its
+// chunks, so a version's cells there are read one chunk at a time.
+type cellLocs struct {
+	ck      *chunk.Chunker
+	origins [][]int64 // every chunk, row-major (ck.All)
+	need    []bool    // the chunks holding a position
+	chunk   []int32   // each position's chunk (an index into origins)
+	local   []int64   // each position's flat index within its chunk
+}
+
+func locateCells(ck *chunk.Chunker, idx []int64) *cellLocs {
+	b := &cellLocs{ck: ck, origins: ck.All(), chunk: make([]int32, len(idx)), local: make([]int64, len(idx))}
+	b.need = make([]bool, len(b.origins))
+	for i, flat := range idx {
+		c, l := ck.Locate(flat)
+		b.chunk[i], b.local[i] = int32(c), l
+		b.need[c] = true
+	}
+	return b
+}
+
+// gatherCells returns the bit patterns of version id's attr at the
+// located positions, in their order — delta.Gather over the version's
+// plane, read one chunk at a time: each chunk holding a position is
+// resolved through the view and the memo qc (resolveDenseChunk) on the
+// worker pool, and never copied.
+func (s *Store) gatherCells(ctx context.Context, v *readView, id int, attr string, b *cellLocs, qc *chunkCache) ([]int64, error) {
+	chunks := make([]*array.Dense, len(b.origins))
+	locals := qc.chunkMaps(attr, b.ck, b.origins)
+	err := forEachLimit(ctx, len(b.origins), s.opts.Parallelism, func(c int) error {
+		if !b.need[c] {
+			return nil
+		}
 		var err error
-		if base[ai], err = s.readRegionView(ctx.context(), v, bestBase, attrs[ai].Name, full, ctx.qc, nil); err != nil {
-			return 0, nil, err
-		}
+		chunks[c], err = s.resolveDenseChunk(v, id, attr, b.ck, b.origins[c], locals[c], nil)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return bestBase, base, nil
+	out := make([]int64, len(b.local))
+	for i, l := range b.local {
+		out[i] = chunks[b.chunk[i]].Bits(l)
+	}
+	return out, nil
+}
+
+// assemble builds version id's whole plane of dense attr from its
+// chunks, resolved through the view and the memo qc: only an exact
+// estimate — a whole-plane delta encode — needs one.
+func (s *Store) assemble(ctx context.Context, v *readView, id int, attr string, qc *chunkCache) (*array.Dense, error) {
+	ck, err := v.st.chunker()
+	if err != nil {
+		return nil, err
+	}
+	out, err := array.NewDense(v.st.Schema.Attrs[v.st.Schema.AttrIndex(attr)].Type, ck.Shape())
+	if err != nil {
+		return nil, err
+	}
+	origins := ck.All()
+	locals := qc.chunkMaps(attr, ck, origins)
+	err = forEachLimit(ctx, len(origins), s.opts.Parallelism, func(c int) error {
+		d, err := s.resolveDenseChunk(v, id, attr, ck, origins[c], locals[c], nil)
+		if err != nil {
+			return err
+		}
+		// workers write disjoint regions of out
+		return out.WriteRegion(origins[c], d)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // encodePlane chunks one attribute's content and writes every chunk —
-// the one encoder behind inserts, DeleteVersion's re-encodes and rewrites.
-// With a base (baseID > 0; base is that version's plane of the same
-// attribute) each chunk is delta-encoded against the base's chunk when
-// that is smaller ("disk space usage is calculated by trying both
-// methods and choosing the more economical one", §III-B.3).
-func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Plane, baseID int, base Plane) (map[string]chunkEntry, error) {
+// the one encoder behind inserts, DeleteVersion's re-encodes and
+// rewrites. It works one chunk at a time: the target chunk is sliced
+// out of pl, an insert's payload (that slice is memoized in ctx.qc under
+// id, so a later member of a batch finds its base there, and is the
+// chunk the commit writes through to the LRU); an empty pl is version
+// id's own stored content, a re-encode's, resolved through the
+// context's view and memo. With a base (baseID > 0) each chunk is
+// delta-encoded against the base's chunk, resolved the same way —
+// never sliced out of a base plane — when that is smaller ("disk space
+// usage is calculated by trying both methods and choosing the more
+// economical one", §III-B.3). A sparse plane is one container.
+func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Plane, baseID int) (map[string]chunkEntry, error) {
 	if ctx.sparse {
 		// sparse versions are stored as a single container (their entire
 		// coordinate list); chunk-level subdivision buys nothing when the
 		// data is this sparse.
-		payload, entryBase := array.MarshalSparse(pl.Sparse), -1
+		memo := ctx.qc.sparseMap(attr.Name)
+		target := pl.Sparse
+		if target == nil {
+			var err error
+			if target, _, err = s.resolveSparse(ctx.v, id, attr.Name, memo, 0, nil); err != nil {
+				return nil, err
+			}
+		}
+		payload, entryBase := array.MarshalSparse(target), -1
 		if baseID > 0 {
-			blob, err := delta.EncodeSparseOps(pl.Sparse, base.Sparse)
+			base, _, err := s.resolveSparse(ctx.v, baseID, attr.Name, memo, 0, nil)
+			if err != nil {
+				return nil, err
+			}
+			blob, err := delta.EncodeSparseOps(target, base)
 			if err != nil {
 				return nil, err
 			}
@@ -834,22 +951,30 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Pla
 	}
 	// Fan the per-chunk encode+compress+write out on the worker pool.
 	// Chunks are independent: each worker appends to its own chunk's
-	// chain file (or writes its own per-version file), so the only shared
-	// state is the write-set and the I/O counters, both internally locked.
+	// chain file (or writes its own per-version file) and touches only
+	// its own chunk's memo map, so the only shared state is the
+	// write-set and the I/O counters, both internally locked.
 	origins := ck.All()
+	locals := ctx.qc.chunkMaps(attr.Name, ck, origins)
 	results := make([]chunkEntry, len(origins))
 	targets := make([]*array.Dense, len(origins))
 	err = forEachLimit(ctx.context(), len(origins), s.opts.Parallelism, func(i int) error {
 		box := ck.Box(origins[i])
-		target, err := pl.Dense.Slice(box)
-		if err != nil {
+		var target *array.Dense
+		var err error
+		if pl.Dense != nil {
+			if target, err = pl.Dense.Slice(box); err != nil {
+				return err
+			}
+			locals[i][id] = target
+		} else if target, err = s.resolveDenseChunk(ctx.v, id, attr.Name, ck, origins[i], locals[i], nil); err != nil {
 			return err
 		}
 		targets[i] = target
 		payload := target.Bytes()
 		entryBase := -1
 		if baseID > 0 {
-			baseChunk, err := base.Dense.Slice(box)
+			baseChunk, err := s.resolveDenseChunk(ctx.v, baseID, attr.Name, ck, origins[i], locals[i], nil)
 			if err != nil {
 				return err
 			}
@@ -930,7 +1055,9 @@ func (s *Store) readVersion(ctx context.Context, name string, id int) (array.Sch
 // versions through the one write path. The new array's write latch is
 // held from before it becomes visible, so every other write to it stages
 // after these versions; if they fail to commit the creation is rolled
-// back with a committed drop.
+// back with a committed drop. The name stays reserved in s.creating
+// until then, so a Close racing the creation waits for its outcome: the
+// versions, or the drop — never an empty array whose creator failed.
 func (s *Store) createWithVersions(ctx context.Context, schema array.Schema, from *BranchRef, kind string, ps []Payload) error {
 	if err := schema.Validate(); err != nil {
 		return err
@@ -941,11 +1068,12 @@ func (s *Store) createWithVersions(ctx context.Context, schema array.Schema, fro
 	}
 	st.writeMu.Lock()
 	defer st.writeMu.Unlock()
-	if err := s.publishArray(st); err != nil {
+	if err := s.publishArray(st, true); err != nil {
 		return err
 	}
+	defer s.endCreate(schema.Name)
 	if _, err := s.write(ctx, []*arrayState{st}, [][]Payload{ps}, kind); err != nil {
-		if derr := s.dropArray(st); derr != nil {
+		if derr := s.dropArray(st, true); derr != nil {
 			return fmt.Errorf("%w (rolling back array %q also failed: %v)", err, schema.Name, derr)
 		}
 		return err

@@ -72,22 +72,23 @@ type ReorganizeOptions struct {
 	// consecutive batches of K versions (§IV-E), bounding matrix size and
 	// delta-chain length.
 	BatchK int
-	// plan carries Tune's already-decoded planes and chosen layout so
-	// an uncontended Tune rewrite does not decode every version a
-	// second time. It is used only if the rewrite's snapshot is of the
-	// same array with the same live versions; otherwise the rewrite
-	// replans from live metadata as usual.
+	// plan carries Tune's decoded chunks and chosen layout so an
+	// uncontended Tune rewrite does not decode every version a second
+	// time. It is used only if the rewrite's snapshot is of the same
+	// array with the same live versions; otherwise the rewrite replans
+	// from live metadata as usual.
 	plan *rewritePlan
 }
 
 // rewritePlan is a precomputed rewrite input, valid for one array
 // (st, not its name: a dropped and recreated array is another one) with
-// exactly the live versions ids. Writes only append and no rewrite
-// changes decoded content, so that pair pins the planes.
+// exactly the live versions ids: the memo holding every one of their
+// chunks (decodeLive) and the layout to build. Writes only append and
+// no rewrite changes decoded content, so that pair pins the memo.
 type rewritePlan struct {
 	st     *arrayState
 	ids    []int
-	planes [][]Plane
+	memo   *chunkCache
 	layout layout.Layout
 }
 
@@ -95,11 +96,15 @@ type rewritePlan struct {
 // versions and the layout the given policy selects, without rewriting
 // anything. The returned id slice maps layout indices to version IDs.
 //
-// The store lock is held only long enough to snapshot the array's
-// metadata; version decoding and matrix construction run against the
-// snapshot with no lock held, so layout planning never stalls concurrent
-// inserts or selects. (BatchK is ignored here: the matrix and layout
-// describe the whole version set; Reorganize applies batching.)
+// It plans as a rewrite does (planMatrix): every live version's chunks
+// are decoded into a memo, and the matrix is priced from them — a
+// sampled one from cells gathered chunk by chunk, an exact one from
+// planes assembled out of the memo. The store lock is
+// held only long enough to snapshot the array's metadata; decoding and
+// matrix construction run against the snapshot with no lock held, so
+// layout planning never stalls concurrent inserts or selects. (BatchK
+// is ignored here: the matrix and layout describe the whole version
+// set; Reorganize applies batching.)
 func (s *Store) ComputeLayout(name string, opts ReorganizeOptions) (layout.Layout, *matmat.Matrix, []int, error) {
 	if err := opts.validate(); err != nil {
 		return layout.Layout{}, nil, nil, err
@@ -109,22 +114,18 @@ func (s *Store) ComputeLayout(name string, opts ReorganizeOptions) (layout.Layou
 		return layout.Layout{}, nil, nil, err
 	}
 	defer release()
-	ids, planes, err := s.loadPlanesView(v)
+	if len(v.ids) == 0 {
+		return layout.NewLayout(0), matmat.New(0), v.ids, nil
+	}
+	_, mm, err := s.planMatrix(v, opts.MatrixSample)
 	if err != nil {
 		return layout.Layout{}, nil, nil, err
 	}
-	if len(ids) == 0 {
-		return layout.NewLayout(0), matmat.New(0), ids, nil
-	}
-	mm, err := s.buildMatrix(v.st.SparseRep, len(v.st.Schema.Attrs), planes, opts.MatrixSample)
+	l, err := chooseLayout(mm, v.ids, opts)
 	if err != nil {
 		return layout.Layout{}, nil, nil, err
 	}
-	l, err := chooseLayout(mm, ids, opts)
-	if err != nil {
-		return layout.Layout{}, nil, nil, err
-	}
-	return l, mm, ids, nil
+	return l, mm, v.ids, nil
 }
 
 // buildDirName is the directory a rewrite builds its generation in.
@@ -151,17 +152,17 @@ func (s *Store) Reorganize(name string, opts ReorganizeOptions) error {
 		p := opts.plan
 		if p == nil || p.st != v.st || !slices.Equal(p.ids, v.ids) {
 			// no plan from Tune for this exact state: decode and plan
-			ids, planes, err := s.loadPlanesView(v)
+			memo, err := s.decodeLive(v)
 			if err != nil {
 				return nil, err
 			}
-			l, err := s.planLayout(v.st, ids, planes, opts)
+			l, err := s.planLayout(v, memo, opts)
 			if err != nil {
 				return nil, err
 			}
-			p = &rewritePlan{ids: ids, planes: planes, layout: l}
+			p = &rewritePlan{memo: memo, layout: l}
 		}
-		return s.buildRewrite(v.st, buildDir, ws, p.ids, p.planes, p.layout)
+		return s.buildRewrite(v, buildDir, ws, p.memo, p.layout)
 	})
 }
 
@@ -355,102 +356,184 @@ func (s *Store) publishRewrite(st *arrayState, v *readView, buildDir string, ent
 	return nil
 }
 
-// planLayout chooses the layout for a full rewrite, applying §IV-E
-// batching when requested.
-func (s *Store) planLayout(st *arrayState, ids []int, planes [][]Plane, opts ReorganizeOptions) (layout.Layout, error) {
-	if opts.BatchK > 0 && opts.BatchK < len(ids) {
-		if opts.Policy == PolicyWorkloadAware {
-			// the same unknown-version validation the non-batched path
-			// applies, before batching slices the workload per range
-			if _, err := remapWorkload(opts.Workload, ids); err != nil {
-				return layout.Layout{}, err
-			}
-		}
-		// §IV-E: optimize each batch of K versions independently
-		l := layout.NewLayout(len(ids))
-		for lo := 0; lo < len(ids); lo += opts.BatchK {
-			hi := lo + opts.BatchK
-			if hi > len(ids) {
-				hi = len(ids)
-			}
-			sub, err := s.layoutForRange(st, planes, ids, lo, hi, opts)
-			if err != nil {
-				return layout.Layout{}, err
-			}
-			for i := lo; i < hi; i++ {
-				l.Parent[i] = sub.Parent[i-lo] + lo
-			}
-		}
-		return l, nil
-	}
-	mm, err := s.buildMatrix(st.SparseRep, len(st.Schema.Attrs), planes, opts.MatrixSample)
+// planLayout chooses the layout for a full rewrite of v's live versions
+// from their decoded chunks in memo, applying §IV-E batching when
+// requested. A batched plan prices every batch from one matrixInput, so
+// a sampled one gathers each version's cells once.
+func (s *Store) planLayout(v *readView, memo *chunkCache, opts ReorganizeOptions) (layout.Layout, error) {
+	ids := v.ids
+	in, err := s.matrixInputOf(v, memo, opts.MatrixSample)
 	if err != nil {
 		return layout.Layout{}, err
 	}
-	return chooseLayout(mm, ids, opts)
-}
-
-func (s *Store) layoutForRange(st *arrayState, planes [][]Plane, ids []int, lo, hi int, opts ReorganizeOptions) (layout.Layout, error) {
-	sub := planes[lo:hi]
-	mm, err := s.buildMatrix(st.SparseRep, len(st.Schema.Attrs), sub, opts.MatrixSample)
-	if err != nil {
-		return layout.Layout{}, err
+	if opts.BatchK <= 0 || opts.BatchK >= len(ids) {
+		mm, err := in.matrix(0, len(ids))
+		if err != nil {
+			return layout.Layout{}, err
+		}
+		return chooseLayout(mm, ids, opts)
 	}
 	if opts.Policy == PolicyWorkloadAware {
-		// batches are laid out independently, so each one sees only the
-		// slice of the workload that falls inside it
-		opts.Workload = FilterWorkload(opts.Workload, ids[lo:hi])
-	}
-	return chooseLayout(mm, ids[lo:hi], opts)
-}
-
-// loadPlanesView reconstructs every live version's content (all
-// attributes) against a metadata snapshot, in version order. Safe to
-// call with no store lock held when v is a snapshot view. The scan
-// shares one per-call memo across versions, so each delta chain is
-// walked once regardless of version count — it does not rely on (or,
-// through an uncached view, touch) the store-wide LRU.
-func (s *Store) loadPlanesView(v *readView) ([]int, [][]Plane, error) {
-	ids := v.ids
-	full := array.BoxOf(v.st.Schema.Shape())
-	planes := make([][]Plane, len(ids))
-	qc := newChunkCache()
-	for i, id := range ids {
-		planes[i] = make([]Plane, len(v.st.Schema.Attrs))
-		for ai, attr := range v.st.Schema.Attrs {
-			pl, err := s.readRegionView(context.Background(), v, id, attr.Name, full, qc, nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			planes[i][ai] = pl
+		// the same unknown-version validation the non-batched path
+		// applies, before batching slices the workload per range
+		if _, err := remapWorkload(opts.Workload, ids); err != nil {
+			return layout.Layout{}, err
 		}
 	}
-	return ids, planes, nil
+	// §IV-E: optimize each batch of K versions independently
+	l := layout.NewLayout(len(ids))
+	for lo := 0; lo < len(ids); lo += opts.BatchK {
+		hi := min(lo+opts.BatchK, len(ids))
+		mm, err := in.matrix(lo, hi)
+		if err != nil {
+			return layout.Layout{}, err
+		}
+		bopts := opts
+		if opts.Policy == PolicyWorkloadAware {
+			// batches are laid out independently, so each one sees only
+			// the slice of the workload that falls inside it
+			bopts.Workload = FilterWorkload(opts.Workload, ids[lo:hi])
+		}
+		sub, err := chooseLayout(mm, ids[lo:hi], bopts)
+		if err != nil {
+			return layout.Layout{}, err
+		}
+		for i := lo; i < hi; i++ {
+			l.Parent[i] = sub.Parent[i-lo] + lo
+		}
+	}
+	return l, nil
 }
 
-// buildMatrix computes the materialization matrix over versions, summing
-// costs across attributes. The representation is an explicit argument
-// (rather than read from the arrayState) because a staged first commit
-// may fix it before it is installed; it touches no mutable state, so it
-// is safe off-lock.
-func (s *Store) buildMatrix(sparse bool, nattrs int, planes [][]Plane, sample int) (*matmat.Matrix, error) {
-	n := len(planes)
+// decodeLive decodes every live version of v into a fresh memo, one
+// resolveDenseChunk per version × chunk: each chunk column (one chunk
+// position across the versions, in version order) on one worker, so a
+// version's walk starts from its base's memo entry. Sparse versions are
+// resolved whole. Safe with no store lock held when v is a snapshot
+// view; an uncached view neither reads nor fills the store-wide LRU.
+func (s *Store) decodeLive(v *readView) (*chunkCache, error) {
+	memo := newChunkCache()
+	ctx := context.Background() //avlint:allow-ctx a rewrite or Tune plan has no caller context to cancel it
+	for _, attr := range v.st.Schema.Attrs {
+		if v.st.SparseRep {
+			for _, id := range v.ids {
+				if _, _, err := s.resolveSparse(v, id, attr.Name, memo.sparseMap(attr.Name), 0, nil); err != nil {
+					return nil, err
+				}
+			}
+			continue
+		}
+		ck, err := v.st.chunker()
+		if err != nil {
+			return nil, err
+		}
+		origins := ck.All()
+		locals := memo.chunkMaps(attr.Name, ck, origins)
+		err = forEachLimit(ctx, len(origins), s.opts.Parallelism, func(c int) error {
+			for _, id := range v.ids {
+				if _, err := s.resolveDenseChunk(v, id, attr.Name, ck, origins[c], locals[c], nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return memo, nil
+}
+
+// planMatrix decodes v's live versions (decodeLive) and prices their
+// whole matrix; it returns the memo too, for a rewrite to encode from.
+func (s *Store) planMatrix(v *readView, sample int) (*chunkCache, *matmat.Matrix, error) {
+	memo, err := s.decodeLive(v)
+	if err != nil {
+		return nil, nil, err
+	}
+	in, err := s.matrixInputOf(v, memo, sample)
+	if err != nil {
+		return nil, nil, err
+	}
+	mm, err := in.matrix(0, len(v.ids))
+	return memo, mm, err
+}
+
+// matrixInput is what the materialization matrix over a view's live
+// versions is priced from, per attribute and version (in view order):
+// the cells at one sorted sample draw, gathered chunk by chunk from the
+// memo (a sampled dense matrix, 0 < MatrixSample < cells); the planes
+// assembled from the memo (an exact one — the only rewrite that holds
+// whole planes); or the sparse planes.
+type matrixInput struct {
+	dts     []array.DataType
+	cells   int64
+	sampled [][][]int64
+	dense   [][]*array.Dense
+	sparse  [][]*array.Sparse
+}
+
+// matrixInputOf prepares v's matrixInput from memo, which holds every
+// live version's chunks (decodeLive), so nothing here reads the disk.
+// Attribute ai's draw is seeded with ai, as matmat.Compute's is.
+func (s *Store) matrixInputOf(v *readView, memo *chunkCache, sample int) (*matrixInput, error) {
+	attrs := v.st.Schema.Attrs
+	in := &matrixInput{dts: make([]array.DataType, len(attrs)), cells: array.BoxOf(v.st.Schema.Shape()).NumCells()}
+	ctx := context.Background() //avlint:allow-ctx a rewrite or Tune plan has no caller context to cancel it
+	ck, err := v.st.chunker()
+	if err != nil {
+		return nil, err
+	}
+	for ai, attr := range attrs {
+		in.dts[ai] = attr.Type
+		switch {
+		case v.st.SparseRep:
+			vs := make([]*array.Sparse, len(v.ids))
+			for i, id := range v.ids {
+				sp, _, err := s.resolveSparse(v, id, attr.Name, memo.sparseMap(attr.Name), 0, nil)
+				if err != nil {
+					return nil, err
+				}
+				vs[i] = sp
+			}
+			in.sparse = append(in.sparse, vs)
+		case sample > 0 && int64(sample) < in.cells:
+			b := locateCells(ck, matmat.Draw(in.cells, sample, int64(ai)))
+			g := make([][]int64, len(v.ids))
+			for i, id := range v.ids {
+				if g[i], err = s.gatherCells(ctx, v, id, attr.Name, b, memo); err != nil {
+					return nil, err
+				}
+			}
+			in.sampled = append(in.sampled, g)
+		default:
+			vs := make([]*array.Dense, len(v.ids))
+			for i, id := range v.ids {
+				if vs[i], err = s.assemble(ctx, v, id, attr.Name, memo); err != nil {
+					return nil, err
+				}
+			}
+			in.dense = append(in.dense, vs)
+		}
+	}
+	return in, nil
+}
+
+// matrix computes the materialization matrix over versions [lo, hi),
+// summing costs across attributes.
+func (in *matrixInput) matrix(lo, hi int) (*matmat.Matrix, error) {
+	n := hi - lo
 	total := matmat.New(n)
-	for ai := 0; ai < nattrs; ai++ {
+	for ai, dt := range in.dts {
 		var mm *matmat.Matrix
 		var err error
-		if sparse {
-			vs := make([]*array.Sparse, n)
-			for i := range planes {
-				vs[i] = planes[i][ai].Sparse
-			}
-			mm, err = matmat.ComputeSparse(vs)
-		} else {
-			vs := make([]*array.Dense, n)
-			for i := range planes {
-				vs[i] = planes[i][ai].Dense
-			}
-			mm, err = matmat.Compute(vs, matmat.Options{Sample: sample, Seed: int64(ai)})
+		switch {
+		case in.sparse != nil:
+			mm, err = matmat.ComputeSparse(in.sparse[ai][lo:hi])
+		case in.sampled != nil:
+			mm = matmat.FromSamples(dt, in.cells, in.sampled[ai][lo:hi])
+		default:
+			mm, err = matmat.Compute(in.dense[ai][lo:hi], matmat.Options{})
 		}
 		if err != nil {
 			return nil, err
@@ -561,21 +644,24 @@ func FilterWorkload(wl []layout.Query, ids []int) []layout.Query {
 	return out
 }
 
-// buildRewrite re-encodes all versions per the layout into the build
-// directory, recording its appends in ws, and returns the new chunk
-// entries, one map per id. It reads only immutable arrayState fields
-// and the passed planes.
-func (s *Store) buildRewrite(st *arrayState, buildDir string, ws *writeSet, ids []int, planes [][]Plane, l layout.Layout) ([]map[string]map[string]chunkEntry, error) {
-	ctx := &insertCtx{st: st, ws: ws, dir: buildDir, sparse: st.SparseRep}
-	entries := make([]map[string]map[string]chunkEntry, len(ids))
-	for i, id := range ids {
+// buildRewrite re-encodes every live version of v per the layout into
+// the build directory, recording its appends in ws, and returns the new
+// chunk entries, one map per id. memo holds every version's decoded
+// chunks (decodeLive), so each chunk is encoded from its memo entry
+// against its new parent's — no plane is assembled or sliced. Versions
+// go in id order, so every chain file takes its frames in version order.
+func (s *Store) buildRewrite(v *readView, buildDir string, ws *writeSet, memo *chunkCache, l layout.Layout) ([]map[string]map[string]chunkEntry, error) {
+	st := v.st
+	ctx := &insertCtx{st: st, v: v, ws: ws, qc: memo, dir: buildDir, sparse: st.SparseRep}
+	entries := make([]map[string]map[string]chunkEntry, len(v.ids))
+	for i, id := range v.ids {
 		entries[i] = make(map[string]map[string]chunkEntry, len(st.Schema.Attrs))
-		p, base := l.Parent[i], 0
-		if p != i {
-			base = ids[p]
+		base := 0
+		if p := l.Parent[i]; p != i {
+			base = v.ids[p]
 		}
-		for ai, attr := range st.Schema.Attrs {
-			m, err := s.encodePlane(ctx, id, attr, planes[i][ai], base, planes[p][ai])
+		for _, attr := range st.Schema.Attrs {
+			m, err := s.encodePlane(ctx, id, attr, Plane{}, base)
 			if err != nil {
 				return nil, err
 			}
@@ -675,7 +761,10 @@ func (s *Store) DeleteVersion(name string, id int) error {
 }
 
 // stageDeleteVersion re-encodes, into staged, every live chunk that
-// bases on version id, then marks id deleted. The re-encodes only ever
+// bases on version id, then marks id deleted. Each re-encode goes
+// through encodePlane's per-chunk path: the child's chunks and its new
+// base's are resolved through the staged view and one memo, chunk by
+// chunk. The re-encodes only ever
 // append (fresh FileSeq files in per-version mode, chain tails in
 // co-located mode), so in-flight readers keep decoding their snapshots
 // without a latch. Callers hold the array's writeMu, which keeps
@@ -686,9 +775,7 @@ func (s *Store) stageDeleteVersion(st *arrayState, staged *arrayMeta, id int, ws
 	v := viewOf(st, staged.Versions)
 	v.noLookup, v.noAdmit = true, true
 	vm := v.byID[id]
-	qc := newChunkCache()
-	ctx := &insertCtx{st: st, v: v, ws: ws, qc: qc, dir: v.gen.dir, sparse: staged.SparseRep}
-	full := array.BoxOf(st.Schema.Shape())
+	ctx := &insertCtx{st: st, v: v, ws: ws, qc: newChunkCache(), dir: v.gen.dir, sparse: staged.SparseRep}
 	for si, child := range staged.Versions {
 		if child.ID == id || child.Deleted {
 			continue
@@ -705,10 +792,6 @@ func (s *Store) stageDeleteVersion(st *arrayState, staged *arrayMeta, id int, ws
 			if !dirty {
 				continue
 			}
-			pl, err := s.readRegionView(ctx.context(), v, child.ID, attr.Name, full, qc, nil)
-			if err != nil {
-				return err
-			}
 			// choose the deleted version's base as the new base when it
 			// is still live, otherwise materialize; scan every chunk and
 			// take the newest live base so the pick is deterministic
@@ -721,13 +804,7 @@ func (s *Store) stageDeleteVersion(st *arrayState, staged *arrayMeta, id int, ws
 					}
 				}
 			}
-			var basePl Plane
-			if newBase > 0 {
-				if basePl, err = s.readRegionView(ctx.context(), v, newBase, attr.Name, full, qc, nil); err != nil {
-					return err
-				}
-			}
-			entries, err := s.encodePlane(ctx, child.ID, attr, pl, newBase, basePl)
+			entries, err := s.encodePlane(ctx, child.ID, attr, Plane{}, newBase)
 			if err != nil {
 				return err
 			}

@@ -199,6 +199,18 @@ func (c *chunkCache) chunkMaps(attr string, ck *chunk.Chunker, origins [][]int64
 	return out
 }
 
+// sparseMap returns the memo of attr's resolved sparse versions,
+// creating it; a nil cache has none.
+func (c *chunkCache) sparseMap(attr string) map[int]sparseRes {
+	if c == nil {
+		return nil
+	}
+	if c.sparse[attr] == nil {
+		c.sparse[attr] = map[int]sparseRes{}
+	}
+	return c.sparse[attr]
+}
+
 // readRegionView reconstructs the part of a version's attribute plane
 // covered by box against a metadata view, reading only the overlapping
 // chunks and fanning the per-chunk work out on the worker pool. tk (nil
@@ -225,14 +237,7 @@ func (s *Store) readRegionView(ctx context.Context, v *readView, id int, attr st
 	}
 	dt := st.Schema.Attrs[ai].Type
 	if st.SparseRep {
-		var spCache map[int]sparseRes
-		if qc != nil {
-			if spCache = qc.sparse[attr]; spCache == nil {
-				spCache = map[int]sparseRes{}
-				qc.sparse[attr] = spCache
-			}
-		}
-		sp, shared, err := s.resolveSparse(v, id, attr, spCache, 0, tk)
+		sp, shared, err := s.resolveSparse(v, id, attr, qc.sparseMap(attr), 0, tk)
 		if err != nil {
 			return Plane{}, err
 		}

@@ -91,18 +91,7 @@ func BenchmarkSelectColdChain(b *testing.B) {
 // the chain stays 16 deep.
 func BenchmarkInsertChain(b *testing.B) {
 	const side, depth = 512, 16
-	rng := rand.New(rand.NewSource(87))
-	cur := array.MustDense(array.Int32, []int64{side, side})
-	for i := int64(0); i < cur.NumCells(); i++ {
-		cur.SetBits(i, int64(rng.Intn(1<<20)))
-	}
-	versions := make([]*array.Dense, depth+1)
-	for v := range versions {
-		versions[v] = cur.Clone()
-		for k := int64(0); k < cur.NumCells()*3/100; k++ {
-			cur.SetBits(rng.Int63n(cur.NumCells()), int64(rng.Intn(1<<20)))
-		}
-	}
+	versions := driftSeries(depth+1, side, 87)
 	for _, cacheBytes := range []int64{0, DefaultCacheBytes} {
 		b.Run(fmt.Sprintf("cache=%v", cacheBytes > 0), func(b *testing.B) {
 			opts := DefaultOptions()
@@ -135,5 +124,56 @@ func BenchmarkInsertChain(b *testing.B) {
 				b.StartTimer()
 			}
 		})
+	}
+}
+
+// driftSeries builds n side×side int32 versions of random 20-bit
+// cells, each changing ~3 % of its predecessor's cells to new random
+// values.
+func driftSeries(n int, side int64, seed int64) []*array.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	cur := array.MustDense(array.Int32, []int64{side, side})
+	for i := int64(0); i < cur.NumCells(); i++ {
+		cur.SetBits(i, int64(rng.Intn(1<<20)))
+	}
+	versions := make([]*array.Dense, n)
+	for v := range versions {
+		versions[v] = cur.Clone()
+		for k := int64(0); k < cur.NumCells()*3/100; k++ {
+			cur.SetBits(rng.Int63n(cur.NumCells()), int64(rng.Intn(1<<20)))
+		}
+	}
+	return versions
+}
+
+// BenchmarkReorganize measures one Reorganize{PolicyAlgorithm2,
+// MatrixSample: 4096} of 48 insert-order 512×512 int32 versions (four
+// 256 KiB chunks each, co-located) — the benchmark's head-warm fixture
+// shape. Each iteration decodes every version, plans from the sampled
+// matrix and rebuilds the generation.
+func BenchmarkReorganize(b *testing.B) {
+	const side, n = 512, 48
+	opts := DefaultOptions()
+	opts.ChunkBytes = 256 << 10
+	opts.CacheBytes = DefaultCacheBytes
+	s, err := Open(b.TempDir(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.CreateArray(schema2D("R", side)); err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range driftSeries(n, side, 88) {
+		if _, err := s.Insert("R", DensePayload(v)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Reorganize("R", ReorganizeOptions{Policy: PolicyAlgorithm2, MatrixSample: 4096}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,0 +1,279 @@
+package core
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"arrayvers/internal/array"
+	"arrayvers/internal/compress"
+	"arrayvers/internal/delta"
+	"arrayvers/internal/matmat"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/staging_decisions.golden from this run")
+
+// goldenSeries builds n versions of a two-attribute (int32, int8)
+// array of the given shape, each changing ~10 % of the cells by a
+// little, and every seventh replacing its leading third with noise, so
+// both the delta and the materialize arm of every decision fire.
+func goldenSeries(n int, shape []int64, seed int64) []Payload {
+	rng := rand.New(rand.NewSource(seed))
+	a := array.MustDense(array.Int32, shape)
+	b := array.MustDense(array.Int8, shape)
+	for i := int64(0); i < a.NumCells(); i++ {
+		a.SetBits(i, int64(rng.Intn(1000)))
+		b.SetBits(i, int64(rng.Intn(100)))
+	}
+	out := make([]Payload, n)
+	for v := range out {
+		out[v] = Payload{Planes: []Plane{{Dense: a.Clone()}, {Dense: b.Clone()}}}
+		for i := int64(0); i < a.NumCells(); i++ {
+			switch {
+			case v%7 == 6 && i < a.NumCells()/3:
+				// a jump in the leading third: its chunks cost more as a
+				// delta than as a fresh root, the others do not
+				a.SetBits(i, int64(int32(rng.Uint32())))
+				b.SetBits(i, int64(int8(rng.Uint32())))
+			case rng.Float64() < 0.1:
+				a.SetBits(i, a.Bits(i)+int64(rng.Intn(5)-2))
+				b.SetBits(i, int64(int8(b.Bits(i)+int64(rng.Intn(3)-1))))
+			}
+		}
+	}
+	return out
+}
+
+func goldenSchema(name string, shape []int64) array.Schema {
+	sch := array.Schema{Name: name, Attrs: []array.Attribute{{Name: "A", Type: array.Int32}, {Name: "B", Type: array.Int8}}}
+	for i, n := range shape {
+		sch.Dims = append(sch.Dims, array.Dimension{Name: fmt.Sprintf("D%d", i), Lo: 0, Hi: n - 1})
+	}
+	return sch
+}
+
+// dumpEntries renders every live chunk entry's delta base, stored
+// length and codec, in (version, attribute, chunk) order.
+func dumpEntries(t *testing.T, s *Store, name string, b *strings.Builder) {
+	t.Helper()
+	s.mu.RLock()
+	st := s.arrays[name]
+	vms := append([]*versionMeta(nil), st.Versions...)
+	attrs := st.Schema.Attrs
+	s.mu.RUnlock()
+	for _, vm := range vms {
+		if vm.Deleted {
+			continue
+		}
+		for _, attr := range attrs {
+			keys := make([]string, 0, len(vm.Chunks[attr.Name]))
+			for k := range vm.Chunks[attr.Name] {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				e := vm.Chunks[attr.Name][k]
+				fmt.Fprintf(b, "%s v%d %s %s base=%d len=%d codec=%d\n", name, vm.ID, attr.Name, k, e.Base, e.Length, e.Codec)
+			}
+		}
+	}
+}
+
+// TestStagingDecisionsGolden pins every delta-or-materialize decision
+// of the write, delete and rewrite paths: after a seeded script of
+// inserts (one of them a two-payload batch), a mid-chain DeleteVersion
+// and three Reorganizes (sampled, exact, batched), every chunk entry's
+// base, length and codec must match the golden byte for byte, with the
+// decoded-chunk cache off and on. G (9 000 cells, ragged edge chunks)
+// takes the sampled estimate at insert; E (1 600 cells) the exact one.
+// -update rewrites the golden.
+func TestStagingDecisionsGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "staging_decisions.golden")
+	for _, cacheBytes := range []int64{0, DefaultCacheBytes} {
+		t.Run(fmt.Sprintf("cache=%v", cacheBytes > 0), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.ChunkBytes = 4 << 10
+			opts.DeltaCandidates = 2
+			opts.Codec = compress.LZ
+			opts.CacheBytes = cacheBytes
+			s := testStore(t, opts)
+			defer s.Close()
+			var out strings.Builder
+			step := func(label string) {
+				fmt.Fprintf(&out, "# %s\n", label)
+				dumpEntries(t, s, "G", &out)
+				dumpEntries(t, s, "E", &out)
+			}
+			gShape, eShape := []int64{100, 90}, []int64{40, 40}
+			gs, es := goldenSeries(26, gShape, 47), goldenSeries(8, eShape, 48)
+			for _, sch := range []array.Schema{goldenSchema("G", gShape), goldenSchema("E", eShape)} {
+				if err := s.CreateArray(sch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range gs[:24] {
+				if _, err := s.Insert("G", p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range es {
+				if _, err := s.Insert("E", p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := s.Write(context.Background(), []MultiInsert{{Array: "G", Payloads: gs[24:]}}); err != nil {
+				t.Fatal(err)
+			}
+			step("inserts")
+			if err := s.DeleteVersion("G", 12); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.DeleteVersion("E", 4); err != nil {
+				t.Fatal(err)
+			}
+			step("delete")
+			for _, ro := range []ReorganizeOptions{
+				{Policy: PolicyAlgorithm2, MatrixSample: 4096},
+				{Policy: PolicyAlgorithm2},
+				{Policy: PolicyAlgorithm2, MatrixSample: 4096, BatchK: 8},
+			} {
+				for _, name := range []string{"G", "E"} {
+					if err := s.Reorganize(name, ro); err != nil {
+						t.Fatal(err)
+					}
+				}
+				step(fmt.Sprintf("reorganize sample=%d batch=%d", ro.MatrixSample, ro.BatchK))
+			}
+			for i, p := range gs {
+				if i+1 == 12 {
+					continue
+				}
+				for ai := range p.Planes {
+					got, err := s.Read(context.Background(), ReadQuery{Array: "G", IDs: []int{i + 1}, Attr: []string{"A", "B"}[ai]})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got[0].Dense.Equal(p.Planes[ai].Dense) {
+						t.Fatalf("G version %d attribute %d not byte-identical", i+1, ai)
+					}
+				}
+			}
+			if *updateGolden && cacheBytes == 0 {
+				if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out.String(); got != string(want) {
+				gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+				for i := 0; i < len(gl) && i < len(wl); i++ {
+					if gl[i] != wl[i] {
+						t.Fatalf("decisions differ from %s at line %d:\n got  %s\n want %s", golden, i+1, gl[i], wl[i])
+					}
+				}
+				t.Fatalf("decisions differ from %s: %d lines, want %d", golden, len(gl), len(wl))
+			}
+		})
+	}
+}
+
+// TestChunkwiseGather checks staging's chunk-by-chunk reads against the
+// plane-sized ones they replace, on 1-D, 2-D and 3-D arrays with ragged
+// edge chunks and 1-, 4- and 8-byte cells: gatherCells returns exactly
+// delta.Gather over the assembled plane, through a cold memo (chain
+// walks) and a decoded one, for an unsorted draw; and the rewrite's
+// sampled matrix is exactly matmat.Compute over the assembled planes.
+func TestChunkwiseGather(t *testing.T) {
+	shapes := [][]int64{{1000}, {70, 45}, {13, 10, 7}}
+	for _, shape := range shapes {
+		for _, dt := range []array.DataType{array.Int8, array.Int32, array.Int64} {
+			t.Run(fmt.Sprintf("%v/%v", shape, dt), func(t *testing.T) {
+				opts := DefaultOptions()
+				opts.ChunkBytes = 256 // ragged: no extent is a multiple of the side
+				s := testStore(t, opts)
+				defer s.Close()
+				sch := array.Schema{Name: "T", Attrs: []array.Attribute{{Name: "A", Type: dt}}}
+				for i, n := range shape {
+					sch.Dims = append(sch.Dims, array.Dimension{Name: fmt.Sprintf("D%d", i), Lo: 0, Hi: n - 1})
+				}
+				if err := s.CreateArray(sch); err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(len(shape))*10 + int64(dt)))
+				cur := array.MustDense(dt, shape)
+				for i := int64(0); i < cur.NumCells(); i++ {
+					cur.SetBits(i, array.TruncateBits(dt, rng.Int63()))
+				}
+				var planes []*array.Dense
+				for v := 0; v < 5; v++ {
+					for k := int64(0); k < cur.NumCells()/10; k++ {
+						i := rng.Int63n(cur.NumCells())
+						cur.SetBits(i, array.TruncateBits(dt, cur.Bits(i)+int64(rng.Intn(7)-3)))
+					}
+					planes = append(planes, cur.Clone())
+					if _, err := s.Insert("T", DensePayload(cur)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				v, release, err := s.snapshotUncached("T")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer release()
+				ck, err := v.st.chunker()
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := cur.NumCells()
+				idx := delta.SampleCells(n, 600, 7)
+				b := locateCells(ck, idx)
+				cold := newChunkCache()
+				for i, id := range v.ids {
+					got, err := s.gatherCells(context.Background(), v, id, "A", b, cold)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := delta.Gather(planes[i], idx); !slices.Equal(got, want) {
+						t.Fatalf("version %d: chunk-wise gather differs from delta.Gather", id)
+					}
+				}
+				memo, err := s.decodeLive(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, sample := range []int{300, int(n) / 2} {
+					in, err := s.matrixInputOf(v, memo, sample)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if in.sampled == nil {
+						t.Fatalf("sample %d of %d cells: not a sampled matrix", sample, n)
+					}
+					got, err := in.matrix(0, len(v.ids))
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := matmat.Compute(planes, matmat.Options{Sample: sample, Seed: 0})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.Cost, want.Cost) {
+						t.Fatalf("sample %d: matrix %v, want %v", sample, got.Cost, want.Cost)
+					}
+				}
+			})
+		}
+	}
+}

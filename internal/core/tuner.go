@@ -47,9 +47,10 @@ type TuneReport struct {
 // Reorganize: it must be non-empty, every query must name at least one
 // live version, and every weight must be finite and positive.
 //
-// The pass decodes every version once, through an uncached snapshot
-// that neither evicts nor repopulates the store-wide chunk LRU, and
-// hands the decoded planes and chosen layout to the rewrite. If the
+// The pass decodes every version's chunks once, through an uncached
+// snapshot that neither evicts nor repopulates the store-wide chunk LRU,
+// prices the exact matrix from planes assembled out of them, and hands
+// the decoded chunks and chosen layout to the rewrite. If the
 // live versions change in between, or the array is dropped and
 // recreated, Reorganize replans from live metadata, so a plan never
 // lays out versions it did not decode.
@@ -75,13 +76,9 @@ func (s *Store) Tune(name string, wl []layout.Query) (rep TuneReport, err error)
 		rep.Reason = "fewer than two live versions"
 		return rep, nil
 	}
-	ids, planes, err := s.loadPlanesView(v)
-	if err != nil {
-		release()
-		return rep, err
-	}
+	ids := v.ids
 	cur := currentLayoutOf(v, ids)
-	mm, err := s.buildMatrix(v.st.SparseRep, len(v.st.Schema.Attrs), planes, 0)
+	memo, mm, err := s.planMatrix(v, 0)
 	release()
 	if err != nil {
 		return rep, err
@@ -103,7 +100,7 @@ func (s *Store) Tune(name string, wl []layout.Query) (rep TuneReport, err error)
 	err = s.Reorganize(name, ReorganizeOptions{
 		Policy:   PolicyWorkloadAware,
 		Workload: wl,
-		plan:     &rewritePlan{st: v.st, ids: ids, planes: planes, layout: chosen},
+		plan:     &rewritePlan{st: v.st, ids: ids, memo: memo, layout: chosen},
 	})
 	if err != nil {
 		return rep, err

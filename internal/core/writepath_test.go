@@ -936,3 +936,73 @@ func TestRewriteDeleteInsertRace(t *testing.T) {
 		t.Fatalf("verify: %v %v", err, rep.Problems)
 	}
 }
+
+// TestBranchRacingCloseLeavesNoEmptyArray parks a Branch while it
+// creates its new array's directory, closes the store meanwhile, and
+// reopens it. Close waits for the creation's outcome, so either the
+// branch committed its version or the new array is gone after reopen —
+// never an empty array whose Branch reported an error.
+func TestBranchRacingCloseLeavesNoEmptyArray(t *testing.T) {
+	const side = 16
+	park, unpark := make(chan struct{}), make(chan struct{})
+	var armed atomic.Bool
+	hfs := &hookFS{FS: fsio.OS}
+	hfs.onMkdir = func(path string) {
+		if strings.Contains(path, string(filepath.Separator)+"B"+string(filepath.Separator)) && armed.CompareAndSwap(true, false) {
+			close(park)
+			<-unpark
+		}
+	}
+	opts := smallOpts()
+	opts.Durability = true
+	opts.HealInterval = -1
+	opts.FS = hfs
+	s := testStore(t, opts)
+	if err := s.CreateArray(schema2D("A", side)); err != nil {
+		t.Fatal(err)
+	}
+	want := evolvingVersions(1, side, 90)[0]
+	if _, err := s.Insert("A", DensePayload(want)); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	branched := make(chan error, 1)
+	go func() { branched <- s.Branch("A", 1, "B") }()
+	<-park
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.RLock()
+		done := s.closed
+		s.mu.RUnlock()
+		if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Close never marked the store closed")
+		}
+	}
+	close(unpark)
+	berr := <-branched
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	opts.FS = nil
+	r, err := Open(s.Dir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	info, ierr := r.Info("B")
+	switch {
+	case berr == nil && ierr != nil:
+		t.Fatalf("Branch succeeded, but B is gone after reopen: %v", ierr)
+	case berr == nil:
+		got, err := r.Select("B", info.Versions[0].ID)
+		if err != nil || !got.Dense.Equal(want) {
+			t.Fatalf("branched version after reopen: %v", err)
+		}
+	case ierr == nil:
+		t.Fatalf("Branch failed (%v), yet B survives reopen with %d versions", berr, info.NumVersions)
+	}
+}

@@ -64,40 +64,55 @@ func Compute(versions []*array.Dense, opts Options) (*Matrix, error) {
 			return nil, fmt.Errorf("matmat: version %d vs 0: %w", i, err)
 		}
 	}
+	cells := versions[0].NumCells()
+	if opts.Sample > 0 && int64(opts.Sample) < cells {
+		idx := Draw(cells, opts.Sample, opts.Seed)
+		g := make([][]int64, n)
+		for i, v := range versions {
+			g[i] = delta.Gather(v, idx)
+		}
+		return FromSamples(versions[0].DType(), cells, g), nil
+	}
 	m := New(n)
 	for i := 0; i < n; i++ {
 		m.Cost[i][i] = delta.MaterializedSize(versions[i])
-	}
-	cells := versions[0].NumCells()
-	if opts.Sample <= 0 || int64(opts.Sample) >= cells {
-		for i := 0; i < n; i++ {
-			for j := 0; j < i; j++ {
-				blob, err := delta.Encode(delta.Hybrid, versions[i], versions[j])
-				if err != nil {
-					return nil, fmt.Errorf("matmat: delta %d vs %d: %w", i, j, err)
-				}
-				m.Cost[i][j] = int64(len(blob))
-				m.Cost[j][i] = int64(len(blob))
+		for j := 0; j < i; j++ {
+			blob, err := delta.Encode(delta.Hybrid, versions[i], versions[j])
+			if err != nil {
+				return nil, fmt.Errorf("matmat: delta %d vs %d: %w", i, j, err)
 			}
+			m.Cost[i][j] = int64(len(blob))
+			m.Cost[j][i] = int64(len(blob))
 		}
-		return m, nil
 	}
-	// one draw for every pair; sorted, the gathers read ascending
-	idx := delta.SampleCells(cells, opts.Sample, opts.Seed)
+	return m, nil
+}
+
+// Draw is the one sample draw the sampled matrix prices every pair
+// from: sample positions out of cells, seeded with seed, sorted so the
+// gathers read ascending.
+func Draw(cells int64, sample int, seed int64) []int64 {
+	idx := delta.SampleCells(cells, sample, seed)
 	slices.Sort(idx)
-	g := make([][]int64, n)
-	for i, v := range versions {
-		g[i] = delta.Gather(v, idx)
-	}
-	dt := versions[0].DType()
+	return idx
+}
+
+// FromSamples builds the sampled matrix from g[i], version i's cells at
+// one Draw, for versions of cells cells of dtype dt each: exactly
+// Compute's sampled matrix, for a caller that gathers the cells itself
+// (the store reads them chunk by chunk, never assembling a version).
+func FromSamples(dt array.DataType, cells int64, g [][]int64) *Matrix {
+	n := len(g)
+	m := New(n)
 	for i := 0; i < n; i++ {
+		m.Cost[i][i] = cells * int64(dt.Size())
 		for j := 0; j < i; j++ {
 			size := delta.EstimateSampled(dt, cells, g[i], g[j])
 			m.Cost[i][j] = size
 			m.Cost[j][i] = size
 		}
 	}
-	return m, nil
+	return m
 }
 
 // ComputeSparse builds the matrix for a series of sparse versions using
