@@ -211,9 +211,9 @@ type ManifestReport = core.ManifestReport
 // uncertain flip the affected array (or, on disk-full, the whole store)
 // into degraded read-only mode rather than crashing or guessing.
 // Reads keep working; writes fail fast with ErrDegraded until
-// Store.Heal — or the background heal prober (Options.HealInterval) —
-// re-establishes the disk state and verifies the array. See DESIGN.md
-// "Resilience & degraded modes".
+// Store.Heal — or the background heal prober, which retries once a
+// second — re-establishes the disk state and verifies the array. See
+// DESIGN.md "Resilience & degraded modes".
 type (
 	Health      = core.Health
 	ArrayHealth = core.ArrayHealth

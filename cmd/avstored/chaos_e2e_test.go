@@ -181,7 +181,6 @@ func TestChaosE2E(t *testing.T) {
 	opts.Durability = true
 	opts.FS = flaky
 	opts.ChunkBytes = 1 << 10
-	opts.HealInterval = 50 * time.Millisecond // fast prober for the test
 	store, err := core.Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -420,15 +420,13 @@ func TestColdChainWalkPreads(t *testing.T) {
 }
 
 // TestColdWalkReadsBoundedSegments pins the cap on what one walk holds:
-// a cold select of the tip of a 16-deep co-located chain of ~170 KB
-// Dense deltas (over 2 MB of frames) must read its deltas in segments of
+// a cold select of the tip of a 16-deep co-located chain of ~160 KB
+// Hybrid deltas (over 2 MB of frames) must read its deltas in segments of
 // at most walkReadBytes — more preads than one run, fewer than one per
 // frame — and still reconstruct the tip exactly.
 func TestColdWalkReadsBoundedSegments(t *testing.T) {
 	const depth, side = 16, 256
-	opts := DefaultOptions() // cache off: every select walks from disk
-	opts.DeltaMethod = delta.Dense
-	s := testStore(t, opts)
+	s := testStore(t, DefaultOptions()) // cache off: every select walks from disk
 	defer s.Close()
 	if err := s.CreateArray(schema2D("D", side)); err != nil {
 		t.Fatal(err)

@@ -473,7 +473,7 @@ func TestViewSharesRecordsSafely(t *testing.T) {
 	reads := func() map[int]Plane {
 		out := map[int]Plane{}
 		for _, id := range v.ids {
-			pl, err := s.readRegionView(context.Background(), v, id, "A", full, newChunkCache(), nil)
+			pl, err := s.readRegionView(context.Background(), v, id, "A", full, newChunkCache(true), nil)
 			if err != nil {
 				t.Fatalf("view read of version %d: %v", id, err)
 			}

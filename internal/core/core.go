@@ -27,7 +27,6 @@ import (
 	"arrayvers/internal/cache"
 	"arrayvers/internal/chunk"
 	"arrayvers/internal/compress"
-	"arrayvers/internal/delta"
 	"arrayvers/internal/fsio"
 )
 
@@ -38,8 +37,6 @@ type Options struct {
 	ChunkBytes int64
 	// Codec compresses chunk payloads after delta encoding (§III-B.2).
 	Codec compress.Codec
-	// DeltaMethod encodes dense chunk deltas; Hybrid by default.
-	DeltaMethod delta.Method
 	// AutoDelta makes Insert compare each new version against recent
 	// versions and delta-encode it when that is smaller ("delta-ing is
 	// performed automatically", §II-A). When false, every version is
@@ -54,9 +51,6 @@ type Options struct {
 	// false each version's chunk gets its own file. Co-location is the
 	// default, "since they are more efficient".
 	CoLocate bool
-	// EstimateSample, when positive, sizes delta candidates from a cell
-	// sample instead of full encodes (§IV-A).
-	EstimateSample int
 	// AdaptiveCodec enables compression per chunk only when a sample of
 	// the payload predicts a worthwhile ratio — the adaptive scheme the
 	// paper's §V-B leaves to future work ("it might be interesting to
@@ -81,18 +75,6 @@ type Options struct {
 	// Off by default so I/O accounting matches the paper's tables;
 	// avstored turns it on.
 	Durability bool
-	// HealInterval is the background heal prober's period once an array
-	// (or the whole store) has entered degraded read-only mode after an
-	// uncertain commit failure (see DESIGN.md "Resilience & degraded
-	// modes"). Zero means a 1s default; negative disables the background
-	// prober entirely (Store.Heal still works when called directly). The
-	// prober is armed lazily by the first degrade and disarms itself
-	// once everything is writable again.
-	HealInterval time.Duration
-	// ManifestRotateBytes is the manifest log size that triggers a
-	// snapshot rotation. Zero means a 4 MiB default; negative disables
-	// rotation (the log grows without bound).
-	ManifestRotateBytes int64
 	// FS overrides the filesystem used by every write path; nil means the
 	// real OS. Tests inject fsio.Fault here to crash the store at an
 	// arbitrary write/sync/rename step.
@@ -110,20 +92,15 @@ func DefaultOptions() Options {
 	return Options{
 		ChunkBytes:      chunk.DefaultChunkBytes,
 		Codec:           compress.None,
-		DeltaMethod:     delta.Hybrid,
 		AutoDelta:       true,
 		DeltaCandidates: 1,
 		CoLocate:        true,
-		EstimateSample:  4096,
 	}
 }
 
 func (o *Options) fillDefaults() {
 	if o.ChunkBytes <= 0 {
 		o.ChunkBytes = chunk.DefaultChunkBytes
-	}
-	if o.DeltaMethod == 0 {
-		o.DeltaMethod = delta.Hybrid
 	}
 	if o.DeltaCandidates <= 0 {
 		o.DeltaCandidates = 1
@@ -177,16 +154,17 @@ type Store struct {
 	chunkCache *cache.Cache
 
 	// healthMu guards the degraded-mode state (see health.go). It is a
-	// leaf lock: it may be taken while holding Store.mu, and statsMu may
-	// be taken while holding it, but never the other way around.
+	// leaf lock: it may be taken while holding Store.mu, never the other
+	// way around.
 	healthMu      sync.Mutex
 	degraded      map[string]degradedInfo // array name -> why it is read-only
 	storeDegraded *degradedInfo           // non-nil while the whole store is read-only (ENOSPC)
 	healer        *healer                 // background heal prober; armed by the first degrade
 	healerStopped bool                    // Close ran; never re-arm
 
-	statsMu sync.Mutex
-	stats   IOStats
+	// stats holds the cumulative I/O counters, each an atomic: counting
+	// takes no lock.
+	stats ioCounters
 	// recovery is what Open-time crash recovery repaired; immutable after
 	// Open, merged into Stats() and never cleared by ResetStats.
 	recovery RecoveryStats
@@ -391,9 +369,6 @@ func hasLegacyMeta(dir string) bool {
 	return false
 }
 
-// Options returns the store's configuration.
-func (s *Store) Options() Options { return s.opts }
-
 // ErrClosed is returned (wrapped) by operations attempted after Close;
 // match it with errors.Is.
 var ErrClosed = fmt.Errorf("core: store is closed")
@@ -450,11 +425,41 @@ func (s *Store) Close() error {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Stats returns a snapshot of the I/O and cache counters.
+// ioCounters are IOStats' cumulative counters.
+type ioCounters struct {
+	bytesRead, bytesWritten, chunksRead, chunksWritten, chunkPreads atomic.Int64
+	groupCommits, groupCommitVersions                               atomic.Int64
+	manifestRecords, manifestAppends                                atomic.Int64
+	manifestFsyncs, manifestRotations                               atomic.Int64
+	insertOrphanFiles, insertOrphanBytes                            atomic.Int64
+	degradedEntered, degradedHealed, writesRejectedDegraded         atomic.Int64
+}
+
+// Stats returns the I/O and cache counters. Each counter is read
+// atomically, but not all at one instant: a Stats beside running
+// operations may see one of an operation's counters move and not yet
+// another (a read's chunks without its bytes, a commit's records
+// without its append).
 func (s *Store) Stats() IOStats {
-	s.statsMu.Lock()
-	out := s.stats
-	s.statsMu.Unlock()
+	c := &s.stats
+	out := IOStats{
+		BytesRead:              c.bytesRead.Load(),
+		BytesWritten:           c.bytesWritten.Load(),
+		ChunksRead:             c.chunksRead.Load(),
+		ChunksWritten:          c.chunksWritten.Load(),
+		ChunkPreads:            c.chunkPreads.Load(),
+		GroupCommits:           c.groupCommits.Load(),
+		GroupCommitVersions:    c.groupCommitVersions.Load(),
+		ManifestRecords:        c.manifestRecords.Load(),
+		ManifestAppends:        c.manifestAppends.Load(),
+		ManifestFsyncs:         c.manifestFsyncs.Load(),
+		ManifestRotations:      c.manifestRotations.Load(),
+		InsertOrphanFiles:      c.insertOrphanFiles.Load(),
+		InsertOrphanBytes:      c.insertOrphanBytes.Load(),
+		DegradedEntered:        c.degradedEntered.Load(),
+		DegradedHealed:         c.degradedHealed.Load(),
+		WritesRejectedDegraded: c.writesRejectedDegraded.Load(),
+	}
 	cs := s.chunkCache.Stats()
 	out.CacheHits = cs.Hits
 	out.CacheMisses = cs.Misses
@@ -481,42 +486,42 @@ func (s *Store) Recovery() RecoveryStats { return s.recovery }
 // ResetStats zeroes the I/O counters and the cache's cumulative counters
 // (cache residency is untouched).
 func (s *Store) ResetStats() {
-	s.statsMu.Lock()
-	s.stats = IOStats{}
-	s.statsMu.Unlock()
+	c := &s.stats
+	for _, n := range []*atomic.Int64{
+		&c.bytesRead, &c.bytesWritten, &c.chunksRead, &c.chunksWritten, &c.chunkPreads,
+		&c.groupCommits, &c.groupCommitVersions,
+		&c.manifestRecords, &c.manifestAppends, &c.manifestFsyncs, &c.manifestRotations,
+		&c.insertOrphanFiles, &c.insertOrphanBytes,
+		&c.degradedEntered, &c.degradedHealed, &c.writesRejectedDegraded,
+	} {
+		n.Store(0)
+	}
 	s.chunkCache.ResetCounters()
 }
 
 func (s *Store) addRead(preads, chunks, bytes int64) {
-	s.statsMu.Lock()
-	s.stats.ChunkPreads += preads
-	s.stats.ChunksRead += chunks
-	s.stats.BytesRead += bytes
-	s.statsMu.Unlock()
+	c := &s.stats
+	c.chunkPreads.Add(preads)
+	c.chunksRead.Add(chunks)
+	c.bytesRead.Add(bytes)
 }
 
 func (s *Store) addWrite(bytes int64) {
-	s.statsMu.Lock()
-	s.stats.BytesWritten += bytes
-	s.stats.ChunksWritten++
-	s.statsMu.Unlock()
+	c := &s.stats
+	c.bytesWritten.Add(bytes)
+	c.chunksWritten.Add(1)
 }
 
 func (s *Store) addGroupCommit(versions int) {
-	s.statsMu.Lock()
-	s.stats.GroupCommits++
-	s.stats.GroupCommitVersions += int64(versions)
-	s.statsMu.Unlock()
+	c := &s.stats
+	c.groupCommits.Add(1)
+	c.groupCommitVersions.Add(int64(versions))
 }
 
 func (s *Store) addInsertOrphans(files, bytes int64) {
-	if files == 0 && bytes == 0 {
-		return
-	}
-	s.statsMu.Lock()
-	s.stats.InsertOrphanFiles += files
-	s.stats.InsertOrphanBytes += bytes
-	s.statsMu.Unlock()
+	c := &s.stats
+	c.insertOrphanFiles.Add(files)
+	c.insertOrphanBytes.Add(bytes)
 }
 
 // --- per-array state and metadata ---

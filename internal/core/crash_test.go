@@ -109,11 +109,21 @@ func durableOpts(coLocate bool, fs fsio.FS) Options {
 	o.FS = fs
 	o.Parallelism = 1 // deterministic step ordering for the matrix
 	o.DeltaCandidates = 2
-	// rotate the manifest log every few KB so snapshot rotation and the
-	// CURRENT flip are crash/fault points of the matrices, not just the
-	// steady-state append
-	o.ManifestRotateBytes = 8 << 10
 	return o
+}
+
+// matrixRotateBytes is the manifest log size at which a fault matrix's
+// store rotates: every few KB, so snapshot rotation and the CURRENT flip
+// are crash/fault points of the matrices, not just the steady-state
+// append.
+const matrixRotateBytes = 8 << 10
+
+// matrixStore readies a store just opened with durableOpts for a fault
+// matrix: pinned commit timestamps and a log that rotates every
+// matrixRotateBytes.
+func matrixStore(s *Store) {
+	pinClock(s)
+	rotateAt(s, matrixRotateBytes)
 }
 
 // pinClock makes commit timestamps constant so every matrix run writes
@@ -346,7 +356,7 @@ func TestCrashPointMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pinClock(s)
+			matrixStore(s)
 			model, err := runCrashWorkload(s, mb, side)
 			if err != nil {
 				t.Fatalf("counting run failed: %v", err)
@@ -359,6 +369,9 @@ func TestCrashPointMatrix(t *testing.T) {
 			}
 			if s.Stats().ManifestRotations == 0 {
 				t.Fatal("workload never rotated the manifest log; the matrix would not cover snapshot rotation and the CURRENT flip")
+			}
+			if gen, err := readCurrent(s.Dir()); err != nil || gen < 2 {
+				t.Fatalf("CURRENT names generation %d (%v) after the workload; the matrix would not cover the CURRENT flip", gen, err)
 			}
 			total := counter.Steps()
 			if total < 50 {
@@ -373,7 +386,7 @@ func TestCrashPointMatrix(t *testing.T) {
 				s, err := Open(dir, durableOpts(coLocate, mb))
 				var m *crashModel
 				if err == nil {
-					pinClock(s)
+					matrixStore(s)
 					m, err = runCrashWorkload(s, mb, side)
 				} else {
 					m = &crashModel{content: map[int]*array.Dense{}}
@@ -481,6 +494,7 @@ func checkRecovered(t *testing.T, dir string, step int64, m *crashModel, side in
 	if err != nil {
 		t.Fatalf("step %d: reopen after crash: %v", step, err)
 	}
+	rotateAt(s, matrixRotateBytes)
 	if got := s.Recovery().DroppedVersions; got != 0 {
 		t.Fatalf("step %d: recovery dropped %d committed versions", step, got)
 	}

@@ -399,7 +399,7 @@ func TestPinnedReaderStallsNoMutator(t *testing.T) {
 	checkView := func(label string) {
 		t.Helper()
 		for i, want := range versions {
-			got, err := s.readRegionView(context.Background(), v, i+1, "A", full, newChunkCache(), nil)
+			got, err := s.readRegionView(context.Background(), v, i+1, "A", full, newChunkCache(true), nil)
 			if err != nil || !got.Dense.Equal(want) {
 				t.Fatalf("%s: the parked view reads version %d differently (%v)", label, i+1, err)
 			}
@@ -461,13 +461,12 @@ func TestPinnedReaderStallsNoMutator(t *testing.T) {
 func TestHealLeavesPinnedGeneration(t *testing.T) {
 	const side = 32
 	dir := t.TempDir()
-	opts := smallOpts()
-	opts.HealInterval = -1
-	s, err := Open(dir, opts)
+	s, err := Open(dir, smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.stopHealer() // heal explicitly, not from the background prober
 	if err := s.CreateArray(schema2D("H", side)); err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +507,7 @@ func TestHealLeavesPinnedGeneration(t *testing.T) {
 	}
 	full := array.BoxOf(v.st.Schema.Shape())
 	for i, want := range versions {
-		got, err := s.readRegionView(context.Background(), v, i+1, "A", full, newChunkCache(), nil)
+		got, err := s.readRegionView(context.Background(), v, i+1, "A", full, newChunkCache(true), nil)
 		if err != nil || !got.Dense.Equal(want) {
 			t.Errorf("after the heal the pinned view reads version %d differently (%v)", i+1, err)
 		}

@@ -37,9 +37,10 @@ import (
 // disk, cutting the manifest log back to its last acknowledged byte
 // (manifest.heal), sweeping commit debris and orphaned chunk blobs (the
 // Open-time recovery sweep, run on the live store), and verifying the
-// array end to end before flipping it back to writable. A background prober (the
-// healer) is armed on the first degrade and retries until the disk
-// recovers; Heal runs the same pass synchronously.
+// array end to end before flipping it back to writable. A background
+// prober (the healer) is armed on the first degrade and retries every
+// HealInterval until the disk recovers; Heal runs the same pass
+// synchronously.
 
 // ErrDegraded is returned (wrapped) by mutations refused because the
 // array — or the whole store, after ENOSPC — is in degraded read-only
@@ -121,26 +122,20 @@ func (s *Store) writeGate(name string) error {
 	s.healthMu.Lock()
 	defer s.healthMu.Unlock()
 	if s.storeDegraded != nil {
-		s.bumpRejected()
+		s.stats.writesRejectedDegraded.Add(1)
 		return fmt.Errorf("core: store is read-only (%s): %w", s.storeDegraded.reason, ErrDegraded)
 	}
 	if d, ok := s.degraded[name]; ok {
-		s.bumpRejected()
+		s.stats.writesRejectedDegraded.Add(1)
 		return fmt.Errorf("core: array %q is read-only (%s): %w", name, d.reason, ErrDegraded)
 	}
 	return nil
 }
 
-func (s *Store) bumpRejected() {
-	s.statsMu.Lock()
-	s.stats.WritesRejectedDegraded++
-	s.statsMu.Unlock()
-}
-
 // noteCommitFailure classifies a failure at an UNCERTAIN commit-protocol
 // site (data fsync, chunks-dir fsync, manifest append): the
 // array degrades, and ENOSPC additionally degrades the whole store.
-// Callers may hold Store.mu; healthMu and statsMu are leaf locks.
+// Callers may hold Store.mu; healthMu is a leaf lock.
 func (s *Store) noteCommitFailure(st *arrayState, err error) {
 	if err == nil || errors.Is(err, ErrClosed) || errors.Is(err, ErrDegraded) {
 		return
@@ -169,7 +164,7 @@ func (s *Store) degradeArray(name string, cause error) {
 	defer s.healthMu.Unlock()
 	if _, ok := s.degraded[name]; !ok {
 		s.degraded[name] = degradedInfo{reason: cause.Error(), since: s.clock()}
-		s.bumpEntered()
+		s.stats.degradedEntered.Add(1)
 	}
 	s.ensureHealerLocked()
 }
@@ -179,15 +174,9 @@ func (s *Store) degradeStore(cause error) {
 	defer s.healthMu.Unlock()
 	if s.storeDegraded == nil {
 		s.storeDegraded = &degradedInfo{reason: cause.Error(), since: s.clock()}
-		s.bumpEntered()
+		s.stats.degradedEntered.Add(1)
 	}
 	s.ensureHealerLocked()
-}
-
-func (s *Store) bumpEntered() {
-	s.statsMu.Lock()
-	s.stats.DegradedEntered++
-	s.statsMu.Unlock()
 }
 
 // clearDegraded flips one array back to writable.
@@ -196,9 +185,7 @@ func (s *Store) clearDegraded(name string) {
 	defer s.healthMu.Unlock()
 	if _, ok := s.degraded[name]; ok {
 		delete(s.degraded, name)
-		s.statsMu.Lock()
-		s.stats.DegradedHealed++
-		s.statsMu.Unlock()
+		s.stats.degradedHealed.Add(1)
 	}
 }
 
@@ -250,9 +237,7 @@ func (s *Store) Heal() (HealReport, error) {
 		s.healthMu.Lock()
 		if s.storeDegraded != nil {
 			s.storeDegraded = nil
-			s.statsMu.Lock()
-			s.stats.DegradedHealed++
-			s.statsMu.Unlock()
+			s.stats.degradedHealed.Add(1)
 		}
 		s.healthMu.Unlock()
 		rep.StoreHealed = true
@@ -364,9 +349,11 @@ func (s *Store) healArray(name string, rep *HealReport) error {
 	return nil
 }
 
-// defaultHealInterval is the background prober's period when
-// Options.HealInterval is zero.
-const defaultHealInterval = time.Second
+// HealInterval is the background heal prober's period once an array
+// (or the whole store) has entered degraded read-only mode after an
+// uncertain commit failure. The server's degraded-mode Retry-After hint
+// derives from it.
+const HealInterval = time.Second
 
 // healer is the background heal prober. It is not started at Open:
 // the first degrade arms it, and it disarms itself once nothing is
@@ -379,10 +366,9 @@ type healer struct {
 }
 
 // ensureHealerLocked arms the background prober. Callers hold healthMu.
-// A negative Options.HealInterval disables it (tests drive Heal
-// directly).
+// Once Close has stopped it, it never re-arms.
 func (s *Store) ensureHealerLocked() {
-	if s.healer != nil || s.healerStopped || s.opts.HealInterval < 0 {
+	if s.healer != nil || s.healerStopped {
 		return
 	}
 	h := &healer{s: s, stop: make(chan struct{}), done: make(chan struct{})}
@@ -390,8 +376,9 @@ func (s *Store) ensureHealerLocked() {
 	go h.loop()
 }
 
-// stopHealer terminates the background prober and waits for an
-// in-flight pass to finish; called by Close.
+// stopHealer terminates the background prober, waits for an in-flight
+// pass to finish, and keeps it from re-arming; called by Close, and by
+// tests that heal explicitly.
 func (s *Store) stopHealer() {
 	s.healthMu.Lock()
 	s.healerStopped = true
@@ -406,11 +393,7 @@ func (s *Store) stopHealer() {
 
 func (h *healer) loop() {
 	defer close(h.done)
-	interval := h.s.opts.HealInterval
-	if interval <= 0 {
-		interval = defaultHealInterval
-	}
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(HealInterval)
 	defer tick.Stop()
 	for {
 		select {

@@ -417,7 +417,7 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 	for j := range ps {
 		ins.ids[j] = baseID + j
 	}
-	ictx := &insertCtx{st: st, v: v, ws: ins.ws, qc: newChunkCache(), dir: v.gen.dir, repFixed: repFixed, sparse: sparse, fill: fill, goCtx: ctx}
+	ictx := &insertCtx{st: st, v: v, ws: ins.ws, qc: newChunkCache(false), dir: v.gen.dir, repFixed: repFixed, sparse: sparse, fill: fill, goCtx: ctx}
 	if s.chunkCache != nil {
 		ictx.head = map[cache.Key]*array.Dense{}
 	}
@@ -793,25 +793,30 @@ func (s *Store) chooseDeltaBase(ctx *insertCtx, planes []Plane) int {
 	return bestBase
 }
 
+// estimateSample is how many cells a delta candidate is priced from
+// (§IV-A): the estimate samples that many cells of the target and the
+// candidate instead of encoding every cell.
+const estimateSample = 4096
+
 // estimateDelta is delta.EstimateSize(target, cand's plane of attr,
-// EstimateSample, cand) without cand's plane: the sampled estimate
-// gathers cand's cells at the draw chunk by chunk. Only the exact
-// estimate (at most EstimateSample cells, or no sampling) encodes every
-// cell, so it assembles cand's plane from its chunks.
+// estimateSample, cand) without cand's plane: the sampled estimate
+// gathers cand's cells at the draw chunk by chunk. Only a plane of at
+// most estimateSample cells is priced exactly, by encoding every cell,
+// from cand's whole plane.
 func (s *Store) estimateDelta(ctx *insertCtx, target *array.Dense, cand int, attr string) (int64, error) {
-	n, sample := target.NumCells(), s.opts.EstimateSample
-	if sample <= 0 || int64(sample) >= n {
-		base, err := s.assemble(ctx.context(), ctx.v, cand, attr, ctx.qc)
+	n := target.NumCells()
+	if n <= estimateSample {
+		base, err := s.readRegionView(ctx.context(), ctx.v, cand, attr, array.BoxOf(ctx.st.Schema.Shape()), ctx.qc, nil)
 		if err != nil {
 			return 0, err
 		}
-		return delta.EstimateSize(target, base, sample, int64(cand)), nil
+		return delta.EstimateSize(target, base.Dense, estimateSample, int64(cand)), nil
 	}
 	ck, err := ctx.st.chunker()
 	if err != nil {
 		return 0, err
 	}
-	idx := delta.SampleCells(n, sample, int64(cand))
+	idx := delta.SampleCells(n, estimateSample, int64(cand))
 	b, err := s.gatherCells(ctx.context(), ctx.v, cand, attr, locateCells(ck, idx), ctx.qc)
 	if err != nil {
 		return 0, err
@@ -853,7 +858,7 @@ func (s *Store) gatherCells(ctx context.Context, v *readView, id int, attr strin
 			return nil
 		}
 		var err error
-		chunks[c], err = s.resolveDenseChunk(v, id, attr, b.ck, b.origins[c], locals[c], nil)
+		chunks[c], err = s.resolveDenseChunk(v, id, attr, b.ck, b.origins[c], locals[c], false, nil)
 		return err
 	})
 	if err != nil {
@@ -862,34 +867,6 @@ func (s *Store) gatherCells(ctx context.Context, v *readView, id int, attr strin
 	out := make([]int64, len(b.local))
 	for i, l := range b.local {
 		out[i] = chunks[b.chunk[i]].Bits(l)
-	}
-	return out, nil
-}
-
-// assemble builds version id's whole plane of dense attr from its
-// chunks, resolved through the view and the memo qc: only an exact
-// estimate — a whole-plane delta encode — needs one.
-func (s *Store) assemble(ctx context.Context, v *readView, id int, attr string, qc *chunkCache) (*array.Dense, error) {
-	ck, err := v.st.chunker()
-	if err != nil {
-		return nil, err
-	}
-	out, err := array.NewDense(v.st.Schema.Attrs[v.st.Schema.AttrIndex(attr)].Type, ck.Shape())
-	if err != nil {
-		return nil, err
-	}
-	origins := ck.All()
-	locals := qc.chunkMaps(attr, ck, origins)
-	err = forEachLimit(ctx, len(origins), s.opts.Parallelism, func(c int) error {
-		d, err := s.resolveDenseChunk(v, id, attr, ck, origins[c], locals[c], nil)
-		if err != nil {
-			return err
-		}
-		// workers write disjoint regions of out
-		return out.WriteRegion(origins[c], d)
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -967,18 +944,18 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Pla
 				return err
 			}
 			locals[i][id] = target
-		} else if target, err = s.resolveDenseChunk(ctx.v, id, attr.Name, ck, origins[i], locals[i], nil); err != nil {
+		} else if target, err = s.resolveDenseChunk(ctx.v, id, attr.Name, ck, origins[i], locals[i], false, nil); err != nil {
 			return err
 		}
 		targets[i] = target
 		payload := target.Bytes()
 		entryBase := -1
 		if baseID > 0 {
-			baseChunk, err := s.resolveDenseChunk(ctx.v, baseID, attr.Name, ck, origins[i], locals[i], nil)
+			baseChunk, err := s.resolveDenseChunk(ctx.v, baseID, attr.Name, ck, origins[i], locals[i], false, nil)
 			if err != nil {
 				return err
 			}
-			blob, err := delta.Encode(s.opts.DeltaMethod, target, baseChunk)
+			blob, err := delta.Encode(delta.Hybrid, target, baseChunk)
 			if err != nil {
 				return err
 			}
@@ -1041,7 +1018,7 @@ func (s *Store) readVersion(ctx context.Context, name string, id int) (array.Sch
 	}
 	schema := v.st.Schema
 	full := array.BoxOf(schema.Shape())
-	qc := newChunkCache()
+	qc := newChunkCache(false)
 	planes := make([]Plane, len(schema.Attrs))
 	for ai, attr := range schema.Attrs {
 		if planes[ai], err = s.readRegionView(ctx, v, id, attr.Name, full, qc, nil); err != nil {

@@ -136,8 +136,8 @@ func TestInsertMetaCommitFailureRollsBack(t *testing.T) {
 			opts.ChunkBytes = 1 << 10
 			opts.Durability = true
 			opts.FS = ffs
-			opts.HealInterval = -1 // heal explicitly, not from the background prober
 			s := testStore(t, opts)
+			s.stopHealer() // heal explicitly, not from the background prober
 			const side = 16
 			if err := s.CreateArray(schema2D("A", side)); err != nil {
 				t.Fatal(err)

@@ -73,7 +73,7 @@ const (
 	// manifestPrefix prefixes the per-generation snapshot/log files.
 	manifestPrefix = "MANIFEST-"
 	// defaultManifestRotateBytes is the log size that triggers a
-	// snapshot rotation when Options.ManifestRotateBytes is zero.
+	// snapshot rotation.
 	defaultManifestRotateBytes = 4 << 20
 )
 
@@ -212,15 +212,9 @@ type manifest struct {
 	// lazyTrunc marks a torn tail found by a non-durable open, which
 	// must not mutate the directory; the first append truncates it.
 	lazyTrunc bool
-	// rotateAt is the log size that triggers rotation; <0 disables.
+	// rotateAt is the log size that triggers rotation:
+	// defaultManifestRotateBytes (tests lower it; <0 disables).
 	rotateAt int64
-}
-
-func manifestRotateAt(opts Options) int64 {
-	if opts.ManifestRotateBytes != 0 {
-		return opts.ManifestRotateBytes
-	}
-	return defaultManifestRotateBytes
 }
 
 // commitMeta commits one array's staged metadata document as one
@@ -428,7 +422,7 @@ func (man *manifest) finishFlipLocked(newGen int) {
 	man.validOff = 0
 	man.lazyTrunc = false
 	man.pendingFlip = 0
-	man.s.addManifestRotation()
+	man.s.stats.manifestRotations.Add(1)
 	_ = man.s.fs.Remove(filepath.Join(man.dir, manifestSnapName(old)))
 	_ = man.s.fs.Remove(filepath.Join(man.dir, manifestLogName(old)))
 }
@@ -507,7 +501,7 @@ func createManifest(s *Store) (*manifest, error) {
 	if err := s.fs.MkdirAll(s.dir); err != nil {
 		return nil, fmt.Errorf("core: create store dir: %w", err)
 	}
-	man := &manifest{s: s, dir: s.dir, gen: 1, state: make(map[string]*arrayMeta), rotateAt: manifestRotateAt(s.opts)}
+	man := &manifest{s: s, dir: s.dir, gen: 1, state: make(map[string]*arrayMeta), rotateAt: defaultManifestRotateBytes}
 	if err := man.writeGeneration(1, 0); err != nil {
 		return nil, fmt.Errorf("core: create manifest: %w", err)
 	}
@@ -675,7 +669,7 @@ func openManifest(s *Store) (*manifest, error) {
 		nextSeq:  r.lastSeq,
 		validOff: r.validOff,
 		state:    r.state,
-		rotateAt: manifestRotateAt(s.opts),
+		rotateAt: defaultManifestRotateBytes,
 	}
 	if r.tornBytes > 0 {
 		if s.opts.Durability {
@@ -730,19 +724,12 @@ func (man *manifest) sweepRootLocked() error {
 // --- stats ---
 
 func (s *Store) addManifestCommit(records int) {
-	s.statsMu.Lock()
-	s.stats.ManifestRecords += int64(records)
-	s.stats.ManifestAppends++
+	c := &s.stats
+	c.manifestRecords.Add(int64(records))
+	c.manifestAppends.Add(1)
 	if s.opts.Durability {
-		s.stats.ManifestFsyncs++
+		c.manifestFsyncs.Add(1)
 	}
-	s.statsMu.Unlock()
-}
-
-func (s *Store) addManifestRotation() {
-	s.statsMu.Lock()
-	s.stats.ManifestRotations++
-	s.statsMu.Unlock()
 }
 
 // --- deep verification (avstore fsck) ---

@@ -113,6 +113,15 @@ func TestManifestReplayAcrossReopen(t *testing.T) {
 	}
 }
 
+// rotateAt sets the manifest log size at which s rotates to n bytes
+// (defaultManifestRotateBytes at Open; <0 never rotates), so a short
+// workload reaches a rotation.
+func rotateAt(s *Store, n int64) {
+	s.man.mu.Lock()
+	s.man.rotateAt = n
+	s.man.mu.Unlock()
+}
+
 // TestManifestRotation forces snapshot rotations with a tiny log
 // threshold and asserts the chain survives them: one live generation,
 // superseded files swept on durable reopen, every commit replayed.
@@ -122,11 +131,11 @@ func TestManifestRotation(t *testing.T) {
 	opts := smallOpts()
 	opts.ChunkBytes = 1 << 10
 	opts.Durability = true
-	opts.ManifestRotateBytes = 2 << 10
 	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rotateAt(s, 2<<10)
 	if err := s.CreateArray(schema2D("Rot", side)); err != nil {
 		t.Fatal(err)
 	}
@@ -299,12 +308,12 @@ func TestManifestAppendFailureDegradesAndHeals(t *testing.T) {
 	opts.ChunkBytes = 1 << 10
 	opts.Durability = true
 	opts.FS = ffs
-	opts.HealInterval = -1
 	s, err := Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.stopHealer() // heal explicitly, not from the background prober
 	if err := s.CreateArray(schema2D("H", side)); err != nil {
 		t.Fatal(err)
 	}
@@ -367,11 +376,11 @@ func FuzzManifestReplay(f *testing.F) {
 	dir := f.TempDir()
 	opts := smallOpts()
 	opts.Durability = true
-	opts.ManifestRotateBytes = 2 << 10
 	s, err := Open(dir, opts)
 	if err != nil {
 		f.Fatal(err)
 	}
+	rotateAt(s, 2<<10)
 	var files [3][]byte // CURRENT, snapshot, log of the last seed
 	seed := func() {
 		gen, err := readCurrent(dir)
@@ -568,12 +577,12 @@ func TestReplayRejectsHostileAppends(t *testing.T) {
 	dir := t.TempDir()
 	opts := smallOpts()
 	opts.Durability = true
-	opts.ManifestRotateBytes = -1
 	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	rotateAt(s, -1)
 	if err := s.CreateArray(schema2D("A", 8)); err != nil {
 		t.Fatal(err)
 	}
@@ -641,12 +650,12 @@ func TestCommitRecordBytesFlat(t *testing.T) {
 	dir := t.TempDir()
 	opts := smallOpts()
 	opts.Durability = true
-	opts.ManifestRotateBytes = -1
 	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	rotateAt(s, -1)
 	pinClock(s)
 	if err := s.CreateArray(schema2D("F", side)); err != nil {
 		t.Fatal(err)

@@ -25,13 +25,13 @@ func FuzzOpenStore(f *testing.F) {
 	opts := smallOpts()
 	opts.ChunkBytes = 1 << 10 // 4 chunks of 16² int32
 	opts.Durability = true
-	// an insert's record is ~570 bytes: the log rotates once, after the
-	// third insert, and the live log holds the last two inserts' appends
-	opts.ManifestRotateBytes = 3 << 9
 	s, err := Open(dir, opts)
 	if err != nil {
 		f.Fatal(err)
 	}
+	// an insert's record is ~570 bytes: the log rotates once, after the
+	// third insert, and the live log holds the last two inserts' appends
+	rotateAt(s, 3<<9)
 	if err := s.CreateArray(schema2D("D", 32)); err != nil {
 		f.Fatal(err)
 	}

@@ -412,7 +412,7 @@ func (s *Store) planLayout(v *readView, memo *chunkCache, opts ReorganizeOptions
 // resolved whole. Safe with no store lock held when v is a snapshot
 // view; an uncached view neither reads nor fills the store-wide LRU.
 func (s *Store) decodeLive(v *readView) (*chunkCache, error) {
-	memo := newChunkCache()
+	memo := newChunkCache(true)
 	ctx := context.Background() //avlint:allow-ctx a rewrite or Tune plan has no caller context to cancel it
 	for _, attr := range v.st.Schema.Attrs {
 		if v.st.SparseRep {
@@ -431,7 +431,7 @@ func (s *Store) decodeLive(v *readView) (*chunkCache, error) {
 		locals := memo.chunkMaps(attr.Name, ck, origins)
 		err = forEachLimit(ctx, len(origins), s.opts.Parallelism, func(c int) error {
 			for _, id := range v.ids {
-				if _, err := s.resolveDenseChunk(v, id, attr.Name, ck, origins[c], locals[c], nil); err != nil {
+				if _, err := s.resolveDenseChunk(v, id, attr.Name, ck, origins[c], locals[c], true, nil); err != nil {
 					return err
 				}
 			}
@@ -507,11 +507,14 @@ func (s *Store) matrixInputOf(v *readView, memo *chunkCache, sample int) (*matri
 			}
 			in.sampled = append(in.sampled, g)
 		default:
+			full := array.BoxOf(v.st.Schema.Shape())
 			vs := make([]*array.Dense, len(v.ids))
 			for i, id := range v.ids {
-				if vs[i], err = s.assemble(ctx, v, id, attr.Name, memo); err != nil {
+				pl, err := s.readRegionView(ctx, v, id, attr.Name, full, memo, nil)
+				if err != nil {
 					return nil, err
 				}
+				vs[i] = pl.Dense
 			}
 			in.dense = append(in.dense, vs)
 		}
@@ -775,7 +778,7 @@ func (s *Store) stageDeleteVersion(st *arrayState, staged *arrayMeta, id int, ws
 	v := viewOf(st, staged.Versions)
 	v.noLookup, v.noAdmit = true, true
 	vm := v.byID[id]
-	ctx := &insertCtx{st: st, v: v, ws: ws, qc: newChunkCache(), dir: v.gen.dir, sparse: staged.SparseRep}
+	ctx := &insertCtx{st: st, v: v, ws: ws, qc: newChunkCache(false), dir: v.gen.dir, sparse: staged.SparseRep}
 	for si, child := range staged.Versions {
 		if child.ID == id || child.Deleted {
 			continue

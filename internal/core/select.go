@@ -71,7 +71,7 @@ func (s *Store) Read(ctx context.Context, q ReadQuery) ([]Plane, error) {
 	// walk would clone every plane it passes
 	var qc *chunkCache
 	if len(q.IDs) > 1 {
-		qc = newChunkCache()
+		qc = newChunkCache(true)
 	}
 	out := make([]Plane, len(q.IDs))
 	for i, id := range q.IDs {
@@ -164,6 +164,13 @@ func SparsePlanes(name string, planes []Plane, err error) ([]*array.Sparse, erro
 type chunkCache struct {
 	dense  map[attrChunk]map[int]*array.Dense
 	sparse map[string]map[int]sparseRes // by attribute
+	// links makes a dense walk memoize every version it passes on the
+	// way to the one asked for, so an ordered multi-version scan (Read,
+	// decodeLive) decodes each payload once — a reverse chain read
+	// oldest-first included. A staging memo keeps only the chunks asked
+	// for (a base, a candidate, a re-encode's target): a walk down a long
+	// cold chain then copies one plane, not one per link.
+	links bool
 }
 
 // attrChunk names one chunk of one attribute.
@@ -177,8 +184,8 @@ type sparseRes struct {
 	shared bool
 }
 
-func newChunkCache() *chunkCache {
-	return &chunkCache{dense: map[attrChunk]map[int]*array.Dense{}, sparse: map[string]map[int]sparseRes{}}
+func newChunkCache(links bool) *chunkCache {
+	return &chunkCache{dense: map[attrChunk]map[int]*array.Dense{}, sparse: map[string]map[int]sparseRes{}, links: links}
 }
 
 // chunkMaps returns the memo map of attr's chunk at each of origins,
@@ -276,7 +283,7 @@ func (s *Store) readRegionView(ctx context.Context, v *readView, id int, attr st
 		if locals != nil {
 			local = locals[i]
 		}
-		chunkArr, err := s.resolveDenseChunk(v, id, attr, ck, origin, local, tk)
+		chunkArr, err := s.resolveDenseChunk(v, id, attr, ck, origin, local, qc != nil && qc.links, tk)
 		if err != nil {
 			return err
 		}
@@ -321,11 +328,12 @@ const walkReadBytes = 1 << 20
 // adjacent frames of a chain file into one pread. It copies the starting
 // plane once into a private buffer and applies the deltas to the buffer
 // in place on the way back. Only the target is admitted to the LRU, by
-// a view that admits; with a memo, every intermediate is copied into it,
-// so an ordered multi-version scan decodes each payload once. Cached and
-// memoized planes are shared and never mutated, and none of them
-// aliases a run buffer: deltas apply into the plane.
-func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Chunker, origin []int64, local map[int]*array.Dense, tk *opTracker) (*array.Dense, error) {
+// a view that admits; with a memo the target is memoized, and with links
+// every intermediate is copied into the memo too, so an ordered
+// multi-version scan decodes each payload once. Cached and memoized
+// planes are shared and never mutated, and none of them aliases a run
+// buffer: deltas apply into the plane.
+func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Chunker, origin []int64, local map[int]*array.Dense, links bool, tk *opTracker) (*array.Dense, error) {
 	st := v.st
 	key := ck.Key(origin)
 	box := ck.Box(origin)
@@ -384,9 +392,10 @@ func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Ch
 			return nil, fail(root.id, err)
 		}
 		tk.attr("chunks_decoded", 1)
-		owned = local == nil
-		if local != nil {
+		owned = true
+		if local != nil && (links || len(chain) == 0) {
 			local[root.id] = buf
+			owned = false
 		}
 		if len(chain) == 0 {
 			s.admitChunk(v, ckey(id), buf)
@@ -422,7 +431,7 @@ func (s *Store) resolveDenseChunk(v *readView, id int, attr string, ck *chunk.Ch
 			tk.observe(StageDelta, time.Since(t0), buf.SizeBytes())
 			tk.attr("chunks_decoded", 1)
 			switch {
-			case i > 0 && local != nil:
+			case i > 0 && links && local != nil:
 				local[l.id] = buf.Clone()
 			case i == 0:
 				if local != nil {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -239,7 +240,7 @@ func TestChunkwiseGather(t *testing.T) {
 				n := cur.NumCells()
 				idx := delta.SampleCells(n, 600, 7)
 				b := locateCells(ck, idx)
-				cold := newChunkCache()
+				cold := newChunkCache(false)
 				for i, id := range v.ids {
 					got, err := s.gatherCells(context.Background(), v, id, "A", b, cold)
 					if err != nil {
@@ -275,5 +276,44 @@ func TestChunkwiseGather(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestColdInsertMemoizesOnlyItsBase pins what one cache-off insert onto
+// a 16-deep chain allocates. Staging walks the chain to the delta base
+// chunk by chunk and memoizes only the base's chunks, not a copy of
+// every link it passes, so the insert allocates a few planes, not one
+// per link.
+func TestColdInsertMemoizesOnlyItsBase(t *testing.T) {
+	const side, depth = 256, 16
+	versions := driftSeries(depth+1, side, 87)
+	opts := DefaultOptions() // cache off: the base comes from a chain walk
+	opts.ChunkBytes = 64 << 10
+	s := testStore(t, opts)
+	defer s.Close()
+	if err := s.CreateArray(schema2D("I", side)); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range versions[:depth] {
+		if _, err := s.Insert("I", DensePayload(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	id, err := s.Insert("I", DensePayload(versions[depth]))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, base := range chunkBases(s, "I", id) {
+		if base != depth {
+			t.Fatalf("chunk %s of the insert has base %d, want a delta off version %d", k, base, depth)
+		}
+	}
+	plane := uint64(versions[depth].SizeBytes())
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 6*plane {
+		t.Fatalf("the insert allocated %d bytes (%.1f planes of %d), want at most 6 planes", grew, float64(grew)/float64(plane), plane)
 	}
 }

@@ -197,13 +197,12 @@ func TestTransientFaultSweep(t *testing.T) {
 	// pass 1: count the workload's mutation steps fault-free
 	counting := fsio.NewFlaky(fsio.OS)
 	mb := &midBuildFS{FS: counting}
-	opts := durableOpts(false, mb)
-	opts.HealInterval = -1 // heal explicitly, not from the background prober
-	s, err := Open(t.TempDir(), opts)
+	s, err := Open(t.TempDir(), durableOpts(false, mb))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinClock(s) // byte-identical manifest records in every run
+	matrixStore(s)
+	s.stopHealer() // heal explicitly, not from the background prober
 	model, err := runTransientWorkload(s, mb, side)
 	if err != nil {
 		t.Fatalf("counting run failed: %v", err)
@@ -235,14 +234,13 @@ func TestTransientFaultSweep(t *testing.T) {
 				flaky := fsio.NewFlaky(fsio.OS)
 				flaky.FailAt(n, inj.err)
 				mb := &midBuildFS{FS: flaky}
-				opts := durableOpts(false, mb)
-				opts.HealInterval = -1
-				s, err := Open(t.TempDir(), opts)
+				s, err := Open(t.TempDir(), durableOpts(false, mb))
 				if err != nil {
 					// the fault hit store creation itself; nothing to check
 					continue
 				}
-				pinClock(s)
+				matrixStore(s)
+				s.stopHealer()
 				m, werr := runTransientWorkload(s, mb, side)
 				label := fmt.Sprintf("%s step %d/%d", inj.name, n, total)
 
@@ -302,6 +300,7 @@ func TestTransientFaultSweep(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reopen: %v", label, err)
 				}
+				rotateAt(r, matrixRotateBytes)
 				checkTransientState(t, r, m, label+" (reopen)")
 				if err := r.Close(); err != nil {
 					t.Fatalf("%s: close reopened: %v", label, err)
@@ -344,13 +343,13 @@ func checkRewriteRolledBack(t *testing.T, s *Store, name string, gen int, label 
 func TestDegradedReadsStayUp(t *testing.T) {
 	const side = 8
 	flaky := fsio.NewFlaky(fsio.OS)
-	opts := durableOpts(false, flaky)
-	opts.HealInterval = -1
-	s, err := Open(t.TempDir(), opts)
+	s, err := Open(t.TempDir(), durableOpts(false, flaky))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	rotateAt(s, matrixRotateBytes)
+	s.stopHealer()
 	if err := s.CreateArray(schema2D("R", side)); err != nil {
 		t.Fatal(err)
 	}

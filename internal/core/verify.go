@@ -98,7 +98,7 @@ func (s *Store) Verify(name string) (VerifyReport, error) {
 				_, _, err = s.resolveSparse(view, vm.ID, attr.Name, nil, 0, nil)
 			}
 			for i := 0; err == nil && i < len(origins); i++ {
-				_, err = s.resolveDenseChunk(view, vm.ID, attr.Name, ck, origins[i], nil, nil)
+				_, err = s.resolveDenseChunk(view, vm.ID, attr.Name, ck, origins[i], nil, false, nil)
 			}
 			if err != nil {
 				rep.Problems = append(rep.Problems,

@@ -337,9 +337,9 @@ func parkFirstChunkSync(t *testing.T, hfs *hookFS, side int64) (s *Store, arm fu
 	opts := smallOpts()
 	opts.ChunkBytes = 1 << 10
 	opts.Durability = true
-	opts.HealInterval = -1
 	opts.FS = hfs
 	s = testStore(t, opts)
+	s.stopHealer() // heal explicitly, not from the background prober
 	var once sync.Once
 	release = func() { once.Do(func() { close(unpark) }) }
 	// a failed check still lets the parked write finish, so Close returns
@@ -653,7 +653,7 @@ func TestCloseAndCreateWaitForDrop(t *testing.T) {
 	}
 	readThrough := func(v *readView) {
 		t.Helper()
-		got, err := s.readRegionView(context.Background(), v, 1, v.st.Schema.Attrs[0].Name, array.BoxOf(v.st.Schema.Shape()), newChunkCache(), nil)
+		got, err := s.readRegionView(context.Background(), v, 1, v.st.Schema.Attrs[0].Name, array.BoxOf(v.st.Schema.Shape()), newChunkCache(true), nil)
 		if err != nil || !got.Dense.Equal(content) {
 			t.Errorf("read through the parked reader's view: %v", err)
 		}
@@ -753,9 +753,9 @@ func TestCloseWaitsForInFlightWork(t *testing.T) {
 			opts := smallOpts()
 			opts.ChunkBytes = 1 << 10
 			opts.Durability = true
-			opts.HealInterval = -1
 			opts.FS = hfs
 			s := testStore(t, opts)
+			s.stopHealer() // heal explicitly, not from the background prober
 			var once sync.Once
 			release := func() { once.Do(func() { close(unpark) }) }
 			t.Cleanup(func() { release(); s.Close() })
@@ -955,9 +955,9 @@ func TestBranchRacingCloseLeavesNoEmptyArray(t *testing.T) {
 	}
 	opts := smallOpts()
 	opts.Durability = true
-	opts.HealInterval = -1
 	opts.FS = hfs
 	s := testStore(t, opts)
+	s.stopHealer() // heal explicitly, not from the background prober
 	if err := s.CreateArray(schema2D("A", side)); err != nil {
 		t.Fatal(err)
 	}

@@ -190,9 +190,9 @@ func TestFailedWriteAdmitsNothing(t *testing.T) {
 			opts := writeThroughOpts(4 << 20)
 			opts.Durability = true
 			opts.FS = ffs
-			opts.HealInterval = -1
 			s := testStore(t, opts)
 			defer s.Close()
+			s.stopHealer() // heal explicitly, not from the background prober
 			if err := s.CreateArray(schema2D("F", 64)); err != nil {
 				t.Fatal(err)
 			}

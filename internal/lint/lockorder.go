@@ -13,7 +13,7 @@ import (
 // partial order (see Store/arrayState doc comments and DESIGN.md
 // "Static analysis") is:
 //
-//	reorgMu < writeMu < Store.mu < healthMu < statsMu
+//	reorgMu < writeMu < Store.mu < healthMu
 //
 // The analyzer builds a static acquisition graph from direct
 // .Lock()/.RLock() calls, from lockArray call sites (the func-literal
@@ -52,7 +52,7 @@ var LockOrder = &Analyzer{
 
 // lockOrderDoc is the canonical order, embedded in diagnostics so the
 // fix is in the message.
-const lockOrderDoc = "reorgMu < writeMu < Store.mu < healthMu < statsMu"
+const lockOrderDoc = "reorgMu < writeMu < Store.mu < healthMu"
 
 // lockRank maps "Type.field" to its position in the partial order.
 // Lower ranks are acquired first. Locks not listed here (writeSet.mu,
@@ -63,7 +63,6 @@ var lockRank = map[string]int{
 	"arrayState.writeMu": 10,
 	"Store.mu":           30,
 	"Store.healthMu":     60,
-	"Store.statsMu":      70,
 }
 
 // ioSeamFuncs are the same-package methods that are I/O seams.

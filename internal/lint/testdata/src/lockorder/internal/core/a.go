@@ -10,7 +10,7 @@
 // pinned clean in ../../locksets: their reorgMu -> writeMu edge would
 // close a cycle with the descending writeMu -> reorgMu pairs here. The
 // ascending pairs here are chosen the same way: every edge follows
-// healthMu, writeMu, reorgMu, Store.mu, statsMu, so the graph has no
+// healthMu, writeMu, reorgMu, Store.mu, so the graph has no
 // cycle and each diagnostic is the one its scenario names.)
 package core
 
@@ -28,7 +28,6 @@ type arrayState struct {
 type Store struct {
 	mu       sync.RWMutex
 	healthMu sync.Mutex
-	statsMu  sync.Mutex
 	arrays   map[string]*arrayState
 	fs       fsio.FS
 	man      *manifest
@@ -48,8 +47,6 @@ func (s *Store) lockArray(name string, pick func(st *arrayState) []*sync.Mutex) 
 func (s *Store) goodOrder(st *arrayState) {
 	st.reorgMu.Lock()
 	s.mu.Lock()
-	s.statsMu.Lock()
-	s.statsMu.Unlock()
 	s.mu.Unlock()
 	st.reorgMu.Unlock()
 }

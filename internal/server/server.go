@@ -262,24 +262,16 @@ func (s *Server) retryAfter() string {
 }
 
 // degradedRetryAfter derives the degraded-mode (503) Retry-After hint
-// from the store's heal-prober cadence: the soonest the store can
-// plausibly be writable again is one heal interval away, so a shorter
-// interval invites faster retries, and a second of jitter spreads the
-// retrying cohort out — mirroring the 429 path's derived hint.
+// from the store's heal-prober cadence (core.HealInterval): the soonest
+// the store can plausibly be writable again is one heal interval away,
+// and a second of jitter spreads the retrying cohort out — mirroring
+// the 429 path's derived hint.
 func (s *Server) degradedRetryAfter() string {
-	iv := s.store.Options().HealInterval
-	if iv <= 0 {
-		// 0 means the store runs the default prober cadence; negative
-		// disables the prober, where a short optimistic hint still beats
-		// telling clients to never come back
-		iv = time.Second
-	}
-	secs := int((iv + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs + rand.Intn(2))
+	return strconv.Itoa(healRetrySecs + rand.Intn(2))
 }
+
+// healRetrySecs is core.HealInterval rounded up to whole seconds.
+const healRetrySecs = int((core.HealInterval + time.Second - 1) / time.Second)
 
 // statusWriter records the first status code written and the response
 // body size.

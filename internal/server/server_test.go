@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1019,7 +1020,9 @@ func TestIdempotencyKeyScopedByRoute(t *testing.T) {
 
 // readyzFaultFS wraps a base FS and, while armed, fails the Write of
 // any MANIFEST-*.log append handle — the uncertain-commit failure that
-// degrades the whole store (see core's manifest append tests).
+// degrades the whole store (see core's manifest append tests) — and
+// every Create, so the background heal prober's disk probe fails too
+// and the store stays degraded until the test disarms it.
 type readyzFaultFS struct {
 	fsio.FS
 	mu    sync.Mutex
@@ -1036,6 +1039,13 @@ func (f *readyzFaultFS) hot() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.armed
+}
+
+func (f *readyzFaultFS) Create(path string) (fsio.File, error) {
+	if f.hot() {
+		return nil, fsio.ErrIO
+	}
+	return f.FS.Create(path)
 }
 
 func (f *readyzFaultFS) Append(path string) (fsio.File, error) {
@@ -1059,11 +1069,10 @@ func (fl *readyzFaultFile) Write(p []byte) (int, error) {
 	return fl.File.Write(p)
 }
 
-// TestDegradedRetryAfterFromHealInterval pins the satellite behavior:
-// the 503 Retry-After hint on a degraded store is derived from the
-// heal prober's cadence (ceil(HealInterval) plus at most a second of
-// jitter), not a hardcoded constant — a 30s prober must tell clients
-// to come back in 30-31s, on both the write path and /readyz.
+// TestDegradedRetryAfterFromHealInterval pins the 503 Retry-After hint
+// on a degraded store: it is derived from the heal prober's cadence,
+// ceil(core.HealInterval) plus at most a second of jitter, on both the
+// write path and /readyz.
 func TestDegradedRetryAfterFromHealInterval(t *testing.T) {
 	const side = 16
 	ffs := &readyzFaultFS{FS: fsio.OS}
@@ -1071,7 +1080,6 @@ func TestDegradedRetryAfterFromHealInterval(t *testing.T) {
 	opts.ChunkBytes = 4 << 10
 	opts.Durability = true
 	opts.FS = ffs
-	opts.HealInterval = 30 * time.Second
 	st, err := core.Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -1099,13 +1107,14 @@ func TestDegradedRetryAfterFromHealInterval(t *testing.T) {
 		t.Fatalf("store not degraded: %+v", h)
 	}
 
+	secs := int((core.HealInterval + time.Second - 1) / time.Second)
 	wantRetry := func(resp *http.Response, label string) {
 		t.Helper()
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("%s: status %d, want 503", label, resp.StatusCode)
 		}
-		if ra := resp.Header.Get("Retry-After"); ra != "30" && ra != "31" {
-			t.Fatalf("%s: Retry-After %q, want 30 or 31 (derived from the 30s heal interval)", label, ra)
+		if ra := resp.Header.Get("Retry-After"); ra != strconv.Itoa(secs) && ra != strconv.Itoa(secs+1) {
+			t.Fatalf("%s: Retry-After %q, want %d or %d (derived from the %s heal interval)", label, ra, secs, secs+1, core.HealInterval)
 		}
 	}
 
