@@ -16,12 +16,10 @@ const (
 	magicSparse = 0xA175
 )
 
-// AppendDenseHeader appends the dense blob header — magic, dtype, ndim,
-// shape varints — without the cell bytes. It exists for vectored writers
-// that send the header and the cell bytes as
-// separate I/O vectors instead of materializing one contiguous blob;
-// header + d.Bytes() is exactly a MarshalDense blob.
-func AppendDenseHeader(buf []byte, d *Dense) []byte {
+// appendDenseHeader appends the dense blob header — magic, dtype, ndim,
+// shape varints — without the cell bytes; header + d.Bytes() is exactly
+// a MarshalDense blob.
+func appendDenseHeader(buf []byte, d *Dense) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, magicDense)
 	buf = append(buf, byte(d.dtype), byte(len(d.shape)))
 	for _, s := range d.shape {
@@ -32,11 +30,13 @@ func AppendDenseHeader(buf []byte, d *Dense) []byte {
 
 // MarshalDense serializes a dense array.
 func MarshalDense(d *Dense) []byte {
-	buf := AppendDenseHeader(make([]byte, 0, 16+len(d.data)), d)
+	buf := appendDenseHeader(make([]byte, 0, 16+len(d.data)), d)
 	return append(buf, d.data...)
 }
 
-// UnmarshalDense parses a blob produced by MarshalDense.
+// UnmarshalDense parses a blob produced by MarshalDense. The result
+// aliases blob: its cells are blob's tail, not a copy, so the caller
+// hands blob over and must neither reuse nor modify it afterwards.
 func UnmarshalDense(blob []byte) (*Dense, error) {
 	if len(blob) < 4 || binary.LittleEndian.Uint16(blob) != magicDense {
 		return nil, fmt.Errorf("array: not a dense array blob")
@@ -56,7 +56,7 @@ func UnmarshalDense(blob []byte) (*Dense, error) {
 		shape[i] = v
 		pos += n
 	}
-	return DenseFromBytes(dtype, shape, append([]byte(nil), blob[pos:]...))
+	return DenseFromBytes(dtype, shape, blob[pos:len(blob):len(blob)])
 }
 
 // MarshalSparse serializes a sparse array: header, fill, nnz, then
@@ -166,7 +166,7 @@ func Marshal(a any) ([]byte, error) {
 }
 
 // Unmarshal parses a blob produced by Marshal and returns either *Dense
-// or *Sparse.
+// or *Sparse. A *Dense aliases blob, as UnmarshalDense's does.
 func Unmarshal(blob []byte) (any, error) {
 	if len(blob) < 2 {
 		return nil, fmt.Errorf("array: blob too short")

@@ -40,11 +40,15 @@ func frameLen(n int64) int64 { return n + frameHeaderLen }
 
 // appendFrame wraps payload in a frame and appends it to dst.
 func appendFrame(dst, payload []byte) []byte {
+	return append(appendFrameHeader(dst, payload), payload...)
+}
+
+// appendFrameHeader appends the header of payload's frame to dst.
+func appendFrameHeader(dst, payload []byte) []byte {
 	dst = append(dst, frameMagic...)
 	dst = append(dst, frameVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
 }
 
 // parseFrame validates a frame read from disk (header plus payload) and

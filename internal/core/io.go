@@ -85,9 +85,9 @@ func (s *Store) writeBlob(ctx *insertCtx, id int, attr, chunkKey string, blob []
 }
 
 // appendBlob appends one framed payload to path and returns the offset
-// its frame starts at. The append is not fsynced: every caller batches
-// one fsync per touched file before its metadata commit (writeSet.sync,
-// syncBuild). The close error is always checked — a failed close after
+// its frame starts at: the frame header, then the payload itself. The
+// append is not fsynced: every caller batches one fsync per touched file
+// before its metadata commit (writeSet.sync, syncBuild). The close error is always checked — a failed close after
 // a buffered write is silent data loss.
 func (s *Store) appendBlob(path string, payload []byte) (int64, error) {
 	f, err := s.fs.Append(path)
@@ -106,7 +106,13 @@ func (s *Store) appendBlob(path string, payload []byte) (int64, error) {
 		_ = f.Close() // nothing was written; the oversize payload is the failure
 		return 0, fmt.Errorf("core: chunk payload of %d bytes exceeds the frame format limit", len(payload))
 	}
-	_, werr := f.Write(appendFrame(make([]byte, 0, frameLen(int64(len(payload)))), payload))
+	// header and payload go out as two writes, so the payload is never
+	// copied just to put 13 bytes in front of it
+	var hdr [frameHeaderLen]byte
+	_, werr := f.Write(appendFrameHeader(hdr[:0], payload))
+	if werr == nil {
+		_, werr = f.Write(payload)
+	}
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}

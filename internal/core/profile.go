@@ -11,7 +11,7 @@ import (
 )
 
 // Stage names for the two instrumented pipelines. Select stages are the
-// leaf operations of readRegionView/resolveDenseChunk — each delta-chain
+// leaf operations of resolveRegion/resolveDenseChunk — each delta-chain
 // link times its own cache probe, blob read, frame decode, and delta
 // apply, so totals add up without double counting across the walk.
 // Commit stages follow one write from staging through its commit

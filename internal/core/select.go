@@ -47,16 +47,71 @@ type ReadQuery struct {
 // from one metadata snapshot; a multi-version read walks each chunk's
 // delta chain once for all of them (chunkCache). Once ctx is cancelled
 // the chunk fan-out stops scheduling work at the next chunk boundary, so
-// abandoned requests do not keep burning the decode pool.
+// abandoned requests do not keep burning the decode pool. Each dense
+// plane is resolved to its chunks, then assembled into one fresh array.
 func (s *Store) Read(ctx context.Context, q ReadQuery) ([]Plane, error) {
+	out := make([]Plane, len(q.IDs))
+	err := s.resolve(ctx, q, func(i int, cp ChunkedPlane) (err error) {
+		out[i], err = cp.assemble()
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadChunked is Read without the assembly: one ChunkedPlane per listed
+// version, in order, whose dense chunks a caller serializes as they are
+// (the server's select reply) instead of copying them into one plane.
+func (s *Store) ReadChunked(ctx context.Context, q ReadQuery) ([]ChunkedPlane, error) {
+	out := make([]ChunkedPlane, len(q.IDs))
+	err := s.resolve(ctx, q, func(i int, cp ChunkedPlane) error {
+		out[i] = cp
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ChunkedPlane is one version's answer to a read before assembly. For a
+// dense array it is the query box clipped to the array, the chunk
+// stride, and the chunks the box overlaps in row-major grid order: each
+// is the whole (edge-clipped) chunk, the same shared value the
+// store-wide LRU holds, so nobody may write to it. A sparse array's
+// version is Sparse instead, already sliced to the box.
+type ChunkedPlane struct {
+	Box    array.Box
+	Stride []int64
+	Chunks []*array.Dense
+	Sparse *array.Sparse
+	tk     *opTracker
+	// ck and origins place each chunk for assemble
+	ck      *chunk.Chunker
+	origins [][]int64
+}
+
+// ObserveMaterialize records d and bytes under StageMaterialize for the
+// read that resolved p: whoever turns the chunks into the reply reports
+// what that took. A ChunkedPlane built outside a read records nothing.
+func (p ChunkedPlane) ObserveMaterialize(d time.Duration, bytes int64) {
+	p.tk.observe(StageMaterialize, d, bytes)
+}
+
+// resolve is the one read path: it snapshots q's array, then resolves
+// each listed version's chunks (resolveRegion) and hands them to each in
+// version order, serially, so a multi-version memo needs no locking.
+func (s *Store) resolve(ctx context.Context, q ReadQuery, each func(i int, cp ChunkedPlane) error) error {
 	if len(q.IDs) == 0 {
-		return nil, fmt.Errorf("core: no versions selected")
+		return fmt.Errorf("core: no versions selected")
 	}
 	tk := s.selTracker(ctx)
 	t0 := time.Now()
 	v, release, err := s.snapshot(q.Array)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer release()
 	tk.observe(StageSnapshot, time.Since(t0), 0)
@@ -73,13 +128,16 @@ func (s *Store) Read(ctx context.Context, q ReadQuery) ([]Plane, error) {
 	if len(q.IDs) > 1 {
 		qc = newChunkCache(true)
 	}
-	out := make([]Plane, len(q.IDs))
 	for i, id := range q.IDs {
-		if out[i], err = s.readRegionView(ctx, v, id, attr, box, qc, tk); err != nil {
-			return nil, err
+		cp, err := s.resolveRegion(ctx, v, id, attr, box, qc, tk)
+		if err != nil {
+			return err
+		}
+		if err := each(i, cp); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Select returns the full content of one version's first attribute.
@@ -218,35 +276,34 @@ func (c *chunkCache) sparseMap(attr string) map[int]sparseRes {
 	return c.sparse[attr]
 }
 
-// readRegionView reconstructs the part of a version's attribute plane
-// covered by box against a metadata view, reading only the overlapping
-// chunks and fanning the per-chunk work out on the worker pool. tk (nil
-// for internal readers) receives per-stage timings.
-func (s *Store) readRegionView(ctx context.Context, v *readView, id int, attr string, box array.Box, qc *chunkCache, tk *opTracker) (Plane, error) {
+// resolveRegion reconstructs the chunks of a version's attribute plane
+// that box overlaps against a metadata view, fanning the per-chunk work
+// out on the worker pool; a sparse version is resolved whole and sliced
+// to box. tk (nil for internal readers) receives per-stage timings.
+func (s *Store) resolveRegion(ctx context.Context, v *readView, id int, attr string, box array.Box, qc *chunkCache, tk *opTracker) (ChunkedPlane, error) {
 	st := v.st
 	if _, err := v.version(id); err != nil {
-		return Plane{}, err
+		return ChunkedPlane{}, err
 	}
 	ai := st.Schema.AttrIndex(attr)
 	if ai < 0 {
-		return Plane{}, fmt.Errorf("core: array %q has no attribute %q", st.Schema.Name, attr)
+		return ChunkedPlane{}, fmt.Errorf("core: array %q has no attribute %q", st.Schema.Name, attr)
 	}
 	if err := box.Validate(); err != nil {
-		return Plane{}, err
+		return ChunkedPlane{}, err
 	}
 	if box.NDim() != len(st.Schema.Dims) {
-		return Plane{}, fmt.Errorf("core: query box has %d dims, array has %d", box.NDim(), len(st.Schema.Dims))
+		return ChunkedPlane{}, fmt.Errorf("core: query box has %d dims, array has %d", box.NDim(), len(st.Schema.Dims))
 	}
 	full := array.BoxOf(st.Schema.Shape())
 	box = box.Intersect(full)
 	if box.Empty() {
-		return Plane{}, fmt.Errorf("core: query region is empty")
+		return ChunkedPlane{}, fmt.Errorf("core: query region is empty")
 	}
-	dt := st.Schema.Attrs[ai].Type
 	if st.SparseRep {
 		sp, shared, err := s.resolveSparse(v, id, attr, qc.sparseMap(attr), 0, tk)
 		if err != nil {
-			return Plane{}, err
+			return ChunkedPlane{}, err
 		}
 		t0 := time.Now()
 		if box.Equal(full) {
@@ -256,50 +313,70 @@ func (s *Store) readRegionView(ctx context.Context, v *readView, id int, attr st
 				sp = sp.Clone()
 			}
 			tk.observe(StageMaterialize, time.Since(t0), sp.SizeBytes())
-			return Plane{Sparse: sp}, nil
+			return ChunkedPlane{Box: box, Sparse: sp, tk: tk}, nil
 		}
 		sub, err := sp.Slice(box)
 		if err != nil {
-			return Plane{}, err
+			return ChunkedPlane{}, err
 		}
 		tk.observe(StageMaterialize, time.Since(t0), sub.SizeBytes())
-		return Plane{Sparse: sub}, nil
+		return ChunkedPlane{Box: box, Sparse: sub, tk: tk}, nil
 	}
 	ck, err := st.chunker()
 	if err != nil {
-		return Plane{}, err
-	}
-	out, err := array.NewDense(dt, box.Shape())
-	if err != nil {
-		return Plane{}, err
+		return ChunkedPlane{}, err
 	}
 	origins := ck.Overlapping(box)
 	locals := qc.chunkMaps(attr, ck, origins)
+	chunks := make([]*array.Dense, len(origins))
 	err = forEachLimit(ctx, len(origins), s.opts.Parallelism, func(i int) error {
 		s.prof.decodeActive.Add(1)
 		defer s.prof.decodeActive.Add(-1)
-		origin := origins[i]
 		var local map[int]*array.Dense
 		if locals != nil {
 			local = locals[i]
 		}
-		chunkArr, err := s.resolveDenseChunk(v, id, attr, ck, origin, local, qc != nil && qc.links, tk)
-		if err != nil {
-			return err
-		}
-		cbox := ck.Box(origin)
-		overlap := cbox.Intersect(box)
-		t0 := time.Now()
-		// one copy, chunk to reply; workers write disjoint regions of out,
-		// so no locking is needed
-		err = out.CopyRegion(overlap.Translate(box.Lo).Lo, chunkArr, overlap.Translate(cbox.Lo))
-		if err == nil {
-			tk.observe(StageMaterialize, time.Since(t0), overlap.NumCells()*int64(dt.Size()))
-		}
+		var err error
+		chunks[i], err = s.resolveDenseChunk(v, id, attr, ck, origins[i], local, qc != nil && qc.links, tk)
 		return err
 	})
 	if err != nil {
+		return ChunkedPlane{}, err
+	}
+	return ChunkedPlane{Box: box, Stride: ck.Side(), Chunks: chunks, tk: tk, ck: ck, origins: origins}, nil
+}
+
+// readRegionView is one version's plane for the store's own readers:
+// resolveRegion followed by assemble.
+func (s *Store) readRegionView(ctx context.Context, v *readView, id int, attr string, box array.Box, qc *chunkCache, tk *opTracker) (Plane, error) {
+	cp, err := s.resolveRegion(ctx, v, id, attr, box, qc, tk)
+	if err != nil {
 		return Plane{}, err
+	}
+	return cp.assemble()
+}
+
+// assemble turns a resolved version into one plane: a sparse one as it
+// is, a dense one as a fresh array of the box's shape with each chunk's
+// overlap copied in — one copy, chunk to plane, serially: a second
+// fan-out after the resolve's costs a warm select more than it saves.
+func (p ChunkedPlane) assemble() (Plane, error) {
+	if p.Sparse != nil {
+		return Plane{Sparse: p.Sparse}, nil
+	}
+	dt := p.Chunks[0].DType()
+	out, err := array.NewDense(dt, p.Box.Shape())
+	if err != nil {
+		return Plane{}, err
+	}
+	for i, c := range p.Chunks {
+		cbox := p.ck.Box(p.origins[i])
+		overlap := cbox.Intersect(p.Box)
+		t0 := time.Now()
+		if err := out.CopyRegion(overlap.Translate(p.Box.Lo).Lo, c, overlap.Translate(cbox.Lo)); err != nil {
+			return Plane{}, err
+		}
+		p.ObserveMaterialize(time.Since(t0), overlap.NumCells()*int64(dt.Size()))
 	}
 	return Plane{Dense: out}, nil
 }

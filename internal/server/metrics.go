@@ -26,14 +26,15 @@ type metrics struct {
 	inFlight atomic.Int64
 	rejected atomic.Int64 // 429s from the in-flight semaphore
 
-	// zcFrames/zcBytes count dense reply frames whose cell bytes went to
-	// the socket as a separate writev vector (wire.WriteDenseNoCopy)
-	// instead of being copied into a contiguous marshal buffer.
+	// zcFrames counts dense reply frames (wire.WriteChunked); zcBytes
+	// counts the cell bytes among them written straight from a chunk
+	// buffer, with no copy by the server.
 	zcFrames atomic.Int64
 	zcBytes  atomic.Int64
 }
 
-// addZeroCopy records one vectored dense reply of n cell bytes.
+// addZeroCopy records one dense reply frame that wrote n cell bytes
+// straight from chunk buffers.
 func (m *metrics) addZeroCopy(n int64) {
 	m.zcFrames.Add(1)
 	m.zcBytes.Add(n)
@@ -118,10 +119,10 @@ func (m *metrics) write(w io.Writer, stats core.IOStats, prof core.ProfileSnapsh
 	fmt.Fprintf(w, "# HELP avstored_requests_rejected_total Requests rejected with 429 by the in-flight limit.\n")
 	fmt.Fprintf(w, "# TYPE avstored_requests_rejected_total counter\n")
 	fmt.Fprintf(w, "avstored_requests_rejected_total %d\n", m.rejected.Load())
-	fmt.Fprintf(w, "# HELP avstored_zero_copy_frames_total Dense reply frames written with vectored I/O (no marshal copy).\n")
+	fmt.Fprintf(w, "# HELP avstored_zero_copy_frames_total Dense reply frames written as their chunks.\n")
 	fmt.Fprintf(w, "# TYPE avstored_zero_copy_frames_total counter\n")
 	fmt.Fprintf(w, "avstored_zero_copy_frames_total %d\n", m.zcFrames.Load())
-	fmt.Fprintf(w, "# HELP avstored_zero_copy_bytes_total Cell bytes sent to clients without a marshal copy.\n")
+	fmt.Fprintf(w, "# HELP avstored_zero_copy_bytes_total Cell bytes written straight from a chunk buffer.\n")
 	fmt.Fprintf(w, "# TYPE avstored_zero_copy_bytes_total counter\n")
 	fmt.Fprintf(w, "avstored_zero_copy_bytes_total %d\n", m.zcBytes.Load())
 

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"math/rand"
@@ -570,7 +571,8 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 
 // handleSelect serves the one select route: ?versions=a,b,… with an
 // optional ?attr= and ?box=. The reply is one plane frame per listed
-// version, back to back in request order; dense planes go out zero-copy.
+// version, back to back in request order; a dense plane goes out as the
+// chunks the store resolved (wire.WriteChunked), never assembled.
 // The request context cancels on client disconnect, so an abandoned
 // select stops scheduling chunk decodes instead of running to the end.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
@@ -591,21 +593,36 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	planes, err := s.store.Read(r.Context(), q)
+	planes, err := s.store.ReadChunked(r.Context(), q)
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", FrameContentType)
+	// nothing is assembled, so a dense reply's length is known before its
+	// first byte: announced, it spares both ends the chunked encoding
+	if n, ok := wire.ChunkedLen(planes); ok {
+		w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
+	}
 	for _, pl := range planes {
-		n, err := wire.WritePlaneNoCopy(w, pl)
-		if err != nil {
+		if err := s.writePlane(w, pl); err != nil {
 			return // the client went away mid-reply
 		}
-		if n > 0 {
-			s.metrics.addZeroCopy(n)
-		}
 	}
+}
+
+// writePlane frames one reply plane: a sparse one whole, a dense one
+// through the one dense reply writer, wire.WriteChunked, whose directly
+// written bytes the zero-copy counters record.
+func (s *Server) writePlane(w io.Writer, pl core.ChunkedPlane) error {
+	if pl.Sparse != nil {
+		return wire.WritePlane(w, core.Plane{Sparse: pl.Sparse})
+	}
+	n, err := wire.WriteChunked(w, pl)
+	if err == nil {
+		s.metrics.addZeroCopy(n)
+	}
+	return err
 }
 
 // checkReplySize bounds a multi-version select of a dense array before
@@ -777,10 +794,13 @@ func (s *Server) handleAQL(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case res.Dense != nil || res.Sparse != nil:
-		w.Header().Set("Content-Type", FrameContentType)
-		if n, err := wire.WritePlaneNoCopy(w, core.Plane{Dense: res.Dense, Sparse: res.Sparse}); err == nil && n > 0 {
-			s.metrics.addZeroCopy(n)
+		pl := core.ChunkedPlane{Sparse: res.Sparse}
+		if d := res.Dense; d != nil {
+			// the result is one plane, so it goes out as one tile
+			pl = core.ChunkedPlane{Box: array.BoxOf(d.Shape()), Stride: d.Shape(), Chunks: []*array.Dense{d}}
 		}
+		w.Header().Set("Content-Type", FrameContentType)
+		_ = s.writePlane(w, pl) // an error means the client went away
 	default:
 		names := res.Names
 		if names == nil && res.Message == "" {

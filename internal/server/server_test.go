@@ -1136,3 +1136,62 @@ func TestDegradedRetryAfterFromHealInterval(t *testing.T) {
 	resp.Body.Close()
 	wantRetry(resp, "readyz")
 }
+
+// countingWriter is a ResponseWriter that discards the body and counts
+// its bytes.
+type countingWriter struct {
+	h http.Header
+	n int64
+}
+
+func (w *countingWriter) Header() http.Header         { return w.h }
+func (w *countingWriter) WriteHeader(int)             {}
+func (w *countingWriter) Write(p []byte) (int, error) { w.n += int64(len(p)); return len(p), nil }
+
+// TestSelectReplyAllocs is the select path's allocation gate: a
+// full-plane select of a cached 512×512 int32 version with 256 KiB
+// chunks allocates less than 64 KiB on the server — its 1 MiB plane goes
+// out as the four cached chunks, never zeroed or assembled — and the
+// zero-copy counter rises by the plane's bytes.
+func TestSelectReplyAllocs(t *testing.T) {
+	const side, reqs = 512, 16
+	opts := core.DefaultOptions()
+	opts.ChunkBytes = 256 << 10
+	opts.CacheBytes = 16 << 20
+	store, err := core.Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv, err := New(Config{Store: store, Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.CreateArray(denseSchema("H", side)); err != nil {
+		t.Fatal(err)
+	}
+	d := randDense(rand.New(rand.NewSource(49)), side)
+	if _, err := store.Insert("H", core.DensePayload(d)); err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/arrays/H/select?versions=1", nil)
+	req.SetPathValue("name", "H")
+	w := &countingWriter{h: http.Header{}}
+	srv.handleSelect(w, req) // the insert cached the chunks; this warms the rest
+	if w.n < d.SizeBytes() {
+		t.Fatalf("select wrote %d bytes, want at least the plane's %d", w.n, d.SizeBytes())
+	}
+	zc := srv.metrics.zcBytes.Load()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range reqs {
+		srv.handleSelect(w, req)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reqs; per >= 64<<10 {
+		t.Errorf("a full-plane select allocates %d bytes on the server, want < 64 KiB", per)
+	}
+	if got := srv.metrics.zcBytes.Load() - zc; got != reqs*d.SizeBytes() {
+		t.Errorf("zero-copy bytes rose by %d over %d selects, want %d", got, reqs, reqs*d.SizeBytes())
+	}
+}

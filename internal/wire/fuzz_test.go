@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"arrayvers/internal/array"
@@ -10,9 +11,12 @@ import (
 
 // FuzzFrameCodec drives every wire decoder that faces network bytes
 // with arbitrary input: the frame reader, the insert-payload decoder,
-// and the plane readers (one plane, and a two-plane select reply). None may panic or allocate beyond
-// the size limit regardless of input; whatever decodes successfully
-// must re-encode cleanly (the codec is total on its own output).
+// and the plane readers (one plane, and a two-plane select reply). None
+// may panic or allocate beyond the size limit regardless of input;
+// whatever decodes successfully must re-encode cleanly (the codec is
+// total on its own output). The seeds hold a frame of every kind, a
+// chunked plane cut on a grid that clips its edge chunks, and the
+// hostile chunked headers of TestChunkedHostileHeaders.
 func FuzzFrameCodec(f *testing.F) {
 	// seed corpus: one valid frame of every kind plus both payload forms
 	dense := array.MustDense(array.Int32, []int64{4, 4})
@@ -25,24 +29,34 @@ func FuzzFrameCodec(f *testing.F) {
 
 	var buf bytes.Buffer
 	_ = WritePlane(&buf, core.Plane{Dense: dense})
-	f.Add(buf.Bytes())
+	f.Add(bytes.Clone(buf.Bytes()))
 	buf.Reset()
 	_ = WritePlane(&buf, core.Plane{Sparse: sparse})
-	f.Add(buf.Bytes())
+	f.Add(bytes.Clone(buf.Bytes()))
 	buf.Reset()
 	// a two-plane select reply: one dense frame, one sparse frame
 	_ = WritePlane(&buf, core.Plane{Dense: dense})
 	_ = WritePlane(&buf, core.Plane{Sparse: sparse})
-	f.Add(buf.Bytes())
+	f.Add(bytes.Clone(buf.Bytes()))
 	buf.Reset()
+	// a select reply as the server writes it: a chunked dense plane of a
+	// 3×3 grid (edge chunks clipped), then a sparse frame
+	_, _ = WriteChunked(&buf, cut(dense, array.NewBox([]int64{1, 0}, []int64{4, 4}), []int64{3, 3}))
+	f.Add(bytes.Clone(buf.Bytes()))
+	_ = WritePlane(&buf, core.Plane{Sparse: sparse})
+	f.Add(bytes.Clone(buf.Bytes()))
+	buf.Reset()
+	for _, h := range hostileChunked() {
+		f.Add(h.frame)
+	}
 	_ = WritePayload(&buf, core.DensePayload(dense))
-	f.Add(buf.Bytes())
+	f.Add(bytes.Clone(buf.Bytes()))
 	buf.Reset()
 	_ = WritePayload(&buf, core.DeltaListPayload(2, []core.CellUpdate{
 		{Attr: "A", Coords: []int64{1, 2}, Bits: 42},
 		{Coords: []int64{3, 3}, Bits: -1},
 	}))
-	f.Add(buf.Bytes())
+	f.Add(bytes.Clone(buf.Bytes()))
 	// hostile shapes: truncated header, bad magic, oversized length
 	f.Add([]byte("AVF1"))
 	f.Add([]byte("XXXX\x01\x00\x00\x00\x00\x00\x00\x00\x00"))
@@ -64,7 +78,13 @@ func FuzzFrameCodec(f *testing.F) {
 				t.Fatalf("re-encode of decoded payload failed: %v", err)
 			}
 		}
-		_, _ = ReadPlane(bytes.NewReader(data), max)
+		if pl, err := ReadPlane(bytes.NewReader(data), max); err == nil && pl.Dense != nil {
+			shape := pl.Dense.Shape()
+			one := core.ChunkedPlane{Box: array.BoxOf(shape), Stride: shape, Chunks: []*array.Dense{pl.Dense}}
+			if _, err := WriteChunked(io.Discard, one); err != nil {
+				t.Fatalf("re-encode of decoded dense plane failed: %v", err)
+			}
+		}
 		_, _ = ReadPlanes(bytes.NewReader(data), 2, max)
 		_, _ = ReadPayload(bytes.NewReader(data), max)
 	})

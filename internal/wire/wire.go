@@ -4,7 +4,8 @@
 // plane frame per version, back to back) and insert payloads — travel
 // as length-prefixed binary frames built on the internal/array blob
 // format, so dense data never round-trips through base64 or JSON number
-// arrays.
+// arrays. A dense select reply is a KindChunked frame: the plane's cells
+// as the store's chunks hold them (chunked.go).
 //
 // Frame layout (little-endian):
 //
@@ -25,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 
 	"arrayvers/internal/array"
 	"arrayvers/internal/core"
@@ -47,6 +47,9 @@ const (
 	// atomic batch (see WriteMultiBatch). Kind 4 stays unassigned, so a
 	// peer still sending the old sparse-set frame fails as a foreign kind.
 	KindMultiHeader Kind = 5
+	// KindChunked carries one dense plane as the tiles the chunk grid
+	// cuts from its box (see WriteChunked).
+	KindChunked Kind = 6
 )
 
 // DefaultMaxFrameBytes bounds frame payloads when the caller passes a
@@ -62,6 +65,9 @@ const headerLen = 13
 var (
 	ErrBadMagic      = errors.New("wire: bad frame magic")
 	ErrFrameTooLarge = errors.New("wire: frame payload exceeds size limit")
+	// ErrUnexpectedKind is returned (wrapped) by a reader handed a frame
+	// of a kind it does not take where it is.
+	ErrUnexpectedKind = errors.New("wire: unexpected frame kind")
 )
 
 // WriteFrame writes one frame.
@@ -82,33 +88,35 @@ func WriteFrame(w io.Writer, kind Kind, payload []byte) error {
 // ReadFrame reads one frame, rejecting bad magic, truncated input, and
 // payloads larger than max (DefaultMaxFrameBytes when max <= 0).
 func ReadFrame(r io.Reader, max int64) (Kind, []byte, error) {
+	kind, n, err := readHeader(r, max)
+	if err != nil {
+		return 0, nil, err
+	}
+	payload := make([]byte, n)
+	if err := readFull(r, payload, "frame payload"); err != nil {
+		return 0, nil, err
+	}
+	return kind, payload, nil
+}
+
+// readHeader reads one frame header: the kind and a payload length
+// already checked against max (DefaultMaxFrameBytes when max <= 0).
+func readHeader(r io.Reader, max int64) (Kind, uint64, error) {
 	if max <= 0 {
 		max = DefaultMaxFrameBytes
 	}
 	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-			return 0, nil, fmt.Errorf("wire: truncated frame header: %w", io.ErrUnexpectedEOF)
-		}
-		return 0, nil, fmt.Errorf("wire: read frame header: %w", err)
+	if err := readFull(r, hdr[:], "frame header"); err != nil {
+		return 0, 0, err
 	}
 	if !bytes.Equal(hdr[:4], magic[:]) {
-		return 0, nil, ErrBadMagic
+		return 0, 0, ErrBadMagic
 	}
-	kind := Kind(hdr[4])
 	n := binary.LittleEndian.Uint64(hdr[5:])
 	if n > uint64(max) {
-		return 0, nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
+		return 0, 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-			return 0, nil, fmt.Errorf("wire: truncated frame payload: %w", io.ErrUnexpectedEOF)
-		}
-		// not a truncation: surface the real transport error
-		return 0, nil, fmt.Errorf("wire: read frame payload: %w", err)
-	}
-	return kind, payload, nil
+	return Kind(hdr[4]), n, nil
 }
 
 // sliceCap bounds a pre-allocation driven by a decoded element count:
@@ -138,67 +146,44 @@ func WritePlane(w io.Writer, pl core.Plane) error {
 	}
 }
 
-// ReadPlane reads a KindDense or KindSparse frame back into a plane.
+// ReadPlane reads a KindDense, KindChunked or KindSparse frame back
+// into a plane. A dense plane aliases the frame payload it was read
+// into, and a chunked one is read straight into its one allocation.
 func ReadPlane(r io.Reader, max int64) (core.Plane, error) {
-	kind, payload, err := ReadFrame(r, max)
+	kind, n, err := readHeader(r, max)
 	if err != nil {
 		return core.Plane{}, err
 	}
-	switch kind {
-	case KindDense:
+	if kind == KindChunked {
+		d, err := readChunked(r, n)
+		if err != nil {
+			return core.Plane{}, err
+		}
+		return core.Plane{Dense: d}, nil
+	}
+	if kind != KindDense && kind != KindSparse {
+		return core.Plane{}, fmt.Errorf("%w: expected a plane frame, got kind %d", ErrUnexpectedKind, kind)
+	}
+	payload := make([]byte, n)
+	if err := readFull(r, payload, "frame payload"); err != nil {
+		return core.Plane{}, err
+	}
+	if kind == KindDense {
 		d, err := array.UnmarshalDense(payload)
 		if err != nil {
 			return core.Plane{}, err
 		}
 		return core.Plane{Dense: d}, nil
-	case KindSparse:
-		sp, err := array.UnmarshalSparse(payload)
-		if err != nil {
-			return core.Plane{}, err
-		}
-		return core.Plane{Sparse: sp}, nil
-	default:
-		return core.Plane{}, fmt.Errorf("wire: expected a plane frame, got kind %d", kind)
 	}
+	sp, err := array.UnmarshalSparse(payload)
+	if err != nil {
+		return core.Plane{}, err
+	}
+	return core.Plane{Sparse: sp}, nil
 }
 
-// WriteDenseNoCopy frames one dense array without materializing the
-// payload: the frame header and the dense blob header share one small
-// buffer, and the cell bytes go out as a second I/O vector via
-// net.Buffers — writev(2) on a TCP connection — so a cached plane
-// reaches the socket with no frame-sized copy. The
-// caller must not mutate d until the write returns. Returns the number
-// of cell bytes written zero-copy.
-func WriteDenseNoCopy(w io.Writer, d *array.Dense) (int64, error) {
-	data := d.Bytes()
-	hdr := make([]byte, headerLen, headerLen+16)
-	hdr = array.AppendDenseHeader(hdr, d)
-	copy(hdr[:4], magic[:])
-	hdr[4] = byte(KindDense)
-	binary.LittleEndian.PutUint64(hdr[5:], uint64(len(hdr)-headerLen+len(data)))
-	bufs := net.Buffers{hdr, data}
-	if _, err := bufs.WriteTo(w); err != nil {
-		return 0, fmt.Errorf("wire: write dense frame: %w", err)
-	}
-	return int64(len(data)), nil
-}
-
-// WritePlaneNoCopy is WritePlane with the dense case routed through
-// WriteDenseNoCopy. Sparse planes have no flat cell buffer to hand to
-// writev and fall back to the copying path (returning 0).
-func WritePlaneNoCopy(w io.Writer, pl core.Plane) (int64, error) {
-	switch {
-	case pl.Dense != nil:
-		return WriteDenseNoCopy(w, pl.Dense)
-	case pl.Sparse != nil:
-		return 0, WriteFrame(w, KindSparse, array.MarshalSparse(pl.Sparse))
-	default:
-		return 0, errors.New("wire: cannot frame an empty plane")
-	}
-}
-
-// ReadPlanes reads a select reply: exactly n plane frames, back to
-// back, each bounded by max. A reply that ends before the n-th frame
+// ReadPlanes reads a select reply: exactly n plane frames (ReadPlane),
+// back to back, each bounded by max. A reply that ends before the n-th frame
 // fails as truncated.
 func ReadPlanes(r io.Reader, n int, max int64) ([]core.Plane, error) {
 	planes := make([]core.Plane, n)
@@ -265,7 +250,8 @@ func EncodePayload(p core.Payload) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodePayload parses a KindPayload frame body.
+// DecodePayload parses a KindPayload frame body. Its dense planes alias
+// blob (array.UnmarshalDense), so blob must not be reused.
 func DecodePayload(blob []byte) (core.Payload, error) {
 	if len(blob) == 0 {
 		return core.Payload{}, errors.New("wire: empty payload frame")
@@ -383,7 +369,7 @@ func ReadPayload(r io.Reader, max int64) (core.Payload, error) {
 		return core.Payload{}, err
 	}
 	if kind != KindPayload {
-		return core.Payload{}, fmt.Errorf("wire: expected a payload frame, got kind %d", kind)
+		return core.Payload{}, fmt.Errorf("%w: expected a payload frame, got kind %d", ErrUnexpectedKind, kind)
 	}
 	return DecodePayload(blob)
 }
@@ -447,7 +433,7 @@ func ReadMultiBatch(r io.Reader, max int64) ([]core.MultiInsert, error) {
 		return nil, err
 	}
 	if kind != KindMultiHeader {
-		return nil, fmt.Errorf("wire: expected a multi-batch header frame, got kind %d", kind)
+		return nil, fmt.Errorf("%w: expected a multi-batch header frame, got kind %d", ErrUnexpectedKind, kind)
 	}
 	var parts []MultiPart
 	if err := json.Unmarshal(hdr, &parts); err != nil {

@@ -170,12 +170,19 @@ func TestReadPlaneWrongKind(t *testing.T) {
 }
 
 // selectReply builds a select reply: one plane frame per plane, back to
-// back, the way the server writes it.
+// back, the way the server writes it — a dense plane as the chunks of a
+// 3×5 grid, a sparse one whole.
 func selectReply(t *testing.T, planes ...core.Plane) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, pl := range planes {
-		if _, err := WritePlaneNoCopy(&buf, pl); err != nil {
+		var err error
+		if pl.Dense != nil {
+			_, err = WriteChunked(&buf, cut(pl.Dense, array.BoxOf(pl.Dense.Shape()), []int64{3, 5}))
+		} else {
+			err = WritePlane(&buf, pl)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -395,38 +402,13 @@ func TestPayloadBatchRejectsEmptyAndTruncated(t *testing.T) {
 	}
 }
 
-func TestDenseNoCopyMatchesCopyingPath(t *testing.T) {
-	d := testDense(t)
-	var copied bytes.Buffer
-	if err := WritePlane(&copied, core.Plane{Dense: d}); err != nil {
-		t.Fatal(err)
-	}
-	var vectored bytes.Buffer
-	n, err := WriteDenseNoCopy(&vectored, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(d.Bytes())) {
-		t.Fatalf("zero-copy bytes = %d, want %d", n, len(d.Bytes()))
-	}
-	// the vectored writer must emit exactly the bytes the copying path
-	// does, so readers cannot tell which path the server took
-	if !bytes.Equal(vectored.Bytes(), copied.Bytes()) {
-		t.Fatal("vectored frame differs from copying frame")
-	}
-	got, err := ReadPlane(&vectored, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Dense.Equal(d) {
-		t.Fatal("no-copy dense round trip mismatch")
-	}
-}
-
+// TestPlaneNoCopy checks what WriteChunked reports as written straight
+// from chunk buffers: a plane sent as one tile is all of its bytes, a
+// tile that is one span of its chunk counts and a gathered one does not.
 func TestPlaneNoCopy(t *testing.T) {
 	d := testDense(t)
 	var buf bytes.Buffer
-	n, err := WritePlaneNoCopy(&buf, core.Plane{Dense: d})
+	n, err := WriteChunked(&buf, cut(d, array.BoxOf(d.Shape()), d.Shape()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,27 +420,35 @@ func TestPlaneNoCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pl.Dense == nil || !pl.Dense.Equal(d) {
-		t.Fatal("no-copy dense plane round trip mismatch")
+		t.Fatal("one-tile dense plane round trip mismatch")
 	}
 
-	sp := testSparse(t)
+	// 8×8 on a 4×8 grid, box rows 1..6 and columns 0..8: both tiles are
+	// whole rows of their chunks, so one span each
+	box := array.NewBox([]int64{1, 0}, []int64{7, 8})
 	buf.Reset()
-	n, err = WritePlaneNoCopy(&buf, core.Plane{Sparse: sp})
-	if err != nil {
-		t.Fatal(err)
+	if n, err = WriteChunked(&buf, cut(d, box, []int64{4, 8})); err != nil || n != box.NumCells()*4 {
+		t.Fatalf("full-width tiles: zero-copy bytes = %d (%v), want %d", n, err, box.NumCells()*4)
 	}
-	if n != 0 {
-		t.Fatalf("sparse plane reported %d zero-copy bytes, want 0", n)
+	// columns 1..7 cut every row short: every tile is gathered
+	box = array.NewBox([]int64{1, 1}, []int64{7, 7})
+	buf.Reset()
+	if n, err = WriteChunked(&buf, cut(d, box, []int64{4, 8})); err != nil || n != 0 {
+		t.Fatalf("cut rows: zero-copy bytes = %d (%v), want 0", n, err)
 	}
-	pl, err = ReadPlane(&buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Sparse == nil || !pl.Sparse.Equal(sp) {
-		t.Fatal("no-copy sparse plane round trip mismatch")
+	want, _ := d.Slice(box)
+	if pl, err = ReadPlane(&buf, 0); err != nil || !pl.Dense.Equal(want) {
+		t.Fatalf("gathered tiles round trip mismatch: %v", err)
 	}
 
-	if _, err := WritePlaneNoCopy(&buf, core.Plane{}); err == nil {
+	if _, err := WriteChunked(&buf, core.ChunkedPlane{}); err == nil {
 		t.Fatal("empty plane accepted")
+	}
+	// chunks that do not match the box's tiles are refused before any byte
+	buf.Reset()
+	bad := cut(d, array.BoxOf(d.Shape()), []int64{4, 4})
+	bad.Chunks = bad.Chunks[1:]
+	if _, err := WriteChunked(&buf, bad); err == nil || buf.Len() != 0 {
+		t.Fatalf("short chunk list: err = %v, %d bytes written", err, buf.Len())
 	}
 }
