@@ -330,8 +330,3 @@ func TraceContext(ctx context.Context, t *Trace) context.Context {
 
 // TraceFromContext returns the context's trace, or nil.
 func TraceFromContext(ctx context.Context) *Trace { return trace.FromContext(ctx) }
-
-// ProfileSnapshot is the store's cumulative stage-level profile: select
-// and commit pipeline latency/byte histograms, versions per commit
-// record, Tune pass durations, and per-array cache hit counters.
-type ProfileSnapshot = core.ProfileSnapshot

@@ -1,8 +1,8 @@
 // Package cliutil holds the small pieces shared by the avstore, avql,
-// and avstored commands and the server's /metrics handler: building
-// store options from the common -cache-bytes / -parallelism flags,
-// signal-aware cleanup, the text forms of boxes and layout policies, and
-// one canonical rendering of Store.Stats() counters.
+// and avstored commands and the server: building store options from the
+// common -cache-bytes / -parallelism flags, signal-aware cleanup, the
+// text forms of boxes and layout policies, and the text form of
+// Store.Stats() counters.
 package cliutil
 
 import (
@@ -125,53 +125,10 @@ func ParsePolicy(s string) (core.LayoutPolicy, error) {
 	}
 }
 
-// Counter is one named Store.Stats() value.
-type Counter struct {
-	Name  string
-	Value int64
-}
-
-// StatsCounters flattens the I/O and cache counters into an ordered,
-// snake_case list — the one rendering shared by `avstore stats`,
-// `avstore info`, and the avstored /metrics handler.
-func StatsCounters(st core.IOStats) []Counter {
-	return []Counter{
-		{"bytes_read", st.BytesRead},
-		{"bytes_written", st.BytesWritten},
-		{"chunks_read", st.ChunksRead},
-		{"chunk_preads", st.ChunkPreads},
-		{"chunks_written", st.ChunksWritten},
-		{"cache_hits", st.CacheHits},
-		{"cache_misses", st.CacheMisses},
-		{"cache_evictions", st.CacheEvictions},
-		{"cache_rejected", st.CacheRejected},
-		{"cache_bytes", st.CacheBytes},
-		{"cache_entries", st.CacheEntries},
-		{"recovery_truncated_files", st.RecoveryTruncatedFiles},
-		{"recovery_truncated_bytes", st.RecoveryTruncatedBytes},
-		{"recovery_removed_files", st.RecoveryRemovedFiles},
-		{"recovery_dropped_versions", st.RecoveryDroppedVersions},
-		{"group_commits", st.GroupCommits},
-		{"group_commit_versions", st.GroupCommitVersions},
-		{"manifest_records", st.ManifestRecords},
-		{"manifest_appends", st.ManifestAppends},
-		{"manifest_fsyncs", st.ManifestFsyncs},
-		{"manifest_rotations", st.ManifestRotations},
-		{"insert_orphan_files", st.InsertOrphanFiles},
-		{"insert_orphan_bytes", st.InsertOrphanBytes},
-		{"degraded_entered", st.DegradedEntered},
-		{"degraded_healed", st.DegradedHealed},
-		{"degraded_arrays", st.DegradedArrays},
-		{"store_degraded", st.StoreDegraded},
-		{"writes_rejected_degraded", st.WritesRejectedDegraded},
-	}
-}
-
-// WriteStats prints the counters one per line.
+// WriteStats prints the Store.Stats() counters one per line, each under
+// the snake_case name of its IOStats field.
 func WriteStats(w io.Writer, st core.IOStats) {
-	for _, c := range StatsCounters(st) {
-		fmt.Fprintf(w, "%-16s %d\n", c.Name, c.Value)
-	}
+	trace.Fields(st, func(name string, n int64) { fmt.Fprintf(w, "%-16s %d\n", name, n) })
 }
 
 // WriteTrace renders one completed trace as an EXPLAIN ANALYZE-style

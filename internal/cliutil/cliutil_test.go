@@ -1,6 +1,9 @@
 package cliutil
 
 import (
+	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -54,17 +57,43 @@ func TestStoreOptions(t *testing.T) {
 	}
 }
 
-func TestStatsCounters(t *testing.T) {
-	st := core.IOStats{BytesRead: 1, CacheHits: 2, CacheEntries: 3}
+// TestWriteStats derives the expected lines from IOStats itself:
+// every field but MmapReads prints exactly once, under its snake_case
+// name and with its own value.
+func TestWriteStats(t *testing.T) {
+	var st core.IOStats
+	v := reflect.ValueOf(&st).Elem()
+	for i := range v.NumField() {
+		v.Field(i).SetInt(int64(1000 + i))
+	}
 	var b strings.Builder
 	WriteStats(&b, st)
-	out := b.String()
-	for _, want := range []string{"bytes_read", "cache_hits", "cache_entries"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("WriteStats output missing %q", want)
-		}
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if len(lines) != v.NumField()-1 {
+		t.Errorf("WriteStats printed %d lines for %d IOStats fields (MmapReads is left out)", len(lines), v.NumField())
 	}
-	if len(StatsCounters(st)) != 28 {
-		t.Errorf("StatsCounters: %d entries", len(StatsCounters(st)))
+	word := regexp.MustCompile(`[A-Z][a-z]*`)
+	for i := range v.NumField() {
+		f := v.Type().Field(i)
+		var name []string
+		for _, m := range word.FindAllString(f.Name, -1) {
+			name = append(name, strings.ToLower(m))
+		}
+		want := strings.Join(name, "_")
+		n := 0
+		for _, line := range lines {
+			if fields := strings.Fields(line); fields[0] == want {
+				n++
+				if fields[1] != strconv.Itoa(1000+i) {
+					t.Errorf("line %q: want %s %d", line, want, 1000+i)
+				}
+			}
+		}
+		switch {
+		case f.Name == "MmapReads" && n != 0:
+			t.Errorf("mmap_reads printed")
+		case f.Name != "MmapReads" && n != 1:
+			t.Errorf("%s printed %d times, want once", want, n)
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -170,10 +171,9 @@ type Store struct {
 	recovery RecoveryStats
 
 	// prof is the always-on stage-level instrumentation (latency/byte
-	// histograms for the select and commit pipelines, per-array cache
-	// counters, decode-pool gauge); snapshot through Profile(). All its
-	// state is atomic or internally locked — the hot paths record into
-	// it without taking any store lock.
+	// histograms for the select and commit pipelines, decode-pool
+	// gauge), exposed through Metrics(). All its state is atomic — the
+	// hot paths record into it without taking any store lock.
 	prof *profile
 
 	// clock returns commit timestamps; replaceable in tests.
@@ -199,16 +199,19 @@ type RecoveryStats struct {
 
 // IOStats counts storage-level activity since the last Reset. The cache
 // counters cover the store-wide decoded-chunk LRU: CacheBytes and
-// CacheEntries are current residency, the rest are cumulative.
+// CacheEntries are current residency, the rest are cumulative. Each
+// field is one counter, and every surface names it after the field:
+// `avstore stats` prints BytesRead as bytes_read, /metrics as
+// avstored_store_bytes_read (trace.Fields).
 type IOStats struct {
-	BytesRead     int64
-	BytesWritten  int64
-	ChunksRead    int64
-	ChunksWritten int64
+	BytesRead    int64
+	BytesWritten int64
+	ChunksRead   int64
 	// ChunkPreads counts the reads that fetched those ChunksRead frames:
 	// one per frame for a materialized root or a per-version file, one
 	// per run for the delta frames of a co-located chain walk.
-	ChunkPreads int64
+	ChunkPreads   int64
+	ChunksWritten int64
 
 	CacheHits      int64
 	CacheMisses    int64
@@ -219,6 +222,13 @@ type IOStats struct {
 	CacheRejected int64
 	CacheBytes    int64
 	CacheEntries  int64
+
+	// Recovery* mirror RecoveryStats: what Open-time crash recovery
+	// repaired. Fixed at Open; ResetStats leaves them alone.
+	RecoveryTruncatedFiles  int64
+	RecoveryTruncatedBytes  int64
+	RecoveryRemovedFiles    int64
+	RecoveryDroppedVersions int64
 
 	// GroupCommits counts the commit records writes appended (one per
 	// Write, Branch or Merge); GroupCommitVersions counts the versions
@@ -255,17 +265,10 @@ type IOStats struct {
 	StoreDegraded          int64
 	WritesRejectedDegraded int64
 
-	// Recovery* mirror RecoveryStats: what Open-time crash recovery
-	// repaired. Fixed at Open; ResetStats leaves them alone.
-	RecoveryTruncatedFiles  int64
-	RecoveryTruncatedBytes  int64
-	RecoveryRemovedFiles    int64
-	RecoveryDroppedVersions int64
-
 	// MmapReads is always zero: the store reads every chunk frame with
 	// pread and maps nothing. The field stays for readers that still
-	// compute a mapped-read share.
-	MmapReads int64
+	// compute a mapped-read share; no counter surface prints it.
+	MmapReads int64 `metric:"-"`
 }
 
 // ErrFormat is returned (wrapped) by Open for a directory whose on-disk
@@ -425,14 +428,25 @@ func (s *Store) Close() error {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// ioCounters are IOStats' cumulative counters.
+// ioCounters holds IOStats' cumulative counters, each under the name of
+// the IOStats field it fills: Stats copies them and ResetStats zeroes
+// them by field, so a counter is declared by its field here and in
+// IOStats.
 type ioCounters struct {
-	bytesRead, bytesWritten, chunksRead, chunksWritten, chunkPreads atomic.Int64
-	groupCommits, groupCommitVersions                               atomic.Int64
-	manifestRecords, manifestAppends                                atomic.Int64
-	manifestFsyncs, manifestRotations                               atomic.Int64
-	insertOrphanFiles, insertOrphanBytes                            atomic.Int64
-	degradedEntered, degradedHealed, writesRejectedDegraded         atomic.Int64
+	BytesRead, BytesWritten, ChunksRead, ChunkPreads, ChunksWritten atomic.Int64
+	GroupCommits, GroupCommitVersions                               atomic.Int64
+	ManifestRecords, ManifestAppends                                atomic.Int64
+	ManifestFsyncs, ManifestRotations                               atomic.Int64
+	InsertOrphanFiles, InsertOrphanBytes                            atomic.Int64
+	DegradedEntered, DegradedHealed, WritesRejectedDegraded         atomic.Int64
+}
+
+// each calls fn with every counter and the IOStats field it fills.
+func (c *ioCounters) each(fn func(field string, n *atomic.Int64)) {
+	v := reflect.ValueOf(c).Elem()
+	for i := range v.NumField() {
+		fn(v.Type().Field(i).Name, v.Field(i).Addr().Interface().(*atomic.Int64))
+	}
 }
 
 // Stats returns the I/O and cache counters. Each counter is read
@@ -441,25 +455,9 @@ type ioCounters struct {
 // another (a read's chunks without its bytes, a commit's records
 // without its append).
 func (s *Store) Stats() IOStats {
-	c := &s.stats
-	out := IOStats{
-		BytesRead:              c.bytesRead.Load(),
-		BytesWritten:           c.bytesWritten.Load(),
-		ChunksRead:             c.chunksRead.Load(),
-		ChunksWritten:          c.chunksWritten.Load(),
-		ChunkPreads:            c.chunkPreads.Load(),
-		GroupCommits:           c.groupCommits.Load(),
-		GroupCommitVersions:    c.groupCommitVersions.Load(),
-		ManifestRecords:        c.manifestRecords.Load(),
-		ManifestAppends:        c.manifestAppends.Load(),
-		ManifestFsyncs:         c.manifestFsyncs.Load(),
-		ManifestRotations:      c.manifestRotations.Load(),
-		InsertOrphanFiles:      c.insertOrphanFiles.Load(),
-		InsertOrphanBytes:      c.insertOrphanBytes.Load(),
-		DegradedEntered:        c.degradedEntered.Load(),
-		DegradedHealed:         c.degradedHealed.Load(),
-		WritesRejectedDegraded: c.writesRejectedDegraded.Load(),
-	}
+	var out IOStats
+	o := reflect.ValueOf(&out).Elem()
+	s.stats.each(func(field string, n *atomic.Int64) { o.FieldByName(field).SetInt(n.Load()) })
 	cs := s.chunkCache.Stats()
 	out.CacheHits = cs.Hits
 	out.CacheMisses = cs.Misses
@@ -486,42 +484,33 @@ func (s *Store) Recovery() RecoveryStats { return s.recovery }
 // ResetStats zeroes the I/O counters and the cache's cumulative counters
 // (cache residency is untouched).
 func (s *Store) ResetStats() {
-	c := &s.stats
-	for _, n := range []*atomic.Int64{
-		&c.bytesRead, &c.bytesWritten, &c.chunksRead, &c.chunksWritten, &c.chunkPreads,
-		&c.groupCommits, &c.groupCommitVersions,
-		&c.manifestRecords, &c.manifestAppends, &c.manifestFsyncs, &c.manifestRotations,
-		&c.insertOrphanFiles, &c.insertOrphanBytes,
-		&c.degradedEntered, &c.degradedHealed, &c.writesRejectedDegraded,
-	} {
-		n.Store(0)
-	}
+	s.stats.each(func(_ string, n *atomic.Int64) { n.Store(0) })
 	s.chunkCache.ResetCounters()
 }
 
 func (s *Store) addRead(preads, chunks, bytes int64) {
 	c := &s.stats
-	c.chunkPreads.Add(preads)
-	c.chunksRead.Add(chunks)
-	c.bytesRead.Add(bytes)
+	c.ChunkPreads.Add(preads)
+	c.ChunksRead.Add(chunks)
+	c.BytesRead.Add(bytes)
 }
 
 func (s *Store) addWrite(bytes int64) {
 	c := &s.stats
-	c.bytesWritten.Add(bytes)
-	c.chunksWritten.Add(1)
+	c.BytesWritten.Add(bytes)
+	c.ChunksWritten.Add(1)
 }
 
 func (s *Store) addGroupCommit(versions int) {
 	c := &s.stats
-	c.groupCommits.Add(1)
-	c.groupCommitVersions.Add(int64(versions))
+	c.GroupCommits.Add(1)
+	c.GroupCommitVersions.Add(int64(versions))
 }
 
 func (s *Store) addInsertOrphans(files, bytes int64) {
 	c := &s.stats
-	c.insertOrphanFiles.Add(files)
-	c.insertOrphanBytes.Add(bytes)
+	c.InsertOrphanFiles.Add(files)
+	c.InsertOrphanBytes.Add(bytes)
 }
 
 // --- per-array state and metadata ---
@@ -640,6 +629,11 @@ type arrayState struct {
 	// observe the window between mutation and clear; readers rebuild and
 	// store it under the read lock.
 	cachedView atomic.Pointer[readView]
+
+	// cacheHits and cacheMisses count the array's query-path probes of
+	// the store-wide LRU, for its series on /metrics; they live and die
+	// with the array.
+	cacheHits, cacheMisses atomic.Int64
 }
 
 func (st *arrayState) version(id int) (*versionMeta, error) {

@@ -122,11 +122,11 @@ func (s *Store) writeGate(name string) error {
 	s.healthMu.Lock()
 	defer s.healthMu.Unlock()
 	if s.storeDegraded != nil {
-		s.stats.writesRejectedDegraded.Add(1)
+		s.stats.WritesRejectedDegraded.Add(1)
 		return fmt.Errorf("core: store is read-only (%s): %w", s.storeDegraded.reason, ErrDegraded)
 	}
 	if d, ok := s.degraded[name]; ok {
-		s.stats.writesRejectedDegraded.Add(1)
+		s.stats.WritesRejectedDegraded.Add(1)
 		return fmt.Errorf("core: array %q is read-only (%s): %w", name, d.reason, ErrDegraded)
 	}
 	return nil
@@ -164,7 +164,7 @@ func (s *Store) degradeArray(name string, cause error) {
 	defer s.healthMu.Unlock()
 	if _, ok := s.degraded[name]; !ok {
 		s.degraded[name] = degradedInfo{reason: cause.Error(), since: s.clock()}
-		s.stats.degradedEntered.Add(1)
+		s.stats.DegradedEntered.Add(1)
 	}
 	s.ensureHealerLocked()
 }
@@ -174,7 +174,7 @@ func (s *Store) degradeStore(cause error) {
 	defer s.healthMu.Unlock()
 	if s.storeDegraded == nil {
 		s.storeDegraded = &degradedInfo{reason: cause.Error(), since: s.clock()}
-		s.stats.degradedEntered.Add(1)
+		s.stats.DegradedEntered.Add(1)
 	}
 	s.ensureHealerLocked()
 }
@@ -185,7 +185,7 @@ func (s *Store) clearDegraded(name string) {
 	defer s.healthMu.Unlock()
 	if _, ok := s.degraded[name]; ok {
 		delete(s.degraded, name)
-		s.stats.degradedHealed.Add(1)
+		s.stats.DegradedHealed.Add(1)
 	}
 }
 
@@ -237,7 +237,7 @@ func (s *Store) Heal() (HealReport, error) {
 		s.healthMu.Lock()
 		if s.storeDegraded != nil {
 			s.storeDegraded = nil
-			s.stats.degradedHealed.Add(1)
+			s.stats.DegradedHealed.Add(1)
 		}
 		s.healthMu.Unlock()
 		rep.StoreHealed = true

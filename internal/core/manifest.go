@@ -422,7 +422,7 @@ func (man *manifest) finishFlipLocked(newGen int) {
 	man.validOff = 0
 	man.lazyTrunc = false
 	man.pendingFlip = 0
-	man.s.stats.manifestRotations.Add(1)
+	man.s.stats.ManifestRotations.Add(1)
 	_ = man.s.fs.Remove(filepath.Join(man.dir, manifestSnapName(old)))
 	_ = man.s.fs.Remove(filepath.Join(man.dir, manifestLogName(old)))
 }
@@ -725,10 +725,10 @@ func (man *manifest) sweepRootLocked() error {
 
 func (s *Store) addManifestCommit(records int) {
 	c := &s.stats
-	c.manifestRecords.Add(int64(records))
-	c.manifestAppends.Add(1)
+	c.ManifestRecords.Add(int64(records))
+	c.ManifestAppends.Add(1)
 	if s.opts.Durability {
-		c.manifestFsyncs.Add(1)
+		c.ManifestFsyncs.Add(1)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -70,14 +69,6 @@ type profile struct {
 	// recoveryNanos is what Open-time crash recovery took (0 when it
 	// did not run). Fixed at Open.
 	recoveryNanos atomic.Int64
-	// cacheByArray maps array name -> *arrayCacheCounters for the
-	// per-array hit-ratio series.
-	cacheByArray sync.Map
-}
-
-type arrayCacheCounters struct {
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 func newProfile() *profile {
@@ -101,20 +92,6 @@ func (p *profile) observeCommit(stage string, d time.Duration, bytes int64) {
 	m.hist.Observe(d.Seconds())
 	if bytes != 0 {
 		m.bytes.Add(bytes)
-	}
-}
-
-// cacheAccess bumps the per-array cache hit/miss counters.
-func (p *profile) cacheAccess(array string, hit bool) {
-	got, ok := p.cacheByArray.Load(array)
-	if !ok {
-		got, _ = p.cacheByArray.LoadOrStore(array, &arrayCacheCounters{})
-	}
-	c := got.(*arrayCacheCounters)
-	if hit {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
 	}
 }
 
@@ -156,63 +133,72 @@ func (t *opTracker) attr(name string, v int64) {
 	t.tr.Add(name, v)
 }
 
-// StageProfile is one pipeline stage's aggregate in a ProfileSnapshot.
-type StageProfile struct {
-	Stage string
-	Hist  trace.HistSnapshot
-	Bytes int64
-}
-
-// ArrayCacheProfile is one array's decoded-chunk cache traffic.
-type ArrayCacheProfile struct {
-	Array  string
-	Hits   int64
-	Misses int64
-}
-
-// ProfileSnapshot is a point-in-time copy of the store's stage-level
-// instrumentation, rendered by the daemon's /metrics handler. Stage
-// slices follow pipeline order; ArrayCaches is sorted by array name.
-type ProfileSnapshot struct {
-	SelectStages []StageProfile
-	CommitStages []StageProfile
-	GroupBatch   trace.HistSnapshot
-	TunePass     trace.HistSnapshot
-	DecodeActive int64
-	// RecoverySeconds is how long Open-time crash recovery took (0 when
-	// the store opened without Durability).
-	RecoverySeconds float64
-	ArrayCaches     []ArrayCacheProfile
-}
-
-// Profile snapshots the store's stage-level latency/byte aggregates,
-// the versions-per-commit-record and Tune-pass histograms, the
-// decode-pool gauge, and the per-array cache counters.
-func (s *Store) Profile() ProfileSnapshot {
+// Metrics declares the store's metric families: the select and commit
+// stage histograms and byte totals, the versions-per-commit-record and
+// Tune-pass histograms, the decode-pool and recovery gauges, and the
+// query-path cache counters of every live array.
+func (s *Store) Metrics() []trace.Family {
 	p := s.prof
-	snap := ProfileSnapshot{
-		GroupBatch:      p.batchSize.Snapshot(),
-		TunePass:        p.tunePass.Snapshot(),
-		DecodeActive:    p.decodeActive.Load(),
-		RecoverySeconds: time.Duration(p.recoveryNanos.Load()).Seconds(),
+	stageHists := func(order []string, m map[string]*stageMetric) func(func(any, ...string)) {
+		return func(emit func(any, ...string)) {
+			for _, st := range order {
+				emit(m[st].hist, "stage", st)
+			}
+		}
 	}
-	for _, st := range selectStageOrder {
-		m := p.selStages[st]
-		snap.SelectStages = append(snap.SelectStages, StageProfile{Stage: st, Hist: m.hist.Snapshot(), Bytes: m.bytes.Load()})
+	stageBytes := func(order []string, m map[string]*stageMetric) func(func(any, ...string)) {
+		return func(emit func(any, ...string)) {
+			for _, st := range order {
+				emit(m[st].bytes.Load(), "stage", st)
+			}
+		}
 	}
-	for _, st := range commitStageOrder {
-		m := p.comStages[st]
-		snap.CommitStages = append(snap.CommitStages, StageProfile{Stage: st, Hist: m.hist.Snapshot(), Bytes: m.bytes.Load()})
+	perArray := func(value func(hits, misses int64) any) func(func(any, ...string)) {
+		return func(emit func(any, ...string)) {
+			for _, st := range s.liveArrays() {
+				emit(value(st.cacheHits.Load(), st.cacheMisses.Load()), "array", st.Schema.Name)
+			}
+		}
 	}
-	p.cacheByArray.Range(func(k, v any) bool {
-		c := v.(*arrayCacheCounters)
-		snap.ArrayCaches = append(snap.ArrayCaches, ArrayCacheProfile{
-			Array:  k.(string),
-			Hits:   c.hits.Load(),
-			Misses: c.misses.Load(),
-		})
-		return true
-	})
-	sort.Slice(snap.ArrayCaches, func(i, j int) bool { return snap.ArrayCaches[i].Array < snap.ArrayCaches[j].Array })
-	return snap
+	return []trace.Family{
+		{Name: "av_select_stage_seconds", Type: "histogram", Help: "Select pipeline latency by stage (snapshot, cache, read, decode, delta, materialize).",
+			Read: stageHists(selectStageOrder, p.selStages)},
+		{Name: "av_select_stage_bytes_total", Type: "counter", Help: "Bytes handled by each select pipeline stage.",
+			Read: stageBytes(selectStageOrder, p.selStages)},
+		{Name: "av_commit_stage_seconds", Type: "histogram", Help: "Write pipeline latency by stage (stage_encode, queue_wait = the wait for the write latches, data_fsync, meta_commit, install).",
+			Read: stageHists(commitStageOrder, p.comStages)},
+		{Name: "av_commit_stage_bytes_total", Type: "counter", Help: "Bytes handled by each commit pipeline stage.",
+			Read: stageBytes(commitStageOrder, p.comStages)},
+		{Name: "av_group_commit_batch_size", Type: "histogram", Help: "Versions installed per write commit record.",
+			Read: func(emit func(any, ...string)) { emit(p.batchSize) }},
+		{Name: "av_tune_pass_seconds", Type: "histogram", Help: "Tune pass duration.",
+			Read: func(emit func(any, ...string)) { emit(p.tunePass) }},
+		{Name: "av_decode_pool_active", Type: "gauge", Help: "Decode-pool workers currently resolving chunks.",
+			Read: func(emit func(any, ...string)) { emit(p.decodeActive.Load()) }},
+		{Name: "av_recovery_seconds", Type: "gauge", Help: "Duration of crash recovery at the last open (0 when not durable).",
+			Read: func(emit func(any, ...string)) { emit(time.Duration(p.recoveryNanos.Load()).Seconds()) }},
+		{Name: "av_cache_hits_total", Type: "counter", Help: "Decoded-chunk cache hits on the query path, by array.",
+			Read: perArray(func(hits, _ int64) any { return hits })},
+		{Name: "av_cache_misses_total", Type: "counter", Help: "Decoded-chunk cache misses on the query path, by array.",
+			Read: perArray(func(_, misses int64) any { return misses })},
+		{Name: "av_cache_hit_ratio", Type: "gauge", Help: "Query-path cache hit ratio since the array was created or opened, by array.",
+			Read: perArray(func(hits, misses int64) any {
+				if hits+misses == 0 {
+					return 0.0
+				}
+				return float64(hits) / float64(hits+misses)
+			})},
+	}
+}
+
+// liveArrays returns the store's arrays in name order.
+func (s *Store) liveArrays() []*arrayState {
+	s.mu.RLock()
+	sts := make([]*arrayState, 0, len(s.arrays))
+	for _, st := range s.arrays {
+		sts = append(sts, st)
+	}
+	s.mu.RUnlock()
+	sort.Slice(sts, func(i, j int) bool { return sts[i].Schema.Name < sts[j].Schema.Name })
+	return sts
 }

@@ -564,11 +564,12 @@ func (s *Store) cachedChunk(v *readView, k cache.Key, tk *opTracker) *array.Dens
 	t0 := time.Now()
 	got, ok := s.chunkCache.Get(k)
 	tk.observe(StageCache, time.Since(t0), 0)
-	s.prof.cacheAccess(k.Array, ok)
 	if !ok {
+		v.st.cacheMisses.Add(1)
 		tk.attr("cache_misses", 1)
 		return nil
 	}
+	v.st.cacheHits.Add(1)
 	tk.attr("cache_hits", 1)
 	return got.(*array.Dense)
 }
@@ -605,13 +606,14 @@ func (s *Store) resolveSparse(v *readView, id int, attr string, local map[int]sp
 		t0 := time.Now()
 		got, ok := s.chunkCache.Get(ckey)
 		tk.observe(StageCache, time.Since(t0), 0)
-		s.prof.cacheAccess(st.Schema.Name, ok)
 		if ok {
+			st.cacheHits.Add(1)
 			tk.attr("cache_hits", 1)
 			sp := got.(*array.Sparse)
 			local[id] = sparseRes{sp: sp, shared: true}
 			return sp, true, nil
 		}
+		st.cacheMisses.Add(1)
 		tk.attr("cache_misses", 1)
 	}
 	vm, err := v.version(id)

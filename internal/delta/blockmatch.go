@@ -177,7 +177,7 @@ func applyBlockMatch(blob []byte, base *array.Dense) (*array.Dense, error) {
 	if rlen > uint64(len(blob)-pos) {
 		return nil, fmt.Errorf("delta: truncated blockmatch residual")
 	}
-	if err := applyCellwise(Hybrid, blob[pos:pos+int(rlen)], pred, false); err != nil {
+	if err := applyCellwise(Hybrid, blob[pos:pos+int(rlen)], pred); err != nil {
 		return nil, err
 	}
 	return pred, nil

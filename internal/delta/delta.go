@@ -17,11 +17,9 @@
 //   - BSDiff: byte-level binary differencing over a suffix array, after
 //     Percival '03.
 //
-// Cellwise methods (Dense, Sparse, Hybrid) decode in both directions:
-// Apply reconstructs the target from the base and Unapply reconstructs
-// the base from the target, matching the paper's note that version chains
-// are walked "in both directions, by adding or subtracting the delta".
-// BlockMatch and BSDiff are forward-only.
+// Every method decodes forward only: Apply reconstructs the target from
+// the base. The store walks a chain from its materialized root toward
+// the version read, so no reader subtracts a delta.
 package delta
 
 import (
@@ -83,16 +81,6 @@ func ParseMethod(s string) (Method, error) {
 	}
 }
 
-// Bidirectional reports whether the method supports Unapply.
-func (m Method) Bidirectional() bool {
-	switch m {
-	case Dense, Sparse, Hybrid, SparseOps:
-		return true
-	default:
-		return false
-	}
-}
-
 // MethodOf returns the method a delta blob was encoded with.
 func MethodOf(blob []byte) (Method, error) {
 	if len(blob) == 0 {
@@ -122,12 +110,6 @@ func wrapDiff(dt array.DataType, t, b int64) int64 {
 // base pattern and the difference.
 func wrapAdd(dt array.DataType, b, d int64) int64 {
 	return array.TruncateBits(dt, int64(uint64(b)+uint64(d)))
-}
-
-// wrapSub reconstructs the base bit pattern from the target pattern and
-// the difference.
-func wrapSub(dt array.DataType, t, d int64) int64 {
-	return array.TruncateBits(dt, int64(uint64(t)-uint64(d)))
 }
 
 // CheckPair validates that two dense arrays can be delta'ed: "deltas can
@@ -170,23 +152,6 @@ func Encode(m Method, target, base *array.Dense) ([]byte, error) {
 // leaving the base untouched: ApplyInPlace on a private copy.
 func Apply(blob []byte, base *array.Dense) (*array.Dense, error) {
 	return ApplyInPlace(blob, base.Clone())
-}
-
-// Unapply reconstructs the base array from a delta blob and its target.
-// Only bidirectional (cellwise) methods support this.
-func Unapply(blob []byte, target *array.Dense) (*array.Dense, error) {
-	m, err := MethodOf(blob)
-	if err != nil {
-		return nil, err
-	}
-	if m != Dense && m != Sparse && m != Hybrid {
-		return nil, fmt.Errorf("delta: method %v is forward-only", m)
-	}
-	out := target.Clone()
-	if err := applyCellwise(m, blob, out, true); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // header layout shared by the dense-array methods:

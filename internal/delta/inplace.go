@@ -10,9 +10,9 @@ import (
 )
 
 // The cellwise apply kernel: one function decodes all three cellwise
-// methods in both directions by rewriting the base's backing bytes in
-// place. Every cell gets buf[i] ± plane[i], and every overlay entry ends
-// at buf[ix] = base[ix] ± val. Dense is a plane with no overlay,
+// methods by rewriting the base's backing bytes in place. Every cell
+// gets buf[i] + plane[i], and every overlay entry ends at
+// buf[ix] = base[ix] + val. Dense is a plane with no overlay,
 // Sparse an overlay with no plane, Hybrid both. The packed plane is
 // unpacked in byte-aligned blocks into a stack buffer and added at the
 // dtype's native width, so no n-value diff plane is ever allocated, and
@@ -46,7 +46,7 @@ func ApplyInPlace(blob []byte, buf *array.Dense) (*array.Dense, error) {
 	}
 	switch m {
 	case Dense, Sparse, Hybrid:
-		if err := applyCellwise(m, blob, buf, false); err != nil {
+		if err := applyCellwise(m, blob, buf); err != nil {
 			return nil, err
 		}
 		return buf, nil
@@ -59,10 +59,10 @@ func ApplyInPlace(blob []byte, buf *array.Dense) (*array.Dense, error) {
 	}
 }
 
-// applyCellwise rewrites buf from base to target (reverse: from target
-// to base) with a blob of cellwise method m. Plane and overlay are both
-// validated before the first write.
-func applyCellwise(m Method, blob []byte, buf *array.Dense, reverse bool) error {
+// applyCellwise rewrites buf from base to target with a blob of
+// cellwise method m. Plane and overlay are both validated before the
+// first write.
+func applyCellwise(m Method, blob []byte, buf *array.Dense) error {
 	if err := readHeader(blob, m, buf); err != nil {
 		return err
 	}
@@ -87,11 +87,11 @@ func applyCellwise(m Method, blob []byte, buf *array.Dense, reverse bool) error 
 		}
 	}
 	if width > 0 {
-		if err := addPlane(plane, width, buf, reverse); err != nil {
+		if err := addPlane(plane, width, buf); err != nil {
 			return err
 		}
 	}
-	ov.add(buf, plane, width, reverse)
+	ov.add(buf, plane, width)
 	return nil
 }
 
@@ -170,12 +170,12 @@ func checkOverlay(b []byte, n int64) (overlay, error) {
 }
 
 // add is the overlay pass: one streaming walk of the gaps and values
-// together, adding (reverse: subtracting) each value at the dtype's
-// native width. An overlay cell must end at base ± its value whatever
+// together, adding each value at the dtype's native width. An overlay
+// cell must end at base + its value whatever
 // plane code sits beneath it (the encoder writes 0 there), so under a
 // plane of width > 0 that code, which addPlane already applied, is taken
 // back out.
-func (o overlay) add(buf *array.Dense, plane []byte, width int, reverse bool) {
+func (o overlay) add(buf *array.Dense, plane []byte, width int) {
 	data := buf.Bytes()
 	esz := buf.DType().Size()
 	gp, vp, ix := 0, 0, 0
@@ -187,9 +187,6 @@ func (o overlay) add(buf *array.Dense, plane []byte, width int, reverse bool) {
 		d := bitpack.Unzigzag(u)
 		if width > 0 {
 			d -= bitpack.SignedAt(plane, ix, width)
-		}
-		if reverse {
-			d = -d
 		}
 		switch c := data[ix*esz:]; esz {
 		case 1:
@@ -204,9 +201,9 @@ func (o overlay) add(buf *array.Dense, plane []byte, width int, reverse bool) {
 	}
 }
 
-// addPlane adds (reverse: subtracts) the packed plane's NumCells
-// width-bit zigzag codes to buf's cells at the dtype's native width.
-func addPlane(packed []byte, width int, buf *array.Dense, reverse bool) error {
+// addPlane adds the packed plane's NumCells width-bit zigzag codes to
+// buf's cells at the dtype's native width.
+func addPlane(packed []byte, width int, buf *array.Dense) error {
 	n := buf.NumCells()
 	data := buf.Bytes()
 	esz := int64(buf.DType().Size())
@@ -215,11 +212,6 @@ func addPlane(packed []byte, width int, buf *array.Dense, reverse bool) error {
 		diffs := block[:min(n-start, planeBlockVals)]
 		if err := bitpack.UnpackSignedInto(packed[start*int64(width)/8:], len(diffs), width, diffs); err != nil {
 			return err
-		}
-		if reverse {
-			for j := range diffs {
-				diffs[j] = -diffs[j]
-			}
 		}
 		d := data[start*esz:]
 		switch esz {

@@ -49,41 +49,25 @@ func randomPair(t *testing.T, rng *rand.Rand, dt array.DataType, shape []int64) 
 	return target, base
 }
 
-// inPlace runs the kernel over buf: forward through ApplyInPlace,
-// reverse through the same kernel with the subtract flag.
-func inPlace(blob []byte, buf *array.Dense, reverse bool) (*array.Dense, error) {
-	if !reverse {
-		return ApplyInPlace(blob, buf)
-	}
-	m, err := MethodOf(blob)
-	if err != nil {
-		return nil, err
-	}
-	if err := applyCellwise(m, blob, buf, true); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // differential applies blob to a copy of from with both kernels and
 // fails unless they agree bit for bit and the in-place result is the
 // copy itself; it returns the in-place result.
-func differential(t *testing.T, blob []byte, from *array.Dense, reverse bool) *array.Dense {
+func differential(t *testing.T, blob []byte, from *array.Dense) *array.Dense {
 	t.Helper()
-	want, err := scalarApply(blob, from, reverse)
+	want, err := scalarApply(blob, from)
 	if err != nil {
-		t.Fatalf("scalar oracle (reverse=%v): %v", reverse, err)
+		t.Fatalf("scalar oracle: %v", err)
 	}
 	buf := from.Clone()
-	got, err := inPlace(blob, buf, reverse)
+	got, err := ApplyInPlace(blob, buf)
 	if err != nil {
-		t.Fatalf("in-place (reverse=%v): %v", reverse, err)
+		t.Fatalf("in-place: %v", err)
 	}
 	if got != buf {
-		t.Fatalf("in-place (reverse=%v) returned a fresh array, not its buffer", reverse)
+		t.Fatal("in-place returned a fresh array, not its buffer")
 	}
 	if !got.Equal(want) {
-		t.Fatalf("in-place (reverse=%v) differs from the scalar oracle", reverse)
+		t.Fatal("in-place differs from the scalar oracle")
 	}
 	return got
 }
@@ -99,11 +83,8 @@ func TestFusedDifferentialAllDTypes(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v %v %v: encode: %v", dt, shape, m, err)
 				}
-				if !differential(t, blob, base, false).Equal(target) {
+				if !differential(t, blob, base).Equal(target) {
 					t.Fatalf("%v %v %v: apply does not reconstruct target", dt, shape, m)
-				}
-				if !differential(t, blob, target, true).Equal(base) {
-					t.Fatalf("%v %v %v: unapply does not reconstruct base", dt, shape, m)
 				}
 			}
 		}
@@ -123,7 +104,7 @@ func TestFusedIdenticalVersions(t *testing.T) {
 		if blob[2] != 0 {
 			t.Fatalf("%v: identical arrays encoded at width %d", m, blob[2])
 		}
-		if !differential(t, blob, target, false).Equal(target) {
+		if !differential(t, blob, target).Equal(target) {
 			t.Fatalf("%v: width-0 apply changed the array", m)
 		}
 	}
@@ -144,7 +125,7 @@ func TestFusedAllOutliers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !differential(t, blob, base, false).Equal(target) {
+	if !differential(t, blob, base).Equal(target) {
 		t.Fatal("apply does not reconstruct target")
 	}
 }
@@ -174,7 +155,7 @@ func TestFusedChain(t *testing.T) {
 	}
 	buf := versions[0].Clone()
 	for v, blob := range blobs {
-		want, err := scalarApply(blob, buf, false)
+		want, err := scalarApply(blob, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,14 +164,6 @@ func TestFusedChain(t *testing.T) {
 		}
 		if !buf.Equal(want) || !buf.Equal(versions[v+1]) {
 			t.Fatalf("chain link %d: reconstruction differs", v+1)
-		}
-	}
-	for v := len(blobs) - 1; v >= 0; v-- {
-		if _, err := inPlace(blobs[v], buf, true); err != nil {
-			t.Fatal(err)
-		}
-		if !buf.Equal(versions[v]) {
-			t.Fatalf("chain link %d: reverse reconstruction differs", v)
 		}
 	}
 }
@@ -212,20 +185,18 @@ func TestOverlayRejectsRepeatedIndex(t *testing.T) {
 		"group past end":      {byte(Sparse), byte(array.Int32), 10, 1, 9, 9, 9, 9, 9, 9, 9, 9, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
 	}
 	for name, blob := range bad {
-		for _, reverse := range []bool{false, true} {
-			buf := base.Clone()
-			if _, err := inPlace(blob, buf, reverse); !errors.Is(err, ErrOverlayIndex) {
-				t.Errorf("%s (reverse=%v): err = %v, want ErrOverlayIndex", name, reverse, err)
-			}
-			if !buf.Equal(base) {
-				t.Errorf("%s (reverse=%v): rejected blob modified the buffer", name, reverse)
-			}
-			if _, err := scalarApply(blob, base, reverse); err == nil {
-				t.Errorf("%s (reverse=%v): the oracle accepted it", name, reverse)
-			}
+		buf := base.Clone()
+		if _, err := ApplyInPlace(blob, buf); !errors.Is(err, ErrOverlayIndex) {
+			t.Errorf("%s: err = %v, want ErrOverlayIndex", name, err)
+		}
+		if !buf.Equal(base) {
+			t.Errorf("%s: rejected blob modified the buffer", name)
+		}
+		if _, err := scalarApply(blob, base); err == nil {
+			t.Errorf("%s: the oracle accepted it", name)
 		}
 	}
-	got := differential(t, []byte{byte(Sparse), byte(array.Int32), 2, 0, 63, 2, 2}, base, false)
+	got := differential(t, []byte{byte(Sparse), byte(array.Int32), 2, 0, 63, 2, 2}, base)
 	if got.Bits(0) != base.Bits(0)+1 || got.Bits(63) != base.Bits(63)+1 {
 		t.Fatal("a zero first gap did not address cell 0")
 	}
@@ -234,9 +205,7 @@ func TestOverlayRejectsRepeatedIndex(t *testing.T) {
 	for range 11 {
 		group = append(group, 0x7f)
 	}
-	for _, reverse := range []bool{false, true} {
-		differential(t, group, base, reverse)
-	}
+	differential(t, group, base)
 }
 
 // hybridPair is the chunk shape the store encodes and decodes most: a
@@ -301,7 +270,7 @@ func BenchmarkApplyOverlay(b *testing.B) {
 func BenchmarkApplyScalarOracle(b *testing.B) {
 	blob, base := overlayChunk(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := scalarApply(blob, base, false); err != nil {
+		if _, err := scalarApply(blob, base); err != nil {
 			b.Fatal(err)
 		}
 	}

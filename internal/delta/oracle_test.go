@@ -188,26 +188,26 @@ func scalarEstimate(target, base *array.Dense, sample int, seed int64) int64 {
 	return sampleBytes * n / int64(sample)
 }
 
-// scalarApply reconstructs the target (reverse: the base) from a
-// cellwise blob without touching from.
-func scalarApply(blob []byte, from *array.Dense, reverse bool) (*array.Dense, error) {
+// scalarApply reconstructs the target from a cellwise blob without
+// touching from.
+func scalarApply(blob []byte, from *array.Dense) (*array.Dense, error) {
 	m, err := MethodOf(blob)
 	if err != nil {
 		return nil, err
 	}
 	switch m {
 	case Dense:
-		return scalarApplyDense(blob, from, reverse)
+		return scalarApplyDense(blob, from)
 	case Sparse:
-		return scalarApplySparse(blob, from, reverse)
+		return scalarApplySparse(blob, from)
 	case Hybrid:
-		return scalarApplyHybrid(blob, from, reverse)
+		return scalarApplyHybrid(blob, from)
 	default:
 		return nil, fmt.Errorf("delta: scalar oracle covers cellwise methods only, got %v", m)
 	}
 }
 
-func scalarApplyDense(blob []byte, from *array.Dense, reverse bool) (*array.Dense, error) {
+func scalarApplyDense(blob []byte, from *array.Dense) (*array.Dense, error) {
 	if err := readHeader(blob, Dense, from); err != nil {
 		return nil, err
 	}
@@ -219,10 +219,10 @@ func scalarApplyDense(blob []byte, from *array.Dense, reverse bool) (*array.Dens
 	if err != nil {
 		return nil, err
 	}
-	return scalarAddPlane(from, diffs, reverse)
+	return scalarAddPlane(from, diffs)
 }
 
-func scalarApplySparse(blob []byte, from *array.Dense, reverse bool) (*array.Dense, error) {
+func scalarApplySparse(blob []byte, from *array.Dense) (*array.Dense, error) {
 	if err := readHeader(blob, Sparse, from); err != nil {
 		return nil, err
 	}
@@ -233,16 +233,12 @@ func scalarApplySparse(blob []byte, from *array.Dense, reverse bool) (*array.Den
 	out := from.Clone()
 	dt := from.DType()
 	for i, ix := range idx {
-		if reverse {
-			out.SetBits(ix, wrapSub(dt, from.Bits(ix), vals[i]))
-		} else {
-			out.SetBits(ix, wrapAdd(dt, from.Bits(ix), vals[i]))
-		}
+		out.SetBits(ix, wrapAdd(dt, from.Bits(ix), vals[i]))
 	}
 	return out, nil
 }
 
-func scalarApplyHybrid(blob []byte, from *array.Dense, reverse bool) (*array.Dense, error) {
+func scalarApplyHybrid(blob []byte, from *array.Dense) (*array.Dense, error) {
 	if err := readHeader(blob, Hybrid, from); err != nil {
 		return nil, err
 	}
@@ -271,7 +267,7 @@ func scalarApplyHybrid(blob []byte, from *array.Dense, reverse bool) (*array.Den
 	for i := range idx {
 		plane[idx[i]] = vals[i]
 	}
-	return scalarAddPlane(from, plane, reverse)
+	return scalarAddPlane(from, plane)
 }
 
 // scalarOverlay parses nnz | index gaps | diffs, range-checking every
@@ -316,7 +312,7 @@ func scalarOverlay(b []byte, n int64) (idx, vals []int64, err error) {
 	return idx, vals, nil
 }
 
-func scalarAddPlane(from *array.Dense, plane []int64, reverse bool) (*array.Dense, error) {
+func scalarAddPlane(from *array.Dense, plane []int64) (*array.Dense, error) {
 	dt := from.DType()
 	out, err := array.NewDense(dt, from.Shape())
 	if err != nil {
@@ -324,11 +320,7 @@ func scalarAddPlane(from *array.Dense, plane []int64, reverse bool) (*array.Dens
 	}
 	for i := range plane {
 		ix := int64(i)
-		if reverse {
-			out.SetBits(ix, wrapSub(dt, from.Bits(ix), plane[i]))
-		} else {
-			out.SetBits(ix, wrapAdd(dt, from.Bits(ix), plane[i]))
-		}
+		out.SetBits(ix, wrapAdd(dt, from.Bits(ix), plane[i]))
 	}
 	return out, nil
 }

@@ -10,15 +10,14 @@ import (
 // SparseOps is the delta between two *sparse* array versions, used for
 // sparse datasets such as ConceptNet: a merged edit list recording, for
 // every flat index where the two versions differ, both the base and the
-// target bit patterns. Carrying both sides keeps the delta bidirectional
-// at the cost of a few bytes per edit. Both versions must share dtype,
-// shape and fill value.
+// target bit patterns; ApplySparseOps writes the target's and only
+// checks that the base's decode. Both versions must share dtype, shape
+// and fill value.
 //
 // Layout: [method][dtype] | fill varint | nedits uvarint |
 //         uvarint index gaps | varint(old−fill) | varint(new−fill).
 
-// EncodeSparseOps computes a bidirectional delta blob between two sparse
-// versions.
+// EncodeSparseOps computes the delta blob that takes base to target.
 func EncodeSparseOps(target, base *array.Sparse) ([]byte, error) {
 	if target.DType() != base.DType() {
 		return nil, fmt.Errorf("delta: dtype mismatch %v vs %v", target.DType(), base.DType())
@@ -76,16 +75,7 @@ func EncodeSparseOps(target, base *array.Sparse) ([]byte, error) {
 }
 
 // ApplySparseOps reconstructs the target sparse array from the base.
-func ApplySparseOps(blob []byte, base *array.Sparse) (*array.Sparse, error) {
-	return applySparseOps(blob, base, false)
-}
-
-// UnapplySparseOps reconstructs the base sparse array from the target.
-func UnapplySparseOps(blob []byte, target *array.Sparse) (*array.Sparse, error) {
-	return applySparseOps(blob, target, true)
-}
-
-func applySparseOps(blob []byte, from *array.Sparse, reverse bool) (*array.Sparse, error) {
+func ApplySparseOps(blob []byte, from *array.Sparse) (*array.Sparse, error) {
 	if len(blob) < 2 || Method(blob[0]) != SparseOps {
 		return nil, fmt.Errorf("delta: not a sparseops blob")
 	}
@@ -135,8 +125,9 @@ func applySparseOps(blob []byte, from *array.Sparse, reverse bool) (*array.Spars
 		}
 		return vals, nil
 	}
-	oldV, err := readVals()
-	if err != nil {
+	// the blob carries each edited cell's base value too; a forward
+	// apply only checks that they decode
+	if _, err := readVals(); err != nil {
 		return nil, err
 	}
 	newV, err := readVals()
@@ -149,11 +140,7 @@ func applySparseOps(blob []byte, from *array.Sparse, reverse bool) (*array.Spars
 		if idx[i] < 0 || idx[i] >= total {
 			return nil, fmt.Errorf("delta: sparseops index %d out of range", idx[i])
 		}
-		if reverse {
-			out.SetBits(idx[i], oldV[i])
-		} else {
-			out.SetBits(idx[i], newV[i])
-		}
+		out.SetBits(idx[i], newV[i])
 	}
 	return out, nil
 }

@@ -43,12 +43,6 @@ func IOCost(l Layout, mm *matmat.Matrix, workload []Query) float64 {
 	return total
 }
 
-// CombinedCost blends I/O cost with storage cost; spaceWeight 0 optimizes
-// pure I/O, large spaceWeight approaches the space-optimal objective.
-func CombinedCost(l Layout, mm *matmat.Matrix, workload []Query, spaceWeight float64) float64 {
-	return IOCost(l, mm, workload) + spaceWeight*float64(l.StorageCost(mm))
-}
-
 // WorkloadAware computes a layout with low I/O cost for the given
 // workload. It implements the paper's divide-and-conquer heuristic in a
 // local-search form: start from the space-optimal layout plus a variant

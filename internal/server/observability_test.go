@@ -3,10 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -208,31 +212,7 @@ func validatePromText(t *testing.T, body string) {
 // counters, runtime gauges, store counters) and validates the full
 // /metrics body against the text-format grammar.
 func TestMetricsPrometheusGrammar(t *testing.T) {
-	_, _, ts := newTestServer(t, Config{})
-	c := client.New(ts.URL)
-	if err := c.CreateArray(denseSchema("G", 16)); err != nil {
-		t.Fatal(err)
-	}
-	d := array.MustDense(array.Int32, []int64{16, 16})
-	if _, err := c.Insert("G", core.DensePayload(d)); err != nil {
-		t.Fatal(err)
-	}
-	// twice: one miss pass, one hit pass, so cache series carry both
-	for i := 0; i < 2; i++ {
-		if _, err := c.Select("G", 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
+	body := scrapeAfterScript(t)
 	validatePromText(t, body)
 	for _, want := range []string{
 		`av_select_stage_seconds_bucket{stage="snapshot",le="+Inf"}`,
@@ -249,6 +229,220 @@ func TestMetricsPrometheusGrammar(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)
+		}
+	}
+}
+
+// scrapeAfterScript creates an array, inserts one version, selects it
+// twice (one miss pass, one hit pass, so cache series carry both) and
+// returns the /metrics body.
+func scrapeAfterScript(t *testing.T) string {
+	t.Helper()
+	_, _, ts := newTestServer(t, Config{})
+	c := client.New(ts.URL)
+	if err := c.CreateArray(denseSchema("G", 16)); err != nil {
+		t.Fatal(err)
+	}
+	d := array.MustDense(array.Int32, []int64{16, 16})
+	if _, err := c.Insert("G", core.DensePayload(d)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Select("G", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return scrape(t, ts.URL)
+}
+
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// metricFamilies reduces a /metrics body to one line per family, sorted
+// by name: the family name, its TYPE and the label names its samples
+// carry ("-" for none).
+func metricFamilies(body string) string {
+	types := map[string]string{}
+	labels := map[string]map[string]bool{}
+	for _, line := range strings.Split(body, "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			fields := strings.Fields(f)
+			types[fields[0]] = fields[1]
+			labels[fields[0]] = map[string]bool{}
+			continue
+		}
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, rest, _ := strings.Cut(strings.Fields(line)[0], "{")
+		if _, ok := types[name]; !ok {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base := strings.TrimSuffix(name, suffix); types[base] == "histogram" {
+					name = base
+				}
+			}
+		}
+		for _, pair := range strings.Split(strings.TrimSuffix(rest, "}"), ",") {
+			if k, _, ok := strings.Cut(pair, "="); ok && labels[name] != nil {
+				labels[name][k] = true
+			}
+		}
+	}
+	var out []string
+	for name, typ := range types {
+		var ls []string
+		for k := range labels[name] {
+			ls = append(ls, k)
+		}
+		sort.Strings(ls)
+		if len(ls) == 0 {
+			ls = []string{"-"}
+		}
+		out = append(out, name+" "+typ+" "+strings.Join(ls, ","))
+	}
+	sort.Strings(out)
+	return strings.Join(out, "\n") + "\n"
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/metric_families.golden")
+
+// TestMetricFamiliesGolden pins every /metrics family's name, TYPE and
+// label names: dashboards and the benchmark read them by name.
+func TestMetricFamiliesGolden(t *testing.T) {
+	got := metricFamilies(scrapeAfterScript(t))
+	path := filepath.Join("testdata", "metric_families.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("/metrics families differ from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// TestCacheSeriesDieWithArray drops an array that was read and
+// recreates it under the same name: the dropped array's per-array cache
+// series leave /metrics, and the new array starts from zero.
+func TestCacheSeriesDieWithArray(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{})
+	c := client.New(ts.URL)
+	d := array.MustDense(array.Int32, []int64{16, 16})
+	createAndRead := func(name string) {
+		t.Helper()
+		if err := c.CreateArray(denseSchema(name, 16)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Insert(name, core.DensePayload(d)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Select(name, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	createAndRead("D")
+	createAndRead("K")
+	if body := scrape(t, ts.URL); !strings.Contains(body, `av_cache_hits_total{array="D"} 1`) {
+		t.Fatalf("no cache series for a read array:\n%s", body)
+	}
+	if err := c.DeleteArray("D"); err != nil {
+		t.Fatal(err)
+	}
+	body := scrape(t, ts.URL)
+	if strings.Contains(body, `array="D"`) {
+		t.Errorf("a dropped array's cache series stay on /metrics")
+	}
+	if !strings.Contains(body, `av_cache_hits_total{array="K"} 1`) {
+		t.Errorf("a live array's cache series left /metrics")
+	}
+	if err := c.CreateArray(denseSchema("D", 16)); err != nil {
+		t.Fatal(err)
+	}
+	body = scrape(t, ts.URL)
+	for _, want := range []string{`av_cache_hits_total{array="D"} 0`, `av_cache_misses_total{array="D"} 0`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("a recreated array does not start from zero: no %q", want)
+		}
+	}
+}
+
+// TestStatsSurfacesAgree checks the surfaces derived from IOStats after
+// a scripted workload: /v1/stats decodes to Store.Stats() field for
+// field, and /metrics carries every field but MmapReads once, as
+// avstored_store_<snake_case name> with the same value.
+func TestStatsSurfacesAgree(t *testing.T) {
+	_, store, ts := newTestServer(t, Config{})
+	c := client.New(ts.URL)
+	if err := c.CreateArray(denseSchema("S", 64)); err != nil {
+		t.Fatal(err)
+	}
+	d := array.MustDense(array.Int32, []int64{64, 64})
+	for i := 0; i < 3; i++ {
+		d.SetBits(int64(i), int64(i+1))
+		if _, err := c.Insert("S", core.DensePayload(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.SelectMulti("S", []int{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DeleteVersion("S", 2); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := store.Stats()
+	if got != want {
+		t.Errorf("/v1/stats = %+v\nStore.Stats() = %+v", got, want)
+	}
+	if want.ChunksRead == 0 || want.ChunksWritten == 0 || want.ManifestRecords == 0 {
+		t.Fatalf("the script moved no counters: %+v", want)
+	}
+	body := scrape(t, ts.URL)
+	v := reflect.ValueOf(want)
+	word := regexp.MustCompile(`[A-Z][a-z]*`)
+	for i := range v.NumField() {
+		f := v.Type().Field(i)
+		var parts []string
+		for _, m := range word.FindAllString(f.Name, -1) {
+			parts = append(parts, strings.ToLower(m))
+		}
+		series := "avstored_store_" + strings.Join(parts, "_") + " "
+		n := strings.Count(body, "\n"+series)
+		if f.Name == "MmapReads" {
+			if n != 0 {
+				t.Errorf("%s on /metrics", series)
+			}
+			continue
+		}
+		if n != 1 {
+			t.Errorf("%q appears %d times on /metrics, want once", series, n)
+			continue
+		}
+		line := body[strings.Index(body, "\n"+series)+1:]
+		line = line[:strings.Index(line, "\n")]
+		if line != series+strconv.FormatInt(v.Field(i).Int(), 10) {
+			t.Errorf("/metrics has %q, Store.Stats() %s = %d", line, f.Name, v.Field(i).Int())
 		}
 	}
 }

@@ -422,7 +422,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, s.store.Stats(), s.store.Profile())
+	s.metrics.write(w, s.store)
 }
 
 // handleTraces serves the ring of recently completed request traces.

@@ -2,7 +2,9 @@
 // substrate: a lightweight span recorder carried through
 // context.Context, plus the two aggregate shapes built on it — an
 // atomic-bucket histogram for always-on stage metrics and a bounded
-// ring of completed trace summaries for the /debug/traces endpoint.
+// ring of completed trace summaries for the /debug/traces endpoint —
+// and the one Prometheus text writer, which renders every metric
+// family from its declaration (metrics.go).
 //
 // A Trace accumulates wall time and bytes per named pipeline stage
 // (snapshot, cache, decode, ... on the select path; stage_encode,

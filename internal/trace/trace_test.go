@@ -2,6 +2,8 @@ package trace
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -155,5 +157,57 @@ func TestConcurrentRecorders(t *testing.T) {
 	}
 	if h.Snapshot().Count != 8*500 {
 		t.Fatalf("histogram lost observations: %d", h.Snapshot().Count)
+	}
+}
+
+// TestWriteText pins the exposition of each value kind: an int64 and a
+// float64 sample, a label value that needs escaping, and a labelled
+// histogram with cumulative buckets and le after the series' labels.
+func TestWriteText(t *testing.T) {
+	h := NewHistogram([]float64{0.5, 1})
+	h.Observe(0.25)
+	h.Observe(2)
+	var b strings.Builder
+	WriteText(&b, []Family{
+		{Name: "x_total", Type: "counter", Help: "X.", Read: func(emit func(any, ...string)) {
+			emit(int64(1234567), "array", "a\"b\\c\nd")
+			emit(int64(0), "array", "e")
+		}},
+		{Name: "y", Type: "gauge", Help: "Y.", Read: func(emit func(any, ...string)) { emit(0.5) }},
+		{Name: "z_seconds", Type: "histogram", Help: "Z.", Read: func(emit func(any, ...string)) { emit(h, "stage", "read") }},
+	})
+	want := `# HELP x_total X.
+# TYPE x_total counter
+x_total{array="a\"b\\c\nd"} 1234567
+x_total{array="e"} 0
+# HELP y Y.
+# TYPE y gauge
+y 0.5
+# HELP z_seconds Z.
+# TYPE z_seconds histogram
+z_seconds_bucket{stage="read",le="0.5"} 1
+z_seconds_bucket{stage="read",le="1"} 1
+z_seconds_bucket{stage="read",le="+Inf"} 2
+z_seconds_sum{stage="read"} 2.25
+z_seconds_count{stage="read"} 2
+`
+	if b.String() != want {
+		t.Errorf("WriteText:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
+// TestFields checks the snake_case names, the declaration order and
+// the metric:"-" opt-out.
+func TestFields(t *testing.T) {
+	var got []string
+	Fields(struct {
+		BytesRead     int64
+		Skipped       int64 `metric:"-"`
+		StoreDegraded int64
+	}{BytesRead: 1, Skipped: 2, StoreDegraded: 3}, func(name string, n int64) {
+		got = append(got, fmt.Sprintf("%s=%d", name, n))
+	})
+	if strings.Join(got, " ") != "bytes_read=1 store_degraded=3" {
+		t.Errorf("Fields: %v", got)
 	}
 }
