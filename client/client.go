@@ -15,7 +15,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -200,25 +199,33 @@ func newIdemKey() string {
 // when a retry cannot duplicate work. body is a byte slice (not a
 // Reader) so every attempt replays it from the start.
 func (c *Client) do(method, path string, contentType string, body []byte) (*http.Response, error) {
-	return c.doIdem(context.Background(), method, path, contentType, body, "")
+	var b wire.Body
+	if len(body) > 0 {
+		b = wire.Body{Segs: [][]byte{body}, Len: int64(len(body))}
+	}
+	return c.doIdem(context.Background(), method, path, contentType, b, "")
 }
 
 // doIdem is do with an idempotency key and a context: every attempt
 // carries ctx, and cancelling it also ends the wait between retries.
-func (c *Client) doIdem(ctx context.Context, method, path string, contentType string, body []byte, idemKey string) (*http.Response, error) {
+// body is segments plus their length (wire.Body), so every attempt, and
+// the transport's own replay through GetBody, re-sends it from the
+// caller's memory with its Content-Length set.
+func (c *Client) doIdem(ctx context.Context, method, path string, contentType string, body wire.Body, idemKey string) (*http.Response, error) {
 	attempts := c.retry.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+		req, err := http.NewRequestWithContext(ctx, method, c.base+path, nil)
 		if err != nil {
 			return nil, fmt.Errorf("client: %w", err)
+		}
+		if body.Len > 0 {
+			req.ContentLength = body.Len
+			req.Body = io.NopCloser(body.Reader())
+			req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(body.Reader()), nil }
 		}
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)
@@ -377,13 +384,15 @@ func (c *Client) Health() (arrayvers.Health, error) {
 // new version ids, in put order and payload order. Each call carries a
 // fresh idempotency key, so the retry policy can safely re-send after a
 // lost ack: the server replays the committed ids instead of writing
-// twice.
+// twice. The body is never assembled: each dense plane's cells go out
+// from the caller's own buffer (wire.EncodeWrite), on every attempt, so
+// a plane must not change until Write returns — as for Store.Write.
 func (c *Client) Write(ctx context.Context, puts []arrayvers.MultiInsert) ([][]int, error) {
-	var buf bytes.Buffer
-	if err := wire.WriteMultiBatch(&buf, puts); err != nil {
+	body, err := wire.EncodeWrite(puts)
+	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	resp, err := c.doIdem(ctx, http.MethodPost, "/v1/write", frameContentType, buf.Bytes(), newIdemKey())
+	resp, err := c.doIdem(ctx, http.MethodPost, "/v1/write", frameContentType, body, newIdemKey())
 	if err != nil {
 		return nil, err
 	}
@@ -438,7 +447,7 @@ func (c *Client) Read(ctx context.Context, q arrayvers.ReadQuery) ([]arrayvers.P
 	if q.Box.NDim() > 0 {
 		query += "&box=" + url.QueryEscape(cliutil.FormatBox(q.Box))
 	}
-	resp, err := c.doIdem(ctx, http.MethodGet, "/v1/arrays/"+url.PathEscape(q.Array)+"/select?"+query, "", nil, "")
+	resp, err := c.doIdem(ctx, http.MethodGet, "/v1/arrays/"+url.PathEscape(q.Array)+"/select?"+query, "", wire.Body{}, "")
 	if err != nil {
 		return nil, err
 	}

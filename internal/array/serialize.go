@@ -16,10 +16,10 @@ const (
 	magicSparse = 0xA175
 )
 
-// appendDenseHeader appends the dense blob header — magic, dtype, ndim,
+// AppendDenseHeader appends the dense blob header — magic, dtype, ndim,
 // shape varints — without the cell bytes; header + d.Bytes() is exactly
-// a MarshalDense blob.
-func appendDenseHeader(buf []byte, d *Dense) []byte {
+// a MarshalDense blob, so a writer can send the cells from d's own buffer.
+func AppendDenseHeader(buf []byte, d *Dense) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, magicDense)
 	buf = append(buf, byte(d.dtype), byte(len(d.shape)))
 	for _, s := range d.shape {
@@ -30,7 +30,7 @@ func appendDenseHeader(buf []byte, d *Dense) []byte {
 
 // MarshalDense serializes a dense array.
 func MarshalDense(d *Dense) []byte {
-	buf := appendDenseHeader(make([]byte, 0, 16+len(d.data)), d)
+	buf := AppendDenseHeader(make([]byte, 0, 16+len(d.data)), d)
 	return append(buf, d.data...)
 }
 

@@ -20,10 +20,10 @@ import (
 //   - co-located chains vs per-version files (§III-B.3, "co-located
 //     chains ... are more efficient")
 //   - sampled vs exact materialization-matrix construction (§IV-A)
-//   - delta-candidate window for automatic delta-ing (§II-A / §IV-E)
+//   - always-on vs adaptive LZ (§V-B's future work)
 func Ablations(workDir string, sc Scale) (Table, error) {
 	t := Table{
-		Title:   "Ablations — chunking, co-location, matrix sampling, delta candidates",
+		Title:   "Ablations — chunking, co-location, matrix sampling, adaptive codec",
 		Columns: []string{"Ablation", "Setting", "Size", "Metric"},
 	}
 	noaa := datasets.NOAA(datasets.NOAAConfig{Side: sc.NOAASide, Versions: sc.NOAAVersions, Attrs: 1, Seed: sc.Seed})
@@ -143,23 +143,7 @@ func Ablations(workDir string, sc Scale) (Table, error) {
 		[]string{"matrix build", "2048-cell sample", "—",
 			fmt.Sprintf("%s, max size error %.0f%%", fmtDur(dSampled), 100*maxErr)})
 
-	// 4. delta-candidate window K for automatic delta-ing
-	for _, k := range []int{1, 3} {
-		opts := core.DefaultOptions()
-		opts.ChunkBytes = sc.ChunkBytes
-		opts.DeltaCandidates = k
-		dir := filepath.Join(workDir, fmt.Sprintf("ab-cand-%d", k))
-		s, err := build(dir, opts)
-		if err != nil {
-			return Table{}, err
-		}
-		t.Rows = append(t.Rows, []string{
-			"delta candidates", fmt.Sprintf("K=%d", k), fmtBytes(diskBytes(s)), "insert-time base search",
-		})
-		os.RemoveAll(dir)
-	}
-
-	// 5. adaptive LZ (the paper's future-work item): compression enabled
+	// 4. adaptive LZ (the paper's future-work item): compression enabled
 	// per chunk only when a payload sample predicts a worthwhile ratio
 	for _, mode := range []struct {
 		label    string

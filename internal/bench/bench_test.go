@@ -320,8 +320,8 @@ func TestAblationsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) < 9 {
-		t.Fatalf("%d ablation rows", len(tab.Rows))
+	if len(tab.Rows) != 9 {
+		t.Fatalf("%d ablation rows, want 9", len(tab.Rows))
 	}
 	// co-located chains must use fewer files than per-version mode
 	var colocFiles, perVersionFiles string

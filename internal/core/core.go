@@ -38,14 +38,11 @@ type Options struct {
 	ChunkBytes int64
 	// Codec compresses chunk payloads after delta encoding (§III-B.2).
 	Codec compress.Codec
-	// AutoDelta makes Insert compare each new version against recent
-	// versions and delta-encode it when that is smaller ("delta-ing is
+	// AutoDelta makes Insert compare each new version against the newest
+	// version and delta-encode it when that is smaller ("delta-ing is
 	// performed automatically", §II-A). When false, every version is
 	// materialized.
 	AutoDelta bool
-	// DeltaCandidates is how many recent versions Insert considers as
-	// delta bases (1 = only the immediate predecessor).
-	DeltaCandidates int
 	// CoLocate stores all deltas of one chunk across versions in a single
 	// chain file (§III-B.3: "co-locates chains of deltas belonging to
 	// different versions but all corresponding to the same chunk"); when
@@ -91,20 +88,16 @@ const DefaultCacheBytes = 256 << 20
 // DefaultOptions mirrors the paper's defaults at full scale.
 func DefaultOptions() Options {
 	return Options{
-		ChunkBytes:      chunk.DefaultChunkBytes,
-		Codec:           compress.None,
-		AutoDelta:       true,
-		DeltaCandidates: 1,
-		CoLocate:        true,
+		ChunkBytes: chunk.DefaultChunkBytes,
+		Codec:      compress.None,
+		AutoDelta:  true,
+		CoLocate:   true,
 	}
 }
 
 func (o *Options) fillDefaults() {
 	if o.ChunkBytes <= 0 {
 		o.ChunkBytes = chunk.DefaultChunkBytes
-	}
-	if o.DeltaCandidates <= 0 {
-		o.DeltaCandidates = 1
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)

@@ -108,7 +108,6 @@ func durableOpts(coLocate bool, fs fsio.FS) Options {
 	o.Durability = true
 	o.FS = fs
 	o.Parallelism = 1 // deterministic step ordering for the matrix
-	o.DeltaCandidates = 2
 	return o
 }
 

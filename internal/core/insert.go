@@ -737,17 +737,17 @@ func dedupInts(in []int) []int {
 	return out
 }
 
-// chooseDeltaBase picks the version the new content should be delta'ed
-// against, comparing the estimated delta size against the newest
-// DeltaCandidates versions with the materialized size ("the payload is
-// analyzed so it can be encoded as a delta off of an existing version",
-// §II-A). Candidates come from the staging view, so later members of a
-// batch can delta against earlier ones. A dense candidate is priced
-// from its cells at delta.SampleCells' draw (seed: the candidate's id),
-// gathered chunk by chunk through the view and the stage memo — never
-// assembled — so a candidate the LRU holds costs no copy, and encodePlane
-// finds its chunks in the memo. Only the first attribute is priced, and
-// a candidate that cannot be read is skipped. It returns the base's id,
+// chooseDeltaBase decides whether the new content should be delta'ed
+// against the newest version, comparing the estimated delta size with
+// the materialized size ("the payload is analyzed so it can be encoded
+// as a delta off of an existing version", §II-A). The newest version
+// comes from the staging view, so a later member of a batch can delta
+// against an earlier one. A dense candidate is priced from its cells at
+// delta.SampleCells' draw (seed: the candidate's id), gathered chunk by
+// chunk through the view and the stage memo — never assembled — so a
+// candidate the LRU holds costs no copy, and encodePlane finds its
+// chunks in the memo. Only the first attribute is priced, and a
+// candidate that cannot be read is not taken. It returns the base's id,
 // 0 to materialize.
 func (s *Store) chooseDeltaBase(ctx *insertCtx, planes []Plane) int {
 	v := ctx.v
@@ -755,42 +755,24 @@ func (s *Store) chooseDeltaBase(ctx *insertCtx, planes []Plane) int {
 	if !s.opts.AutoDelta || len(v.ids) == 0 {
 		return 0
 	}
-	k := s.opts.DeltaCandidates
-	if k > len(v.ids) {
-		k = len(v.ids)
-	}
+	cand := v.ids[len(v.ids)-1]
 	pl := planes[0]
-	var matSize int64
 	if pl.IsSparse() {
-		matSize = delta.SparseMaterializedSize(pl.Sparse)
-	} else {
-		matSize = delta.MaterializedSize(pl.Dense)
-	}
-	bestBase, bestSize := 0, matSize
-	for i := len(v.ids) - k; i < len(v.ids); i++ {
-		cand := v.ids[i]
-		var size int64
-		if pl.IsSparse() {
-			base, _, err := s.resolveSparse(v, cand, attr, ctx.qc.sparseMap(attr), 0, nil)
-			if err != nil {
-				continue
-			}
-			blob, err := delta.EncodeSparseOps(pl.Sparse, base)
-			if err != nil {
-				continue
-			}
-			size = int64(len(blob))
-		} else {
-			var err error
-			if size, err = s.estimateDelta(ctx, pl.Dense, cand, attr); err != nil {
-				continue
-			}
+		base, _, err := s.resolveSparse(v, cand, attr, ctx.qc.sparseMap(attr), 0, nil)
+		if err != nil {
+			return 0
 		}
-		if size < bestSize {
-			bestBase, bestSize = cand, size
+		blob, err := delta.EncodeSparseOps(pl.Sparse, base)
+		if err != nil || int64(len(blob)) >= delta.SparseMaterializedSize(pl.Sparse) {
+			return 0
 		}
+		return cand
 	}
-	return bestBase
+	size, err := s.estimateDelta(ctx, pl.Dense, cand, attr)
+	if err != nil || size >= delta.MaterializedSize(pl.Dense) {
+		return 0
+	}
+	return cand
 }
 
 // estimateSample is how many cells a delta candidate is priced from

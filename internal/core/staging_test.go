@@ -102,7 +102,6 @@ func TestStagingDecisionsGolden(t *testing.T) {
 		t.Run(fmt.Sprintf("cache=%v", cacheBytes > 0), func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.ChunkBytes = 4 << 10
-			opts.DeltaCandidates = 2
 			opts.Codec = compress.LZ
 			opts.CacheBytes = cacheBytes
 			s := testStore(t, opts)

@@ -1195,3 +1195,82 @@ func TestSelectReplyAllocs(t *testing.T) {
 		t.Errorf("zero-copy bytes rose by %d over %d selects, want %d", got, reqs, reqs*d.SizeBytes())
 	}
 }
+
+// TestWriteRetryReplaysBody: a client write whose first attempt commits
+// but whose answer is lost — a front handler reads the whole body,
+// passes it to the real one and answers 503 instead — retries with a
+// byte-identical body (the segments re-sent from the caller's plane,
+// Content-Length set on both attempts) under the same Idempotency-Key,
+// and the server replays the first commit: exactly one version.
+func TestWriteRetryReplaysBody(t *testing.T) {
+	srv, store, _ := newTestServer(t, Config{})
+	type attempt struct {
+		body   []byte
+		length int64
+		key    string
+	}
+	var mu sync.Mutex
+	var attempts []attempt
+	inner := srv.Handler()
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/write" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		raw, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		attempts = append(attempts, attempt{raw, r.ContentLength, r.Header.Get("Idempotency-Key")})
+		first := len(attempts) == 1
+		mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(raw))
+		if first {
+			lost := httptest.NewRecorder()
+			inner.ServeHTTP(lost, r)
+			if lost.Code != http.StatusCreated {
+				t.Errorf("first attempt: status %d, want 201", lost.Code)
+			}
+			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "answer lost"})
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(front.Close)
+	c := client.New(front.URL, client.WithRetryPolicy(client.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}))
+	const side = 64
+	if err := c.CreateArray(denseSchema("Retry", side)); err != nil {
+		t.Fatal(err)
+	}
+	puts := []core.MultiInsert{{Array: "Retry", Payloads: []core.Payload{core.DensePayload(randDense(rand.New(rand.NewSource(51)), side))}}}
+	ids, err := c.Write(context.Background(), puts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ids) != "[[1]]" {
+		t.Fatalf("write returned ids %v, want [[1]]", ids)
+	}
+	var want bytes.Buffer
+	if err := wire.WriteMultiBatch(&want, puts); err != nil {
+		t.Fatal(err)
+	}
+	if len(attempts) != 2 {
+		t.Fatalf("server saw %d write attempts, want 2", len(attempts))
+	}
+	for i, a := range attempts {
+		if !bytes.Equal(a.body, want.Bytes()) {
+			t.Errorf("attempt %d carried %d bytes that differ from the %d-byte body", i, len(a.body), want.Len())
+		}
+		if a.length != int64(want.Len()) {
+			t.Errorf("attempt %d had Content-Length %d, want %d", i, a.length, want.Len())
+		}
+		if a.key == "" || a.key != attempts[0].key {
+			t.Errorf("attempt %d had Idempotency-Key %q, want the first attempt's %q", i, a.key, attempts[0].key)
+		}
+	}
+	if info, err := store.Info("Retry"); err != nil || info.NumVersions != 1 {
+		t.Fatalf("Retry has %d versions (%v), want exactly 1", info.NumVersions, err)
+	}
+}

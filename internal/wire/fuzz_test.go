@@ -14,7 +14,9 @@ import (
 // and the plane readers (one plane, and a two-plane select reply). None
 // may panic or allocate beyond the size limit regardless of input;
 // whatever decodes successfully must re-encode cleanly (the codec is
-// total on its own output). The seeds hold a frame of every kind, a
+// total on its own output), and every payload and write body it decodes
+// re-encodes through the segment encoder to exactly the bytes of the
+// assembled oracle (oracle_test.go). The seeds hold a frame of every kind, a
 // chunked plane cut on a grid that clips its edge chunks, and the
 // hostile chunked headers of TestChunkedHostileHeaders.
 func FuzzFrameCodec(f *testing.F) {
@@ -57,6 +59,12 @@ func FuzzFrameCodec(f *testing.F) {
 		{Coords: []int64{3, 3}, Bits: -1},
 	}))
 	f.Add(bytes.Clone(buf.Bytes()))
+	buf.Reset()
+	_ = WriteMultiBatch(&buf, []core.MultiInsert{
+		{Array: "A", Payloads: []core.Payload{core.DensePayload(dense), core.SparsePayload(sparse)}},
+		{Array: "B", Payloads: []core.Payload{core.DeltaListPayload(1, []core.CellUpdate{{Coords: []int64{0, 1}, Bits: 7}})}},
+	})
+	f.Add(bytes.Clone(buf.Bytes()))
 	// hostile shapes: truncated header, bad magic, oversized length
 	f.Add([]byte("AVF1"))
 	f.Add([]byte("XXXX\x01\x00\x00\x00\x00\x00\x00\x00\x00"))
@@ -74,8 +82,21 @@ func FuzzFrameCodec(f *testing.F) {
 			}
 		}
 		if p, err := DecodePayload(data); err == nil {
-			if _, err := EncodePayload(p); err != nil {
+			blob, err := EncodePayload(p)
+			if err != nil {
 				t.Fatalf("re-encode of decoded payload failed: %v", err)
+			}
+			if want := oracleEncodePayload(p); !bytes.Equal(blob, want) {
+				t.Fatalf("payload re-encodes to %d bytes that differ from the oracle's %d", len(blob), len(want))
+			}
+		}
+		if puts, err := ReadMultiBatch(bytes.NewReader(data), max); err == nil {
+			body, err := EncodeWrite(puts)
+			if err != nil {
+				t.Fatalf("re-encode of decoded write body failed: %v", err)
+			}
+			if got, want := bytes.Join(body.Segs, nil), oracleWriteMultiBatch(puts); int64(len(got)) != body.Len || !bytes.Equal(got, want) {
+				t.Fatalf("write body re-encodes to %d bytes (Len %d) that differ from the oracle's %d", len(got), body.Len, len(want))
 			}
 		}
 		if pl, err := ReadPlane(bytes.NewReader(data), max); err == nil && pl.Dense != nil {

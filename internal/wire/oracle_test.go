@@ -1,0 +1,66 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+
+	"arrayvers/internal/array"
+	"arrayvers/internal/core"
+)
+
+// The assembled references: a payload and a write body built the way the
+// codec built them before the segment encoder — each plane marshalled
+// into a blob of its own, appended to one growing payload slice, framed
+// into one buffer. Kept as the oracle FuzzFrameCodec drives the segment
+// encoder against, byte for byte.
+
+// oracleEncodePayload assembles a KindPayload frame body.
+func oracleEncodePayload(p core.Payload) []byte {
+	var buf []byte
+	if p.DeltaBase > 0 {
+		buf = append(buf, payloadFormDeltaList)
+		buf = binary.AppendUvarint(buf, uint64(p.DeltaBase))
+		buf = binary.AppendUvarint(buf, uint64(len(p.Updates)))
+		for _, u := range p.Updates {
+			buf = binary.AppendUvarint(buf, uint64(len(u.Attr)))
+			buf = append(buf, u.Attr...)
+			buf = binary.AppendUvarint(buf, uint64(len(u.Coords)))
+			for _, c := range u.Coords {
+				buf = binary.AppendVarint(buf, c)
+			}
+			buf = binary.AppendVarint(buf, u.Bits)
+		}
+		return buf
+	}
+	buf = append(buf, payloadFormPlanes)
+	buf = binary.AppendUvarint(buf, uint64(len(p.Planes)))
+	for _, pl := range p.Planes {
+		var b []byte
+		if pl.Dense != nil {
+			b = array.MarshalDense(pl.Dense)
+		} else {
+			b = array.MarshalSparse(pl.Sparse)
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(b)))
+		buf = append(buf, b...)
+	}
+	return buf
+}
+
+// oracleWriteMultiBatch assembles a write body.
+func oracleWriteMultiBatch(batches []core.MultiInsert) []byte {
+	parts := make([]MultiPart, len(batches))
+	for i, b := range batches {
+		parts[i] = MultiPart{Name: b.Array, Count: len(b.Payloads)}
+	}
+	hdr, _ := json.Marshal(parts)
+	var out bytes.Buffer
+	_ = WriteFrame(&out, KindMultiHeader, hdr)
+	for _, b := range batches {
+		for _, p := range b.Payloads {
+			_ = WriteFrame(&out, KindPayload, oracleEncodePayload(p))
+		}
+	}
+	return out.Bytes()
+}

@@ -134,16 +134,20 @@ func sliceCap(count uint64, remaining, minBytes int) int {
 
 // --- planes ---
 
-// WritePlane frames one dense or sparse plane.
+// WritePlane frames one dense or sparse plane. A dense plane's cells go
+// out from its own buffer.
 func WritePlane(w io.Writer, pl core.Plane) error {
-	switch {
-	case pl.Dense != nil:
-		return WriteFrame(w, KindDense, array.MarshalDense(pl.Dense))
-	case pl.Sparse != nil:
-		return WriteFrame(w, KindSparse, array.MarshalSparse(pl.Sparse))
-	default:
+	kind := KindDense
+	if pl.Dense == nil {
+		kind = KindSparse
+	}
+	var e encoder
+	at := e.open(kind)
+	if !e.plane(pl, false) {
 		return errors.New("wire: cannot frame an empty plane")
 	}
+	e.close(at)
+	return e.write(w)
 }
 
 // ReadPlane reads a KindDense, KindChunked or KindSparse frame back
@@ -206,48 +210,13 @@ const (
 )
 
 // EncodePayload flattens an insert payload into a KindPayload frame
-// body. Layout: one form byte, then either
-//
-//	planes form:     uvarint count, per plane uvarint len + array.Marshal blob
-//	delta-list form: uvarint base, uvarint count, per update
-//	                 uvarint len + attr bytes, uvarint ncoords,
-//	                 varint coords..., varint bits
+// body, in the layout encoder.payload writes.
 func EncodePayload(p core.Payload) ([]byte, error) {
-	var buf []byte
-	if p.DeltaBase > 0 {
-		buf = append(buf, payloadFormDeltaList)
-		buf = binary.AppendUvarint(buf, uint64(p.DeltaBase))
-		buf = binary.AppendUvarint(buf, uint64(len(p.Updates)))
-		for _, u := range p.Updates {
-			buf = binary.AppendUvarint(buf, uint64(len(u.Attr)))
-			buf = append(buf, u.Attr...)
-			buf = binary.AppendUvarint(buf, uint64(len(u.Coords)))
-			for _, c := range u.Coords {
-				buf = binary.AppendVarint(buf, c)
-			}
-			buf = binary.AppendVarint(buf, u.Bits)
-		}
-		return buf, nil
+	var e encoder
+	if err := e.payload(p); err != nil {
+		return nil, err
 	}
-	if len(p.Planes) == 0 {
-		return nil, errors.New("wire: payload has no planes and no delta base")
-	}
-	buf = append(buf, payloadFormPlanes)
-	buf = binary.AppendUvarint(buf, uint64(len(p.Planes)))
-	for i, pl := range p.Planes {
-		var blob []byte
-		switch {
-		case pl.Dense != nil:
-			blob = array.MarshalDense(pl.Dense)
-		case pl.Sparse != nil:
-			blob = array.MarshalSparse(pl.Sparse)
-		default:
-			return nil, fmt.Errorf("wire: payload plane %d is empty", i)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(blob)))
-		buf = append(buf, blob...)
-	}
-	return buf, nil
+	return bytes.Join(e.body().Segs, nil), nil
 }
 
 // DecodePayload parses a KindPayload frame body. Its dense planes alias
@@ -355,11 +324,13 @@ func DecodePayload(blob []byte) (core.Payload, error) {
 
 // WritePayload frames an insert payload.
 func WritePayload(w io.Writer, p core.Payload) error {
-	blob, err := EncodePayload(p)
-	if err != nil {
+	var e encoder
+	at := e.open(KindPayload)
+	if err := e.payload(p); err != nil {
 		return err
 	}
-	return WriteFrame(w, KindPayload, blob)
+	e.close(at)
+	return e.write(w)
 }
 
 // ReadPayload reads a KindPayload frame back into an insert payload.
@@ -390,34 +361,14 @@ type MultiPart struct {
 	Count int    `json:"count"`
 }
 
-// WriteMultiBatch writes a write request body: one KindMultiHeader
-// frame holding the JSON part table, then each part's payloads as
-// back-to-back KindPayload frames, in part order. The server commits the
-// whole body under one manifest commit point (Store.Write).
+// WriteMultiBatch writes the write request body EncodeWrite encodes.
 func WriteMultiBatch(w io.Writer, batches []core.MultiInsert) error {
-	if len(batches) == 0 {
-		return errors.New("wire: empty multi batch")
-	}
-	parts := make([]MultiPart, len(batches))
-	for i, b := range batches {
-		if len(b.Payloads) == 0 {
-			return fmt.Errorf("wire: multi batch part %q has no payloads", b.Array)
-		}
-		parts[i] = MultiPart{Name: b.Array, Count: len(b.Payloads)}
-	}
-	hdr, err := json.Marshal(parts)
+	b, err := EncodeWrite(batches)
 	if err != nil {
 		return err
 	}
-	if err := WriteFrame(w, KindMultiHeader, hdr); err != nil {
-		return err
-	}
-	for _, b := range batches {
-		for _, p := range b.Payloads {
-			if err := WritePayload(w, p); err != nil {
-				return err
-			}
-		}
+	if _, err := b.WriteTo(w); err != nil {
+		return fmt.Errorf("wire: write body: %w", err)
 	}
 	return nil
 }
