@@ -17,8 +17,9 @@ import (
 //
 //   - chunk size (the 10 MB compile-time default, §III-B.1 / §V-B "we
 //     experimented with various chunk sizes")
-//   - co-located chains vs per-version files (§III-B.3, "co-located
-//     chains ... are more efficient")
+//   - co-located chains vs the data log writes append to (§III-B.3,
+//     "co-located chains ... are more efficient"): the same versions
+//     read before and after Compact builds the chains
 //   - sampled vs exact materialization-matrix construction (§IV-A)
 //   - always-on vs adaptive LZ (§V-B's future work)
 func Ablations(workDir string, sc Scale) (Table, error) {
@@ -74,33 +75,41 @@ func Ablations(workDir string, sc Scale) (Table, error) {
 		os.RemoveAll(dir)
 	}
 
-	// 2. co-location: same data, chain files vs per-version files
-	for _, co := range []bool{true, false} {
+	// 2. co-location: the same versions as written (every frame in the
+	// generation's data log) and after Compact rebuilt them into one
+	// chain file per chunk; at the smallest chunk size above, so a
+	// version spans several chunks and a write interleaves them
+	{
 		opts := core.DefaultOptions()
-		opts.ChunkBytes = sc.ChunkBytes
-		opts.CoLocate = co
-		dir := filepath.Join(workDir, fmt.Sprintf("ab-coloc-%v", co))
+		opts.ChunkBytes = sc.ChunkBytes / 8
+		dir := filepath.Join(workDir, "ab-coloc")
 		s, err := build(dir, opts)
 		if err != nil {
 			return Table{}, err
 		}
-		// chain read: reconstruct the newest version (walks every delta)
-		d, err := timed(func() error {
-			_, err := s.Select("A", sc.NOAAVersions)
-			return err
-		})
-		if err != nil {
-			return Table{}, err
+		for _, compacted := range []bool{false, true} {
+			label := "data log"
+			if compacted {
+				label = "co-located chains"
+				if err := s.Compact("A"); err != nil {
+					return Table{}, err
+				}
+			}
+			// chain read: reconstruct the newest version (walks every delta)
+			s.ResetStats()
+			d, err := timed(func() error {
+				_, err := s.Select("A", sc.NOAAVersions)
+				return err
+			})
+			if err != nil {
+				return Table{}, err
+			}
+			chunkDirs, _ := filepath.Glob(filepath.Join(dir, "A", "chunks*"))
+			t.Rows = append(t.Rows, []string{
+				"chain placement", label, fmtBytes(diskBytes(s)),
+				fmt.Sprintf("chain read %s, %d preads, %d files", fmtDur(d), s.Stats().ChunkPreads, countFiles(chunkDirs...)),
+			})
 		}
-		label := "per-version files"
-		if co {
-			label = "co-located chains"
-		}
-		files := countFiles(filepath.Join(dir, "A", "chunks"))
-		t.Rows = append(t.Rows, []string{
-			"chain placement", label, fmtBytes(diskBytes(s)),
-			fmt.Sprintf("chain read %s, %d files", fmtDur(d), files),
-		})
 		os.RemoveAll(dir)
 	}
 
@@ -172,13 +181,15 @@ func Ablations(workDir string, sc Scale) (Table, error) {
 	return t, nil
 }
 
-func countFiles(dir string) int {
+func countFiles(dirs ...string) int {
 	n := 0
-	filepath.Walk(dir, func(_ string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			n++
-		}
-		return nil
-	})
+	for _, dir := range dirs {
+		filepath.Walk(dir, func(_ string, info os.FileInfo, err error) error {
+			if err == nil && !info.IsDir() {
+				n++
+			}
+			return nil
+		})
+	}
 	return n
 }

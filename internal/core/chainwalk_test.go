@@ -348,13 +348,13 @@ func TestChainWalkNeverMutatesSharedPlanes(t *testing.T) {
 }
 
 // chainStore inserts depth versions into a fresh 4-chunk array "K" in
-// insert order, co-located or one file per frame, and reopens the store
-// with the decoded-chunk cache off, so every select walks from disk.
-func chainStore(t *testing.T, depth int, coLocate bool) (*Store, []*array.Dense) {
+// insert order — their frames in its data log, or, compacted, rebuilt
+// into one chain file per chunk — and reopens the store with the
+// decoded-chunk cache off, so every select walks from disk.
+func chainStore(t *testing.T, depth int, compacted bool) (*Store, []*array.Dense) {
 	t.Helper()
 	dir := t.TempDir()
 	opts := smallOpts()
-	opts.CoLocate = coLocate
 	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -368,6 +368,7 @@ func chainStore(t *testing.T, depth int, coLocate bool) (*Store, []*array.Dense)
 			t.Fatal(err)
 		}
 	}
+	compactIf(t, s, "K", compacted)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -380,13 +381,13 @@ func chainStore(t *testing.T, depth int, coLocate bool) (*Store, []*array.Dense)
 
 // TestColdChainWalkPreads pins the walk's read shape: a cold select of
 // the newest of 32 insert-order versions reads every frame of every
-// chain, with at most 2 preads per chunk when the chain is co-located
-// (the root, then one run of deltas) and one pread per frame when every
-// frame has its own file.
+// chain, with at most 2 preads per chunk once Compact co-located the
+// chain (the root, then one run of deltas) and one pread per frame
+// while it is log-resident, each frame between other chunks' frames.
 func TestColdChainWalkPreads(t *testing.T) {
 	const depth = 32
-	for _, coLocate := range []bool{true, false} {
-		s, versions := chainStore(t, depth, coLocate)
+	for _, compacted := range []bool{true, false} {
+		s, versions := chainStore(t, depth, compacted)
 		frames := 0
 		for k := range chunkBases(s, "K", depth) {
 			s.mu.RLock()
@@ -395,7 +396,7 @@ func TestColdChainWalkPreads(t *testing.T) {
 			frames += d
 		}
 		if frames < 4*depth/2 {
-			t.Fatalf("coLocate=%v: chains too shallow to test (%d frames)", coLocate, frames)
+			t.Fatalf("compacted=%v: chains too shallow to test (%d frames)", compacted, frames)
 		}
 		before := s.Stats()
 		got, err := s.Select("K", depth)
@@ -403,18 +404,18 @@ func TestColdChainWalkPreads(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !got.Dense.Equal(versions[depth-1]) {
-			t.Fatalf("coLocate=%v: version %d mismatch", coLocate, depth)
+			t.Fatalf("compacted=%v: version %d mismatch", compacted, depth)
 		}
 		after := s.Stats()
 		reads, preads := after.ChunksRead-before.ChunksRead, after.ChunkPreads-before.ChunkPreads
 		if reads != int64(frames) {
-			t.Fatalf("coLocate=%v: read %d frames, want every chain's %d", coLocate, reads, frames)
+			t.Fatalf("compacted=%v: read %d frames, want every chain's %d", compacted, reads, frames)
 		}
-		if coLocate && preads > 2*4 {
+		if compacted && preads > 2*4 {
 			t.Fatalf("co-located walk issued %d preads for 4 chunks, want at most 2 each", preads)
 		}
-		if !coLocate && preads != reads {
-			t.Fatalf("per-version walk issued %d preads for %d frames, want one each", preads, reads)
+		if !compacted && preads != reads {
+			t.Fatalf("log-resident walk issued %d preads for %d frames, want one each", preads, reads)
 		}
 	}
 }

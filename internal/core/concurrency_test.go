@@ -364,16 +364,13 @@ func TestParallelSelectMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestConcurrentSelectWithPerVersionReencode: with CoLocate off,
-// DeleteVersion re-encodes its children into fresh per-version chunk
-// files (FileSeq names) while lock-free readers keep decoding the files
-// their snapshots reference. A re-encode that rewrote a referenced file
-// would fail those readers with decode errors like "delta: unknown
-// method byte".
-func TestConcurrentSelectWithPerVersionReencode(t *testing.T) {
-	o := concurrencyOpts()
-	o.CoLocate = false
-	s := testStore(t, o)
+// TestConcurrentSelectWithLogReencode: DeleteVersion re-encodes its
+// children by appending to the data log that lock-free readers keep
+// decoding their snapshots' frames from, while a writer appends to it
+// too. A re-encode that rewrote a referenced frame would fail those
+// readers with decode errors like "delta: unknown method byte".
+func TestConcurrentSelectWithLogReencode(t *testing.T) {
+	s := testStore(t, concurrencyOpts())
 	if err := s.CreateArray(schema2D("PV", 64)); err != nil {
 		t.Fatal(err)
 	}

@@ -43,12 +43,6 @@ type Options struct {
 	// performed automatically", §II-A). When false, every version is
 	// materialized.
 	AutoDelta bool
-	// CoLocate stores all deltas of one chunk across versions in a single
-	// chain file (§III-B.3: "co-locates chains of deltas belonging to
-	// different versions but all corresponding to the same chunk"); when
-	// false each version's chunk gets its own file. Co-location is the
-	// default, "since they are more efficient".
-	CoLocate bool
 	// AdaptiveCodec enables compression per chunk only when a sample of
 	// the payload predicts a worthwhile ratio — the adaptive scheme the
 	// paper's §V-B leaves to future work ("it might be interesting to
@@ -91,7 +85,6 @@ func DefaultOptions() Options {
 		ChunkBytes: chunk.DefaultChunkBytes,
 		Codec:      compress.None,
 		AutoDelta:  true,
-		CoLocate:   true,
 	}
 }
 
@@ -201,7 +194,7 @@ type IOStats struct {
 	BytesWritten int64
 	ChunksRead   int64
 	// ChunkPreads counts the reads that fetched those ChunksRead frames:
-	// one per frame for a materialized root or a per-version file, one
+	// one per frame for a materialized root or a log-resident chain, one
 	// per run for the delta frames of a co-located chain walk.
 	ChunkPreads   int64
 	ChunksWritten int64
@@ -239,6 +232,9 @@ type IOStats struct {
 	ManifestAppends   int64
 	ManifestFsyncs    int64
 	ManifestRotations int64
+	// DataFsyncs counts chunk-file fsyncs: one per array a durable write
+	// commits (its data log), one per file a rewrite builds.
+	DataFsyncs int64
 	// InsertOrphanFiles/InsertOrphanBytes count chunk blobs written by a
 	// failed insert and reclaimed at the failure site (removed files and
 	// truncated chain-file tails), instead of dangling until a durable
@@ -429,7 +425,7 @@ type ioCounters struct {
 	BytesRead, BytesWritten, ChunksRead, ChunkPreads, ChunksWritten atomic.Int64
 	GroupCommits, GroupCommitVersions                               atomic.Int64
 	ManifestRecords, ManifestAppends                                atomic.Int64
-	ManifestFsyncs, ManifestRotations                               atomic.Int64
+	ManifestFsyncs, ManifestRotations, DataFsyncs                   atomic.Int64
 	InsertOrphanFiles, InsertOrphanBytes                            atomic.Int64
 	DegradedEntered, DegradedHealed, WritesRejectedDegraded         atomic.Int64
 }
@@ -579,11 +575,6 @@ type arrayMeta struct {
 	// metadata commit, so a crash can never leave committed metadata
 	// pointing at half-rewritten payloads.
 	Gen int `json:"gen,omitempty"`
-	// FileSeq names per-version chunk files uniquely so re-encodes write
-	// fresh files instead of truncating ones a committed version (or an
-	// in-flight reader) still references. Accessed atomically: insert
-	// staging bumps it with no store lock held.
-	FileSeq int64 `json:"fileSeq,omitempty"`
 }
 
 // arrayState is one named array: its durable metadata plus the runtime
@@ -670,8 +661,7 @@ func (st *arrayState) chunksDir() string {
 // metaClone snapshots the array's durable metadata for a staged
 // mutation: the version slice header is cloned (pointees are shared —
 // a mutator that edits a version clones that versionMeta and swaps the
-// pointer in its staged slice), and FileSeq is loaded atomically since
-// insert staging bumps the live counter with no store lock held. Schema,
+// pointer in its staged slice). Schema,
 // ChunkSide and BranchedFrom are shared as well: they never change after
 // creation, and no caller holds them (CreateArray and Info copy).
 // Callers hold Store.mu.
@@ -686,7 +676,6 @@ func (st *arrayState) metaClone() arrayMeta {
 		BranchedFrom: st.BranchedFrom,
 		Format:       st.Format,
 		Gen:          st.Gen,
-		FileSeq:      atomic.LoadInt64(&st.FileSeq),
 	}
 }
 
@@ -698,10 +687,7 @@ func (st *arrayState) metaClone() arrayMeta {
 // change — the first version fixing the representation — which no
 // lock-free reader can observe: a reader only reaches its SparseRep read
 // after its snapshot resolved the queried version, and a pre-install
-// snapshot holds no versions. FileSeq is deliberately not installed:
-// concurrent stagers bump the live counter atomically while a commit is
-// in flight, and the staged snapshot may be behind it. Callers hold
-// Store.mu exclusively.
+// snapshot holds no versions. Callers hold Store.mu exclusively.
 //
 //avlint:installer
 func (st *arrayState) installMeta(m arrayMeta) {

@@ -60,6 +60,21 @@ func schema2D(name string, n int64) array.Schema {
 	}
 }
 
+// compactIf puts array name in the compacted layout when compacted is
+// set: Compact moves the frames written so far out of the data log into
+// co-located chain files, and later writes go to a fresh log beside
+// them. Tests run over both layouts label the compacted one
+// coLocate=true and the log-resident one coLocate=false.
+func compactIf(t testing.TB, s *Store, name string, compacted bool) {
+	t.Helper()
+	if !compacted {
+		return
+	}
+	if err := s.Compact(name); err != nil {
+		t.Fatalf("compact %s: %v", name, err)
+	}
+}
+
 // evolvingVersions builds a smoothly evolving dense version series.
 func evolvingVersions(n int, side int64, seed int64) []*array.Dense {
 	rng := rand.New(rand.NewSource(seed))
@@ -823,25 +838,65 @@ func TestCompressionCodecs(t *testing.T) {
 	}
 }
 
-func TestPerVersionFilesMode(t *testing.T) {
+// TestLogAndChainsCoexist writes versions into the data log, compacts
+// them into chain files, and keeps writing, deltas against the compacted
+// versions among the new ones: the generation then holds both kinds of
+// file, and every version reads back byte-identical, live and after a
+// durable reopen that repairs nothing.
+func TestLogAndChainsCoexist(t *testing.T) {
 	o := smallOpts()
-	o.CoLocate = false
+	o.Durability = true
 	s := testStore(t, o)
-	if err := s.CreateArray(schema2D("PV", 32)); err != nil {
+	if err := s.CreateArray(schema2D("LC", 32)); err != nil {
 		t.Fatal(err)
 	}
-	versions := evolvingVersions(3, 32, 18)
-	for _, v := range versions {
-		if _, err := s.Insert("PV", DensePayload(v)); err != nil {
+	versions := evolvingVersions(8, 32, 18)
+	for i, v := range versions {
+		if _, err := s.Insert("LC", DensePayload(v)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i, want := range versions {
-		got, err := s.Select("PV", i+1)
-		if err != nil || !got.Dense.Equal(want) {
-			t.Fatalf("per-version mode broke version %d", i+1)
+		if i == 3 {
+			if err := s.Compact("LC"); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	s.mu.RLock()
+	dir := s.arrays["LC"].chunksDir()
+	first, err := s.arrays["LC"].version(5) // the first write after Compact
+	s.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chains, _ := filepath.Glob(filepath.Join(dir, "*.chain"))
+	if _, err := os.Stat(filepath.Join(dir, dataLogName)); err != nil || len(chains) == 0 {
+		t.Fatalf("generation holds %d chain files and a log (%v); want both", len(chains), err)
+	}
+	deltaOnChain := false
+	for _, e := range first.Chunks["A"] {
+		deltaOnChain = deltaOnChain || (e.File == dataLogName && e.Base == 4)
+	}
+	if !deltaOnChain {
+		t.Fatal("no logged frame deltas against a compacted version; the mix is untested")
+	}
+	for _, label := range []string{"live", "reopened"} {
+		if label == "reopened" {
+			s = reopen(t, s)
+			if rec := s.Recovery(); rec != (RecoveryStats{}) {
+				t.Fatalf("reopen repaired %+v, want nothing", rec)
+			}
+		}
+		for i, want := range versions {
+			got, err := s.Select("LC", i+1)
+			if err != nil || !got.Dense.Equal(want) {
+				t.Fatalf("%s: version %d: %v", label, i+1, err)
+			}
+		}
+		if rep, err := s.Verify("LC"); err != nil || !rep.Ok() || rep.DanglingBytes != 0 {
+			t.Fatalf("%s: verify: %v %v, %d dangling bytes", label, err, rep.Problems, rep.DanglingBytes)
+		}
+	}
+	s.Close()
 }
 
 func TestErrorPaths(t *testing.T) {
@@ -1306,33 +1361,6 @@ func TestComputeLayoutAPI(t *testing.T) {
 	}
 	if _, _, _, err := s.ComputeLayout("nope", ReorganizeOptions{}); err == nil {
 		t.Error("missing array accepted")
-	}
-}
-
-func TestCompactPerVersionMode(t *testing.T) {
-	o := smallOpts()
-	o.CoLocate = false
-	s := testStore(t, o)
-	if err := s.CreateArray(schema2D("PC", 32)); err != nil {
-		t.Fatal(err)
-	}
-	versions := evolvingVersions(4, 32, 46)
-	for _, v := range versions {
-		if _, err := s.Insert("PC", DensePayload(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.DeleteVersion("PC", 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact("PC"); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []int{1, 2, 4} {
-		got, err := s.Select("PC", id)
-		if err != nil || !got.Dense.Equal(versions[id-1]) {
-			t.Fatalf("per-version compact broke version %d: %v", id, err)
-		}
 	}
 }
 

@@ -101,10 +101,9 @@ func reorganizeBeside(s *Store, mb *midBuildFS, name string, insert func() error
 	return err
 }
 
-func durableOpts(coLocate bool, fs fsio.FS) Options {
+func durableOpts(fs fsio.FS) Options {
 	o := smallOpts()
 	o.ChunkBytes = 1 << 10 // several chunks even at side 16
-	o.CoLocate = coLocate
 	o.Durability = true
 	o.FS = fs
 	o.Parallelism = 1 // deterministic step ordering for the matrix
@@ -146,10 +145,12 @@ func crashContent(seed, side int64) *array.Dense {
 }
 
 // runCrashWorkload drives the workload until completion or the first
-// error; mb is the store's filesystem. It returns the model of
+// error; mb is the store's filesystem. compacted runs a Compact after
+// the first two inserts, so the rest of the workload writes a fresh
+// data log beside the chain files it built. It returns the model of
 // committed state; on error the model's pending fields describe the
 // interrupted operation.
-func runCrashWorkload(s *Store, mb *midBuildFS, side int64) (*crashModel, error) {
+func runCrashWorkload(s *Store, mb *midBuildFS, side int64, compacted bool) (*crashModel, error) {
 	m := &crashModel{content: map[int]*array.Dense{}}
 	if err := s.CreateArray(schema2D("M", side)); err != nil {
 		return m, err
@@ -173,6 +174,11 @@ func runCrashWorkload(s *Store, mb *midBuildFS, side int64) (*crashModel, error)
 	}
 	if err := insert(2); err != nil {
 		return m, err
+	}
+	if compacted {
+		if err := s.Compact("M"); err != nil {
+			return m, err
+		}
 	}
 	// delta-list update off version 1
 	{
@@ -345,18 +351,18 @@ func nextLiveID(m *crashModel) int {
 
 func TestCrashPointMatrix(t *testing.T) {
 	const side = 16
-	for _, coLocate := range []bool{true, false} {
-		coLocate := coLocate
-		t.Run(fmt.Sprintf("coLocate=%v", coLocate), func(t *testing.T) {
+	// coLocate=true is the compacted layout: chain files and a log
+	for _, compacted := range []bool{true, false} {
+		t.Run(fmt.Sprintf("coLocate=%v", compacted), func(t *testing.T) {
 			// pass 1: count the total number of mutation steps
 			counter := fsio.NewFault(0)
 			mb := &midBuildFS{FS: counter}
-			s, err := Open(t.TempDir(), durableOpts(coLocate, mb))
+			s, err := Open(t.TempDir(), durableOpts(mb))
 			if err != nil {
 				t.Fatal(err)
 			}
 			matrixStore(s)
-			model, err := runCrashWorkload(s, mb, side)
+			model, err := runCrashWorkload(s, mb, side, compacted)
 			if err != nil {
 				t.Fatalf("counting run failed: %v", err)
 			}
@@ -382,11 +388,11 @@ func TestCrashPointMatrix(t *testing.T) {
 				fault := fsio.NewFault(n)
 				mb := &midBuildFS{FS: fault}
 				dir := t.TempDir()
-				s, err := Open(dir, durableOpts(coLocate, mb))
+				s, err := Open(dir, durableOpts(mb))
 				var m *crashModel
 				if err == nil {
 					matrixStore(s)
-					m, err = runCrashWorkload(s, mb, side)
+					m, err = runCrashWorkload(s, mb, side, compacted)
 				} else {
 					m = &crashModel{content: map[int]*array.Dense{}}
 				}
@@ -402,7 +408,7 @@ func TestCrashPointMatrix(t *testing.T) {
 					!(errors.Is(err, ErrDegraded) && fault.Crashed()) {
 					t.Fatalf("crash at step %d: non-crash error %v", n, err)
 				}
-				checkRecovered(t, dir, n, m, side, coLocate)
+				checkRecovered(t, dir, n, m, side)
 			}
 		})
 	}
@@ -487,9 +493,9 @@ func TestRecoveryReconcilesLostData(t *testing.T) {
 
 // checkRecovered reopens a crashed store with recovery and asserts the
 // durability contract.
-func checkRecovered(t *testing.T, dir string, step int64, m *crashModel, side int64, coLocate bool) {
+func checkRecovered(t *testing.T, dir string, step int64, m *crashModel, side int64) {
 	t.Helper()
-	s, err := Open(dir, durableOpts(coLocate, fsio.OS))
+	s, err := Open(dir, durableOpts(fsio.OS))
 	if err != nil {
 		t.Fatalf("step %d: reopen after crash: %v", step, err)
 	}

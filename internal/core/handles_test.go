@@ -77,7 +77,8 @@ func TestFailedStageDoesNotPoisonReads(t *testing.T) {
 }
 
 // TestChunkFDsBounded pins the read path's resource bound in both
-// placements: a read opens the chunk files it touches and closes them
+// layouts (log-resident, and compacted half-way so logs and chain files
+// coexist): a read opens the chunk files it touches and closes them
 // before it returns, so no descriptor under the store directory is open
 // after any Read, after Reorganize and Compact, or after Close.
 func TestChunkFDsBounded(t *testing.T) {
@@ -87,8 +88,8 @@ func TestChunkFDsBounded(t *testing.T) {
 	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
 		t.Skipf("no /proc/self/fd: %v", err)
 	}
-	for _, coLocate := range []bool{true, false} {
-		t.Run(fmt.Sprintf("colocate=%v", coLocate), func(t *testing.T) {
+	for _, compacted := range []bool{true, false} {
+		t.Run(fmt.Sprintf("colocate=%v", compacted), func(t *testing.T) {
 			dir := t.TempDir()
 			root, err := filepath.EvalSymlinks(dir)
 			if err != nil {
@@ -108,7 +109,6 @@ func TestChunkFDsBounded(t *testing.T) {
 				}
 			}
 			opts := smallOpts() // 4 KB chunks
-			opts.CoLocate = coLocate
 			s, err := Open(dir, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -138,6 +138,9 @@ func TestChunkFDsBounded(t *testing.T) {
 				}
 				ids = append(ids, i+1)
 				readAll(fmt.Sprintf("after reading versions 1..%d", i+1))
+				if i == len(versions)/2 {
+					compactIf(t, s, "H", compacted)
+				}
 			}
 			if err := s.Reorganize("H", ReorganizeOptions{Policy: PolicyLinearChain}); err != nil {
 				t.Fatal(err)

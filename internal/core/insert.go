@@ -25,11 +25,13 @@ import (
 // caller and released by its caller once write returns:
 //
 //   - stageBatch resolves each array's payloads, picks delta bases, and
-//     encodes every chunk — appending blobs, unsynced, to the chunk
-//     files — against a private metadata view. Store.mu is held only
-//     long enough to take the snapshot, so writes to different arrays
-//     encode concurrently and never stall readers;
-//   - finalizeBatch fsyncs every touched chunk file, commits every
+//     encodes every chunk — appending its frames, unsynced, to the
+//     generation's data log (io.go) — against a private metadata view.
+//     Store.mu is held only long enough to take the snapshot, so writes
+//     to different arrays encode concurrently and never stall readers;
+//   - finalizeBatch fsyncs each array's log — one data fsync per array
+//     written, plus the chunks directory when the write created the
+//     log — commits every
 //     array's staged versions as ONE manifest record with Store.mu
 //     released — each array's op carries only the versions this write
 //     adds (manifest.go, arrayAppend) — and installs the resulting
@@ -121,19 +123,23 @@ func DeltaListPayload(base int, updates []CellUpdate) Payload {
 
 // insertCtx carries the filesystem coordinates one staged mutation
 // encodes against: the metadata view it resolves bases through, the
-// chunk directory of the generation it pinned, the representation it
-// encodes with, the write-set recording its appends,
+// chunk directory of the generation it pinned (and whether it builds
+// chain files there, a rewrite, or appends to the data log, a write),
+// the representation it encodes with, the write-set recording its appends,
 // and a per-stage chunk memo (never nil) so repeated base reads walk
 // each delta chain once — a rewrite's holds every version's chunks. A
 // write's view reads the LRU but never admits to it (noAdmit); its own
 // chunks reach the LRU through head, on commit.
 type insertCtx struct {
-	st    *arrayState
-	v     *readView
-	ws    *writeSet
-	qc    *chunkCache
-	dir   string
-	goCtx context.Context // caller's cancellation; nil means Background
+	st  *arrayState
+	v   *readView
+	ws  *writeSet
+	qc  *chunkCache
+	dir string
+	// chains sends each chunk's frame to its chain file: a rewrite's
+	// build; a write's frames go to the generation's data log
+	chains bool
+	goCtx  context.Context // caller's cancellation; nil means Background
 	// head (a write with a cache) collects the dense chunks encodePlane
 	// slices out, keyed but for the generation; nothing writes them after
 	head map[cache.Key]*array.Dense
@@ -158,9 +164,10 @@ func (c *insertCtx) context() context.Context {
 // writeSet tracks the chunk-file byte ranges appended by one staged
 // mutation, for the two jobs that follow staging: fsyncing each touched
 // file exactly once at the shared commit point, and reclaiming the
-// bytes if the mutation fails before committing.
+// bytes if the mutation fails before committing. Its appends are
+// recorded one at a time — encodePlane writes after its pool — so it
+// needs no lock.
 type writeSet struct {
-	mu    sync.Mutex
 	files map[string]*fileSpan
 }
 
@@ -172,10 +179,10 @@ type fileSpan struct {
 func newWriteSet() *writeSet { return &writeSet{files: map[string]*fileSpan{}} }
 
 // record merges one append into the set. Within one staged mutation the
-// array's writeMu excludes other appenders, so a file's recorded spans
-// are contiguous and min/max merging is exact.
+// array's writeMu (a build: its private directory) excludes other
+// appenders, so a file's recorded spans are contiguous and min/max
+// merging is exact.
 func (w *writeSet) record(path string, start, end int64) {
-	w.mu.Lock()
 	if sp, ok := w.files[path]; ok {
 		if start < sp.start {
 			sp.start = start
@@ -186,7 +193,6 @@ func (w *writeSet) record(path string, start, end int64) {
 	} else {
 		w.files[path] = &fileSpan{start: start, end: end}
 	}
-	w.mu.Unlock()
 }
 
 // sortedPaths returns the touched files in a deterministic order, so
@@ -206,8 +212,6 @@ func (w *writeSet) empty() bool { return len(w.files) == 0 }
 // totalBytes sums the staged spans — the payload volume this mutation
 // appended, reported as the commit stages' byte attribution.
 func (w *writeSet) totalBytes() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	var n int64
 	for _, sp := range w.files {
 		n += sp.end - sp.start
@@ -217,9 +221,10 @@ func (w *writeSet) totalBytes() int64 {
 
 // createdFiles reports whether the mutation created any chunk file (a
 // span starting at offset zero; a pre-existing file is never appended
-// at zero). Only creations need the chunks directory fsynced before
-// the metadata commit — an append to an existing file changes no
-// directory entry, and fsyncing the file persists its inode size — so
+// at zero) — for a write, whether it was the first into its generation's
+// log. Only creations need the chunks directory fsynced before the
+// metadata commit — an append to an existing file changes no directory
+// entry, and fsyncing the file persists its inode size — so
 // steady-state appends skip the directory flush entirely.
 func (w *writeSet) createdFiles() bool {
 	for _, sp := range w.files {
@@ -230,14 +235,15 @@ func (w *writeSet) createdFiles() bool {
 	return false
 }
 
-// syncFile fsyncs one chunk file through the FS seam. The close error
-// is merged — a failed close after kernel-buffered writes is silent
-// data loss.
+// syncFile fsyncs one chunk file through the FS seam, counting it in
+// DataFsyncs. The close error is merged — a failed close after
+// kernel-buffered writes is silent data loss.
 func (s *Store) syncFile(path string) error {
 	f, err := s.fs.Append(path)
 	if err != nil {
 		return err
 	}
+	s.stats.DataFsyncs.Add(1)
 	serr := f.Sync()
 	if cerr := f.Close(); serr == nil {
 		serr = cerr
@@ -246,7 +252,8 @@ func (s *Store) syncFile(path string) error {
 }
 
 // sync fsyncs every file in the set — the data-durability step of the
-// shared commit. Callers sync the chunks directory afterwards.
+// shared commit: a write's one log, a build's chain files. Callers sync
+// the chunks directory afterwards.
 func (w *writeSet) sync(s *Store) error {
 	for _, path := range w.sortedPaths() {
 		if err := s.syncFile(path); err != nil {
@@ -385,8 +392,8 @@ func (s *Store) write(ctx context.Context, sts []*arrayState, ps [][]Payload, ki
 }
 
 // stageBatch resolves and encodes a batch of payloads against a private
-// metadata snapshot, appending chunk blobs (unsynced) to the pinned
-// generation. On success the returned stagedInsert is ready to sync
+// metadata snapshot, appending chunk frames (unsynced) to the pinned
+// generation's data log. On success the returned stagedInsert is ready to sync
 // and commit; on error every appended blob has been reclaimed. Its ids
 // follow the committed NextID. Callers hold st.writeMu.
 func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, kind string) (*stagedInsert, error) {
@@ -528,8 +535,8 @@ func (s *Store) finalizeBatch(tr *trace.Trace, staged []*stagedInsert) error {
 		s.prof.observeCommit(stage, d, bytes)
 		tr.Observe(stage, d, bytes)
 	}
-	// data before metadata: one fsync per touched chunk file, plus the
-	// chunks directory when the write created a file
+	// data before metadata: one fsync of each array's log, plus its
+	// chunks directory when the write created the log
 	t0 := time.Now()
 	var bytes int64
 	for _, ins := range staged {
@@ -864,7 +871,8 @@ func (s *Store) gatherCells(ctx context.Context, v *readView, id int, attr strin
 // delta-encoded against the base's chunk, resolved the same way —
 // never sliced out of a base plane — when that is smaller ("disk space
 // usage is calculated by trying both methods and choosing the more
-// economical one", §III-B.3). A sparse plane is one container.
+// economical one", §III-B.3). A sparse plane is one container. Once
+// every chunk is sealed, writeFrames stores them.
 func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Plane, baseID int) (map[string]chunkEntry, error) {
 	if ctx.sparse {
 		// sparse versions are stored as a single container (their entire
@@ -896,27 +904,26 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Pla
 		if err != nil {
 			return nil, err
 		}
-		file, off, err := s.writeBlob(ctx, id, attr.Name, "chunk-full", sealed)
-		if err != nil {
+		e := []chunkEntry{{Length: int64(len(sealed)), Codec: uint8(used), Base: entryBase}}
+		if err := s.writeFrames(ctx, attr.Name, []string{"chunk-full"}, [][]byte{sealed}, e); err != nil {
 			return nil, err
 		}
-		return map[string]chunkEntry{
-			"chunk-full": {File: file, Offset: off, Length: int64(len(sealed)), Codec: uint8(used), Base: entryBase},
-		}, nil
+		return map[string]chunkEntry{"chunk-full": e[0]}, nil
 	}
 	ck, err := ctx.st.chunker()
 	if err != nil {
 		return nil, err
 	}
-	// Fan the per-chunk encode+compress+write out on the worker pool.
-	// Chunks are independent: each worker appends to its own chunk's
-	// chain file (or writes its own per-version file) and touches only
-	// its own chunk's memo map, so the only shared state is the
-	// write-set and the I/O counters, both internally locked.
+	// Fan the per-chunk encode+compress out on the worker pool. Chunks
+	// are independent: each worker touches only its own chunk's memo map
+	// and result slots. The frames are written after the pool, in
+	// row-major chunk order, so where each lands does not depend on the
+	// schedule.
 	origins := ck.All()
 	locals := ctx.qc.chunkMaps(attr.Name, ck, origins)
 	results := make([]chunkEntry, len(origins))
 	targets := make([]*array.Dense, len(origins))
+	blobs := make([][]byte, len(origins))
 	err = forEachLimit(ctx.context(), len(origins), s.opts.Parallelism, func(i int) error {
 		box := ck.Box(origins[i])
 		var target *array.Dense
@@ -950,19 +957,23 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Pla
 		if err != nil {
 			return err
 		}
-		file, off, err := s.writeBlob(ctx, id, attr.Name, ck.Key(origins[i]), sealed)
-		if err != nil {
-			return err
-		}
-		results[i] = chunkEntry{File: file, Offset: off, Length: int64(len(sealed)), Codec: uint8(used), Base: entryBase}
+		blobs[i] = sealed
+		results[i] = chunkEntry{Length: int64(len(sealed)), Codec: uint8(used), Base: entryBase}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	keys := make([]string, len(origins))
+	for i, origin := range origins {
+		keys[i] = ck.Key(origin)
+	}
+	if err := s.writeFrames(ctx, attr.Name, keys, blobs, results); err != nil {
+		return nil, err
+	}
 	entries := make(map[string]chunkEntry, len(origins))
 	for i, origin := range origins {
-		entries[ck.Key(origin)] = results[i]
+		entries[keys[i]] = results[i]
 		if ctx.head != nil {
 			ctx.head[cache.Key{Array: ctx.st.Schema.Name, Version: id, Attr: attr.Name, Chunk: ck.Key(origin)}] = targets[i]
 		}

@@ -61,11 +61,30 @@ func (f *failFS) Create(path string) (fsio.File, error) {
 	return f.FS.Create(path)
 }
 
+// Append fails on an "append" match; each Write to the opened file is
+// a "write" step of its own.
 func (f *failFS) Append(path string) (fsio.File, error) {
 	if f.hit("append", path) {
 		return nil, errInjected
 	}
-	return f.FS.Append(path)
+	file, err := f.FS.Append(path)
+	if err != nil {
+		return nil, err
+	}
+	return &failFile{File: file, fs: f, path: path}, nil
+}
+
+type failFile struct {
+	fsio.File
+	fs   *failFS
+	path string
+}
+
+func (f *failFile) Write(p []byte) (int, error) {
+	if f.fs.hit("write", f.path) {
+		return 0, errInjected
+	}
+	return f.File.Write(p)
 }
 
 func (f *failFS) Rename(oldPath, newPath string) error {
@@ -110,7 +129,7 @@ func assertStoreAgrees(t *testing.T, s *Store, name string, want map[int]*array.
 		}
 	}
 	check("live store", s)
-	r, err := Open(s.Dir(), Options{ChunkBytes: s.opts.ChunkBytes, CoLocate: s.opts.CoLocate, Durability: true})
+	r, err := Open(s.Dir(), Options{ChunkBytes: s.opts.ChunkBytes, Durability: true})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -223,14 +242,12 @@ func TestInsertMetaCommitFailureRollsBack(t *testing.T) {
 // recovery sweep — and counted in Stats.
 func TestInsertEncodeFailureSweepsOrphans(t *testing.T) {
 	for _, durable := range []bool{true, false} {
-		for _, coLocate := range []bool{true, false} {
-			t.Run(fmt.Sprintf("durable=%v/coLocate=%v", durable, coLocate), func(t *testing.T) {
+		for _, compacted := range []bool{true, false} {
+			t.Run(fmt.Sprintf("durable=%v/coLocate=%v", durable, compacted), func(t *testing.T) {
 				ffs := &failFS{FS: fsio.OS}
 				opts := smallOpts()
 				opts.ChunkBytes = 1 << 10 // several chunks per version
-				opts.CoLocate = coLocate
 				opts.Durability = durable
-				opts.Parallelism = 1 // deterministic append order
 				opts.FS = ffs
 				s := testStore(t, opts)
 				const side = 32
@@ -241,15 +258,17 @@ func TestInsertEncodeFailureSweepsOrphans(t *testing.T) {
 				if _, err := s.Insert("A", DensePayload(v1)); err != nil {
 					t.Fatal(err)
 				}
-				// fail the third chunk append of the next insert: two blobs
-				// are already on disk and must be swept
-				appends := 0
+				compactIf(t, s, "A", compacted)
+				// fail the third chunk frame the next insert appends (its
+				// header, the fifth write to the log): two frames are
+				// already on disk and must be swept
+				writes := 0
 				ffs.arm(func(op, path string) bool {
-					if op != "append" || filepath.Base(filepath.Dir(path)) != "chunks" {
+					if op != "write" || !strings.HasPrefix(filepath.Base(filepath.Dir(path)), "chunks") {
 						return false
 					}
-					appends++
-					return appends == 3
+					writes++
+					return writes == 5
 				})
 				if _, err := s.Insert("A", DensePayload(crashContent(2, side))); !errors.Is(err, errInjected) {
 					t.Fatalf("insert under an append fault returned %v, want the injected failure", err)

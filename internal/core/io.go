@@ -8,39 +8,43 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"arrayvers/internal/array"
 	"arrayvers/internal/compress"
 )
 
-// Chunk payload I/O. Two placements are supported (§III-B.3): per-version
-// files ("all the deltas belonging to a given version together"), and
-// co-located chain files where all frames of one chunk across versions
-// are appended to a single file, eliminating seeks when a delta chain is
-// read: a chain walk hands readFrames the delta frames it needs in
-// segments of up to walkReadBytes, and the adjacent frames of one file
-// come back from one pread, so a cold walk of a co-located chain whose
-// deltas were appended in order costs one read for its materialized
-// root and one per segment of its deltas — one, unless the chain holds
-// more than walkReadBytes of them.
+// Chunk payload I/O. Frames live in two kinds of file (§III-B.3). A
+// write — Write, Branch, Merge, and DeleteVersion's re-encodes — appends
+// all of its frames to its generation's data log (dataLogName), so a
+// durable write syncs one file however many chunks it touched. A
+// rewrite — Reorganize, Compact, and the carry-forward of the versions
+// committed during one — builds co-located chain files, where all frames
+// of one chunk across versions are appended to a single file: a chain
+// walk hands readFrames the delta frames it needs in segments of up to
+// walkReadBytes, and the adjacent frames of one file come back from one
+// pread, so a cold walk of a co-located chain whose deltas were
+// appended in order costs one read for its materialized root and one
+// per segment of its deltas — one, unless the chain holds more than
+// walkReadBytes of them. A log-resident chain's frames are interleaved
+// with the other chunks' frames of each write, so its walk costs one
+// pread per frame. Every reader resolves a frame by its entry's file,
+// offset and length, whichever kind of file holds it.
 //
 // Concurrency contract: every chunk write is an append to a file whose
-// committed prefix is never disturbed — chain files grow at the tail,
-// and re-encodes in per-version mode write fresh FileSeq-named files
-// rather than truncating old ones — so readFrames may run with no store
-// lock held: a reader's metadata snapshot only references (file, offset,
-// length) triples that existed before the snapshot. writeBlob is called
-// from parallel insert workers; each worker targets a distinct file, so
-// writers never share a file handle. The only destructive operations
-// (Reorganize, Compact, DeleteArray) build a new chunk generation
-// beside the live one, commit it with a metadata commit, and retire the
-// old generation; the last release of a reader that pinned it removes
-// it. That pin is the read path's only lifetime rule: readFrames opens
-// each file it touches and closes it before returning, always inside a
-// snapshot that pins the directory, so no handle outlives its read or
-// points at an unlinked inode, and open descriptors are bounded by the
-// reads in flight.
+// committed prefix is never disturbed — logs and chain files only grow
+// at the tail — so readFrames may run with no store lock held: a
+// reader's metadata snapshot only references (file, offset, length)
+// triples that existed before the snapshot. A write or a re-encode
+// appends to the log under the array's writeMu, so the log has one
+// appender at a time. The only destructive operations (Reorganize,
+// Compact, DeleteArray) build a new chunk generation beside the live
+// one, commit it with a metadata commit, and retire the old generation;
+// the last release of a reader that pinned it removes it. That pin is
+// the read path's only lifetime rule: readFrames opens each file it
+// touches and closes it before returning, always inside a snapshot that
+// pins the directory, so no handle outlives its read or points at an
+// unlinked inode, and open descriptors are bounded by the reads in
+// flight.
 //
 // Durability contract: with Options.Durability on, every mutator fsyncs
 // the files it appended to (and the chunks directory, when it created
@@ -49,77 +53,104 @@ import (
 // durable, and anything past the last committed frame in a file is
 // garbage that recovery truncates.
 
+// dataLogName is the file a generation's writes append their frames to.
+const dataLogName = "data.log"
+
 // chainFileName returns the co-located chain file for one (attr, chunk).
 func chainFileName(attr, chunkKey string) string {
 	return attr + "-" + chunkKey + ".chain"
 }
 
-// versionFileName returns the per-version file for one (version, attr,
-// chunk). seq makes re-encodes of the same chunk land in fresh files
-// (no-overwrite at the file level; Compact reclaims the superseded
-// ones).
-func versionFileName(id int, attr, chunkKey string, seq int64) string {
-	return fmt.Sprintf("v%d-%s-%s-f%d.dat", id, attr, chunkKey, seq)
+// writeFrames stores one encodePlane call's sealed chunks, whose keys
+// are keys, and fills each entry's File and Offset. A write's frames go
+// to the generation's data log in the order given, with one open of the
+// file, so the offsets are deterministic and one write's span of the log
+// is contiguous; a rewrite's (ctx.chains) go each to its chunk's chain
+// file. The appends are left unsynced and recorded in the context's
+// write-set: the shared commit point syncs every touched file once.
+func (s *Store) writeFrames(ctx *insertCtx, attr string, keys []string, blobs [][]byte, entries []chunkEntry) error {
+	if !ctx.chains {
+		return s.appendFrames(ctx, dataLogName, blobs, entries)
+	}
+	for i, key := range keys {
+		if err := s.appendFrames(ctx, chainFileName(attr, key), blobs[i:i+1], entries[i:i+1]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// writeBlob stores an encoded chunk payload and returns its location.
-// The destination directory comes from the insertCtx: the generation a
-// write or DeleteVersion stages against, which its writeMu keeps
-// current until its commit, or a rewrite's build directory. The append
-// is left unsynced and recorded in the context's write-set — the
-// shared commit point syncs every touched file once.
-func (s *Store) writeBlob(ctx *insertCtx, id int, attr, chunkKey string, blob []byte) (file string, off int64, err error) {
-	if s.opts.CoLocate {
-		file = chainFileName(attr, chunkKey)
-	} else {
-		file = versionFileName(id, attr, chunkKey, atomic.AddInt64(&ctx.st.FileSeq, 1))
-	}
+// appendFrames appends blobs to one file of the context's directory,
+// records the span in its write-set — what a failure reached too, so
+// the sweep can reclaim it — and points entries at the frames.
+func (s *Store) appendFrames(ctx *insertCtx, file string, blobs [][]byte, entries []chunkEntry) error {
 	path := filepath.Join(ctx.dir, file)
-	off, err = s.appendBlob(path, blob)
-	if err != nil {
-		return "", 0, err
+	start, end, err := s.appendBlobs(path, blobs)
+	if start >= 0 {
+		ctx.ws.record(path, start, end)
 	}
-	ctx.ws.record(path, off, off+frameLen(int64(len(blob))))
-	s.addWrite(int64(len(blob)))
-	return file, off, nil
+	if err != nil {
+		return err
+	}
+	off := start
+	for i, blob := range blobs {
+		entries[i].File, entries[i].Offset = file, off
+		off += frameLen(int64(len(blob)))
+		s.addWrite(int64(len(blob)))
+	}
+	return nil
 }
 
-// appendBlob appends one framed payload to path and returns the offset
-// its frame starts at: the frame header, then the payload itself. The
-// append is not fsynced: every caller batches one fsync per touched file
-// before its metadata commit (writeSet.sync, syncBuild). The close error is always checked — a failed close after
-// a buffered write is silent data loss.
-func (s *Store) appendBlob(path string, payload []byte) (int64, error) {
+// appendBlobs appends each payload to path as one frame — the frame
+// header, then the payload itself — through one open of the file. It
+// returns the offset the first frame starts at (-1 when the file could
+// not be opened) and the offset one past the last byte it wrote, also on
+// error. The appends are not fsynced: every caller batches one fsync per
+// touched file before its metadata commit (writeSet.sync, syncBuild).
+// The close error is always checked — a failed close after a buffered
+// write is silent data loss.
+func (s *Store) appendBlobs(path string, payloads [][]byte) (start, end int64, err error) {
+	for _, p := range payloads {
+		// the frame header stores the payload length as uint32; a payload
+		// it cannot represent would commit as a permanently unreadable
+		// frame, so refuse it up front (chunks are ~10 MB by design)
+		if int64(len(p)) >= 1<<32 {
+			return -1, -1, fmt.Errorf("core: chunk payload of %d bytes exceeds the frame format limit", len(p))
+		}
+	}
 	f, err := s.fs.Append(path)
 	if err != nil {
-		return 0, err
+		return -1, -1, err
 	}
-	off, err := f.Size()
+	start, err = f.Size()
 	if err != nil {
 		_ = f.Close() // the size error is the failure; nothing was written
-		return 0, err
+		return -1, -1, err
 	}
-	// the frame header stores the payload length as uint32; a payload it
-	// cannot represent would commit as a permanently unreadable frame, so
-	// refuse it up front (chunks are ~10 MB by design)
-	if int64(len(payload)) >= 1<<32 {
-		_ = f.Close() // nothing was written; the oversize payload is the failure
-		return 0, fmt.Errorf("core: chunk payload of %d bytes exceeds the frame format limit", len(payload))
-	}
+	end = start
 	// header and payload go out as two writes, so the payload is never
 	// copied just to put 13 bytes in front of it
 	var hdr [frameHeaderLen]byte
-	_, werr := f.Write(appendFrameHeader(hdr[:0], payload))
-	if werr == nil {
-		_, werr = f.Write(payload)
+	var werr error
+	for _, p := range payloads {
+		var n int
+		n, werr = f.Write(appendFrameHeader(hdr[:0], p))
+		end += int64(n)
+		if werr == nil {
+			n, werr = f.Write(p)
+			end += int64(n)
+		}
+		if werr != nil {
+			break
+		}
 	}
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
 	if werr != nil {
-		return 0, fmt.Errorf("core: append chunk to %s: %w", filepath.Base(path), werr)
+		return start, end, fmt.Errorf("core: append chunk to %s: %w", filepath.Base(path), werr)
 	}
-	return off, nil
+	return start, end, nil
 }
 
 // ErrExtentPastEOF is returned (wrapped) by a chunk read whose recorded
@@ -150,8 +181,9 @@ type frameRun struct {
 // of one file are sorted by offset and read as runs: frames that touch
 // — the next starts where the last ended, as a chain file's appends do
 // — share one pread into one buffer, which their payloads then alias,
-// so a run holds no bytes but its frames. Frames in different files —
-// every frame, under per-version placement — are separate reads. Two
+// so a run holds no bytes but its frames. Frames that do not touch —
+// one chunk's frames in a data log, or frames in different files — are
+// separate reads. Two
 // passes: the first groups the runs and checks every one against its
 // file's size, the second allocates and reads, so no buffer is made
 // until every extent is known to fit. Each frame's header — magic,

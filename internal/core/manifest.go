@@ -96,13 +96,14 @@ type manifestOp struct {
 // arrayAppend is one write's edit to an array's document: the header
 // fields a write can change, and the versions it adds in id order.
 // Gen is the chunk generation the versions were staged in; replay
-// rejects an append whose Gen is not the replayed document's.
+// rejects an append whose Gen is not the replayed document's. Records
+// an older writer left may also carry a "fileSeq" counter, which replay
+// ignores.
 type arrayAppend struct {
 	SparseRep bool           `json:"sparseRep"`
 	Fill      int64          `json:"fill"`
 	NextID    int            `json:"nextId"`
 	Gen       int            `json:"gen,omitempty"`
-	FileSeq   int64          `json:"fileSeq,omitempty"`
 	Versions  []*versionMeta `json:"versions"`
 }
 
@@ -114,7 +115,6 @@ func appendOp(name string, doc *arrayMeta, added []*versionMeta) manifestOp {
 		Fill:      doc.Fill,
 		NextID:    doc.NextID,
 		Gen:       doc.Gen,
-		FileSeq:   doc.FileSeq,
 		Versions:  added,
 	}}
 }
@@ -145,7 +145,7 @@ func applyAppend(prev *arrayMeta, add *arrayAppend) (*arrayMeta, error) {
 		last = vm.ID
 	}
 	doc := *prev
-	doc.SparseRep, doc.Fill, doc.NextID, doc.FileSeq = add.SparseRep, add.Fill, add.NextID, add.FileSeq
+	doc.SparseRep, doc.Fill, doc.NextID = add.SparseRep, add.Fill, add.NextID
 	doc.Versions = append(prev.Versions, add.Versions...)
 	return &doc, nil
 }

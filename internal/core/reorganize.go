@@ -655,7 +655,7 @@ func FilterWorkload(wl []layout.Query, ids []int) []layout.Query {
 // go in id order, so every chain file takes its frames in version order.
 func (s *Store) buildRewrite(v *readView, buildDir string, ws *writeSet, memo *chunkCache, l layout.Layout) ([]map[string]map[string]chunkEntry, error) {
 	st := v.st
-	ctx := &insertCtx{st: st, v: v, ws: ws, qc: memo, dir: buildDir, sparse: st.SparseRep}
+	ctx := &insertCtx{st: st, v: v, ws: ws, qc: memo, dir: buildDir, chains: true, sparse: st.SparseRep}
 	entries := make([]map[string]map[string]chunkEntry, len(v.ids))
 	for i, id := range v.ids {
 		entries[i] = make(map[string]map[string]chunkEntry, len(st.Schema.Attrs))
@@ -704,7 +704,8 @@ func (s *Store) syncBuild(ws *writeSet, buildDir string) error {
 // other array (and selects of this one) proceed meanwhile. The write
 // latch is held because the re-encodes append to chunk files concurrent
 // writes also append to, and so that no write is between its stage and
-// its install; reorgMu to serialize with rewrites.
+// its install; reorgMu to serialize with rewrites. The re-encodes append
+// to the generation's data log, like a write.
 func (s *Store) DeleteVersion(name string, id int) error {
 	if err := s.writeGate(name); err != nil {
 		return err
@@ -768,9 +769,8 @@ func (s *Store) DeleteVersion(name string, id int) error {
 // through encodePlane's per-chunk path: the child's chunks and its new
 // base's are resolved through the staged view and one memo, chunk by
 // chunk. The re-encodes only ever
-// append (fresh FileSeq files in per-version mode, chain tails in
-// co-located mode), so in-flight readers keep decoding their snapshots
-// without a latch. Callers hold the array's writeMu, which keeps
+// append to the data log, so in-flight readers keep decoding their
+// snapshots without a latch. Callers hold the array's writeMu, which keeps
 // staged's generation current.
 func (s *Store) stageDeleteVersion(st *arrayState, staged *arrayMeta, id int, ws *writeSet) error {
 	// the staged document's view: its re-encodes, already on disk, read
@@ -870,10 +870,11 @@ func (s *Store) Compact(name string) error {
 // dstDir byte for byte — same base, codec and length; nothing is
 // decoded — and returns each version's chunk maps pointing at the
 // copies, recording each append in ws. vms go in id order and each
-// version's frames in (attribute, chunk key) order, so every chain file
-// keeps its frames in version order; with CoLocate the copies land in
-// the chunk's chain file. Compact's build and a rewrite's carry-forward
-// of the versions committed mid-build are this one copy.
+// version's frames in (attribute, chunk key) order, and each copy lands
+// in its chunk's chain file, which so keeps its frames in version order
+// wherever they were read from (a data log or a chain file). Compact's
+// build and a rewrite's carry-forward of the versions committed
+// mid-build are this one copy.
 func (s *Store) carryFrames(schema array.Schema, srcDir, dstDir string, vms []*versionMeta, ws *writeSet) ([]map[string]map[string]chunkEntry, error) {
 	out := make([]map[string]map[string]chunkEntry, len(vms))
 	for i, vm := range vms {
@@ -891,14 +892,14 @@ func (s *Store) carryFrames(schema array.Schema, srcDir, dstDir string, vms []*v
 				if err != nil {
 					return nil, err
 				}
-				if s.opts.CoLocate {
-					e.File = chainFileName(attr.Name, key)
-				}
+				e.File = chainFileName(attr.Name, key)
 				path := filepath.Join(dstDir, e.File)
-				if e.Offset, err = s.appendBlob(path, blobs[0]); err != nil {
+				start, end, err := s.appendBlobs(path, blobs)
+				if err != nil {
 					return nil, err
 				}
-				ws.record(path, e.Offset, e.Offset+frameLen(int64(len(blobs[0]))))
+				ws.record(path, start, end)
+				e.Offset = start
 				moved[key] = e
 			}
 			out[i][attr.Name] = moved

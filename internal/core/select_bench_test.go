@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -52,51 +51,68 @@ func BenchmarkSelectWarm(b *testing.B) {
 }
 
 // BenchmarkSelectColdChain measures a cold chain walk: version 32 of a
-// 32-version insert-order chain, co-located, with the decoded-chunk
-// cache off, so every select reads each chunk's root and its 31 delta
-// frames and applies them. Four 128×128 int32 chunks; each version
-// changes ~10 % of the cells by a little.
+// 32-version insert-order chain, with the decoded-chunk cache off, so
+// every select reads each chunk's root and its 31 delta frames and
+// applies them — from the data log the inserts appended to (one pread
+// per frame) and, compacted, from one chain file per chunk (one run of
+// deltas). Four 128×128 int32 chunks; each version changes ~10 % of the
+// cells by a little.
 func BenchmarkSelectColdChain(b *testing.B) {
-	opts := DefaultOptions()
-	opts.ChunkBytes = 64 << 10
-	s, err := Open(b.TempDir(), opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.CreateArray(schema2D("C", 256)); err != nil {
-		b.Fatal(err)
-	}
-	const depth = 32
-	for _, v := range evolvingVersions(depth, 256, 75) {
-		if _, err := s.Insert("C", DensePayload(v)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Select("C", depth); err != nil {
-			b.Fatal(err)
-		}
+	for _, compacted := range []bool{false, true} {
+		b.Run(map[bool]string{false: "log", true: "compacted"}[compacted], func(b *testing.B) {
+			opts := DefaultOptions()
+			opts.ChunkBytes = 64 << 10
+			s, err := Open(b.TempDir(), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.CreateArray(schema2D("C", 256)); err != nil {
+				b.Fatal(err)
+			}
+			const depth = 32
+			for _, v := range evolvingVersions(depth, 256, 75) {
+				if _, err := s.Insert("C", DensePayload(v)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			compactIf(b, s, "C", compacted)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Select("C", depth); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkInsertChain measures one insert onto a 16-deep insert-order
-// chain of 512×512 int32 versions (four 256 KiB chunks, co-located),
-// each changing ~3 % of the cells, with the decoded-chunk cache off and
-// on. Off, the insert reads its delta base by walking the whole chain;
-// on, the base is the chunks the previous insert admitted. Every
-// iteration inserts the 17th version and then (untimed) deletes it, so
-// the chain stays 16 deep.
+// chain of 512×512 int32 versions (four 256 KiB chunks, in the data
+// log), each changing ~3 % of the cells, with the decoded-chunk cache
+// off and on, and on with Durability. Off, the insert reads its delta
+// base by walking the whole chain; on, the base is the chunks the
+// previous insert admitted; durable, the insert also fsyncs the log and
+// the manifest log. Every iteration inserts the 17th version and then
+// (untimed) deletes it, so the chain stays 16 deep.
 func BenchmarkInsertChain(b *testing.B) {
 	const side, depth = 512, 16
 	versions := driftSeries(depth+1, side, 87)
-	for _, cacheBytes := range []int64{0, DefaultCacheBytes} {
-		b.Run(fmt.Sprintf("cache=%v", cacheBytes > 0), func(b *testing.B) {
+	for _, arm := range []struct {
+		name       string
+		cacheBytes int64
+		durable    bool
+	}{
+		{"cache=false", 0, false},
+		{"cache=true", DefaultCacheBytes, false},
+		{"durable=true", DefaultCacheBytes, true},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
 			opts := DefaultOptions()
 			opts.ChunkBytes = 256 << 10
-			opts.CacheBytes = cacheBytes
+			opts.CacheBytes = arm.cacheBytes
+			opts.Durability = arm.durable
 			s, err := Open(b.TempDir(), opts)
 			if err != nil {
 				b.Fatal(err)
@@ -148,7 +164,7 @@ func driftSeries(n int, side int64, seed int64) []*array.Dense {
 
 // BenchmarkReorganize measures one Reorganize{PolicyAlgorithm2,
 // MatrixSample: 4096} of 48 insert-order 512×512 int32 versions (four
-// 256 KiB chunks each, co-located) — the benchmark's head-warm fixture
+// 256 KiB chunks each) — the benchmark's head-warm fixture
 // shape. Each iteration decodes every version, plans from the sampled
 // matrix and rebuilds the generation.
 func BenchmarkReorganize(b *testing.B) {

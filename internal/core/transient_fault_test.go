@@ -46,8 +46,10 @@ type transientModel struct {
 
 // runTransientWorkload drives the fixed workload until completion or
 // the first error, updating the model only on success; mb is the
-// store's filesystem.
-func runTransientWorkload(s *Store, mb *midBuildFS, side int64) (*transientModel, error) {
+// store's filesystem. compacted runs a Compact after the first two
+// inserts, so the rest of the workload writes a fresh data log beside
+// the chain files it built.
+func runTransientWorkload(s *Store, mb *midBuildFS, side int64, compacted bool) (*transientModel, error) {
 	m := &transientModel{content: map[int]*array.Dense{}}
 	if err := s.CreateArray(schema2D("T", side)); err != nil {
 		return m, err
@@ -68,6 +70,11 @@ func runTransientWorkload(s *Store, mb *midBuildFS, side int64) (*transientModel
 	}
 	if err := insert(2); err != nil {
 		return m, err
+	}
+	if compacted {
+		if err := s.Compact("T"); err != nil {
+			return m, err
+		}
 	}
 	batch := []*array.Dense{crashContent(3, side), crashContent(4, side)}
 	ids, err := writeOne(s, "T", []Payload{DensePayload(batch[0]), DensePayload(batch[1])})
@@ -191,19 +198,19 @@ func checkTransientState(t *testing.T, s *Store, m *transientModel, label string
 	}
 }
 
-func TestTransientFaultSweep(t *testing.T) {
-	const side = 8
-
-	// pass 1: count the workload's mutation steps fault-free
+// countTransientSteps runs the transient workload fault-free and
+// returns its number of mutation steps.
+func countTransientSteps(t *testing.T, side int64, compacted bool) int64 {
+	t.Helper()
 	counting := fsio.NewFlaky(fsio.OS)
 	mb := &midBuildFS{FS: counting}
-	s, err := Open(t.TempDir(), durableOpts(false, mb))
+	s, err := Open(t.TempDir(), durableOpts(mb))
 	if err != nil {
 		t.Fatal(err)
 	}
 	matrixStore(s)
 	s.stopHealer() // heal explicitly, not from the background prober
-	model, err := runTransientWorkload(s, mb, side)
+	model, err := runTransientWorkload(s, mb, side, compacted)
 	if err != nil {
 		t.Fatalf("counting run failed: %v", err)
 	}
@@ -217,8 +224,18 @@ func TestTransientFaultSweep(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("transient matrix: %d fault injection points", total)
-	_ = model
+	t.Logf("transient matrix (compacted=%v): %d fault injection points", compacted, total)
+	return total
+}
+
+func TestTransientFaultSweep(t *testing.T) {
+	const side = 8
+	// pass 1: count the workload's mutation steps fault-free, per layout
+	// (coLocate=true is the compacted one: chain files and a log)
+	totals := map[bool]int64{}
+	for _, compacted := range []bool{true, false} {
+		totals[compacted] = countTransientSteps(t, side, compacted)
+	}
 
 	for _, inj := range []struct {
 		name string
@@ -227,89 +244,98 @@ func TestTransientFaultSweep(t *testing.T) {
 		{"eio", fsio.ErrIO},
 		{"enospc", fsio.ErrDiskFull},
 	} {
-		inj := inj
 		t.Run(inj.name, func(t *testing.T) {
-			rolledBack := 0
-			for n := int64(1); n <= total; n++ {
-				flaky := fsio.NewFlaky(fsio.OS)
-				flaky.FailAt(n, inj.err)
-				mb := &midBuildFS{FS: flaky}
-				s, err := Open(t.TempDir(), durableOpts(false, mb))
-				if err != nil {
-					// the fault hit store creation itself; nothing to check
-					continue
-				}
-				matrixStore(s)
-				s.stopHealer()
-				m, werr := runTransientWorkload(s, mb, side)
-				label := fmt.Sprintf("%s step %d/%d", inj.name, n, total)
-
-				// the disk "recovers" now; the store may or may not have
-				// degraded depending on where the fault landed
-				flaky.Heal()
-				if werr != nil {
-					if h := s.Health(); h.Degraded {
-						// degraded mode must fail writes fast with the
-						// typed error until healed — probed against an
-						// array that is actually refusing writes (a fault
-						// inside InsertMulti may degrade only one member)
-						probe := ""
-						if h.StoreDegraded && m.created {
-							probe = "T"
-						}
-						for _, ah := range h.Arrays {
-							probe = ah.Name
-						}
-						if probe != "" {
-							if _, ierr := s.Insert(probe, DensePayload(crashContent(90, side))); !errors.Is(ierr, ErrDegraded) {
-								t.Fatalf("%s: degraded insert to %s error = %v, want ErrDegraded", label, probe, ierr)
-							}
-						}
-						if _, herr := s.Heal(); herr != nil {
-							t.Fatalf("%s: Heal after disk recovery: %v", label, herr)
-						}
-						if h := s.Health(); h.Degraded {
-							t.Fatalf("%s: still degraded after Heal: %+v", label, h)
-						}
-					}
-				} else if fl := flaky.Injected(); fl == 0 {
-					t.Fatalf("%s: fault never fired (step drift between runs?)", label)
-				}
-				// an error must mean "did not happen": live state equals
-				// the successful prefix exactly
-				checkTransientState(t, s, m, label+" (live)")
-				if m.rewriteFailed {
-					checkRewriteRolledBack(t, s, "T", m.rewriteGen, label)
-					rolledBack++
-				}
-				// and the store must be writable again
-				if m.created {
-					extra := crashContent(91, side)
-					id, err := s.Insert("T", DensePayload(extra))
-					if err != nil {
-						t.Fatalf("%s: insert after heal: %v", label, err)
-					}
-					m.content[id] = extra
-				}
-				if err := s.Close(); err != nil {
-					t.Fatalf("%s: close: %v", label, err)
-				}
-				// reopen on the plain filesystem: recovery must agree
-				// with everything the live store reported
-				r, err := Open(s.dir, durableOpts(false, fsio.OS))
-				if err != nil {
-					t.Fatalf("%s: reopen: %v", label, err)
-				}
-				rotateAt(r, matrixRotateBytes)
-				checkTransientState(t, r, m, label+" (reopen)")
-				if err := r.Close(); err != nil {
-					t.Fatalf("%s: close reopened: %v", label, err)
-				}
-			}
-			if rolledBack == 0 {
-				t.Fatal("no fault failed the Reorganize beside an insert; the sweep would not cover the carry-forward")
+			for _, compacted := range []bool{true, false} {
+				t.Run(fmt.Sprintf("coLocate=%v", compacted), func(t *testing.T) {
+					sweepTransientFaults(t, side, totals[compacted], inj.name, inj.err, compacted)
+				})
 			}
 		})
+	}
+}
+
+// sweepTransientFaults runs the transient workload once per step of its
+// total, with injected failing that step, and checks containment.
+func sweepTransientFaults(t *testing.T, side, total int64, name string, injected error, compacted bool) {
+	rolledBack := 0
+	for n := int64(1); n <= total; n++ {
+		flaky := fsio.NewFlaky(fsio.OS)
+		flaky.FailAt(n, injected)
+		mb := &midBuildFS{FS: flaky}
+		s, err := Open(t.TempDir(), durableOpts(mb))
+		if err != nil {
+			// the fault hit store creation itself; nothing to check
+			continue
+		}
+		matrixStore(s)
+		s.stopHealer()
+		m, werr := runTransientWorkload(s, mb, side, compacted)
+		label := fmt.Sprintf("%s step %d/%d", name, n, total)
+
+		// the disk "recovers" now; the store may or may not have
+		// degraded depending on where the fault landed
+		flaky.Heal()
+		if werr != nil {
+			if h := s.Health(); h.Degraded {
+				// degraded mode must fail writes fast with the
+				// typed error until healed — probed against an
+				// array that is actually refusing writes (a fault
+				// inside InsertMulti may degrade only one member)
+				probe := ""
+				if h.StoreDegraded && m.created {
+					probe = "T"
+				}
+				for _, ah := range h.Arrays {
+					probe = ah.Name
+				}
+				if probe != "" {
+					if _, ierr := s.Insert(probe, DensePayload(crashContent(90, side))); !errors.Is(ierr, ErrDegraded) {
+						t.Fatalf("%s: degraded insert to %s error = %v, want ErrDegraded", label, probe, ierr)
+					}
+				}
+				if _, herr := s.Heal(); herr != nil {
+					t.Fatalf("%s: Heal after disk recovery: %v", label, herr)
+				}
+				if h := s.Health(); h.Degraded {
+					t.Fatalf("%s: still degraded after Heal: %+v", label, h)
+				}
+			}
+		} else if fl := flaky.Injected(); fl == 0 {
+			t.Fatalf("%s: fault never fired (step drift between runs?)", label)
+		}
+		// an error must mean "did not happen": live state equals
+		// the successful prefix exactly
+		checkTransientState(t, s, m, label+" (live)")
+		if m.rewriteFailed {
+			checkRewriteRolledBack(t, s, "T", m.rewriteGen, label)
+			rolledBack++
+		}
+		// and the store must be writable again
+		if m.created {
+			extra := crashContent(91, side)
+			id, err := s.Insert("T", DensePayload(extra))
+			if err != nil {
+				t.Fatalf("%s: insert after heal: %v", label, err)
+			}
+			m.content[id] = extra
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("%s: close: %v", label, err)
+		}
+		// reopen on the plain filesystem: recovery must agree
+		// with everything the live store reported
+		r, err := Open(s.dir, durableOpts(fsio.OS))
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", label, err)
+		}
+		rotateAt(r, matrixRotateBytes)
+		checkTransientState(t, r, m, label+" (reopen)")
+		if err := r.Close(); err != nil {
+			t.Fatalf("%s: close reopened: %v", label, err)
+		}
+	}
+	if rolledBack == 0 {
+		t.Fatal("no fault failed the Reorganize beside an insert; the sweep would not cover the carry-forward")
 	}
 }
 
@@ -343,7 +369,7 @@ func checkRewriteRolledBack(t *testing.T, s *Store, name string, gen int, label 
 func TestDegradedReadsStayUp(t *testing.T) {
 	const side = 8
 	flaky := fsio.NewFlaky(fsio.OS)
-	s, err := Open(t.TempDir(), durableOpts(false, flaky))
+	s, err := Open(t.TempDir(), durableOpts(flaky))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -24,8 +25,9 @@ import (
 // needs Store.mu would hang if the mutator held it there.
 
 // hookFS calls onMkdir before a directory is created, onAppend before a
-// file is opened for append, onSync inside a file's Sync and
-// onRemoveAll before a tree is removed; any may block. A non-nil
+// file is opened for append, onSync inside a file's Sync, onSyncDir
+// before a directory is synced and onRemoveAll before a tree is
+// removed; any may block. A non-nil
 // appendErr, called after onAppend, fails that open; a non-nil syncErr,
 // called after onSync, fails that Sync.
 type hookFS struct {
@@ -33,6 +35,7 @@ type hookFS struct {
 	onMkdir     func(path string)
 	onAppend    func(path string)
 	onSync      func(path string)
+	onSyncDir   func(path string)
 	onRemoveAll func(path string)
 	appendErr   func(path string) error
 	syncErr     func(path string) error
@@ -43,6 +46,13 @@ func (h *hookFS) MkdirAll(path string) error {
 		h.onMkdir(path)
 	}
 	return h.FS.MkdirAll(path)
+}
+
+func (h *hookFS) SyncDir(path string) error {
+	if h.onSyncDir != nil {
+		h.onSyncDir(path)
+	}
+	return h.FS.SyncDir(path)
 }
 
 func (h *hookFS) RemoveAll(path string) error {
@@ -86,6 +96,10 @@ func (f *hookFile) Sync() error {
 	return f.File.Sync()
 }
 
+// hangBound is how long a test waits for a call it expects to finish
+// or a hook it expects to fire.
+const hangBound = 20 * time.Second
+
 // within fails the test if fn does not return in time — the symptom of
 // a call stuck behind a lock someone holds across I/O.
 func within(t *testing.T, what string, fn func()) {
@@ -97,10 +111,26 @@ func within(t *testing.T, what string, fn func()) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(20 * time.Second):
+	case <-time.After(hangBound):
 		t.Fatalf("%s did not finish: it is waiting on a lock held across I/O", what)
 	}
 }
+
+// awaitPark waits for a parking hook to close parked, failing the test
+// if it does not in time: a hook keyed on a file the operation never
+// touches would otherwise hang the package.
+func awaitPark(t *testing.T, parked <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-parked:
+	case <-time.After(hangBound):
+		t.Fatal("hook never fired")
+	}
+}
+
+// isDataLog reports whether path is a generation's data log, the one
+// file a write syncs.
+func isDataLog(path string) bool { return filepath.Base(path) == dataLogName }
 
 func mustSelect(t *testing.T, s *Store, name string, id int, want *array.Dense) {
 	t.Helper()
@@ -134,8 +164,8 @@ func TestRewriteCarriesConcurrentAppends(t *testing.T) {
 		{"Compact", func(s *Store) error { return s.Compact("R") }},
 	}
 	for _, rw := range rewrites {
-		for _, coLocate := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s/coLocate=%v", rw.name, coLocate), func(t *testing.T) {
+		for _, compacted := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/coLocate=%v", rw.name, compacted), func(t *testing.T) {
 				parked := make(chan struct{})
 				release := make(chan struct{})
 				var armed atomic.Bool // parks the first build append after it is set
@@ -154,7 +184,6 @@ func TestRewriteCarriesConcurrentAppends(t *testing.T) {
 				}
 				opts := smallOpts()
 				opts.ChunkBytes = 1 << 10
-				opts.CoLocate = coLocate
 				opts.Durability = true
 				opts.FS = hfs
 				s := testStore(t, opts)
@@ -174,6 +203,8 @@ func TestRewriteCarriesConcurrentAppends(t *testing.T) {
 						}
 					}
 				}
+				compactIf(t, s, "R", compacted)
+				builds.Store(0) // count the rewrite's builds alone
 				armed.Store(true)
 				done := make(chan error, 1)
 				go func() { done <- rw.run(s) }()
@@ -263,16 +294,16 @@ func TestRewriteCarriesConcurrentAppends(t *testing.T) {
 }
 
 // TestInsertMultiHoldsNoStoreLockAcrossIO parks a cross-array batch in
-// its data fsync — after staging, before the manifest append — and
-// reads the store meanwhile.
+// its data fsync — the first member's log, after staging, before the
+// manifest append — and reads the store meanwhile.
 func TestInsertMultiHoldsNoStoreLockAcrossIO(t *testing.T) {
 	const side = 16
 	parked := make(chan struct{})
 	release := make(chan struct{})
-	var armed atomic.Bool // parks the first chunk-file fsync after it is set
+	var armed atomic.Bool // parks the first data-log fsync after it is set
 	hfs := &hookFS{FS: fsio.OS}
 	hfs.onSync = func(path string) {
-		if strings.HasSuffix(path, ".chain") && armed.CompareAndSwap(true, false) {
+		if isDataLog(path) && armed.CompareAndSwap(true, false) {
 			close(parked)
 			<-release
 		}
@@ -302,7 +333,7 @@ func TestInsertMultiHoldsNoStoreLockAcrossIO(t *testing.T) {
 		})
 		done <- err
 	}()
-	<-parked
+	awaitPark(t, parked)
 	within(t, "reads beside a parked InsertMulti", func() {
 		mustSelect(t, s, "A", 1, base)
 		mustSelect(t, s, "C", 1, base)
@@ -321,15 +352,15 @@ func TestInsertMultiHoldsNoStoreLockAcrossIO(t *testing.T) {
 	mustSelect(t, s, "B", 2, next)
 }
 
-// parkFirstChunkSync returns a durable store whose first chunk-file
-// fsync after arm() parks until release() (the fsync of the "parked"
-// writer), with array G of side² cells holding version 1.
+// parkFirstChunkSync returns a durable store whose first data-log fsync
+// after arm() parks until release() (the fsync of the "parked" writer),
+// with array G of side² cells holding version 1.
 func parkFirstChunkSync(t *testing.T, hfs *hookFS, side int64) (s *Store, arm func(), parked <-chan struct{}, release func()) {
 	t.Helper()
 	park, unpark := make(chan struct{}), make(chan struct{})
 	var armed atomic.Bool
 	hfs.onSync = func(path string) {
-		if strings.HasSuffix(path, ".chain") && armed.CompareAndSwap(true, false) {
+		if isDataLog(path) && armed.CompareAndSwap(true, false) {
 			close(park)
 			<-unpark
 		}
@@ -379,7 +410,7 @@ func TestConcurrentWritesChain(t *testing.T) {
 	a, b := crashContent(2, side), crashContent(3, side)
 	arm()
 	idA, errA := insertAsync(s, a)
-	<-parked
+	awaitPark(t, parked)
 	idB, errB := insertAsync(s, b)
 	reachLatch()
 	release()
@@ -427,7 +458,7 @@ func TestFailedWriteLeavesNoIDGap(t *testing.T) {
 	b := crashContent(3, side)
 	arm()
 	_, errA := insertAsync(s, crashContent(2, side))
-	<-parked
+	awaitPark(t, parked)
 	idB, errB := insertAsync(s, b)
 	reachLatch()
 	failAppend.Store(true)
@@ -461,16 +492,16 @@ func TestWriteRefusedAfterUncertainCommitFailure(t *testing.T) {
 	var fail atomic.Bool
 	hfs := &hookFS{FS: fsio.OS}
 	hfs.syncErr = func(path string) error {
-		if strings.HasSuffix(path, ".chain") && fail.CompareAndSwap(true, false) {
+		if isDataLog(path) && fail.CompareAndSwap(true, false) {
 			return fsio.ErrIO
 		}
 		return nil
 	}
 	s, arm, parked, release := parkFirstChunkSync(t, hfs, side)
 	arm()
-	fail.Store(true) // the parked fsync is the first chunk fsync, and fails
+	fail.Store(true) // the parked fsync is the first data-log fsync, and fails
 	_, errA := insertAsync(s, crashContent(2, side))
-	<-parked
+	awaitPark(t, parked)
 	_, errB := insertAsync(s, crashContent(3, side))
 	reachLatch()
 	release()
@@ -486,7 +517,7 @@ func TestWriteRefusedAfterUncertainCommitFailure(t *testing.T) {
 }
 
 // TestDeletesHoldNoStoreLockAcrossIO parks DeleteVersion in its
-// child's chunk-file fsync and in its manifest append, and DeleteArray
+// child re-encode's data-log fsync and in its manifest append, and DeleteArray
 // in its manifest append, then uses the store from outside. Selects of
 // another version of the same array and of another array must complete
 // meanwhile, and so must an insert into another array — while parked in
@@ -494,7 +525,7 @@ func TestWriteRefusedAfterUncertainCommitFailure(t *testing.T) {
 // the append it queues behind (the store's one log) finishes.
 func TestDeletesHoldNoStoreLockAcrossIO(t *testing.T) {
 	const side = 16
-	chunkSync := func(path string) bool { return strings.HasSuffix(path, ".chain") }
+	chunkSync := isDataLog // the re-encode's log
 	manifestLog := func(path string) bool {
 		base := filepath.Base(path)
 		return strings.HasPrefix(base, manifestPrefix) && strings.HasSuffix(base, ".log")
@@ -770,7 +801,7 @@ func TestCloseWaitsForInFlightWork(t *testing.T) {
 			armed.Store(true)
 			done := make(chan error, 1)
 			go func() { done <- c.op(s) }()
-			<-park
+			awaitPark(t, park)
 			closed := make(chan error, 1)
 			go func() {
 				err := s.Close()
@@ -796,6 +827,90 @@ func TestCloseWaitsForInFlightWork(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDurableWriteSyncCounts pins what a durable write fsyncs, on
+// 4-chunk arrays: a write into an existing data log syncs that log and
+// the manifest log once each and no directory; the first write into a
+// fresh generation (after Compact) creates its log, which adds one sync
+// of the chunks directory; a two-array Write syncs each array's log and
+// the manifest log once. Stats counts the same fsyncs.
+func TestDurableWriteSyncCounts(t *testing.T) {
+	const side = 64 // 4 chunks of 4 KiB
+	var mu sync.Mutex
+	counts := map[string]int{}
+	count := func(kind string) {
+		mu.Lock()
+		counts[kind]++
+		mu.Unlock()
+	}
+	hfs := &hookFS{FS: fsio.OS}
+	hfs.onSync = func(path string) {
+		switch base := filepath.Base(path); {
+		case strings.HasPrefix(base, manifestPrefix):
+			count("manifest")
+		case filepath.Ext(base) == ".chain" || base == dataLogName:
+			count("data")
+		default:
+			count("other")
+		}
+	}
+	hfs.onSyncDir = func(string) { count("dir") }
+	opts := smallOpts()
+	opts.Durability = true
+	opts.FS = hfs
+	s := testStore(t, opts)
+	defer s.Close()
+	versions := evolvingVersions(4, side, 52)
+	for _, name := range []string{"A", "B"} {
+		if err := s.CreateArray(schema2D(name, side)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Insert(name, DensePayload(versions[0])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(chunkBases(s, "A", 1)); n != 4 {
+		t.Fatalf("array has %d chunks, want 4", n)
+	}
+	expect := func(what string, want map[string]int, write func() error) {
+		t.Helper()
+		mu.Lock()
+		clear(counts)
+		mu.Unlock()
+		before := s.Stats()
+		if err := write(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		after := s.Stats()
+		mu.Lock()
+		got := maps.Clone(counts)
+		mu.Unlock()
+		if !maps.Equal(got, want) {
+			t.Fatalf("%s synced %v, want %v", what, got, want)
+		}
+		if d, m := after.DataFsyncs-before.DataFsyncs, after.ManifestFsyncs-before.ManifestFsyncs; d != int64(want["data"]) || m != int64(want["manifest"]) {
+			t.Fatalf("%s: Stats counts %d data and %d manifest fsyncs, want %d and %d", what, d, m, want["data"], want["manifest"])
+		}
+	}
+	expect("a write into an existing log", map[string]int{"data": 1, "manifest": 1}, func() error {
+		_, err := s.Insert("A", DensePayload(versions[1]))
+		return err
+	})
+	if err := s.Compact("A"); err != nil {
+		t.Fatal(err)
+	}
+	expect("the first write into a fresh generation", map[string]int{"data": 1, "manifest": 1, "dir": 1}, func() error {
+		_, err := s.Insert("A", DensePayload(versions[2]))
+		return err
+	})
+	expect("a two-array write", map[string]int{"data": 2, "manifest": 1}, func() error {
+		_, err := s.Write(context.Background(), []MultiInsert{
+			{Array: "A", Payloads: []Payload{DensePayload(versions[3])}},
+			{Array: "B", Payloads: []Payload{DensePayload(versions[1])}},
+		})
+		return err
+	})
 }
 
 // TestInsertMultiTraceStages: a traced cross-array Write reports every
@@ -968,7 +1083,7 @@ func TestBranchRacingCloseLeavesNoEmptyArray(t *testing.T) {
 	armed.Store(true)
 	branched := make(chan error, 1)
 	go func() { branched <- s.Branch("A", 1, "B") }()
-	<-park
+	awaitPark(t, park)
 	closed := make(chan error, 1)
 	go func() { closed <- s.Close() }()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {

@@ -55,9 +55,9 @@ var LockOrder = &Analyzer{
 const lockOrderDoc = "reorgMu < writeMu < Store.mu < healthMu"
 
 // lockRank maps "Type.field" to its position in the partial order.
-// Lower ranks are acquired first. Locks not listed here (writeSet.mu,
-// the manifest latches, ...) are internal leaves outside the documented
-// hierarchy and are ignored.
+// Lower ranks are acquired first. Locks not listed here (the manifest
+// latches, ...) are internal leaves outside the documented hierarchy
+// and are ignored.
 var lockRank = map[string]int{
 	"arrayState.reorgMu": 0,
 	"arrayState.writeMu": 10,
