@@ -17,25 +17,26 @@ import (
 	"arrayvers/internal/trace"
 )
 
-// The write path: latch → stage → sync + commit → install.
+// The write path: cut → latch → stage → sync + commit → install.
 //
 // Every mutation that adds versions — Write (and its conveniences Insert
 // and InsertMulti), Branch, Merge — runs one function, write, holding
 // the writeMu of every array it writes, taken in name order by its
-// caller and released by its caller once write returns:
+// caller and released by its caller once write returns. Only work that
+// needs the write's delta base runs under it: the caller first cuts
+// every dense payload plane into its array's chunks (cutPayloads).
 //
-//   - stageBatch resolves each array's payloads, picks delta bases, and
-//     encodes every chunk — appending its frames, unsynced, to the
+//   - stageBatch resolves each array's payloads and encodes every chunk
+//     against the head — appending its frames, unsynced, to the
 //     generation's data log (io.go) — against a private metadata view.
 //     Store.mu is held only long enough to take the snapshot, so writes
 //     to different arrays encode concurrently and never stall readers;
-//   - finalizeBatch fsyncs each array's log — one data fsync per array
-//     written, plus the chunks directory when the write created the
-//     log — commits every
-//     array's staged versions as ONE manifest record with Store.mu
-//     released — each array's op carries only the versions this write
-//     adds (manifest.go, arrayAppend) — and installs the resulting
-//     documents under a brief Store.mu.
+//   - finalizeBatch fsyncs every array's log at once — one data fsync
+//     per array written, plus the chunks directory when the write
+//     created the log — commits every array's staged versions as ONE
+//     manifest record with Store.mu released — each array's op carries
+//     only the versions this write adds (manifest.go, arrayAppend) — and
+//     installs the resulting documents under a brief Store.mu.
 //
 // writeMu is held from the snapshot to the install, so every write to
 // an array stages against its committed predecessor: versions chain
@@ -139,26 +140,15 @@ type insertCtx struct {
 	// chains sends each chunk's frame to its chain file: a rewrite's
 	// build; a write's frames go to the generation's data log
 	chains bool
-	goCtx  context.Context // caller's cancellation; nil means Background
-	// head (a write with a cache) collects the dense chunks encodePlane
-	// slices out, keyed but for the generation; nothing writes them after
+	goCtx  context.Context // cancellation; a write's is its caller's
+	// head (a write with a cache) collects the write's cut chunks, keyed
+	// but for the generation; nothing writes them after
 	head map[cache.Key]*array.Dense
 	// the array's representation: open until the first version of an
 	// empty array fixes it (repFixed), then binding on every payload
 	repFixed bool
 	sparse   bool
 	fill     int64
-}
-
-// context returns the caller's context, defaulting to Background for
-// DeleteVersion's child re-encode, which runs without one. Cancellation
-// is only honored during staging: once a write has staged, its commit
-// runs to completion.
-func (c *insertCtx) context() context.Context {
-	if c.goCtx != nil {
-		return c.goCtx
-	}
-	return context.Background() //avlint:allow-ctx the designated fallback for DeleteVersion's non-cancellable child re-encode; every cancellable path sets goCtx
 }
 
 // writeSet tracks the chunk-file byte ranges appended by one staged
@@ -361,22 +351,28 @@ func (s *Store) lockWrite(name string) (*arrayState, error) {
 
 // write is the one commit mechanism behind every write. The caller holds
 // the writeMu of each sts[i], taken in name order, and releases them
-// after write returns; ps[i] are sts[i]'s payloads. write stages every
-// array, then commits every staging as one manifest record: every array
-// gains its versions, or none does and every appended blob is
-// reclaimed. ids[i] are sts[i]'s new version ids.
-func (s *Store) write(ctx context.Context, sts []*arrayState, ps [][]Payload, kind string) ([][]int, error) {
+// after write returns; cuts[i] are sts[i]'s payloads (cutPayloads). write
+// stages every array, then commits every staging as one manifest record:
+// every array gains its versions, or none does and every appended blob
+// is reclaimed. ids[i] are sts[i]'s new version ids.
+func (s *Store) write(ctx context.Context, sts []*arrayState, cuts []*payloadCut, kind string) ([][]int, error) {
 	staged := make([]*stagedInsert, 0, len(sts))
 	var err error
 	for i, st := range sts {
+		pc := cuts[i]
+		if pc.st != st {
+			// cut for an array since dropped and recreated: staging cuts
+			// again, under the latch
+			pc = &payloadCut{st: st, ps: pc.ps, chunks: make([][][]*array.Dense, len(pc.ps))}
+		}
 		var ins *stagedInsert
-		if ins, err = s.stageBatch(ctx, st, ps[i], kind); err != nil {
+		if ins, err = s.stageBatch(ctx, pc, kind); err != nil {
 			break
 		}
 		staged = append(staged, ins)
 	}
 	if err == nil {
-		err = s.finalizeBatch(trace.FromContext(ctx), staged)
+		err = s.finalizeBatch(ctx, staged)
 	}
 	if err != nil {
 		for _, ins := range staged {
@@ -391,12 +387,64 @@ func (s *Store) write(ctx context.Context, sts []*arrayState, ps [][]Payload, ki
 	return ids, nil
 }
 
+// payloadCut is one array's payloads of a write, each dense plane cut
+// into the chunks of st, the arrayState the cut was made for:
+// chunks[j][ai] is payload j's attribute ai in ck.All() order. A chunk
+// box depends only on the schema and the chunk stride, which never
+// change, so the cut needs no latch.
+type payloadCut struct {
+	st     *arrayState
+	ps     []Payload
+	chunks [][][]*array.Dense
+}
+
+// cutPayloads cuts ps for st (nil: no such array, nothing is cut).
+// Whatever it leaves uncut is cut when it is staged, which reports any
+// error: a delta-list payload, whose plane needs its base, and a cut
+// that failed, say on a cancelled ctx.
+func (s *Store) cutPayloads(ctx context.Context, st *arrayState, ps []Payload) *payloadCut {
+	pc := &payloadCut{st: st, ps: ps, chunks: make([][][]*array.Dense, len(ps))}
+	for j, p := range ps {
+		if st != nil && p.DeltaBase == 0 {
+			pc.chunks[j], _ = s.cutPlanes(ctx, st, p.Planes) // on error nil: staging cuts again and reports it
+		}
+	}
+	return pc
+}
+
+// cutPlanes cuts each plane that validates as a dense plane of st's
+// attribute into st's chunks, in ck.All() order, on the worker pool.
+// Any other plane has no chunks; staging reports what is wrong with it.
+func (s *Store) cutPlanes(ctx context.Context, st *arrayState, planes []Plane) ([][]*array.Dense, error) {
+	ck, err := st.chunker()
+	if err != nil {
+		return nil, err
+	}
+	origins := ck.All()
+	out := make([][]*array.Dense, len(planes))
+	for ai, pl := range planes {
+		if ai >= len(st.Schema.Attrs) || pl.Dense == nil || pl.validate(st.Schema, st.Schema.Attrs[ai]) != nil {
+			continue
+		}
+		out[ai] = make([]*array.Dense, len(origins))
+		if err := forEachLimit(ctx, len(origins), s.opts.Parallelism, func(i int) error {
+			var err error
+			out[ai][i], err = pl.Dense.Slice(ck.Box(origins[i]))
+			return err
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // stageBatch resolves and encodes a batch of payloads against a private
 // metadata snapshot, appending chunk frames (unsynced) to the pinned
 // generation's data log. On success the returned stagedInsert is ready to sync
 // and commit; on error every appended blob has been reclaimed. Its ids
-// follow the committed NextID. Callers hold st.writeMu.
-func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, kind string) (*stagedInsert, error) {
+// follow the committed NextID. Callers hold pc.st.writeMu.
+func (s *Store) stageBatch(ctx context.Context, pc *payloadCut, kind string) (*stagedInsert, error) {
+	st, ps := pc.st, pc.ps
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -438,15 +486,13 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
-		vm, err := s.stagePayload(ictx, p, ins.ids[j], kind)
+		vm, err := s.stagePayload(ictx, p, pc.chunks[j], ins.ids[j], kind)
 		if err != nil {
 			return fail(err)
 		}
 		ins.vms = append(ins.vms, vm)
 	}
-	encDur := time.Since(encStart)
-	s.prof.observeCommit(StageStageEncode, encDur, ins.ws.totalBytes())
-	trace.FromContext(ctx).Observe(StageStageEncode, encDur, ins.ws.totalBytes())
+	s.observeCommit(trace.FromContext(ctx), StageStageEncode, encStart, ins.ws.totalBytes())
 	ins.sparse, ins.fill, ins.head = ictx.sparse, ictx.fill, ictx.head
 	return ins, nil
 }
@@ -456,12 +502,18 @@ func (s *Store) stageBatch(ctx context.Context, st *arrayState, ps []Payload, ki
 // across a staging session: the first version of an empty array fixes
 // it, later payloads must match. The staged version is published through the
 // context's view, so later payloads of the same session chain their
-// lineage to it and may delta-encode against it.
-func (s *Store) stagePayload(ctx *insertCtx, p Payload, id int, kind string) (*versionMeta, error) {
+// lineage to it and may delta-encode against it. chunks are p's planes
+// cut into chunks (cutPayloads); nil, they are cut here.
+func (s *Store) stagePayload(ctx *insertCtx, p Payload, chunks [][]*array.Dense, id int, kind string) (*versionMeta, error) {
 	st := ctx.st
 	planes, parents, err := s.resolvePayload(ctx, p)
 	if err != nil {
 		return nil, err
+	}
+	if chunks == nil {
+		if chunks, err = s.cutPlanes(ctx.goCtx, st, planes); err != nil {
+			return nil, err
+		}
 	}
 	// the representation is fixed by the first inserted version
 	if !ctx.repFixed {
@@ -482,14 +534,20 @@ func (s *Store) stagePayload(ctx *insertCtx, p Payload, id int, kind string) (*v
 	}
 	vm := &versionMeta{
 		ID:      id,
-		Parents: dedupInts(parents),
+		Parents: parents,
 		Time:    s.clock(),
 		Kind:    kind,
 		Chunks:  make(map[string]map[string]chunkEntry),
 	}
-	baseID := s.chooseDeltaBase(ctx, planes)
+	// the delta base is the staging view's head, so a later member of a
+	// batch deltas against an earlier one; each chunk keeps a delta only
+	// when that is smaller (encodePlane)
+	baseID := 0
+	if s.opts.AutoDelta {
+		baseID = ctx.v.newest(0)
+	}
 	for ai, attr := range st.Schema.Attrs {
-		entries, err := s.encodePlane(ctx, id, attr, planes[ai], baseID)
+		entries, err := s.encodePlane(ctx, id, attr, planes[ai].Sparse, chunks[ai], baseID)
 		if err != nil {
 			return nil, err
 		}
@@ -508,7 +566,8 @@ func (s *Store) stagePayload(ctx *insertCtx, p Payload, id int, kind string) (*v
 // serializes the commit against every other metadata writer on that
 // array — so concurrent selects and writes to other arrays never stall
 // behind the commit's fsyncs.
-func (s *Store) finalizeBatch(tr *trace.Trace, staged []*stagedInsert) error {
+func (s *Store) finalizeBatch(ctx context.Context, staged []*stagedInsert) error {
+	tr := trace.FromContext(ctx)
 	for _, ins := range staged {
 		// the previous writer's commit may have failed uncertainly while
 		// this one waited for the latch: its record may be in the log, so
@@ -518,7 +577,7 @@ func (s *Store) finalizeBatch(tr *trace.Trace, staged []*stagedInsert) error {
 		}
 	}
 	ops := make([]manifestOp, len(staged))
-	installed := 0
+	installed, bytes := 0, int64(0)
 	s.mu.RLock()
 	for i, ins := range staged {
 		doc, err := s.validateLocked(ins)
@@ -528,29 +587,24 @@ func (s *Store) finalizeBatch(tr *trace.Trace, staged []*stagedInsert) error {
 		}
 		ops[i] = appendOp(ins.st.Schema.Name, doc, ins.vms)
 		installed += len(ins.vms)
-	}
-	s.mu.RUnlock()
-	observe := func(stage string, since time.Time, bytes int64) {
-		d := time.Since(since)
-		s.prof.observeCommit(stage, d, bytes)
-		tr.Observe(stage, d, bytes)
-	}
-	// data before metadata: one fsync of each array's log, plus its
-	// chunks directory when the write created the log
-	t0 := time.Now()
-	var bytes int64
-	for _, ins := range staged {
-		if err := s.syncWrites(ins.st, ins.ws, ins.gen.dir); err != nil {
-			return err
-		}
 		bytes += ins.ws.totalBytes()
 	}
+	s.mu.RUnlock()
+	// data before metadata: one fsync of each array's log, plus its
+	// chunks directory when the write created the log, every array's at
+	// once; a failed one degrades its own array and commits nothing
+	t0 := time.Now()
+	if err := forEachLimit(context.WithoutCancel(ctx), len(staged), len(staged), func(i int) error {
+		return s.syncWrites(staged[i].st, staged[i].ws, staged[i].gen.dir)
+	}); err != nil {
+		return err
+	}
 	if s.opts.Durability {
-		observe(StageDataFsync, t0, bytes)
+		s.observeCommit(tr, StageDataFsync, t0, bytes)
 	}
 	t0 = time.Now()
 	err := s.man.commit(ops)
-	observe(StageMetaCommit, t0, 0)
+	s.observeCommit(tr, StageMetaCommit, t0, 0)
 	if err != nil {
 		if isUncertain(err) {
 			// the append (or its fsync) failed: the record may be in the
@@ -580,7 +634,7 @@ func (s *Store) finalizeBatch(tr *trace.Trace, staged []*stagedInsert) error {
 			s.chunkCache.Put(k, d)
 		}
 	}
-	observe(StageInstall, t0, 0)
+	s.observeCommit(tr, StageInstall, t0, 0)
 	s.prof.batchSize.Observe(float64(installed))
 	return nil
 }
@@ -659,8 +713,8 @@ func repName(sparse bool) string {
 func (s *Store) resolvePayload(ctx *insertCtx, p Payload) ([]Plane, []int, error) {
 	st, v := ctx.st, ctx.v
 	var parents []int
-	if last := lastLiveIDView(v); last > 0 {
-		parents = append(parents, last)
+	if head := v.newest(0); head > 0 {
+		parents = []int{head}
 	}
 	if p.DeltaBase > 0 {
 		// delta-list form: inherit the base version and apply updates
@@ -670,7 +724,7 @@ func (s *Store) resolvePayload(ctx *insertCtx, p Payload) ([]Plane, []int, error
 		full := array.BoxOf(st.Schema.Shape())
 		planes := make([]Plane, len(st.Schema.Attrs))
 		for ai, attr := range st.Schema.Attrs {
-			pl, err := s.readRegionView(ctx.context(), v, p.DeltaBase, attr.Name, full, ctx.qc, nil)
+			pl, err := s.readRegionView(ctx.goCtx, v, p.DeltaBase, attr.Name, full, ctx.qc, nil)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -720,99 +774,6 @@ func flatIndex(shape, coords []int64) int64 {
 	return idx
 }
 
-// lastLiveIDView returns the highest live version id visible through
-// the view (including staged batch members), or 0.
-func lastLiveIDView(v *readView) int {
-	best := 0
-	for _, id := range v.ids {
-		if id > best {
-			best = id
-		}
-	}
-	return best
-}
-
-func dedupInts(in []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, v := range in {
-		if v > 0 && !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// chooseDeltaBase decides whether the new content should be delta'ed
-// against the newest version, comparing the estimated delta size with
-// the materialized size ("the payload is analyzed so it can be encoded
-// as a delta off of an existing version", §II-A). The newest version
-// comes from the staging view, so a later member of a batch can delta
-// against an earlier one. A dense candidate is priced from its cells at
-// delta.SampleCells' draw (seed: the candidate's id), gathered chunk by
-// chunk through the view and the stage memo — never assembled — so a
-// candidate the LRU holds costs no copy, and encodePlane finds its
-// chunks in the memo. Only the first attribute is priced, and a
-// candidate that cannot be read is not taken. It returns the base's id,
-// 0 to materialize.
-func (s *Store) chooseDeltaBase(ctx *insertCtx, planes []Plane) int {
-	v := ctx.v
-	attr := ctx.st.Schema.Attrs[0].Name
-	if !s.opts.AutoDelta || len(v.ids) == 0 {
-		return 0
-	}
-	cand := v.ids[len(v.ids)-1]
-	pl := planes[0]
-	if pl.IsSparse() {
-		base, _, err := s.resolveSparse(v, cand, attr, ctx.qc.sparseMap(attr), 0, nil)
-		if err != nil {
-			return 0
-		}
-		blob, err := delta.EncodeSparseOps(pl.Sparse, base)
-		if err != nil || int64(len(blob)) >= delta.SparseMaterializedSize(pl.Sparse) {
-			return 0
-		}
-		return cand
-	}
-	size, err := s.estimateDelta(ctx, pl.Dense, cand, attr)
-	if err != nil || size >= delta.MaterializedSize(pl.Dense) {
-		return 0
-	}
-	return cand
-}
-
-// estimateSample is how many cells a delta candidate is priced from
-// (§IV-A): the estimate samples that many cells of the target and the
-// candidate instead of encoding every cell.
-const estimateSample = 4096
-
-// estimateDelta is delta.EstimateSize(target, cand's plane of attr,
-// estimateSample, cand) without cand's plane: the sampled estimate
-// gathers cand's cells at the draw chunk by chunk. Only a plane of at
-// most estimateSample cells is priced exactly, by encoding every cell,
-// from cand's whole plane.
-func (s *Store) estimateDelta(ctx *insertCtx, target *array.Dense, cand int, attr string) (int64, error) {
-	n := target.NumCells()
-	if n <= estimateSample {
-		base, err := s.readRegionView(ctx.context(), ctx.v, cand, attr, array.BoxOf(ctx.st.Schema.Shape()), ctx.qc, nil)
-		if err != nil {
-			return 0, err
-		}
-		return delta.EstimateSize(target, base.Dense, estimateSample, int64(cand)), nil
-	}
-	ck, err := ctx.st.chunker()
-	if err != nil {
-		return 0, err
-	}
-	idx := delta.SampleCells(n, estimateSample, int64(cand))
-	b, err := s.gatherCells(ctx.context(), ctx.v, cand, attr, locateCells(ck, idx), ctx.qc)
-	if err != nil {
-		return 0, err
-	}
-	return delta.EstimateSampled(target.DType(), n, delta.Gather(target, idx), b), nil
-}
-
 // cellLocs are flat cell positions of a whole array located in its
 // chunks, so a version's cells there are read one chunk at a time.
 type cellLocs struct {
@@ -860,26 +821,31 @@ func (s *Store) gatherCells(ctx context.Context, v *readView, id int, attr strin
 	return out, nil
 }
 
-// encodePlane chunks one attribute's content and writes every chunk —
-// the one encoder behind inserts, DeleteVersion's re-encodes and
-// rewrites. It works one chunk at a time: the target chunk is sliced
-// out of pl, an insert's payload (that slice is memoized in ctx.qc under
-// id, so a later member of a batch finds its base there, and is the
-// chunk the commit writes through to the LRU); an empty pl is version
-// id's own stored content, a re-encode's, resolved through the
-// context's view and memo. With a base (baseID > 0) each chunk is
-// delta-encoded against the base's chunk, resolved the same way —
-// never sliced out of a base plane — when that is smaller ("disk space
-// usage is calculated by trying both methods and choosing the more
-// economical one", §III-B.3). A sparse plane is one container. Once
-// every chunk is sealed, writeFrames stores them.
-func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Plane, baseID int) (map[string]chunkEntry, error) {
+// encodePlane writes every chunk of one attribute of version id — the
+// one encoder behind inserts, DeleteVersion's re-encodes and rewrites.
+// It works one chunk at a time. The target chunk is cut[i], an insert's
+// payload cut into chunks (cutPayloads; memoized in ctx.qc under id, so
+// a later member of a batch finds its base there, and the chunk the
+// commit writes through to the LRU); without a cut it is version id's
+// own stored content, a re-encode's, resolved through the context's view
+// and memo. With a base (baseID > 0) each chunk is delta-encoded against
+// the base's chunk, resolved the same way — never sliced out of a base
+// plane — and the delta is kept when it is smaller than the raw chunk
+// ("disk space usage is calculated by trying both methods and choosing
+// the more economical one", §III-B.3); the bounded encode refuses a far
+// pair from its first pass. A write's chunk that no delta against the
+// head shrinks falls back to the two versions before the head, when
+// resident and alike: two writers' payloads can commit out of the order
+// they were sent in, so a payload's true predecessor may sit just behind
+// the head. A sparse version (sp, or its stored content) is one
+// container. Once every chunk is sealed, writeFrames stores them.
+func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, sp *array.Sparse, cut []*array.Dense, baseID int) (map[string]chunkEntry, error) {
 	if ctx.sparse {
 		// sparse versions are stored as a single container (their entire
 		// coordinate list); chunk-level subdivision buys nothing when the
 		// data is this sparse.
 		memo := ctx.qc.sparseMap(attr.Name)
-		target := pl.Sparse
+		target := sp
 		if target == nil {
 			var err error
 			if target, _, err = s.resolveSparse(ctx.v, id, attr.Name, memo, 0, nil); err != nil {
@@ -921,39 +887,53 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Pla
 	// schedule.
 	origins := ck.All()
 	locals := ctx.qc.chunkMaps(attr.Name, ck, origins)
+	keys := make([]string, len(origins))
+	for i, origin := range origins {
+		keys[i] = ck.Key(origin)
+	}
 	results := make([]chunkEntry, len(origins))
-	targets := make([]*array.Dense, len(origins))
 	blobs := make([][]byte, len(origins))
-	err = forEachLimit(ctx.context(), len(origins), s.opts.Parallelism, func(i int) error {
-		box := ck.Box(origins[i])
+	bases := [3]int{baseID}
+	if cut != nil && baseID > 0 { // a write's: baseID is the head
+		bases[1], bases[2] = ctx.v.newest(1), ctx.v.newest(2)
+	}
+	err = forEachLimit(ctx.goCtx, len(origins), s.opts.Parallelism, func(i int) error {
 		var target *array.Dense
 		var err error
-		if pl.Dense != nil {
-			if target, err = pl.Dense.Slice(box); err != nil {
-				return err
-			}
+		if cut != nil {
+			target = cut[i]
 			locals[i][id] = target
 		} else if target, err = s.resolveDenseChunk(ctx.v, id, attr.Name, ck, origins[i], locals[i], false, nil); err != nil {
 			return err
 		}
-		targets[i] = target
 		payload := target.Bytes()
 		entryBase := -1
-		if baseID > 0 {
-			baseChunk, err := s.resolveDenseChunk(ctx.v, baseID, attr.Name, ck, origins[i], locals[i], false, nil)
+		for k, b := range bases {
+			if b <= 0 || entryBase >= 0 {
+				break
+			}
+			var baseChunk *array.Dense
+			if k == 0 {
+				if baseChunk, err = s.resolveDenseChunk(ctx.v, b, attr.Name, ck, origins[i], locals[i], false, nil); err != nil {
+					return err
+				}
+			} else if baseChunk = locals[i][b]; baseChunk == nil { // a fallback is tried only when resident
+				d, _ := s.chunkCache.Get(cache.Key{Array: ctx.st.Schema.Name, Gen: ctx.v.gen.id, Version: b, Attr: attr.Name, Chunk: keys[i]})
+				baseChunk, _ = d.(*array.Dense)
+			}
+			if k > 0 && (baseChunk == nil || !delta.Alike(target, baseChunk)) {
+				continue
+			}
+			blob, err := delta.EncodeHybridUnder(target, baseChunk, len(payload))
 			if err != nil {
 				return err
 			}
-			blob, err := delta.Encode(delta.Hybrid, target, baseChunk)
-			if err != nil {
-				return err
-			}
-			if len(blob) < len(payload) {
-				payload, entryBase = blob, baseID
+			if blob != nil {
+				payload, entryBase = blob, b
 			}
 		}
 		rawDense := entryBase < 0
-		sealed, used, err := seal(pickCodec(s.opts.Codec, rawDense), s.opts.AdaptiveCodec, payload, sealParams(rawDense, box, attr.Type))
+		sealed, used, err := seal(pickCodec(s.opts.Codec, rawDense), s.opts.AdaptiveCodec, payload, sealParams(rawDense, ck.Box(origins[i]), attr.Type))
 		if err != nil {
 			return err
 		}
@@ -964,18 +944,14 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, pl Pla
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, len(origins))
-	for i, origin := range origins {
-		keys[i] = ck.Key(origin)
-	}
 	if err := s.writeFrames(ctx, attr.Name, keys, blobs, results); err != nil {
 		return nil, err
 	}
 	entries := make(map[string]chunkEntry, len(origins))
-	for i, origin := range origins {
-		entries[keys[i]] = results[i]
-		if ctx.head != nil {
-			ctx.head[cache.Key{Array: ctx.st.Schema.Name, Version: id, Attr: attr.Name, Chunk: ck.Key(origin)}] = targets[i]
+	for i, key := range keys {
+		entries[key] = results[i]
+		if ctx.head != nil { // a write's: its chunks are the cut
+			ctx.head[cache.Key{Array: ctx.st.Schema.Name, Version: id, Attr: attr.Name, Chunk: key}] = cut[i]
 		}
 	}
 	return entries, nil
@@ -1036,13 +1012,14 @@ func (s *Store) createWithVersions(ctx context.Context, schema array.Schema, fro
 	if err != nil {
 		return err
 	}
+	pc := s.cutPayloads(ctx, st, ps)
 	st.writeMu.Lock()
 	defer st.writeMu.Unlock()
 	if err := s.publishArray(st, true); err != nil {
 		return err
 	}
 	defer s.endCreate(schema.Name)
-	if _, err := s.write(ctx, []*arrayState{st}, [][]Payload{ps}, kind); err != nil {
+	if _, err := s.write(ctx, []*arrayState{st}, []*payloadCut{pc}, kind); err != nil {
 		if derr := s.dropArray(st, true); derr != nil {
 			return fmt.Errorf("%w (rolling back array %q also failed: %v)", err, schema.Name, derr)
 		}

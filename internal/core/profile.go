@@ -23,6 +23,7 @@ const (
 	StageDelta       = "delta"       // delta-chain apply
 	StageMaterialize = "materialize" // slice + copy into the result array
 
+	StageCut         = "cut"          // dense payload planes cut into chunks, before the latch
 	StageStageEncode = "stage_encode" // resolve + encode + unsynced append
 	StageQueueWait   = "queue_wait"   // wait for the write latches of every array written
 	StageDataFsync   = "data_fsync"   // fsync of the write's chunk files
@@ -34,7 +35,7 @@ const (
 // exposition and EXPLAIN output.
 var (
 	selectStageOrder = []string{StageSnapshot, StageCache, StageRead, StageDecode, StageDelta, StageMaterialize}
-	commitStageOrder = []string{StageStageEncode, StageQueueWait, StageDataFsync, StageMetaCommit, StageInstall}
+	commitStageOrder = []string{StageCut, StageStageEncode, StageQueueWait, StageDataFsync, StageMetaCommit, StageInstall}
 )
 
 // stageLatencyBounds spans the per-chunk micro-operations (tens of
@@ -87,12 +88,14 @@ func newProfile() *profile {
 	return p
 }
 
-func (p *profile) observeCommit(stage string, d time.Duration, bytes int64) {
-	m := p.comStages[stage]
+// observeCommit records one write-path stage, timed from since, in the
+// store's histograms and in tr (nil-safe).
+func (s *Store) observeCommit(tr *trace.Trace, stage string, since time.Time, bytes int64) {
+	d := time.Since(since)
+	m := s.prof.comStages[stage]
 	m.hist.Observe(d.Seconds())
-	if bytes != 0 {
-		m.bytes.Add(bytes)
-	}
+	m.bytes.Add(bytes)
+	tr.Observe(stage, d, bytes)
 }
 
 // opTracker routes one select's stage observations to both the

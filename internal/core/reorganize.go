@@ -655,7 +655,8 @@ func FilterWorkload(wl []layout.Query, ids []int) []layout.Query {
 // go in id order, so every chain file takes its frames in version order.
 func (s *Store) buildRewrite(v *readView, buildDir string, ws *writeSet, memo *chunkCache, l layout.Layout) ([]map[string]map[string]chunkEntry, error) {
 	st := v.st
-	ctx := &insertCtx{st: st, v: v, ws: ws, qc: memo, dir: buildDir, chains: true, sparse: st.SparseRep}
+	ctx := &insertCtx{st: st, v: v, ws: ws, qc: memo, dir: buildDir, chains: true, sparse: st.SparseRep,
+		goCtx: context.Background()} //avlint:allow-ctx a rewrite has no caller context to cancel it
 	entries := make([]map[string]map[string]chunkEntry, len(v.ids))
 	for i, id := range v.ids {
 		entries[i] = make(map[string]map[string]chunkEntry, len(st.Schema.Attrs))
@@ -664,7 +665,7 @@ func (s *Store) buildRewrite(v *readView, buildDir string, ws *writeSet, memo *c
 			base = v.ids[p]
 		}
 		for _, attr := range st.Schema.Attrs {
-			m, err := s.encodePlane(ctx, id, attr, Plane{}, base)
+			m, err := s.encodePlane(ctx, id, attr, nil, nil, base)
 			if err != nil {
 				return nil, err
 			}
@@ -778,7 +779,8 @@ func (s *Store) stageDeleteVersion(st *arrayState, staged *arrayMeta, id int, ws
 	v := viewOf(st, staged.Versions)
 	v.noLookup, v.noAdmit = true, true
 	vm := v.byID[id]
-	ctx := &insertCtx{st: st, v: v, ws: ws, qc: newChunkCache(false), dir: v.gen.dir, sparse: staged.SparseRep}
+	ctx := &insertCtx{st: st, v: v, ws: ws, qc: newChunkCache(false), dir: v.gen.dir, sparse: staged.SparseRep,
+		goCtx: context.Background()} //avlint:allow-ctx DeleteVersion's child re-encode is not cancellable
 	for si, child := range staged.Versions {
 		if child.ID == id || child.Deleted {
 			continue
@@ -807,7 +809,7 @@ func (s *Store) stageDeleteVersion(st *arrayState, staged *arrayMeta, id int, ws
 					}
 				}
 			}
-			entries, err := s.encodePlane(ctx, child.ID, attr, Plane{}, newBase)
+			entries, err := s.encodePlane(ctx, child.ID, attr, nil, nil, newBase)
 			if err != nil {
 				return err
 			}

@@ -94,19 +94,30 @@ func BenchmarkSelectColdChain(b *testing.B) {
 // off and on, and on with Durability. Off, the insert reads its delta
 // base by walking the whole chain; on, the base is the chunks the
 // previous insert admitted; durable, the insert also fsyncs the log and
-// the manifest log. Every iteration inserts the 17th version and then
-// (untimed) deletes it, so the chain stays 16 deep.
+// the manifest log. The far arm (cache on) inserts versions unrelated
+// to each other — every cell random over the full range — so every
+// chunk tries its delta and materializes. Every iteration inserts the
+// 17th version and then (untimed) deletes it, so the chain stays 16
+// deep.
 func BenchmarkInsertChain(b *testing.B) {
 	const side, depth = 512, 16
-	versions := driftSeries(depth+1, side, 87)
+	near := driftSeries(depth+1, side, 87)
+	far := make([]*array.Dense, depth+1)
+	rng := rand.New(rand.NewSource(89))
+	for i := range far {
+		far[i] = array.MustDense(array.Int32, []int64{side, side})
+		rng.Read(far[i].Bytes())
+	}
 	for _, arm := range []struct {
 		name       string
 		cacheBytes int64
 		durable    bool
+		versions   []*array.Dense
 	}{
-		{"cache=false", 0, false},
-		{"cache=true", DefaultCacheBytes, false},
-		{"durable=true", DefaultCacheBytes, true},
+		{"cache=false", 0, false, near},
+		{"cache=true", DefaultCacheBytes, false, near},
+		{"durable=true", DefaultCacheBytes, true, near},
+		{"far=true", DefaultCacheBytes, false, far},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			opts := DefaultOptions()
@@ -121,7 +132,7 @@ func BenchmarkInsertChain(b *testing.B) {
 			if err := s.CreateArray(schema2D("I", side)); err != nil {
 				b.Fatal(err)
 			}
-			for _, v := range versions[:depth] {
+			for _, v := range arm.versions[:depth] {
 				if _, err := s.Insert("I", DensePayload(v)); err != nil {
 					b.Fatal(err)
 				}
@@ -129,7 +140,7 @@ func BenchmarkInsertChain(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				id, err := s.Insert("I", DensePayload(versions[depth]))
+				id, err := s.Insert("I", DensePayload(arm.versions[depth]))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"arrayvers/internal/array"
 	"arrayvers/internal/compress"
@@ -93,9 +94,10 @@ func dumpEntries(t *testing.T, s *Store, name string, b *strings.Builder) {
 // inserts (one of them a two-payload batch), a mid-chain DeleteVersion
 // and three Reorganizes (sampled, exact, batched), every chunk entry's
 // base, length and codec must match the golden byte for byte, with the
-// decoded-chunk cache off and on. G (9 000 cells, ragged edge chunks)
-// takes the sampled estimate at insert; E (1 600 cells) the exact one.
-// -update rewrites the golden.
+// decoded-chunk cache off and on. An insert tries its head chunk by
+// chunk and keeps each chunk's delta only when it is smaller than the
+// raw chunk; G (9 000 cells) has ragged edge chunks, E (1 600 cells)
+// fits in few. -update rewrites the golden.
 func TestStagingDecisionsGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "staging_decisions.golden")
 	for _, cacheBytes := range []int64{0, DefaultCacheBytes} {
@@ -314,5 +316,211 @@ func TestColdInsertMemoizesOnlyItsBase(t *testing.T) {
 	plane := uint64(versions[depth].SizeBytes())
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 6*plane {
 		t.Fatalf("the insert allocated %d bytes (%.1f planes of %d), want at most 6 planes", grew, float64(grew)/float64(plane), plane)
+	}
+}
+
+// TestFarPairInsertStoresRaw: an insert unrelated to its head — every
+// cell random over the full int32 range — keeps no delta, since no
+// chunk's hybrid blob beats the raw chunk: every chunk is stored raw
+// (Base == -1). The next insert, a near one, deltas every chunk against
+// it. Both read back byte-identical, live and after a reopen.
+func TestFarPairInsertStoresRaw(t *testing.T) {
+	const side = 64
+	s := testStore(t, smallOpts())
+	defer func() { s.Close() }()
+	if err := s.CreateArray(schema2D("F", side)); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(61))
+	versions := make([]*array.Dense, 3)
+	for i := range versions[:2] {
+		versions[i] = array.MustDense(array.Int32, []int64{side, side})
+		rng.Read(versions[i].Bytes())
+	}
+	versions[2] = versions[1].Clone()
+	for i := int64(0); i < versions[2].NumCells(); i += 17 {
+		versions[2].SetBits(i, versions[2].Bits(i)^1)
+	}
+	for _, v := range versions {
+		if _, err := s.Insert("F", DensePayload(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id, want := range map[int]int{2: -1, 3: 2} {
+		bases := chunkBases(s, "F", id)
+		if len(bases) < 2 {
+			t.Fatalf("version %d has %d chunks, want several", id, len(bases))
+		}
+		for key, base := range bases {
+			if base != want {
+				t.Errorf("version %d chunk %s: base %d, want %d", id, key, base, want)
+			}
+		}
+	}
+	for range 2 {
+		for i, v := range versions {
+			mustSelect(t, s, "F", i+1, v)
+		}
+		s = reopen(t, s)
+	}
+}
+
+// TestReorderedInsertFindsItsPredecessor: two writers' payloads can
+// commit out of the order they were sent in, so a payload's head may be
+// unrelated to it while its true predecessor sits just behind. A chunk
+// whose delta against the head does not shrink it tries the two
+// versions before the head that are resident and look alike: here
+// version 4, a near copy of version 1, commits after versions 2 and 3
+// of an unrelated series. With a cache, version 1's chunks are resident
+// and version 4 deltas every chunk against them; without one, trying
+// them would mean walking their chains, and version 4 is stored raw.
+// Every version reads back byte-identical.
+func TestReorderedInsertFindsItsPredecessor(t *testing.T) {
+	const side = 64
+	rng := rand.New(rand.NewSource(62))
+	a, b := array.MustDense(array.Int32, []int64{side, side}), array.MustDense(array.Int32, []int64{side, side})
+	rng.Read(a.Bytes())
+	rng.Read(b.Bytes())
+	near := func(d *array.Dense, step int64) *array.Dense {
+		c := d.Clone()
+		for i := int64(0); i < c.NumCells(); i += step {
+			c.SetBits(i, c.Bits(i)^3)
+		}
+		return c
+	}
+	versions := []*array.Dense{a, b, near(b, 23), near(a, 19)}
+	for _, cacheBytes := range []int64{0, DefaultCacheBytes} {
+		t.Run(fmt.Sprintf("cache=%v", cacheBytes > 0), func(t *testing.T) {
+			opts := smallOpts()
+			opts.CacheBytes = cacheBytes
+			s := testStore(t, opts)
+			defer s.Close()
+			if err := s.CreateArray(schema2D("R", side)); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range versions {
+				if _, err := s.Insert("R", DensePayload(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := map[int]int{2: -1, 3: 2, 4: -1}
+			if cacheBytes > 0 {
+				want[4] = 1
+			}
+			for id, base := range want {
+				for key, got := range chunkBases(s, "R", id) {
+					if got != base {
+						t.Errorf("version %d chunk %s: base %d, want %d", id, key, got, base)
+					}
+				}
+			}
+			for i, v := range versions {
+				mustSelect(t, s, "R", i+1, v)
+			}
+		})
+	}
+}
+
+// cutCount is how many writes have cut their payloads so far.
+func cutCount(s *Store) int64 { return s.prof.comStages[StageCut].hist.Snapshot().Count }
+
+// TestWriteRecutsForRecreatedArray: a Write cuts its payload for the
+// array it looked up, then waits for the write latch. The array is
+// dropped and recreated while it waits, so the write stages against the
+// new array, whose cut it makes again under the latch. Recreated with
+// the same schema, the version commits as the new array's first and
+// reads back byte-identical, live and after a durable reopen; recreated
+// with another shape, the write fails with the schema error and commits
+// nothing. A cut bound to the old array, poisoned, is never what a
+// write commits.
+func TestWriteRecutsForRecreatedArray(t *testing.T) {
+	const side = 32
+	for _, same := range []bool{true, false} {
+		t.Run(fmt.Sprintf("sameSchema=%v", same), func(t *testing.T) {
+			opts := smallOpts()
+			opts.Durability = true
+			s := testStore(t, opts)
+			defer func() { s.Close() }()
+			if err := s.CreateArray(schema2D("G", side)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Insert("G", DensePayload(crashContent(1, side))); err != nil {
+				t.Fatal(err)
+			}
+			s.mu.RLock()
+			old := s.arrays["G"]
+			s.mu.RUnlock()
+			payload := crashContent(2, side)
+			// hold the old array's latch so the write waits for it after
+			// its cut
+			old.writeMu.Lock()
+			before := cutCount(s)
+			done := make(chan error, 1)
+			go func() {
+				_, err := s.Write(context.Background(), []MultiInsert{{Array: "G", Payloads: []Payload{DensePayload(payload)}}})
+				done <- err
+			}()
+			deadline := time.Now().Add(hangBound)
+			for cutCount(s) == before {
+				if time.Now().After(deadline) {
+					old.writeMu.Unlock()
+					t.Fatal("the write never cut its payload")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			reachLatch()
+			err := s.dropArray(old, false)
+			if err == nil {
+				newSide := int64(side)
+				if !same {
+					newSide = side / 2
+				}
+				err = s.CreateArray(schema2D("G", newSide))
+			}
+			old.writeMu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err = <-done:
+			case <-time.After(hangBound):
+				t.Fatal("the write never finished")
+			}
+			if !same {
+				if err == nil || !strings.Contains(err.Error(), "payload shape") {
+					t.Fatalf("write into the reshaped array: %v, want the schema error", err)
+				}
+				for range 2 {
+					if info, err := s.Info("G"); err != nil || info.NumVersions != 0 {
+						t.Fatalf("reshaped array: %d versions (%v), want 0", info.NumVersions, err)
+					}
+					s = reopen(t, s)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// a stale cut handed to write directly, its chunks zeroed
+			next := crashContent(3, side)
+			pc := s.cutPayloads(context.Background(), old, []Payload{DensePayload(next)})
+			for _, c := range pc.chunks[0][0] {
+				clear(c.Bytes())
+			}
+			st, err := s.lockWrite("G")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.write(context.Background(), []*arrayState{st}, []*payloadCut{pc}, "insert")
+			st.writeMu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range 2 {
+				mustSelect(t, s, "G", 1, payload)
+				mustSelect(t, s, "G", 2, next)
+				s = reopen(t, s)
+			}
+		})
 	}
 }

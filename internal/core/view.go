@@ -38,6 +38,15 @@ type readView struct {
 	byID map[int]*versionMeta
 }
 
+// newest is the k-th newest live version id the view sees (0: the
+// head) — a staging view's ids include the versions it staged — or 0.
+func (v *readView) newest(k int) int {
+	if k >= len(v.ids) {
+		return 0
+	}
+	return v.ids[len(v.ids)-1-k]
+}
+
 // generation is one chunk directory of one array as readers see it, a
 // value they pin (LevelDB's reference-counted Version). The array holds
 // one reference to its current generation; a snapshot takes another

@@ -51,10 +51,19 @@ func (s *Store) Write(ctx context.Context, puts []MultiInsert) ([][]int, error) 
 	}
 	// every writer takes its write latches in name order, so writes over
 	// overlapping array sets cannot deadlock; the wait for them is this
-	// write's queue_wait
+	// write's queue_wait. Before it, each put's dense planes are cut into
+	// its array's chunks — work that needs no base, so no latch.
 	sort.Slice(order, func(a, b int) bool { return puts[order[a]].Array < puts[order[b]].Array })
+	cuts := make([]*payloadCut, len(puts))
+	cutStart := time.Now()
+	for k, i := range order {
+		s.mu.RLock()
+		st := s.arrays[puts[i].Array]
+		s.mu.RUnlock()
+		cuts[k] = s.cutPayloads(ctx, st, puts[i].Payloads)
+	}
+	s.observeCommit(trace.FromContext(ctx), StageCut, cutStart, 0)
 	sts := make([]*arrayState, 0, len(puts))
-	ps := make([][]Payload, 0, len(puts))
 	waitStart := time.Now()
 	for _, i := range order {
 		st, err := s.lockWrite(puts[i].Array)
@@ -63,12 +72,9 @@ func (s *Store) Write(ctx context.Context, puts []MultiInsert) ([][]int, error) 
 		}
 		defer st.writeMu.Unlock()
 		sts = append(sts, st)
-		ps = append(ps, puts[i].Payloads)
 	}
-	wait := time.Since(waitStart)
-	s.prof.observeCommit(StageQueueWait, wait, 0)
-	trace.FromContext(ctx).Observe(StageQueueWait, wait, 0)
-	byName, err := s.write(ctx, sts, ps, "insert")
+	s.observeCommit(trace.FromContext(ctx), StageQueueWait, waitStart, 0)
+	byName, err := s.write(ctx, sts, cuts, "insert")
 	if err != nil {
 		return nil, err
 	}

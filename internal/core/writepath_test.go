@@ -913,8 +913,72 @@ func TestDurableWriteSyncCounts(t *testing.T) {
 	})
 }
 
+// TestCrossArrayLogSyncsRunTogether: a durable two-array Write fsyncs
+// both arrays' data logs at once. The first log sync parks until the
+// second one starts — a write that synced them one after another would
+// never start the second — and the write commits only after both.
+func TestCrossArrayLogSyncsRunTogether(t *testing.T) {
+	const side = 16
+	first, second, unpark := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var armed atomic.Bool
+	var syncs atomic.Int32
+	hfs := &hookFS{FS: fsio.OS}
+	hfs.onSync = func(path string) {
+		if !isDataLog(path) || !armed.Load() {
+			return
+		}
+		switch syncs.Add(1) {
+		case 1:
+			close(first)
+			<-unpark
+		case 2:
+			close(second)
+		}
+	}
+	opts := smallOpts()
+	opts.Durability = true
+	opts.FS = hfs
+	s := testStore(t, opts)
+	defer s.Close()
+	var once sync.Once
+	release := func() { once.Do(func() { close(unpark) }) }
+	defer release() // before Close, which waits for the parked write
+	base, next := crashContent(1, side), crashContent(2, side)
+	for _, name := range []string{"A", "B"} {
+		if err := s.CreateArray(schema2D(name, side)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Insert(name, DensePayload(base)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	armed.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Write(context.Background(), []MultiInsert{
+			{Array: "A", Payloads: []Payload{DensePayload(next)}},
+			{Array: "B", Payloads: []Payload{DensePayload(next)}},
+		})
+		done <- err
+	}()
+	awaitPark(t, first)
+	awaitPark(t, second)
+	select {
+	case err := <-done:
+		t.Fatalf("write returned (%v) while a log sync was parked", err)
+	default:
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	mustSelect(t, s, "A", 2, next)
+	mustSelect(t, s, "B", 2, next)
+}
+
 // TestInsertMultiTraceStages: a traced cross-array Write reports every
-// write-path stage: staging once per array, the commit's stages once.
+// write-path stage: staging once per array, the cut and the commit's
+// stages once.
 func TestInsertMultiTraceStages(t *testing.T) {
 	const side = 16
 	opts := smallOpts()
@@ -939,6 +1003,7 @@ func TestInsertMultiTraceStages(t *testing.T) {
 		counts[st.Stage] = st.Count
 	}
 	want := map[string]int64{
+		StageCut:         1, // both puts cut before the latches
 		StageQueueWait:   1, // the latch wait
 		StageStageEncode: 2, // one per array
 		StageDataFsync:   1, // the write's files, synced before its record

@@ -3,6 +3,7 @@ package delta
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"arrayvers/internal/array"
 )
@@ -83,7 +84,7 @@ func encodeBlockMatch(target, base *array.Dense, blockSize, radius int) ([]byte,
 			}
 		}
 	}
-	residual := encodeCellwise(Hybrid, target, pred)
+	residual := encodeCellwise(Hybrid, target, pred, math.MaxInt)
 	out := putHeader(BlockMatch, dt)
 	out = append(out, byte(blockSize))
 	out = binary.AppendUvarint(out, uint64(len(vectors)/2))

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
 
@@ -15,8 +16,10 @@ import (
 // three decode:
 //
 //   - pass 1 reads target and base at the dtype's native width, one
-//     64-bit word (64/k cells of k bits) at a time, skips equal words,
-//     and builds only a histogram of the differences' zigzag widths;
+//     64-bit word (64/k cells of k bits) at a time, skips equal words
+//     (and equal runs of equalRun bytes at once), and builds only a
+//     histogram of the differences' zigzag widths, in one loop per lane
+//     width;
 //   - the plane width comes from that histogram alone: Dense takes the
 //     widest code, Sparse has no plane, Hybrid minimizes the exact cost
 //     model (widthHist.hybridWidth);
@@ -25,7 +28,11 @@ import (
 //     accumulator, which steps over runs of zero codes without storing
 //     them, and overlay gaps and values as they come.
 //
-// No per-cell plane is ever allocated. Equivalence to the cell-accessor
+// No per-cell plane is ever allocated. A caller that keeps a blob only
+// when it is smaller than some limit — the store's delta-or-materialize
+// choice (§III-B.3) — passes the limit in: when pass 1 proves the blob
+// would not be smaller, the kernel stops there and allocates nothing
+// (EncodeHybridUnder). Equivalence to the cell-accessor
 // reference (scalarEncode in oracle_test.go, driven by FuzzEncode): the
 // reference takes wrapDiff of the int64 bit patterns, the low k bits of
 // t−b sign-extended; the low k bits of a difference depend only on the
@@ -114,7 +121,7 @@ func tailWord(b []byte) uint64 {
 // cellEncoder is the kernel's state across its two passes.
 type cellEncoder struct {
 	k    uint      // lane width in bits
-	hist widthHist // of the cells of differing words only until pass 1 ends
+	hist widthHist // pass 1's, of every cell
 
 	// pass 2
 	width              int // plane width; wider codes go to the overlay
@@ -124,38 +131,142 @@ type cellEncoder struct {
 	planeNext, prevIdx int64 // first cell not yet in the plane; last overlay index
 }
 
+// equalRun is how many bytes both passes compare at once, through the
+// runtime's vectorized bytes.Equal, before they look at single words:
+// a near pair's unchanged runs cost a fraction of a word-by-word walk.
+const equalRun = 128
+
 // walk visits every word pair that differs, with the index of its first
-// cell and its number of cells: count in pass 1, emit in pass 2.
-func (e *cellEncoder) walk(tb, bb []byte, emit bool) {
+// cell and its number of cells, and emits its cells: pass 2.
+func (e *cellEncoder) walk(tb, bb []byte) {
 	bb = bb[:len(tb)]
 	lanes := 64 / e.k
-	off, cell := 0, int64(0)
-	for ; off+8 <= len(tb); off, cell = off+8, cell+int64(lanes) {
+	whole := len(tb) &^ 7
+	for run := 0; run < whole; run += equalRun {
+		end := min(run+equalRun, whole)
+		if bytes.Equal(tb[run:end], bb[run:end]) {
+			continue
+		}
+		for off := run; off < end; off += 8 {
+			tw, bw := binary.LittleEndian.Uint64(tb[off:]), binary.LittleEndian.Uint64(bb[off:])
+			if tw != bw {
+				e.emit(tw, bw, int64(off)*8/int64(e.k), lanes)
+			}
+		}
+	}
+	if whole < len(tb) {
+		e.emit(tailWord(tb[whole:]), tailWord(bb[whole:]), int64(whole)*8/int64(e.k), uint(len(tb)-whole)*8/e.k)
+	}
+}
+
+// Pass 1 counts every cell of a differing word, zeros included: a branch
+// per cell would mispredict on scattered changes. The lane width is a
+// constant in each loop, and neighbouring lanes (for 8-byte cells,
+// neighbouring words) count into two histograms, so two cells of one
+// width — most often 0, the unchanged neighbours of a changed cell — do
+// not increment one counter back to back.
+
+func width8(tw, bw uint64) int {
+	d := int8(uint8(tw) - uint8(bw))
+	return bits.Len8(uint8(d<<1 ^ d>>7))
+}
+
+func width16(tw, bw uint64) int {
+	d := int16(uint16(tw) - uint16(bw))
+	return bits.Len16(uint16(d<<1 ^ d>>15))
+}
+
+func width32(tw, bw uint64) int {
+	d := int32(uint32(tw) - uint32(bw))
+	return bits.Len32(uint32(d<<1 ^ d>>31))
+}
+
+// countPass is pass 1 over the backing bytes of target and base, whose
+// cells are k bits wide: the width histogram of every cell of every
+// differing word. Equal words are skipped; their cells are the caller's
+// to add at width 0.
+func countPass(tb, bb []byte, k uint) widthHist {
+	var h [2]widthHist
+	bb = bb[:len(tb)]
+	whole := len(tb) &^ 7
+	for run := 0; run < whole; run += equalRun {
+		end := min(run+equalRun, whole)
+		if bytes.Equal(tb[run:end], bb[run:end]) {
+			continue
+		}
+		switch k {
+		case 8:
+			count8(tb[run:end], bb[run:end], &h)
+		case 16:
+			count16(tb[run:end], bb[run:end], &h)
+		case 32:
+			count32(tb[run:end], bb[run:end], &h)
+		default:
+			count64(tb[run:end], bb[run:end], &h)
+		}
+	}
+	if whole < len(tb) {
+		tw, bw := tailWord(tb[whole:]), tailWord(bb[whole:])
+		for s := uint(0); s < uint(len(tb)-whole)*8; s += k {
+			h[0][bits.Len64(bitpack.Zigzag(laneDiff(tw, bw, s, k)))]++
+		}
+	}
+	for w := range h[0] {
+		h[0][w] += h[1][w]
+	}
+	return h[0]
+}
+
+// The count loops take whole words: len(tb) == len(bb), a multiple of 8.
+
+func count8(tb, bb []byte, h *[2]widthHist) {
+	for off := 0; off+8 <= len(tb); off += 8 {
 		tw, bw := binary.LittleEndian.Uint64(tb[off:]), binary.LittleEndian.Uint64(bb[off:])
 		if tw == bw {
 			continue
 		}
-		if emit {
-			e.emit(tw, bw, cell, lanes)
-		} else {
-			e.count(tw, bw, lanes)
-		}
-	}
-	if off < len(tb) {
-		tw, bw, cells := tailWord(tb[off:]), tailWord(bb[off:]), uint(len(tb)-off)*8/e.k
-		if emit {
-			e.emit(tw, bw, cell, cells)
-		} else {
-			e.count(tw, bw, cells)
-		}
+		h[0][width8(tw, bw)]++
+		h[1][width8(tw>>8, bw>>8)]++
+		h[0][width8(tw>>16, bw>>16)]++
+		h[1][width8(tw>>24, bw>>24)]++
+		h[0][width8(tw>>32, bw>>32)]++
+		h[1][width8(tw>>40, bw>>40)]++
+		h[0][width8(tw>>48, bw>>48)]++
+		h[1][width8(tw>>56, bw>>56)]++
 	}
 }
 
-// count adds every cell of a differing word to the histogram, zeros
-// included: a branch per cell would mispredict on scattered changes.
-func (e *cellEncoder) count(tw, bw uint64, cells uint) {
-	for s := uint(0); s < cells*e.k; s += e.k {
-		e.hist[bits.Len64(bitpack.Zigzag(laneDiff(tw, bw, s, e.k)))]++
+func count16(tb, bb []byte, h *[2]widthHist) {
+	for off := 0; off+8 <= len(tb); off += 8 {
+		tw, bw := binary.LittleEndian.Uint64(tb[off:]), binary.LittleEndian.Uint64(bb[off:])
+		if tw == bw {
+			continue
+		}
+		h[0][width16(tw, bw)]++
+		h[1][width16(tw>>16, bw>>16)]++
+		h[0][width16(tw>>32, bw>>32)]++
+		h[1][width16(tw>>48, bw>>48)]++
+	}
+}
+
+func count32(tb, bb []byte, h *[2]widthHist) {
+	for off := 0; off+8 <= len(tb); off += 8 {
+		tw, bw := binary.LittleEndian.Uint64(tb[off:]), binary.LittleEndian.Uint64(bb[off:])
+		if tw == bw {
+			continue
+		}
+		h[0][width32(tw, bw)]++
+		h[1][width32(tw>>32, bw>>32)]++
+	}
+}
+
+func count64(tb, bb []byte, h *[2]widthHist) {
+	for off := 0; off+8 <= len(tb); off += 8 {
+		tw, bw := binary.LittleEndian.Uint64(tb[off:]), binary.LittleEndian.Uint64(bb[off:])
+		if tw == bw {
+			continue
+		}
+		h[off>>3&1][bits.Len64(bitpack.Zigzag(int64(tw-bw)))]++
 	}
 }
 
@@ -183,12 +294,17 @@ func (e *cellEncoder) emit(tw, bw uint64, cell int64, cells uint) {
 }
 
 // encodeCellwise is the kernel: it encodes target against base with
-// cellwise method m (Dense, Sparse or Hybrid).
-func encodeCellwise(m Method, target, base *array.Dense) []byte {
+// cellwise method m (Dense, Sparse or Hybrid), or returns nil when the
+// blob would take limit bytes or more. Pass 1's histogram bounds the
+// blob from below — the plane and the overlay exactly, each index gap at
+// its least, one byte — so a blob that cannot fit is refused before
+// anything is allocated or pass 2 runs; one that may fit is encoded and
+// measured. The blob is the same whatever the limit.
+func encodeCellwise(m Method, target, base *array.Dense, limit int) []byte {
 	dt, n := target.DType(), target.NumCells()
 	tb, bb := target.Bytes(), base.Bytes()
-	e := &cellEncoder{k: uint(dt.Size() * 8)}
-	e.walk(tb, bb, false)
+	e := cellEncoder{k: uint(dt.Size() * 8)}
+	e.hist = countPass(tb, bb, e.k)
 	counted, _ := e.hist.wider(-1)
 	e.hist[0] += n - counted // the cells of equal words
 
@@ -205,11 +321,16 @@ func encodeCellwise(m Method, target, base *array.Dense) []byte {
 	// the buffer: header and plane exactly; the overlay exactly but for
 	// its index gaps, each at most a uvarint of n
 	pre := hdr + planeLen
-	size := pre
+	size, least := pre, pre
 	var nnz, valBytes int64
 	if m != Dense {
 		nnz, valBytes = e.hist.wider(e.width)
-		size += uvarintLen(uint64(nnz)) + int(nnz)*uvarintLen(uint64(n)) + int(valBytes)
+		overlay := uvarintLen(uint64(nnz)) + int(valBytes)
+		size += overlay + int(nnz)*uvarintLen(uint64(n))
+		least += overlay + int(nnz)
+	}
+	if least >= limit {
+		return nil
 	}
 	e.out = make([]byte, size)
 	e.out[0], e.out[1] = byte(m), byte(dt)
@@ -224,10 +345,13 @@ func encodeCellwise(m Method, target, base *array.Dense) []byte {
 	valStart := size - int(valBytes)
 	e.valPos = valStart
 
-	e.walk(tb, bb, true)
+	e.walk(tb, bb)
 	e.plane.Bytes() // stores the plane's last partial word
 	// the values went to the end of the buffer: close the slack the gap
 	// bound left between them and the index gaps (none for Dense)
 	copy(e.out[e.gapPos:], e.out[valStart:])
-	return e.out[:e.gapPos+int(valBytes)]
+	if blob := e.out[:e.gapPos+int(valBytes)]; len(blob) < limit {
+		return blob
+	}
+	return nil
 }

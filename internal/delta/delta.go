@@ -23,7 +23,9 @@
 package delta
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"arrayvers/internal/array"
 )
@@ -138,7 +140,7 @@ func Encode(m Method, target, base *array.Dense) ([]byte, error) {
 	}
 	switch m {
 	case Dense, Sparse, Hybrid:
-		return encodeCellwise(m, target, base), nil
+		return encodeCellwise(m, target, base, math.MaxInt), nil
 	case BlockMatch:
 		return encodeBlockMatch(target, base, DefaultBlockSize, DefaultSearchRadius)
 	case BSDiff:
@@ -146,6 +148,39 @@ func Encode(m Method, target, base *array.Dense) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("delta: cannot Encode with method %v", m)
 	}
+}
+
+// EncodeHybridUnder returns Encode(Hybrid, target, base) when that blob
+// is shorter than limit bytes, and nil when it is not — deciding from
+// the kernel's first pass, without encoding, whenever the blob provably
+// cannot be shorter. Keeping a delta only when it beats the raw chunk
+// is then one call that costs a far pair a histogram, not an encode.
+func EncodeHybridUnder(target, base *array.Dense, limit int) ([]byte, error) {
+	if err := CheckPair(target, base); err != nil {
+		return nil, err
+	}
+	return encodeCellwise(Hybrid, target, base, limit), nil
+}
+
+// Alike reports whether a trial encode of target against base is worth
+// running: whether at least one in eight of up to 64 evenly spaced
+// 8-byte words of their cells is equal. Unrelated content (random cells,
+// a fresh field) shares no word; a version and a near relative share
+// most. Arrays of under 8 bytes are always alike.
+func Alike(target, base *array.Dense) bool {
+	tb, bb := target.Bytes(), base.Bytes()
+	words := min(len(tb), len(bb)) / 8
+	if words == 0 {
+		return true
+	}
+	probes, equal := 0, 0
+	for w := 0; w < words; w += max(1, words/64) {
+		if binary.LittleEndian.Uint64(tb[8*w:]) == binary.LittleEndian.Uint64(bb[8*w:]) {
+			equal++
+		}
+		probes++
+	}
+	return 8*equal >= probes
 }
 
 // Apply reconstructs the target array from a delta blob and its base,

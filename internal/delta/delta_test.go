@@ -343,8 +343,8 @@ func TestSparseOpsValidation(t *testing.T) {
 
 func TestEstimateSizeAccuracy(t *testing.T) {
 	target, base := makePair(array.Int32, []int64{128, 128}, 51)
-	exact := EstimateSize(target, base, 0, 1)
-	est := EstimateSize(target, base, 1024, 1)
+	exact := estimateSize(target, base, 0, 1)
+	est := estimateSize(target, base, 1024, 1)
 	ratio := float64(est) / float64(exact)
 	if ratio < 0.4 || ratio > 2.5 {
 		t.Errorf("sampled estimate %d vs exact %d (ratio %.2f)", est, exact, ratio)

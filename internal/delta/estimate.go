@@ -25,20 +25,9 @@ import (
 // the estimator over R uniformly random cells; only the independence
 // between entries goes, and since the layout algorithms compare entries,
 // the shared draw (common random numbers) lowers the variance of exactly
-// the differences they act on. EstimateSize is the three calls for a
-// single pair.
-
-// EstimateSize estimates the hybrid-delta encoded size of (target − base)
-// from a random sample of R cells, scaled by N/R. If sample <= 0 or
-// sample >= N the exact size is computed instead.
-func EstimateSize(target, base *array.Dense, sample int, seed int64) int64 {
-	n := target.NumCells()
-	if sample <= 0 || int64(sample) >= n {
-		return int64(len(encodeCellwise(Hybrid, target, base)))
-	}
-	idx := SampleCells(n, sample, seed)
-	return EstimateSampled(target.DType(), n, Gather(target, idx), Gather(base, idx))
-}
+// the differences they act on. The store prices the one pair an insert
+// tries exactly instead, by encoding it (EncodeHybridUnder), so the
+// sampled estimator serves only the matrix.
 
 // SampleCells draws sample uniformly random flat positions out of n
 // cells (with replacement) from a source seeded with seed. The same

@@ -77,10 +77,12 @@ func FuzzApply(f *testing.F) {
 // built by encodePair from the fuzzer's dtype, cell count, change share,
 // change kind, seed and base bytes is encoded by Encode and by the scalar
 // oracle, which must agree byte for byte on Dense, Sparse and Hybrid and
-// on EstimateSize at samples 0, 16 and 4096; every blob must apply back
-// to the target. Cell counts run from 1 to 6000, so the 8-byte word walk
-// gets every tail length and EstimateSize both its exact and its sampled
-// path.
+// on the sampled estimate at samples 0, 16 and 4096; every blob must
+// apply back to the target, and EncodeHybridUnder must agree with
+// Encode's hybrid blob at every limit checkBounded tries, for every
+// dtype, so each lane width's count loop is covered. Cell counts run
+// from 1 to 6000, so the 8-byte word walk gets every tail length and
+// the estimate both its exact and its sampled path.
 func FuzzEncode(f *testing.F) {
 	maxInt32 := []byte{0xff, 0xff, 0xff, 0x7f}
 	minInt32 := []byte{0x00, 0x00, 0x00, 0x80}

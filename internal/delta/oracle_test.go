@@ -13,9 +13,10 @@ import (
 // sampled size estimate as they were before the two kernels, kept here
 // as the oracles the differential harnesses drive the kernels against —
 // inplace_test.go and FuzzApplyInPlace for ApplyInPlace, encode_test.go
-// and FuzzEncode for the encode kernel and EstimateSize. Deliberately the
-// simplest correct implementations: materialize every cell's difference
-// through the generic cell accessors, then pack or walk the whole plane.
+// and FuzzEncode for the encode kernel and the sampled estimate.
+// Deliberately the simplest correct implementations: materialize every
+// cell's difference through the generic cell accessors, then pack or
+// walk the whole plane.
 
 // scalarEncode encodes target against base with cellwise method m.
 func scalarEncode(m Method, target, base *array.Dense) []byte {
@@ -157,7 +158,7 @@ func varintLen(v int64) int {
 	return uvarintLen(uint64((v << 1) ^ (v >> 63)))
 }
 
-// scalarEstimate is EstimateSize through the scalar references.
+// scalarEstimate is estimateSize through the scalar references.
 func scalarEstimate(target, base *array.Dense, sample int, seed int64) int64 {
 	n := target.NumCells()
 	if sample <= 0 || int64(sample) >= n {

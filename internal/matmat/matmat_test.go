@@ -133,8 +133,9 @@ func TestComputeErrors(t *testing.T) {
 }
 
 // TestComputeSampledIsEstimateSize pins the sampled matrix to the
-// paper's estimator: every entry is what delta.EstimateSize returns for
-// that pair at the matrix's sample size and seed.
+// paper's estimator: every entry is what delta.EstimateSampled returns
+// for that pair from its cells at delta.SampleCells' draw, at the
+// matrix's sample size and seed, in the draw's order.
 func TestComputeSampledIsEstimateSize(t *testing.T) {
 	vs := versionSeries(6, 48, 5)
 	opts := Options{Sample: 300, Seed: 7}
@@ -145,10 +146,12 @@ func TestComputeSampledIsEstimateSize(t *testing.T) {
 	if err := mm.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	n := vs[0].NumCells()
+	idx := delta.SampleCells(n, opts.Sample, opts.Seed)
 	for i := range vs {
 		for j := 0; j < i; j++ {
-			if want := delta.EstimateSize(vs[i], vs[j], opts.Sample, opts.Seed); mm.Cost[i][j] != want {
-				t.Errorf("MM(%d,%d) = %d, EstimateSize %d", i, j, mm.Cost[i][j], want)
+			if want := delta.EstimateSampled(vs[i].DType(), n, delta.Gather(vs[i], idx), delta.Gather(vs[j], idx)); mm.Cost[i][j] != want {
+				t.Errorf("MM(%d,%d) = %d, estimate %d", i, j, mm.Cost[i][j], want)
 			}
 		}
 	}
