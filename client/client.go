@@ -434,7 +434,8 @@ func (c *Client) InsertMulti(puts []arrayvers.MultiInsert) (map[string][]int, er
 // Read returns one plane per listed version of the array's attribute
 // (empty Attr means the first), restricted to Box (a zero Box means the
 // whole array), each in the array's own representation. The request
-// carries ctx; the reply is one plane frame per version.
+// carries ctx; the reply is one plane frame per version, and a reply
+// with bytes after the last frame is an error.
 func (c *Client) Read(ctx context.Context, q arrayvers.ReadQuery) ([]arrayvers.Plane, error) {
 	ids := make([]string, len(q.IDs))
 	for i, id := range q.IDs {
@@ -559,11 +560,11 @@ func (c *Client) Query(stmt string) (arrayvers.AQLResult, error) {
 	}
 	defer drain(resp)
 	if strings.HasPrefix(resp.Header.Get("Content-Type"), frameContentType) {
-		pl, err := wire.ReadPlane(resp.Body, c.maxFrame)
+		planes, err := wire.ReadPlanes(resp.Body, 1, c.maxFrame)
 		if err != nil {
 			return arrayvers.AQLResult{}, fmt.Errorf("client: %w", err)
 		}
-		return arrayvers.AQLResult{Dense: pl.Dense, Sparse: pl.Sparse}, nil
+		return arrayvers.AQLResult{Dense: planes[0].Dense, Sparse: planes[0].Sparse}, nil
 	}
 	var out struct {
 		Message string   `json:"message"`

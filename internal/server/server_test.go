@@ -369,6 +369,31 @@ func TestSelectReplyBounded(t *testing.T) {
 	}
 }
 
+// TestSelectReplyTrailingByte: a select reply with one byte after its
+// last plane frame fails in the client instead of being drained.
+func TestSelectReplyTrailingByte(t *testing.T) {
+	srv, store, _ := newTestServer(t, Config{})
+	if err := store.CreateArray(denseSchema("T", 16)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Insert("T", core.DensePayload(randDense(rand.New(rand.NewSource(7)), 16))); err != nil {
+		t.Fatal(err)
+	}
+	inner := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(append(rec.Body.Bytes(), 0))
+	}))
+	defer ts.Close()
+	c := client.New(ts.URL)
+	_, err := c.Read(context.Background(), core.ReadQuery{Array: "T", IDs: []int{1}})
+	if err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Fatalf("reply with a trailing byte: err = %v, want trailing bytes", err)
+	}
+}
+
 // TestBackpressure fills the in-flight semaphore and checks the server
 // answers 429 instead of queueing.
 func TestBackpressure(t *testing.T) {
@@ -1272,5 +1297,68 @@ func TestWriteRetryReplaysBody(t *testing.T) {
 	}
 	if info, err := store.Info("Retry"); err != nil || info.NumVersions != 1 {
 		t.Fatalf("Retry has %d versions (%v), want exactly 1", info.NumVersions, err)
+	}
+}
+
+// BenchmarkClientSelect is a served select end to end from the client's
+// side: client.Client over httptest with a default http.Transport,
+// reading a cached 512×512 int32 version with 256 KiB chunks whole
+// (four 256×256 tiles) and as a 128×128 box across four chunks.
+func BenchmarkClientSelect(b *testing.B) {
+	const side = 512
+	opts := core.DefaultOptions()
+	opts.ChunkBytes = 256 << 10
+	opts.CacheBytes = 16 << 20
+	store, err := core.Open(b.TempDir(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	srv, err := New(Config{Store: store, Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if err := store.CreateArray(denseSchema("H", side)); err != nil {
+		b.Fatal(err)
+	}
+	d := randDense(rand.New(rand.NewSource(54)), side)
+	if _, err := store.Insert("H", core.DensePayload(d)); err != nil {
+		b.Fatal(err)
+	}
+	c := client.New(ts.URL, client.WithHTTPClient(&http.Client{Transport: &http.Transport{}}))
+	defer c.Close()
+	for _, bc := range []struct {
+		name string
+		box  array.Box
+	}{
+		{"full", array.Box{}},
+		{"region", array.NewBox([]int64{192, 192}, []int64{320, 320})},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			q := core.ReadQuery{Array: "H", IDs: []int{1}, Box: bc.box}
+			want := d
+			if bc.box.NDim() > 0 {
+				want, _ = d.Slice(bc.box)
+			}
+			b.SetBytes(want.SizeBytes())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				planes, err := c.Read(context.Background(), q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if planes[0].Dense.NumCells() != want.NumCells() {
+					b.Fatalf("read %d cells, want %d", planes[0].Dense.NumCells(), want.NumCells())
+				}
+			}
+			b.StopTimer()
+			planes, err := c.Read(context.Background(), q)
+			if err != nil || !planes[0].Dense.Equal(want) {
+				b.Fatalf("select differs from the inserted plane: %v", err)
+			}
+		})
 	}
 }

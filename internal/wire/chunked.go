@@ -234,60 +234,141 @@ func tileBytes(box array.Box, side []int64, elem int64) int64 {
 	return n
 }
 
-// readChunked reads the payload of a KindChunked frame of n bytes into
-// one freshly allocated plane, each tile's cells straight into place.
-// Every header check runs before the allocation, which the frame length
-// (already bounded by max) sizes exactly.
-func readChunked(r io.Reader, n uint64) (*array.Dense, error) {
+// maxTileScratch caps the buffer ReadPlane reads a chunked tile through. A
+// tile larger than this is read in batches of whole runs, and a run
+// larger than this straight into place, so no reused buffer grows past
+// it whatever the chunk size.
+const maxTileScratch = 1 << 20
+
+// tileScratch holds idle tile buffers of readChunked, each at most
+// maxTileScratch, so frames and replies reuse them. It is a bounded free
+// list, not a sync.Pool: a collection empties a pool, and a client that
+// allocates a plane per read collects every few reads, so a pool would
+// re-make its buffer on a share of reads that varies with GC and
+// scheduling. Four buffers serve a client's few concurrent reads and pin
+// at most 4 MiB. A reader that finds the list empty allocates its own
+// buffer, and one that finds it full drops its buffer.
+var tileScratch = make(chan []byte, 4)
+
+// chunkedHeader is a KindChunked frame's header, checked against the
+// frame's length.
+type chunkedHeader struct {
+	dt    array.DataType
+	box   array.Box // lo and hi in array coordinates
+	shape []int64   // the box's extents: the plane's shape
+	side  []int64   // the chunk stride
+}
+
+// readChunkedHeader reads and checks the header of a KindChunked frame
+// of n payload bytes: on success the cells that follow fill the frame
+// exactly.
+func readChunkedHeader(r io.Reader, n uint64) (chunkedHeader, error) {
 	var pre [2]byte
 	if n < uint64(len(pre)) {
-		return nil, fmt.Errorf("%w: %d-byte frame", ErrMalformed, n)
+		return chunkedHeader{}, fmt.Errorf("%w: %d-byte frame", ErrMalformed, n)
 	}
 	if err := readFull(r, pre[:], "chunked plane header"); err != nil {
-		return nil, err
+		return chunkedHeader{}, err
 	}
 	dt, nd := array.DataType(pre[0]), int(pre[1])
 	if !dt.Valid() || nd == 0 {
-		return nil, fmt.Errorf("%w: dtype %d, %d dims", ErrMalformed, pre[0], nd)
+		return chunkedHeader{}, fmt.Errorf("%w: dtype %d, %d dims", ErrMalformed, pre[0], nd)
 	}
 	hdrLen := uint64(len(pre) + chunkedDimLen*nd)
 	if n < hdrLen {
-		return nil, fmt.Errorf("%w: %d dims need %d header bytes, frame has %d", ErrMalformed, nd, hdrLen, n)
+		return chunkedHeader{}, fmt.Errorf("%w: %d dims need %d header bytes, frame has %d", ErrMalformed, nd, hdrLen, n)
 	}
 	hdr := make([]byte, chunkedDimLen*nd)
 	if err := readFull(r, hdr, "chunked plane header"); err != nil {
-		return nil, err
+		return chunkedHeader{}, err
 	}
-	box := array.Box{Lo: make([]int64, nd), Hi: make([]int64, nd)}
-	side := make([]int64, nd)
-	shape := make([]int64, nd)
+	h := chunkedHeader{
+		dt:    dt,
+		box:   array.Box{Lo: make([]int64, nd), Hi: make([]int64, nd)},
+		shape: make([]int64, nd),
+		side:  make([]int64, nd),
+	}
 	cells := uint64(1)
 	for d := 0; d < nd; d++ {
 		lo := binary.LittleEndian.Uint64(hdr[chunkedDimLen*d:])
 		ext := binary.LittleEndian.Uint64(hdr[chunkedDimLen*d+8:])
 		stride := binary.LittleEndian.Uint64(hdr[chunkedDimLen*d+16:])
 		if ext == 0 || stride == 0 || lo >= maxCoord || ext >= maxCoord || stride >= maxCoord {
-			return nil, fmt.Errorf("%w: dimension %d has lo %d, extent %d, stride %d", ErrMalformed, d, lo, ext, stride)
+			return chunkedHeader{}, fmt.Errorf("%w: dimension %d has lo %d, extent %d, stride %d", ErrMalformed, d, lo, ext, stride)
 		}
 		if cells > n/ext {
-			return nil, fmt.Errorf("%w: %d-cell box exceeds its %d-byte frame", ErrMalformed, cells, n)
+			return chunkedHeader{}, fmt.Errorf("%w: %d-cell box exceeds its %d-byte frame", ErrMalformed, cells, n)
 		}
 		cells *= ext
-		box.Lo[d], box.Hi[d] = int64(lo), int64(lo+ext)
-		shape[d], side[d] = int64(ext), int64(stride)
+		h.box.Lo[d], h.box.Hi[d] = int64(lo), int64(lo+ext)
+		h.shape[d], h.side[d] = int64(ext), int64(stride)
 	}
 	if cells > (n-hdrLen)/uint64(dt.Size()) || hdrLen+cells*uint64(dt.Size()) != n {
-		return nil, fmt.Errorf("%w: %d cells of %d bytes do not fill a %d-byte frame", ErrMalformed, cells, dt.Size(), n)
+		return chunkedHeader{}, fmt.Errorf("%w: %d cells of %d bytes do not fill a %d-byte frame", ErrMalformed, cells, dt.Size(), n)
 	}
-	out, err := array.NewDense(dt, shape)
+	return h, nil
+}
+
+// readChunked reads the payload of a KindChunked frame of n bytes into
+// one freshly allocated plane. Every header check runs before the
+// allocation, which the frame length (already bounded by max) sizes
+// exactly. Each tile arrives contiguous in the frame and is read with
+// one read when it fits limit (maxTileScratch but in tests). A tile
+// contiguous in the plane (its row-major runs are one) is read straight
+// into place. Any other tile is read whole into a tileScratch buffer and
+// its runs copied into place, one copy per byte; a tile over limit goes
+// in batches of whole runs, and a run over limit straight into place.
+func readChunked(r io.Reader, n uint64, limit int64) (*array.Dense, error) {
+	h, err := readChunkedHeader(r, n)
+	if err != nil {
+		return nil, err
+	}
+	out, err := array.NewDense(h.dt, h.shape)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	data, elem := out.Bytes(), int64(dt.Size())
-	cur := make([]int64, nd)
-	err = forTiles(box, side, func(_ int, _ []int64, tile array.Box) error {
-		return runs(shape, box.Lo, tile, cur, func(at, n int64) error {
-			return readFull(r, data[at*elem:(at+n)*elem], "chunked plane tile")
+	data, elem := out.Bytes(), int64(h.dt.Size())
+	need := min(tileBytes(h.box, h.side, elem), limit)
+	var buf []byte
+	defer func() {
+		if buf != nil {
+			select {
+			case tileScratch <- buf:
+			default:
+			}
+		}
+	}()
+	cur := make([]int64, len(h.shape))
+	err = forTiles(h.box, h.side, func(_ int, _ []int64, tile array.Box) error {
+		cells := tile.NumCells()
+		_, run := runLen(h.shape, tile)
+		if run == cells || run*elem > limit {
+			return runs(h.shape, h.box.Lo, tile, cur, func(at, n int64) error {
+				return readFull(r, data[at*elem:(at+n)*elem], "chunked plane tile")
+			})
+		}
+		if buf == nil {
+			select {
+			case buf = <-tileScratch:
+			default:
+			}
+			if int64(cap(buf)) < need {
+				buf = make([]byte, need)
+			}
+		}
+		batch := buf[:need/(run*elem)*(run*elem)]
+		left := cells * elem
+		var next []byte // the read cells of the batch not yet copied out
+		return runs(h.shape, h.box.Lo, tile, cur, func(at, n int64) error {
+			if len(next) == 0 {
+				next = batch[:min(int64(len(batch)), left)]
+				if err := readFull(r, next, "chunked plane tile"); err != nil {
+					return err
+				}
+				left -= int64(len(next))
+			}
+			next = next[copy(data[at*elem:(at+n)*elem], next):]
+			return nil
 		})
 	})
 	if err != nil {

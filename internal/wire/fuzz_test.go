@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"testing"
 
 	"arrayvers/internal/array"
@@ -16,9 +17,13 @@ import (
 // whatever decodes successfully must re-encode cleanly (the codec is
 // total on its own output), and every payload and write body it decodes
 // re-encodes through the segment encoder to exactly the bytes of the
-// assembled oracle (oracle_test.go). The seeds hold a frame of every kind, a
-// chunked plane cut on a grid that clips its edge chunks, and the
-// hostile chunked headers of TestChunkedHostileHeaders.
+// assembled oracle (oracle_test.go). Every KindChunked frame is also read
+// by the per-run oracle reader and by readChunked at every tile limit
+// (tileLimits): each must fail with the oracle's error class or return
+// its plane. The seeds hold a frame of every kind, chunked planes cut on
+// grids that clip their edge chunks (2-D and 3-D, one with a tile over
+// the small limits' buffers), and the hostile chunked headers of
+// TestChunkedHostileHeaders.
 func FuzzFrameCodec(f *testing.F) {
 	// seed corpus: one valid frame of every kind plus both payload forms
 	dense := array.MustDense(array.Int32, []int64{4, 4})
@@ -46,6 +51,15 @@ func FuzzFrameCodec(f *testing.F) {
 	_, _ = WriteChunked(&buf, cut(dense, array.NewBox([]int64{1, 0}, []int64{4, 4}), []int64{3, 3}))
 	f.Add(bytes.Clone(buf.Bytes()))
 	_ = WritePlane(&buf, core.Plane{Sparse: sparse})
+	f.Add(bytes.Clone(buf.Bytes()))
+	buf.Reset()
+	// ragged multi-tile frames: a 3-D box off a 4×3×5 grid, and a 2-D
+	// plane whose 32×64 int32 tiles (8 KiB) exceed the 4 KiB limit
+	rng := rand.New(rand.NewSource(54))
+	_, _ = WriteChunked(&buf, cut(randPlane(rng, array.Int16, []int64{9, 10, 11}), array.NewBox([]int64{1, 2, 3}, []int64{9, 9, 10}), []int64{4, 3, 5}))
+	f.Add(bytes.Clone(buf.Bytes()))
+	buf.Reset()
+	_, _ = WriteChunked(&buf, cut(randPlane(rng, array.Int32, []int64{40, 100}), array.BoxOf([]int64{40, 100}), []int64{32, 64}))
 	f.Add(bytes.Clone(buf.Bytes()))
 	buf.Reset()
 	for _, h := range hostileChunked() {
@@ -104,6 +118,19 @@ func FuzzFrameCodec(f *testing.F) {
 			one := core.ChunkedPlane{Box: array.BoxOf(shape), Stride: shape, Chunks: []*array.Dense{pl.Dense}}
 			if _, err := WriteChunked(io.Discard, one); err != nil {
 				t.Fatalf("re-encode of decoded dense plane failed: %v", err)
+			}
+		}
+		if kind, n, err := readHeader(bytes.NewReader(data), max); err == nil && kind == KindChunked {
+			payload := data[headerLen:]
+			want, werr := oracleReadChunked(bytes.NewReader(payload), n)
+			for _, limit := range tileLimits {
+				got, err := readChunked(bytes.NewReader(payload), n, limit)
+				if errClass(err) != errClass(werr) {
+					t.Fatalf("limit %d: err = %v, oracle's = %v", limit, err, werr)
+				}
+				if err == nil && !got.Equal(want) {
+					t.Fatalf("limit %d: the plane differs from the oracle's", limit)
+				}
 			}
 		}
 		_, _ = ReadPlanes(bytes.NewReader(data), 2, max)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"io"
 
 	"arrayvers/internal/array"
 	"arrayvers/internal/core"
@@ -63,4 +65,30 @@ func oracleWriteMultiBatch(batches []core.MultiInsert) []byte {
 		}
 	}
 	return out.Bytes()
+}
+
+// oracleReadChunked is the chunked-frame reader before tiles were read
+// whole: one read per row run of each tile, straight into the plane.
+// Kept as the oracle readChunked is checked against, plane for plane and
+// error class for error class.
+func oracleReadChunked(r io.Reader, n uint64) (*array.Dense, error) {
+	h, err := readChunkedHeader(r, n)
+	if err != nil {
+		return nil, err
+	}
+	out, err := array.NewDense(h.dt, h.shape)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+	}
+	data, elem := out.Bytes(), int64(h.dt.Size())
+	cur := make([]int64, len(h.shape))
+	err = forTiles(h.box, h.side, func(_ int, _ []int64, tile array.Box) error {
+		return runs(h.shape, h.box.Lo, tile, cur, func(at, n int64) error {
+			return readFull(r, data[at*elem:(at+n)*elem], "chunked plane tile")
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -152,14 +152,17 @@ func WritePlane(w io.Writer, pl core.Plane) error {
 
 // ReadPlane reads a KindDense, KindChunked or KindSparse frame back
 // into a plane. A dense plane aliases the frame payload it was read
-// into, and a chunked one is read straight into its one allocation.
+// into. A chunked one is allocated once from its header, and each of its
+// tiles is read with one read: straight into place when the tile is
+// contiguous in the plane, else through a reused buffer of at most 1 MiB
+// whose runs are copied into place.
 func ReadPlane(r io.Reader, max int64) (core.Plane, error) {
 	kind, n, err := readHeader(r, max)
 	if err != nil {
 		return core.Plane{}, err
 	}
 	if kind == KindChunked {
-		d, err := readChunked(r, n)
+		d, err := readChunked(r, n, maxTileScratch)
 		if err != nil {
 			return core.Plane{}, err
 		}
@@ -187,8 +190,8 @@ func ReadPlane(r io.Reader, max int64) (core.Plane, error) {
 }
 
 // ReadPlanes reads a select reply: exactly n plane frames (ReadPlane),
-// back to back, each bounded by max. A reply that ends before the n-th frame
-// fails as truncated.
+// back to back, each bounded by max. A reply that ends before the n-th
+// frame fails as truncated, and one with bytes after it fails too.
 func ReadPlanes(r io.Reader, n int, max int64) ([]core.Plane, error) {
 	planes := make([]core.Plane, n)
 	for i := range planes {
@@ -197,6 +200,13 @@ func ReadPlanes(r io.Reader, n int, max int64) ([]core.Plane, error) {
 			return nil, err
 		}
 		planes[i] = pl
+	}
+	var peek [1]byte
+	switch _, err := io.ReadFull(r, peek[:]); {
+	case err == nil:
+		return nil, fmt.Errorf("wire: trailing bytes after %d plane frames", n)
+	case !errors.Is(err, io.EOF):
+		return nil, fmt.Errorf("wire: read past %d plane frames: %w", n, err)
 	}
 	return planes, nil
 }

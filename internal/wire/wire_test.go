@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"arrayvers/internal/array"
@@ -223,6 +224,10 @@ func TestReadPlanesTruncated(t *testing.T) {
 	// a plane frame over the limit is refused
 	if _, err := ReadPlanes(bytes.NewReader(full), 2, 64); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized plane frame: err = %v, want ErrFrameTooLarge", err)
+	}
+	// so is a byte after the last frame
+	if _, err := ReadPlanes(bytes.NewReader(append(full, 0)), 2, 0); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Fatalf("reply with a trailing byte: err = %v, want trailing bytes", err)
 	}
 }
 
