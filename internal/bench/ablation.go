@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 
 	"arrayvers/internal/array"
-	"arrayvers/internal/compress"
 	"arrayvers/internal/core"
 	"arrayvers/internal/datasets"
 	"arrayvers/internal/matmat"
@@ -21,10 +20,9 @@ import (
 //     "co-located chains ... are more efficient"): the same versions
 //     read before and after Compact builds the chains
 //   - sampled vs exact materialization-matrix construction (§IV-A)
-//   - always-on vs adaptive LZ (§V-B's future work)
 func Ablations(workDir string, sc Scale) (Table, error) {
 	t := Table{
-		Title:   "Ablations — chunking, co-location, matrix sampling, adaptive codec",
+		Title:   "Ablations — chunking, co-location, matrix sampling",
 		Columns: []string{"Ablation", "Setting", "Size", "Metric"},
 	}
 	noaa := datasets.NOAA(datasets.NOAAConfig{Side: sc.NOAASide, Versions: sc.NOAAVersions, Attrs: 1, Seed: sc.Seed})
@@ -152,32 +150,6 @@ func Ablations(workDir string, sc Scale) (Table, error) {
 		[]string{"matrix build", "2048-cell sample", "—",
 			fmt.Sprintf("%s, max size error %.0f%%", fmtDur(dSampled), 100*maxErr)})
 
-	// 4. adaptive LZ (the paper's future-work item): compression enabled
-	// per chunk only when a payload sample predicts a worthwhile ratio
-	for _, mode := range []struct {
-		label    string
-		adaptive bool
-	}{{"always-LZ", false}, {"adaptive-LZ", true}} {
-		opts := core.DefaultOptions()
-		opts.ChunkBytes = sc.ChunkBytes
-		opts.Codec = compress.LZ
-		opts.AdaptiveCodec = mode.adaptive
-		dir := filepath.Join(workDir, "ab-"+mode.label)
-		var s *core.Store
-		dImport, err := timed(func() error {
-			var err error
-			s, err = build(dir, opts)
-			return err
-		})
-		if err != nil {
-			return Table{}, err
-		}
-		t.Rows = append(t.Rows, []string{
-			"adaptive codec", mode.label, fmtBytes(diskBytes(s)),
-			fmt.Sprintf("import %s", fmtDur(dImport)),
-		})
-		os.RemoveAll(dir)
-	}
 	return t, nil
 }
 

@@ -320,8 +320,8 @@ func TestAblationsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 9 {
-		t.Fatalf("%d ablation rows, want 9", len(tab.Rows))
+	if len(tab.Rows) != 7 {
+		t.Fatalf("%d ablation rows, want 7", len(tab.Rows))
 	}
 	// both chain placements report a row: the data log and the chains
 	// Compact builds from it

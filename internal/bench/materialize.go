@@ -9,6 +9,8 @@ import (
 	"arrayvers/internal/array"
 	"arrayvers/internal/core"
 	"arrayvers/internal/datasets"
+	"arrayvers/internal/layout"
+	"arrayvers/internal/matmat"
 	"arrayvers/internal/workload"
 )
 
@@ -79,39 +81,20 @@ func Materialization(workDir string, sc Scale) (Table, error) {
 		}
 	}
 
-	// E9: smooth data — report whether the optimal layout is a linear
-	// chain, as §V-D confirms
+	// E9: smooth data — report whether the optimal layout over the exact
+	// matrix is a linear chain, as §V-D confirms. The planes are at hand,
+	// so every pairwise delta is encoded; no store is needed
 	smooth := datasets.Smooth(sc.NOAASide, 8, sc.Seed)
-	dir := filepath.Join(workDir, "mat-smooth")
-	opts := core.DefaultOptions()
-	opts.ChunkBytes = sc.ChunkBytes
-	s, err := core.Open(dir, opts)
+	mm, err := matmat.Compute(smooth, matmat.Options{})
 	if err != nil {
 		return Table{}, err
 	}
-	sch := array.Schema{
-		Name:  "A",
-		Dims:  []array.Dimension{{Name: "Y", Lo: 0, Hi: sc.NOAASide - 1}, {Name: "X", Lo: 0, Hi: sc.NOAASide - 1}},
-		Attrs: []array.Attribute{{Name: "V", Type: array.Int32}},
-	}
-	if err := s.CreateArray(sch); err != nil {
-		return Table{}, err
-	}
-	for _, v := range smooth {
-		if _, err := s.Insert("A", core.DensePayload(v)); err != nil {
-			return Table{}, err
-		}
-	}
-	l, _, _, err := s.ComputeLayout("A", core.ReorganizeOptions{Policy: core.PolicyOptimal})
-	if err != nil {
-		return Table{}, err
-	}
+	l := layout.Optimal(mm)
 	if l.IsLinearChain() {
 		t.Notes = append(t.Notes, "smooth data: optimal layout degenerates to a linear delta chain (as §V-D)")
 	} else {
 		t.Notes = append(t.Notes, fmt.Sprintf("smooth data: optimal layout is NOT a linear chain: %v", l.Parent))
 	}
-	os.RemoveAll(dir)
 	return t, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -65,6 +66,27 @@ func diskLayout(t *testing.T, s *Store, name string) (layout.Layout, []int) {
 	return currentLayoutOf(v, v.ids), append([]int(nil), v.ids...)
 }
 
+// offlineLayout plans the named array as Tune and a default Reorganize
+// do (planMatrix), without rewriting anything, and returns the layout
+// opts' policy chooses and the live version IDs it is over.
+func offlineLayout(t *testing.T, s *Store, name string, opts ReorganizeOptions) (layout.Layout, []int) {
+	t.Helper()
+	v, release, err := s.snapshotUncached(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	_, mm, err := s.planMatrix(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := chooseLayout(mm, v.ids, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, v.ids
+}
+
 // TestTunerConvergesOnZipfTrace hands Tune a deterministic skewed
 // trace and asserts (a) the pass reorganizes, (b) the committed layout
 // equals what offline PolicyWorkloadAware chooses for the same
@@ -92,13 +114,7 @@ func TestTunerConvergesOnZipfTrace(t *testing.T) {
 	}
 	trace := workload.Zipfian(n, 200, 1.6, 7)
 	wl := workload.ToQueries(trace)
-	expected, _, expIDs, err := s.ComputeLayout("Z", ReorganizeOptions{
-		Policy:   PolicyWorkloadAware,
-		Workload: wl,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	expected, expIDs := offlineLayout(t, s, "Z", ReorganizeOptions{Policy: PolicyWorkloadAware, Workload: wl})
 
 	s.ResetStats()
 	replayTrace(t, s, "Z", trace)
@@ -556,5 +572,60 @@ func TestCallerWorkloadValidation(t *testing.T) {
 	// the other policies take no workload, so none is required
 	if err := s.Reorganize("V", ReorganizeOptions{Policy: PolicyAlgorithm2}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTuneCostsASampledReorganize pins Tune's planning cost to a
+// sampled Reorganize's: on two identical stores of 16 insert-order
+// 512×512 int32 versions (four 256 KiB chunks each), a Tune that
+// rewrites allocates at most twice what Reorganize{PolicyAlgorithm2,
+// MatrixSample: 4096} does. Both decode every version once and price
+// one sampled matrix; a Tune that assembled planes and encoded every
+// pair instead allocates over three times as much at 16 versions, and
+// grows quadratically with the version count.
+func TestTuneCostsASampledReorganize(t *testing.T) {
+	const side, n = 512, 16
+	versions := driftSeries(n, side, 88)
+	// allocated runs op on a fresh store holding versions and reports
+	// what op allocated
+	allocated := func(op func(s *Store) error) uint64 {
+		opts := DefaultOptions()
+		opts.ChunkBytes = 256 << 10
+		opts.CacheBytes = DefaultCacheBytes
+		s := testStore(t, opts)
+		defer s.Close()
+		if err := s.CreateArray(schema2D("T", side)); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range versions {
+			if _, err := s.Insert("T", DensePayload(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := op(s)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	tune := allocated(func(s *Store) error {
+		// the newest version alone, at the far end of the insert-order
+		// chain: the workload-aware layout materializes it, so Tune rewrites
+		rep, err := s.Tune("T", []layout.Query{layout.Snapshot(n, 1)})
+		if err == nil && !rep.Reorganized {
+			t.Fatalf("Tune did not rewrite: %s", rep.Reason)
+		}
+		return err
+	})
+	reorg := allocated(func(s *Store) error {
+		return s.Reorganize("T", ReorganizeOptions{Policy: PolicyAlgorithm2, MatrixSample: 4096})
+	})
+	if tune > 2*reorg {
+		t.Fatalf("Tune allocated %.1f MiB, %.1f× a sampled Reorganize's %.1f MiB; want at most 2×",
+			float64(tune)/(1<<20), float64(tune)/float64(reorg), float64(reorg)/(1<<20))
 	}
 }

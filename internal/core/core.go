@@ -43,12 +43,6 @@ type Options struct {
 	// performed automatically", §II-A). When false, every version is
 	// materialized.
 	AutoDelta bool
-	// AdaptiveCodec enables compression per chunk only when a sample of
-	// the payload predicts a worthwhile ratio — the adaptive scheme the
-	// paper's §V-B leaves to future work ("it might be interesting to
-	// adaptively enable LZ compression based on the data set size and the
-	// anticipated compression ratios").
-	AdaptiveCodec bool
 	// Parallelism bounds the worker pool the select and insert hot paths
 	// fan chunk work out on (read→decompress→delta-unwind on select,
 	// encode→compress on insert). Zero or negative means GOMAXPROCS; 1

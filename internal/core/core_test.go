@@ -907,6 +907,12 @@ func TestErrorPaths(t *testing.T) {
 	if err := s.DeleteArray("nope"); err == nil {
 		t.Error("delete of missing array accepted")
 	}
+	if err := s.Reorganize("nope", ReorganizeOptions{}); err == nil {
+		t.Error("reorganize of missing array accepted")
+	}
+	if _, err := s.Tune("nope", []layout.Query{layout.Snapshot(1, 1)}); err == nil {
+		t.Error("tune of missing array accepted")
+	}
 	if err := s.CreateArray(array.Schema{Name: "bad name!"}); err == nil {
 		t.Error("invalid schema accepted")
 	}
@@ -1126,44 +1132,6 @@ func rangeInts(lo, hi int) []int {
 	return out
 }
 
-func TestAdaptiveCodec(t *testing.T) {
-	// adaptive mode must stay lossless on both compressible and
-	// incompressible data, and skip compression for the latter
-	for _, compressible := range []bool{true, false} {
-		o := smallOpts()
-		o.Codec = compress.LZ
-		o.AdaptiveCodec = true
-		o.AutoDelta = false
-		s := testStore(t, o)
-		if err := s.CreateArray(schema2D("AD", 64)); err != nil {
-			t.Fatal(err)
-		}
-		v := array.MustDense(array.Int32, []int64{64, 64})
-		rng := rand.New(rand.NewSource(31))
-		for i := int64(0); i < v.NumCells(); i++ {
-			if compressible {
-				v.SetBits(i, i%3)
-			} else {
-				v.SetBits(i, int64(rng.Uint64()))
-			}
-		}
-		if _, err := s.Insert("AD", DensePayload(v)); err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.Select("AD", 1)
-		if err != nil || !got.Dense.Equal(v) {
-			t.Fatalf("adaptive roundtrip (compressible=%v) broken: %v", compressible, err)
-		}
-		info, _ := s.Info("AD")
-		if compressible && info.DiskBytes >= v.SizeBytes() {
-			t.Errorf("adaptive codec did not compress compressible data: %d", info.DiskBytes)
-		}
-		if !compressible && info.DiskBytes != v.SizeBytes() {
-			t.Errorf("adaptive codec stored %d bytes for incompressible %d-byte version", info.DiskBytes, v.SizeBytes())
-		}
-	}
-}
-
 func TestReopenAfterReorganize(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, smallOpts())
@@ -1334,33 +1302,6 @@ func TestDeleteVersionSparse(t *testing.T) {
 	got, err := s.Select("SD", 4)
 	if err != nil || !got.Sparse.Equal(snaps[3]) {
 		t.Fatal("sparse compact broke content")
-	}
-}
-
-func TestComputeLayoutAPI(t *testing.T) {
-	s := testStore(t, smallOpts())
-	if err := s.CreateArray(schema2D("CL", 32)); err != nil {
-		t.Fatal(err)
-	}
-	versions := evolvingVersions(5, 32, 45)
-	for _, v := range versions {
-		if _, err := s.Insert("CL", DensePayload(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l, mm, ids, err := s.ComputeLayout("CL", ReorganizeOptions{Policy: PolicyOptimal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l.IsValid() || mm.N != 5 || len(ids) != 5 {
-		t.Fatalf("layout=%v mm.N=%d ids=%v", l.Parent, mm.N, ids)
-	}
-	// smoothly evolving data: optimal layout is a linear chain (E9)
-	if !l.IsLinearChain() {
-		t.Fatalf("optimal layout on smooth data not linear: %v", l.Parent)
-	}
-	if _, _, _, err := s.ComputeLayout("nope", ReorganizeOptions{}); err == nil {
-		t.Error("missing array accepted")
 	}
 }
 

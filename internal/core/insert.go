@@ -866,7 +866,7 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, sp *ar
 				payload, entryBase = blob, baseID
 			}
 		}
-		sealed, used, err := seal(pickCodec(s.opts.Codec, false), s.opts.AdaptiveCodec, payload, compress.Params{Elem: 1})
+		sealed, used, err := seal(pickCodec(s.opts.Codec, false), payload, compress.Params{Elem: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -933,7 +933,7 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, sp *ar
 			}
 		}
 		rawDense := entryBase < 0
-		sealed, used, err := seal(pickCodec(s.opts.Codec, rawDense), s.opts.AdaptiveCodec, payload, sealParams(rawDense, ck.Box(origins[i]), attr.Type))
+		sealed, used, err := seal(pickCodec(s.opts.Codec, rawDense), payload, sealParams(rawDense, ck.Box(origins[i]), attr.Type))
 		if err != nil {
 			return err
 		}

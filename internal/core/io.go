@@ -314,14 +314,9 @@ func sealParams(rawDense bool, box array.Box, dt array.DataType) compress.Params
 // seal compresses an encoded payload with the effective codec. It
 // returns the stored bytes and the codec actually used; if compression
 // would grow the payload it is stored uncompressed ("each chunk is
-// optionally compressed", §II-A). With adaptive enabled, a prefix sample
-// is compressed first and the codec is skipped when the predicted ratio
-// is poor — the paper's future-work adaptive scheme.
-func seal(codec compress.Codec, adaptive bool, payload []byte, p compress.Params) ([]byte, compress.Codec, error) {
+// optionally compressed", §II-A).
+func seal(codec compress.Codec, payload []byte, p compress.Params) ([]byte, compress.Codec, error) {
 	if codec == compress.None {
-		return payload, compress.None, nil
-	}
-	if adaptive && !predictCompressible(codec, payload) {
 		return payload, compress.None, nil
 	}
 	packed, err := compress.Compress(codec, payload, p)
@@ -337,27 +332,4 @@ func seal(codec compress.Codec, adaptive bool, payload []byte, p compress.Params
 // unseal reverses seal.
 func unseal(codec compress.Codec, blob []byte, p compress.Params) ([]byte, error) {
 	return compress.Decompress(codec, blob, p)
-}
-
-// adaptiveSampleBytes is the prefix length used to predict
-// compressibility; adaptiveSkipRatio is the sample ratio above which
-// compression is skipped.
-const (
-	adaptiveSampleBytes = 4096
-	adaptiveSkipRatio   = 0.9
-)
-
-// predictCompressible compresses a prefix sample with LZ (the structural
-// codecs share its redundancy model closely enough for a skip decision)
-// and reports whether the full payload is worth compressing.
-func predictCompressible(codec compress.Codec, payload []byte) bool {
-	if len(payload) <= adaptiveSampleBytes {
-		return true // small payloads: just try the real thing
-	}
-	sample := payload[:adaptiveSampleBytes]
-	packed, err := compress.Compress(compress.LZ, sample, compress.Params{})
-	if err != nil {
-		return true
-	}
-	return float64(len(packed)) < adaptiveSkipRatio*float64(len(sample))
 }

@@ -65,8 +65,8 @@ type ReorganizeOptions struct {
 	// version IDs. It must be non-empty, and every query must name at
 	// least one live version with a finite weight > 0.
 	Workload []layout.Query
-	// MatrixSample, when positive, builds the materialization matrix from
-	// sampled cells (§IV-A).
+	// MatrixSample is the number of sampled cells the materialization
+	// matrix is priced from (§IV-A); ≤ 0 means matrixSample (4096).
 	MatrixSample int
 	// BatchK, when positive, re-encodes versions in independent
 	// consecutive batches of K versions (§IV-E), bounding matrix size and
@@ -90,42 +90,6 @@ type rewritePlan struct {
 	ids    []int
 	memo   *chunkCache
 	layout layout.Layout
-}
-
-// ComputeLayout builds the materialization matrix for an array's live
-// versions and the layout the given policy selects, without rewriting
-// anything. The returned id slice maps layout indices to version IDs.
-//
-// It plans as a rewrite does (planMatrix): every live version's chunks
-// are decoded into a memo, and the matrix is priced from them — a
-// sampled one from cells gathered chunk by chunk, an exact one from
-// planes assembled out of the memo. The store lock is
-// held only long enough to snapshot the array's metadata; decoding and
-// matrix construction run against the snapshot with no lock held, so
-// layout planning never stalls concurrent inserts or selects. (BatchK
-// is ignored here: the matrix and layout describe the whole version
-// set; Reorganize applies batching.)
-func (s *Store) ComputeLayout(name string, opts ReorganizeOptions) (layout.Layout, *matmat.Matrix, []int, error) {
-	if err := opts.validate(); err != nil {
-		return layout.Layout{}, nil, nil, err
-	}
-	v, release, err := s.snapshotUncached(name)
-	if err != nil {
-		return layout.Layout{}, nil, nil, err
-	}
-	defer release()
-	if len(v.ids) == 0 {
-		return layout.NewLayout(0), matmat.New(0), v.ids, nil
-	}
-	_, mm, err := s.planMatrix(v, opts.MatrixSample)
-	if err != nil {
-		return layout.Layout{}, nil, nil, err
-	}
-	l, err := chooseLayout(mm, v.ids, opts)
-	if err != nil {
-		return layout.Layout{}, nil, nil, err
-	}
-	return l, mm, v.ids, nil
 }
 
 // buildDirName is the directory a rewrite builds its generation in.
@@ -359,7 +323,7 @@ func (s *Store) publishRewrite(st *arrayState, v *readView, buildDir string, ent
 // planLayout chooses the layout for a full rewrite of v's live versions
 // from their decoded chunks in memo, applying §IV-E batching when
 // requested. A batched plan prices every batch from one matrixInput, so
-// a sampled one gathers each version's cells once.
+// each version's cells are gathered once.
 func (s *Store) planLayout(v *readView, memo *chunkCache, opts ReorganizeOptions) (layout.Layout, error) {
 	ids := v.ids
 	in, err := s.matrixInputOf(v, memo, opts.MatrixSample)
@@ -445,13 +409,14 @@ func (s *Store) decodeLive(v *readView) (*chunkCache, error) {
 }
 
 // planMatrix decodes v's live versions (decodeLive) and prices their
-// whole matrix; it returns the memo too, for a rewrite to encode from.
-func (s *Store) planMatrix(v *readView, sample int) (*chunkCache, *matmat.Matrix, error) {
+// whole matrix at the default sample; it returns the memo too, for a
+// rewrite to encode from.
+func (s *Store) planMatrix(v *readView) (*chunkCache, *matmat.Matrix, error) {
 	memo, err := s.decodeLive(v)
 	if err != nil {
 		return nil, nil, err
 	}
-	in, err := s.matrixInputOf(v, memo, sample)
+	in, err := s.matrixInputOf(v, memo, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -459,24 +424,31 @@ func (s *Store) planMatrix(v *readView, sample int) (*chunkCache, *matmat.Matrix
 	return memo, mm, err
 }
 
+// matrixSample is the number of cells a dense array's materialization
+// matrix is priced from when ReorganizeOptions.MatrixSample is not
+// positive, and always for Tune.
+const matrixSample = 4096
+
 // matrixInput is what the materialization matrix over a view's live
 // versions is priced from, per attribute and version (in view order):
 // the cells at one sorted sample draw, gathered chunk by chunk from the
-// memo (a sampled dense matrix, 0 < MatrixSample < cells); the planes
-// assembled from the memo (an exact one — the only rewrite that holds
-// whole planes); or the sparse planes.
+// memo (a dense array, whatever its size: the draw is with
+// replacement), or the sparse planes.
 type matrixInput struct {
 	dts     []array.DataType
 	cells   int64
 	sampled [][][]int64
-	dense   [][]*array.Dense
 	sparse  [][]*array.Sparse
 }
 
 // matrixInputOf prepares v's matrixInput from memo, which holds every
 // live version's chunks (decodeLive), so nothing here reads the disk.
-// Attribute ai's draw is seeded with ai, as matmat.Compute's is.
+// A sample ≤ 0 means matrixSample. Attribute ai's draw is seeded with
+// ai, as matmat.Compute's is.
 func (s *Store) matrixInputOf(v *readView, memo *chunkCache, sample int) (*matrixInput, error) {
+	if sample <= 0 {
+		sample = matrixSample
+	}
 	attrs := v.st.Schema.Attrs
 	in := &matrixInput{dts: make([]array.DataType, len(attrs)), cells: array.BoxOf(v.st.Schema.Shape()).NumCells()}
 	ctx := context.Background() //avlint:allow-ctx a rewrite or Tune plan has no caller context to cancel it
@@ -486,8 +458,7 @@ func (s *Store) matrixInputOf(v *readView, memo *chunkCache, sample int) (*matri
 	}
 	for ai, attr := range attrs {
 		in.dts[ai] = attr.Type
-		switch {
-		case v.st.SparseRep:
+		if v.st.SparseRep {
 			vs := make([]*array.Sparse, len(v.ids))
 			for i, id := range v.ids {
 				sp, _, err := s.resolveSparse(v, id, attr.Name, memo.sparseMap(attr.Name), 0, nil)
@@ -497,27 +468,16 @@ func (s *Store) matrixInputOf(v *readView, memo *chunkCache, sample int) (*matri
 				vs[i] = sp
 			}
 			in.sparse = append(in.sparse, vs)
-		case sample > 0 && int64(sample) < in.cells:
-			b := locateCells(ck, matmat.Draw(in.cells, sample, int64(ai)))
-			g := make([][]int64, len(v.ids))
-			for i, id := range v.ids {
-				if g[i], err = s.gatherCells(ctx, v, id, attr.Name, b, memo); err != nil {
-					return nil, err
-				}
-			}
-			in.sampled = append(in.sampled, g)
-		default:
-			full := array.BoxOf(v.st.Schema.Shape())
-			vs := make([]*array.Dense, len(v.ids))
-			for i, id := range v.ids {
-				pl, err := s.readRegionView(ctx, v, id, attr.Name, full, memo, nil)
-				if err != nil {
-					return nil, err
-				}
-				vs[i] = pl.Dense
-			}
-			in.dense = append(in.dense, vs)
+			continue
 		}
+		b := locateCells(ck, matmat.Draw(in.cells, sample, int64(ai)))
+		g := make([][]int64, len(v.ids))
+		for i, id := range v.ids {
+			if g[i], err = s.gatherCells(ctx, v, id, attr.Name, b, memo); err != nil {
+				return nil, err
+			}
+		}
+		in.sampled = append(in.sampled, g)
 	}
 	return in, nil
 }
@@ -529,17 +489,13 @@ func (in *matrixInput) matrix(lo, hi int) (*matmat.Matrix, error) {
 	total := matmat.New(n)
 	for ai, dt := range in.dts {
 		var mm *matmat.Matrix
-		var err error
-		switch {
-		case in.sparse != nil:
-			mm, err = matmat.ComputeSparse(in.sparse[ai][lo:hi])
-		case in.sampled != nil:
+		if in.sparse != nil {
+			var err error
+			if mm, err = matmat.ComputeSparse(in.sparse[ai][lo:hi]); err != nil {
+				return nil, err
+			}
+		} else {
 			mm = matmat.FromSamples(dt, in.cells, in.sampled[ai][lo:hi])
-		default:
-			mm, err = matmat.Compute(in.dense[ai][lo:hi], matmat.Options{})
-		}
-		if err != nil {
-			return nil, err
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"arrayvers/internal/array"
+	"arrayvers/internal/layout"
 )
 
 // BenchmarkSelectWarm measures selects answered entirely from the
@@ -173,34 +174,64 @@ func driftSeries(n int, side int64, seed int64) []*array.Dense {
 	return versions
 }
 
-// BenchmarkReorganize measures one Reorganize{PolicyAlgorithm2,
-// MatrixSample: 4096} of 48 insert-order 512×512 int32 versions (four
-// 256 KiB chunks each) — the benchmark's head-warm fixture
-// shape. Each iteration decodes every version, plans from the sampled
-// matrix and rebuilds the generation.
+// BenchmarkReorganize measures one rewrite of 48 insert-order 512×512
+// int32 versions (four 256 KiB chunks each) — the benchmark's head-warm
+// fixture shape. Each iteration decodes every version, plans from the
+// sampled matrix and rebuilds the generation. reorganize times
+// Reorganize{PolicyAlgorithm2, MatrixSample: 4096}. tune first lays out
+// the array as a linear chain, untimed, which leaves the oldest version
+// at the far end of the chain, then times a Tune for a workload of that
+// version alone, so every pass rewrites.
 func BenchmarkReorganize(b *testing.B) {
 	const side, n = 512, 48
-	opts := DefaultOptions()
-	opts.ChunkBytes = 256 << 10
-	opts.CacheBytes = DefaultCacheBytes
-	s, err := Open(b.TempDir(), opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.CreateArray(schema2D("R", side)); err != nil {
-		b.Fatal(err)
-	}
-	for _, v := range driftSeries(n, side, 88) {
-		if _, err := s.Insert("R", DensePayload(v)); err != nil {
+	fixture := func(b *testing.B) *Store {
+		opts := DefaultOptions()
+		opts.ChunkBytes = 256 << 10
+		opts.CacheBytes = DefaultCacheBytes
+		s, err := Open(b.TempDir(), opts)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Reorganize("R", ReorganizeOptions{Policy: PolicyAlgorithm2, MatrixSample: 4096}); err != nil {
+		if err := s.CreateArray(schema2D("R", side)); err != nil {
 			b.Fatal(err)
 		}
+		for _, v := range driftSeries(n, side, 88) {
+			if _, err := s.Insert("R", DensePayload(v)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return s
 	}
+	b.Run("reorganize", func(b *testing.B) {
+		s := fixture(b)
+		defer s.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Reorganize("R", ReorganizeOptions{Policy: PolicyAlgorithm2, MatrixSample: 4096}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("tune", func(b *testing.B) {
+		s := fixture(b)
+		defer s.Close()
+		wl := []layout.Query{layout.Snapshot(1, 1)}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := s.Reorganize("R", ReorganizeOptions{Policy: PolicyLinearChain}); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			rep, err := s.Tune("R", wl)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !rep.Reorganized {
+				b.Fatalf("Tune did not rewrite: %s", rep.Reason)
+			}
+		}
+	})
 }

@@ -92,12 +92,13 @@ func dumpEntries(t *testing.T, s *Store, name string, b *strings.Builder) {
 // TestStagingDecisionsGolden pins every delta-or-materialize decision
 // of the write, delete and rewrite paths: after a seeded script of
 // inserts (one of them a two-payload batch), a mid-chain DeleteVersion
-// and three Reorganizes (sampled, exact, batched), every chunk entry's
-// base, length and codec must match the golden byte for byte, with the
-// decoded-chunk cache off and on. An insert tries its head chunk by
-// chunk and keeps each chunk's delta only when it is smaller than the
-// raw chunk; G (9 000 cells) has ragged edge chunks, E (1 600 cells)
-// fits in few. -update rewrites the golden.
+// and three Reorganizes (MatrixSample 4096; MatrixSample 0, which means
+// the same 4096-cell sample, even for E's 1 600 cells; 4096 batched),
+// every chunk entry's base, length and codec must match the golden byte
+// for byte, with the decoded-chunk cache off and on. An insert tries
+// its head chunk by chunk and keeps each chunk's delta only when it is
+// smaller than the raw chunk; G (9 000 cells) has ragged edge chunks, E
+// (1 600 cells) fits in few. -update rewrites the golden.
 func TestStagingDecisionsGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "staging_decisions.golden")
 	for _, cacheBytes := range []int64{0, DefaultCacheBytes} {
@@ -259,9 +260,6 @@ func TestChunkwiseGather(t *testing.T) {
 					in, err := s.matrixInputOf(v, memo, sample)
 					if err != nil {
 						t.Fatal(err)
-					}
-					if in.sampled == nil {
-						t.Fatalf("sample %d of %d cells: not a sampled matrix", sample, n)
 					}
 					got, err := in.matrix(0, len(v.ids))
 					if err != nil {

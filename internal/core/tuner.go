@@ -10,10 +10,11 @@ import (
 // Workload-aware reorganization as §IV-D states it: the caller knows
 // its query workload a priori and hands it to Tune, which prices the
 // layout on disk against the PolicyWorkloadAware candidate with one
-// materialization matrix and rewrites only when the projected savings
-// reach tuneMinSavings. The rewrite is a plain Reorganize, so it rides
-// the crash-safe generation-commit protocol and never blocks readers
-// (see DESIGN.md "Workload-aware reorganization (§IV-D)").
+// sampled materialization matrix (§IV-A) and rewrites only when the
+// projected savings reach tuneMinSavings. The rewrite is a plain
+// Reorganize, so it rides the crash-safe generation-commit protocol and
+// never blocks readers (see DESIGN.md "Workload-aware reorganization
+// (§IV-D)").
 
 // tuneMinSavings is Tune's no-regression guard: the fractional
 // projected I/O-cost reduction a workload-aware re-layout must reach
@@ -49,8 +50,10 @@ type TuneReport struct {
 //
 // The pass decodes every version's chunks once, through an uncached
 // snapshot that neither evicts nor repopulates the store-wide chunk LRU,
-// prices the exact matrix from planes assembled out of them, and hands
-// the decoded chunks and chosen layout to the rewrite. If the
+// prices both layouts from the one sampled matrix a default Reorganize
+// plans from (matrixSample cells per version, gathered chunk by chunk
+// from the decoded chunks; no plane is assembled), and hands the
+// decoded chunks and chosen layout to the rewrite. If the
 // live versions change in between, or the array is dropped and
 // recreated, Reorganize replans from live metadata, so a plan never
 // lays out versions it did not decode.
@@ -78,7 +81,7 @@ func (s *Store) Tune(name string, wl []layout.Query) (rep TuneReport, err error)
 	}
 	ids := v.ids
 	cur := currentLayoutOf(v, ids)
-	memo, mm, err := s.planMatrix(v, 0)
+	memo, mm, err := s.planMatrix(v)
 	release()
 	if err != nil {
 		return rep, err
