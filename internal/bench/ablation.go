@@ -18,7 +18,8 @@ import (
 //     experimented with various chunk sizes")
 //   - co-located chains vs the data log writes append to (§III-B.3,
 //     "co-located chains ... are more efficient"): the same versions
-//     read before and after Compact builds the chains
+//     read before and after Compact rewrites them chunk column by
+//     chunk column, each chain one run of the log
 //   - sampled vs exact materialization-matrix construction (§IV-A)
 func Ablations(workDir string, sc Scale) (Table, error) {
 	t := Table{
@@ -74,8 +75,8 @@ func Ablations(workDir string, sc Scale) (Table, error) {
 	}
 
 	// 2. co-location: the same versions as written (every frame in the
-	// generation's data log) and after Compact rebuilt them into one
-	// chain file per chunk; at the smallest chunk size above, so a
+	// generation's data log) and after Compact rebuilt the log one chunk
+	// column at a time; at the smallest chunk size above, so a
 	// version spans several chunks and a write interleaves them
 	{
 		opts := core.DefaultOptions()

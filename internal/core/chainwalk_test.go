@@ -348,8 +348,8 @@ func TestChainWalkNeverMutatesSharedPlanes(t *testing.T) {
 }
 
 // chainStore inserts depth versions into a fresh 4-chunk array "K" in
-// insert order — their frames in its data log, or, compacted, rebuilt
-// into one chain file per chunk — and reopens the store with the
+// insert order — their frames as written, or, compacted, rebuilt one
+// chunk column at a time — and reopens the store with the
 // decoded-chunk cache off, so every select walks from disk.
 func chainStore(t *testing.T, depth int, compacted bool) (*Store, []*array.Dense) {
 	t.Helper()

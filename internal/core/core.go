@@ -184,12 +184,15 @@ type RecoveryStats struct {
 // `avstore stats` prints BytesRead as bytes_read, /metrics as
 // avstored_store_bytes_read (trace.Fields).
 type IOStats struct {
-	BytesRead    int64
+	BytesRead int64
+	// BytesWritten and ChunksWritten count the payloads of every frame
+	// appended to a data log: written, re-encoded, rewritten, and copied
+	// by Compact and a rewrite's carry-forward.
 	BytesWritten int64
 	ChunksRead   int64
 	// ChunkPreads counts the reads that fetched those ChunksRead frames:
 	// one per frame for a materialized root or a log-resident chain, one
-	// per run for the delta frames of a co-located chain walk.
+	// per run for the delta frames of a rewritten chain walk.
 	ChunkPreads   int64
 	ChunksWritten int64
 

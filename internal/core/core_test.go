@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -61,10 +62,11 @@ func schema2D(name string, n int64) array.Schema {
 }
 
 // compactIf puts array name in the compacted layout when compacted is
-// set: Compact moves the frames written so far out of the data log into
-// co-located chain files, and later writes go to a fresh log beside
-// them. Tests run over both layouts label the compacted one
-// coLocate=true and the log-resident one coLocate=false.
+// set: Compact rewrites the frames written so far into a new data log
+// one chunk column at a time, so each chunk's chain is one run of it,
+// and later writes append after them. Tests run over both layouts label
+// the compacted one coLocate=true and the log-resident one
+// coLocate=false.
 func compactIf(t testing.TB, s *Store, name string, compacted bool) {
 	t.Helper()
 	if !compacted {
@@ -838,12 +840,13 @@ func TestCompressionCodecs(t *testing.T) {
 	}
 }
 
-// TestLogAndChainsCoexist writes versions into the data log, compacts
-// them into chain files, and keeps writing, deltas against the compacted
-// versions among the new ones: the generation then holds both kinds of
-// file, and every version reads back byte-identical, live and after a
-// durable reopen that repairs nothing.
-func TestLogAndChainsCoexist(t *testing.T) {
+// TestRewriteAndWritesShareOneLog writes versions into the data log,
+// compacts them, and keeps writing, deltas against the compacted
+// versions among the new ones: the generation then holds one file, its
+// log, with the compacted frames first, each chunk's run of versions in
+// id order, and the later writes after them; every version reads back
+// byte-identical, live and after a durable reopen that repairs nothing.
+func TestRewriteAndWritesShareOneLog(t *testing.T) {
 	o := smallOpts()
 	o.Durability = true
 	s := testStore(t, o)
@@ -862,22 +865,29 @@ func TestLogAndChainsCoexist(t *testing.T) {
 		}
 	}
 	s.mu.RLock()
-	dir := s.arrays["LC"].chunksDir()
-	first, err := s.arrays["LC"].version(5) // the first write after Compact
+	st := s.arrays["LC"]
+	dir := st.chunksDir()
+	vms := slices.Clone(st.Versions)
 	s.mu.RUnlock()
-	if err != nil {
-		t.Fatal(err)
+	if files, _ := os.ReadDir(dir); len(files) != 1 || files[0].Name() != dataLogName {
+		t.Fatalf("generation holds %v, want only %s", files, dataLogName)
 	}
-	chains, _ := filepath.Glob(filepath.Join(dir, "*.chain"))
-	if _, err := os.Stat(filepath.Join(dir, dataLogName)); err != nil || len(chains) == 0 {
-		t.Fatalf("generation holds %d chain files and a log (%v); want both", len(chains), err)
+	for key, e := range vms[0].Chunks["A"] {
+		for _, vm := range vms[1:4] {
+			next := vm.Chunks["A"][key]
+			if next.File != dataLogName || next.Offset != e.Offset+frameLen(e.Length) {
+				t.Fatalf("chunk %s: version %d's compacted frame is at %s@%d, want right after version %d's", key, vm.ID, next.File, next.Offset, vm.ID-1)
+			}
+			e = next
+		}
 	}
-	deltaOnChain := false
+	first := vms[4] // the first write after Compact
+	deltaOnCompacted := false
 	for _, e := range first.Chunks["A"] {
-		deltaOnChain = deltaOnChain || (e.File == dataLogName && e.Base == 4)
+		deltaOnCompacted = deltaOnCompacted || e.Base == 4
 	}
-	if !deltaOnChain {
-		t.Fatal("no logged frame deltas against a compacted version; the mix is untested")
+	if !deltaOnCompacted {
+		t.Fatal("no written frame deltas against a compacted version; the mix is untested")
 	}
 	for _, label := range []string{"live", "reopened"} {
 		if label == "reopened" {

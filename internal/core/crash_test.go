@@ -146,8 +146,8 @@ func crashContent(seed, side int64) *array.Dense {
 
 // runCrashWorkload drives the workload until completion or the first
 // error; mb is the store's filesystem. compacted runs a Compact after
-// the first two inserts, so the rest of the workload writes a fresh
-// data log beside the chain files it built. It returns the model of
+// the first two inserts, so the rest of the workload appends to the data
+// log it built in chunk-column order. It returns the model of
 // committed state; on error the model's pending fields describe the
 // interrupted operation.
 func runCrashWorkload(s *Store, mb *midBuildFS, side int64, compacted bool) (*crashModel, error) {
@@ -351,7 +351,8 @@ func nextLiveID(m *crashModel) int {
 
 func TestCrashPointMatrix(t *testing.T) {
 	const side = 16
-	// coLocate=true is the compacted layout: chain files and a log
+	// coLocate=true is the compacted layout: a log in chunk-column order,
+	// then written frames
 	for _, compacted := range []bool{true, false} {
 		t.Run(fmt.Sprintf("coLocate=%v", compacted), func(t *testing.T) {
 			// pass 1: count the total number of mutation steps
@@ -441,7 +442,7 @@ func TestRecoveryReconcilesLostData(t *testing.T) {
 	if _, err := s.Insert("M", DensePayload(crashContent(3, side))); err != nil {
 		t.Fatal(err)
 	}
-	// simulate a non-durable crash: cut the tail off every chain file,
+	// simulate a non-durable crash: cut the tail off every chunk file,
 	// destroying the later versions' frames (v2/v3 are delta chains or
 	// appended frames past v1's)
 	st := s.arrays["M"]

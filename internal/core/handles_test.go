@@ -39,9 +39,9 @@ func liveChunksDir(s *Store, name string) string {
 }
 
 // TestFailedStageDoesNotPoisonReads is the stale-handle regression: the
-// failed batch's staging reads open its new chain files, the failure
-// sweep removes them, and the next insert recreates them under the same
-// names. A handle left open on the removed file would serve the failed
+// failed batch's staging reads open its new data log, the failure
+// sweep removes it, and the next insert recreates it under the same
+// name. A handle left open on the removed file would serve the failed
 // batch's bytes — with a valid CRC — as the committed version 1.
 func TestFailedStageDoesNotPoisonReads(t *testing.T) {
 	s := testStore(t, smallOpts())
@@ -77,8 +77,8 @@ func TestFailedStageDoesNotPoisonReads(t *testing.T) {
 }
 
 // TestChunkFDsBounded pins the read path's resource bound in both
-// layouts (log-resident, and compacted half-way so logs and chain files
-// coexist): a read opens the chunk files it touches and closes them
+// layouts (log-resident, and compacted half-way so the log holds
+// column-ordered frames and written ones): a read opens the chunk files it touches and closes them
 // before it returns, so no descriptor under the store directory is open
 // after any Read, after Reorganize and Compact, or after Close.
 func TestChunkFDsBounded(t *testing.T) {

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -122,25 +122,20 @@ func DeltaListPayload(base int, updates []CellUpdate) Payload {
 	return Payload{DeltaBase: base, Updates: updates}
 }
 
-// insertCtx carries the filesystem coordinates one staged mutation
-// encodes against: the metadata view it resolves bases through, the
-// chunk directory of the generation it pinned (and whether it builds
-// chain files there, a rewrite, or appends to the data log, a write),
-// the representation it encodes with, the write-set recording its appends,
-// and a per-stage chunk memo (never nil) so repeated base reads walk
-// each delta chain once — a rewrite's holds every version's chunks. A
-// write's view reads the LRU but never admits to it (noAdmit); its own
-// chunks reach the LRU through head, on commit.
+// insertCtx carries the coordinates one staged mutation encodes
+// against: the metadata view it resolves bases through, the write-set
+// naming the log its frames go to (the generation it pinned, or a
+// rewrite's build), the representation it encodes with, and a per-stage
+// chunk memo (never nil) so repeated base reads walk each delta chain
+// once — a rewrite's holds every version's chunks. A write's view reads
+// the LRU but never admits to it (noAdmit); its own chunks reach the LRU
+// through head, on commit.
 type insertCtx struct {
-	st  *arrayState
-	v   *readView
-	ws  *writeSet
-	qc  *chunkCache
-	dir string
-	// chains sends each chunk's frame to its chain file: a rewrite's
-	// build; a write's frames go to the generation's data log
-	chains bool
-	goCtx  context.Context // cancellation; a write's is its caller's
+	st    *arrayState
+	v     *readView
+	ws    *writeSet
+	qc    *chunkCache
+	goCtx context.Context // cancellation; a write's is its caller's
 	// head (a write with a cache) collects the write's cut chunks, keyed
 	// but for the generation; nothing writes them after
 	head map[cache.Key]*array.Dense
@@ -151,141 +146,89 @@ type insertCtx struct {
 	fill     int64
 }
 
-// writeSet tracks the chunk-file byte ranges appended by one staged
-// mutation, for the two jobs that follow staging: fsyncing each touched
-// file exactly once at the shared commit point, and reclaiming the
-// bytes if the mutation fails before committing. Its appends are
-// recorded one at a time — encodePlane writes after its pool — so it
-// needs no lock.
+// writeSet is the span [start, end) one staged mutation appended to the
+// data log of the chunks directory dir, for the two jobs that follow
+// staging: fsyncing the log once at the commit point, and reclaiming
+// the bytes if the mutation fails before committing. Within one
+// mutation the array's writeMu (a build: its private directory)
+// excludes other appenders, so its appends are contiguous; they are
+// recorded one at a time — encodePlane appends after its pool — so the
+// set needs no lock.
 type writeSet struct {
-	files map[string]*fileSpan
+	dir        string
+	start, end int64 // both -1 until the first append
 }
 
-type fileSpan struct {
-	start int64 // offset of this mutation's first byte in the file
-	end   int64 // offset one past this mutation's last byte
-}
+func newWriteSet(dir string) *writeSet { return &writeSet{dir: dir, start: -1, end: -1} }
 
-func newWriteSet() *writeSet { return &writeSet{files: map[string]*fileSpan{}} }
+// log is the path of the data log the set's appends go to.
+func (w *writeSet) log() string { return filepath.Join(w.dir, dataLogName) }
 
-// record merges one append into the set. Within one staged mutation the
-// array's writeMu (a build: its private directory) excludes other
-// appenders, so a file's recorded spans are contiguous and min/max
-// merging is exact.
-func (w *writeSet) record(path string, start, end int64) {
-	if sp, ok := w.files[path]; ok {
-		if start < sp.start {
-			sp.start = start
-		}
-		if end > sp.end {
-			sp.end = end
-		}
-	} else {
-		w.files[path] = &fileSpan{start: start, end: end}
-	}
-}
+func (w *writeSet) empty() bool { return w.start < 0 }
 
-// sortedPaths returns the touched files in a deterministic order, so
-// the fault-injection matrix sees the same fsync/sweep step sequence on
-// every run.
-func (w *writeSet) sortedPaths() []string {
-	paths := make([]string, 0, len(w.files))
-	for p := range w.files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
-}
-
-func (w *writeSet) empty() bool { return len(w.files) == 0 }
-
-// totalBytes sums the staged spans — the payload volume this mutation
+// totalBytes is the span's length — the payload volume this mutation
 // appended, reported as the commit stages' byte attribution.
-func (w *writeSet) totalBytes() int64 {
-	var n int64
-	for _, sp := range w.files {
-		n += sp.end - sp.start
-	}
-	return n
-}
+func (w *writeSet) totalBytes() int64 { return w.end - w.start }
 
-// createdFiles reports whether the mutation created any chunk file (a
-// span starting at offset zero; a pre-existing file is never appended
-// at zero) — for a write, whether it was the first into its generation's
-// log. Only creations need the chunks directory fsynced before the
-// metadata commit — an append to an existing file changes no directory
-// entry, and fsyncing the file persists its inode size — so
-// steady-state appends skip the directory flush entirely.
-func (w *writeSet) createdFiles() bool {
-	for _, sp := range w.files {
-		if sp.start == 0 {
-			return true
-		}
+// sync makes the span durable, the data-durability step of every commit:
+// one fsync of the log, counted in DataFsyncs, plus one of the chunks
+// directory when the span starts at offset zero — the mutation created
+// the log. An append to an existing file changes no directory entry,
+// and fsyncing the file persists its inode size, so steady-state appends
+// skip the directory flush. The close error is merged — a failed close
+// after kernel-buffered writes is silent data loss. No-op without
+// Durability.
+func (w *writeSet) sync(s *Store) error {
+	if !s.opts.Durability || w.empty() {
+		return nil
 	}
-	return false
-}
-
-// syncFile fsyncs one chunk file through the FS seam, counting it in
-// DataFsyncs. The close error is merged — a failed close after
-// kernel-buffered writes is silent data loss.
-func (s *Store) syncFile(path string) error {
-	f, err := s.fs.Append(path)
+	f, err := s.fs.Append(w.log())
 	if err != nil {
 		return err
 	}
 	s.stats.DataFsyncs.Add(1)
-	serr := f.Sync()
-	if cerr := f.Close(); serr == nil {
-		serr = cerr
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return serr
+	if err == nil && w.start == 0 {
+		err = s.fs.SyncDir(w.dir)
+	}
+	return err
 }
 
-// sync fsyncs every file in the set — the data-durability step of the
-// shared commit: a write's one log, a build's chain files. Callers sync
-// the chunks directory afterwards.
-func (w *writeSet) sync(s *Store) error {
-	for _, path := range w.sortedPaths() {
-		if err := s.syncFile(path); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sweep reclaims the staged bytes after a failure. A file whose current
-// size equals the recorded span's end has seen no later appends, so the
-// span is the file's tail: the file is removed when the span started at
-// offset zero (the failed mutation created it) and truncated back
-// otherwise. A file someone appended to after us is left alone — the
-// bytes become dangling (Verify counts them, Compact reclaims them) —
-// so the sweep can never cut another stager's staged frames. Callers
-// must hold the array's writeMu so no append can land between the size
-// check and the truncate. Best-effort: errors are ignored (the store
-// may be mid-crash, or the whole generation already swept by a
-// rewrite); what was reclaimed feeds Stats.
+// sweep reclaims the staged bytes after a failure. A log whose current
+// size equals the span's end has seen no later appends, so the span is
+// its tail: the log is removed when the span started at offset zero (the
+// failed mutation created it) and truncated back otherwise. A log
+// someone appended to after us is left alone — the bytes become
+// dangling (Verify counts them, Compact reclaims them) — so the sweep
+// can never cut another stager's staged frames. Callers must hold the
+// array's writeMu so no append can land between the size check and the
+// truncate. Best-effort: errors are ignored (the store may be
+// mid-crash, or the whole generation already swept by a rewrite); what
+// was reclaimed feeds Stats.
 func (w *writeSet) sweep(s *Store) {
-	var files, bytes int64
-	for _, path := range w.sortedPaths() {
-		sp := w.files[path]
-		// the size check is a read, which (like readFrames and recovery's
-		// directory scans) stays on the plain os package per the fsio
-		// contract; only the Remove/Truncate mutations go through the seam
-		info, err := os.Stat(path)
-		if err != nil || info.Size() != sp.end {
-			continue
-		}
-		if sp.start == 0 {
-			if s.fs.Remove(path) == nil {
-				files++
-				bytes += sp.end
-			}
-		} else if s.fs.Truncate(path, sp.start) == nil {
-			files++
-			bytes += sp.end - sp.start
-		}
+	if w.empty() {
+		return
 	}
-	s.addInsertOrphans(files, bytes)
+	path := w.log()
+	// the size check is a read, which (like readFrames and recovery's
+	// directory scans) stays on the plain os package per the fsio
+	// contract; only the Remove/Truncate mutations go through the seam
+	info, err := os.Stat(path)
+	if err != nil || info.Size() != w.end {
+		return
+	}
+	var reclaimed error
+	if w.start == 0 {
+		reclaimed = s.fs.Remove(path)
+	} else {
+		reclaimed = s.fs.Truncate(path, w.start)
+	}
+	if reclaimed == nil {
+		s.addInsertOrphans(1, w.end-w.start)
+	}
 }
 
 // stagedInsert is one array's share of a write, staged and awaiting its
@@ -468,11 +411,11 @@ func (s *Store) stageBatch(ctx context.Context, pc *payloadCut, kind string) (*s
 	baseID := st.NextID
 	s.mu.RUnlock()
 
-	ins := &stagedInsert{st: st, gen: v.gen, ws: newWriteSet(), ids: make([]int, len(ps))}
+	ins := &stagedInsert{st: st, gen: v.gen, ws: newWriteSet(v.gen.dir), ids: make([]int, len(ps))}
 	for j := range ps {
 		ins.ids[j] = baseID + j
 	}
-	ictx := &insertCtx{st: st, v: v, ws: ins.ws, qc: newChunkCache(false), dir: v.gen.dir, repFixed: repFixed, sparse: sparse, fill: fill, goCtx: ctx}
+	ictx := &insertCtx{st: st, v: v, ws: ins.ws, qc: newChunkCache(false), repFixed: repFixed, sparse: sparse, fill: fill, goCtx: ctx}
 	if s.chunkCache != nil {
 		ictx.head = map[cache.Key]*array.Dense{}
 	}
@@ -595,7 +538,7 @@ func (s *Store) finalizeBatch(ctx context.Context, staged []*stagedInsert) error
 	// once; a failed one degrades its own array and commits nothing
 	t0 := time.Now()
 	if err := forEachLimit(context.WithoutCancel(ctx), len(staged), len(staged), func(i int) error {
-		return s.syncWrites(staged[i].st, staged[i].ws, staged[i].gen.dir)
+		return s.syncWrites(staged[i].st, staged[i].ws)
 	}); err != nil {
 		return err
 	}
@@ -822,23 +765,18 @@ func (s *Store) gatherCells(ctx context.Context, v *readView, id int, attr strin
 }
 
 // encodePlane writes every chunk of one attribute of version id — the
-// one encoder behind inserts, DeleteVersion's re-encodes and rewrites.
-// It works one chunk at a time. The target chunk is cut[i], an insert's
-// payload cut into chunks (cutPayloads; memoized in ctx.qc under id, so
-// a later member of a batch finds its base there, and the chunk the
-// commit writes through to the LRU); without a cut it is version id's
-// own stored content, a re-encode's, resolved through the context's view
-// and memo. With a base (baseID > 0) each chunk is delta-encoded against
-// the base's chunk, resolved the same way — never sliced out of a base
-// plane — and the delta is kept when it is smaller than the raw chunk
-// ("disk space usage is calculated by trying both methods and choosing
-// the more economical one", §III-B.3); the bounded encode refuses a far
-// pair from its first pass. A write's chunk that no delta against the
-// head shrinks falls back to the two versions before the head, when
-// resident and alike: two writers' payloads can commit out of the order
-// they were sent in, so a payload's true predecessor may sit just behind
-// the head. A sparse version (sp, or its stored content) is one
-// container. Once every chunk is sealed, writeFrames stores them.
+// encoder behind inserts, DeleteVersion's re-encodes and a sparse
+// array's rewrite. The target chunk is cut[i], an insert's payload cut
+// into chunks (cutPayloads; memoized in ctx.qc under id, so a later
+// member of a batch finds its base there, and the chunk the commit
+// writes through to the LRU); without a cut it is version id's own
+// stored content, resolved through the context's view and memo
+// (encodeChunk). A write's chunk that no delta against the head shrinks
+// falls back to the two versions before the head, when resident and
+// alike: two writers' payloads can commit out of the order they were
+// sent in, so a payload's true predecessor may sit just behind the
+// head. A sparse version (sp, or its stored content) is one container.
+// Once every chunk is sealed, appendFrames stores them.
 func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, sp *array.Sparse, cut []*array.Dense, baseID int) (map[string]chunkEntry, error) {
 	if ctx.sparse {
 		// sparse versions are stored as a single container (their entire
@@ -871,7 +809,7 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, sp *ar
 			return nil, err
 		}
 		e := []chunkEntry{{Length: int64(len(sealed)), Codec: uint8(used), Base: entryBase}}
-		if err := s.writeFrames(ctx, attr.Name, []string{"chunk-full"}, [][]byte{sealed}, e); err != nil {
+		if err := s.appendFrames(ctx.ws, [][]byte{sealed}, e); err != nil {
 			return nil, err
 		}
 		return map[string]chunkEntry{"chunk-full": e[0]}, nil
@@ -882,15 +820,11 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, sp *ar
 	}
 	// Fan the per-chunk encode+compress out on the worker pool. Chunks
 	// are independent: each worker touches only its own chunk's memo map
-	// and result slots. The frames are written after the pool, in
+	// and result slots. The frames are appended after the pool, in
 	// row-major chunk order, so where each lands does not depend on the
 	// schedule.
 	origins := ck.All()
 	locals := ctx.qc.chunkMaps(attr.Name, ck, origins)
-	keys := make([]string, len(origins))
-	for i, origin := range origins {
-		keys[i] = ck.Key(origin)
-	}
 	results := make([]chunkEntry, len(origins))
 	blobs := make([][]byte, len(origins))
 	bases := [3]int{baseID}
@@ -899,62 +833,82 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, sp *ar
 	}
 	err = forEachLimit(ctx.goCtx, len(origins), s.opts.Parallelism, func(i int) error {
 		var target *array.Dense
-		var err error
 		if cut != nil {
 			target = cut[i]
 			locals[i][id] = target
-		} else if target, err = s.resolveDenseChunk(ctx.v, id, attr.Name, ck, origins[i], locals[i], false, nil); err != nil {
-			return err
 		}
-		payload := target.Bytes()
-		entryBase := -1
-		for k, b := range bases {
-			if b <= 0 || entryBase >= 0 {
-				break
-			}
-			var baseChunk *array.Dense
-			if k == 0 {
-				if baseChunk, err = s.resolveDenseChunk(ctx.v, b, attr.Name, ck, origins[i], locals[i], false, nil); err != nil {
-					return err
-				}
-			} else if baseChunk = locals[i][b]; baseChunk == nil { // a fallback is tried only when resident
-				d, _ := s.chunkCache.Get(cache.Key{Array: ctx.st.Schema.Name, Gen: ctx.v.gen.id, Version: b, Attr: attr.Name, Chunk: keys[i]})
-				baseChunk, _ = d.(*array.Dense)
-			}
-			if k > 0 && (baseChunk == nil || !delta.Alike(target, baseChunk)) {
-				continue
-			}
-			blob, err := delta.EncodeHybridUnder(target, baseChunk, len(payload))
-			if err != nil {
-				return err
-			}
-			if blob != nil {
-				payload, entryBase = blob, b
-			}
-		}
-		rawDense := entryBase < 0
-		sealed, used, err := seal(pickCodec(s.opts.Codec, rawDense), payload, sealParams(rawDense, ck.Box(origins[i]), attr.Type))
-		if err != nil {
-			return err
-		}
-		blobs[i] = sealed
-		results[i] = chunkEntry{Length: int64(len(sealed)), Codec: uint8(used), Base: entryBase}
-		return nil
+		var err error
+		blobs[i], results[i], err = s.encodeChunk(ctx, id, attr, ck, origins[i], locals[i], target, bases)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := s.writeFrames(ctx, attr.Name, keys, blobs, results); err != nil {
+	if err := s.appendFrames(ctx.ws, blobs, results); err != nil {
 		return nil, err
 	}
 	entries := make(map[string]chunkEntry, len(origins))
-	for i, key := range keys {
+	for i, origin := range origins {
+		key := ck.Key(origin)
 		entries[key] = results[i]
 		if ctx.head != nil { // a write's: its chunks are the cut
 			ctx.head[cache.Key{Array: ctx.st.Schema.Name, Version: id, Attr: attr.Name, Chunk: key}] = cut[i]
 		}
 	}
 	return entries, nil
+}
+
+// encodeChunk seals version id's chunk of attr at origin — the one
+// chunk encoder behind writes, re-encodes and rewrites — and returns the
+// frame and its entry, which appendFrames places. The target is target,
+// or, nil, version id's stored chunk resolved through the context's view
+// and the chunk's memo map local. Against bases[0] (when > 0) the chunk
+// is delta-encoded, the base chunk resolved the same way — never sliced
+// out of a base plane — and the delta is kept when it is smaller than
+// the raw chunk ("disk space usage is calculated by trying both methods
+// and choosing the more economical one", §III-B.3); the bounded encode
+// refuses a far pair from its first pass. bases[1] and bases[2] are
+// fallbacks, tried only when no earlier base kept a delta and only when
+// their chunk is resident (in local or the LRU) and alike.
+func (s *Store) encodeChunk(ctx *insertCtx, id int, attr array.Attribute, ck *chunk.Chunker, origin []int64, local map[int]*array.Dense, target *array.Dense, bases [3]int) ([]byte, chunkEntry, error) {
+	var err error
+	if target == nil {
+		if target, err = s.resolveDenseChunk(ctx.v, id, attr.Name, ck, origin, local, false, nil); err != nil {
+			return nil, chunkEntry{}, err
+		}
+	}
+	payload := target.Bytes()
+	entryBase := -1
+	for k, b := range bases {
+		if b <= 0 || entryBase >= 0 {
+			break
+		}
+		var baseChunk *array.Dense
+		if k == 0 {
+			if baseChunk, err = s.resolveDenseChunk(ctx.v, b, attr.Name, ck, origin, local, false, nil); err != nil {
+				return nil, chunkEntry{}, err
+			}
+		} else if baseChunk = local[b]; baseChunk == nil { // a fallback is tried only when resident
+			d, _ := s.chunkCache.Get(cache.Key{Array: ctx.st.Schema.Name, Gen: ctx.v.gen.id, Version: b, Attr: attr.Name, Chunk: ck.Key(origin)})
+			baseChunk, _ = d.(*array.Dense)
+		}
+		if k > 0 && (baseChunk == nil || !delta.Alike(target, baseChunk)) {
+			continue
+		}
+		blob, err := delta.EncodeHybridUnder(target, baseChunk, len(payload))
+		if err != nil {
+			return nil, chunkEntry{}, err
+		}
+		if blob != nil {
+			payload, entryBase = blob, b
+		}
+	}
+	rawDense := entryBase < 0
+	sealed, used, err := seal(pickCodec(s.opts.Codec, rawDense), payload, sealParams(rawDense, ck.Box(origin), attr.Type))
+	if err != nil {
+		return nil, chunkEntry{}, err
+	}
+	return sealed, chunkEntry{Length: int64(len(sealed)), Codec: uint8(used), Base: entryBase}, nil
 }
 
 // Branch creates a new named array whose first version is a copy of the

@@ -13,88 +13,71 @@ import (
 	"arrayvers/internal/compress"
 )
 
-// Chunk payload I/O. Frames live in two kinds of file (§III-B.3). A
-// write — Write, Branch, Merge, and DeleteVersion's re-encodes — appends
-// all of its frames to its generation's data log (dataLogName), so a
-// durable write syncs one file however many chunks it touched. A
-// rewrite — Reorganize, Compact, and the carry-forward of the versions
-// committed during one — builds co-located chain files, where all frames
-// of one chunk across versions are appended to a single file: a chain
-// walk hands readFrames the delta frames it needs in segments of up to
-// walkReadBytes, and the adjacent frames of one file come back from one
-// pread, so a cold walk of a co-located chain whose deltas were
-// appended in order costs one read for its materialized root and one
-// per segment of its deltas — one, unless the chain holds more than
-// walkReadBytes of them. A log-resident chain's frames are interleaved
-// with the other chunks' frames of each write, so its walk costs one
-// pread per frame. Every reader resolves a frame by its entry's file,
-// offset and length, whichever kind of file holds it.
+// Chunk payload I/O. A chunk generation is one file, its data log
+// (dataLogName), and every mutation appends its frames to it (§III-B.3).
+// A write — Write, Branch, Merge, and DeleteVersion's re-encodes —
+// appends all of its frames as one span, chunk by chunk, so a durable
+// write syncs one file however many chunks it touched. A rewrite —
+// Reorganize, Compact, and the carry-forward of the versions committed
+// during one — builds a new generation's log one chunk column at a
+// time: every version's frame of one chunk, in id order, then the next
+// chunk. A chain walk hands readFrames the delta frames it needs in
+// segments of up to walkReadBytes, and the adjacent frames of one file
+// come back from one pread, so a cold walk of a rewritten chain costs
+// one read for its materialized root and one per segment of its deltas
+// — one, unless the chain holds more than walkReadBytes of them. A
+// written chain's frames are interleaved with the other chunks' frames
+// of each write, so its walk costs one pread per frame. Every reader
+// resolves a frame by its entry's file, offset and length, so a
+// generation built before rewrites wrote the log — one
+// <attr>-<chunk>.chain file per chunk beside it — reads as before, and
+// its next rewrite leaves the one file.
 //
 // Concurrency contract: every chunk write is an append to a file whose
-// committed prefix is never disturbed — logs and chain files only grow
-// at the tail — so readFrames may run with no store lock held: a
-// reader's metadata snapshot only references (file, offset, length)
-// triples that existed before the snapshot. A write or a re-encode
-// appends to the log under the array's writeMu, so the log has one
-// appender at a time. The only destructive operations (Reorganize,
-// Compact, DeleteArray) build a new chunk generation beside the live
-// one, commit it with a metadata commit, and retire the old generation;
-// the last release of a reader that pinned it removes it. That pin is
-// the read path's only lifetime rule: readFrames opens each file it
-// touches and closes it before returning, always inside a snapshot that
-// pins the directory, so no handle outlives its read or points at an
-// unlinked inode, and open descriptors are bounded by the reads in
-// flight.
+// committed prefix is never disturbed — files only grow at the tail —
+// so readFrames may run with no store lock held: a reader's metadata
+// snapshot only references (file, offset, length) triples that existed
+// before the snapshot. A write or a re-encode appends to the log under
+// the array's writeMu, and a rewrite to its private build directory, so
+// a log has one appender at a time. The only destructive operations
+// (Reorganize, Compact, DeleteArray) build a new chunk generation beside
+// the live one, commit it with a metadata commit, and retire the old
+// generation; the last release of a reader that pinned it removes it.
+// That pin is the read path's only lifetime rule: readFrames opens each
+// file it touches and closes it before returning, always inside a
+// snapshot that pins the directory, so no handle outlives its read or
+// points at an unlinked inode, and open descriptors are bounded by the
+// reads in flight.
 //
 // Durability contract: with Options.Durability on, every mutator fsyncs
-// the files it appended to (and the chunks directory, when it created
-// any) before committing metadata, so the manifest-log append is the
+// the log it appended to (and the chunks directory, when it created the
+// log) before committing metadata, so the manifest-log append is the
 // commit point: everything a committed version references is already
 // durable, and anything past the last committed frame in a file is
 // garbage that recovery truncates.
 
-// dataLogName is the file a generation's writes append their frames to.
+// dataLogName is the file a generation's frames are appended to.
 const dataLogName = "data.log"
 
-// chainFileName returns the co-located chain file for one (attr, chunk).
-func chainFileName(attr, chunkKey string) string {
-	return attr + "-" + chunkKey + ".chain"
-}
-
-// writeFrames stores one encodePlane call's sealed chunks, whose keys
-// are keys, and fills each entry's File and Offset. A write's frames go
-// to the generation's data log in the order given, with one open of the
-// file, so the offsets are deterministic and one write's span of the log
-// is contiguous; a rewrite's (ctx.chains) go each to its chunk's chain
-// file. The appends are left unsynced and recorded in the context's
-// write-set: the shared commit point syncs every touched file once.
-func (s *Store) writeFrames(ctx *insertCtx, attr string, keys []string, blobs [][]byte, entries []chunkEntry) error {
-	if !ctx.chains {
-		return s.appendFrames(ctx, dataLogName, blobs, entries)
-	}
-	for i, key := range keys {
-		if err := s.appendFrames(ctx, chainFileName(attr, key), blobs[i:i+1], entries[i:i+1]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// appendFrames appends blobs to one file of the context's directory,
-// records the span in its write-set — what a failure reached too, so
-// the sweep can reclaim it — and points entries at the frames.
-func (s *Store) appendFrames(ctx *insertCtx, file string, blobs [][]byte, entries []chunkEntry) error {
-	path := filepath.Join(ctx.dir, file)
-	start, end, err := s.appendBlobs(path, blobs)
+// appendFrames appends blobs to the data log of ws's directory, in the
+// order given, through one open of the file, records the span in ws —
+// what a failure reached too, so the sweep can reclaim it — and points
+// entries at the frames. The appends are left unsynced: the mutation's
+// commit point syncs the log once (writeSet.sync).
+func (s *Store) appendFrames(ws *writeSet, blobs [][]byte, entries []chunkEntry) error {
+	start, end, err := s.appendBlobs(ws.log(), blobs)
 	if start >= 0 {
-		ctx.ws.record(path, start, end)
+		if ws.empty() {
+			ws.start = start
+		}
+		ws.end = end
 	}
 	if err != nil {
 		return err
 	}
 	off := start
 	for i, blob := range blobs {
-		entries[i].File, entries[i].Offset = file, off
+		entries[i].File, entries[i].Offset = dataLogName, off
 		off += frameLen(int64(len(blob)))
 		s.addWrite(int64(len(blob)))
 	}
@@ -105,8 +88,8 @@ func (s *Store) appendFrames(ctx *insertCtx, file string, blobs [][]byte, entrie
 // header, then the payload itself — through one open of the file. It
 // returns the offset the first frame starts at (-1 when the file could
 // not be opened) and the offset one past the last byte it wrote, also on
-// error. The appends are not fsynced: every caller batches one fsync per
-// touched file before its metadata commit (writeSet.sync, syncBuild).
+// error. The appends are not fsynced: the caller's commit point syncs
+// the file once (writeSet.sync).
 // The close error is always checked — a failed close after a buffered
 // write is silent data loss.
 func (s *Store) appendBlobs(path string, payloads [][]byte) (start, end int64, err error) {
@@ -179,11 +162,11 @@ type frameRun struct {
 // out[i] is frames[i]'s. Each file it touches is opened and stat'ed
 // once and closed on return, so no handle outlives the read. The frames
 // of one file are sorted by offset and read as runs: frames that touch
-// — the next starts where the last ended, as a chain file's appends do
-// — share one pread into one buffer, which their payloads then alias,
-// so a run holds no bytes but its frames. Frames that do not touch —
-// one chunk's frames in a data log, or frames in different files — are
-// separate reads. Two
+// — the next starts where the last ended, as a rewritten chunk column's
+// do — share one pread into one buffer, which their payloads then
+// alias, so a run holds no bytes but its frames. Frames that do not
+// touch — one chunk's frames across writes, or frames in different
+// files — are separate reads. Two
 // passes: the first groups the runs and checks every one against its
 // file's size, the second allocates and reads, so no buffer is made
 // until every extent is known to fit. Each frame's header — magic,

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -10,82 +12,153 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"arrayvers/internal/array"
 )
 
-// FuzzOpenStore feeds hostile bytes to a whole store open: each input
-// overwrites one chain file and the data log of a small durable store
-// and appends to its manifest log, then the store is opened with
-// Durability on (so crash recovery runs over all three), verified, and
-// every live version is read. The contract: an error or a result, never
-// a panic or a hang, and no allocation beyond what the store's files and
-// the input can back. The seed store holds a dense array of a few
-// versions, compacted into chain files part-way, so the later versions'
-// frames are in the data log, and has rotated its manifest once.
-func FuzzOpenStore(f *testing.F) {
-	dir := f.TempDir()
+// chaingenStore is a store recorded before rewrites wrote the data log,
+// when Compact built one <attr>-<chunk>.chain file per chunk: a durable
+// dense array "D" of five 32² int32 versions in 4 chunks of 16² int32
+// (ChunkBytes 1 KiB), compacted after the third into chain files, whose
+// fourth and fifth versions went to a data log beside them, and whose
+// manifest rotated once. chaingenCRCs holds the CRC32-C of each
+// version's cells.
+var (
+	chaingenStore = filepath.Join("testdata", "chaingen", "store")
+	chaingenCRCs  = filepath.Join("testdata", "chaingen", "versions.crc")
+)
+
+// chaingenOpts are the options the chain-file fixture was written with.
+func chaingenOpts() Options {
 	opts := smallOpts()
-	opts.ChunkBytes = 1 << 10 // 4 chunks of 16² int32
+	opts.ChunkBytes = 1 << 10
 	opts.Durability = true
-	s, err := Open(dir, opts)
+	return opts
+}
+
+// chaingenWant reads the fixture's golden CRCs, by version id.
+func chaingenWant(t testing.TB) map[int]uint32 {
+	t.Helper()
+	raw, err := os.ReadFile(chaingenCRCs)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	// an insert's record is ~570 bytes and the Compact's carries the
-	// whole document: the log rotates once, and the live log holds the
-	// appends of the inserts after it
-	rotateAt(s, 5<<9)
-	if err := s.CreateArray(schema2D("D", 32)); err != nil {
-		f.Fatal(err)
-	}
-	versions := evolvingVersions(5, 32, 41)
-	for i, v := range versions {
-		if _, err := s.Insert("D", DensePayload(v)); err != nil {
-			f.Fatal(err)
+	want := map[int]uint32{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var id int
+		var crc uint32
+		if _, err := fmt.Sscanf(line, "%d %x", &id, &crc); err != nil {
+			t.Fatalf("%s: %q: %v", chaingenCRCs, line, err)
 		}
-		if i == 2 {
-			compactIf(f, s, "D", true)
+		want[id] = crc
+	}
+	return want
+}
+
+func cellsCRC(d *array.Dense) uint32 {
+	return crc32.Checksum(d.Bytes(), crc32.MakeTable(crc32.Castagnoli))
+}
+
+// TestChainFileGenerationReads: a generation that holds chain files
+// beside its data log opens without repair, verifies clean and reads
+// every version byte-identical; a write lands in its log, and Compact
+// rewrites the lot into one file, which reads the same after a reopen.
+func TestChainFileGenerationReads(t *testing.T) {
+	want := chaingenWant(t)
+	s, err := Open(copyTree(t, chaingenStore), chaingenOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	if rec := s.Recovery(); rec != (RecoveryStats{}) {
+		t.Fatalf("opening the fixture repaired %+v, want nothing", rec)
+	}
+	chunkFiles := func() []string {
+		s.mu.RLock()
+		dir := s.arrays["D"].chunksDir()
+		s.mu.RUnlock()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	check := func(label string) {
+		t.Helper()
+		if rep, err := s.Verify("D"); err != nil || !rep.Ok() || rep.DanglingBytes != 0 {
+			t.Fatalf("%s: verify: %v %v, %d dangling bytes", label, err, rep.Problems, rep.DanglingBytes)
+		}
+		for id, crc := range want {
+			got, err := s.Select("D", id)
+			if err != nil || cellsCRC(got.Dense) != crc {
+				t.Fatalf("%s: version %d does not read back: %v", label, id, err)
+			}
 		}
 	}
-	if n := s.Stats().ManifestRotations; n != 1 {
-		f.Fatalf("the seed store rotated its manifest %d times, want 1", n)
+	if names := chunkFiles(); len(names) != 5 || !slices.Contains(names, dataLogName) {
+		t.Fatalf("the fixture's generation holds %v, want four chain files and a data log", names)
 	}
-	if err := s.Close(); err != nil {
-		f.Fatal(err)
+	check("as recorded")
+	next, err := s.Select("D", 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	gen, err := readCurrent(dir)
+	next.Dense.SetBits(0, next.Dense.Bits(0)+1)
+	id, err := s.Insert("D", DensePayload(next.Dense))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[id] = cellsCRC(next.Dense)
+	check("after a write")
+	if err := s.Compact("D"); err != nil {
+		t.Fatal(err)
+	}
+	if names := chunkFiles(); !slices.Equal(names, []string{dataLogName}) {
+		t.Fatalf("Compact left %v, want only %s", names, dataLogName)
+	}
+	check("compacted")
+	s = reopen(t, s)
+	check("reopened")
+}
+
+// FuzzOpenStore feeds hostile bytes to a whole store open: each input
+// overwrites one chain file and the data log of a copy of the
+// chain-file fixture (chaingenStore) and appends to its manifest log,
+// then the store is opened with Durability on (so crash recovery runs
+// over all three), verified, and every live version is read. The
+// contract: an error or a result, never a panic or a hang, and no
+// allocation beyond what the store's files and the input can back.
+func FuzzOpenStore(f *testing.F) {
+	opts := chaingenOpts()
+	want := chaingenWant(f)
+	gen, err := readCurrent(chaingenStore)
 	if err != nil {
 		f.Fatal(err)
 	}
 	logName := manifestLogName(gen)
-	files := map[string][]byte{} // the seed store, by path under dir
+	files := map[string][]byte{} // the seed store, by path under its root
 	seedBytes := 0
-	var chains, dlogs []string
-	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(chaingenStore, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
-		rel, _ := filepath.Rel(dir, path)
+		rel, _ := filepath.Rel(chaingenStore, path)
 		raw, err := os.ReadFile(path)
 		files[rel], seedBytes = raw, seedBytes+len(raw)
-		if strings.HasSuffix(rel, ".chain") {
-			chains = append(chains, rel)
-		}
-		if filepath.Base(rel) == dataLogName {
-			dlogs = append(dlogs, rel)
-		}
 		return err
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
-	if len(chains) == 0 || len(dlogs) != 1 {
-		f.Fatalf("the seed store holds %d chain files and %d data logs, want some and one", len(chains), len(dlogs))
-	}
-	slices.Sort(chains)
-	chainName, dlogName := chains[0], dlogs[0]
+	chainName := filepath.Join("D", "chunks.g1", "A-chunk-0-0-15-15.chain")
+	dlogName := filepath.Join("D", "chunks.g1", dataLogName)
 	chain, dlog, log := files[chainName], files[dlogName], files[logName]
-	if len(log) == 0 { // the inserts after the rotation are what inputs tear and replay
-		f.Fatal("the seed store's live manifest log is empty")
+	if len(chain) == 0 || len(dlog) == 0 || len(log) == 0 { // the inserts after the rotation are what inputs tear and replay
+		f.Fatalf("the seed store lacks a chain file, a data log or a live manifest log (%d, %d, %d bytes)", len(chain), len(dlog), len(log))
 	}
 	f.Add(chain, dlog, []byte(nil))
 	flipped := bytes.Clone(chain)
@@ -146,7 +219,7 @@ func FuzzOpenStore(f *testing.F) {
 				for _, info := range infos {
 					id := info.ID
 					got, err := s.Read(context.Background(), ReadQuery{Array: name, IDs: []int{id}})
-					if intact && (err != nil || !got[0].Dense.Equal(versions[id-1])) {
+					if intact && (err != nil || cellsCRC(got[0].Dense) != want[id]) {
 						t.Fatalf("the intact seed store reads version %d wrong: %v", id, err)
 					}
 				}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 
 	"arrayvers/internal/array"
@@ -99,11 +98,11 @@ type rewritePlan struct {
 const buildDirName = "chunks.build"
 
 // rewriteBuild writes the new chunk generation of one destructive
-// rewrite into buildDir, from the array as v snapshotted it, recording
-// every append in ws, and returns the chunk maps of v.ids (entries[i]
-// for v.ids[i]). It runs with no store lock held; v's snapshot pins
-// the generation it reads.
-type rewriteBuild func(v *readView, buildDir string, ws *writeSet) (entries []map[string]map[string]chunkEntry, err error)
+// rewrite into the data log of ws's build directory, from the array as
+// v snapshotted it, and returns the chunk maps of v.ids (entries[i] for
+// v.ids[i]). It runs with no store lock held; v's snapshot pins the
+// generation it reads.
+type rewriteBuild func(v *readView, ws *writeSet) (entries []map[string]map[string]chunkEntry, err error)
 
 // Reorganize re-encodes every live version of an array according to the
 // chosen layout policy — the "background re-organization step" of §IV-E.
@@ -112,7 +111,7 @@ func (s *Store) Reorganize(name string, opts ReorganizeOptions) error {
 	if err := opts.validate(); err != nil {
 		return err
 	}
-	return s.rewrite(name, func(v *readView, buildDir string, ws *writeSet) ([]map[string]map[string]chunkEntry, error) {
+	return s.rewrite(name, func(v *readView, ws *writeSet) ([]map[string]map[string]chunkEntry, error) {
 		p := opts.plan
 		if p == nil || p.st != v.st || !slices.Equal(p.ids, v.ids) {
 			// no plan from Tune for this exact state: decode and plan
@@ -126,7 +125,7 @@ func (s *Store) Reorganize(name string, opts ReorganizeOptions) error {
 			}
 			p = &rewritePlan{memo: memo, layout: l}
 		}
-		return s.buildRewrite(v, buildDir, ws, p.memo, p.layout)
+		return s.buildRewrite(v, ws, p.memo, p.layout)
 	})
 }
 
@@ -170,19 +169,19 @@ func (s *Store) rewrite(name string, build rewriteBuild) error {
 	// never sweeps) can have left a stale build there — never append
 	// after it
 	buildDir := filepath.Join(st.dir, buildDirName)
-	ws := newWriteSet()
+	ws := newWriteSet(buildDir)
 	err = s.fs.RemoveAll(buildDir)
 	if err == nil {
 		err = s.fs.MkdirAll(buildDir)
 	}
 	var entries []map[string]map[string]chunkEntry
 	if err == nil {
-		entries, err = build(v, buildDir, ws)
+		entries, err = build(v, ws)
 	}
 	if err == nil {
 		// the build's fsyncs run before any write latch is taken, so the
 		// publish's critical section is the carry-forward and the commit
-		err = s.syncBuild(ws, buildDir)
+		err = ws.sync(s)
 	}
 	if err == nil {
 		// writeMu keeps the publish out of every write's stage-to-install
@@ -205,10 +204,10 @@ func (s *Store) rewrite(name string, build rewriteBuild) error {
 // publishRewrite commits a built and synced rewrite of the versions v
 // snapshotted. The protocol:
 //
-//  1. carry every version committed since the snapshot into the build
-//     directory, its stored frames copied byte for byte (same base,
-//     codec and length; nothing is decoded), and fsync the files that
-//     took them and the build directory;
+//  1. carry every version committed since the snapshot into the build's
+//     log after the built frames, its stored frames copied byte for byte
+//     (same base, codec and length; nothing is decoded), and fsync the
+//     log;
 //  2. rename the build directory to the next generation's name and sync
 //     the array directory — the new payloads are now durable but
 //     unreferenced;
@@ -270,10 +269,10 @@ func (s *Store) publishRewrite(st *arrayState, v *readView, buildDir string, ent
 	if len(pos) > 0 {
 		return fmt.Errorf("core: array %q lost versions under its rewrite", name)
 	}
-	ws := newWriteSet()
-	moved, err := s.carryFrames(st.Schema, v.gen.dir, buildDir, carried, ws)
-	if err == nil && len(carried) > 0 {
-		err = s.syncBuild(ws, buildDir)
+	ws := newWriteSet(buildDir)
+	moved, err := s.carryFrames(st.Schema, v.gen.dir, carried, ws)
+	if err == nil {
+		err = ws.sync(s)
 	}
 	if err != nil {
 		return err
@@ -604,46 +603,81 @@ func FilterWorkload(wl []layout.Query, ids []int) []layout.Query {
 }
 
 // buildRewrite re-encodes every live version of v per the layout into
-// the build directory, recording its appends in ws, and returns the new
-// chunk entries, one map per id. memo holds every version's decoded
-// chunks (decodeLive), so each chunk is encoded from its memo entry
-// against its new parent's — no plane is assembled or sliced. Versions
-// go in id order, so every chain file takes its frames in version order.
-func (s *Store) buildRewrite(v *readView, buildDir string, ws *writeSet, memo *chunkCache, l layout.Layout) ([]map[string]map[string]chunkEntry, error) {
+// ws's log and returns the new chunk entries, one map per id. memo holds
+// every version's decoded chunks (decodeLive), so each chunk is encoded
+// from its memo entry against its new parent's — no plane is assembled
+// or sliced. A dense array is built one chunk column at a time, every
+// version's frame of the chunk in id order, so a chunk's chain is one
+// run of the log: the columns are encoded on the pool in windows of
+// Parallelism, each worker taking one column's versions in id order,
+// and each window is appended in column order, so only one window of
+// sealed frames is held at once. A sparse version is one container, so
+// its version order is already column order.
+func (s *Store) buildRewrite(v *readView, ws *writeSet, memo *chunkCache, l layout.Layout) ([]map[string]map[string]chunkEntry, error) {
 	st := v.st
-	ctx := &insertCtx{st: st, v: v, ws: ws, qc: memo, dir: buildDir, chains: true, sparse: st.SparseRep,
+	ctx := &insertCtx{st: st, v: v, ws: ws, qc: memo, sparse: st.SparseRep,
 		goCtx: context.Background()} //avlint:allow-ctx a rewrite has no caller context to cancel it
-	entries := make([]map[string]map[string]chunkEntry, len(v.ids))
-	for i, id := range v.ids {
-		entries[i] = make(map[string]map[string]chunkEntry, len(st.Schema.Attrs))
-		base := 0
+	n := len(v.ids)
+	bases := make([]int, n)
+	entries := make([]map[string]map[string]chunkEntry, n)
+	for i := range v.ids {
 		if p := l.Parent[i]; p != i {
-			base = v.ids[p]
+			bases[i] = v.ids[p]
 		}
-		for _, attr := range st.Schema.Attrs {
-			m, err := s.encodePlane(ctx, id, attr, nil, nil, base)
+		entries[i] = make(map[string]map[string]chunkEntry, len(st.Schema.Attrs))
+	}
+	if st.SparseRep {
+		for i, id := range v.ids {
+			for _, attr := range st.Schema.Attrs {
+				m, err := s.encodePlane(ctx, id, attr, nil, nil, bases[i])
+				if err != nil {
+					return nil, err
+				}
+				entries[i][attr.Name] = m
+			}
+		}
+		return entries, nil
+	}
+	ck, err := st.chunker()
+	if err != nil {
+		return nil, err
+	}
+	origins := ck.All()
+	window := s.opts.Parallelism
+	for _, attr := range st.Schema.Attrs {
+		for i := range entries {
+			entries[i][attr.Name] = make(map[string]chunkEntry, len(origins))
+		}
+		locals := memo.chunkMaps(attr.Name, ck, origins)
+		for lo := 0; lo < len(origins); lo += window {
+			cols := min(window, len(origins)-lo)
+			blobs := make([][]byte, cols*n)
+			built := make([]chunkEntry, cols*n)
+			err := forEachLimit(ctx.goCtx, cols, s.opts.Parallelism, func(c int) error {
+				for i, id := range v.ids {
+					var err error
+					k := c*n + i
+					if blobs[k], built[k], err = s.encodeChunk(ctx, id, attr, ck, origins[lo+c], locals[lo+c], nil, [3]int{bases[i]}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err == nil {
+				err = s.appendFrames(ws, blobs, built)
+			}
 			if err != nil {
 				return nil, err
 			}
-			entries[i][attr.Name] = m
+			for c := range cols {
+				key := ck.Key(origins[lo+c])
+				for i := range entries {
+					entries[i][attr.Name][key] = built[c*n+i]
+				}
+			}
 		}
 	}
 	return entries, nil
-}
-
-// syncBuild makes the files ws recorded in a build directory durable,
-// then the directory itself. A build appends unsynced — one fsync per
-// append would make rewrites O(chunks) in disk-flush cost — so each
-// built file is synced exactly once here, before anything can
-// reference it. No-op without Durability.
-func (s *Store) syncBuild(ws *writeSet, buildDir string) error {
-	if !s.opts.Durability {
-		return nil
-	}
-	if err := ws.sync(s); err != nil {
-		return err
-	}
-	return s.fs.SyncDir(buildDir)
 }
 
 // DeleteVersion removes a version. Versions delta'ed against it are
@@ -692,10 +726,10 @@ func (s *Store) DeleteVersion(name string, id int) error {
 	}
 	staged := st.metaClone()
 	s.mu.RUnlock()
-	ws := newWriteSet()
+	ws := newWriteSet(st.current.dir)
 	err = s.stageDeleteVersion(st, &staged, id, ws)
 	if err == nil {
-		err = s.syncWrites(st, ws, st.current.dir)
+		err = s.syncWrites(st, ws)
 	}
 	if err == nil {
 		if err = s.commitMeta(st, &staged); err != nil && isUncertain(err) {
@@ -735,7 +769,7 @@ func (s *Store) stageDeleteVersion(st *arrayState, staged *arrayMeta, id int, ws
 	v := viewOf(st, staged.Versions)
 	v.noLookup, v.noAdmit = true, true
 	vm := v.byID[id]
-	ctx := &insertCtx{st: st, v: v, ws: ws, qc: newChunkCache(false), dir: v.gen.dir, sparse: staged.SparseRep,
+	ctx := &insertCtx{st: st, v: v, ws: ws, qc: newChunkCache(false), sparse: staged.SparseRep,
 		goCtx: context.Background()} //avlint:allow-ctx DeleteVersion's child re-encode is not cancellable
 	for si, child := range staged.Versions {
 		if child.ID == id || child.Deleted {
@@ -790,19 +824,11 @@ func (s *Store) stageDeleteVersion(st *arrayState, staged *arrayMeta, id int, ws
 	return nil
 }
 
-// syncWrites makes a re-encode write-set durable: every touched file,
-// then the chunks directory if any file was created. A failed fsync may
-// have dropped already-written pages — the on-disk effect is uncertain —
-// so the array degrades before anyone writes behind it. No-op without
-// Durability.
-func (s *Store) syncWrites(st *arrayState, ws *writeSet, chunksDir string) error {
-	if !s.opts.Durability || ws.empty() {
-		return nil
-	}
+// syncWrites makes a write-set durable (writeSet.sync). A failed fsync
+// may have dropped already-written pages — the on-disk effect is
+// uncertain — so the array degrades before anyone writes behind it.
+func (s *Store) syncWrites(st *arrayState, ws *writeSet) error {
 	err := ws.sync(s)
-	if err == nil && ws.createdFiles() {
-		err = s.fs.SyncDir(chunksDir)
-	}
 	if err != nil {
 		s.noteCommitFailure(st, err)
 	}
@@ -815,52 +841,62 @@ func (s *Store) syncWrites(st *arrayState, ws *writeSet, chunksDir string) error
 // Reorganize — same latches, same commit — whose build merely relocates
 // the stored frames instead of re-encoding them.
 func (s *Store) Compact(name string) error {
-	return s.rewrite(name, func(v *readView, buildDir string, ws *writeSet) ([]map[string]map[string]chunkEntry, error) {
+	return s.rewrite(name, func(v *readView, ws *writeSet) ([]map[string]map[string]chunkEntry, error) {
 		vms := make([]*versionMeta, len(v.ids))
 		for i, id := range v.ids {
 			vms[i] = v.byID[id]
 		}
-		return s.carryFrames(v.st.Schema, v.gen.dir, buildDir, vms, ws)
+		return s.carryFrames(v.st.Schema, v.gen.dir, vms, ws)
 	})
 }
 
-// carryFrames copies the stored frames of vms out of srcDir into
-// dstDir byte for byte — same base, codec and length; nothing is
-// decoded — and returns each version's chunk maps pointing at the
-// copies, recording each append in ws. vms go in id order and each
-// version's frames in (attribute, chunk key) order, and each copy lands
-// in its chunk's chain file, which so keeps its frames in version order
-// wherever they were read from (a data log or a chain file). Compact's
-// build and a rewrite's carry-forward of the versions committed
-// mid-build are this one copy.
-func (s *Store) carryFrames(schema array.Schema, srcDir, dstDir string, vms []*versionMeta, ws *writeSet) ([]map[string]map[string]chunkEntry, error) {
+// carryFrames copies the stored frames of vms out of srcDir into ws's
+// log byte for byte — same base, codec and length; nothing is decoded —
+// and returns each version's chunk maps pointing at the copies. It goes
+// one chunk column at a time, in (attribute, chunk key) order: the
+// column's frames, one per version in vms order (id order), are read
+// with one readFrames call and appended with one appendFrames call, so
+// each chunk's chain is one run of the log wherever its frames were read
+// from (a data log or a chain file). Every version of an array has the
+// chunk keys of the first. Compact's build and a rewrite's carry-forward
+// of the versions committed mid-build are this one copy.
+func (s *Store) carryFrames(schema array.Schema, srcDir string, vms []*versionMeta, ws *writeSet) ([]map[string]map[string]chunkEntry, error) {
 	out := make([]map[string]map[string]chunkEntry, len(vms))
-	for i, vm := range vms {
-		out[i] = make(map[string]map[string]chunkEntry, len(vm.Chunks))
-		for _, attr := range schema.Attrs {
-			keys := make([]string, 0, len(vm.Chunks[attr.Name]))
-			for key := range vm.Chunks[attr.Name] {
-				keys = append(keys, key)
-			}
-			sort.Strings(keys)
-			moved := make(map[string]chunkEntry, len(keys))
-			for _, key := range keys {
-				e := vm.Chunks[attr.Name][key]
-				blobs, err := s.readFrames(srcDir, []frameRef{{vm.ID, e}})
-				if err != nil {
-					return nil, err
+	for i := range vms {
+		out[i] = make(map[string]map[string]chunkEntry, len(schema.Attrs))
+	}
+	if len(vms) == 0 {
+		return out, nil
+	}
+	frames := make([]frameRef, len(vms))
+	moved := make([]chunkEntry, len(vms))
+	for _, attr := range schema.Attrs {
+		keys := make([]string, 0, len(vms[0].Chunks[attr.Name]))
+		for key := range vms[0].Chunks[attr.Name] {
+			keys = append(keys, key)
+		}
+		slices.Sort(keys)
+		for i := range vms {
+			out[i][attr.Name] = make(map[string]chunkEntry, len(keys))
+		}
+		for _, key := range keys {
+			for i, vm := range vms {
+				e, ok := vm.Chunks[attr.Name][key]
+				if !ok {
+					return nil, fmt.Errorf("core: version %d has no chunk %s/%s", vm.ID, attr.Name, key)
 				}
-				e.File = chainFileName(attr.Name, key)
-				path := filepath.Join(dstDir, e.File)
-				start, end, err := s.appendBlobs(path, blobs)
-				if err != nil {
-					return nil, err
-				}
-				ws.record(path, start, end)
-				e.Offset = start
-				moved[key] = e
+				frames[i], moved[i] = frameRef{vm.ID, e}, e
 			}
-			out[i][attr.Name] = moved
+			blobs, err := s.readFrames(srcDir, frames)
+			if err == nil {
+				err = s.appendFrames(ws, blobs, moved)
+			}
+			if err != nil {
+				return nil, err
+			}
+			for i := range vms {
+				out[i][attr.Name][key] = moved[i]
+			}
 		}
 	}
 	return out, nil

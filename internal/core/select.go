@@ -402,7 +402,7 @@ const walkReadBytes = 1 << 20
 // root, if the walk reached it, with one exact-size read whose buffer
 // becomes the plane, and the delta frames it passed in segments of at
 // most walkReadBytes, one readFrames call each, which coalesces the
-// adjacent frames of a chain file into one pread. It copies the starting
+// adjacent frames of one file into one pread. It copies the starting
 // plane once into a private buffer and applies the deltas to the buffer
 // in place on the way back. Only the target is admitted to the LRU, by
 // a view that admits; with a memo the target is memoized, and with links

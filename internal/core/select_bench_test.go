@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"os"
 	"testing"
 
 	"arrayvers/internal/array"
@@ -55,8 +56,8 @@ func BenchmarkSelectWarm(b *testing.B) {
 // 32-version insert-order chain, with the decoded-chunk cache off, so
 // every select reads each chunk's root and its 31 delta frames and
 // applies them — from the data log the inserts appended to (one pread
-// per frame) and, compacted, from one chain file per chunk (one run of
-// deltas). Four 128×128 int32 chunks; each version changes ~10 % of the
+// per frame) and, compacted, from the log Compact rebuilt one chunk
+// column at a time (one run of deltas). Four 128×128 int32 chunks; each version changes ~10 % of the
 // cells by a little.
 func BenchmarkSelectColdChain(b *testing.B) {
 	for _, compacted := range []bool{false, true} {
@@ -181,13 +182,16 @@ func driftSeries(n int, side int64, seed int64) []*array.Dense {
 // Reorganize{PolicyAlgorithm2, MatrixSample: 4096}. tune first lays out
 // the array as a linear chain, untimed, which leaves the oldest version
 // at the far end of the chain, then times a Tune for a workload of that
-// version alone, so every pass rewrites.
+// version alone, so every pass rewrites. compact times a durable
+// Compact of the versions as written, all of their frames in the data
+// log; each pass rebuilds that fixture untimed.
 func BenchmarkReorganize(b *testing.B) {
 	const side, n = 512, 48
-	fixture := func(b *testing.B) *Store {
+	fixture := func(b *testing.B, durable bool) *Store {
 		opts := DefaultOptions()
 		opts.ChunkBytes = 256 << 10
 		opts.CacheBytes = DefaultCacheBytes
+		opts.Durability = durable
 		s, err := Open(b.TempDir(), opts)
 		if err != nil {
 			b.Fatal(err)
@@ -203,7 +207,7 @@ func BenchmarkReorganize(b *testing.B) {
 		return s
 	}
 	b.Run("reorganize", func(b *testing.B) {
-		s := fixture(b)
+		s := fixture(b, false)
 		defer s.Close()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -214,7 +218,7 @@ func BenchmarkReorganize(b *testing.B) {
 		}
 	})
 	b.Run("tune", func(b *testing.B) {
-		s := fixture(b)
+		s := fixture(b, false)
 		defer s.Close()
 		wl := []layout.Query{layout.Snapshot(1, 1)}
 		b.ReportAllocs()
@@ -232,6 +236,25 @@ func BenchmarkReorganize(b *testing.B) {
 			if !rep.Reorganized {
 				b.Fatalf("Tune did not rewrite: %s", rep.Reason)
 			}
+		}
+	})
+	b.Run("compact", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s := fixture(b, true)
+			b.StartTimer()
+			if err := s.Compact("R"); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if err := os.RemoveAll(s.Dir()); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
 		}
 	})
 }

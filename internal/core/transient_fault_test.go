@@ -47,8 +47,8 @@ type transientModel struct {
 // runTransientWorkload drives the fixed workload until completion or
 // the first error, updating the model only on success; mb is the
 // store's filesystem. compacted runs a Compact after the first two
-// inserts, so the rest of the workload writes a fresh data log beside
-// the chain files it built.
+// inserts, so the rest of the workload appends to the data log it built
+// in chunk-column order.
 func runTransientWorkload(s *Store, mb *midBuildFS, side int64, compacted bool) (*transientModel, error) {
 	m := &transientModel{content: map[int]*array.Dense{}}
 	if err := s.CreateArray(schema2D("T", side)); err != nil {
@@ -231,7 +231,8 @@ func countTransientSteps(t *testing.T, side int64, compacted bool) int64 {
 func TestTransientFaultSweep(t *testing.T) {
 	const side = 8
 	// pass 1: count the workload's mutation steps fault-free, per layout
-	// (coLocate=true is the compacted one: chain files and a log)
+	// (coLocate=true is the compacted one: a log in chunk-column order,
+	// then written frames)
 	totals := map[bool]int64{}
 	for _, compacted := range []bool{true, false} {
 		totals[compacted] = countTransientSteps(t, side, compacted)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -831,8 +832,9 @@ func TestCloseWaitsForInFlightWork(t *testing.T) {
 
 // TestDurableWriteSyncCounts pins what a durable write fsyncs, on
 // 4-chunk arrays: a write into an existing data log syncs that log and
-// the manifest log once each and no directory; the first write into a
-// fresh generation (after Compact) creates its log, which adds one sync
+// the manifest log once each and no directory — the first write after
+// Compact included, since the rewrite built the new generation's log;
+// the first write into a new array creates its log, which adds one sync
 // of the chunks directory; a two-array Write syncs each array's log and
 // the manifest log once. Stats counts the same fsyncs.
 func TestDurableWriteSyncCounts(t *testing.T) {
@@ -849,7 +851,7 @@ func TestDurableWriteSyncCounts(t *testing.T) {
 		switch base := filepath.Base(path); {
 		case strings.HasPrefix(base, manifestPrefix):
 			count("manifest")
-		case filepath.Ext(base) == ".chain" || base == dataLogName:
+		case base == dataLogName:
 			count("data")
 		default:
 			count("other")
@@ -900,8 +902,15 @@ func TestDurableWriteSyncCounts(t *testing.T) {
 	if err := s.Compact("A"); err != nil {
 		t.Fatal(err)
 	}
-	expect("the first write into a fresh generation", map[string]int{"data": 1, "manifest": 1, "dir": 1}, func() error {
+	expect("the first write after Compact", map[string]int{"data": 1, "manifest": 1}, func() error {
 		_, err := s.Insert("A", DensePayload(versions[2]))
+		return err
+	})
+	if err := s.CreateArray(schema2D("C", side)); err != nil {
+		t.Fatal(err)
+	}
+	expect("the first write into a new array", map[string]int{"data": 1, "manifest": 1, "dir": 1}, func() error {
+		_, err := s.Insert("C", DensePayload(versions[0]))
 		return err
 	})
 	expect("a two-array write", map[string]int{"data": 2, "manifest": 1}, func() error {
@@ -911,6 +920,88 @@ func TestDurableWriteSyncCounts(t *testing.T) {
 		})
 		return err
 	})
+}
+
+// TestRewriteSyncCounts pins what a durable rewrite of log-resident
+// versions costs in data files, on 4-chunk and 64-chunk arrays: Compact
+// and Reorganize each sync exactly one data file, the new generation's
+// log, and open it for append about once per chunk column — not once
+// per frame — and the generation they leave holds that one file.
+func TestRewriteSyncCounts(t *testing.T) {
+	const versions = 8
+	for _, side := range []int64{64, 256} { // 4 and 64 chunks of 32² int32
+		chunks := int(side / 32 * side / 32)
+		// every file but the manifest's holds chunk frames
+		isData := func(path string) bool { return !strings.HasPrefix(filepath.Base(path), manifestPrefix) }
+		var dataSyncs, opens atomic.Int64
+		hfs := &hookFS{FS: fsio.OS}
+		hfs.onSync = func(path string) {
+			if isData(path) {
+				dataSyncs.Add(1)
+			}
+		}
+		hfs.onAppend = func(path string) {
+			if isData(path) {
+				opens.Add(1)
+			}
+		}
+		opts := smallOpts()
+		opts.Durability = true
+		opts.Parallelism = 2
+		opts.FS = hfs
+		s := testStore(t, opts)
+		if err := s.CreateArray(schema2D("W", side)); err != nil {
+			t.Fatal(err)
+		}
+		want := evolvingVersions(versions, side, 58)
+		rewrites := []struct {
+			name string
+			run  func() error
+		}{
+			{"Compact", func() error { return s.Compact("W") }},
+			{"Reorganize", func() error { return s.Reorganize("W", ReorganizeOptions{Policy: PolicyAlgorithm2}) }},
+		}
+		for _, rw := range rewrites {
+			// a fresh log-resident run of versions for each rewrite
+			for _, v := range want {
+				if _, err := s.Insert("W", DensePayload(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := len(chunkBases(s, "W", 1)); n != chunks {
+				t.Fatalf("array has %d chunks, want %d", n, chunks)
+			}
+			dataSyncs.Store(0)
+			opens.Store(0)
+			before := s.Stats().DataFsyncs
+			if err := rw.run(); err != nil {
+				t.Fatalf("%d chunks, %s: %v", chunks, rw.name, err)
+			}
+			if d, h := s.Stats().DataFsyncs-before, dataSyncs.Load(); d != 1 || h != 1 {
+				t.Errorf("%d chunks, %s: synced %d data files (Stats counts %d), want 1", chunks, rw.name, h, d)
+			}
+			if n := opens.Load(); n > int64(2*chunks) {
+				t.Errorf("%d chunks, %s: opened data files for append %d times, want at most %d (2 per column)", chunks, rw.name, n, 2*chunks)
+			}
+			s.mu.RLock()
+			dir := s.arrays["W"].chunksDir()
+			s.mu.RUnlock()
+			if files, _ := os.ReadDir(dir); len(files) != 1 || files[0].Name() != dataLogName {
+				t.Errorf("%d chunks, %s: the generation holds %v, want only %s", chunks, rw.name, files, dataLogName)
+			}
+		}
+		s = reopen(t, s)
+		infos, err := versionsOf(s, "W")
+		if err != nil || len(infos) != 2*versions {
+			t.Fatalf("%d chunks: %d versions after reopen (%v), want %d", chunks, len(infos), err, 2*versions)
+		}
+		for _, info := range infos {
+			mustSelect(t, s, "W", info.ID, want[(info.ID-1)%versions])
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestCrossArrayLogSyncsRunTogether: a durable two-array Write fsyncs

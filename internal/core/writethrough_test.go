@@ -136,7 +136,7 @@ func TestInsertReadsNoChainWithCache(t *testing.T) {
 
 // TestWriteThroughStoresIdentical: two stores fed the same single
 // inserts, a three-payload write and a delta-list insert, one with a
-// cache and one without, store byte-identical chain files and the same
+// cache and one without, store byte-identical data logs and the same
 // chunk entries, and read the same planes back.
 func TestWriteThroughStoresIdentical(t *testing.T) {
 	on, off := testStore(t, writeThroughOpts(4<<20)), testStore(t, writeThroughOpts(0))

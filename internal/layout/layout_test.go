@@ -42,6 +42,35 @@ func TestFig3ValidityExamples(t *testing.T) {
 	}
 }
 
+// TestReparentableMatchesIsValid: on random valid layouts (forests
+// grown in a random order, each version under itself or an earlier
+// one), reparentable agrees with IsValid on every single re-parent.
+func TestReparentableMatchesIsValid(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(12)
+		l := NewLayout(n)
+		order := rng.Perm(n)
+		for k, v := range order {
+			if k > 0 && rng.Intn(4) > 0 {
+				l.Parent[v] = order[rng.Intn(k)]
+			}
+		}
+		if !l.IsValid() {
+			t.Fatalf("generated an invalid layout %v", l.Parent)
+		}
+		for i := 0; i < n; i++ {
+			for p := 0; p < n; p++ {
+				trial := l.Clone()
+				trial.Parent[i] = p
+				if got, want := reparentable(l, i, p), trial.IsValid(); got != want {
+					t.Fatalf("layout %v, version %d under %d: reparentable %v, IsValid %v", l.Parent, i, p, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestObservation1EdgeCount(t *testing.T) {
 	// a layout of n versions always has n arcs — structurally guaranteed
 	// by the Parent representation; check Roots+deltas partition.

@@ -85,6 +85,9 @@ func WorkloadAware(mm *matmat.Matrix, workload []Query) Layout {
 }
 
 // greedyImprove hill-climbs over single-version parent reassignments.
+// Every layout it keeps is valid, so a trial re-parent of i under p is
+// valid exactly when p's walk to its root does not pass through i
+// (reparentable), which costs no allocation.
 func greedyImprove(l Layout, mm *matmat.Matrix, workload []Query) Layout {
 	n := mm.N
 	cur := l.Clone()
@@ -95,13 +98,10 @@ func greedyImprove(l Layout, mm *matmat.Matrix, workload []Query) Layout {
 			orig := cur.Parent[i]
 			bestP, bestC := orig, curCost
 			for p := 0; p < n; p++ {
-				if p == orig {
+				if p == orig || !reparentable(cur, i, p) {
 					continue
 				}
 				cur.Parent[i] = p
-				if !cur.IsValid() {
-					continue
-				}
 				if c := IOCost(cur, mm, workload); c < bestC {
 					bestP, bestC = p, c
 				}
@@ -117,6 +117,25 @@ func greedyImprove(l Layout, mm *matmat.Matrix, workload []Query) Layout {
 		}
 	}
 	return cur
+}
+
+// reparentable reports whether l stays valid with version i re-parented
+// under p, given that l is valid: p == i materializes i, and any other
+// p is valid unless p's walk to its root passes through i, which the
+// new edge would close into a cycle. The walk stops at i, so l.Parent[i]
+// is never read; a walk longer than n steps (an invalid l) reports
+// false.
+func reparentable(l Layout, i, p int) bool {
+	for steps := 0; steps <= len(l.Parent); steps++ {
+		if p == i {
+			return steps == 0
+		}
+		if l.Parent[p] == p {
+			return true
+		}
+		p = l.Parent[p]
+	}
+	return false
 }
 
 // WorkloadExhaustive finds the I/O-optimal layout by enumerating all
