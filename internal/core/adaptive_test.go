@@ -76,7 +76,7 @@ func offlineLayout(t *testing.T, s *Store, name string, opts ReorganizeOptions) 
 		t.Fatal(err)
 	}
 	defer release()
-	_, mm, err := s.planMatrix(v)
+	mm, err := s.planMatrix(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,12 +424,8 @@ func TestTunePlanOfDroppedArrayIsNotReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo, err := s.decodeLive(v)
 	release()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := &rewritePlan{st: v.st, ids: v.ids, memo: memo, layout: layout.LinearChain(len(v.ids))}
+	plan := &rewritePlan{st: v.st, ids: v.ids, layout: layout.LinearChain(len(v.ids))}
 	if err := s.DeleteArray("A"); err != nil {
 		t.Fatal(err)
 	}

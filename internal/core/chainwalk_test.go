@@ -10,12 +10,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"arrayvers/internal/array"
 	"arrayvers/internal/delta"
+	"arrayvers/internal/layout"
 	"arrayvers/internal/trace"
 )
 
@@ -176,28 +178,36 @@ func TestSelectMultiDecodesEachPayloadOnce(t *testing.T) {
 // TestDeltaCycleReturnsError sabotages in-memory metadata into a 2-cycle
 // (version 2's chunks delta'ed on 3, 3's on 2), which CRC-valid manifest
 // bytes can also describe: every select form must fail with
-// ErrDeltaCycle instead of recursing until the stack overflows.
+// ErrDeltaCycle instead of recursing until the stack overflows. A
+// rewrite's column walk must fail the same way — Reorganize and Tune
+// over the cycle, and over a column one of whose chunks deltas against a
+// version that is not live — publishing no generation and leaving every
+// intact version readable.
 func TestDeltaCycleReturnsError(t *testing.T) {
 	s := testStore(t, smallOpts())
 	defer s.Close()
-	if err := s.CreateArray(schema2D("CY", 32)); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range evolvingVersions(3, 32, 39) {
-		if _, err := s.Insert("CY", DensePayload(v)); err != nil {
+	dense := evolvingVersions(3, 32, 39)
+	for _, name := range []string{"CY", "NL"} {
+		if err := s.CreateArray(schema2D(name, 32)); err != nil {
 			t.Fatal(err)
+		}
+		for _, v := range dense {
+			if _, err := s.Insert(name, DensePayload(v)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := s.CreateArray(sparseSchema("CS", 5000)); err != nil {
 		t.Fatal(err)
 	}
-	for _, sp := range sparseSnapshots(3, 5000, 43) {
+	sparse := sparseSnapshots(3, 5000, 43)
+	for _, sp := range sparse {
 		if _, err := s.Insert("CS", SparsePayload(sp)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	s.mu.Lock()
 	for _, name := range []string{"CY", "CS"} {
-		s.mu.Lock()
 		st := s.arrays[name]
 		for _, vm := range st.Versions {
 			if base := map[int]int{2: 3, 3: 2}[vm.ID]; base != 0 {
@@ -210,8 +220,21 @@ func TestDeltaCycleReturnsError(t *testing.T) {
 			}
 		}
 		st.mutateLocked()
-		s.mu.Unlock()
 	}
+	// one chunk of NL's newest version deltas against a version that was
+	// never written
+	nl := s.arrays["NL"]
+	chunks := nl.Versions[2].Chunks["A"]
+	keys := make([]string, 0, len(chunks))
+	for k := range chunks {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	e := chunks[keys[0]]
+	e.Base = 99
+	chunks[keys[0]] = e
+	nl.mutateLocked()
+	s.mu.Unlock()
 	check := func(what string, err error) {
 		t.Helper()
 		if !errors.Is(err, ErrDeltaCycle) {
@@ -226,8 +249,38 @@ func TestDeltaCycleReturnsError(t *testing.T) {
 	check("SelectMulti", err)
 	_, err = s.SelectSparseMulti("CS", []int{1, 2, 3}, array.Box{})
 	check("SelectSparseMulti", err)
-	if pl, err := s.Select("CY", 1); err != nil || pl.Dense == nil {
-		t.Fatalf("the intact root stopped reading: %v", err)
+	for _, name := range []string{"CY", "CS", "NL"} {
+		s.mu.RLock()
+		st := s.arrays[name]
+		gen := st.current
+		s.mu.RUnlock()
+		check("Reorganize of "+name, s.Reorganize(name, ReorganizeOptions{Policy: PolicyAlgorithm2}))
+		// a plan that never samples the hostile column: the build's walk
+		// must refuse it too
+		check("a linear Reorganize of "+name, s.Reorganize(name, ReorganizeOptions{Policy: PolicyLinearChain, MatrixSample: 1}))
+		_, err := s.Tune(name, []layout.Query{layout.Snapshot(1, 1)})
+		check("Tune of "+name, err)
+		s.mu.RLock()
+		published := st.current != gen
+		s.mu.RUnlock()
+		if published {
+			t.Errorf("a failed rewrite of %s published a generation", name)
+		}
+		if _, err := os.Stat(filepath.Join(st.dir, buildDirName)); !os.IsNotExist(err) {
+			t.Errorf("a failed rewrite of %s left its build behind: %v", name, err)
+		}
+	}
+	for name, ids := range map[string][]int{"CY": {1}, "CS": {1}, "NL": {1, 2}} {
+		for _, id := range ids {
+			pl, err := s.Select(name, id)
+			switch {
+			case err != nil:
+				t.Fatalf("intact version %d of %s stopped reading: %v", id, name, err)
+			case name == "CS" && !pl.Sparse.Equal(sparse[id-1]),
+				name != "CS" && !pl.Dense.Equal(dense[id-1]):
+				t.Fatalf("intact version %d of %s reads different content", id, name)
+			}
+		}
 	}
 }
 

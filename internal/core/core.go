@@ -155,6 +155,8 @@ type Store struct {
 	// gauge), exposed through Metrics(). All its state is atomic — the
 	// hot paths record into it without taking any store lock.
 	prof *profile
+	// rw counts what rewrites encode, carry and hold decoded.
+	rw rewriteCounters
 
 	// clock returns commit timestamps; replaceable in tests.
 	clock func() time.Time

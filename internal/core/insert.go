@@ -127,9 +127,8 @@ func DeltaListPayload(base int, updates []CellUpdate) Payload {
 // naming the log its frames go to (the generation it pinned, or a
 // rewrite's build), the representation it encodes with, and a per-stage
 // chunk memo (never nil) so repeated base reads walk each delta chain
-// once — a rewrite's holds every version's chunks. A write's view reads
-// the LRU but never admits to it (noAdmit); its own chunks reach the LRU
-// through head, on commit.
+// once. A write's view reads the LRU but never admits to it (noAdmit);
+// its own chunks reach the LRU through head, on commit.
 type insertCtx struct {
 	st    *arrayState
 	v     *readView
@@ -718,101 +717,53 @@ func flatIndex(shape, coords []int64) int64 {
 }
 
 // cellLocs are flat cell positions of a whole array located in its
-// chunks, so a version's cells there are read one chunk at a time.
+// chunks, so a version's cells there are read one chunk column at a
+// time (sampleColumns).
 type cellLocs struct {
 	ck      *chunk.Chunker
 	origins [][]int64 // every chunk, row-major (ck.All)
-	need    []bool    // the chunks holding a position
-	chunk   []int32   // each position's chunk (an index into origins)
+	at      [][]int   // the positions each chunk holds, ascending
 	local   []int64   // each position's flat index within its chunk
 }
 
 func locateCells(ck *chunk.Chunker, idx []int64) *cellLocs {
-	b := &cellLocs{ck: ck, origins: ck.All(), chunk: make([]int32, len(idx)), local: make([]int64, len(idx))}
-	b.need = make([]bool, len(b.origins))
+	b := &cellLocs{ck: ck, origins: ck.All(), local: make([]int64, len(idx))}
+	b.at = make([][]int, len(b.origins))
 	for i, flat := range idx {
 		c, l := ck.Locate(flat)
-		b.chunk[i], b.local[i] = int32(c), l
-		b.need[c] = true
+		b.at[c] = append(b.at[c], i)
+		b.local[i] = l
 	}
 	return b
 }
 
-// gatherCells returns the bit patterns of version id's attr at the
-// located positions, in their order — delta.Gather over the version's
-// plane, read one chunk at a time: each chunk holding a position is
-// resolved through the view and the memo qc (resolveDenseChunk) on the
-// worker pool, and never copied.
-func (s *Store) gatherCells(ctx context.Context, v *readView, id int, attr string, b *cellLocs, qc *chunkCache) ([]int64, error) {
-	chunks := make([]*array.Dense, len(b.origins))
-	locals := qc.chunkMaps(attr, b.ck, b.origins)
-	err := forEachLimit(ctx, len(b.origins), s.opts.Parallelism, func(c int) error {
-		if !b.need[c] {
-			return nil
-		}
-		var err error
-		chunks[c], err = s.resolveDenseChunk(v, id, attr, b.ck, b.origins[c], locals[c], false, nil)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(b.local))
-	for i, l := range b.local {
-		out[i] = chunks[b.chunk[i]].Bits(l)
-	}
-	return out, nil
-}
-
 // encodePlane writes every chunk of one attribute of version id — the
-// encoder behind inserts, DeleteVersion's re-encodes and a sparse
-// array's rewrite. The target chunk is cut[i], an insert's payload cut
-// into chunks (cutPayloads; memoized in ctx.qc under id, so a later
-// member of a batch finds its base there, and the chunk the commit
-// writes through to the LRU); without a cut it is version id's own
+// encoder behind inserts and DeleteVersion's re-encodes. The target
+// chunk is cut[i], an insert's payload cut into chunks (cutPayloads;
+// memoized in ctx.qc under id, so a later member of a batch finds its
+// base there, and the chunk the commit writes through to the LRU);
+// without a cut it is version id's own
 // stored content, resolved through the context's view and memo
 // (encodeChunk). A write's chunk that no delta against the head shrinks
 // falls back to the two versions before the head, when resident and
 // alike: two writers' payloads can commit out of the order they were
 // sent in, so a payload's true predecessor may sit just behind the
-// head. A sparse version (sp, or its stored content) is one container.
-// Once every chunk is sealed, appendFrames stores them.
+// head. A sparse version (sp, or its stored content) is one container
+// (encodeSparse). Once every chunk is sealed, appendFrames stores them.
 func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, sp *array.Sparse, cut []*array.Dense, baseID int) (map[string]chunkEntry, error) {
 	if ctx.sparse {
 		// sparse versions are stored as a single container (their entire
 		// coordinate list); chunk-level subdivision buys nothing when the
 		// data is this sparse.
-		memo := ctx.qc.sparseMap(attr.Name)
-		target := sp
-		if target == nil {
-			var err error
-			if target, _, err = s.resolveSparse(ctx.v, id, attr.Name, memo, 0, nil); err != nil {
-				return nil, err
-			}
-		}
-		payload, entryBase := array.MarshalSparse(target), -1
-		if baseID > 0 {
-			base, _, err := s.resolveSparse(ctx.v, baseID, attr.Name, memo, 0, nil)
-			if err != nil {
-				return nil, err
-			}
-			blob, err := delta.EncodeSparseOps(target, base)
-			if err != nil {
-				return nil, err
-			}
-			if len(blob) < len(payload) {
-				payload, entryBase = blob, baseID
-			}
-		}
-		sealed, used, err := seal(pickCodec(s.opts.Codec, false), payload, compress.Params{Elem: 1})
+		sealed, e, err := s.encodeSparse(ctx, id, attr, sp, baseID)
 		if err != nil {
 			return nil, err
 		}
-		e := []chunkEntry{{Length: int64(len(sealed)), Codec: uint8(used), Base: entryBase}}
-		if err := s.appendFrames(ctx.ws, [][]byte{sealed}, e); err != nil {
+		es := []chunkEntry{e}
+		if err := s.appendFrames(ctx.ws, [][]byte{sealed}, es); err != nil {
 			return nil, err
 		}
-		return map[string]chunkEntry{"chunk-full": e[0]}, nil
+		return map[string]chunkEntry{"chunk-full": es[0]}, nil
 	}
 	ck, err := ctx.st.chunker()
 	if err != nil {
@@ -856,6 +807,41 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, sp *ar
 		}
 	}
 	return entries, nil
+}
+
+// encodeSparse seals version id's sparse container of attr — sp, or,
+// nil, its stored content resolved through the context's view and memo
+// — as a sparse-ops delta against baseID (when > 0) if that is smaller,
+// else materialized, and returns the frame and its entry, which
+// appendFrames places.
+func (s *Store) encodeSparse(ctx *insertCtx, id int, attr array.Attribute, sp *array.Sparse, baseID int) ([]byte, chunkEntry, error) {
+	memo := ctx.qc.sparseMap(attr.Name)
+	target := sp
+	if target == nil {
+		var err error
+		if target, _, err = s.resolveSparse(ctx.v, id, attr.Name, memo, 0, nil); err != nil {
+			return nil, chunkEntry{}, err
+		}
+	}
+	payload, entryBase := array.MarshalSparse(target), -1
+	if baseID > 0 {
+		base, _, err := s.resolveSparse(ctx.v, baseID, attr.Name, memo, 0, nil)
+		if err != nil {
+			return nil, chunkEntry{}, err
+		}
+		blob, err := delta.EncodeSparseOps(target, base)
+		if err != nil {
+			return nil, chunkEntry{}, err
+		}
+		if len(blob) < len(payload) {
+			payload, entryBase = blob, baseID
+		}
+	}
+	sealed, used, err := seal(pickCodec(s.opts.Codec, false), payload, compress.Params{Elem: 1})
+	if err != nil {
+		return nil, chunkEntry{}, err
+	}
+	return sealed, chunkEntry{Length: int64(len(sealed)), Codec: uint8(used), Base: entryBase}, nil
 }
 
 // encodeChunk seals version id's chunk of attr at origin — the one

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"arrayvers/internal/array"
+	"arrayvers/internal/compress"
 	"arrayvers/internal/layout"
 	"arrayvers/internal/matmat"
 )
@@ -71,23 +72,23 @@ type ReorganizeOptions struct {
 	// consecutive batches of K versions (§IV-E), bounding matrix size and
 	// delta-chain length.
 	BatchK int
-	// plan carries Tune's decoded chunks and chosen layout so an
-	// uncontended Tune rewrite does not decode every version a second
-	// time. It is used only if the rewrite's snapshot is of the same
-	// array with the same live versions; otherwise the rewrite replans
-	// from live metadata as usual.
+	// plan carries Tune's chosen layout so an uncontended Tune rewrite
+	// does not sample every version a second time. It is used only if
+	// the rewrite's snapshot is of the same array with the same live
+	// versions; otherwise the rewrite replans from live metadata as
+	// usual.
 	plan *rewritePlan
 }
 
-// rewritePlan is a precomputed rewrite input, valid for one array
-// (st, not its name: a dropped and recreated array is another one) with
-// exactly the live versions ids: the memo holding every one of their
-// chunks (decodeLive) and the layout to build. Writes only append and
-// no rewrite changes decoded content, so that pair pins the memo.
+// rewritePlan is a precomputed rewrite input: the layout to build,
+// valid for one array (st, not its name: a dropped and recreated array
+// is another one) with exactly the live versions ids, since a layout
+// names versions by their index in ids. It holds no decoded chunk: the
+// build reads what it re-encodes, one chunk column at a time
+// (buildRewrite).
 type rewritePlan struct {
 	st     *arrayState
 	ids    []int
-	memo   *chunkCache
 	layout layout.Layout
 }
 
@@ -114,18 +115,14 @@ func (s *Store) Reorganize(name string, opts ReorganizeOptions) error {
 	return s.rewrite(name, func(v *readView, ws *writeSet) ([]map[string]map[string]chunkEntry, error) {
 		p := opts.plan
 		if p == nil || p.st != v.st || !slices.Equal(p.ids, v.ids) {
-			// no plan from Tune for this exact state: decode and plan
-			memo, err := s.decodeLive(v)
+			// no plan from Tune for this exact state: sample and plan
+			l, err := s.planLayout(v, opts)
 			if err != nil {
 				return nil, err
 			}
-			l, err := s.planLayout(v, memo, opts)
-			if err != nil {
-				return nil, err
-			}
-			p = &rewritePlan{memo: memo, layout: l}
+			p = &rewritePlan{layout: l}
 		}
-		return s.buildRewrite(v, ws, p.memo, p.layout)
+		return s.buildRewrite(v, ws, p.layout)
 	})
 }
 
@@ -246,10 +243,7 @@ func (s *Store) publishRewrite(st *arrayState, v *readView, buildDir string, ent
 	case gen != v.gen:
 		return fmt.Errorf("core: array %q changed generation under its rewrite", name)
 	}
-	pos := make(map[int]int, len(v.ids))
-	for i, id := range v.ids {
-		pos[id] = i
-	}
+	pos := indexOf(v.ids)
 	// carried are the staged copies of the versions committed since the
 	// snapshot, still pointing into v.dir until the carry-forward
 	var carried []*versionMeta
@@ -320,12 +314,12 @@ func (s *Store) publishRewrite(st *arrayState, v *readView, buildDir string, ent
 }
 
 // planLayout chooses the layout for a full rewrite of v's live versions
-// from their decoded chunks in memo, applying §IV-E batching when
-// requested. A batched plan prices every batch from one matrixInput, so
-// each version's cells are gathered once.
-func (s *Store) planLayout(v *readView, memo *chunkCache, opts ReorganizeOptions) (layout.Layout, error) {
+// from their sampled cells, applying §IV-E batching when requested. A
+// batched plan prices every batch from one matrixInput, so each
+// version's cells are gathered once.
+func (s *Store) planLayout(v *readView, opts ReorganizeOptions) (layout.Layout, error) {
 	ids := v.ids
-	in, err := s.matrixInputOf(v, memo, opts.MatrixSample)
+	in, err := s.matrixInputOf(v, opts.MatrixSample)
 	if err != nil {
 		return layout.Layout{}, err
 	}
@@ -368,59 +362,14 @@ func (s *Store) planLayout(v *readView, memo *chunkCache, opts ReorganizeOptions
 	return l, nil
 }
 
-// decodeLive decodes every live version of v into a fresh memo, one
-// resolveDenseChunk per version × chunk: each chunk column (one chunk
-// position across the versions, in version order) on one worker, so a
-// version's walk starts from its base's memo entry. Sparse versions are
-// resolved whole. Safe with no store lock held when v is a snapshot
-// view; an uncached view neither reads nor fills the store-wide LRU.
-func (s *Store) decodeLive(v *readView) (*chunkCache, error) {
-	memo := newChunkCache(true)
-	ctx := context.Background() //avlint:allow-ctx a rewrite or Tune plan has no caller context to cancel it
-	for _, attr := range v.st.Schema.Attrs {
-		if v.st.SparseRep {
-			for _, id := range v.ids {
-				if _, _, err := s.resolveSparse(v, id, attr.Name, memo.sparseMap(attr.Name), 0, nil); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		ck, err := v.st.chunker()
-		if err != nil {
-			return nil, err
-		}
-		origins := ck.All()
-		locals := memo.chunkMaps(attr.Name, ck, origins)
-		err = forEachLimit(ctx, len(origins), s.opts.Parallelism, func(c int) error {
-			for _, id := range v.ids {
-				if _, err := s.resolveDenseChunk(v, id, attr.Name, ck, origins[c], locals[c], true, nil); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return memo, nil
-}
-
-// planMatrix decodes v's live versions (decodeLive) and prices their
-// whole matrix at the default sample; it returns the memo too, for a
-// rewrite to encode from.
-func (s *Store) planMatrix(v *readView) (*chunkCache, *matmat.Matrix, error) {
-	memo, err := s.decodeLive(v)
+// planMatrix prices the whole matrix of v's live versions at the
+// default sample.
+func (s *Store) planMatrix(v *readView) (*matmat.Matrix, error) {
+	in, err := s.matrixInputOf(v, 0)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	in, err := s.matrixInputOf(v, memo, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	mm, err := in.matrix(0, len(v.ids))
-	return memo, mm, err
+	return in.matrix(0, len(v.ids))
 }
 
 // matrixSample is the number of cells a dense array's materialization
@@ -430,8 +379,8 @@ const matrixSample = 4096
 
 // matrixInput is what the materialization matrix over a view's live
 // versions is priced from, per attribute and version (in view order):
-// the cells at one sorted sample draw, gathered chunk by chunk from the
-// memo (a dense array, whatever its size: the draw is with
+// the cells at one sorted sample draw, gathered one chunk column at a
+// time (a dense array, whatever its size: the draw is with
 // replacement), or the sparse planes.
 type matrixInput struct {
 	dts     []array.DataType
@@ -440,17 +389,17 @@ type matrixInput struct {
 	sparse  [][]*array.Sparse
 }
 
-// matrixInputOf prepares v's matrixInput from memo, which holds every
-// live version's chunks (decodeLive), so nothing here reads the disk.
-// A sample ≤ 0 means matrixSample. Attribute ai's draw is seeded with
-// ai, as matmat.Compute's is.
-func (s *Store) matrixInputOf(v *readView, memo *chunkCache, sample int) (*matrixInput, error) {
+// matrixInputOf prepares v's matrixInput. A dense attribute's cells are
+// gathered by sampleColumns, so no version is held whole; a sparse
+// array's versions are resolved whole. A sample ≤ 0 means
+// matrixSample. Attribute ai's draw is seeded with ai, as
+// matmat.Compute's is.
+func (s *Store) matrixInputOf(v *readView, sample int) (*matrixInput, error) {
 	if sample <= 0 {
 		sample = matrixSample
 	}
 	attrs := v.st.Schema.Attrs
 	in := &matrixInput{dts: make([]array.DataType, len(attrs)), cells: array.BoxOf(v.st.Schema.Shape()).NumCells()}
-	ctx := context.Background() //avlint:allow-ctx a rewrite or Tune plan has no caller context to cancel it
 	ck, err := v.st.chunker()
 	if err != nil {
 		return nil, err
@@ -458,9 +407,10 @@ func (s *Store) matrixInputOf(v *readView, memo *chunkCache, sample int) (*matri
 	for ai, attr := range attrs {
 		in.dts[ai] = attr.Type
 		if v.st.SparseRep {
+			memo := map[int]sparseRes{}
 			vs := make([]*array.Sparse, len(v.ids))
 			for i, id := range v.ids {
-				sp, _, err := s.resolveSparse(v, id, attr.Name, memo.sparseMap(attr.Name), 0, nil)
+				sp, _, err := s.resolveSparse(v, id, attr.Name, memo, 0, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -469,16 +419,66 @@ func (s *Store) matrixInputOf(v *readView, memo *chunkCache, sample int) (*matri
 			in.sparse = append(in.sparse, vs)
 			continue
 		}
-		b := locateCells(ck, matmat.Draw(in.cells, sample, int64(ai)))
-		g := make([][]int64, len(v.ids))
-		for i, id := range v.ids {
-			if g[i], err = s.gatherCells(ctx, v, id, attr.Name, b, memo); err != nil {
-				return nil, err
-			}
+		g, err := s.sampleColumns(v, attr, locateCells(ck, matmat.Draw(in.cells, sample, int64(ai))))
+		if err != nil {
+			return nil, err
 		}
 		in.sampled = append(in.sampled, g)
 	}
 	return in, nil
+}
+
+// sampleColumns returns every live version's cells of attr at the
+// located positions, in their order — delta.Gather over each version's
+// plane (g[i] is v.ids[i]'s) — from one walk of each chunk column that
+// holds a position, on the worker pool: a walk reads each cell as it
+// passes the version, so a linear chain holds one chunk per worker.
+func (s *Store) sampleColumns(v *readView, attr array.Attribute, b *cellLocs) ([][]int64, error) {
+	g := make([][]int64, len(v.ids))
+	for i := range g {
+		g[i] = make([]int64, len(b.local))
+	}
+	pos := indexOf(v.ids)
+	all := make([]bool, len(v.ids))
+	for i := range all {
+		all[i] = true
+	}
+	bufs := s.newChunkBufs()
+	defer bufs.release()
+	ctx := context.Background() //avlint:allow-ctx a rewrite or Tune plan has no caller context to cancel it
+	err := forEachLimit(ctx, len(b.origins), s.opts.Parallelism, func(c int) error {
+		at := b.at[c]
+		if len(at) == 0 {
+			return nil
+		}
+		col, err := s.columnOf(v, pos, attr, b.ck, b.origins[c])
+		if err != nil {
+			return err
+		}
+		raws, err := col.read(s, all)
+		if err != nil {
+			return err
+		}
+		return col.walk(raws, all, bufs, func(i int, d *array.Dense) error {
+			for _, p := range at {
+				g[i][p] = d.Bits(b.local[p])
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// indexOf maps each of ids to its index.
+func indexOf(ids []int) map[int]int {
+	pos := make(map[int]int, len(ids))
+	for i, id := range ids {
+		pos[id] = i
+	}
+	return pos
 }
 
 // matrix computes the materialization matrix over versions [lo, hi),
@@ -559,10 +559,7 @@ func validateWorkload(wl []layout.Query) error {
 
 // remapWorkload translates query version IDs into layout indices.
 func remapWorkload(wl []layout.Query, ids []int) ([]layout.Query, error) {
-	pos := make(map[int]int, len(ids))
-	for i, id := range ids {
-		pos[id] = i
-	}
+	pos := indexOf(ids)
 	out := make([]layout.Query, len(wl))
 	for qi, q := range wl {
 		mapped := layout.Query{Weight: q.Weight}
@@ -602,66 +599,56 @@ func FilterWorkload(wl []layout.Query, ids []int) []layout.Query {
 	return out
 }
 
-// buildRewrite re-encodes every live version of v per the layout into
-// ws's log and returns the new chunk entries, one map per id. memo holds
-// every version's decoded chunks (decodeLive), so each chunk is encoded
-// from its memo entry against its new parent's — no plane is assembled
-// or sliced. A dense array is built one chunk column at a time, every
-// version's frame of the chunk in id order, so a chunk's chain is one
-// run of the log: the columns are encoded on the pool in windows of
-// Parallelism, each worker taking one column's versions in id order,
-// and each window is appended in column order, so only one window of
-// sealed frames is held at once. A sparse version is one container, so
-// its version order is already column order.
-func (s *Store) buildRewrite(v *readView, ws *writeSet, memo *chunkCache, l layout.Layout) ([]map[string]map[string]chunkEntry, error) {
+// buildRewrite writes every live version of v per the layout into ws's
+// log and returns the new chunk entries, one map per id. A chunk whose
+// stored entry already has the base the layout assigns it (a root stays
+// a root, a delta keeps its base) and the codec pickCodec would seal it
+// with is carried: its stored frame is copied byte for byte, as a
+// re-encode would have written it. Only the others are encoded, each
+// against its new parent's chunk, from one walk of their column
+// (buildColumn) — no plane is assembled or sliced, and a column with
+// nothing to encode is only read. A dense array is built one chunk
+// column at a time, every version's frame of the chunk in id order, so
+// a chunk's chain is one run of the log: the columns are built on the
+// pool in windows of Parallelism, and each window is appended in column
+// order, so only one window of sealed frames is held at once. A sparse
+// version is one container, so its version order is already column
+// order (buildSparse).
+func (s *Store) buildRewrite(v *readView, ws *writeSet, l layout.Layout) ([]map[string]map[string]chunkEntry, error) {
 	st := v.st
-	ctx := &insertCtx{st: st, v: v, ws: ws, qc: memo, sparse: st.SparseRep,
+	ctx := &insertCtx{st: st, v: v, ws: ws, qc: newChunkCache(false), sparse: st.SparseRep,
 		goCtx: context.Background()} //avlint:allow-ctx a rewrite has no caller context to cancel it
 	n := len(v.ids)
-	bases := make([]int, n)
 	entries := make([]map[string]map[string]chunkEntry, n)
-	for i := range v.ids {
-		if p := l.Parent[i]; p != i {
-			bases[i] = v.ids[p]
-		}
+	for i := range entries {
 		entries[i] = make(map[string]map[string]chunkEntry, len(st.Schema.Attrs))
 	}
 	if st.SparseRep {
-		for i, id := range v.ids {
-			for _, attr := range st.Schema.Attrs {
-				m, err := s.encodePlane(ctx, id, attr, nil, nil, bases[i])
-				if err != nil {
-					return nil, err
-				}
-				entries[i][attr.Name] = m
-			}
-		}
-		return entries, nil
+		return entries, s.buildSparse(ctx, l, entries)
 	}
 	ck, err := st.chunker()
 	if err != nil {
 		return nil, err
 	}
 	origins := ck.All()
+	pos := indexOf(v.ids)
+	bufs := s.newChunkBufs()
+	defer bufs.release()
 	window := s.opts.Parallelism
 	for _, attr := range st.Schema.Attrs {
 		for i := range entries {
 			entries[i][attr.Name] = make(map[string]chunkEntry, len(origins))
 		}
-		locals := memo.chunkMaps(attr.Name, ck, origins)
 		for lo := 0; lo < len(origins); lo += window {
 			cols := min(window, len(origins)-lo)
 			blobs := make([][]byte, cols*n)
 			built := make([]chunkEntry, cols*n)
 			err := forEachLimit(ctx.goCtx, cols, s.opts.Parallelism, func(c int) error {
-				for i, id := range v.ids {
-					var err error
-					k := c*n + i
-					if blobs[k], built[k], err = s.encodeChunk(ctx, id, attr, ck, origins[lo+c], locals[lo+c], nil, [3]int{bases[i]}); err != nil {
-						return err
-					}
+				col, err := s.columnOf(v, pos, attr, ck, origins[lo+c])
+				if err == nil {
+					err = s.buildColumn(ctx, col, l, bufs, blobs[c*n:(c+1)*n], built[c*n:(c+1)*n])
 				}
-				return nil
+				return err
 			})
 			if err == nil {
 				err = s.appendFrames(ws, blobs, built)
@@ -678,6 +665,185 @@ func (s *Store) buildRewrite(v *readView, ws *writeSet, memo *chunkCache, l layo
 		}
 	}
 	return entries, nil
+}
+
+// layoutBase is the version id l bases version ids[i] on, -1 for a root.
+func layoutBase(l layout.Layout, ids []int, i int) int {
+	if p := l.Parent[i]; p != i {
+		return ids[p]
+	}
+	return -1
+}
+
+// carries reports whether a rewrite copies the stored frame e as it is
+// for a chunk the layout bases on base (-1: materialized): e already has
+// that base, and the codec a re-encode would seal it with (which falls
+// back to none only when compression does not pay, so a stored
+// uncompressed frame under a compressing codec is re-encoded).
+func (s *Store) carries(e chunkEntry, base int, rawDense bool) bool {
+	return e.Base == base && compress.Codec(e.Codec) == pickCodec(s.opts.Codec, rawDense)
+}
+
+// buildColumn seals col for the rewrite to layout l into blobs and
+// built, in view order. Carried chunks (carries) are their stored
+// frames. The rest are encoded (encodeChunk) from one walk of the column
+// over them, their new bases and whatever stored ancestors those need:
+// a chunk is encoded as soon as the walk has passed both it and its new
+// base, and a copy of a passed chunk is kept only while an encode still
+// needs it. One readFrames call reads every frame the column needs.
+func (s *Store) buildColumn(ctx *insertCtx, col *column, l layout.Layout, bufs *chunkBufs, blobs [][]byte, built []chunkEntry) error {
+	ids := ctx.v.ids
+	n := len(ids)
+	copy(built, col.entries)
+	// refs[j] counts the encodes that still need chunk j: its own, and
+	// one per target waiting on it as the new base
+	var (
+		pending = make([]bool, n)
+		want    = make([]bool, n)
+		read    = make([]bool, n)
+		refs    = make([]int, n)
+		waiters = make([][]int, n)
+		held    = make([]*array.Dense, n)
+		encodes = 0
+	)
+	for i, e := range col.entries {
+		if b := layoutBase(l, ids, i); s.carries(e, b, b < 0) {
+			read[i] = true
+			continue
+		}
+		encodes++
+		pending[i], want[i] = true, true
+		refs[i]++
+		if p := l.Parent[i]; p != i {
+			want[p] = true
+			refs[p]++
+			waiters[p] = append(waiters[p], i)
+		}
+	}
+	s.rw.carried.Add(int64(n - encodes))
+	s.rw.encoded.Add(int64(encodes))
+	var on []bool
+	if encodes > 0 {
+		on = col.reach(want)
+		for i, o := range on {
+			read[i] = read[i] || o
+		}
+	}
+	raws, err := col.read(s, read)
+	if err != nil {
+		return err
+	}
+	for i := range blobs {
+		if !pending[i] {
+			blobs[i] = raws[i]
+		}
+	}
+	if encodes == 0 {
+		return nil
+	}
+	release := func(j int) {
+		if refs[j]--; refs[j] == 0 && held[j] != nil {
+			bufs.put(held[j])
+			held[j] = nil
+		}
+	}
+	encode := func(t int, target, baseChunk *array.Dense) error {
+		b := max(layoutBase(l, ids, t), 0)
+		blob, e, err := s.encodeChunk(ctx, ids[t], col.attr, col.ck, col.origin, map[int]*array.Dense{b: baseChunk}, target, [3]int{b})
+		if err != nil {
+			return err
+		}
+		if e.Base < 0 && compress.Codec(e.Codec) == compress.None {
+			blob = slices.Clone(blob) // it aliases target, which the walk reuses
+		}
+		blobs[t], built[t], pending[t] = blob, e, false
+		release(t)
+		if p := l.Parent[t]; p != t {
+			release(p)
+		}
+		return nil
+	}
+	err = col.walk(raws, on, bufs, func(i int, d *array.Dense) error {
+		// a root's held[i] is still nil
+		if p := l.Parent[i]; pending[i] && (p == i || held[p] != nil) {
+			if err := encode(i, d, held[p]); err != nil {
+				return err
+			}
+		}
+		for _, t := range waiters[i] {
+			if pending[t] && held[t] != nil {
+				if err := encode(t, held[t], d); err != nil {
+					return err
+				}
+			}
+		}
+		if refs[i] > 0 {
+			var err error
+			held[i], err = bufs.clone(d)
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if i := slices.Index(pending, true); i >= 0 {
+		return fmt.Errorf("core: rewrite never encoded chunk %s/%s of version %d", col.attr.Name, col.key, ids[i])
+	}
+	return nil
+}
+
+// buildSparse is buildRewrite for a sparse array: each version's
+// container of each attribute, in version order, carried when carries
+// holds (one readFrames call reads them all) and otherwise encoded
+// against its new base (encodeSparse), all appended with one
+// appendFrames call.
+func (s *Store) buildSparse(ctx *insertCtx, l layout.Layout, entries []map[string]map[string]chunkEntry) error {
+	v, attrs := ctx.v, ctx.st.Schema.Attrs
+	var (
+		blobs   = make([][]byte, 0, len(v.ids)*len(attrs))
+		built   = make([]chunkEntry, 0, cap(blobs))
+		carried []frameRef
+		at      []int // carried[k]'s index in blobs
+	)
+	for i, id := range v.ids {
+		base := layoutBase(l, v.ids, i)
+		for _, attr := range attrs {
+			e, ok := v.byID[id].Chunks[attr.Name]["chunk-full"]
+			if !ok {
+				return fmt.Errorf("core: version %d missing sparse container for %s", id, attr.Name)
+			}
+			if s.carries(e, base, false) {
+				carried = append(carried, frameRef{id, e})
+				at = append(at, len(blobs))
+				blobs, built = append(blobs, nil), append(built, e)
+				continue
+			}
+			blob, e, err := s.encodeSparse(ctx, id, attr, nil, max(base, 0))
+			if err != nil {
+				return err
+			}
+			blobs, built = append(blobs, blob), append(built, e)
+		}
+	}
+	s.rw.carried.Add(int64(len(carried)))
+	s.rw.encoded.Add(int64(len(blobs) - len(carried)))
+	raws, err := s.readFrames(v.gen.dir, carried)
+	if err != nil {
+		return err
+	}
+	for k, raw := range raws {
+		blobs[at[k]] = raw
+	}
+	if err := s.appendFrames(ctx.ws, blobs, built); err != nil {
+		return err
+	}
+	for i := range v.ids {
+		for ai, attr := range attrs {
+			entries[i][attr.Name] = map[string]chunkEntry{"chunk-full": built[i*len(attrs)+ai]}
+		}
+	}
+	return nil
 }
 
 // DeleteVersion removes a version. Versions delta'ed against it are

@@ -223,9 +223,10 @@ type chunkCache struct {
 	dense  map[attrChunk]map[int]*array.Dense
 	sparse map[string]map[int]sparseRes // by attribute
 	// links makes a dense walk memoize every version it passes on the
-	// way to the one asked for, so an ordered multi-version scan (Read,
-	// decodeLive) decodes each payload once — a reverse chain read
-	// oldest-first included. A staging memo keeps only the chunks asked
+	// way to the one asked for, so an ordered multi-version Read decodes
+	// each payload once — a reverse chain read oldest-first included. A
+	// rewrite needs no memo: it decodes each chunk column in one walk
+	// (column.walk). A staging memo keeps only the chunks asked
 	// for (a base, a candidate, a re-encode's target): a walk down a long
 	// cold chain then copies one plane, not one per link.
 	links bool

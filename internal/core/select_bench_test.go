@@ -177,14 +177,17 @@ func driftSeries(n int, side int64, seed int64) []*array.Dense {
 
 // BenchmarkReorganize measures one rewrite of 48 insert-order 512×512
 // int32 versions (four 256 KiB chunks each) — the benchmark's head-warm
-// fixture shape. Each iteration decodes every version, plans from the
-// sampled matrix and rebuilds the generation. reorganize times
-// Reorganize{PolicyAlgorithm2, MatrixSample: 4096}. tune first lays out
-// the array as a linear chain, untimed, which leaves the oldest version
-// at the far end of the chain, then times a Tune for a workload of that
-// version alone, so every pass rewrites. compact times a durable
-// Compact of the versions as written, all of their frames in the data
-// log; each pass rebuilds that fixture untimed.
+// fixture shape. reorganize times Reorganize{PolicyAlgorithm2,
+// MatrixSample: 4096}: it samples every chunk column once, and since
+// the insert-order chain keeps every base, copies every frame and
+// encodes none. relayout first lays out the array as a linear chain,
+// untimed, then times that same Reorganize, which now changes every
+// chunk's base: each column is walked again and every chunk encoded
+// against its new parent. tune lays out the linear chain the same way,
+// then times a Tune for a workload of the oldest version alone, at the
+// far end of that chain, so every pass rewrites. compact times a
+// durable Compact of the versions as written, all of their frames in
+// the data log; each pass rebuilds that fixture untimed.
 func BenchmarkReorganize(b *testing.B) {
 	const side, n = 512, 48
 	fixture := func(b *testing.B, durable bool) *Store {
@@ -214,6 +217,26 @@ func BenchmarkReorganize(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if err := s.Reorganize("R", ReorganizeOptions{Policy: PolicyAlgorithm2, MatrixSample: 4096}); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("relayout", func(b *testing.B) {
+		s := fixture(b, false)
+		defer s.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := s.Reorganize("R", ReorganizeOptions{Policy: PolicyLinearChain}); err != nil {
+				b.Fatal(err)
+			}
+			enc := s.rw.encoded.Load()
+			b.StartTimer()
+			if err := s.Reorganize("R", ReorganizeOptions{Policy: PolicyAlgorithm2, MatrixSample: 4096}); err != nil {
+				b.Fatal(err)
+			}
+			if got := s.rw.encoded.Load() - enc; got != n*4 {
+				b.Fatalf("the relayout encoded %d chunks, want all %d", got, n*4)
 			}
 		}
 	})

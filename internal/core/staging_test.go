@@ -21,7 +21,7 @@ import (
 	"arrayvers/internal/matmat"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/staging_decisions.golden from this run")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/staging_decisions.golden and testdata/rewrite_carry.golden from this run")
 
 // goldenSeries builds n versions of a two-attribute (int32, int8)
 // array of the given shape, each changing ~10 % of the cells by a
@@ -192,12 +192,12 @@ func TestStagingDecisionsGolden(t *testing.T) {
 	}
 }
 
-// TestChunkwiseGather checks staging's chunk-by-chunk reads against the
-// plane-sized ones they replace, on 1-D, 2-D and 3-D arrays with ragged
-// edge chunks and 1-, 4- and 8-byte cells: gatherCells returns exactly
-// delta.Gather over the assembled plane, through a cold memo (chain
-// walks) and a decoded one, for an unsorted draw; and the rewrite's
-// sampled matrix is exactly matmat.Compute over the assembled planes.
+// TestChunkwiseGather checks the rewrite's column-by-column sampling
+// against the plane-sized reads it replaces, on 1-D, 2-D and 3-D arrays
+// with ragged edge chunks and 1-, 4- and 8-byte cells: sampleColumns
+// returns exactly delta.Gather over each assembled plane, for an
+// unsorted draw; and the rewrite's sampled matrix is exactly
+// matmat.Compute over the assembled planes.
 func TestChunkwiseGather(t *testing.T) {
 	shapes := [][]int64{{1000}, {70, 45}, {13, 10, 7}}
 	for _, shape := range shapes {
@@ -241,23 +241,17 @@ func TestChunkwiseGather(t *testing.T) {
 				}
 				n := cur.NumCells()
 				idx := delta.SampleCells(n, 600, 7)
-				b := locateCells(ck, idx)
-				cold := newChunkCache(false)
-				for i, id := range v.ids {
-					got, err := s.gatherCells(context.Background(), v, id, "A", b, cold)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := delta.Gather(planes[i], idx); !slices.Equal(got, want) {
-						t.Fatalf("version %d: chunk-wise gather differs from delta.Gather", id)
-					}
-				}
-				memo, err := s.decodeLive(v)
+				g, err := s.sampleColumns(v, sch.Attrs[0], locateCells(ck, idx))
 				if err != nil {
 					t.Fatal(err)
 				}
+				for i, id := range v.ids {
+					if want := delta.Gather(planes[i], idx); !slices.Equal(g[i], want) {
+						t.Fatalf("version %d: column-wise gather differs from delta.Gather", id)
+					}
+				}
 				for _, sample := range []int{300, int(n) / 2} {
-					in, err := s.matrixInputOf(v, memo, sample)
+					in, err := s.matrixInputOf(v, sample)
 					if err != nil {
 						t.Fatal(err)
 					}

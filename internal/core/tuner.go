@@ -48,15 +48,15 @@ type TuneReport struct {
 // Reorganize: it must be non-empty, every query must name at least one
 // live version, and every weight must be finite and positive.
 //
-// The pass decodes every version's chunks once, through an uncached
-// snapshot that neither evicts nor repopulates the store-wide chunk LRU,
-// prices both layouts from the one sampled matrix a default Reorganize
-// plans from (matrixSample cells per version, gathered chunk by chunk
-// from the decoded chunks; no plane is assembled), and hands the
-// decoded chunks and chosen layout to the rewrite. If the
-// live versions change in between, or the array is dropped and
+// The pass walks every chunk column once, through an uncached snapshot
+// that neither evicts nor repopulates the store-wide chunk LRU, prices
+// both layouts from the one sampled matrix a default Reorganize plans
+// from (matrixSample cells per version, gathered as the walk passes
+// each version; no plane is assembled), and hands the chosen layout to
+// the rewrite, which decodes only the columns whose bases it changes.
+// If the live versions change in between, or the array is dropped and
 // recreated, Reorganize replans from live metadata, so a plan never
-// lays out versions it did not decode.
+// lays out versions it did not sample.
 func (s *Store) Tune(name string, wl []layout.Query) (rep TuneReport, err error) {
 	defer func(t0 time.Time) {
 		s.prof.tunePass.Observe(time.Since(t0).Seconds())
@@ -81,7 +81,7 @@ func (s *Store) Tune(name string, wl []layout.Query) (rep TuneReport, err error)
 	}
 	ids := v.ids
 	cur := currentLayoutOf(v, ids)
-	memo, mm, err := s.planMatrix(v)
+	mm, err := s.planMatrix(v)
 	release()
 	if err != nil {
 		return rep, err
@@ -103,7 +103,7 @@ func (s *Store) Tune(name string, wl []layout.Query) (rep TuneReport, err error)
 	err = s.Reorganize(name, ReorganizeOptions{
 		Policy:   PolicyWorkloadAware,
 		Workload: wl,
-		plan:     &rewritePlan{st: v.st, ids: ids, memo: memo, layout: chosen},
+		plan:     &rewritePlan{st: v.st, ids: ids, layout: chosen},
 	})
 	if err != nil {
 		return rep, err
@@ -118,10 +118,7 @@ func (s *Store) Tune(name string, wl []layout.Query) (rep TuneReport, err error)
 // longer live reads as materialized, which only overestimates the
 // current cost of an already-degenerate layout.
 func currentLayoutOf(v *readView, ids []int) layout.Layout {
-	pos := make(map[int]int, len(ids))
-	for i, id := range ids {
-		pos[id] = i
-	}
+	pos := indexOf(ids)
 	l := layout.NewLayout(len(ids))
 	for i, id := range ids {
 		vm, err := v.version(id)
