@@ -20,9 +20,10 @@ import (
 // column is one chunk position of one dense attribute across a view's
 // live versions, in view order: each version's stored entry there and
 // the index of its stored base (-1 for a root, -2 for a base that is
-// not live).
+// not live). pos maps a live version id to its index.
 type column struct {
 	v       *readView
+	pos     map[int]int
 	attr    array.Attribute
 	ck      *chunk.Chunker
 	origin  []int64
@@ -34,7 +35,7 @@ type column struct {
 // columnOf collects the column of attr at origin over v's live versions
 // (pos: indexOf(v.ids)); it reads nothing.
 func (s *Store) columnOf(v *readView, pos map[int]int, attr array.Attribute, ck *chunk.Chunker, origin []int64) (*column, error) {
-	col := &column{v: v, attr: attr, ck: ck, origin: origin, key: ck.Key(origin),
+	col := &column{v: v, pos: pos, attr: attr, ck: ck, origin: origin, key: ck.Key(origin),
 		entries: make([]chunkEntry, len(v.ids)), base: make([]int, len(v.ids))}
 	for i, id := range v.ids {
 		e, ok := v.byID[id].Chunks[attr.Name][col.key]
@@ -69,8 +70,8 @@ func (c *column) reach(want []bool) []bool {
 // one readFrames call; raws[i] is version i's payload, nil where
 // unmarked.
 func (c *column) read(s *Store, which []bool) ([][]byte, error) {
-	var frames []frameRef
-	var at []int
+	frames := make([]frameRef, 0, len(which))
+	at := make([]int, 0, len(which))
 	for i, w := range which {
 		if w {
 			frames = append(frames, frameRef{c.v.ids[i], c.entries[i]})

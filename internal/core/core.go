@@ -526,20 +526,6 @@ type versionMeta struct {
 	Chunks map[string]map[string]chunkEntry `json:"chunks"`
 }
 
-// clone copies the record with a fresh outer chunk map, for a mutator
-// about to replace some attribute's chunks: published versions are
-// shared with reader snapshots and are never edited in place. The inner
-// (chunk key → entry) maps stay shared — they are only ever replaced
-// wholesale.
-func (vm *versionMeta) clone() *versionMeta {
-	cp := *vm
-	cp.Chunks = make(map[string]map[string]chunkEntry, len(vm.Chunks))
-	for attr, m := range vm.Chunks {
-		cp.Chunks[attr] = m
-	}
-	return &cp
-}
-
 // BranchRef records the provenance of a branched array.
 type BranchRef struct {
 	Array   string `json:"array"`

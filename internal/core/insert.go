@@ -737,19 +737,16 @@ func locateCells(ck *chunk.Chunker, idx []int64) *cellLocs {
 	return b
 }
 
-// encodePlane writes every chunk of one attribute of version id — the
-// encoder behind inserts and DeleteVersion's re-encodes. The target
-// chunk is cut[i], an insert's payload cut into chunks (cutPayloads;
-// memoized in ctx.qc under id, so a later member of a batch finds its
-// base there, and the chunk the commit writes through to the LRU);
-// without a cut it is version id's own
-// stored content, resolved through the context's view and memo
-// (encodeChunk). A write's chunk that no delta against the head shrinks
+// encodePlane writes every chunk of one attribute of version id — a
+// write's encoder. The target chunk is cut[i], the payload cut into
+// chunks (cutPayloads; memoized in ctx.qc under id, so a later member
+// of a batch finds its base there, and the chunk the commit writes
+// through to the LRU). A chunk that no delta against the head shrinks
 // falls back to the two versions before the head, when resident and
 // alike: two writers' payloads can commit out of the order they were
 // sent in, so a payload's true predecessor may sit just behind the
-// head. A sparse version (sp, or its stored content) is one container
-// (encodeSparse). Once every chunk is sealed, appendFrames stores them.
+// head. A sparse version (sp) is one container (encodeSparse). Once
+// every chunk is sealed, appendFrames stores them.
 func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, sp *array.Sparse, cut []*array.Dense, baseID int) (map[string]chunkEntry, error) {
 	if ctx.sparse {
 		// sparse versions are stored as a single container (their entire
@@ -779,17 +776,13 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, sp *ar
 	results := make([]chunkEntry, len(origins))
 	blobs := make([][]byte, len(origins))
 	bases := [3]int{baseID}
-	if cut != nil && baseID > 0 { // a write's: baseID is the head
+	if baseID > 0 { // baseID is the head
 		bases[1], bases[2] = ctx.v.newest(1), ctx.v.newest(2)
 	}
 	err = forEachLimit(ctx.goCtx, len(origins), s.opts.Parallelism, func(i int) error {
-		var target *array.Dense
-		if cut != nil {
-			target = cut[i]
-			locals[i][id] = target
-		}
+		locals[i][id] = cut[i]
 		var err error
-		blobs[i], results[i], err = s.encodeChunk(ctx, id, attr, ck, origins[i], locals[i], target, bases)
+		blobs[i], results[i], err = s.encodeChunk(ctx, id, attr, ck, origins[i], locals[i], cut[i], bases)
 		return err
 	})
 	if err != nil {
@@ -802,7 +795,7 @@ func (s *Store) encodePlane(ctx *insertCtx, id int, attr array.Attribute, sp *ar
 	for i, origin := range origins {
 		key := ck.Key(origin)
 		entries[key] = results[i]
-		if ctx.head != nil { // a write's: its chunks are the cut
+		if ctx.head != nil {
 			ctx.head[cache.Key{Array: ctx.st.Schema.Name, Version: id, Attr: attr.Name, Chunk: key}] = cut[i]
 		}
 	}
@@ -844,25 +837,20 @@ func (s *Store) encodeSparse(ctx *insertCtx, id int, attr array.Attribute, sp *a
 	return sealed, chunkEntry{Length: int64(len(sealed)), Codec: uint8(used), Base: entryBase}, nil
 }
 
-// encodeChunk seals version id's chunk of attr at origin — the one
-// chunk encoder behind writes, re-encodes and rewrites — and returns the
-// frame and its entry, which appendFrames places. The target is target,
-// or, nil, version id's stored chunk resolved through the context's view
-// and the chunk's memo map local. Against bases[0] (when > 0) the chunk
-// is delta-encoded, the base chunk resolved the same way — never sliced
-// out of a base plane — and the delta is kept when it is smaller than
-// the raw chunk ("disk space usage is calculated by trying both methods
-// and choosing the more economical one", §III-B.3); the bounded encode
-// refuses a far pair from its first pass. bases[1] and bases[2] are
-// fallbacks, tried only when no earlier base kept a delta and only when
-// their chunk is resident (in local or the LRU) and alike.
+// encodeChunk seals target, version id's chunk of attr at origin — the
+// one chunk encoder behind writes and every rewrite's build — and
+// returns the frame and its entry, which appendFrames places. Against
+// bases[0] (when > 0) the chunk is delta-encoded, the base chunk
+// resolved through the context's view and the chunk's memo map local —
+// never sliced out of a base plane — and the delta is kept when it is
+// smaller than the raw chunk ("disk space usage is calculated by trying
+// both methods and choosing the more economical one", §III-B.3); the
+// bounded encode refuses a far pair from its first pass. bases[1] and
+// bases[2] are fallbacks, tried only when no earlier base kept a delta
+// and only when their chunk is resident (in local or the LRU) and
+// alike.
 func (s *Store) encodeChunk(ctx *insertCtx, id int, attr array.Attribute, ck *chunk.Chunker, origin []int64, local map[int]*array.Dense, target *array.Dense, bases [3]int) ([]byte, chunkEntry, error) {
 	var err error
-	if target == nil {
-		if target, err = s.resolveDenseChunk(ctx.v, id, attr.Name, ck, origin, local, false, nil); err != nil {
-			return nil, chunkEntry{}, err
-		}
-	}
 	payload := target.Bytes()
 	entryBase := -1
 	for k, b := range bases {

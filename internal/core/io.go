@@ -62,9 +62,15 @@ const dataLogName = "data.log"
 // appendFrames appends blobs to the data log of ws's directory, in the
 // order given, through one open of the file, records the span in ws —
 // what a failure reached too, so the sweep can reclaim it — and points
-// entries at the frames. The appends are left unsynced: the mutation's
-// commit point syncs the log once (writeSet.sync).
+// entries at the frames. A nil blob is a chunk an in-place build left
+// where it is (buildRewrite): nothing is appended for it and its entry
+// is kept, and with no other blob the log is not opened. The appends
+// are left unsynced: the mutation's commit point syncs the log once
+// (writeSet.sync).
 func (s *Store) appendFrames(ws *writeSet, blobs [][]byte, entries []chunkEntry) error {
+	if !slices.ContainsFunc(blobs, func(b []byte) bool { return b != nil }) {
+		return nil
+	}
 	start, end, err := s.appendBlobs(ws.log(), blobs)
 	if start >= 0 {
 		if ws.empty() {
@@ -77,6 +83,9 @@ func (s *Store) appendFrames(ws *writeSet, blobs [][]byte, entries []chunkEntry)
 	}
 	off := start
 	for i, blob := range blobs {
+		if blob == nil {
+			continue
+		}
 		entries[i].File, entries[i].Offset = dataLogName, off
 		off += frameLen(int64(len(blob)))
 		s.addWrite(int64(len(blob)))
@@ -84,11 +93,11 @@ func (s *Store) appendFrames(ws *writeSet, blobs [][]byte, entries []chunkEntry)
 	return nil
 }
 
-// appendBlobs appends each payload to path as one frame — the frame
-// header, then the payload itself — through one open of the file. It
-// returns the offset the first frame starts at (-1 when the file could
-// not be opened) and the offset one past the last byte it wrote, also on
-// error. The appends are not fsynced: the caller's commit point syncs
+// appendBlobs appends each non-nil payload to path as one frame — the
+// frame header, then the payload itself — through one open of the file.
+// It returns the offset the first frame starts at (-1 when the file
+// could not be opened) and the offset one past the last byte it wrote,
+// also on error. The appends are not fsynced: the caller's commit point syncs
 // the file once (writeSet.sync).
 // The close error is always checked — a failed close after a buffered
 // write is silent data loss.
@@ -116,6 +125,9 @@ func (s *Store) appendBlobs(path string, payloads [][]byte) (start, end int64, e
 	var hdr [frameHeaderLen]byte
 	var werr error
 	for _, p := range payloads {
+		if p == nil {
+			continue
+		}
 		var n int
 		n, werr = f.Write(appendFrameHeader(hdr[:0], p))
 		end += int64(n)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"path/filepath"
 	"slices"
@@ -122,7 +123,7 @@ func (s *Store) Reorganize(name string, opts ReorganizeOptions) error {
 			}
 			p = &rewritePlan{layout: l}
 		}
-		return s.buildRewrite(v, ws, p.layout)
+		return s.buildRewrite(v, ws, layoutBases(p.layout, v.ids))
 	})
 }
 
@@ -263,16 +264,20 @@ func (s *Store) publishRewrite(st *arrayState, v *readView, buildDir string, ent
 	if len(pos) > 0 {
 		return fmt.Errorf("core: array %q lost versions under its rewrite", name)
 	}
-	ws := newWriteSet(buildDir)
-	moved, err := s.carryFrames(st.Schema, v.gen.dir, carried, ws)
-	if err == nil {
-		err = ws.sync(s)
-	}
-	if err != nil {
-		return err
-	}
-	for k, vm := range carried {
-		vm.Chunks = moved[k]
+	if len(carried) > 0 {
+		// the build with every stored base kept: each frame is copied, in
+		// column order after the built ones, and nothing is decoded
+		ws := newWriteSet(buildDir)
+		moved, err := s.buildRewrite(viewOf(st, carried), ws, keepBases)
+		if err == nil {
+			err = ws.sync(s)
+		}
+		if err != nil {
+			return err
+		}
+		for k, vm := range carried {
+			vm.Chunks = moved[k]
+		}
 	}
 	staged.Gen++
 	finalDir := filepath.Join(st.dir, chunksDirName(staged.Gen))
@@ -280,7 +285,7 @@ func (s *Store) publishRewrite(st *arrayState, v *readView, buildDir string, ent
 	// from an interrupted rewrite that never committed. Failures here are
 	// benign — the metadata still references the old generation, and the
 	// build goes under either name — but ENOSPC still stops the store
-	err = s.fs.RemoveAll(finalDir)
+	err := s.fs.RemoveAll(finalDir)
 	if err == nil {
 		err = s.fs.Rename(buildDir, finalDir)
 	}
@@ -599,22 +604,64 @@ func FilterWorkload(wl []layout.Query, ids []int) []layout.Query {
 	return out
 }
 
-// buildRewrite writes every live version of v per the layout into ws's
-// log and returns the new chunk entries, one map per id. A chunk whose
-// stored entry already has the base the layout assigns it (a root stays
-// a root, a delta keeps its base) and the codec pickCodec would seal it
-// with is carried: its stored frame is copied byte for byte, as a
-// re-encode would have written it. Only the others are encoded, each
-// against its new parent's chunk, from one walk of their column
-// (buildColumn) — no plane is assembled or sliced, and a column with
-// nothing to encode is only read. A dense array is built one chunk
-// column at a time, every version's frame of the chunk in id order, so
-// a chunk's chain is one run of the log: the columns are built on the
-// pool in windows of Parallelism, and each window is appended in column
-// order, so only one window of sealed frames is held at once. A sparse
-// version is one container, so its version order is already column
-// order (buildSparse).
-func (s *Store) buildRewrite(v *readView, ws *writeSet, l layout.Layout) ([]map[string]map[string]chunkEntry, error) {
+// baseRule names the base a rewrite gives a stored chunk: the id of the
+// version chunk i of a column (entries: the column's stored entries, in
+// view order) is to be delta-encoded against, or -1 to materialize it.
+// A chunk whose stored base it names is carried (buildRewrite).
+type baseRule func(entries []chunkEntry, i int) int
+
+// layoutBases is Reorganize's rule: the base layout l gives version
+// ids[i], whatever is stored.
+func layoutBases(l layout.Layout, ids []int) baseRule {
+	return func(_ []chunkEntry, i int) int {
+		if p := l.Parent[i]; p != i {
+			return ids[p]
+		}
+		return -1
+	}
+}
+
+// keepBases is the rule of Compact and of a publish's carry-forward:
+// every chunk keeps its stored base, so every frame is carried and
+// nothing is decoded.
+func keepBases(entries []chunkEntry, i int) int { return entries[i].Base }
+
+// skipBase is DeleteVersion's rule for version id, at view index d: a
+// chunk based on id takes id's own stored base at that chunk position,
+// or is materialized where id's chunk is a root; every other chunk
+// keeps its base.
+func skipBase(id, d int) baseRule {
+	return func(entries []chunkEntry, i int) int {
+		if b := entries[i].Base; b != id {
+			return b
+		}
+		return entries[d].Base
+	}
+}
+
+// inPlace reports whether a build writes into the generation it reads,
+// as DeleteVersion's does: a carried chunk is then left where it is.
+func (c *insertCtx) inPlace() bool { return c.ws.dir == c.v.gen.dir }
+
+// buildRewrite writes every live version of v into ws's log, each chunk
+// with the base rule names, and returns the new chunk entries, one map
+// per id. It is the one way a stored chunk moves: Reorganize
+// (layoutBases), Compact and the carry-forward (keepBases), and
+// DeleteVersion (skipBase). A chunk whose stored entry already has its
+// rule's base (a root stays a root, a delta keeps its base) is carried:
+// its stored frame is copied byte for byte, sealed with whatever codec
+// sealed it. Only the others are encoded, each against its new base's
+// chunk, from one walk of their column (buildColumn) — no plane is
+// assembled or sliced. In place (insertCtx.inPlace) only the encoded
+// frames are appended, and a column with nothing to encode is neither
+// read nor written. A dense array is built one chunk column at a time,
+// in ck.All()'s row-major order, every version's frame of the chunk in
+// id order, so a chunk's chain is one run of the log: the columns are
+// built on the pool in windows of Parallelism, and each window is
+// appended in column order, so only one window of sealed frames is held
+// at once. A sparse version is one container, so its version order is
+// already column order (buildSparse).
+func (s *Store) buildRewrite(v *readView, ws *writeSet, rule baseRule) ([]map[string]map[string]chunkEntry, error) {
 	st := v.st
 	ctx := &insertCtx{st: st, v: v, ws: ws, qc: newChunkCache(false), sparse: st.SparseRep,
 		goCtx: context.Background()} //avlint:allow-ctx a rewrite has no caller context to cancel it
@@ -624,7 +671,7 @@ func (s *Store) buildRewrite(v *readView, ws *writeSet, l layout.Layout) ([]map[
 		entries[i] = make(map[string]map[string]chunkEntry, len(st.Schema.Attrs))
 	}
 	if st.SparseRep {
-		return entries, s.buildSparse(ctx, l, entries)
+		return entries, s.buildSparse(ctx, rule, entries)
 	}
 	ck, err := st.chunker()
 	if err != nil {
@@ -646,7 +693,7 @@ func (s *Store) buildRewrite(v *readView, ws *writeSet, l layout.Layout) ([]map[
 			err := forEachLimit(ctx.goCtx, cols, s.opts.Parallelism, func(c int) error {
 				col, err := s.columnOf(v, pos, attr, ck, origins[lo+c])
 				if err == nil {
-					err = s.buildColumn(ctx, col, l, bufs, blobs[c*n:(c+1)*n], built[c*n:(c+1)*n])
+					err = s.buildColumn(ctx, col, rule, bufs, blobs[c*n:(c+1)*n], built[c*n:(c+1)*n])
 				}
 				return err
 			})
@@ -667,37 +714,24 @@ func (s *Store) buildRewrite(v *readView, ws *writeSet, l layout.Layout) ([]map[
 	return entries, nil
 }
 
-// layoutBase is the version id l bases version ids[i] on, -1 for a root.
-func layoutBase(l layout.Layout, ids []int, i int) int {
-	if p := l.Parent[i]; p != i {
-		return ids[p]
-	}
-	return -1
-}
-
-// carries reports whether a rewrite copies the stored frame e as it is
-// for a chunk the layout bases on base (-1: materialized): e already has
-// that base, and the codec a re-encode would seal it with (which falls
-// back to none only when compression does not pay, so a stored
-// uncompressed frame under a compressing codec is re-encoded).
-func (s *Store) carries(e chunkEntry, base int, rawDense bool) bool {
-	return e.Base == base && compress.Codec(e.Codec) == pickCodec(s.opts.Codec, rawDense)
-}
-
-// buildColumn seals col for the rewrite to layout l into blobs and
-// built, in view order. Carried chunks (carries) are their stored
-// frames. The rest are encoded (encodeChunk) from one walk of the column
-// over them, their new bases and whatever stored ancestors those need:
-// a chunk is encoded as soon as the walk has passed both it and its new
-// base, and a copy of a passed chunk is kept only while an encode still
-// needs it. One readFrames call reads every frame the column needs.
-func (s *Store) buildColumn(ctx *insertCtx, col *column, l layout.Layout, bufs *chunkBufs, blobs [][]byte, built []chunkEntry) error {
+// buildColumn seals col for the build with rule's bases into blobs and
+// built, in view order. A carried chunk's blob is its stored frame, or
+// nil in place. The rest are encoded (encodeChunk) from one walk of the
+// column over them, their new bases and whatever stored ancestors those
+// need: a chunk is encoded as soon as the walk has passed both it and
+// its new base, and a copy of a passed chunk is kept only while an
+// encode still needs it. One readFrames call reads every frame the
+// column needs.
+func (s *Store) buildColumn(ctx *insertCtx, col *column, rule baseRule, bufs *chunkBufs, blobs [][]byte, built []chunkEntry) error {
 	ids := ctx.v.ids
 	n := len(ids)
+	inPlace := ctx.inPlace()
 	copy(built, col.entries)
+	// parent[t] is the view index of t's new base (t itself for a root);
 	// refs[j] counts the encodes that still need chunk j: its own, and
 	// one per target waiting on it as the new base
 	var (
+		parent  = make([]int, n)
 		pending = make([]bool, n)
 		want    = make([]bool, n)
 		read    = make([]bool, n)
@@ -707,14 +741,22 @@ func (s *Store) buildColumn(ctx *insertCtx, col *column, l layout.Layout, bufs *
 		encodes = 0
 	)
 	for i, e := range col.entries {
-		if b := layoutBase(l, ids, i); s.carries(e, b, b < 0) {
-			read[i] = true
+		b := rule(col.entries, i)
+		if e.Base == b {
+			read[i] = !inPlace
 			continue
 		}
+		p, live := i, true
+		if b >= 0 {
+			p, live = col.pos[b]
+		}
+		if !live {
+			return fmt.Errorf("core: rewrite bases chunk %s/%s of version %d on version %d, which is not live", col.attr.Name, col.key, ids[i], b)
+		}
 		encodes++
-		pending[i], want[i] = true, true
+		parent[i], pending[i], want[i] = p, true, true
 		refs[i]++
-		if p := l.Parent[i]; p != i {
+		if p != i {
 			want[p] = true
 			refs[p]++
 			waiters[p] = append(waiters[p], i)
@@ -722,19 +764,16 @@ func (s *Store) buildColumn(ctx *insertCtx, col *column, l layout.Layout, bufs *
 	}
 	s.rw.carried.Add(int64(n - encodes))
 	s.rw.encoded.Add(int64(encodes))
-	var on []bool
-	if encodes > 0 {
-		on = col.reach(want)
-		for i, o := range on {
-			read[i] = read[i] || o
-		}
+	on := col.reach(want)
+	for i, o := range on {
+		read[i] = read[i] || o
 	}
 	raws, err := col.read(s, read)
 	if err != nil {
 		return err
 	}
 	for i := range blobs {
-		if !pending[i] {
+		if !pending[i] && !inPlace {
 			blobs[i] = raws[i]
 		}
 	}
@@ -748,7 +787,10 @@ func (s *Store) buildColumn(ctx *insertCtx, col *column, l layout.Layout, bufs *
 		}
 	}
 	encode := func(t int, target, baseChunk *array.Dense) error {
-		b := max(layoutBase(l, ids, t), 0)
+		p, b := parent[t], 0
+		if p != t {
+			b = ids[p]
+		}
 		blob, e, err := s.encodeChunk(ctx, ids[t], col.attr, col.ck, col.origin, map[int]*array.Dense{b: baseChunk}, target, [3]int{b})
 		if err != nil {
 			return err
@@ -758,14 +800,14 @@ func (s *Store) buildColumn(ctx *insertCtx, col *column, l layout.Layout, bufs *
 		}
 		blobs[t], built[t], pending[t] = blob, e, false
 		release(t)
-		if p := l.Parent[t]; p != t {
+		if p != t {
 			release(p)
 		}
 		return nil
 	}
 	err = col.walk(raws, on, bufs, func(i int, d *array.Dense) error {
 		// a root's held[i] is still nil
-		if p := l.Parent[i]; pending[i] && (p == i || held[p] != nil) {
+		if p := parent[i]; pending[i] && (p == i || held[p] != nil) {
 			if err := encode(i, d, held[p]); err != nil {
 				return err
 			}
@@ -794,28 +836,40 @@ func (s *Store) buildColumn(ctx *insertCtx, col *column, l layout.Layout, bufs *
 }
 
 // buildSparse is buildRewrite for a sparse array: each version's
-// container of each attribute, in version order, carried when carries
-// holds (one readFrames call reads them all) and otherwise encoded
-// against its new base (encodeSparse), all appended with one
-// appendFrames call.
-func (s *Store) buildSparse(ctx *insertCtx, l layout.Layout, entries []map[string]map[string]chunkEntry) error {
+// container of each attribute, in version order, carried when its
+// stored base is rule's (one readFrames call reads them all, none in
+// place) and otherwise encoded against its new base (encodeSparse), all
+// appended with one appendFrames call. An attribute's containers across
+// the versions are its one column.
+func (s *Store) buildSparse(ctx *insertCtx, rule baseRule, entries []map[string]map[string]chunkEntry) error {
 	v, attrs := ctx.v, ctx.st.Schema.Attrs
+	inPlace := ctx.inPlace()
+	cols := make([][]chunkEntry, len(attrs))
+	for ai, attr := range attrs {
+		cols[ai] = make([]chunkEntry, len(v.ids))
+		for i, id := range v.ids {
+			e, ok := v.byID[id].Chunks[attr.Name]["chunk-full"]
+			if !ok {
+				return fmt.Errorf("core: version %d missing sparse container for %s", id, attr.Name)
+			}
+			cols[ai][i] = e
+		}
+	}
 	var (
 		blobs   = make([][]byte, 0, len(v.ids)*len(attrs))
 		built   = make([]chunkEntry, 0, cap(blobs))
 		carried []frameRef
 		at      []int // carried[k]'s index in blobs
+		encodes = 0
 	)
 	for i, id := range v.ids {
-		base := layoutBase(l, v.ids, i)
-		for _, attr := range attrs {
-			e, ok := v.byID[id].Chunks[attr.Name]["chunk-full"]
-			if !ok {
-				return fmt.Errorf("core: version %d missing sparse container for %s", id, attr.Name)
-			}
-			if s.carries(e, base, false) {
-				carried = append(carried, frameRef{id, e})
-				at = append(at, len(blobs))
+		for ai, attr := range attrs {
+			e, base := cols[ai][i], rule(cols[ai], i)
+			if e.Base == base {
+				if !inPlace {
+					carried = append(carried, frameRef{id, e})
+					at = append(at, len(blobs))
+				}
 				blobs, built = append(blobs, nil), append(built, e)
 				continue
 			}
@@ -823,11 +877,12 @@ func (s *Store) buildSparse(ctx *insertCtx, l layout.Layout, entries []map[strin
 			if err != nil {
 				return err
 			}
+			encodes++
 			blobs, built = append(blobs, blob), append(built, e)
 		}
 	}
-	s.rw.carried.Add(int64(len(carried)))
-	s.rw.encoded.Add(int64(len(blobs) - len(carried)))
+	s.rw.carried.Add(int64(len(blobs) - encodes))
+	s.rw.encoded.Add(int64(encodes))
 	raws, err := s.readFrames(v.gen.dir, carried)
 	if err != nil {
 		return err
@@ -846,23 +901,31 @@ func (s *Store) buildSparse(ctx *insertCtx, l layout.Layout, entries []map[strin
 	return nil
 }
 
-// DeleteVersion removes a version. Versions delta'ed against it are
-// first re-encoded (against the deleted version's own base, or
-// materialized), preserving the no-overwrite property for everything
-// still live. Space is reclaimed by Compact.
+// DeleteVersion removes a version. Every chunk of a live version that is
+// a delta against it is first re-parented (skipBase): re-encoded against
+// the deleted version's own stored base at that chunk position, or
+// materialized where its chunk is a root, preserving the no-overwrite
+// property for everything still live. Every other chunk keeps its entry
+// and writes nothing, and a version none of whose chunks is re-encoded
+// keeps its record. Space is reclaimed by Compact.
 //
 // It takes the shape of every mutator: stage → sync → commit → install.
-// The re-encoded chunk maps and the deletion flag are staged on cloned
-// versionMeta records in a staged arrayMeta, synced, committed with one
-// manifest record, and installed into the live state only on success —
-// a failed commit leaves memory and disk agreeing that the version is
-// still live, and sweeps the re-encode's appended blobs. Store.mu is
-// held only to snapshot and to install, so selects and inserts on every
+// The re-parent is the rewrite's column build over the committed
+// versions, writing into the generation it reads (buildRewrite in
+// place): the re-encoded frames are appended to the generation's data
+// log, like a write's, and a column with nothing to re-encode is
+// neither read nor written. The re-encodes only ever append, so
+// in-flight readers keep decoding their snapshots without a latch. The
+// new chunk maps and the deletion flag are staged on copied versionMeta
+// records in a staged arrayMeta, synced, committed with one manifest
+// record, and installed into the live state only on success — a failed
+// commit leaves memory and disk agreeing that the version is still
+// live, and sweeps the re-encode's appended frames. Store.mu is held
+// only to snapshot and to install, so selects and inserts on every
 // other array (and selects of this one) proceed meanwhile. The write
-// latch is held because the re-encodes append to chunk files concurrent
-// writes also append to, and so that no write is between its stage and
-// its install; reorgMu to serialize with rewrites. The re-encodes append
-// to the generation's data log, like a write.
+// latch is held throughout because the re-encodes append to the data
+// log concurrent writes also append to, and so that no write is between
+// its stage and its install; reorgMu to serialize with rewrites.
 func (s *Store) DeleteVersion(name string, id int) error {
 	if err := s.writeGate(name); err != nil {
 		return err
@@ -892,12 +955,30 @@ func (s *Store) DeleteVersion(name string, id int) error {
 	}
 	staged := st.metaClone()
 	s.mu.RUnlock()
-	ws := newWriteSet(st.current.dir)
-	err = s.stageDeleteVersion(st, &staged, id, ws)
+	// a bulk scan's view: it neither reads nor fills the LRU
+	v := viewOf(st, staged.Versions)
+	v.noLookup, v.noAdmit = true, true
+	pos := indexOf(v.ids)
+	ws := newWriteSet(v.gen.dir)
+	entries, err := s.buildRewrite(v, ws, skipBase(id, pos[id]))
 	if err == nil {
 		err = s.syncWrites(st, ws)
 	}
 	if err == nil {
+		for si, vm := range staged.Versions {
+			i, live := pos[vm.ID]
+			switch {
+			case !live:
+			case vm.ID == id:
+				del := *vm
+				del.Deleted = true
+				staged.Versions[si] = &del
+			case !maps.EqualFunc(vm.Chunks, entries[i], maps.Equal):
+				cp := *vm
+				cp.Chunks = entries[i]
+				staged.Versions[si] = &cp
+			}
+		}
 		if err = s.commitMeta(st, &staged); err != nil && isUncertain(err) {
 			s.noteCommitFailure(st, err)
 		}
@@ -921,75 +1002,6 @@ func (s *Store) DeleteVersion(name string, id int) error {
 	return nil
 }
 
-// stageDeleteVersion re-encodes, into staged, every live chunk that
-// bases on version id, then marks id deleted. Each re-encode goes
-// through encodePlane's per-chunk path: the child's chunks and its new
-// base's are resolved through the staged view and one memo, chunk by
-// chunk. The re-encodes only ever
-// append to the data log, so in-flight readers keep decoding their
-// snapshots without a latch. Callers hold the array's writeMu, which keeps
-// staged's generation current.
-func (s *Store) stageDeleteVersion(st *arrayState, staged *arrayMeta, id int, ws *writeSet) error {
-	// the staged document's view: its re-encodes, already on disk, read
-	// before the install; staged ids must never reach the LRU
-	v := viewOf(st, staged.Versions)
-	v.noLookup, v.noAdmit = true, true
-	vm := v.byID[id]
-	ctx := &insertCtx{st: st, v: v, ws: ws, qc: newChunkCache(false), sparse: staged.SparseRep,
-		goCtx: context.Background()} //avlint:allow-ctx DeleteVersion's child re-encode is not cancellable
-	for si, child := range staged.Versions {
-		if child.ID == id || child.Deleted {
-			continue
-		}
-		var cp *versionMeta
-		for _, attr := range st.Schema.Attrs {
-			dirty := false
-			for _, e := range child.Chunks[attr.Name] {
-				if e.Base == id {
-					dirty = true
-					break
-				}
-			}
-			if !dirty {
-				continue
-			}
-			// choose the deleted version's base as the new base when it
-			// is still live, otherwise materialize; scan every chunk and
-			// take the newest live base so the pick is deterministic
-			// (map iteration order is not)
-			newBase := 0
-			for _, e := range vm.Chunks[attr.Name] {
-				if e.Base >= 0 && e.Base > newBase && e.Base != id {
-					if _, err := v.version(e.Base); err == nil {
-						newBase = e.Base
-					}
-				}
-			}
-			entries, err := s.encodePlane(ctx, child.ID, attr, nil, nil, newBase)
-			if err != nil {
-				return err
-			}
-			if cp == nil {
-				cp = child.clone()
-			}
-			cp.Chunks[attr.Name] = entries
-		}
-		if cp != nil {
-			staged.Versions[si] = cp
-			v.byID[child.ID] = cp
-		}
-	}
-	for si, svm := range staged.Versions {
-		if svm.ID == id {
-			del := *svm
-			del.Deleted = true
-			staged.Versions[si] = &del
-			break
-		}
-	}
-	return nil
-}
-
 // syncWrites makes a write-set durable (writeSet.sync). A failed fsync
 // may have dropped already-written pages — the on-disk effect is
 // uncertain — so the array degrades before anyone writes behind it.
@@ -1004,66 +1016,11 @@ func (s *Store) syncWrites(st *arrayState, ws *writeSet) error {
 // Compact rewrites an array's chunk files keeping only payloads
 // referenced by live versions, reclaiming space left behind by
 // DeleteVersion and superseded encodings. It is a rewrite like
-// Reorganize — same latches, same commit — whose build merely relocates
-// the stored frames instead of re-encoding them.
+// Reorganize — same latches, same commit, same column build — whose
+// rule keeps every stored base (keepBases), so every frame is carried
+// byte for byte, in the build's column order, and nothing is decoded.
 func (s *Store) Compact(name string) error {
 	return s.rewrite(name, func(v *readView, ws *writeSet) ([]map[string]map[string]chunkEntry, error) {
-		vms := make([]*versionMeta, len(v.ids))
-		for i, id := range v.ids {
-			vms[i] = v.byID[id]
-		}
-		return s.carryFrames(v.st.Schema, v.gen.dir, vms, ws)
+		return s.buildRewrite(v, ws, keepBases)
 	})
-}
-
-// carryFrames copies the stored frames of vms out of srcDir into ws's
-// log byte for byte — same base, codec and length; nothing is decoded —
-// and returns each version's chunk maps pointing at the copies. It goes
-// one chunk column at a time, in (attribute, chunk key) order: the
-// column's frames, one per version in vms order (id order), are read
-// with one readFrames call and appended with one appendFrames call, so
-// each chunk's chain is one run of the log wherever its frames were read
-// from (a data log or a chain file). Every version of an array has the
-// chunk keys of the first. Compact's build and a rewrite's carry-forward
-// of the versions committed mid-build are this one copy.
-func (s *Store) carryFrames(schema array.Schema, srcDir string, vms []*versionMeta, ws *writeSet) ([]map[string]map[string]chunkEntry, error) {
-	out := make([]map[string]map[string]chunkEntry, len(vms))
-	for i := range vms {
-		out[i] = make(map[string]map[string]chunkEntry, len(schema.Attrs))
-	}
-	if len(vms) == 0 {
-		return out, nil
-	}
-	frames := make([]frameRef, len(vms))
-	moved := make([]chunkEntry, len(vms))
-	for _, attr := range schema.Attrs {
-		keys := make([]string, 0, len(vms[0].Chunks[attr.Name]))
-		for key := range vms[0].Chunks[attr.Name] {
-			keys = append(keys, key)
-		}
-		slices.Sort(keys)
-		for i := range vms {
-			out[i][attr.Name] = make(map[string]chunkEntry, len(keys))
-		}
-		for _, key := range keys {
-			for i, vm := range vms {
-				e, ok := vm.Chunks[attr.Name][key]
-				if !ok {
-					return nil, fmt.Errorf("core: version %d has no chunk %s/%s", vm.ID, attr.Name, key)
-				}
-				frames[i], moved[i] = frameRef{vm.ID, e}, e
-			}
-			blobs, err := s.readFrames(srcDir, frames)
-			if err == nil {
-				err = s.appendFrames(ws, blobs, moved)
-			}
-			if err != nil {
-				return nil, err
-			}
-			for i := range vms {
-				out[i][attr.Name][key] = moved[i]
-			}
-		}
-	}
-	return out, nil
 }

@@ -227,7 +227,7 @@ type chunkCache struct {
 	// each payload once — a reverse chain read oldest-first included. A
 	// rewrite needs no memo: it decodes each chunk column in one walk
 	// (column.walk). A staging memo keeps only the chunks asked
-	// for (a base, a candidate, a re-encode's target): a walk down a long
+	// for (a base, a candidate): a walk down a long
 	// cold chain then copies one plane, not one per link.
 	links bool
 }

@@ -187,7 +187,10 @@ func driftSeries(n int, side int64, seed int64) []*array.Dense {
 // then times a Tune for a workload of the oldest version alone, at the
 // far end of that chain, so every pass rewrites. compact times a
 // durable Compact of the versions as written, all of their frames in
-// the data log; each pass rebuilds that fixture untimed.
+// the data log; each pass rebuilds that fixture untimed. delete inserts
+// two drift versions onto the head untimed, each a delta on the one
+// before, then times DeleteVersion of the first, which re-parents every
+// chunk of the second onto the old head.
 func BenchmarkReorganize(b *testing.B) {
 	const side, n = 512, 48
 	fixture := func(b *testing.B, durable bool) *Store {
@@ -258,6 +261,43 @@ func BenchmarkReorganize(b *testing.B) {
 			}
 			if !rep.Reorganized {
 				b.Fatalf("Tune did not rewrite: %s", rep.Reason)
+			}
+		}
+	})
+	b.Run("delete", func(b *testing.B) {
+		s := fixture(b, false)
+		defer s.Close()
+		head, err := s.Select("R", n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cur := head.Dense
+		rng := rand.New(rand.NewSource(89))
+		drift := func() *array.Dense {
+			cur = cur.Clone()
+			for k := int64(0); k < cur.NumCells()*3/100; k++ {
+				cur.SetBits(rng.Int63n(cur.NumCells()), int64(rng.Intn(1<<20)))
+			}
+			return cur
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			first, err := s.Insert("R", DensePayload(drift()))
+			if err == nil {
+				_, err = s.Insert("R", DensePayload(drift()))
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			enc := s.rw.encoded.Load()
+			b.StartTimer()
+			if err := s.DeleteVersion("R", first); err != nil {
+				b.Fatal(err)
+			}
+			if got := s.rw.encoded.Load() - enc; got != 4 {
+				b.Fatalf("the delete re-encoded %d chunks, want all 4 of the second version", got)
 			}
 		}
 	})

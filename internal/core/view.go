@@ -31,8 +31,8 @@ type readView struct {
 	noLookup, noAdmit bool
 	// byID maps each live version id to its record. The records are
 	// the committed document's own, shared, never copied: a committed
-	// versionMeta is never edited in place — a mutator clones it
-	// (versionMeta.clone) and swaps the pointer in its staged document —
+	// versionMeta is never edited in place — a mutator copies it and
+	// swaps the pointer in its staged document —
 	// so a view stays coherent after Store.mu is released. A staging
 	// view adds its staged records to its own map.
 	byID map[int]*versionMeta
