@@ -66,25 +66,29 @@ func (c *column) reach(want []bool) []bool {
 	return on
 }
 
-// read fetches the stored frames of the versions marked in which with
-// one readFrames call; raws[i] is version i's payload, nil where
-// unmarked.
+// read fetches the stored frames of the versions marked in which (nil:
+// every version) with one readFrames call; raws[i] is version i's
+// payload, nil where unmarked.
 func (c *column) read(s *Store, which []bool) ([][]byte, error) {
-	frames := make([]frameRef, 0, len(which))
-	at := make([]int, 0, len(which))
-	for i, w := range which {
-		if w {
-			frames = append(frames, frameRef{c.v.ids[i], c.entries[i]})
-			at = append(at, i)
+	frames := make([]frameRef, 0, len(c.entries))
+	for i, e := range c.entries {
+		if which == nil || which[i] {
+			frames = append(frames, frameRef{c.v.ids[i], e})
 		}
 	}
 	got, err := s.readFrames(c.v.gen.dir, frames)
 	if err != nil {
 		return nil, fmt.Errorf("core: chunk %s/%s: %w", c.attr.Name, c.key, err)
 	}
+	if which == nil {
+		return got, nil
+	}
 	raws := make([][]byte, len(which))
-	for k, i := range at {
-		raws[i] = got[k]
+	k := 0
+	for i, w := range which {
+		if w {
+			raws[i], k = got[k], k+1
+		}
 	}
 	return raws, nil
 }

@@ -1339,3 +1339,35 @@ func TestMergeSparseParents(t *testing.T) {
 		t.Fatalf("sparse merge broken: %v", err)
 	}
 }
+
+// TestSparseInsertAllocsIndependentOfGrid bounds a 100-entry sparse
+// insert's allocations at DefaultOptions whatever its array's shape: a
+// sparse write never touches the dense chunk grid, so a 1 000 000²
+// array, whose grid has about 3.8·10⁵ chunks, allocates what a 1 000²
+// one does.
+func TestSparseInsertAllocsIndependentOfGrid(t *testing.T) {
+	for _, dim := range []int64{1_000, 1_000_000} {
+		s := testStore(t, DefaultOptions())
+		name := fmt.Sprintf("Sp%d", dim)
+		if err := s.CreateArray(sparseSchema(name, dim)); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(dim))
+		sp := array.MustSparse(array.Int32, []int64{dim, dim}, 0)
+		allocs := testing.AllocsPerRun(4, func() {
+			for range 100 {
+				sp.SetBits(rng.Int63n(dim*dim), int64(rng.Intn(90)+1))
+			}
+			if _, err := s.Insert(name, SparsePayload(sp)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d²: %.0f allocations", dim, allocs)
+		if allocs > 1000 {
+			t.Errorf("%d² array: a sparse insert made %.0f allocations, want at most 1000", dim, allocs)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

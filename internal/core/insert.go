@@ -362,11 +362,14 @@ func (s *Store) cutPlanes(ctx context.Context, st *arrayState, planes []Plane) (
 	if err != nil {
 		return nil, err
 	}
-	origins := ck.All()
+	var origins [][]int64 // enumerated for the first dense plane only
 	out := make([][]*array.Dense, len(planes))
 	for ai, pl := range planes {
 		if ai >= len(st.Schema.Attrs) || pl.Dense == nil || pl.validate(st.Schema, st.Schema.Attrs[ai]) != nil {
 			continue
+		}
+		if origins == nil {
+			origins = ck.All()
 		}
 		out[ai] = make([]*array.Dense, len(origins))
 		if err := forEachLimit(ctx, len(origins), s.opts.Parallelism, func(i int) error {

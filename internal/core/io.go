@@ -175,13 +175,14 @@ type frameRun struct {
 // once and closed on return, so no handle outlives the read. The frames
 // of one file are sorted by offset and read as runs: frames that touch
 // — the next starts where the last ended, as a rewritten chunk column's
-// do — share one pread into one buffer, which their payloads then
-// alias, so a run holds no bytes but its frames. Frames that do not
-// touch — one chunk's frames across writes, or frames in different
-// files — are separate reads. Two
-// passes: the first groups the runs and checks every one against its
-// file's size, the second allocates and reads, so no buffer is made
-// until every extent is known to fit. Each frame's header — magic,
+// do — share one pread. Frames that do not touch — one chunk's frames
+// across writes, or frames in different files — are separate reads.
+// Every run is read into its own part of one buffer, which the payloads
+// then alias, so the call holds no bytes but its frames and allocates
+// one buffer however many runs it reads. Two passes: the first groups
+// the runs and checks every one against its file's size, the second
+// allocates and reads, so no buffer is made until every extent is known
+// to fit. Each frame's header — magic,
 // length, CRC32-C — is validated on its own, so torn writes, stale
 // offsets and bit rot surface as errors that name the frame's file,
 // offset and version. Callers pin dir's generation (a snapshot, or a
@@ -241,19 +242,25 @@ func (s *Store) readFrames(dir string, frames []frameRef) ([][]byte, error) {
 		runs = append(runs, frameRun{files[len(files)-1], order[lo:hi], first.Offset, end})
 		lo = hi
 	}
-	out := make([][]byte, len(frames))
+	var total int64
 	for _, r := range runs {
-		if err := s.readRun(frames, r, out); err != nil {
+		total += r.end - r.off
+	}
+	out := make([][]byte, len(frames))
+	buf := make([]byte, total)
+	for _, r := range runs {
+		n := r.end - r.off
+		if err := s.readRun(frames, r, buf[:n:n], out); err != nil {
 			return nil, err
 		}
+		buf = buf[n:]
 	}
 	return out, nil
 }
 
-// readRun reads one checked run with one pread and parses each of its
-// frames out of the buffer into out.
-func (s *Store) readRun(frames []frameRef, r frameRun, out [][]byte) error {
-	buf := make([]byte, r.end-r.off)
+// readRun reads one checked run with one pread into buf, its length,
+// and parses each of its frames out of it into out.
+func (s *Store) readRun(frames []frameRef, r frameRun, buf []byte, out [][]byte) error {
 	if _, err := r.f.ReadAt(buf, r.off); err != nil {
 		return fmt.Errorf("core: read chunk %s@%d+%d: %w", frames[r.idx[0]].e.File, r.off, len(buf), err)
 	}

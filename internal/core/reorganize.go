@@ -386,12 +386,14 @@ const matrixSample = 4096
 // versions is priced from, per attribute and version (in view order):
 // the cells at one sorted sample draw, gathered one chunk column at a
 // time (a dense array, whatever its size: the draw is with
-// replacement), or the sparse planes.
+// replacement), or the sparse planes; and the worker pool's size, which
+// prices a sampled matrix's pairs.
 type matrixInput struct {
 	dts     []array.DataType
 	cells   int64
 	sampled [][][]int64
 	sparse  [][]*array.Sparse
+	workers int
 }
 
 // matrixInputOf prepares v's matrixInput. A dense attribute's cells are
@@ -404,7 +406,8 @@ func (s *Store) matrixInputOf(v *readView, sample int) (*matrixInput, error) {
 		sample = matrixSample
 	}
 	attrs := v.st.Schema.Attrs
-	in := &matrixInput{dts: make([]array.DataType, len(attrs)), cells: array.BoxOf(v.st.Schema.Shape()).NumCells()}
+	in := &matrixInput{dts: make([]array.DataType, len(attrs)), cells: array.BoxOf(v.st.Schema.Shape()).NumCells(),
+		workers: s.opts.Parallelism}
 	ck, err := v.st.chunker()
 	if err != nil {
 		return nil, err
@@ -499,7 +502,7 @@ func (in *matrixInput) matrix(lo, hi int) (*matmat.Matrix, error) {
 				return nil, err
 			}
 		} else {
-			mm = matmat.FromSamples(dt, in.cells, in.sampled[ai][lo:hi])
+			mm = matmat.FromSamples(dt, in.cells, in.sampled[ai][lo:hi], in.workers)
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -721,12 +724,30 @@ func (s *Store) buildRewrite(v *readView, ws *writeSet, rule baseRule) ([]map[st
 // need: a chunk is encoded as soon as the walk has passed both it and
 // its new base, and a copy of a passed chunk is kept only while an
 // encode still needs it. One readFrames call reads every frame the
-// column needs.
+// column needs; a column that only carries reads its frames (none in
+// place) and sets up no walk.
 func (s *Store) buildColumn(ctx *insertCtx, col *column, rule baseRule, bufs *chunkBufs, blobs [][]byte, built []chunkEntry) error {
 	ids := ctx.v.ids
 	n := len(ids)
 	inPlace := ctx.inPlace()
 	copy(built, col.entries)
+	encodes := 0
+	for i, e := range col.entries {
+		if rule(col.entries, i) != e.Base {
+			encodes++
+		}
+	}
+	s.rw.carried.Add(int64(n - encodes))
+	s.rw.encoded.Add(int64(encodes))
+	if encodes == 0 {
+		// every frame is carried: copied, or in place left where it is
+		if inPlace {
+			return nil
+		}
+		raws, err := col.read(s, nil)
+		copy(blobs, raws)
+		return err
+	}
 	// parent[t] is the view index of t's new base (t itself for a root);
 	// refs[j] counts the encodes that still need chunk j: its own, and
 	// one per target waiting on it as the new base
@@ -738,7 +759,6 @@ func (s *Store) buildColumn(ctx *insertCtx, col *column, rule baseRule, bufs *ch
 		refs    = make([]int, n)
 		waiters = make([][]int, n)
 		held    = make([]*array.Dense, n)
-		encodes = 0
 	)
 	for i, e := range col.entries {
 		b := rule(col.entries, i)
@@ -753,7 +773,6 @@ func (s *Store) buildColumn(ctx *insertCtx, col *column, rule baseRule, bufs *ch
 		if !live {
 			return fmt.Errorf("core: rewrite bases chunk %s/%s of version %d on version %d, which is not live", col.attr.Name, col.key, ids[i], b)
 		}
-		encodes++
 		parent[i], pending[i], want[i] = p, true, true
 		refs[i]++
 		if p != i {
@@ -762,8 +781,6 @@ func (s *Store) buildColumn(ctx *insertCtx, col *column, rule baseRule, bufs *ch
 			waiters[p] = append(waiters[p], i)
 		}
 	}
-	s.rw.carried.Add(int64(n - encodes))
-	s.rw.encoded.Add(int64(encodes))
 	on := col.reach(want)
 	for i, o := range on {
 		read[i] = read[i] || o
@@ -776,9 +793,6 @@ func (s *Store) buildColumn(ctx *insertCtx, col *column, rule baseRule, bufs *ch
 		if !pending[i] && !inPlace {
 			blobs[i] = raws[i]
 		}
-	}
-	if encodes == 0 {
-		return nil
 	}
 	release := func(j int) {
 		if refs[j]--; refs[j] == 0 && held[j] != nil {

@@ -80,8 +80,10 @@ func encodePair(dt array.DataType, cells int, share, mode byte, seed int64, raw 
 }
 
 // estimateSize is the sampled estimator for one pair: the three calls
-// the materialization matrix makes, or the exact hybrid size when the
-// sample covers the array.
+// the materialization matrix makes, passing only the sampled positions
+// where the two differ as the matrix passes only those some version of
+// its series changes, or the exact hybrid size when the sample covers
+// the array.
 func estimateSize(target, base *array.Dense, sample int, seed int64) int64 {
 	n := target.NumCells()
 	if sample <= 0 || int64(sample) >= n {
@@ -89,7 +91,15 @@ func estimateSize(target, base *array.Dense, sample int, seed int64) int64 {
 		return int64(len(blob))
 	}
 	idx := SampleCells(n, sample, seed)
-	return EstimateSampled(target.DType(), n, Gather(target, idx), Gather(base, idx))
+	tv, bv := Gather(target, idx), Gather(base, idx)
+	k := 0
+	for i := range tv {
+		if tv[i] != bv[i] {
+			tv[k], bv[k] = tv[i], bv[i]
+			k++
+		}
+	}
+	return EstimateSampled(target.DType(), n, int64(sample), tv[:k], bv[:k])
 }
 
 // checkEncode fails unless the kernel and the oracle agree byte for byte

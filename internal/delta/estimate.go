@@ -21,11 +21,17 @@ import (
 // EstimateSampled prices a pair from two gathered vectors. The
 // materialization matrix (internal/matmat) draws once, gathers each of
 // its n versions once — O(n·R) random reads — and prices all n²/2 pairs
-// from contiguous vectors, O(n²·R) sequential work. Each entry is still
-// the estimator over R uniformly random cells; only the independence
-// between entries goes, and since the layout algorithms compare entries,
-// the shared draw (common random numbers) lowers the variance of exactly
-// the differences they act on. The store prices the one pair an insert
+// from contiguous vectors. A position where every version holds the
+// same cell adds a zero-width difference to every pair's histogram, so
+// the matrix drops those positions once and passes each pair only the
+// K that some version changes, with R: O(n·R + n²·K) work, where K is
+// what a series actually changes at the sample (most positions are
+// constant in a series of small updates; every one changes in a series
+// of whole-array noise). Each entry is still the estimator over R
+// uniformly random cells; only the independence between entries goes,
+// and since the layout algorithms compare entries, the shared draw
+// (common random numbers) lowers the variance of exactly the
+// differences they act on. The store prices the one pair an insert
 // tries exactly instead, by encoding it (EncodeHybridUnder), so the
 // sampled estimator serves only the matrix.
 
@@ -51,18 +57,21 @@ func Gather(a *array.Dense, idx []int64) []int64 {
 }
 
 // EstimateSampled estimates the hybrid-delta encoded size of (target −
-// base) over n cells of dtype dt from the bit patterns t and b the two
-// hold at the same R sampled positions: the width histogram of the R
-// differences, the hybrid width its cost model picks, and the sample's
-// cost scaled by N/R. t and b are non-empty and equally long; the order
-// of the positions does not matter.
-func EstimateSampled(dt array.DataType, n int64, t, b []int64) int64 {
-	sample := int64(len(t))
-	b = b[:sample] // one bounds check, not one per cell
+// base) over n cells of dtype dt from a sample of R = sample cells: t
+// and b are the bit patterns the two hold at those of the R sampled
+// positions where they may differ, and at the other R − len(t) the two
+// are equal. It builds the width histogram of the R differences, takes
+// the hybrid width its cost model picks, and scales the sample's cost
+// by N/R. R is positive and at least len(t), t and b are equally long,
+// and the order of the positions does not matter.
+func EstimateSampled(dt array.DataType, n, sample int64, t, b []int64) int64 {
+	b = b[:len(t)] // one bounds check, not one per cell
+	// every position left out is a zero-width difference
+	var h widthHist
+	h[0] = sample - int64(len(t))
 	// wrapDiff with the dtype's lane shift hoisted out of the loop: the
 	// matrix runs this loop for every pair
 	shift := uint(64 - dt.Size()*8)
-	var h widthHist
 	for i, tv := range t {
 		h[bitpack.SignedWidth(int64(uint64(tv-b[i])<<shift)>>shift)]++
 	}

@@ -8,18 +8,25 @@
 // every pair's delta. The sampling mode estimates each delta size from a
 // random subset of R cells scaled by N/R, as §IV-A describes, with one
 // draw shared by the whole matrix: the R positions are drawn once,
-// each version's cells there are read once (O(n·R) random reads), and
-// every pair is priced from two contiguous vectors (O(n²·R) sequential
-// work). Each entry is still the paper's estimator over R uniformly
-// random cells; only the independence between entries goes. Because
-// the layout algorithms act on differences between entries, sharing the
-// draw is the common-random-numbers choice: it lowers the variance of
-// exactly those differences.
+// each version's cells there are read once (O(n·R) random reads), the
+// positions where every version holds the same cell are dropped once
+// (each is a zero-width difference in every pair), and every pair is
+// priced from two contiguous vectors of the K positions left, on a
+// worker pool: O(n·R + n²·K) sequential work, where K is what the
+// series changes at the sample. Each entry is still the paper's
+// estimator over R uniformly random cells; only the independence
+// between entries goes. Because the layout algorithms act on
+// differences between entries, sharing the draw is the
+// common-random-numbers choice: it lowers the variance of exactly those
+// differences.
 package matmat
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"arrayvers/internal/array"
 	"arrayvers/internal/delta"
@@ -71,7 +78,7 @@ func Compute(versions []*array.Dense, opts Options) (*Matrix, error) {
 		for i, v := range versions {
 			g[i] = delta.Gather(v, idx)
 		}
-		return FromSamples(versions[0].DType(), cells, g), nil
+		return FromSamples(versions[0].DType(), cells, g, runtime.GOMAXPROCS(0)), nil
 	}
 	m := New(n)
 	for i := 0; i < n; i++ {
@@ -101,18 +108,86 @@ func Draw(cells int64, sample int, seed int64) []int64 {
 // one Draw, for versions of cells cells of dtype dt each: exactly
 // Compute's sampled matrix, for a caller that gathers the cells itself
 // (the store reads them chunk by chunk, never assembling a version).
-func FromSamples(dt array.DataType, cells int64, g [][]int64) *Matrix {
+// The pairs are priced on up to workers goroutines, each row's by one,
+// so the matrix is the same for any worker count.
+func FromSamples(dt array.DataType, cells int64, g [][]int64, workers int) *Matrix {
 	n := len(g)
 	m := New(n)
-	for i := 0; i < n; i++ {
+	for i := range n {
 		m.Cost[i][i] = cells * int64(dt.Size())
-		for j := 0; j < i; j++ {
-			size := delta.EstimateSampled(dt, cells, g[i], g[j])
+	}
+	if n < 2 {
+		return m
+	}
+	sample := int64(len(g[0]))
+	kept := changed(g)
+	forEachRow(n, workers, func(i int) {
+		for j := range i {
+			size := delta.EstimateSampled(dt, cells, sample, kept[i], kept[j])
 			m.Cost[i][j] = size
 			m.Cost[j][i] = size
 		}
-	}
+	})
 	return m
+}
+
+// changed returns each g[i] at only the positions where some version's
+// cell differs from version 0's, in their order, all in one backing
+// array; g itself when that is every position.
+func changed(g [][]int64) [][]int64 {
+	moved := make([]bool, len(g[0]))
+	for _, gi := range g[1:] {
+		gi = gi[:len(moved)]
+		for p, v0 := range g[0] {
+			moved[p] = moved[p] || gi[p] != v0
+		}
+	}
+	at := make([]int, 0, len(moved))
+	for p, m := range moved {
+		if m {
+			at = append(at, p)
+		}
+	}
+	k := len(at)
+	if k == len(moved) {
+		return g
+	}
+	flat := make([]int64, len(g)*k)
+	kept := make([][]int64, len(g))
+	for i, gi := range g {
+		kept[i] = flat[i*k : (i+1)*k : (i+1)*k]
+		for x, p := range at {
+			kept[i][x] = gi[p]
+		}
+	}
+	return kept
+}
+
+// forEachRow calls fn(i) for every row i in [1, n) on up to workers
+// goroutines, the longest rows first: row i prices i pairs.
+func forEachRow(n, workers int, fn func(i int)) {
+	workers = min(workers, n-1)
+	if workers <= 1 {
+		for i := n - 1; i > 0; i-- {
+			fn(i)
+		}
+		return
+	}
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	next.Store(int64(n))
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(-1)); i > 0; i = int(next.Add(-1)) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // ComputeSparse builds the matrix for a series of sparse versions using
